@@ -1,0 +1,72 @@
+package fedca_test
+
+import (
+	"testing"
+
+	fedca "fedca"
+)
+
+// TestParamsChecksumPinned runs two rounds of each benchmark workload at its
+// smoke-test size (benchmark/workloads.go, options(seed, tiny)) and compares
+// the global model's checksum with the value recorded before the compute
+// floor was rebuilt (commit 4c90e5b, scalar float64 / SSE2 float32 kernels).
+// The kernels, the patch-matrix layouts and the skipped first-layer input
+// gradient may change how the arithmetic is scheduled, never a single bit of
+// its result, so a mismatch here is a kernel bug, not a tolerance question.
+func TestParamsChecksumPinned(t *testing.T) {
+	tiny := func(o *fedca.Options) {
+		o.LocalIters, o.BatchSize = 2, 4
+		o.TrainSamples, o.TestSamples = 96, 32
+		if o.Fleet > 0 {
+			o.Fleet = 1000
+		} else {
+			o.Clients = 3
+		}
+	}
+	cases := []struct {
+		name      string
+		configure func(o *fedca.Options)
+		want      string
+	}{
+		{"cnn-fedca", func(o *fedca.Options) {
+			o.Model, o.Scheme = "cnn", "fedca"
+			o.Clients, o.LocalIters, o.BatchSize = 8, 40, 32
+		}, "a62f33242d0e3bc7f0cf4765d78d0a852d1ecd6743a714c28df6e7efbb38deb5"},
+		{"wrn-fedca-qsgd", func(o *fedca.Options) {
+			o.Model, o.Scheme = "wrn", "fedca"
+			o.Clients, o.LocalIters, o.BatchSize = 4, 20, 16
+			o.Compress = "qsgd7"
+		}, "7722af7ada84f175a797ae757bd50010a8743a691ad11633aa4e8bffb9ad77d7"},
+		{"lstm-fedavg-chaos", func(o *fedca.Options) {
+			o.Model, o.Scheme = "lstm", "fedavg"
+			o.Clients, o.LocalIters, o.BatchSize = 16, 40, 32
+			o.AggregateFraction = 0.9
+			o.Chaos = "drop=0.1,slow=0.3,degrade=0.2,xfail=0.02,corrupt=0.01"
+			o.MaxDeltaNorm = 1e6
+		}, "ed1e32aa153942e66a45dfe2ab7d75682e30c94df5be25d24f4559dc5efeca43"},
+		{"fleet-cnn-f32", func(o *fedca.Options) {
+			o.Model, o.Scheme = "cnn", "fedavg"
+			o.Fleet, o.Participation = 50000, 0.01
+			o.LocalIters, o.BatchSize = 3, 10
+			o.TrainSamples, o.TestSamples = 2000, 400
+			o.AggregateFraction = 1
+			o.DType = "f32"
+		}, "654ceccfe8b2975399deada9500daf282b955697367ffa4660fba1855f96cffe"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := fedca.DefaultOptions()
+			o.Seed = 42
+			c.configure(&o)
+			tiny(&o)
+			f, err := fedca.New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Run(2)
+			if got := f.ParamsChecksum(); got != c.want {
+				t.Fatalf("ParamsChecksum after 2 rounds = %s, want %s", got, c.want)
+			}
+		})
+	}
+}

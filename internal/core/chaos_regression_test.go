@@ -89,7 +89,7 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 // TestSchemeDeterministicUnderChaos: the full scheme + chaos stack replayed
 // with identical seeds must reproduce the run exactly — parameters, timings
 // and every scheme statistic (including the early-stop and eager iteration
-// traces, which are order-sensitive).
+// traces, which Stats reports sorted: their arrival order is the scheduler's).
 func TestSchemeDeterministicUnderChaos(t *testing.T) {
 	run := func() ([]float64, float64, core.SchemeStats) {
 		w := tinyWorkload()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -161,14 +162,24 @@ func (s *Scheme) SetJournal(j *telemetry.Journal) { s.journal = j }
 
 // Stats returns a snapshot of the accumulated behavioural statistics. It is
 // safe to call from any goroutine, including while a round is executing.
+// Controllers append to the iteration traces in the order their clients
+// happen to finish, which depends on scheduling; the snapshot's copies are
+// sorted, so equal runs report equal statistics. Every reader treats them as
+// samples of a distribution (a count, a mean, a CDF), never as a sequence.
 func (s *Scheme) Stats() SchemeStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	snap := s.stats
-	snap.EarlyStopIters = append([]int(nil), s.stats.EarlyStopIters...)
-	snap.EagerIters = append([]int(nil), s.stats.EagerIters...)
-	snap.RetransmitIters = append([]int(nil), s.stats.RetransmitIters...)
+	snap.EarlyStopIters = sortedCopy(s.stats.EarlyStopIters)
+	snap.EagerIters = sortedCopy(s.stats.EagerIters)
+	snap.RetransmitIters = sortedCopy(s.stats.RetransmitIters)
 	return snap
+}
+
+func sortedCopy(v []int) []int {
+	out := slices.Clone(v)
+	slices.Sort(out)
+	return out
 }
 
 // Profiler returns (creating if needed) the persistent profiler of a client.

@@ -6,7 +6,16 @@ import (
 )
 
 // Conv2DOf is a 2-D convolution over [B, C·H·W] inputs with fixed geometry.
-// The weight has shape [outC, inC·KH·KW]; forward is im2col + GEMM.
+// The weight has shape [outC, inC·KH·KW]. Each sample is three products, and
+// in all three the vector lanes run along the long dimension while the
+// operand that is already laid out right is read in place:
+//
+//	forward  out[outC×pos]    = W · colᵀ      colᵀ written packed by Im2ColOf
+//	dW_i     dW[outC×patch]   = dout · col    col written packed by Im2ColPackedOf
+//	dx       dcolᵀ[patch×pos] = Wᵀ · dout     W read by columns, then Col2ImOf
+//
+// so a patch matrix is written once, in the layout its product consumes, and
+// the layer weight is never packed or copied at all.
 type Conv2DOf[F tensor.Float] struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -43,12 +52,12 @@ type Conv2D = Conv2DOf[float64]
 // rebound onto the current sample's rows of the batch buffers each iteration,
 // so no per-sample tensor headers are ever minted.
 type convScratchOf[F tensor.Float] struct {
-	col    *tensor.TensorOf[F]  // forward: [pos, patch] patch matrix, operand B of the NT GEMM
-	out    *tensor.TensorOf[F]  // forward: [outC, pos] header rebound onto the sample's output rows
-	dcol   *tensor.TensorOf[F]  // backward: [pos, patch] patch-gradient matrix
-	packed *tensor.PackedBOf[F] // backward: patch matrix in packed-panel form (fused im2col)
-	doutS  *tensor.TensorOf[F]  // backward: [outC, pos] header rebound onto the sample's dout rows
-	dWi    *tensor.TensorOf[F]  // backward: [outC, patch] header rebound onto the sample's dW slot
+	colT  *tensor.PackedBOf[F] // forward: [patch, pos] patch matrix, packed
+	out   *tensor.TensorOf[F]  // forward: [outC, pos] header rebound onto the sample's output rows
+	col   *tensor.PackedBOf[F] // backward: [pos, patch] patch matrix, packed
+	dcolT *tensor.TensorOf[F]  // backward: [patch, pos] patch-gradient matrix
+	doutS *tensor.TensorOf[F]  // backward: [outC, pos] header rebound onto the sample's dout rows
+	dWi   *tensor.TensorOf[F]  // backward: [outC, patch] header rebound onto the sample's dW slot
 }
 
 // NewConv2DOf creates a convolution layer with parameters "<name>.weight" and
@@ -103,8 +112,8 @@ func (r *convFwdRunnerOf[F]) newScratch() any {
 	c := r.c
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
 	return &convScratchOf[F]{
-		col: tensor.NewOf[F](pos, patch),
-		out: tensor.NewOf[F](c.OutC, pos),
+		colT: tensor.NewPackedBOf[F](patch, pos),
+		out:  tensor.NewOf[F](c.OutC, pos),
 	}
 }
 
@@ -114,9 +123,9 @@ func (r *convFwdRunnerOf[F]) sample(i int, scratch any) {
 	s := scratch.(*convScratchOf[F])
 	pos := c.Geom.ColRows()
 	inDim, outDim := c.InDim(), c.OutDim()
-	tensor.Im2ColOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.col.Data())
+	tensor.Im2ColOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.colT)
 	s.out.Rebind(c.call.yd[i*outDim : (i+1)*outDim])
-	tensor.MatMulTransB(s.out, c.W.Value, s.col)
+	tensor.MatMulPacked(s.out, c.W.Value, s.colT)
 	bias := c.B.Value.Data()
 	od := s.out.Data()
 	for oc := 0; oc < c.OutC; oc++ {
@@ -150,27 +159,25 @@ func (r *convBwdRunnerOf[F]) newScratch() any {
 	c := r.c
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
 	return &convScratchOf[F]{
-		packed: tensor.NewPackedBOf[F](pos, patch),
-		dcol:   tensor.NewOf[F](pos, patch),
-		doutS:  tensor.NewOf[F](c.OutC, pos),
-		dWi:    tensor.NewOf[F](c.OutC, patch),
+		col:   tensor.NewPackedBOf[F](pos, patch),
+		dcolT: tensor.NewOf[F](patch, pos),
+		doutS: tensor.NewOf[F](c.OutC, pos),
+		dWi:   tensor.NewOf[F](c.OutC, patch),
 	}
 }
 
-// sample computes one sample's input gradient and its private weight/bias
-// gradient contributions.
+// sample computes one sample's private weight/bias gradient contributions
+// and, unless the call skips it, its input gradient.
 func (r *convBwdRunnerOf[F]) sample(i int, scratch any) {
 	c := r.c
 	s := scratch.(*convScratchOf[F])
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
 	inDim, outDim := c.InDim(), c.OutDim()
-	// Fused im2col + pack: the patch matrix is produced once per sample,
-	// directly in the panel layout the dW GEMM consumes as operand B.
-	tensor.Im2ColPackedOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.packed)
+	tensor.Im2ColPackedOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.col)
 	s.doutS.Rebind(c.call.dd[i*outDim : (i+1)*outDim])
 	// dW_i[outC,patch] = dout_i[outC,pos] · col[pos,patch]
 	s.dWi.Rebind(c.call.dWs[i*c.OutC*patch : (i+1)*c.OutC*patch])
-	tensor.MatMulPacked(s.dWi, s.doutS, s.packed)
+	tensor.MatMulPacked(s.dWi, s.doutS, s.col)
 	// db_i[oc] = Σ_pos dout_i[oc,pos]
 	dsd := s.doutS.Data()
 	for oc := 0; oc < c.OutC; oc++ {
@@ -180,10 +187,12 @@ func (r *convBwdRunnerOf[F]) sample(i int, scratch any) {
 		}
 		c.call.dBs[i*c.OutC+oc] = sum
 	}
-	// dcol[pos,patch] = dout_iᵀ[pos,outC] · W[outC,patch]
-	tensor.MatMulTransA(s.dcol, s.doutS, c.W.Value)
-	dxi := c.call.dxd[i*inDim : (i+1)*inDim]
-	tensor.Col2ImOf(c.Geom, s.dcol.Data(), dxi)
+	if c.call.dxd == nil {
+		return
+	}
+	// dcolᵀ[patch,pos] = Wᵀ[patch,outC] · dout_i[outC,pos]
+	tensor.MatMulTransA(s.dcolT, c.W.Value, s.doutS)
+	tensor.Col2ImOf(c.Geom, s.dcolT.Data(), c.call.dxd[i*inDim:(i+1)*inDim])
 }
 
 // Backward propagates gradients. Per-sample weight/bias gradient
@@ -191,18 +200,30 @@ func (r *convBwdRunnerOf[F]) sample(i int, scratch any) {
 // reduced sequentially in sample order, so the floating-point accumulation
 // order — and therefore the result — is identical at any worker count.
 func (c *Conv2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	return c.backward(dout, true)
+}
+
+func (c *Conv2DOf[F]) backwardParams(dout *tensor.TensorOf[F]) { c.backward(dout, false) }
+
+// backward accumulates the parameter gradients and, when needDx is set,
+// returns the input gradient; without it neither the dcolᵀ product nor
+// Col2Im runs and the result is nil.
+func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.TensorOf[F] {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward without prior Forward(train=true)")
 	}
 	checkGen(c.arena, c.gen, "nn.Conv2D")
 	batch := dout.Dim(0)
 	patch := c.Geom.ColCols()
-	inDim := c.InDim()
-	dx := allocT[F](c.arena, batch, inDim)
+	var dx *tensor.TensorOf[F]
+	if needDx {
+		dx = allocT[F](c.arena, batch, c.InDim())
+		c.call.dxd = dx.Data()
+	}
 	// Per-sample gradient contributions, reduced in order afterwards.
 	dWs := allocF[F](c.arena, batch*c.OutC*patch)
 	dBs := allocF[F](c.arena, batch*c.OutC)
-	c.call.xd, c.call.dd, c.call.dxd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dx.Data(), dWs, dBs
+	c.call.xd, c.call.dd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dWs, dBs
 	parallelSamples(batch, c.heavy(batch), &c.bwdPool, &c.bwdRun)
 	c.call.xd, c.call.dd, c.call.dxd, c.call.dWs, c.call.dBs = nil, nil, nil, nil, nil
 	// Deterministic reduction in sample order.

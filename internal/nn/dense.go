@@ -68,6 +68,12 @@ func (d *DenseOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf
 
 // Backward computes dx = dout·W, dW += doutᵀ·x, db += Σ_batch dout.
 func (d *DenseOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	return d.backward(dout, true)
+}
+
+func (d *DenseOf[F]) backwardParams(dout *tensor.TensorOf[F]) { d.backward(dout, false) }
+
+func (d *DenseOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.TensorOf[F] {
 	if d.x == nil {
 		panic("nn: Dense.Backward without prior Forward(train=true)")
 	}
@@ -86,10 +92,13 @@ func (d *DenseOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 			dbd[j] += row[j]
 		}
 	}
+	d.x = nil
+	if !needDx {
+		return nil
+	}
 	// dx[B,in] = dout[B,out] · W[out,in]
 	dx := allocT[F](d.arena, batch, d.In)
 	tensor.MatMul(dx, dout, d.W.Value)
-	d.x = nil
 	return dx
 }
 

@@ -224,6 +224,14 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 // Backward runs truncated-free BPTT over the cached sequence. dout is the
 // gradient of the top layer's last hidden state.
 func (l *LSTMOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	return l.backward(dout, true)
+}
+
+func (l *LSTMOf[F]) backwardParams(dout *tensor.TensorOf[F]) { l.backward(dout, false) }
+
+// backward runs BPTT; without needDx the bottom layer skips its per-timestep
+// input-gradient product and the result is nil.
+func (l *LSTMOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.TensorOf[F] {
 	top := len(l.layers) - 1
 	if len(l.layers[top].xs) != l.T {
 		panic("nn: LSTM.Backward without prior Forward(train=true)")
@@ -242,10 +250,13 @@ func (l *LSTMOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 	dhSeq[l.T-1].CopyFrom(dout)
 	var dxSeq []*tensor.TensorOf[F]
 	for li := top; li >= 0; li-- {
-		dxSeq = l.layers[li].bptt(dhSeq)
+		dxSeq = l.layers[li].bptt(dhSeq, needDx || li > 0)
 		if li > 0 {
 			dhSeq = dxSeq
 		}
+	}
+	if !needDx {
+		return nil
 	}
 	// Reassemble [B, T·D] input gradient from the bottom layer's dx.
 	dx := allocT[F](l.arena, batch, l.T*l.InDim)
@@ -261,8 +272,9 @@ func (l *LSTMOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 
 // bptt backpropagates through one layer's cached sequence. dhSeq[t] carries
 // the external gradient on h_t; the recurrent gradient is threaded
-// internally. It returns the per-timestep input gradients.
-func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F]) []*tensor.TensorOf[F] {
+// internally. It returns the per-timestep input gradients, or nil entries
+// when needDx is false.
+func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tensor.TensorOf[F] {
 	T := len(ll.xs)
 	batch := ll.batch
 	hid := ll.hidden
@@ -320,9 +332,11 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F]) []*tensor.TensorOf[F
 			}
 		}
 		// Input and recurrent gradients.
-		dx := allocT[F](ll.arena, batch, ll.in)
-		tensor.MatMul(dx, dgates, ll.wih.Value)
-		dxSeq[t] = dx
+		dxSeq[t] = nil
+		if needDx {
+			dxSeq[t] = allocT[F](ll.arena, batch, ll.in)
+			tensor.MatMul(dxSeq[t], dgates, ll.wih.Value)
+		}
 		dhPrev := allocT[F](ll.arena, batch, hid)
 		tensor.MatMul(dhPrev, dgates, ll.whh.Value)
 		dhNext = dhPrev

@@ -182,12 +182,31 @@ func (n *NetworkOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tensor
 	return x
 }
 
-// Backward propagates dout through all layers in reverse.
+// paramsOnlyLayer is implemented by layers whose backward pass can leave out
+// dL/d(input): Conv2D (a product and a Col2Im per sample), Dense (a product)
+// and LSTM (a product per timestep of its bottom layer). Parameter gradients
+// are the same bits either way.
+type paramsOnlyLayer[F tensor.Float] interface {
+	backwardParams(dout *tensor.TensorOf[F])
+}
+
+// Backward propagates dout through all layers in reverse, accumulating every
+// parameter gradient. Nothing trains the network's input, so the first layer
+// is asked for its parameter gradients only when it can tell the two apart,
+// and the result is then nil; otherwise it is the first layer's dL/d(input).
+// Per-layer Backward keeps the full contract for callers that want it.
 func (n *NetworkOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		dout = n.Layers[i].Backward(dout)
 	}
-	return dout
+	if len(n.Layers) == 0 {
+		return dout
+	}
+	if first, ok := n.Layers[0].(paramsOnlyLayer[F]); ok {
+		first.backwardParams(dout)
+		return nil
+	}
+	return n.Layers[0].Backward(dout)
 }
 
 // Params returns all parameters in construction order.

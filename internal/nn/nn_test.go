@@ -52,14 +52,24 @@ func gradCheck(t *testing.T, net *Network, x *tensor.Tensor, labels []int, tol f
 	}
 }
 
-// inputGradCheck verifies the dx returned from Backward against finite
-// differences on the input.
+// layerwiseBackward is the per-layer backward chain: every layer's own
+// Backward, the first one included, so it returns dL/d(input) — which
+// NetworkOf.Backward no longer computes.
+func layerwiseBackward[F tensor.Float](net *NetworkOf[F], dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		dout = net.Layers[i].Backward(dout)
+	}
+	return dout
+}
+
+// inputGradCheck verifies the dx the per-layer backward chain returns
+// against finite differences on the input.
 func inputGradCheck(t *testing.T, net *Network, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
-	dx := net.Backward(dlogits)
+	dx := layerwiseBackward(net, dlogits)
 
 	const eps = 1e-5
 	r := rng.New(999)

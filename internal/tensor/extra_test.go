@@ -98,10 +98,12 @@ func TestSameShape(t *testing.T) {
 func TestIm2ColSizeMismatchPanics(t *testing.T) {
 	g := NewConvGeom(1, 4, 4, 3, 3, 1, 0)
 	for _, f := range []func(){
-		func() { g.Im2Col(make([]float64, 3), make([]float64, g.ColRows()*g.ColCols())) },
-		func() { g.Im2Col(make([]float64, 16), make([]float64, 3)) },
-		func() { g.Col2Im(make([]float64, 3), make([]float64, 16)) },
-		func() { g.Col2Im(make([]float64, g.ColRows()*g.ColCols()), make([]float64, 3)) },
+		func() { Im2ColOf(g, make([]float64, 3), NewPackedBOf[float64](g.ColCols(), g.ColRows())) },
+		func() { Im2ColOf(g, make([]float64, 16), NewPackedBOf[float64](g.ColRows(), g.ColCols())) },
+		func() { Im2ColPackedOf(g, make([]float64, 3), NewPackedBOf[float64](g.ColRows(), g.ColCols())) },
+		func() { Im2ColPackedOf(g, make([]float64, 16), NewPackedBOf[float64](g.ColCols(), g.ColRows())) },
+		func() { Col2ImOf(g, make([]float64, 3), make([]float64, 16)) },
+		func() { Col2ImOf(g, make([]float64, g.ColRows()*g.ColCols()), make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -36,23 +36,31 @@ func sizeofF[F Float]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-// Micro-kernel tile geometry, selected per dtype. gemmMR×NR accumulators
-// live in registers across the whole k loop: the independent accumulation
-// chains hide the FP add latency, and each loaded A/B value is reused NR or
-// gemmMR times, cutting memory traffic per MAC versus the naive i-k-j loop.
+// Tile geometry. Every product runs as C = Aop·B with B in packed panels
+// (see below) and Aop read in place through two strides, so the three
+// orientations share one driver and one micro-kernel per (dtype, path):
 //
-//	dtype    micro-kernel  B-panel width  accumulator chains
-//	float64  2×4           4              8
-//	float32  2×8           8              16
+//	dtype    panel width NR  AVX2 tile (rows × NR)   portable tile
+//	float64  8  (2 × YMM)    4 × 8, 8 accumulators   2 × 4 over half-panels
+//	float32  16 (2 × YMM)    4 × 16, 8 accumulators  2 × 4 over quarter-panels
 //
-// float32 gets the wider tile because eight float32 lanes fill the same
-// 32-byte vector width that four float64 lanes do: the panel rows stay one
-// cache-line-aligned stream, and the doubled chain count feeds wider SIMD
-// units without changing any element's ascending-k accumulation order.
+// One panel row is 64 bytes at either dtype. The tile is short and wide
+// because that is the traffic the models issue: m is 6–16 output channels or
+// a batch of 10–32 rows, n is 64–256 positions or features, k runs from 6 to
+// 256. Four rows split 6, 10 and 16 without a wasted row (the assembly has
+// 4-, 3-, 2- and 1-row tiles), and two vectors per row give eight independent
+// ascending-k chains, enough to cover the add latency with separate multiply
+// and add. On the ragged last panel of an n that NR does not divide, a
+// half-panel form of the same tiles (one vector per row) does half the
+// arithmetic when at most NR/2 columns are left: n = 24 or 120 at float32
+// would otherwise spend a full panel on eight columns. The panel width is a
+// property of the dtype, not of the path, so a packed operand is valid
+// whichever kernel consumes it.
 const (
-	gemmMR   = 2
-	gemmNR   = 4 // float64 B-panel width
-	gemmNR32 = 8 // float32 B-panel width
+	gemmMR   = 4  // rows per AVX2 tile; parallel row blocks are multiples of it
+	gemmNR64 = 8  // float64 panel width
+	gemmNR32 = 16 // float32 panel width
+	edgeRows = 16 // rows per assembly call on the ragged last panel (a stack block)
 )
 
 // gemmNROf returns the B-panel width for element type F.
@@ -60,49 +68,54 @@ func gemmNROf[F Float]() int {
 	if sizeofF[F]() == 4 {
 		return gemmNR32
 	}
-	return gemmNR
+	return gemmNR64
 }
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), writing into
 // dst (m×n). dst must not alias A or B. B is packed once into NR-wide column
 // panels shared read-only by every row block; rows of C are then computed in
 // parallel across workers borrowed from the process CPU-token budget
-// (internal/cputok). Results are bit-identical at any token count: each
-// output row is written by exactly one worker, and every element accumulates
-// its products in ascending-k order regardless of tiling.
+// (internal/cputok). Results are bit-identical at any token count and on
+// either kernel path: each output row is written by exactly one worker, and
+// every element accumulates its products in ascending-k order, each product
+// rounded before it is added (never fused).
 func MatMul[F Float](dst, a, b *TensorOf[F]) {
 	m, k, n := checkMatMul(dst, a, b, false, false)
 	packed := getPack[F](packLen[F](k, n))
 	packPanels(packed.s, b.data, k, n)
-	gemmNNPacked(dst.data, a.data, packed.s, m, k, n)
+	gemmPacked(dst.data, a.data, k, 1, packed.s, m, k, n)
 	putPack(packed)
 }
 
 // MatMulTransA computes C = Aᵀ·B where A is (k×m), B is (k×n), dst is (m×n).
+// A is read in place, column by column; only B is packed.
 func MatMulTransA[F Float](dst, a, b *TensorOf[F]) {
 	m, k, n := checkMatMul(dst, a, b, true, false)
 	packed := getPack[F](packLen[F](k, n))
 	packPanels(packed.s, b.data, k, n)
-	gemmTNPacked(dst.data, a.data, packed.s, m, k, n)
+	gemmPacked(dst.data, a.data, 1, m, packed.s, m, k, n)
 	putPack(packed)
 }
 
 // MatMulTransB computes C = A·Bᵀ where A is (m×k), B is (n×k), dst is (m×n).
-// B's rows are already contiguous k-length panels (for convolution, the
-// im2col patch matrix arrives in exactly this layout), so no packing pass is
-// needed.
+// The vector lanes run along n, so B's rows are transposed into panels on the
+// way in; the k·n element pass amortizes over the m·n·k multiply-adds.
 func MatMulTransB[F Float](dst, a, b *TensorOf[F]) {
 	m, k, n := checkMatMul(dst, a, b, false, true)
-	gemmNT(dst.data, a.data, b.data, m, k, n)
+	packed := getPack[F](packLen[F](k, n))
+	packPanelsT(packed.s, b.data, k, n)
+	gemmPacked(dst.data, a.data, k, 1, packed.s, m, k, n)
+	putPack(packed)
 }
 
 // MatMulRef is the unblocked reference kernel: the textbook triple loop with
 // no tiling, no packing and no skips, accumulating each output element in
 // ascending-k order in the tensors' own element type. Tests and the kernel
-// benchmarks compare the blocked kernels against it — for finite inputs the
-// blocked kernels are bit-identical (same products, same accumulation order),
-// and for NaN/Inf inputs they must agree too (no zero-skip may mask
-// 0×Inf = NaN).
+// benchmarks compare the blocked kernels against it — both kernel paths are
+// bit-identical to it (same products, same accumulation order), and for
+// NaN/Inf inputs they must agree too (no zero-skip may mask 0×Inf = NaN).
+// The product is written as an explicit conversion so that no compiler may
+// fuse it with the add: the reference is the same on every architecture.
 func MatMulRef[F Float](dst, a, b *TensorOf[F], transA, transB bool) {
 	m, k, n := checkMatMul(dst, a, b, transA, transB)
 	at := func(i, p int) F {
@@ -121,7 +134,7 @@ func MatMulRef[F Float](dst, a, b *TensorOf[F], transA, transB bool) {
 		for j := 0; j < n; j++ {
 			var s F
 			for p := 0; p < k; p++ {
-				s += at(i, p) * bt(p, j)
+				s += F(at(i, p) * bt(p, j))
 			}
 			dst.data[i*n+j] = s
 		}
@@ -149,15 +162,16 @@ func checkMatMul[F Float](dst, a, b *TensorOf[F], transA, transB bool) (m, k, n 
 	return am, ak, bn
 }
 
-// gemmArgs carries one GEMM call's operands through the row fan-out. Kernel
-// bodies are top-level functions of (*gemmArgs, lo, hi) and drivers pass them
-// as static function values: a closure capturing the operand slices would
-// heap-allocate on every GEMM call, which the steady-state zero-alloc
-// guarantee forbids. The struct itself is pooled for the same reason — a
-// stack-local leaked to worker goroutines would escape per call.
+// gemmArgs carries one GEMM call's operands through the row fan-out:
+// C[i][j] = Σ_p a[i·ars + p·aps] · B[p][j] with B in packed panels. The two
+// strides select the orientation of A — (k, 1) reads rows of an m×k matrix,
+// (1, m) reads columns of a k×m one — so nothing is ever copied on A's side.
+// The struct is pooled: a stack-local leaked to worker goroutines would
+// escape on every call, which the steady-state zero-alloc guarantee forbids.
 type gemmArgs[F Float] struct {
-	c, a, b []F
-	m, k, n int
+	c, a, b  []F
+	ars, aps int
+	m, k, n  int
 }
 
 var (
@@ -172,109 +186,180 @@ func gemmArgsPoolOf[F Float]() *sync.Pool {
 	return &gemmArgsPool64
 }
 
-func getArgs[F Float](c, a, b []F, m, k, n int) *gemmArgs[F] {
+// gemmPacked computes C[m×n] = Aop·B with B already in packed panels,
+// fanning row blocks out across borrowed CPU tokens when the product is
+// heavy.
+func gemmPacked[F Float](c, a []F, ars, aps int, packed []F, m, k, n int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		clear(c[:m*n])
+		return
+	}
 	g, _ := gemmArgsPoolOf[F]().Get().(*gemmArgs[F])
 	if g == nil {
 		g = &gemmArgs[F]{}
 	}
-	g.c, g.a, g.b, g.m, g.k, g.n = c, a, b, m, k, n
-	return g
-}
-
-func putArgs[F Float](g *gemmArgs[F]) {
-	g.c, g.a, g.b = nil, nil, nil // don't pin caller buffers from the pool
+	*g = gemmArgs[F]{c: c, a: a, b: packed, ars: ars, aps: aps, m: m, k: k, n: n}
+	parallelRows(g)
+	*g = gemmArgs[F]{} // don't pin caller buffers from the pool
 	gemmArgsPoolOf[F]().Put(g)
 }
 
-// Kernel-body op codes for parallelRows' dispatch. The fan-out selects its
-// body by op instead of taking a function value: referencing a generic
-// function like gemmNNPacked4Body[F] as a value from a generic context builds
-// a dictionary-bound closure at runtime — one heap allocation per GEMM call,
-// which the steady-state zero-alloc guarantee forbids. A direct call through
-// a switch is statically dispatched and allocation-free.
-const (
-	gemmOpNN4 = iota // C = A·B, 4-wide packed panels (float64 path)
-	gemmOpTN4        // C = Aᵀ·B, 4-wide packed panels
-	gemmOpNT4        // C = A·Bᵀ, B rows as panels
-	gemmOpNN8f32     // C = A·B, 8-wide packed panels (float32 SIMD path)
-	gemmOpTN8f32     // C = Aᵀ·B, 8-wide packed panels
-)
-
-// gemmBody runs the op's kernel body over rows [lo, hi). The f32 ops are only
-// ever dispatched by the concrete float32 drivers, so the operand
-// reinterpretation there is between identical layouts.
-func gemmBody[F Float](op int, g *gemmArgs[F], lo, hi int) {
-	switch op {
-	case gemmOpNN4:
-		gemmNNPacked4Body(g, lo, hi)
-	case gemmOpTN4:
-		gemmTNPacked4Body(g, lo, hi)
-	case gemmOpNT4:
-		gemmNT4Body(g, lo, hi)
-	case gemmOpNN8f32:
-		gemmNNPacked8f32Body(argsAsF32(g), lo, hi)
-	case gemmOpTN8f32:
-		gemmTNPacked8f32Body(argsAsF32(g), lo, hi)
-	}
-}
-
-// argsAsF32 reinterprets a *gemmArgs[F] known to carry 4-byte elements as
-// *gemmArgs[float32]; the struct layout is identical for every 4-byte F.
-func argsAsF32[F Float](g *gemmArgs[F]) *gemmArgs[float32] {
-	return (*gemmArgs[float32])(unsafe.Pointer(g))
-}
-
-// parallelRows runs op's kernel body over row blocks [0, g.m), borrowing
-// extra workers from the shared CPU-token budget when the call's total MACs
-// exceed the per-dtype parallel threshold. The calling goroutine is always
-// the first worker, so a fully spent budget degrades to the serial path
-// instead of blocking.
-func parallelRows[F Float](g *gemmArgs[F], op int) {
+// parallelRows runs the kernel over row blocks of [0, g.m), borrowing extra
+// workers from the shared CPU-token budget when the call's total MACs exceed
+// the per-dtype parallel threshold. The calling goroutine is always the first
+// worker, so a fully spent budget degrades to the serial path instead of
+// blocking. The fan-out calls gemmRows directly: a function value of a
+// generic function would be a dictionary-bound closure, one heap allocation
+// per GEMM call.
+func parallelRows[F Float](g *gemmArgs[F]) {
 	m := g.m
-	if g.m*g.n*g.k < ParallelThresholdFor[F]() || m <= 1 {
-		gemmBody(op, g, 0, m)
+	if g.m*g.n*g.k < ParallelThresholdFor[F]() || m <= gemmMR {
+		gemmRows(g, 0, m)
 		return
 	}
 	budget := cputok.Default()
 	want := budget.Cap()
-	if want > m {
-		want = m
+	if tiles := (m + gemmMR - 1) / gemmMR; want > tiles {
+		want = tiles
 	}
 	borrowed := budget.Borrow(want - 1)
 	if borrowed == 0 {
-		gemmBody(op, g, 0, m)
+		gemmRows(g, 0, m)
 		return
 	}
 	workers := borrowed + 1
 	chunk := (m + workers - 1) / workers
+	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR // whole tiles per worker
 	var wg sync.WaitGroup
 	for lo := chunk; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			gemmBody(op, g, lo, hi)
-		}(lo, hi)
+			gemmRows(g, lo, hi)
+		}(lo, min(lo+chunk, m))
 	}
-	gemmBody(op, g, 0, min(chunk, m))
+	gemmRows(g, 0, min(chunk, m))
 	wg.Wait()
 	budget.Return(borrowed)
 }
 
+// gemmRows computes rows [lo, hi) of C, one B panel at a time: the panel
+// (k × 64 bytes) stays in L1 while the rows of A stream past it. This is the
+// only place the two kernel paths part: useAVX2 is what the CPU reported at
+// start-up (gemm_amd64.go), and the portable kernel is both the fallback and
+// the reference the assembly is tested against.
+func gemmRows[F Float](g *gemmArgs[F], lo, hi int) {
+	nr := gemmNROf[F]()
+	k, n := g.k, g.n
+	for j0 := 0; j0 < n; j0 += nr {
+		panel := g.b[j0*k : j0*k+k*nr]
+		w := min(nr, n-j0)
+		switch {
+		case !useAVX2:
+			gemmPanelGo(g, panel, nr, j0, w, lo, hi)
+		case w == nr:
+			gemmPanelAVX2(false, hi-lo, k, &g.a[lo*g.ars], g.ars, g.aps, &panel[0], &g.c[lo*n+j0], n)
+		default:
+			// The assembly stores whole panel rows (or half rows, which it
+			// also computes in half the time, when that covers the columns
+			// left). At n's ragged edge it writes a block of rows to the
+			// stack and the valid columns are copied out, so C is never
+			// written past a row's end.
+			var block [edgeRows * gemmNR32]F
+			for i := lo; i < hi; i += edgeRows {
+				mr := min(edgeRows, hi-i)
+				gemmPanelAVX2(2*w <= nr, mr, k, &g.a[i*g.ars], g.ars, g.aps, &panel[0], &block[0], nr)
+				for r := 0; r < mr; r++ {
+					src := block[r*nr : r*nr+w]
+					dst := g.c[(i+r)*n+j0 : (i+r)*n+j0+w]
+					for j, v := range src {
+						dst[j] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// gemmPanelGo is the portable micro-kernel: rows [lo, hi) of C against the w
+// valid columns of one panel, in 2×4 register tiles over 4-wide slices of the
+// panel. Every product is rounded by an explicit conversion before it is
+// added — the Go specification forbids fusing across one — so the result is
+// the same ascending-k chain on amd64, arm64 (which would otherwise emit
+// FMADD) and anything else, and equal bit for bit to the AVX2 path, which
+// issues separate VMULP*/VADDP* for the same reason.
+func gemmPanelGo[F Float](g *gemmArgs[F], panel []F, nr, j0, w, lo, hi int) {
+	c, a, ars, aps, k, n := g.c, g.a, g.ars, g.aps, g.k, g.n
+	for h := 0; h < w; h += 4 {
+		hw := min(4, w-h)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			var acc00, acc01, acc02, acc03 F
+			var acc10, acc11, acc12, acc13 F
+			ia0, ia1 := i*ars, (i+1)*ars
+			for p := 0; p < k; p++ {
+				bp := panel[p*nr+h : p*nr+h+4 : p*nr+h+4]
+				av0, av1 := a[ia0], a[ia1]
+				b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+				acc00 += F(av0 * b0)
+				acc01 += F(av0 * b1)
+				acc02 += F(av0 * b2)
+				acc03 += F(av0 * b3)
+				acc10 += F(av1 * b0)
+				acc11 += F(av1 * b1)
+				acc12 += F(av1 * b2)
+				acc13 += F(av1 * b3)
+				ia0 += aps
+				ia1 += aps
+			}
+			storeTile4(c[i*n+j0+h:], hw, acc00, acc01, acc02, acc03)
+			storeTile4(c[(i+1)*n+j0+h:], hw, acc10, acc11, acc12, acc13)
+		}
+		if i < hi {
+			var acc0, acc1, acc2, acc3 F
+			ia := i * ars
+			for p := 0; p < k; p++ {
+				bp := panel[p*nr+h : p*nr+h+4 : p*nr+h+4]
+				av := a[ia]
+				acc0 += F(av * bp[0])
+				acc1 += F(av * bp[1])
+				acc2 += F(av * bp[2])
+				acc3 += F(av * bp[3])
+				ia += aps
+			}
+			storeTile4(c[i*n+j0+h:], hw, acc0, acc1, acc2, acc3)
+		}
+	}
+}
+
+// storeTile4 writes the first w (1–4) values of one accumulator row.
+func storeTile4[F Float](c []F, w int, v0, v1, v2, v3 F) {
+	switch w {
+	case 1:
+		c[0] = v0
+	case 2:
+		c[0], c[1] = v0, v1
+	case 3:
+		c[0], c[1], c[2] = v0, v1, v2
+	default:
+		c[0], c[1], c[2], c[3] = v0, v1, v2, v3
+	}
+}
+
 // ---- packed-panel layout ----------------------------------------------------
 //
-// B (k×n, row-major) is repacked into ⌈n/NR⌉ panels, NR = gemmNROf[F]. Panel
-// pj holds columns [pj·NR, pj·NR+NR) as k consecutive NR-wide rows:
+// B (k×n) is held as ⌈n/NR⌉ panels, NR = gemmNROf[F]. Panel pj holds columns
+// [pj·NR, pj·NR+NR) as k consecutive NR-wide rows:
 //
 //	packed[pj·k·NR + p·NR + jj] = B[p][pj·NR + jj]
 //
 // so the micro-kernel streams one perfectly contiguous panel per output tile
 // instead of striding across B's full row length. Panels past n's edge are
-// zero-filled; the micro-kernel computes the padded columns and simply never
-// stores them. The pack runs once per GEMM and is shared read-only by every
+// zero-filled; the micro-kernel computes the padded columns and they are
+// never stored. A pack runs once per operand and is shared read-only by every
 // row block and worker.
 
 func packLen[F Float](k, n int) int {
@@ -282,79 +367,119 @@ func packLen[F Float](k, n int) int {
 	return k * ((n + nr - 1) / nr) * nr
 }
 
+// packPanels packs a row-major k×n B.
 func packPanels[F Float](dst, b []F, k, n int) {
-	if gemmNROf[F]() == gemmNR32 {
-		packPanels8(dst, b, k, n)
+	nr := gemmNROf[F]()
+	if k == 0 {
 		return
 	}
-	packPanels4(dst, b, k, n)
+	full := n / nr * nr
+	for j0 := 0; j0 < full; j0 += nr {
+		copyPanelRows(dst[j0*k:], nr, b[j0:], n, k, nr)
+	}
+	if full < n {
+		copyPanelRows(dst[full*k:], nr, b[full:], n, k, n-full)
+	}
 }
 
-func packPanels4[F Float](dst, b []F, k, n int) {
-	np := (n + gemmNR - 1) / gemmNR
-	for pj := 0; pj < np; pj++ {
-		j0 := pj * gemmNR
-		w := n - j0
-		if w > gemmNR {
-			w = gemmNR
-		}
-		out := dst[pj*k*gemmNR : (pj+1)*k*gemmNR]
-		if w == gemmNR {
-			for p := 0; p < k; p++ {
-				row := b[p*n+j0 : p*n+j0+gemmNR : p*n+j0+gemmNR]
-				o := p * gemmNR
-				out[o] = row[0]
-				out[o+1] = row[1]
-				out[o+2] = row[2]
-				out[o+3] = row[3]
+// copyPanelRows fills n panel rows — 64 bytes each at either dtype — row i
+// from the w elements at src[i·srcStride:] to dst[i·dstStride:], zero-filling
+// lanes w to NR. Strides are in elements. The assembly moves a row as two
+// vector loads and stores (masked loads when w < NR) where the portable loop
+// pays a memmove call per row.
+func copyPanelRows[F Float](dst []F, dstStride int, src []F, srcStride, n, w int) {
+	if n <= 0 {
+		return
+	}
+	nr := gemmNROf[F]()
+	_, _ = dst[(n-1)*dstStride+nr-1], src[(n-1)*srcStride+w-1] // the assembly checks no bounds
+	if !useAVX2 {
+		for ; n > 0; n-- {
+			clear(dst[copy(dst[:nr], src[:w]):nr])
+			if n > 1 {
+				dst, src = dst[dstStride:], src[srcStride:]
 			}
-			continue
 		}
-		for p := 0; p < k; p++ {
-			o := p * gemmNR
-			for jj := 0; jj < w; jj++ {
-				out[o+jj] = b[p*n+j0+jj]
-			}
-			for jj := w; jj < gemmNR; jj++ {
-				out[o+jj] = 0
+		return
+	}
+	sz := sizeofF[F]()
+	d, s := unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0])
+	if w == nr {
+		copyBlocksAVX2(d, s, n, dstStride*sz, srcStride*sz)
+		return
+	}
+	var mask [16]int32
+	for i := range mask[:w*sz/4] {
+		mask[i] = -1
+	}
+	copyBlocksMaskedAVX2(d, s, n, dstStride*sz, srcStride*sz, &mask)
+}
+
+// packPanelsT packs Bᵀ from B stored n×k row-major:
+// dst[pj·k·NR + p·NR + jj] = B[pj·NR+jj][p]. Eight rows of B are read side by
+// side so that every store run is contiguous; a store per element, each to
+// another cache line, is several times slower.
+func packPanelsT[F Float](dst, b []F, k, n int) {
+	nr := gemmNROf[F]()
+	if k == 0 {
+		return
+	}
+	for j0 := 0; j0 < n; j0 += nr {
+		out := dst[j0*k : j0*k+k*nr]
+		w := min(nr, n-j0)
+		if w < nr {
+			clear(out)
+		}
+		jj := 0
+		for ; jj+8 <= w; jj += 8 {
+			interleave8(out[jj:], nr, b[(j0+jj)*k:(j0+jj+8)*k], k)
+		}
+		for ; jj < w; jj++ {
+			o := jj
+			for _, v := range b[(j0+jj)*k : (j0+jj+1)*k] {
+				out[o] = v
+				o += nr
 			}
 		}
 	}
 }
 
-func packPanels8[F Float](dst, b []F, k, n int) {
-	np := (n + gemmNR32 - 1) / gemmNR32
-	for pj := 0; pj < np; pj++ {
-		j0 := pj * gemmNR32
-		w := n - j0
-		if w > gemmNR32 {
-			w = gemmNR32
+// interleave8 writes dst[p·stride + r] = rows[r·k + p] for r < 8, p < k: eight
+// rows of length k become k runs of eight. The assembly transposes 4×4
+// (float64) or 8×8 (float32) blocks in registers; the portable loop, which
+// also finishes the assembly's tail, checks the slices once and walks raw
+// pointers — with nine slice headers live the compiler spills every index and
+// bounds test onto the stack, which costs half the loop's time.
+func interleave8[F Float](dst []F, stride int, rows []F, k int) {
+	_, _ = dst[(k-1)*stride+7], rows[8*k-1]
+	sz := uintptr(sizeofF[F]())
+	row := uintptr(k) * sz
+	step := uintptr(stride) * sz
+	r0 := unsafe.Pointer(&rows[0])
+	d := unsafe.Pointer(&dst[0])
+	off := uintptr(0)
+	if useAVX2 {
+		off = row &^ 31 // whole 32-byte register loads: 4 doubles or 8 floats
+		if sz == 4 {
+			interleave8AVX2F32(d, r0, int(off/sz), int(step), int(row))
+		} else {
+			interleave8AVX2F64(d, r0, int(off/sz), int(step), int(row))
 		}
-		out := dst[pj*k*gemmNR32 : (pj+1)*k*gemmNR32]
-		if w == gemmNR32 {
-			for p := 0; p < k; p++ {
-				row := b[p*n+j0 : p*n+j0+gemmNR32 : p*n+j0+gemmNR32]
-				o := p * gemmNR32
-				out[o] = row[0]
-				out[o+1] = row[1]
-				out[o+2] = row[2]
-				out[o+3] = row[3]
-				out[o+4] = row[4]
-				out[o+5] = row[5]
-				out[o+6] = row[6]
-				out[o+7] = row[7]
-			}
-			continue
-		}
-		for p := 0; p < k; p++ {
-			o := p * gemmNR32
-			for jj := 0; jj < w; jj++ {
-				out[o+jj] = b[p*n+j0+jj]
-			}
-			for jj := w; jj < gemmNR32; jj++ {
-				out[o+jj] = 0
-			}
-		}
+		d = unsafe.Add(d, off/sz*step)
+	}
+	r1, r2, r3 := unsafe.Add(r0, row), unsafe.Add(r0, 2*row), unsafe.Add(r0, 3*row)
+	r4, r5, r6, r7 := unsafe.Add(r0, 4*row), unsafe.Add(r0, 5*row), unsafe.Add(r0, 6*row), unsafe.Add(r0, 7*row)
+	for ; off < row; off += sz {
+		run := (*[8]F)(d)
+		run[0] = *(*F)(unsafe.Add(r0, off))
+		run[1] = *(*F)(unsafe.Add(r1, off))
+		run[2] = *(*F)(unsafe.Add(r2, off))
+		run[3] = *(*F)(unsafe.Add(r3, off))
+		run[4] = *(*F)(unsafe.Add(r4, off))
+		run[5] = *(*F)(unsafe.Add(r5, off))
+		run[6] = *(*F)(unsafe.Add(r6, off))
+		run[7] = *(*F)(unsafe.Add(r7, off))
+		d = unsafe.Add(d, step)
 	}
 }
 
@@ -392,259 +517,18 @@ func putPack[F Float](b *packBuf[F]) {
 	packPoolOf[F]().Put(b)
 }
 
-// ---- NN: C[m×n] = A[m×k] · B[k×n] -------------------------------------------
-
-func gemmNNPacked[F Float](c, a, packed []F, m, k, n int) {
-	if gemmNROf[F]() == gemmNR32 {
-		gemmNNPacked8f32(asF32(c), asF32(a), asF32(packed), m, k, n)
-		return
-	}
-	gemmNNPacked4(c, a, packed, m, k, n)
-}
-
-func gemmNNPacked4[F Float](c, a, packed []F, m, k, n int) {
-	g := getArgs[F](c, a, packed, m, k, n)
-	parallelRows(g, gemmOpNN4)
-	putArgs(g)
-}
-
-func gemmNNPacked4Body[F Float](g *gemmArgs[F], lo, hi int) {
-	c, a, packed, k, n := g.c, g.a, g.b, g.k, g.n
-	{
-		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			for pj := 0; pj*gemmNR < n; pj++ {
-				panel := packed[pj*k*gemmNR : (pj+1)*k*gemmNR]
-				var acc00, acc01, acc02, acc03 F
-				var acc10, acc11, acc12, acc13 F
-				for p := 0; p < k; p++ {
-					bp := panel[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-					av0, av1 := a0[p], a1[p]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					acc00 += av0 * b0
-					acc01 += av0 * b1
-					acc02 += av0 * b2
-					acc03 += av0 * b3
-					acc10 += av1 * b0
-					acc11 += av1 * b1
-					acc12 += av1 * b2
-					acc13 += av1 * b3
-				}
-				storeTile4(c, n, i, pj*gemmNR, acc00, acc01, acc02, acc03)
-				storeTile4(c, n, i+1, pj*gemmNR, acc10, acc11, acc12, acc13)
-			}
-		}
-		for ; i < hi; i++ {
-			ai := a[i*k : (i+1)*k]
-			for pj := 0; pj*gemmNR < n; pj++ {
-				panel := packed[pj*k*gemmNR : (pj+1)*k*gemmNR]
-				var acc0, acc1, acc2, acc3 F
-				for p := 0; p < k; p++ {
-					bp := panel[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-					av := ai[p]
-					acc0 += av * bp[0]
-					acc1 += av * bp[1]
-					acc2 += av * bp[2]
-					acc3 += av * bp[3]
-				}
-				storeTile4(c, n, i, pj*gemmNR, acc0, acc1, acc2, acc3)
-			}
-		}
-	}
-}
-
-// storeTile4 writes one row of a 4-wide accumulator tile into C, dropping
-// the zero-padded columns past n's edge.
-func storeTile4[F Float](c []F, n, i, j0 int, v0, v1, v2, v3 F) {
-	ci := c[i*n : (i+1)*n]
-	switch n - j0 {
-	case 1:
-		ci[j0] = v0
-	case 2:
-		ci[j0], ci[j0+1] = v0, v1
-	case 3:
-		ci[j0], ci[j0+1], ci[j0+2] = v0, v1, v2
-	default:
-		ci[j0], ci[j0+1], ci[j0+2], ci[j0+3] = v0, v1, v2, v3
-	}
-}
-
-// ---- TN: C[m×n] = Aᵀ · B with A stored as [k×m], B as [k×n] -----------------
-
-func gemmTNPacked[F Float](c, a, packed []F, m, k, n int) {
-	if gemmNROf[F]() == gemmNR32 {
-		gemmTNPacked8f32(asF32(c), asF32(a), asF32(packed), m, k, n)
-		return
-	}
-	gemmTNPacked4(c, a, packed, m, k, n)
-}
-
-func gemmTNPacked4[F Float](c, a, packed []F, m, k, n int) {
-	g := getArgs[F](c, a, packed, m, k, n)
-	parallelRows(g, gemmOpTN4)
-	putArgs(g)
-}
-
-func gemmTNPacked4Body[F Float](g *gemmArgs[F], lo, hi int) {
-	c, a, packed, m, k, n := g.c, g.a, g.b, g.m, g.k, g.n
-	{
-		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
-			for pj := 0; pj*gemmNR < n; pj++ {
-				panel := packed[pj*k*gemmNR : (pj+1)*k*gemmNR]
-				var acc00, acc01, acc02, acc03 F
-				var acc10, acc11, acc12, acc13 F
-				for p := 0; p < k; p++ {
-					bp := panel[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-					av0, av1 := a[p*m+i], a[p*m+i+1]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					acc00 += av0 * b0
-					acc01 += av0 * b1
-					acc02 += av0 * b2
-					acc03 += av0 * b3
-					acc10 += av1 * b0
-					acc11 += av1 * b1
-					acc12 += av1 * b2
-					acc13 += av1 * b3
-				}
-				storeTile4(c, n, i, pj*gemmNR, acc00, acc01, acc02, acc03)
-				storeTile4(c, n, i+1, pj*gemmNR, acc10, acc11, acc12, acc13)
-			}
-		}
-		for ; i < hi; i++ {
-			for pj := 0; pj*gemmNR < n; pj++ {
-				panel := packed[pj*k*gemmNR : (pj+1)*k*gemmNR]
-				var acc0, acc1, acc2, acc3 F
-				for p := 0; p < k; p++ {
-					bp := panel[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-					av := a[p*m+i]
-					acc0 += av * bp[0]
-					acc1 += av * bp[1]
-					acc2 += av * bp[2]
-					acc3 += av * bp[3]
-				}
-				storeTile4(c, n, i, pj*gemmNR, acc0, acc1, acc2, acc3)
-			}
-		}
-	}
-}
-
-// ---- NT: C[m×n] = A · Bᵀ with A stored as [m×k], B as [n×k] -----------------
-//
-// Both operands' rows are contiguous k-vectors, so B needs no packing — each
-// row of B is already a panel. This is the convolution-forward kernel: the
-// im2col patch matrix is operand B, produced once per sample in exactly this
-// layout. The float32 variant instead transpose-packs B into 8-wide panels
-// and reuses the SIMD panel kernel: row-major panels are what lets the vector
-// unit compute eight output columns per instruction, and the pack cost (k·n
-// copies) amortizes over the m·n·k MACs.
-
-func gemmNT[F Float](c, a, b []F, m, k, n int) {
-	if gemmNROf[F]() == gemmNR32 {
-		gemmNT8f32(asF32(c), asF32(a), asF32(b), m, k, n)
-		return
-	}
-	gemmNT4(c, a, b, m, k, n)
-}
-
-func gemmNT4[F Float](c, a, b []F, m, k, n int) {
-	g := getArgs[F](c, a, b, m, k, n)
-	parallelRows(g, gemmOpNT4)
-	putArgs(g)
-}
-
-func gemmNT4Body[F Float](g *gemmArgs[F], lo, hi int) {
-	c, a, b, k, n := g.c, g.a, g.b, g.k, g.n
-	{
-		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			c0 := c[i*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			j := 0
-			for ; j+gemmNR <= n; j += gemmNR {
-				b0 := b[j*k : (j+1)*k]
-				b1 := b[(j+1)*k : (j+2)*k]
-				b2 := b[(j+2)*k : (j+3)*k]
-				b3 := b[(j+3)*k : (j+4)*k]
-				var acc00, acc01, acc02, acc03 F
-				var acc10, acc11, acc12, acc13 F
-				for p := 0; p < k; p++ {
-					av0, av1 := a0[p], a1[p]
-					bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-					acc00 += av0 * bv0
-					acc01 += av0 * bv1
-					acc02 += av0 * bv2
-					acc03 += av0 * bv3
-					acc10 += av1 * bv0
-					acc11 += av1 * bv1
-					acc12 += av1 * bv2
-					acc13 += av1 * bv3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = acc00, acc01, acc02, acc03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = acc10, acc11, acc12, acc13
-			}
-			for ; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				var s0, s1 F
-				for p := 0; p < k; p++ {
-					s0 += a0[p] * bj[p]
-					s1 += a1[p] * bj[p]
-				}
-				c0[j], c1[j] = s0, s1
-			}
-		}
-		for ; i < hi; i++ {
-			ai := a[i*k : (i+1)*k]
-			ci := c[i*n : (i+1)*n]
-			j := 0
-			for ; j+gemmNR <= n; j += gemmNR {
-				b0 := b[j*k : (j+1)*k]
-				b1 := b[(j+1)*k : (j+2)*k]
-				b2 := b[(j+2)*k : (j+3)*k]
-				b3 := b[(j+3)*k : (j+4)*k]
-				var acc0, acc1, acc2, acc3 F
-				for p := 0; p < k; p++ {
-					av := ai[p]
-					acc0 += av * b0[p]
-					acc1 += av * b1[p]
-					acc2 += av * b2[p]
-					acc3 += av * b3[p]
-				}
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = acc0, acc1, acc2, acc3
-			}
-			for ; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				var s F
-				for p := 0; p < k; p++ {
-					s += ai[p] * bj[p]
-				}
-				ci[j] = s
-			}
-		}
-	}
-}
-
 // ---- pre-packed B operand ---------------------------------------------------
 
-// PackedBOf is operand B of a C = A·B GEMM pre-packed into the panel layout
-// the blocked kernel consumes. Packing is the only per-call preparation
-// MatMul does on B, so a caller multiplying several A's against one B — or
-// producing B directly in packed form, as Conv2D's fused im2col does — packs
-// once and reuses it across calls and row blocks.
+// PackedBOf is operand B of a C = A·B GEMM in the panel layout the kernels
+// consume. Packing is the only per-call preparation MatMul does on B, so a
+// caller multiplying several A's against one B — or producing B directly in
+// packed form, as Conv2D's two im2col passes do — writes it once and reuses
+// it across calls and row blocks.
 type PackedBOf[F Float] struct {
 	data []F
 	k, n int
+	row  []F // im2col scratch: one unpacked row of the patch matrix
 }
-
-// PackedB is the float64 packed operand.
-type PackedB = PackedBOf[float64]
-
-// NewPackedB allocates a float64 packed operand for a k×n B.
-func NewPackedB(k, n int) *PackedB { return NewPackedBOf[float64](k, n) }
 
 // NewPackedBOf allocates a packed operand for a k×n B of element type F.
 func NewPackedBOf[F Float](k, n int) *PackedBOf[F] {
@@ -672,5 +556,5 @@ func MatMulPacked[F Float](dst, a *TensorOf[F], pb *PackedBOf[F]) {
 	if dst.shape[0] != m || dst.shape[1] != pb.n {
 		panic(fmt.Sprintf("tensor: MatMulPacked dst shape %v, want [%d %d]", dst.shape, m, pb.n))
 	}
-	gemmNNPacked(dst.data, a.data, pb.data, m, pb.k, pb.n)
+	gemmPacked(dst.data, a.data, pb.k, 1, pb.data, m, pb.k, pb.n)
 }

@@ -137,7 +137,7 @@ func TestMatMulPackedMatchesMatMul(t *testing.T) {
 		b := randTensor(r, k, n)
 		want := New(m, n)
 		MatMul(want, a, b)
-		pb := NewPackedB(k, n)
+		pb := NewPackedBOf[float64](k, n)
 		pb.Pack(b)
 		got := New(m, n)
 		MatMulPacked(got, a, pb)
@@ -162,15 +162,15 @@ func TestIm2ColPackedMatchesIm2ColPlusPack(t *testing.T) {
 			img[i] = r.Normal(0, 1)
 		}
 		col := New(g.ColRows(), g.ColCols())
-		g.Im2Col(img, col.Data())
-		want := NewPackedB(g.ColRows(), g.ColCols())
+		im2colRef(g, img, col.Data())
+		want := NewPackedBOf[float64](g.ColRows(), g.ColCols())
 		want.Pack(col)
 
-		got := NewPackedB(g.ColRows(), g.ColCols())
+		got := NewPackedBOf[float64](g.ColRows(), g.ColCols())
 		for i := range got.data {
 			got.data[i] = math.NaN() // stale garbage must be fully overwritten
 		}
-		g.Im2ColPacked(img, got)
+		Im2ColPackedOf(g, img, got)
 		for i := range want.data {
 			if got.data[i] != want.data[i] {
 				t.Fatalf("geom %+v: packed[%d] = %v, want %v", g, i, got.data[i], want.data[i])

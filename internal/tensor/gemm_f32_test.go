@@ -9,7 +9,7 @@ import (
 )
 
 // tensorsBitIdentical32 is tensorsBitIdentical for float32 tensors: the f32
-// blocked path (SIMD panels on amd64, portable Go elsewhere) promises the
+// blocked path (AVX2 assembly or portable Go, whichever the CPU selects) promises the
 // same products in the same ascending-k order as the f32 reference, so exact
 // equality is required.
 func tensorsBitIdentical32(t *testing.T, label string, got, want *TensorOf[float32]) {
@@ -35,13 +35,13 @@ func randTensor32(r *rng.RNG, dims ...int) *TensorOf[float32] {
 }
 
 // TestBlockedF32BitIdenticalToRef is TestBlockedBitIdenticalToRef for the
-// float32 instantiation, sweeping every tiling remainder of the wider 2×8
-// micro-kernel (m % 2, n % 8, tiny k) for all three transpose variants.
+// float32 instantiation, sweeping tiling remainders of its 16-wide panels
+// (ragged m, n either side of 8 and 16, tiny k) for all three transpose variants.
 func TestBlockedF32BitIdenticalToRef(t *testing.T) {
 	r := rng.New(7)
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 3, 5}, {2, 4, 8}, {3, 7, 5}, {4, 9, 6}, {5, 13, 7},
-		{2, 5, 9}, {3, 4, 15}, {7, 11, 17}, // n % 8 remainders around the 8-wide panel
+		{2, 5, 9}, {3, 4, 15}, {7, 11, 17}, // n either side of a half and a full panel
 		{6, 75, 256},  // fig7 CNN conv1 forward
 		{16, 150, 64}, // conv2 forward
 		{16, 120, 256}, {17, 31, 9}, {33, 64, 33},
@@ -70,7 +70,7 @@ func TestBlockedF32BitIdenticalToRef(t *testing.T) {
 }
 
 // TestGemmF32NaNInfNotMasked is the float32 twin of TestGemmNaNInfNotMasked:
-// the f32 kernels (including the SIMD path and the NT transpose-pack) must
+// the f32 kernels (including the NT transposing pack) must
 // not skip zeros or otherwise mask 0×Inf = NaN.
 func TestGemmF32NaNInfNotMasked(t *testing.T) {
 	r := rng.New(8)
@@ -150,7 +150,7 @@ func TestMatMulPackedF32MatchesMatMul(t *testing.T) {
 }
 
 // TestIm2ColPackedF32MatchesIm2ColPlusPack mirrors the float64 fused-pack
-// test over the 8-wide float32 panel layout.
+// test over the 16-wide float32 panel layout.
 func TestIm2ColPackedF32MatchesIm2ColPlusPack(t *testing.T) {
 	r := rng.New(10)
 	geoms := []ConvGeom{
@@ -165,7 +165,7 @@ func TestIm2ColPackedF32MatchesIm2ColPlusPack(t *testing.T) {
 			img[i] = float32(r.Normal(0, 1))
 		}
 		col := NewOf[float32](g.ColRows(), g.ColCols())
-		Im2ColOf(g, img, col.Data())
+		im2colRef(g, img, col.Data())
 		want := NewPackedBOf[float32](g.ColRows(), g.ColCols())
 		want.Pack(col)
 

@@ -227,11 +227,14 @@ func (t *TensorOf[F]) Scale(s F) {
 	}
 }
 
-// AXPY performs t += alpha * x.
+// AXPY performs t += alpha * x. Here and in the reductions below the product
+// is an explicit conversion, which the Go specification forbids fusing with
+// the add: on arm64 and other FMA targets the compiler would otherwise emit a
+// fused multiply-add, and a result would depend on the machine.
 func (t *TensorOf[F]) AXPY(alpha F, x *TensorOf[F]) {
 	assertSameSize(t, x, "AXPY")
 	for i := range t.data {
-		t.data[i] += alpha * x.data[i]
+		t.data[i] += F(alpha * x.data[i])
 	}
 }
 
@@ -241,7 +244,7 @@ func Dot[F Float](a, b *TensorOf[F]) F {
 	assertSameSize(a, b, "Dot")
 	var s F
 	for i := range a.data {
-		s += a.data[i] * b.data[i]
+		s += F(a.data[i] * b.data[i])
 	}
 	return s
 }
@@ -250,7 +253,7 @@ func Dot[F Float](a, b *TensorOf[F]) F {
 func (t *TensorOf[F]) Norm() F {
 	var s F
 	for _, v := range t.data {
-		s += v * v
+		s += F(v * v)
 	}
 	return F(math.Sqrt(float64(s)))
 }
@@ -310,9 +313,9 @@ func cosineSlices[F Float](a, b []F) float64 {
 	var dot, na, nb float64
 	for i := range a {
 		av, bv := float64(a[i]), float64(b[i])
-		dot += av * bv
-		na += av * av
-		nb += bv * bv
+		dot += float64(av * bv)
+		na += float64(av * av)
+		nb += float64(bv * bv)
 	}
 	if na == 0 && nb == 0 {
 		return 1

@@ -294,8 +294,9 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	for i := range img {
 		img[i] = float64(i)
 	}
-	col := make([]float64, g.ColRows()*g.ColCols())
-	g.Im2Col(img, col)
+	pb := NewPackedBOf[float64](g.ColRows(), g.ColCols())
+	Im2ColPackedOf(g, img, pb)
+	col := unpackB(t, pb)
 	// Row p of col should be [img[0*9+p], img[1*9+p]].
 	for p := 0; p < 9; p++ {
 		if col[p*2] != float64(p) || col[p*2+1] != float64(9+p) {
@@ -307,8 +308,9 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 func TestIm2ColPaddingZeros(t *testing.T) {
 	g := NewConvGeom(1, 2, 2, 3, 3, 1, 1)
 	img := []float64{1, 2, 3, 4}
-	col := make([]float64, g.ColRows()*g.ColCols())
-	g.Im2Col(img, col)
+	pb := NewPackedBOf[float64](g.ColRows(), g.ColCols())
+	Im2ColPackedOf(g, img, pb)
+	col := unpackB(t, pb)
 	// Output position (0,0): 3x3 patch centered at (0,0) with pad 1.
 	// Patch rows: (-1,-1..1)=0s; (0,-1)=0,(0,0)=1,(0,1)=2; (1,-1)=0,(1,0)=3,(1,1)=4.
 	want := []float64{0, 0, 0, 0, 1, 2, 0, 3, 4}
@@ -320,7 +322,8 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 }
 
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
-	// Adjoint property: <Im2Col(x), y> == <x, Col2Im(y)> for all x, y.
+	// Adjoint property: <Im2Col(x), y> == <x, Col2Im(y)> for all x, y, in
+	// the patch-rows × position-columns orientation both use.
 	r := rng.New(5)
 	g := NewConvGeom(2, 6, 5, 3, 3, 2, 1)
 	imgLen := g.InC * g.InH * g.InW
@@ -334,10 +337,11 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		for i := range y {
 			y[i] = r.Normal(0, 1)
 		}
-		cx := make([]float64, colLen)
-		g.Im2Col(x, cx)
+		pb := NewPackedBOf[float64](g.ColCols(), g.ColRows())
+		Im2ColOf(g, x, pb)
+		cx := unpackB(t, pb)
 		ay := make([]float64, imgLen)
-		g.Col2Im(y, ay)
+		Col2ImOf(g, y, ay)
 		var lhs, rhs float64
 		for i := range cx {
 			lhs += cx[i] * y[i]
@@ -404,15 +408,5 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(c, x, y)
-	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	g := NewConvGeom(16, 16, 16, 3, 3, 1, 1)
-	img := make([]float64, g.InC*g.InH*g.InW)
-	col := make([]float64, g.ColRows()*g.ColCols())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Im2Col(img, col)
 	}
 }
