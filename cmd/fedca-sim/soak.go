@@ -18,15 +18,15 @@ import (
 
 // soakCLI carries the flag values the soak mode consumes.
 type soakCLI struct {
-	spec     string
-	rounds   int
-	seed     uint64
-	report   string
-	check    int
-	recheck  int
-	model    string
-	scheme   string
-	clients  int
+	spec       string
+	rounds     int
+	seed       uint64
+	report     string
+	check      int
+	recheck    int
+	model      string
+	scheme     string
+	clients    int
 	logPath    string
 	httpAddr   string
 	eventsPath string

@@ -102,12 +102,14 @@ func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, pla
 
 func (w *trainWorkerOf[F]) numParams() int { return w.net.NumParams() }
 
-// alloc draws a zeroed tensor from the worker's arena, falling back to the
-// heap when the worker has none (the exported RunClientRound path, which must
-// not rebind the caller's network).
+// alloc draws a tensor from the worker's arena for a producer that writes
+// every element — the loader filling a batch, the loss writing dlogits — so
+// its contents are arbitrary, not zero. It falls back to the heap when the
+// worker has no arena (the exported RunClientRound path, which must not
+// rebind the caller's network).
 func (w *trainWorkerOf[F]) alloc(shape ...int) *tensor.TensorOf[F] {
 	if w.arena != nil {
-		return tensor.AllocOf[F](w.arena, shape...)
+		return tensor.AllocUninitOf[F](w.arena, shape...)
 	}
 	return tensor.NewOf[F](shape...)
 }

@@ -1,0 +1,265 @@
+package fl
+
+import (
+	"math"
+	"reflect"
+	"testing"
+	_ "unsafe" // go:linkname
+
+	"fedca/internal/compress"
+	"fedca/internal/cputok"
+	"fedca/internal/data"
+	"fedca/internal/model"
+	"fedca/internal/nn"
+	"fedca/internal/rng"
+	"fedca/internal/simnet"
+	"fedca/internal/tensor"
+	"fedca/internal/trace"
+)
+
+// arenaPoison is internal/tensor's unexported test hook: while set, every
+// non-zeroing arena allocation and every released buffer is filled with NaN
+// (argmax −1, mask true).
+//
+//go:linkname arenaPoison fedca/internal/tensor.poison
+var arenaPoison bool
+
+// The three models at the shapes the benchmark's workloads train them at
+// (expcfg.CNN, WRN and LSTM; that package imports this one).
+var (
+	benchImg = model.ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 10}
+	benchWRN = model.WRNConfig{Image: model.ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 20}, BlocksPerGroup: 2, Width: 8}
+	benchSeq = model.SeqConfig{SeqLen: 10, FeatDim: 8, Hidden: 24, Layers: 2, Classes: 10}
+)
+
+func benchModel[F tensor.Float](name string) *nn.NetworkOf[F] {
+	m, err := model.NewOf[F](name, benchImg, benchSeq, benchWRN, rng.New(3))
+	if err != nil {
+		panic(err)
+	}
+	return m.Network
+}
+
+// benchData draws n samples shaped for the named model.
+func benchData(name string, n int) *data.Dataset {
+	switch name {
+	case "lstm":
+		return data.NewSeqGenerator(data.SeqSpec{Classes: benchSeq.Classes, SeqLen: benchSeq.SeqLen, FeatDim: benchSeq.FeatDim, Noise: 0.8}, rng.New(5)).Generate(n, rng.New(6))
+	case "wrn":
+		img := benchWRN.Image
+		return data.NewImageGenerator(data.ImageSpec{Classes: img.Classes, Channels: img.Channels, Height: img.Height, Width: img.Width, Noise: 1}, rng.New(5)).Generate(n, rng.New(6))
+	}
+	return data.NewImageGenerator(data.ImageSpec{Classes: benchImg.Classes, Channels: benchImg.Channels, Height: benchImg.Height, Width: benchImg.Width, Noise: 1}, rng.New(5)).Generate(n, rng.New(6))
+}
+
+// poisonArenas switches the hook on for the rest of the test, and checks that
+// the link to internal/tensor holds.
+func poisonArenas(t *testing.T) {
+	t.Helper()
+	arenaPoison = true
+	t.Cleanup(func() { arenaPoison = false })
+	if v := tensor.AllocUninitOf[float64](tensor.NewArena(), 1).Data()[0]; v == v {
+		t.Fatalf("poison hook not linked: a non-zeroing allocation holds %v", v)
+	}
+}
+
+func setTokenCap(t *testing.T, n int) {
+	t.Helper()
+	old := cputok.Default().Setting()
+	cputok.Default().SetCap(n)
+	t.Cleanup(func() { cputok.Default().SetCap(old) })
+}
+
+// TestEvaluateSteadyStateZeroAlloc is the training guard's sibling: once a
+// first call has sized the arena, evaluating an arena-bound model — ragged
+// last batch included — performs zero heap allocations. The fan-out is pinned
+// to its serial path, as there: starting goroutines allocates by design.
+func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
+	}
+	setTokenCap(t, 1)
+	for _, name := range []string{"cnn", "wrn", "lstm"} {
+		t.Run(name, func(t *testing.T) {
+			net := benchModel[float64](name)
+			net.SetArena(tensor.NewArena())
+			ds := benchData(name, 40)
+			eval := func() { Evaluate(net, ds, 16) }
+			eval()
+			eval()
+			if n := testing.AllocsPerRun(5, eval); n != 0 {
+				t.Fatalf("steady-state Evaluate allocated %v times; want 0", n)
+			}
+		})
+	}
+}
+
+// arenaFloat64s returns how many float64s the arena's slab holds: after a
+// Reset, the largest demand any generation has made of it. It reads the
+// unexported field rather than widen tensor's surface for a test.
+func arenaFloat64s(a *tensor.Arena) int {
+	a.Reset()
+	return reflect.ValueOf(a).Elem().FieldByName("f64").FieldByName("buf").Len()
+}
+
+// TestEvaluateArenaHighWater: an inference pass holds a few activations, not
+// one per layer. The WRN at the evaluation batch peaks inside a residual
+// block with a shortcut branch — the block's pinned input, the two branch
+// results and their sum — so four of its largest activation bound it (the
+// test set's rows are never copied; the header they hang from costs one
+// input-sized slot). The LSTM, whose layer allocates per timestep and so
+// escapes the chain's discipline unless it releases for itself, must stay
+// under what the same pass demands when nothing is released — what its
+// evaluation took from the heap per batch before the arena was bound.
+func TestEvaluateArenaHighWater(t *testing.T) {
+	const batch = 256
+	highWater := func(name string, train bool) (elems, largest int) {
+		net := benchModel[float64](name)
+		arena := tensor.NewArena()
+		net.SetArena(arena)
+		ds := benchData(name, batch)
+		if train {
+			// A training forward releases nothing: the sum of every layer's
+			// allocations.
+			net.Forward(tensor.FromSlice(ds.X.Data(), batch, ds.Dim()), true)
+		} else {
+			Evaluate(net, ds, batch)
+		}
+		largest = ds.Dim()
+		net.VisitLayers(func(l nn.Layer) { largest = max(largest, l.OutDim()) })
+		return arenaFloat64s(arena), largest * batch
+	}
+	wrn, largest := highWater("wrn", false)
+	wrnAll, _ := highWater("wrn", true)
+	t.Logf("wrn: inference high-water %d float64s = %.2f × the largest activation (%d); without release %d", wrn, float64(wrn)/float64(largest), largest, wrnAll)
+	if wrn > 4*largest {
+		t.Fatalf("wrn inference high-water %d float64s exceeds 4 × its largest activation (%d)", wrn, largest)
+	}
+	lstm, _ := highWater("lstm", false)
+	lstmAll, _ := highWater("lstm", true)
+	t.Logf("lstm: inference high-water %d float64s; without release %d", lstm, lstmAll)
+	if lstm > lstmAll/4 {
+		t.Fatalf("lstm inference high-water %d float64s is not well under the %d an unreleased pass takes: per-timestep buffers are not reused", lstm, lstmAll)
+	}
+}
+
+// TestEvaluateFanOutMatchesSerialHeap: accuracy is one number, whatever
+// evaluates it — heap or arena, one token or four, and with a test set that
+// is not a multiple of the batch (the ragged batch normalizes with its own
+// statistics either way). With more than one token the layers between the
+// products fan out inside a batch; CI runs this under -race -count=10.
+func TestEvaluateFanOutMatchesSerialHeap(t *testing.T) {
+	for _, name := range []string{"cnn", "wrn", "lstm"} {
+		t.Run(name, func(t *testing.T) {
+			const n, batch = 150, 64 // 64 + 64 + 22
+			ds := benchData(name, n)
+			setTokenCap(t, 1)
+			want := Evaluate(benchModel[float64](name), ds, batch)
+			if want <= 0 || want >= 1 {
+				t.Logf("accuracy %v: the untrained model separates nothing, the comparison still holds", want)
+			}
+			arenaNet := benchModel[float64](name)
+			arenaNet.SetArena(tensor.NewArena())
+			for _, tokens := range []int{1, 2, 4} {
+				cputok.Default().SetCap(tokens)
+				for pass := 0; pass < 2; pass++ { // cold arena, then warm
+					if got := Evaluate(arenaNet, ds, batch); got != want {
+						t.Fatalf("%d tokens, pass %d: arena accuracy %v, serial heap accuracy %v", tokens, pass, got, want)
+					}
+				}
+				if got := Evaluate(benchModel[float64](name), ds, batch); got != want {
+					t.Fatalf("%d tokens: heap accuracy %v, serial heap accuracy %v", tokens, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEvaluateLogitsMatchHeapUnderPoison goes below the accuracy: per batch,
+// the arena-bound inference pass produces the heap pass's logits bit for bit
+// while every uninitialised and every released buffer reads NaN.
+func TestEvaluateLogitsMatchHeapUnderPoison(t *testing.T) {
+	poisonArenas(t)
+	setTokenCap(t, 3)
+	for _, name := range []string{"cnn", "wrn", "lstm"} {
+		heap, arenaNet := benchModel[float64](name), benchModel[float64](name)
+		arena := tensor.NewArena()
+		arenaNet.SetArena(arena)
+		ds := benchData(name, 48)
+		for pass := 0; pass < 2; pass++ {
+			arena.Reset()
+			x := tensor.FromSlice(ds.X.Data(), ds.N(), ds.Dim())
+			want, got := heap.Forward(x, false).Data(), arenaNet.Forward(x, false).Data()
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("%s pass %d: logit %d is %v from the arena, %v from the heap", name, pass, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// roundClient builds one client over ds; two calls give two clients in the
+// same state.
+func roundClient(ds *data.Dataset, batch int) *Client {
+	return &Client{
+		ID: 1, Data: ds, Loader: data.NewLoader(ds, batch, rng.New(8)),
+		Speed:  trace.NewClientSpeed(1, trace.PaperConfig(), rng.New(9)),
+		Up:     simnet.NewLink(simnet.DefaultClientBandwidth, 0),
+		Down:   simnet.NewLink(simnet.DefaultClientBandwidth, 0),
+		Weight: float64(ds.N()),
+	}
+}
+
+// testRoundMatchesHeapUnderPoison runs whole client rounds — batch load,
+// forward, loss, backward, step, delta, upload — on a worker without an arena
+// and on an arena-bound one under the poison hook, and demands the same
+// update bit for bit, round after round (the second round runs in recycled
+// slabs).
+func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, comp compress.Compressor) {
+	poisonArenas(t)
+	// The benchmark's smoke-test size: K = 2, batch 4.
+	cfg := Config{LocalIters: 2, BatchSize: 4, LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, BaseIterTime: 0.1, AggregateFraction: 1, Compressor: comp}
+	heapW := &trainWorkerOf[F]{net: benchModel[F](name)}
+	arenaW := newTrainWorkerOf(benchModel[F](name))
+	if err := cfg.Validate(heapW.numParams()); err != nil {
+		t.Fatal(err)
+	}
+	ds := benchData(name, 32)
+	heapC, arenaC := roundClient(ds, cfg.BatchSize), roundClient(ds, cfg.BatchSize)
+	global := benchModel[float64](name).FlatParams()
+	plan := RoundPlan{Deadline: math.Inf(1)}
+	for round := 0; round < 3; round++ {
+		start := float64(round) * 100
+		want := runClientRound(heapC, heapW, global, &cfg, plan, NopController{}, round, start, nil, false)
+		got := runClientRound(arenaC, arenaW, global, &cfg, plan, NopController{}, round, start, nil, false)
+		if got.Iterations != want.Iterations || got.TrainLoss != want.TrainLoss || got.UploadBytes != want.UploadBytes || got.CompletionTime != want.CompletionTime {
+			t.Fatalf("round %d: arena update %+v, heap update %+v", round, got, want)
+		}
+		if len(got.Delta) != len(want.Delta) || len(want.Delta) == 0 {
+			t.Fatalf("round %d: delta lengths %d and %d", round, len(got.Delta), len(want.Delta))
+		}
+		for i := range want.Delta {
+			if math.Float64bits(got.Delta[i]) != math.Float64bits(want.Delta[i]) {
+				t.Fatalf("round %d: delta[%d] is %v from the arena worker, %v from the heap worker", round, i, got.Delta[i], want.Delta[i])
+			}
+		}
+		// Move the global model so that the next round starts elsewhere.
+		for i := range global {
+			global[i] += want.Delta[i]
+		}
+	}
+}
+
+// TestClientRoundMatchesHeapUnderPoison: one case per benchmark workload, at
+// its model, dtype and compressor.
+func TestClientRoundMatchesHeapUnderPoison(t *testing.T) {
+	qsgd7, err := compress.ByName("qsgd7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("cnn-fedca", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "cnn", nil) })
+	t.Run("wrn-fedca-qsgd", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7) })
+	t.Run("lstm-fedavg-chaos", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "lstm", nil) })
+	t.Run("fleet-cnn-f32", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float32](t, "cnn", nil) })
+}

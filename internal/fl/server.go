@@ -149,6 +149,9 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	if err := cfg.Validate(global.NumParams()); err != nil {
 		return nil, err
 	}
+	// The global model only ever runs inference (Evaluate, after every
+	// round), and does it out of a scratch arena of its own.
+	global.SetArena(tensor.NewArena())
 	if cfg.DType == "f32" && ro.factory32 == nil {
 		return nil, fmt.Errorf("fl: DType \"f32\" requires WithFloat32Workers")
 	}
@@ -839,6 +842,20 @@ func (f *onlineFold) complete(i int) {
 
 // Evaluate computes the model's accuracy on ds, in batches of batch samples
 // (0 = single pass over everything).
+//
+// A network with an arena bound — the runner's global model — is evaluated as
+// an inference pass: the arena is reset before every batch, so whatever the
+// caller held from it is invalid afterwards, and each batch holds only the
+// few activations live at once (nn.NetworkOf.Forward). After a first call has
+// sized the arena, a call allocates nothing. Without an arena every layer's
+// output comes from the heap, as it always has; the accuracy is the same.
+//
+// Batches run one after another, each exactly batch samples but the last:
+// batch norm normalizes with the statistics of the batch it is given, so the
+// split is part of the result, and two batches in flight would double the
+// activations held. The cores are used inside a batch instead — per sample in
+// the convolutions and pooling, per channel in batch norm, per row block in
+// the products — under the CPU-token budget.
 func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 	n := ds.N()
 	if n == 0 {
@@ -848,14 +865,23 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 		batch = n
 	}
 	dim := ds.Dim()
+	arena := net.Arena()
 	correct := 0
 	xd := ds.X.Data()
 	for startIdx := 0; startIdx < n; startIdx += batch {
-		bs := batch
-		if startIdx+bs > n {
-			bs = n - startIdx
+		bs := min(batch, n-startIdx)
+		rows := xd[startIdx*dim : (startIdx+bs)*dim]
+		var x *tensor.Tensor
+		if arena != nil {
+			arena.Reset()
+			// The arena's only way to a header is with data of that size
+			// attached; the header is then pointed at the dataset's rows, and
+			// the data it came with is never touched.
+			x = tensor.AllocUninitOf[float64](arena, bs, dim)
+			x.Rebind(rows)
+		} else {
+			x = tensor.FromSlice(rows, bs, dim)
 		}
-		x := nnTensorView(xd, startIdx, bs, dim)
 		logits := net.Forward(x, false)
 		for b := 0; b < bs; b++ {
 			if logits.ArgMaxRow(b) == ds.Y[startIdx+b] {
@@ -864,10 +890,4 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 		}
 	}
 	return float64(correct) / float64(n)
-}
-
-// nnTensorView wraps rows [start, start+batch) of a row-major matrix without
-// copying.
-func nnTensorView(xd []float64, start, batch, dim int) *tensor.Tensor {
-	return tensor.FromSlice(xd[start*dim:(start+batch)*dim], batch, dim)
 }

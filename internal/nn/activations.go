@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"math"
+	"unsafe"
+
 	"fedca/internal/tensor"
 )
 
@@ -11,13 +14,25 @@ type ReLUOf[F tensor.Float] struct {
 
 	arena *tensor.Arena
 	gen   uint64
+
+	// call is the per-batch state the forward runner reads; see Conv2DOf.
+	// mask is nil on an inference pass.
+	call struct {
+		xd, yd []F
+		mask   []bool
+	}
+	fwdRun reluFwdRunnerOf[F]
 }
 
 // ReLU is the float64 ReLU.
 type ReLU = ReLUOf[float64]
 
 // NewReLUOf creates a ReLU whose OutDim mirrors the given feature count.
-func NewReLUOf[F tensor.Float](dim int) *ReLUOf[F] { return &ReLUOf[F]{dim: dim} }
+func NewReLUOf[F tensor.Float](dim int) *ReLUOf[F] {
+	r := &ReLUOf[F]{dim: dim}
+	r.fwdRun.r = r
+	return r
+}
 
 // NewReLU creates a float64 ReLU.
 func NewReLU(dim int) *ReLU { return NewReLUOf[float64](dim) }
@@ -27,26 +42,46 @@ func (r *ReLUOf[F]) OutDim() int { return r.dim }
 
 func (r *ReLUOf[F]) setArena(a *tensor.Arena) { r.arena = a }
 
-// Forward zeroes negatives. Both loops are branch-free — a clamp and a stored
+// reluFwdRunnerOf is the forward pass's sampleRunner over element chunks.
+type reluFwdRunnerOf[F tensor.Float] struct {
+	noScratch
+	r *ReLUOf[F]
+}
+
+// sample writes one chunk of the output, and of the mask on a training pass,
+// straight from the input. Both loops are branch-free — a clamp and a stored
 // comparison — because on activations of random sign a branch per element is
 // mispredicted half the time and costs more than the arithmetic of the layers
 // around it. A NaN stays NaN and counts as active, as it always has.
-func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	y := cloneT(r.arena, x)
-	yd := y.Data()
-	if !train {
-		for i, v := range yd {
-			yd[i] = max(v, 0)
+func (rr *reluFwdRunnerOf[F]) sample(i int, _ any) {
+	c := &rr.r.call
+	lo, hi := elemRange(i, len(c.xd))
+	xd, yd := c.xd[lo:hi], c.yd[lo:hi]
+	if c.mask == nil {
+		for j, v := range xd {
+			yd[j] = max(v, 0)
 		}
-		return y
+		return
 	}
-	r.mask = allocBools(r.arena, len(yd))
-	r.gen = stampGen(r.arena)
-	mask := r.mask[:len(yd)]
-	for i, v := range yd {
-		yd[i] = max(v, 0)
-		mask[i] = !(v <= 0)
+	mask := c.mask[lo:hi]
+	for j, v := range xd {
+		yd[j] = max(v, 0)
+		mask[j] = !(v <= 0)
 	}
+}
+
+// Forward zeroes negatives.
+func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
+	y := uninitT[F](r.arena, x.Shape()...)
+	n := x.Size()
+	r.mask = nil // an inference pass leaves nothing for Backward to read
+	if train {
+		r.mask = uninitBools(r.arena, n)
+		r.gen = stampGen(r.arena)
+	}
+	r.call.xd, r.call.yd, r.call.mask = x.Data(), y.Data(), r.mask
+	parallelSamples(elemChunks(n), heavyElems(n), nil, &r.fwdRun)
+	r.call.xd, r.call.yd, r.call.mask = nil, nil, nil
 	return y
 }
 
@@ -56,15 +91,36 @@ func (r *ReLUOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 		panic("nn: ReLU.Backward without prior Forward(train=true)")
 	}
 	checkGen(r.arena, r.gen, "nn.ReLU")
-	dx := cloneT(r.arena, dout)
-	dd := dx.Data()
-	for i := range dd {
-		if !r.mask[i] {
-			dd[i] = 0
-		}
-	}
+	dx := uninitT[F](r.arena, dout.Shape()...)
+	gateByMask(dx.Data(), dout.Data(), r.mask)
 	r.mask = nil
 	return dx
+}
+
+// gateByMask writes dst[i] = src[i] where mask[i] is set and +0 elsewhere, by
+// and-ing the value's bits with an all-ones or all-zeros word: no branch to
+// mispredict on a mask of random sign, and — unlike a multiply by 0 or 1 — an
+// active NaN or ±Inf passes through bit for bit and a gated one becomes +0.
+func gateByMask[F tensor.Float](dst, src []F, mask []bool) {
+	dst, mask = dst[:len(src)], mask[:len(src)]
+	var z F
+	if unsafe.Sizeof(z) == 4 {
+		for i, v := range src {
+			var keep uint32
+			if mask[i] {
+				keep = 1
+			}
+			dst[i] = F(math.Float32frombits(math.Float32bits(float32(v)) & -keep))
+		}
+		return
+	}
+	for i, v := range src {
+		var keep uint64
+		if mask[i] {
+			keep = 1
+		}
+		dst[i] = F(math.Float64frombits(math.Float64bits(float64(v)) & -keep))
+	}
 }
 
 // Params returns nil.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"fedca/internal/rng"
 	"fedca/internal/tensor"
@@ -29,46 +30,156 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 	net.Backward(dlogits)
 }
 
-// TestArenaMatchesHeapExactly: binding an arena changes where scratch lives,
-// never what it holds — forward outputs and parameter gradients must be
-// bit-identical to the heap-allocated network.
-func TestArenaMatchesHeapExactly(t *testing.T) {
-	build := func() *Network {
-		r := rng.New(7)
-		return NewNetwork(NewDense("fc1", 6, 8, r), NewReLU(8), NewDense("fc2", 8, 3, r))
+// sameBits reports the first index at which a and b differ in any bit (a NaN
+// equals only a NaN of the same payload), or -1.
+func sameBits[F tensor.Float](a, b []F) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
 	}
-	heap, arenaNet := build(), build()
-	arena := tensor.NewArena()
-	arenaNet.SetArena(arena)
-
-	r := rng.New(11)
-	x := randInput(r, 4, 6)
-	labels := randLabels(r, 4, 3)
-	for iter := 0; iter < 3; iter++ {
-		arena.Reset()
-		heap.ZeroGrad()
-		arenaNet.ZeroGrad()
-		lh := heap.Forward(x, true)
-		la := arenaNet.Forward(x, true)
-		for i := range lh.Data() {
-			if lh.Data()[i] != la.Data()[i] {
-				t.Fatalf("iter %d: forward diverges at %d: %v vs %v", iter, i, lh.Data()[i], la.Data()[i])
+	for i := range a {
+		// Each dtype by its own bits: widening a float32 would quieten a
+		// signalling NaN on both sides and hide a payload that changed.
+		if unsafe.Sizeof(a[i]) == 4 {
+			if math.Float32bits(float32(a[i])) != math.Float32bits(float32(b[i])) {
+				return i
 			}
+		} else if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return i
 		}
-		_, dh := SoftmaxCrossEntropy(lh, labels)
-		_, da := SoftmaxCrossEntropy(la, labels)
-		heap.Backward(dh)
-		arenaNet.Backward(da)
-		hp, ap := heap.Params(), arenaNet.Params()
-		for p := range hp {
-			hg, ag := hp[p].Grad.Data(), ap[p].Grad.Data()
-			for i := range hg {
-				if hg[i] != ag[i] {
-					t.Fatalf("iter %d: grad %s[%d] diverges: %v vs %v", iter, hp[p].Name, i, hg[i], ag[i])
+	}
+	return -1
+}
+
+// everyLayerNets builds, per name, a network and its input width; together
+// they contain every layer type, the pooling layer on both of its paths, a
+// residual block with and without a shortcut branch, and an LSTM with one
+// layer and with two.
+func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
+	return map[string]func() (*NetworkOf[F], int){
+		"dense-relu": func() (*NetworkOf[F], int) {
+			r := rng.New(7)
+			return NewNetworkOf[F](NewDenseOf[F]("fc1", 6, 8, r), NewReLUOf[F](8), NewDenseOf[F]("fc2", 8, 3, r)), 6
+		},
+		"conv-pool": func() (*NetworkOf[F], int) {
+			r := rng.New(8)
+			g1 := tensor.NewConvGeom(2, 8, 8, 3, 3, 1, 1)
+			c1 := NewConv2DOf[F]("conv1", g1, 4, r)
+			p1 := NewMaxPool2DOf[F](4, 8, 8, 2, 2) // the 2×2 path
+			g2 := tensor.NewConvGeom(4, 4, 4, 3, 3, 1, 1)
+			c2 := NewConv2DOf[F]("conv2", g2, 3, r)
+			p2 := NewMaxPool2DOf[F](3, 4, 4, 3, 1) // the generic path
+			return NewNetworkOf[F](c1, NewReLUOf[F](c1.OutDim()), p1, c2, NewReLUOf[F](c2.OutDim()), p2,
+				NewDenseOf[F]("fc", p2.OutDim(), 3, r)), 2 * 8 * 8
+		},
+		"residual": func() (*NetworkOf[F], int) {
+			r := rng.New(9)
+			block := func(name string, inC, outC, stride int) *ResidualOf[F] {
+				g1 := tensor.NewConvGeom(inC, 6, 6, 3, 3, stride, 1)
+				c1 := NewConv2DOf[F](name+".c1", g1, outC, r)
+				g2 := tensor.NewConvGeom(outC, g1.OutH, g1.OutW, 3, 3, 1, 1)
+				body := []LayerOf[F]{
+					NewBatchNorm2DOf[F](name+".bn1", inC, 6, 6), NewReLUOf[F](inC * 36), c1,
+					NewBatchNorm2DOf[F](name+".bn2", outC, g1.OutH, g1.OutW), NewReLUOf[F](c1.OutDim()),
+					NewDropoutOf[F](0.3, c1.OutDim(), r.Fork("dropout", name)),
+					NewConv2DOf[F](name+".c2", g2, outC, r),
+				}
+				var shortcut []LayerOf[F]
+				if inC != outC || stride != 1 {
+					gs := tensor.NewConvGeom(inC, 6, 6, 1, 1, stride, 0)
+					shortcut = []LayerOf[F]{NewConv2DOf[F](name+".sc", gs, outC, r)}
+				}
+				return NewResidualOf[F](body, shortcut, inC*36)
+			}
+			g0 := tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1)
+			return NewNetworkOf[F](NewConv2DOf[F]("conv1", g0, 2, r),
+				block("b1", 2, 2, 1), block("b2", 2, 4, 2),
+				NewBatchNorm2DOf[F]("bn_out", 4, 3, 3), NewReLUOf[F](36), NewGlobalAvgPool2DOf[F](4, 3, 3),
+				NewDenseOf[F]("fc", 4, 3, r)), 36
+		},
+		"lstm1": func() (*NetworkOf[F], int) {
+			r := rng.New(10)
+			return NewNetworkOf[F](NewLSTMOf[F]("rnn", 3, 5, 4, 1, r), NewDenseOf[F]("fc", 5, 3, r)), 12
+		},
+		"lstm2": func() (*NetworkOf[F], int) {
+			r := rng.New(11)
+			// Hidden = InDim: the timestep slices and the hidden states share
+			// a length, so they trade buffers through the arena.
+			return NewNetworkOf[F](NewLSTMOf[F]("rnn", 4, 4, 3, 2, r), NewDenseOf[F]("fc", 4, 3, r)), 12
+		},
+	}
+}
+
+// testArenaMatchesHeap drives a heap network and an arena-bound twin through
+// training iterations with inference passes in between, under the poison
+// hook: every non-zeroing allocation arrives as NaN and every released buffer
+// turns to NaN, so a buffer read before it is written, or after the inference
+// pass gave it back, shows as a difference from the heap network — which
+// zeroes everything and releases nothing.
+func testArenaMatchesHeap[F tensor.Float](t *testing.T) {
+	poisonArenas(t)
+	for name, build := range everyLayerNets[F]() {
+		t.Run(name, func(t *testing.T) {
+			heap, dim := build()
+			arenaNet, _ := build()
+			arena := tensor.NewArena()
+			arenaNet.SetArena(arena)
+			r := rng.New(11)
+			const batch = 5
+			input := func() *tensor.TensorOf[F] {
+				x := tensor.NewOf[F](batch, dim)
+				for i := range x.Data() {
+					x.Data()[i] = F(r.Normal(0, 1))
+				}
+				return x
+			}
+			labels := randLabels(r, batch, 3)
+			for iter := 0; iter < 3; iter++ {
+				x := input()
+				before := append([]F(nil), x.Data()...)
+				arena.Reset()
+				le, la := heap.Forward(x, false), arenaNet.Forward(x, false)
+				if i := sameBits(le.Data(), la.Data()); i >= 0 {
+					t.Fatalf("iter %d: inference forward diverges at %d: %v vs %v", iter, i, le.Data()[i], la.Data()[i])
+				}
+				if i := sameBits(before, x.Data()); i >= 0 {
+					t.Fatalf("iter %d: the inference pass released or wrote to its own input (at %d)", iter, i)
+				}
+
+				arena.Reset()
+				heap.ZeroGrad()
+				arenaNet.ZeroGrad()
+				heap.ReseedNoise(uint64(iter))
+				arenaNet.ReseedNoise(uint64(iter))
+				lh, lt := heap.Forward(x, true), arenaNet.Forward(x, true)
+				if i := sameBits(lh.Data(), lt.Data()); i >= 0 {
+					t.Fatalf("iter %d: training forward diverges at %d: %v vs %v", iter, i, lh.Data()[i], lt.Data()[i])
+				}
+				_, dh := SoftmaxCrossEntropy(lh, labels)
+				_, da := SoftmaxCrossEntropy(lt, labels)
+				// Layer by layer, so that the first layer's input gradient is
+				// compared too (Network.Backward leaves it out).
+				dxh, dxa := layerwiseBackward(heap, dh), layerwiseBackward(arenaNet, da)
+				if i := sameBits(dxh.Data(), dxa.Data()); i >= 0 {
+					t.Fatalf("iter %d: input gradient diverges at %d: %v vs %v", iter, i, dxh.Data()[i], dxa.Data()[i])
+				}
+				hp, ap := heap.Params(), arenaNet.Params()
+				for p := range hp {
+					if i := sameBits(hp[p].Grad.Data(), ap[p].Grad.Data()); i >= 0 {
+						t.Fatalf("iter %d: grad %s[%d] diverges: %v vs %v", iter, hp[p].Name, i, hp[p].Grad.Data()[i], ap[p].Grad.Data()[i])
+					}
 				}
 			}
-		}
+		})
 	}
+}
+
+// TestArenaMatchesHeapExactly: binding an arena changes where scratch lives,
+// never what it holds — inference outputs, training outputs, input gradients
+// and parameter gradients are bit-identical to the heap-allocated network for
+// every layer type at both dtypes.
+func TestArenaMatchesHeapExactly(t *testing.T) {
+	t.Run("f64", testArenaMatchesHeap[float64])
+	t.Run("f32", testArenaMatchesHeap[float32])
 }
 
 // lossOf32 evaluates the scalar training loss of a float32 network.

@@ -34,6 +34,14 @@ type BatchNorm2DOf[F tensor.Float] struct {
 
 	arena *tensor.Arena
 	gen   uint64
+
+	// call is the per-batch state the forward runner reads; see Conv2DOf.
+	call struct {
+		xd, yd []F
+		batch  int
+		train  bool
+	}
+	fwdRun bnFwdRunnerOf[F]
 }
 
 // BatchNorm2D is the float64 batch-norm layer.
@@ -47,6 +55,7 @@ func NewBatchNorm2DOf[F tensor.Float](name string, c, h, w int) *BatchNorm2DOf[F
 		Beta:  newParamOf[F](name+".bias", c),
 	}
 	b.Gamma.Value.Fill(1)
+	b.fwdRun.b = b
 	return b
 }
 
@@ -66,16 +75,66 @@ func (b *BatchNorm2DOf[F]) setArena(a *tensor.Arena) { b.arena = a }
 // OutDim returns the per-sample feature count (unchanged by normalization).
 func (b *BatchNorm2DOf[F]) OutDim() int { return b.C * b.H * b.W }
 
-// Forward normalizes per channel and applies γ, β.
-func (b *BatchNorm2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	batch := x.Dim(0)
+// bnFwdRunnerOf is the forward pass's sampleRunner; a work index is a channel.
+type bnFwdRunnerOf[F tensor.Float] struct {
+	noScratch
+	b *BatchNorm2DOf[F]
+}
+
+// sample normalizes channel c: its statistics over batch × spatial, summed in
+// sample order, then the affine output (and x̂, on a training pass). Channels
+// share nothing, so any number of workers gives the same bits.
+func (r *bnFwdRunnerOf[F]) sample(c int, _ any) {
+	b := r.b
+	batch, xd, yd := b.call.batch, b.call.xd, b.call.yd
 	spatial := b.H * b.W
 	inDim := b.C * spatial
 	n := float64(batch * spatial)
-	y := allocT[F](b.arena, batch, inDim)
-	xd, yd := x.Data(), y.Data()
+	sum, sum2 := 0.0, 0.0
+	for i := 0; i < batch; i++ {
+		for _, v := range xd[i*inDim+c*spatial : i*inDim+(c+1)*spatial] {
+			sum += float64(v)
+			sum2 += float64(v) * float64(v)
+		}
+	}
+	mean := sum / n
+	variance := sum2/n - mean*mean
+	if variance < 0 {
+		variance = 0 // numeric guard
+	}
+	invStd := 1 / math.Sqrt(variance+b.Eps)
+	gamma, beta := float64(b.Gamma.Value.Data()[c]), float64(b.Beta.Value.Data()[c])
+	if !b.call.train {
+		for i := 0; i < batch; i++ {
+			base := i*inDim + c*spatial
+			yrow := yd[base : base+spatial]
+			for j, v := range xd[base : base+spatial] {
+				xh := (float64(v) - mean) * invStd
+				yrow[j] = F(gamma*xh + beta)
+			}
+		}
+		return
+	}
+	b.invStd[c] = invStd
+	for i := 0; i < batch; i++ {
+		base := i*inDim + c*spatial
+		yrow, hrow := yd[base:base+spatial], b.xhat[base:base+spatial]
+		for j, v := range xd[base : base+spatial] {
+			xh := (float64(v) - mean) * invStd
+			hrow[j] = F(xh)
+			yrow[j] = F(gamma*xh + beta)
+		}
+	}
+}
+
+// Forward normalizes per channel and applies γ, β.
+func (b *BatchNorm2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
+	batch := x.Dim(0)
+	inDim := b.OutDim()
+	y := uninitT[F](b.arena, batch, inDim)
+	b.xhat = nil // an inference pass leaves nothing for Backward to read
 	if train {
-		b.xhat = allocF[F](b.arena, batch*inDim)
+		b.xhat = uninitF[F](b.arena, batch*inDim)
 		if b.arena != nil {
 			b.invStd = b.arena.Float64(b.C)
 		} else {
@@ -84,38 +143,9 @@ func (b *BatchNorm2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Te
 		b.batch = batch
 		b.gen = stampGen(b.arena)
 	}
-	g, be := b.Gamma.Value.Data(), b.Beta.Value.Data()
-	for c := 0; c < b.C; c++ {
-		// mean and variance of channel c over batch × spatial
-		sum, sum2 := 0.0, 0.0
-		for i := 0; i < batch; i++ {
-			row := xd[i*inDim+c*spatial : i*inDim+(c+1)*spatial]
-			for _, v := range row {
-				sum += float64(v)
-				sum2 += float64(v) * float64(v)
-			}
-		}
-		mean := sum / n
-		variance := sum2/n - mean*mean
-		if variance < 0 {
-			variance = 0 // numeric guard
-		}
-		invStd := 1 / math.Sqrt(variance+b.Eps)
-		if train {
-			b.invStd[c] = invStd
-		}
-		gamma, beta := float64(g[c]), float64(be[c])
-		for i := 0; i < batch; i++ {
-			base := i*inDim + c*spatial
-			for j := 0; j < spatial; j++ {
-				xh := (float64(xd[base+j]) - mean) * invStd
-				if train {
-					b.xhat[base+j] = F(xh)
-				}
-				yd[base+j] = F(gamma*xh + beta)
-			}
-		}
-	}
+	b.call.xd, b.call.yd, b.call.batch, b.call.train = x.Data(), y.Data(), batch, train
+	parallelSamples(b.C, heavyElems(batch*inDim), nil, &b.fwdRun)
+	b.call.xd, b.call.yd = nil, nil
 	return y
 }
 
@@ -129,7 +159,7 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 	spatial := b.H * b.W
 	inDim := b.C * spatial
 	n := float64(batch * spatial)
-	dx := allocT[F](b.arena, batch, inDim)
+	dx := uninitT[F](b.arena, batch, inDim)
 	dd, dxd := dout.Data(), dx.Data()
 	gg, bg := b.Gamma.Grad.Data(), b.Beta.Grad.Data()
 	g := b.Gamma.Value.Data()
@@ -138,10 +168,11 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 		var sumD, sumDX float64
 		for i := 0; i < batch; i++ {
 			base := i*inDim + c*spatial
-			for j := 0; j < spatial; j++ {
-				d := float64(dd[base+j])
+			hrow := b.xhat[base : base+spatial]
+			for j, v := range dd[base : base+spatial] {
+				d := float64(v)
 				sumD += d
-				sumDX += d * float64(b.xhat[base+j])
+				sumDX += d * float64(hrow[j])
 			}
 		}
 		gg[c] += F(sumDX)
@@ -149,8 +180,9 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 		k := float64(g[c]) * b.invStd[c] / n
 		for i := 0; i < batch; i++ {
 			base := i*inDim + c*spatial
-			for j := 0; j < spatial; j++ {
-				dxd[base+j] = F(k * (n*float64(dd[base+j]) - sumD - float64(b.xhat[base+j])*sumDX))
+			hrow, drow := b.xhat[base:base+spatial], dxd[base:base+spatial]
+			for j, v := range dd[base : base+spatial] {
+				drow[j] = F(k * (n*float64(v) - sumD - float64(hrow[j])*sumDX))
 			}
 		}
 	}

@@ -140,10 +140,11 @@ func (r *convFwdRunnerOf[F]) sample(i int, scratch any) {
 // Forward computes the convolution for each sample in the batch.
 func (c *Conv2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	batch := x.Dim(0)
-	y := allocT[F](c.arena, batch, c.OutDim())
+	y := uninitT[F](c.arena, batch, c.OutDim())
 	c.call.xd, c.call.yd = x.Data(), y.Data()
 	parallelSamples(batch, c.heavy(batch), &c.fwdPool, &c.fwdRun)
 	c.call.xd, c.call.yd = nil, nil
+	c.x = nil // an inference pass leaves nothing for Backward to read
 	if train {
 		c.x = x
 		c.gen = stampGen(c.arena)
@@ -217,12 +218,12 @@ func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Te
 	patch := c.Geom.ColCols()
 	var dx *tensor.TensorOf[F]
 	if needDx {
-		dx = allocT[F](c.arena, batch, c.InDim())
+		dx = allocT[F](c.arena, batch, c.InDim()) // zeroed: Col2ImOf adds into it
 		c.call.dxd = dx.Data()
 	}
 	// Per-sample gradient contributions, reduced in order afterwards.
-	dWs := allocF[F](c.arena, batch*c.OutC*patch)
-	dBs := allocF[F](c.arena, batch*c.OutC)
+	dWs := uninitF[F](c.arena, batch*c.OutC*patch)
+	dBs := uninitF[F](c.arena, batch*c.OutC)
 	c.call.xd, c.call.dd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dWs, dBs
 	parallelSamples(batch, c.heavy(batch), &c.bwdPool, &c.bwdRun)
 	c.call.xd, c.call.dd, c.call.dxd, c.call.dWs, c.call.dBs = nil, nil, nil, nil, nil

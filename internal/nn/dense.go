@@ -49,7 +49,7 @@ func (d *DenseOf[F]) setArena(a *tensor.Arena) { d.arena = a }
 // Forward computes y[B,out] = x[B,in]·Wᵀ + b.
 func (d *DenseOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	batch := x.Dim(0)
-	y := allocT[F](d.arena, batch, d.Out)
+	y := uninitT[F](d.arena, batch, d.Out)
 	tensor.MatMulTransB(y, x, d.W.Value)
 	bd := d.B.Value.Data()
 	yd := y.Data()
@@ -59,6 +59,7 @@ func (d *DenseOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf
 			row[j] += bd[j]
 		}
 	}
+	d.x = nil // an inference pass leaves nothing for Backward to read
 	if train {
 		d.x = x
 		d.gen = stampGen(d.arena)
@@ -80,7 +81,7 @@ func (d *DenseOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Ten
 	checkGen(d.arena, d.gen, "nn.Dense")
 	batch := dout.Dim(0)
 	// dW[out,in] += doutᵀ[out,B] · x[B,in]
-	dW := allocT[F](d.arena, d.Out, d.In)
+	dW := uninitT[F](d.arena, d.Out, d.In)
 	tensor.MatMulTransA(dW, dout, d.x)
 	d.W.Grad.Add(dW)
 	// db += column sums of dout
@@ -97,7 +98,7 @@ func (d *DenseOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Ten
 		return nil
 	}
 	// dx[B,in] = dout[B,out] · W[out,in]
-	dx := allocT[F](d.arena, batch, d.In)
+	dx := uninitT[F](d.arena, batch, d.In)
 	tensor.MatMul(dx, dout, d.W.Value)
 	return dx
 }

@@ -49,23 +49,26 @@ func (d *DropoutOf[F]) ReseedNoise(seed uint64) { d.r = rng.New(seed) }
 
 func (d *DropoutOf[F]) setArena(a *tensor.Arena) { d.arena = a }
 
-// Forward applies the mask during training; evaluation passes through.
+// Forward applies the mask during training; evaluation passes through. Output
+// and mask are each written once, straight from the input, in element order —
+// the order the mask stream is drawn in.
 func (d *DropoutOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	if !train || d.P == 0 {
 		d.mask = nil
 		return x
 	}
-	y := cloneT(d.arena, x)
-	yd := y.Data()
-	d.mask = allocBools(d.arena, len(yd))
+	y := uninitT[F](d.arena, x.Shape()...)
+	xd, yd := x.Data(), y.Data()
+	d.mask = uninitBools(d.arena, len(yd))
 	d.gen = stampGen(d.arena)
 	scale := 1 / (1 - d.P)
-	for i := range yd {
-		if d.r.Float64() < d.P {
-			yd[i] = 0
+	for i, v := range xd {
+		keep := !(d.r.Float64() < d.P)
+		d.mask[i] = keep
+		if keep {
+			yd[i] = F(float64(v) * scale)
 		} else {
-			d.mask[i] = true
-			yd[i] = F(float64(yd[i]) * scale)
+			yd[i] = 0
 		}
 	}
 	return y
@@ -78,14 +81,14 @@ func (d *DropoutOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 		return dout
 	}
 	checkGen(d.arena, d.gen, "nn.Dropout")
-	dx := cloneT(d.arena, dout)
-	dd := dx.Data()
+	dx := uninitT[F](d.arena, dout.Shape()...)
+	dxd := dx.Data()
 	scale := 1 / (1 - d.P)
-	for i := range dd {
+	for i, v := range dout.Data() {
 		if d.mask[i] {
-			dd[i] = F(float64(dd[i]) * scale)
+			dxd[i] = F(float64(v) * scale)
 		} else {
-			dd[i] = 0
+			dxd[i] = 0
 		}
 	}
 	d.mask = nil

@@ -1,0 +1,343 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"fedca/internal/cputok"
+	"fedca/internal/rng"
+	"fedca/internal/tensor"
+)
+
+// The elementwise layers were rewritten to touch memory once (one pass from
+// the input, no clearing, no clone, no branch per element, a 2×2 pooling
+// path). Their previous bodies are kept here as references: each test drives
+// the layer and its reference with the same inputs and demands the same bits.
+
+// refMaxPool is MaxPool2D.Forward as it was: one loop for any kernel and
+// stride, scanning each window in (ky, kx) order with a strict comparison.
+func refMaxPool[F tensor.Float](p *MaxPool2DOf[F], x *tensor.TensorOf[F]) (y []F, argmax []int32) {
+	batch, inDim, outDim := x.Dim(0), p.InDim(), p.OutDim()
+	y, argmax = make([]F, batch*outDim), make([]int32, batch*outDim)
+	for i := 0; i < batch; i++ {
+		xs := x.Data()[i*inDim : (i+1)*inDim]
+		oi := 0
+		for c := 0; c < p.C; c++ {
+			chanBase := c * p.H * p.W
+			for oy := 0; oy < p.OutH; oy++ {
+				for ox := 0; ox < p.OutW; ox++ {
+					bestOff := chanBase + oy*p.Stride*p.W + ox*p.Stride
+					best := xs[bestOff]
+					for ky := 0; ky < p.K; ky++ {
+						rowOff := chanBase + (oy*p.Stride+ky)*p.W + ox*p.Stride
+						for kx := 0; kx < p.K; kx++ {
+							if v := xs[rowOff+kx]; v > best {
+								best = v
+								bestOff = rowOff + kx
+							}
+						}
+					}
+					y[i*outDim+oi] = best
+					argmax[i*outDim+oi] = int32(bestOff)
+					oi++
+				}
+			}
+		}
+	}
+	return y, argmax
+}
+
+// poolInput draws a batch from a handful of values, so that most windows hold
+// ties, signed zeros and NaNs in every position.
+func poolInput[F tensor.Float](r *rng.RNG, batch, dim int) *tensor.TensorOf[F] {
+	values := []F{0, F(math.Copysign(0, -1)), 1, 1, -1, 2, F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1))}
+	x := tensor.NewOf[F](batch, dim)
+	for i := range x.Data() {
+		x.Data()[i] = values[r.Intn(len(values))]
+	}
+	return x
+}
+
+func testMaxPoolMatchesReference[F tensor.Float](t *testing.T) {
+	r := rng.New(21)
+	geoms := []struct{ c, h, w, k, stride int }{
+		{3, 8, 8, 2, 2}, // the 2×2 path, as the CNN uses it
+		{2, 7, 9, 2, 2}, // … with a row and a column the windows never reach
+		{1, 2, 2, 2, 2}, // … at a single window
+		{2, 6, 6, 2, 1}, // overlapping windows: generic
+		{2, 7, 7, 3, 2}, // generic
+		{1, 6, 6, 3, 3}, // generic
+		{2, 5, 5, 1, 1}, // identity: generic
+		{1, 8, 8, 2, 3}, // gaps between windows: generic
+		{1, 9, 9, 4, 2}, // K = 2·stride: generic
+	}
+	for _, g := range geoms {
+		t.Run(fmt.Sprintf("c%d_%dx%d_k%d_s%d", g.c, g.h, g.w, g.k, g.stride), func(t *testing.T) {
+			p := NewMaxPool2DOf[F](g.c, g.h, g.w, g.k, g.stride)
+			for trial := 0; trial < 20; trial++ {
+				x := poolInput[F](r, 3, p.InDim())
+				wantY, wantArg := refMaxPool(p, x)
+				if i := sameBits(wantY, p.Forward(x, false).Data()); i >= 0 {
+					t.Fatalf("trial %d: inference output differs from the reference at %d", trial, i)
+				}
+				y := p.Forward(x, true)
+				if i := sameBits(wantY, y.Data()); i >= 0 {
+					t.Fatalf("trial %d: training output differs from the reference at %d: %v vs %v", trial, i, y.Data()[i], wantY[i])
+				}
+				for i, a := range p.argmax {
+					if a != wantArg[i] {
+						t.Fatalf("trial %d: argmax[%d] = %d, reference %d", trial, i, a, wantArg[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMaxPoolMatchesReference: values and argmax of both pooling paths equal
+// the old single loop's, bit for bit, on inputs full of ties, −0 and NaN.
+func TestMaxPoolMatchesReference(t *testing.T) {
+	t.Run("f64", testMaxPoolMatchesReference[float64])
+	t.Run("f32", testMaxPoolMatchesReference[float32])
+}
+
+// TestMaxPoolNaNInEveryWindowPosition pins the rule the 2×2 path must keep:
+// a NaN wins only from the first position, where nothing is compared with it.
+func TestMaxPoolNaNInEveryWindowPosition(t *testing.T) {
+	p := NewMaxPool2D(1, 2, 2, 2, 2)
+	nan := math.NaN()
+	for pos := 0; pos < 4; pos++ {
+		x := tensor.FromSlice([]float64{1, 3, 2, 0}, 1, 4)
+		x.Data()[pos] = nan
+		wantY, wantArg := refMaxPool(p, x)
+		y := p.Forward(x, true)
+		if sameBits(wantY, y.Data()) >= 0 || p.argmax[0] != wantArg[0] {
+			t.Fatalf("NaN at %d: got %v (argmax %d), reference %v (argmax %d)", pos, y.Data()[0], p.argmax[0], wantY[0], wantArg[0])
+		}
+		if isNaN := y.Data()[0] != y.Data()[0]; isNaN != (pos == 0) {
+			t.Fatalf("NaN at %d: output %v", pos, y.Data()[0])
+		}
+	}
+}
+
+// refReLUBackward is ReLU.Backward as it was: a copy, then a branch per
+// element.
+func refReLUBackward[F tensor.Float](dout []F, mask []bool) []F {
+	dx := append([]F(nil), dout...)
+	for i := range dx {
+		if !mask[i] {
+			dx[i] = 0
+		}
+	}
+	return dx
+}
+
+func testReLUMatchesReference[F tensor.Float](t *testing.T) {
+	special := []F{F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)), F(math.Copysign(0, -1)), 0, 1, -1,
+		// signalling NaNs with a payload, one per dtype (the other dtype sees
+		// it quietened by the conversion, which is one more NaN)
+		F(math.Float32frombits(0x7fa00001)), F(math.Float64frombits(0x7ff4000000000001)),
+		F(math.SmallestNonzeroFloat32)}
+	r := rng.New(22)
+	relu := NewReLUOf[F](len(special) * 2)
+	// Every special value meets an active and a gated lane.
+	x := tensor.NewOf[F](1, len(special)*2)
+	dout := tensor.NewOf[F](1, len(special)*2)
+	for i, v := range special {
+		x.Data()[2*i], x.Data()[2*i+1] = 1, -1
+		dout.Data()[2*i], dout.Data()[2*i+1] = v, v
+	}
+	check := func(x, dout *tensor.TensorOf[F]) {
+		t.Helper()
+		want := make([]F, x.Size())
+		mask := make([]bool, x.Size())
+		for i, v := range x.Data() { // ReLU.Forward as it was: clone, clamp, compare
+			want[i], mask[i] = max(v, 0), !(v <= 0)
+		}
+		if i := sameBits(want, relu.Forward(x, false).Data()); i >= 0 {
+			t.Fatalf("inference forward differs from the reference at %d", i)
+		}
+		y := relu.Forward(x, true)
+		if i := sameBits(want, y.Data()); i >= 0 {
+			t.Fatalf("training forward differs from the reference at %d: %v vs %v", i, y.Data()[i], want[i])
+		}
+		wantDx := refReLUBackward(dout.Data(), mask)
+		dx := relu.Backward(dout)
+		if i := sameBits(wantDx, dx.Data()); i >= 0 {
+			t.Fatalf("backward differs from the branchy form at %d (x=%v, dout=%v): %v vs %v", i, x.Data()[i], dout.Data()[i], dx.Data()[i], wantDx[i])
+		}
+	}
+	check(x, dout)
+	// Random activations — NaN, ±0 and ±Inf among them, since the mask has an
+	// opinion on each — against random and special gradients.
+	for trial := 0; trial < 20; trial++ {
+		for i := range x.Data() {
+			x.Data()[i] = F(r.Normal(0, 1))
+			dout.Data()[i] = F(r.Normal(0, 1))
+			if r.Intn(4) == 0 {
+				x.Data()[i] = special[r.Intn(len(special))]
+			}
+			if r.Intn(4) == 0 {
+				dout.Data()[i] = special[r.Intn(len(special))]
+			}
+		}
+		check(x, dout)
+	}
+}
+
+// TestReLUMatchesReference: forward from the input in one pass and backward
+// by bitwise select equal clone-clamp-compare and copy-then-branch, bit for
+// bit, for NaN, ±Inf and −0 at gated and ungated positions.
+func TestReLUMatchesReference(t *testing.T) {
+	t.Run("f64", testReLUMatchesReference[float64])
+	t.Run("f32", testReLUMatchesReference[float32])
+}
+
+// refBatchNorm is BatchNorm2D as it was — forward with the train test inside
+// the innermost loop, backward indexing element by element — returning the
+// output, x̂, the input gradient and the two parameter gradients.
+func refBatchNorm[F tensor.Float](b *BatchNorm2DOf[F], x, dout *tensor.TensorOf[F]) (y, xhat, dx, dGamma, dBeta []F) {
+	batch := x.Dim(0)
+	spatial := b.H * b.W
+	inDim := b.C * spatial
+	n := float64(batch * spatial)
+	xd, dd := x.Data(), dout.Data()
+	y, xhat, dx = make([]F, batch*inDim), make([]F, batch*inDim), make([]F, batch*inDim)
+	dGamma, dBeta = make([]F, b.C), make([]F, b.C)
+	invStds := make([]float64, b.C)
+	g, be := b.Gamma.Value.Data(), b.Beta.Value.Data()
+	for c := 0; c < b.C; c++ {
+		sum, sum2 := 0.0, 0.0
+		for i := 0; i < batch; i++ {
+			for _, v := range xd[i*inDim+c*spatial : i*inDim+(c+1)*spatial] {
+				sum += float64(v)
+				sum2 += float64(v) * float64(v)
+			}
+		}
+		mean := sum / n
+		variance := sum2/n - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		invStd := 1 / math.Sqrt(variance+b.Eps)
+		invStds[c] = invStd
+		gamma, beta := float64(g[c]), float64(be[c])
+		for i := 0; i < batch; i++ {
+			base := i*inDim + c*spatial
+			for j := 0; j < spatial; j++ {
+				xh := (float64(xd[base+j]) - mean) * invStd
+				xhat[base+j] = F(xh)
+				y[base+j] = F(gamma*xh + beta)
+			}
+		}
+	}
+	for c := 0; c < b.C; c++ {
+		var sumD, sumDX float64
+		for i := 0; i < batch; i++ {
+			base := i*inDim + c*spatial
+			for j := 0; j < spatial; j++ {
+				d := float64(dd[base+j])
+				sumD += d
+				sumDX += d * float64(xhat[base+j])
+			}
+		}
+		dGamma[c] += F(sumDX)
+		dBeta[c] += F(sumD)
+		k := float64(g[c]) * invStds[c] / n
+		for i := 0; i < batch; i++ {
+			base := i*inDim + c*spatial
+			for j := 0; j < spatial; j++ {
+				dx[base+j] = F(k * (n*float64(dd[base+j]) - sumD - float64(xhat[base+j])*sumDX))
+			}
+		}
+	}
+	return y, xhat, dx, dGamma, dBeta
+}
+
+func testBatchNormMatchesReference[F tensor.Float](t *testing.T) {
+	r := rng.New(23)
+	// 16×16×17 elements at batch 16 crosses the fan-out threshold; run it at
+	// several worker counts, since channels may then be normalized in any
+	// order by any worker.
+	for _, g := range []struct{ c, h, w, batch int }{{3, 4, 5, 6}, {1, 1, 1, 4}, {17, 16, 16, 16}} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("c%d_%dx%d_b%d_w%d", g.c, g.h, g.w, g.batch, workers), func(t *testing.T) {
+				old := cputok.Default().Setting()
+				cputok.Default().SetCap(workers)
+				defer cputok.Default().SetCap(old)
+				b := NewBatchNorm2DOf[F]("bn", g.c, g.h, g.w)
+				for c := 0; c < g.c; c++ {
+					b.Gamma.Value.Data()[c] = F(r.Normal(1, 0.5))
+					b.Beta.Value.Data()[c] = F(r.Normal(0, 0.5))
+				}
+				x, dout := tensor.NewOf[F](g.batch, b.OutDim()), tensor.NewOf[F](g.batch, b.OutDim())
+				for i := range x.Data() {
+					x.Data()[i] = F(r.Normal(0.3, 2))
+					dout.Data()[i] = F(r.Normal(0, 1))
+				}
+				wantY, wantXhat, wantDx, wantDG, wantDB := refBatchNorm(b, x, dout)
+				if i := sameBits(wantY, b.Forward(x, false).Data()); i >= 0 {
+					t.Fatalf("inference forward differs from the reference at %d", i)
+				}
+				if i := sameBits(wantY, b.Forward(x, true).Data()); i >= 0 {
+					t.Fatalf("training forward differs from the reference at %d", i)
+				}
+				if i := sameBits(wantXhat, b.xhat); i >= 0 {
+					t.Fatalf("x̂ differs from the reference at %d", i)
+				}
+				if i := sameBits(wantDx, b.Backward(dout).Data()); i >= 0 {
+					t.Fatalf("input gradient differs from the reference at %d", i)
+				}
+				if sameBits(wantDG, b.Gamma.Grad.Data()) >= 0 || sameBits(wantDB, b.Beta.Grad.Data()) >= 0 {
+					t.Fatal("parameter gradients differ from the reference")
+				}
+			})
+		}
+	}
+}
+
+// TestBatchNormMatchesReference: hoisting the train test, walking row slices
+// and normalizing channels on several workers leave every per-channel sum in
+// its element order with its float64 accumulator — same bits at both dtypes.
+func TestBatchNormMatchesReference(t *testing.T) {
+	t.Run("f64", testBatchNormMatchesReference[float64])
+	t.Run("f32", testBatchNormMatchesReference[float32])
+}
+
+// TestDropoutMatchesReference: writing output and mask in one pass from the
+// input equals clone-then-rewrite, forward and backward, for the same mask
+// stream.
+func TestDropoutMatchesReference(t *testing.T) {
+	const p, n = 0.4, 64
+	r := rng.New(24)
+	d := NewDropout(p, n, rng.New(99))
+	x, dout := randInput(r, 3, n), randInput(r, 3, n)
+	x.Data()[5], dout.Data()[7] = math.NaN(), math.Inf(-1)
+	// Dropout as it was.
+	ref := rng.New(99)
+	scale := 1 / (1 - p)
+	wantY, wantDx := x.Clone().Data(), dout.Clone().Data()
+	mask := make([]bool, len(wantY))
+	for i := range wantY {
+		if ref.Float64() < p {
+			wantY[i] = 0
+		} else {
+			mask[i] = true
+			wantY[i] *= scale
+		}
+	}
+	for i := range wantDx {
+		if mask[i] {
+			wantDx[i] *= scale
+		} else {
+			wantDx[i] = 0
+		}
+	}
+	if i := sameBits(wantY, d.Forward(x, true).Data()); i >= 0 {
+		t.Fatalf("forward differs from the reference at %d", i)
+	}
+	if i := sameBits(wantDx, d.Backward(dout).Data()); i >= 0 {
+		t.Fatalf("backward differs from the reference at %d", i)
+	}
+}

@@ -1,0 +1,65 @@
+package nn
+
+import (
+	"testing"
+
+	"fedca/internal/rng"
+	"fedca/internal/tensor"
+)
+
+// TestEvalForwardInvalidatesBackwardCache: a training forward followed by an
+// inference forward leaves no cache behind, so the Backward that follows
+// panics — exactly like Backward with no forward at all — instead of
+// differentiating against a batch that is no longer the layer's last. On the
+// heap nothing else would catch it; with an arena the generation check would
+// only if a Reset happened to fall in between, and here none does.
+func TestEvalForwardInvalidatesBackwardCache(t *testing.T) {
+	r := rng.New(4)
+	geom := tensor.NewConvGeom(2, 4, 4, 3, 3, 1, 1)
+	layers := []struct {
+		name  string
+		layer Layer
+		in    int
+	}{
+		{"Dense", NewDense("fc", 6, 4, r), 6},
+		{"Conv2D", NewConv2D("conv", geom, 3, r), 32},
+		{"ReLU", NewReLU(6), 6},
+		{"BatchNorm2D", NewBatchNorm2D("bn", 2, 4, 4), 32},
+		{"MaxPool2D", NewMaxPool2D(2, 4, 4, 2, 2), 32},
+		{"LSTM", NewLSTM("rnn", 3, 4, 2, 2, r), 6},
+		{"Residual", NewResidual([]Layer{NewBatchNorm2D("rbn", 2, 4, 4), NewReLU(32)}, nil, 32), 32},
+	}
+	for _, tc := range layers {
+		for _, withArena := range []bool{false, true} {
+			name := tc.name + "/heap"
+			if withArena {
+				name = tc.name + "/arena"
+			}
+			t.Run(name, func(t *testing.T) {
+				var arena *tensor.Arena
+				if withArena {
+					arena = tensor.NewArena()
+				}
+				NewNetwork(tc.layer).SetArena(arena)
+				out := tc.layer.Forward(randInput(r, 4, tc.in), true)
+				tc.layer.Forward(randInput(r, 2, tc.in), false) // the shrinking evaluation batch
+				defer func() {
+					if recover() == nil {
+						t.Fatal("Backward after an inference forward did not panic")
+					}
+				}()
+				tc.layer.Backward(tensor.New(out.Shape()...))
+			})
+		}
+	}
+	// Dropout's contract differs, and is older: after an inference forward
+	// its Backward is the identity, which is also what invalidating its mask
+	// gives.
+	d := NewDropout(0.5, 6, rng.New(1))
+	d.Forward(randInput(r, 4, 6), true)
+	d.Forward(randInput(r, 2, 6), false)
+	dout := tensor.New(2, 6)
+	if d.Backward(dout) != dout {
+		t.Fatal("Dropout.Backward after an inference forward used a stale mask")
+	}
+}

@@ -114,13 +114,14 @@ func (l *LSTMOf[F]) Params() []*ParamOf[F] {
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // step runs one timestep: given x [B,in], hPrev and cPrev [B,H], it returns
-// h and c and (when train) caches everything needed for backward.
+// h and c and (when train) caches everything needed for backward; an
+// inference step releases its other seven buffers before it returns.
 func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) (h, c *tensor.TensorOf[F]) {
 	batch := x.Dim(0)
 	hid := ll.hidden
-	gates := allocT[F](ll.arena, batch, 4*hid)
+	gates := uninitT[F](ll.arena, batch, 4*hid)
 	tensor.MatMulTransB(gates, x, ll.wih.Value)
-	hh := allocT[F](ll.arena, batch, 4*hid)
+	hh := uninitT[F](ll.arena, batch, 4*hid)
 	tensor.MatMulTransB(hh, hPrev, ll.whh.Value)
 	gates.Add(hh)
 	gd := gates.Data()
@@ -131,13 +132,13 @@ func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) 
 			row[j] += bi[j] + bh[j]
 		}
 	}
-	i := allocT[F](ll.arena, batch, hid)
-	f := allocT[F](ll.arena, batch, hid)
-	g := allocT[F](ll.arena, batch, hid)
-	o := allocT[F](ll.arena, batch, hid)
-	c = allocT[F](ll.arena, batch, hid)
-	h = allocT[F](ll.arena, batch, hid)
-	tc := allocT[F](ll.arena, batch, hid)
+	i := uninitT[F](ll.arena, batch, hid)
+	f := uninitT[F](ll.arena, batch, hid)
+	g := uninitT[F](ll.arena, batch, hid)
+	o := uninitT[F](ll.arena, batch, hid)
+	c = uninitT[F](ll.arena, batch, hid)
+	h = uninitT[F](ll.arena, batch, hid)
+	tc := uninitT[F](ll.arena, batch, hid)
 	id, fd, gdd, od := i.Data(), f.Data(), g.Data(), o.Data()
 	cd, hd, tcd := c.Data(), h.Data(), tc.Data()
 	cp := cPrev.Data()
@@ -166,6 +167,12 @@ func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) 
 		ll.gs = append(ll.gs, g)
 		ll.os = append(ll.os, o)
 		ll.tanhCs = append(ll.tanhCs, tc)
+	} else {
+		// Only h and c outlive an inference step; the next step's
+		// allocations take these over.
+		for _, t := range [...]*tensor.TensorOf[F]{gates, hh, i, f, g, o, tc} {
+			releaseT(ll.arena, t)
+		}
 	}
 	return h, c
 }
@@ -183,7 +190,7 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 	seq := l.seq
 	xd := x.Data()
 	for t := 0; t < l.T; t++ {
-		xt := allocT[F](l.arena, batch, l.InDim)
+		xt := uninitT[F](l.arena, batch, l.InDim)
 		xtd := xt.Data()
 		for b := 0; b < batch; b++ {
 			copy(xtd[b*l.InDim:(b+1)*l.InDim], xd[b*l.T*l.InDim+t*l.InDim:b*l.T*l.InDim+(t+1)*l.InDim])
@@ -191,29 +198,40 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 		seq[t] = xt
 	}
 	var lastH *tensor.TensorOf[F]
+	top := len(l.layers) - 1
 	for li, ll := range l.layers {
-		if train {
-			ll.xs = ll.xs[:0]
-			ll.hPrevs = ll.hPrevs[:0]
-			ll.cPrevs = ll.cPrevs[:0]
-			ll.is, ll.fs = ll.is[:0], ll.fs[:0]
-			ll.gs, ll.os, ll.tanhCs = ll.gs[:0], ll.os[:0], ll.tanhCs[:0]
-			ll.batch = batch
-		}
-		h := allocT[F](ll.arena, batch, l.Hidden)
-		c := allocT[F](ll.arena, batch, l.Hidden)
+		// Emptied on an inference pass too: it leaves nothing for Backward.
+		ll.clearCaches()
+		ll.batch = batch
+		h := allocT[F](ll.arena, batch, l.Hidden) // zeroed: h₀ = 0
+		c := allocT[F](ll.arena, batch, l.Hidden) // zeroed: c₀ = 0
 		if ll.out == nil {
 			ll.out = make([]*tensor.TensorOf[F], l.T)
 		}
 		out := ll.out
 		for t := 0; t < l.T; t++ {
-			h, c = ll.step(seq[t], h, c, train)
+			hPrev, cPrev := h, c
+			h, c = ll.step(seq[t], hPrev, cPrev, train)
 			out[t] = h
+			if !train {
+				// The layer is a chain that steps through time, under the
+				// same rule as forwardChain: a buffer goes back once its last
+				// reader has run. cPrev is read by this step alone; hPrev by
+				// this step and, as out[t-1], by the layer above — so below
+				// the top it lives until that layer has consumed the
+				// sequence; the step's input is done either way.
+				releaseT(ll.arena, cPrev)
+				if li == top || t == 0 {
+					releaseT(ll.arena, hPrev)
+				}
+				releaseT(ll.arena, seq[t])
+			}
+		}
+		if !train {
+			releaseT(ll.arena, c)
 		}
 		seq = out
-		if li == len(l.layers)-1 {
-			lastH = h
-		}
+		lastH = h
 	}
 	if train {
 		l.gen = stampGen(l.arena)
@@ -245,7 +263,7 @@ func (l *LSTMOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Tens
 	}
 	dhSeq := l.dhSeq
 	for t := range dhSeq {
-		dhSeq[t] = allocT[F](l.arena, batch, l.Hidden)
+		dhSeq[t] = allocT[F](l.arena, batch, l.Hidden) // zeroed: only h_T has a gradient from above
 	}
 	dhSeq[l.T-1].CopyFrom(dout)
 	var dxSeq []*tensor.TensorOf[F]
@@ -259,7 +277,7 @@ func (l *LSTMOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Tens
 		return nil
 	}
 	// Reassemble [B, T·D] input gradient from the bottom layer's dx.
-	dx := allocT[F](l.arena, batch, l.T*l.InDim)
+	dx := uninitT[F](l.arena, batch, l.T*l.InDim)
 	dxd := dx.Data()
 	for t := 0; t < l.T; t++ {
 		sd := dxSeq[t].Data()
@@ -282,9 +300,9 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 		ll.dxSeq = make([]*tensor.TensorOf[F], T)
 	}
 	dxSeq := ll.dxSeq
-	dhNext := allocT[F](ll.arena, batch, hid) // recurrent dL/dh flowing from t+1
-	dcNext := allocT[F](ll.arena, batch, hid)
-	dgates := allocT[F](ll.arena, batch, 4*hid)
+	dhNext := allocT[F](ll.arena, batch, hid) // recurrent dL/dh flowing from t+1; zeroed: none at T
+	dcNext := allocT[F](ll.arena, batch, hid) // zeroed likewise
+	dgates := uninitT[F](ll.arena, batch, 4*hid)
 	for t := T - 1; t >= 0; t-- {
 		dh := cloneT(ll.arena, dhSeq[t])
 		dh.Add(dhNext)
@@ -294,7 +312,7 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 		dhd := dh.Data()
 		dcn := dcNext.Data()
 		dgd := dgates.Data()
-		dcPrev := allocT[F](ll.arena, batch, hid)
+		dcPrev := uninitT[F](ll.arena, batch, hid)
 		dcp := dcPrev.Data()
 		for b := 0; b < batch; b++ {
 			for j := 0; j < hid; j++ {
@@ -317,10 +335,10 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 			}
 		}
 		// Parameter gradients: dWih += dgatesᵀ·x, dWhh += dgatesᵀ·hPrev.
-		dWih := allocT[F](ll.arena, 4*hid, ll.in)
+		dWih := uninitT[F](ll.arena, 4*hid, ll.in)
 		tensor.MatMulTransA(dWih, dgates, ll.xs[t])
 		ll.wih.Grad.Add(dWih)
-		dWhh := allocT[F](ll.arena, 4*hid, hid)
+		dWhh := uninitT[F](ll.arena, 4*hid, hid)
 		tensor.MatMulTransA(dWhh, dgates, ll.hPrevs[t])
 		ll.whh.Grad.Add(dWhh)
 		bi, bh := ll.bih.Grad.Data(), ll.bhh.Grad.Data()
@@ -334,17 +352,22 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 		// Input and recurrent gradients.
 		dxSeq[t] = nil
 		if needDx {
-			dxSeq[t] = allocT[F](ll.arena, batch, ll.in)
+			dxSeq[t] = uninitT[F](ll.arena, batch, ll.in)
 			tensor.MatMul(dxSeq[t], dgates, ll.wih.Value)
 		}
-		dhPrev := allocT[F](ll.arena, batch, hid)
+		dhPrev := uninitT[F](ll.arena, batch, hid)
 		tensor.MatMul(dhPrev, dgates, ll.whh.Value)
 		dhNext = dhPrev
 		dcNext = dcPrev
 	}
-	// Release caches (capacity is kept for the next Forward).
+	ll.clearCaches()
+	return dxSeq
+}
+
+// clearCaches empties the BPTT caches, keeping their capacity for the next
+// training Forward.
+func (ll *lstmLayerOf[F]) clearCaches() {
 	ll.xs, ll.hPrevs, ll.cPrevs = ll.xs[:0], ll.hPrevs[:0], ll.cPrevs[:0]
 	ll.is, ll.fs = ll.is[:0], ll.fs[:0]
 	ll.gs, ll.os, ll.tanhCs = ll.gs[:0], ll.os[:0], ll.tanhCs[:0]
-	return dxSeq
 }

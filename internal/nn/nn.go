@@ -21,7 +21,9 @@
 // per-sample gradient buffers — from the arena instead of make. The training
 // loop resets the arena once per iteration; layers stamp the arena generation
 // at Forward and check it in Backward, so using a cache across a Reset panics
-// instead of silently reading recycled memory.
+// instead of silently reading recycled memory. A Forward with train false is
+// an inference pass: it caches nothing, and with an arena bound it hands each
+// intermediate back as soon as the next layer has consumed it.
 package nn
 
 import (
@@ -77,7 +79,8 @@ type arenaLayer interface {
 }
 
 // allocT allocates a zeroed tensor from the arena when one is bound, else
-// from the heap.
+// from the heap. It is for buffers whose consumer accumulates into them;
+// every call site says which consumer that is.
 func allocT[F tensor.Float](a *tensor.Arena, shape ...int) *tensor.TensorOf[F] {
 	if a != nil {
 		return tensor.AllocOf[F](a, shape...)
@@ -85,18 +88,28 @@ func allocT[F tensor.Float](a *tensor.Arena, shape ...int) *tensor.TensorOf[F] {
 	return tensor.NewOf[F](shape...)
 }
 
-// allocF allocates a zeroed []F from the arena when one is bound.
-func allocF[F tensor.Float](a *tensor.Arena, n int) []F {
+// uninitT allocates a tensor the caller overwrites completely before anything
+// reads it: from the arena its contents are arbitrary, which saves the pass
+// that would zero them. (The heap has no such form, so there it is NewOf.)
+func uninitT[F tensor.Float](a *tensor.Arena, shape ...int) *tensor.TensorOf[F] {
 	if a != nil {
-		return tensor.ArenaSlice[F](a, n)
+		return tensor.AllocUninitOf[F](a, shape...)
+	}
+	return tensor.NewOf[F](shape...)
+}
+
+// uninitF is uninitT for a bare slice.
+func uninitF[F tensor.Float](a *tensor.Arena, n int) []F {
+	if a != nil {
+		return tensor.ArenaSliceUninit[F](a, n)
 	}
 	return make([]F, n)
 }
 
-// allocBools allocates a zeroed mask from the arena when one is bound.
-func allocBools(a *tensor.Arena, n int) []bool {
+// uninitBools is uninitT for a mask.
+func uninitBools(a *tensor.Arena, n int) []bool {
 	if a != nil {
-		return a.Bools(n)
+		return a.BoolsUninit(n)
 	}
 	return make([]bool, n)
 }
@@ -106,9 +119,38 @@ func cloneT[F tensor.Float](a *tensor.Arena, x *tensor.TensorOf[F]) *tensor.Tens
 	if a == nil {
 		return x.Clone()
 	}
-	y := tensor.AllocOf[F](a, x.Shape()...)
+	y := tensor.AllocUninitOf[F](a, x.Shape()...)
 	copy(y.Data(), x.Data())
 	return y
+}
+
+// releaseT hands an inference-pass intermediate back to the arena for the
+// next allocation of its size; without an arena the collector has it.
+func releaseT[F tensor.Float](a *tensor.Arena, t *tensor.TensorOf[F]) {
+	if a != nil {
+		tensor.ReleaseOf(a, t)
+	}
+}
+
+// forwardChain runs layers in order over x. With an arena bound, an inference
+// pass keeps only what is still needed: each intermediate goes back to the
+// arena as soon as the layer consuming it has returned, so a chain holds its
+// input, the current layer's input and its output instead of every layer's
+// output. Ownership is by creation: the chain releases the tensors its own
+// layers created and never x, which belongs to the caller; a layer that
+// returns its input (inference-mode Dropout) has created nothing. A layer's
+// output must therefore either be its input tensor or share no storage with
+// it. A training pass releases nothing — backward reads those tensors.
+func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
+	in := x
+	for _, l := range layers {
+		y := l.Forward(x, train)
+		if !train && y != x && x != in {
+			releaseT(a, x)
+		}
+		x = y
+	}
+	return x
 }
 
 // stampGen records the current arena generation (0 without an arena).
@@ -161,7 +203,7 @@ func NewNetwork(layers ...Layer) *Network { return NewNetworkOf[float64](layers.
 // SetArena binds an arena to every layer of the network (including layers
 // nested in residual blocks). Passing nil detaches it and layers fall back to
 // heap allocation. The caller owns the Reset cadence: once per training
-// iteration, after the optimizer step.
+// iteration, after the optimizer step, or once per inference batch.
 func (n *NetworkOf[F]) SetArena(a *tensor.Arena) {
 	n.arena = a
 	n.VisitLayers(func(l LayerOf[F]) {
@@ -174,12 +216,11 @@ func (n *NetworkOf[F]) SetArena(a *tensor.Arena) {
 // Arena returns the bound arena, or nil.
 func (n *NetworkOf[F]) Arena() *tensor.Arena { return n.arena }
 
-// Forward runs the full network.
+// Forward runs the full network. With train false and an arena bound it is an
+// inference pass that holds a few activations at a time (see forwardChain);
+// the result is valid until the arena's next Reset.
 func (n *NetworkOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
+	return forwardChain(n.arena, n.Layers, x, train)
 }
 
 // paramsOnlyLayer is implemented by layers whose backward pass can leave out

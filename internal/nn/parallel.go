@@ -125,3 +125,30 @@ func getScratchFrom(pool *scratchPool, r sampleRunner) any {
 	}
 	return r.newScratch()
 }
+
+// The layers between the products — ReLU, the residual sum, pooling, batch
+// norm — fan out through the same path. Inside a training iteration every
+// token is normally held by a client worker, so they run serially there; the
+// server's evaluation pass, which runs alone, is where the tokens are free.
+
+// noScratch is embedded by sample runners that need no per-worker state.
+type noScratch struct{}
+
+func (noScratch) newScratch() any { return nil }
+
+// elemChunk is how many elements of an elementwise layer one work index
+// covers: enough that claiming an index costs nothing beside it, small enough
+// that a 256-sample activation splits into hundreds.
+const elemChunk = 1 << 14
+
+// elemChunks returns the number of work indices covering n elements, and
+// elemRange the elements index i covers.
+func elemChunks(n int) int { return (n + elemChunk - 1) / elemChunk }
+
+func elemRange(i, n int) (lo, hi int) {
+	return i * elemChunk, min((i+1)*elemChunk, n)
+}
+
+// heavyElems reports whether a pass over n elements (a load, a compare or an
+// add, and a store each) outweighs starting a goroutine.
+func heavyElems(n int) bool { return n >= 1<<16 }

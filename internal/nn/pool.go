@@ -16,6 +16,14 @@ type MaxPool2DOf[F tensor.Float] struct {
 
 	arena *tensor.Arena
 	gen   uint64
+
+	// call is the per-batch state the forward runner reads; see Conv2DOf.
+	// argmax is nil on an inference pass.
+	call struct {
+		xd, yd []F
+		argmax []int32
+	}
+	fwdRun poolFwdRunnerOf[F]
 }
 
 // MaxPool2D is the float64 max-pool layer.
@@ -31,7 +39,9 @@ func NewMaxPool2DOf[F tensor.Float](c, h, w, k, stride int) *MaxPool2DOf[F] {
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D output %dx%d not positive", outH, outW))
 	}
-	return &MaxPool2DOf[F]{C: c, H: h, W: w, K: k, Stride: stride, OutH: outH, OutW: outW}
+	p := &MaxPool2DOf[F]{C: c, H: h, W: w, K: k, Stride: stride, OutH: outH, OutW: outW}
+	p.fwdRun.p = p
+	return p
 }
 
 // NewMaxPool2D creates a float64 max-pool layer.
@@ -47,58 +57,119 @@ func (p *MaxPool2DOf[F]) InDim() int { return p.C * p.H * p.W }
 
 func (p *MaxPool2DOf[F]) setArena(a *tensor.Arena) { p.arena = a }
 
+// poolFwdRunnerOf is the forward pass's sampleRunner; a work index is a sample.
+type poolFwdRunnerOf[F tensor.Float] struct {
+	noScratch
+	p *MaxPool2DOf[F]
+}
+
+func (r *poolFwdRunnerOf[F]) sample(i int, _ any) {
+	p := r.p
+	inDim, outDim := p.InDim(), p.OutDim()
+	xs := p.call.xd[i*inDim : (i+1)*inDim]
+	ys := p.call.yd[i*outDim : (i+1)*outDim]
+	var am []int32
+	if p.call.argmax != nil {
+		am = p.call.argmax[i*outDim : (i+1)*outDim]
+	}
+	if p.K == 2 && p.Stride == 2 {
+		p.sample2x2(xs, ys, am)
+	} else {
+		p.sampleGeneric(xs, ys, am)
+	}
+}
+
+// sampleGeneric pools one sample at any kernel and stride. The window is
+// scanned in (ky, kx) order and a later element wins only if strictly
+// greater, so the first of equal maxima is chosen and a NaN never displaces
+// anything; am, when not nil, receives the winner's input offset.
+func (p *MaxPool2DOf[F]) sampleGeneric(xs, ys []F, am []int32) {
+	oi := 0
+	for c := 0; c < p.C; c++ {
+		chanBase := c * p.H * p.W
+		for oy := 0; oy < p.OutH; oy++ {
+			for ox := 0; ox < p.OutW; ox++ {
+				bestOff := chanBase + oy*p.Stride*p.W + ox*p.Stride
+				best := xs[bestOff]
+				for ky := 0; ky < p.K; ky++ {
+					rowOff := chanBase + (oy*p.Stride+ky)*p.W + ox*p.Stride
+					for kx := 0; kx < p.K; kx++ {
+						if v := xs[rowOff+kx]; v > best {
+							best = v
+							bestOff = rowOff + kx
+						}
+					}
+				}
+				ys[oi] = best
+				if am != nil {
+					am[oi] = int32(bestOff)
+				}
+				oi++
+			}
+		}
+	}
+}
+
+// sample2x2 is sampleGeneric for the 2×2, stride-2 window every model here
+// uses, with the window unrolled over two input rows. It keeps the same
+// chain of strict comparisons in the same order — top-left, top-right,
+// bottom-left, bottom-right — because a pairwise tournament picks a different
+// winner when the window holds a NaN (which loses every comparison, wherever
+// it stands, unless it stands first).
+func (p *MaxPool2DOf[F]) sample2x2(xs, ys []F, am []int32) {
+	w, ow := p.W, p.OutW
+	for c := 0; c < p.C; c++ {
+		for oy := 0; oy < p.OutH; oy++ {
+			top := (c*p.H + 2*oy) * w
+			r0, r1 := xs[top:top+2*ow], xs[top+w:top+w+2*ow]
+			out := ys[(c*p.OutH+oy)*ow : (c*p.OutH+oy+1)*ow]
+			var win []int32
+			if am != nil {
+				win = am[(c*p.OutH+oy)*ow : (c*p.OutH+oy+1)*ow]
+			}
+			for ox := range out {
+				best, off := r0[2*ox], top+2*ox
+				if v := r0[2*ox+1]; v > best {
+					best, off = v, top+2*ox+1
+				}
+				if v := r1[2*ox]; v > best {
+					best, off = v, top+w+2*ox
+				}
+				if v := r1[2*ox+1]; v > best {
+					best, off = v, top+w+2*ox+1
+				}
+				out[ox] = best
+				if win != nil {
+					win[ox] = int32(off)
+				}
+			}
+		}
+	}
+}
+
 // Forward selects the maximum in each pooling window.
 func (p *MaxPool2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	batch := x.Dim(0)
-	inDim := p.InDim()
 	outDim := p.OutDim()
-	y := allocT[F](p.arena, batch, outDim)
+	y := uninitT[F](p.arena, batch, outDim)
+	// An eval-mode forward invalidates any earlier training pass: leaving
+	// stale argmax/batch here would let a later Backward silently route
+	// gradients with the old batch's winner indices (or index out of bounds
+	// if the batch shrank). Backward after an eval forward must panic,
+	// exactly like Backward with no forward at all.
+	p.argmax, p.batch = nil, 0
 	if train {
 		if p.arena != nil {
-			p.argmax = p.arena.Int32(batch * outDim)
+			p.argmax = p.arena.Int32Uninit(batch * outDim)
 		} else {
 			p.argmax = make([]int32, batch*outDim)
 		}
 		p.batch = batch
 		p.gen = stampGen(p.arena)
-	} else {
-		// An eval-mode forward invalidates any earlier training pass: leaving
-		// stale argmax/batch here would let a later Backward silently route
-		// gradients with the old batch's winner indices (or index out of
-		// bounds if the batch shrank). Backward after an eval forward must
-		// panic, exactly like Backward with no forward at all.
-		p.argmax = nil
-		p.batch = 0
 	}
-	xd, yd := x.Data(), y.Data()
-	for i := 0; i < batch; i++ {
-		xs := xd[i*inDim : (i+1)*inDim]
-		ys := yd[i*outDim : (i+1)*outDim]
-		oi := 0
-		for c := 0; c < p.C; c++ {
-			chanBase := c * p.H * p.W
-			for oy := 0; oy < p.OutH; oy++ {
-				for ox := 0; ox < p.OutW; ox++ {
-					bestOff := chanBase + oy*p.Stride*p.W + ox*p.Stride
-					best := xs[bestOff]
-					for ky := 0; ky < p.K; ky++ {
-						rowOff := chanBase + (oy*p.Stride+ky)*p.W + ox*p.Stride
-						for kx := 0; kx < p.K; kx++ {
-							if v := xs[rowOff+kx]; v > best {
-								best = v
-								bestOff = rowOff + kx
-							}
-						}
-					}
-					ys[oi] = best
-					if train {
-						p.argmax[i*outDim+oi] = int32(bestOff)
-					}
-					oi++
-				}
-			}
-		}
-	}
+	p.call.xd, p.call.yd, p.call.argmax = x.Data(), y.Data(), p.argmax
+	parallelSamples(batch, heavyElems(batch*p.InDim()), nil, &p.fwdRun)
+	p.call.xd, p.call.yd, p.call.argmax = nil, nil, nil
 	return y
 }
 
@@ -110,7 +181,7 @@ func (p *MaxPool2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] 
 	checkGen(p.arena, p.gen, "nn.MaxPool2D")
 	outDim := p.OutDim()
 	inDim := p.InDim()
-	dx := allocT[F](p.arena, p.batch, inDim)
+	dx := allocT[F](p.arena, p.batch, inDim) // zeroed: the winners are added into it
 	dd, dxd := dout.Data(), dx.Data()
 	for i := 0; i < p.batch; i++ {
 		for oi := 0; oi < outDim; oi++ {
@@ -128,7 +199,6 @@ func (p *MaxPool2DOf[F]) Params() []*ParamOf[F] { return nil }
 // mapping [B, C·H·W] to [B, C]. Used as the WRN head.
 type GlobalAvgPool2DOf[F tensor.Float] struct {
 	C, H, W int
-	batch   int
 
 	arena *tensor.Arena
 }
@@ -156,7 +226,7 @@ func (g *GlobalAvgPool2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tenso
 	batch := x.Dim(0)
 	spatial := g.H * g.W
 	inDim := g.C * spatial
-	y := allocT[F](g.arena, batch, g.C)
+	y := uninitT[F](g.arena, batch, g.C)
 	xd, yd := x.Data(), y.Data()
 	inv := 1.0 / float64(spatial)
 	for i := 0; i < batch; i++ {
@@ -169,18 +239,19 @@ func (g *GlobalAvgPool2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tenso
 			yd[i*g.C+c] = F(sum * inv)
 		}
 	}
-	g.batch = batch
 	return y
 }
 
 // Backward spreads each channel gradient uniformly over its spatial extent.
+// The layer caches nothing: the batch is dout's.
 func (g *GlobalAvgPool2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	batch := dout.Dim(0)
 	spatial := g.H * g.W
 	inDim := g.C * spatial
-	dx := allocT[F](g.arena, g.batch, inDim)
+	dx := uninitT[F](g.arena, batch, inDim)
 	dd, dxd := dout.Data(), dx.Data()
 	inv := 1.0 / float64(spatial)
-	for i := 0; i < g.batch; i++ {
+	for i := 0; i < batch; i++ {
 		for c := 0; c < g.C; c++ {
 			grad := F(float64(dd[i*g.C+c]) * inv)
 			row := dxd[i*inDim+c*spatial : i*inDim+(c+1)*spatial]

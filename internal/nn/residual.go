@@ -15,6 +15,10 @@ type ResidualOf[F tensor.Float] struct {
 	outDim   int
 
 	arena *tensor.Arena
+
+	// call is the per-batch state the sum's runner reads; see Conv2DOf.
+	call   struct{ bd, sd, yd []F }
+	sumRun residualSumRunnerOf[F]
 }
 
 // Residual is the float64 residual block.
@@ -33,7 +37,9 @@ func NewResidualOf[F tensor.Float](body, shortcut []LayerOf[F], inDim int) *Resi
 	if bodyOut != shortOut {
 		panic(fmt.Sprintf("nn: Residual body out %d != shortcut out %d", bodyOut, shortOut))
 	}
-	return &ResidualOf[F]{Body: body, Shortcut: shortcut, outDim: bodyOut}
+	r := &ResidualOf[F]{Body: body, Shortcut: shortcut, outDim: bodyOut}
+	r.sumRun.r = r
+	return r
 }
 
 // NewResidual wires a float64 residual block.
@@ -48,18 +54,44 @@ func (r *ResidualOf[F]) OutDim() int { return r.outDim }
 // Network.SetArena through VisitLayers.
 func (r *ResidualOf[F]) setArena(a *tensor.Arena) { r.arena = a }
 
-// Forward runs both branches and sums them.
+// residualSumRunnerOf adds the two branches, a chunk of elements per index.
+type residualSumRunnerOf[F tensor.Float] struct {
+	noScratch
+	r *ResidualOf[F]
+}
+
+func (rr *residualSumRunnerOf[F]) sample(i int, _ any) {
+	c := &rr.r.call
+	lo, hi := elemRange(i, len(c.yd))
+	bd, sd, yd := c.bd[lo:hi], c.sd[lo:hi], c.yd[lo:hi]
+	for j := range yd {
+		yd[j] = bd[j] + sd[j]
+	}
+}
+
+// Forward runs both branches and sums them. Each branch is a chain of its own
+// (see forwardChain): x stays with the caller, pinned while both read it, and
+// on an inference pass the two branch results go back to the arena once
+// summed.
 func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	b := x
-	for _, l := range r.Body {
-		b = l.Forward(b, train)
+	b := forwardChain(r.arena, r.Body, x, train)
+	s := forwardChain(r.arena, r.Shortcut, x, train)
+	if b.Size() != s.Size() {
+		panic(fmt.Sprintf("nn: Residual branches produced %v and %v", b.Shape(), s.Shape()))
 	}
-	s := x
-	for _, l := range r.Shortcut {
-		s = l.Forward(s, train)
+	y := uninitT[F](r.arena, b.Shape()...)
+	n := y.Size()
+	r.call.bd, r.call.sd, r.call.yd = b.Data(), s.Data(), y.Data()
+	parallelSamples(elemChunks(n), heavyElems(n), nil, &r.sumRun)
+	r.call.bd, r.call.sd, r.call.yd = nil, nil, nil
+	if !train {
+		if b != x {
+			releaseT(r.arena, b)
+		}
+		if s != x {
+			releaseT(r.arena, s)
+		}
 	}
-	y := allocT[F](r.arena, b.Shape()...)
-	y.AddInto(b, s)
 	return y
 }
 
@@ -73,7 +105,7 @@ func (r *ResidualOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 	for i := len(r.Shortcut) - 1; i >= 0; i-- {
 		ds = r.Shortcut[i].Backward(ds)
 	}
-	dx := allocT[F](r.arena, db.Shape()...)
+	dx := uninitT[F](r.arena, db.Shape()...)
 	dx.AddInto(db, ds)
 	return dx
 }

@@ -31,17 +31,17 @@ import (
 // degradation and execution machinery; new types may be added freely (the
 // journal is schemaless beyond the Event struct).
 const (
-	EvRound       = "round"           // round completed and aggregated
-	EvRoundSkip   = "round-skipped"   // round closed below quorum, model unchanged
-	EvCohort      = "cohort"          // one round's cohort lifecycle: sizes, slot pool, upload bytes
-	EvQuarantine  = "quarantine"      // one update rejected by validation
-	EvDropout     = "dropout"         // one client vanished mid-round
-	EvAnchorAbort = "anchor-abort"    // a half-recorded anchor profile was discarded
-	EvImpairment  = "impairment"      // chaos installed a link impairment window
-	EvCellStart   = "cell-start"      // execpool began computing a cell
-	EvCellFinish  = "cell-finish"     // execpool finished computing a cell
-	EvCellHit     = "cell-cache-hit"  // execpool served a cell from cache
-	EvCapChange   = "cputok-cap"      // the CPU-token budget's capacity changed
+	EvRound       = "round"          // round completed and aggregated
+	EvRoundSkip   = "round-skipped"  // round closed below quorum, model unchanged
+	EvCohort      = "cohort"         // one round's cohort lifecycle: sizes, slot pool, upload bytes
+	EvQuarantine  = "quarantine"     // one update rejected by validation
+	EvDropout     = "dropout"        // one client vanished mid-round
+	EvAnchorAbort = "anchor-abort"   // a half-recorded anchor profile was discarded
+	EvImpairment  = "impairment"     // chaos installed a link impairment window
+	EvCellStart   = "cell-start"     // execpool began computing a cell
+	EvCellFinish  = "cell-finish"    // execpool finished computing a cell
+	EvCellHit     = "cell-cache-hit" // execpool served a cell from cache
+	EvCapChange   = "cputok-cap"     // the CPU-token budget's capacity changed
 	EvPhaseStart  = "soak-phase-start"
 	EvPhaseEnd    = "soak-phase-end"
 	EvViolation   = "soak-violation" // an invariant monitor fired

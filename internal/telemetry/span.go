@@ -143,7 +143,7 @@ func (t *Tracer) Events() []TraceEvent {
 // chromeTrace is the JSON object form of the trace file.
 type chromeTrace struct {
 	TraceEvents     []TraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string  `json:"displayTimeUnit"`
+	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
 // WriteChromeTrace renders the run as Chrome trace-event JSON. The output is

@@ -48,7 +48,7 @@ func validateChromeTrace(t *testing.T, data []byte) []TraceEvent {
 	t.Helper()
 	var tr struct {
 		TraceEvents     []TraceEvent `json:"traceEvents"`
-		DisplayTimeUnit string  `json:"displayTimeUnit"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(data, &tr); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v", err)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -12,6 +13,18 @@ import (
 // high-water demand, a steady-state training step performs zero heap
 // allocations. Tensor headers and shape slices are bump-allocated too, so
 // AllocOf itself is allocation-free in steady state.
+//
+// Two allocations exist per element type. The zeroing one (AllocOf,
+// ArenaSlice, Int32, Bools) is for buffers whose consumer accumulates into
+// them; the non-zeroing one (AllocUninitOf, ArenaSliceUninit, Int32Uninit,
+// BoolsUninit) is for buffers whose producer writes every element before
+// anything reads one, which is most of them, and skips a pass over memory
+// that is about to be overwritten.
+//
+// An inference pass does not need every activation until Reset: ReleaseOf
+// hands one tensor's storage back early, and a later allocation that fits —
+// zeroing or not — is cut from it instead of bumping. A chain of layers then
+// runs in the space of the few activations that are live at once.
 //
 // An Arena is NOT safe for concurrent use. The ownership model mirrors the
 // fleet's client slots: each worker network owns one arena, and sample-level
@@ -34,24 +47,66 @@ type Arena struct {
 	gen   uint64
 }
 
+// poison makes every non-zeroing allocation and every release fill the
+// memory with a value no layer can mistake for data (NaN, argmax −1, mask
+// true), so a test comparing against the heap path catches a buffer that is
+// read before it is written or after it is released. Tests set it; nothing
+// else does.
+var poison bool
+
 // slab is one type's bump region. If demand exceeds the buffer, alloc falls
 // back to make (a warmup allocation) and reset regrows the buffer to the
-// observed high-water demand so the next generation fits entirely.
+// observed high-water demand so the next generation fits entirely. free holds
+// the buffers released since the last reset; its backing array survives
+// resets, so releasing allocates nothing in steady state.
 type slab[T any] struct {
 	buf    []T
 	off    int
 	demand int
+	free   [][]T
 }
 
-func (s *slab[T]) alloc(n int) []T {
-	s.demand += n
-	if s.off+n > len(s.buf) {
-		return make([]T, n)
+func (s *slab[T]) alloc(n int, zero bool) []T {
+	// Best fit among the released buffers: the shortest that is long enough.
+	// One of exactly n is taken whole; a longer one gives up its first n
+	// elements and stays on the list with the rest, so the space a wide
+	// activation leaves serves the narrower ones further down the network.
+	best := -1
+	for i, v := range s.free {
+		if len(v) >= n && (best < 0 || len(v) < len(s.free[best])) {
+			best = i
+		}
 	}
-	v := s.buf[s.off : s.off+n : s.off+n]
-	s.off += n
-	clear(v)
+	var v []T
+	switch {
+	case best >= 0:
+		v = s.free[best][:n:n]
+		if rest := s.free[best][n:]; len(rest) > 0 {
+			s.free[best] = rest
+		} else {
+			last := len(s.free) - 1
+			s.free[best] = s.free[last]
+			s.free[last] = nil
+			s.free = s.free[:last]
+		}
+	case s.off+n > len(s.buf):
+		s.demand += n
+		return make([]T, n)
+	default:
+		s.demand += n
+		v = s.buf[s.off : s.off+n : s.off+n]
+		s.off += n
+	}
+	if zero {
+		clear(v)
+	}
 	return v
+}
+
+func (s *slab[T]) release(v []T) {
+	if len(v) > 0 {
+		s.free = append(s.free, v)
+	}
 }
 
 func (s *slab[T]) reset() {
@@ -60,6 +115,8 @@ func (s *slab[T]) reset() {
 	}
 	s.off = 0
 	s.demand = 0
+	clear(s.free)
+	s.free = s.free[:0]
 }
 
 // NewArena returns an empty arena; slabs grow on first use.
@@ -93,28 +150,60 @@ func (a *Arena) CheckGen(gen uint64, owner string) {
 }
 
 // Float64 allocates a zeroed []float64 valid until the next Reset.
-func (a *Arena) Float64(n int) []float64 { return a.f64.alloc(n) }
+func (a *Arena) Float64(n int) []float64 { return a.f64.alloc(n, true) }
 
 // Float32 allocates a zeroed []float32 valid until the next Reset.
-func (a *Arena) Float32(n int) []float32 { return a.f32.alloc(n) }
+func (a *Arena) Float32(n int) []float32 { return a.f32.alloc(n, true) }
 
 // Int32 allocates a zeroed []int32 valid until the next Reset.
-func (a *Arena) Int32(n int) []int32 { return a.i32.alloc(n) }
+func (a *Arena) Int32(n int) []int32 { return a.i32.alloc(n, true) }
 
-// Bools allocates a zeroed []bool valid until the next Reset (ReLU and
-// dropout masks).
-func (a *Arena) Bools(n int) []bool { return a.bools.alloc(n) }
+// Int32Uninit is Int32 without the zeroing: the contents are arbitrary and
+// the caller must write every element before reading any (pooling argmax).
+func (a *Arena) Int32Uninit(n int) []int32 {
+	v := a.i32.alloc(n, false)
+	if poison {
+		fill(v, -1)
+	}
+	return v
+}
 
-// ArenaSlice allocates a zeroed []F from the arena's slab for F. The
-// reinterpretation is by element size, not interface conversion: boxing a
+// Bools allocates a zeroed []bool valid until the next Reset.
+func (a *Arena) Bools(n int) []bool { return a.bools.alloc(n, true) }
+
+// BoolsUninit is Bools without the zeroing: the contents are arbitrary and
+// the caller must write every element before reading any (ReLU and dropout
+// masks).
+func (a *Arena) BoolsUninit(n int) []bool {
+	v := a.bools.alloc(n, false)
+	if poison {
+		fill(v, true)
+	}
+	return v
+}
+
+// ArenaSlice allocates a zeroed []F from the arena's slab for F.
+func ArenaSlice[F Float](a *Arena, n int) []F { return arenaSlice[F](a, n, true) }
+
+// ArenaSliceUninit is ArenaSlice without the zeroing: the contents are
+// arbitrary and the caller must write every element before reading any.
+func ArenaSliceUninit[F Float](a *Arena, n int) []F {
+	v := arenaSlice[F](a, n, false)
+	if poison {
+		fill(v, F(math.NaN()))
+	}
+	return v
+}
+
+// arenaSlice reinterprets by element size, not interface conversion: boxing a
 // slice into an any would heap-allocate its header on every call, and named
 // ~float32/~float64 types would fail the assertion back.
-func ArenaSlice[F Float](a *Arena, n int) []F {
+func arenaSlice[F Float](a *Arena, n int, zero bool) []F {
 	var s unsafe.Pointer
 	if sizeofF[F]() == 4 {
-		s = unsafe.Pointer(unsafe.SliceData(a.f32.alloc(n)))
+		s = unsafe.Pointer(unsafe.SliceData(a.f32.alloc(n, zero)))
 	} else {
-		s = unsafe.Pointer(unsafe.SliceData(a.f64.alloc(n)))
+		s = unsafe.Pointer(unsafe.SliceData(a.f64.alloc(n, zero)))
 	}
 	return unsafe.Slice((*F)(s), n)
 }
@@ -122,18 +211,48 @@ func ArenaSlice[F Float](a *Arena, n int) []F {
 // AllocOf allocates a zeroed tensor whose storage — data, shape and the
 // header itself — lives in the arena, valid until the next Reset.
 func AllocOf[F Float](a *Arena, shape ...int) *TensorOf[F] {
-	n := checkShape(shape)
-	sh := a.dims.alloc(len(shape))
+	return newHeader(a, ArenaSlice[F](a, checkShape(shape)), shape)
+}
+
+// AllocUninitOf is AllocOf without the zeroing: the data is arbitrary and the
+// caller must write every element before reading any.
+func AllocUninitOf[F Float](a *Arena, shape ...int) *TensorOf[F] {
+	return newHeader(a, ArenaSliceUninit[F](a, checkShape(shape)), shape)
+}
+
+func newHeader[F Float](a *Arena, data []F, shape []int) *TensorOf[F] {
+	sh := a.dims.alloc(len(shape), false)
 	copy(sh, shape)
-	t := allocHeader[F](a)
-	t.data = ArenaSlice[F](a, n)
-	t.shape = sh
+	var t *TensorOf[F]
+	if sizeofF[F]() == 4 {
+		t = (*TensorOf[F])(unsafe.Pointer(&a.t32.alloc(1, false)[0]))
+	} else {
+		t = (*TensorOf[F])(unsafe.Pointer(&a.t64.alloc(1, false)[0]))
+	}
+	t.data, t.shape = data, sh
 	return t
 }
 
-func allocHeader[F Float](a *Arena) *TensorOf[F] {
-	if sizeofF[F]() == 4 {
-		return (*TensorOf[F])(unsafe.Pointer(&a.t32.alloc(1)[0]))
+// ReleaseOf hands t's data back to a ahead of the next Reset: following
+// allocations of up to its length reuse it. The caller must hold the only
+// reference — t and every view of its data are dead from here on — and the
+// data must not have been released already. The header and shape stay where
+// they are until Reset; they are a few words.
+func ReleaseOf[F Float](a *Arena, t *TensorOf[F]) {
+	if poison {
+		fill(t.data, F(math.NaN()))
 	}
-	return (*TensorOf[F])(unsafe.Pointer(&a.t64.alloc(1)[0]))
+	p, n := unsafe.Pointer(unsafe.SliceData(t.data)), len(t.data)
+	if sizeofF[F]() == 4 {
+		a.f32.release(unsafe.Slice((*float32)(p), n))
+	} else {
+		a.f64.release(unsafe.Slice((*float64)(p), n))
+	}
+	t.data = nil
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }

@@ -107,3 +107,142 @@ func TestArenaCheckGenPanics(t *testing.T) {
 	}()
 	a.CheckGen(gen, "test")
 }
+
+// TestArenaReleaseReuse: a released tensor's storage serves later allocations
+// that fit it — zeroing or not, whole or cut into pieces — and no others.
+func TestArenaReleaseReuse(t *testing.T) {
+	a := NewArena()
+	x := AllocUninitOf[float64](a, 4, 8)
+	xp := unsafe.SliceData(x.Data())
+	within := func(d []float64) bool {
+		off := uintptr(unsafe.Pointer(unsafe.SliceData(d))) - uintptr(unsafe.Pointer(xp))
+		return off < 32*8
+	}
+	ReleaseOf(a, x)
+	if x.Data() != nil {
+		t.Fatal("a released tensor still points at its data")
+	}
+	if y := AllocUninitOf[float64](a, 4, 9); within(y.Data()) {
+		t.Fatal("an allocation longer than the released buffer was cut from it")
+	}
+	if y := AllocUninitOf[float32](a, 4, 8); unsafe.Pointer(unsafe.SliceData(y.Data())) == unsafe.Pointer(xp) {
+		t.Fatal("an allocation of another dtype took the released buffer")
+	}
+	y := AllocUninitOf[float64](a, 8, 4)
+	if unsafe.SliceData(y.Data()) != xp {
+		t.Fatal("a same-length allocation did not reuse the released buffer")
+	}
+	if z := AllocUninitOf[float64](a, 8, 4); within(z.Data()) {
+		t.Fatal("one released buffer served two allocations of its length")
+	}
+	for i := range y.Data() {
+		y.Data()[i] = 7
+	}
+	ReleaseOf(a, y)
+	for i, v := range AllocOf[float64](a, 32).Data() {
+		if v != 0 {
+			t.Fatalf("zeroing allocation reused a released buffer without clearing it: [%d] = %v", i, v)
+		}
+	}
+	// A longer released buffer is cut up: two halves fit, a third does not,
+	// and the halves do not overlap.
+	w := AllocUninitOf[float64](a, 64)
+	wp := unsafe.SliceData(w.Data())
+	ReleaseOf(a, w)
+	h1, h2, h3 := a.Float64(32), a.Float64(32), a.Float64(32)
+	if unsafe.SliceData(h1) != wp || unsafe.SliceData(h2) != &unsafe.Slice(wp, 64)[32] {
+		t.Fatal("two half-length allocations were not cut from the released buffer")
+	}
+	if p := unsafe.SliceData(h3); p == wp || p == &unsafe.Slice(wp, 64)[32] {
+		t.Fatal("a third half-length allocation was cut from a buffer with nothing left")
+	}
+	if cap(h1) != 32 {
+		t.Fatalf("a piece's capacity %d reaches into the next piece", cap(h1))
+	}
+	// The best fit, not the first: a request the short buffer can serve
+	// leaves the long one whole.
+	long, short := AllocUninitOf[float64](a, 100), AllocUninitOf[float64](a, 10)
+	lp, sp := unsafe.SliceData(long.Data()), unsafe.SliceData(short.Data())
+	ReleaseOf(a, long)
+	ReleaseOf(a, short)
+	if unsafe.SliceData(a.Float64(8)) != sp || unsafe.SliceData(a.Float64(100)) != lp {
+		t.Fatal("a small request was not served from the shortest released buffer that fits")
+	}
+	// Reset forgets what was released: the slab is whole again.
+	ReleaseOf(a, AllocUninitOf[float64](a, 32))
+	a.Reset()
+	if n := len(a.f64.free); n != 0 {
+		t.Fatalf("%d released buffers survived Reset", n)
+	}
+}
+
+// TestArenaReleaseBoundsHighWater: a chain that releases each buffer once the
+// next exists sizes the slab to what is live at once, not to the sum, and
+// allocates nothing once warm.
+func TestArenaReleaseBoundsHighWater(t *testing.T) {
+	a := NewArena()
+	const n, steps = 1000, 20
+	chain := func() {
+		a.Reset()
+		x := AllocUninitOf[float64](a, n)
+		for s := 0; s < steps; s++ {
+			y := AllocUninitOf[float64](a, n)
+			y.Data()[0] = x.Data()[0] + 1
+			ReleaseOf(a, x)
+			x = y
+		}
+	}
+	chain()
+	chain()
+	if got := len(a.f64.buf); got != 2*n {
+		t.Fatalf("slab sized to %d elements for a chain with two buffers of %d live at once", got, n)
+	}
+	if allocs := testing.AllocsPerRun(10, chain); allocs != 0 {
+		t.Fatalf("steady-state releasing chain allocated %v times; want 0", allocs)
+	}
+}
+
+// TestArenaPoison: under the test hook a non-zeroing allocation and a
+// released buffer are both unmistakable, at every element type, and the
+// zeroing allocations stay zero.
+func TestArenaPoison(t *testing.T) {
+	poison = true
+	defer func() { poison = false }()
+	a := NewArena()
+	for pass := 0; pass < 2; pass++ { // make fallback, then the slab
+		a.Reset()
+		for _, v := range AllocUninitOf[float64](a, 5).Data() {
+			if v == v {
+				t.Fatalf("pass %d: non-zeroing float64 allocation holds %v, want NaN", pass, v)
+			}
+		}
+		for _, v := range ArenaSliceUninit[float32](a, 5) {
+			if v == v {
+				t.Fatalf("pass %d: non-zeroing float32 allocation holds %v, want NaN", pass, v)
+			}
+		}
+		for _, v := range a.Int32Uninit(5) {
+			if v != -1 {
+				t.Fatalf("pass %d: non-zeroing int32 allocation holds %v, want -1", pass, v)
+			}
+		}
+		for _, v := range a.BoolsUninit(5) {
+			if !v {
+				t.Fatalf("pass %d: non-zeroing bool allocation holds false, want true", pass)
+			}
+		}
+		x := AllocOf[float32](a, 3)
+		for _, v := range x.Data() {
+			if v != 0 {
+				t.Fatalf("pass %d: zeroing allocation holds %v", pass, v)
+			}
+		}
+		xd := x.Data()
+		ReleaseOf(a, x)
+		for _, v := range xd {
+			if v == v {
+				t.Fatalf("pass %d: released buffer holds %v, want NaN", pass, v)
+			}
+		}
+	}
+}
