@@ -54,7 +54,7 @@ func steadyStateAllocs[F tensor.Float](t *testing.T, net *nn.NetworkOf[F]) float
 
 // TestSteadyStateTrainingZeroAlloc is the math-floor guarantee the arena
 // exists for: once warmed up, a client training iteration performs zero heap
-// allocations at either dtype, on both the dense and the conv/pool paths.
+// allocations at either dtype, on the dense, the conv/pool and the LSTM paths.
 func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
@@ -68,6 +68,20 @@ func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 	t.Run("cnn/f32", func(t *testing.T) {
 		if n := steadyStateAllocs(t, model.NewCNNOf[float32](img, rng.New(1)).Network); n != 0 {
 			t.Fatalf("steady-state f32 CNN iteration allocated %v times; want 0", n)
+		}
+	})
+	// The same 64 values read as eight timesteps of eight features. Hidden 5
+	// leaves the vector kernels a tail; the float32 cell widens each row into
+	// a float64 scratch that must come from the arena too.
+	seq := model.SeqConfig{SeqLen: 8, FeatDim: 8, Hidden: 5, Layers: 2, Classes: 4}
+	t.Run("lstm/f64", func(t *testing.T) {
+		if n := steadyStateAllocs(t, model.NewLSTM(seq, rng.New(1)).Network); n != 0 {
+			t.Fatalf("steady-state f64 LSTM iteration allocated %v times; want 0", n)
+		}
+	})
+	t.Run("lstm/f32", func(t *testing.T) {
+		if n := steadyStateAllocs(t, model.NewLSTMOf[float32](seq, rng.New(1)).Network); n != 0 {
+			t.Fatalf("steady-state f32 LSTM iteration allocated %v times; want 0", n)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -48,6 +50,20 @@ func sameBits[F tensor.Float](a, b []F) int {
 		}
 	}
 	return -1
+}
+
+// lstmShapeNets adds, to everyLayerNets, LSTMs of one and two layers at hidden
+// sizes with and without a vector tail (1, 3, 4, 5, 24, 25) — the shapes the
+// cell's slab passes and the gate-gradient kernel split differently.
+func lstmShapeNets[F tensor.Float](nets map[string]func() (*NetworkOf[F], int)) {
+	for _, layers := range []int{1, 2} {
+		for _, hid := range []int{1, 3, 4, 5, 24, 25} {
+			nets[fmt.Sprintf("lstm-l%d-h%d", layers, hid)] = func() (*NetworkOf[F], int) {
+				r := rng.New(uint64(100*layers + hid))
+				return NewNetworkOf[F](NewLSTMOf[F]("rnn", 3, hid, 4, layers, r), NewDenseOf[F]("fc", hid, 3, r)), 12
+			}
+		}
+	}
 }
 
 // everyLayerNets builds, per name, a network and its input width; together
@@ -114,69 +130,113 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 // hook: every non-zeroing allocation arrives as NaN and every released buffer
 // turns to NaN, so a buffer read before it is written, or after the inference
 // pass gave it back, shows as a difference from the heap network — which
-// zeroes everything and releases nothing.
+// zeroes everything and releases nothing. It does so once per kernel path the
+// machine can run (portable Go; AVX2 GEMM, sums and gate gradients with the
+// FMA sigmoid and tanh) and returns nothing the paths may differ in: every
+// output of the arena network on one path must equal the other path's.
 func testArenaMatchesHeap[F tensor.Float](t *testing.T) {
 	poisonArenas(t)
-	for name, build := range everyLayerNets[F]() {
+	nets := everyLayerNets[F]()
+	lstmShapeNets(nets)
+	for name, build := range nets {
 		t.Run(name, func(t *testing.T) {
-			heap, dim := build()
-			arenaNet, _ := build()
-			arena := tensor.NewArena()
-			arenaNet.SetArena(arena)
-			r := rng.New(11)
-			const batch = 5
-			input := func() *tensor.TensorOf[F] {
-				x := tensor.NewOf[F](batch, dim)
-				for i := range x.Data() {
-					x.Data()[i] = F(r.Normal(0, 1))
-				}
-				return x
+			if !strings.HasPrefix(name, "lstm-") {
+				arenaVsHeapOnEveryPath(t, build, 5)
+				return
 			}
-			labels := randLabels(r, batch, 3)
-			for iter := 0; iter < 3; iter++ {
-				x := input()
-				before := append([]F(nil), x.Data()...)
-				arena.Reset()
-				le, la := heap.Forward(x, false), arenaNet.Forward(x, false)
-				if i := sameBits(le.Data(), la.Data()); i >= 0 {
-					t.Fatalf("iter %d: inference forward diverges at %d: %v vs %v", iter, i, le.Data()[i], la.Data()[i])
-				}
-				if i := sameBits(before, x.Data()); i >= 0 {
-					t.Fatalf("iter %d: the inference pass released or wrote to its own input (at %d)", iter, i)
-				}
-
-				arena.Reset()
-				heap.ZeroGrad()
-				arenaNet.ZeroGrad()
-				heap.ReseedNoise(uint64(iter))
-				arenaNet.ReseedNoise(uint64(iter))
-				lh, lt := heap.Forward(x, true), arenaNet.Forward(x, true)
-				if i := sameBits(lh.Data(), lt.Data()); i >= 0 {
-					t.Fatalf("iter %d: training forward diverges at %d: %v vs %v", iter, i, lh.Data()[i], lt.Data()[i])
-				}
-				_, dh := SoftmaxCrossEntropy(lh, labels)
-				_, da := SoftmaxCrossEntropy(lt, labels)
-				// Layer by layer, so that the first layer's input gradient is
-				// compared too (Network.Backward leaves it out).
-				dxh, dxa := layerwiseBackward(heap, dh), layerwiseBackward(arenaNet, da)
-				if i := sameBits(dxh.Data(), dxa.Data()); i >= 0 {
-					t.Fatalf("iter %d: input gradient diverges at %d: %v vs %v", iter, i, dxh.Data()[i], dxa.Data()[i])
-				}
-				hp, ap := heap.Params(), arenaNet.Params()
-				for p := range hp {
-					if i := sameBits(hp[p].Grad.Data(), ap[p].Grad.Data()); i >= 0 {
-						t.Fatalf("iter %d: grad %s[%d] diverges: %v vs %v", iter, hp[p].Name, i, hp[p].Grad.Data()[i], ap[p].Grad.Data()[i])
-					}
-				}
+			for _, batch := range []int{1, 32} { // a single row, and the benchmark's batch
+				t.Run(fmt.Sprintf("b%d", batch), func(t *testing.T) { arenaVsHeapOnEveryPath(t, build, batch) })
 			}
 		})
 	}
 }
 
+// arenaVsHeapOnEveryPath runs arenaVsHeap on each kernel path and holds the
+// vector path's outputs to the portable path's.
+func arenaVsHeapOnEveryPath[F tensor.Float](t *testing.T, build func() (*NetworkOf[F], int), batch int) {
+	var portable [][]F
+	forEachKernelPath(t, func(path string) {
+		got := arenaVsHeap(t, path, build, batch)
+		if portable == nil {
+			portable = got
+			return
+		}
+		for i := range got {
+			if j := sameBits(portable[i], got[i]); j >= 0 {
+				t.Fatalf("output %d differs between the portable and the %s path at %d: %v vs %v", i, path, j, portable[i][j], got[i][j])
+			}
+		}
+	})
+}
+
+// arenaVsHeap is one path's comparison; it returns, in order, every output it
+// compared (inference output, training output, input gradient, parameter
+// gradients, per iteration) as the arena network produced them.
+func arenaVsHeap[F tensor.Float](t *testing.T, path string, build func() (*NetworkOf[F], int), batch int) (outputs [][]F) {
+	keep := func(v []F) { outputs = append(outputs, append([]F(nil), v...)) }
+	heap, dim := build()
+	arenaNet, _ := build()
+	arena := tensor.NewArena()
+	arenaNet.SetArena(arena)
+	r := rng.New(11)
+	input := func() *tensor.TensorOf[F] {
+		x := tensor.NewOf[F](batch, dim)
+		for i := range x.Data() {
+			x.Data()[i] = F(r.Normal(0, 1))
+		}
+		return x
+	}
+	labels := randLabels(r, batch, 3)
+	for iter := 0; iter < 3; iter++ {
+		x := input()
+		before := append([]F(nil), x.Data()...)
+		arena.Reset()
+		le, la := heap.Forward(x, false), arenaNet.Forward(x, false)
+		if i := sameBits(le.Data(), la.Data()); i >= 0 {
+			t.Fatalf("%s iter %d: inference forward diverges at %d: %v vs %v", path, iter, i, le.Data()[i], la.Data()[i])
+		}
+		if i := sameBits(before, x.Data()); i >= 0 {
+			t.Fatalf("%s iter %d: the inference pass released or wrote to its own input (at %d)", path, iter, i)
+		}
+		keep(la.Data())
+
+		arena.Reset()
+		heap.ZeroGrad()
+		arenaNet.ZeroGrad()
+		heap.ReseedNoise(uint64(iter))
+		arenaNet.ReseedNoise(uint64(iter))
+		lh, lt := heap.Forward(x, true), arenaNet.Forward(x, true)
+		if i := sameBits(lh.Data(), lt.Data()); i >= 0 {
+			t.Fatalf("%s iter %d: training forward diverges at %d: %v vs %v", path, iter, i, lh.Data()[i], lt.Data()[i])
+		}
+		keep(lt.Data())
+		_, dh := SoftmaxCrossEntropy(lh, labels)
+		_, da := SoftmaxCrossEntropy(lt, labels)
+		// Layer by layer, so that the first layer's input gradient is
+		// compared too (Network.Backward leaves it out).
+		dxh, dxa := layerwiseBackward(heap, dh), layerwiseBackward(arenaNet, da)
+		if i := sameBits(dxh.Data(), dxa.Data()); i >= 0 {
+			t.Fatalf("%s iter %d: input gradient diverges at %d: %v vs %v", path, iter, i, dxh.Data()[i], dxa.Data()[i])
+		}
+		keep(dxa.Data())
+		hp, ap := heap.Params(), arenaNet.Params()
+		for p := range hp {
+			if i := sameBits(hp[p].Grad.Data(), ap[p].Grad.Data()); i >= 0 {
+				t.Fatalf("%s iter %d: grad %s[%d] diverges: %v vs %v", path, iter, hp[p].Name, i, hp[p].Grad.Data()[i], ap[p].Grad.Data()[i])
+			}
+			keep(ap[p].Grad.Data())
+		}
+	}
+	return outputs
+}
+
 // TestArenaMatchesHeapExactly: binding an arena changes where scratch lives,
-// never what it holds — inference outputs, training outputs, input gradients
-// and parameter gradients are bit-identical to the heap-allocated network for
-// every layer type at both dtypes.
+// and the kernel path how fast it is filled, never what it holds — inference
+// outputs, training outputs, input gradients and parameter gradients are
+// bit-identical between the heap-allocated and the arena-bound network, and
+// between the portable and the vector kernels, for every layer type at both
+// dtypes; the LSTM also at one and two layers, hidden sizes with and without a
+// vector tail, batch 1 and 32.
 func TestArenaMatchesHeapExactly(t *testing.T) {
 	t.Run("f64", testArenaMatchesHeap[float64])
 	t.Run("f32", testArenaMatchesHeap[float32])

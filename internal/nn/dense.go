@@ -85,14 +85,7 @@ func (d *DenseOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Ten
 	tensor.MatMulTransA(dW, dout, d.x)
 	d.W.Grad.Add(dW)
 	// db += column sums of dout
-	dbd := d.B.Grad.Data()
-	dd := dout.Data()
-	for i := 0; i < batch; i++ {
-		row := dd[i*d.Out : (i+1)*d.Out]
-		for j := range row {
-			dbd[j] += row[j]
-		}
-	}
+	d.B.Grad.AddRows(dout)
 	d.x = nil
 	if !needDx {
 		return nil

@@ -2,7 +2,7 @@ package nn
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 
 	"fedca/internal/rng"
 	"fedca/internal/tensor"
@@ -14,10 +14,11 @@ import (
 // "<name>.weight_hh_l0", "<name>.bias_ih_l0", "<name>.bias_hh_l0", and the
 // same with l1, l2, … for deeper stacks. Gate order is i, f, g, o.
 //
-// Gate nonlinearities evaluate in float64 for both dtypes (math.Exp/Tanh have
-// no float32 form in the standard library); a float32 network rounds the
-// results to its working precision, while GEMMs and elementwise state updates
-// run in the working dtype.
+// The cell — gate nonlinearities, c = f·c_prev + i·g, h = o·tanh c — evaluates
+// in float64 for both dtypes (math.Exp/Tanh have no float32 form in the
+// standard library, and tensor.Sigmoid/Tanh are defined by them); a float32
+// network rounds the results to its working precision on store, while the
+// GEMMs and the pre-activation sums run in the working dtype.
 type LSTMOf[F tensor.Float] struct {
 	InDim, Hidden, T, NumLayers int
 	layers                      []*lstmLayerOf[F]
@@ -35,14 +36,25 @@ type lstmLayerOf[F tensor.Float] struct {
 	in, hidden         int
 	wih, whh, bih, bhh *ParamOf[F]
 	arena              *tensor.Arena
+	// The weights as GEMM operands, packed once per pass instead of once per
+	// timestep: transposed for Forward (x·W_ihᵀ, h·W_hhᵀ), as stored for bptt
+	// (dgates·W_ih, dgates·W_hh).
+	wihT, whhT, wihB, whhB *tensor.PackedBOf[F]
+	// Per-Forward scratch: bias is b_ih + b_hh, hh receives h·W_hhᵀ at every
+	// step.
+	bias, hh *tensor.TensorOf[F]
+	// cell is one batch row of a float32 cell widened to float64, drawn per
+	// Forward: the four gates, then c, then tanh c (6·H). Nil at float64.
+	cell []float64
 	// BPTT caches, one entry per timestep; the slice headers persist across
 	// iterations (reset to length zero, capacity kept) so steady-state
-	// training appends without allocating.
-	xs, hPrevs, cPrevs     []*tensor.TensorOf[F]
-	is, fs, gs, os, tanhCs []*tensor.TensorOf[F]
-	out                    []*tensor.TensorOf[F] // persistent forward output buffer
-	dxSeq                  []*tensor.TensorOf[F] // persistent bptt output buffer
-	batch                  int
+	// training appends without allocating. acts holds the activated gates
+	// i|f|g|o of each batch row, [B, 4H].
+	xs, hPrevs, cPrevs []*tensor.TensorOf[F]
+	acts, tanhCs       []*tensor.TensorOf[F]
+	out                []*tensor.TensorOf[F] // persistent forward output buffer
+	dxSeq              []*tensor.TensorOf[F] // persistent bptt output buffer
+	batch              int
 }
 
 // NewLSTMOf builds an LSTM stack for any float dtype. seqLen is the fixed
@@ -64,6 +76,10 @@ func NewLSTMOf[F tensor.Float](name string, inDim, hidden, seqLen, numLayers int
 			whh:    newParamOf[F](fmt.Sprintf("%s.weight_hh_l%d", name, i), 4*hidden, hidden),
 			bih:    newParamOf[F](fmt.Sprintf("%s.bias_ih_l%d", name, i), 4*hidden),
 			bhh:    newParamOf[F](fmt.Sprintf("%s.bias_hh_l%d", name, i), 4*hidden),
+			wihT:   tensor.NewPackedBOf[F](in, 4*hidden),
+			whhT:   tensor.NewPackedBOf[F](hidden, 4*hidden),
+			wihB:   tensor.NewPackedBOf[F](4*hidden, in),
+			whhB:   tensor.NewPackedBOf[F](4*hidden, hidden),
 		}
 		l.layers = append(l.layers, ll)
 	}
@@ -111,70 +127,92 @@ func (l *LSTMOf[F]) Params() []*ParamOf[F] {
 	return ps
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
 // step runs one timestep: given x [B,in], hPrev and cPrev [B,H], it returns
 // h and c and (when train) caches everything needed for backward; an
-// inference step releases its other seven buffers before it returns.
+// inference step releases its other two buffers before it returns. It runs
+// the two products; cellRow does the rest row by row.
 func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) (h, c *tensor.TensorOf[F]) {
 	batch := x.Dim(0)
 	hid := ll.hidden
-	gates := uninitT[F](ll.arena, batch, 4*hid)
-	tensor.MatMulTransB(gates, x, ll.wih.Value)
-	hh := uninitT[F](ll.arena, batch, 4*hid)
-	tensor.MatMulTransB(hh, hPrev, ll.whh.Value)
-	gates.Add(hh)
-	gd := gates.Data()
-	bi, bh := ll.bih.Value.Data(), ll.bhh.Value.Data()
-	for b := 0; b < batch; b++ {
-		row := gd[b*4*hid : (b+1)*4*hid]
-		for j := range row {
-			row[j] += bi[j] + bh[j]
-		}
-	}
-	i := uninitT[F](ll.arena, batch, hid)
-	f := uninitT[F](ll.arena, batch, hid)
-	g := uninitT[F](ll.arena, batch, hid)
-	o := uninitT[F](ll.arena, batch, hid)
+	act := uninitT[F](ll.arena, batch, 4*hid)
+	tensor.MatMulPacked(act, x, ll.wihT)
+	tensor.MatMulPacked(ll.hh, hPrev, ll.whhT)
 	c = uninitT[F](ll.arena, batch, hid)
 	h = uninitT[F](ll.arena, batch, hid)
 	tc := uninitT[F](ll.arena, batch, hid)
-	id, fd, gdd, od := i.Data(), f.Data(), g.Data(), o.Data()
-	cd, hd, tcd := c.Data(), h.Data(), tc.Data()
-	cp := cPrev.Data()
-	for b := 0; b < batch; b++ {
-		row := gd[b*4*hid : (b+1)*4*hid]
-		for j := 0; j < hid; j++ {
-			iv := sigmoid(float64(row[j]))
-			fv := sigmoid(float64(row[hid+j]))
-			gv := math.Tanh(float64(row[2*hid+j]))
-			ov := sigmoid(float64(row[3*hid+j]))
-			cv := fv*float64(cp[b*hid+j]) + iv*gv
-			tcv := math.Tanh(cv)
-			idx := b*hid + j
-			id[idx], fd[idx], gdd[idx], od[idx] = F(iv), F(fv), F(gv), F(ov)
-			cd[idx] = F(cv)
-			tcd[idx] = F(tcv)
-			hd[idx] = F(ov * tcv)
-		}
+	ad, hhd, cpd, cd, tcd, hd := act.Data(), ll.hh.Data(), cPrev.Data(), c.Data(), tc.Data(), h.Data()
+	for lo := 0; lo < batch*hid; lo += hid {
+		hi := lo + hid
+		ll.cellRow(ad[4*lo:4*hi], hhd[4*lo:4*hi], cpd[lo:hi], cd[lo:hi], tcd[lo:hi], hd[lo:hi])
 	}
 	if train {
 		ll.xs = append(ll.xs, x)
 		ll.hPrevs = append(ll.hPrevs, hPrev)
 		ll.cPrevs = append(ll.cPrevs, cPrev)
-		ll.is = append(ll.is, i)
-		ll.fs = append(ll.fs, f)
-		ll.gs = append(ll.gs, g)
-		ll.os = append(ll.os, o)
+		ll.acts = append(ll.acts, act)
 		ll.tanhCs = append(ll.tanhCs, tc)
 	} else {
 		// Only h and c outlive an inference step; the next step's
 		// allocations take these over.
-		for _, t := range [...]*tensor.TensorOf[F]{gates, hh, i, f, g, o, tc} {
-			releaseT(ll.arena, t)
-		}
+		releaseT(ll.arena, act)
+		releaseT(ll.arena, tc)
 	}
 	return h, c
+}
+
+// cellRow runs the cell on one batch row as a few slab passes over float64
+// rows. gates arrives as the row of x·W_ihᵀ and leaves as the activated gates
+// i|f|g|o; hh (the row of h·W_hhᵀ) and cPrev are read; c, tanhC and h are
+// written. The passes: the pre-activations (x·W_ihᵀ + h·W_hhᵀ) + (b_ih + b_hh),
+// summed in F in that association (ll.bias is the second bracket, summed once
+// per Forward); sigmoid over the contiguous i|f half, tanh over g, sigmoid
+// over o; c = f·c_prev + i·g; tanh over c; h = o·tanh c. At float64 they run
+// in the rows themselves; a float32 row is widened into ll.cell, gates, c and
+// tanh c are narrowed on store, and h is rounded from the unrounded o and
+// tanh c. The products are explicit conversions, so no compiler fuses them
+// into the sum. (A function of its own, not a loop body in step: with step's
+// tensors live as well the compiler keeps these loops' indices on the stack.)
+func (ll *lstmLayerOf[F]) cellRow(gates, hh, cPrev, c, tanhC, h []F) {
+	hid := len(c)
+	z, cz, tz := asFloat64(gates), asFloat64(c), asFloat64(tanhC)
+	if ll.cell != nil {
+		z, cz, tz = ll.cell[:4*hid], ll.cell[4*hid:5*hid], ll.cell[5*hid:6*hid]
+	}
+	hh = hh[:len(z)]
+	for j, v := range ll.bias.Data()[:len(z)] {
+		z[j] = float64((gates[j] + hh[j]) + v)
+	}
+	zi, zf, zg, zo := z[:hid], z[hid:2*hid], z[2*hid:3*hid], z[3*hid:4*hid]
+	tensor.Sigmoid(z[:2*hid], z[:2*hid])
+	tensor.Tanh(zg, zg)
+	tensor.Sigmoid(zo, zo)
+	for j, cp := range cPrev[:hid] {
+		cz[j] = float64(zf[j]*float64(cp)) + float64(zi[j]*zg[j])
+	}
+	tensor.Tanh(tz, cz)
+	for j, v := range tz[:hid] {
+		h[j] = F(zo[j] * v)
+	}
+	if ll.cell != nil {
+		narrow(gates, z)
+		narrow(c, cz)
+		narrow(tanhC, tz)
+	}
+}
+
+// asFloat64 is s itself when F is float64, and nil otherwise.
+func asFloat64[F tensor.Float](s []F) []float64 {
+	if unsafe.Sizeof(s[0]) != 8 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// narrow stores src rounded to F.
+func narrow[F tensor.Float](dst []F, src []float64) {
+	for j, v := range src {
+		dst[j] = F(v)
+	}
 }
 
 // Forward consumes [B, T·D] and returns the top layer's last hidden state.
@@ -203,6 +241,16 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 		// Emptied on an inference pass too: it leaves nothing for Backward.
 		ll.clearCaches()
 		ll.batch = batch
+		ll.wihT.PackTrans(ll.wih.Value)
+		ll.whhT.PackTrans(ll.whh.Value)
+		ll.bias = uninitT[F](ll.arena, 4*l.Hidden)
+		ll.bias.AddInto(ll.bih.Value, ll.bhh.Value)
+		ll.hh = uninitT[F](ll.arena, batch, 4*l.Hidden)
+		var cell *tensor.TensorOf[float64]
+		if unsafe.Sizeof(F(0)) == 4 {
+			cell = uninitT[float64](ll.arena, 6*l.Hidden)
+			ll.cell = cell.Data()
+		}
 		h := allocT[F](ll.arena, batch, l.Hidden) // zeroed: h₀ = 0
 		c := allocT[F](ll.arena, batch, l.Hidden) // zeroed: c₀ = 0
 		if ll.out == nil {
@@ -229,6 +277,11 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 		}
 		if !train {
 			releaseT(ll.arena, c)
+			releaseT(ll.arena, ll.bias)
+			releaseT(ll.arena, ll.hh)
+			if cell != nil {
+				releaseT(ll.arena, cell)
+			}
 		}
 		seq = out
 		lastH = h
@@ -300,65 +353,41 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 		ll.dxSeq = make([]*tensor.TensorOf[F], T)
 	}
 	dxSeq := ll.dxSeq
+	if needDx {
+		ll.wihB.Pack(ll.wih.Value)
+	}
+	ll.whhB.Pack(ll.whh.Value)
 	dhNext := allocT[F](ll.arena, batch, hid) // recurrent dL/dh flowing from t+1; zeroed: none at T
 	dcNext := allocT[F](ll.arena, batch, hid) // zeroed likewise
+	// Every timestep overwrites the rest whole, so one set serves them all
+	// and stays in cache; dhPrev and dcPrev trade places with dhNext and
+	// dcNext at the end of a step.
+	dhPrev, dcPrev := uninitT[F](ll.arena, batch, hid), uninitT[F](ll.arena, batch, hid)
+	dh := uninitT[F](ll.arena, batch, hid)
 	dgates := uninitT[F](ll.arena, batch, 4*hid)
+	dWih := uninitT[F](ll.arena, 4*hid, ll.in)
+	dWhh := uninitT[F](ll.arena, 4*hid, hid)
 	for t := T - 1; t >= 0; t-- {
-		dh := cloneT(ll.arena, dhSeq[t])
-		dh.Add(dhNext)
-		id, fd, gd, od := ll.is[t].Data(), ll.fs[t].Data(), ll.gs[t].Data(), ll.os[t].Data()
-		tcd := ll.tanhCs[t].Data()
-		cpd := ll.cPrevs[t].Data()
-		dhd := dh.Data()
-		dcn := dcNext.Data()
-		dgd := dgates.Data()
-		dcPrev := uninitT[F](ll.arena, batch, hid)
-		dcp := dcPrev.Data()
-		for b := 0; b < batch; b++ {
-			for j := 0; j < hid; j++ {
-				idx := b*hid + j
-				dhv := float64(dhd[idx])
-				o := float64(od[idx])
-				tc := float64(tcd[idx])
-				dc := dhv*o*(1-tc*tc) + float64(dcn[idx])
-				i, f, g := float64(id[idx]), float64(fd[idx]), float64(gd[idx])
-				di := dc * g
-				df := dc * float64(cpd[idx])
-				dg := dc * i
-				do := dhv * tc
-				base := b * 4 * hid
-				dgd[base+j] = F(di * i * (1 - i))
-				dgd[base+hid+j] = F(df * f * (1 - f))
-				dgd[base+2*hid+j] = F(dg * (1 - g*g))
-				dgd[base+3*hid+j] = F(do * o * (1 - o))
-				dcp[idx] = F(dc * f)
-			}
-		}
-		// Parameter gradients: dWih += dgatesᵀ·x, dWhh += dgatesᵀ·hPrev.
-		dWih := uninitT[F](ll.arena, 4*hid, ll.in)
+		dh.AddInto(dhSeq[t], dhNext)
+		tensor.LSTMGateGrad(dgates.Data(), dcPrev.Data(), ll.acts[t].Data(), ll.tanhCs[t].Data(),
+			ll.cPrevs[t].Data(), dh.Data(), dcNext.Data(), hid)
+		// Parameter gradients: dWih += dgatesᵀ·x, dWhh += dgatesᵀ·hPrev, and
+		// both biases += Σ_batch dgates.
 		tensor.MatMulTransA(dWih, dgates, ll.xs[t])
 		ll.wih.Grad.Add(dWih)
-		dWhh := uninitT[F](ll.arena, 4*hid, hid)
 		tensor.MatMulTransA(dWhh, dgates, ll.hPrevs[t])
 		ll.whh.Grad.Add(dWhh)
-		bi, bh := ll.bih.Grad.Data(), ll.bhh.Grad.Data()
-		for b := 0; b < batch; b++ {
-			row := dgd[b*4*hid : (b+1)*4*hid]
-			for j, v := range row {
-				bi[j] += v
-				bh[j] += v
-			}
-		}
+		ll.bih.Grad.AddRows(dgates)
+		ll.bhh.Grad.AddRows(dgates)
 		// Input and recurrent gradients.
 		dxSeq[t] = nil
 		if needDx {
 			dxSeq[t] = uninitT[F](ll.arena, batch, ll.in)
-			tensor.MatMul(dxSeq[t], dgates, ll.wih.Value)
+			tensor.MatMulPacked(dxSeq[t], dgates, ll.wihB)
 		}
-		dhPrev := uninitT[F](ll.arena, batch, hid)
-		tensor.MatMul(dhPrev, dgates, ll.whh.Value)
-		dhNext = dhPrev
-		dcNext = dcPrev
+		tensor.MatMulPacked(dhPrev, dgates, ll.whhB)
+		dhNext, dhPrev = dhPrev, dhNext
+		dcNext, dcPrev = dcPrev, dcNext
 	}
 	ll.clearCaches()
 	return dxSeq
@@ -368,6 +397,5 @@ func (ll *lstmLayerOf[F]) bptt(dhSeq []*tensor.TensorOf[F], needDx bool) []*tens
 // training Forward.
 func (ll *lstmLayerOf[F]) clearCaches() {
 	ll.xs, ll.hPrevs, ll.cPrevs = ll.xs[:0], ll.hPrevs[:0], ll.cPrevs[:0]
-	ll.is, ll.fs = ll.is[:0], ll.fs[:0]
-	ll.gs, ll.os, ll.tanhCs = ll.gs[:0], ll.os[:0], ll.tanhCs[:0]
+	ll.acts, ll.tanhCs = ll.acts[:0], ll.tanhCs[:0]
 }

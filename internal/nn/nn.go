@@ -114,16 +114,6 @@ func uninitBools(a *tensor.Arena, n int) []bool {
 	return make([]bool, n)
 }
 
-// cloneT copies x into a fresh tensor drawn from the arena when one is bound.
-func cloneT[F tensor.Float](a *tensor.Arena, x *tensor.TensorOf[F]) *tensor.TensorOf[F] {
-	if a == nil {
-		return x.Clone()
-	}
-	y := tensor.AllocUninitOf[F](a, x.Shape()...)
-	copy(y.Data(), x.Data())
-	return y
-}
-
 // releaseT hands an inference-pass intermediate back to the arena for the
 // next allocation of its size; without an arena the collector has it.
 func releaseT[F tensor.Float](a *tensor.Arena, t *tensor.TensorOf[F]) {

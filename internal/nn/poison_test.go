@@ -24,3 +24,28 @@ func poisonArenas(t *testing.T) {
 		t.Fatalf("poison hook not linked: a non-zeroing allocation holds %v", v)
 	}
 }
+
+// kernelAVX2 and kernelVecMath are internal/tensor's two dispatch variables
+// (the AVX2 GEMM, sums and gate gradients; the FMA sigmoid and tanh), set
+// there once from CPUID and written by nothing else but tests.
+//
+//go:linkname kernelAVX2 fedca/internal/tensor.useAVX2
+var kernelAVX2 bool
+
+//go:linkname kernelVecMath fedca/internal/tensor.useVecMath
+var kernelVecMath bool
+
+// forEachKernelPath runs body on the portable kernels and then, where the
+// machine started with them, on the vector kernels: the same two paths
+// internal/tensor's own tests flip between.
+func forEachKernelPath(t *testing.T, body func(path string)) {
+	t.Helper()
+	avx2, vecMath := kernelAVX2, kernelVecMath
+	defer func() { kernelAVX2, kernelVecMath = avx2, vecMath }()
+	kernelAVX2, kernelVecMath = false, false
+	body("portable")
+	if avx2 {
+		kernelAVX2, kernelVecMath = avx2, vecMath
+		body("vector")
+	}
+}

@@ -1,0 +1,165 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
+
+// The elementwise kernels beside the GEMM: the LSTM cell's two
+// nonlinearities, the sum of two slices and the cell's gate gradients, each
+// with a body at vector width (elementwise_amd64.s) and a portable one here
+// that is its definition.
+//
+// Sigmoid and Tanh are defined by the standard library: 1/(1+math.Exp(-x))
+// and math.Tanh(x), to the last bit of every input. On amd64 math.Exp is a
+// straight-line assembly routine with fused multiply-adds at ten fixed places
+// when the CPU has FMA, and math.Tanh is pure Go over it, so four lanes can
+// repeat both instruction for instruction; useVecMath is true where they do.
+// Fused operations are right here and wrong in the GEMM for the same reason:
+// a kernel rounds where its reference rounds. Whatever the straight line does
+// not cover — a group of four with a lane beyond ±700 (sigmoid) or a NaN
+// (tanh), the tail of a slice, any other machine — goes through math.Exp and
+// math.Tanh themselves, so a result cannot depend on the path that produced
+// it. A toolchain that changes math.Exp shows up as a failing property test
+// in this package, not as a drifting checksum.
+//
+// The sums and the gate gradients contain no operation a lane could round
+// differently (+, −, × only, never fused), so they follow useAVX2 like the
+// GEMM.
+
+// sigmoidRef and the math.Tanh calls below are the portable path and the
+// reference the vector kernels are tested against.
+func sigmoidRef(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+// Sigmoid sets dst[i] = 1/(1+math.Exp(-src[i])) for every i. dst must be at
+// least as long as src, and either src itself or disjoint from it.
+func Sigmoid(dst, src []float64) { mapVec(dst, src, sigmoidAVX2, sigmoidRef) }
+
+// Tanh sets dst[i] = math.Tanh(src[i]) for every i, under Sigmoid's rules for
+// dst.
+func Tanh(dst, src []float64) { mapVec(dst, src, tanhAVX2, math.Tanh) }
+
+// mapVec applies ref to every element of src, through vec for the groups of
+// four it serves: vec returns how many elements it did before a group it does
+// not serve, or the end.
+func mapVec(dst, src []float64, vec func(dst, src *float64, n int) int, ref func(float64) float64) {
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for useVecMath && n-i >= 4 {
+		i += vec(&dst[i], &src[i], (n-i)&^3)
+		if n-i >= 4 {
+			for end := i + 4; i < end; i++ {
+				dst[i] = ref(src[i])
+			}
+		}
+	}
+	for ; i < n; i++ {
+		dst[i] = ref(src[i])
+	}
+}
+
+// ptr32 and ptr64 hand a slice's storage to the assembly of F's width; named
+// ~float32/~float64 types share their underlying type's layout.
+func ptr32[F Float](s []F) *float32 { return (*float32)(unsafe.Pointer(unsafe.SliceData(s))) }
+func ptr64[F Float](s []F) *float64 { return (*float64)(unsafe.Pointer(unsafe.SliceData(s))) }
+
+// addSlices sets dst[i] = a[i] + b[i]; dst may be a or b. The slices have
+// equal length.
+func addSlices[F Float](dst, a, b []F) {
+	i := 0
+	if useAVX2 && len(dst) >= 8 {
+		if sizeofF[F]() == 4 {
+			i = len(dst) &^ 7
+			addAVX2F32(ptr32(dst), ptr32(a), ptr32(b), i)
+		} else {
+			i = len(dst) &^ 3
+			addAVX2F64(ptr64(dst), ptr64(a), ptr64(b), i)
+		}
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// addRows adds the rows of src (rows × len(dst), row-major) to dst, row 0
+// first: dst[j] is one chain of rows additions.
+func addRows[F Float](dst, src []F, rows int) {
+	cols := len(dst)
+	j := 0
+	if useAVX2 && cols >= 8 && rows > 0 {
+		if sizeofF[F]() == 4 {
+			j = cols &^ 7
+			addRowsAVX2F32(ptr32(dst), ptr32(src), rows, cols, j)
+		} else {
+			j = cols &^ 3
+			addRowsAVX2F64(ptr64(dst), ptr64(src), rows, cols, j)
+		}
+	}
+	if j == cols {
+		return
+	}
+	for r := 0; r < rows; r++ {
+		row := src[r*cols : (r+1)*cols]
+		for jj := j; jj < cols; jj++ {
+			dst[jj] += row[jj]
+		}
+	}
+}
+
+// LSTMGateGrad is the elementwise part of the LSTM cell's backward pass over
+// a batch. Per batch row, act holds the activated gates i|f|g|o (4·hid) and
+// tanhC, cPrev, dh and dcNext the row's tanh(c), previous cell state,
+// gradient on h and gradient on c from the step after (hid each); it writes
+// the gradient on the pre-activations to dgates (4·hid per row, same order)
+// and on the previous cell state to dcPrev (hid per row). The arithmetic is
+// float64 at either dtype, every product and difference rounded on its own,
+// and the outputs share no storage with the inputs.
+func LSTMGateGrad[F Float](dgates, dcPrev, act, tanhC, cPrev, dh, dcNext []F, hid int) {
+	n := len(dcPrev)
+	if hid <= 0 || n%hid != 0 {
+		panic(fmt.Sprintf("tensor: LSTMGateGrad rows of %d in %d elements", hid, n))
+	}
+	rows := n / hid
+	if rows == 0 {
+		return
+	}
+	_, _ = dgates[4*n-1], act[4*n-1] // the assembly checks no bounds
+	_, _, _, _ = tanhC[n-1], cPrev[n-1], dh[n-1], dcNext[n-1]
+	from := 0
+	if useAVX2 && hid >= 4 {
+		from = hid &^ 3
+		if sizeofF[F]() == 4 {
+			lstmGateGradAVX2F32(ptr32(dgates), ptr32(dcPrev), ptr32(act), ptr32(tanhC), ptr32(cPrev), ptr32(dh), ptr32(dcNext), hid, rows)
+		} else {
+			lstmGateGradAVX2F64(ptr64(dgates), ptr64(dcPrev), ptr64(act), ptr64(tanhC), ptr64(cPrev), ptr64(dh), ptr64(dcNext), hid, rows)
+		}
+	}
+	if from < hid {
+		lstmGateGradGo(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext, hid, from)
+	}
+}
+
+// lstmGateGradGo is the portable gate gradient over columns [from, hid) of
+// every row, and the definition of the assembly. Each product is an explicit
+// conversion, which no compiler may fuse with the operation that consumes it.
+func lstmGateGradGo[F Float](dgates, dcPrev, act, tanhC, cPrev, dh, dcNext []F, hid, from int) {
+	for lo := 0; lo < len(dcPrev); lo += hid {
+		a, dg := act[4*lo:4*lo+4*hid], dgates[4*lo:4*lo+4*hid]
+		for j := from; j < hid; j++ {
+			dhv, tc := float64(dh[lo+j]), float64(tanhC[lo+j])
+			i, f, g, o := float64(a[j]), float64(a[hid+j]), float64(a[2*hid+j]), float64(a[3*hid+j])
+			dc := float64(float64(dhv*o)*(1-float64(tc*tc))) + float64(dcNext[lo+j])
+			di := float64(dc * g)
+			df := float64(dc * float64(cPrev[lo+j]))
+			dgg := float64(dc * i)
+			do := float64(dhv * tc)
+			dg[j] = F(float64(di*i) * (1 - i))
+			dg[hid+j] = F(float64(df*f) * (1 - f))
+			dg[2*hid+j] = F(dgg * (1 - float64(g*g)))
+			dg[3*hid+j] = F(float64(do*o) * (1 - o))
+			dcPrev[lo+j] = F(dc * f)
+		}
+	}
+}

@@ -543,6 +543,15 @@ func (pb *PackedBOf[F]) Pack(b *TensorOf[F]) {
 	packPanels(pb.data, b.data, pb.k, pb.n)
 }
 
+// PackTrans fills pb with Bᵀ from an n×k tensor: MatMulPacked against it is
+// MatMulTransB against b.
+func (pb *PackedBOf[F]) PackTrans(b *TensorOf[F]) {
+	if b.Rank() != 2 || b.shape[0] != pb.n || b.shape[1] != pb.k {
+		panic(fmt.Sprintf("tensor: PackedB.PackTrans shape %v, want [%d %d]", b.shape, pb.n, pb.k))
+	}
+	packPanelsT(pb.data, b.data, pb.k, pb.n)
+}
+
 // MatMulPacked computes C = A·B with B already packed: identical results to
 // MatMul (same kernel, same accumulation order), minus the packing pass.
 func MatMulPacked[F Float](dst, a *TensorOf[F], pb *PackedBOf[F]) {

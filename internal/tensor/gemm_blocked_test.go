@@ -128,10 +128,10 @@ func TestGemmNaNInfNotMasked(t *testing.T) {
 }
 
 // TestMatMulPackedMatchesMatMul: packing B up front must change nothing but
-// the call shape.
+// the call shape, for B as stored (MatMul) and for Bᵀ (MatMulTransB).
 func TestMatMulPackedMatchesMatMul(t *testing.T) {
 	r := rng.New(9)
-	for _, sh := range [][3]int{{1, 1, 1}, {5, 7, 3}, {16, 64, 150}, {8, 33, 17}} {
+	for _, sh := range [][3]int{{1, 1, 1}, {5, 7, 3}, {16, 64, 150}, {8, 33, 17}, {32, 24, 96}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
@@ -142,6 +142,12 @@ func TestMatMulPackedMatchesMatMul(t *testing.T) {
 		got := New(m, n)
 		MatMulPacked(got, a, pb)
 		tensorsBitIdentical(t, "packed", got, want)
+
+		bT := randTensor(r, n, k)
+		MatMulTransB(want, a, bT)
+		pb.PackTrans(bT) // over the stale panels of b
+		MatMulPacked(got, a, pb)
+		tensorsBitIdentical(t, "packed transposed", got, want)
 	}
 }
 

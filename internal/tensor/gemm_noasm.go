@@ -28,3 +28,40 @@ func interleave8AVX2F64(dst, src unsafe.Pointer, n, dstStride, rowStride int) {
 func interleave8AVX2F32(dst, src unsafe.Pointer, n, dstStride, rowStride int) {
 	panic("tensor: AVX2 transpose called on a non-amd64 build")
 }
+
+// Nor is there a vector sigmoid or tanh: both are the math calls.
+var useVecMath = false
+
+func detectFMA() bool { return false }
+
+func sigmoidAVX2(dst, src *float64, n int) int {
+	panic("tensor: AVX2 sigmoid called on a non-amd64 build")
+}
+
+func tanhAVX2(dst, src *float64, n int) int {
+	panic("tensor: AVX2 tanh called on a non-amd64 build")
+}
+
+func addAVX2F64(dst, a, b *float64, n int) {
+	panic("tensor: AVX2 add called on a non-amd64 build")
+}
+
+func addAVX2F32(dst, a, b *float32, n int) {
+	panic("tensor: AVX2 add called on a non-amd64 build")
+}
+
+func addRowsAVX2F64(dst, src *float64, rows, cols, n int) {
+	panic("tensor: AVX2 add called on a non-amd64 build")
+}
+
+func addRowsAVX2F32(dst, src *float32, rows, cols, n int) {
+	panic("tensor: AVX2 add called on a non-amd64 build")
+}
+
+func lstmGateGradAVX2F64(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float64, hid, rows int) {
+	panic("tensor: AVX2 gate gradient called on a non-amd64 build")
+}
+
+func lstmGateGradAVX2F32(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float32, hid, rows int) {
+	panic("tensor: AVX2 gate gradient called on a non-amd64 build")
+}

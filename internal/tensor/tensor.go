@@ -182,17 +182,23 @@ func assertSameSize[F Float](a, b *TensorOf[F], op string) {
 func (t *TensorOf[F]) AddInto(a, b *TensorOf[F]) {
 	assertSameSize(a, b, "Add")
 	assertSameSize(t, a, "Add")
-	for i := range t.data {
-		t.data[i] = a.data[i] + b.data[i]
-	}
+	addSlices(t.data, a.data, b.data)
 }
 
 // Add adds o to t in place.
 func (t *TensorOf[F]) Add(o *TensorOf[F]) {
 	assertSameSize(t, o, "Add")
-	for i := range t.data {
-		t.data[i] += o.data[i]
+	addSlices(t.data, t.data, o.data)
+}
+
+// AddRows adds every row of m (rows × t.Size(), row-major) to t viewed as a
+// flat vector, row 0 first: each element of t grows by one chain of additions
+// in row order — a bias gradient summed over the batch.
+func (t *TensorOf[F]) AddRows(m *TensorOf[F]) {
+	if len(t.data) == 0 || len(m.data)%len(t.data) != 0 {
+		panic(fmt.Sprintf("tensor: AddRows size mismatch: %v vs %v", t.shape, m.shape))
 	}
+	addRows(t.data, m.data, len(m.data)/len(t.data))
 }
 
 // Sub subtracts o from t in place.
