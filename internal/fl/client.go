@@ -238,6 +238,13 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		return b4 * bytesPerScalar / 4
 	}
 	delta := bufs.scratch(len(globalFlat))
+	// NopController — plain FedAvg — ignores what AfterIteration is handed,
+	// so its round computes the accumulated update once, after the last
+	// iteration, instead of after each. The test is on the exact type: a
+	// controller that embeds NopController may override AfterIteration and
+	// keeps the per-iteration delta. (A dropped client uploads nothing and
+	// needs none.)
+	_, plainFedAvg := ctrl.(NopController)
 	var eager []EagerRecord
 	eagerSent := make(map[int]bool) // layer index → already transmitted
 
@@ -300,17 +307,8 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 			}
 		}
 
-		// Accumulated update so far: widen the working weights and subtract
-		// the float64 master vector, so the delta every hook and the server
-		// observe is float64 at either working precision (for F = float64 the
-		// widening is the identity).
-		off := 0
-		for _, p := range params {
-			d := p.Value.Data()
-			for j := range d {
-				delta[off+j] = float64(d[j]) - globalFlat[off+j]
-			}
-			off += len(d)
+		if !plainFedAvg {
+			accumulatedDelta(delta, params, globalFlat)
 		}
 
 		action := ctrl.AfterIteration(IterState{
@@ -343,6 +341,9 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		}
 	}
 
+	if plainFedAvg {
+		accumulatedDelta(delta, params, globalFlat)
+	}
 	final := ctrl.Finalize(FinalState{
 		Iterations: iters,
 		Delta:      delta,
@@ -495,5 +496,20 @@ func emitImpairments(tr *telemetry.Tracer, tid int, link string, roundStart, cla
 			name = link + "-outage"
 		}
 		tr.Span(tid, name, "chaos", from, to, map[string]any{"scale": w.Scale})
+	}
+}
+
+// accumulatedDelta writes the update accumulated so far into delta: the
+// working weights, widened, minus the float64 master vector, so the delta
+// every hook and the server observe is float64 at either working precision
+// (for F = float64 the widening is the identity).
+func accumulatedDelta[F tensor.Float](delta []float64, params []*nn.ParamOf[F], globalFlat []float64) {
+	off := 0
+	for _, p := range params {
+		d := p.Value.Data()
+		for j := range d {
+			delta[off+j] = float64(d[j]) - globalFlat[off+j]
+		}
+		off += len(d)
 	}
 }

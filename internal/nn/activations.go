@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"math"
-	"unsafe"
-
-	"fedca/internal/tensor"
-)
+import "fedca/internal/tensor"
 
 // ReLUOf applies max(0, x) elementwise.
 type ReLUOf[F tensor.Float] struct {
@@ -49,25 +44,17 @@ type reluFwdRunnerOf[F tensor.Float] struct {
 }
 
 // sample writes one chunk of the output, and of the mask on a training pass,
-// straight from the input. Both loops are branch-free — a clamp and a stored
-// comparison — because on activations of random sign a branch per element is
-// mispredicted half the time and costs more than the arithmetic of the layers
-// around it. A NaN stays NaN and counts as active, as it always has.
+// straight from the input (tensor.ReLU: a clamp and a stored comparison per
+// element, at vector width). A NaN stays NaN and counts as active, as it
+// always has.
 func (rr *reluFwdRunnerOf[F]) sample(i int, _ any) {
 	c := &rr.r.call
 	lo, hi := elemRange(i, len(c.xd))
-	xd, yd := c.xd[lo:hi], c.yd[lo:hi]
-	if c.mask == nil {
-		for j, v := range xd {
-			yd[j] = max(v, 0)
-		}
-		return
+	var mask []bool
+	if c.mask != nil {
+		mask = c.mask[lo:hi]
 	}
-	mask := c.mask[lo:hi]
-	for j, v := range xd {
-		yd[j] = max(v, 0)
-		mask[j] = !(v <= 0)
-	}
+	tensor.ReLU(c.yd[lo:hi], c.xd[lo:hi], mask)
 }
 
 // Forward zeroes negatives.
@@ -92,35 +79,9 @@ func (r *ReLUOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 	}
 	checkGen(r.arena, r.gen, "nn.ReLU")
 	dx := uninitT[F](r.arena, dout.Shape()...)
-	gateByMask(dx.Data(), dout.Data(), r.mask)
+	tensor.GateByMask(dx.Data(), dout.Data(), r.mask)
 	r.mask = nil
 	return dx
-}
-
-// gateByMask writes dst[i] = src[i] where mask[i] is set and +0 elsewhere, by
-// and-ing the value's bits with an all-ones or all-zeros word: no branch to
-// mispredict on a mask of random sign, and — unlike a multiply by 0 or 1 — an
-// active NaN or ±Inf passes through bit for bit and a gated one becomes +0.
-func gateByMask[F tensor.Float](dst, src []F, mask []bool) {
-	dst, mask = dst[:len(src)], mask[:len(src)]
-	var z F
-	if unsafe.Sizeof(z) == 4 {
-		for i, v := range src {
-			var keep uint32
-			if mask[i] {
-				keep = 1
-			}
-			dst[i] = F(math.Float32frombits(math.Float32bits(float32(v)) & -keep))
-		}
-		return
-	}
-	for i, v := range src {
-		var keep uint64
-		if mask[i] {
-			keep = 1
-		}
-		dst[i] = F(math.Float64frombits(math.Float64bits(float64(v)) & -keep))
-	}
 }
 
 // Params returns nil.

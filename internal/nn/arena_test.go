@@ -67,9 +67,10 @@ func lstmShapeNets[F tensor.Float](nets map[string]func() (*NetworkOf[F], int)) 
 }
 
 // everyLayerNets builds, per name, a network and its input width; together
-// they contain every layer type, the pooling layer on both of its paths, a
-// residual block with and without a shortcut branch, and an LSTM with one
-// layer and with two.
+// they contain every layer type, the pooling layer on both of its paths and
+// at a width below the vector's, convolutions at stride 1 and 2, a residual
+// block with and without a shortcut branch, and an LSTM with one layer and
+// with two.
 func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 	return map[string]func() (*NetworkOf[F], int){
 		"dense-relu": func() (*NetworkOf[F], int) {
@@ -86,6 +87,17 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 			p2 := NewMaxPool2DOf[F](3, 4, 4, 3, 1) // the generic path
 			return NewNetworkOf[F](c1, NewReLUOf[F](c1.OutDim()), p1, c2, NewReLUOf[F](c2.OutDim()), p2,
 				NewDenseOf[F]("fc", p2.OutDim(), 3, r)), 2 * 8 * 8
+		},
+		"conv-s2-pool4": func() (*NetworkOf[F], int) {
+			// What the vector bodies leave to the scalar loops: a strided
+			// convolution (a 5×5 one, so that its taps reach two pixels into
+			// the padding) and a 2×2 pooling of a 4×4 image, two outputs to
+			// a row.
+			r := rng.New(12)
+			g := tensor.NewConvGeom(2, 8, 8, 5, 5, 2, 2)
+			c := NewConv2DOf[F]("conv1", g, 3, r)
+			p := NewMaxPool2DOf[F](3, 4, 4, 2, 2)
+			return NewNetworkOf[F](c, NewReLUOf[F](c.OutDim()), p, NewDenseOf[F]("fc", p.OutDim(), 3, r)), 2 * 8 * 8
 		},
 		"residual": func() (*NetworkOf[F], int) {
 			r := rng.New(9)

@@ -21,6 +21,10 @@ import (
 // sums) always accumulate in float64, even for a float32 network — these are
 // long reductions over batch × spatial where float32 accumulation would lose
 // the most. Per-element normalization happens in the working dtype.
+//
+// Every product that feeds a sum or a difference is an explicit conversion,
+// which no compiler may fuse with it: the layer computes the same bits on a
+// machine with fused multiply-add as on one without.
 type BatchNorm2DOf[F tensor.Float] struct {
 	C, H, W int
 	Eps     float64
@@ -94,11 +98,11 @@ func (r *bnFwdRunnerOf[F]) sample(c int, _ any) {
 	for i := 0; i < batch; i++ {
 		for _, v := range xd[i*inDim+c*spatial : i*inDim+(c+1)*spatial] {
 			sum += float64(v)
-			sum2 += float64(v) * float64(v)
+			sum2 += float64(float64(v) * float64(v))
 		}
 	}
 	mean := sum / n
-	variance := sum2/n - mean*mean
+	variance := sum2/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0 // numeric guard
 	}
@@ -110,7 +114,7 @@ func (r *bnFwdRunnerOf[F]) sample(c int, _ any) {
 			yrow := yd[base : base+spatial]
 			for j, v := range xd[base : base+spatial] {
 				xh := (float64(v) - mean) * invStd
-				yrow[j] = F(gamma*xh + beta)
+				yrow[j] = F(float64(gamma*xh) + beta)
 			}
 		}
 		return
@@ -122,7 +126,7 @@ func (r *bnFwdRunnerOf[F]) sample(c int, _ any) {
 		for j, v := range xd[base : base+spatial] {
 			xh := (float64(v) - mean) * invStd
 			hrow[j] = F(xh)
-			yrow[j] = F(gamma*xh + beta)
+			yrow[j] = F(float64(gamma*xh) + beta)
 		}
 	}
 }
@@ -172,7 +176,7 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 			for j, v := range dd[base : base+spatial] {
 				d := float64(v)
 				sumD += d
-				sumDX += d * float64(hrow[j])
+				sumDX += float64(d * float64(hrow[j]))
 			}
 		}
 		gg[c] += F(sumDX)
@@ -182,7 +186,7 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 			base := i*inDim + c*spatial
 			hrow, drow := b.xhat[base:base+spatial], dxd[base:base+spatial]
 			for j, v := range dd[base : base+spatial] {
-				drow[j] = F(k * (n*float64(v) - sumD - float64(hrow[j])*sumDX))
+				drow[j] = F(k * (float64(n*float64(v)) - sumD - float64(float64(hrow[j])*sumDX)))
 			}
 		}
 	}

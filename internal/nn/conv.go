@@ -21,6 +21,10 @@ type Conv2DOf[F tensor.Float] struct {
 	OutC int
 	W, B *ParamOf[F]
 	x    *tensor.TensorOf[F]
+	// biasRows is the bias spread over the positions, [outC, pos]: written by
+	// Forward before the fan-out, so that a sample adds its bias as one sum
+	// of two slices.
+	biasRows *tensor.TensorOf[F]
 
 	arena            *tensor.Arena
 	gen              uint64
@@ -68,6 +72,8 @@ func NewConv2DOf[F tensor.Float](name string, geom tensor.ConvGeom, outC int, r 
 		OutC: outC,
 		W:    newParamOf[F](name+".weight", outC, geom.ColCols()),
 		B:    newParamOf[F](name+".bias", outC),
+
+		biasRows: tensor.NewOf[F](outC, geom.ColRows()),
 	}
 	c.fwdRun.c = c
 	c.bwdRun.c = c
@@ -121,20 +127,11 @@ func (r *convFwdRunnerOf[F]) newScratch() any {
 func (r *convFwdRunnerOf[F]) sample(i int, scratch any) {
 	c := r.c
 	s := scratch.(*convScratchOf[F])
-	pos := c.Geom.ColRows()
 	inDim, outDim := c.InDim(), c.OutDim()
 	tensor.Im2ColOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.colT)
 	s.out.Rebind(c.call.yd[i*outDim : (i+1)*outDim])
 	tensor.MatMulPacked(s.out, c.W.Value, s.colT)
-	bias := c.B.Value.Data()
-	od := s.out.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		b := bias[oc]
-		row := od[oc*pos : (oc+1)*pos]
-		for j := range row {
-			row[j] += b
-		}
-	}
+	s.out.Add(c.biasRows)
 }
 
 // Forward computes the convolution for each sample in the batch.
@@ -142,6 +139,13 @@ func (c *Conv2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorO
 	batch := x.Dim(0)
 	y := uninitT[F](c.arena, batch, c.OutDim())
 	c.call.xd, c.call.yd = x.Data(), y.Data()
+	pos := c.Geom.ColRows()
+	for oc, b := range c.B.Value.Data() {
+		row := c.biasRows.Data()[oc*pos : (oc+1)*pos]
+		for j := range row {
+			row[j] = b
+		}
+	}
 	parallelSamples(batch, c.heavy(batch), &c.fwdPool, &c.fwdRun)
 	c.call.xd, c.call.yd = nil, nil
 	c.x = nil // an inference pass leaves nothing for Backward to read
@@ -180,20 +184,40 @@ func (r *convBwdRunnerOf[F]) sample(i int, scratch any) {
 	s.dWi.Rebind(c.call.dWs[i*c.OutC*patch : (i+1)*c.OutC*patch])
 	tensor.MatMulPacked(s.dWi, s.doutS, s.col)
 	// db_i[oc] = Σ_pos dout_i[oc,pos]
-	dsd := s.doutS.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		var sum F
-		for _, v := range dsd[oc*pos : (oc+1)*pos] {
-			sum += v
-		}
-		c.call.dBs[i*c.OutC+oc] = sum
-	}
+	rowSums(c.call.dBs[i*c.OutC:(i+1)*c.OutC], s.doutS.Data(), pos)
 	if c.call.dxd == nil {
 		return
 	}
 	// dcolᵀ[patch,pos] = Wᵀ[patch,outC] · dout_i[outC,pos]
 	tensor.MatMulTransA(s.dcolT, c.W.Value, s.doutS)
 	tensor.Col2ImOf(c.Geom, s.dcolT.Data(), c.call.dxd[i*inDim:(i+1)*inDim])
+}
+
+// rowSums sets dst[r] to the sum of row r of src (len(dst) rows of cols), each
+// row added left to right. A row's sum is one chain of dependent additions,
+// so four rows advance side by side: four chains in flight instead of one,
+// every one in its own order.
+func rowSums[F tensor.Float](dst, src []F, cols int) {
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		r0, r1 := src[r*cols:(r+1)*cols], src[(r+1)*cols:(r+2)*cols]
+		r2, r3 := src[(r+2)*cols:(r+3)*cols], src[(r+3)*cols:(r+4)*cols]
+		var s0, s1, s2, s3 F
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(dst); r++ {
+		var sum F
+		for _, v := range src[r*cols : (r+1)*cols] {
+			sum += v
+		}
+		dst[r] = sum
+	}
 }
 
 // Backward propagates gradients. Per-sample weight/bias gradient
@@ -222,25 +246,15 @@ func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Te
 		c.call.dxd = dx.Data()
 	}
 	// Per-sample gradient contributions, reduced in order afterwards.
-	dWs := uninitF[F](c.arena, batch*c.OutC*patch)
-	dBs := uninitF[F](c.arena, batch*c.OutC)
-	c.call.xd, c.call.dd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dWs, dBs
+	dWs := uninitT[F](c.arena, batch, c.OutC*patch)
+	dBs := uninitT[F](c.arena, batch, c.OutC)
+	c.call.xd, c.call.dd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dWs.Data(), dBs.Data()
 	parallelSamples(batch, c.heavy(batch), &c.bwdPool, &c.bwdRun)
 	c.call.xd, c.call.dd, c.call.dxd, c.call.dWs, c.call.dBs = nil, nil, nil, nil, nil
-	// Deterministic reduction in sample order.
-	wg := c.W.Grad.Data()
-	for i := 0; i < batch; i++ {
-		chunk := dWs[i*len(wg) : (i+1)*len(wg)]
-		for j := range wg {
-			wg[j] += chunk[j]
-		}
-	}
-	bg := c.B.Grad.Data()
-	for i := 0; i < batch; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bg[oc] += dBs[i*c.OutC+oc]
-		}
-	}
+	// Deterministic reduction in sample order: each gradient element is one
+	// chain of additions, sample 0 first.
+	c.W.Grad.AddRows(dWs)
+	c.B.Grad.AddRows(dBs)
 	c.x = nil
 	return dx
 }

@@ -341,3 +341,91 @@ func TestDropoutMatchesReference(t *testing.T) {
 		t.Fatalf("backward differs from the reference at %d", i)
 	}
 }
+
+// refSGDStep is SGD.Step as it was before its no-momentum body moved to
+// tensor.SGDStep: one scalar loop over a parameter, both branches. Its
+// products are written as the conversions amd64 performs anyway, so that it
+// is the same reference where the compiler may fuse (GOAMD64=v3, arm64).
+func refSGDStep[F tensor.Float](lr, momentum, wd float64, w, g, vd []F) {
+	for i := range w {
+		if momentum > 0 {
+			grad := float64(g[i]) + float64(wd*float64(w[i]))
+			vd[i] = F(float64(momentum*float64(vd[i])) + grad)
+			w[i] = F(float64(w[i]) - float64(lr*float64(vd[i])))
+		} else {
+			w[i] = F(float64(w[i]) - float64(lr*(float64(g[i])+float64(wd*float64(w[i])))))
+		}
+	}
+}
+
+func testSGDStepMatchesReference[F tensor.Float](t *testing.T) {
+	r := rng.New(25)
+	draw := func(n, off int) []F { // n values, off elements into their buffer: every alignment
+		s := make([]F, off+n)[off:]
+		for i := range s {
+			s[i] = F(r.Normal(0, 1))
+		}
+		return s
+	}
+	for _, momentum := range []float64{0, 0.9} {
+		for _, wd := range []float64{0, 1e-4, 0.3} {
+			for n := 1; n <= 17; n++ {
+				for off := 0; off < 4; off++ {
+					w0, g := draw(n, off), draw(n, (off+1)%4)
+					want, vd := append([]F(nil), w0...), make([]F, n)
+					for step := 0; step < 3; step++ { // the velocity carries over
+						refSGDStep(0.05, momentum, wd, want, g, vd)
+					}
+					forEachKernelPath(t, func(path string) {
+						p := &ParamOf[F]{Name: "p", Value: tensor.FromSliceOf(append(make([]F, off), w0...)[off:], n), Grad: tensor.FromSliceOf(g, n)}
+						opt := NewSGDOf[F](0.05, momentum, wd)
+						for step := 0; step < 3; step++ {
+							opt.Step([]*ParamOf[F]{p})
+						}
+						if i := sameBits(want, p.Value.Data()); i >= 0 {
+							t.Fatalf("%s momentum=%v wd=%v n=%d off=%d: w[%d] = %v, the scalar step gives %v", path, momentum, wd, n, off, i, p.Value.Data()[i], want[i])
+						}
+					})
+				}
+			}
+		}
+	}
+	// An optimizer with nothing to update, and a parameter of no elements.
+	NewSGDOf[F](0.05, 0, 1e-4).Step(nil)
+	tensor.SGDStep[F](nil, nil, 0.05, 1e-4)
+}
+
+// TestSGDStepMatchesReference: the optimizer equals its scalar loop bit for
+// bit with and without momentum and weight decay, over three steps, at
+// lengths 1–17 and every alignment of weights and gradients, on both kernel
+// paths.
+func TestSGDStepMatchesReference(t *testing.T) {
+	t.Run("f64", testSGDStepMatchesReference[float64])
+	t.Run("f32", testSGDStepMatchesReference[float32])
+}
+
+// TestRowSumsMatchesSequential: four rows summed side by side give each row
+// the sum its own left-to-right loop gives it, for row counts around the
+// unrolling and for sums in which the order of the additions shows.
+func TestRowSumsMatchesSequential(t *testing.T) {
+	r := rng.New(26)
+	for rows := 0; rows <= 9; rows++ {
+		for _, cols := range []int{1, 7, 64} {
+			src := make([]float32, rows*cols)
+			for i := range src {
+				src[i] = float32(r.Normal(0, 1) * math.Pow(10, float64(r.Intn(6))))
+			}
+			want := make([]float32, rows)
+			for i := range want {
+				for _, v := range src[i*cols : (i+1)*cols] {
+					want[i] += v
+				}
+			}
+			got := make([]float32, rows)
+			rowSums(got, src, cols)
+			if i := sameBits(want, got); i >= 0 {
+				t.Fatalf("rows=%d cols=%d: sum of row %d is %v, sequentially %v", rows, cols, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -23,9 +23,11 @@ func TestEvalForwardInvalidatesBackwardCache(t *testing.T) {
 	}{
 		{"Dense", NewDense("fc", 6, 4, r), 6},
 		{"Conv2D", NewConv2D("conv", geom, 3, r), 32},
+		{"Conv2D/stride2", NewConv2D("conv2", tensor.NewConvGeom(2, 4, 4, 3, 3, 2, 1), 3, r), 32},
 		{"ReLU", NewReLU(6), 6},
 		{"BatchNorm2D", NewBatchNorm2D("bn", 2, 4, 4), 32},
 		{"MaxPool2D", NewMaxPool2D(2, 4, 4, 2, 2), 32},
+		{"MaxPool2D/8x8", NewMaxPool2D(2, 8, 8, 2, 2), 128},
 		{"LSTM", NewLSTM("rnn", 3, 4, 2, 2, r), 6},
 		{"Residual", NewResidual([]Layer{NewBatchNorm2D("rbn", 2, 4, 4), NewReLU(32)}, nil, 32), 32},
 	}

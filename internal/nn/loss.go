@@ -48,7 +48,7 @@ func SoftmaxCrossEntropyInto[F tensor.Float](logits *tensor.TensorOf[F], labels 
 		if y < 0 || y >= classes {
 			panic("nn: SoftmaxCrossEntropy label out of range")
 		}
-		loss += (logZ - float64(row[y])) * invB
+		loss += float64((logZ - float64(row[y])) * invB) // rounded before it is added: never fused
 		drow := dd[b*classes : (b+1)*classes]
 		for j, v := range row {
 			drow[j] = F(math.Exp(float64(v)-logZ) * invB)

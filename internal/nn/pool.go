@@ -73,7 +73,9 @@ func (r *poolFwdRunnerOf[F]) sample(i int, _ any) {
 		am = p.call.argmax[i*outDim : (i+1)*outDim]
 	}
 	if p.K == 2 && p.Stride == 2 {
-		p.sample2x2(xs, ys, am)
+		// The window every model here uses: sampleGeneric's chain of strict
+		// comparisons in the same order, at vector width.
+		tensor.MaxPool2x2(ys, am, xs, p.C, p.H, p.W)
 	} else {
 		p.sampleGeneric(xs, ys, am)
 	}
@@ -105,43 +107,6 @@ func (p *MaxPool2DOf[F]) sampleGeneric(xs, ys []F, am []int32) {
 					am[oi] = int32(bestOff)
 				}
 				oi++
-			}
-		}
-	}
-}
-
-// sample2x2 is sampleGeneric for the 2×2, stride-2 window every model here
-// uses, with the window unrolled over two input rows. It keeps the same
-// chain of strict comparisons in the same order — top-left, top-right,
-// bottom-left, bottom-right — because a pairwise tournament picks a different
-// winner when the window holds a NaN (which loses every comparison, wherever
-// it stands, unless it stands first).
-func (p *MaxPool2DOf[F]) sample2x2(xs, ys []F, am []int32) {
-	w, ow := p.W, p.OutW
-	for c := 0; c < p.C; c++ {
-		for oy := 0; oy < p.OutH; oy++ {
-			top := (c*p.H + 2*oy) * w
-			r0, r1 := xs[top:top+2*ow], xs[top+w:top+w+2*ow]
-			out := ys[(c*p.OutH+oy)*ow : (c*p.OutH+oy+1)*ow]
-			var win []int32
-			if am != nil {
-				win = am[(c*p.OutH+oy)*ow : (c*p.OutH+oy+1)*ow]
-			}
-			for ox := range out {
-				best, off := r0[2*ox], top+2*ox
-				if v := r0[2*ox+1]; v > best {
-					best, off = v, top+2*ox+1
-				}
-				if v := r1[2*ox]; v > best {
-					best, off = v, top+w+2*ox
-				}
-				if v := r1[2*ox+1]; v > best {
-					best, off = v, top+w+2*ox+1
-				}
-				out[ox] = best
-				if win != nil {
-					win[ox] = int32(off)
-				}
 			}
 		}
 	}

@@ -32,26 +32,29 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 //	g   = grad + wd·w
 //	v   = μ·v + g        (momentum buffer, if μ > 0)
 //	w  -= lr · v
+//
+// Every product is an explicit conversion, which no compiler may fuse with
+// the sum or difference that consumes it, so a step is the same on every
+// machine; without momentum it is tensor.SGDStep, the same arithmetic four
+// weights at a time.
 func (s *SGDOf[F]) Step(params []*ParamOf[F]) {
 	for _, p := range params {
 		w := p.Value.Data()
 		g := p.Grad.Data()
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.NewOf[F](p.Value.Shape()...)
-				s.velocity[p] = v
-			}
-			vd := v.Data()
-			for i := range w {
-				grad := float64(g[i]) + s.WeightDecay*float64(w[i])
-				vd[i] = F(s.Momentum*float64(vd[i]) + grad)
-				w[i] = F(float64(w[i]) - s.LR*float64(vd[i]))
-			}
-		} else {
-			for i := range w {
-				w[i] = F(float64(w[i]) - s.LR*(float64(g[i])+s.WeightDecay*float64(w[i])))
-			}
+		if s.Momentum <= 0 {
+			tensor.SGDStep(w, g, s.LR, s.WeightDecay)
+			continue
+		}
+		v, ok := s.velocity[p]
+		if !ok {
+			v = tensor.NewOf[F](p.Value.Shape()...)
+			s.velocity[p] = v
+		}
+		vd := v.Data()
+		for i := range w {
+			grad := float64(g[i]) + float64(s.WeightDecay*float64(w[i]))
+			vd[i] = F(float64(s.Momentum*float64(vd[i])) + grad)
+			w[i] = F(float64(w[i]) - float64(s.LR*float64(vd[i])))
 		}
 	}
 }

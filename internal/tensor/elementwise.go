@@ -163,3 +163,164 @@ func lstmGateGradGo[F Float](dgates, dcPrev, act, tanhC, cPrev, dh, dcNext []F, 
 		}
 	}
 }
+
+// The layers between the products — ReLU, its backward gate, 2×2 max pooling
+// and the plain SGD update — are a load, a compare or an add, and a store per
+// element; once the products run at vector width a scalar loop over them
+// costs as much as the product beside it. Each has a vector body for the
+// whole groups of a slice and a portable loop that finishes the slice, runs
+// on every other machine and is the definition the vector body is tested
+// against, special values included.
+
+// ReLU sets dst[i] = max(src[i], 0) and, when mask is not nil, mask[i] =
+// !(src[i] <= 0): a NaN stays a NaN and counts as active. dst (and mask) must
+// be at least as long as src.
+func ReLU[F Float](dst, src []F, mask []bool) {
+	n := len(src)
+	dst = dst[:n]
+	if mask != nil {
+		mask = mask[:n]
+	}
+	from := 0
+	if useAVX2 {
+		if sizeofF[F]() == 4 {
+			from = n &^ 7
+			reluAVX2F32(ptr32(dst), ptr32(src), unsafe.SliceData(mask), from)
+		} else {
+			from = n &^ 3
+			reluAVX2F64(ptr64(dst), ptr64(src), unsafe.SliceData(mask), from)
+		}
+	}
+	// Branch-free: on activations of random sign a branch per element is
+	// mispredicted half the time.
+	if mask == nil {
+		for i := from; i < n; i++ {
+			dst[i] = max(src[i], 0)
+		}
+		return
+	}
+	for i := from; i < n; i++ {
+		v := src[i]
+		dst[i] = max(v, 0)
+		mask[i] = !(v <= 0)
+	}
+}
+
+// GateByMask sets dst[i] = src[i] where mask[i] is set and +0 elsewhere, by
+// and-ing the value's bits with an all-ones or all-zeros word: no branch to
+// mispredict on a mask of random sign, and — unlike a multiply by 0 or 1 — an
+// active NaN or ±Inf passes through bit for bit and a gated one becomes +0.
+func GateByMask[F Float](dst, src []F, mask []bool) {
+	n := len(src)
+	dst, mask = dst[:n], mask[:n]
+	from := 0
+	if sizeofF[F]() == 4 {
+		if useAVX2 {
+			from = n &^ 7
+			gateAVX2F32(ptr32(dst), ptr32(src), unsafe.SliceData(mask), from)
+		}
+		for i := from; i < n; i++ {
+			var keep uint32
+			if mask[i] {
+				keep = 1
+			}
+			dst[i] = F(math.Float32frombits(math.Float32bits(float32(src[i])) & -keep))
+		}
+		return
+	}
+	if useAVX2 {
+		from = n &^ 3
+		gateAVX2F64(ptr64(dst), ptr64(src), unsafe.SliceData(mask), from)
+	}
+	for i := from; i < n; i++ {
+		var keep uint64
+		if mask[i] {
+			keep = 1
+		}
+		dst[i] = F(math.Float64frombits(math.Float64bits(float64(src[i])) & -keep))
+	}
+}
+
+// MaxPool2x2 pools one sample xs of c channels of h×w pixels with a 2×2
+// window at stride 2 into ys (c·(h/2)·(w/2)) and, when am is not nil, the
+// offset in xs of each output's winner into am. A window is reduced by one
+// chain of strict comparisons — top-left, top-right, bottom-left,
+// bottom-right — so the first of equal maxima wins and a NaN never displaces
+// anything: it wins only from the first position, where nothing is compared
+// with it. A pairwise tournament would pick another winner from a window
+// that holds a NaN.
+func MaxPool2x2[F Float](ys []F, am []int32, xs []F, c, h, w int) {
+	oh, ow := h/2, w/2
+	if oh == 0 || ow == 0 {
+		return
+	}
+	_, _ = xs[c*h*w-1], ys[c*oh*ow-1] // the assembly checks no bounds
+	if am != nil {
+		_ = am[c*oh*ow-1]
+	}
+	from := 0
+	if useAVX2 && ow >= 4 {
+		from = ow &^ 3
+		for ch := 0; ch < c; ch++ {
+			var amc *int32
+			if am != nil {
+				amc = &am[ch*oh*ow]
+			}
+			if sizeofF[F]() == 4 {
+				maxPool2x2AVX2F32(ptr32(ys[ch*oh*ow:]), amc, ptr32(xs[ch*h*w:]), oh, from/4, w, ow, ch*h*w)
+			} else {
+				maxPool2x2AVX2F64(ptr64(ys[ch*oh*ow:]), amc, ptr64(xs[ch*h*w:]), oh, from/4, w, ow, ch*h*w)
+			}
+		}
+	}
+	if from == ow {
+		return
+	}
+	for r := 0; r < c*oh; r++ {
+		top := (r/oh*h + 2*(r%oh)) * w
+		r0, r1 := xs[top:top+2*ow], xs[top+w:top+w+2*ow]
+		out := ys[r*ow : (r+1)*ow]
+		var win []int32
+		if am != nil {
+			win = am[r*ow : (r+1)*ow]
+		}
+		for ox := from; ox < ow; ox++ {
+			best, off := r0[2*ox], top+2*ox
+			if v := r0[2*ox+1]; v > best {
+				best, off = v, top+2*ox+1
+			}
+			if v := r1[2*ox]; v > best {
+				best, off = v, top+w+2*ox
+			}
+			if v := r1[2*ox+1]; v > best {
+				best, off = v, top+w+2*ox+1
+			}
+			out[ox] = best
+			if win != nil {
+				win[ox] = int32(off)
+			}
+		}
+	}
+}
+
+// SGDStep applies w[i] −= lr·(g[i] + wd·w[i]) in float64 whatever F is,
+// rounding each updated weight once to F on store. Both products are
+// explicit conversions, which no compiler may fuse with the sum and the
+// difference that consume them: the update is the same on every machine.
+func SGDStep[F Float](w, g []F, lr, wd float64) {
+	n := len(w)
+	g = g[:n]
+	from := 0
+	if useAVX2 {
+		from = n &^ 3
+		if sizeofF[F]() == 4 {
+			sgdStepAVX2F32(ptr32(w), ptr32(g), from, lr, wd)
+		} else {
+			sgdStepAVX2F64(ptr64(w), ptr64(g), from, lr, wd)
+		}
+	}
+	for i := from; i < n; i++ {
+		wi := float64(w[i])
+		w[i] = F(wi - float64(lr*(float64(g[i])+float64(wd*wi))))
+	}
+}

@@ -64,3 +64,27 @@ func lstmGateGradAVX2F64(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float64,
 
 //go:noescape
 func lstmGateGradAVX2F32(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float32, hid, rows int)
+
+//go:noescape
+func reluAVX2F64(dst, src *float64, mask *bool, n int)
+
+//go:noescape
+func reluAVX2F32(dst, src *float32, mask *bool, n int)
+
+//go:noescape
+func gateAVX2F64(dst, src *float64, mask *bool, n int)
+
+//go:noescape
+func gateAVX2F32(dst, src *float32, mask *bool, n int)
+
+//go:noescape
+func maxPool2x2AVX2F64(ys *float64, am *int32, xs *float64, rows, groups, w, ow, base int)
+
+//go:noescape
+func maxPool2x2AVX2F32(ys *float32, am *int32, xs *float32, rows, groups, w, ow, base int)
+
+//go:noescape
+func sgdStepAVX2F64(w, grad *float64, n int, lr, wd float64)
+
+//go:noescape
+func sgdStepAVX2F32(w, grad *float32, n int, lr, wd float64)

@@ -309,3 +309,373 @@ TEXT ·lstmGateGradAVX2F32(SB), NOSPLIT, $0-72
 #undef ST4
 #undef ESIZE
 #undef GSHIFT
+
+// The layers between the products at vector width: ReLU with its mask, the
+// mask's gate, 2×2 max pooling with its argmax, and the plain SGD update.
+// elementwise.go has each one's contract and the loop it is tested against.
+
+DATA lyc<>+0(SB)/8, $0x7FFFFFFF7FFFFFFF  // |x| of eight floats
+DATA lyc<>+8(SB)/8, $0x7FFFFFFF7FFFFFFF
+DATA lyc<>+16(SB)/8, $0x7FFFFFFF7FFFFFFF
+DATA lyc<>+24(SB)/8, $0x7FFFFFFF7FFFFFFF
+DATA lyc<>+32(SB)/8, $0x0101010101010101  // true, sixteen times
+DATA lyc<>+40(SB)/8, $0x0101010101010101
+DATA lyc<>+48(SB)/8, $0                   // input offsets of a group's outputs, in the
+DATA lyc<>+56(SB)/8, $4                   // lane order the de-interleave leaves them:
+DATA lyc<>+64(SB)/8, $2                   // doubles 0 2 1 3 …
+DATA lyc<>+72(SB)/8, $6
+DATA lyc<>+80(SB)/8, $0x0000000200000000  // … floats 0 1 2 3
+DATA lyc<>+88(SB)/8, $0x0000000600000004
+GLOBL lyc<>(SB), RODATA, $96
+
+#define ABSMASK32 lyc<>+0(SB)
+#define TRUES     lyc<>+32(SB)
+#define POOLIDX64 lyc<>+48(SB)
+#define POOLIDX32 lyc<>+80(SB)
+
+// func reluAVX2F64(dst, src *float64, mask *bool, n int)
+//
+// dst[i] = max(src[i], 0) as the compiler's max has it — +0 for −0, a NaN
+// kept with its payload and a cleared sign: VMAXPD returns its second source
+// on a NaN or a tie, and the sign goes afterwards — and, unless mask is nil,
+// mask[i] = !(src[i] <= 0); n a multiple of 4.
+TEXT ·reluAVX2F64(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), DX
+	MOVQ n+24(FP), CX
+	VXORPD Y15, Y15, Y15
+	VMOVUPD ABSMASK, Y14
+	VMOVDQU TRUES, X13
+	XORQ AX, AX
+relu64:
+	CMPQ AX, CX
+	JGE  relu64done
+	VMOVUPD (SI)(AX*8), Y0
+	VMAXPD  Y0, Y15, Y1
+	VANDPD  Y14, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	TESTQ DX, DX
+	JEQ  relu64next
+	VCMPPD  $0x16, Y15, Y0, Y2    // not (x <= 0), true for a NaN
+	VEXTRACTF128 $1, Y2, X3
+	VSHUFPS $0x88, X3, X2, X2     // the four low halves
+	VPACKSSDW X2, X2, X2
+	VPACKSSWB X2, X2, X2
+	VPAND   X13, X2, X2
+	VMOVD   X2, (DX)(AX*1)
+relu64next:
+	ADDQ $4, AX
+	JMP  relu64
+relu64done:
+	VZEROUPPER
+	RET
+
+// func reluAVX2F32(dst, src *float32, mask *bool, n int)
+//
+// The float32 form; n a multiple of 8.
+TEXT ·reluAVX2F32(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), DX
+	MOVQ n+24(FP), CX
+	VXORPS Y15, Y15, Y15
+	VMOVUPS ABSMASK32, Y14
+	VMOVDQU TRUES, X13
+	XORQ AX, AX
+relu32:
+	CMPQ AX, CX
+	JGE  relu32done
+	VMOVUPS (SI)(AX*4), Y0
+	VMAXPS  Y0, Y15, Y1
+	VANDPS  Y14, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	TESTQ DX, DX
+	JEQ  relu32next
+	VCMPPS  $0x16, Y15, Y0, Y2
+	VEXTRACTF128 $1, Y2, X3
+	VPACKSSDW X3, X2, X2
+	VPACKSSWB X2, X2, X2
+	VPAND   X13, X2, X2
+	VMOVQ   X2, (DX)(AX*1)
+relu32next:
+	ADDQ $8, AX
+	JMP  relu32
+relu32done:
+	VZEROUPPER
+	RET
+
+// func gateAVX2F64(dst, src *float64, mask *bool, n int)
+// func gateAVX2F32(dst, src *float32, mask *bool, n int)
+//
+// dst[i] = src[i] where mask[i], else +0, by and-ing the value's bits with
+// 0 − mask[i] widened to the lane; n a multiple of 4 (8).
+TEXT ·gateAVX2F64(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPXOR Y15, Y15, Y15
+	XORQ AX, AX
+gate64:
+	CMPQ AX, CX
+	JGE  gate64done
+	VPMOVZXBQ (DX)(AX*1), Y1
+	VPSUBQ  Y1, Y15, Y1
+	VPAND   (SI)(AX*8), Y1, Y1
+	VMOVDQU Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  gate64
+gate64done:
+	VZEROUPPER
+	RET
+
+TEXT ·gateAVX2F32(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPXOR Y15, Y15, Y15
+	XORQ AX, AX
+gate32:
+	CMPQ AX, CX
+	JGE  gate32done
+	VPMOVZXBD (DX)(AX*1), Y1
+	VPSUBD  Y1, Y15, Y1
+	VPAND   (SI)(AX*4), Y1, Y1
+	VMOVDQU Y1, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  gate32
+gate32done:
+	VZEROUPPER
+	RET
+
+// func maxPool2x2AVX2F64(ys *float64, am *int32, xs *float64, rows, groups, w, ow, base int)
+//
+// One channel of 2×2, stride-2 max pooling: for each of rows output rows and
+// each of groups groups of four outputs in it, the two input rows are split
+// into even and odd columns and the window is reduced by the scalar loop's
+// chain — top-left, then top-right, bottom-left, bottom-right, each taking
+// over only if greater (GT_OQ: never on a tie, never a NaN) — with the
+// winner's input offset blended alongside. Input rows are w elements long,
+// output rows ow; the offsets count from base at the channel's first pixel;
+// am may be nil.
+//
+//	DI ys row  R8 am row  SI top input row  BX bottom input row  R9 w in bytes
+//	R11 2w in bytes  R12 ow in bytes  R13 ow in am bytes  R14 offset of the
+//	row pair  R15 2w  AX input offset  DX output index  CX groups left  R10 rows left
+//	Y12 offsets of the group's top-left pixels  Y13 1  Y14 w  Y15 w+1  Y11 8
+TEXT ·maxPool2x2AVX2F64(SB), NOSPLIT, $0-64
+	MOVQ ys+0(FP), DI
+	MOVQ am+8(FP), R8
+	MOVQ xs+16(FP), SI
+	MOVQ rows+24(FP), R10
+	MOVQ w+40(FP), R9
+	MOVQ ow+48(FP), R12
+	MOVQ base+56(FP), R14
+	MOVQ $1, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13
+	VMOVQ R9, X14
+	VPBROADCASTQ X14, Y14
+	VPADDQ Y13, Y14, Y15
+	MOVQ $8, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11
+	LEAQ (R9)(R9*1), R15
+	SHLQ $3, R9
+	LEAQ (R9)(R9*1), R11
+	LEAQ (R12*4), R13
+	SHLQ $3, R12
+pool64row:
+	VMOVQ R14, X12
+	VPBROADCASTQ X12, Y12
+	VPADDQ POOLIDX64, Y12, Y12
+	LEAQ (SI)(R9*1), BX
+	XORQ AX, AX
+	XORQ DX, DX
+	MOVQ groups+32(FP), CX
+pool64col:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD 32(SI)(AX*1), Y1
+	VMOVUPD (BX)(AX*1), Y2
+	VMOVUPD 32(BX)(AX*1), Y3
+	VUNPCKLPD Y1, Y0, Y4          // top-left of outputs 0 2 1 3: the best so far
+	VUNPCKHPD Y1, Y0, Y5          // top-right
+	VUNPCKLPD Y3, Y2, Y6          // bottom-left
+	VUNPCKHPD Y3, Y2, Y7          // bottom-right
+	VCMPPD    $0x1E, Y4, Y5, Y9
+	VBLENDVPD Y9, Y5, Y4, Y4
+	VPADDQ    Y13, Y12, Y10
+	VBLENDVPD Y9, Y10, Y12, Y8
+	VCMPPD    $0x1E, Y4, Y6, Y9
+	VBLENDVPD Y9, Y6, Y4, Y4
+	VPADDQ    Y14, Y12, Y10
+	VBLENDVPD Y9, Y10, Y8, Y8
+	VCMPPD    $0x1E, Y4, Y7, Y9
+	VBLENDVPD Y9, Y7, Y4, Y4
+	VPADDQ    Y15, Y12, Y10
+	VBLENDVPD Y9, Y10, Y8, Y8
+	VPERMPD   $0xD8, Y4, Y4       // back to 0 1 2 3
+	VMOVUPD   Y4, (DI)(DX*8)
+	TESTQ R8, R8
+	JEQ  pool64next
+	VPERMPD   $0xD8, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VSHUFPS   $0x88, X9, X8, X8   // the four low halves
+	VMOVUPS   X8, (R8)(DX*4)
+pool64next:
+	VPADDQ Y11, Y12, Y12
+	ADDQ $64, AX
+	ADDQ $4, DX
+	DECQ CX
+	JNE  pool64col
+	ADDQ R11, SI
+	ADDQ R12, DI
+	TESTQ R8, R8
+	JEQ  pool64noam
+	ADDQ R13, R8
+pool64noam:
+	ADDQ R15, R14
+	DECQ R10
+	JNE  pool64row
+	VZEROUPPER
+	RET
+
+// func maxPool2x2AVX2F32(ys *float32, am *int32, xs *float32, rows, groups, w, ow, base int)
+//
+// The float32 form, still four outputs to a group: the model's second pooling
+// layer has four to a row. Registers as above with 128-bit vectors, offsets
+// in 32-bit lanes, the even/odd split by VSHUFPS, which keeps the order.
+//
+//	R9, R11, R12 in float bytes; X12 offsets  X13 1  X14 w  X15 w+1  X11 8
+TEXT ·maxPool2x2AVX2F32(SB), NOSPLIT, $0-64
+	MOVQ ys+0(FP), DI
+	MOVQ am+8(FP), R8
+	MOVQ xs+16(FP), SI
+	MOVQ rows+24(FP), R10
+	MOVQ w+40(FP), R9
+	MOVQ ow+48(FP), R12
+	MOVQ base+56(FP), R14
+	MOVQ $1, AX
+	VMOVQ AX, X13
+	VPBROADCASTD X13, X13
+	VMOVQ R9, X14
+	VPBROADCASTD X14, X14
+	VPADDD X13, X14, X15
+	MOVQ $8, AX
+	VMOVQ AX, X11
+	VPBROADCASTD X11, X11
+	LEAQ (R9)(R9*1), R15
+	SHLQ $2, R9
+	LEAQ (R9)(R9*1), R11
+	SHLQ $2, R12
+pool32row:
+	VMOVQ R14, X12
+	VPBROADCASTD X12, X12
+	VPADDD POOLIDX32, X12, X12
+	LEAQ (SI)(R9*1), BX
+	XORQ AX, AX
+	XORQ DX, DX
+	MOVQ groups+32(FP), CX
+pool32col:
+	VMOVUPS (SI)(AX*1), X0
+	VMOVUPS 16(SI)(AX*1), X1
+	VMOVUPS (BX)(AX*1), X2
+	VMOVUPS 16(BX)(AX*1), X3
+	VSHUFPS $0x88, X1, X0, X4     // top-left: the best so far
+	VSHUFPS $0xDD, X1, X0, X5     // top-right
+	VSHUFPS $0x88, X3, X2, X6     // bottom-left
+	VSHUFPS $0xDD, X3, X2, X7     // bottom-right
+	VCMPPS    $0x1E, X4, X5, X9
+	VBLENDVPS X9, X5, X4, X4
+	VPADDD    X13, X12, X10
+	VBLENDVPS X9, X10, X12, X8
+	VCMPPS    $0x1E, X4, X6, X9
+	VBLENDVPS X9, X6, X4, X4
+	VPADDD    X14, X12, X10
+	VBLENDVPS X9, X10, X8, X8
+	VCMPPS    $0x1E, X4, X7, X9
+	VBLENDVPS X9, X7, X4, X4
+	VPADDD    X15, X12, X10
+	VBLENDVPS X9, X10, X8, X8
+	VMOVUPS   X4, (DI)(DX*4)
+	TESTQ R8, R8
+	JEQ  pool32next
+	VMOVDQU   X8, (R8)(DX*4)
+pool32next:
+	VPADDD X11, X12, X12
+	ADDQ $32, AX
+	ADDQ $4, DX
+	DECQ CX
+	JNE  pool32col
+	ADDQ R11, SI
+	ADDQ R12, DI
+	TESTQ R8, R8
+	JEQ  pool32noam
+	ADDQ R12, R8
+pool32noam:
+	ADDQ R15, R14
+	DECQ R10
+	JNE  pool32row
+	RET
+
+// SGDUPDATE turns the weights in Y0 and their gradients in Y2, both as
+// doubles, into the updated weights in Y0: w − lr·(grad + wd·w) with lr in Y14
+// and wd in Y15, the two products, the sum and the difference each rounded on
+// its own. Both dtypes share it, so the float64 test covers the arithmetic of
+// the float32 kernel too — whose own outputs would hide a fused step behind
+// their rounding to float all but once in 2²⁹ weights.
+#define SGDUPDATE \
+	VMULPD Y0, Y15, Y1; \
+	VADDPD Y1, Y2, Y1;  \
+	VMULPD Y1, Y14, Y1; \
+	VSUBPD Y1, Y0, Y0
+
+// func sgdStepAVX2F64(w, grad *float64, n int, lr, wd float64)
+//
+// w[i] = w[i] − lr·(grad[i] + wd·w[i]); n a multiple of 4.
+TEXT ·sgdStepAVX2F64(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD lr+24(FP), Y14
+	VBROADCASTSD wd+32(FP), Y15
+	XORQ AX, AX
+sgd64:
+	CMPQ AX, CX
+	JGE  sgd64done
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD (SI)(AX*8), Y2
+	SGDUPDATE
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sgd64
+sgd64done:
+	VZEROUPPER
+	RET
+
+// func sgdStepAVX2F32(w, grad *float32, n int, lr, wd float64)
+//
+// The float32 form: four weights at a time widened to doubles, the same
+// arithmetic, and each result rounded once to a float on store.
+TEXT ·sgdStepAVX2F32(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD lr+24(FP), Y14
+	VBROADCASTSD wd+32(FP), Y15
+	XORQ AX, AX
+sgd32:
+	CMPQ AX, CX
+	JGE  sgd32done
+	VCVTPS2PD (DI)(AX*4), Y0
+	VCVTPS2PD (SI)(AX*4), Y2
+	SGDUPDATE
+	VCVTPD2PSY Y0, X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ $4, AX
+	JMP  sgd32
+sgd32done:
+	VZEROUPPER
+	RET

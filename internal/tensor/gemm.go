@@ -527,7 +527,7 @@ func putPack[F Float](b *packBuf[F]) {
 type PackedBOf[F Float] struct {
 	data []F
 	k, n int
-	row  []F // im2col scratch: one unpacked row of the patch matrix
+	img  paddedImage[F] // the im2col writers' zero-padded copy of the image
 }
 
 // NewPackedBOf allocates a packed operand for a k×n B of element type F.

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"unsafe"
+)
 
 // ConvGeom describes the geometry of a 2-D convolution with square stride and
 // symmetric zero padding, shared by the im2col writers, Col2ImOf and the
@@ -36,102 +40,127 @@ func (g ConvGeom) ColCols() int { return g.InC * g.KH * g.KW }
 //
 //	colᵀ[q][p] = img[c][oy·stride − pad + ky][ox·stride − pad + kx]   (0 in the padding)
 //
-// In that orientation a row is the channel image seen through one kernel
-// tap: for a fixed q and output row oy, consecutive ox read consecutive (or
-// evenly strided) pixels, so rows are built from runs with the bounds tests
-// hoisted out of the inner loop — and for a stride-1, size-preserving
-// convolution a whole row is one shifted copy of the channel plus a few
-// zeroed border elements. Both writers below build a row at a time that way
-// and differ only in where they put it:
+// All three routines below work on P, the image inside its zero border:
+// P[c][y+pad][x+pad] = img[c][y][x], Hp = InH+2·pad rows of Wp = InW+2·pad
+// pixels per channel. In P a patch element is a sum of two offsets and no
+// test,
+//
+//	colᵀ[q][p] = P[tap[q] + pos[p]]     tap[q] = c·Hp·Wp + ky·Wp + kx
+//	                                    pos[p] = oy·stride·Wp + ox·stride
+//
+// so nothing below knows where the border is: the writers read zeros there,
+// Col2ImOf adds into it what a bounds test would skip, and both tables come
+// from the geometry alone (convPlan). At stride 1 a tap's view of one output
+// row is OutW consecutive pixels of P, which is what the vector bodies move:
 //
 //	Im2ColOf        B of the forward product   out[outC×pos] = W[outC×patch] · colᵀ[patch×pos]
 //	Im2ColPackedOf  B of the dW product        dW[outC×patch] = dout[outC×pos] · col[pos×patch]
 //
 // each directly in the packed-panel layout its kernel consumes; no row-major
-// patch matrix is ever materialized.
+// patch matrix is ever materialized. Every other geometry (a stride above 1,
+// an output row the vector width does not divide) and every other machine
+// reads the same P through the same two tables one element at a time; that
+// loop is also the definition the vector bodies are tested against.
 
-// validRange returns the half-open range of output coordinates o in [0, out)
-// whose input coordinate o·Stride − Pad + tap lies inside [0, in).
-func (g ConvGeom) validRange(out, in, tap int) (lo, hi int) {
-	d, top := g.Pad-tap, in-1+g.Pad-tap
-	if g.Stride == 1 { // the common case, spared two divisions per patch row
-		lo, hi = max(d, 0), top+1
+// convPlan is what the writers and Col2ImOf derive from a geometry: the shape
+// of P and the two offset tables. It is immutable and shared by every operand
+// and worker of that geometry.
+type convPlan struct {
+	hp, wp int
+	// tap[q] is the offset in P of the pixel patch element q sees at output
+	// position 0. The table is padded to whole float32 panels with the offset
+	// of P's spare all-zero plane, so the dW writer fills a ragged last panel
+	// without knowing it is one: the lanes past the patch read zeros.
+	tap []int32
+	// pos[p] is the offset from that pixel to the one the tap sees at output
+	// position p.
+	pos []int32
+}
+
+var convPlans struct {
+	sync.RWMutex
+	m map[ConvGeom]*convPlan
+}
+
+// planOf returns g's plan, built on first use: once per geometry and process,
+// so a steady-state iteration allocates nothing here.
+func planOf(g ConvGeom) *convPlan {
+	convPlans.RLock()
+	pl := convPlans.m[g]
+	convPlans.RUnlock()
+	if pl != nil {
+		return pl
+	}
+	hp, wp := g.InH+2*g.Pad, g.InW+2*g.Pad
+	patch := g.ColCols()
+	pl = &convPlan{hp: hp, wp: wp, tap: make([]int32, (patch+gemmNR32-1)/gemmNR32*gemmNR32), pos: make([]int32, g.ColRows())}
+	for q := range pl.tap {
+		pl.tap[q] = int32(g.InC * hp * wp) // the zero plane
+		if q < patch {
+			pl.tap[q] = int32(q/(g.KH*g.KW)*hp*wp + q/g.KW%g.KH*wp + q%g.KW)
+		}
+	}
+	for p := range pl.pos {
+		pl.pos[p] = int32(p/g.OutW*g.Stride*wp + p%g.OutW*g.Stride)
+	}
+	convPlans.Lock()
+	if convPlans.m == nil {
+		convPlans.m = make(map[ConvGeom]*convPlan)
+	}
+	convPlans.m[g] = pl
+	convPlans.Unlock()
+	return pl
+}
+
+// paddedImage is the P of one packed operand. The operand owns it: it is
+// allocated, zeroed, on the first image of a geometry, after which only the
+// interior is ever written — once per image — so the border and the spare
+// plane stay zero for the operand's life.
+type paddedImage[F Float] struct {
+	geom ConvGeom
+	plan *convPlan
+	p    []F
+}
+
+// load copies img into the interior of P and returns P with its plan.
+func (pi *paddedImage[F]) load(g ConvGeom, img []F) ([]F, *convPlan) {
+	if pi.plan == nil || pi.geom != g {
+		pi.geom, pi.plan = g, planOf(g)
+		pi.p = make([]F, (g.InC+1)*pi.plan.hp*pi.plan.wp)
+	}
+	copyInterior(g, pi.plan, pi.p, img, false)
+	return pi.p, pi.plan
+}
+
+// copyInterior copies a flat image (InC·InH·InW) into the interior of a
+// padded one laid out by pl, or with out set the interior back into the image.
+func copyInterior[F Float](g ConvGeom, pl *convPlan, padded, img []F, out bool) {
+	in := padded[g.Pad*pl.wp+g.Pad:]
+	if out {
+		movePlanes(img, g.InW, g.InH*g.InW, in, pl.wp, pl.hp*pl.wp, g.InC, g.InH, g.InW)
 	} else {
-		if d > 0 {
-			lo = (d + g.Stride - 1) / g.Stride
-		}
-		if top >= 0 {
-			hi = top/g.Stride + 1
-		}
+		movePlanes(in, pl.wp, pl.hp*pl.wp, img, g.InW, g.InH*g.InW, g.InC, g.InH, g.InW)
 	}
-	hi = max(min(hi, out), 0)
-	return min(lo, hi), hi
 }
 
-// rowScratch returns pb's im2col row buffer, sized for n positions. It is
-// allocated on first use and lives as long as pb, so a pooled operand costs
-// nothing per image.
-func (pb *PackedBOf[F]) rowScratch(n int) []F {
-	if cap(pb.row) < n {
-		pb.row = make([]F, n)
-	}
-	return pb.row[:n]
-}
-
-// patchRow writes row q = (c, ky, kx) of colᵀ — one value per output
-// position — into row.
-func patchRow[F Float](g ConvGeom, img []F, c, ky, kx int, row []F) {
-	ch := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-	oyLo, oyHi := g.validRange(g.OutH, g.InH, ky)
-	oxLo, oxHi := g.validRange(g.OutW, g.InW, kx)
-	ow := g.OutW
-	if oxLo == oxHi {
-		oyHi = oyLo // the tap sees only padding
-	}
-	clear(row[:oyLo*ow])
-	clear(row[oyHi*ow:])
-	if oyLo == oyHi {
+// movePlanes copies planes × rows runs of cols elements: run i of plane c
+// from src[c·srcPlane + i·srcStride:] to dst[c·dstPlane + i·dstStride:]. An
+// image row is 4 to 16 elements, for which a memmove call costs several
+// times the move.
+func movePlanes[F Float](dst []F, dstStride, dstPlane int, src []F, srcStride, srcPlane, planes, rows, cols int) {
+	if planes <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	if g.Stride == 1 && g.OutW == g.InW {
-		// Output row oy starts at pixel (oy−pad+ky)·InW + (kx−pad): with equal
-		// widths that is position + a constant, so the valid rows are one
-		// contiguous copy. It drags along the pixels that wrap around a row
-		// end into the padding columns, which are zeroed next.
-		off := (ky-g.Pad)*g.InW + kx - g.Pad
-		a, b := oyLo*ow, oyHi*ow
-		if a+off < 0 {
-			a = -off
-		}
-		if b+off > len(ch) {
-			b = len(ch) - off
-		}
-		copy(row[a:b], ch[a+off:b+off])
-		// Column-major over the few padding columns: one long strided loop
-		// each, instead of two short unpredictable ones per output row.
-		valid := row[oyLo*ow : oyHi*ow]
-		zeroColumn := func(ox int) {
-			for p := ox; p < len(valid); p += ow {
-				valid[p] = 0
-			}
-		}
-		for ox := 0; ox < oxLo; ox++ {
-			zeroColumn(ox)
-		}
-		for ox := oxHi; ox < ow; ox++ {
-			zeroColumn(ox)
-		}
+	// The assembly checks no bounds.
+	_ = dst[(planes-1)*dstPlane+(rows-1)*dstStride+cols-1]
+	_ = src[(planes-1)*srcPlane+(rows-1)*srcStride+cols-1]
+	if sz := sizeofF[F](); useAVX2 && cols*sz%16 == 0 {
+		movePlanesAVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), planes, rows, cols*sz, dstStride*sz, srcStride*sz, dstPlane*sz, srcPlane*sz)
 		return
 	}
-	for oy := oyLo; oy < oyHi; oy++ {
-		src := ch[(oy*g.Stride-g.Pad+ky)*g.InW:]
-		dst := row[oy*ow : (oy+1)*ow]
-		clear(dst[:oxLo])
-		clear(dst[oxHi:])
-		si := oxLo*g.Stride - g.Pad + kx
-		for ox := oxLo; ox < oxHi; ox++ {
-			dst[ox] = src[si]
-			si += g.Stride
+	for c := 0; c < planes; c++ {
+		for i := 0; i < rows; i++ {
+			copy(dst[c*dstPlane+i*dstStride:][:cols], src[c*srcPlane+i*srcStride:][:cols])
 		}
 	}
 }
@@ -149,23 +178,42 @@ func Im2ColOf[F Float](g ConvGeom, img []F, pb *PackedBOf[F]) {
 	if pb.k != patch || pb.n != pos {
 		panic(fmt.Sprintf("tensor: Im2Col packed shape [%d %d], want [%d %d]", pb.k, pb.n, patch, pos))
 	}
-	nr := gemmNROf[F]()
-	row := pb.rowScratch(pos)
-	full := pos / nr * nr
-	q := 0
-	for c := 0; c < g.InC; c++ {
-		for ky := 0; ky < g.KH; ky++ {
-			for kx := 0; kx < g.KW; kx++ {
-				patchRow(g, img, c, ky, kx, row)
-				// Row q of every panel, 64 bytes at a time.
-				copyPanelRows(pb.data[q*nr:], patch*nr, row, nr, full/nr, nr)
-				if full < pos {
-					copyPanelRows(pb.data[full*patch+q*nr:], nr, row[full:], nr, 1, pos-full)
-				}
-				q++
+	p, pl := pb.img.load(g, img)
+	nr, sz := gemmNROf[F](), sizeofF[F]()
+	// A panel row is 64 bytes of consecutive positions. When an output row is
+	// a whole number of them, or a half or a quarter of one, every panel row
+	// is one, two or four runs of P at the same places for every tap:
+	// fixed-width moves and no other case.
+	if seg := segmentBytes(g.OutW * sz); useAVX2 && g.Stride == 1 && seg != 0 && pos%nr == 0 && patch > 0 {
+		im2colSegsAVX2(unsafe.Pointer(&pb.data[0]), unsafe.Pointer(&p[0]), &pl.tap[0], patch, &pl.pos[0], pos/nr, nr, seg, pl.wp*sz, sz/4+1)
+		return
+	}
+	for j0 := 0; j0 < pos; j0 += nr {
+		at := pl.pos[j0:min(j0+nr, pos)]
+		panel := pb.data[j0*patch : j0*patch+patch*nr]
+		for q := 0; q < patch; q++ {
+			row, src := panel[q*nr:q*nr+nr], p[pl.tap[q]:]
+			for jj, o := range at {
+				row[jj] = src[o]
+			}
+			for jj := len(at); jj < nr; jj++ {
+				row[jj] = 0
 			}
 		}
 	}
+}
+
+// segmentBytes returns the width of the runs a forward panel row is made of
+// when an output row is rowBytes long — 64, 32 or 16 bytes — or 0 when the
+// runs have no one width.
+func segmentBytes(rowBytes int) int {
+	switch {
+	case rowBytes%64 == 0:
+		return 64
+	case rowBytes == 32, rowBytes == 16:
+		return rowBytes
+	}
+	return 0
 }
 
 // Im2ColPackedOf expands one image into operand B of the dW product: col,
@@ -180,24 +228,27 @@ func Im2ColPackedOf[F Float](g ConvGeom, img []F, pb *PackedBOf[F]) {
 	if pb.k != pos || pb.n != patch {
 		panic(fmt.Sprintf("tensor: Im2ColPacked packed shape [%d %d], want [%d %d]", pb.k, pb.n, pos, patch))
 	}
-	// A panel's worth of patch rows is built side by side, then interleaved
-	// into the panel — packPanelsT of an NR × pos block — so the panel is
-	// written front to back; its padding lanes past patch's edge come out 0.
-	nr := gemmNROf[F]()
-	rows := pb.rowScratch(nr * pos)
-	c, ky, kx := 0, 0, 0
+	p, pl := pb.img.load(g, img)
+	// A panel holds NR taps side by side, a row per position: the transpose
+	// of NR views of P. At stride 1 a view of an output row is contiguous, so
+	// eight of them are interleaved in registers, a vector's worth of
+	// positions at a time, the row loop inside the kernel.
+	nr, sz := gemmNROf[F](), sizeofF[F]()
+	vec := useAVX2 && g.Stride == 1 && g.OutW*sz%32 == 0
 	for q0 := 0; q0 < patch; q0 += nr {
-		w := min(nr, patch-q0)
-		for r := 0; r < w; r++ {
-			patchRow(g, img, c, ky, kx, rows[r*pos:(r+1)*pos])
-			if kx++; kx == g.KW {
-				kx = 0
-				if ky++; ky == g.KH {
-					ky, c = 0, c+1
-				}
+		panel, taps := pb.data[q0*pos:q0*pos+pos*nr], pl.tap[q0:q0+nr]
+		if vec {
+			for jj := 0; jj < nr; jj += 8 {
+				im2colT8AVX2(&panel[jj], &p[0], &taps[jj], g.OutH, g.OutW, pl.wp, nr)
+			}
+			continue
+		}
+		for i, o := range pl.pos {
+			row, src := panel[i*nr:i*nr+nr], p[o:]
+			for jj, t := range taps {
+				row[jj] = src[t]
 			}
 		}
-		packPanelsT(pb.data[q0*pos:q0*pos+pos*nr], rows[:w*pos], pos, w)
 	}
 }
 
@@ -213,37 +264,37 @@ func Im2ColPackedOf[F Float](g ConvGeom, img []F, pb *PackedBOf[F]) {
 // row-major patch matrix produces, and the one the goldens were recorded
 // with.
 func Col2ImOf[F Float](g ConvGeom, col, dimg []F) {
-	pos, patch := g.ColRows(), g.ColCols()
 	if len(dimg) != g.InC*g.InH*g.InW {
 		panic("tensor: Col2Im image size mismatch")
 	}
-	if len(col) != pos*patch {
+	if len(col) != g.ColRows()*g.ColCols() {
 		panic("tensor: Col2Im col size mismatch")
 	}
-	ow := g.OutW
-	for c := 0; c < g.InC; c++ {
-		ch := dimg[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-		for ky := g.KH - 1; ky >= 0; ky-- {
-			oyLo, oyHi := g.validRange(g.OutH, g.InH, ky)
-			for kx := g.KW - 1; kx >= 0; kx-- {
-				oxLo, oxHi := g.validRange(g.OutW, g.InW, kx)
-				q := (c*g.KH+ky)*g.KW + kx
-				for oy := oyLo; oy < oyHi && oxLo < oxHi; oy++ {
-					src := col[q*pos+oy*ow+oxLo : q*pos+oy*ow+oxHi]
-					di := (oy*g.Stride-g.Pad+ky)*g.InW + oxLo*g.Stride - g.Pad + kx
-					if g.Stride == 1 {
-						dst := ch[di : di+len(src)]
-						for i, v := range src {
-							dst[i] += v
-						}
-						continue
-					}
-					for _, v := range src {
-						ch[di] += v
-						di += g.Stride
-					}
-				}
+	pl := planOf(g)
+	buf := getPack[F](g.InC * pl.hp * pl.wp)
+	col2imPadded(g, pl, col, dimg, buf.s)
+	putPack(buf)
+}
+
+// col2imPadded is Col2ImOf on pg, a padded gradient image of any contents
+// (InC planes of Hp×Wp). The pixels start out as dimg's and the border as
+// zero; every tap then adds its whole block of col, OutH × OutW addends, at
+// its offset — no tap is clipped, so the border collects the addends that
+// fall outside the image, each real pixel exactly those that fall on it in
+// their order — and the interior goes back to dimg.
+func col2imPadded[F Float](g ConvGeom, pl *convPlan, col, dimg, pg []F) {
+	pos, patch := g.ColRows(), g.ColCols()
+	clear(pg)
+	copyInterior(g, pl, pg, dimg, false)
+	if sz := sizeofF[F](); useAVX2 && g.Stride == 1 && g.OutW*sz%32 == 0 && patch > 0 {
+		col2imAddAVX2(&pg[0], &col[0], &pl.tap[0], patch, g.OutH, g.OutW, pl.wp)
+	} else {
+		for q := patch - 1; q >= 0; q-- {
+			dst := pg[pl.tap[q]:]
+			for i, v := range col[q*pos : (q+1)*pos] {
+				dst[pl.pos[i]] += v
 			}
 		}
 	}
+	copyInterior(g, pl, pg, dimg, true)
 }

@@ -138,7 +138,7 @@ func testIm2ColMatchesRef[F Float](t *testing.T) {
 		want := make([]F, pos*patch)
 		im2colRef(g, img, want)
 
-		// Stale contents, including the padding lanes and the row scratch of
+		// Stale contents, including the padding lanes and the padded copy of
 		// a previous image, must be fully overwritten.
 		fwd, bwd := NewPackedBOf[F](patch, pos), NewPackedBOf[F](pos, patch)
 		for _, pb := range []*PackedBOf[F]{fwd, bwd} {
@@ -170,22 +170,22 @@ func testIm2ColMatchesRef[F Float](t *testing.T) {
 	}
 }
 
-// TestIm2ColCol2ImMatchReference: the run-based writers and the tap-major
-// Col2Im equal the element-by-element implementations they replaced, bit for
-// bit, at both dtypes, on the model geometries and on random ones.
+// TestIm2ColCol2ImMatchReference: the writers and Col2Im equal the
+// element-by-element implementations, bit for bit, at both dtypes, on the
+// model geometries and on random ones.
 func TestIm2ColCol2ImMatchReference(t *testing.T) {
 	t.Run("f64", testIm2ColMatchesRef[float64])
 	t.Run("f32", testIm2ColMatchesRef[float32])
 }
 
-func BenchmarkIm2Col(b *testing.B) {
+func benchIm2Col[F Float](b *testing.B, dtype string) {
 	for _, g := range []ConvGeom{NewConvGeom(3, 16, 16, 5, 5, 1, 2), NewConvGeom(6, 8, 8, 5, 5, 1, 2), NewConvGeom(8, 16, 16, 3, 3, 2, 1)} {
-		img := randSlice[float64](rng.New(1), g.InC*g.InH*g.InW)
-		fwd := NewPackedBOf[float64](g.ColCols(), g.ColRows())
-		bwd := NewPackedBOf[float64](g.ColRows(), g.ColCols())
-		col := make([]float64, g.ColRows()*g.ColCols())
-		dimg := make([]float64, len(img))
-		name := fmt.Sprintf("%dx%dx%d_k%d_s%d", g.InC, g.InH, g.InW, g.KH, g.Stride)
+		img := randSlice[F](rng.New(1), g.InC*g.InH*g.InW)
+		fwd := NewPackedBOf[F](g.ColCols(), g.ColRows())
+		bwd := NewPackedBOf[F](g.ColRows(), g.ColCols())
+		col := make([]F, g.ColRows()*g.ColCols())
+		dimg := make([]F, len(img))
+		name := fmt.Sprintf("%dx%dx%d_k%d_s%d/%s", g.InC, g.InH, g.InW, g.KH, g.Stride, dtype)
 		b.Run("forward/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Im2ColOf(g, img, fwd)
@@ -202,4 +202,9 @@ func BenchmarkIm2Col(b *testing.B) {
 			}
 		})
 	}
+}
+
+func BenchmarkIm2Col(b *testing.B) {
+	benchIm2Col[float64](b, "f64")
+	benchIm2Col[float32](b, "f32")
 }
