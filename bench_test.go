@@ -239,11 +239,3 @@ func BenchmarkExtHyperparam(b *testing.B) {
 	b.ReportMetric(res.Values["best/fedca"], "best_fedca")
 	b.ReportMetric(res.Values["best/fedca+adaptlr"], "best_adaptlr")
 }
-
-// BenchmarkExtAsync: buffered asynchronous FL (FedBuff-style) vs FedCA.
-func BenchmarkExtAsync(b *testing.B) {
-	res := run(b, "ext-async")
-	b.ReportMetric(res.Values["best/fedca"], "best_fedca")
-	b.ReportMetric(res.Values["best/async"], "best_async")
-	b.ReportMetric(res.Values["staleness/mean"], "mean_staleness")
-}

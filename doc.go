@@ -7,9 +7,10 @@
 // layers, SGD), synthetic non-IID federated datasets (Dirichlet α = 0.1),
 // a virtual-time cluster simulator (FedScale-like speed heterogeneity, the
 // paper's gamma fast/slow dynamicity, 13.7 Mbps shaped links, client
-// dropout), the FedAvg round engine with partial aggregation, the FedProx,
-// FedAda, Oort-style and SAFA-style baselines, a buffered asynchronous
-// runner, QSGD/top-k upload compression, and FedCA itself — the
+// dropout — virtual time is per-client arithmetic on each client's compute
+// model and links, no event engine), the FedAvg round engine with partial
+// aggregation, the FedProx, FedAda, Oort-style and SAFA-style baselines,
+// QSGD/top-k upload compression, and FedCA itself — the
 // statistical-progress metric, periodical-sampling profiler, net-benefit
 // early stopping and layerwise eager transmission with error-feedback
 // retransmission (plus the Sec. 6 future-work adaptive-LR autonomy).
@@ -19,7 +20,6 @@
 //
 //   - internal/core        — the FedCA mechanism (paper Secs. 3–4)
 //   - internal/fl          — the federated round engine and Scheme interface
-//   - internal/async       — buffered asynchronous FL (Sec. 6 family)
 //   - internal/experiments — regenerates every table/figure of Sec. 5
 //   - cmd/fedca-sim        — run one simulation (-log writes JSONL)
 //   - cmd/fedca-bench      — regenerate paper artifacts (-exp table1 …)

@@ -1,8 +1,7 @@
-// Layerwise: a walkthrough of FedCA's per-layer machinery on a single client
-// round.
+// Layerwise: a walkthrough of FedCA's per-layer machinery on a single client.
 //
-// It runs one client's local round directly through fl.RunClientRound with a
-// FedCA controller, then prints, for every parameter tensor:
+// It runs an anchor round and one FedCA round through the runner, then
+// prints, for every parameter tensor of client 0:
 //
 //   - its profiled statistical-progress curve (from the anchor round),
 //   - the iteration at which the curve crosses T_e (eager transmission), and
@@ -16,7 +15,6 @@ import (
 
 	"fedca/internal/core"
 	"fedca/internal/expcfg"
-	"fedca/internal/fl"
 	"fedca/internal/report"
 	"fedca/internal/rng"
 	"fedca/internal/trace"
@@ -69,5 +67,4 @@ func main() {
 		fmt.Printf("  client %d: %d eager, %d retransmitted, uploaded %.0f KB\n",
 			u.ClientID, u.EagerSent, u.Retransmitted, u.UploadBytes/1024)
 	}
-	_ = fl.NoDeadline
 }

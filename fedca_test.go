@@ -240,3 +240,19 @@ func TestFacadeMinQuorumSkip(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 skipped round", f.DegradationStats())
 	}
 }
+
+// TestFacadeMaxDeltaNormWithoutChaos: the norm bound quarantines on its own;
+// fault injection is not what switches update validation on.
+func TestFacadeMaxDeltaNormWithoutChaos(t *testing.T) {
+	o := tinyOpts()
+	o.Scheme = "fedavg"
+	o.Clients = 3
+	o.MaxDeltaNorm = 1e-9 // below any trained update's norm
+	f, err := fedca.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := f.RunRound(); !r.Skipped || r.Quarantined != 3 {
+		t.Fatalf("round 0: skipped %v, quarantined %d; want skipped with all 3 updates quarantined", r.Skipped, r.Quarantined)
+	}
+}

@@ -92,7 +92,8 @@ type Config struct {
 
 	// CorruptProb is the probability the client's final update arrives
 	// damaged (kind drawn uniformly from NaN / Inf / Explode). The server's
-	// update validation quarantines such deltas (fl.Config.ValidateUpdates).
+	// update validation, on whenever fl.Config.Chaos is set, quarantines such
+	// deltas.
 	CorruptProb  float64
 	ExplodeScale float64 // default 1e12
 }

@@ -6,6 +6,7 @@ import (
 
 	"fedca/internal/nn"
 	"fedca/internal/rng"
+	"fedca/internal/tensor"
 )
 
 func TestSyntheticImagesShape(t *testing.T) {
@@ -274,13 +275,14 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 		nn.NewDense("fc1", 64, 32, r), nn.NewReLU(32),
 		nn.NewDense("fc2", 32, 4, r),
 	)
-	opt := nn.NewSGD(0.1, 0, 0)
+	opt := nn.NewSGDOf[float64](0.1, 0, 0)
 	l := NewLoader(train, 32, r.Fork("loader", 0))
 	for it := 0; it < 200; it++ {
 		x, y := l.Next()
 		net.ZeroGrad()
 		logits := net.Forward(x, true)
-		_, d := nn.SoftmaxCrossEntropy(logits, y)
+		d := tensor.New(logits.Dim(0), logits.Dim(1))
+		nn.SoftmaxCrossEntropyInto(logits, y, d)
 		net.Backward(d)
 		opt.Step(net.Params())
 	}

@@ -173,34 +173,14 @@ type Testbed struct {
 // derives from seed.
 func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed {
 	master := rng.New(seed)
-
-	var train, test *data.Dataset
-	switch w.Name {
-	case "lstm":
-		gen := data.NewSeqGenerator(data.SeqSpec{
-			Classes: w.Seq.Classes, SeqLen: w.Seq.SeqLen, FeatDim: w.Seq.FeatDim, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	default:
-		gen := data.NewImageGenerator(data.ImageSpec{
-			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	}
-
-	minPer := w.FL.BatchSize
-	if minPer < 2 {
-		minPer = 2
-	}
-	parts := data.DirichletPartition(train.Y, numClients, w.Alpha, minPer, master.Fork("partition"))
+	train, tb := w.synthesize(master)
+	parts := data.DirichletPartition(train.Y, numClients, w.Alpha, w.minShard(), master.Fork("partition"))
 	speeds := trace.NewFleet(numClients, tcfg, master.Fork("speeds"))
 
-	clients := make([]*fl.Client, numClients)
-	for i := range clients {
+	tb.Clients = make([]*fl.Client, numClients)
+	for i := range tb.Clients {
 		shard := train.Subset(parts[i])
-		clients[i] = &fl.Client{
+		tb.Clients[i] = &fl.Client{
 			ID:     i,
 			Data:   shard,
 			Loader: data.NewLoader(shard, w.FL.BatchSize, master.Fork("loader", i)),
@@ -211,19 +191,45 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 			Chaos:  master.Fork("chaos", i),
 		}
 	}
-
-	modelSeed := master.Fork("model").Uint64()
-	factory := func() *nn.Network {
-		return w.NewModel(rng.New(modelSeed)).Network
-	}
-	factory32 := func() *nn.NetworkOf[float32] {
-		return NewModelOf[float32](w, rng.New(modelSeed)).Network
-	}
-	return &Testbed{Workload: w, Clients: clients, Test: test, Factory: factory, Factory32: factory32, Seed: seed}
+	tb.Seed = seed
+	return tb
 }
 
-// NewRunner builds an fl.Runner for the testbed with the given scheme.
+// synthesize builds what every testbed shape shares, from master: the
+// workload's synthetic training set (returned for the caller to partition),
+// and a Testbed carrying the workload, its test set and its model factories
+// at both dtypes — every network drawn from the same model seed, so the
+// float32 one is the float64 initialization narrowed.
+func (w Workload) synthesize(master *rng.RNG) (*data.Dataset, *Testbed) {
+	var gen interface {
+		Generate(n int, r *rng.RNG) *data.Dataset
+	}
+	if w.Name == "lstm" {
+		gen = data.NewSeqGenerator(data.SeqSpec{
+			Classes: w.Seq.Classes, SeqLen: w.Seq.SeqLen, FeatDim: w.Seq.FeatDim, Noise: w.Noise,
+		}, master.Fork("templates"))
+	} else {
+		gen = data.NewImageGenerator(data.ImageSpec{
+			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
+		}, master.Fork("templates"))
+	}
+	train := gen.Generate(w.TrainN, master.Fork("train"))
+	modelSeed := master.Fork("model").Uint64()
+	return train, &Testbed{
+		Workload:  w,
+		Test:      gen.Generate(w.TestN, master.Fork("test")),
+		Factory:   func() *nn.Network { return w.NewModel(rng.New(modelSeed)).Network },
+		Factory32: func() *nn.NetworkOf[float32] { return NewModelOf[float32](w, rng.New(modelSeed)).Network },
+	}
+}
+
+// minShard is the smallest client shard the workload trains on: one batch,
+// and never fewer than two samples.
+func (w Workload) minShard() int { return max(w.FL.BatchSize, 2) }
+
+// NewRunner builds an fl.Runner over the testbed's clients (a static fleet)
+// with the given scheme.
 func (tb *Testbed) NewRunner(scheme fl.Scheme) (*fl.Runner, error) {
-	return fl.NewRunner(tb.Workload.FL, tb.Clients, scheme, tb.Test, tb.Factory,
+	return fl.NewFleetRunner(tb.Workload.FL, fl.NewStaticFleet(tb.Clients), scheme, tb.Test, tb.Factory,
 		fl.WithFloat32Workers(tb.Factory32))
 }

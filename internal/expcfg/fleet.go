@@ -21,8 +21,8 @@ import (
 
 // fleetSlot is one pooled cohort slot: the client struct plus the buffers
 // that recycle with it. Links are built once per slot and reused across
-// occupants — runClientRound resets link state at round start, and the
-// runner's telemetry observers stay attached.
+// occupants — the client round resets link state at round start, and the
+// runner wires telemetry observers at every materialization.
 type fleetSlot struct {
 	client fl.Client
 	view   []int
@@ -31,7 +31,8 @@ type fleetSlot struct {
 // VirtualFleet implements fl.Fleet, fl.CohortSampler and fl.FleetStats over
 // a seeded spec: client id i's data shard, speed model and chaos stream are
 // pure functions of (master seed, i), derived at materialization. Not safe
-// for concurrent use — Materialize/Recycle run on the serial server phase.
+// for concurrent use — the runner's cohort and record stages call
+// Materialize/Recycle serially.
 type VirtualFleet struct {
 	part   *data.LazyPartition
 	train  *data.Dataset
@@ -133,27 +134,8 @@ type FleetTestbed struct {
 // Everything derives from seed; impossible specs are errors, not panics.
 func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed uint64) (*FleetTestbed, error) {
 	master := rng.New(seed)
-
-	var train, test *data.Dataset
-	switch w.Name {
-	case "lstm":
-		gen := data.NewSeqGenerator(data.SeqSpec{
-			Classes: w.Seq.Classes, SeqLen: w.Seq.SeqLen, FeatDim: w.Seq.FeatDim, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	default:
-		gen := data.NewImageGenerator(data.ImageSpec{
-			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
-		}, master.Fork("templates"))
-		train = gen.Generate(w.TrainN, master.Fork("train"))
-		test = gen.Generate(w.TestN, master.Fork("test"))
-	}
-
-	minPer := w.FL.BatchSize
-	if minPer < 2 {
-		minPer = 2
-	}
+	train, base := w.synthesize(master)
+	minPer := w.minShard()
 	if perClient <= 0 {
 		perClient = minPer
 	}
@@ -166,7 +148,6 @@ func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed ui
 	if err != nil {
 		return nil, err
 	}
-
 	fleet := &VirtualFleet{
 		part:   part,
 		train:  train,
@@ -176,15 +157,7 @@ func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed ui
 		live:   make(map[*fl.Client]*fleetSlot),
 		seen:   make(map[int]bool),
 	}
-
-	modelSeed := master.Fork("model").Uint64()
-	factory := func() *nn.Network {
-		return w.NewModel(rng.New(modelSeed)).Network
-	}
-	factory32 := func() *nn.NetworkOf[float32] {
-		return NewModelOf[float32](w, rng.New(modelSeed)).Network
-	}
-	return &FleetTestbed{Workload: w, Fleet: fleet, Test: test, Factory: factory, Factory32: factory32, Seed: seed}, nil
+	return &FleetTestbed{Workload: w, Fleet: fleet, Test: base.Test, Factory: base.Factory, Factory32: base.Factory32, Seed: seed}, nil
 }
 
 // NewRunner builds an fl.Runner over the virtual fleet with the given scheme.

@@ -55,7 +55,7 @@ func TestRegistryComplete(t *testing.T) {
 	// Every data-bearing artifact of the paper must have a generator.
 	want := []string{
 		"abl-deadline", "abl-floor", "abl-period", "abl-sampling",
-		"ext-async", "ext-compress", "ext-hp", "ext-selection",
+		"ext-compress", "ext-hp", "ext-selection",
 		"fig10a", "fig10b", "fig2", "fig3", "fig4", "fig5", "fig7",
 		"fig8a", "fig8b", "fig9", "ovh", "table1",
 	}

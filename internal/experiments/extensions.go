@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fedca/internal/async"
 	"fedca/internal/baseline"
 	"fedca/internal/compress"
 	"fedca/internal/core"
@@ -165,74 +164,6 @@ func ExtSelection(s Scale, seed uint64) *Result {
 	}
 	res.Text = b.String()
 	return res
-}
-
-// ExtAsync pits FedCA's synchronous client autonomy against a buffered
-// asynchronous baseline (FedBuff-style; Sec. 6's "asynchronous training"
-// family). The paper's critique — staleness can compromise accuracy — is
-// measured directly: the async run reports its observed staleness and its
-// accuracy plateau next to FedCA's.
-func ExtAsync(s Scale, seed uint64) *Result {
-	res := newResult("ext-async")
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension — buffered asynchronous FL vs FedCA (CNN)\n")
-
-	// Synchronous reference runs.
-	warmConvergence(s, seed, []string{"cnn"}, []string{"fedca", "fedavg"})
-	fedca := convergenceRun(s, "cnn", "fedca", "", seed, nil)
-	fedavg := convergenceRun(s, "cnn", "fedavg", "", seed, nil)
-	horizon := fedca.Results[len(fedca.Results)-1].End
-	for name, run := range map[string]ConvRun{"fedavg": fedavg, "fedca": fedca} {
-		c := metrics.ConvergenceOf(run.Results, 2)
-		_, accs := metrics.AccuracyCurve(run.Results)
-		res.Values["best/"+name] = c.BestAcc
-		fmt.Fprintf(&b, "%-8s acc %s  best=%.3f (sync)\n", name, report.Sparkline(accs), c.BestAcc)
-	}
-
-	// Async run over the same horizon, same testbed seed. The horizon is a
-	// function of the (cached) fedca run, so the key stays canonical.
-	asyncRun := cell("extasync", fmt.Sprintf("%s/%d/h%g", s.cellKey(), seed, horizon), func() *asyncOutcome {
-		w, err := s.Workload("cnn")
-		if err != nil {
-			panic(err)
-		}
-		tb := expcfg.Build(w, s.Clients, s.TraceConfig(), seed)
-		r, err := async.NewRunner(w.FL, async.Config{BufferSize: maxInt(2, s.Clients/4), StalenessExp: 0.5}, tb.Clients, tb.Test, tb.Factory)
-		if err != nil {
-			panic(err)
-		}
-		evals := r.Run(horizon)
-		return &asyncOutcome{Evals: evals, Stats: r.Stats()}
-	})
-	best := 0.0
-	var accs []float64
-	for _, e := range asyncRun.Evals {
-		accs = append(accs, e.Accuracy)
-		if e.Accuracy > best {
-			best = e.Accuracy
-		}
-	}
-	res.Values["best/async"] = best
-	res.Values["staleness/mean"] = asyncRun.Stats.MeanStaleness
-	res.Values["staleness/max"] = float64(asyncRun.Stats.MaxStaleness)
-	fmt.Fprintf(&b, "%-8s acc %s  best=%.3f (async; mean staleness %.2f, max %d, %d commits)\n",
-		"fedbuff", report.Sparkline(accs), best, asyncRun.Stats.MeanStaleness, asyncRun.Stats.MaxStaleness, asyncRun.Stats.Commits)
-	res.Text = b.String()
-	return res
-}
-
-// asyncOutcome is the ext-async cell payload (exported fields: it serializes
-// into the cross-process cache like every other cell).
-type asyncOutcome struct {
-	Evals []async.Eval
-	Stats async.Stats
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ExtHyperparam measures the Sec. 6 future-work idea implemented in

@@ -62,19 +62,3 @@ func TestExtHyperparamShapes(t *testing.T) {
 		t.Fatalf("adaptive LR changed accuracy too much: ratio %v", ratio)
 	}
 }
-
-func TestExtAsyncShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	s := micro()
-	res := ExtAsync(s, 12)
-	for _, v := range []string{"fedavg", "fedca", "async"} {
-		if res.Values["best/"+v] <= 0 {
-			t.Fatalf("%s missing accuracy", v)
-		}
-	}
-	if res.Values["staleness/max"] < 0 {
-		t.Fatal("staleness missing")
-	}
-}

@@ -35,7 +35,6 @@ var Registry = map[string]Generator{
 	"ext-compress":  ExtCompress,
 	"ext-selection": ExtSelection,
 	"ext-hp":        ExtHyperparam,
-	"ext-async":     ExtAsync,
 }
 
 // IDs returns the registered experiment ids, sorted.

@@ -69,33 +69,49 @@ func TestChaosRunDeterministic(t *testing.T) {
 }
 
 // TestChaosCorruptionQuarantined: with every update corrupted, validation
-// must quarantine them all, skip the round, and leave the model untouched.
+// must quarantine them all, skip the round, and leave the model untouched —
+// on the offline reduce (a partial-aggregation cut) and on the online fold
+// (full aggregation, deltas not retained) alike.
 func TestChaosCorruptionQuarantined(t *testing.T) {
-	w := tinyWorkload()
-	e, err := chaos.NewEngine(chaos.Config{CorruptProb: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.FL.Chaos = e
-	// Exploded deltas are finite; the norm bound is what catches them.
-	w.FL.MaxDeltaNorm = 1e6
-	tb := expcfg.Build(w, 3, trace.Config{}, 61)
-	r, err := tb.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := r.GlobalFlat()
-	res := r.RunRound()
-	if !res.Skipped {
-		t.Fatal("round with only corrupted updates must be skipped")
-	}
-	if res.Quarantined == 0 {
-		t.Fatal("corrupted updates must be counted as quarantined")
-	}
-	quarantined := 0
-	for _, u := range res.Discarded {
-		if u.Quarantined {
+	for _, path := range []struct {
+		fraction float64
+		retain   bool
+	}{{0.9, true}, {1, false}} {
+		w := tinyWorkload()
+		e, err := chaos.NewEngine(chaos.Config{CorruptProb: 1}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.FL.Chaos = e
+		// Exploded deltas are finite; the norm bound is what catches them.
+		w.FL.MaxDeltaNorm = 1e6
+		w.FL.AggregateFraction = path.fraction
+		w.FL.RetainUpdateDeltas = path.retain
+		tb := expcfg.Build(w, 3, trace.Config{}, 61)
+		r, err := tb.NewRunner(baseline.FedAvg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := r.GlobalFlat()
+		res := r.RunRound()
+		if !res.Skipped {
+			t.Fatalf("%+v: round with only corrupted updates must be skipped", path)
+		}
+		if res.Quarantined != 3 {
+			t.Fatalf("%+v: Quarantined = %d, want all 3 corrupted updates", path, res.Quarantined)
+		}
+		quarantined := 0
+		for _, u := range res.Discarded {
+			if !u.Quarantined {
+				continue
+			}
 			quarantined++
+			if !path.retain {
+				if u.Delta != nil {
+					t.Fatalf("%+v: a quarantined delta outlived the round without RetainUpdateDeltas", path)
+				}
+				continue
+			}
 			if u.Delta == nil {
 				t.Fatal("quarantined update must keep its Delta (RetainUpdateDeltas on)")
 			}
@@ -112,18 +128,18 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 				t.Fatal("quarantined update looks healthy")
 			}
 		}
-	}
-	if quarantined != res.Quarantined {
-		t.Fatalf("Quarantined = %d but %d flagged updates in Discarded", res.Quarantined, quarantined)
-	}
-	after := r.GlobalFlat()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("quarantine-skipped round must leave the model unchanged")
+		if quarantined != res.Quarantined {
+			t.Fatalf("%+v: Quarantined = %d but %d flagged updates in Discarded", path, res.Quarantined, quarantined)
 		}
-	}
-	if st := r.Stats(); st.Quarantined != res.Quarantined || st.SkippedRounds != 1 {
-		t.Fatalf("runner stats %+v disagree with round result", st)
+		after := r.GlobalFlat()
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%+v: quarantine-skipped round must leave the model unchanged", path)
+			}
+		}
+		if st := r.Stats(); st.Quarantined != res.Quarantined || st.SkippedRounds != 1 {
+			t.Fatalf("%+v: runner stats %+v disagree with round result", path, st)
+		}
 	}
 }
 
@@ -243,36 +259,32 @@ func TestDropMidEagerReleasesUplink(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := tinyWorkload()
-			tb := expcfg.Build(w, 1, trace.Config{}, 65)
-			c := tb.Clients[0]
-			net := tb.Factory()
-			cfg := w.FL
-			if err := cfg.Validate(net.NumParams()); err != nil {
-				t.Fatal(err)
-			}
 			if tc.dropAt > 0 {
-				// Force an exact iteration-level drop through the chaos
-				// engine by scanning rounds for a matching plan.
-				e, err := chaos.NewEngine(chaos.Config{DropProb: 1}, 77)
-				if err != nil {
-					t.Fatal(err)
-				}
-				round := -1
-				for rd := 0; rd < 4096; rd++ {
-					if e.Plan(c.ID, rd, cfg.LocalIters, cfg.BaseIterTime).DropIter() == tc.dropAt {
-						round = rd
-						break
+				// Force an exact iteration-level drop in round 0 through the
+				// chaos engine by scanning engine seeds for a matching plan.
+				for seed := uint64(0); seed < 4096 && w.FL.Chaos == nil; seed++ {
+					e, err := chaos.NewEngine(chaos.Config{DropProb: 1}, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if e.Plan(0, 0, w.FL.LocalIters, w.FL.BaseIterTime).DropIter() == tc.dropAt {
+						w.FL.Chaos = e
 					}
 				}
-				if round < 0 {
-					t.Fatalf("no round with drop at iteration %d found; widen the scan", tc.dropAt)
+				if w.FL.Chaos == nil {
+					t.Fatalf("no engine seed with a drop at iteration %d found; widen the scan", tc.dropAt)
 				}
-				cfg.Chaos = e
-				u := fl.RunClientRound(c, net, net.FlatParams(), &cfg, fl.RoundPlan{Deadline: fl.NoDeadline()}, eagerAtOneCtrl{}, round, 0)
-				verifyDroppedClient(t, c, u, tc.eager)
+			}
+			tb := expcfg.Build(w, 1, trace.Config{}, 65)
+			r, err := tb.NewRunner(ctrlScheme{ctrl: eagerAtOneCtrl{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := onlyUpdate(t, r)
+			if tc.dropAt > 0 {
+				verifyDroppedClient(t, tb.Clients[0], u, tc.eager)
 				return
 			}
-			u := fl.RunClientRound(c, net, net.FlatParams(), &cfg, fl.RoundPlan{Deadline: fl.NoDeadline()}, eagerAtOneCtrl{}, 0, 0)
 			if u.Dropped || u.Delta == nil {
 				t.Fatal("no-drop case must deliver a full update")
 			}
@@ -305,7 +317,7 @@ func verifyDroppedClient(t *testing.T, c *fl.Client, u fl.Update, eagerBeforeDro
 	// uplink, so a fresh transfer starts immediately.
 	const nextStart = 1e9
 	c.Up.ResetAt(nextStart)
-	start, _ := c.Up.Transfer(nextStart, 10)
+	start, _ := c.Up.TransferAttempts(nextStart, 10, 1)
 	if start != nextStart {
 		t.Fatalf("uplink not released by round reset: next transfer starts at %v, want %v", start, nextStart)
 	}

@@ -14,76 +14,47 @@ import (
 )
 
 // deltaPool recycles the NumParams-sized vectors handed to the server as
-// Update.Delta. The runner returns them after the default aggregation drops
-// them (see RunRound), so steady-state rounds allocate no fresh update
-// vectors. Recycled slices carry stale data; every taker must overwrite all
-// elements before reading any.
+// Update.Delta. The runner returns them once the round is done with them (see
+// Runner.recycle), so steady-state rounds allocate no fresh update vectors.
+// Recycled slices carry stale data; every taker must overwrite all elements
+// before reading any.
 type deltaPool struct{ p sync.Pool }
 
 func (dp *deltaPool) get(n int) []float64 {
-	if dp != nil {
-		if v := dp.p.Get(); v != nil {
-			if s := v.([]float64); len(s) == n {
-				return s
-			}
+	if v := dp.p.Get(); v != nil {
+		if s := v.([]float64); len(s) == n {
+			return s
 		}
 	}
 	return make([]float64, n)
 }
 
 func (dp *deltaPool) put(s []float64) {
-	if dp != nil && s != nil {
+	if s != nil {
 		dp.p.Put(s)
 	}
 }
 
-// RoundBuffers is the per-worker scratch a runner threads through
-// RunClientRound so the two NumParams-sized slices of every client round —
-// the in-progress delta and the server-bound update — stop being fresh
-// allocations. Each worker goroutine owns exactly one RoundBuffers, so the
-// scratch delta is never shared; the update vectors come from a pool shared
-// across workers and flow back via the runner.
-type RoundBuffers struct {
-	delta []float64
-	pool  *deltaPool
-}
-
-// scratch returns the worker's reusable delta buffer, sized to n. Contents
-// are unspecified: RunClientRound overwrites every element after the first
-// completed iteration before any hook reads it.
-func (b *RoundBuffers) scratch(n int) []float64 {
-	if b == nil {
-		return make([]float64, n)
-	}
-	if cap(b.delta) < n {
-		b.delta = make([]float64, n)
-	}
-	return b.delta[:n]
-}
-
-// outDelta returns an n-sized vector destined for Update.Delta, recycled
-// from the runner's pool when possible.
-func (b *RoundBuffers) outDelta(n int) []float64 {
-	if b == nil {
-		return make([]float64, n)
-	}
-	return b.pool.get(n)
-}
-
 // trainWorkerOf is one training slot: a dtype-concrete network plus the
 // persistent per-worker state the training loop reuses across clients and
-// rounds — the scratch arena every layer bump-allocates from, and the label
-// buffer. The arena resets once per training iteration, so after a warmup
-// iteration has sized its slabs, steady-state iterations allocate nothing.
+// rounds — the scratch arena every layer bump-allocates from, the label
+// buffer, the in-progress delta, and the runner's pool the server-bound
+// update vectors come from. The arena resets once per training iteration, so
+// after a warmup iteration has sized its slabs, steady-state iterations
+// allocate nothing. One goroutine at a time owns a worker, so none of this is
+// shared; the update vectors flow back to the pool through the runner.
 type trainWorkerOf[F tensor.Float] struct {
 	net   *nn.NetworkOf[F]
 	arena *tensor.Arena
 	y     []int
+	delta []float64
+	pool  *deltaPool
 }
 
-// newTrainWorkerOf wraps net in a worker and binds a fresh arena to it.
-func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F]) *trainWorkerOf[F] {
-	w := &trainWorkerOf[F]{net: net, arena: tensor.NewArena()}
+// newTrainWorkerOf wraps net in a worker drawing update vectors from pool
+// and binds a fresh arena to it.
+func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool) *trainWorkerOf[F] {
+	w := &trainWorkerOf[F]{net: net, arena: tensor.NewArena(), pool: pool}
 	net.SetArena(w.arena)
 	return w
 }
@@ -92,26 +63,21 @@ func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F]) *trainWorkerOf[F] {
 // onto: a float64 and a float32 worker run the identical round protocol, so
 // the runner never branches on precision.
 type trainWorker interface {
-	run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, bufs *RoundBuffers, anchor bool) Update
+	run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update
 	numParams() int
 }
 
-func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, bufs *RoundBuffers, anchor bool) Update {
-	return runClientRound(c, w, globalFlat, cfg, plan, ctrl, round, roundStart, bufs, anchor)
+func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update {
+	return runClientRound(c, w, globalFlat, cfg, plan, ctrl, round, roundStart, anchor)
 }
 
 func (w *trainWorkerOf[F]) numParams() int { return w.net.NumParams() }
 
 // alloc draws a tensor from the worker's arena for a producer that writes
 // every element — the loader filling a batch, the loss writing dlogits — so
-// its contents are arbitrary, not zero. It falls back to the heap when the
-// worker has no arena (the exported RunClientRound path, which must not
-// rebind the caller's network).
+// its contents are arbitrary, not zero.
 func (w *trainWorkerOf[F]) alloc(shape ...int) *tensor.TensorOf[F] {
-	if w.arena != nil {
-		return tensor.AllocUninitOf[F](w.arena, shape...)
-	}
-	return tensor.NewOf[F](shape...)
+	return tensor.AllocUninitOf[F](w.arena, shape...)
 }
 
 // modifyGrad dispatches the controller's gradient hook by worker dtype: a
@@ -130,31 +96,22 @@ func modifyGrad[F tensor.Float](ctrl Controller, params []*nn.ParamOf[F], global
 	}
 }
 
-// RunClientRound simulates one client's round: model download, local SGD with
-// scheme hooks, eager per-layer transmissions, and the end-of-round upload.
-// Training math runs for real; time is accounted in virtual seconds. round is
-// the 0-based round index, which keys the fault plan when cfg.Chaos is set.
+// runClientRound simulates one client's round on worker w: model download,
+// local SGD with scheme hooks, eager per-layer transmissions, and the
+// end-of-round upload. Training math runs for real; time is accounted in
+// virtual seconds. round is the 0-based round index, which keys the fault
+// plan when cfg.Chaos is set. It runs on a worker goroutine of the runner's
+// train stage and invokes every Controller hook inline (see the package
+// comment).
 //
-// net is a worker-local network (parameters are overwritten with globalFlat);
-// it must have the same architecture the globalFlat vector came from.
-//
-// It runs on a worker goroutine during Runner.RunRound and invokes every
-// Controller hook inline; see the package comment for the full concurrency
-// contract. This exported variant allocates its own buffers and leaves the
-// caller's network arena binding untouched; the runner's workers pass
-// reusable buffers and arena-bound networks through runClientRound.
-func RunClientRound(c *Client, net *nn.Network, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64) Update {
-	return runClientRound(c, &trainWorkerOf[float64]{net: net}, globalFlat, cfg, plan, ctrl, round, roundStart, nil, false)
-}
-
-// runClientRound is the dtype-generic round body. Everything the server, the
-// scheme hooks and the wire see — the accumulated delta, eager snapshots, the
-// uploaded update — is float64 regardless of F: a float32 worker narrows the
-// global model once at SetFlatParams and widens its weights when the delta is
-// recomputed each iteration, so only Forward/Backward/SGD run in reduced
-// precision. For F = float64 every arithmetic step below is bit-identical to
-// the historical float64-only implementation.
-func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, bufs *RoundBuffers, anchor bool) Update {
+// Everything the server, the scheme hooks and the wire see — the accumulated
+// delta, eager snapshots, the uploaded update — is float64 regardless of F: a
+// float32 worker narrows the global model once at SetFlatParams and widens its
+// weights when the delta is recomputed each iteration, so only
+// Forward/Backward/SGD run in reduced precision. For F = float64 every
+// arithmetic step below is bit-identical to the historical float64-only
+// implementation.
+func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update {
 	net := w.net
 	ranges := net.ParamRanges()
 	if len(globalFlat) != net.NumParams() {
@@ -237,7 +194,13 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		copy(dst, approx)
 		return b4 * bytesPerScalar / 4
 	}
-	delta := bufs.scratch(len(globalFlat))
+	// The worker's reusable delta buffer. Its contents are stale: the round
+	// overwrites every element after the first completed iteration, before
+	// any hook reads it.
+	if len(w.delta) != len(globalFlat) {
+		w.delta = make([]float64, len(globalFlat))
+	}
+	delta := w.delta
 	// NopController — plain FedAvg — ignores what AfterIteration is handed,
 	// so its round computes the accumulated update once, after the last
 	// iteration, instead of after each. The test is on the exact type: a
@@ -262,9 +225,7 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		// One iteration, one arena generation: every activation, mask and
 		// per-sample gradient buffer below recycles here. Parameters, the
 		// optimizer state and the delta live outside the arena.
-		if w.arena != nil {
-			w.arena.Reset()
-		}
+		w.arena.Reset()
 		x := w.alloc(batch, dim)
 		data.NextInto(c.Loader, x.Data(), y)
 		net.ZeroGrad()
@@ -361,7 +322,7 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// The update the server will see: final values everywhere (compressed if
 	// a compressor is configured), except layers whose eager snapshot stands
 	// (sent eagerly and not retransmitted).
-	serverDelta := bufs.outDelta(len(delta))
+	serverDelta := w.pool.get(len(delta))
 	copy(serverDelta, delta)
 	stale := make(map[int]bool) // layer index → eager snapshot stands
 	for ei, rec := range eager {
@@ -421,15 +382,17 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	}
 }
 
-// emitClientSpans renders one finished client round onto its trace track:
-// download, local training (labelled as anchor profiling when the scheme says
-// so), eager uploads, the final upload, and the round's chaos events —
-// dropout, compute slowdowns, corruption and link impairment windows —
-// annotated onto the spans they belong to. Telemetry-only: every time it
-// touches was already computed by the simulation.
+// emitClientSpans renders one finished client round onto its trace track,
+// named after the client — so exactly the clients that ran get a named track,
+// whatever the fleet: download, local training (labelled as anchor profiling
+// when the scheme says so), eager uploads, the final upload, and the round's
+// chaos events — dropout, compute slowdowns, corruption and link impairment
+// windows — annotated onto the spans they belong to. Telemetry-only: every
+// time it touches was already computed by the simulation.
 func emitClientSpans(t *telemetry.Sink, c *Client, anchor bool, roundStart, tDown, trainStart, trainEnd, completion float64, iters int, eager []EagerRecord, cplan *chaos.Plan, dropped bool) {
 	tid := telemetry.ClientTrack(c.ID)
 	tr := t.Tracer()
+	tr.NameTrack(tid, fmt.Sprintf("client %d", c.ID))
 	t.ClientIters.Observe(float64(iters))
 
 	tr.Span(tid, "download", "transfer", roundStart, tDown, nil)

@@ -30,8 +30,8 @@ func testDeltaOnceMatchesPerIteration[F tensor.Float](t *testing.T) {
 	global := benchModel[float64]("cnn").FlatParams()
 	plan := RoundPlan{Deadline: math.Inf(1)}
 	run := func(ctrl Controller) Update {
-		w := newTrainWorkerOf(benchModel[F]("cnn"))
-		return runClientRound(roundClient(ds, cfg.BatchSize), w, global, &cfg, plan, ctrl, 0, 0, nil, false)
+		w := newTrainWorkerOf(benchModel[F]("cnn"), &deltaPool{})
+		return w.run(roundClient(ds, cfg.BatchSize), global, &cfg, plan, ctrl, 0, 0, false)
 	}
 	once := run(NopController{})
 	watcher := &deltaWatcher{}

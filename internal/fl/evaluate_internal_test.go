@@ -212,43 +212,67 @@ func roundClient(ds *data.Dataset, batch int) *Client {
 }
 
 // testRoundMatchesHeapUnderPoison runs whole client rounds — batch load,
-// forward, loss, backward, step, delta, upload — on a worker without an arena
-// and on an arena-bound one under the poison hook, and demands the same
-// update bit for bit, round after round (the second round runs in recycled
-// slabs).
+// forward, loss, backward, step, delta, upload — on an arena-bound worker
+// under the poison hook, and demands the update the same rounds produce with
+// the hook off, bit for bit, round after round (later rounds run in recycled
+// slabs). Whatever reads memory before writing it reads NaN under the hook,
+// and the NaN reaches the delta.
 func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, comp compress.Compressor) {
-	poisonArenas(t)
 	// The benchmark's smoke-test size: K = 2, batch 4.
 	cfg := Config{LocalIters: 2, BatchSize: 4, LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, BaseIterTime: 0.1, AggregateFraction: 1, Compressor: comp}
-	heapW := &trainWorkerOf[F]{net: benchModel[F](name)}
-	arenaW := newTrainWorkerOf(benchModel[F](name))
-	if err := cfg.Validate(heapW.numParams()); err != nil {
-		t.Fatal(err)
-	}
 	ds := benchData(name, 32)
-	heapC, arenaC := roundClient(ds, cfg.BatchSize), roundClient(ds, cfg.BatchSize)
-	global := benchModel[float64](name).FlatParams()
 	plan := RoundPlan{Deadline: math.Inf(1)}
-	for round := 0; round < 3; round++ {
-		start := float64(round) * 100
-		want := runClientRound(heapC, heapW, global, &cfg, plan, NopController{}, round, start, nil, false)
-		got := runClientRound(arenaC, arenaW, global, &cfg, plan, NopController{}, round, start, nil, false)
+	rounds := func() []Update {
+		w := newTrainWorkerOf(benchModel[F](name), &deltaPool{})
+		if err := cfg.Validate(w.numParams()); err != nil {
+			t.Fatal(err)
+		}
+		c := roundClient(ds, cfg.BatchSize)
+		global := benchModel[float64](name).FlatParams()
+		var out []Update
+		for round := 0; round < 3; round++ {
+			u := w.run(c, global, &cfg, plan, NopController{}, round, float64(round)*100, false)
+			out = append(out, u)
+			// Move the global model so that the next round starts elsewhere.
+			for i := range global {
+				global[i] += u.Delta[i]
+			}
+		}
+		return out
+	}
+	clean := rounds()
+	poisonArenas(t)
+	poisoned := rounds()
+	for round, want := range clean {
+		got := poisoned[round]
 		if got.Iterations != want.Iterations || got.TrainLoss != want.TrainLoss || got.UploadBytes != want.UploadBytes || got.CompletionTime != want.CompletionTime {
-			t.Fatalf("round %d: arena update %+v, heap update %+v", round, got, want)
+			t.Fatalf("round %d: update under poison %+v, without %+v", round, got, want)
 		}
 		if len(got.Delta) != len(want.Delta) || len(want.Delta) == 0 {
 			t.Fatalf("round %d: delta lengths %d and %d", round, len(got.Delta), len(want.Delta))
 		}
 		for i := range want.Delta {
 			if math.Float64bits(got.Delta[i]) != math.Float64bits(want.Delta[i]) {
-				t.Fatalf("round %d: delta[%d] is %v from the arena worker, %v from the heap worker", round, i, got.Delta[i], want.Delta[i])
+				t.Fatalf("round %d: delta[%d] is %v under poison, %v without", round, i, got.Delta[i], want.Delta[i])
 			}
 		}
-		// Move the global model so that the next round starts elsewhere.
-		for i := range global {
-			global[i] += want.Delta[i]
-		}
 	}
+}
+
+// TestClientRoundPanicsOnSizeMismatch: a global vector that does not fit the
+// worker's model is a broken caller, caught before anything trains.
+func TestClientRoundPanicsOnSizeMismatch(t *testing.T) {
+	cfg := Config{LocalIters: 1, BatchSize: 4, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 1}
+	w := newTrainWorkerOf(benchModel[float64]("cnn"), &deltaPool{})
+	if err := cfg.Validate(w.numParams()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic: global vector size mismatch")
+		}
+	}()
+	w.run(roundClient(benchData("cnn", 8), cfg.BatchSize), make([]float64, 3), &cfg, RoundPlan{Deadline: math.Inf(1)}, NopController{}, 0, 0, false)
 }
 
 // TestClientRoundMatchesHeapUnderPoison: one case per benchmark workload, at

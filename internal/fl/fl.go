@@ -9,27 +9,40 @@
 // on the server, modify gradients locally, stop local training early, and
 // transmit per-layer updates eagerly before round completion.
 //
-// # Concurrency model
+// # Round stages and concurrency model
 //
-// Each round has three phases with an explicit threading contract:
+// Runner.RunRound is a driver over named stages. Every stage but train runs
+// serially on the round-driving goroutine; train alone runs client code on
+// workers. In order:
 //
-//   - Server phase (serial): PlanRound, SelectClients, NewController,
-//     Aggregate and History updates all run on the single round-driving
-//     goroutine, strictly before or after the client phase.
-//   - Client phase (parallel): RunClientRound executes on worker goroutines,
-//     one client at a time per worker. All Controller methods — ModifyGrad,
-//     AfterIteration, Finalize, OnDropout — run on the worker, concurrently
-//     with other clients' controllers.
-//   - Reduce phase (parallel, deterministic): the default weighted-FedAvg
-//     reduce streams client deltas through fixed fan-in chunks, sharding the
-//     parameter vector across workers within each chunk; every element's
-//     floating-point operation order matches the serial client-major loop,
-//     so the result is bit-identical for any worker count or fan-in, and
-//     each chunk's deltas recycle as soon as its barrier passes. At full
-//     aggregation (AggregateFraction == 1) the fold instead runs online
-//     during the client phase, in participant-index order at the in-order
-//     completion frontier — still worker-count invariant — so peak delta
-//     memory is the out-of-order window, not the cohort.
+//   - plan: Scheme.PlanRound(round, History) → RoundPlan.
+//   - cohort (materializeCohort): the Selector's ids, else the fleet's
+//     CohortSampler sample, else the whole fleet → live clients from
+//     Fleet.Materialize, links wired to the telemetry sink.
+//   - controllers (newControllers): cohort + plan → one Controller per
+//     participant from Scheme.NewController, built serially.
+//   - train (train): cohort + controllers + plan → one Update and one
+//     validation verdict per participant, index-aligned with the cohort.
+//     Each client round runs on a worker goroutine (the caller plus workers
+//     borrowed from the CPU-token budget), one client at a time per worker;
+//     all Controller methods — ModifyGrad, AfterIteration, Finalize,
+//     OnDropout — run there, concurrently with other clients' controllers.
+//     The worker judges its update right after the client round, the only
+//     place validation runs. At full aggregation (AggregateFraction 1) on
+//     the default path the online fold also runs here, in participant-index
+//     order at the in-order completion frontier, so it is worker-count
+//     invariant and peak delta memory is the out-of-order window.
+//   - cut (cut): updates + verdicts → collected and discarded by completion
+//     order and AggregateFraction, the round end time, invalid collected
+//     updates moved to Discarded as quarantined, and the quorum's verdict.
+//   - aggregate (aggregate): cut + fold → new global parameters: a custom
+//     Aggregator, the online fold's accumulator, or the offline streaming
+//     reduce, whose parameter shards fan out over borrowed workers with every
+//     element's operation order that of the serial client-major loop, so the
+//     result is bit-identical for any worker count or fan-in.
+//   - recycle (recycle): every delta nobody owns back to the worker pool.
+//   - record (record): History, RoundResult, RunnerStats, telemetry,
+//     journal, and the cohort's slots back to the fleet.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -116,8 +129,8 @@ type Config struct {
 	// Chaos injects the deterministic fault plans of internal/chaos into
 	// every client round: iteration-level dropout, transient compute
 	// slowdowns, link degradation/outage, transfer retransmissions and
-	// corrupted updates. Nil disables injection. Setting it implies
-	// ValidateUpdates.
+	// corrupted updates. Nil disables injection. Setting it turns update
+	// validation on (see MaxDeltaNorm).
 	Chaos *chaos.Engine
 
 	// MinQuorum is the minimum number of valid collected updates required to
@@ -127,16 +140,11 @@ type Config struct {
 	// aborting the run.
 	MinQuorum int
 
-	// ValidateUpdates scans every collected delta before aggregation and
-	// quarantines invalid ones (any non-finite coordinate, or an L2 norm
-	// above MaxDeltaNorm when set) into the round's Discarded set, so one
-	// corrupted client cannot poison the global model. Always on when Chaos
-	// is set.
-	ValidateUpdates bool
-
-	// MaxDeltaNorm, when positive, additionally quarantines finite updates
-	// whose L2 norm exceeds it (exploded deltas). Only consulted when update
-	// validation is active.
+	// MaxDeltaNorm, when positive, quarantines finite updates whose L2 norm
+	// exceeds it (exploded deltas). Update validation runs when Chaos is set
+	// or MaxDeltaNorm is positive: every non-finite update, and every update
+	// over the bound, is excluded from aggregation and moved to the round's
+	// Discarded set, so one corrupted client cannot poison the global model.
 	MaxDeltaNorm float64
 
 	// Telemetry, when non-nil, receives live metrics and virtual-time spans
@@ -197,9 +205,6 @@ func (c *Config) Validate(numParams int) error {
 	if c.MaxDeltaNorm < 0 || math.IsNaN(c.MaxDeltaNorm) {
 		return fmt.Errorf("fl: MaxDeltaNorm must be non-negative, got %v", c.MaxDeltaNorm)
 	}
-	if c.Chaos != nil {
-		c.ValidateUpdates = true
-	}
 	switch c.DType {
 	case "", "f64", "f32":
 	default:
@@ -207,6 +212,9 @@ func (c *Config) Validate(numParams int) error {
 	}
 	return nil
 }
+
+// validates reports whether the runner judges updates before aggregation.
+func (c *Config) validates() bool { return c.Chaos != nil || c.MaxDeltaNorm > 0 }
 
 // Client is one simulated FL participant: its shard of data, its compute
 // speed trace and its shaped links. Model state is NOT stored here — clients

@@ -11,7 +11,6 @@ import (
 	"fedca/internal/fl"
 	"fedca/internal/nn"
 	"fedca/internal/rng"
-	"fedca/internal/simnet"
 	"fedca/internal/trace"
 )
 
@@ -46,6 +45,26 @@ func TestDeltasDroppedByDefault(t *testing.T) {
 func tinyTestbed(t *testing.T, n int, tcfg trace.Config, seed uint64) *expcfg.Testbed {
 	t.Helper()
 	return expcfg.Build(tinyWorkload(), n, tcfg, seed)
+}
+
+// ctrlScheme is FedAvg with every client's controller supplied by the test,
+// so a test drives one client round through the runner like any scheme.
+type ctrlScheme struct {
+	baseline.FedAvg
+	ctrl fl.Controller
+}
+
+func (s ctrlScheme) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller { return s.ctrl }
+
+// onlyUpdate runs one round of a one-client runner and returns its update.
+func onlyUpdate(t *testing.T, r *fl.Runner) fl.Update {
+	t.Helper()
+	res := r.RunRound()
+	all := append(res.Collected, res.Discarded...)
+	if len(all) != 1 {
+		t.Fatalf("round has %d updates, want 1", len(all))
+	}
+	return all[0]
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -444,11 +463,11 @@ func TestEagerUploadOverlapsCompute(t *testing.T) {
 	// whenever compute continues long enough — the overlap FedCA exploits.
 	w := tinyWorkload()
 	w.FL.ModelBytes = 8e6 // large model so transfers take visible time
-	tb := expcfg.Build(w, 1, trace.Config{}, 15)
-	c := tb.Clients[0]
-	net := tb.Factory()
-	ctrl := &eagerCtrl{}
-	u := fl.RunClientRound(c, net, net.FlatParams(), &w.FL, fl.RoundPlan{Deadline: fl.NoDeadline()}, ctrl, 0, 0)
+	r, err := expcfg.Build(w, 1, trace.Config{}, 15).NewRunner(eagerScheme{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := onlyUpdate(t, r)
 	if u.EagerSent != 1 {
 		t.Fatalf("eager sent %d", u.EagerSent)
 	}
@@ -543,11 +562,12 @@ func TestClientLinkResetBetweenRounds(t *testing.T) {
 func TestDeltaObservedGrowsOverIterations(t *testing.T) {
 	// The IterState delta norm should generally grow early in a round.
 	tb := tinyTestbed(t, 1, trace.Config{}, 19)
-	c := tb.Clients[0]
-	net := tb.Factory()
 	var norms []float64
-	ctrl := &recordCtrl{norms: &norms}
-	fl.RunClientRound(c, net, net.FlatParams(), &tb.Workload.FL, fl.RoundPlan{Deadline: fl.NoDeadline()}, ctrl, 0, 0)
+	r, err := tb.NewRunner(ctrlScheme{ctrl: &recordCtrl{norms: &norms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunRound()
 	if len(norms) != tb.Workload.FL.LocalIters {
 		t.Fatalf("observed %d iterations", len(norms))
 	}
@@ -586,15 +606,13 @@ func TestUpdateWeightIsSampleCount(t *testing.T) {
 
 func TestNewRunnerRejectsEmptyClients(t *testing.T) {
 	w := tinyWorkload()
-	_, err := fl.NewRunner(w.FL, nil, baseline.FedAvg{}, nil, func() *nn.Network {
-		return nn.NewNetwork(nn.NewDense("fc", 2, 2, rng.New(1)))
-	})
-	if err == nil {
-		t.Fatal("expected error")
+	factory := func() *nn.Network { return nn.NewNetwork(nn.NewDense("fc", 2, 2, rng.New(1))) }
+	for _, fleet := range []fl.Fleet{nil, fl.NewStaticFleet(nil)} {
+		if _, err := fl.NewFleetRunner(w.FL, fleet, baseline.FedAvg{}, nil, factory); err == nil {
+			t.Fatalf("fleet %v: expected error", fleet)
+		}
 	}
 }
-
-var _ = simnet.DefaultClientBandwidth // keep import for doc reference
 
 func TestCompressionReducesUploadBytes(t *testing.T) {
 	base := tinyWorkload()
@@ -652,7 +670,7 @@ func TestCompressionDegradesDeltaButPreservesDirection(t *testing.T) {
 	wq := w
 	wq.FL.Compressor = compress.QSGD{Levels: 7}
 	tbB.Workload = wq
-	rb, err := fl.NewRunner(wq.FL, tbB.Clients, baseline.FedAvg{}, tbB.Test, tbB.Factory)
+	rb, err := tbB.NewRunner(baseline.FedAvg{})
 	if err != nil {
 		t.Fatal(err)
 	}

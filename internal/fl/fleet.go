@@ -18,9 +18,9 @@ import (
 
 // Fleet is the client population a Runner draws each round's cohort from.
 //
-// Materialize and Recycle are called on the serial server phase of the
-// round loop (see the package concurrency contract), so implementations
-// need no locking against the runner. Materialize may return a pooled slot
+// Materialize and Recycle are called serially, by the round's cohort and
+// record stages (see the package comment), so implementations need no
+// locking against the runner. Materialize may return a pooled slot
 // whose previous occupant was recycled; Recycle hands a client back once
 // its round is fully processed (no Update or scheme state references it —
 // controllers only retain the client id).
@@ -79,9 +79,6 @@ func (f *StaticFleet) Size() int { return len(f.clients) }
 
 // ClientID implements Fleet.
 func (f *StaticFleet) ClientID(i int) int { return f.clients[i].ID }
-
-// Clients returns the underlying slice (shared, not a copy).
-func (f *StaticFleet) Clients() []*Client { return f.clients }
 
 // Materialize implements Fleet: a map lookup, with a fast path for the
 // common sequential-id layout.

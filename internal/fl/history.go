@@ -11,10 +11,9 @@ import (
 // that is the whole point of the paper). Per-iteration wall times feed the
 // FedBalancer-style deadline and FedAda's workload planning.
 //
-// History is safe for concurrent use. The synchronous round loop writes it
-// serially, but overlapping callers — asynchronous runners folding arrivals
-// while a planner reads, or monitors polling estimates mid-round — may mix
-// Observe with the read accessors freely.
+// History is safe for concurrent use. The round loop writes it serially, but
+// monitors polling estimates mid-round may mix Observe with the read
+// accessors freely.
 type History struct {
 	mu sync.RWMutex
 	// ewma of per-iteration local compute seconds, keyed by client id.

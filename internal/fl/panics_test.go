@@ -34,31 +34,22 @@ func expectPanic(t *testing.T, what string, f func()) {
 }
 
 func TestClientRoundPanicsOnBadControllerOutput(t *testing.T) {
-	tb := tinyTestbed(t, 1, trace.Config{}, 80)
-	c := tb.Clients[0]
-	net := tb.Factory()
-	cfg := tb.Workload.FL
-	if err := cfg.Validate(net.NumParams()); err != nil {
-		t.Fatal(err)
+	// One client: the round trains on the calling goroutine, so the
+	// controller's contract violation panics out of RunRound.
+	for _, tc := range []struct {
+		what string
+		ctrl fl.Controller
+		seed uint64
+	}{
+		{"eager layer out of range", badEagerCtrl{}, 80},
+		{"retransmit index out of range", badRetransCtrl{}, 81},
+	} {
+		r, err := tinyTestbed(t, 1, trace.Config{}, tc.seed).NewRunner(ctrlScheme{ctrl: tc.ctrl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectPanic(t, tc.what, func() { r.RunRound() })
 	}
-	plan := fl.RoundPlan{Deadline: fl.NoDeadline()}
-	expectPanic(t, "eager layer out of range", func() {
-		fl.RunClientRound(c, net, net.FlatParams(), &cfg, plan, badEagerCtrl{}, 0, 0)
-	})
-	c2 := expcfg.Build(tinyWorkload(), 1, trace.Config{}, 81).Clients[0]
-	expectPanic(t, "retransmit index out of range", func() {
-		fl.RunClientRound(c2, net, net.FlatParams(), &cfg, plan, badRetransCtrl{}, 0, 0)
-	})
-}
-
-func TestClientRoundPanicsOnSizeMismatch(t *testing.T) {
-	tb := tinyTestbed(t, 1, trace.Config{}, 82)
-	net := tb.Factory()
-	cfg := tb.Workload.FL
-	_ = cfg.Validate(net.NumParams())
-	expectPanic(t, "global vector size mismatch", func() {
-		fl.RunClientRound(tb.Clients[0], net, make([]float64, 3), &cfg, fl.RoundPlan{Deadline: fl.NoDeadline()}, fl.NopController{}, 0, 0)
-	})
 }
 
 // badSelector returns an unknown client id.

@@ -24,7 +24,7 @@ func randomUpdates(r *rand.Rand, clients, n int) ([]Update, float64) {
 }
 
 // serialReduce is the pre-sharding reference reduce, kept verbatim as the
-// bit-exactness oracle for weightedReduce.
+// bit-exactness oracle for streamReduce.
 func serialReduce(flat []float64, collected []Update, totalW float64) {
 	agg := make([]float64, len(flat))
 	for _, u := range collected {
@@ -38,37 +38,9 @@ func serialReduce(flat []float64, collected []Update, totalW float64) {
 	}
 }
 
-// shardedReduce is the pre-streaming flat sharded reduce (PR 1), kept
-// verbatim as a second oracle: the streaming tree must match not only the
-// serial loop but the implementation whose outputs the goldens pinned.
-func shardedReduce(flat, agg []float64, collected []Update, totalW float64, workers int) {
-	n := len(flat)
-	if workers > n/minReduceShard {
-		workers = n / minReduceShard
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			agg[j] = 0
-		}
-		for _, u := range collected {
-			w := u.Weight / totalW
-			d := u.Delta
-			for j := lo; j < hi; j++ {
-				agg[j] += w * d[j]
-			}
-		}
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j]
-		}
-	})
-}
-
 // TestWeightedReduceDeterministic: the streaming chunked reduce must produce
-// globals bit-identical to the serial loop AND to the old flat sharded
-// reduce, for every worker count, fan-in and cohort size — including
+// globals bit-identical to the serial loop, for every worker count, fan-in
+// and cohort size — including
 // parameter counts that do and don't clear the minReduceShard gate, shard
 // boundaries that don't divide evenly, and cohorts smaller than, equal to
 // and much larger than the fan-in.
@@ -98,17 +70,9 @@ func TestWeightedReduceDeterministic(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2, 4, 13} {
-				got := append([]float64(nil), base...)
 				agg := make([]float64, n)
-				shardedReduce(got, agg, ups, totalW, workers)
-				check(fmt.Sprintf("sharded workers=%d", workers), got)
-
-				got = append([]float64(nil), base...)
-				weightedReduce(got, agg, ups, totalW, workers, nil)
-				check(fmt.Sprintf("stream workers=%d", workers), got)
-
-				for _, fanIn := range []int{1, 2, 8, 1000} {
-					got = append([]float64(nil), base...)
+				for _, fanIn := range []int{1, 2, reduceFanIn, 1000} {
+					got := append([]float64(nil), base...)
 					streamReduce(got, agg, ups, totalW, workers, fanIn, nil)
 					check(fmt.Sprintf("stream workers=%d fanIn=%d", workers, fanIn), got)
 				}
@@ -118,11 +82,16 @@ func TestWeightedReduceDeterministic(t *testing.T) {
 }
 
 // TestStreamReduceRecycles: the recycle callback must receive every
-// collected delta exactly once, as its chunk completes.
+// collected delta exactly once, as its chunk completes, and the recycled
+// update must let go of it (whoever recycles a delta nils Update.Delta).
 func TestStreamReduceRecycles(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const n, clients = 64, 11
 	ups, totalW := randomUpdates(r, clients, n)
+	deltas := make([][]float64, clients)
+	for i, u := range ups {
+		deltas[i] = u.Delta
+	}
 	flat := make([]float64, n)
 	agg := make([]float64, n)
 	seen := make(map[*float64]int)
@@ -132,9 +101,12 @@ func TestStreamReduceRecycles(t *testing.T) {
 	if len(seen) != clients {
 		t.Fatalf("recycled %d distinct deltas, want %d", len(seen), clients)
 	}
-	for _, u := range ups {
-		if seen[&u.Delta[0]] != 1 {
-			t.Fatalf("client %d delta recycled %d times", u.ClientID, seen[&u.Delta[0]])
+	for i, u := range ups {
+		if seen[&deltas[i][0]] != 1 {
+			t.Fatalf("client %d delta recycled %d times", u.ClientID, seen[&deltas[i][0]])
+		}
+		if u.Delta != nil {
+			t.Fatalf("client %d still holds its recycled delta", u.ClientID)
 		}
 	}
 }
@@ -192,8 +164,8 @@ func TestOnlineFoldMatchesAnyCompletionOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkWeightedReduce measures the aggregation hot path at a CNN-scale
-// parameter count across worker counts (workers=1 is the old serial loop).
+// BenchmarkWeightedReduce measures the offline reduce at a CNN-scale
+// parameter count across worker counts (workers=1 is the serial loop).
 func BenchmarkWeightedReduce(b *testing.B) {
 	const n, clients = 1 << 18, 16
 	r := rand.New(rand.NewSource(2))
@@ -203,7 +175,7 @@ func BenchmarkWeightedReduce(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				weightedReduce(flat, agg, ups, totalW, workers, nil)
+				streamReduce(flat, agg, ups, totalW, workers, reduceFanIn, nil)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"fedca/internal/cputok"
 	"fedca/internal/data"
 	"fedca/internal/nn"
-	"fedca/internal/telemetry"
 	"fedca/internal/tensor"
 )
 
@@ -59,21 +58,21 @@ type Runner struct {
 
 	global  *nn.Network
 	flat    []float64
-	workers []trainWorker   // dtype-erased training slots (see Config.DType)
-	bufs    []*RoundBuffers // per-worker scratch, index-aligned with workers
-	pool    *deltaPool      // recycles Update.Delta vectors across rounds
-	aggBuf  []float64       // reusable accumulator of the weighted reduce
+	workers []trainWorker // dtype-erased training slots (see Config.DType)
+	pool    *deltaPool    // recycles Update.Delta vectors across rounds
+	aggBuf  []float64     // the reduce's accumulator, reused across rounds
 	round   int
 	now     float64
 
-	// Reused per-round cohort buffers: ids, the materialized cohort slice
-	// (what used to be a fresh `chosen` allocation every selector round),
-	// controllers, raw updates and the fold bookkeeping all recycle with the
-	// round buffers, so steady-state rounds allocate no cohort-sized slices.
+	// Per-round buffers, reused so that steady-state rounds allocate no
+	// cohort-sized slices: the selected ids, the materialized cohort, its
+	// controllers, the raw updates and their validation verdicts, the
+	// completion order and the fold's bookkeeping.
 	cohortIDs []int
 	cohort    []*Client
 	ctrls     []Controller
 	updates   []Update
+	valid     []bool
 	order     []int
 	seen      map[int]bool
 	foldDone  []bool
@@ -84,7 +83,7 @@ type Runner struct {
 	stats   RunnerStats
 }
 
-// RunnerOption customizes runner construction (NewRunner, NewFleetRunner).
+// RunnerOption customizes NewFleetRunner.
 type RunnerOption func(*runnerOpts)
 
 type runnerOpts struct {
@@ -100,39 +99,15 @@ func WithFloat32Workers(factory func() *nn.NetworkOf[float32]) RunnerOption {
 	return func(o *runnerOpts) { o.factory32 = factory }
 }
 
-// NewRunner wires a runner over a pre-materialized client slice (wrapped in
-// a StaticFleet). factory must build fresh identically-shaped networks; the
-// first one becomes the global model (its initialization is the run's
-// starting point) and one extra per worker executes client training.
-func NewRunner(cfg Config, clients []*Client, scheme Scheme, test *data.Dataset, factory func() *nn.Network, opts ...RunnerOption) (*Runner, error) {
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fl: no clients")
-	}
-	r, err := NewFleetRunner(cfg, NewStaticFleet(clients), scheme, test, factory, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if t := r.Cfg.Telemetry; t != nil {
-		// Observe every client link and name the trace tracks. Observers are
-		// passive (simnet.TransferObserver), so the links' arithmetic — and
-		// therefore the run — is unchanged. Virtual fleets attach observers
-		// at materialization instead and skip track naming (a million named
-		// tracks is not a trace anyone reads).
-		for _, c := range clients {
-			c.Up.Observer = t.UpObserver()
-			c.Down.Observer = t.DownObserver()
-			t.Tracer().NameTrack(telemetry.ClientTrack(c.ID), fmt.Sprintf("client %d", c.ID))
-		}
-	}
-	return r, nil
-}
-
-// NewFleetRunner wires a runner over a Fleet — the entry point for virtual
-// fleets where only each round's cohort is materialized. Worker networks are
-// sized by min(CPU-token cap, expected cohort), so a million-client fleet at
-// 1% participation builds the same handful of worker models a static testbed
-// would. Config.Participation in (0,1) requires the fleet to implement
-// CohortSampler.
+// NewFleetRunner wires a runner over a Fleet: a StaticFleet over a
+// pre-materialized client slice, or a virtual fleet where only each round's
+// cohort is materialized. factory must build fresh identically-shaped
+// networks; the first one becomes the global model (its initialization is
+// the run's starting point) and one more per worker executes client
+// training. Worker networks are sized by min(CPU-token cap, expected cohort),
+// so a million-client fleet at 1% participation builds the same handful of
+// worker models a static testbed would. Config.Participation in (0,1)
+// requires the fleet to implement CohortSampler.
 //
 // The global model is always float64 — master weights, aggregation and
 // evaluation never narrow. Config.DType "f32" switches only the training
@@ -163,26 +138,18 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	// One network per potential worker, sized by the CPU-token budget at
 	// construction. At round time the runner borrows tokens for however many
 	// of these it may actually run concurrently.
-	nWorkers := cputok.Default().Cap()
-	if c := expectedCohort(cfg, fleet.Size()); nWorkers > c {
-		nWorkers = c
-	}
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
+	nWorkers := max(1, min(cputok.Default().Cap(), expectedCohort(cfg, fleet.Size())))
 	workers := make([]trainWorker, nWorkers)
-	bufs := make([]*RoundBuffers, nWorkers)
 	pool := &deltaPool{}
 	for i := range workers {
 		if cfg.DType == "f32" {
-			workers[i] = newTrainWorkerOf(ro.factory32())
+			workers[i] = newTrainWorkerOf(ro.factory32(), pool)
 		} else {
-			workers[i] = newTrainWorkerOf(factory())
+			workers[i] = newTrainWorkerOf(factory(), pool)
 		}
 		if np := workers[i].numParams(); np != global.NumParams() {
 			return nil, fmt.Errorf("fl: worker factory built %d params, global model has %d", np, global.NumParams())
 		}
-		bufs[i] = &RoundBuffers{pool: pool}
 	}
 	return &Runner{
 		Cfg:     cfg,
@@ -193,8 +160,8 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		global:  global,
 		flat:    global.FlatParams(),
 		workers: workers,
-		bufs:    bufs,
 		pool:    pool,
+		aggBuf:  make([]float64, global.NumParams()),
 		seen:    make(map[int]bool),
 	}, nil
 }
@@ -237,177 +204,197 @@ func (r *Runner) Stats() RunnerStats {
 	return r.stats
 }
 
+// RunRound executes one full round and returns its result. It drives the
+// round's stages in order; the package comment lists what each consumes and
+// produces and on which goroutines it runs.
+func (r *Runner) RunRound() RoundResult {
+	plan := r.Scheme.PlanRound(r.round, r.Hist)
+	cohort := r.materializeCohort()
+	ctrls := r.newControllers(cohort, plan)
+	updates, valid, fold := r.train(cohort, ctrls, plan)
+	cut := r.cut(updates, valid)
+	if !cut.skipped {
+		r.aggregate(cut, fold)
+	}
+	r.recycle(cut)
+	res := r.record(plan, cohort, cut)
+	r.round++
+	r.now = cut.end
+	return res
+}
+
+// resize returns (*buf)[:n], growing the reused buffer first if it is too
+// small. The contents are whatever the previous round left.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
 // selectCohort decides which client ids participate this round, reusing the
 // runner's id buffer: a Selector scheme's choice (deduplicated, order
 // preserved) when one is active, else a deterministic participation sample
 // from the fleet's seeded sampler, else the whole fleet.
-func (r *Runner) selectCohort() (ids []int, fromSelector bool) {
-	ids = r.cohortIDs[:0]
+func (r *Runner) selectCohort() []int {
+	ids := r.cohortIDs[:0]
+	var chosen []int
 	if sel, ok := r.Scheme.(Selector); ok {
-		if chosen := sel.SelectClients(r.round, r.Hist, r.Fleet.Size()); len(chosen) > 0 {
-			for id := range r.seen {
-				delete(r.seen, id)
-			}
-			for _, id := range chosen {
-				if r.seen[id] {
-					continue
-				}
+		chosen = sel.SelectClients(r.round, r.Hist, r.Fleet.Size())
+	}
+	sampler, sampled := r.Fleet.(CohortSampler)
+	switch p := r.Cfg.Participation; {
+	case len(chosen) > 0:
+		clear(r.seen)
+		for _, id := range chosen {
+			if !r.seen[id] {
 				r.seen[id] = true
 				ids = append(ids, id)
 			}
-			r.cohortIDs = ids
-			return ids, true
 		}
-	}
-	if sampler, ok := r.Fleet.(CohortSampler); ok {
-		if p := r.Cfg.Participation; p > 0 && p < 1 {
-			k := expectedCohort(r.Cfg, r.Fleet.Size())
-			ids = sampler.SampleCohort(r.round, k, ids)
-			r.cohortIDs = ids
-			return ids, false
+	case sampled && p > 0 && p < 1:
+		ids = sampler.SampleCohort(r.round, expectedCohort(r.Cfg, r.Fleet.Size()), ids)
+	default:
+		for i := 0; i < r.Fleet.Size(); i++ {
+			ids = append(ids, r.Fleet.ClientID(i))
 		}
-	}
-	for i := 0; i < r.Fleet.Size(); i++ {
-		ids = append(ids, r.Fleet.ClientID(i))
 	}
 	r.cohortIDs = ids
-	return ids, false
+	return ids
 }
 
-// RunRound executes one full round and returns its result.
-func (r *Runner) RunRound() RoundResult {
-	plan := r.Scheme.PlanRound(r.round, r.Hist)
-	start := r.now
-
-	// Cohort materialization (serial server phase): ids become live clients,
-	// pooled slots for virtual fleets, plain lookups for static ones.
-	ids, fromSelector := r.selectCohort()
-	participants := r.cohort[:0]
-	for _, id := range ids {
+// materializeCohort is the cohort stage: the selected ids become live
+// clients — pooled slots for a virtual fleet, lookups for a static one — with
+// their links wired to the telemetry sink when there is one. Out: the cohort,
+// in selection order.
+func (r *Runner) materializeCohort() []*Client {
+	cohort := r.cohort[:0]
+	t := r.Cfg.Telemetry
+	for _, id := range r.selectCohort() {
 		c, err := r.Fleet.Materialize(id)
 		if err != nil {
-			if fromSelector {
-				panic(fmt.Sprintf("fl: selector chose unknown client %d", id))
-			}
-			panic(fmt.Sprintf("fl: fleet failed to materialize client %d: %v", id, err))
+			// A Selector (or the fleet's own sampler) named a client the fleet
+			// does not have: a broken plug-in, not a runtime condition.
+			panic(fmt.Sprintf("fl: cohort names client %d, which the fleet cannot materialize: %v", id, err))
 		}
-		if t := r.Cfg.Telemetry; t != nil {
-			// Static fleets attached observers at construction; virtual
-			// slots get theirs on first materialization (observers are
-			// passive, so the run is unchanged either way).
-			if c.Up.Observer == nil {
-				c.Up.Observer = t.UpObserver()
-			}
-			if c.Down.Observer == nil {
-				c.Down.Observer = t.DownObserver()
-			}
+		if t != nil {
+			// Observers are passive (simnet.TransferObserver): the links'
+			// arithmetic, and therefore the run, is unchanged by them.
+			c.Up.Observer, c.Down.Observer = t.UpObserver(), t.DownObserver()
 		}
-		participants = append(participants, c)
+		cohort = append(cohort, c)
 	}
-	r.cohort = participants
+	r.cohort = cohort
+	return cohort
+}
 
-	// Controllers are created serially (the Scheme contract): schemes may
-	// mutate shared state (e.g. FedCA's per-client profiles) during
-	// construction without locking against other NewController calls —
-	// though stats they expose to concurrent pollers still need locks.
-	if cap(r.ctrls) < len(participants) {
-		r.ctrls = make([]Controller, len(participants))
-	}
-	ctrls := r.ctrls[:len(participants)]
-	for i, c := range participants {
+// newControllers is the controllers stage: one Controller per participant,
+// index-aligned with the cohort. They are built serially (the Scheme
+// contract): schemes may mutate shared state (e.g. FedCA's per-client
+// profiles) during construction without locking against other NewController
+// calls — though stats they expose to concurrent pollers still need locks.
+func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
+	ctrls := resize(&r.ctrls, len(cohort))
+	for i, c := range cohort {
 		ctrls[i] = r.Scheme.NewController(c, r.round, plan)
 	}
+	return ctrls
+}
 
+// train is the client phase. Each participant's client round runs on a
+// worker slot: the calling goroutine is always the first worker, and more are
+// borrowed from the shared CPU-token budget, so a spent budget (every token
+// held by sibling experiment cells) degrades to the serial path instead of
+// oversubscribing. The worker that ran a client judges its update at once —
+// this is the only place deltaValid runs — and, on the online path, folds it.
+// Out: the updates and their verdicts, index-aligned with the cohort and so
+// independent of which worker ran what, and the fold when there is one.
+func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, verdicts, *onlineFold) {
+	updates := resize(&r.updates, len(cohort))
+	var valid verdicts
+	if r.Cfg.validates() {
+		valid = resize(&r.valid, len(cohort))
+	}
+	fold := r.newFold(updates, valid)
 	// Anchor detection is telemetry-only: schemes exposing IsAnchorRound
 	// (FedCA) get their profiling client-rounds labelled in the trace.
 	anchor := false
 	if a, ok := r.Scheme.(interface{ IsAnchorRound(int) bool }); ok {
 		anchor = a.IsAnchorRound(r.round)
 	}
-
-	// Clients run in parallel; each worker owns one network and one scratch
-	// buffer set. Extra workers are borrowed from the shared CPU-token budget
-	// — the calling goroutine is always the first worker, so a spent budget
-	// (every token held by sibling experiment cells) degrades to the serial
-	// path instead of oversubscribing. Results land in a slice indexed by
-	// participant, so the outcome is order-independent.
-	if cap(r.updates) < len(participants) {
-		r.updates = make([]Update, len(participants))
-	}
-	updates := r.updates[:len(participants)]
-
-	// Online streaming fold: when every non-dropped update is aggregated
-	// (AggregateFraction == 1) on the default path, completed updates fold
-	// into the accumulator while the client phase still runs and their
-	// deltas recycle immediately — peak delta memory is the out-of-order
-	// completion window, not the cohort. With a partial-aggregation cut the
-	// collected set depends on every virtual completion time, so the fold
-	// must wait for the cut and streams through weightedReduce instead.
-	_, customAgg := r.Scheme.(Aggregator)
-	var fold *onlineFold
-	if r.Cfg.AggregateFraction >= 1 && !customAgg && !r.Cfg.RetainUpdateDeltas {
-		if len(r.aggBuf) != len(r.flat) {
-			r.aggBuf = make([]float64, len(r.flat))
-		}
-		if cap(r.foldDone) < len(participants) {
-			r.foldDone = make([]bool, len(participants))
-		}
-		done := r.foldDone[:len(participants)]
-		for i := range done {
-			done[i] = false
-		}
-		fold = &onlineFold{
-			agg:      r.aggBuf,
-			updates:  updates,
-			done:     done,
-			validate: r.Cfg.ValidateUpdates || r.Cfg.Chaos != nil,
-			maxNorm:  r.Cfg.MaxDeltaNorm,
-			pool:     r.pool,
-		}
-		for j := range fold.agg {
-			fold.agg[j] = 0
-		}
-	}
-
-	maxWorkers := len(r.workers)
-	if maxWorkers > len(participants) {
-		maxWorkers = len(participants)
-	}
-	borrowed := cputok.Default().Borrow(maxWorkers - 1)
 	var next int
 	var mu sync.Mutex
-	clientWorker := func(w trainWorker, bufs *RoundBuffers) {
+	work := func(w trainWorker) {
 		for {
 			mu.Lock()
 			i := next
 			next++
 			mu.Unlock()
-			if i >= len(participants) {
+			if i >= len(cohort) {
 				return
 			}
-			updates[i] = w.run(participants[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, start, bufs, anchor)
+			updates[i] = w.run(cohort[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, r.now, anchor)
+			if valid != nil {
+				valid[i] = deltaValid(updates[i].Delta, r.Cfg.MaxDeltaNorm)
+			}
 			if fold != nil {
 				fold.complete(i)
 			}
 		}
 	}
+	borrowed := cputok.Default().Borrow(min(len(r.workers), len(cohort)) - 1)
 	var wg sync.WaitGroup
 	wg.Add(borrowed)
-	for w := 1; w <= borrowed; w++ {
-		go func(w trainWorker, bufs *RoundBuffers) {
+	for _, w := range r.workers[1 : 1+borrowed] {
+		go func() {
 			defer wg.Done()
-			clientWorker(w, bufs)
-		}(r.workers[w], r.bufs[w])
+			work(w)
+		}()
 	}
-	clientWorker(r.workers[0], r.bufs[0])
+	work(r.workers[0])
 	wg.Wait()
 	cputok.Default().Return(borrowed)
+	return updates, valid, fold
+}
 
-	// Partial aggregation: earliest AggregateFraction of updates.
-	if cap(r.order) < len(updates) {
-		r.order = make([]int, len(updates))
+// newFold returns the round's online fold, or nil when the round reduces
+// offline. The fold runs when every surviving update is aggregated
+// (AggregateFraction 1) on the default path with deltas not retained: updates
+// then fold into the accumulator while the client phase still runs and their
+// deltas recycle at once, so peak delta memory is the out-of-order completion
+// window, not the cohort. A partial-aggregation cut depends on every virtual
+// completion time, so such rounds wait for the cut and stream through
+// streamReduce instead. The config picks the path, never the round.
+func (r *Runner) newFold(updates []Update, valid verdicts) *onlineFold {
+	if _, custom := r.Scheme.(Aggregator); custom || r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
+		return nil
 	}
-	order := r.order[:len(updates)]
+	clear(r.aggBuf)
+	done := resize(&r.foldDone, len(updates))
+	clear(done)
+	return &onlineFold{agg: r.aggBuf, updates: updates, valid: valid, done: done, pool: r.pool}
+}
+
+// roundCut is the cut stage's decision about a round's updates.
+type roundCut struct {
+	start, end           float64 // virtual time the round opened and closes
+	collected, discarded []Update
+	quarantined          int  // collected updates that failed validation, now in discarded
+	skipped              bool // fewer valid collected updates than the quorum: no aggregation
+}
+
+// cut closes the round. The earliest AggregateFraction of the updates by
+// virtual completion time (ties by client id) are collected; dropped clients
+// sort last (CompletionTime = +Inf) and are never collected, even when the
+// survivors fall short of the target. The round ends when the last collected
+// update arrives or, with no survivors, when the last client vanished (its
+// burned compute), so virtual time still advances. Then one loop, shared by
+// both reduce paths, moves every collected update whose verdict failed to
+// Discarded, marked Quarantined; and a round left with fewer valid updates
+// than the quorum is skipped and recorded — the model stays as it is and the
+// run continues. In: the updates and their verdicts. Out: the roundCut.
+func (r *Runner) cut(updates []Update, valid verdicts) roundCut {
+	order := resize(&r.order, len(updates))
 	for i := range order {
 		order[i] = i
 	}
@@ -418,163 +405,133 @@ func (r *Runner) RunRound() RoundResult {
 		}
 		return ua.ClientID < ub.ClientID
 	})
-	take := int(math.Ceil(r.Cfg.AggregateFraction * float64(len(updates))))
-	if take < 1 {
-		take = 1
+	take := max(1, int(math.Ceil(r.Cfg.AggregateFraction*float64(len(updates)))))
+	c := roundCut{
+		start:     r.now,
+		end:       r.now,
+		collected: make([]Update, 0, take),
+		discarded: make([]Update, 0, len(updates)-take),
 	}
-	collected := make([]Update, 0, take)
-	discarded := make([]Update, 0, len(updates)-take)
 	for i, oi := range order {
-		// Dropped clients sort last (CompletionTime = +Inf) and are never
-		// aggregated even when the survivor count falls short of the target.
-		if i < take && !updates[oi].Dropped {
-			collected = append(collected, updates[oi])
+		if u := updates[oi]; i < take && !u.Dropped {
+			u.Quarantined = valid.rejects(oi)
+			c.collected = append(c.collected, u)
+			c.end = u.CompletionTime
 		} else {
-			discarded = append(discarded, updates[oi])
+			c.discarded = append(c.discarded, u)
 		}
 	}
-
-	// The round closes when the last collected update arrives. With no
-	// survivors at all, it closes when the last client vanished (its burned
-	// compute time) so virtual time still advances.
-	end := start
-	if len(collected) > 0 {
-		end = collected[len(collected)-1].CompletionTime
-	} else {
+	if len(c.collected) == 0 {
 		for _, u := range updates {
-			if t := start + u.TrainTime; t > end {
-				end = t
+			if t := c.start + u.TrainTime; t > c.end {
+				c.end = t
 			}
 		}
 	}
-
-	// Update validation: quarantine deltas no sane server would aggregate —
-	// any non-finite coordinate, or (when bounded) an exploded norm. The
-	// quarantined update stays visible in Discarded. On the online-fold path
-	// validation already ran at fold time (identically: the fold checks the
-	// same predicate in the same participant order); here the marked updates
-	// only move from collected to discarded.
-	quarantined := 0
-	if fold != nil {
-		valid := collected[:0]
-		for _, u := range collected {
-			if u.Quarantined {
-				discarded = append(discarded, u)
-				quarantined++
-			} else {
-				valid = append(valid, u)
-			}
-		}
-		collected = valid
-	} else if r.Cfg.ValidateUpdates || r.Cfg.Chaos != nil {
-		valid := collected[:0]
-		for _, u := range collected {
-			if deltaValid(u.Delta, r.Cfg.MaxDeltaNorm) {
-				valid = append(valid, u)
-			} else {
-				u.Quarantined = true
-				discarded = append(discarded, u)
-				quarantined++
-			}
-		}
-		collected = valid
-	}
-
-	// Graceful degradation: a round with fewer valid survivors than the
-	// quorum is skipped-and-recorded — the model stays as it is and the run
-	// continues — instead of panicking the whole simulation away.
-	quorum := r.Cfg.MinQuorum
-	if quorum < 1 {
-		quorum = 1
-	}
-	skipped := len(collected) < quorum
-
-	// deltasRecycled marks collected deltas that already went back to the
-	// pool — by the online fold, or by weightedReduce's per-chunk recycling —
-	// so the cleanup loop below must not pool them a second time. (Their
-	// Update.Delta fields are already nil on the fold path; weightedReduce
-	// recycles via callback while the Update still points at the buffer.)
-	deltasRecycled := fold != nil
-	if !skipped {
-		// Aggregation: schemes implementing Aggregator replace the default
-		// weighted FedAvg mean (e.g. SAFA-style stale-update reuse).
-		if agg, ok := r.Scheme.(Aggregator); ok {
-			r.flat = agg.Aggregate(r.round, r.flat, collected, discarded)
-			if len(r.flat) != r.global.NumParams() {
-				panic("fl: aggregator returned a wrong-sized parameter vector")
-			}
-		} else if fold != nil {
-			applyFold(r.flat, fold.agg, fold.totalW, len(r.workers))
+	kept := c.collected[:0]
+	for _, u := range c.collected {
+		if u.Quarantined {
+			c.discarded = append(c.discarded, u)
+			c.quarantined++
 		} else {
-			var totalW float64
-			for _, u := range collected {
-				totalW += u.Weight
-			}
-			if len(r.aggBuf) != len(r.flat) {
-				r.aggBuf = make([]float64, len(r.flat))
-			}
-			var recycle func([]float64)
-			if !r.Cfg.RetainUpdateDeltas {
-				recycle = r.pool.put
-				deltasRecycled = true
-			}
-			weightedReduce(r.flat, r.aggBuf, collected, totalW, len(r.workers), recycle)
+			kept = append(kept, u)
 		}
-		r.global.SetFlatParams(r.flat)
 	}
+	c.collected = kept
+	c.skipped = len(c.collected) < max(1, r.Cfg.MinQuorum)
+	return c
+}
 
+// aggregate moves the global model: a scheme implementing Aggregator
+// replaces the default weighted FedAvg mean (e.g. SAFA-style stale-update
+// reuse); otherwise the online fold's accumulator is applied, or the
+// collected updates stream through the offline reduce. Then SetFlatParams.
+// In: the cut and the fold. Out: the new global parameters. Serial, with the
+// reduces fanning the parameter dimension out over borrowed workers.
+func (r *Runner) aggregate(c roundCut, fold *onlineFold) {
+	agg, custom := r.Scheme.(Aggregator)
+	switch {
+	case custom:
+		r.flat = agg.Aggregate(r.round, r.flat, c.collected, c.discarded)
+		if len(r.flat) != r.global.NumParams() {
+			panic("fl: aggregator returned a wrong-sized parameter vector")
+		}
+	case fold != nil:
+		applyFold(r.flat, fold.agg, fold.totalW, len(r.workers))
+	default:
+		var totalW float64
+		for _, u := range c.collected {
+			totalW += u.Weight
+		}
+		var recycle func([]float64)
+		if !r.Cfg.RetainUpdateDeltas {
+			recycle = r.pool.put
+		}
+		streamReduce(r.flat, r.aggBuf, c.collected, totalW, len(r.workers), reduceFanIn, recycle)
+	}
+	r.global.SetFlatParams(r.flat)
+}
+
+// recycle returns the round's dead update vectors to the worker pool. The
+// ownership rule: whoever recycles a delta nils its Update.Delta — the fold
+// and the streaming reduce already did for theirs — so every delta still set
+// here is pooled, unless the deltas are owned elsewhere: RetainUpdateDeltas
+// keeps them in the result, and a custom Aggregator may hold references
+// (SAFA caches stragglers) that recycling would corrupt silently, so there
+// they are only dropped. Serial.
+func (r *Runner) recycle(c roundCut) {
+	if r.Cfg.RetainUpdateDeltas {
+		return
+	}
+	_, custom := r.Scheme.(Aggregator)
+	for _, us := range [][]Update{c.collected, c.discarded} {
+		for i := range us {
+			if !custom {
+				r.pool.put(us[i].Delta)
+			}
+			us[i].Delta = nil
+		}
+	}
+}
+
+// record closes the books on a round: the survivors' timings into History,
+// the RoundResult with its means and the global model's accuracy,
+// RunnerStats, telemetry and the journal, then the cohort's slots back to
+// the fleet. In: the plan, the cohort and the cut. Out: the RoundResult.
+// Serial.
+func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResult {
 	// Timing estimates stay fresh even on skipped rounds: the survivors'
 	// updates really arrived. Quarantined updates are distrusted entirely.
-	for _, u := range collected {
+	for _, u := range c.collected {
 		r.Hist.Observe(u)
 	}
-	if !r.Cfg.RetainUpdateDeltas {
-		// The deltas are dead now; recycle them into the worker pool — but
-		// only on the default-aggregation path: a custom Aggregator may have
-		// retained references (SAFA caches stragglers), and clobbering those
-		// through the pool would corrupt it silently. Skipped rounds never
-		// entered the reduce, so their collected deltas are pooled here.
-		for i := range collected {
-			if !customAgg && !deltasRecycled {
-				r.pool.put(collected[i].Delta)
-			}
-			collected[i].Delta = nil
-		}
-		for i := range discarded {
-			if !customAgg {
-				r.pool.put(discarded[i].Delta)
-			}
-			discarded[i].Delta = nil
-		}
-	}
-
 	res := RoundResult{
 		Round:       r.round,
-		Start:       start,
-		End:         end,
-		Collected:   collected,
-		Discarded:   discarded,
+		Start:       c.start,
+		End:         c.end,
+		Collected:   c.collected,
+		Discarded:   c.discarded,
 		Plan:        plan,
-		Skipped:     skipped,
-		Quarantined: quarantined,
+		Skipped:     c.skipped,
+		Quarantined: c.quarantined,
 	}
 	var sumIter, sumEager, sumRetr, upBytes float64
 	dropped, linkRetries := 0, 0
-	for _, u := range collected {
+	for _, u := range c.collected {
 		sumIter += float64(u.Iterations)
 		sumEager += float64(u.EagerSent)
 		sumRetr += float64(u.Retransmitted)
 		linkRetries += u.LinkRetries
 		upBytes += u.UploadBytes
 	}
-	for _, u := range discarded {
+	for _, u := range c.discarded {
 		linkRetries += u.LinkRetries
 		upBytes += u.UploadBytes
 		if u.Dropped {
 			dropped++
 		}
 	}
-	if n := float64(len(collected)); n > 0 {
+	if n := float64(len(c.collected)); n > 0 {
 		res.MeanIterations = sumIter / n
 		res.MeanEagerSent = sumEager / n
 		res.MeanRetrans = sumRetr / n
@@ -585,54 +542,64 @@ func (r *Runner) RunRound() RoundResult {
 
 	r.statsMu.Lock()
 	r.stats.Rounds++
-	if skipped {
+	if c.skipped {
 		r.stats.SkippedRounds++
 	}
-	r.stats.Quarantined += quarantined
+	r.stats.Quarantined += c.quarantined
 	r.stats.DroppedRounds += dropped
 	r.stats.LinkRetries += linkRetries
-	r.stats.CohortClients += len(participants)
+	r.stats.CohortClients += len(cohort)
 	r.statsMu.Unlock()
 
-	r.Cfg.Telemetry.RoundDone(r.round, start, end, res.Accuracy, len(collected), quarantined, dropped, skipped)
-	r.Cfg.Telemetry.ObserveCohort(r.Fleet.Size(), len(participants))
-
-	// Journal the round serially: per-client attribution for every
-	// participant, then one event per quarantine/dropout, then the round
-	// summary. Like the sink, the journal is observational only.
-	if j := r.Cfg.Journal; j != nil {
-		for _, u := range collected {
-			j.ObserveUpdate(u.ClientID, u.Iterations, u.TrainTime, u.UploadBytes, u.LinkRetries, false, false)
-		}
-		for _, u := range discarded {
-			j.ObserveUpdate(u.ClientID, u.Iterations, u.TrainTime, u.UploadBytes, u.LinkRetries, u.Dropped, u.Quarantined)
-			if u.Quarantined {
-				j.Quarantine(r.round, u.ClientID, u.CompletionTime)
-			}
-			if u.Dropped {
-				j.Dropout(r.round, u.ClientID, u.Iterations, start+u.TrainTime)
-			}
-		}
-		j.RoundDone(r.round, end, len(collected), quarantined, dropped, skipped)
-		var made, recycled int64
-		if fs, ok := r.Fleet.(FleetStats); ok {
-			made, recycled = fs.SlotStats()
-		}
-		j.Cohort(r.round, r.Fleet.Size(), len(participants), made, recycled, upBytes)
-	}
+	r.Cfg.Telemetry.RoundDone(r.round, c.start, c.end, res.Accuracy, len(c.collected), c.quarantined, dropped, c.skipped)
+	r.Cfg.Telemetry.ObserveCohort(r.Fleet.Size(), len(cohort))
+	r.journal(res, len(cohort), dropped, upBytes)
 
 	// Return cohort slots to the fleet's pool (no-op for static fleets).
 	// Nothing references the clients by now: updates carry metadata only
-	// (deltas recycled or nil'd above) and controllers retain just the id.
-	for i, c := range participants {
-		r.Fleet.Recycle(c)
-		participants[i] = nil
+	// (deltas recycled or nil'd) and controllers retain just the id.
+	for i, cl := range cohort {
+		r.Fleet.Recycle(cl)
+		cohort[i] = nil
 	}
-
-	r.round++
-	r.now = end
 	return res
 }
+
+// journal records a round in the flight recorder: per-client attribution for
+// every participant, then one event per quarantine and dropout, then the
+// round summary and the cohort's slot-pool counters. Like the telemetry sink
+// it is observational only.
+func (r *Runner) journal(res RoundResult, cohort, dropped int, upBytes float64) {
+	j := r.Cfg.Journal
+	if j == nil {
+		return
+	}
+	for _, u := range res.Collected {
+		j.ObserveUpdate(u.ClientID, u.Iterations, u.TrainTime, u.UploadBytes, u.LinkRetries, false, false)
+	}
+	for _, u := range res.Discarded {
+		j.ObserveUpdate(u.ClientID, u.Iterations, u.TrainTime, u.UploadBytes, u.LinkRetries, u.Dropped, u.Quarantined)
+		if u.Quarantined {
+			j.Quarantine(res.Round, u.ClientID, u.CompletionTime)
+		}
+		if u.Dropped {
+			j.Dropout(res.Round, u.ClientID, u.Iterations, res.Start+u.TrainTime)
+		}
+	}
+	j.RoundDone(res.Round, res.End, len(res.Collected), res.Quarantined, dropped, res.Skipped)
+	var made, recycled int64
+	if fs, ok := r.Fleet.(FleetStats); ok {
+		made, recycled = fs.SlotStats()
+	}
+	j.Cohort(res.Round, r.Fleet.Size(), cohort, made, recycled, upBytes)
+}
+
+// verdicts holds each participant's validation verdict for a round, written
+// by the worker that trained it: true when the update may enter aggregation.
+// A nil verdicts — the config validates nothing — rejects nothing.
+type verdicts []bool
+
+func (v verdicts) rejects(i int) bool { return v != nil && !v[i] }
 
 // deltaValid reports whether an update vector may enter aggregation: every
 // coordinate finite, and the L2 norm within maxNorm when bounded.
@@ -670,7 +637,7 @@ const minReduceShard = 2048
 
 // reduceFanIn is the streaming reduce's chunk width: how many client deltas
 // stay live between recycle points. Any value yields the same bits (see
-// weightedReduce); 8 keeps the live set tiny while amortizing the per-chunk
+// streamReduce); 8 keeps the live set tiny while amortizing the per-chunk
 // goroutine barrier.
 const reduceFanIn = 8
 
@@ -710,25 +677,20 @@ func reduceShards(n, workers int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// weightedReduce adds the weight-normalized (by totalW) mean of the
-// collected deltas to flat, streaming the client dimension through fixed
-// fan-in chunks and fanning the parameter dimension of each chunk out over
-// at most workers goroutines (borrowed from the shared CPU-token budget, so
-// a spent budget degrades to the serial loop). After a chunk's barrier its
-// deltas are dead; when recycle is non-nil each is handed back immediately,
-// bounding the reduce's live delta set to fan-in buffers instead of the
-// whole cohort.
+// streamReduce adds the weight-normalized (by totalW) mean of the collected
+// deltas to flat, streaming the client dimension through chunks of fanIn
+// updates and fanning the parameter dimension of each chunk out over at most
+// workers goroutines (borrowed from the shared CPU-token budget, so a spent
+// budget degrades to the serial loop). After a chunk's barrier its deltas are
+// dead; when recycle is non-nil each is handed back immediately and its
+// Update.Delta nil'd, bounding the reduce's live delta set to fan-in buffers
+// instead of the whole cohort.
 //
 // Determinism: each shard owns a disjoint index range and accumulates
 // clients in slice order; chunking only inserts barriers into that order
 // without reordering it, so every element sees exactly the floating-point
 // sequence of the serial client-major loop — the result is bit-identical
 // for any worker count and any fan-in (TestWeightedReduceDeterministic).
-func weightedReduce(flat, agg []float64, collected []Update, totalW float64, workers int, recycle func([]float64)) {
-	streamReduce(flat, agg, collected, totalW, workers, reduceFanIn, recycle)
-}
-
-// streamReduce is weightedReduce with an explicit fan-in (test seam).
 func streamReduce(flat, agg []float64, collected []Update, totalW float64, workers, fanIn int, recycle func([]float64)) {
 	n := len(flat)
 	if fanIn < 1 {
@@ -759,6 +721,7 @@ func streamReduce(flat, agg []float64, collected []Update, totalW float64, worke
 		if recycle != nil {
 			for i := range chunk {
 				recycle(chunk[i].Delta)
+				chunk[i].Delta = nil
 			}
 		}
 	}
@@ -786,10 +749,11 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 // onlineFold streams completed updates into the aggregation accumulator in
 // participant-index order while the client phase is still running. Whichever
 // worker closes the gap at the in-order frontier folds every newly
-// contiguous update under the mutex, so the floating-point sequence — and
-// each update's validation verdict — is identical at any worker count.
-// Folded deltas recycle immediately: peak delta memory is the out-of-order
-// completion window (O(workers)), not the cohort.
+// contiguous update under the mutex, so the floating-point sequence is
+// identical at any worker count. An update its verdict rejects is recycled
+// unfolded (the cut quarantines it). Folded deltas recycle immediately: peak
+// delta memory is the out-of-order completion window (O(workers)), not the
+// cohort.
 //
 // The fold accumulates unnormalized (agg[j] += w·d[j]) because totalW is
 // unknown until the last update lands; applyFold divides once at the end.
@@ -798,43 +762,36 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 // self-deterministic but not bit-identical to each other — the runner picks
 // the path from the config, never per-round.
 type onlineFold struct {
-	agg      []float64
-	updates  []Update
-	done     []bool
-	next     int
-	validate bool
-	maxNorm  float64
-	pool     *deltaPool
+	agg     []float64
+	updates []Update
+	valid   verdicts
+	done    []bool
+	next    int
+	pool    *deltaPool
 
 	mu     sync.Mutex
 	totalW float64
 }
 
 // complete marks update i finished and folds the in-order frontier. Callers
-// must have published updates[i] before calling (the runner's worker loop
-// writes the slot, then calls complete; the fold's mutex orders the reads).
+// must have published updates[i] and its verdict before calling (the train
+// stage's worker writes both, then calls complete; the fold's mutex orders
+// the reads).
 func (f *onlineFold) complete(i int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.done[i] = true
-	for f.next < len(f.updates) && f.done[f.next] {
+	for ; f.next < len(f.updates) && f.done[f.next]; f.next++ {
 		u := &f.updates[f.next]
-		f.next++
-		if u.Dropped {
-			continue // its partial delta is discarded by the cleanup loop
+		// A dropped client has no delta to fold.
+		if !u.Dropped && !f.valid.rejects(f.next) {
+			w := u.Weight
+			d := u.Delta
+			for j := range f.agg {
+				f.agg[j] += w * d[j]
+			}
+			f.totalW += w
 		}
-		if f.validate && !deltaValid(u.Delta, f.maxNorm) {
-			u.Quarantined = true
-			f.pool.put(u.Delta)
-			u.Delta = nil
-			continue
-		}
-		w := u.Weight
-		d := u.Delta
-		for j := range f.agg {
-			f.agg[j] += w * d[j]
-		}
-		f.totalW += w
 		f.pool.put(u.Delta)
 		u.Delta = nil
 	}

@@ -23,7 +23,7 @@ func steadyStateAllocs[F tensor.Float](t *testing.T, net *nn.NetworkOf[F]) float
 	cputok.Default().SetCap(1)
 	defer cputok.Default().SetCap(old)
 
-	w := newTrainWorkerOf(net)
+	w := newTrainWorkerOf(net, &deltaPool{})
 	gen := data.NewImageGenerator(data.ImageSpec{
 		Classes: 4, Channels: 1, Height: 8, Width: 8, Noise: 1,
 	}, rng.New(5))

@@ -93,11 +93,12 @@ func TestWRNTrains(t *testing.T) {
 		labels[i] = r.Intn(4)
 	}
 	before := m.FlatParams()
-	opt := nn.NewSGD(0.01, 0, 0)
+	opt := nn.NewSGDOf[float64](0.01, 0, 0)
 	for it := 0; it < 3; it++ {
 		m.ZeroGrad()
 		logits := m.Forward(x, true)
-		_, d := nn.SoftmaxCrossEntropy(logits, labels)
+		d := tensor.New(logits.Dim(0), logits.Dim(1))
+		nn.SoftmaxCrossEntropyInto(logits, labels, d)
 		m.Backward(d)
 		opt.Step(m.Params())
 	}

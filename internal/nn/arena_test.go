@@ -22,7 +22,7 @@ func TestBackwardAfterArenaResetPanics(t *testing.T) {
 	net.SetArena(arena)
 	x := randInput(r, 4, 6)
 	logits := net.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, randLabels(r, 4, 3))
+	_, dlogits := softmaxCrossEntropy(logits, randLabels(r, 4, 3))
 	arena.Reset()
 	defer func() {
 		if recover() == nil {
@@ -222,8 +222,8 @@ func arenaVsHeap[F tensor.Float](t *testing.T, path string, build func() (*Netwo
 			t.Fatalf("%s iter %d: training forward diverges at %d: %v vs %v", path, iter, i, lh.Data()[i], lt.Data()[i])
 		}
 		keep(lt.Data())
-		_, dh := SoftmaxCrossEntropy(lh, labels)
-		_, da := SoftmaxCrossEntropy(lt, labels)
+		_, dh := softmaxCrossEntropy(lh, labels)
+		_, da := softmaxCrossEntropy(lt, labels)
 		// Layer by layer, so that the first layer's input gradient is
 		// compared too (Network.Backward leaves it out).
 		dxh, dxa := layerwiseBackward(heap, dh), layerwiseBackward(arenaNet, da)
@@ -257,7 +257,7 @@ func TestArenaMatchesHeapExactly(t *testing.T) {
 // lossOf32 evaluates the scalar training loss of a float32 network.
 func lossOf32(net *NetworkOf[float32], x *tensor.TensorOf[float32], labels []int) float64 {
 	logits := net.Forward(x, true)
-	loss, _ := SoftmaxCrossEntropy(logits, labels)
+	loss, _ := softmaxCrossEntropy(logits, labels)
 	return loss
 }
 
@@ -280,7 +280,7 @@ func TestGradCheckFloat32(t *testing.T) {
 
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, labels)
+	_, dlogits := softmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
 
 	const eps = 5e-3

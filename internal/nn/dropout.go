@@ -11,7 +11,7 @@ import (
 // residual block.
 //
 // Determinism: masks are drawn from the layer's own RNG. In the FL simulator
-// a worker network is shared across clients, so RunClientRound reseeds noise
+// a worker network is shared across clients, so the client round reseeds noise
 // layers per (client, round) via Network.ReseedNoise — masks then depend only
 // on the client and round, not on goroutine scheduling.
 type DropoutOf[F tensor.Float] struct {

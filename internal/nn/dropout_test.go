@@ -156,7 +156,7 @@ func TestDropoutGradCheck(t *testing.T) {
 	net.ZeroGrad()
 	net.ReseedNoise(7)
 	logits := net.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, labels)
+	_, dlogits := softmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
 
 	const eps = 1e-5

@@ -25,7 +25,7 @@ func TestLSTMLongSequenceStability(t *testing.T) {
 			t.Fatalf("unstable forward: %v", v)
 		}
 	}
-	_, d := SoftmaxCrossEntropy(logits, []int{0, 1})
+	_, d := softmaxCrossEntropy(logits, []int{0, 1})
 	net.Backward(d)
 	for _, p := range net.Params() {
 		for _, g := range p.Grad.Data() {
@@ -71,7 +71,7 @@ func TestConvBackwardWithoutForwardPanics(t *testing.T) {
 func TestSGDReset(t *testing.T) {
 	p := newParam("w", 1)
 	p.Grad.Data()[0] = 1
-	opt := NewSGD(1, 0.9, 0)
+	opt := NewSGDOf[float64](1, 0.9, 0)
 	opt.Step([]*Param{p}) // v = 1
 	opt.Reset()
 	p.Grad.Data()[0] = 1
@@ -129,7 +129,7 @@ func TestSoftmaxCEProperty(t *testing.T) {
 		}
 		logits := tensor.FromSlice([]float64{a, b, c}, 1, 3)
 		y := int(label) % 3
-		loss, d := SoftmaxCrossEntropy(logits, []int{y})
+		loss, d := softmaxCrossEntropy(logits, []int{y})
 		if loss < -1e-12 || math.IsNaN(loss) {
 			return false
 		}
@@ -150,7 +150,7 @@ func TestSoftmaxCELabelOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(1, 2), []int{5})
+	softmaxCrossEntropy(tensor.New(1, 2), []int{5})
 }
 
 func TestSoftmaxCELabelsLengthMismatchPanics(t *testing.T) {
@@ -159,7 +159,7 @@ func TestSoftmaxCELabelsLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(2, 2), []int{0})
+	softmaxCrossEntropy(tensor.New(2, 2), []int{0})
 }
 
 // TestBatchNormSingleSpatialElement: BN over C channels of 1×1 maps (the

@@ -6,19 +6,13 @@ import (
 	"fedca/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the mean cross-entropy loss of logits [B, C]
-// against integer labels and the gradient dL/dlogits in one pass (the fused
-// softmax-CE backward: (softmax − onehot)/B). The log-sum-exp runs in float64
-// for both dtypes; a float32 network rounds the gradient on store.
-func SoftmaxCrossEntropy[F tensor.Float](logits *tensor.TensorOf[F], labels []int) (loss float64, dlogits *tensor.TensorOf[F]) {
-	dlogits = tensor.NewOf[F](logits.Dim(0), logits.Dim(1))
-	loss = SoftmaxCrossEntropyInto(logits, labels, dlogits)
-	return loss, dlogits
-}
-
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy with a caller-supplied
-// gradient destination (typically arena-allocated), so the loss itself adds
-// nothing to the steady-state allocation count.
+// SoftmaxCrossEntropyInto computes the mean cross-entropy loss of logits
+// [B, C] against integer labels and writes the gradient dL/dlogits into
+// dlogits in the same pass (the fused softmax-CE backward: (softmax −
+// onehot)/B). The log-sum-exp runs in float64 for both dtypes; a float32
+// network rounds the gradient on store. The destination is the caller's
+// (typically arena-allocated), so the loss adds nothing to the steady-state
+// allocation count.
 func SoftmaxCrossEntropyInto[F tensor.Float](logits *tensor.TensorOf[F], labels []int, dlogits *tensor.TensorOf[F]) float64 {
 	batch, classes := logits.Dim(0), logits.Dim(1)
 	if len(labels) != batch {

@@ -8,11 +8,18 @@ import (
 	"fedca/internal/tensor"
 )
 
+// softmaxCrossEntropy is SoftmaxCrossEntropyInto with a freshly allocated
+// gradient, the shape most tests want.
+func softmaxCrossEntropy[F tensor.Float](logits *tensor.TensorOf[F], labels []int) (float64, *tensor.TensorOf[F]) {
+	dlogits := tensor.NewOf[F](logits.Dim(0), logits.Dim(1))
+	return SoftmaxCrossEntropyInto(logits, labels, dlogits), dlogits
+}
+
 // lossOf evaluates the scalar training loss of net on (x, labels) without
 // touching gradients. Used as the oracle for numerical gradient checks.
 func lossOf(net *Network, x *tensor.Tensor, labels []int) float64 {
 	logits := net.Forward(x, true)
-	loss, _ := SoftmaxCrossEntropy(logits, labels)
+	loss, _ := softmaxCrossEntropy(logits, labels)
 	return loss
 }
 
@@ -22,7 +29,7 @@ func gradCheck(t *testing.T, net *Network, x *tensor.Tensor, labels []int, tol f
 	t.Helper()
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, labels)
+	_, dlogits := softmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
 
 	const eps = 1e-5
@@ -68,7 +75,7 @@ func inputGradCheck(t *testing.T, net *Network, x *tensor.Tensor, labels []int, 
 	t.Helper()
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, labels)
+	_, dlogits := softmaxCrossEntropy(logits, labels)
 	dx := layerwiseBackward(net, dlogits)
 
 	const eps = 1e-5
@@ -354,7 +361,7 @@ func TestLSTMParamNames(t *testing.T) {
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln 4.
 	logits := tensor.New(2, 4)
-	loss, d := SoftmaxCrossEntropy(logits, []int{0, 3})
+	loss, d := softmaxCrossEntropy(logits, []int{0, 3})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
@@ -376,7 +383,7 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1000, 0, -1000}, 1, 3)
-	loss, d := SoftmaxCrossEntropy(logits, []int{0})
+	loss, d := softmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
 	}
@@ -406,7 +413,7 @@ func TestSGDStep(t *testing.T) {
 	p.Value.Data()[1] = 2
 	p.Grad.Data()[0] = 0.5
 	p.Grad.Data()[1] = -0.5
-	opt := NewSGD(0.1, 0, 0)
+	opt := NewSGDOf[float64](0.1, 0, 0)
 	opt.Step([]*Param{p})
 	if math.Abs(p.Value.Data()[0]-0.95) > 1e-12 || math.Abs(p.Value.Data()[1]-2.05) > 1e-12 {
 		t.Fatalf("SGD step wrong: %v", p.Value.Data())
@@ -416,7 +423,7 @@ func TestSGDStep(t *testing.T) {
 func TestSGDWeightDecay(t *testing.T) {
 	p := newParam("w", 1)
 	p.Value.Data()[0] = 10
-	opt := NewSGD(0.1, 0, 0.01)
+	opt := NewSGDOf[float64](0.1, 0, 0.01)
 	opt.Step([]*Param{p}) // grad 0, wd pulls toward zero: w -= 0.1*0.01*10
 	if math.Abs(p.Value.Data()[0]-9.99) > 1e-12 {
 		t.Fatalf("weight decay wrong: %v", p.Value.Data()[0])
@@ -426,7 +433,7 @@ func TestSGDWeightDecay(t *testing.T) {
 func TestSGDMomentum(t *testing.T) {
 	p := newParam("w", 1)
 	p.Grad.Data()[0] = 1
-	opt := NewSGD(1, 0.9, 0)
+	opt := NewSGDOf[float64](1, 0.9, 0)
 	opt.Step([]*Param{p}) // v=1, w=-1
 	opt.Step([]*Param{p}) // v=1.9, w=-2.9
 	if math.Abs(p.Value.Data()[0]+2.9) > 1e-12 {
@@ -486,7 +493,7 @@ func TestDuplicateParamNamePanics(t *testing.T) {
 func TestTrainingReducesLoss(t *testing.T) {
 	r := rng.New(17)
 	net := NewNetwork(NewDense("fc1", 2, 16, r), NewReLU(16), NewDense("fc2", 16, 2, r))
-	opt := NewSGD(0.1, 0, 0)
+	opt := NewSGDOf[float64](0.1, 0, 0)
 	// Two Gaussian blobs.
 	const n = 64
 	x := tensor.New(n, 2)
@@ -502,7 +509,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		net.ZeroGrad()
 		logits := net.Forward(x, true)
-		_, d := SoftmaxCrossEntropy(logits, labels)
+		_, d := softmaxCrossEntropy(logits, labels)
 		net.Backward(d)
 		opt.Step(net.Params())
 	}
@@ -523,13 +530,13 @@ func TestTrainingDeterminism(t *testing.T) {
 		geom := tensor.NewConvGeom(1, 8, 8, 3, 3, 1, 1)
 		conv := NewConv2D("conv", geom, 4, r)
 		net := NewNetwork(conv, NewReLU(conv.OutDim()), NewDense("fc", conv.OutDim(), 3, r))
-		opt := NewSGD(0.05, 0, 0)
+		opt := NewSGDOf[float64](0.05, 0, 0)
 		x := randInput(r, 16, 64)
 		labels := randLabels(r, 16, 3)
 		for it := 0; it < 5; it++ {
 			net.ZeroGrad()
 			logits := net.Forward(x, true)
-			_, d := SoftmaxCrossEntropy(logits, labels)
+			_, d := softmaxCrossEntropy(logits, labels)
 			net.Backward(d)
 			opt.Step(net.Params())
 		}
@@ -576,7 +583,7 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
 		logits := net.Forward(x, true)
-		_, d := SoftmaxCrossEntropy(logits, labels)
+		_, d := softmaxCrossEntropy(logits, labels)
 		net.Backward(d)
 	}
 }

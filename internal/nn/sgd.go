@@ -22,11 +22,6 @@ func NewSGDOf[F tensor.Float](lr, momentum, weightDecay float64) *SGDOf[F] {
 	return &SGDOf[F]{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*ParamOf[F]]*tensor.TensorOf[F])}
 }
 
-// NewSGD creates a float64 optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return NewSGDOf[float64](lr, momentum, weightDecay)
-}
-
 // Step applies one update to every parameter:
 //
 //	g   = grad + wd·w

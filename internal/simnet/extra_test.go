@@ -9,15 +9,15 @@ func TestNegativeTransferPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Transfer(0, -1)
+	l.TransferAttempts(0, -1, 1)
 }
 
 func TestResetAtAllowsEarlierEnqueue(t *testing.T) {
 	l := NewLink(100, 0)
-	l.Transfer(50, 100)
+	l.TransferAttempts(50, 100, 1)
 	l.ResetAt(10)
 	// After reset the FIFO clock rewinds: enqueue at 10 is legal again.
-	start, end := l.Transfer(10, 100)
+	start, end := l.TransferAttempts(10, 100, 1)
 	if start != 10 || end != 11 {
 		t.Fatalf("post-reset transfer = %v..%v", start, end)
 	}

@@ -10,7 +10,7 @@ import (
 func TestImpairDegrade(t *testing.T) {
 	l := NewLink(100, 0) // 100 B/s
 	l.Impair(0, math.Inf(1), 0.5)
-	_, end := l.Transfer(0, 100)
+	_, end := l.TransferAttempts(0, 100, 1)
 	if end != 2.0 {
 		t.Fatalf("degraded transfer end = %v, want 2.0", end)
 	}
@@ -21,14 +21,14 @@ func TestImpairOutage(t *testing.T) {
 	l := NewLink(100, 0)
 	// 100 B at 100 B/s would take 1 s; a [0.5, 2.5) outage pauses it for 2 s.
 	l.Impair(0.5, 2.5, 0)
-	start, end := l.Transfer(0, 100)
+	start, end := l.TransferAttempts(0, 100, 1)
 	if start != 0 || end != 3.0 {
 		t.Fatalf("outage transfer = [%v, %v], want [0, 3]", start, end)
 	}
 	// A transfer enqueued inside the outage waits for the window to close.
 	l2 := NewLink(100, 0)
 	l2.Impair(1, 2, 0)
-	_, end2 := l2.Transfer(1.5, 100)
+	_, end2 := l2.TransferAttempts(1.5, 100, 1)
 	if end2 != 3.0 {
 		t.Fatalf("queued-in-outage transfer end = %v, want 3", end2)
 	}
@@ -41,7 +41,7 @@ func TestImpairPiecewise(t *testing.T) {
 	l.Impair(1, 2, 0.5)
 	// 200 B: 100 B in [0,1) at full rate, 50 B in [1,2) at half rate,
 	// 50 B in [2, 2.5) at full rate.
-	_, end := l.Transfer(0, 200)
+	_, end := l.TransferAttempts(0, 200, 1)
 	if end != 2.5 {
 		t.Fatalf("piecewise transfer end = %v, want 2.5", end)
 	}
@@ -52,7 +52,7 @@ func TestImpairCompound(t *testing.T) {
 	l := NewLink(100, 0)
 	l.Impair(0, math.Inf(1), 0.5)
 	l.Impair(0, math.Inf(1), 0.5)
-	_, end := l.Transfer(0, 100)
+	_, end := l.TransferAttempts(0, 100, 1)
 	if end != 4.0 {
 		t.Fatalf("compound degraded end = %v, want 4.0", end)
 	}
@@ -64,7 +64,7 @@ func TestResetClearsImpairments(t *testing.T) {
 	l := NewLink(100, 0)
 	l.Impair(0, 100, 0.5)
 	l.ResetAt(10)
-	_, end := l.Transfer(10, 100)
+	_, end := l.TransferAttempts(10, 100, 1)
 	if end != 11.0 {
 		t.Fatalf("post-reset transfer end = %v, want 11 (impairment must be gone)", end)
 	}
@@ -86,7 +86,7 @@ func TestTransferAttempts(t *testing.T) {
 			l.BytesSent(), l.Transfers(), l.Retries())
 	}
 	// FIFO: the next transfer queues behind the retransmissions.
-	s2, _ := l.Transfer(1, 10)
+	s2, _ := l.TransferAttempts(1, 10, 1)
 	if s2 != 4.5 {
 		t.Fatalf("queued start = %v, want 4.5", s2)
 	}
@@ -100,7 +100,7 @@ func TestTransferUnchangedWithoutImpairments(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bytes := float64(i) * 1234.567
 		enq := float64(i) * 0.9
-		start, end := l.Transfer(enq, bytes)
+		start, end := l.TransferAttempts(enq, bytes, 1)
 		wantStart := enq
 		if free > wantStart {
 			wantStart = free

@@ -135,12 +135,6 @@ func (l *Link) serve(t, bytes float64) float64 {
 	return t
 }
 
-// Transfer enqueues bytes at virtual time enqueue and returns when the
-// transfer starts (link becomes available) and completes.
-func (l *Link) Transfer(enqueue, bytes float64) (start, end float64) {
-	return l.TransferAttempts(enqueue, bytes, 1)
-}
-
 // TransferAttempts enqueues a transfer needing the given number of
 // transmission attempts: the first attempts-1 fail after consuming their full
 // airtime and are retransmitted back to back; the last succeeds. It returns

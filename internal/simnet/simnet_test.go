@@ -8,7 +8,7 @@ import (
 
 func TestIdleTransfer(t *testing.T) {
 	l := NewLink(1000, 0.1) // 1000 B/s, 100 ms latency
-	start, end := l.Transfer(5, 2000)
+	start, end := l.TransferAttempts(5, 2000, 1)
 	if start != 5 {
 		t.Fatalf("start = %v, want 5", start)
 	}
@@ -19,8 +19,8 @@ func TestIdleTransfer(t *testing.T) {
 
 func TestFIFOQueueing(t *testing.T) {
 	l := NewLink(100, 0)
-	_, end1 := l.Transfer(0, 1000) // busy until t=10
-	start2, end2 := l.Transfer(1, 500)
+	_, end1 := l.TransferAttempts(0, 1000, 1) // busy until t=10
+	start2, end2 := l.TransferAttempts(1, 500, 1)
 	if start2 != end1 {
 		t.Fatalf("second transfer must wait for the first: start %v, want %v", start2, end1)
 	}
@@ -31,8 +31,8 @@ func TestFIFOQueueing(t *testing.T) {
 
 func TestNoQueueWhenIdle(t *testing.T) {
 	l := NewLink(100, 0)
-	l.Transfer(0, 100) // done at 1
-	start, _ := l.Transfer(5, 100)
+	l.TransferAttempts(0, 100, 1) // done at 1
+	start, _ := l.TransferAttempts(5, 100, 1)
 	if start != 5 {
 		t.Fatalf("idle link must start immediately: %v", start)
 	}
@@ -40,8 +40,8 @@ func TestNoQueueWhenIdle(t *testing.T) {
 
 func TestAccounting(t *testing.T) {
 	l := NewLink(100, 0)
-	l.Transfer(0, 100)
-	l.Transfer(0, 200)
+	l.TransferAttempts(0, 100, 1)
+	l.TransferAttempts(0, 200, 1)
 	if l.BytesSent() != 300 || l.Transfers() != 2 {
 		t.Fatalf("accounting wrong: %v bytes, %d transfers", l.BytesSent(), l.Transfers())
 	}
@@ -61,13 +61,13 @@ func TestDuration(t *testing.T) {
 
 func TestOutOfOrderEnqueuePanics(t *testing.T) {
 	l := NewLink(100, 0)
-	l.Transfer(10, 1)
+	l.TransferAttempts(10, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Transfer(5, 1)
+	l.TransferAttempts(5, 1, 1)
 }
 
 func TestBadConstructionPanics(t *testing.T) {
@@ -100,7 +100,7 @@ func TestTransferInvariants(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			now += float64(gaps[i]) / 100
-			start, end := l.Transfer(now, float64(sizes[i]))
+			start, end := l.TransferAttempts(now, float64(sizes[i]), 1)
 			if start < now || start < prevEnd || end < start {
 				return false
 			}
