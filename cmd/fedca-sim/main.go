@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 
-	"fedca/internal/baseline"
 	"fedca/internal/chaos"
 	"fedca/internal/compress"
 	"fedca/internal/core"
@@ -42,7 +41,7 @@ func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
 	clients := flag.Int("clients", 0, "override client count")
 	fleet := flag.Int("fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
-	participation := flag.Float64("participation", 0, "fraction of the virtual fleet sampled into each round's cohort (requires -fleet; 0 or 1 = everyone)")
+	participation := flag.Float64("participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
 	aggFrac := flag.Float64("aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
 	rounds := flag.Int("rounds", 0, "override round count")
 	seed := flag.Uint64("seed", 42, "master seed")
@@ -118,9 +117,6 @@ func main() {
 	if *aggFrac > 0 {
 		w.FL.AggregateFraction = *aggFrac
 	}
-	if *participation > 0 && *fleet <= 0 {
-		fail(fmt.Errorf("-participation requires -fleet"))
-	}
 	w.FL.Participation = *participation
 
 	// Telemetry: one sink feeds both the HTTP surface and the trace export.
@@ -138,54 +134,34 @@ func main() {
 		w.FL.Journal = journal
 	}
 
-	var sch fl.Scheme
-	var fedca *core.Scheme
-	switch *scheme {
-	case "fedavg":
-		sch = baseline.FedAvg{}
-	case "fedprox":
-		sch = baseline.FedProx{Mu: 0.01}
-	case "fedada":
-		sch = baseline.FedAda{K: w.FL.LocalIters, Tradeoff: 0.5}
-	case "oort":
-		sch = baseline.NewOort(w.FL.LocalIters, 0.5, rng.New(*seed).Fork("oort"))
-	case "safa":
-		sch = baseline.NewSAFA(0.5)
-	case "fedca", "fedca-v1", "fedca-v2":
-		var opt core.Options
-		switch *scheme {
-		case "fedca":
-			opt = scale.FedCAOptions()
-		case "fedca-v1":
-			opt = core.V1Options(w.FL.LocalIters)
-		case "fedca-v2":
-			opt = core.V2Options(w.FL.LocalIters)
-		}
-		fedca = core.NewScheme(opt, rng.New(*seed).Fork("scheme"))
-		fedca.SetTelemetry(sink)
-		fedca.SetJournal(journal)
-		sch = fedca
-	default:
-		fail(fmt.Errorf("unknown scheme %q", *scheme))
+	sch, err := expcfg.SchemeByName(*scheme, &w.FL, scale.FedCAOptions(), *seed)
+	if err != nil {
+		fail(err)
 	}
+	fedca, _ := sch.(*core.Scheme)
 
 	var runner *fl.Runner
 	if *fleet > 0 {
-		ftb, err := expcfg.BuildFleet(w, *fleet, 0, scale.TraceConfig(), *seed)
-		if err != nil {
+		var ftb *expcfg.FleetTestbed
+		if ftb, err = expcfg.BuildFleet(w, *fleet, 0, scale.TraceConfig(), *seed); err != nil {
 			fail(err)
 		}
 		runner, err = ftb.NewRunner(sch)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("fleet: %d virtual clients, participation=%g (cohort ≈ %d), lazy cohort materialization\n",
-			*fleet, *participation, cohortOf(*fleet, *participation))
 	} else {
 		runner, err = expcfg.Build(w, scale.Clients, scale.TraceConfig(), *seed).NewRunner(sch)
-		if err != nil {
-			fail(err)
+	}
+	if err != nil {
+		fail(err)
+	}
+	popClients := scale.Clients
+	if *fleet > 0 {
+		popClients = *fleet
+		cohort := *fleet // the runner's cohort size, for the banner
+		if p := w.FL.Participation; p > 0 && p < 1 {
+			cohort = max(1, int(p*float64(*fleet)+0.5))
 		}
+		fmt.Printf("fleet: %d virtual clients, participation=%g (cohort ≈ %d), lazy cohort materialization\n",
+			*fleet, w.FL.Participation, cohort)
 	}
 	if *httpAddr != "" {
 		mux := telemetry.NewMux(sink, journal, statusFunc(runner, fedca, sink))
@@ -229,10 +205,6 @@ func main() {
 		if err := logw.WriteHeader(hdr); err != nil {
 			fail(err)
 		}
-	}
-	popClients := scale.Clients
-	if *fleet > 0 {
-		popClients = *fleet
 	}
 	fmt.Printf("model=%s scheme=%s clients=%d K=%d rounds=%d seed=%d compress=%s\n",
 		*model, *scheme, popClients, w.FL.LocalIters, scale.Rounds, *seed, comp.Name())
@@ -328,18 +300,6 @@ func writeEvents(w io.Writer, events []telemetry.Event, since uint64) uint64 {
 		since = e.Seq
 	}
 	return since
-}
-
-// cohortOf mirrors the runner's expected cohort size for the banner.
-func cohortOf(fleet int, participation float64) int {
-	if participation <= 0 || participation >= 1 {
-		return fleet
-	}
-	k := int(participation*float64(fleet) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 func fail(err error) {

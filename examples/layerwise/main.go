@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("anchor round dur=%.1fs, FedCA round dur=%.1fs\n\n", anchor.Duration(), acted.Duration())
 
 	curves := scheme.Profiler(0).Curves()
-	net := tb.Factory()
+	net := tb.Nets.New64()
 	ranges := net.ParamRanges()
 	fmt.Printf("client 0: profiled curves from anchor round %d (K=%d, T_e=%.2f)\n\n", curves.Round, curves.K, opt.Te)
 	fmt.Printf("%-14s %-28s %8s\n", "layer", "progress curve", "eager@")

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"sync"
 
-	"fedca/internal/baseline"
 	"fedca/internal/chaos"
 	"fedca/internal/compress"
 	"fedca/internal/core"
@@ -76,9 +75,11 @@ type Options struct {
 	// million-client federation is a few thousand live clients. Client
 	// identity derives from (Seed, clientID), so runs stay bit-reproducible.
 	Fleet int
-	// Participation is the fraction of the fleet sampled into each round's
-	// cohort (virtual fleets only; 0 or 1 = everyone). 1M clients at 0.01
-	// participation run 10k-client rounds.
+	// Participation is the fraction of the population that trains each
+	// round (0 or 1 = everyone). A value below 1 needs someone to pick the
+	// cohort: a selecting scheme (Oort, which picks by utility and defaults
+	// to 0.5), or else a virtual fleet (Fleet > 0), which samples it from
+	// the seed. 1M clients at 0.01 participation run 10k-client rounds.
 	Participation float64
 	// AggregateFraction overrides the workload's partial-aggregation cut
 	// (paper: 0.9) when in (0, 1]. At 1.0 the server aggregates every
@@ -86,7 +87,9 @@ type Options struct {
 	// for very large cohorts.
 	AggregateFraction float64
 	// Scheme selects the federated optimization strategy: "fedavg",
-	// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort", "safa".
+	// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort", "safa"
+	// (resolved by expcfg.SchemeByName, as fedca-sim -scheme is). "oort"
+	// picks who trains; see Participation.
 	Scheme string
 	// Seed drives all randomness; equal seeds reproduce runs bit-for-bit.
 	Seed uint64
@@ -268,56 +271,24 @@ func New(opts Options) (*Federation, error) {
 		tcfg.Dynamic = opts.Dynamic
 	}
 
-	var scheme fl.Scheme
-	var fedcaScheme *core.Scheme
-	switch opts.Scheme {
-	case "fedavg":
-		scheme = baseline.FedAvg{}
-	case "fedprox":
-		scheme = baseline.FedProx{Mu: 0.01}
-	case "fedada":
-		scheme = baseline.FedAda{K: w.FL.LocalIters, Tradeoff: 0.5}
-	case "oort":
-		scheme = baseline.NewOort(w.FL.LocalIters, 0.5, rng.New(opts.Seed).Fork("oort"))
-	case "safa":
-		scheme = baseline.NewSAFA(0.5)
-	case "fedca", "fedca-v1", "fedca-v2":
-		o := opts.FedCA
-		if o.K == 0 {
-			o = core.DefaultOptions(w.FL.LocalIters)
-		}
-		o.K = w.FL.LocalIters
-		switch opts.Scheme {
-		case "fedca-v1":
-			o.Eager, o.Retransmit = false, false
-		case "fedca-v2":
-			o.Eager, o.Retransmit = true, false
-		}
-		fedcaScheme = core.NewScheme(o, rng.New(opts.Seed).Fork("scheme"))
-		fedcaScheme.SetTelemetry(opts.Telemetry)
-		fedcaScheme.SetJournal(opts.Journal)
-		scheme = fedcaScheme
-	default:
-		return nil, fmt.Errorf("fedca: unknown scheme %q", opts.Scheme)
+	scheme, err := expcfg.SchemeByName(opts.Scheme, &w.FL, opts.FedCA, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
+	fedcaScheme, _ := scheme.(*core.Scheme)
 
 	var runner *fl.Runner
 	if opts.Fleet > 0 {
-		tb, err := expcfg.BuildFleet(w, opts.Fleet, 0, tcfg, opts.Seed)
-		if err != nil {
+		var tb *expcfg.FleetTestbed
+		if tb, err = expcfg.BuildFleet(w, opts.Fleet, 0, tcfg, opts.Seed); err != nil {
 			return nil, err
 		}
 		runner, err = tb.NewRunner(scheme)
-		if err != nil {
-			return nil, err
-		}
 	} else {
-		tb := expcfg.Build(w, opts.Clients, tcfg, opts.Seed)
-		var err error
-		runner, err = tb.NewRunner(scheme)
-		if err != nil {
-			return nil, err
-		}
+		runner, err = expcfg.Build(w, opts.Clients, tcfg, opts.Seed).NewRunner(scheme)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Federation{opts: opts, runner: runner, fedca: fedcaScheme}, nil
 }

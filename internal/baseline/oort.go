@@ -10,8 +10,8 @@ import (
 
 // Oort is a guided-participant-selection baseline in the spirit of Lai et
 // al., OSDI'21 (cited by the paper as the proactive straggler-evasion
-// family). Each round it selects a fraction of clients by a combined
-// statistical × system utility with ε-greedy exploration:
+// family). Each round it selects the cohort Config.Participation asks for
+// by a combined statistical × system utility with ε-greedy exploration:
 //
 //	util_i = loss_i · min(1, (T_pref/t̂_i))^α
 //
@@ -20,10 +20,9 @@ import (
 // the current FedBalancer deadline, and α the system-penalty exponent.
 // Clients without history are explored first.
 type Oort struct {
-	K        int     // default local iterations (for round-time estimates)
-	Fraction float64 // fraction of clients selected per round
-	Epsilon  float64 // exploration share (default 0.1)
-	Alpha    float64 // system penalty exponent (default 2, as in Oort)
+	K       int     // default local iterations (for round-time estimates)
+	Epsilon float64 // exploration share (default 0.1)
+	Alpha   float64 // system penalty exponent (default 2, as in Oort)
 
 	r *rng.RNG
 	// lastLoss remembers each client's most recent reported loss.
@@ -31,11 +30,8 @@ type Oort struct {
 }
 
 // NewOort builds an Oort selector.
-func NewOort(k int, fraction float64, r *rng.RNG) *Oort {
-	if fraction <= 0 || fraction > 1 {
-		panic("baseline: Oort fraction must be in (0, 1]")
-	}
-	return &Oort{K: k, Fraction: fraction, Epsilon: 0.1, Alpha: 2, r: r, lastLoss: make(map[int]float64)}
+func NewOort(k int, r *rng.RNG) *Oort {
+	return &Oort{K: k, Epsilon: 0.1, Alpha: 2, r: r, lastLoss: make(map[int]float64)}
 }
 
 // Name returns "oort".
@@ -52,7 +48,7 @@ func (*Oort) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
 }
 
 // Observe folds round results into the loss memory. The runner does not call
-// this automatically; SelectClients pulls timings from History, and losses
+// this automatically; Select pulls timings from History, and losses
 // are fed by the Aggregate hook below.
 func (o *Oort) observe(updates []fl.Update) {
 	for _, u := range updates {
@@ -81,16 +77,15 @@ func (o *Oort) Aggregate(round int, flat []float64, collected, discarded []fl.Up
 	return out
 }
 
-// SelectClients picks ceil(Fraction·total) clients: the ε share uniformly
-// from the unexplored/rest pool, the remainder by utility score.
-func (o *Oort) SelectClients(round int, hist *fl.History, total int) []int {
-	k := int(math.Ceil(o.Fraction * float64(total)))
-	if k >= total {
-		out := make([]int, total)
-		for i := range out {
-			out[i] = i
+// Select implements fl.Selector: k of the n clients, ascending — the ε
+// share uniformly from the unexplored/rest pool, the remainder by utility
+// score.
+func (o *Oort) Select(round int, hist *fl.History, n, k int, dst []int) []int {
+	if k >= n {
+		for id := 0; id < n; id++ {
+			dst = append(dst, id)
 		}
-		return out
+		return dst
 	}
 	est := hist.EstRoundTimes(o.K)
 	pref := fl.FedBalancerDeadline(est)
@@ -101,7 +96,7 @@ func (o *Oort) SelectClients(round int, hist *fl.History, total int) []int {
 	}
 	var known []scored
 	var unknown []int
-	for id := 0; id < total; id++ {
+	for id := 0; id < n; id++ {
 		loss, haveLoss := o.lastLoss[id]
 		t, haveTime := est[id]
 		if !haveLoss || !haveTime {
@@ -162,5 +157,5 @@ func (o *Oort) SelectClients(round int, hist *fl.History, total int) []int {
 		}
 	}
 	sort.Ints(selected)
-	return selected
+	return append(dst, selected...)
 }

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 )
 
 func TestOortColdStartExploresEveryone(t *testing.T) {
-	o := baseline.NewOort(10, 0.5, rng.New(1))
-	ids := o.SelectClients(0, fl.NewHistory(), 8)
+	o := baseline.NewOort(10, rng.New(1))
+	ids := o.Select(0, fl.NewHistory(), 8, 4, nil)
 	if len(ids) != 4 {
 		t.Fatalf("selected %d, want 4", len(ids))
 	}
@@ -26,16 +27,18 @@ func TestOortColdStartExploresEveryone(t *testing.T) {
 	}
 }
 
+// TestOortFullFraction: a cohort of the whole fleet is everyone, appended
+// after what dst already holds.
 func TestOortFullFraction(t *testing.T) {
-	o := baseline.NewOort(10, 1.0, rng.New(2))
-	ids := o.SelectClients(3, fl.NewHistory(), 5)
-	if len(ids) != 5 {
+	o := baseline.NewOort(10, rng.New(2))
+	ids := o.Select(3, fl.NewHistory(), 5, 5, []int{99})
+	if fmt.Sprint(ids) != "[99 0 1 2 3 4]" {
 		t.Fatalf("selected %v", ids)
 	}
 }
 
 func TestOortPrefersHighLoss(t *testing.T) {
-	o := baseline.NewOort(10, 0.25, rng.New(3))
+	o := baseline.NewOort(10, rng.New(3))
 	o.Epsilon = 0 // pure exploitation
 	h := fl.NewHistory()
 	// 8 clients, equal speeds, different losses; client 6 has highest loss.
@@ -56,7 +59,7 @@ func TestOortPrefersHighLoss(t *testing.T) {
 		ups[i].Weight = 1
 	}
 	o.Aggregate(0, flat, ups, nil)
-	ids := o.SelectClients(1, h, 8)
+	ids := o.Select(1, h, 8, 2, nil)
 	if len(ids) != 2 {
 		t.Fatalf("selected %v", ids)
 	}
@@ -72,7 +75,7 @@ func TestOortPrefersHighLoss(t *testing.T) {
 }
 
 func TestOortPenalizesStragglers(t *testing.T) {
-	o := baseline.NewOort(10, 0.25, rng.New(4))
+	o := baseline.NewOort(10, rng.New(4))
 	o.Epsilon = 0
 	h := fl.NewHistory()
 	var ups []fl.Update
@@ -86,7 +89,7 @@ func TestOortPenalizesStragglers(t *testing.T) {
 		ups = append(ups, u)
 	}
 	o.Aggregate(0, nil, ups, nil)
-	ids := o.SelectClients(1, h, 8)
+	ids := o.Select(1, h, 8, 2, nil)
 	for _, id := range ids {
 		if id == 3 {
 			t.Fatalf("straggler selected despite penalty: %v", ids)
@@ -96,8 +99,9 @@ func TestOortPenalizesStragglers(t *testing.T) {
 
 func TestOortEndToEnd(t *testing.T) {
 	w := tinyWorkload()
+	w.FL.Participation = 0.5
 	tb := expcfg.Build(w, 8, trace.Config{HeterogeneitySigma: 0.8}, 5)
-	o := baseline.NewOort(w.FL.LocalIters, 0.5, rng.New(6))
+	o := baseline.NewOort(w.FL.LocalIters, rng.New(6))
 	r, err := tb.NewRunner(o)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +113,6 @@ func TestOortEndToEnd(t *testing.T) {
 			t.Fatalf("round %d ran %d clients, want 4 (50%% of 8)", i, total)
 		}
 	}
-}
-
-func TestOortBadFractionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	baseline.NewOort(10, 0, rng.New(1))
 }
 
 func TestSAFACachesStragglers(t *testing.T) {

@@ -31,7 +31,7 @@ func TestDropoutAbortsAnchorRecording(t *testing.T) {
 	// Round 3 is the next anchor (period 3). Build its controller by hand
 	// and simulate the runner's dropout path, using the real model layout
 	// (the profiler's sampled indices were fixed by round 0).
-	net := tb.Factory()
+	net := tb.Nets.New64()
 	ctrl := s.NewController(tb.Clients[0], 3, s.PlanRound(3, r.Hist))
 	if !s.Profiler(0).Recording() {
 		t.Fatal("anchor controller must arm recording")

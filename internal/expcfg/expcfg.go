@@ -1,9 +1,10 @@
 // Package expcfg centralizes the canonical experiment configurations of the
 // reproduction: the three workloads (CNN, LSTM, WRN) with the paper's
 // hyperparameters (Sec. 5.1), scaled-down model/data sizes that train inside
-// a test harness, and a Build helper that assembles a complete simulated
+// a test harness, a Build helper that assembles a complete simulated
 // testbed (clients with Dirichlet-partitioned data, speed traces, shaped
-// links, and a model factory).
+// links, and the model's fl.Networks), and SchemeByName, the registry that
+// turns a scheme name into an fl.Scheme.
 package expcfg
 
 import (
@@ -161,11 +162,11 @@ type Testbed struct {
 	Workload Workload
 	Clients  []*fl.Client
 	Test     *data.Dataset
-	Factory  func() *nn.Network
-	// Factory32 builds the float32 instantiation of the same architecture
-	// from the same model seed, for runs with Workload.FL.DType == "f32".
-	Factory32 func() *nn.NetworkOf[float32]
-	Seed      uint64
+	// Nets builds the workload's model at either dtype, every call from the
+	// testbed's model seed: a float32 network is the float64 initialization
+	// narrowed.
+	Nets fl.Networks
+	Seed uint64
 }
 
 // Build assembles numClients clients with Dirichlet-partitioned local data,
@@ -197,9 +198,7 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 
 // synthesize builds what every testbed shape shares, from master: the
 // workload's synthetic training set (returned for the caller to partition),
-// and a Testbed carrying the workload, its test set and its model factories
-// at both dtypes — every network drawn from the same model seed, so the
-// float32 one is the float64 initialization narrowed.
+// and a Testbed carrying the workload, its test set and its Networks.
 func (w Workload) synthesize(master *rng.RNG) (*data.Dataset, *Testbed) {
 	var gen interface {
 		Generate(n int, r *rng.RNG) *data.Dataset
@@ -214,13 +213,24 @@ func (w Workload) synthesize(master *rng.RNG) (*data.Dataset, *Testbed) {
 		}, master.Fork("templates"))
 	}
 	train := gen.Generate(w.TrainN, master.Fork("train"))
-	modelSeed := master.Fork("model").Uint64()
 	return train, &Testbed{
-		Workload:  w,
-		Test:      gen.Generate(w.TestN, master.Fork("test")),
-		Factory:   func() *nn.Network { return w.NewModel(rng.New(modelSeed)).Network },
-		Factory32: func() *nn.NetworkOf[float32] { return NewModelOf[float32](w, rng.New(modelSeed)).Network },
+		Workload: w,
+		Test:     gen.Generate(w.TestN, master.Fork("test")),
+		Nets:     modelNets{w: w, seed: master.Fork("model").Uint64()},
 	}
+}
+
+// modelNets implements fl.Networks: the workload's model, every call drawn
+// from rng.New(seed), at either dtype.
+type modelNets struct {
+	w    Workload
+	seed uint64
+}
+
+func (m modelNets) New64() *nn.Network { return m.w.NewModel(rng.New(m.seed)).Network }
+
+func (m modelNets) New32() *nn.NetworkOf[float32] {
+	return NewModelOf[float32](m.w, rng.New(m.seed)).Network
 }
 
 // minShard is the smallest client shard the workload trains on: one batch,
@@ -230,6 +240,5 @@ func (w Workload) minShard() int { return max(w.FL.BatchSize, 2) }
 // NewRunner builds an fl.Runner over the testbed's clients (a static fleet)
 // with the given scheme.
 func (tb *Testbed) NewRunner(scheme fl.Scheme) (*fl.Runner, error) {
-	return fl.NewFleetRunner(tb.Workload.FL, fl.NewStaticFleet(tb.Clients), scheme, tb.Test, tb.Factory,
-		fl.WithFloat32Workers(tb.Factory32))
+	return fl.NewFleetRunner(tb.Workload.FL, fl.NewStaticFleet(tb.Clients), scheme, tb.Test, tb.Nets)
 }

@@ -106,7 +106,7 @@ func TestBuildTestbed(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	a, b := buildTiny(t, 2), buildTiny(t, 2)
-	fa, fb := a.Factory(), b.Factory()
+	fa, fb := a.Nets.New64(), b.Nets.New64()
 	pa, pb := fa.FlatParams(), fb.FlatParams()
 	for i := range pa {
 		if pa[i] != pb[i] {
@@ -125,7 +125,7 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestFactoryModelsIdentical(t *testing.T) {
 	tb := buildTiny(t, 3)
-	a, b := tb.Factory(), tb.Factory()
+	a, b := tb.Nets.New64(), tb.Nets.New64()
 	pa, pb := a.FlatParams(), b.FlatParams()
 	for i := range pa {
 		if pa[i] != pb[i] {
@@ -142,7 +142,7 @@ func TestLSTMTestbed(t *testing.T) {
 	if tb.Test.Dim() != w.Seq.SeqLen*w.Seq.FeatDim {
 		t.Fatalf("test dim = %d", tb.Test.Dim())
 	}
-	net := tb.Factory()
+	net := tb.Nets.New64()
 	if net.NumParams() == 0 {
 		t.Fatal("no params")
 	}

@@ -13,7 +13,6 @@ import (
 
 	"fedca/internal/data"
 	"fedca/internal/fl"
-	"fedca/internal/nn"
 	"fedca/internal/rng"
 	"fedca/internal/simnet"
 	"fedca/internal/trace"
@@ -28,7 +27,7 @@ type fleetSlot struct {
 	view   []int
 }
 
-// VirtualFleet implements fl.Fleet, fl.CohortSampler and fl.FleetStats over
+// VirtualFleet implements fl.Fleet, fl.Selector and fl.FleetStats over
 // a seeded spec: client id i's data shard, speed model and chaos stream are
 // pure functions of (master seed, i), derived at materialization. Not safe
 // for concurrent use — the runner's cohort and record stages call
@@ -100,11 +99,11 @@ func (f *VirtualFleet) Recycle(c *fl.Client) {
 	f.recycleCalls++
 }
 
-// SampleCohort implements fl.CohortSampler: k distinct client ordinals per
-// round, drawn from a round-labelled fork of the master RNG — deterministic
-// in (seed, round) and independent of every other round's draw.
-func (f *VirtualFleet) SampleCohort(round, k int, dst []int) []int {
-	return fl.SampleOrdinals(f.master.Fork("cohort", round), f.Size(), k, dst, f.seen)
+// Select implements fl.Selector: k distinct client ids of the n, ascending,
+// drawn from a round-labelled fork of the master RNG — deterministic in
+// (seed, round) and independent of every other round's draw.
+func (f *VirtualFleet) Select(round int, _ *fl.History, n, k int, dst []int) []int {
+	return fl.SampleOrdinals(f.master.Fork("cohort", round), n, k, dst, f.seen)
 }
 
 // SlotStats implements fl.FleetStats.
@@ -112,20 +111,13 @@ func (f *VirtualFleet) SlotStats() (materialized, recycled int64) {
 	return f.slotsBuilt, f.recycleCalls
 }
 
-// LiveSlots returns the number of currently materialized clients (test and
-// bench hook for the O(cohort) memory claim).
-func (f *VirtualFleet) LiveSlots() int { return len(f.live) }
-
 // FleetTestbed is the virtual-fleet analogue of Testbed.
 type FleetTestbed struct {
 	Workload Workload
 	Fleet    *VirtualFleet
 	Test     *data.Dataset
-	Factory  func() *nn.Network
-	// Factory32 builds the float32 instantiation of the same architecture
-	// from the same model seed, for runs with Workload.FL.DType == "f32".
-	Factory32 func() *nn.NetworkOf[float32]
-	Seed      uint64
+	Nets     fl.Networks // as Testbed.Nets
+	Seed     uint64
 }
 
 // BuildFleet assembles a virtual fleet of fleetSize clients over the
@@ -157,11 +149,10 @@ func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed ui
 		live:   make(map[*fl.Client]*fleetSlot),
 		seen:   make(map[int]bool),
 	}
-	return &FleetTestbed{Workload: w, Fleet: fleet, Test: base.Test, Factory: base.Factory, Factory32: base.Factory32, Seed: seed}, nil
+	return &FleetTestbed{Workload: w, Fleet: fleet, Test: base.Test, Nets: base.Nets, Seed: seed}, nil
 }
 
 // NewRunner builds an fl.Runner over the virtual fleet with the given scheme.
 func (tb *FleetTestbed) NewRunner(scheme fl.Scheme) (*fl.Runner, error) {
-	return fl.NewFleetRunner(tb.Workload.FL, tb.Fleet, scheme, tb.Test, tb.Factory,
-		fl.WithFloat32Workers(tb.Factory32))
+	return fl.NewFleetRunner(tb.Workload.FL, tb.Fleet, scheme, tb.Test, tb.Nets)
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/core"
+	"fedca/internal/fl"
 	"fedca/internal/trace"
 )
 
@@ -62,8 +64,8 @@ func TestVirtualFleetMaterializeDeterministic(t *testing.T) {
 	if _, err := a.Fleet.Materialize(500); err == nil {
 		t.Fatal("id outside the fleet accepted")
 	}
-	if a.Fleet.LiveSlots() != 3 {
-		t.Fatalf("a has %d live slots, want 3", a.Fleet.LiveSlots())
+	if len(a.Fleet.live) != 3 {
+		t.Fatalf("a has %d live slots, want 3", len(a.Fleet.live))
 	}
 }
 
@@ -90,7 +92,7 @@ func TestVirtualFleetSlotPoolBounded(t *testing.T) {
 			t.Fatalf("round %d cohort %d, want 10", i, n)
 		}
 		cohort = 10
-		if live := tb.Fleet.LiveSlots(); live != 0 {
+		if live := len(tb.Fleet.live); live != 0 {
 			t.Fatalf("round %d left %d slots live", i, live)
 		}
 	}
@@ -159,13 +161,54 @@ func TestBuildFleetRejectsImpossibleSpecs(t *testing.T) {
 	}
 }
 
-// TestFleetParticipationRequiresSampler: Participation in (0,1) over a
-// static fleet has no seeded sampler and must be rejected at construction.
+// TestFleetParticipationRequiresSampler: Participation in (0,1) needs a
+// Selector. FedAvg over a static fleet has none and must be rejected at
+// construction; Oort picks the cohort Participation asks for on either fleet
+// shape, never more.
 func TestFleetParticipationRequiresSampler(t *testing.T) {
-	w := tinyFleetWorkload()
-	w.FL.Participation = 0.5
-	tb := Build(w, 8, trace.Config{}, 3)
-	if _, err := tb.NewRunner(baseline.FedAvg{}); err == nil {
-		t.Fatal("participation over a static fleet accepted")
+	for _, tc := range []struct {
+		name          string
+		scheme        string
+		fleet         int // 0: a static 8-client testbed
+		participation float64
+		want          int // clients a round; 0: a construction error
+	}{
+		{"fedavg-static", "fedavg", 0, 0.5, 0},
+		{"oort-virtual", "oort", 2000, 0.01, 20},
+		{"oort-static", "oort", 0, 0.25, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyFleetWorkload()
+			w.FL.Participation = tc.participation
+			sch, err := SchemeByName(tc.scheme, &w.FL, core.Options{}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r *fl.Runner
+			if tc.fleet > 0 {
+				var tb *FleetTestbed
+				if tb, err = BuildFleet(w, tc.fleet, 16, trace.Config{}, 3); err != nil {
+					t.Fatal(err)
+				}
+				r, err = tb.NewRunner(sch)
+			} else {
+				r, err = Build(w, 8, trace.Config{}, 3).NewRunner(sch)
+			}
+			if tc.want == 0 {
+				if err == nil {
+					t.Fatal("participation without a selector accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				res := r.RunRound()
+				if n := len(res.Collected) + len(res.Discarded); n != tc.want {
+					t.Fatalf("round %d ran %d clients, want %d", i, n, tc.want)
+				}
+			}
+		})
 	}
 }

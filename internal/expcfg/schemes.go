@@ -1,0 +1,50 @@
+package expcfg
+
+import (
+	"fmt"
+
+	"fedca/internal/baseline"
+	"fedca/internal/core"
+	"fedca/internal/fl"
+	"fedca/internal/rng"
+)
+
+// SchemeByName builds the named scheme for a run configured by cfg: "fedavg",
+// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort" or "safa". It
+// is the one place a scheme name is resolved, for the facade and fedca-sim.
+//
+// fedca holds the FedCA hyperparameters of the three FedCA variants (zero
+// options mean core.DefaultOptions), with K set to cfg.LocalIters; the
+// variants draw from rng.New(seed).Fork("scheme") and report to
+// cfg.Telemetry and cfg.Journal. Oort draws from Fork("oort") and, when
+// cfg.Participation is unset, sets it to 0.5, its cohort.
+func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64) (fl.Scheme, error) {
+	switch name {
+	case "fedavg":
+		return baseline.FedAvg{}, nil
+	case "fedprox":
+		return baseline.FedProx{Mu: 0.01}, nil
+	case "fedada":
+		return baseline.FedAda{K: cfg.LocalIters, Tradeoff: 0.5}, nil
+	case "oort":
+		if cfg.Participation == 0 {
+			cfg.Participation = 0.5
+		}
+		return baseline.NewOort(cfg.LocalIters, rng.New(seed).Fork("oort")), nil
+	case "safa":
+		return baseline.NewSAFA(0.5), nil
+	case "fedca", "fedca-v1", "fedca-v2":
+		if fedca.K == 0 {
+			fedca = core.DefaultOptions(cfg.LocalIters)
+		}
+		fedca.K = cfg.LocalIters
+		if name != "fedca" { // v1: early stop only; v2: plus eager sends
+			fedca.Eager, fedca.Retransmit = name == "fedca-v2", false
+		}
+		s := core.NewScheme(fedca, rng.New(seed).Fork("scheme"))
+		s.SetTelemetry(cfg.Telemetry)
+		s.SetJournal(cfg.Journal)
+		return s, nil
+	}
+	return nil, fmt.Errorf("expcfg: unknown scheme %q", name)
+}

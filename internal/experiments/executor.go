@@ -43,15 +43,8 @@ func Configure(o execpool.Options) {
 	execMu.Unlock()
 }
 
-// ExecWorkers returns the current executor's CPU-token budget.
-func ExecWorkers() int { return pool().Workers() }
-
 // ExecStats snapshots the executor's hit/miss/dedup counters.
 func ExecStats() execpool.Stats { return pool().Stats() }
-
-// ResetCache clears memoized runs (used by tests that need isolation). The
-// on-disk cache, being content-addressed, is left intact.
-func ResetCache() { pool().Reset() }
 
 // DefaultWorkers is the executor's default cell-admission width: the
 // capacity of the process-wide CPU-token budget every compute layer draws

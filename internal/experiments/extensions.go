@@ -142,7 +142,8 @@ func ExtSelection(s Scale, seed uint64) *Result {
 	}{
 		{"fedavg", func(w *expcfg.Workload) fl.Scheme { return baseline.FedAvg{} }},
 		{"oort50", func(w *expcfg.Workload) fl.Scheme {
-			return baseline.NewOort(w.FL.LocalIters, 0.5, rng.New(seed).Fork("oort"))
+			w.FL.Participation = 0.5
+			return baseline.NewOort(w.FL.LocalIters, rng.New(seed).Fork("oort"))
 		}},
 		{"safa", func(w *expcfg.Workload) fl.Scheme {
 			w.FL.AggregateFraction = 0.7 // stragglers exist to be reused

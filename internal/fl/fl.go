@@ -16,9 +16,9 @@
 // workers. In order:
 //
 //   - plan: Scheme.PlanRound(round, History) → RoundPlan.
-//   - cohort (materializeCohort): the Selector's ids, else the fleet's
-//     CohortSampler sample, else the whole fleet → live clients from
-//     Fleet.Materialize, links wired to the telemetry sink.
+//   - cohort (materializeCohort): the runner's Selector's ids, else the
+//     whole fleet → live clients from Fleet.Materialize, links wired to the
+//     telemetry sink.
 //   - controllers (newControllers): cohort + plan → one Controller per
 //     participant from Scheme.NewController, built serially.
 //   - train (train): cohort + controllers + plan → one Update and one
@@ -77,10 +77,12 @@ type Config struct {
 	// for before closing the round (paper: 0.9).
 	AggregateFraction float64
 
-	// Participation is the fraction of the fleet sampled into each round's
-	// cohort. Zero or one means the whole fleet participates; a value in
-	// (0,1) requires the runner's Fleet to implement CohortSampler (virtual
-	// fleets do) and is ignored when a Selector scheme picks the cohort.
+	// Participation is the fraction of the fleet that trains each round.
+	// Zero or one means the whole fleet; a value in (0,1) asks for a cohort
+	// of round(p·n) clients, at least one, which the runner's Selector picks:
+	// the scheme's when it implements Selector (Oort), else the fleet's
+	// (virtual fleets do). With neither, a cohort below the whole fleet is a
+	// construction error.
 	Participation float64
 
 	// BaseIterTime is the nominal compute seconds of one local iteration on
@@ -105,8 +107,8 @@ type Config struct {
 	// weights when the delta is recomputed, so hooks, compression, validation
 	// and the reduce see ordinary float64 vectors. Results are deterministic
 	// at any worker count for both dtypes, but the two dtypes are not
-	// bit-identical to each other. "f32" requires the runner to be built with
-	// WithFloat32Workers.
+	// bit-identical to each other. The runner builds the workers' networks
+	// with Networks.New64 or Networks.New32 accordingly.
 	DType string
 
 	// RetainUpdateDeltas keeps each Update's full Delta vector in the round
@@ -354,12 +356,15 @@ type Update struct {
 	RetransIters  []int // effective iterations of retransmitted layers (= Iterations)
 }
 
-// Selector is an optional Scheme extension: schemes implementing it choose
-// which clients participate each round (the client-selection family of
-// Sec. 2.2 — Oort, REFL). Returned ids must be valid client ids; duplicates
-// are ignored. An empty slice falls back to full participation.
+// Selector decides who trains each round: the client-selection family of
+// Sec. 2.2 (Oort, REFL) as a Scheme extension, or a virtual fleet's seeded
+// participation sample as a Fleet extension. Select appends the round's
+// client ids to dst and returns it: k of the fleet's n members, where k is
+// the cohort Config.Participation asks for (n at full participation).
+// Duplicates are dropped in order; an id the fleet cannot materialize
+// panics. The runner fixes its one Selector at construction (NewFleetRunner).
 type Selector interface {
-	SelectClients(round int, hist *History, total int) []int
+	Select(round int, hist *History, n, k int, dst []int) []int
 }
 
 // Aggregator is an optional Scheme extension replacing the default weighted

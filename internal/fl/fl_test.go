@@ -438,7 +438,7 @@ func TestEagerWithoutRetransmissionDiffersOnLayer0(t *testing.T) {
 	ua := ra.RunRound().Collected[0]
 	ub := rb.RunRound().Collected[0]
 	// Layer 0 (conv1.weight) must hold the stale iteration-2 snapshot.
-	net := tbA.Factory()
+	net := tbA.Nets.New64()
 	rg := net.ParamRanges()[0]
 	differs := false
 	for j := rg.Start; j < rg.End; j++ {
@@ -604,11 +604,18 @@ func TestUpdateWeightIsSampleCount(t *testing.T) {
 	}
 }
 
+// denseNets builds a one-layer network at either dtype.
+type denseNets struct{}
+
+func (denseNets) New64() *nn.Network { return nn.NewNetwork(nn.NewDense("fc", 2, 2, rng.New(1))) }
+func (denseNets) New32() *nn.NetworkOf[float32] {
+	return nn.NewNetworkOf[float32](nn.NewDenseOf[float32]("fc", 2, 2, rng.New(1)))
+}
+
 func TestNewRunnerRejectsEmptyClients(t *testing.T) {
 	w := tinyWorkload()
-	factory := func() *nn.Network { return nn.NewNetwork(nn.NewDense("fc", 2, 2, rng.New(1))) }
 	for _, fleet := range []fl.Fleet{nil, fl.NewStaticFleet(nil)} {
-		if _, err := fl.NewFleetRunner(w.FL, fleet, baseline.FedAvg{}, nil, factory); err == nil {
+		if _, err := fl.NewFleetRunner(w.FL, fleet, baseline.FedAvg{}, nil, denseNets{}); err == nil {
 			t.Fatalf("fleet %v: expected error", fleet)
 		}
 	}

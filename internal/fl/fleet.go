@@ -39,14 +39,6 @@ type Fleet interface {
 	Recycle(c *Client)
 }
 
-// CohortSampler is an optional Fleet extension: fleets built from a seed
-// sample each round's cohort deterministically. SampleCohort returns k
-// distinct member ordinals for the round, ascending, appended to dst.
-// Config.Participation requires the runner's fleet to implement it.
-type CohortSampler interface {
-	SampleCohort(round, k int, dst []int) []int
-}
-
 // FleetStats is an optional Fleet extension reporting slot-pool behaviour
 // for the journal's cohort events: cumulative slots built (materializations
 // that missed the pool) and clients recycled back into it.

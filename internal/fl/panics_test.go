@@ -55,7 +55,9 @@ func TestClientRoundPanicsOnBadControllerOutput(t *testing.T) {
 // badSelector returns an unknown client id.
 type badSelector struct{ baseline.FedAvg }
 
-func (badSelector) SelectClients(int, *fl.History, int) []int { return []int{12345} }
+func (badSelector) Select(_ int, _ *fl.History, _, _ int, dst []int) []int {
+	return append(dst, 12345)
+}
 
 func TestRunnerPanicsOnUnknownSelection(t *testing.T) {
 	tb := tinyTestbed(t, 2, trace.Config{}, 83)
@@ -130,7 +132,9 @@ func TestAllDroppedRoundSkips(t *testing.T) {
 // selectorSubset exercises the dedup path: duplicate ids collapse.
 type selectorSubset struct{ baseline.FedAvg }
 
-func (selectorSubset) SelectClients(int, *fl.History, int) []int { return []int{1, 1, 0} }
+func (selectorSubset) Select(_ int, _ *fl.History, _, _ int, dst []int) []int {
+	return append(dst, 1, 1, 0)
+}
 
 func TestSelectorDedup(t *testing.T) {
 	tb := tinyTestbed(t, 3, trace.Config{}, 86)

@@ -58,6 +58,8 @@ type Runner struct {
 
 	global  *nn.Network
 	flat    []float64
+	sel     Selector      // who trains; nil means the whole fleet
+	k       int           // the cohort size Config.Participation asks for
 	workers []trainWorker // dtype-erased training slots (see Config.DType)
 	pool    *deltaPool    // recycles Update.Delta vectors across rounds
 	aggBuf  []float64     // the reduce's accumulator, reused across rounds
@@ -83,69 +85,61 @@ type Runner struct {
 	stats   RunnerStats
 }
 
-// RunnerOption customizes NewFleetRunner.
-type RunnerOption func(*runnerOpts)
-
-type runnerOpts struct {
-	factory32 func() *nn.NetworkOf[float32]
-}
-
-// WithFloat32Workers supplies the float32 network factory the runner uses for
-// its training slots when Config.DType is "f32". The factory must build the
-// float32 instantiation of the same architecture as the float64 factory —
-// same parameters in the same order — since the two exchange state through
-// the flat float64 parameter vector. Ignored at other dtypes.
-func WithFloat32Workers(factory func() *nn.NetworkOf[float32]) RunnerOption {
-	return func(o *runnerOpts) { o.factory32 = factory }
+// Networks builds the runner's models: New64 the float64 global model and
+// float64 training slots, New32 the float32 training slots when
+// Config.DType is "f32". Every call returns a fresh network of one
+// architecture — the same parameters in the same order, identically
+// initialized — since the dtypes exchange state through the flat float64
+// parameter vector.
+type Networks interface {
+	New64() *nn.Network
+	New32() *nn.NetworkOf[float32]
 }
 
 // NewFleetRunner wires a runner over a Fleet: a StaticFleet over a
 // pre-materialized client slice, or a virtual fleet where only each round's
-// cohort is materialized. factory must build fresh identically-shaped
-// networks; the first one becomes the global model (its initialization is
-// the run's starting point) and one more per worker executes client
-// training. Worker networks are sized by min(CPU-token cap, expected cohort),
-// so a million-client fleet at 1% participation builds the same handful of
-// worker models a static testbed would. Config.Participation in (0,1)
-// requires the fleet to implement CohortSampler.
+// cohort is materialized. The first New64 network becomes the global model
+// (its initialization is the run's starting point) and one more network per
+// worker executes client training. Worker networks are sized by
+// min(CPU-token cap, expected cohort), so a million-client fleet at 1%
+// participation builds the same handful of worker models a static testbed
+// would.
+//
+// The runner's one Selector is fixed here: the scheme's when it implements
+// Selector, else the fleet's when Config.Participation asks for fewer than
+// the whole fleet (an error when the fleet has none), else none.
 //
 // The global model is always float64 — master weights, aggregation and
 // evaluation never narrow. Config.DType "f32" switches only the training
-// slots to float32 and requires WithFloat32Workers.
-func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, factory func() *nn.Network, opts ...RunnerOption) (*Runner, error) {
+// slots to float32.
+func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, nets Networks) (*Runner, error) {
 	if fleet == nil || fleet.Size() == 0 {
 		return nil, fmt.Errorf("fl: no clients")
 	}
-	var ro runnerOpts
-	for _, o := range opts {
-		o(&ro)
-	}
-	global := factory()
+	global := nets.New64()
 	if err := cfg.Validate(global.NumParams()); err != nil {
 		return nil, err
 	}
 	// The global model only ever runs inference (Evaluate, after every
 	// round), and does it out of a scratch arena of its own.
 	global.SetArena(tensor.NewArena())
-	if cfg.DType == "f32" && ro.factory32 == nil {
-		return nil, fmt.Errorf("fl: DType \"f32\" requires WithFloat32Workers")
-	}
-	if p := cfg.Participation; p > 0 && p < 1 {
-		if _, ok := fleet.(CohortSampler); !ok {
-			return nil, fmt.Errorf("fl: Participation %v requires a cohort-sampling fleet", p)
+	k := expectedCohort(cfg, fleet.Size())
+	sel, ok := scheme.(Selector)
+	if !ok && k < fleet.Size() {
+		if sel, ok = fleet.(Selector); !ok {
+			return nil, fmt.Errorf("fl: Participation %v needs a selecting scheme or fleet", cfg.Participation)
 		}
 	}
 	// One network per potential worker, sized by the CPU-token budget at
 	// construction. At round time the runner borrows tokens for however many
 	// of these it may actually run concurrently.
-	nWorkers := max(1, min(cputok.Default().Cap(), expectedCohort(cfg, fleet.Size())))
-	workers := make([]trainWorker, nWorkers)
+	workers := make([]trainWorker, max(1, min(cputok.Default().Cap(), k)))
 	pool := &deltaPool{}
 	for i := range workers {
 		if cfg.DType == "f32" {
-			workers[i] = newTrainWorkerOf(ro.factory32(), pool)
+			workers[i] = newTrainWorkerOf(nets.New32(), pool)
 		} else {
-			workers[i] = newTrainWorkerOf(factory(), pool)
+			workers[i] = newTrainWorkerOf(nets.New64(), pool)
 		}
 		if np := workers[i].numParams(); np != global.NumParams() {
 			return nil, fmt.Errorf("fl: worker factory built %d params, global model has %d", np, global.NumParams())
@@ -159,6 +153,8 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		Hist:    NewHistory(),
 		global:  global,
 		flat:    global.FlatParams(),
+		sel:     sel,
+		k:       k,
 		workers: workers,
 		pool:    pool,
 		aggBuf:  make([]float64, global.NumParams()),
@@ -166,8 +162,9 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	}, nil
 }
 
-// expectedCohort returns the per-round cohort size a config implies: the
-// participation sample when one is configured, the whole fleet otherwise.
+// expectedCohort returns the per-round cohort size a config asks for, the k
+// its Selector is handed: round(Participation·n), at least one, when
+// Participation is in (0,1), the whole fleet otherwise.
 func expectedCohort(cfg Config, fleetSize int) int {
 	if p := cfg.Participation; p > 0 && p < 1 {
 		k := int(math.Round(p * float64(fleetSize)))
@@ -232,32 +229,26 @@ func resize[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// selectCohort decides which client ids participate this round, reusing the
-// runner's id buffer: a Selector scheme's choice (deduplicated, order
-// preserved) when one is active, else a deterministic participation sample
-// from the fleet's seeded sampler, else the whole fleet.
+// selectCohort decides which client ids train this round, reusing the
+// runner's id buffer: the Selector's choice, deduplicated in order, or the
+// whole fleet when the runner has none.
 func (r *Runner) selectCohort() []int {
 	ids := r.cohortIDs[:0]
-	var chosen []int
-	if sel, ok := r.Scheme.(Selector); ok {
-		chosen = sel.SelectClients(r.round, r.Hist, r.Fleet.Size())
-	}
-	sampler, sampled := r.Fleet.(CohortSampler)
-	switch p := r.Cfg.Participation; {
-	case len(chosen) > 0:
-		clear(r.seen)
-		for _, id := range chosen {
-			if !r.seen[id] {
-				r.seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	case sampled && p > 0 && p < 1:
-		ids = sampler.SampleCohort(r.round, expectedCohort(r.Cfg, r.Fleet.Size()), ids)
-	default:
+	if r.sel == nil {
 		for i := 0; i < r.Fleet.Size(); i++ {
 			ids = append(ids, r.Fleet.ClientID(i))
 		}
+	} else {
+		ids = r.sel.Select(r.round, r.Hist, r.Fleet.Size(), r.k, ids)
+		clear(r.seen)
+		kept := ids[:0]
+		for _, id := range ids {
+			if !r.seen[id] {
+				r.seen[id] = true
+				kept = append(kept, id)
+			}
+		}
+		ids = kept
 	}
 	r.cohortIDs = ids
 	return ids
@@ -273,8 +264,8 @@ func (r *Runner) materializeCohort() []*Client {
 	for _, id := range r.selectCohort() {
 		c, err := r.Fleet.Materialize(id)
 		if err != nil {
-			// A Selector (or the fleet's own sampler) named a client the fleet
-			// does not have: a broken plug-in, not a runtime condition.
+			// The Selector named a client the fleet does not have: a broken
+			// plug-in, not a runtime condition.
 			panic(fmt.Sprintf("fl: cohort names client %d, which the fleet cannot materialize: %v", id, err))
 		}
 		if t != nil {

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"fedca/internal/rng"
 	"fedca/internal/tensor"
 )
 
@@ -66,12 +65,6 @@ func NewBatchNorm2DOf[F tensor.Float](name string, c, h, w int) *BatchNorm2DOf[F
 // NewBatchNorm2D creates a float64 batch-norm layer.
 func NewBatchNorm2D(name string, c, h, w int) *BatchNorm2D {
 	return NewBatchNorm2DOf[float64](name, c, h, w)
-}
-
-// Init resets γ to 1 and β to 0.
-func (b *BatchNorm2DOf[F]) Init(_ *rng.RNG) {
-	b.Gamma.Value.Fill(1)
-	b.Beta.Value.Zero()
 }
 
 func (b *BatchNorm2DOf[F]) setArena(a *tensor.Arena) { b.arena = a }

@@ -91,9 +91,6 @@ func (c *Conv2DOf[F]) seed(r *rng.RNG) {
 	c.B.Value.Zero()
 }
 
-// Init reinitializes the layer's parameters.
-func (c *Conv2DOf[F]) Init(r *rng.RNG) { c.seed(r) }
-
 func (c *Conv2DOf[F]) setArena(a *tensor.Arena) { c.arena = a }
 
 // InDim returns the expected per-sample input feature count.

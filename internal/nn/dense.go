@@ -41,9 +41,6 @@ func (d *DenseOf[F]) seed(r *rng.RNG) {
 	d.B.Value.Zero()
 }
 
-// Init reinitializes the layer's parameters.
-func (d *DenseOf[F]) Init(r *rng.RNG) { d.seed(r) }
-
 func (d *DenseOf[F]) setArena(a *tensor.Arena) { d.arena = a }
 
 // Forward computes y[B,out] = x[B,in]·Wᵀ + b.

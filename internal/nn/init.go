@@ -28,16 +28,3 @@ func InitXavier[F tensor.Float](p *ParamOf[F], fanIn, fanOut int, r *rng.RNG) {
 		d[i] = F(r.Uniform(-limit, limit))
 	}
 }
-
-// InitNetwork initializes every parameter of the network deterministically
-// from the given RNG: weights get Kaiming/Xavier-style scaling inferred from
-// their shape, biases and norm offsets get zero, norm scales get one.
-// Layers that need bespoke init (LSTM) do it at construction; this is the
-// generic path used when (re)seeding a model.
-func InitNetwork[F tensor.Float](n *NetworkOf[F], r *rng.RNG) {
-	for _, l := range n.Layers {
-		if init, ok := l.(interface{ Init(*rng.RNG) }); ok {
-			init.Init(r)
-		}
-	}
-}
