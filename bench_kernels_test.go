@@ -1,7 +1,8 @@
 // Per-kernel benchmark suite for the math floor (DESIGN.md §11): every GEMM
 // orientation the models use, at the exact shapes the tiny-scale fig7/table1
-// workloads hit, each measured at both dtypes against tensor.MatMulRef — the
-// textbook ascending-k reference the blocked kernels are bit-identical to.
+// workloads hit, each measured at both dtypes against textbookGEMM, a plain
+// triple loop kept here as a timing baseline (internal/tensor's contract
+// tests hold the kernels' bits to their definition).
 // Each float32 entry also records its speedup over the float64 blocked kernel
 // at the same shape: the SIMD-width-aware f32 path must actually buy
 // throughput, not just narrower storage. After each benchmark family runs,
@@ -100,7 +101,7 @@ func recordKernel(family, dtype, shape string, rep *kernelReport) {
 	kernelReports[family+"/"+dtype+"/"+shape] = rep
 }
 
-// benchGEMMPair times the blocked kernel and the reference kernel on the same
+// benchGEMMPair times the blocked kernel and the textbook loop on the same
 // operands and records the pair (plus their ratio) in the kernel report.
 func benchGEMMPair[F tensor.Float](b *testing.B, family string, s gemmShape, transA, transB bool,
 	blocked func(dst, a, bt *tensor.TensorOf[F])) {
@@ -131,15 +132,10 @@ func benchGEMMPair[F tensor.Float](b *testing.B, family string, s gemmShape, tra
 		})
 		b.Run("ref", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tensor.MatMulRef(ref, a, bt, transA, transB)
+				textbookGEMM(ref, a, bt, transA, transB)
 			}
 			refSec = b.Elapsed().Seconds() / float64(b.N)
 		})
-		for i, v := range ref.Data() {
-			if dst.Data()[i] != v {
-				b.Fatalf("blocked result diverges from reference at %d: %v vs %v", i, dst.Data()[i], v)
-			}
-		}
 		rep := &kernelReport{BlockedSecPerOp: blockedSec, RefSecPerOp: refSec}
 		if blockedSec > 0 {
 			rep.Speedup = refSec / blockedSec
@@ -147,6 +143,33 @@ func benchGEMMPair[F tensor.Float](b *testing.B, family string, s gemmShape, tra
 		}
 		recordKernel(family, dtype, s.name, rep)
 	})
+}
+
+// textbookGEMM is the unblocked triple loop: dst = op(a)·op(b), each element
+// accumulated in ascending k. It is the timing baseline of speedup_vs_ref.
+func textbookGEMM[F tensor.Float](dst, a, b *tensor.TensorOf[F], transA, transB bool) {
+	m, n := dst.Dim(0), dst.Dim(1)
+	k := a.Dim(1)
+	if transA {
+		k = a.Dim(0)
+	}
+	ad, bd, c := a.Data(), b.Data(), dst.Data()
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s F
+			for p := 0; p < k; p++ {
+				av, bv := ad[i*k+p], bd[p*n+j]
+				if transA {
+					av = ad[p*m+i]
+				}
+				if transB {
+					bv = bd[j*k+p]
+				}
+				s += F(av * bv)
+			}
+			c[i*n+j] = s
+		}
+	}
 }
 
 func BenchmarkGEMMNN(b *testing.B) {

@@ -2,9 +2,20 @@ package fedca_test
 
 import (
 	"testing"
+	_ "unsafe" // go:linkname
 
 	fedca "fedca"
 )
+
+// kernelAVX2 and kernelVecMath are internal/tensor's two dispatch switches
+// (the AVX2 kernels; the FMA sigmoid and tanh), set there once from CPUID and
+// written by nothing else but tests.
+//
+//go:linkname kernelAVX2 fedca/internal/tensor.useAVX2
+var kernelAVX2 bool
+
+//go:linkname kernelVecMath fedca/internal/tensor.useVecMath
+var kernelVecMath bool
 
 // TestParamsChecksumPinned runs two rounds of each benchmark workload at its
 // smoke-test size (benchmark/workloads.go, options(seed, tiny)) and compares
@@ -13,6 +24,9 @@ import (
 // The kernels, the patch-matrix layouts and the skipped first-layer input
 // gradient may change how the arithmetic is scheduled, never a single bit of
 // its result, so a mismatch here is a kernel bug, not a tolerance question.
+// Each case runs twice, on the portable kernels and then on the ones the CPU
+// selected, and must give the pinned value both times: a checksum does not
+// depend on the machine.
 func TestParamsChecksumPinned(t *testing.T) {
 	tiny := func(o *fedca.Options) {
 		o.LocalIters, o.BatchSize = 2, 4
@@ -55,17 +69,22 @@ func TestParamsChecksumPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o := fedca.DefaultOptions()
-			o.Seed = 42
-			c.configure(&o)
-			tiny(&o)
-			f, err := fedca.New(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Run(2)
-			if got := f.ParamsChecksum(); got != c.want {
-				t.Fatalf("ParamsChecksum after 2 rounds = %s, want %s", got, c.want)
+			avx2, vecMath := kernelAVX2, kernelVecMath
+			defer func() { kernelAVX2, kernelVecMath = avx2, vecMath }()
+			for _, path := range []string{"portable", "detected"} {
+				kernelAVX2, kernelVecMath = path == "detected" && avx2, path == "detected" && vecMath
+				o := fedca.DefaultOptions()
+				o.Seed = 42
+				c.configure(&o)
+				tiny(&o)
+				f, err := fedca.New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Run(2)
+				if got := f.ParamsChecksum(); got != c.want {
+					t.Fatalf("%s kernels: ParamsChecksum after 2 rounds = %s, want %s", path, got, c.want)
+				}
 			}
 		})
 	}

@@ -10,43 +10,12 @@ import (
 	"fedca/internal/tensor"
 )
 
-// The elementwise layers were rewritten to touch memory once (one pass from
-// the input, no clearing, no clone, no branch per element, a 2×2 pooling
-// path). Their previous bodies are kept here as references: each test drives
-// the layer and its reference with the same inputs and demands the same bits.
-
-// refMaxPool is MaxPool2D.Forward as it was: one loop for any kernel and
-// stride, scanning each window in (ky, kx) order with a strict comparison.
-func refMaxPool[F tensor.Float](p *MaxPool2DOf[F], x *tensor.TensorOf[F]) (y []F, argmax []int32) {
-	batch, inDim, outDim := x.Dim(0), p.InDim(), p.OutDim()
-	y, argmax = make([]F, batch*outDim), make([]int32, batch*outDim)
-	for i := 0; i < batch; i++ {
-		xs := x.Data()[i*inDim : (i+1)*inDim]
-		oi := 0
-		for c := 0; c < p.C; c++ {
-			chanBase := c * p.H * p.W
-			for oy := 0; oy < p.OutH; oy++ {
-				for ox := 0; ox < p.OutW; ox++ {
-					bestOff := chanBase + oy*p.Stride*p.W + ox*p.Stride
-					best := xs[bestOff]
-					for ky := 0; ky < p.K; ky++ {
-						rowOff := chanBase + (oy*p.Stride+ky)*p.W + ox*p.Stride
-						for kx := 0; kx < p.K; kx++ {
-							if v := xs[rowOff+kx]; v > best {
-								best = v
-								bestOff = rowOff + kx
-							}
-						}
-					}
-					y[i*outDim+oi] = best
-					argmax[i*outDim+oi] = int32(bestOff)
-					oi++
-				}
-			}
-		}
-	}
-	return y, argmax
-}
+// Layer-level checks of the layers whose arithmetic is an internal/tensor
+// kernel (ReLU, max pooling, the SGD step): tensor's contract tests hold each
+// kernel to its reference, and these hold each layer to its kernel — a batch
+// split into samples or element ranges and fanned out, argmax offsets taken
+// per sample, train and inference passes alike. Batch norm, dropout and the
+// momentum step have no kernel, so their references live here.
 
 // poolInput draws a batch from a handful of values, so that most windows hold
 // ties, signed zeros and NaNs in every position.
@@ -72,65 +41,66 @@ func testMaxPoolMatchesReference[F tensor.Float](t *testing.T) {
 		{1, 8, 8, 2, 3}, // gaps between windows: generic
 		{1, 9, 9, 4, 2}, // K = 2·stride: generic
 	}
+	const batch = 3
 	for _, g := range geoms {
 		t.Run(fmt.Sprintf("c%d_%dx%d_k%d_s%d", g.c, g.h, g.w, g.k, g.stride), func(t *testing.T) {
 			p := NewMaxPool2DOf[F](g.c, g.h, g.w, g.k, g.stride)
+			inDim, outDim := p.InDim(), p.OutDim()
 			for trial := 0; trial < 20; trial++ {
-				x := poolInput[F](r, 3, p.InDim())
-				wantY, wantArg := refMaxPool(p, x)
-				if i := sameBits(wantY, p.Forward(x, false).Data()); i >= 0 {
-					t.Fatalf("trial %d: inference output differs from the reference at %d", trial, i)
-				}
-				y := p.Forward(x, true)
-				if i := sameBits(wantY, y.Data()); i >= 0 {
-					t.Fatalf("trial %d: training output differs from the reference at %d: %v vs %v", trial, i, y.Data()[i], wantY[i])
-				}
-				for i, a := range p.argmax {
-					if a != wantArg[i] {
-						t.Fatalf("trial %d: argmax[%d] = %d, reference %d", trial, i, a, wantArg[i])
+				x := poolInput[F](r, batch, inDim)
+				wantY, wantArg := make([]F, batch*outDim), make([]int32, batch*outDim)
+				for i := 0; i < batch; i++ { // one sample at a time, through the kernel
+					xs, ys, am := x.Data()[i*inDim:(i+1)*inDim], wantY[i*outDim:(i+1)*outDim], wantArg[i*outDim:(i+1)*outDim]
+					if g.k == 2 && g.stride == 2 {
+						tensor.MaxPool2x2(ys, am, xs, g.c, g.h, g.w)
+					} else {
+						p.sampleGeneric(xs, ys, am)
 					}
+				}
+				if i := sameBits(wantY, p.Forward(x, false).Data()); i >= 0 {
+					t.Fatalf("trial %d: inference output differs from the kernel's at %d", trial, i)
+				}
+				if i := sameBits(wantY, p.Forward(x, true).Data()); i >= 0 {
+					t.Fatalf("trial %d: training output differs from the kernel's at %d", trial, i)
+				}
+				// Backward adds each output's gradient at its sample's winner.
+				dout := poolInput[F](r, batch, outDim)
+				wantDx := make([]F, batch*inDim)
+				for o, a := range wantArg {
+					wantDx[o/outDim*inDim+int(a)] += dout.Data()[o]
+				}
+				if i := sameBits(wantDx, p.Backward(dout).Data()); i >= 0 {
+					t.Fatalf("trial %d: input gradient differs at %d", trial, i)
 				}
 			}
 		})
 	}
 }
 
-// TestMaxPoolMatchesReference: values and argmax of both pooling paths equal
-// the old single loop's, bit for bit, on inputs full of ties, −0 and NaN.
+// TestMaxPoolMatchesReference: both pooling paths over a batch equal the
+// kernel applied sample by sample — values, and gradients routed to each
+// sample's winners — on inputs full of ties, −0 and NaN.
 func TestMaxPoolMatchesReference(t *testing.T) {
 	t.Run("f64", testMaxPoolMatchesReference[float64])
 	t.Run("f32", testMaxPoolMatchesReference[float32])
 }
 
-// TestMaxPoolNaNInEveryWindowPosition pins the rule the 2×2 path must keep:
-// a NaN wins only from the first position, where nothing is compared with it.
+// TestMaxPoolNaNInEveryWindowPosition pins the rule both paths keep: a NaN
+// wins only from the first position, where nothing is compared with it, and
+// is passed over anywhere else.
 func TestMaxPoolNaNInEveryWindowPosition(t *testing.T) {
 	p := NewMaxPool2D(1, 2, 2, 2, 2)
-	nan := math.NaN()
-	for pos := 0; pos < 4; pos++ {
+	for pos, want := range []struct {
+		y   float64
+		arg int32
+	}{{math.NaN(), 0}, {2, 2}, {3, 1}, {3, 1}} {
 		x := tensor.FromSlice([]float64{1, 3, 2, 0}, 1, 4)
-		x.Data()[pos] = nan
-		wantY, wantArg := refMaxPool(p, x)
-		y := p.Forward(x, true)
-		if sameBits(wantY, y.Data()) >= 0 || p.argmax[0] != wantArg[0] {
-			t.Fatalf("NaN at %d: got %v (argmax %d), reference %v (argmax %d)", pos, y.Data()[0], p.argmax[0], wantY[0], wantArg[0])
-		}
-		if isNaN := y.Data()[0] != y.Data()[0]; isNaN != (pos == 0) {
-			t.Fatalf("NaN at %d: output %v", pos, y.Data()[0])
+		x.Data()[pos] = math.NaN()
+		y := p.Forward(x, true).Data()[0]
+		if sameBits([]float64{y}, []float64{want.y}) >= 0 || p.argmax[0] != want.arg {
+			t.Fatalf("NaN at %d: got %v at %d, want %v at %d", pos, y, p.argmax[0], want.y, want.arg)
 		}
 	}
-}
-
-// refReLUBackward is ReLU.Backward as it was: a copy, then a branch per
-// element.
-func refReLUBackward[F tensor.Float](dout []F, mask []bool) []F {
-	dx := append([]F(nil), dout...)
-	for i := range dx {
-		if !mask[i] {
-			dx[i] = 0
-		}
-	}
-	return dx
 }
 
 func testReLUMatchesReference[F tensor.Float](t *testing.T) {
@@ -140,41 +110,12 @@ func testReLUMatchesReference[F tensor.Float](t *testing.T) {
 		F(math.Float32frombits(0x7fa00001)), F(math.Float64frombits(0x7ff4000000000001)),
 		F(math.SmallestNonzeroFloat32)}
 	r := rng.New(22)
-	relu := NewReLUOf[F](len(special) * 2)
-	// Every special value meets an active and a gated lane.
-	x := tensor.NewOf[F](1, len(special)*2)
-	dout := tensor.NewOf[F](1, len(special)*2)
-	for i, v := range special {
-		x.Data()[2*i], x.Data()[2*i+1] = 1, -1
-		dout.Data()[2*i], dout.Data()[2*i+1] = v, v
-	}
-	check := func(x, dout *tensor.TensorOf[F]) {
-		t.Helper()
-		want := make([]F, x.Size())
-		mask := make([]bool, x.Size())
-		for i, v := range x.Data() { // ReLU.Forward as it was: clone, clamp, compare
-			want[i], mask[i] = max(v, 0), !(v <= 0)
-		}
-		if i := sameBits(want, relu.Forward(x, false).Data()); i >= 0 {
-			t.Fatalf("inference forward differs from the reference at %d", i)
-		}
-		y := relu.Forward(x, true)
-		if i := sameBits(want, y.Data()); i >= 0 {
-			t.Fatalf("training forward differs from the reference at %d: %v vs %v", i, y.Data()[i], want[i])
-		}
-		wantDx := refReLUBackward(dout.Data(), mask)
-		dx := relu.Backward(dout)
-		if i := sameBits(wantDx, dx.Data()); i >= 0 {
-			t.Fatalf("backward differs from the branchy form at %d (x=%v, dout=%v): %v vs %v", i, x.Data()[i], dout.Data()[i], dx.Data()[i], wantDx[i])
-		}
-	}
-	check(x, dout)
-	// Random activations — NaN, ±0 and ±Inf among them, since the mask has an
-	// opinion on each — against random and special gradients.
-	for trial := 0; trial < 20; trial++ {
+	const batch, dim = 3, 40000 // several element ranges when the fan-out has tokens
+	relu := NewReLUOf[F](dim)
+	x, dout := tensor.NewOf[F](batch, dim), tensor.NewOf[F](batch, dim)
+	for trial := 0; trial < 3; trial++ {
 		for i := range x.Data() {
-			x.Data()[i] = F(r.Normal(0, 1))
-			dout.Data()[i] = F(r.Normal(0, 1))
+			x.Data()[i], dout.Data()[i] = F(r.Normal(0, 1)), F(r.Normal(0, 1))
 			if r.Intn(4) == 0 {
 				x.Data()[i] = special[r.Intn(len(special))]
 			}
@@ -182,13 +123,24 @@ func testReLUMatchesReference[F tensor.Float](t *testing.T) {
 				dout.Data()[i] = special[r.Intn(len(special))]
 			}
 		}
-		check(x, dout)
+		want, mask, wantDx := make([]F, x.Size()), make([]bool, x.Size()), make([]F, x.Size())
+		tensor.ReLU(want, x.Data(), mask)
+		tensor.GateByMask(wantDx, dout.Data(), mask)
+		if i := sameBits(want, relu.Forward(x, false).Data()); i >= 0 {
+			t.Fatalf("inference forward differs from the kernel's at %d", i)
+		}
+		if i := sameBits(want, relu.Forward(x, true).Data()); i >= 0 {
+			t.Fatalf("training forward differs from the kernel's at %d", i)
+		}
+		if i := sameBits(wantDx, relu.Backward(dout).Data()); i >= 0 {
+			t.Fatalf("backward differs from the kernel's gate at %d", i)
+		}
 	}
 }
 
-// TestReLUMatchesReference: forward from the input in one pass and backward
-// by bitwise select equal clone-clamp-compare and copy-then-branch, bit for
-// bit, for NaN, ±Inf and −0 at gated and ungated positions.
+// TestReLUMatchesReference: the layer, split into element ranges, equals one
+// call of the clamp and the gate over the whole batch, bit for bit, with NaN,
+// ±Inf and −0 at gated and ungated positions.
 func TestReLUMatchesReference(t *testing.T) {
 	t.Run("f64", testReLUMatchesReference[float64])
 	t.Run("f32", testReLUMatchesReference[float32])
@@ -342,51 +294,41 @@ func TestDropoutMatchesReference(t *testing.T) {
 	}
 }
 
-// refSGDStep is SGD.Step as it was before its no-momentum body moved to
-// tensor.SGDStep: one scalar loop over a parameter, both branches. Its
-// products are written as the conversions amd64 performs anyway, so that it
-// is the same reference where the compiler may fuse (GOAMD64=v3, arm64).
-func refSGDStep[F tensor.Float](lr, momentum, wd float64, w, g, vd []F) {
-	for i := range w {
-		if momentum > 0 {
-			grad := float64(g[i]) + float64(wd*float64(w[i]))
-			vd[i] = F(float64(momentum*float64(vd[i])) + grad)
-			w[i] = F(float64(w[i]) - float64(lr*float64(vd[i])))
-		} else {
-			w[i] = F(float64(w[i]) - float64(lr*(float64(g[i])+float64(wd*float64(w[i])))))
-		}
-	}
-}
-
 func testSGDStepMatchesReference[F tensor.Float](t *testing.T) {
 	r := rng.New(25)
-	draw := func(n, off int) []F { // n values, off elements into their buffer: every alignment
-		s := make([]F, off+n)[off:]
-		for i := range s {
-			s[i] = F(r.Normal(0, 1))
-		}
-		return s
-	}
+	const lr = 0.05
 	for _, momentum := range []float64{0, 0.9} {
 		for _, wd := range []float64{0, 1e-4, 0.3} {
 			for n := 1; n <= 17; n++ {
-				for off := 0; off < 4; off++ {
-					w0, g := draw(n, off), draw(n, (off+1)%4)
-					want, vd := append([]F(nil), w0...), make([]F, n)
-					for step := 0; step < 3; step++ { // the velocity carries over
-						refSGDStep(0.05, momentum, wd, want, g, vd)
-					}
-					forEachKernelPath(t, func(path string) {
-						p := &ParamOf[F]{Name: "p", Value: tensor.FromSliceOf(append(make([]F, off), w0...)[off:], n), Grad: tensor.FromSliceOf(g, n)}
-						opt := NewSGDOf[F](0.05, momentum, wd)
-						for step := 0; step < 3; step++ {
-							opt.Step([]*ParamOf[F]{p})
-						}
-						if i := sameBits(want, p.Value.Data()); i >= 0 {
-							t.Fatalf("%s momentum=%v wd=%v n=%d off=%d: w[%d] = %v, the scalar step gives %v", path, momentum, wd, n, off, i, p.Value.Data()[i], want[i])
-						}
-					})
+				w0, g := make([]F, n), tensor.NewOf[F](n)
+				for i := range w0 {
+					w0[i], g.Data()[i] = F(r.Normal(0, 1)), F(r.Normal(0, 1))
 				}
+				want, vd := append([]F(nil), w0...), make([]F, n)
+				for step := 0; step < 3; step++ { // the velocity carries over
+					if momentum == 0 {
+						tensor.SGDStep(want, g.Data(), lr, wd)
+						continue
+					}
+					// The momentum branch has no kernel: its definition, the
+					// products rounded where amd64 rounds them anyway.
+					for i := range want {
+						grad := float64(g.Data()[i]) + float64(wd*float64(want[i]))
+						vd[i] = F(float64(momentum*float64(vd[i])) + grad)
+						want[i] = F(float64(want[i]) - float64(lr*float64(vd[i])))
+					}
+				}
+				forEachKernelPath(t, func(path string) {
+					p := &ParamOf[F]{Name: "p", Value: tensor.NewOf[F](n), Grad: g}
+					copy(p.Value.Data(), w0)
+					opt := NewSGDOf[F](lr, momentum, wd)
+					for step := 0; step < 3; step++ {
+						opt.Step([]*ParamOf[F]{p})
+					}
+					if i := sameBits(want, p.Value.Data()); i >= 0 {
+						t.Fatalf("%s momentum=%v wd=%v n=%d: w[%d] = %v, want %v", path, momentum, wd, n, i, p.Value.Data()[i], want[i])
+					}
+				})
 			}
 		}
 	}
@@ -395,10 +337,10 @@ func testSGDStepMatchesReference[F tensor.Float](t *testing.T) {
 	tensor.SGDStep[F](nil, nil, 0.05, 1e-4)
 }
 
-// TestSGDStepMatchesReference: the optimizer equals its scalar loop bit for
-// bit with and without momentum and weight decay, over three steps, at
-// lengths 1–17 and every alignment of weights and gradients, on both kernel
-// paths.
+// TestSGDStepMatchesReference: the optimizer equals the step kernel per
+// parameter without momentum, and the momentum branch's definition with it,
+// bit for bit, with and without weight decay, over three steps, on both
+// kernel paths.
 func TestSGDStepMatchesReference(t *testing.T) {
 	t.Run("f64", testSGDStepMatchesReference[float64])
 	t.Run("f32", testSGDStepMatchesReference[float32])

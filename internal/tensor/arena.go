@@ -14,12 +14,11 @@ import (
 // allocations. Tensor headers and shape slices are bump-allocated too, so
 // AllocOf itself is allocation-free in steady state.
 //
-// Two allocations exist per element type. The zeroing one (AllocOf,
-// ArenaSlice, Int32, Bools) is for buffers whose consumer accumulates into
-// them; the non-zeroing one (AllocUninitOf, ArenaSliceUninit, Int32Uninit,
-// BoolsUninit) is for buffers whose producer writes every element before
-// anything reads one, which is most of them, and skips a pass over memory
-// that is about to be overwritten.
+// Two allocations exist. The zeroing one (AllocOf, Float64) is for buffers
+// whose consumer accumulates into them; the non-zeroing one (AllocUninitOf,
+// ArenaSliceUninit, Int32Uninit, BoolsUninit) is for buffers whose producer
+// writes every element before anything reads one, which is most of them, and
+// skips a pass over memory that is about to be overwritten.
 //
 // An inference pass does not need every activation until Reset: ReleaseOf
 // hands one tensor's storage back early, and a later allocation that fits —
@@ -152,14 +151,9 @@ func (a *Arena) CheckGen(gen uint64, owner string) {
 // Float64 allocates a zeroed []float64 valid until the next Reset.
 func (a *Arena) Float64(n int) []float64 { return a.f64.alloc(n, true) }
 
-// Float32 allocates a zeroed []float32 valid until the next Reset.
-func (a *Arena) Float32(n int) []float32 { return a.f32.alloc(n, true) }
-
-// Int32 allocates a zeroed []int32 valid until the next Reset.
-func (a *Arena) Int32(n int) []int32 { return a.i32.alloc(n, true) }
-
-// Int32Uninit is Int32 without the zeroing: the contents are arbitrary and
-// the caller must write every element before reading any (pooling argmax).
+// Int32Uninit allocates an []int32 valid until the next Reset whose contents
+// are arbitrary: the caller must write every element before reading any
+// (pooling argmax).
 func (a *Arena) Int32Uninit(n int) []int32 {
 	v := a.i32.alloc(n, false)
 	if poison {
@@ -168,12 +162,9 @@ func (a *Arena) Int32Uninit(n int) []int32 {
 	return v
 }
 
-// Bools allocates a zeroed []bool valid until the next Reset.
-func (a *Arena) Bools(n int) []bool { return a.bools.alloc(n, true) }
-
-// BoolsUninit is Bools without the zeroing: the contents are arbitrary and
-// the caller must write every element before reading any (ReLU and dropout
-// masks).
+// BoolsUninit allocates a []bool valid until the next Reset whose contents
+// are arbitrary: the caller must write every element before reading any (ReLU
+// and dropout masks).
 func (a *Arena) BoolsUninit(n int) []bool {
 	v := a.bools.alloc(n, false)
 	if poison {
@@ -182,11 +173,9 @@ func (a *Arena) BoolsUninit(n int) []bool {
 	return v
 }
 
-// ArenaSlice allocates a zeroed []F from the arena's slab for F.
-func ArenaSlice[F Float](a *Arena, n int) []F { return arenaSlice[F](a, n, true) }
-
-// ArenaSliceUninit is ArenaSlice without the zeroing: the contents are
-// arbitrary and the caller must write every element before reading any.
+// ArenaSliceUninit allocates an []F from the arena's slab for F whose
+// contents are arbitrary: the caller must write every element before reading
+// any.
 func ArenaSliceUninit[F Float](a *Arena, n int) []F {
 	v := arenaSlice[F](a, n, false)
 	if poison {
@@ -211,7 +200,7 @@ func arenaSlice[F Float](a *Arena, n int, zero bool) []F {
 // AllocOf allocates a zeroed tensor whose storage — data, shape and the
 // header itself — lives in the arena, valid until the next Reset.
 func AllocOf[F Float](a *Arena, shape ...int) *TensorOf[F] {
-	return newHeader(a, ArenaSlice[F](a, checkShape(shape)), shape)
+	return newHeader(a, arenaSlice[F](a, checkShape(shape), true), shape)
 }
 
 // AllocUninitOf is AllocOf without the zeroing: the data is arbitrary and the

@@ -43,15 +43,15 @@ func TestArenaZeroesRecycledMemory(t *testing.T) {
 // slab so the same demand fits entirely next generation.
 func TestArenaOverflowRegrows(t *testing.T) {
 	a := NewArena()
-	a.Float32(8)
+	arenaSlice[float32](a, 8, true)
 	a.Reset() // slab is now 8 elements
-	a.Float32(8)
-	big := a.Float32(1024) // overflow: make fallback
-	big[1023] = 1          // must still be writable
-	a.Reset()              // regrow to 8+1024
+	arenaSlice[float32](a, 8, true)
+	big := arenaSlice[float32](a, 1024, true) // overflow: make fallback
+	big[1023] = 1                             // must still be writable
+	a.Reset()                                 // regrow to 8+1024
 	allocs := testing.AllocsPerRun(10, func() {
-		a.Float32(8)
-		a.Float32(1024)
+		arenaSlice[float32](a, 8, true)
+		arenaSlice[float32](a, 1024, true)
 		a.Reset()
 	})
 	if allocs != 0 {
@@ -68,8 +68,8 @@ func TestArenaAllocOfSteadyStateZeroAlloc(t *testing.T) {
 		a.Reset()
 		x := AllocOf[float64](a, 4, 8)
 		y := AllocOf[float32](a, 2, 3, 5)
-		_ = a.Int32(16)
-		_ = a.Bools(64)
+		_ = a.Int32Uninit(16)
+		_ = a.BoolsUninit(64)
 		x.Data()[0] = 1
 		y.Data()[0] = 1
 	}

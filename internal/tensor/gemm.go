@@ -8,27 +8,22 @@ import (
 	"fedca/internal/cputok"
 )
 
-// ParallelThresholdBytes is the minimum amount of multiply-accumulate work —
+// parallelThresholdBytes is the minimum amount of multiply-accumulate work —
 // measured in bytes of operand traffic, MACs × sizeof(element) — below which
 // a kernel stays single-threaded: spawning goroutines for tiny products costs
 // more than it saves. Making the cutoff byte-based instead of element-based
 // keeps the fan-out point aligned with actual work across dtypes: a float32
 // GEMM moves half the bytes per MAC, so it should need twice the elements of
 // a float64 GEMM before parallelism pays.
-const ParallelThresholdBytes = 1 << 20
+const parallelThresholdBytes = 1 << 20
 
-// ParallelThreshold is the float64 element-count form of the byte threshold
-// (m·n·k for a GEMM, batch·pos·patch·outC for a batched convolution). It is
-// shared by every float64 parallelism decision in the math floor
-// (tensor.parallelRows and nn.parallelSamples) so the two layers agree on
-// what "heavy" means. Dtype-generic code should use ParallelThresholdFor.
-const ParallelThreshold = ParallelThresholdBytes / 8
-
-// ParallelThresholdFor returns the MAC-count threshold for element type F:
-// ParallelThresholdBytes scaled by the element size (1<<17 for float64,
-// 1<<18 for float32).
+// ParallelThresholdFor returns the MAC-count threshold for element type F
+// (m·n·k for a GEMM, batch·pos·patch·outC for a batched convolution):
+// parallelThresholdBytes scaled by the element size (1<<17 for float64, 1<<18
+// for float32). tensor.parallelRows and nn's convolution share it, so the two
+// layers agree on what "heavy" means.
 func ParallelThresholdFor[F Float]() int {
-	return ParallelThresholdBytes / sizeofF[F]()
+	return parallelThresholdBytes / sizeofF[F]()
 }
 
 func sizeofF[F Float]() int {
@@ -106,39 +101,6 @@ func MatMulTransB[F Float](dst, a, b *TensorOf[F]) {
 	packPanelsT(packed.s, b.data, k, n)
 	gemmPacked(dst.data, a.data, k, 1, packed.s, m, k, n)
 	putPack(packed)
-}
-
-// MatMulRef is the unblocked reference kernel: the textbook triple loop with
-// no tiling, no packing and no skips, accumulating each output element in
-// ascending-k order in the tensors' own element type. Tests and the kernel
-// benchmarks compare the blocked kernels against it — both kernel paths are
-// bit-identical to it (same products, same accumulation order), and for
-// NaN/Inf inputs they must agree too (no zero-skip may mask 0×Inf = NaN).
-// The product is written as an explicit conversion so that no compiler may
-// fuse it with the add: the reference is the same on every architecture.
-func MatMulRef[F Float](dst, a, b *TensorOf[F], transA, transB bool) {
-	m, k, n := checkMatMul(dst, a, b, transA, transB)
-	at := func(i, p int) F {
-		if transA {
-			return a.data[p*m+i]
-		}
-		return a.data[i*k+p]
-	}
-	bt := func(p, j int) F {
-		if transB {
-			return b.data[j*k+p]
-		}
-		return b.data[p*n+j]
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s F
-			for p := 0; p < k; p++ {
-				s += F(at(i, p) * bt(p, j))
-			}
-			dst.data[i*n+j] = s
-		}
-	}
 }
 
 func checkMatMul[F Float](dst, a, b *TensorOf[F], transA, transB bool) (m, k, n int) {
@@ -249,8 +211,8 @@ func parallelRows[F Float](g *gemmArgs[F]) {
 // gemmRows computes rows [lo, hi) of C, one B panel at a time: the panel
 // (k × 64 bytes) stays in L1 while the rows of A stream past it. This is the
 // only place the two kernel paths part: useAVX2 is what the CPU reported at
-// start-up (gemm_amd64.go), and the portable kernel is both the fallback and
-// the reference the assembly is tested against.
+// start-up (gemm_amd64.go), and the portable kernel is the fallback. Both are
+// held to the same ascending-k definition.
 func gemmRows[F Float](g *gemmArgs[F], lo, hi int) {
 	nr := gemmNROf[F]()
 	k, n := g.k, g.n

@@ -60,7 +60,7 @@ func (g ConvGeom) ColCols() int { return g.InC * g.KH * g.KW }
 // patch matrix is ever materialized. Every other geometry (a stride above 1,
 // an output row the vector width does not divide) and every other machine
 // reads the same P through the same two tables one element at a time; that
-// loop is also the definition the vector bodies are tested against.
+// loop is also the portable path.
 
 // convPlan is what the writers and Col2ImOf derive from a geometry: the shape
 // of P and the two offset tables. It is immutable and shared by every operand

@@ -2,15 +2,14 @@ package tensor
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"testing"
 
 	"fedca/internal/rng"
 )
 
-// The element-by-element im2col/col2im this package shipped before the
-// writers moved to runs and packed output, kept as the differential
-// references: a row-major [pos × patch] patch matrix, walked position-major
+// The textbook im2col and col2im, the references of the writers and of
+// Col2ImOf: a row-major [pos × patch] patch matrix, walked position-major
 // with a bounds test per element.
 
 func im2colRef[F Float](g ConvGeom, img, col []F) {
@@ -72,24 +71,6 @@ func unpackB[F Float](t *testing.T, pb *PackedBOf[F]) []F {
 	return out
 }
 
-func transposeOf[F Float](a []F, rows, cols int) []F {
-	out := make([]F, len(a))
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			out[j*rows+i] = a[i*cols+j]
-		}
-	}
-	return out
-}
-
-func randSlice[F Float](r *rng.RNG, n int) []F {
-	s := make([]F, n)
-	for i := range s {
-		s[i] = F(r.Normal(0, 1))
-	}
-	return s
-}
-
 // im2colGeoms are the geometries every model issues (CNN 5×5 same-padding;
 // WRN 3×3 at stride 1 and 2, and its 1×1 stride-2 shortcuts) plus ragged
 // ones: non-square, valid (pad 0), pad wider than the kernel reach, kernels
@@ -130,52 +111,101 @@ func randomGeoms(r *rng.RNG, n int) []ConvGeom {
 	return gs
 }
 
-func testIm2ColMatchesRef[F Float](t *testing.T) {
-	r := rng.New(21)
-	for _, g := range append(im2colGeoms(), randomGeoms(r, 60)...) {
-		pos, patch := g.ColRows(), g.ColCols()
-		img := randSlice[F](r, g.InC*g.InH*g.InW)
-		want := make([]F, pos*patch)
-		im2colRef(g, img, want)
+// borderIsZero reports whether everything in P outside the image — the
+// border of every plane and the spare plane — is +0.
+func borderIsZero[F Float](g ConvGeom, pl *convPlan, p []F) bool {
+	plane := pl.hp * pl.wp
+	for i, v := range p {
+		c, y, x := i/plane, i%plane/pl.wp-g.Pad, i%pl.wp-g.Pad
+		inside := c < g.InC && y >= 0 && y < g.InH && x >= 0 && x < g.InW
+		if !inside && rawBits(v) != 0 {
+			return false
+		}
+	}
+	return true
+}
 
-		// Stale contents, including the padding lanes and the padded copy of
-		// a previous image, must be fully overwritten.
-		fwd, bwd := NewPackedBOf[F](patch, pos), NewPackedBOf[F](pos, patch)
-		for _, pb := range []*PackedBOf[F]{fwd, bwd} {
-			for i := range pb.data {
-				pb.data[i] = -7
+func testPaddingStaysZero[F Float](t *testing.T) {
+	r := rng.New(32)
+	sp := specials[F]()
+	for _, g := range []ConvGeom{NewConvGeom(3, 16, 16, 5, 5, 1, 2), NewConvGeom(6, 8, 8, 5, 5, 1, 2), NewConvGeom(16, 4, 4, 3, 3, 1, 1), NewConvGeom(8, 16, 16, 3, 3, 2, 1), NewConvGeom(2, 7, 12, 3, 3, 1, 1)} {
+		img := func() []F {
+			s := randSlice[F](r, g.InC*g.InH*g.InW)
+			for i := range s {
+				if r.Intn(6) == 0 {
+					s[i] = sp[r.Intn(len(sp))]
+				}
 			}
+			return s
 		}
-		for pass := 0; pass < 2; pass++ {
-			Im2ColOf(g, img, fwd)
-			Im2ColPackedOf(g, img, bwd)
-		}
-		if got := transposeOf(unpackB(t, fwd), patch, pos); !slices.Equal(got, want) {
-			t.Fatalf("Im2ColOf differs from the reference on %+v", g)
-		}
-		if got := unpackB(t, bwd); !slices.Equal(got, want) {
-			t.Fatalf("Im2ColPackedOf differs from the reference on %+v", g)
-		}
+		forEachKernelPath(func(path string) {
+			fwd, bwd := NewPackedBOf[F](g.ColCols(), g.ColRows()), NewPackedBOf[F](g.ColRows(), g.ColCols())
+			for n := 0; n < 100; n++ {
+				x := img()
+				Im2ColOf(g, x, fwd)
+				Im2ColPackedOf(g, x, bwd)
+			}
+			if !borderIsZero(g, fwd.img.plan, fwd.img.p) || !borderIsZero(g, bwd.img.plan, bwd.img.p) {
+				t.Fatalf("%s %+v: the padding of P is not all zero after 100 images", path, g)
+			}
+			// An operand handed another geometry starts from a clean image.
+			g2 := NewConvGeom(g.InC, g.InH, g.InW, 1, 1, 1, 0)
+			fwd2 := &PackedBOf[F]{data: make([]F, packLen[F](g2.ColCols(), g2.ColRows())), k: g2.ColCols(), n: g2.ColRows(), img: fwd.img}
+			x, col := img(), make([]F, g2.ColRows()*g2.ColCols())
+			Im2ColOf(g2, x, fwd2)
+			im2colRef(g2, x, col)
+			want := packedRef(transposeOf(col, g2.ColRows(), g2.ColCols()), g2.ColCols(), g2.ColRows())
+			if i := firstDiff(fwd2.data, want, false); i >= 0 {
+				t.Fatalf("%s %+v → %+v: a reused operand kept the old geometry's image (packed %d)", path, g, g2, i)
+			}
+		})
+	}
+}
 
-		// Col2Im: same addends in the same order per pixel, so exact equality
-		// even though the walk is tap-major instead of position-major.
-		dcol := randSlice[F](r, pos*patch)
-		wantImg := randSlice[F](r, len(img)) // accumulate onto non-zero pixels
-		gotImg := append([]F(nil), wantImg...)
-		col2imRef(g, dcol, wantImg)
-		Col2ImOf(g, transposeOf(dcol, pos, patch), gotImg)
-		if !slices.Equal(gotImg, wantImg) {
-			t.Fatalf("Col2ImOf differs from the reference on %+v", g)
+// TestPaddingStaysZeroOver100Images: a writer that spilled into the padding
+// would corrupt every later sample silently; after 100 images full of NaNs
+// and infinities the border and the spare plane are still +0.
+func TestPaddingStaysZeroOver100Images(t *testing.T) {
+	t.Run("f64", testPaddingStaysZero[float64])
+	t.Run("f32", testPaddingStaysZero[float32])
+}
+
+func testCol2ImEveryTap[F Float](t *testing.T) {
+	g := NewConvGeom(2, 4, 8, 3, 3, 1, 1)
+	pos, patch := g.ColRows(), g.ColCols()
+	negZero := F(math.Copysign(0, -1))
+	for _, sp := range specials[F]() {
+		for q := 0; q < patch; q++ {
+			for _, p := range []int{0, g.OutW - 1, pos - g.OutW, pos - 1} { // the positions whose taps leave the image
+				// All −0 elsewhere: a pixel stays −0 only if every addend it
+				// receives is −0, so a stray +0 from the border shows.
+				dcol := make([]F, pos*patch)
+				want := make([]F, g.InC*g.InH*g.InW)
+				for _, s := range [][]F{dcol, want} {
+					for i := range s {
+						s[i] = negZero
+					}
+				}
+				dcol[q*pos+p] = sp
+				got := append([]F(nil), want...)
+				col2imRef(g, transposeOf(dcol, patch, pos), want)
+				forEachKernelPath(func(path string) {
+					dimg := append([]F(nil), got...)
+					Col2ImOf(g, dcol, dimg)
+					if i := firstDiff(dimg, want, true); i >= 0 {
+						t.Fatalf("%s: %v at tap %d, position %d: pixel %d is %v, want %v", path, sp, q, p, i, dimg[i], want[i])
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestIm2ColCol2ImMatchReference: the writers and Col2Im equal the
-// element-by-element implementations, bit for bit, at both dtypes, on the
-// model geometries and on random ones.
-func TestIm2ColCol2ImMatchReference(t *testing.T) {
-	t.Run("f64", testIm2ColMatchesRef[float64])
-	t.Run("f32", testIm2ColMatchesRef[float32])
+// TestCol2ImSpecialInEveryTap puts each special value at every tap of the
+// corner positions, one at a time, in a gradient of −0.
+func TestCol2ImSpecialInEveryTap(t *testing.T) {
+	t.Run("f64", testCol2ImEveryTap[float64])
+	t.Run("f32", testCol2ImEveryTap[float32])
 }
 
 func benchIm2Col[F Float](b *testing.B, dtype string) {

@@ -8,17 +8,14 @@
 // dtype-selected tile geometry (see gemm.go); each dtype's blocked path is
 // bit-identical to its own reference kernel.
 //
-// Tensors are always contiguous in row-major order. Reshape returns a view
-// sharing the underlying storage; Clone copies. The package is deliberately
+// Tensors are always contiguous in row-major order; Clone copies. The
+// package is deliberately
 // small: only the operations the training stack needs, each with a clear
 // contract and panics on shape mismatch (shape errors are programming errors,
 // not runtime conditions).
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Float is the element-type constraint of every kernel in this package.
 type Float interface {
@@ -47,11 +44,9 @@ func NewOf[F Float](shape ...int) *TensorOf[F] {
 // FromSlice wraps data in a float64 tensor of the given shape. The tensor
 // takes ownership of data (no copy). It panics if len(data) does not match
 // shape.
-func FromSlice(data []float64, shape ...int) *Tensor { return FromSliceOf(data, shape...) }
+func FromSlice(data []float64, shape ...int) *Tensor { return fromSlice(data, shape...) }
 
-// FromSliceOf wraps data in a tensor of the given shape. The tensor takes
-// ownership of data (no copy). It panics if len(data) does not match shape.
-func FromSliceOf[F Float](data []F, shape ...int) *TensorOf[F] {
+func fromSlice[F Float](data []F, shape ...int) *TensorOf[F] {
 	n := checkShape(shape)
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), shape, n))
@@ -91,15 +86,6 @@ func (t *TensorOf[F]) Dim(i int) int { return t.shape[i] }
 
 // Rank returns the number of dimensions.
 func (t *TensorOf[F]) Rank() int { return len(t.shape) }
-
-// Reshape returns a view of t with a new shape of equal total size.
-func (t *TensorOf[F]) Reshape(shape ...int) *TensorOf[F] {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	return &TensorOf[F]{data: t.data, shape: append([]int(nil), shape...)}
-}
 
 // Clone returns a deep copy of t.
 func (t *TensorOf[F]) Clone() *TensorOf[F] {
@@ -209,61 +195,6 @@ func (t *TensorOf[F]) Sub(o *TensorOf[F]) {
 	}
 }
 
-// SubInto sets t = a − b elementwise.
-func (t *TensorOf[F]) SubInto(a, b *TensorOf[F]) {
-	assertSameSize(a, b, "Sub")
-	assertSameSize(t, a, "Sub")
-	for i := range t.data {
-		t.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// MulElem multiplies t by o elementwise in place.
-func (t *TensorOf[F]) MulElem(o *TensorOf[F]) {
-	assertSameSize(t, o, "MulElem")
-	for i := range t.data {
-		t.data[i] *= o.data[i]
-	}
-}
-
-// Scale multiplies every element of t by s.
-func (t *TensorOf[F]) Scale(s F) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-// AXPY performs t += alpha * x. Here and in the reductions below the product
-// is an explicit conversion, which the Go specification forbids fusing with
-// the add: on arm64 and other FMA targets the compiler would otherwise emit a
-// fused multiply-add, and a result would depend on the machine.
-func (t *TensorOf[F]) AXPY(alpha F, x *TensorOf[F]) {
-	assertSameSize(t, x, "AXPY")
-	for i := range t.data {
-		t.data[i] += F(alpha * x.data[i])
-	}
-}
-
-// Dot returns the inner product of a and b viewed as flat vectors,
-// accumulated in the tensors' own element type.
-func Dot[F Float](a, b *TensorOf[F]) F {
-	assertSameSize(a, b, "Dot")
-	var s F
-	for i := range a.data {
-		s += F(a.data[i] * b.data[i])
-	}
-	return s
-}
-
-// Norm returns the L2 norm of t viewed as a flat vector.
-func (t *TensorOf[F]) Norm() F {
-	var s F
-	for _, v := range t.data {
-		s += F(v * v)
-	}
-	return F(math.Sqrt(float64(s)))
-}
-
 // Sum returns the sum of all elements.
 func (t *TensorOf[F]) Sum() F {
 	var s F
@@ -271,17 +202,6 @@ func (t *TensorOf[F]) Sum() F {
 		s += v
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty data).
-func (t *TensorOf[F]) MaxAbs() F {
-	var m F
-	for _, v := range t.data {
-		if a := F(math.Abs(float64(v))); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgMaxRow returns, for a 2-D tensor, the index of the maximum element in
@@ -299,37 +219,6 @@ func (t *TensorOf[F]) ArgMaxRow(r int) int {
 		}
 	}
 	return best
-}
-
-// CosineSimilarity returns the cosine similarity of a and b viewed as flat
-// vectors. If either vector has zero norm the result is 0 unless both are
-// zero, in which case it is 1 (two zero updates are identical).
-func CosineSimilarity[F Float](a, b *TensorOf[F]) float64 {
-	assertSameSize(a, b, "CosineSimilarity")
-	return cosineSlices(a.data, b.data)
-}
-
-// CosineSimilaritySlices is CosineSimilarity over raw float64 slices.
-func CosineSimilaritySlices(a, b []float64) float64 { return cosineSlices(a, b) }
-
-func cosineSlices[F Float](a, b []F) float64 {
-	if len(a) != len(b) {
-		panic("tensor: CosineSimilaritySlices length mismatch")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		av, bv := float64(a[i]), float64(b[i])
-		dot += float64(av * bv)
-		na += float64(av * av)
-		nb += float64(bv * bv)
-	}
-	if na == 0 && nb == 0 {
-		return 1
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 // String renders a compact description, useful in test failures.
