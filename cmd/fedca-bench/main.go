@@ -8,6 +8,7 @@
 //	fedca-bench -exp fig7 -scale full -seed 7 -series
 //	fedca-bench -exp all -cache ~/.cache/fedca-cells   # warm across runs
 //	fedca-bench -exp fig7 -scale tiny -dtype f32       # float32 client compute
+//	fedca-bench -list -scale tiny                      # each experiment's cells
 //
 // Scales: tiny (minutes), small (default), full (paper-sized: 128 clients,
 // K = 125 — expect hours of CPU).
@@ -16,6 +17,12 @@
 // training runs behind each figure are deduplicated across figures, computed
 // in parallel up to -parallel concurrent cells, and — with -cache — reused
 // across invocations from a content-addressed on-disk result cache.
+//
+// Stdout carries only the artifacts, so a run is reproducible byte for byte;
+// each experiment's wall time and the executor's counters go to stderr.
+// testdata/experiments-tiny-seed42.txt is the stdout of
+//
+//	go run ./cmd/fedca-bench -exp all -scale tiny -seed 42
 package main
 
 import (
@@ -36,19 +43,13 @@ func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
 	seed := flag.Uint64("seed", 42, "master seed")
 	series := flag.Bool("series", false, "also print full data series for plotting")
-	list := flag.Bool("list", false, "list experiment ids and exit")
+	list := flag.Bool("list", false, "list each experiment's cells (kind and key at -scale, -seed and -dtype) and exit")
 	parallel := flag.Int("parallel", experiments.DefaultWorkers(), "max concurrently computing experiment cells (1 = serial)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty disables)")
 	dtype := flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
 	metricsOut := flag.String("metrics-out", "", "write a telemetry JSON snapshot (executor counters included) to this file on exit")
 	flag.Parse()
 
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return
-	}
 	scale, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -63,6 +64,10 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "fedca-bench: -dtype must be f64 or f32, got %q\n", *dtype)
 		os.Exit(2)
+	}
+	if *list {
+		listCells(scale, *seed)
+		return
 	}
 
 	reg := telemetry.NewRegistry()
@@ -83,7 +88,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fmt.Printf("=== %s (scale=%s seed=%d, %s) ===\n", id, scale.Name, *seed, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "%s: %s\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("=== %s (scale=%s seed=%d) ===\n", id, scale.Name, *seed)
 		fmt.Println(res.Text)
 		if *series {
 			names := make([]string, 0, len(res.Series))
@@ -121,4 +127,24 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// listCells prints every experiment's cells at (scale, seed) and the number
+// of distinct cells the whole suite trains, which is what -exp all computes
+// on a cold cache.
+func listCells(scale experiments.Scale, seed uint64) {
+	distinct := make(map[execpool.Spec]bool)
+	for _, id := range experiments.IDs() {
+		cells, err := experiments.Cells(id, scale, seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Printf("%s (%d cells)\n", id, len(cells))
+		for _, c := range cells {
+			fmt.Printf("  %-10s %s\n", c.Kind, c.Key)
+			distinct[c] = true
+		}
+	}
+	fmt.Printf("%d distinct cells (scale=%s seed=%d)\n", len(distinct), scale.Name, seed)
 }

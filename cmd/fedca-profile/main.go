@@ -35,7 +35,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cd := experiments.CollectCurvesFor(w, scale, *seed)
+	cd, err := experiments.CollectCurvesFor(w, scale, *seed)
+	if err != nil {
+		fail(err)
+	}
 	fmt.Printf("workload=%s K=%d layers=%d (probe rounds %d and %d, clients 0/1)\n",
 		*model, cd.K, len(cd.LayerNames), scale.EarlyRound, scale.LateRound)
 

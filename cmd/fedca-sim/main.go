@@ -134,7 +134,7 @@ func main() {
 		w.FL.Journal = journal
 	}
 
-	sch, err := expcfg.SchemeByName(*scheme, &w.FL, scale.FedCAOptions(), *seed)
+	sch, err := expcfg.SchemeByName(*scheme, &w.FL, scale.FedCAOptions(), *seed, "scheme")
 	if err != nil {
 		fail(err)
 	}

@@ -271,7 +271,7 @@ func New(opts Options) (*Federation, error) {
 		tcfg.Dynamic = opts.Dynamic
 	}
 
-	scheme, err := expcfg.SchemeByName(opts.Scheme, &w.FL, opts.FedCA, opts.Seed)
+	scheme, err := expcfg.SchemeByName(opts.Scheme, &w.FL, opts.FedCA, opts.Seed, "scheme")
 	if err != nil {
 		return nil, err
 	}

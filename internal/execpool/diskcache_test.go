@@ -28,13 +28,13 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	p := New(Options{Workers: 1, CacheDir: t.TempDir(), Version: "v1"})
 	spec := Spec{Kind: "k", Key: "a"}
 	want := samplePayload()
-	Do(p, spec, func() payload { return want })
+	Do(p, spec, func() (payload, error) { return want, nil })
 
 	// A fresh pool over the same directory decodes, not recomputes.
 	q := New(Options{Workers: 1, CacheDir: p.cache.dir, Version: "v1"})
-	got := Do(q, spec, func() payload {
+	got, _ := Do(q, spec, func() (payload, error) {
 		t.Fatal("warm pool must not recompute")
-		return payload{}
+		return payload{}, nil
 	})
 	if got.Name != want.Name || got.Sub.Name != "inner" || len(got.Series["acc"]) != 3 {
 		t.Fatalf("decoded %+v", got)
@@ -121,12 +121,12 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			w := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
-			Do(w, spec, samplePayload)
+			Do(w, spec, func() (payload, error) { return samplePayload(), nil })
 			tc.mangle(t, w.cache.path(w.Fingerprint(spec)))
 
 			r := New(Options{Workers: 1, CacheDir: dir, Version: tc.readVersion})
 			recomputed := false
-			got := Do(r, spec, func() payload { recomputed = true; return samplePayload() })
+			got, _ := Do(r, spec, func() (payload, error) { recomputed = true; return samplePayload(), nil })
 			if !recomputed {
 				t.Fatal("corrupt/stale entry must recompute")
 			}
@@ -139,9 +139,9 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 			}
 			// The recompute repairs the entry: a third pool reads it warm.
 			h := New(Options{Workers: 1, CacheDir: dir, Version: tc.readVersion})
-			Do(h, spec, func() payload {
+			Do(h, spec, func() (payload, error) {
 				t.Fatal("repaired entry must be warm")
-				return payload{}
+				return payload{}, nil
 			})
 		})
 	}
@@ -163,10 +163,10 @@ func TestConcurrentWritersSameDir(t *testing.T) {
 			p := New(Options{Workers: 2, CacheDir: dir, Version: "v1"})
 			for c := 0; c < cells; c++ {
 				c := c
-				got := Do(p, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() payload {
+				got, _ := Do(p, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() (payload, error) {
 					pl := samplePayload()
 					pl.Name = fmt.Sprintf("cell-%d", c)
-					return pl
+					return pl, nil
 				})
 				if want := fmt.Sprintf("cell-%d", c); got.Name != want {
 					errs <- fmt.Sprintf("got %q want %q", got.Name, want)
@@ -183,9 +183,9 @@ func TestConcurrentWritersSameDir(t *testing.T) {
 	v := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
 	for c := 0; c < cells; c++ {
 		c := c
-		got := Do(v, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() payload {
+		got, _ := Do(v, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() (payload, error) {
 			t.Fatalf("cell %d not on disk after concurrent writes", c)
-			return payload{}
+			return payload{}, nil
 		})
 		if got.Name != fmt.Sprintf("cell-%d", c) {
 			t.Fatalf("cell %d corrupted: %+v", c, got)

@@ -62,7 +62,7 @@ type Options struct {
 
 // Stats is a point-in-time snapshot of a pool's counters.
 type Stats struct {
-	Computed   int64 `json:"computed"`    // cells actually executed
+	Computed   int64 `json:"computed"`    // cells executed without error
 	MemHits    int64 `json:"mem_hits"`    // served from process memory
 	DiskHits   int64 `json:"disk_hits"`   // served from the on-disk cache
 	DedupWaits int64 `json:"dedup_waits"` // requests that joined an in-flight computation
@@ -75,7 +75,8 @@ type Stats struct {
 type flight struct {
 	done     chan struct{}
 	val      any
-	panicked any // non-nil when compute panicked; re-raised in every waiter
+	err      error // compute's error, returned to every waiter
+	panicked any   // non-nil when compute panicked; re-raised in every waiter
 }
 
 // Pool is the cell executor. The zero value is not usable; construct with
@@ -183,9 +184,11 @@ func (p *Pool) Fingerprint(spec Spec) string {
 
 // Do executes the cell identified by spec exactly once per process (and, with
 // a disk cache, once across processes), returning the memoized value on every
-// subsequent call. compute must be a pure function of spec. A nil pool simply
+// subsequent call. compute must be a pure function of spec. An error from
+// compute reaches every request that joined the flight and is neither
+// memoized nor persisted: the next request computes again. A nil pool simply
 // calls compute.
-func Do[T any](p *Pool, spec Spec, compute func() T) T {
+func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 	if p == nil {
 		return compute()
 	}
@@ -196,7 +199,7 @@ func Do[T any](p *Pool, spec Spec, compute func() T) T {
 		p.mu.Unlock()
 		p.count(&p.memHits, p.tel.memHits)
 		p.journal.CellHit(spec.Kind, fp, "memory")
-		return v.(T)
+		return v.(T), nil
 	}
 	if f, ok := p.inflight[fp]; ok {
 		p.mu.Unlock()
@@ -205,7 +208,11 @@ func Do[T any](p *Pool, spec Spec, compute func() T) T {
 		if f.panicked != nil {
 			panic(f.panicked)
 		}
-		return f.val.(T)
+		if f.err != nil {
+			var zero T
+			return zero, f.err
+		}
+		return f.val.(T), nil
 	}
 	f := &flight{done: make(chan struct{})}
 	p.inflight[fp] = f
@@ -219,7 +226,7 @@ func Do[T any](p *Pool, spec Spec, compute func() T) T {
 				f.panicked = r
 			}
 			p.mu.Lock()
-			if f.panicked == nil {
+			if f.panicked == nil && f.err == nil {
 				p.mem[fp] = v
 				f.val = v
 			}
@@ -259,12 +266,18 @@ func Do[T any](p *Pool, spec Spec, compute func() T) T {
 			<-p.tokens
 		}()
 		p.journal.CellStart(spec.Kind, fp)
-		v = compute()
-		p.count(&p.computed, p.tel.computed)
+		v, f.err = compute()
+		if f.err == nil {
+			p.count(&p.computed, p.tel.computed)
+		}
 		p.journal.CellFinish(spec.Kind, fp)
 	}()
 	if f.panicked != nil {
 		panic(f.panicked)
+	}
+	if f.err != nil {
+		var zero T
+		return zero, f.err
 	}
 	if p.cache != nil && !fromDisk {
 		// Best effort: a full disk or unserializable value must not fail the
@@ -275,7 +288,7 @@ func Do[T any](p *Pool, spec Spec, compute func() T) T {
 			p.count(&p.diskErrors, p.tel.diskErrors)
 		}
 	}
-	return v
+	return v, nil
 }
 
 // Prefetch runs each fn — typically a closure invoking Do for one cell — and

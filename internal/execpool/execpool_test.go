@@ -1,6 +1,7 @@
 package execpool
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,10 +14,10 @@ import (
 func TestDoMemoizesPerSpec(t *testing.T) {
 	p := New(Options{Workers: 1, Version: "v1"})
 	var calls atomic.Int64
-	compute := func() int { calls.Add(1); return 7 }
+	compute := func() (int, error) { calls.Add(1); return 7, nil }
 	for i := 0; i < 5; i++ {
-		if got := Do(p, Spec{Kind: "k", Key: "a"}, compute); got != 7 {
-			t.Fatalf("Do = %d", got)
+		if got, err := Do(p, Spec{Kind: "k", Key: "a"}, compute); got != 7 || err != nil {
+			t.Fatalf("Do = %d, %v", got, err)
 		}
 	}
 	if calls.Load() != 1 {
@@ -36,7 +37,7 @@ func TestDoMemoizesPerSpec(t *testing.T) {
 func TestNilPoolComputesDirectly(t *testing.T) {
 	var calls int
 	for i := 0; i < 3; i++ {
-		Do[int](nil, Spec{Kind: "k", Key: "a"}, func() int { calls++; return calls })
+		Do(nil, Spec{Kind: "k", Key: "a"}, func() (int, error) { calls++; return calls, nil })
 	}
 	if calls != 3 {
 		t.Fatalf("nil pool must not memoize (calls=%d)", calls)
@@ -62,11 +63,11 @@ func TestSingleflightDedup(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			results[i] = Do(p, Spec{Kind: "k", Key: "slow"}, func() int {
+			results[i], _ = Do(p, Spec{Kind: "k", Key: "slow"}, func() (int, error) {
 				close(started)
 				<-release
 				calls.Add(1)
-				return 42
+				return 42, nil
 			})
 		}()
 	}
@@ -100,7 +101,7 @@ func TestTokenBudgetBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		i := i
 		fns = append(fns, func() {
-			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() int {
+			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() (int, error) {
 				n := cur.Add(1)
 				for {
 					old := peak.Load()
@@ -109,7 +110,7 @@ func TestTokenBudgetBoundsConcurrency(t *testing.T) {
 					}
 				}
 				defer cur.Add(-1)
-				return i
+				return i, nil
 			})
 		})
 	}
@@ -129,7 +130,7 @@ func TestSerialPrefetchPreservesOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		fns = append(fns, func() {
-			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() int { order = append(order, i); return i })
+			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() (int, error) { order = append(order, i); return i, nil })
 		})
 	}
 	p.Prefetch(fns...)
@@ -150,7 +151,7 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer func() { panics <- recover() }()
-			Do(p, Spec{Kind: "k", Key: "boom"}, func() int {
+			Do(p, Spec{Kind: "k", Key: "boom"}, func() (int, error) {
 				<-gate
 				panic("cell exploded")
 			})
@@ -164,9 +165,32 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 		}
 	}
 	// The failed flight must not be memoized: the next request recomputes.
-	got := Do(p, Spec{Kind: "k", Key: "boom"}, func() int { return 9 })
+	got, _ := Do(p, Spec{Kind: "k", Key: "boom"}, func() (int, error) { return 9, nil })
 	if got != 9 {
 		t.Fatalf("recompute after panic = %d", got)
+	}
+}
+
+// TestErrorIsNotMemoized: a failed cell returns its error, leaves no memory
+// or disk entry behind, and the next request computes again.
+func TestErrorIsNotMemoized(t *testing.T) {
+	p := New(Options{Workers: 1, CacheDir: t.TempDir(), Version: "v1"})
+	spec := Spec{Kind: "k", Key: "bad"}
+	var calls int
+	fail := func() (int, error) { calls++; return 0, errors.New("bad cell") }
+	for i := 0; i < 2; i++ {
+		if _, err := Do(p, spec, fail); err == nil || err.Error() != "bad cell" {
+			t.Fatalf("call %d: err = %v", i, err)
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("computed %d times; an error must not be memoized", calls)
+	}
+	if st := p.Stats(); st.Computed != 0 || st.MemHits != 0 || st.DiskWrites != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got, err := Do(p, spec, func() (int, error) { return 3, nil }); got != 3 || err != nil {
+		t.Fatalf("recompute after error = %d, %v", got, err)
 	}
 }
 
@@ -194,9 +218,9 @@ func TestResetDropsMemoryNotDisk(t *testing.T) {
 	p := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
 	var calls int
 	spec := Spec{Kind: "k", Key: "a"}
-	Do(p, spec, func() int { calls++; return 1 })
+	Do(p, spec, func() (int, error) { calls++; return 1, nil })
 	p.Reset()
-	Do(p, spec, func() int { calls++; return 1 })
+	Do(p, spec, func() (int, error) { calls++; return 1, nil })
 	if calls != 1 {
 		t.Fatalf("reset must keep the disk entry warm (calls=%d)", calls)
 	}
@@ -210,10 +234,11 @@ func TestTelemetryMirror(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Options{Workers: 2, CacheDir: dir, Version: "v1", Metrics: reg})
 	spec := Spec{Kind: "k", Key: "a"}
-	Do(p, spec, func() int { return 1 }) // computed + disk write
-	Do(p, spec, func() int { return 1 }) // mem hit
+	one := func() (int, error) { return 1, nil }
+	Do(p, spec, one) // computed + disk write
+	Do(p, spec, one) // mem hit
 	p.Reset()
-	Do(p, spec, func() int { return 1 }) // disk hit
+	Do(p, spec, one) // disk hit
 	want := map[string]float64{
 		"fedca_execpool_computed_total":    1,
 		"fedca_execpool_disk_writes_total": 1,

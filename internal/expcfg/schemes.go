@@ -15,10 +15,10 @@ import (
 //
 // fedca holds the FedCA hyperparameters of the three FedCA variants (zero
 // options mean core.DefaultOptions), with K set to cfg.LocalIters; the
-// variants draw from rng.New(seed).Fork("scheme") and report to
-// cfg.Telemetry and cfg.Journal. Oort draws from Fork("oort") and, when
-// cfg.Participation is unset, sets it to 0.5, its cohort.
-func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64) (fl.Scheme, error) {
+// variants draw from rng.New(seed).Fork(fork...) (the facade's label is
+// "scheme") and report to cfg.Telemetry and cfg.Journal. Oort draws from
+// Fork("oort") and, when cfg.Participation is unset, sets it to 0.5.
+func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, fork ...any) (fl.Scheme, error) {
 	switch name {
 	case "fedavg":
 		return baseline.FedAvg{}, nil
@@ -41,7 +41,7 @@ func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64) 
 		if name != "fedca" { // v1: early stop only; v2: plus eager sends
 			fedca.Eager, fedca.Retransmit = name == "fedca-v2", false
 		}
-		s := core.NewScheme(fedca, rng.New(seed).Fork("scheme"))
+		s := core.NewScheme(fedca, rng.New(seed).Fork(fork...))
 		s.SetTelemetry(cfg.Telemetry)
 		s.SetJournal(cfg.Journal)
 		return s, nil

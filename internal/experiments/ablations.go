@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"fedca/internal/core"
-	"fedca/internal/expcfg"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
 	"fedca/internal/rng"
@@ -15,28 +14,27 @@ import (
 // choices DESIGN.md §5 calls out, extending the paper's Secs. 4.1–4.2
 // discussion with measurements.
 
-// AblationFloor compares FedCA with and without the Eq. 2 benefit floor
+// floorOff lists abl-floor's runs: with the Eq. 2 floor, then without.
+var floorOff = []bool{false, true}
+
+func floorCell(off bool) cellSpec {
+	variant := "-floor-on"
+	if off {
+		variant = "-floor-off"
+	}
+	return cnnVariant(variant, func(o *core.Options) { o.DisableBenFloor = off })
+}
+
+// ablationFloor compares FedCA with and without the Eq. 2 benefit floor
 // (1 − P_τ)/(K − τ): the guard against non-concave curve stretches. Without
 // it, a locally flat anchor curve yields b ≤ 0 and triggers premature stops.
-func AblationFloor(s Scale, seed uint64) *Result {
+func ablationFloor(in *inputs) *Result {
 	res := newResult("abl-floor")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — Eq. 2 benefit floor on/off (CNN)\n")
-	floorRun := func(off bool) ConvRun {
-		variant := "-floor-on"
-		if off {
-			variant = "-floor-off"
-		}
-		return convergenceRun(s, "cnn", "fedca", variant, seed, func(o *core.Options) { o.DisableBenFloor = off })
-	}
-	prefetch(
-		func() { convergenceRun(s, "cnn", "fedavg", "", seed, nil) },
-		func() { floorRun(false) },
-		func() { floorRun(true) },
-	)
-	target := targetFor(s, "cnn", seed)
-	for _, off := range []bool{false, true} {
-		run := floorRun(off)
+	target := in.target("cnn")
+	for _, off := range floorOff {
+		run := in.conv(floorCell(off))
 		c := metrics.ConvergenceOf(run.Results, target)
 		stats := *run.Stats
 		meanStop := meanInt(stats.EarlyStopIters)
@@ -65,38 +63,30 @@ func meanInt(xs []int) float64 {
 	return float64(s) / float64(len(xs))
 }
 
-// AblationSampling extends Fig. 5: profiling fidelity (max deviation of the
+// sampleCaps are abl-sampling's per-layer sample caps.
+var sampleCaps = []int{25, 100, 400}
+
+// capCell is the CNN curve probe with its sampled curves profiled at cap.
+func capCell(cap int) cellSpec {
+	return cellSpec{kind: "curves-cap", model: "cnn", name: fmt.Sprintf("cap%d", cap), sampleCap: cap}
+}
+
+// ablationSampling extends Fig. 5: profiling fidelity (max deviation of the
 // sampled curve from the full one) at per-layer sample caps 25, 100, 400.
-func AblationSampling(s Scale, seed uint64) *Result {
+func ablationSampling(in *inputs) *Result {
+	s, seed := in.s, in.seed
 	res := newResult("abl-sampling")
 	tbl := report.NewTable("Ablation — intra-layer sample cap vs profiling fidelity (CNN, largest layer)",
 		"Cap", "Samples total", "Max deviation", "Profiling mem (KB)")
 	w, err := s.Workload("cnn")
 	if err != nil {
-		panic(err)
+		return in.fail(err)
 	}
-	caps := []int{25, 100, 400}
-	capRun := func(cap int) *CurveData {
-		key := fmt.Sprintf("%s/cnn/cap%d/%d", s.cellKey(), cap, seed)
-		return cell("curves-cap", key, func() *CurveData {
-			return collectCurvesWithCap(w, s, seed, cap)
-		})
-	}
-	warms := []func(){func() { collectCurves(s, "cnn", seed) }}
-	for _, cap := range caps {
-		cap := cap
-		warms = append(warms, func() { capRun(cap) })
-	}
-	prefetch(warms...)
-	cd := collectCurves(s, "cnn", seed)
+	cd := in.curves(curves("cnn"))
 	l := largestLayer(cd)
 	full := cd.Probe(s.LateRound, 0).Layer[l]
-	// Recompute sampled curves at different caps from a fresh probe run is
-	// costly; instead sample the recorded full curve's layer directly via a
-	// dedicated probe at each cap using the profiler on synthetic replays.
-	for _, cap := range caps {
-		cdc := capRun(cap)
-		sampled := cdc.Probe(s.LateRound, 0).Sampled[l]
+	for _, cap := range sampleCaps {
+		sampled := in.curves(capCell(cap)).Probe(s.LateRound, 0).Sampled[l]
 		dev := metrics.MaxAbsDiff(full, sampled)
 		prof := core.NewProfiler(cap, core.DefaultSampleFrac, rng.New(seed))
 		net := w.NewModel(rng.New(seed)).Network
@@ -109,27 +99,23 @@ func AblationSampling(s Scale, seed uint64) *Result {
 	return res
 }
 
-// AblationPeriod extends Sec. 4.1: convergence under profiling periods
+// periods are abl-period's profiling periods.
+var periods = []int{1, 2, 5, 10}
+
+func periodCell(period int) cellSpec {
+	return cnnVariant(fmt.Sprintf("-period%d", period), func(o *core.Options) { o.ProfilePeriod = period })
+}
+
+// ablationPeriod extends Sec. 4.1: convergence under profiling periods
 // 1 (profile every round: maximal fidelity, zero optimized rounds at period 1
 // — every round is an un-optimized anchor!), 2, 5 and 10.
-func AblationPeriod(s Scale, seed uint64) *Result {
+func ablationPeriod(in *inputs) *Result {
 	res := newResult("abl-period")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — profiling period (CNN); period 1 never optimizes (every round is an anchor)\n")
-	periods := []int{1, 2, 5, 10}
-	periodRun := func(period int) ConvRun {
-		variant := fmt.Sprintf("-period%d", period)
-		return convergenceRun(s, "cnn", "fedca", variant, seed, func(o *core.Options) { o.ProfilePeriod = period })
-	}
-	warms := []func(){func() { convergenceRun(s, "cnn", "fedavg", "", seed, nil) }}
+	target := in.target("cnn")
 	for _, period := range periods {
-		period := period
-		warms = append(warms, func() { periodRun(period) })
-	}
-	prefetch(warms...)
-	target := targetFor(s, "cnn", seed)
-	for _, period := range periods {
-		run := periodRun(period)
+		run := in.conv(periodCell(period))
 		c := metrics.ConvergenceOf(run.Results, target)
 		res.Values[fmt.Sprintf("total/%d", period)] = c.TotalTime
 		res.Values[fmt.Sprintf("best/%d", period)] = c.BestAcc
@@ -139,29 +125,29 @@ func AblationPeriod(s Scale, seed uint64) *Result {
 	return res
 }
 
-// AblationDeadline compares the FedBalancer-style argmax(#finished/T)
+// deadlineRules are abl-deadline's rules: FedBalancer's (quantile 0), then
+// fixed quantiles.
+var deadlineRules = []deadlineRule{{"fedbalancer", 0}, {"quantile-0.5", 0.5}, {"quantile-0.9", 0.9}}
+
+type deadlineRule struct {
+	label string
+	q     float64
+}
+
+func ruleCell(rule deadlineRule) cellSpec {
+	return cnnVariant("-dl-"+rule.label, func(o *core.Options) { o.DeadlineQuantile = rule.q })
+}
+
+// ablationDeadline compares the FedBalancer-style argmax(#finished/T)
 // deadline with fixed-quantile deadlines (50th/90th percentile of estimated
 // round times).
-func AblationDeadline(s Scale, seed uint64) *Result {
+func ablationDeadline(in *inputs) *Result {
 	res := newResult("abl-deadline")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — deadline rule (CNN)\n")
-	rules := []struct {
-		label string
-		q     float64
-	}{{"fedbalancer", 0}, {"quantile-0.5", 0.5}, {"quantile-0.9", 0.9}}
-	ruleRun := func(label string, q float64) ConvRun {
-		return convergenceRun(s, "cnn", "fedca", "-dl-"+label, seed, func(o *core.Options) { o.DeadlineQuantile = q })
-	}
-	warms := []func(){func() { convergenceRun(s, "cnn", "fedavg", "", seed, nil) }}
-	for _, rule := range rules {
-		rule := rule
-		warms = append(warms, func() { ruleRun(rule.label, rule.q) })
-	}
-	prefetch(warms...)
-	target := targetFor(s, "cnn", seed)
-	for _, rule := range rules {
-		run := ruleRun(rule.label, rule.q)
+	target := in.target("cnn")
+	for _, rule := range deadlineRules {
+		run := in.conv(ruleCell(rule))
 		c := metrics.ConvergenceOf(run.Results, target)
 		res.Values["total/"+rule.label] = c.TotalTime
 		res.Values["best/"+rule.label] = c.BestAcc
@@ -170,9 +156,4 @@ func AblationDeadline(s Scale, seed uint64) *Result {
 	}
 	res.Text = b.String()
 	return res
-}
-
-// collectCurvesWithCap is collectCurves with a custom per-layer sample cap.
-func collectCurvesWithCap(w expcfg.Workload, s Scale, seed uint64, cap int) *CurveData {
-	return collectCurvesCustom(w, s, seed, cap)
 }

@@ -10,22 +10,24 @@ import (
 	"fedca/internal/rng"
 )
 
-// Fig8a regenerates the early-stop CDFs for CNN: the iteration at which FedCA
+// fig8a regenerates the early-stop CDFs for CNN: the iteration at which FedCA
 // clients stop (client-side, intra-round) versus the iteration budget FedAda
 // truncates stragglers to (server-side, history-based).
-func Fig8a(s Scale, seed uint64) *Result {
+func fig8a(in *inputs) *Result {
+	s := in.s
 	res := newResult("fig8a")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 8a — CDF of the early-stop iteration (CNN, K=%d)\n", s.K)
 
-	warmConvergence(s, seed, []string{"cnn"}, []string{"fedca", "fedada"})
-	fedca := convergenceRun(s, "cnn", "fedca", "", seed, nil)
+	fedca := in.conv(conv("cnn", "fedca"))
 	caIters := append([]int(nil), fedca.Stats.EarlyStopIters...)
 	// Clients that never stopped early count as acting at the full K, so the
 	// CDF ends at 1 over the same population.
-	caIters = append(caIters, fullStopPadding(*fedca.Stats, s.K)...)
+	for i := 0; i < fedca.Stats.FullRounds; i++ {
+		caIters = append(caIters, s.K)
+	}
 
-	fedada := convergenceRun(s, "cnn", "fedada", "", seed, nil)
+	fedada := in.conv(conv("cnn", "fedada"))
 	var adaIters []int
 	for _, r := range fedada.Results {
 		for _, u := range append(r.Collected, r.Discarded...) {
@@ -33,73 +35,60 @@ func Fig8a(s Scale, seed uint64) *Result {
 		}
 	}
 
-	for name, iters := range map[string][]int{"fedca": caIters, "fedada": adaIters} {
-		cdf := metrics.CDF(iters)
-		xs := make([]float64, len(cdf))
-		ps := make([]float64, len(cdf))
-		for i, p := range cdf {
-			xs[i], ps[i] = p.X, p.P
-		}
-		res.Series[name+"-x"] = xs
-		res.Series[name+"-p"] = ps
-		res.Values["median/"+name] = metrics.Quantile(cdf, 0.5)
-		fmt.Fprintf(&b, "%-7s CDF %s  median=%.0f n=%d\n", name, report.Sparkline(ps), metrics.Quantile(cdf, 0.5), len(iters))
-	}
+	cdfRow(res, &b, 7, "fedca", caIters)
+	cdfRow(res, &b, 7, "fedada", adaIters)
 	res.Text = b.String()
 	return res
 }
 
-// fullStopPadding returns one K entry per client-round that ran to its full
-// budget, so early-stop CDFs cover the whole population.
-func fullStopPadding(st core.SchemeStats, k int) []int {
-	pad := make([]int, st.FullRounds)
-	for i := range pad {
-		pad[i] = k
+// cdfRow records the CDF of one population's iterations in res, under name,
+// and renders its row with the name padded to width.
+func cdfRow(res *Result, b *strings.Builder, width int, name string, iters []int) {
+	cdf := metrics.CDF(iters)
+	xs := make([]float64, len(cdf))
+	ps := make([]float64, len(cdf))
+	for i, p := range cdf {
+		xs[i], ps[i] = p.X, p.P
 	}
-	return pad
+	res.Series[name+"-x"] = xs
+	res.Series[name+"-p"] = ps
+	res.Values["median/"+name] = metrics.Quantile(cdf, 0.5)
+	fmt.Fprintf(b, "%-*s CDF %s  median=%.0f n=%d\n", width, name, report.Sparkline(ps), metrics.Quantile(cdf, 0.5), len(iters))
 }
 
-// Fig8b regenerates the eager-transmission CDFs for CNN, with and without the
+// fig8b regenerates the eager-transmission CDFs for CNN, with and without the
 // retransmission mechanism: a retransmitted layer's effective action moment
 // is the round's last iteration.
-func Fig8b(s Scale, seed uint64) *Result {
+func fig8b(in *inputs) *Result {
+	s := in.s
 	res := newResult("fig8b")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 8b — CDF of the eager-transmission iteration (CNN, K=%d)\n", s.K)
 
-	warmConvergence(s, seed, []string{"cnn"}, []string{"fedca", "fedca-v2"})
-	with := *convergenceRun(s, "cnn", "fedca", "", seed, nil).Stats
+	with := *in.conv(conv("cnn", "fedca")).Stats
 	withIters := append(append([]int(nil), with.EagerIters...), with.RetransmitIters...)
-	without := *convergenceRun(s, "cnn", "fedca-v2", "", seed, nil).Stats
+	without := *in.conv(conv("cnn", "fedca-v2")).Stats
 	withoutIters := append([]int(nil), without.EagerIters...)
 
-	for name, iters := range map[string][]int{"with-retrans": withIters, "without-retrans": withoutIters} {
-		cdf := metrics.CDF(iters)
-		xs := make([]float64, len(cdf))
-		ps := make([]float64, len(cdf))
-		for i, p := range cdf {
-			xs[i], ps[i] = p.X, p.P
-		}
-		res.Series[name+"-x"] = xs
-		res.Series[name+"-p"] = ps
-		res.Values["median/"+name] = metrics.Quantile(cdf, 0.5)
-		fmt.Fprintf(&b, "%-16s CDF %s  median=%.0f n=%d\n", name, report.Sparkline(ps), metrics.Quantile(cdf, 0.5), len(iters))
-	}
+	cdfRow(res, &b, 16, "with-retrans", withIters)
+	cdfRow(res, &b, 16, "without-retrans", withoutIters)
 	res.Values["retransmissions"] = float64(with.RetransmitsTotal)
 	res.Text = b.String()
 	return res
 }
 
-// Overhead regenerates the Sec. 5.5 profiling-overhead accounting: sampled
+// overhead regenerates the Sec. 5.5 profiling-overhead accounting: sampled
 // parameter counts and peak profiling memory per workload, versus model size.
-func Overhead(s Scale, seed uint64) *Result {
+// It trains nothing, so it declares no cells.
+func overhead(in *inputs) *Result {
+	s, seed := in.s, in.seed
 	res := newResult("ovh")
 	tb := report.NewTable("Sec. 5.5 — periodical-sampling overhead",
 		"Model", "Params", "Layers", "Sampled", "Profiling mem (KB)", "Model size (KB)", "Ratio")
 	for _, m := range CurveModels {
 		w, err := s.Workload(m)
 		if err != nil {
-			panic(err)
+			return in.fail(err)
 		}
 		net := w.NewModel(rng.New(seed)).Network
 		p := core.NewProfiler(core.DefaultSampleCap, core.DefaultSampleFrac, rng.New(seed).Fork("ovh", m))

@@ -25,7 +25,10 @@ func TestCalibrate(t *testing.T) {
 				}
 				w.FL.BatchSize = batch
 				w.Noise = noise
-				cd := CollectCurvesFor(w, s, 42)
+				cd, err := CollectCurvesFor(w, s, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
 				early := cd.Probes[probeKey{s.EarlyRound, 0}].Model
 				late := cd.Probes[probeKey{s.LateRound, 0}].Model
 				fmt.Printf("%-5s b=%-3d noise=%-4g early %s P20=%.2f | late %s P20=%.2f\n",

@@ -4,148 +4,24 @@ import (
 	"fmt"
 	"strings"
 
-	"fedca/internal/baseline"
 	"fedca/internal/core"
-	"fedca/internal/expcfg"
-	"fedca/internal/fl"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
-	"fedca/internal/rng"
 )
 
-// ConvRun is one scheme's full training run on one workload. It is a plain
-// data snapshot (no live scheme pointers), so cells carrying it serialize
-// into the cross-process result cache.
-type ConvRun struct {
-	SchemeName string
-	Results    []fl.RoundResult
-	// Stats is set when the scheme is a FedCA variant, exposing behavioural
-	// stats (Fig. 8); nil for baselines.
-	Stats *core.SchemeStats
-}
-
-// buildScheme instantiates a scheme by name. FedCA variants accept option
-// mutations via mutate (may be nil).
-func buildScheme(name string, s Scale, seed uint64, mutate func(*core.Options)) (fl.Scheme, *core.Scheme) {
-	switch name {
-	case "fedavg":
-		return baseline.FedAvg{}, nil
-	case "fedprox":
-		return baseline.FedProx{Mu: 0.01}, nil
-	case "fedada":
-		return baseline.FedAda{K: s.K, Tradeoff: 0.5}, nil
-	}
-	var opt core.Options
-	switch name {
-	case "fedca":
-		opt = s.FedCAOptions()
-	case "fedca-v1":
-		opt = core.V1Options(s.K)
-		opt.ProfilePeriod = s.ProfilePeriod
-	case "fedca-v2":
-		opt = core.V2Options(s.K)
-		opt.ProfilePeriod = s.ProfilePeriod
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheme %q", name))
-	}
-	if mutate != nil {
-		mutate(&opt)
-	}
-	sc := core.NewScheme(opt, rng.New(seed).Fork("scheme", name))
-	return sc, sc
-}
-
-// convergenceRun trains a workload under a scheme for the scale's full round
-// budget. It is one executor cell: memoized per (scale, model,
-// scheme-variant, seed) in process and, with a cache dir configured, across
-// processes.
-func convergenceRun(s Scale, model, scheme, variant string, seed uint64, mutate func(*core.Options)) ConvRun {
-	key := fmt.Sprintf("%s/%s/%s%s/%d", s.cellKey(), model, scheme, variant, seed)
-	return cell("conv", key, func() ConvRun {
-		w, err := s.Workload(model)
-		if err != nil {
-			panic(err)
-		}
-		sch, fedca := buildScheme(scheme, s, seed, mutate)
-		// Identical seed → identical data, partitions, traces and model init
-		// across schemes: only the scheme differs, as in the paper's testbed.
-		tb := expcfg.Build(w, s.Clients, s.TraceConfig(), seed)
-		runner, err := tb.NewRunner(sch)
-		if err != nil {
-			panic(err)
-		}
-		results := make([]fl.RoundResult, 0, s.Rounds)
-		for i := 0; i < s.Rounds; i++ {
-			results = append(results, runner.RunRound())
-		}
-		run := ConvRun{SchemeName: scheme + variant, Results: results}
-		if fedca != nil {
-			st := fedca.Stats()
-			run.Stats = &st
-		}
-		return stripDeltas(run)
-	})
-}
-
-// stripDeltas drops the per-update parameter vectors from a finished run.
-// No figure consumes them, and they dominate the run's footprint (clients ×
-// rounds × model size), both in memory and in the on-disk cache.
-func stripDeltas(run ConvRun) ConvRun {
-	for _, r := range run.Results {
-		for i := range r.Collected {
-			r.Collected[i].Delta = nil
-		}
-		for i := range r.Discarded {
-			r.Discarded[i].Delta = nil
-		}
-	}
-	return run
-}
-
-// ConvergenceSchemes is the paper's end-to-end comparison set (Fig. 7,
+// convergenceSchemes is the paper's end-to-end comparison set (Fig. 7,
 // Table 1).
-var ConvergenceSchemes = []string{"fedavg", "fedprox", "fedada", "fedca"}
+var convergenceSchemes = []string{"fedavg", "fedprox", "fedada", "fedca"}
 
-// warmConvergence prefetches the (model × scheme) convergence cells so they
-// compute in parallel under the executor's token budget; the generator body
-// then renders serially from memoized results.
-func warmConvergence(s Scale, seed uint64, models, schemes []string) {
-	var fns []func()
-	for _, m := range models {
-		for _, scheme := range schemes {
-			m, scheme := m, scheme
-			fns = append(fns, func() { convergenceRun(s, m, scheme, "", seed, nil) })
-		}
-	}
-	prefetch(fns...)
-}
-
-// targetFor defines each workload's "near-optimal accuracy" target at this
-// scale: 90% of the best accuracy plain FedAvg reaches within the round
-// budget. The paper picks absolute numbers (0.55/0.85/0.55) for its real
-// datasets; a relative definition transfers the same notion to the synthetic
-// ones and keeps every scheme judged against one common bar.
-func targetFor(s Scale, model string, seed uint64) float64 {
-	run := convergenceRun(s, model, "fedavg", "", seed, nil)
-	best := 0.0
-	for _, r := range run.Results {
-		if r.Accuracy > best {
-			best = r.Accuracy
-		}
-	}
-	return 0.9 * best
-}
-
-// Fig7 regenerates Fig. 7: time-to-accuracy curves of the four schemes on the
+// fig7 regenerates Fig. 7: time-to-accuracy curves of the four schemes on the
 // three workloads.
-func Fig7(s Scale, seed uint64) *Result {
-	warmConvergence(s, seed, CurveModels, ConvergenceSchemes)
+func fig7(in *inputs) *Result {
 	res := newResult("fig7")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7 — time-to-accuracy (virtual time)\n")
 	for _, m := range CurveModels {
-		for _, scheme := range ConvergenceSchemes {
-			run := convergenceRun(s, m, scheme, "", seed, nil)
+		for _, scheme := range convergenceSchemes {
+			run := in.conv(conv(m, scheme))
 			times, accs := metrics.AccuracyCurve(run.Results)
 			res.Series[fmt.Sprintf("%s-%s-time", m, scheme)] = times
 			res.Series[fmt.Sprintf("%s-%s-acc", m, scheme)] = accs
@@ -159,18 +35,17 @@ func Fig7(s Scale, seed uint64) *Result {
 	return res
 }
 
-// Table1 regenerates Table 1: per-round time, number of rounds and total time
+// table1 regenerates Table 1: per-round time, number of rounds and total time
 // to reach the target accuracy, per model and scheme.
-func Table1(s Scale, seed uint64) *Result {
-	warmConvergence(s, seed, CurveModels, ConvergenceSchemes)
+func table1(in *inputs) *Result {
 	res := newResult("table1")
 	tb := report.NewTable("Table 1 — time to reach the target accuracy",
 		"Model", "Target", "Scheme", "Per-round (s)", "Rounds", "Total (h)", "Reached")
 	for _, m := range CurveModels {
-		target := targetFor(s, m, seed)
+		target := in.target(m)
 		res.Values["target/"+m] = target
-		for _, scheme := range ConvergenceSchemes {
-			run := convergenceRun(s, m, scheme, "", seed, nil)
+		for _, scheme := range convergenceSchemes {
+			run := in.conv(conv(m, scheme))
 			c := metrics.ConvergenceOf(run.Results, target)
 			tb.AddRow(m, target, scheme, c.PerRoundTime, c.Rounds, c.TotalTime/3600, fmt.Sprintf("%v", c.Reached))
 			res.Values[fmt.Sprintf("perround/%s/%s", m, scheme)] = c.PerRoundTime
@@ -185,19 +60,23 @@ func Table1(s Scale, seed uint64) *Result {
 	return res
 }
 
-// Fig9 regenerates the ablation study: FedAvg vs FedCA-v1 (early stop only),
+// fig9Models and fig9Schemes span the ablation grid.
+var (
+	fig9Models  = []string{"cnn", "lstm"}
+	fig9Schemes = []string{"fedavg", "fedca-v1", "fedca-v2", "fedca"}
+)
+
+// fig9 regenerates the ablation study: FedAvg vs FedCA-v1 (early stop only),
 // FedCA-v2 (+ eager, no retransmission) and FedCA-v3 (full), on CNN and LSTM.
-func Fig9(s Scale, seed uint64) *Result {
+func fig9(in *inputs) *Result {
 	res := newResult("fig9")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — ablation (v1 = early stop; v2 = +eager, no retrans; v3 = full)\n")
-	schemes := []string{"fedavg", "fedca-v1", "fedca-v2", "fedca"}
-	warmConvergence(s, seed, []string{"cnn", "lstm"}, schemes)
 	labels := map[string]string{"fedavg": "fedavg", "fedca-v1": "v1", "fedca-v2": "v2", "fedca": "v3"}
-	for _, m := range []string{"cnn", "lstm"} {
-		target := targetFor(s, m, seed)
-		for _, scheme := range schemes {
-			run := convergenceRun(s, m, scheme, "", seed, nil)
+	for _, m := range fig9Models {
+		target := in.target(m)
+		for _, scheme := range fig9Schemes {
+			run := in.conv(conv(m, scheme))
 			times, accs := metrics.AccuracyCurve(run.Results)
 			lbl := labels[scheme]
 			res.Series[fmt.Sprintf("%s-%s-time", m, lbl)] = times
@@ -213,25 +92,21 @@ func Fig9(s Scale, seed uint64) *Result {
 	return res
 }
 
-// Fig10a regenerates the β sensitivity study on CNN.
-func Fig10a(s Scale, seed uint64) *Result {
+// betas are Fig. 10a's marginal cost ratios.
+var betas = []float64{0.1, 0.01, 0.001}
+
+func betaCell(beta float64) cellSpec {
+	return cnnVariant(fmt.Sprintf("-beta%g", beta), func(o *core.Options) { o.Beta = beta })
+}
+
+// fig10a regenerates the β sensitivity study on CNN.
+func fig10a(in *inputs) *Result {
 	res := newResult("fig10a")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 10a — sensitivity to the marginal cost ratio β (CNN)\n")
-	betas := []float64{0.1, 0.01, 0.001}
-	warms := []func(){func() { convergenceRun(s, "cnn", "fedavg", "", seed, nil) }}
+	target := in.target("cnn")
 	for _, beta := range betas {
-		beta := beta
-		warms = append(warms, func() {
-			convergenceRun(s, "cnn", "fedca", fmt.Sprintf("-beta%g", beta), seed, func(o *core.Options) { o.Beta = beta })
-		})
-	}
-	prefetch(warms...)
-	target := targetFor(s, "cnn", seed)
-	for _, beta := range betas {
-		beta := beta
-		variant := fmt.Sprintf("-beta%g", beta)
-		run := convergenceRun(s, "cnn", "fedca", variant, seed, func(o *core.Options) { o.Beta = beta })
+		run := in.conv(betaCell(beta))
 		times, accs := metrics.AccuracyCurve(run.Results)
 		res.Series[fmt.Sprintf("beta%g-time", beta)] = times
 		res.Series[fmt.Sprintf("beta%g-acc", beta)] = accs
@@ -245,29 +120,23 @@ func Fig10a(s Scale, seed uint64) *Result {
 	return res
 }
 
-// Fig10b regenerates the (T_e, T_r) sensitivity study on CNN.
-func Fig10b(s Scale, seed uint64) *Result {
+// thresholds are Fig. 10b's (T_e, T_r) combinations.
+var thresholds = []threshold{{0.95, 0.6}, {0.95, 0.8}, {0.85, 0.6}}
+
+type threshold struct{ te, tr float64 }
+
+func thresholdCell(t threshold) cellSpec {
+	return cnnVariant(fmt.Sprintf("-te%g-tr%g", t.te, t.tr), func(o *core.Options) { o.Te, o.Tr = t.te, t.tr })
+}
+
+// fig10b regenerates the (T_e, T_r) sensitivity study on CNN.
+func fig10b(in *inputs) *Result {
 	res := newResult("fig10b")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 10b — sensitivity to eager/retransmission thresholds (CNN)\n")
-	combos := []struct{ te, tr float64 }{{0.95, 0.6}, {0.95, 0.8}, {0.85, 0.6}}
-	warms := []func(){func() { convergenceRun(s, "cnn", "fedavg", "", seed, nil) }}
-	for _, combo := range combos {
-		combo := combo
-		warms = append(warms, func() {
-			convergenceRun(s, "cnn", "fedca", fmt.Sprintf("-te%g-tr%g", combo.te, combo.tr), seed, func(o *core.Options) {
-				o.Te, o.Tr = combo.te, combo.tr
-			})
-		})
-	}
-	prefetch(warms...)
-	target := targetFor(s, "cnn", seed)
-	for _, combo := range combos {
-		combo := combo
-		variant := fmt.Sprintf("-te%g-tr%g", combo.te, combo.tr)
-		run := convergenceRun(s, "cnn", "fedca", variant, seed, func(o *core.Options) {
-			o.Te, o.Tr = combo.te, combo.tr
-		})
+	target := in.target("cnn")
+	for _, combo := range thresholds {
+		run := in.conv(thresholdCell(combo))
 		times, accs := metrics.AccuracyCurve(run.Results)
 		res.Series[fmt.Sprintf("te%g-tr%g-acc", combo.te, combo.tr)] = accs
 		res.Series[fmt.Sprintf("te%g-tr%g-time", combo.te, combo.tr)] = times

@@ -12,7 +12,6 @@ import (
 	"fedca/internal/metrics"
 	"fedca/internal/report"
 	"fedca/internal/rng"
-	"fedca/internal/trace"
 )
 
 // probeKey addresses one recorded (round, client) statistical trajectory.
@@ -54,6 +53,29 @@ type probeScheme struct {
 	out   map[probeKey]*ProbeCurves
 	names []string
 	sizes []int
+}
+
+// newProbeScheme targets the rounds Figs. 2–5 need: clients 0 and 1 at the
+// early and late stage, plus a window of consecutive rounds for client 0 at
+// both stages (Fig. 4). Its sampled curves profile at most sampleCap
+// parameters per layer.
+func newProbeScheme(s Scale, seed uint64, sampleCap int) *probeScheme {
+	targets := make(map[probeKey]bool)
+	for _, stage := range []int{s.EarlyRound, s.LateRound} {
+		targets[probeKey{stage, 0}] = true
+		targets[probeKey{stage, 1}] = true
+		for d := 0; d < s.Window; d++ {
+			targets[probeKey{stage + d, 0}] = true
+		}
+	}
+	samplerRng := rng.New(seed).Fork("probe-sampler")
+	return &probeScheme{
+		targets: targets,
+		out:     make(map[probeKey]*ProbeCurves),
+		sampler: func(clientID int) *core.Profiler {
+			return core.NewProfiler(sampleCap, core.DefaultSampleFrac, samplerRng.Fork("c", clientID))
+		},
+	}
 }
 
 func (p *probeScheme) Name() string { return "fedavg-probe" }
@@ -111,88 +133,40 @@ func (c *probeController) Finalize(st fl.FinalState) fl.FinalAction {
 	return fl.FinalAction{}
 }
 
-// collectCurves trains the workload under plain FedAvg and probes the rounds
-// Figs. 2–5 need: clients 0 and 1 at the early and late stage, plus a window
-// of consecutive rounds for client 0 at both stages (Fig. 4). One executor
-// cell per (scale, model, seed).
-func collectCurves(s Scale, model string, seed uint64) *CurveData {
-	key := fmt.Sprintf("%s/%s/%d", s.cellKey(), model, seed)
-	return cell("curves", key, func() *CurveData {
-		w, err := s.Workload(model)
-		if err != nil {
-			panic(err)
-		}
-		return CollectCurvesFor(w, s, seed)
-	})
-}
-
-// warmCurves prefetches the per-model probe cells Figs. 2–5 share.
-func warmCurves(s Scale, seed uint64) {
-	var fns []func()
-	for _, m := range CurveModels {
-		m := m
-		fns = append(fns, func() { collectCurves(s, m, seed) })
-	}
-	prefetch(fns...)
-}
-
 // CollectCurvesFor is the uncached probe run over an explicit workload,
 // exported so calibration tooling can probe modified configurations.
-func CollectCurvesFor(w expcfg.Workload, s Scale, seed uint64) *CurveData {
-	return collectCurvesCustom(w, s, seed, core.DefaultSampleCap)
-}
-
-// collectCurvesCustom additionally takes the per-layer sample cap used by the
-// sampled-profiling curves (the Fig. 5 / sampling-ablation knob).
-func collectCurvesCustom(w expcfg.Workload, s Scale, seed uint64, sampleCap int) *CurveData {
-	{
-		targets := make(map[probeKey]bool)
-		for _, stage := range []int{s.EarlyRound, s.LateRound} {
-			targets[probeKey{stage, 0}] = true
-			targets[probeKey{stage, 1}] = true
-			for d := 0; d < s.Window; d++ {
-				targets[probeKey{stage + d, 0}] = true
-			}
-		}
-		samplerRng := rng.New(seed).Fork("probe-sampler")
-		scheme := &probeScheme{
-			targets: targets,
-			out:     make(map[probeKey]*ProbeCurves),
-			sampler: func(clientID int) *core.Profiler {
-				return core.NewProfiler(sampleCap, core.DefaultSampleFrac, samplerRng.Fork("c", clientID))
-			},
-		}
-		// Curve probing studies statistics, not timing: homogeneous static
-		// speeds keep the run fast and change nothing about trajectories.
-		tb := expcfg.Build(w, s.Clients, trace.Config{}, seed)
-		runner, err := tb.NewRunner(scheme)
-		if err != nil {
-			panic(err)
-		}
-		last := s.LateRound + s.Window
-		for r := 0; r < last; r++ {
-			runner.RunRound()
-		}
-		return &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: scheme.names, LayerSizes: scheme.sizes, Probes: scheme.out}
-	}
+func CollectCurvesFor(w expcfg.Workload, s Scale, seed uint64) (*CurveData, error) {
+	c := curves(w.Name)
+	c.edit = func(x *expcfg.Workload) { *x = w }
+	_, cd, err := runCell(s, seed, c)
+	return cd, err
 }
 
 // CurveModels are the workloads Figs. 2–5 cover.
 var CurveModels = []string{"cnn", "lstm", "wrn"}
 
-// Fig2 regenerates Fig. 2: model-level statistical-progress curves for two
+// curveCells are the probe sweeps Figs. 2–5 share.
+var curveCells = each(CurveModels, curves)
+
+// stage is a probed point of training: Figs. 2–5 compare an early and a
+// late round.
+type stage struct {
+	name  string
+	round int
+}
+
+func stages(s Scale) []stage { return []stage{{"early", s.EarlyRound}, {"late", s.LateRound}} }
+
+// fig2 regenerates Fig. 2: model-level statistical-progress curves for two
 // clients at an early and a late round, for each workload.
-func Fig2(s Scale, seed uint64) *Result {
-	warmCurves(s, seed)
+func fig2(in *inputs) *Result {
+	s := in.s
 	res := newResult("fig2")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — statistical progress curves (clients 0/1, rounds %d/%d)\n", s.EarlyRound, s.LateRound)
 	for _, m := range CurveModels {
-		cd := collectCurves(s, m, seed)
-		for _, stage := range []struct {
-			name  string
-			round int
-		}{{"early", s.EarlyRound}, {"late", s.LateRound}} {
+		cd := in.curves(curves(m))
+		for _, stage := range stages(s) {
 			for _, client := range []int{0, 1} {
 				curve := cd.Probes[probeKey{stage.round, client}].Model
 				name := fmt.Sprintf("%s-%s-client%d", m, stage.name, client)
@@ -216,21 +190,17 @@ func at20(curve []float64) float64 {
 	return curve[i-1]
 }
 
-// Fig3 regenerates Fig. 3: per-layer curves. For each workload it reports the
+// fig3 regenerates Fig. 3: per-layer curves. For each workload it reports the
 // pair of layers whose curves diverge the most (the paper hand-picks named
 // layers; the most-divergent pair demonstrates the same cross-layer
 // heterogeneity and works for any architecture).
-func Fig3(s Scale, seed uint64) *Result {
-	warmCurves(s, seed)
+func fig3(in *inputs) *Result {
 	res := newResult("fig3")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — per-layer statistical progress (most divergent layer pair)\n")
 	for _, m := range CurveModels {
-		cd := collectCurves(s, m, seed)
-		for _, stage := range []struct {
-			name  string
-			round int
-		}{{"early", s.EarlyRound}, {"late", s.LateRound}} {
+		cd := in.curves(curves(m))
+		for _, stage := range stages(in.s) {
 			pc := cd.Probes[probeKey{stage.round, 0}]
 			l1, l2, gap := mostDivergentPair(pc.Layer)
 			res.Values[fmt.Sprintf("gap/%s/%s", m, stage.name)] = gap
@@ -278,19 +248,16 @@ func meanAbsGap(x, y []float64) float64 {
 	return s / float64(n)
 }
 
-// Fig4 regenerates Fig. 4: similarity of a client's curves across consecutive
+// fig4 regenerates Fig. 4: similarity of a client's curves across consecutive
 // rounds, at an early and a late stage.
-func Fig4(s Scale, seed uint64) *Result {
-	warmCurves(s, seed)
+func fig4(in *inputs) *Result {
+	s := in.s
 	res := newResult("fig4")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — curve similarity across %d consecutive rounds (client 0)\n", s.Window)
 	for _, m := range CurveModels {
-		cd := collectCurves(s, m, seed)
-		for _, stage := range []struct {
-			name  string
-			round int
-		}{{"early", s.EarlyRound}, {"late", s.LateRound}} {
+		cd := in.curves(curves(m))
+		for _, stage := range stages(s) {
 			var curves [][]float64
 			for d := 0; d < s.Window; d++ {
 				c := cd.Probes[probeKey{stage.round + d, 0}].Model
@@ -316,19 +283,15 @@ func Fig4(s Scale, seed uint64) *Result {
 	return res
 }
 
-// Fig5 regenerates Fig. 5: per-layer curves profiled with all parameters vs
+// fig5 regenerates Fig. 5: per-layer curves profiled with all parameters vs
 // with the min(50%, 100)-sampled subset.
-func Fig5(s Scale, seed uint64) *Result {
-	warmCurves(s, seed)
+func fig5(in *inputs) *Result {
 	res := newResult("fig5")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — full vs sampled profiling (largest layer of each model)\n")
 	for _, m := range CurveModels {
-		cd := collectCurves(s, m, seed)
-		for _, stage := range []struct {
-			name  string
-			round int
-		}{{"early", s.EarlyRound}, {"late", s.LateRound}} {
+		cd := in.curves(curves(m))
+		for _, stage := range stages(in.s) {
 			pc := cd.Probes[probeKey{stage.round, 0}]
 			l := largestLayer(cd)
 			full := pc.Layer[l]

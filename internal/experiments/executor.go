@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"sync"
 
 	"fedca/internal/cputok"
@@ -14,9 +15,10 @@ import (
 // across figures (Fig. 7, Table 1 and Fig. 9 share convergence runs), runs
 // distinct cells in parallel under a CPU-token budget, and optionally
 // persists results in a content-addressed on-disk cache so repeated bench
-// and CI invocations are warm. Generators declare their cell set up front
-// via prefetch, then render serially from the memoized results, so the
-// emitted Result is byte-identical to the serial path at any worker count.
+// and CI invocations are warm. Each experiment declares its cells in the
+// registry table; Run prefetches them, then the renderer reads the memoized
+// results serially, so the emitted Result is byte-identical to the serial
+// path at any worker count.
 
 // CacheVersion fingerprints the semantics of cell results. It is mixed into
 // every on-disk cell address; bump it whenever training arithmetic, cell key
@@ -57,12 +59,23 @@ func pool() *execpool.Pool {
 	return exec
 }
 
-// cell executes one cached training unit through the executor.
-func cell[T any](kind, key string, compute func() T) T {
-	return execpool.Do(pool(), execpool.Spec{Kind: kind, Key: key}, compute)
+// prefetch computes cells in parallel under the executor's token budget
+// (serially, in order, when Workers == 1) and returns once all are memoized.
+// It returns every cell's error, joined in declaration order.
+func prefetch(s Scale, seed uint64, cells []cellSpec) error {
+	errs := make([]error, len(cells))
+	fns := make([]func(), len(cells))
+	for i, c := range cells {
+		fns[i] = func() {
+			in := &inputs{s: s, seed: seed}
+			if c.scheme == "" {
+				in.curves(c)
+			} else {
+				in.conv(c)
+			}
+			errs[i] = in.err
+		}
+	}
+	pool().Prefetch(fns...)
+	return errors.Join(errs...)
 }
-
-// prefetch computes a generator's cell set — each fn invokes one cell — in
-// parallel under the executor's token budget (serially when Workers == 1),
-// returning once all are memoized.
-func prefetch(fns ...func()) { pool().Prefetch(fns...) }

@@ -14,7 +14,6 @@ import (
 
 	"fedca/internal/core"
 	"fedca/internal/expcfg"
-	"fedca/internal/fl"
 	"fedca/internal/trace"
 )
 
@@ -150,5 +149,3 @@ func (s Scale) cellKey() string {
 		s.Name, s.Clients, s.Rounds, s.K, s.TrainN, s.TestN, s.BatchSize,
 		s.EarlyRound, s.LateRound, s.Window, s.ProfilePeriod, dt)
 }
-
-var _ = fl.NoDeadline // fl is used by sibling files in this package

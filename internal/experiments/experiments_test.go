@@ -16,6 +16,25 @@ func micro() Scale {
 	}
 }
 
+func mustRun(t *testing.T, id string, s Scale, seed uint64) *Result {
+	t.Helper()
+	res, err := Run(id, s, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func mustConv(t *testing.T, s Scale, seed uint64, c cellSpec) convRun {
+	t.Helper()
+	in := &inputs{s: s, seed: seed}
+	run := in.conv(c)
+	if in.err != nil {
+		t.Fatal(in.err)
+	}
+	return run
+}
+
 func TestScaleByName(t *testing.T) {
 	for _, n := range []string{"tiny", "small", "full"} {
 		s, err := ScaleByName(n)
@@ -74,7 +93,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestOverheadAccounting(t *testing.T) {
-	res := Overhead(Tiny(), 1)
+	res := mustRun(t, "ovh", Tiny(), 1)
 	for _, m := range CurveModels {
 		samples := res.Values["samples/"+m]
 		params := res.Values["params/"+m]
@@ -104,7 +123,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 	s := micro()
 	seed := uint64(5)
 
-	fig2 := Fig2(s, seed)
+	fig2 := mustRun(t, "fig2", s, seed)
 	// 3 models × 2 stages × 2 clients = 12 series.
 	if len(fig2.Series) != 12 {
 		t.Fatalf("fig2 has %d series", len(fig2.Series))
@@ -132,7 +151,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 		}
 	}
 
-	fig3 := Fig3(s, seed)
+	fig3 := mustRun(t, "fig3", s, seed)
 	// Layer heterogeneity: the most divergent pair must differ visibly.
 	for _, m := range CurveModels {
 		if fig3.Values["gap/"+m+"/early"] <= 0.01 {
@@ -140,7 +159,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 		}
 	}
 
-	fig4 := Fig4(s, seed)
+	fig4 := mustRun(t, "fig4", s, seed)
 	// Consecutive-round similarity: curves must be far more alike than they
 	// are long (RMSE well under the 0–1 range).
 	for _, m := range CurveModels {
@@ -152,7 +171,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 		}
 	}
 
-	fig5 := Fig5(s, seed)
+	fig5 := mustRun(t, "fig5", s, seed)
 	// Sampled profiling must track the full curve closely.
 	for _, m := range CurveModels {
 		for _, stage := range []string{"early", "late"} {
@@ -172,8 +191,8 @@ func TestConvergenceExperimentsCNN(t *testing.T) {
 	seed := uint64(6)
 	// Run only the CNN subset through the full pipeline by invoking the
 	// underlying runs directly.
-	avg := convergenceRun(s, "cnn", "fedavg", "", seed, nil)
-	ca := convergenceRun(s, "cnn", "fedca", "", seed, nil)
+	avg := mustConv(t, s, seed, conv("cnn", "fedavg"))
+	ca := mustConv(t, s, seed, conv("cnn", "fedca"))
 	if len(avg.Results) != s.Rounds || len(ca.Results) != s.Rounds {
 		t.Fatal("wrong round counts")
 	}
@@ -190,7 +209,7 @@ func TestConvergenceExperimentsCNN(t *testing.T) {
 		t.Fatalf("FedCA total %v exceeds FedAvg %v", caEnd, avgEnd)
 	}
 	// Caching: the same call must return the identical result object content.
-	again := convergenceRun(s, "cnn", "fedavg", "", seed, nil)
+	again := mustConv(t, s, seed, conv("cnn", "fedavg"))
 	if len(again.Results) != len(avg.Results) || again.Results[0].End != avg.Results[0].End {
 		t.Fatal("cache returned a different run")
 	}
@@ -202,7 +221,7 @@ func TestFig8Behavior(t *testing.T) {
 	}
 	s := micro()
 	seed := uint64(7)
-	a := Fig8a(s, seed)
+	a := mustRun(t, "fig8a", s, seed)
 	for _, scheme := range []string{"fedca", "fedada"} {
 		ps := a.Series[scheme+"-p"]
 		if len(ps) == 0 {
@@ -212,7 +231,7 @@ func TestFig8Behavior(t *testing.T) {
 			t.Fatalf("%s CDF must end at 1", scheme)
 		}
 	}
-	b := Fig8b(s, seed)
+	b := mustRun(t, "fig8b", s, seed)
 	if len(b.Series["without-retrans-p"]) == 0 {
 		t.Fatal("fig8b missing series")
 	}
@@ -223,7 +242,11 @@ func TestProbeSampledCurvesPresent(t *testing.T) {
 		t.Skip("training test")
 	}
 	s := micro()
-	cd := collectCurves(s, "cnn", 8)
+	in := &inputs{s: s, seed: 8}
+	cd := in.curves(curves("cnn"))
+	if in.err != nil {
+		t.Fatal(in.err)
+	}
 	pc := cd.Probe(s.EarlyRound, 0)
 	if pc == nil || len(pc.Sampled) != len(pc.Layer) {
 		t.Fatal("sampled curves missing")

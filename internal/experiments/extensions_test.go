@@ -7,7 +7,7 @@ func TestExtCompressShapes(t *testing.T) {
 		t.Skip("training test")
 	}
 	s := micro()
-	res := ExtCompress(s, 9)
+	res := mustRun(t, "ext-compress", s, 9)
 	full := res.Values["bytes/fedavg"]
 	q := res.Values["bytes/fedavg+qsgd7"]
 	tk := res.Values["bytes/fedavg+topk5"]
@@ -35,7 +35,7 @@ func TestExtSelectionShapes(t *testing.T) {
 		t.Skip("training test")
 	}
 	s := micro()
-	res := ExtSelection(s, 10)
+	res := mustRun(t, "ext-selection", s, 10)
 	for _, v := range []string{"fedavg", "oort50", "safa", "fedca"} {
 		if res.Values["best/"+v] <= 0 {
 			t.Fatalf("%s missing accuracy", v)
@@ -51,7 +51,7 @@ func TestExtHyperparamShapes(t *testing.T) {
 		t.Skip("training test")
 	}
 	s := micro()
-	res := ExtHyperparam(s, 11)
+	res := mustRun(t, "ext-hp", s, 11)
 	if res.Values["best/fedca"] <= 0 || res.Values["best/fedca+adaptlr"] <= 0 {
 		t.Fatal("missing values")
 	}

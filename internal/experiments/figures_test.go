@@ -41,7 +41,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Skip("training test")
 	}
 	s := micro()
-	res := Table1(s, 21)
+	res := mustRun(t, "table1", s, 21)
 	for _, m := range CurveModels {
 		avg := res.Values["total/"+m+"/fedavg"]
 		ca := res.Values["total/"+m+"/fedca"]

@@ -102,10 +102,10 @@ func TestConfigureVersionIsolation(t *testing.T) {
 	t.Cleanup(func() { Configure(execpool.Options{}) })
 
 	Configure(execpool.Options{Workers: 1, CacheDir: dir, Version: "test-vA"})
-	a := convergenceRun(s, "cnn", "fedavg", "", 13, nil)
+	a := mustConv(t, s, 13, conv("cnn", "fedavg"))
 
 	Configure(execpool.Options{Workers: 1, CacheDir: dir, Version: "test-vB"})
-	b := convergenceRun(s, "cnn", "fedavg", "", 13, nil)
+	b := mustConv(t, s, 13, conv("cnn", "fedavg"))
 	if st := ExecStats(); st.DiskHits != 0 || st.Computed != 1 {
 		t.Fatalf("version B must recompute, stats = %+v", st)
 	}

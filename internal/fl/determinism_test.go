@@ -126,7 +126,7 @@ func TestWorkerCountInvarianceCellsAndKernels(t *testing.T) {
 		for i := range fns {
 			i := i
 			fns[i] = func() {
-				results[i] = execpool.Do(pool, execpool.Spec{Kind: "invariance", Key: fmt.Sprintf("cell-%d", i)}, func() []float64 {
+				results[i], _ = execpool.Do(pool, execpool.Spec{Kind: "invariance", Key: fmt.Sprintf("cell-%d", i)}, func() ([]float64, error) {
 					w := tinyWorkload()
 					tb := expcfg.Build(w, 6, trace.PaperConfig(), 50+uint64(i))
 					r, err := tb.NewRunner(baseline.FedAvg{})
@@ -135,7 +135,7 @@ func TestWorkerCountInvarianceCellsAndKernels(t *testing.T) {
 					}
 					r.RunRound()
 					r.RunRound()
-					return r.GlobalFlat()
+					return r.GlobalFlat(), nil
 				})
 			}
 		}

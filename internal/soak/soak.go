@@ -510,7 +510,7 @@ type recheckResult struct {
 // identical rechecks dedup/memoize and the cell's fingerprint is the
 // phase's content address.
 func recheckPhase(pool *execpool.Pool, p PhaseResult, withTelemetry bool) (string, error) {
-	res := execpool.Do(pool, recheckSpec(p.Spec, p.Seed, withTelemetry), func() recheckResult {
+	res, _ := execpool.Do(pool, recheckSpec(p.Spec, p.Seed, withTelemetry), func() (recheckResult, error) {
 		budget := cputok.Default()
 		saved := budget.Setting()
 		budget.SetCap(1)
@@ -525,9 +525,9 @@ func recheckPhase(pool *execpool.Pool, p PhaseResult, withTelemetry bool) (strin
 		}
 		out, err := RunPhase(p.Spec, p.Seed, tel)
 		if err != nil {
-			return recheckResult{Err: err.Error()}
+			return recheckResult{Err: err.Error()}, nil
 		}
-		return recheckResult{Fingerprint: out.Fingerprint}
+		return recheckResult{Fingerprint: out.Fingerprint}, nil
 	})
 	if res.Err != "" {
 		return "", fmt.Errorf("soak: recheck: %s", res.Err)
