@@ -8,12 +8,16 @@
 //	fedca-sim -model wrn -scheme fedavg -scale tiny -seed 7
 //	fedca-sim -scheme fedavg -compress qsgd7 -log run.jsonl
 //	fedca-sim -scheme fedca -http :8080 -trace run-trace.json
+//	fedca-sim soak -rounds 300 -report soak-report.json
+//	fedca-sim repro soak-report.json:1
 //
 // With -http the run serves live introspection while it executes: /metrics
 // (Prometheus text format), /status (current round, runner and scheme stats
 // as JSON) and /debug/pprof. With -trace it writes the whole run as Chrome
 // trace-event JSON keyed on virtual sim time — open it in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
+//
+// The soak and repro subcommands (soak.go) take their own flags.
 package main
 
 import (
@@ -36,6 +40,16 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "soak":
+			runSoak(os.Args[2:])
+			return
+		case "repro":
+			runRepro(os.Args[2:])
+			return
+		}
+	}
 	model := flag.String("model", "cnn", "workload: cnn | lstm | wrn")
 	scheme := flag.String("scheme", "fedca", "scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
@@ -55,27 +69,13 @@ func main() {
 	eventsPath := flag.String("events", "", "stream the flight-recorder journal to this path as JSON lines")
 	httpAddr := flag.String("http", "", "serve live introspection on this address (/metrics, /status, /events, /clients, /healthz, /debug/pprof)")
 	tracePath := flag.String("trace", "", "write the run as Chrome trace-event JSON to this path (open in Perfetto)")
-	soakMode := flag.Bool("soak", false, "run the long-horizon soak harness instead of a single simulation")
-	soakSpec := flag.String("soak-spec", "", "soak schedule spec (phases separated by '|'; empty = the built-in rotating chaos schedule)")
-	soakRounds := flag.Int("soak-rounds", 2000, "total soak round budget across all phases")
-	soakReport := flag.String("soak-report", "", "write the soak's JSON report to this path")
-	soakCheck := flag.Int("soak-check", 10, "evaluate invariant monitors every N rounds")
-	soakRecheck := flag.Int("soak-recheck", 4, "serially re-run every Nth phase and assert a bit-identical fingerprint (-1 disables)")
-	soakRepro := flag.String("soak-repro", "", "reproduce one phase from a soak report: REPORT.json:PHASE_INDEX")
-	flag.Parse()
-
-	if *soakRepro != "" {
-		runSoakRepro(*soakRepro)
-		return
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: fedca-sim [flags] | fedca-sim soak [flags] | fedca-sim repro REPORT.json:N\n")
+		flag.PrintDefaults()
 	}
-	if *soakMode {
-		runSoak(soakCLI{
-			spec: *soakSpec, rounds: *soakRounds, seed: *seed,
-			report: *soakReport, check: *soakCheck, recheck: *soakRecheck,
-			model: *model, scheme: *scheme, clients: *clients,
-			logPath: *logPath, httpAddr: *httpAddr, eventsPath: *eventsPath,
-		})
-		return
+	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q (subcommands come first: fedca-sim soak | repro)", flag.Arg(0)))
 	}
 
 	scale, err := experiments.ScaleByName(*scaleName)

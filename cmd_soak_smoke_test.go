@@ -13,10 +13,11 @@ import (
 	"fedca/internal/telemetry"
 )
 
-// TestSoakCommandSmoke exercises fedca-sim's soak mode end to end: a tiny
-// soak with report + phase-marked run log, reproduction of a recorded phase
-// via -soak-repro, and the exit-code contract (0 pass, 1 violation, 2 setup
-// error). Guarded by -short like TestCommandSmoke.
+// TestSoakCommandSmoke exercises fedca-sim's soak subcommand end to end: a
+// tiny soak with report + phase-marked run log, reproduction of a recorded
+// phase via the repro subcommand, and the exit-code contract (0 pass, 1
+// violation, 2 setup error, a flag of the other mode included). Guarded by
+// -short like TestCommandSmoke.
 func TestSoakCommandSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -33,13 +34,13 @@ func TestSoakCommandSmoke(t *testing.T) {
 	reportPath := filepath.Join(dir, "report.json")
 	logPath := filepath.Join(dir, "soak.jsonl")
 	eventsPath := filepath.Join(dir, "events.jsonl")
-	run := exec.Command(bin, "-soak", "-soak-rounds", "6",
-		"-soak-spec", "name=calm;rounds=2"+tiny+"|name=storm;rounds=2"+tiny+";chaos=drop=0.3;quorum=1",
-		"-soak-check", "2", "-soak-recheck", "1",
-		"-soak-report", reportPath, "-log", logPath, "-events", eventsPath, "-seed", "9")
+	run := exec.Command(bin, "soak", "-rounds", "6",
+		"-spec", "name=calm;rounds=2"+tiny+"|name=storm;rounds=2"+tiny+";chaos=drop=0.3;quorum=1",
+		"-check", "2", "-recheck", "1",
+		"-report", reportPath, "-log", logPath, "-events", eventsPath, "-seed", "9")
 	out, err := run.CombinedOutput()
 	if err != nil {
-		t.Fatalf("fedca-sim -soak: %v\n%s", err, out)
+		t.Fatalf("fedca-sim soak: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "soak: PASS") {
 		t.Fatalf("soak did not pass:\n%s", out)
@@ -92,9 +93,9 @@ func TestSoakCommandSmoke(t *testing.T) {
 	}
 
 	// Reproduce phase 1 from the report; the binary verifies the fingerprint.
-	repro, err := exec.Command(bin, "-soak-repro", reportPath+":1").CombinedOutput()
+	repro, err := exec.Command(bin, "repro", reportPath+":1").CombinedOutput()
 	if err != nil {
-		t.Fatalf("fedca-sim -soak-repro: %v\n%s", err, repro)
+		t.Fatalf("fedca-sim repro: %v\n%s", err, repro)
 	}
 	if !strings.Contains(string(repro), "repro: PASS") {
 		t.Fatalf("repro did not verify:\n%s", repro)
@@ -103,9 +104,9 @@ func TestSoakCommandSmoke(t *testing.T) {
 	// An injected impossible band must exit 1 and write a failing report
 	// whose violation reproduces.
 	badReport := filepath.Join(dir, "bad.json")
-	bad := exec.Command(bin, "-soak", "-soak-rounds", "2",
-		"-soak-spec", "name=impossible;rounds=2"+tiny+";quarband=0.9:1",
-		"-soak-recheck", "-1", "-soak-report", badReport, "-seed", "9")
+	bad := exec.Command(bin, "soak", "-rounds", "2",
+		"-spec", "name=impossible;rounds=2"+tiny+";quarband=0.9:1",
+		"-recheck", "-1", "-report", badReport, "-seed", "9")
 	badOut, err := bad.CombinedOutput()
 	if err == nil {
 		t.Fatalf("soak with impossible band exited 0:\n%s", badOut)
@@ -130,7 +131,7 @@ func TestSoakCommandSmoke(t *testing.T) {
 	if !strings.Contains(string(badOut), "journal events captured") {
 		t.Fatalf("violation output does not mention captured events:\n%s", badOut)
 	}
-	repro2, err := exec.Command(bin, "-soak-repro", badReport+":0").CombinedOutput()
+	repro2, err := exec.Command(bin, "repro", badReport+":0").CombinedOutput()
 	if err != nil {
 		t.Fatalf("reproducing flagged phase: %v\n%s", err, repro2)
 	}
@@ -138,13 +139,18 @@ func TestSoakCommandSmoke(t *testing.T) {
 		t.Fatalf("flagged phase did not reproduce bit-identically:\n%s", repro2)
 	}
 
-	// Setup errors exit 2.
-	if err := exec.Command(bin, "-soak", "-soak-spec", "bogus").Run(); err == nil {
-		t.Fatal("bad soak spec must fail")
-	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Fatalf("bad spec exit code: %v (want 2)", err)
-	}
-	if err := exec.Command(bin, "-soak-repro", "nope.json:0").Run(); err == nil {
-		t.Fatal("missing report must fail")
+	// Setup errors exit 2, and so does a flag of the other mode: the
+	// simulator takes no -soak, and the soak no simulation flag such as
+	// -dtype, which it would otherwise ignore.
+	for _, args := range [][]string{
+		{"soak", "-spec", "bogus"},
+		{"repro", "nope.json:0"},
+		{"soak", "-rounds", "2", "-dtype", "f32"},
+		{"-soak"},
+	} {
+		err := exec.Command(bin, args...).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("fedca-sim %s: exit %v, want 2", strings.Join(args, " "), err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package expcfg
 
 import (
+	"runtime"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -105,6 +106,49 @@ func TestVirtualFleetSlotPoolBounded(t *testing.T) {
 	}
 	if st := r.Stats(); st.CohortClients != rounds*cohort {
 		t.Fatalf("CohortClients %d, want %d", st.CohortClients, rounds*cohort)
+	}
+}
+
+// TestVirtualFleetHeapIndependentOfFleetSize: the O(cohort) memory claim.
+// The same 50-client cohort over a 10 000- and a 1 000 000-client fleet must
+// peak at nearly the same live heap, so nothing the fleet keeps may grow with
+// its size: one float64 per client is 8 MB at a million and fails here.
+func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two cohorts over a million-client fleet")
+	}
+	const cohort = 50
+	peakHeap := func(fleet int) uint64 {
+		w := tinyFleetWorkload()
+		w.FL.AggregateFraction = 1
+		w.FL.Participation = float64(cohort) / float64(fleet)
+		tb, err := BuildFleet(w, fleet, 16, trace.PaperConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tb.NewRunner(baseline.FedAvg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peak uint64
+		for i := 0; i < 2; i++ {
+			if res := r.RunRound(); len(res.Collected)+len(res.Discarded) != cohort {
+				t.Fatalf("fleet %d round %d: cohort %d, want %d", fleet, i, len(res.Collected)+len(res.Discarded), cohort)
+			}
+			runtime.GC()
+			runtime.GC() // the second empties the sync.Pool victim caches
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+		runtime.KeepAlive(r)
+		return peak
+	}
+	small, large := peakHeap(10_000), peakHeap(1_000_000)
+	const margin = 2 << 20
+	t.Logf("peak live heap: %d B at 10k clients, %d B at 1M (margin %d B)", small, large, margin)
+	if large > small+margin {
+		t.Fatalf("peak heap grows with the fleet: %d B at 1M clients vs %d B at 10k (margin %d B)", large, small, margin)
 	}
 }
 

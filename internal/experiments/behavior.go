@@ -85,7 +85,7 @@ func overhead(in *inputs) *Result {
 	res := newResult("ovh")
 	tb := report.NewTable("Sec. 5.5 — periodical-sampling overhead",
 		"Model", "Params", "Layers", "Sampled", "Profiling mem (KB)", "Model size (KB)", "Ratio")
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		w, err := s.Workload(m)
 		if err != nil {
 			return in.fail(err)

@@ -15,7 +15,7 @@ func TestCalibrate(t *testing.T) {
 	if os.Getenv("CALIB") == "" {
 		t.Skip("calibration harness; set CALIB=1")
 	}
-	s := Tiny()
+	s := tinyScale()
 	for _, m := range []string{"cnn"} {
 		for _, batch := range []int{16, 32, 64} {
 			for _, noise := range []float64{1.0, 0.5} {

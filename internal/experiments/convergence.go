@@ -19,7 +19,7 @@ func fig7(in *inputs) *Result {
 	res := newResult("fig7")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7 — time-to-accuracy (virtual time)\n")
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		for _, scheme := range convergenceSchemes {
 			run := in.conv(conv(m, scheme))
 			times, accs := metrics.AccuracyCurve(run.Results)
@@ -41,7 +41,7 @@ func table1(in *inputs) *Result {
 	res := newResult("table1")
 	tb := report.NewTable("Table 1 — time to reach the target accuracy",
 		"Model", "Target", "Scheme", "Per-round (s)", "Rounds", "Total (h)", "Reached")
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		target := in.target(m)
 		res.Values["target/"+m] = target
 		for _, scheme := range convergenceSchemes {

@@ -142,11 +142,11 @@ func CollectCurvesFor(w expcfg.Workload, s Scale, seed uint64) (*CurveData, erro
 	return cd, err
 }
 
-// CurveModels are the workloads Figs. 2–5 cover.
-var CurveModels = []string{"cnn", "lstm", "wrn"}
+// curveModels are the workloads Figs. 2–5 cover.
+var curveModels = []string{"cnn", "lstm", "wrn"}
 
 // curveCells are the probe sweeps Figs. 2–5 share.
-var curveCells = each(CurveModels, curves)
+var curveCells = each(curveModels, curves)
 
 // stage is a probed point of training: Figs. 2–5 compare an early and a
 // late round.
@@ -164,7 +164,7 @@ func fig2(in *inputs) *Result {
 	res := newResult("fig2")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — statistical progress curves (clients 0/1, rounds %d/%d)\n", s.EarlyRound, s.LateRound)
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(s) {
 			for _, client := range []int{0, 1} {
@@ -198,7 +198,7 @@ func fig3(in *inputs) *Result {
 	res := newResult("fig3")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — per-layer statistical progress (most divergent layer pair)\n")
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(in.s) {
 			pc := cd.Probes[probeKey{stage.round, 0}]
@@ -255,7 +255,7 @@ func fig4(in *inputs) *Result {
 	res := newResult("fig4")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — curve similarity across %d consecutive rounds (client 0)\n", s.Window)
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(s) {
 			var curves [][]float64
@@ -289,7 +289,7 @@ func fig5(in *inputs) *Result {
 	res := newResult("fig5")
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — full vs sampled profiling (largest layer of each model)\n")
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(in.s) {
 			pc := cd.Probes[probeKey{stage.round, 0}]

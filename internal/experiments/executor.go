@@ -20,25 +20,25 @@ import (
 // results serially, so the emitted Result is byte-identical to the serial
 // path at any worker count.
 
-// CacheVersion fingerprints the semantics of cell results. It is mixed into
+// cacheVersion fingerprints the semantics of cell results. It is mixed into
 // every on-disk cell address; bump it whenever training arithmetic, cell key
 // layout or a cached type's shape changes, so stale entries are orphaned
 // instead of wrongly served.
-const CacheVersion = "fedca-cells-v2"
+const cacheVersion = "fedca-cells-v2"
 
 var (
 	execMu sync.RWMutex
-	exec   = execpool.New(execpool.Options{Version: CacheVersion})
+	exec   = execpool.New(execpool.Options{Version: cacheVersion})
 )
 
 // Configure replaces the package executor. The zero Options give the
 // default: GOMAXPROCS-bounded parallelism, no disk cache. Workers: 1
 // selects the serial reference path. An empty Version is filled with
-// CacheVersion. Configure drops the in-memory memoization of the previous
+// cacheVersion. Configure drops the in-memory memoization of the previous
 // executor; the disk cache (if any) persists.
 func Configure(o execpool.Options) {
 	if o.Version == "" {
-		o.Version = CacheVersion
+		o.Version = cacheVersion
 	}
 	execMu.Lock()
 	exec = execpool.New(o)

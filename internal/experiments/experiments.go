@@ -2,8 +2,8 @@
 // FedCA paper's evaluation (Table 1, Figs. 2–5, 7–10, and the Sec. 5.5
 // overhead numbers) on the simulated testbed. Each experiment is a pure
 // function of (Scale, seed); results carry both rendered text and the
-// structured series, so cmd/fedca-bench prints them and bench_test.go
-// asserts their shapes.
+// structured series, so cmd/fedca-bench prints them and the package tests
+// assert their shapes.
 //
 // Fig. 1 (a conceptual sketch) and Fig. 6 (a design diagram) carry no data
 // and have no generator.
@@ -38,8 +38,8 @@ type Scale struct {
 	DType string
 }
 
-// Tiny is the scale used by `go test -bench` and CI: minutes, not hours.
-func Tiny() Scale {
+// tinyScale is the scale of CI and the committed golden output: minutes, not hours.
+func tinyScale() Scale {
 	return Scale{
 		Name: "tiny", Clients: 8, Rounds: 40, K: 25,
 		TrainN: 1024, TestN: 512, BatchSize: 16,
@@ -48,8 +48,8 @@ func Tiny() Scale {
 	}
 }
 
-// Small is the default scale of the fedca-bench binary.
-func Small() Scale {
+// smallScale is the default scale of the fedca-bench binary.
+func smallScale() Scale {
 	return Scale{
 		Name: "small", Clients: 32, Rounds: 80, K: 50,
 		TrainN: 4096, TestN: 1024, BatchSize: 32,
@@ -58,10 +58,10 @@ func Small() Scale {
 	}
 }
 
-// Full approximates the paper's setup: 128 clients, K = 125. Expect long
+// fullScale approximates the paper's setup: 128 clients, K = 125. Expect long
 // (virtual-time simulation is fast, but real training of 128 clients × 125
 // iterations per round is hours of CPU).
-func Full() Scale {
+func fullScale() Scale {
 	return Scale{
 		Name: "full", Clients: 128, Rounds: 200, K: 125,
 		TrainN: 16384, TestN: 2048, BatchSize: 50,
@@ -74,11 +74,11 @@ func Full() Scale {
 func ScaleByName(name string) (Scale, error) {
 	switch name {
 	case "tiny":
-		return Tiny(), nil
+		return tinyScale(), nil
 	case "small":
-		return Small(), nil
+		return smallScale(), nil
 	case "full":
-		return Full(), nil
+		return fullScale(), nil
 	default:
 		return Scale{}, fmt.Errorf("experiments: unknown scale %q", name)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// micro is an even smaller scale than Tiny, for unit tests: seconds.
+// micro is an even smaller scale than tinyScale, for unit tests: seconds.
 func micro() Scale {
 	return Scale{
 		Name: "tiny", Clients: 4, Rounds: 10, K: 10,
@@ -48,14 +48,14 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestFullMatchesPaperSetup(t *testing.T) {
-	f := Full()
+	f := fullScale()
 	if f.Clients != 128 || f.K != 125 || f.ProfilePeriod != 10 {
 		t.Fatalf("full scale deviates from the paper: %+v", f)
 	}
 }
 
 func TestWorkloadScaling(t *testing.T) {
-	s := Tiny()
+	s := tinyScale()
 	for _, m := range []string{"cnn", "lstm", "wrn"} {
 		w, err := s.Workload(m)
 		if err != nil {
@@ -87,14 +87,14 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("ids = %v", ids)
 		}
 	}
-	if _, err := Run("nope", Tiny(), 1); err == nil {
+	if _, err := Run("nope", tinyScale(), 1); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
 }
 
 func TestOverheadAccounting(t *testing.T) {
-	res := mustRun(t, "ovh", Tiny(), 1)
-	for _, m := range CurveModels {
+	res := mustRun(t, "ovh", tinyScale(), 1)
+	for _, m := range curveModels {
 		samples := res.Values["samples/"+m]
 		params := res.Values["params/"+m]
 		if samples <= 0 || params <= 0 {
@@ -107,7 +107,7 @@ func TestOverheadAccounting(t *testing.T) {
 		if params > 10000 && samples/params > 0.5 {
 			t.Fatalf("%s: sampling fraction too large: %v", m, samples/params)
 		}
-		if res.Values["membytes/"+m] != samples*float64(Tiny().K)*8 {
+		if res.Values["membytes/"+m] != samples*float64(tinyScale().K)*8 {
 			t.Fatalf("%s: memory accounting wrong", m)
 		}
 	}
@@ -145,7 +145,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 	// the micro scale (K = 10) gradient noise can pull a model onto the
 	// line, so the assertion allows tolerance; the tiny-scale benchmarks
 	// (K = 25) show 0.5+ with margin.
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		if fig2.Values["p20/"+m] <= 0.15 {
 			t.Fatalf("%s: P@20%% = %v far below uniform", m, fig2.Values["p20/"+m])
 		}
@@ -153,7 +153,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 
 	fig3 := mustRun(t, "fig3", s, seed)
 	// Layer heterogeneity: the most divergent pair must differ visibly.
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		if fig3.Values["gap/"+m+"/early"] <= 0.01 {
 			t.Fatalf("%s: layers are indistinguishable (gap %v)", m, fig3.Values["gap/"+m+"/early"])
 		}
@@ -162,7 +162,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 	fig4 := mustRun(t, "fig4", s, seed)
 	// Consecutive-round similarity: curves must be far more alike than they
 	// are long (RMSE well under the 0–1 range).
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		for _, stage := range []string{"early", "late"} {
 			rmse := fig4.Values["maxRMSE/"+m+"/"+stage]
 			if math.IsNaN(rmse) || rmse > 0.35 {
@@ -173,7 +173,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 
 	fig5 := mustRun(t, "fig5", s, seed)
 	// Sampled profiling must track the full curve closely.
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		for _, stage := range []string{"early", "late"} {
 			d := fig5.Values["maxdiff/"+m+"/"+stage]
 			if math.IsNaN(d) || d > 0.3 {

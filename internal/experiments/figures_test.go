@@ -42,7 +42,7 @@ func TestTable1Shape(t *testing.T) {
 	}
 	s := micro()
 	res := mustRun(t, "table1", s, 21)
-	for _, m := range CurveModels {
+	for _, m := range curveModels {
 		avg := res.Values["total/"+m+"/fedavg"]
 		ca := res.Values["total/"+m+"/fedca"]
 		if avg <= 0 || ca <= 0 {

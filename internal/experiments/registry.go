@@ -23,8 +23,8 @@ var registry = map[string]experiment{
 	"fig3":   {curveCells, fig3},
 	"fig4":   {curveCells, fig4},
 	"fig5":   {curveCells, fig5},
-	"fig7":   {grid(CurveModels, convergenceSchemes), fig7},
-	"table1": {grid(CurveModels, convergenceSchemes), table1},
+	"fig7":   {grid(curveModels, convergenceSchemes), fig7},
+	"table1": {grid(curveModels, convergenceSchemes), table1},
 	"fig8a":  {[]cellSpec{conv("cnn", "fedca"), conv("cnn", "fedada")}, fig8a},
 	"fig8b":  {[]cellSpec{conv("cnn", "fedca"), conv("cnn", "fedca-v2")}, fig8b},
 	"fig9":   {grid(fig9Models, fig9Schemes), fig9},

@@ -1,7 +1,6 @@
 // Package report renders the reproduction's tables and figure data as
 // aligned ASCII, in the same row/series structure the paper reports, so
-// `go test -bench` output and the fedca-bench binary can be diffed against
-// the paper's numbers by eye.
+// the fedca-bench output can be diffed against the paper's numbers by eye.
 package report
 
 import (

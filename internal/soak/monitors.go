@@ -26,7 +26,7 @@ type Sample struct {
 
 // Violation is one invariant breach. It names everything needed to
 // reproduce the offending phase bit-for-bit: the canonical spec string and
-// the seed (feed both to RunPhase, or fedca-sim -soak-repro).
+// the seed (feed both to RunPhase, or fedca-sim repro).
 type Violation struct {
 	Monitor    string `json:"monitor"`
 	Phase      string `json:"phase"`
