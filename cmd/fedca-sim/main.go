@@ -61,8 +61,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "master seed")
 	dtype := flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
 	compressSpec := flag.String("compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
-	dropout := flag.Float64("dropout", 0, "per-round client dropout probability")
-	chaosSpec := flag.String("chaos", "none", `fault-injection spec, e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
+	chaosSpec := flag.String("chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
 	minQuorum := flag.Int("quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
 	maxNorm := flag.Float64("maxnorm", 0, "quarantine updates whose L2 norm exceeds this (0 = no bound)")
 	logPath := flag.String("log", "", "write a JSON-lines run log to this path")
@@ -100,7 +99,6 @@ func main() {
 	if _, isNone := comp.(compress.None); !isNone {
 		w.FL.Compressor = comp
 	}
-	w.FL.DropoutProb = *dropout
 	ccfg, err := chaos.ParseSpec(*chaosSpec)
 	if err != nil {
 		fail(err)

@@ -104,8 +104,8 @@ func runSoak(args []string) {
 			p.Index, p.Cycle, p.Name, p.StartRound, p.StartRound+p.Rounds-1,
 			p.FinalAccuracy, p.SkippedRounds, p.Quarantined, p.LinkRetries)
 	}
-	fmt.Printf("soak: rechecks computed=%d dedup-joins=%d; tokens max-inflight=%d cap=%d\n",
-		rep.RecheckStats.Computed, rep.RecheckStats.DedupWaits, rep.MaxInflight, rep.TokenCap)
+	fmt.Printf("soak: rechecks=%d; tokens max-inflight=%d cap=%d\n",
+		rep.Rechecks, rep.MaxInflight, rep.TokenCap)
 	if *report != "" {
 		if err := soak.WriteReport(*report, rep); err != nil {
 			fail(err)

@@ -81,7 +81,7 @@ func TestSoakCommandSmoke(t *testing.T) {
 	if !rep.Pass || rep.Rounds != 6 || len(rep.Phases) != 3 {
 		t.Fatalf("report unexpected: pass=%v rounds=%d phases=%d", rep.Pass, rep.Rounds, len(rep.Phases))
 	}
-	if rep.RecheckStats.Computed == 0 {
+	if rep.Rechecks == 0 {
 		t.Fatal("no determinism rechecks ran")
 	}
 	lg, err := runlog.Open(logPath)

@@ -21,6 +21,7 @@ import (
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
 	"fedca/internal/rng"
+	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
 )
@@ -121,8 +122,6 @@ type Options struct {
 	// Heterogeneous enables FedScale-like static speed spread; Dynamic
 	// enables the paper's fast/slow mode toggling.
 	Heterogeneous, Dynamic bool
-	// DropoutProb injects per-round client dropout (0 = never).
-	DropoutProb float64
 
 	// Chaos is a fault-injection spec, e.g.
 	// "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01"
@@ -181,12 +180,19 @@ type Round struct {
 	EagerSent      float64 // mean eager transmissions per collected client
 	Retransmitted  float64
 	Collected      int
-	Dropped        int
+	// Discarded counts the updates left out of aggregation: dropouts,
+	// quarantined updates and arrivals after the partial-aggregation cut.
+	Discarded int
+	Dropped   int
 	// Skipped marks a round that closed without aggregating (below quorum
 	// after dropouts and quarantines); the global model was left unchanged.
 	Skipped bool
 	// Quarantined counts updates rejected by server-side validation.
 	Quarantined int
+	// UploadBytes is the uplink payload of every participant, failed
+	// attempts included; LinkRetries counts those failed attempts.
+	UploadBytes float64
+	LinkRetries int
 }
 
 // Federation is a ready-to-run simulated FL deployment.
@@ -231,7 +237,6 @@ func New(opts Options) (*Federation, error) {
 		w.Alpha = opts.Alpha
 	}
 	w.FL.DType = opts.DType
-	w.FL.DropoutProb = opts.DropoutProb
 	if opts.ModelBytes > 0 {
 		w.FL.ModelBytes = opts.ModelBytes
 	}
@@ -476,24 +481,24 @@ func (f *Federation) Snapshot() Snapshot {
 	return snap
 }
 
+// toRound reports a round as its run-log record does (runlog.FromRoundResult),
+// so a record rebuilt from a Round equals the one fedca-sim -log writes.
 func toRound(res fl.RoundResult) Round {
-	dropped := 0
-	for _, u := range res.Discarded {
-		if u.Dropped {
-			dropped++
-		}
-	}
+	rec := runlog.FromRoundResult(res)
 	return Round{
-		Index:          res.Round,
-		Start:          res.Start,
-		End:            res.End,
-		Accuracy:       res.Accuracy,
-		MeanIterations: res.MeanIterations,
-		EagerSent:      res.MeanEagerSent,
-		Retransmitted:  res.MeanRetrans,
-		Collected:      len(res.Collected),
-		Dropped:        dropped,
-		Skipped:        res.Skipped,
-		Quarantined:    res.Quarantined,
+		Index:          rec.Round,
+		Start:          rec.Start,
+		End:            rec.End,
+		Accuracy:       rec.Accuracy,
+		MeanIterations: rec.MeanIterations,
+		EagerSent:      rec.MeanEagerSent,
+		Retransmitted:  rec.MeanRetrans,
+		Collected:      rec.Collected,
+		Discarded:      rec.Discarded,
+		Dropped:        rec.Dropped,
+		Skipped:        rec.Skipped,
+		Quarantined:    rec.Quarantined,
+		UploadBytes:    rec.UploadBytes,
+		LinkRetries:    rec.LinkRetries,
 	}
 }

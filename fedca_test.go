@@ -146,7 +146,7 @@ func TestFacadeCompression(t *testing.T) {
 
 func TestFacadeDropout(t *testing.T) {
 	o := tinyOpts()
-	o.DropoutProb = 0.5
+	o.Chaos = "drop=0.5"
 	o.Scheme = "fedavg"
 	f, err := fedca.New(o)
 	if err != nil {

@@ -58,8 +58,7 @@ func (c Corruption) String() string {
 // defaults for any enabled fault class.
 type Config struct {
 	// DropProb is the probability that the client vanishes mid-round, at an
-	// iteration drawn uniformly from [1, budget] — finer-grained than the
-	// legacy per-round fl.Config.DropoutProb, which it composes with.
+	// iteration drawn uniformly from [1, budget].
 	DropProb float64
 
 	// SlowProb is the probability of one transient compute slowdown during
@@ -195,8 +194,7 @@ type LinkWindow struct {
 // Attempts draws from plan-local state.
 type Plan struct {
 	// Drop is the 1-based iteration after which the client vanishes
-	// (0 = stays up). Composes with the legacy round-level dropout: the
-	// earlier of the two wins.
+	// (0 = stays up).
 	Drop int
 	// Slow is the round's transient compute slowdown (Factor 1 = none).
 	Slow IterWindow

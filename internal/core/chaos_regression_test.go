@@ -27,6 +27,17 @@ func chaosEngine(t *testing.T, seed uint64) *chaos.Engine {
 	return e
 }
 
+// dropEngine builds an engine whose only fault class is client dropout with
+// probability p.
+func dropEngine(t *testing.T, p float64, seed uint64) *chaos.Engine {
+	t.Helper()
+	e, err := chaos.NewEngine(chaos.Config{DropProb: p}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestStaleAnchorCurvesUnderChaos runs the full FedCA scheme through chaos-
 // faulted rounds (anchors at 0, 3, 6) and pins the stale-curve contract from
 // Sec. 4.1 under injected faults: an aborted anchor recording never leaves a

@@ -55,13 +55,13 @@ func TestDropoutAbortsAnchorRecording(t *testing.T) {
 }
 
 // TestDropoutOnAnchorRoundEndToEnd forces dropouts through real rounds
-// (DropoutProb on a workload whose round 0 is an anchor) and checks the
+// (chaos drop on a workload whose round 0 is an anchor) and checks the
 // invariant the seed code violated: no profiler is ever left recording once
 // a round has finished, and aborted anchors are accounted.
 func TestDropoutOnAnchorRoundEndToEnd(t *testing.T) {
 	const clients = 8
 	w := tinyWorkload()
-	w.FL.DropoutProb = 0.5
+	w.FL.Chaos = dropEngine(t, 0.5, 92)
 	tb := expcfg.Build(w, clients, trace.PaperConfig(), 92)
 	s := core.NewScheme(fedcaOpts(w.FL.LocalIters), rng.New(93))
 	r, err := tb.NewRunner(s)

@@ -358,7 +358,7 @@ func TestFedCASurvivesDropout(t *testing.T) {
 	// profiler is recording) must not wedge FedCA: stale curves stay in use
 	// and the next anchor re-arms recording cleanly.
 	w := tinyWorkload()
-	w.FL.DropoutProb = 0.4
+	w.FL.Chaos = dropEngine(t, 0.4, 70)
 	tb := expcfg.Build(w, 6, trace.PaperConfig(), 70)
 	s := core.NewScheme(fedcaOpts(w.FL.LocalIters), rng.New(71))
 	r, err := tb.NewRunner(s)

@@ -36,13 +36,6 @@ import (
 	"sync/atomic"
 )
 
-// Gauge mirrors the number of tokens in flight into a telemetry gauge.
-// *telemetry.Gauge satisfies it; the indirection keeps this package
-// dependency-free.
-type Gauge interface {
-	Set(v float64)
-}
-
 // Budget is a resizable counting semaphore of CPU tokens. The zero value is
 // not usable; use NewBudget. Capacity <= 0 means "track runtime.GOMAXPROCS",
 // re-read on every acquisition, so tests that flip GOMAXPROCS see the budget
@@ -57,7 +50,6 @@ type Budget struct {
 	// last ResetMax; tests use it to assert the goroutine bound.
 	maxInUse int
 
-	gauge   atomic.Value // gaugeBox
 	capHook atomic.Value // hookBox
 }
 
@@ -185,7 +177,6 @@ func (b *Budget) Return(n int) {
 	if b.inUse < 0 {
 		panic("cputok: more tokens returned than acquired")
 	}
-	b.setGauge(b.inUse)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -199,7 +190,6 @@ func (b *Budget) take(n int) {
 	if b.inUse > b.maxInUse {
 		b.maxInUse = b.inUse
 	}
-	b.setGauge(b.inUse)
 }
 
 // Inflight returns the number of tokens currently held.
@@ -222,69 +212,4 @@ func (b *Budget) ResetMax() {
 	b.mu.Lock()
 	b.maxInUse = b.inUse
 	b.mu.Unlock()
-}
-
-// SetGauge attaches a telemetry gauge mirroring the in-flight token count
-// (fedca_cputok_inflight). The latest attached gauge wins; nil detaches. The
-// gauge is set to the current count immediately.
-func (b *Budget) SetGauge(g Gauge) {
-	b.mu.Lock()
-	inUse := b.inUse
-	b.gauge.Store(gaugeBox{g})
-	b.mu.Unlock()
-	if g != nil {
-		g.Set(float64(inUse))
-	}
-}
-
-// SwapGauge attaches g (nil detaches) and returns the previously attached
-// gauge, so a short-lived sink can hand the budget back on close
-// (ReleaseGauge) instead of leaving it writing into a discarded registry.
-func (b *Budget) SwapGauge(g Gauge) Gauge {
-	b.mu.Lock()
-	inUse := b.inUse
-	var prev Gauge
-	if v := b.gauge.Load(); v != nil {
-		prev = v.(gaugeBox).g
-	}
-	b.gauge.Store(gaugeBox{g})
-	b.mu.Unlock()
-	if g != nil {
-		g.Set(float64(inUse))
-	}
-	return prev
-}
-
-// ReleaseGauge detaches cur and restores prev — but only while cur is still
-// the attached gauge. If a later sink already swapped itself in, the release
-// is a no-op (latest sink wins), so out-of-order closes never clobber a live
-// attachment.
-func (b *Budget) ReleaseGauge(cur, prev Gauge) {
-	b.mu.Lock()
-	inUse := b.inUse
-	attached := Gauge(nil)
-	if v := b.gauge.Load(); v != nil {
-		attached = v.(gaugeBox).g
-	}
-	if attached != cur {
-		b.mu.Unlock()
-		return
-	}
-	b.gauge.Store(gaugeBox{prev})
-	b.mu.Unlock()
-	if prev != nil {
-		prev.Set(float64(inUse))
-	}
-}
-
-// gaugeBox wraps the interface so atomic.Value tolerates differing dynamic
-// types (including nil).
-type gaugeBox struct{ g Gauge }
-
-func (b *Budget) setGauge(inUse int) {
-	if v := b.gauge.Load(); v != nil {
-		if box := v.(gaugeBox); box.g != nil {
-			box.g.Set(float64(inUse))
-		}
-	}
 }

@@ -3,7 +3,6 @@ package cputok
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -135,35 +134,6 @@ func TestOverReturnPanics(t *testing.T) {
 		}
 	}()
 	NewBudget(2).Return(1)
-}
-
-type fakeGauge struct{ v atomic.Value }
-
-func (g *fakeGauge) Set(v float64) { g.v.Store(v) }
-func (g *fakeGauge) get() float64 {
-	if v := g.v.Load(); v != nil {
-		return v.(float64)
-	}
-	return -1
-}
-
-func TestGaugeMirrorsInflight(t *testing.T) {
-	b := NewBudget(4)
-	g := &fakeGauge{}
-	b.SetGauge(g)
-	if got := g.get(); got != 0 {
-		t.Fatalf("gauge after attach = %v, want 0", got)
-	}
-	b.Borrow(3)
-	if got := g.get(); got != 3 {
-		t.Fatalf("gauge after Borrow(3) = %v, want 3", got)
-	}
-	b.Return(2)
-	if got := g.get(); got != 1 {
-		t.Fatalf("gauge after Return(2) = %v, want 1", got)
-	}
-	b.SetGauge(nil) // detach must not panic on later traffic
-	b.Return(1)
 }
 
 // TestConcurrentBorrowBound hammers the budget from many goroutines and
@@ -351,72 +321,6 @@ func TestSetCapShrinkBelowInflight(t *testing.T) {
 	b.Release()
 	if got := b.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d after full drain", got)
-	}
-}
-
-// TestSwapGaugeRestore covers the swap-with-restore contract sinks rely on:
-// SwapGauge returns the predecessor, the old gauge stops receiving updates,
-// and ReleaseGauge re-syncs the predecessor to the live in-flight count.
-func TestSwapGaugeRestore(t *testing.T) {
-	b := NewBudget(4)
-	g1, g2 := &fakeGauge{}, &fakeGauge{}
-	if prev := b.SwapGauge(g1); prev != nil {
-		t.Fatalf("first SwapGauge returned %v, want nil", prev)
-	}
-	if got := g1.get(); got != 0 {
-		t.Fatalf("g1 after attach = %v, want 0", got)
-	}
-	b.Borrow(2)
-	prev := b.SwapGauge(g2)
-	if prev != Gauge(g1) {
-		t.Fatalf("SwapGauge returned %v, want the previously attached gauge", prev)
-	}
-	if got := g2.get(); got != 2 {
-		t.Fatalf("g2 after attach = %v, want the current in-flight 2", got)
-	}
-	b.Borrow(1)
-	if got := g2.get(); got != 3 {
-		t.Fatalf("g2 after Borrow = %v, want 3", got)
-	}
-	if got := g1.get(); got != 2 {
-		t.Fatalf("detached g1 moved to %v, want stale 2", got)
-	}
-	b.ReleaseGauge(g2, prev)
-	if got := g1.get(); got != 3 {
-		t.Fatalf("g1 after release = %v, want re-synced 3", got)
-	}
-	b.Return(3)
-	if got := g1.get(); got != 0 {
-		t.Fatalf("g1 after drain = %v, want 0", got)
-	}
-	if got := g2.get(); got != 3 {
-		t.Fatalf("released g2 still receiving updates: %v", got)
-	}
-}
-
-// TestReleaseGaugeOutOfOrder pins the compare-and-restore semantics: a gauge
-// that is no longer attached releases as a no-op, so closing observers out of
-// order never detaches the live one (latest attacher wins).
-func TestReleaseGaugeOutOfOrder(t *testing.T) {
-	b := NewBudget(4)
-	g1, g2 := &fakeGauge{}, &fakeGauge{}
-	p1 := b.SwapGauge(g1)
-	p2 := b.SwapGauge(g2)
-	b.ReleaseGauge(g1, p1) // g1 is not attached: must be a no-op
-	b.Borrow(1)
-	if got := g2.get(); got != 1 {
-		t.Fatalf("out-of-order release detached the live gauge: g2 = %v", got)
-	}
-	if got := g1.get(); got != 0 {
-		t.Fatalf("g1 received an update while detached: %v", got)
-	}
-	b.ReleaseGauge(g2, p2)
-	if got := g1.get(); got != 1 {
-		t.Fatalf("g1 after the live release = %v, want restored and re-synced to 1", got)
-	}
-	b.Return(1)
-	if got := g1.get(); got != 0 {
-		t.Fatalf("restored g1 after drain = %v, want 0", got)
 	}
 }
 

@@ -189,7 +189,6 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 			Up:     simnet.NewLink(simnet.DefaultClientBandwidth, 0),
 			Down:   simnet.NewLink(simnet.DefaultClientBandwidth, 0),
 			Weight: float64(shard.N()),
-			Chaos:  master.Fork("chaos", i),
 		}
 	}
 	tb.Seed = seed

@@ -28,8 +28,8 @@ type fleetSlot struct {
 }
 
 // VirtualFleet implements fl.Fleet, fl.Selector and fl.FleetStats over
-// a seeded spec: client id i's data shard, speed model and chaos stream are
-// pure functions of (master seed, i), derived at materialization. Not safe
+// a seeded spec: client id i's data shard and speed model are pure
+// functions of (master seed, i), derived at materialization. Not safe
 // for concurrent use — the runner's cohort and record stages call
 // Materialize/Recycle serially.
 type VirtualFleet struct {
@@ -43,10 +43,10 @@ type VirtualFleet struct {
 	live map[*fl.Client]*fleetSlot
 	seen map[int]bool // SampleOrdinals scratch
 
-	// seq counts materializations; forked into the loader and chaos labels
-	// so a client re-selected in a later round draws fresh (but still
-	// seed-deterministic) shuffle and fault streams instead of replaying its
-	// first round's.
+	// seq counts materializations; forked into the loader label so a client
+	// re-selected in a later round draws a fresh (but still
+	// seed-deterministic) shuffle stream instead of replaying its first
+	// round's.
 	seq          uint64
 	slotsBuilt   int64
 	recycleCalls int64
@@ -83,7 +83,6 @@ func (f *VirtualFleet) Materialize(id int) (*fl.Client, error) {
 	c.Loader = data.NewViewLoader(f.train, view, f.batch, f.master.Fork("loader", id, f.seq))
 	c.Speed = trace.NewClientSpeed(id, f.tcfg, f.master.Fork("speeds"))
 	c.Weight = float64(len(view))
-	c.Chaos = f.master.Fork("chaos", id, f.seq)
 	f.live[c] = s
 	return c, nil
 }

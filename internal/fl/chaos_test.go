@@ -30,6 +30,17 @@ func chaosEngine(t *testing.T, seed uint64) *chaos.Engine {
 	return e
 }
 
+// dropEngine builds an engine whose only fault class is client dropout with
+// probability p.
+func dropEngine(t *testing.T, p float64, seed uint64) *chaos.Engine {
+	t.Helper()
+	e, err := chaos.NewEngine(chaos.Config{DropProb: p}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestChaosRunDeterministic: two runs with the same master seed and the same
 // chaos engine seed must be bit-identical — parameters, virtual timings and
 // degradation stats.

@@ -162,19 +162,8 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// Drop-out: the client may vanish partway through the round (Sec. 3.1
 	// treats drop-out as the extreme of resource shrinkage). The dropped
 	// client still burns the compute up to the dropout iteration, but its
-	// update never reaches the server. The legacy per-round Bernoulli model
-	// (DropoutProb) and the chaos plan's iteration-level dropout compose: the
-	// earlier iteration wins.
-	dropAt := 0 // 0 = no dropout
-	if cfg.DropoutProb > 0 && c.Chaos != nil {
-		r := c.Chaos.Fork("dropout", int(roundStart*1e6))
-		if r.Float64() < cfg.DropoutProb {
-			dropAt = 1 + r.Intn(budget)
-		}
-	}
-	if d := cplan.DropIter(); d > 0 && (dropAt == 0 || d < dropAt) {
-		dropAt = d
-	}
+	// update never reaches the server. The chaos plan picks the iteration.
+	dropAt := cplan.DropIter() // 0 = no dropout
 
 	bytesPerScalar := cfg.ModelBytes / float64(len(globalFlat))
 	// compressInto writes what the server would decode for one layer's update

@@ -33,11 +33,13 @@ var (
 )
 
 func benchModel[F tensor.Float](name string) *nn.NetworkOf[F] {
-	m, err := model.NewOf[F](name, benchImg, benchSeq, benchWRN, rng.New(3))
-	if err != nil {
-		panic(err)
+	switch name {
+	case "lstm":
+		return model.NewLSTMOf[F](benchSeq, rng.New(3)).Network
+	case "wrn":
+		return model.NewWRNOf[F](benchWRN, rng.New(3)).Network
 	}
-	return m.Network
+	return model.NewCNNOf[F](benchImg, rng.New(3)).Network
 }
 
 // benchData draws n samples shaped for the named model.

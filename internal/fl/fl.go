@@ -58,7 +58,6 @@ import (
 	"fedca/internal/compress"
 	"fedca/internal/data"
 	"fedca/internal/nn"
-	"fedca/internal/rng"
 	"fedca/internal/simnet"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
@@ -122,17 +121,13 @@ type Config struct {
 	// scaled-down model still emulates its full-size counterpart's traffic.
 	Compressor compress.Compressor
 
-	// DropoutProb is the per-round probability that a client drops out
-	// mid-round (battery, network loss, user action — Sec. 3.1 treats
-	// drop-out as the extreme of resource shrinkage). A dropped client's
-	// update never reaches the server. Requires clients to carry a Chaos RNG.
-	DropoutProb float64
-
 	// Chaos injects the deterministic fault plans of internal/chaos into
-	// every client round: iteration-level dropout, transient compute
-	// slowdowns, link degradation/outage, transfer retransmissions and
-	// corrupted updates. Nil disables injection. Setting it turns update
-	// validation on (see MaxDeltaNorm).
+	// every client round: iteration-level dropout (battery, network loss,
+	// user action — Sec. 3.1 treats drop-out as the extreme of resource
+	// shrinkage; a dropped client's update never reaches the server),
+	// transient compute slowdowns, link degradation/outage, transfer
+	// retransmissions and corrupted updates. Nil disables injection. Setting
+	// it turns update validation on (see MaxDeltaNorm).
 	Chaos *chaos.Engine
 
 	// MinQuorum is the minimum number of valid collected updates required to
@@ -198,9 +193,6 @@ func (c *Config) Validate(numParams int) error {
 	if c.ModelBytes < 0 || math.IsNaN(c.ModelBytes) || math.IsInf(c.ModelBytes, 0) {
 		return fmt.Errorf("fl: ModelBytes must be non-negative and finite, got %v", c.ModelBytes)
 	}
-	if c.DropoutProb < 0 || c.DropoutProb > 1 || math.IsNaN(c.DropoutProb) {
-		return fmt.Errorf("fl: DropoutProb must be in [0,1], got %v", c.DropoutProb)
-	}
 	if c.MinQuorum < 0 {
 		c.MinQuorum = 0
 	}
@@ -229,9 +221,6 @@ type Client struct {
 	Up     *simnet.Link
 	Down   *simnet.Link
 	Weight float64 // aggregation weight (its sample count)
-	// Chaos drives failure injection (dropout). Optional; required only when
-	// Config.DropoutProb > 0.
-	Chaos *rng.RNG
 }
 
 // RoundPlan is the server's per-round instruction set.

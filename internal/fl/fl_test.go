@@ -716,7 +716,7 @@ func cosine(a, b []float64) float64 {
 
 func TestDropoutExcludedFromAggregation(t *testing.T) {
 	w := tinyWorkload()
-	w.FL.DropoutProb = 0.5
+	w.FL.Chaos = dropEngine(t, 0.5, 30)
 	tb := expcfg.Build(w, 8, trace.Config{}, 30)
 	r, err := tb.NewRunner(baseline.FedAvg{})
 	if err != nil {
@@ -767,7 +767,7 @@ func TestDropoutZeroMeansNoDrops(t *testing.T) {
 func TestDropoutDeterministic(t *testing.T) {
 	run := func() []bool {
 		w := tinyWorkload()
-		w.FL.DropoutProb = 0.4
+		w.FL.Chaos = dropEngine(t, 0.4, 32)
 		tb := expcfg.Build(w, 6, trace.Config{}, 32)
 		r, _ := tb.NewRunner(baseline.FedAvg{})
 		var drops []bool
@@ -797,7 +797,7 @@ func TestTrainingSurvivesDropout(t *testing.T) {
 		t.Skip("training test")
 	}
 	w := tinyWorkload().Shrink(12, 512, 256, 16)
-	w.FL.DropoutProb = 0.3
+	w.FL.Chaos = dropEngine(t, 0.3, 33)
 	tb := expcfg.Build(w, 6, trace.Config{}, 33)
 	r, _ := tb.NewRunner(baseline.FedAvg{})
 	first := r.RunRound().Accuracy

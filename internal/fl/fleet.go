@@ -4,7 +4,7 @@ package fl
 // holds more client state than the round's cohort. A Fleet maps client ids
 // to materialized *Client values on demand — a static fleet just indexes a
 // pre-built slice, a virtual fleet (expcfg.BuildFleet) derives every
-// client's data shard, speed model, links and chaos stream from
+// client's data shard, speed model and links from
 // (fleetSeed, clientID) when the client is selected, into a pooled slot
 // that Recycle returns after the round. Million-client fleets therefore
 // cost O(cohort) live memory, not O(fleet).

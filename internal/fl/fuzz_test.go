@@ -14,11 +14,11 @@ import (
 // an accepting no-op (idempotence).
 func FuzzConfigValidate(f *testing.F) {
 	// The paper's CIFAR-10 workload plus a few adversarial shapes.
-	f.Add(125, 50, 0, 0, 0.05, 0.9, 0.01, 0.9, 0.03, 0.0, 0.0, 0.0, 0.01, 1000)
-	f.Add(1, 1, 0, -3, 0.01, 0.0, 0.0, 1.0, 1e-6, 139.4e6, 1.0, 1e6, 1.0, 7)
-	f.Add(0, 50, 16, 1, math.NaN(), math.Inf(1), -1.0, 1.5, -0.5, -4.0, 2.0, -1.0, math.NaN(), 0)
+	f.Add(125, 50, 0, 0, 0.05, 0.9, 0.01, 0.9, 0.03, 0.0, 0.0, 0.01, 1000)
+	f.Add(1, 1, 0, -3, 0.01, 0.0, 0.0, 1.0, 1e-6, 139.4e6, 1e6, 1.0, 7)
+	f.Add(0, 50, 16, 1, math.NaN(), math.Inf(1), -1.0, 1.5, -0.5, -4.0, -1.0, math.NaN(), 0)
 	f.Fuzz(func(t *testing.T, localIters, batchSize, evalBatch, minQuorum int,
-		lr, momentum, weightDecay, aggFrac, baseIter, modelBytes, dropProb, maxNorm, participation float64,
+		lr, momentum, weightDecay, aggFrac, baseIter, modelBytes, maxNorm, participation float64,
 		numParams int) {
 		cfg := fl.Config{
 			LocalIters:        localIters,
@@ -31,7 +31,6 @@ func FuzzConfigValidate(f *testing.F) {
 			AggregateFraction: aggFrac,
 			BaseIterTime:      baseIter,
 			ModelBytes:        modelBytes,
-			DropoutProb:       dropProb,
 			MaxDeltaNorm:      maxNorm,
 			Participation:     participation,
 		}
@@ -45,7 +44,7 @@ func FuzzConfigValidate(f *testing.F) {
 		for name, v := range map[string]float64{
 			"LR": cfg.LR, "Momentum": cfg.Momentum, "WeightDecay": cfg.WeightDecay,
 			"AggregateFraction": cfg.AggregateFraction, "BaseIterTime": cfg.BaseIterTime,
-			"ModelBytes": cfg.ModelBytes, "DropoutProb": cfg.DropoutProb,
+			"ModelBytes": cfg.ModelBytes,
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("accepted non-finite %s = %v", name, v)
@@ -59,9 +58,6 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if cfg.ModelBytes < 0 {
 			t.Fatalf("accepted negative ModelBytes: %v", cfg.ModelBytes)
-		}
-		if cfg.DropoutProb < 0 || cfg.DropoutProb > 1 {
-			t.Fatalf("accepted DropoutProb outside [0,1]: %v", cfg.DropoutProb)
 		}
 		if cfg.MinQuorum < 0 {
 			t.Fatalf("MinQuorum not clamped: %d", cfg.MinQuorum)

@@ -90,7 +90,7 @@ func TestRunnerPanicsOnBadAggregator(t *testing.T) {
 // incremented — and the run must keep going.
 func TestAllDroppedRoundSkips(t *testing.T) {
 	w := tinyWorkload()
-	w.FL.DropoutProb = 1.0
+	w.FL.Chaos = dropEngine(t, 1, 85)
 	tb := expcfg.Build(w, 2, trace.Config{}, 85)
 	r, err := tb.NewRunner(baseline.FedAvg{})
 	if err != nil {

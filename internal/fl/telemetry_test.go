@@ -62,7 +62,6 @@ func TestTelemetryInert(t *testing.T) {
 	}
 
 	sink := telemetry.New()
-	defer sink.Close()
 	journal := telemetry.NewJournal(512)
 	offLog, offParams, offStats := run(nil, nil)
 	onLog, onParams, onStats := run(sink, journal)

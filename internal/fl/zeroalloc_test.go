@@ -61,7 +61,7 @@ func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 	}
 	img := model.ImageConfig{Channels: 1, Height: 8, Width: 8, Classes: 4}
 	t.Run("cnn/f64", func(t *testing.T) {
-		if n := steadyStateAllocs(t, model.NewCNN(img, rng.New(1)).Network); n != 0 {
+		if n := steadyStateAllocs(t, model.NewCNNOf[float64](img, rng.New(1)).Network); n != 0 {
 			t.Fatalf("steady-state f64 CNN iteration allocated %v times; want 0", n)
 		}
 	})
@@ -75,7 +75,7 @@ func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 	// a float64 scratch that must come from the arena too.
 	seq := model.SeqConfig{SeqLen: 8, FeatDim: 8, Hidden: 5, Layers: 2, Classes: 4}
 	t.Run("lstm/f64", func(t *testing.T) {
-		if n := steadyStateAllocs(t, model.NewLSTM(seq, rng.New(1)).Network); n != 0 {
+		if n := steadyStateAllocs(t, model.NewLSTMOf[float64](seq, rng.New(1)).Network); n != 0 {
 			t.Fatalf("steady-state f64 LSTM iteration allocated %v times; want 0", n)
 		}
 	})

@@ -92,9 +92,6 @@ func NewCNNOf[F tensor.Float](cfg ImageConfig, r *rng.RNG) *ModelOf[F] {
 	return &ModelOf[F]{Network: net, Name: "cnn", InDim: cfg.InDim(), Classes: cfg.Classes}
 }
 
-// NewCNN builds the float64 CNN.
-func NewCNN(cfg ImageConfig, r *rng.RNG) *Model { return NewCNNOf[float64](cfg, r) }
-
 // NewLSTMOf builds the paper's LSTM workload: a stacked LSTM named "rnn"
 // (yielding rnn.weight_ih_l0 … rnn.bias_hh_l1) followed by a classifier head.
 func NewLSTMOf[F tensor.Float](cfg SeqConfig, r *rng.RNG) *ModelOf[F] {
@@ -105,9 +102,6 @@ func NewLSTMOf[F tensor.Float](cfg SeqConfig, r *rng.RNG) *ModelOf[F] {
 	net := nn.NewNetworkOf[F](lstm, nn.NewDenseOf[F]("fc", cfg.Hidden, cfg.Classes, r))
 	return &ModelOf[F]{Network: net, Name: "lstm", InDim: cfg.SeqLen * cfg.FeatDim, Classes: cfg.Classes}
 }
-
-// NewLSTM builds the float64 LSTM workload.
-func NewLSTM(cfg SeqConfig, r *rng.RNG) *Model { return NewLSTMOf[float64](cfg, r) }
 
 // NewWRNOf builds a WideResNet-style network: an entry 3×3 conv, three groups
 // of pre-activation basic blocks at widths w/2w/4w (the latter two groups
@@ -155,9 +149,6 @@ func NewWRNOf[F tensor.Float](cfg WRNConfig, r *rng.RNG) *ModelOf[F] {
 	return &ModelOf[F]{Network: net, Name: "wrn", InDim: img.InDim(), Classes: img.Classes}
 }
 
-// NewWRN builds the float64 WRN.
-func NewWRN(cfg WRNConfig, r *rng.RNG) *Model { return NewWRNOf[float64](cfg, r) }
-
 // basicBlock builds one pre-activation residual block:
 // BN → ReLU → conv3x3(stride s) → BN → ReLU → dropout → conv3x3, with a 1×1
 // strided conv shortcut when the shape changes. Body layer indices 0..6
@@ -184,24 +175,4 @@ func basicBlock[F tensor.Float](name string, inCh, h, w, outCh, stride int, drop
 		shortcut = []nn.LayerOf[F]{nn.NewConv2DOf[F](name+".shortcut", gs, outCh, r)}
 	}
 	return nn.NewResidualOf[F](body, shortcut, inCh*h*w), g2.OutH, g2.OutW
-}
-
-// New constructs a float64 model by workload name ("cnn", "lstm", "wrn")
-// using the supplied configs; unknown names return an error.
-func New(name string, img ImageConfig, seq SeqConfig, wrn WRNConfig, r *rng.RNG) (*Model, error) {
-	return NewOf[float64](name, img, seq, wrn, r)
-}
-
-// NewOf constructs a model of any float dtype by workload name.
-func NewOf[F tensor.Float](name string, img ImageConfig, seq SeqConfig, wrn WRNConfig, r *rng.RNG) (*ModelOf[F], error) {
-	switch name {
-	case "cnn":
-		return NewCNNOf[F](img, r), nil
-	case "lstm":
-		return NewLSTMOf[F](seq, r), nil
-	case "wrn":
-		return NewWRNOf[F](wrn, r), nil
-	default:
-		return nil, fmt.Errorf("model: unknown model %q", name)
-	}
 }

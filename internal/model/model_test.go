@@ -27,7 +27,7 @@ func forwardShape(t *testing.T, m *Model, batch int) {
 }
 
 func TestCNNShapeAndNames(t *testing.T) {
-	m := NewCNN(testImg, rng.New(1))
+	m := NewCNNOf[float64](testImg, rng.New(1))
 	forwardShape(t, m, 4)
 	names := paramNames(m.Network)
 	for _, want := range []string{"conv1.weight", "conv2.weight", "fc1.weight", "fc2.weight", "fc3.bias"} {
@@ -38,7 +38,7 @@ func TestCNNShapeAndNames(t *testing.T) {
 }
 
 func TestLSTMShapeAndNames(t *testing.T) {
-	m := NewLSTM(testSeq, rng.New(2))
+	m := NewLSTMOf[float64](testSeq, rng.New(2))
 	forwardShape(t, m, 4)
 	names := paramNames(m.Network)
 	// Names the paper's Fig. 3 references.
@@ -50,7 +50,7 @@ func TestLSTMShapeAndNames(t *testing.T) {
 }
 
 func TestWRNShapeAndNames(t *testing.T) {
-	m := NewWRN(testWRN, rng.New(3))
+	m := NewWRNOf[float64](testWRN, rng.New(3))
 	forwardShape(t, m, 4)
 	names := paramNames(m.Network)
 	for _, want := range []string{
@@ -68,8 +68,8 @@ func TestWRNShapeAndNames(t *testing.T) {
 }
 
 func TestWRNDepthScaling(t *testing.T) {
-	shallow := NewWRN(WRNConfig{Image: testWRN.Image, BlocksPerGroup: 1, Width: 4}, rng.New(4))
-	deep := NewWRN(WRNConfig{Image: testWRN.Image, BlocksPerGroup: 3, Width: 4}, rng.New(4))
+	shallow := NewWRNOf[float64](WRNConfig{Image: testWRN.Image, BlocksPerGroup: 1, Width: 4}, rng.New(4))
+	deep := NewWRNOf[float64](WRNConfig{Image: testWRN.Image, BlocksPerGroup: 3, Width: 4}, rng.New(4))
 	if deep.NumParams() <= shallow.NumParams() {
 		t.Fatalf("deeper WRN must have more params: %d vs %d", deep.NumParams(), shallow.NumParams())
 	}
@@ -82,7 +82,7 @@ func TestWRNDepthScaling(t *testing.T) {
 
 func TestWRNTrains(t *testing.T) {
 	// One gradient step must not blow up and must change parameters.
-	m := NewWRN(WRNConfig{Image: ImageConfig{Channels: 1, Height: 8, Width: 8, Classes: 4}, BlocksPerGroup: 1, Width: 4}, rng.New(5))
+	m := NewWRNOf[float64](WRNConfig{Image: ImageConfig{Channels: 1, Height: 8, Width: 8, Classes: 4}, BlocksPerGroup: 1, Width: 4}, rng.New(5))
 	r := rng.New(6)
 	x := tensor.New(8, m.InDim)
 	for i := range x.Data() {
@@ -114,33 +114,18 @@ func TestWRNTrains(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"cnn", "lstm", "wrn"} {
-		m, err := New(name, testImg, testSeq, testWRN, rng.New(7))
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if m.Name != name {
-			t.Fatalf("model name %q, want %q", m.Name, name)
-		}
-	}
-	if _, err := New("bogus", testImg, testSeq, testWRN, rng.New(7)); err == nil {
-		t.Fatal("expected error for unknown model")
-	}
-}
-
 func TestCNNBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-divisible input")
 		}
 	}()
-	NewCNN(ImageConfig{Channels: 1, Height: 10, Width: 10, Classes: 2}, rng.New(8))
+	NewCNNOf[float64](ImageConfig{Channels: 1, Height: 10, Width: 10, Classes: 2}, rng.New(8))
 }
 
 func TestDeterministicConstruction(t *testing.T) {
-	a := NewCNN(testImg, rng.New(42))
-	b := NewCNN(testImg, rng.New(42))
+	a := NewCNNOf[float64](testImg, rng.New(42))
+	b := NewCNNOf[float64](testImg, rng.New(42))
 	pa, pb := a.FlatParams(), b.FlatParams()
 	for i := range pa {
 		if pa[i] != pb[i] {
@@ -149,9 +134,29 @@ func TestDeterministicConstruction(t *testing.T) {
 	}
 }
 
+// TestRegistry pins the workload name each constructor stamps, at both
+// dtypes: expcfg's name → model switch dispatches on these names, and run
+// logs and checksums key on them.
+func TestRegistry(t *testing.T) {
+	r := rng.New(7)
+	for _, c := range []struct {
+		name  string
+		got64 string
+		got32 string
+	}{
+		{"cnn", NewCNNOf[float64](testImg, r).Name, NewCNNOf[float32](testImg, r).Name},
+		{"lstm", NewLSTMOf[float64](testSeq, r).Name, NewLSTMOf[float32](testSeq, r).Name},
+		{"wrn", NewWRNOf[float64](testWRN, r).Name, NewWRNOf[float32](testWRN, r).Name},
+	} {
+		if c.got64 != c.name || c.got32 != c.name {
+			t.Fatalf("model names %q (float64), %q (float32), want %q", c.got64, c.got32, c.name)
+		}
+	}
+}
+
 func TestParamNameUniverse(t *testing.T) {
 	// Every parameter name must be well formed (no empty segments).
-	for _, m := range []*Model{NewCNN(testImg, rng.New(1)), NewLSTM(testSeq, rng.New(1)), NewWRN(testWRN, rng.New(1))} {
+	for _, m := range []*Model{NewCNNOf[float64](testImg, rng.New(1)), NewLSTMOf[float64](testSeq, rng.New(1)), NewWRNOf[float64](testWRN, rng.New(1))} {
 		for _, p := range m.Params() {
 			if p.Name == "" || strings.Contains(p.Name, "..") || strings.HasPrefix(p.Name, ".") {
 				t.Fatalf("%s has malformed param name %q", m.Name, p.Name)

@@ -22,7 +22,7 @@ func FuzzReadRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"kind":"header","model":"lstm","scheme":"fedca","clients":16,"k":25,"seed":3,"alpha":0.1,"dtype":"f32"}
 {"kind":"round","round":0,"start":0,"end":9.75,"accuracy":0.41,"collected":16,"mean_iterations":25,"upload_bytes":200000}`))
 	f.Add([]byte(`{"kind":"header","model":"cnn","scheme":"fedca","clients":4,"k":4,"seed":11}
-{"kind":"phase","index":0,"name":"calm","spec":"name=calm;rounds=2;model=cnn;scheme=fedca;clients=4;iters=4;batch=8;train=256;test=64;alpha=0.1;dropout=0;chaos=none;quorum=1;maxnorm=0;skipband=0:0.75;quarband=0:0.75;retryband=0:1e+06","seed":987654321,"start_round":0,"rounds":2}
+{"kind":"phase","index":0,"name":"calm","spec":"name=calm;rounds=2;model=cnn;scheme=fedca;clients=4;iters=4;batch=8;train=256;test=64;alpha=0.1;chaos=none;quorum=1;maxnorm=0;skipband=0:0.75;quarband=0:0.75;retryband=0:1e+06","seed":987654321,"start_round":0,"rounds":2}
 {"kind":"round","round":0,"start":0,"end":3.5,"accuracy":0.4,"collected":4,"mean_iterations":4}
 {"kind":"phase","index":1,"cycle":1,"name":"storm","spec":"name=storm;rounds=2","seed":42,"start_round":2}`))
 	f.Add([]byte(`{"kind":"round","round":3,"end":1e-300,"accuracy":0.999999999999}`))

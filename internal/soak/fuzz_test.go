@@ -15,14 +15,14 @@ func FuzzSoakSpecParse(f *testing.F) {
 	f.Add(DefaultSchedule)
 	f.Add("name=calm;rounds=40")
 	f.Add("name=storm;rounds=60;chaos=drop=0.2,slow=0.3,degrade=0.2;quorum=2")
-	f.Add("name=x;rounds=2;model=cnn;scheme=fedca;clients=4;iters=4;batch=8;train=256;test=64;alpha=0.1;dropout=0;chaos=none;quorum=1;maxnorm=0;skipband=0:0.75;quarband=0:0.75;retryband=0:1e+06")
+	f.Add("name=x;rounds=2;model=cnn;scheme=fedca;clients=4;iters=4;batch=8;train=256;test=64;alpha=0.1;chaos=none;quorum=1;maxnorm=0;skipband=0:0.75;quarband=0:0.75;retryband=0:1e+06")
 	f.Add("rounds=5|rounds=6|rounds=7")
 	f.Add("name=p;chaos=outage=0.1,xfail=0.1,retries=4,slowfactor=3,corrupt=0.01")
-	f.Add("alpha=1e-300;dropout=0.9999999999")
+	f.Add("alpha=1e-300;chaos=drop=0.9999999999")
 	f.Add("quarband=0.9:1")
 	f.Add("rounds=NaN")
 	f.Add("alpha=Inf")
-	f.Add("dropout=-0")
+	f.Add("maxnorm=-0")
 	f.Add("clients=99999999999999999999")
 	f.Add("maxnorm=1e309")
 	f.Add(";;;|;;;")

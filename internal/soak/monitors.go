@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fedca"
-	"fedca/internal/execpool"
 	"fedca/internal/telemetry"
 )
 
@@ -205,16 +204,13 @@ func leastSquaresSlope(xs, ys []float64) float64 {
 // and final parameters at any worker count, with or without telemetry. The
 // recheck forces the CPU-token budget to one (the serial reference path)
 // and flips telemetry relative to the live run, so one pass covers both
-// worker-count invariance and telemetry inertness. Rechecks execute through
-// an execpool cell keyed on the phase fingerprint inputs, so repeated
-// requests for the same phase (schedule cycles, reproduce-from-report) are
-// deduplicated and content-addressed.
+// worker-count invariance and telemetry inertness.
 type determinismMonitor struct {
 	NopMonitor
-	every   int // recheck phases where Index % every == 0
-	pool    *execpool.Pool
+	every   int  // recheck phases where Index % every == 0
 	liveTel bool // live run had a telemetry sink attached
 	tel     *telemetry.SoakMetrics
+	runs    int // rechecks executed
 }
 
 func (m *determinismMonitor) Name() string { return "determinism" }
@@ -223,7 +219,8 @@ func (m *determinismMonitor) PhaseEnd(p PhaseResult) []Violation {
 	if m.every <= 0 || p.Index%m.every != 0 {
 		return nil
 	}
-	fp, err := recheckPhase(m.pool, p, !m.liveTel)
+	m.runs++
+	fp, err := recheckPhase(p, !m.liveTel)
 	if err != nil {
 		m.tel.RecheckDone(false)
 		return []Violation{{

@@ -1,0 +1,52 @@
+package soak
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"fedca"
+	"fedca/internal/fl"
+	"fedca/internal/runlog"
+)
+
+// runnerResults reads the federation's per-round runner results, which the
+// facade keeps unexported.
+func runnerResults(f *fedca.Federation) []fl.RoundResult {
+	v := reflect.ValueOf(f).Elem().FieldByName("results")
+	return *(*[]fl.RoundResult)(unsafe.Pointer(v.UnsafeAddr()))
+}
+
+// TestRecordFromRoundMatchesRunLog is the differential test for the soak run
+// log: over a chaos run with drops and link retries, the record the soak
+// writes from every facade round equals the one runlog.FromRoundResult — the
+// fedca-sim -log path — builds from the runner's own result.
+func TestRecordFromRoundMatchesRunLog(t *testing.T) {
+	p := tinyBase().Resolve(DefaultBase())
+	p.Clients = 4
+	p.Chaos = "drop=0.3,xfail=0.3,retries=3"
+	fed, err := fedca.New(p.options(11, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := fed.Run(6)
+	results := runnerResults(fed)
+	if len(results) != len(rounds) {
+		t.Fatalf("%d runner results for %d rounds", len(results), len(rounds))
+	}
+	var dropped, retries int
+	var upload float64
+	for i, rd := range rounds {
+		got, want := recordFromRound(rd), runlog.FromRoundResult(results[i])
+		got.Kind = want.Kind // the writer stamps the kind
+		if got != want {
+			t.Fatalf("round %d: soak record %+v, run-log record %+v", i, got, want)
+		}
+		dropped += want.Dropped
+		retries += want.LinkRetries
+		upload += want.UploadBytes
+	}
+	if dropped == 0 || retries == 0 || upload == 0 {
+		t.Fatalf("run exercised %d drops, %d link retries, %v upload bytes; want all non-zero (seed-dependent: adjust the seed)", dropped, retries, upload)
+	}
+}

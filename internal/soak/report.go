@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"fedca/internal/execpool"
 )
 
 // PhaseInfo identifies one executed phase: its position in the rotation,
@@ -38,9 +36,6 @@ type PhaseResult struct {
 	// final parameter checksum: the phase's behavioural identity. A serial
 	// re-run of (Spec, Seed) must reproduce it bit-for-bit.
 	Fingerprint string `json:"fingerprint"`
-	// Cell is the phase's execpool content address (fingerprint of its
-	// recheck cell spec under the soak cache version).
-	Cell string `json:"cell"`
 	// ParamsChecksum is the global model's aggregate checksum after the
 	// phase's last round (fedca.Federation.ParamsChecksum).
 	ParamsChecksum string `json:"params_checksum"`
@@ -76,9 +71,8 @@ type Report struct {
 	TokenCap    int `json:"token_cap"`
 	MaxInflight int `json:"max_inflight_tokens"`
 
-	// RecheckStats reports the determinism-recheck execpool's counters
-	// (cells computed, dedup joins).
-	RecheckStats execpool.Stats `json:"recheck_stats"`
+	// Rechecks counts the serial determinism rechecks the run executed.
+	Rechecks int `json:"rechecks"`
 }
 
 // WriteReport writes the report as indented JSON to path.

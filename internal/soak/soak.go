@@ -13,16 +13,10 @@ import (
 
 	"fedca"
 	"fedca/internal/cputok"
-	"fedca/internal/execpool"
 	"fedca/internal/rng"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 )
-
-// cacheVersion fingerprints the soak harness's phase semantics; it is mixed
-// into every recheck cell's content address, so changing what a phase
-// fingerprint covers orphans old cells instead of matching them wrongly.
-const cacheVersion = "fedca-soak-v1"
 
 // Config configures a soak run. The zero value is not valid; every field
 // left zero takes the documented default in New.
@@ -104,7 +98,7 @@ type Runner struct {
 	schedule []Phase
 	base     Phase
 	monitors []Monitor
-	pool     *execpool.Pool
+	recheck  *determinismMonitor // nil when rechecks are disabled
 	soakTel  *telemetry.SoakMetrics
 
 	mu     sync.Mutex
@@ -164,11 +158,8 @@ func New(cfg Config) (*Runner, error) {
 		cfg:      cfg,
 		schedule: schedule,
 		base:     base,
-		// Workers 1: rechecks are the serial reference path by design, and
-		// the pool's singleflight/memoization still dedups repeats.
-		pool:    execpool.New(execpool.Options{Workers: 1, Version: cacheVersion, Journal: cfg.Journal}),
-		soakTel: telemetry.NewSoakMetrics(cfg.Telemetry.Registry()),
-		status:  Status{TotalRounds: cfg.Rounds},
+		soakTel:  telemetry.NewSoakMetrics(cfg.Telemetry.Registry()),
+		status:   Status{TotalRounds: cfg.Rounds},
 	}
 	r.monitors = append(r.monitors,
 		&tokenMonitor{},
@@ -176,12 +167,12 @@ func New(cfg Config) (*Runner, error) {
 		&heapMonitor{warmup: cfg.HeapWarmup, maxSlope: cfg.MaxHeapSlope, minRise: cfg.MinHeapRise, maxAbs: cfg.MaxHeapBytes},
 	)
 	if cfg.RecheckEvery > 0 {
-		r.monitors = append(r.monitors, &determinismMonitor{
+		r.recheck = &determinismMonitor{
 			every:   cfg.RecheckEvery,
-			pool:    r.pool,
 			liveTel: cfg.Telemetry != nil,
 			tel:     r.soakTel,
-		})
+		}
+		r.monitors = append(r.monitors, r.recheck)
 	}
 	r.monitors = append(r.monitors, cfg.Monitors...)
 	return r, nil
@@ -320,7 +311,9 @@ func (r *Runner) Run() (*Report, error) {
 	rep.Rounds = globalRound
 	rep.TokenCap = budget.Cap()
 	rep.MaxInflight = budget.MaxInflight()
-	rep.RecheckStats = r.pool.Stats()
+	if r.recheck != nil {
+		rep.Rechecks = r.recheck.runs
+	}
 	rep.Pass = len(rep.Violations) == 0
 	return rep, nil
 }
@@ -364,9 +357,7 @@ func (r *Runner) runPhase(info PhaseInfo, p Phase, record func([]Violation)) (Ph
 	})
 	rounds := fed.Run(p.Rounds)
 
-	res := finishPhase(info, p, fed, h, rounds, collected)
-	res.Cell = r.pool.Fingerprint(recheckSpec(info.Spec, info.Seed, r.cfg.Telemetry == nil))
-	return res, nil
+	return finishPhase(info, p, fed, h, rounds, collected), nil
 }
 
 // finishPhase folds the final parameter checksum into the fingerprint and
@@ -408,9 +399,8 @@ func hashRound(h hash.Hash, rd fedca.Round) {
 	h.Write([]byte{'\n'})
 }
 
-// recordFromRound converts a facade round into a run-log record. Fields the
-// facade does not expose (upload bytes, per-round link retries) stay zero;
-// the report carries their phase totals instead.
+// recordFromRound converts a facade round back into the run-log record it
+// was reported from (see fedca's toRound).
 func recordFromRound(rd fedca.Round) runlog.Record {
 	return runlog.Record{
 		Round:          rd.Index,
@@ -418,12 +408,15 @@ func recordFromRound(rd fedca.Round) runlog.Record {
 		End:            rd.End,
 		Accuracy:       rd.Accuracy,
 		Collected:      rd.Collected,
+		Discarded:      rd.Discarded,
 		Dropped:        rd.Dropped,
 		MeanIterations: rd.MeanIterations,
 		MeanEagerSent:  rd.EagerSent,
 		MeanRetrans:    rd.Retransmitted,
+		UploadBytes:    rd.UploadBytes,
 		Skipped:        rd.Skipped,
 		Quarantined:    rd.Quarantined,
+		LinkRetries:    rd.LinkRetries,
 	}
 }
 
@@ -445,7 +438,6 @@ func (p Phase) options(seed uint64, tel *fedca.Telemetry, j *fedca.Journal) fedc
 		TrainSamples:  p.Train,
 		TestSamples:   p.Test,
 		Alpha:         p.Alpha,
-		DropoutProb:   p.Dropout,
 		Chaos:         chaosSpec,
 		MinQuorum:     p.Quorum,
 		MaxDeltaNorm:  p.MaxNorm,
@@ -489,50 +481,27 @@ func RunPhase(spec string, seed uint64, tel *fedca.Telemetry) (PhaseResult, erro
 	return finishPhase(info, p, fed, h, rounds, collected), nil
 }
 
-// recheckSpec is the content-addressed identity of a serial recheck cell.
-func recheckSpec(spec string, seed uint64, withTelemetry bool) execpool.Spec {
-	return execpool.Spec{
-		Kind: "soak-phase",
-		Key:  fmt.Sprintf("%s\x00seed=%d\x00telemetry=%v", spec, seed, withTelemetry),
+// recheckPhase re-runs a completed phase on the serial reference path and
+// returns its fingerprint for comparison: the process-wide CPU-token budget
+// is pinned to one token, which the recheck holds while it runs, so every
+// nested fan-out finds none free and runs inline; telemetry is flipped
+// relative to the live run.
+func recheckPhase(p PhaseResult, withTelemetry bool) (string, error) {
+	budget := cputok.Default()
+	saved := budget.Setting()
+	budget.SetCap(1)
+	defer budget.SetCap(saved)
+	budget.Acquire()
+	defer budget.Release()
+	var tel *fedca.Telemetry
+	if withTelemetry {
+		tel = fedca.NewTelemetry()
 	}
-}
-
-// recheckResult is the memoized value of a recheck cell.
-type recheckResult struct {
-	Fingerprint string
-	Err         string
-}
-
-// recheckPhase re-runs a completed phase on the serial reference path: the
-// process-wide CPU-token budget is pinned to one token, telemetry is
-// flipped relative to the live run, and the resulting fingerprint is
-// returned for comparison. The run executes inside an execpool cell, so
-// identical rechecks dedup/memoize and the cell's fingerprint is the
-// phase's content address.
-func recheckPhase(pool *execpool.Pool, p PhaseResult, withTelemetry bool) (string, error) {
-	res, _ := execpool.Do(pool, recheckSpec(p.Spec, p.Seed, withTelemetry), func() (recheckResult, error) {
-		budget := cputok.Default()
-		saved := budget.Setting()
-		budget.SetCap(1)
-		defer budget.SetCap(saved)
-		var tel *fedca.Telemetry
-		if withTelemetry {
-			tel = fedca.NewTelemetry()
-			// Hand the process-wide cputok gauge back when the recheck is
-			// done: without this, every recheck left the budget writing into
-			// its discarded registry, blinding the live soak sink's gauge.
-			defer tel.Close()
-		}
-		out, err := RunPhase(p.Spec, p.Seed, tel)
-		if err != nil {
-			return recheckResult{Err: err.Error()}, nil
-		}
-		return recheckResult{Fingerprint: out.Fingerprint}, nil
-	})
-	if res.Err != "" {
-		return "", fmt.Errorf("soak: recheck: %s", res.Err)
+	out, err := RunPhase(p.Spec, p.Seed, tel)
+	if err != nil {
+		return "", fmt.Errorf("soak: recheck: %w", err)
 	}
-	return res.Fingerprint, nil
+	return out.Fingerprint, nil
 }
 
 // drainEvents streams journal events newer than the last drain to the

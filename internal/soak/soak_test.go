@@ -54,8 +54,8 @@ func TestSoakRunCleanSchedule(t *testing.T) {
 		t.Fatalf("phase 3 cycle = %d, want 1", got)
 	}
 	for i, p := range rep.Phases {
-		if p.Fingerprint == "" || p.ParamsChecksum == "" || p.Cell == "" {
-			t.Fatalf("phase %d missing fingerprint/checksum/cell: %+v", i, p)
+		if p.Fingerprint == "" || p.ParamsChecksum == "" {
+			t.Fatalf("phase %d missing fingerprint/checksum: %+v", i, p)
 		}
 		if p.Spec == "" || !strings.Contains(p.Spec, "name=") {
 			t.Fatalf("phase %d spec not canonical: %q", i, p.Spec)
@@ -66,7 +66,7 @@ func TestSoakRunCleanSchedule(t *testing.T) {
 	if rep.Phases[0].Seed == rep.Phases[2].Seed {
 		t.Fatal("phase seeds did not fork across cycles")
 	}
-	if rep.RecheckStats.Computed == 0 {
+	if rep.Rechecks == 0 {
 		t.Fatal("determinism monitor never ran a recheck")
 	}
 	if rep.MaxInflight > rep.TokenCap {

@@ -85,7 +85,6 @@ type Phase struct {
 	Train   int // synthetic training samples
 	Test    int // synthetic test samples
 	Alpha   float64
-	Dropout float64
 
 	// Fault injection and degradation policy.
 	Chaos   string // chaos.ParseSpec format; "none" = no injection
@@ -201,8 +200,6 @@ func parsePhase(spec string) (Phase, error) {
 			p.Test, err = parseInt(key, val, 1, maxSamples)
 		case "alpha":
 			p.Alpha, err = parseFiniteFloat(key, val, 0, maxAlpha)
-		case "dropout":
-			p.Dropout, err = parseFiniteFloat(key, val, 0, 1)
 		case "chaos":
 			if _, cerr := chaos.ParseSpec(val); cerr != nil {
 				return p, cerr
@@ -265,9 +262,6 @@ func (p Phase) Resolve(base Phase) Phase {
 	if out.Alpha == 0 {
 		out.Alpha = base.Alpha
 	}
-	if out.Dropout == 0 {
-		out.Dropout = base.Dropout
-	}
 	if out.Chaos == "" {
 		out.Chaos = base.Chaos
 	}
@@ -308,8 +302,6 @@ func (p Phase) validateResolved() error {
 		return fmt.Errorf("soak: phase %s: non-positive iters/batch/train/test", p.Name)
 	case !(p.Alpha > 0) || p.Alpha > maxAlpha:
 		return fmt.Errorf("soak: phase %s: alpha %v outside (0,%v]", p.Name, p.Alpha, float64(maxAlpha))
-	case p.Dropout < 0 || p.Dropout > 1 || math.IsNaN(p.Dropout):
-		return fmt.Errorf("soak: phase %s: dropout %v outside [0,1]", p.Name, p.Dropout)
 	case p.Quorum < 0 || p.MaxNorm < 0:
 		return fmt.Errorf("soak: phase %s: negative quorum/maxnorm", p.Name)
 	}
@@ -346,7 +338,6 @@ func (p Phase) Spec() string {
 		";train=" + strconv.Itoa(p.Train) +
 		";test=" + strconv.Itoa(p.Test) +
 		";alpha=" + formatFloat(p.Alpha) +
-		";dropout=" + formatFloat(p.Dropout) +
 		";chaos=" + chaosSpec +
 		";quorum=" + strconv.Itoa(p.Quorum) +
 		";maxnorm=" + formatFloat(p.MaxNorm) +

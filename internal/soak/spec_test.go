@@ -49,7 +49,7 @@ func TestPhaseSpecCanonicalRoundTrip(t *testing.T) {
 		}
 		// Resolving against an arbitrary different base must not matter: the
 		// canonical form is fully explicit... except fields whose zero value
-		// is meaningful (dropout=0, maxnorm=0) which parse back to "inherit".
+		// is meaningful (maxnorm=0) which parse back to "inherit".
 		// Those are exactly the fields DefaultBase leaves zero, so resolving
 		// against DefaultBase is the documented contract.
 		got := back[0].Resolve(DefaultBase())
@@ -73,8 +73,8 @@ func TestParseScheduleRejects(t *testing.T) {
 		"rounds=NaN",                           // non-numeric int
 		"alpha=Inf",                            // non-finite float
 		"alpha=-1",                             // negative
-		"dropout=1.5",                          // above 1
-		"dropout=nan",                          // NaN duration-like field
+		"chaos=drop=1.5",                       // probability above 1
+		"maxnorm=nan",                          // NaN float field
 		"clients=9999999999999999999",          // overflows int64
 		"name=",                                // empty name
 		"name=has spaces",                      // invalid name chars

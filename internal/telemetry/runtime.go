@@ -1,17 +1,21 @@
 package telemetry
 
-// The runtime-health bridge feeds the Go runtime's own health signals —
-// goroutine count, heap occupancy, GC activity — into a run's metrics
-// registry as fedca_runtime_* gauges, so the one /metrics surface answers
-// both "what is the simulation doing" and "is the process itself healthy".
-// Unlike the simulation metrics, runtime gauges are refreshed lazily on
-// scrape (the mux calls Refresh before exposition), so an idle registry costs
-// nothing and a scraped one pays one runtime/metrics read per request.
+// The runtime-health bridge feeds process-wide state — the Go runtime's
+// goroutine count, heap occupancy and GC activity, and the CPU-token budget's
+// tokens in flight — into a run's metrics registry as fedca_runtime_* and
+// fedca_cputok_inflight gauges, so the one /metrics surface answers both
+// "what is the simulation doing" and "is the process itself healthy". Unlike
+// the simulation metrics, these gauges are refreshed lazily on scrape (the
+// mux calls Refresh before exposition), so an idle registry costs nothing,
+// a scraped one pays one runtime/metrics read per request, and any number of
+// sinks read the same process state.
 
 import (
 	"math"
 	"runtime"
 	rtm "runtime/metrics"
+
+	"fedca/internal/cputok"
 )
 
 // runtimeSamples names the runtime/metrics values the bridge exposes. Each
@@ -30,13 +34,15 @@ var runtimeSamples = []struct {
 // RuntimeHealth mirrors runtime/metrics into a registry. Build with
 // NewRuntimeHealth; a nil *RuntimeHealth is the disabled state.
 type RuntimeHealth struct {
-	samples []rtm.Sample
-	gauges  []*Gauge
-	cpus    *Gauge
+	samples  []rtm.Sample
+	gauges   []*Gauge
+	inflight *Gauge
+	cpus     *Gauge
 }
 
-// NewRuntimeHealth registers the fedca_runtime_* gauge set in reg (nil reg
-// disables) and returns the refresher the mux drives on scrape.
+// NewRuntimeHealth registers the fedca_cputok_inflight and fedca_runtime_*
+// gauges in reg (nil reg disables) and returns the refresher the mux drives
+// on scrape.
 func NewRuntimeHealth(reg *Registry) *RuntimeHealth {
 	if reg == nil {
 		return nil
@@ -47,7 +53,8 @@ func NewRuntimeHealth(reg *Registry) *RuntimeHealth {
 		known[d.Name] = true
 	}
 	h := &RuntimeHealth{
-		cpus: reg.Gauge("fedca_runtime_gomaxprocs", "GOMAXPROCS at the last scrape."),
+		inflight: reg.Gauge("fedca_cputok_inflight", "CPU tokens currently held process-wide (admitted cells plus borrowed nested workers)."),
+		cpus:     reg.Gauge("fedca_runtime_gomaxprocs", "GOMAXPROCS at the last scrape."),
 	}
 	for _, s := range runtimeSamples {
 		if !known[s.metric] {
@@ -60,12 +67,13 @@ func NewRuntimeHealth(reg *Registry) *RuntimeHealth {
 	return h
 }
 
-// Refresh re-reads the runtime metrics into their gauges. Safe from any
-// goroutine; nil-safe.
+// Refresh re-reads the runtime metrics and the tokens in flight into their
+// gauges. Safe from any goroutine; nil-safe.
 func (h *RuntimeHealth) Refresh() {
 	if h == nil {
 		return
 	}
+	h.inflight.Set(float64(cputok.Default().Inflight()))
 	h.cpus.Set(float64(runtime.GOMAXPROCS(0)))
 	rtm.Read(h.samples)
 	for i := range h.samples {

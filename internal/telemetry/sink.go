@@ -1,7 +1,5 @@
 package telemetry
 
-import "fedca/internal/cputok"
-
 // Sink bundles one run's metrics registry and span tracer and pre-registers
 // the simulator's metric set. A nil *Sink is the disabled state: every entry
 // point the round loop touches is nil-safe and allocation-free, so
@@ -44,14 +42,9 @@ type Sink struct {
 
 	up, down LinkObserver
 
-	// Runtime-health bridge (fedca_runtime_* gauges, refreshed on scrape).
+	// Runtime-health bridge (fedca_runtime_* and fedca_cputok_inflight
+	// gauges, refreshed on scrape).
 	health *RuntimeHealth
-
-	// The budget gauge this sink attached to cputok.Default(), and the gauge
-	// that was attached before it — Close restores the predecessor.
-	cputokGauge cputok.Gauge
-	cputokPrev  cputok.Gauge
-	closed      bool
 }
 
 // New builds an enabled sink with the simulator's metric set registered.
@@ -89,14 +82,6 @@ func New() *Sink {
 		TransferSeconds: reg.Histogram("fedca_transfer_seconds", "Virtual airtime of one link transfer (queueing excluded).", ExpBuckets(0.001, 2, 20)),
 		ClientIters:     reg.Histogram("fedca_client_round_iterations", "Local iterations completed per client-round.", ExpBuckets(1, 2, 10)),
 	}
-	// Mirror the process-wide CPU-token budget into this run's registry. The
-	// budget is a singleton, so the most recently constructed sink observes
-	// it — but only until that sink is Closed, which restores whatever gauge
-	// was attached before. Short-lived sinks (a soak determinism recheck, a
-	// per-phase federation) therefore hand the budget back instead of leaving
-	// it writing into a discarded registry.
-	s.cputokGauge = reg.Gauge("fedca_cputok_inflight", "CPU tokens currently held process-wide (admitted cells plus borrowed nested workers).")
-	s.cputokPrev = cputok.Default().SwapGauge(s.cputokGauge)
 	s.health = NewRuntimeHealth(reg)
 	s.up = LinkObserver{bytes: s.UplinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
 	s.down = LinkObserver{bytes: s.DownlinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
@@ -104,17 +89,10 @@ func New() *Sink {
 	return s
 }
 
-// Close detaches the sink from process-wide state: the cputok budget gauge is
-// released back to whichever gauge was attached when this sink was built (a
-// no-op if a later sink has already taken over). The sink's own registry and
-// tracer remain readable. Safe on nil and idempotent.
-func (s *Sink) Close() {
-	if s == nil || s.closed {
-		return
-	}
-	s.closed = true
-	cputok.Default().ReleaseGauge(s.cputokGauge, s.cputokPrev)
-}
+// Close does nothing: a sink holds no process-wide state (the gauges that
+// mirror it are read at scrape), so any number of sinks may be live and none
+// needs closing. It is kept for callers that still close their sinks.
+func (s *Sink) Close() {}
 
 // Health returns the sink's runtime-health bridge (nil when disabled).
 func (s *Sink) Health() *RuntimeHealth {

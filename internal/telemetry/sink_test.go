@@ -6,67 +6,85 @@ import (
 	"fedca/internal/cputok"
 )
 
-// TestSinkCloseRestoresCputokGauge is the regression test for the stale
-// cputok gauge: New repoints the process-wide budget's inflight gauge, and
-// Close must hand it back to the predecessor so a short-lived sink (a soak
-// determinism recheck, a per-phase federation) doesn't leave the budget
-// writing into a discarded registry while the long-lived sink reads zeros.
-func TestSinkCloseRestoresCputokGauge(t *testing.T) {
-	b := cputok.Default()
-	orig := b.SwapGauge(nil)
-	defer b.SwapGauge(orig)
+// scrapeInflight refreshes s's runtime-health bridge, as the mux does on
+// every /metrics request, and returns the fedca_cputok_inflight it reads.
+func scrapeInflight(s *Sink) float64 {
+	s.Health().Refresh()
+	return s.Health().inflight.Value()
+}
 
-	phase1 := New()
-	defer phase1.Close()
-	g1 := phase1.cputokGauge.(*Gauge)
-
-	// A later phase's sink takes the budget over; traffic lands only there.
-	phase2 := New()
-	g2 := phase2.cputokGauge.(*Gauge)
-	if b.Borrow(1) != 1 {
+// borrowOne takes one token from the process-wide budget for a test's
+// traffic; the caller returns it.
+func borrowOne(t *testing.T) {
+	t.Helper()
+	if cputok.Default().Borrow(1) != 1 {
 		t.Fatal("default budget exhausted; cannot drive gauge traffic")
 	}
-	if g2.Value() != 1 || g1.Value() != 0 {
-		t.Fatalf("live gauge = %v, displaced gauge = %v; want 1, 0", g2.Value(), g1.Value())
-	}
-	// Close hands the budget back, re-synced to the current in-flight count.
-	phase2.Close()
-	if g1.Value() != 1 {
-		t.Fatalf("after phase2.Close the restored gauge reads %v, want 1", g1.Value())
+}
+
+// TestSinksScrapeCputokInflight: fedca_cputok_inflight is read from the
+// process-wide budget at scrape, so every live sink reports the current
+// in-flight count.
+func TestSinksScrapeCputokInflight(t *testing.T) {
+	b := cputok.Default()
+	s1, s2 := New(), New()
+	base := b.Inflight()
+	borrowOne(t)
+	if g1, g2 := scrapeInflight(s1), scrapeInflight(s2); g1 != float64(base+1) || g2 != float64(base+1) {
+		t.Fatalf("scraped gauges = %v, %v; want both %d", g1, g2, base+1)
 	}
 	b.Return(1)
-	if g1.Value() != 0 || g2.Value() != 1 {
-		t.Fatalf("post-drain gauges = %v, %v; the closed sink must stop updating", g1.Value(), g2.Value())
+	if g1, g2 := scrapeInflight(s1), scrapeInflight(s2); g1 != float64(base) || g2 != float64(base) {
+		t.Fatalf("after Return the gauges read %v, %v; want both %d", g1, g2, base)
 	}
-	// Close is idempotent: a second call must not re-release.
-	phase2.Close()
-	if b.Borrow(1) != 1 {
-		t.Fatal("default budget exhausted")
+}
+
+// TestSinkCloseRestoresCputokGauge is the regression test for the stale
+// cputok gauge: a short-lived sink (a soak determinism recheck, a per-phase
+// federation) built and closed while a long-lived sink is live must neither
+// blind the long-lived sink nor be left stale itself. Close is a no-op, so
+// there is nothing to restore: both keep reading the live count.
+func TestSinkCloseRestoresCputokGauge(t *testing.T) {
+	b := cputok.Default()
+	long := New()
+	base := b.Inflight()
+
+	phase := New()
+	borrowOne(t)
+	if gl, gp := scrapeInflight(long), scrapeInflight(phase); gl != float64(base+1) || gp != float64(base+1) {
+		t.Fatalf("live gauges = %v, %v; want both %d", gl, gp, base+1)
 	}
-	if g1.Value() != 1 {
-		t.Fatalf("after idempotent re-close the live gauge reads %v, want 1", g1.Value())
+	phase.Close()
+	if g := scrapeInflight(long); g != float64(base+1) {
+		t.Fatalf("after the phase sink's Close the long-lived gauge reads %v, want %d", g, base+1)
+	}
+	b.Return(1)
+	if gl, gp := scrapeInflight(long), scrapeInflight(phase); gl != float64(base) || gp != float64(base) {
+		t.Fatalf("post-drain gauges = %v, %v; want both %d", gl, gp, base)
+	}
+	// A second Close changes nothing either.
+	phase.Close()
+	borrowOne(t)
+	if g := scrapeInflight(long); g != float64(base+1) {
+		t.Fatalf("after a repeated Close the long-lived gauge reads %v, want %d", g, base+1)
 	}
 	b.Return(1)
 }
 
-// TestSinkCloseOutOfOrder: closing an older sink while a newer one is
-// attached must be a no-op — the latest sink keeps observing the budget.
+// TestSinkCloseOutOfOrder: closing an older sink while a newer one is live,
+// then the newer one, leaves every sink reading the live count.
 func TestSinkCloseOutOfOrder(t *testing.T) {
 	b := cputok.Default()
-	orig := b.SwapGauge(nil)
-	defer b.SwapGauge(orig)
-
-	s1 := New()
-	s2 := New()
-	g1 := s1.cputokGauge.(*Gauge)
-	g2 := s2.cputokGauge.(*Gauge)
+	s1, s2 := New(), New()
+	base := b.Inflight()
 	s1.Close()
-	if b.Borrow(1) != 1 {
-		t.Fatal("default budget exhausted")
+	borrowOne(t)
+	if g1, g2 := scrapeInflight(s1), scrapeInflight(s2); g1 != float64(base+1) || g2 != float64(base+1) {
+		t.Fatalf("gauges after out-of-order close = %v, %v; want both %d", g1, g2, base+1)
 	}
-	if g2.Value() != 1 || g1.Value() != 0 {
-		t.Fatalf("gauges after out-of-order close = %v, %v; latest sink must win", g2.Value(), g1.Value())
-	}
-	b.Return(1)
 	s2.Close()
+	b.Return(1)
+	if g1, g2 := scrapeInflight(s1), scrapeInflight(s2); g1 != float64(base) || g2 != float64(base) {
+		t.Fatalf("gauges after both closes = %v, %v; want both %d", g1, g2, base)
+	}
 }
