@@ -33,23 +33,6 @@ func (d *Dataset) N() int { return len(d.Y) }
 // Dim returns the per-sample feature count.
 func (d *Dataset) Dim() int { return d.X.Dim(1) }
 
-// Subset returns a view dataset holding copies of the selected rows.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	dim := d.Dim()
-	x := tensor.New(max(len(idx), 1), dim)
-	if len(idx) == 0 {
-		// Degenerate but legal: a client with no data.
-		return &Dataset{X: tensor.New(1, dim), Y: nil}
-	}
-	y := make([]int, len(idx))
-	xd, sd := x.Data(), d.X.Data()
-	for i, j := range idx {
-		copy(xd[i*dim:(i+1)*dim], sd[j*dim:(j+1)*dim])
-		y[i] = d.Y[j]
-	}
-	return &Dataset{X: x, Y: y}
-}
-
 // ImageSpec configures SyntheticImages.
 type ImageSpec struct {
 	Classes, Channels, Height, Width int
@@ -431,13 +414,6 @@ func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
 
 // IterationsPerEpoch returns how many batches one pass over the data yields.
 func (l *Loader) IterationsPerEpoch() int { return l.n() / l.batchSize }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // String summarises the dataset for logs.
 func (d *Dataset) String() string {

@@ -194,22 +194,6 @@ func TestClassHistogram(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 10}, rng.New(6))
-	sub := ds.Subset([]int{3, 7})
-	if sub.N() != 2 {
-		t.Fatalf("subset n = %d", sub.N())
-	}
-	for j := 0; j < 16; j++ {
-		if sub.X.At(0, j) != ds.X.At(3, j) {
-			t.Fatal("subset row 0 mismatch")
-		}
-	}
-	if sub.Y[1] != ds.Y[7] {
-		t.Fatal("subset label mismatch")
-	}
-}
-
 func TestLoaderBatches(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 10}, rng.New(7))
 	l := NewLoader(ds, 4, rng.New(8))

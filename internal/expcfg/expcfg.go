@@ -171,7 +171,9 @@ type Testbed struct {
 
 // Build assembles numClients clients with Dirichlet-partitioned local data,
 // per-client speed models from tcfg, and 13.7 Mbps shaped links. Everything
-// derives from seed.
+// derives from seed. A client's shard is a list of rows of the one training
+// set, read through a view loader, as a VirtualFleet's are: the rows are
+// never copied.
 func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed {
 	master := rng.New(seed)
 	train, tb := w.synthesize(master)
@@ -180,15 +182,13 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 
 	tb.Clients = make([]*fl.Client, numClients)
 	for i := range tb.Clients {
-		shard := train.Subset(parts[i])
 		tb.Clients[i] = &fl.Client{
 			ID:     i,
-			Data:   shard,
-			Loader: data.NewLoader(shard, w.FL.BatchSize, master.Fork("loader", i)),
+			Loader: data.NewViewLoader(train, parts[i], w.FL.BatchSize, master.Fork("loader", i)),
 			Speed:  speeds[i],
 			Up:     simnet.NewLink(simnet.DefaultClientBandwidth, 0),
 			Down:   simnet.NewLink(simnet.DefaultClientBandwidth, 0),
-			Weight: float64(shard.N()),
+			Weight: float64(len(parts[i])),
 		}
 	}
 	tb.Seed = seed

@@ -1,8 +1,11 @@
 package expcfg
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
+	"fedca/internal/fl"
 	"fedca/internal/rng"
 	"fedca/internal/trace"
 )
@@ -75,6 +78,18 @@ func buildTiny(t *testing.T, seed uint64) *Testbed {
 	return Build(w, 4, trace.PaperConfig(), seed)
 }
 
+// shard returns the training-set rows a client's loader reads: the view it
+// was built over. It reads the unexported field rather than widen data's
+// surface for a test.
+func shard(c *fl.Client) []int {
+	v := reflect.ValueOf(c.Loader).Elem().FieldByName("view")
+	rows := make([]int, v.Len())
+	for i := range rows {
+		rows[i] = int(v.Index(i).Int())
+	}
+	return rows
+}
+
 func TestBuildTestbed(t *testing.T) {
 	tb := buildTiny(t, 1)
 	if len(tb.Clients) != 4 {
@@ -85,16 +100,17 @@ func TestBuildTestbed(t *testing.T) {
 		if c.ID != i {
 			t.Fatalf("client %d has ID %d", i, c.ID)
 		}
-		if c.Data.N() < tb.Workload.FL.BatchSize {
-			t.Fatalf("client %d has %d samples < batch", i, c.Data.N())
-		}
-		if c.Weight != float64(c.Data.N()) {
-			t.Fatal("weight must equal sample count")
-		}
 		if c.Speed == nil || c.Up == nil || c.Down == nil || c.Loader == nil {
 			t.Fatal("client missing equipment")
 		}
-		total += c.Data.N()
+		n := len(shard(c))
+		if n < tb.Workload.FL.BatchSize {
+			t.Fatalf("client %d has %d samples < batch", i, n)
+		}
+		if c.Weight != float64(n) {
+			t.Fatal("weight must equal sample count")
+		}
+		total += n
 	}
 	if total != tb.Workload.TrainN {
 		t.Fatalf("partition covers %d of %d samples", total, tb.Workload.TrainN)
@@ -114,12 +130,41 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 	for i := range a.Clients {
-		if a.Clients[i].Data.N() != b.Clients[i].Data.N() {
+		if !reflect.DeepEqual(shard(a.Clients[i]), shard(b.Clients[i])) {
 			t.Fatal("partitions differ across identical builds")
 		}
 		if a.Clients[i].Speed.Static != b.Clients[i].Speed.Static {
 			t.Fatal("speeds differ across identical builds")
 		}
+	}
+}
+
+// TestStaticTestbedHoldsTrainingSetOnce: static clients read their rows from
+// the one training set, so building a testbed allocates the training and test
+// sets once each and keeps exactly those alive — per-client copies of the
+// rows would double the training set, in the build and, were the set kept
+// too, in the live heap.
+func TestStaticTestbedHoldsTrainingSetOnce(t *testing.T) {
+	w := CNN()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tb := Build(w, 10, trace.PaperConfig(), 5)
+	runtime.GC()
+	runtime.GC() // as in TestVirtualFleetHeapIndependentOfFleetSize
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tb)
+	setBytes := func(n int) int64 { return int64(n) * int64(8*tb.Test.Dim()+8) } // rows and labels
+	train, sets := setBytes(w.TrainN), setBytes(w.TrainN)+setBytes(w.TestN)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc) - sets
+	built := int64(after.TotalAlloc-before.TotalAlloc) - sets
+	t.Logf("training set %d B, test set %d B; beyond them: %d B live, %d B allocated by Build", train, sets-train, live, built)
+	if live > train/2 {
+		t.Fatalf("a built testbed holds %d B beyond its training and test sets: the training rows are held twice", live)
+	}
+	if built > train/2 {
+		t.Fatalf("Build allocated %d B beyond the training and test sets: the training rows were copied", built)
 	}
 }
 

@@ -79,7 +79,6 @@ func (f *VirtualFleet) Materialize(id int) (*fl.Client, error) {
 	f.seq++
 	c := &s.client
 	c.ID = id
-	c.Data = nil // the round path only touches the loader's view
 	c.Loader = data.NewViewLoader(f.train, view, f.batch, f.master.Fork("loader", id, f.seq))
 	c.Speed = trace.NewClientSpeed(id, f.tcfg, f.master.Fork("speeds"))
 	c.Weight = float64(len(view))

@@ -65,6 +65,9 @@ func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool) *tr
 type trainWorker interface {
 	run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update
 	numParams() int
+	// lendArena binds net to the worker's arena, for a network that runs
+	// only while the worker is idle.
+	lendArena(net *nn.Network)
 }
 
 func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update {
@@ -72,6 +75,8 @@ func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, pla
 }
 
 func (w *trainWorkerOf[F]) numParams() int { return w.net.NumParams() }
+
+func (w *trainWorkerOf[F]) lendArena(net *nn.Network) { net.SetArena(w.arena) }
 
 // alloc draws a tensor from the worker's arena for a producer that writes
 // every element — the loader filling a batch, the loss writing dlogits — so

@@ -205,7 +205,7 @@ func TestEvaluateLogitsMatchHeapUnderPoison(t *testing.T) {
 // same state.
 func roundClient(ds *data.Dataset, batch int) *Client {
 	return &Client{
-		ID: 1, Data: ds, Loader: data.NewLoader(ds, batch, rng.New(8)),
+		ID: 1, Loader: data.NewLoader(ds, batch, rng.New(8)),
 		Speed:  trace.NewClientSpeed(1, trace.PaperConfig(), rng.New(9)),
 		Up:     simnet.NewLink(simnet.DefaultClientBandwidth, 0),
 		Down:   simnet.NewLink(simnet.DefaultClientBandwidth, 0),
@@ -218,20 +218,27 @@ func roundClient(ds *data.Dataset, batch int) *Client {
 // under the poison hook, and demands the update the same rounds produce with
 // the hook off, bit for bit, round after round (later rounds run in recycled
 // slabs). Whatever reads memory before writing it reads NaN under the hook,
-// and the NaN reaches the delta.
-func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, comp compress.Compressor) {
+// and the NaN reaches the delta. With evaluate set, a float64 global model
+// bound to the worker's arena, as the runner binds it, is evaluated between
+// rounds — train, evaluate, train — and its accuracy must match too.
+func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, comp compress.Compressor, evaluate bool) {
 	// The benchmark's smoke-test size: K = 2, batch 4.
 	cfg := Config{LocalIters: 2, BatchSize: 4, LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, BaseIterTime: 0.1, AggregateFraction: 1, Compressor: comp}
 	ds := benchData(name, 32)
 	plan := RoundPlan{Deadline: math.Inf(1)}
-	rounds := func() []Update {
+	rounds := func() ([]Update, []float64) {
 		w := newTrainWorkerOf(benchModel[F](name), &deltaPool{})
 		if err := cfg.Validate(w.numParams()); err != nil {
 			t.Fatal(err)
 		}
 		c := roundClient(ds, cfg.BatchSize)
-		global := benchModel[float64](name).FlatParams()
+		globalNet := benchModel[float64](name)
+		if evaluate {
+			w.lendArena(globalNet)
+		}
+		global := globalNet.FlatParams()
 		var out []Update
+		var accs []float64
 		for round := 0; round < 3; round++ {
 			u := w.run(c, global, &cfg, plan, NopController{}, round, float64(round)*100, false)
 			out = append(out, u)
@@ -239,12 +246,19 @@ func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, 
 			for i := range global {
 				global[i] += u.Delta[i]
 			}
+			if evaluate {
+				globalNet.SetFlatParams(global)
+				accs = append(accs, Evaluate(globalNet, ds, 12))
+			}
 		}
-		return out
+		return out, accs
 	}
-	clean := rounds()
+	clean, cleanAccs := rounds()
 	poisonArenas(t)
-	poisoned := rounds()
+	poisoned, poisonedAccs := rounds()
+	if !reflect.DeepEqual(cleanAccs, poisonedAccs) {
+		t.Fatalf("accuracies between rounds: %v under poison, %v without", poisonedAccs, cleanAccs)
+	}
 	for round, want := range clean {
 		got := poisoned[round]
 		if got.Iterations != want.Iterations || got.TrainLoss != want.TrainLoss || got.UploadBytes != want.UploadBytes || got.CompletionTime != want.CompletionTime {
@@ -284,8 +298,9 @@ func TestClientRoundMatchesHeapUnderPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("cnn-fedca", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "cnn", nil) })
-	t.Run("wrn-fedca-qsgd", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7) })
-	t.Run("lstm-fedavg-chaos", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "lstm", nil) })
-	t.Run("fleet-cnn-f32", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float32](t, "cnn", nil) })
+	t.Run("cnn-fedca", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "cnn", nil, false) })
+	t.Run("wrn-fedca-qsgd", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7, false) })
+	t.Run("lstm-fedavg-chaos", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "lstm", nil, false) })
+	t.Run("fleet-cnn-f32", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float32](t, "cnn", nil, false) })
+	t.Run("wrn-train-evaluate-train", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7, true) })
 }

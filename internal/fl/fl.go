@@ -210,12 +210,11 @@ func (c *Config) Validate(numParams int) error {
 // validates reports whether the runner judges updates before aggregation.
 func (c *Config) validates() bool { return c.Chaos != nil || c.MaxDeltaNorm > 0 }
 
-// Client is one simulated FL participant: its shard of data, its compute
-// speed trace and its shaped links. Model state is NOT stored here — clients
-// adopt the global parameters at every round start.
+// Client is one simulated FL participant: the loader over its shard of data,
+// its compute speed trace and its shaped links. Model state is NOT stored
+// here — clients adopt the global parameters at every round start.
 type Client struct {
 	ID     int
-	Data   *data.Dataset
 	Loader *data.Loader
 	Speed  *trace.SpeedModel
 	Up     *simnet.Link

@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -270,22 +271,6 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 	}
 	if last < first+0.2 {
 		t.Fatalf("accuracy did not improve: %v -> %v", first, last)
-	}
-}
-
-func TestRunUntilStopsAtTarget(t *testing.T) {
-	w := tinyWorkload().Shrink(12, 512, 256, 16)
-	tb := expcfg.Build(w, 4, trace.Config{}, 9)
-	r, err := tb.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := r.RunUntil(0.5, 40)
-	if len(results) == 40 && results[len(results)-1].Accuracy < 0.5 {
-		t.Skip("target not reached in 40 rounds; acceptable for tiny config")
-	}
-	if final := results[len(results)-1].Accuracy; final < 0.5 {
-		t.Fatalf("stopped early below target: %v", final)
 	}
 }
 
@@ -593,13 +578,17 @@ func (c *recordCtrl) AfterIteration(st fl.IterState) fl.IterAction {
 	return fl.IterAction{}
 }
 
+// TestUpdateWeightIsSampleCount: an update weighs as many as the rows its
+// client trains on — the length of the view its loader reads, taken from the
+// unexported field rather than widen data's surface for a test.
 func TestUpdateWeightIsSampleCount(t *testing.T) {
 	tb := tinyTestbed(t, 3, trace.Config{}, 20)
 	r, _ := tb.NewRunner(baseline.FedAvg{})
 	res := r.RunRound()
 	for _, u := range res.Collected {
-		if u.Weight != float64(tb.Clients[u.ClientID].Data.N()) {
-			t.Fatalf("weight %v != sample count %d", u.Weight, tb.Clients[u.ClientID].Data.N())
+		n := reflect.ValueOf(tb.Clients[u.ClientID].Loader).Elem().FieldByName("view").Len()
+		if u.Weight != float64(n) {
+			t.Fatalf("weight %v != sample count %d", u.Weight, n)
 		}
 	}
 }

@@ -120,9 +120,6 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	if err := cfg.Validate(global.NumParams()); err != nil {
 		return nil, err
 	}
-	// The global model only ever runs inference (Evaluate, after every
-	// round), and does it out of a scratch arena of its own.
-	global.SetArena(tensor.NewArena())
 	k := expectedCohort(cfg, fleet.Size())
 	sel, ok := scheme.(Selector)
 	if !ok && k < fleet.Size() {
@@ -145,6 +142,10 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 			return nil, fmt.Errorf("fl: worker factory built %d params, global model has %d", np, global.NumParams())
 		}
 	}
+	// The global model only ever runs inference (Evaluate, in the record
+	// stage), after the train stage has joined every worker: it borrows worker
+	// 0's arena instead of holding one of its own.
+	workers[0].lendArena(global)
 	return &Runner{
 		Cfg:     cfg,
 		Fleet:   fleet,
@@ -175,10 +176,6 @@ func expectedCohort(cfg Config, fleetSize int) int {
 	}
 	return fleetSize
 }
-
-// Global returns the server's model (parameters current as of the last
-// aggregation).
-func (r *Runner) Global() *nn.Network { return r.global }
 
 // GlobalFlat returns a copy of the current global parameter vector.
 func (r *Runner) GlobalFlat() []float64 {
@@ -608,20 +605,6 @@ func deltaValid(delta []float64, maxNorm float64) bool {
 	return maxNorm <= 0 || sumsq <= maxNorm*maxNorm
 }
 
-// RunUntil runs rounds until the accuracy target is reached (maxRounds as a
-// stop-loss) and returns every round result. A target of 0 runs all rounds.
-func (r *Runner) RunUntil(target float64, maxRounds int) []RoundResult {
-	var out []RoundResult
-	for i := 0; i < maxRounds; i++ {
-		res := r.RunRound()
-		out = append(out, res)
-		if target > 0 && res.Accuracy >= target {
-			break
-		}
-	}
-	return out
-}
-
 // minReduceShard is the smallest per-goroutine parameter count worth a
 // goroutine in the weighted reduce; smaller models reduce serially.
 const minReduceShard = 2048
@@ -791,12 +774,13 @@ func (f *onlineFold) complete(i int) {
 // Evaluate computes the model's accuracy on ds, in batches of batch samples
 // (0 = single pass over everything).
 //
-// A network with an arena bound — the runner's global model — is evaluated as
-// an inference pass: the arena is reset before every batch, so whatever the
-// caller held from it is invalid afterwards, and each batch holds only the
-// few activations live at once (nn.NetworkOf.Forward). After a first call has
-// sized the arena, a call allocates nothing. Without an arena every layer's
-// output comes from the heap, as it always has; the accuracy is the same.
+// A network with an arena bound — the runner's global model, on worker 0's
+// arena — is evaluated as an inference pass: the arena is reset before every
+// batch, so whatever the caller held from it is invalid afterwards, and each
+// batch holds only the few activations live at once (nn.NetworkOf.Forward).
+// After a first call has sized the arena, a call allocates nothing. Without
+// an arena every layer's output comes from the heap, as it always has; the
+// accuracy is the same.
 //
 // Batches run one after another, each exactly batch samples but the last:
 // batch norm normalizes with the statistics of the batch it is given, so the

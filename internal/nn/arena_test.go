@@ -148,6 +148,11 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 // output of the arena network on one path must equal the other path's.
 func testArenaMatchesHeap[F tensor.Float](t *testing.T) {
 	poisonArenas(t)
+	t.Run("train-evaluate-train", func(t *testing.T) {
+		for name, build := range everyLayerNets[F]() {
+			forEachKernelPath(t, func(path string) { trainEvalTrain(t, name+" "+path, build) })
+		}
+	})
 	nets := everyLayerNets[F]()
 	lstmShapeNets(nets)
 	for name, build := range nets {
@@ -242,13 +247,66 @@ func arenaVsHeap[F tensor.Float](t *testing.T, path string, build func() (*Netwo
 	return outputs
 }
 
+// trainEvalTrain is the runner's arena sharing in small: a training network
+// and a second one that only runs inference take turns on one arena — train,
+// evaluate, train, evaluate, train, the evaluation at a larger batch — and
+// every output and parameter gradient equals that of a heap twin. Backward
+// runs through Network.Backward, the chain that hands gradients back early.
+func trainEvalTrain[F tensor.Float](t *testing.T, what string, build func() (*NetworkOf[F], int)) {
+	heapTrain, dim := build()
+	heapEval, _ := build()
+	train, _ := build()
+	eval, _ := build()
+	arena := tensor.NewArena()
+	train.SetArena(arena)
+	eval.SetArena(arena)
+	r := rng.New(13)
+	for step := 0; step < 5; step++ {
+		batch := 5
+		if step%2 == 1 {
+			batch = 7
+		}
+		x := tensor.NewOf[F](batch, dim)
+		for i := range x.Data() {
+			x.Data()[i] = F(r.Normal(0, 1))
+		}
+		arena.Reset()
+		if step%2 == 1 {
+			if i := sameBits(heapEval.Forward(x, false).Data(), eval.Forward(x, false).Data()); i >= 0 {
+				t.Fatalf("%s step %d: evaluation diverges at %d", what, step, i)
+			}
+			continue
+		}
+		heapTrain.ZeroGrad()
+		train.ZeroGrad()
+		heapTrain.ReseedNoise(uint64(step))
+		train.ReseedNoise(uint64(step))
+		lh, la := heapTrain.Forward(x, true), train.Forward(x, true)
+		if i := sameBits(lh.Data(), la.Data()); i >= 0 {
+			t.Fatalf("%s step %d: training forward diverges at %d", what, step, i)
+		}
+		labels := randLabels(r, batch, 3)
+		_, dh := softmaxCrossEntropy(lh, labels)
+		_, da := softmaxCrossEntropy(la, labels)
+		heapTrain.Backward(dh)
+		train.Backward(da)
+		hp, ap := heapTrain.Params(), train.Params()
+		for p := range hp {
+			if i := sameBits(hp[p].Grad.Data(), ap[p].Grad.Data()); i >= 0 {
+				t.Fatalf("%s step %d: grad %s[%d] diverges: %v vs %v", what, step, hp[p].Name, i, hp[p].Grad.Data()[i], ap[p].Grad.Data()[i])
+			}
+		}
+	}
+}
+
 // TestArenaMatchesHeapExactly: binding an arena changes where scratch lives,
 // and the kernel path how fast it is filled, never what it holds — inference
 // outputs, training outputs, input gradients and parameter gradients are
 // bit-identical between the heap-allocated and the arena-bound network, and
 // between the portable and the vector kernels, for every layer type at both
 // dtypes; the LSTM also at one and two layers, hidden sizes with and without a
-// vector tail, batch 1 and 32.
+// vector tail, batch 1 and 32; and with a training and an inference network
+// taking turns on one arena.
 func TestArenaMatchesHeapExactly(t *testing.T) {
 	t.Run("f64", testArenaMatchesHeap[float64])
 	t.Run("f32", testArenaMatchesHeap[float32])

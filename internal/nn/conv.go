@@ -252,6 +252,8 @@ func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Te
 	// chain of additions, sample 0 first.
 	c.W.Grad.AddRows(dWs)
 	c.B.Grad.AddRows(dBs)
+	releaseT(c.arena, dWs)
+	releaseT(c.arena, dBs)
 	c.x = nil
 	return dx
 }

@@ -23,7 +23,8 @@
 // at Forward and check it in Backward, so using a cache across a Reset panics
 // instead of silently reading recycled memory. A Forward with train false is
 // an inference pass: it caches nothing, and with an arena bound it hands each
-// intermediate back as soon as the next layer has consumed it.
+// intermediate back as soon as the next layer has consumed it. Backward does
+// the same with every gradient between two layers.
 package nn
 
 import (
@@ -114,8 +115,9 @@ func uninitBools(a *tensor.Arena, n int) []bool {
 	return make([]bool, n)
 }
 
-// releaseT hands an inference-pass intermediate back to the arena for the
-// next allocation of its size; without an arena the collector has it.
+// releaseT hands an intermediate — an inference-pass activation or a
+// consumed gradient — back to the arena for the next allocation of its size;
+// without an arena the collector has it.
 func releaseT[F tensor.Float](a *tensor.Arena, t *tensor.TensorOf[F]) {
 	if a != nil {
 		tensor.ReleaseOf(a, t)
@@ -141,6 +143,23 @@ func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tenso
 		x = y
 	}
 	return x
+}
+
+// backwardChain runs layers in reverse over dout under forwardChain's rule:
+// each gradient the chain's own layers created goes back to the arena once
+// the layer consuming it has returned, and dout, the caller's, never does. A
+// layer's input gradient must therefore either be its output gradient tensor
+// (mask-less Dropout) or share no storage with it.
+func backwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	d := dout
+	for i := len(layers) - 1; i >= 0; i-- {
+		dx := layers[i].Backward(d)
+		if dx != d && d != dout {
+			releaseT(a, d)
+		}
+		d = dx
+	}
+	return d
 }
 
 // stampGen records the current arena generation (0 without an arena).
@@ -225,19 +244,23 @@ type paramsOnlyLayer[F tensor.Float] interface {
 // parameter gradient. Nothing trains the network's input, so the first layer
 // is asked for its parameter gradients only when it can tell the two apart,
 // and the result is then nil; otherwise it is the first layer's dL/d(input).
-// Per-layer Backward keeps the full contract for callers that want it.
+// Per-layer Backward keeps the full contract for callers that want it. With
+// an arena bound, each gradient between two layers goes back to it once
+// consumed (see backwardChain); dout stays the caller's.
 func (n *NetworkOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		dout = n.Layers[i].Backward(dout)
-	}
 	if len(n.Layers) == 0 {
 		return dout
 	}
-	if first, ok := n.Layers[0].(paramsOnlyLayer[F]); ok {
-		first.backwardParams(dout)
-		return nil
+	first, ok := n.Layers[0].(paramsOnlyLayer[F])
+	if !ok {
+		return backwardChain(n.arena, n.Layers, dout)
 	}
-	return n.Layers[0].Backward(dout)
+	d := backwardChain(n.arena, n.Layers[1:], dout)
+	first.backwardParams(d)
+	if d != dout {
+		releaseT(n.arena, d)
+	}
+	return nil
 }
 
 // Params returns all parameters in construction order.

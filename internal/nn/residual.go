@@ -96,17 +96,19 @@ func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tenso
 }
 
 // Backward propagates dout through both branches and sums input gradients.
+// Each branch is a chain of its own (see backwardChain): dout stays with the
+// caller, and the two branch gradients go back to the arena once summed.
 func (r *ResidualOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
-	db := dout
-	for i := len(r.Body) - 1; i >= 0; i-- {
-		db = r.Body[i].Backward(db)
-	}
-	ds := dout
-	for i := len(r.Shortcut) - 1; i >= 0; i-- {
-		ds = r.Shortcut[i].Backward(ds)
-	}
+	db := backwardChain(r.arena, r.Body, dout)
+	ds := backwardChain(r.arena, r.Shortcut, dout)
 	dx := uninitT[F](r.arena, db.Shape()...)
 	dx.AddInto(db, ds)
+	if db != dout {
+		releaseT(r.arena, db)
+	}
+	if ds != dout {
+		releaseT(r.arena, ds)
+	}
 	return dx
 }
 

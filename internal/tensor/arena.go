@@ -20,10 +20,11 @@ import (
 // writes every element before anything reads one, which is most of them, and
 // skips a pass over memory that is about to be overwritten.
 //
-// An inference pass does not need every activation until Reset: ReleaseOf
+// An inference pass does not need every activation until Reset, nor a
+// backward pass a gradient once the next layer has consumed it: ReleaseOf
 // hands one tensor's storage back early, and a later allocation that fits —
 // zeroing or not — is cut from it instead of bumping. A chain of layers then
-// runs in the space of the few activations that are live at once.
+// runs in the space of the few tensors that are live at once.
 //
 // An Arena is NOT safe for concurrent use. The ownership model mirrors the
 // fleet's client slots: each worker network owns one arena, and sample-level
@@ -116,6 +117,14 @@ func (s *slab[T]) reset() {
 	s.demand = 0
 	clear(s.free)
 	s.free = s.free[:0]
+}
+
+// demandBytes returns the bytes a has handed out since the last Reset other
+// than from released buffers, over every slab: what the next Reset regrows
+// it to. Tests read it through go:linkname; nothing else does.
+var demandBytes = func(a *Arena) int {
+	return 8*a.f64.demand + 4*a.f32.demand + 4*a.i32.demand + a.bools.demand + 8*a.dims.demand +
+		int(unsafe.Sizeof(TensorOf[float64]{}))*a.t64.demand + int(unsafe.Sizeof(TensorOf[float32]{}))*a.t32.demand
 }
 
 // NewArena returns an empty arena; slabs grow on first use.
