@@ -21,20 +21,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 
-	"fedca/internal/chaos"
-	"fedca/internal/compress"
 	"fedca/internal/core"
 	"fedca/internal/expcfg"
 	"fedca/internal/experiments"
 	"fedca/internal/fl"
-	"fedca/internal/rng"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 )
@@ -92,24 +87,6 @@ func main() {
 		fail(err)
 	}
 	w.FL.DType = *dtype
-	comp, err := compress.ByName(*compressSpec)
-	if err != nil {
-		fail(err)
-	}
-	if _, isNone := comp.(compress.None); !isNone {
-		w.FL.Compressor = comp
-	}
-	ccfg, err := chaos.ParseSpec(*chaosSpec)
-	if err != nil {
-		fail(err)
-	}
-	if ccfg.Enabled() {
-		eng, err := chaos.NewEngine(ccfg, rng.New(*seed).Fork("chaos-engine").Uint64())
-		if err != nil {
-			fail(err)
-		}
-		w.FL.Chaos = eng
-	}
 	w.FL.MinQuorum = *minQuorum
 	w.FL.MaxDeltaNorm = *maxNorm
 	if *aggFrac > 0 {
@@ -132,34 +109,30 @@ func main() {
 		w.FL.Journal = journal
 	}
 
-	sch, err := expcfg.SchemeByName(*scheme, &w.FL, scale.FedCAOptions(), *seed, "scheme")
+	runner, err := expcfg.NewRun(w, expcfg.RunSpec{
+		Scheme: *scheme, FedCA: scale.FedCAOptions(),
+		Chaos: *chaosSpec, Compress: *compressSpec,
+		Clients: scale.Clients, Fleet: *fleet,
+		Trace: scale.TraceConfig(), Seed: *seed,
+	})
 	if err != nil {
 		fail(err)
 	}
-	fedca, _ := sch.(*core.Scheme)
-
-	var runner *fl.Runner
-	if *fleet > 0 {
-		var ftb *expcfg.FleetTestbed
-		if ftb, err = expcfg.BuildFleet(w, *fleet, 0, scale.TraceConfig(), *seed); err != nil {
-			fail(err)
-		}
-		runner, err = ftb.NewRunner(sch)
-	} else {
-		runner, err = expcfg.Build(w, scale.Clients, scale.TraceConfig(), *seed).NewRunner(sch)
-	}
-	if err != nil {
-		fail(err)
+	cfg := &runner.Cfg
+	fedca, _ := runner.Scheme.(*core.Scheme)
+	compName := "none"
+	if cfg.Compressor != nil {
+		compName = cfg.Compressor.Name()
 	}
 	popClients := scale.Clients
 	if *fleet > 0 {
 		popClients = *fleet
 		cohort := *fleet // the runner's cohort size, for the banner
-		if p := w.FL.Participation; p > 0 && p < 1 {
+		if p := cfg.Participation; p > 0 && p < 1 {
 			cohort = max(1, int(p*float64(*fleet)+0.5))
 		}
 		fmt.Printf("fleet: %d virtual clients, participation=%g (cohort ≈ %d), lazy cohort materialization\n",
-			*fleet, w.FL.Participation, cohort)
+			*fleet, cfg.Participation, cohort)
 	}
 	if *httpAddr != "" {
 		mux := telemetry.NewMux(sink, journal, statusFunc(runner, fedca, sink))
@@ -188,24 +161,24 @@ func main() {
 		defer logw.Close()
 		hdr := runlog.Header{
 			Model: *model, Scheme: *scheme, Clients: scale.Clients,
-			K: w.FL.LocalIters, Seed: *seed, Alpha: w.Alpha,
-			Quorum: *minQuorum, MaxNorm: *maxNorm,
+			K: cfg.LocalIters, Seed: *seed, Alpha: w.Alpha,
+			Quorum: cfg.MinQuorum, MaxNorm: cfg.MaxDeltaNorm,
 		}
-		if *dtype != "" && *dtype != "f64" {
-			hdr.Dtype = *dtype
+		if cfg.DType != "" && cfg.DType != "f64" {
+			hdr.Dtype = cfg.DType
 		}
-		if ccfg.Enabled() {
-			hdr.Chaos = ccfg.Spec()
+		if cfg.Chaos != nil {
+			hdr.Chaos = cfg.Chaos.Config().Spec()
 		}
-		if _, isNone := comp.(compress.None); !isNone {
-			hdr.Compress = comp.Name()
+		if cfg.Compressor != nil {
+			hdr.Compress = compName
 		}
 		if err := logw.WriteHeader(hdr); err != nil {
 			fail(err)
 		}
 	}
 	fmt.Printf("model=%s scheme=%s clients=%d K=%d rounds=%d seed=%d compress=%s\n",
-		*model, *scheme, popClients, w.FL.LocalIters, scale.Rounds, *seed, comp.Name())
+		*model, *scheme, popClients, cfg.LocalIters, scale.Rounds, *seed, compName)
 	fmt.Printf("%5s %12s %10s %8s %8s %7s %7s\n", "round", "vtime(s)", "dur(s)", "acc", "iters", "eager", "retr")
 	for i := 0; i < scale.Rounds; i++ {
 		r := runner.RunRound()
@@ -226,7 +199,9 @@ func main() {
 		// Stream the journal incrementally: draining once per round keeps the
 		// on-disk record complete even though the ring evicts old events.
 		if eventsFile != nil {
-			eventsSeq = writeEvents(eventsFile, journal.Since(eventsSeq), eventsSeq)
+			if eventsSeq, err = journal.WriteSince(eventsFile, eventsSeq); err != nil {
+				fail(err)
+			}
 		}
 	}
 	if eventsFile != nil {
@@ -237,7 +212,7 @@ func main() {
 		fmt.Printf("fedca: early-stops=%d full-rounds=%d eager=%d retransmissions=%d anchors=%d\n",
 			len(st.EarlyStopIters), st.FullRounds, st.EagerSentTotal, st.RetransmitsTotal, st.AnchorRounds)
 	}
-	if ccfg.Enabled() || *minQuorum > 0 || *maxNorm > 0 {
+	if cfg.Chaos != nil || cfg.MinQuorum > 0 || cfg.MaxDeltaNorm > 0 {
 		st := runner.Stats()
 		fmt.Printf("degradation: skipped-rounds=%d quarantined=%d dropped-client-rounds=%d link-retries=%d\n",
 			st.SkippedRounds, st.Quarantined, st.DroppedRounds, st.LinkRetries)
@@ -282,22 +257,6 @@ func statusFunc(runner *fl.Runner, fedca *core.Scheme, sink *telemetry.Sink) fun
 		}
 		return st
 	}
-}
-
-// writeEvents appends events as JSON lines and returns the last sequence
-// number written (or since, when there was nothing new).
-func writeEvents(w io.Writer, events []telemetry.Event, since uint64) uint64 {
-	for _, e := range events {
-		b, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			fail(err)
-		}
-		since = e.Seq
-	}
-	return since
 }
 
 func fail(err error) {

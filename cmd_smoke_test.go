@@ -2,13 +2,17 @@ package fedca_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"fedca"
+	"fedca/internal/experiments"
 	"fedca/internal/runlog"
+	"fedca/internal/telemetry"
 )
 
 // TestCommandSmoke builds every binary and exercises the happy paths:
@@ -96,6 +100,34 @@ func TestCommandSmoke(t *testing.T) {
 		t.Fatalf("log header missing reproduction fields: %+v", run.Header)
 	}
 
+	// -events streams the flight recorder as JSON lines: every line an
+	// event, seqs strictly increasing, as many lines as the CLI reports.
+	eventsPath := filepath.Join(dir, "events.jsonl")
+	out, err = exec.Command(bins["fedca-sim"], "-scale", "tiny", "-rounds", "2",
+		"-chaos", "drop=0.3", "-events", eventsPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("fedca-sim -events: %v\n%s", err, out)
+	}
+	eventsRaw, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(eventsRaw), "\n"), "\n")
+	var lastSeq uint64
+	for i, line := range lines {
+		var e telemetry.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("events line %d is not an event: %v\n%s", i+1, err, line)
+		}
+		if e.Seq <= lastSeq {
+			t.Fatalf("events line %d: seq %d after %d", i+1, e.Seq, lastSeq)
+		}
+		lastSeq = e.Seq
+	}
+	if want := fmt.Sprintf("%s (%d events)\n", eventsPath, len(lines)); !strings.Contains(string(out), want) {
+		t.Fatalf("fedca-sim -events wrote %d lines; output does not report them:\n%s", len(lines), out)
+	}
+
 	list, err := exec.Command(bins["fedca-bench"], "-list").CombinedOutput()
 	if err != nil {
 		t.Fatalf("fedca-bench -list: %v\n%s", err, list)
@@ -131,5 +163,62 @@ func TestCommandSmoke(t *testing.T) {
 	}
 	if err := exec.Command(bins["fedca-plot"]).Run(); err == nil {
 		t.Fatal("fedca-plot without args must fail")
+	}
+}
+
+// TestLibraryAndCLIBuildSameRun pins the two input mappings that stay
+// separate: fedca.New's Options and fedca-sim's scale and flags. Both feed
+// expcfg.NewRun, so the same run described both ways must report the same
+// rounds, field by field.
+func TestLibraryAndCLIBuildSameRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs fedca-sim")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "fedca-sim")
+	if b, err := exec.Command("go", "build", "-o", bin, "./cmd/fedca-sim").CombinedOutput(); err != nil {
+		t.Fatalf("build fedca-sim: %v\n%s", err, b)
+	}
+	logPath := filepath.Join(dir, "run.jsonl")
+	if out, err := exec.Command(bin, "-scale", "small", "-clients", "2", "-rounds", "2", "-seed", "7",
+		"-chaos", "drop=0.2", "-compress", "qsgd7", "-log", logPath).CombinedOutput(); err != nil {
+		t.Fatalf("fedca-sim: %v\n%s", err, out)
+	}
+	run, err := runlog.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	small, err := experiments.ScaleByName("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := fedca.New(fedca.Options{
+		Model: "cnn", Scheme: "fedca", Clients: 2, Seed: 7,
+		LocalIters: small.K, BatchSize: small.BatchSize,
+		TrainSamples: small.TrainN, TestSamples: small.TestN,
+		Heterogeneous: true, Dynamic: true,
+		Chaos: "drop=0.2", Compress: "qsgd7",
+		FedCA: small.FedCAOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := fed.Run(2)
+	if len(run.Rounds) != len(rounds) {
+		t.Fatalf("fedca-sim logged %d rounds, the library ran %d", len(run.Rounds), len(rounds))
+	}
+	for i, rd := range rounds {
+		got := runlog.Record{
+			Kind: "round", Round: rd.Index, Start: rd.Start, End: rd.End,
+			Accuracy: rd.Accuracy, Collected: rd.Collected, Discarded: rd.Discarded,
+			Dropped: rd.Dropped, MeanIterations: rd.MeanIterations,
+			MeanEagerSent: rd.EagerSent, MeanRetrans: rd.Retransmitted,
+			UploadBytes: rd.UploadBytes, Skipped: rd.Skipped,
+			Quarantined: rd.Quarantined, LinkRetries: rd.LinkRetries,
+		}
+		if want := run.Rounds[i]; got != want {
+			t.Fatalf("round %d: library %+v, fedca-sim -log %+v", i, got, want)
+		}
 	}
 }

@@ -41,12 +41,14 @@ func main() {
 	}{
 		{"fedavg", func() fl.Scheme { return baseline.FedAvg{} }},
 		{"v1", func() fl.Scheme {
-			o := core.V1Options(w.FL.LocalIters)
+			o := core.DefaultOptions(w.FL.LocalIters)
+			o.Eager, o.Retransmit = false, false
 			o.ProfilePeriod = 5
 			return core.NewScheme(o, rng.New(seed))
 		}},
 		{"v2", func() fl.Scheme {
-			o := core.V2Options(w.FL.LocalIters)
+			o := core.DefaultOptions(w.FL.LocalIters)
+			o.Retransmit = false
 			o.ProfilePeriod = 5
 			// Aggressive eager threshold so the missing retransmission shows.
 			o.Te = 0.7

@@ -8,19 +8,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"net/http"
 	"sync"
 
-	"fedca/internal/chaos"
-	"fedca/internal/compress"
 	"fedca/internal/core"
 	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
-	"fedca/internal/rng"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
@@ -89,7 +85,7 @@ type Options struct {
 	AggregateFraction float64
 	// Scheme selects the federated optimization strategy: "fedavg",
 	// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort", "safa"
-	// (resolved by expcfg.SchemeByName, as fedca-sim -scheme is). "oort"
+	// (resolved by expcfg.NewRun, as fedca-sim -scheme is). "oort"
 	// picks who trains; see Participation.
 	Scheme string
 	// Seed drives all randomness; equal seeds reproduce runs bit-for-bit.
@@ -218,9 +214,6 @@ func New(opts Options) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Fleet <= 0 && opts.Clients <= 0 {
-		return nil, fmt.Errorf("fedca: Clients must be positive")
-	}
 	if opts.LocalIters > 0 {
 		w.FL.LocalIters = opts.LocalIters
 	}
@@ -240,17 +233,6 @@ func New(opts Options) (*Federation, error) {
 	if opts.ModelBytes > 0 {
 		w.FL.ModelBytes = opts.ModelBytes
 	}
-	ccfg, err := chaos.ParseSpec(opts.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	if ccfg.Enabled() {
-		eng, err := chaos.NewEngine(ccfg, rng.New(opts.Seed).Fork("chaos-engine").Uint64())
-		if err != nil {
-			return nil, err
-		}
-		w.FL.Chaos = eng
-	}
 	w.FL.MinQuorum = opts.MinQuorum
 	w.FL.MaxDeltaNorm = opts.MaxDeltaNorm
 	if opts.AggregateFraction > 0 {
@@ -259,13 +241,6 @@ func New(opts Options) (*Federation, error) {
 	w.FL.Participation = opts.Participation
 	w.FL.Telemetry = opts.Telemetry
 	w.FL.Journal = opts.Journal
-	comp, err := compress.ByName(opts.Compress)
-	if err != nil {
-		return nil, err
-	}
-	if _, isNone := comp.(compress.None); !isNone {
-		w.FL.Compressor = comp
-	}
 
 	tcfg := trace.Config{}
 	if opts.Dynamic || opts.Heterogeneous {
@@ -276,25 +251,16 @@ func New(opts Options) (*Federation, error) {
 		tcfg.Dynamic = opts.Dynamic
 	}
 
-	scheme, err := expcfg.SchemeByName(opts.Scheme, &w.FL, opts.FedCA, opts.Seed, "scheme")
+	runner, err := expcfg.NewRun(w, expcfg.RunSpec{
+		Scheme: opts.Scheme, FedCA: opts.FedCA,
+		Chaos: opts.Chaos, Compress: opts.Compress,
+		Clients: opts.Clients, Fleet: opts.Fleet,
+		Trace: tcfg, Seed: opts.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	fedcaScheme, _ := scheme.(*core.Scheme)
-
-	var runner *fl.Runner
-	if opts.Fleet > 0 {
-		var tb *expcfg.FleetTestbed
-		if tb, err = expcfg.BuildFleet(w, opts.Fleet, 0, tcfg, opts.Seed); err != nil {
-			return nil, err
-		}
-		runner, err = tb.NewRunner(scheme)
-	} else {
-		runner, err = expcfg.Build(w, opts.Clients, tcfg, opts.Seed).NewRunner(scheme)
-	}
-	if err != nil {
-		return nil, err
-	}
+	fedcaScheme, _ := runner.Scheme.(*core.Scheme)
 	return &Federation{opts: opts, runner: runner, fedca: fedcaScheme}, nil
 }
 

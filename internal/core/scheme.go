@@ -64,20 +64,6 @@ func DefaultOptions(k int) Options {
 	}
 }
 
-// V1Options is the ablation variant with only early stopping.
-func V1Options(k int) Options {
-	o := DefaultOptions(k)
-	o.Eager, o.Retransmit = false, false
-	return o
-}
-
-// V2Options adds eager transmission but disables retransmission.
-func V2Options(k int) Options {
-	o := DefaultOptions(k)
-	o.Retransmit = false
-	return o
-}
-
 // Scheme is the FedCA strategy: it plugs the profiler, the utility-guided
 // early stop and eager transmission into the fl round loop. One Scheme value
 // drives one training run; it owns per-client profilers that persist across

@@ -41,10 +41,13 @@ func TestVariantNames(t *testing.T) {
 	if n := core.NewScheme(core.DefaultOptions(10), rng.New(1)).Name(); n != "fedca" {
 		t.Fatalf("v3 name = %q", n)
 	}
-	if n := core.NewScheme(core.V2Options(10), rng.New(1)).Name(); n != "fedca-v2" {
+	o := core.DefaultOptions(10)
+	o.Retransmit = false
+	if n := core.NewScheme(o, rng.New(1)).Name(); n != "fedca-v2" {
 		t.Fatalf("v2 name = %q", n)
 	}
-	if n := core.NewScheme(core.V1Options(10), rng.New(1)).Name(); n != "fedca-v1" {
+	o.Eager = false
+	if n := core.NewScheme(o, rng.New(1)).Name(); n != "fedca-v1" {
 		t.Fatalf("v1 name = %q", n)
 	}
 }
@@ -198,7 +201,8 @@ func TestRetransmissionTriggersOnDeviation(t *testing.T) {
 func TestV1NeverTransmitsEagerly(t *testing.T) {
 	w := tinyWorkload()
 	tb := expcfg.Build(w, 4, trace.Config{}, 13)
-	opts := core.V1Options(w.FL.LocalIters)
+	opts := core.DefaultOptions(w.FL.LocalIters)
+	opts.Eager, opts.Retransmit = false, false
 	opts.ProfilePeriod = 3
 	s := core.NewScheme(opts, rng.New(14))
 	r, err := tb.NewRunner(s)
@@ -218,7 +222,8 @@ func TestV1NeverTransmitsEagerly(t *testing.T) {
 func TestV2NeverRetransmits(t *testing.T) {
 	w := tinyWorkload()
 	tb := expcfg.Build(w, 4, trace.Config{}, 15)
-	opts := core.V2Options(w.FL.LocalIters)
+	opts := core.DefaultOptions(w.FL.LocalIters)
+	opts.Retransmit = false
 	opts.ProfilePeriod = 3
 	opts.Te = 0.3
 	s := core.NewScheme(opts, rng.New(16))

@@ -255,9 +255,9 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 	gen := NewImageGenerator(spec, r.Fork("templates"))
 	train := gen.Generate(spec.N, r.Fork("train", 0))
 	test := gen.Generate(spec.N, r.Fork("test", 0))
-	net := nn.NewNetwork(
-		nn.NewDense("fc1", 64, 32, r), nn.NewReLU(32),
-		nn.NewDense("fc2", 32, 4, r),
+	net := nn.NewNetworkOf[float64](
+		nn.NewDenseOf[float64]("fc1", 64, 32, r), nn.NewReLUOf[float64](32),
+		nn.NewDenseOf[float64]("fc2", 32, 4, r),
 	)
 	opt := nn.NewSGDOf[float64](0.1, 0, 0)
 	l := NewLoader(train, 32, r.Fork("loader", 0))

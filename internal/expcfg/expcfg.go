@@ -3,8 +3,9 @@
 // hyperparameters (Sec. 5.1), scaled-down model/data sizes that train inside
 // a test harness, a Build helper that assembles a complete simulated
 // testbed (clients with Dirichlet-partitioned data, speed traces, shaped
-// links, and the model's fl.Networks), and SchemeByName, the registry that
-// turns a scheme name into an fl.Scheme.
+// links, and the model's fl.Networks), SchemeByName, the registry that
+// turns a scheme name into an fl.Scheme, and NewRun, which assembles a
+// runner from a workload and a RunSpec.
 package expcfg
 
 import (

@@ -11,11 +11,11 @@ import (
 
 // SchemeByName builds the named scheme for a run configured by cfg: "fedavg",
 // "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort" or "safa". It
-// is the one place a scheme name is resolved, for the facade and fedca-sim.
+// is the one place a scheme name is resolved, for NewRun and the experiments.
 //
 // fedca holds the FedCA hyperparameters of the three FedCA variants (zero
 // options mean core.DefaultOptions), with K set to cfg.LocalIters; the
-// variants draw from rng.New(seed).Fork(fork...) (the facade's label is
+// variants draw from rng.New(seed).Fork(fork...) (NewRun's label is
 // "scheme") and report to cfg.Telemetry and cfg.Journal. Oort draws from
 // Fork("oort") and, when cfg.Participation is unset, sets it to 0.5.
 func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, fork ...any) (fl.Scheme, error) {

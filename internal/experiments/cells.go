@@ -98,8 +98,8 @@ type convRun struct {
 
 // runCell is the package's one training loop. It builds the scale's
 // workload and applies the spec's edits, builds the scheme, a testbed and a
-// runner, runs the rounds, then snapshots the scheme's stats and drops the
-// update deltas. A curve probe also returns its curves.
+// runner, runs the rounds, then snapshots the scheme's stats. A curve probe
+// also returns its curves.
 func runCell(s Scale, seed uint64, c cellSpec) (convRun, *CurveData, error) {
 	w, err := s.Workload(c.model)
 	if err != nil {
@@ -140,26 +140,10 @@ func runCell(s Scale, seed uint64, c cellSpec) (convRun, *CurveData, error) {
 		st := fedca.Stats()
 		run.Stats = &st
 	}
-	run = stripDeltas(run)
 	if probe != nil {
 		return run, &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out}, nil
 	}
 	return run, nil, nil
-}
-
-// stripDeltas drops the per-update parameter vectors from a finished run.
-// No figure consumes them, and they dominate the run's footprint (clients ×
-// rounds × model size), both in memory and in the on-disk cache.
-func stripDeltas(run convRun) convRun {
-	for _, r := range run.Results {
-		for i := range r.Collected {
-			r.Collected[i].Delta = nil
-		}
-		for i := range r.Discarded {
-			r.Discarded[i].Delta = nil
-		}
-	}
-	return run
 }
 
 // inputs reads the results of cells at (s, seed) through the executor: a

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"fedca/internal/fl"
 )
 
 // micro is an even smaller scale than tinyScale, for unit tests: seconds.
@@ -201,6 +203,17 @@ func TestConvergenceExperimentsCNN(t *testing.T) {
 	}
 	if avg.Stats != nil {
 		t.Fatal("fedavg run must not expose FedCA stats")
+	}
+	// The runner's recycle stage drops every update's delta, so a cell holds
+	// no per-update parameter vectors in memory or in the disk cache.
+	for _, run := range []convRun{avg, ca} {
+		for _, r := range run.Results {
+			for _, u := range append(append([]fl.Update(nil), r.Collected...), r.Discarded...) {
+				if u.Delta != nil {
+					t.Fatalf("%s round %d: client %d kept its delta", run.SchemeName, r.Round, u.ClientID)
+				}
+			}
+		}
 	}
 	// FedCA must not be slower overall than FedAvg on the same seed.
 	avgEnd := avg.Results[len(avg.Results)-1].End

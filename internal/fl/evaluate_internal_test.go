@@ -128,7 +128,7 @@ func TestEvaluateArenaHighWater(t *testing.T) {
 			Evaluate(net, ds, batch)
 		}
 		largest = ds.Dim()
-		net.VisitLayers(func(l nn.Layer) { largest = max(largest, l.OutDim()) })
+		net.VisitLayers(func(l nn.LayerOf[float64]) { largest = max(largest, l.OutDim()) })
 		return arenaFloat64s(arena), largest * batch
 	}
 	wrn, largest := highWater("wrn", false)

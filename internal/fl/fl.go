@@ -94,8 +94,9 @@ type Config struct {
 	// one (e.g. 139.4 MB for WRN-28-10).
 	ModelBytes float64
 
-	// EvalBatch bounds the number of test samples used per accuracy
-	// evaluation (0 = whole test set).
+	// EvalBatch is the batch size of the accuracy evaluation, which scores
+	// the whole test set after every round (0 = one batch of all of it).
+	// Batch norm normalizes per batch, so it is part of the result.
 	EvalBatch int
 
 	// DType selects the client compute precision: "" or "f64" trains workers

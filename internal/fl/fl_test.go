@@ -321,7 +321,7 @@ func TestFedBalancerDeadline(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	r := rng.New(10)
-	net := nn.NewNetwork(nn.NewDense("fc", 4, 2, r))
+	net := nn.NewNetworkOf[float64](nn.NewDenseOf[float64]("fc", 4, 2, r))
 	ds := data.SyntheticImages(data.ImageSpec{Classes: 2, Channels: 1, Height: 2, Width: 2, N: 10}, rng.New(11))
 	acc := fl.Evaluate(net, ds, 3) // batch not dividing N exercises the tail
 	if acc < 0 || acc > 1 {
@@ -596,7 +596,9 @@ func TestUpdateWeightIsSampleCount(t *testing.T) {
 // denseNets builds a one-layer network at either dtype.
 type denseNets struct{}
 
-func (denseNets) New64() *nn.Network { return nn.NewNetwork(nn.NewDense("fc", 2, 2, rng.New(1))) }
+func (denseNets) New64() *nn.Network {
+	return nn.NewNetworkOf[float64](nn.NewDenseOf[float64]("fc", 2, 2, rng.New(1)))
+}
 func (denseNets) New32() *nn.NetworkOf[float32] {
 	return nn.NewNetworkOf[float32](nn.NewDenseOf[float32]("fc", 2, 2, rng.New(1)))
 }

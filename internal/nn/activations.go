@@ -19,18 +19,12 @@ type ReLUOf[F tensor.Float] struct {
 	fwdRun reluFwdRunnerOf[F]
 }
 
-// ReLU is the float64 ReLU.
-type ReLU = ReLUOf[float64]
-
 // NewReLUOf creates a ReLU whose OutDim mirrors the given feature count.
 func NewReLUOf[F tensor.Float](dim int) *ReLUOf[F] {
 	r := &ReLUOf[F]{dim: dim}
 	r.fwdRun.r = r
 	return r
 }
-
-// NewReLU creates a float64 ReLU.
-func NewReLU(dim int) *ReLU { return NewReLUOf[float64](dim) }
 
 // OutDim returns the feature count.
 func (r *ReLUOf[F]) OutDim() int { return r.dim }

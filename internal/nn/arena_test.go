@@ -17,7 +17,7 @@ import (
 // recycled memory.
 func TestBackwardAfterArenaResetPanics(t *testing.T) {
 	r := rng.New(3)
-	net := NewNetwork(NewDense("fc1", 6, 5, r), NewReLU(5), NewDense("fc2", 5, 3, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 6, 5, r), NewReLUOf[float64](5), NewDenseOf[float64]("fc2", 5, 3, r))
 	arena := tensor.NewArena()
 	net.SetArena(arena)
 	x := randInput(r, 4, 6)

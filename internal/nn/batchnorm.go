@@ -47,9 +47,6 @@ type BatchNorm2DOf[F tensor.Float] struct {
 	fwdRun bnFwdRunnerOf[F]
 }
 
-// BatchNorm2D is the float64 batch-norm layer.
-type BatchNorm2D = BatchNorm2DOf[float64]
-
 // NewBatchNorm2DOf creates a batch-norm layer for [B, C·H·W] inputs.
 func NewBatchNorm2DOf[F tensor.Float](name string, c, h, w int) *BatchNorm2DOf[F] {
 	b := &BatchNorm2DOf[F]{
@@ -60,11 +57,6 @@ func NewBatchNorm2DOf[F tensor.Float](name string, c, h, w int) *BatchNorm2DOf[F
 	b.Gamma.Value.Fill(1)
 	b.fwdRun.b = b
 	return b
-}
-
-// NewBatchNorm2D creates a float64 batch-norm layer.
-func NewBatchNorm2D(name string, c, h, w int) *BatchNorm2D {
-	return NewBatchNorm2DOf[float64](name, c, h, w)
 }
 
 func (b *BatchNorm2DOf[F]) setArena(a *tensor.Arena) { b.arena = a }

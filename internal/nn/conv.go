@@ -48,9 +48,6 @@ type Conv2DOf[F tensor.Float] struct {
 	bwdRun convBwdRunnerOf[F]
 }
 
-// Conv2D is the float64 convolution layer.
-type Conv2D = Conv2DOf[float64]
-
 // convScratchOf is per-worker scratch reused across samples (and, via the
 // layer's scratch pools, across batches). The out/doutS/dWi headers are
 // rebound onto the current sample's rows of the batch buffers each iteration,
@@ -79,11 +76,6 @@ func NewConv2DOf[F tensor.Float](name string, geom tensor.ConvGeom, outC int, r 
 	c.bwdRun.c = c
 	c.seed(r)
 	return c
-}
-
-// NewConv2D creates a float64 convolution layer.
-func NewConv2D(name string, geom tensor.ConvGeom, outC int, r *rng.RNG) *Conv2D {
-	return NewConv2DOf[float64](name, geom, outC, r)
 }
 
 func (c *Conv2DOf[F]) seed(r *rng.RNG) {

@@ -15,9 +15,6 @@ type DenseOf[F tensor.Float] struct {
 	gen   uint64
 }
 
-// Dense is the float64 dense layer.
-type Dense = DenseOf[float64]
-
 // NewDenseOf creates a dense layer whose parameters are named
 // "<name>.weight" and "<name>.bias" for any float dtype.
 func NewDenseOf[F tensor.Float](name string, in, out int, r *rng.RNG) *DenseOf[F] {
@@ -29,11 +26,6 @@ func NewDenseOf[F tensor.Float](name string, in, out int, r *rng.RNG) *DenseOf[F
 	}
 	d.seed(r)
 	return d
-}
-
-// NewDense creates a float64 dense layer.
-func NewDense(name string, in, out int, r *rng.RNG) *Dense {
-	return NewDenseOf[float64](name, in, out, r)
 }
 
 func (d *DenseOf[F]) seed(r *rng.RNG) {

@@ -24,9 +24,6 @@ type DropoutOf[F tensor.Float] struct {
 	gen   uint64
 }
 
-// Dropout is the float64 dropout layer.
-type Dropout = DropoutOf[float64]
-
 // NewDropoutOf creates a dropout layer over dim features. It panics unless
 // 0 ≤ p < 1.
 func NewDropoutOf[F tensor.Float](p float64, dim int, r *rng.RNG) *DropoutOf[F] {
@@ -34,11 +31,6 @@ func NewDropoutOf[F tensor.Float](p float64, dim int, r *rng.RNG) *DropoutOf[F] 
 		panic("nn: dropout probability must be in [0, 1)")
 	}
 	return &DropoutOf[F]{P: p, dim: dim, r: r}
-}
-
-// NewDropout creates a float64 dropout layer.
-func NewDropout(p float64, dim int, r *rng.RNG) *Dropout {
-	return NewDropoutOf[float64](p, dim, r)
 }
 
 // OutDim returns the feature count (unchanged).

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDropoutEvalPassThrough(t *testing.T) {
-	d := NewDropout(0.5, 4, rng.New(1))
+	d := NewDropoutOf[float64](0.5, 4, rng.New(1))
 	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
 	y := d.Forward(x, false)
 	for i := range x.Data() {
@@ -20,7 +20,7 @@ func TestDropoutEvalPassThrough(t *testing.T) {
 }
 
 func TestDropoutZeroProbPassThrough(t *testing.T) {
-	d := NewDropout(0, 4, rng.New(2))
+	d := NewDropoutOf[float64](0, 4, rng.New(2))
 	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
 	y := d.Forward(x, true)
 	for i := range x.Data() {
@@ -37,7 +37,7 @@ func TestDropoutZeroProbPassThrough(t *testing.T) {
 }
 
 func TestDropoutMasksAndScales(t *testing.T) {
-	d := NewDropout(0.5, 1000, rng.New(3))
+	d := NewDropoutOf[float64](0.5, 1000, rng.New(3))
 	x := tensor.New(1, 1000)
 	x.Fill(1)
 	y := d.Forward(x, true)
@@ -65,7 +65,7 @@ func TestDropoutMasksAndScales(t *testing.T) {
 }
 
 func TestDropoutBackwardMatchesMask(t *testing.T) {
-	d := NewDropout(0.3, 100, rng.New(4))
+	d := NewDropoutOf[float64](0.3, 100, rng.New(4))
 	x := tensor.New(1, 100)
 	x.Fill(1)
 	y := d.Forward(x, true)
@@ -83,7 +83,7 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 }
 
 func TestDropoutReseedDeterminism(t *testing.T) {
-	d := NewDropout(0.5, 50, rng.New(5))
+	d := NewDropoutOf[float64](0.5, 50, rng.New(5))
 	x := tensor.New(1, 50)
 	x.Fill(1)
 	d.ReseedNoise(99)
@@ -107,16 +107,16 @@ func TestDropoutBadProbPanics(t *testing.T) {
 					t.Fatalf("expected panic for p=%v", p)
 				}
 			}()
-			NewDropout(p, 4, rng.New(1))
+			NewDropoutOf[float64](p, 4, rng.New(1))
 		}()
 	}
 }
 
 func TestNetworkReseedNoiseReachesNestedDropout(t *testing.T) {
 	r := rng.New(6)
-	drop := NewDropout(0.5, 8, rng.New(7))
-	block := NewResidual([]Layer{NewDense("d", 8, 8, r), drop}, nil, 8)
-	net := NewNetwork(block)
+	drop := NewDropoutOf[float64](0.5, 8, rng.New(7))
+	block := NewResidualOf[float64]([]LayerOf[float64]{NewDenseOf[float64]("d", 8, 8, r), drop}, nil, 8)
+	net := NewNetworkOf[float64](block)
 	x := tensor.New(2, 8)
 	x.Fill(1)
 	net.ReseedNoise(123)
@@ -133,11 +133,11 @@ func TestNetworkReseedNoiseReachesNestedDropout(t *testing.T) {
 
 func TestVisitLayersCountsNested(t *testing.T) {
 	r := rng.New(8)
-	inner := []Layer{NewDense("a", 4, 4, r), NewReLU(4)}
-	short := []Layer{NewDense("s", 4, 4, r)}
-	net := NewNetwork(NewResidual(inner, short, 4), NewDense("out", 4, 2, r))
+	inner := []LayerOf[float64]{NewDenseOf[float64]("a", 4, 4, r), NewReLUOf[float64](4)}
+	short := []LayerOf[float64]{NewDenseOf[float64]("s", 4, 4, r)}
+	net := NewNetworkOf[float64](NewResidualOf[float64](inner, short, 4), NewDenseOf[float64]("out", 4, 2, r))
 	count := 0
-	net.VisitLayers(func(Layer) { count++ })
+	net.VisitLayers(func(LayerOf[float64]) { count++ })
 	// residual + 2 body + 1 shortcut + out = 5
 	if count != 5 {
 		t.Fatalf("visited %d layers, want 5", count)
@@ -148,8 +148,8 @@ func TestDropoutGradCheck(t *testing.T) {
 	// With a frozen mask (same seed re-applied before every forward), dropout
 	// is a fixed linear map and must pass the numeric gradient check.
 	r := rng.New(9)
-	drop := NewDropout(0.4, 6, rng.New(10))
-	net := NewNetwork(NewDense("fc1", 5, 6, r), drop, NewDense("fc2", 6, 3, r))
+	drop := NewDropoutOf[float64](0.4, 6, rng.New(10))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 5, 6, r), drop, NewDenseOf[float64]("fc2", 6, 3, r))
 	x := randInput(r, 3, 5)
 	labels := randLabels(r, 3, 3)
 

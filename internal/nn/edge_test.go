@@ -13,8 +13,8 @@ import (
 // sequences with large inputs.
 func TestLSTMLongSequenceStability(t *testing.T) {
 	r := rng.New(100)
-	l := NewLSTM("rnn", 4, 8, 64, 1, r)
-	net := NewNetwork(l, NewDense("fc", 8, 2, r))
+	l := NewLSTMOf[float64]("rnn", 4, 8, 64, 1, r)
+	net := NewNetworkOf[float64](l, NewDenseOf[float64]("fc", 8, 2, r))
 	x := tensor.New(2, 64*4)
 	for i := range x.Data() {
 		x.Data()[i] = r.Normal(0, 5) // large inputs
@@ -38,11 +38,11 @@ func TestLSTMLongSequenceStability(t *testing.T) {
 
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	r := rng.New(101)
-	cases := []Layer{
-		NewDense("d", 2, 2, r),
-		NewReLU(2),
-		NewMaxPool2D(1, 2, 2, 2, 2),
-		NewBatchNorm2D("bn", 1, 2, 2),
+	cases := []LayerOf[float64]{
+		NewDenseOf[float64]("d", 2, 2, r),
+		NewReLUOf[float64](2),
+		NewMaxPool2DOf[float64](1, 2, 2, 2, 2),
+		NewBatchNorm2DOf[float64]("bn", 1, 2, 2),
 	}
 	for i, l := range cases {
 		func() {
@@ -59,7 +59,7 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 func TestConvBackwardWithoutForwardPanics(t *testing.T) {
 	r := rng.New(102)
 	geom := tensor.NewConvGeom(1, 4, 4, 3, 3, 1, 1)
-	c := NewConv2D("c", geom, 2, r)
+	c := NewConv2DOf[float64]("c", geom, 2, r)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -83,7 +83,7 @@ func TestSGDReset(t *testing.T) {
 
 func TestSetFlatParamsSizeMismatchPanics(t *testing.T) {
 	r := rng.New(103)
-	net := NewNetwork(NewDense("d", 2, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("d", 2, 2, r))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -96,7 +96,7 @@ func TestSetFlatParamsSizeMismatchPanics(t *testing.T) {
 // FlatParams is the identity.
 func TestFlatParamsRoundTripProperty(t *testing.T) {
 	r := rng.New(104)
-	net := NewNetwork(NewDense("d", 3, 2, r), NewDense("e", 2, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("d", 3, 2, r), NewDenseOf[float64]("e", 2, 2, r))
 	n := net.NumParams()
 	f := func(seed uint64) bool {
 		rr := rng.New(seed)
@@ -165,7 +165,7 @@ func TestSoftmaxCELabelsLengthMismatchPanics(t *testing.T) {
 // TestBatchNormSingleSpatialElement: BN over C channels of 1×1 maps (the
 // degenerate but legal case after global pooling-style shapes).
 func TestBatchNormSingleSpatialElement(t *testing.T) {
-	bn := NewBatchNorm2D("bn", 2, 1, 1)
+	bn := NewBatchNorm2DOf[float64]("bn", 2, 1, 1)
 	x := tensor.FromSlice([]float64{1, 10, 3, 30}, 2, 2)
 	y := bn.Forward(x, true)
 	// Each channel normalized over the batch of 2: mean (2,20), so outputs ±1.
@@ -178,7 +178,7 @@ func TestBatchNormSingleSpatialElement(t *testing.T) {
 
 func TestBatchNormConstantInput(t *testing.T) {
 	// Zero variance must not divide by zero.
-	bn := NewBatchNorm2D("bn", 1, 2, 2)
+	bn := NewBatchNorm2DOf[float64]("bn", 1, 2, 2)
 	x := tensor.New(3, 4)
 	x.Fill(7)
 	y := bn.Forward(x, true)
@@ -197,6 +197,6 @@ func TestBatchNormConstantInput(t *testing.T) {
 
 func TestReseedNoiseWithoutNoiseLayersIsNoop(t *testing.T) {
 	r := rng.New(105)
-	net := NewNetwork(NewDense("d", 2, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("d", 2, 2, r))
 	net.ReseedNoise(1) // must not panic
 }

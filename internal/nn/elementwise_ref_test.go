@@ -89,7 +89,7 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 // wins only from the first position, where nothing is compared with it, and
 // is passed over anywhere else.
 func TestMaxPoolNaNInEveryWindowPosition(t *testing.T) {
-	p := NewMaxPool2D(1, 2, 2, 2, 2)
+	p := NewMaxPool2DOf[float64](1, 2, 2, 2, 2)
 	for pos, want := range []struct {
 		y   float64
 		arg int32
@@ -263,7 +263,7 @@ func TestBatchNormMatchesReference(t *testing.T) {
 func TestDropoutMatchesReference(t *testing.T) {
 	const p, n = 0.4, 64
 	r := rng.New(24)
-	d := NewDropout(p, n, rng.New(99))
+	d := NewDropoutOf[float64](p, n, rng.New(99))
 	x, dout := randInput(r, 3, n), randInput(r, 3, n)
 	x.Data()[5], dout.Data()[7] = math.NaN(), math.Inf(-1)
 	// Dropout as it was.

@@ -18,18 +18,18 @@ func TestEvalForwardInvalidatesBackwardCache(t *testing.T) {
 	geom := tensor.NewConvGeom(2, 4, 4, 3, 3, 1, 1)
 	layers := []struct {
 		name  string
-		layer Layer
+		layer LayerOf[float64]
 		in    int
 	}{
-		{"Dense", NewDense("fc", 6, 4, r), 6},
-		{"Conv2D", NewConv2D("conv", geom, 3, r), 32},
-		{"Conv2D/stride2", NewConv2D("conv2", tensor.NewConvGeom(2, 4, 4, 3, 3, 2, 1), 3, r), 32},
-		{"ReLU", NewReLU(6), 6},
-		{"BatchNorm2D", NewBatchNorm2D("bn", 2, 4, 4), 32},
-		{"MaxPool2D", NewMaxPool2D(2, 4, 4, 2, 2), 32},
-		{"MaxPool2D/8x8", NewMaxPool2D(2, 8, 8, 2, 2), 128},
-		{"LSTM", NewLSTM("rnn", 3, 4, 2, 2, r), 6},
-		{"Residual", NewResidual([]Layer{NewBatchNorm2D("rbn", 2, 4, 4), NewReLU(32)}, nil, 32), 32},
+		{"Dense", NewDenseOf[float64]("fc", 6, 4, r), 6},
+		{"Conv2D", NewConv2DOf[float64]("conv", geom, 3, r), 32},
+		{"Conv2D/stride2", NewConv2DOf[float64]("conv2", tensor.NewConvGeom(2, 4, 4, 3, 3, 2, 1), 3, r), 32},
+		{"ReLU", NewReLUOf[float64](6), 6},
+		{"BatchNorm2D", NewBatchNorm2DOf[float64]("bn", 2, 4, 4), 32},
+		{"MaxPool2D", NewMaxPool2DOf[float64](2, 4, 4, 2, 2), 32},
+		{"MaxPool2D/8x8", NewMaxPool2DOf[float64](2, 8, 8, 2, 2), 128},
+		{"LSTM", NewLSTMOf[float64]("rnn", 3, 4, 2, 2, r), 6},
+		{"Residual", NewResidualOf[float64]([]LayerOf[float64]{NewBatchNorm2DOf[float64]("rbn", 2, 4, 4), NewReLUOf[float64](32)}, nil, 32), 32},
 	}
 	for _, tc := range layers {
 		for _, withArena := range []bool{false, true} {
@@ -42,7 +42,7 @@ func TestEvalForwardInvalidatesBackwardCache(t *testing.T) {
 				if withArena {
 					arena = tensor.NewArena()
 				}
-				NewNetwork(tc.layer).SetArena(arena)
+				NewNetworkOf[float64](tc.layer).SetArena(arena)
 				out := tc.layer.Forward(randInput(r, 4, tc.in), true)
 				tc.layer.Forward(randInput(r, 2, tc.in), false) // the shrinking evaluation batch
 				defer func() {
@@ -57,7 +57,7 @@ func TestEvalForwardInvalidatesBackwardCache(t *testing.T) {
 	// Dropout's contract differs, and is older: after an inference forward
 	// its Backward is the identity, which is also what invalidating its mask
 	// gives.
-	d := NewDropout(0.5, 6, rng.New(1))
+	d := NewDropoutOf[float64](0.5, 6, rng.New(1))
 	d.Forward(randInput(r, 4, 6), true)
 	d.Forward(randInput(r, 2, 6), false)
 	dout := tensor.New(2, 6)

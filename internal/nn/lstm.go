@@ -29,9 +29,6 @@ type LSTMOf[F tensor.Float] struct {
 	dhSeq []*tensor.TensorOf[F] // persistent backward buffer
 }
 
-// LSTM is the float64 LSTM.
-type LSTM = LSTMOf[float64]
-
 type lstmLayerOf[F tensor.Float] struct {
 	in, hidden         int
 	wih, whh, bih, bhh *ParamOf[F]
@@ -85,11 +82,6 @@ func NewLSTMOf[F tensor.Float](name string, inDim, hidden, seqLen, numLayers int
 	}
 	l.Init(r)
 	return l
-}
-
-// NewLSTM builds a float64 LSTM stack.
-func NewLSTM(name string, inDim, hidden, seqLen, numLayers int, r *rng.RNG) *LSTM {
-	return NewLSTMOf[float64](name, inDim, hidden, seqLen, numLayers, r)
 }
 
 // Init applies Xavier initialization to the recurrent weights and sets the

@@ -10,11 +10,12 @@
 // consumes the cache in Backward, so the usage pattern is strictly
 // forward-then-backward per batch (as in a standard training loop).
 //
-// Dtype: every layer is generic over tensor.Float. The float64 instantiation
-// is the historical API and keeps its original names via aliases (Param,
-// Layer, Network, …); the float32 instantiation is the mixed-precision client
-// compute path — master weights and aggregation stay float64 outside this
-// package, with FlatParams/SetFlatParams converting at the boundary.
+// Dtype: every layer is generic over tensor.Float and has one name, the
+// generic one (DenseOf[float64], LayerOf[float32], …); Network and Param
+// alias the float64 network and parameter the server side holds. The
+// float32 instantiation is the mixed-precision client compute path — master
+// weights and aggregation stay float64 outside this package, with
+// FlatParams/SetFlatParams converting at the boundary.
 //
 // Arena: a network may be bound to a tensor.Arena (SetArena), in which case
 // layers bump-allocate all per-iteration scratch — activations, masks,
@@ -69,9 +70,6 @@ type LayerOf[F tensor.Float] interface {
 	// OutDim returns the per-sample output feature count.
 	OutDim() int
 }
-
-// Layer is the float64 layer interface.
-type Layer = LayerOf[float64]
 
 // arenaLayer is implemented by layers that can draw per-iteration scratch
 // from an arena.
@@ -204,10 +202,6 @@ func NewNetworkOf[F tensor.Float](layers ...LayerOf[F]) *NetworkOf[F] {
 	}
 	return n
 }
-
-// NewNetwork builds a float64 network. Type inference cannot flow through the
-// Layer interface, so the float64 constructor stays concrete.
-func NewNetwork(layers ...Layer) *Network { return NewNetworkOf[float64](layers...) }
 
 // SetArena binds an arena to every layer of the network (including layers
 // nested in residual blocks). Passing nil detaches it and layers fall back to

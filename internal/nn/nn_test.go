@@ -115,7 +115,7 @@ func randLabels(r *rng.RNG, b, classes int) []int {
 
 func TestDenseForwardKnown(t *testing.T) {
 	r := rng.New(1)
-	d := NewDense("fc", 2, 2, r)
+	d := NewDenseOf[float64]("fc", 2, 2, r)
 	d.W.Value.Set(1, 0, 0)
 	d.W.Value.Set(2, 0, 1)
 	d.W.Value.Set(3, 1, 0)
@@ -131,13 +131,13 @@ func TestDenseForwardKnown(t *testing.T) {
 
 func TestDenseGradCheck(t *testing.T) {
 	r := rng.New(2)
-	net := NewNetwork(NewDense("fc1", 6, 5, r), NewReLU(5), NewDense("fc2", 5, 3, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 6, 5, r), NewReLUOf[float64](5), NewDenseOf[float64]("fc2", 5, 3, r))
 	x := randInput(r, 4, 6)
 	gradCheck(t, net, x, randLabels(r, 4, 3), 1e-4)
 	inputGradCheck(t, net, x, randLabels(r, 4, 3), 1e-4)
 }
 
-func naiveConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+func naiveConvForward(c *Conv2DOf[float64], x *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
 	batch := x.Dim(0)
 	y := tensor.New(batch, c.OutDim())
@@ -171,7 +171,7 @@ func naiveConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 func TestConvForwardMatchesNaive(t *testing.T) {
 	r := rng.New(3)
 	geom := tensor.NewConvGeom(2, 7, 6, 3, 3, 2, 1)
-	c := NewConv2D("conv", geom, 4, r)
+	c := NewConv2DOf[float64]("conv", geom, 4, r)
 	x := randInput(r, 3, c.InDim())
 	got := c.Forward(x, false)
 	want := naiveConvForward(c, x)
@@ -185,16 +185,16 @@ func TestConvForwardMatchesNaive(t *testing.T) {
 func TestConvGradCheck(t *testing.T) {
 	r := rng.New(4)
 	geom := tensor.NewConvGeom(2, 5, 5, 3, 3, 1, 1)
-	conv := NewConv2D("conv", geom, 3, r)
+	conv := NewConv2DOf[float64]("conv", geom, 3, r)
 	flat := conv.OutDim()
-	net := NewNetwork(conv, NewReLU(flat), NewDense("fc", flat, 3, r))
+	net := NewNetworkOf[float64](conv, NewReLUOf[float64](flat), NewDenseOf[float64]("fc", flat, 3, r))
 	x := randInput(r, 2, conv.InDim())
 	gradCheck(t, net, x, randLabels(r, 2, 3), 1e-4)
 	inputGradCheck(t, net, x, randLabels(r, 2, 3), 1e-4)
 }
 
 func TestMaxPoolKnown(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2, 2)
+	p := NewMaxPool2DOf[float64](1, 4, 4, 2, 2)
 	x := tensor.FromSlice([]float64{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
@@ -222,15 +222,15 @@ func TestMaxPoolKnown(t *testing.T) {
 func TestMaxPoolGradCheck(t *testing.T) {
 	r := rng.New(5)
 	geom := tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1)
-	conv := NewConv2D("conv", geom, 2, r)
-	pool := NewMaxPool2D(2, 6, 6, 2, 2)
-	net := NewNetwork(conv, pool, NewDense("fc", pool.OutDim(), 2, r))
+	conv := NewConv2DOf[float64]("conv", geom, 2, r)
+	pool := NewMaxPool2DOf[float64](2, 6, 6, 2, 2)
+	net := NewNetworkOf[float64](conv, pool, NewDenseOf[float64]("fc", pool.OutDim(), 2, r))
 	x := randInput(r, 2, conv.InDim())
 	gradCheck(t, net, x, randLabels(r, 2, 2), 1e-4)
 }
 
 func TestGlobalAvgPool(t *testing.T) {
-	g := NewGlobalAvgPool2D(2, 2, 2)
+	g := NewGlobalAvgPool2DOf[float64](2, 2, 2)
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 8)
 	y := g.Forward(x, true)
 	if y.At(0, 0) != 2.5 || y.At(0, 1) != 25 {
@@ -244,7 +244,7 @@ func TestGlobalAvgPool(t *testing.T) {
 
 func TestBatchNormNormalizes(t *testing.T) {
 	r := rng.New(6)
-	bn := NewBatchNorm2D("bn", 3, 4, 4)
+	bn := NewBatchNorm2DOf[float64]("bn", 3, 4, 4)
 	x := randInput(r, 8, bn.OutDim())
 	// Shift channel 1 far away to verify per-channel normalization.
 	for i := 0; i < 8; i++ {
@@ -278,9 +278,9 @@ func TestBatchNormNormalizes(t *testing.T) {
 func TestBatchNormGradCheck(t *testing.T) {
 	r := rng.New(7)
 	geom := tensor.NewConvGeom(2, 4, 4, 3, 3, 1, 1)
-	conv := NewConv2D("conv", geom, 3, r)
-	bn := NewBatchNorm2D("bn", 3, 4, 4)
-	net := NewNetwork(conv, bn, NewReLU(bn.OutDim()), NewDense("fc", bn.OutDim(), 2, r))
+	conv := NewConv2DOf[float64]("conv", geom, 3, r)
+	bn := NewBatchNorm2DOf[float64]("bn", 3, 4, 4)
+	net := NewNetworkOf[float64](conv, bn, NewReLUOf[float64](bn.OutDim()), NewDenseOf[float64]("fc", bn.OutDim(), 2, r))
 	x := randInput(r, 4, conv.InDim())
 	gradCheck(t, net, x, randLabels(r, 4, 2), 1e-3)
 	inputGradCheck(t, net, x, randLabels(r, 4, 2), 1e-3)
@@ -289,13 +289,13 @@ func TestBatchNormGradCheck(t *testing.T) {
 func TestResidualGradCheck(t *testing.T) {
 	r := rng.New(8)
 	geom := tensor.NewConvGeom(2, 4, 4, 3, 3, 1, 1)
-	body := []Layer{
-		NewConv2D("res.0", geom, 2, r),
-		NewReLU(2 * 16),
-		NewConv2D("res.1", geom, 2, r),
+	body := []LayerOf[float64]{
+		NewConv2DOf[float64]("res.0", geom, 2, r),
+		NewReLUOf[float64](2 * 16),
+		NewConv2DOf[float64]("res.1", geom, 2, r),
 	}
-	block := NewResidual(body, nil, 2*16)
-	net := NewNetwork(block, NewDense("fc", 32, 2, r))
+	block := NewResidualOf[float64](body, nil, 2*16)
+	net := NewNetworkOf[float64](block, NewDenseOf[float64]("fc", 32, 2, r))
 	x := randInput(r, 2, 32)
 	gradCheck(t, net, x, randLabels(r, 2, 2), 1e-4)
 	inputGradCheck(t, net, x, randLabels(r, 2, 2), 1e-4)
@@ -305,10 +305,10 @@ func TestResidualShortcutGradCheck(t *testing.T) {
 	r := rng.New(9)
 	geomBody := tensor.NewConvGeom(2, 4, 4, 3, 3, 2, 1)
 	geomShort := tensor.NewConvGeom(2, 4, 4, 1, 1, 2, 0)
-	body := []Layer{NewConv2D("res.0", geomBody, 4, r)}
-	short := []Layer{NewConv2D("res.short", geomShort, 4, r)}
-	block := NewResidual(body, short, 32)
-	net := NewNetwork(block, NewDense("fc", block.OutDim(), 2, r))
+	body := []LayerOf[float64]{NewConv2DOf[float64]("res.0", geomBody, 4, r)}
+	short := []LayerOf[float64]{NewConv2DOf[float64]("res.short", geomShort, 4, r)}
+	block := NewResidualOf[float64](body, short, 32)
+	net := NewNetworkOf[float64](block, NewDenseOf[float64]("fc", block.OutDim(), 2, r))
 	x := randInput(r, 2, 32)
 	gradCheck(t, net, x, randLabels(r, 2, 2), 1e-4)
 }
@@ -320,13 +320,13 @@ func TestResidualDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewResidual([]Layer{NewDense("d", 4, 3, r)}, nil, 4)
+	NewResidualOf[float64]([]LayerOf[float64]{NewDenseOf[float64]("d", 4, 3, r)}, nil, 4)
 }
 
 func TestLSTMGradCheck(t *testing.T) {
 	r := rng.New(11)
-	lstm := NewLSTM("rnn", 3, 4, 5, 1, r)
-	net := NewNetwork(lstm, NewDense("fc", 4, 2, r))
+	lstm := NewLSTMOf[float64]("rnn", 3, 4, 5, 1, r)
+	net := NewNetworkOf[float64](lstm, NewDenseOf[float64]("fc", 4, 2, r))
 	x := randInput(r, 3, 5*3)
 	gradCheck(t, net, x, randLabels(r, 3, 2), 1e-4)
 	inputGradCheck(t, net, x, randLabels(r, 3, 2), 1e-4)
@@ -334,15 +334,15 @@ func TestLSTMGradCheck(t *testing.T) {
 
 func TestLSTMTwoLayerGradCheck(t *testing.T) {
 	r := rng.New(12)
-	lstm := NewLSTM("rnn", 2, 3, 4, 2, r)
-	net := NewNetwork(lstm, NewDense("fc", 3, 2, r))
+	lstm := NewLSTMOf[float64]("rnn", 2, 3, 4, 2, r)
+	net := NewNetworkOf[float64](lstm, NewDenseOf[float64]("fc", 3, 2, r))
 	x := randInput(r, 2, 4*2)
 	gradCheck(t, net, x, randLabels(r, 2, 2), 1e-4)
 }
 
 func TestLSTMParamNames(t *testing.T) {
 	r := rng.New(13)
-	lstm := NewLSTM("rnn", 2, 3, 4, 2, r)
+	lstm := NewLSTMOf[float64]("rnn", 2, 3, 4, 2, r)
 	want := []string{
 		"rnn.weight_ih_l0", "rnn.weight_hh_l0", "rnn.bias_ih_l0", "rnn.bias_hh_l0",
 		"rnn.weight_ih_l1", "rnn.weight_hh_l1", "rnn.bias_ih_l1", "rnn.bias_hh_l1",
@@ -443,7 +443,7 @@ func TestSGDMomentum(t *testing.T) {
 
 func TestFlatParamsRoundTrip(t *testing.T) {
 	r := rng.New(14)
-	net := NewNetwork(NewDense("fc1", 3, 4, r), NewDense("fc2", 4, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 3, 4, r), NewDenseOf[float64]("fc2", 4, 2, r))
 	flat := net.FlatParams()
 	if len(flat) != net.NumParams() {
 		t.Fatalf("flat length %d != NumParams %d", len(flat), net.NumParams())
@@ -461,7 +461,7 @@ func TestFlatParamsRoundTrip(t *testing.T) {
 
 func TestParamRanges(t *testing.T) {
 	r := rng.New(15)
-	net := NewNetwork(NewDense("fc1", 3, 4, r), NewDense("fc2", 4, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 3, 4, r), NewDenseOf[float64]("fc2", 4, 2, r))
 	ranges := net.ParamRanges()
 	if len(ranges) != 4 {
 		t.Fatalf("got %d ranges, want 4", len(ranges))
@@ -486,13 +486,13 @@ func TestDuplicateParamNamePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewNetwork(NewDense("fc", 2, 2, r), NewDense("fc", 2, 2, r))
+	NewNetworkOf[float64](NewDenseOf[float64]("fc", 2, 2, r), NewDenseOf[float64]("fc", 2, 2, r))
 }
 
 // TestTrainingReducesLoss checks the full stack learns a separable problem.
 func TestTrainingReducesLoss(t *testing.T) {
 	r := rng.New(17)
-	net := NewNetwork(NewDense("fc1", 2, 16, r), NewReLU(16), NewDense("fc2", 16, 2, r))
+	net := NewNetworkOf[float64](NewDenseOf[float64]("fc1", 2, 16, r), NewReLUOf[float64](16), NewDenseOf[float64]("fc2", 16, 2, r))
 	opt := NewSGDOf[float64](0.1, 0, 0)
 	// Two Gaussian blobs.
 	const n = 64
@@ -528,8 +528,8 @@ func TestTrainingDeterminism(t *testing.T) {
 	run := func() []float64 {
 		r := rng.New(18)
 		geom := tensor.NewConvGeom(1, 8, 8, 3, 3, 1, 1)
-		conv := NewConv2D("conv", geom, 4, r)
-		net := NewNetwork(conv, NewReLU(conv.OutDim()), NewDense("fc", conv.OutDim(), 3, r))
+		conv := NewConv2DOf[float64]("conv", geom, 4, r)
+		net := NewNetworkOf[float64](conv, NewReLUOf[float64](conv.OutDim()), NewDenseOf[float64]("fc", conv.OutDim(), 3, r))
 		opt := NewSGDOf[float64](0.05, 0, 0)
 		x := randInput(r, 16, 64)
 		labels := randLabels(r, 16, 3)
@@ -552,7 +552,7 @@ func TestTrainingDeterminism(t *testing.T) {
 
 func BenchmarkDenseForward(b *testing.B) {
 	r := rng.New(1)
-	d := NewDense("fc", 256, 128, r)
+	d := NewDenseOf[float64]("fc", 256, 128, r)
 	x := randInput(r, 32, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -563,7 +563,7 @@ func BenchmarkDenseForward(b *testing.B) {
 func BenchmarkConvForwardBackward(b *testing.B) {
 	r := rng.New(1)
 	geom := tensor.NewConvGeom(8, 16, 16, 3, 3, 1, 1)
-	c := NewConv2D("conv", geom, 16, r)
+	c := NewConv2DOf[float64]("conv", geom, 16, r)
 	x := randInput(r, 16, c.InDim())
 	dout := randInput(r, 16, c.OutDim())
 	b.ResetTimer()
@@ -575,8 +575,8 @@ func BenchmarkConvForwardBackward(b *testing.B) {
 
 func BenchmarkLSTMForwardBackward(b *testing.B) {
 	r := rng.New(1)
-	l := NewLSTM("rnn", 16, 32, 10, 1, r)
-	net := NewNetwork(l, NewDense("fc", 32, 4, r))
+	l := NewLSTMOf[float64]("rnn", 16, 32, 10, 1, r)
+	net := NewNetworkOf[float64](l, NewDenseOf[float64]("fc", 32, 4, r))
 	x := randInput(r, 16, 160)
 	labels := randLabels(r, 16, 4)
 	b.ResetTimer()

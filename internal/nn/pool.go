@@ -26,9 +26,6 @@ type MaxPool2DOf[F tensor.Float] struct {
 	fwdRun poolFwdRunnerOf[F]
 }
 
-// MaxPool2D is the float64 max-pool layer.
-type MaxPool2D = MaxPool2DOf[float64]
-
 // NewMaxPool2DOf creates a max-pool layer with square kernel K and stride.
 func NewMaxPool2DOf[F tensor.Float](c, h, w, k, stride int) *MaxPool2DOf[F] {
 	if k <= 0 || stride <= 0 {
@@ -42,11 +39,6 @@ func NewMaxPool2DOf[F tensor.Float](c, h, w, k, stride int) *MaxPool2DOf[F] {
 	p := &MaxPool2DOf[F]{C: c, H: h, W: w, K: k, Stride: stride, OutH: outH, OutW: outW}
 	p.fwdRun.p = p
 	return p
-}
-
-// NewMaxPool2D creates a float64 max-pool layer.
-func NewMaxPool2D(c, h, w, k, stride int) *MaxPool2D {
-	return NewMaxPool2DOf[float64](c, h, w, k, stride)
 }
 
 // OutDim returns the per-sample output feature count.
@@ -168,17 +160,9 @@ type GlobalAvgPool2DOf[F tensor.Float] struct {
 	arena *tensor.Arena
 }
 
-// GlobalAvgPool2D is the float64 global average pooling layer.
-type GlobalAvgPool2D = GlobalAvgPool2DOf[float64]
-
 // NewGlobalAvgPool2DOf creates a global average pooling layer.
 func NewGlobalAvgPool2DOf[F tensor.Float](c, h, w int) *GlobalAvgPool2DOf[F] {
 	return &GlobalAvgPool2DOf[F]{C: c, H: h, W: w}
-}
-
-// NewGlobalAvgPool2D creates a float64 global average pooling layer.
-func NewGlobalAvgPool2D(c, h, w int) *GlobalAvgPool2D {
-	return NewGlobalAvgPool2DOf[float64](c, h, w)
 }
 
 // OutDim returns C.

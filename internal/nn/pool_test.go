@@ -12,7 +12,7 @@ import (
 // Backward routes gradients with a stale batch's winner indices — or indexes
 // out of bounds when the eval batch is smaller.
 func TestMaxPoolEvalForwardClearsTrainState(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2, 2)
+	p := NewMaxPool2DOf[float64](1, 4, 4, 2, 2)
 
 	train := tensor.New(4, p.InDim())
 	for i := range train.Data() {
@@ -35,7 +35,7 @@ func TestMaxPoolEvalForwardClearsTrainState(t *testing.T) {
 // TestMaxPoolTrainAfterEvalStillWorks: eval passes in between training steps
 // (the evaluation loop runs mid-round) must not break the next train step.
 func TestMaxPoolTrainAfterEvalStillWorks(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2, 2)
+	p := NewMaxPool2DOf[float64](1, 4, 4, 2, 2)
 	x := tensor.New(2, p.InDim())
 	for i := range x.Data() {
 		x.Data()[i] = float64((i * 7) % 11)

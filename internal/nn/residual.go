@@ -21,9 +21,6 @@ type ResidualOf[F tensor.Float] struct {
 	sumRun residualSumRunnerOf[F]
 }
 
-// Residual is the float64 residual block.
-type Residual = ResidualOf[float64]
-
 // NewResidualOf wires a residual block and validates dimensions.
 func NewResidualOf[F tensor.Float](body, shortcut []LayerOf[F], inDim int) *ResidualOf[F] {
 	if len(body) == 0 {
@@ -40,11 +37,6 @@ func NewResidualOf[F tensor.Float](body, shortcut []LayerOf[F], inDim int) *Resi
 	r := &ResidualOf[F]{Body: body, Shortcut: shortcut, outDim: bodyOut}
 	r.sumRun.r = r
 	return r
-}
-
-// NewResidual wires a float64 residual block.
-func NewResidual(body, shortcut []Layer, inDim int) *Residual {
-	return NewResidualOf[float64](body, shortcut, inDim)
 }
 
 // OutDim returns the block's output feature count.

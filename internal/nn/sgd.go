@@ -14,9 +14,6 @@ type SGDOf[F tensor.Float] struct {
 	velocity    map[*ParamOf[F]]*tensor.TensorOf[F]
 }
 
-// SGD is the float64 optimizer.
-type SGD = SGDOf[float64]
-
 // NewSGDOf creates an optimizer for any float dtype.
 func NewSGDOf[F tensor.Float](lr, momentum, weightDecay float64) *SGDOf[F] {
 	return &SGDOf[F]{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*ParamOf[F]]*tensor.TensorOf[F])}

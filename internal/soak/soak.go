@@ -424,10 +424,6 @@ func recordFromRound(rd fedca.Round) runlog.Record {
 // from. Heterogeneous/dynamic client speeds stay on (the paper's regime);
 // everything else comes from the phase.
 func (p Phase) options(seed uint64, tel *fedca.Telemetry, j *fedca.Journal) fedca.Options {
-	chaosSpec := p.Chaos
-	if chaosSpec == "none" {
-		chaosSpec = ""
-	}
 	return fedca.Options{
 		Model:         p.Model,
 		Clients:       p.Clients,
@@ -438,7 +434,7 @@ func (p Phase) options(seed uint64, tel *fedca.Telemetry, j *fedca.Journal) fedc
 		TrainSamples:  p.Train,
 		TestSamples:   p.Test,
 		Alpha:         p.Alpha,
-		Chaos:         chaosSpec,
+		Chaos:         p.Chaos,
 		MinQuorum:     p.Quorum,
 		MaxDeltaNorm:  p.MaxNorm,
 		Heterogeneous: true,
@@ -510,17 +506,8 @@ func recheckPhase(p PhaseResult, withTelemetry bool) (string, error) {
 // the ring retains. Write errors are swallowed: event streaming is best
 // effort and must not abort a soak.
 func (r *Runner) drainEvents() {
-	j, w := r.cfg.Journal, r.cfg.EventWriter
-	if j == nil || w == nil {
-		return
-	}
-	for _, e := range j.Since(r.drainedSeq) {
-		b, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		_, _ = w.Write(append(b, '\n'))
-		r.drainedSeq = e.Seq
+	if w := r.cfg.EventWriter; w != nil {
+		r.drainedSeq, _ = r.cfg.Journal.WriteSince(w, r.drainedSeq)
 	}
 }
 

@@ -21,7 +21,9 @@ package telemetry
 // which is what the ring-eviction property test asserts.
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,6 +157,26 @@ func (j *Journal) Since(seq uint64) []Event {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
+}
+
+// WriteSince streams every retained event with Seq > seq to w as JSON lines
+// and returns the Seq of the last one (seq when there is none; a nil journal
+// writes nothing). A failed write does not stop the stream: the events after
+// it are still written and the first error is returned. An event that does
+// not marshal (a non-finite VTime) is skipped.
+func (j *Journal) WriteSince(w io.Writer, seq uint64) (uint64, error) {
+	var first error
+	for _, e := range j.Since(seq) {
+		b, err := json.Marshal(e)
+		if err != nil {
+			continue
+		}
+		if _, err := w.Write(append(b, '\n')); err != nil && first == nil {
+			first = err
+		}
+		seq = e.Seq
+	}
+	return seq, first
 }
 
 // Tail returns the newest n retained events in ascending sequence order.

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -227,9 +229,55 @@ func TestNilJournalSafe(t *testing.T) {
 	if j.Enabled() || j.Cap() != 0 || j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
 		t.Fatal("nil journal must be inert")
 	}
+	if seq, err := j.WriteSince(&failingWriter{failAt: 1}, 7); seq != 7 || err != nil {
+		t.Fatalf("nil journal WriteSince = %d, %v; want 7, nil", seq, err)
+	}
 	var tbl *ClientTable
 	if tbl.Len() != 0 || tbl.Untracked() != 0 || tbl.TopK(3, "compute") != nil {
 		t.Fatal("nil client table must be inert")
+	}
+}
+
+// failingWriter fails its failAt-th write (1-based) and keeps the others.
+type failingWriter struct {
+	failAt, calls int
+	lines         []string
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls == w.failAt {
+		return 0, errors.New("disk full")
+	}
+	w.lines = append(w.lines, string(p))
+	return len(p), nil
+}
+
+// TestJournalWriteSince pins the JSON-lines drain fedca-sim -events and the
+// soak share: events after the cursor, one JSON line each, the cursor moved
+// to the last one; a failed write is reported as the first error and does
+// not stop the events after it.
+func TestJournalWriteSince(t *testing.T) {
+	j := NewJournal(0)
+	for i := 0; i < 4; i++ {
+		j.RoundDone(i, float64(i), 1, 0, 0, false)
+	}
+	w := &failingWriter{failAt: 2}
+	seq, err := j.WriteSince(w, 1)
+	if seq != 4 || err == nil || err.Error() != "disk full" {
+		t.Fatalf("WriteSince = %d, %v; want 4 and the write error", seq, err)
+	}
+	if len(w.lines) != 2 {
+		t.Fatalf("wrote %d lines, want 2 (events 2 and 4; event 3's write failed)", len(w.lines))
+	}
+	for i, want := range []uint64{2, 4} {
+		var e Event
+		if err := json.Unmarshal([]byte(w.lines[i]), &e); err != nil || e.Seq != want || !strings.HasSuffix(w.lines[i], "}\n") {
+			t.Fatalf("line %d = %q (%v), want event %d as one JSON line", i, w.lines[i], err, want)
+		}
+	}
+	if seq, err := j.WriteSince(w, seq); seq != 4 || err != nil {
+		t.Fatalf("drained journal: WriteSince = %d, %v; want 4, nil", seq, err)
 	}
 }
 
