@@ -54,7 +54,7 @@ func sameBits[F tensor.Float](a, b []F) int {
 
 // lstmShapeNets adds, to everyLayerNets, LSTMs of one and two layers at hidden
 // sizes with and without a vector tail (1, 3, 4, 5, 24, 25) — the shapes the
-// cell's slab passes and the gate-gradient kernel split differently.
+// cell and gate-gradient kernels split differently.
 func lstmShapeNets[F tensor.Float](nets map[string]func() (*NetworkOf[F], int)) {
 	for _, layers := range []int{1, 2} {
 		for _, hid := range []int{1, 3, 4, 5, 24, 25} {

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"unsafe"
 
 	"fedca/internal/rng"
 	"fedca/internal/tensor"
@@ -15,10 +14,10 @@ import (
 // same with l1, l2, … for deeper stacks. Gate order is i, f, g, o.
 //
 // The cell — gate nonlinearities, c = f·c_prev + i·g, h = o·tanh c — evaluates
-// in float64 for both dtypes (math.Exp/Tanh have no float32 form in the
-// standard library, and tensor.Sigmoid/Tanh are defined by them); a float32
-// network rounds the results to its working precision on store, while the
-// GEMMs and the pre-activation sums run in the working dtype.
+// in float64 for both dtypes (math.Exp/Tanh, which define the nonlinearities,
+// have no float32 form in the standard library); a float32 network rounds the
+// results to its working precision on store, while the GEMMs and the
+// pre-activation sums run in the working dtype. tensor.LSTMCell is that cell.
 type LSTMOf[F tensor.Float] struct {
 	InDim, Hidden, T, NumLayers int
 	layers                      []*lstmLayerOf[F]
@@ -40,9 +39,6 @@ type lstmLayerOf[F tensor.Float] struct {
 	// Per-Forward scratch: bias is b_ih + b_hh, hh receives h·W_hhᵀ at every
 	// step.
 	bias, hh *tensor.TensorOf[F]
-	// cell is one batch row of a float32 cell widened to float64, drawn per
-	// Forward: the four gates, then c, then tanh c (6·H). Nil at float64.
-	cell []float64
 	// BPTT caches, one entry per timestep; the slice headers persist across
 	// iterations (reset to length zero, capacity kept) so steady-state
 	// training appends without allocating. acts holds the activated gates
@@ -122,7 +118,8 @@ func (l *LSTMOf[F]) Params() []*ParamOf[F] {
 // step runs one timestep: given x [B,in], hPrev and cPrev [B,H], it returns
 // h and c and (when train) caches everything needed for backward; an
 // inference step releases its other two buffers before it returns. It runs
-// the two products; cellRow does the rest row by row.
+// the two products and hands the rest to tensor.LSTMCell, every batch row in
+// one call.
 func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) (h, c *tensor.TensorOf[F]) {
 	batch := x.Dim(0)
 	hid := ll.hidden
@@ -132,11 +129,7 @@ func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) 
 	c = uninitT[F](ll.arena, batch, hid)
 	h = uninitT[F](ll.arena, batch, hid)
 	tc := uninitT[F](ll.arena, batch, hid)
-	ad, hhd, cpd, cd, tcd, hd := act.Data(), ll.hh.Data(), cPrev.Data(), c.Data(), tc.Data(), h.Data()
-	for lo := 0; lo < batch*hid; lo += hid {
-		hi := lo + hid
-		ll.cellRow(ad[4*lo:4*hi], hhd[4*lo:4*hi], cpd[lo:hi], cd[lo:hi], tcd[lo:hi], hd[lo:hi])
-	}
+	tensor.LSTMCell(act.Data(), ll.hh.Data(), ll.bias.Data(), cPrev.Data(), c.Data(), tc.Data(), h.Data(), hid)
 	if train {
 		ll.xs = append(ll.xs, x)
 		ll.hPrevs = append(ll.hPrevs, hPrev)
@@ -150,61 +143,6 @@ func (ll *lstmLayerOf[F]) step(x, hPrev, cPrev *tensor.TensorOf[F], train bool) 
 		releaseT(ll.arena, tc)
 	}
 	return h, c
-}
-
-// cellRow runs the cell on one batch row as a few slab passes over float64
-// rows. gates arrives as the row of x·W_ihᵀ and leaves as the activated gates
-// i|f|g|o; hh (the row of h·W_hhᵀ) and cPrev are read; c, tanhC and h are
-// written. The passes: the pre-activations (x·W_ihᵀ + h·W_hhᵀ) + (b_ih + b_hh),
-// summed in F in that association (ll.bias is the second bracket, summed once
-// per Forward); sigmoid over the contiguous i|f half, tanh over g, sigmoid
-// over o; c = f·c_prev + i·g; tanh over c; h = o·tanh c. At float64 they run
-// in the rows themselves; a float32 row is widened into ll.cell, gates, c and
-// tanh c are narrowed on store, and h is rounded from the unrounded o and
-// tanh c. The products are explicit conversions, so no compiler fuses them
-// into the sum. (A function of its own, not a loop body in step: with step's
-// tensors live as well the compiler keeps these loops' indices on the stack.)
-func (ll *lstmLayerOf[F]) cellRow(gates, hh, cPrev, c, tanhC, h []F) {
-	hid := len(c)
-	z, cz, tz := asFloat64(gates), asFloat64(c), asFloat64(tanhC)
-	if ll.cell != nil {
-		z, cz, tz = ll.cell[:4*hid], ll.cell[4*hid:5*hid], ll.cell[5*hid:6*hid]
-	}
-	hh = hh[:len(z)]
-	for j, v := range ll.bias.Data()[:len(z)] {
-		z[j] = float64((gates[j] + hh[j]) + v)
-	}
-	zi, zf, zg, zo := z[:hid], z[hid:2*hid], z[2*hid:3*hid], z[3*hid:4*hid]
-	tensor.Sigmoid(z[:2*hid], z[:2*hid])
-	tensor.Tanh(zg, zg)
-	tensor.Sigmoid(zo, zo)
-	for j, cp := range cPrev[:hid] {
-		cz[j] = float64(zf[j]*float64(cp)) + float64(zi[j]*zg[j])
-	}
-	tensor.Tanh(tz, cz)
-	for j, v := range tz[:hid] {
-		h[j] = F(zo[j] * v)
-	}
-	if ll.cell != nil {
-		narrow(gates, z)
-		narrow(c, cz)
-		narrow(tanhC, tz)
-	}
-}
-
-// asFloat64 is s itself when F is float64, and nil otherwise.
-func asFloat64[F tensor.Float](s []F) []float64 {
-	if unsafe.Sizeof(s[0]) != 8 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
-}
-
-// narrow stores src rounded to F.
-func narrow[F tensor.Float](dst []F, src []float64) {
-	for j, v := range src {
-		dst[j] = F(v)
-	}
 }
 
 // Forward consumes [B, T·D] and returns the top layer's last hidden state.
@@ -238,11 +176,6 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 		ll.bias = uninitT[F](ll.arena, 4*l.Hidden)
 		ll.bias.AddInto(ll.bih.Value, ll.bhh.Value)
 		ll.hh = uninitT[F](ll.arena, batch, 4*l.Hidden)
-		var cell *tensor.TensorOf[float64]
-		if unsafe.Sizeof(F(0)) == 4 {
-			cell = uninitT[float64](ll.arena, 6*l.Hidden)
-			ll.cell = cell.Data()
-		}
 		h := allocT[F](ll.arena, batch, l.Hidden) // zeroed: h₀ = 0
 		c := allocT[F](ll.arena, batch, l.Hidden) // zeroed: c₀ = 0
 		if ll.out == nil {
@@ -271,9 +204,6 @@ func (l *LSTMOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 			releaseT(ll.arena, c)
 			releaseT(ll.arena, ll.bias)
 			releaseT(ll.arena, ll.hh)
-			if cell != nil {
-				releaseT(ll.arena, cell)
-			}
 		}
 		seq = out
 		lastH = h

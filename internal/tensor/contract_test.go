@@ -586,6 +586,10 @@ func kernels[F Float]() map[string]kernel[F] {
 		}
 	}
 	imgSize := func(g ConvGeom) int { return g.InC * g.InH * g.InW }
+	var edges []F
+	for _, v := range vecMathEdges() {
+		edges = append(edges, F(v))
+	}
 	m := map[string]kernel[F]{
 		"gemm":         gemm,
 		"packPanels":   pack(false),
@@ -666,6 +670,25 @@ func kernels[F Float]() map[string]kernel[F] {
 			},
 			anyNaN: true,
 		},
+		// act is read and written: it enters as a copy of input 0. The bias
+		// row is followed by as many drawn values, not by the guard words: a
+		// read past it would find a value beyond ±700 there, and the group
+		// would go to the portable body and come out right. The special
+		// values include the vector cell's own edges — sigmoid's ±700, tanh's
+		// 0.625 and 0.5·MAXLOG — so that a row holds groups the vector body
+		// serves and groups it leaves to the portable one.
+		"LSTMCell": {
+			shapes: func() [][]int { return cross(span(1, 2*w+1), []int{1, 2, 5}) }, // hidden, batch
+			sizes: func(s []int) ([]int, []int) {
+				n := s[0] * s[1]
+				return []int{4 * n, 4 * n, 8 * s[0], n}, []int{4 * n, n, n, n}
+			},
+			run: func(c *call[F]) {
+				copy(c.out[0], c.in[0])
+				LSTMCell(c.out[0], c.in[1], c.in[2][:4*c.s[0]], c.in[3], c.out[1], c.out[2], c.out[3], c.s[0])
+			},
+			extra: edges,
+		},
 		// With a mask (s[1] = 1) and without.
 		"ReLU": {
 			shapes: func() [][]int { return cross(lengths, []int{0, 1}) },
@@ -724,10 +747,6 @@ func kernels[F Float]() map[string]kernel[F] {
 		},
 	}
 	if sizeofF[F]() == 8 {
-		var edges []F
-		for _, v := range vecMathEdges() {
-			edges = append(edges, F(v))
-		}
 		// Separate slices, or in place.
 		vecMath := func(f func(dst, src []float64)) kernel[F] {
 			return kernel[F]{
@@ -744,7 +763,7 @@ func kernels[F Float]() map[string]kernel[F] {
 				extra: edges,
 			}
 		}
-		m["Sigmoid"], m["Tanh"] = vecMath(Sigmoid), vecMath(Tanh)
+		m["sigmoid"], m["tanh"] = vecMath(sigmoid), vecMath(tanh)
 	}
 	return m
 }
@@ -828,8 +847,8 @@ func TestMovePlanesMatchesCopy(t *testing.T) {
 // TestVecMathShapes and TestVecMathEdges: the vector sigmoid and tanh equal
 // 1/(1+math.Exp(-x)) and math.Tanh in all 64 bits, at every length and
 // alignment, separate and in place, and with every edge in every lane.
-func TestVecMathShapes(t *testing.T) { checkKernels[float64](t, ordinary, nil, "Sigmoid", "Tanh") }
-func TestVecMathEdges(t *testing.T)  { checkKernels[float64](t, special, nil, "Sigmoid", "Tanh") }
+func TestVecMathShapes(t *testing.T) { checkKernels[float64](t, ordinary, nil, "sigmoid", "tanh") }
+func TestVecMathEdges(t *testing.T)  { checkKernels[float64](t, special, nil, "sigmoid", "tanh") }
 
 func TestAddSlicesMatchesScalar(t *testing.T) {
 	contract(t, ordinary|special, nil, "addSlices")
@@ -837,6 +856,14 @@ func TestAddSlicesMatchesScalar(t *testing.T) {
 func TestAddRowsMatchesScalar(t *testing.T) { contract(t, ordinary|special, nil, "addRows") }
 func TestLSTMGateGradMatchesScalar(t *testing.T) {
 	contract(t, ordinary|special, nil, "LSTMGateGrad")
+}
+
+// TestLSTMCellMatchesScalar: the cell forward at every hidden size up to two
+// vectors and one, a single row among them. A group of four the vector body
+// cannot serve — a sigmoid lane beyond ±700, a NaN before either tanh — goes
+// to the portable body, and the vector body resumes at the next group.
+func TestLSTMCellMatchesScalar(t *testing.T) {
+	contract(t, ordinary|special, nil, "LSTMCell")
 }
 
 // TestReLUAndGateMatchScalar: −0 clamps to +0, a NaN comes out as the

@@ -6,57 +6,98 @@ import (
 	"unsafe"
 )
 
-// The elementwise kernels beside the GEMM: the LSTM cell's two
-// nonlinearities, the sum of two slices and the cell's gate gradients, each
-// with a body at vector width (elementwise_amd64.s) and a portable one here
-// that is its definition.
+// The elementwise kernels beside the GEMM: the LSTM cell forward and its
+// gate gradients, and the sum of two slices, each with a body at vector width
+// (elementwise_amd64.s) and a portable one here that is its definition.
 //
-// Sigmoid and Tanh are defined by the standard library: 1/(1+math.Exp(-x))
-// and math.Tanh(x), to the last bit of every input. On amd64 math.Exp is a
-// straight-line assembly routine with fused multiply-adds at ten fixed places
-// when the CPU has FMA, and math.Tanh is pure Go over it, so four lanes can
-// repeat both instruction for instruction; useVecMath is true where they do.
-// Fused operations are right here and wrong in the GEMM for the same reason:
-// a kernel rounds where its reference rounds. Whatever the straight line does
-// not cover — a group of four with a lane beyond ±700 (sigmoid) or a NaN
-// (tanh), the tail of a slice, any other machine — goes through math.Exp and
-// math.Tanh themselves, so a result cannot depend on the path that produced
-// it. A toolchain that changes math.Exp shows up as a failing property test
-// in this package, not as a drifting checksum.
+// The cell's nonlinearities are defined by the standard library:
+// 1/(1+math.Exp(-x)) and math.Tanh(x), to the last bit of every input. On
+// amd64 math.Exp is a straight-line assembly routine with fused multiply-adds
+// at ten fixed places when the CPU has FMA, and math.Tanh is pure Go over it,
+// so four lanes can repeat both instruction for instruction; useVecMath is
+// true where they do. Fused operations are right here and wrong in the GEMM
+// for the same reason: a kernel rounds where its reference rounds. Whatever
+// the straight line does not cover — a group of four with a lane beyond ±700
+// (sigmoid) or a NaN (tanh), the tail of a row, any other machine — goes
+// through math.Exp and math.Tanh themselves, so a result cannot depend on the
+// path that produced it. A toolchain that changes math.Exp shows up as a
+// failing property test in this package, not as a drifting checksum.
 //
 // The sums and the gate gradients contain no operation a lane could round
 // differently (+, −, × only, never fused), so they follow useAVX2 like the
 // GEMM.
 
-// sigmoidRef and the math.Tanh calls below are the portable path and the
-// reference the vector kernels are tested against.
+// sigmoidRef and math.Tanh are the cell's nonlinearities on the portable
+// path and the reference the vector ones are tested against.
 func sigmoidRef(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Sigmoid sets dst[i] = 1/(1+math.Exp(-src[i])) for every i. dst must be at
-// least as long as src, and either src itself or disjoint from it.
-func Sigmoid(dst, src []float64) { mapVec(dst, src, sigmoidAVX2, sigmoidRef) }
-
-// Tanh sets dst[i] = math.Tanh(src[i]) for every i, under Sigmoid's rules for
-// dst.
-func Tanh(dst, src []float64) { mapVec(dst, src, tanhAVX2, math.Tanh) }
-
-// mapVec applies ref to every element of src, through vec for the groups of
-// four it serves: vec returns how many elements it did before a group it does
-// not serve, or the end.
-func mapVec(dst, src []float64, vec func(dst, src *float64, n int) int, ref func(float64) float64) {
-	n := len(src)
-	dst = dst[:n]
-	i := 0
-	for useVecMath && n-i >= 4 {
-		i += vec(&dst[i], &src[i], (n-i)&^3)
-		if n-i >= 4 {
-			for end := i + 4; i < end; i++ {
-				dst[i] = ref(src[i])
+// LSTMCell is the elementwise part of the LSTM cell's forward pass over a
+// batch, after the two products. Per batch row, act arrives holding x·W_ihᵀ
+// and hh holding h·W_hhᵀ (4·hid each, gate blocks i|f|g|o), bias holds
+// b_ih + b_hh (4·hid) and cPrev the previous cell state (hid). It sums the
+// pre-activations (x·W_ihᵀ + h·W_hhᵀ) + (b_ih + b_hh) in F, then in float64
+// at either dtype takes sigmoid over i, f and o and tanh over g, c = f·c_prev
+// + i·g, tanh c and h = o·tanh c, every operation rounded on its own. It
+// writes the activated gates over act and c, tanh c and h (hid per row),
+// each rounded once to F on store; a float32 cell computes c and h from the
+// unrounded gates. act is the only buffer both read and written.
+func LSTMCell[F Float](act, hh, bias, cPrev, c, tanhC, h []F, hid int) {
+	n := len(c)
+	if hid <= 0 || n%hid != 0 {
+		panic(fmt.Sprintf("tensor: LSTMCell rows of %d in %d elements", hid, n))
+	}
+	rows := n / hid
+	if rows == 0 {
+		return
+	}
+	_, _, _ = act[4*n-1], hh[4*n-1], bias[4*hid-1] // the assembly checks no bounds
+	_, _, _ = cPrev[n-1], tanhC[n-1], h[n-1]
+	from := 0
+	if useVecMath && hid >= 4 {
+		from = hid &^ 3
+		per, groups := from/4, rows*from/4
+		// k is the group the vector body stopped in front of; the portable
+		// body does it and the vector one goes on from the next.
+		for k := 0; k < groups; k++ {
+			lo := k / per * hid
+			k += lstmCellVec(act[4*lo:], hh[4*lo:], bias, cPrev[lo:], c[lo:], tanhC[lo:], h[lo:], hid, rows-k/per, k%per)
+			if k < groups {
+				lo, j := k/per*hid, 4*(k%per)
+				hi := lo + hid
+				lstmCellGo(act[4*lo:4*hi], hh[4*lo:4*hi], bias, cPrev[lo:hi], c[lo:hi], tanhC[lo:hi], h[lo:hi], hid, j, j+4)
 			}
 		}
 	}
-	for ; i < n; i++ {
-		dst[i] = ref(src[i])
+	if from < hid {
+		lstmCellGo(act, hh, bias, cPrev, c, tanhC, h, hid, from, hid)
+	}
+}
+
+// lstmCellVec runs the vector cell from group g of the first row on and
+// returns the number of groups it did.
+func lstmCellVec[F Float](act, hh, bias, cPrev, c, tanhC, h []F, hid, rows, g int) int {
+	if sizeofF[F]() == 4 {
+		return lstmCellAVX2F32(ptr32(act), ptr32(hh), ptr32(bias), ptr32(cPrev), ptr32(c), ptr32(tanhC), ptr32(h), hid, rows, g)
+	}
+	return lstmCellAVX2F64(ptr64(act), ptr64(hh), ptr64(bias), ptr64(cPrev), ptr64(c), ptr64(tanhC), ptr64(h), hid, rows, g)
+}
+
+// lstmCellGo is the portable cell over columns [from, to) of every row, and
+// the definition of the assembly. Each product is an explicit conversion,
+// which no compiler may fuse with the sum that consumes it.
+func lstmCellGo[F Float](act, hh, bias, cPrev, c, tanhC, h []F, hid, from, to int) {
+	for lo := 0; lo < len(c); lo += hid {
+		a, p := act[4*lo:4*lo+4*hid], hh[4*lo:4*lo+4*hid]
+		for j := from; j < to; j++ {
+			i := sigmoidRef(float64((a[j] + p[j]) + bias[j]))
+			f := sigmoidRef(float64((a[hid+j] + p[hid+j]) + bias[hid+j]))
+			g := math.Tanh(float64((a[2*hid+j] + p[2*hid+j]) + bias[2*hid+j]))
+			o := sigmoidRef(float64((a[3*hid+j] + p[3*hid+j]) + bias[3*hid+j]))
+			cj := float64(f*float64(cPrev[lo+j])) + float64(i*g)
+			tc := math.Tanh(cj)
+			a[j], a[hid+j], a[2*hid+j], a[3*hid+j] = F(i), F(f), F(g), F(o)
+			c[lo+j], tanhC[lo+j], h[lo+j] = F(cj), F(tc), F(o*tc)
+		}
 	}
 }
 

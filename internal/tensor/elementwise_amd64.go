@@ -4,9 +4,9 @@ package tensor
 
 import "math"
 
-// useVecMath selects the vector bodies of Sigmoid and Tanh. Like useAVX2 it
-// is set once from what the CPU reports and by nothing else; tests in this
-// package and in internal/nn flip it. The kernels need AVX2 and FMA, which is
+// useVecMath selects the vector body of LSTMCell. Like useAVX2 it is set
+// once from what the CPU reports and by nothing else; tests in this package
+// and in internal/nn flip it. The kernel needs AVX2 and FMA, which is
 // also when math.Exp takes the fused branch they repeat (math.useFMA is AVX
 // and FMA); vecMathAgrees covers the one way the two tests can still part.
 var useVecMath = useAVX2 && detectFMA() && vecMathAgrees()
@@ -64,6 +64,12 @@ func lstmGateGradAVX2F64(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float64,
 
 //go:noescape
 func lstmGateGradAVX2F32(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float32, hid, rows int)
+
+//go:noescape
+func lstmCellAVX2F64(act, hh, bias, cPrev, c, tanhC, h *float64, hid, rows, g0 int) int
+
+//go:noescape
+func lstmCellAVX2F32(act, hh, bias, cPrev, c, tanhC, h *float32, hid, rows, g0 int) int
 
 //go:noescape
 func reluAVX2F64(dst, src *float64, mask *bool, n int)

@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // Elementwise kernels at vector width: sigmoid and tanh over float64 that
-// equal 1/(1+math.Exp(-x)) and math.Tanh(x) in every bit, the sum of two
-// slices, and the LSTM cell's gate gradients. See elementwise.go for the
-// contract and the fall-back rule.
+// equal 1/(1+math.Exp(-x)) and math.Tanh(x) in every bit, the LSTM cell
+// forward built from the same instructions, the sum of two slices, and the
+// cell's gate gradients. See elementwise.go for the contract and the
+// fall-back rule.
 
 // Every constant is held four times, one 32-byte vector operand each. The
 // decimal literals are the ones math/exp_amd64.s and math/tanh.go are built
@@ -110,6 +111,80 @@ GLOBL ewc<>(SB), RODATA, $816
 	VPSLLQ       $52, Y3, Y3;     \
 	VMULPD       Y3, Y0, Y0
 
+// SIGMOID4(x) sets Y0 to 1/(1+exp(-x)) on the four lanes of x, clobbering
+// Y1–Y3. Every lane of x must be within |x| ≤ EXPMAX.
+#define SIGMOID4(x) \
+	VXORPD  SIGNBIT, x, Y0; \
+	EXP4;                   \
+	VADDPD  ONE, Y0, Y0;    \
+	VMOVUPD ONE, Y1;        \
+	VDIVPD  Y0, Y1, Y0
+
+// TANHEXP sets Y0 to math.tanh's branch for |x| ≥ 0.625 — s = exp(2z);
+// 1 − 2/(s+1), negated where x < 0 — from z = |x| in Y9 and x's sign bit in
+// Y10, clobbering Y1–Y3. z is capped at TANHCAP first, which changes only
+// lanes the saturation blend replaces.
+#define TANHEXP \
+	VMINPD  TANHCAP, Y9, Y0; \
+	VMULPD  TWO, Y0, Y0;     \
+	EXP4;                    \
+	VADDPD  ONE, Y0, Y0;     \
+	VMOVUPD TWO, Y1;         \
+	VDIVPD  Y0, Y1, Y0;      \
+	VMOVUPD ONE, Y1;         \
+	VSUBPD  Y0, Y1, Y0;      \
+	VXORPD  Y10, Y0, Y0
+
+// TANHPOLY sets Y6 to math.tanh's branch below 0.625 on x in Y8 — s = x·x;
+// x + x·s·((P0·s+P1)·s+P2) / (((s+Q0)·s+Q1)·s+Q2) — clobbering Y3–Y5.
+#define TANHPOLY \
+	VMULPD  Y8, Y8, Y3;     \
+	VMULPD  TANHP0, Y3, Y4; \
+	VADDPD  TANHP1, Y4, Y4; \
+	VMULPD  Y3, Y4, Y4;     \
+	VADDPD  TANHP2, Y4, Y4; \
+	VADDPD  TANHQ0, Y3, Y5; \
+	VMULPD  Y3, Y5, Y5;     \
+	VADDPD  TANHQ1, Y5, Y5; \
+	VMULPD  Y3, Y5, Y5;     \
+	VADDPD  TANHQ2, Y5, Y5; \
+	VMULPD  Y3, Y8, Y6;     \
+	VMULPD  Y4, Y6, Y6;     \
+	VDIVPD  Y5, Y6, Y6;     \
+	VADDPD  Y6, Y8, Y6
+
+// TANH4 sets Y6 to math.tanh(x) on the four lanes of x in Y8, none of them a
+// NaN: each lane takes math.tanh's branch for its |x|, with that branch's own
+// sequence of separately rounded operations, then its range tests as blends —
+// ±1 above 0.5·MAXLOG, x itself (which keeps −0) at 0. A branch no lane takes
+// is not computed. It needs Y11 = 0 and clobbers Y0–Y5, Y7, Y9, Y10 and the
+// general register tmp; the labels are the caller's, distinct per use.
+#define TANH4(tmp, above, sat, below, zero) \
+	VANDPD    ABSMASK, Y8, Y9;      \
+	VANDPD    SIGNBIT, Y8, Y10;     \
+	VCMPPD    $29, TANHMID, Y9, Y7; \
+	VMOVMSKPD Y7, tmp;              \
+	TESTL     tmp, tmp;             \
+	JE        below;                \
+	TANHEXP;                        \
+	CMPL      tmp, $15;             \
+	JE        above;                \
+	TANHPOLY;                       \
+	VBLENDVPD Y7, Y0, Y6, Y6;       \
+	JMP       sat;                  \
+above:                              \
+	VMOVAPD   Y0, Y6;               \
+sat:                                \
+	VCMPPD    $30, TANHSAT, Y9, Y1; \
+	VORPD     ONE, Y10, Y2;         \
+	VBLENDVPD Y1, Y2, Y6, Y6;       \
+	JMP       zero;                 \
+below:                              \
+	TANHPOLY;                       \
+zero:                               \
+	VCMPPD    $0, Y11, Y8, Y1;      \
+	VBLENDVPD Y1, Y8, Y6, Y6
+
 // func sigmoidAVX2(dst, src *float64, n int) int
 //
 // dst[i] = 1/(1+exp(-src[i])) for groups of four, n a multiple of 4. It stops
@@ -123,17 +198,13 @@ TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-32
 sigloop:
 	CMPQ AX, CX
 	JGE  sigdone
-	VMOVUPD (SI)(AX*8), Y0
-	VANDPD  ABSMASK, Y0, Y1
+	VMOVUPD (SI)(AX*8), Y4
+	VANDPD  ABSMASK, Y4, Y1
 	VCMPPD  $18, EXPMAX, Y1, Y1   // |x| <= EXPMAX, false for NaN
 	VMOVMSKPD Y1, BX
 	CMPL BX, $15
 	JNE  sigdone
-	VXORPD  SIGNBIT, Y0, Y0
-	EXP4
-	VADDPD  ONE, Y0, Y0
-	VMOVUPD ONE, Y1
-	VDIVPD  Y0, Y1, Y0
+	SIGMOID4(Y4)
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
 	JMP  sigloop
@@ -144,11 +215,9 @@ sigdone:
 
 // func tanhAVX2(dst, src *float64, n int) int
 //
-// dst[i] = tanh(src[i]) as math.tanh computes it, for groups of four, n a
-// multiple of 4: both of its branches on every lane, each with math.tanh's
-// own sequence of separately rounded operations, then its three range tests
-// as blends. It stops in front of the first group holding a NaN and returns
-// the number of elements done.
+// dst[i] = tanh(src[i]) as math.tanh computes it (TANH4), for groups of
+// four, n a multiple of 4. It stops in front of the first group holding a
+// NaN and returns the number of elements done.
 TEXT ·tanhAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -163,43 +232,7 @@ tanhloop:
 	VMOVMSKPD Y1, BX
 	TESTL BX, BX
 	JNE  tanhdone
-	VANDPD  ABSMASK, Y8, Y9       // z = |x|
-	VANDPD  SIGNBIT, Y8, Y10
-
-	// z >= 0.625: s = exp(2z); 1 - 2/(s+1), negated where x < 0.
-	VMINPD  TANHCAP, Y9, Y0
-	VMULPD  TWO, Y0, Y0
-	EXP4
-	VADDPD  ONE, Y0, Y0
-	VMOVUPD TWO, Y1
-	VDIVPD  Y0, Y1, Y0
-	VMOVUPD ONE, Y1
-	VSUBPD  Y0, Y1, Y0
-	VXORPD  Y10, Y0, Y0
-
-	// below: s = x·x; x + x·s·((P0·s+P1)·s+P2) / (((s+Q0)·s+Q1)·s+Q2).
-	VMULPD  Y8, Y8, Y3
-	VMULPD  TANHP0, Y3, Y4
-	VADDPD  TANHP1, Y4, Y4
-	VMULPD  Y3, Y4, Y4
-	VADDPD  TANHP2, Y4, Y4
-	VADDPD  TANHQ0, Y3, Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  TANHQ1, Y5, Y5
-	VMULPD  Y3, Y5, Y5
-	VADDPD  TANHQ2, Y5, Y5
-	VMULPD  Y3, Y8, Y6
-	VMULPD  Y4, Y6, Y6
-	VDIVPD  Y5, Y6, Y6
-	VADDPD  Y6, Y8, Y6
-
-	VCMPPD  $29, TANHMID, Y9, Y1  // z >= 0.625
-	VBLENDVPD Y1, Y0, Y6, Y6
-	VCMPPD  $30, TANHSAT, Y9, Y1  // z > 0.5·MAXLOG: ±1
-	VORPD   ONE, Y10, Y2
-	VBLENDVPD Y1, Y2, Y6, Y6
-	VCMPPD  $0, Y11, Y8, Y1       // x == 0: x, which keeps −0
-	VBLENDVPD Y1, Y8, Y6, Y6
+	TANH4(BX, tanhabove, tanhsat, tanhbelow, tanhzero)
 	VMOVUPD Y6, (DI)(AX*8)
 	ADDQ $4, AX
 	JMP  tanhloop
@@ -309,6 +342,43 @@ TEXT ·lstmGateGradAVX2F32(SB), NOSPLIT, $0-72
 #undef ST4
 #undef ESIZE
 #undef GSHIFT
+
+// The cell kernels share one body (lstm_cell_amd64.h).
+
+// func lstmCellAVX2F64(act, hh, bias, cPrev, c, tanhC, h *float64, hid, rows, g0 int) int
+TEXT ·lstmCellAVX2F64(SB), NOSPLIT, $536-88
+#define PREACT(ma, mh, mb, reg) VMOVUPD ma, reg; VADDPD mh, reg, reg; VADDPD mb, reg, reg
+#define LD4(mem, reg) VMOVUPD mem, reg
+#define ST4(reg, xreg, mem) VMOVUPD reg, mem
+#define ESIZE 8
+#define GSHIFT 5
+#define GSCALE 2
+#include "lstm_cell_amd64.h"
+#undef PREACT
+#undef LD4
+#undef ST4
+#undef ESIZE
+#undef GSHIFT
+#undef GSCALE
+
+// func lstmCellAVX2F32(act, hh, bias, cPrev, c, tanhC, h *float32, hid, rows, g0 int) int
+//
+// The sum is float32, as the element type's addition rounds it; the rest is
+// float64, rounded to float32 on store.
+TEXT ·lstmCellAVX2F32(SB), NOSPLIT, $536-88
+#define PREACT(ma, mh, mb, reg) VMOVUPS ma, X0; VADDPS mh, X0, X0; VADDPS mb, X0, X0; VCVTPS2PD X0, reg
+#define LD4(mem, reg) VCVTPS2PD mem, reg
+#define ST4(reg, xreg, mem) VCVTPD2PSY reg, xreg; VMOVUPS xreg, mem
+#define ESIZE 4
+#define GSHIFT 4
+#define GSCALE 1
+#include "lstm_cell_amd64.h"
+#undef PREACT
+#undef LD4
+#undef ST4
+#undef ESIZE
+#undef GSHIFT
+#undef GSCALE
 
 // The layers between the products at vector width: ReLU with its mask, the
 // mask's gate, 2×2 max pooling with its argmax, and the plain SGD update.

@@ -10,7 +10,35 @@ import (
 	"fedca/internal/rng"
 )
 
-// forceVecMath switches the vector bodies of Sigmoid and Tanh on for the rest
+// sigmoid and tanh run the vector bodies of the cell's two nonlinearities
+// over a slice — through mapVec, which sends a group they do not serve, and
+// the tail, to the math calls — for the property tests below and the
+// contract's entries. dst must be at least as long as src, and either src
+// itself or disjoint from it.
+func sigmoid(dst, src []float64) { mapVec(dst, src, sigmoidAVX2, sigmoidRef) }
+func tanh(dst, src []float64)    { mapVec(dst, src, tanhAVX2, math.Tanh) }
+
+// mapVec applies ref to every element of src, through vec for the groups of
+// four it serves: vec returns how many elements it did before a group it does
+// not serve, or the end.
+func mapVec(dst, src []float64, vec func(dst, src *float64, n int) int, ref func(float64) float64) {
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for useVecMath && n-i >= 4 {
+		i += vec(&dst[i], &src[i], (n-i)&^3)
+		if n-i >= 4 {
+			for end := i + 4; i < end; i++ {
+				dst[i] = ref(src[i])
+			}
+		}
+	}
+	for ; i < n; i++ {
+		dst[i] = ref(src[i])
+	}
+}
+
+// forceVecMath switches the vector bodies of sigmoid and tanh on for the rest
 // of the test, or skips it where the CPU cannot run them. It asks the CPU, not
 // useVecMath: a kernel that stopped agreeing with math.Exp must fail the
 // tests below, not switch itself off at start-up and pass them on the scalar
@@ -18,7 +46,7 @@ import (
 func forceVecMath(t *testing.T) {
 	t.Helper()
 	if !detectAVX2() || !detectFMA() {
-		t.Skip("no AVX2+FMA: Sigmoid and Tanh are the math calls themselves")
+		t.Skip("no AVX2+FMA: sigmoid and tanh are the math calls themselves")
 	}
 	saved := useVecMath
 	t.Cleanup(func() { useVecMath = saved })
@@ -31,8 +59,8 @@ var vecMathFuncs = []struct {
 	vec  func(dst, src []float64)
 	ref  func(float64) float64
 }{
-	{"sigmoid", Sigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
-	{"tanh", Tanh, math.Tanh},
+	{"sigmoid", sigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+	{"tanh", tanh, math.Tanh},
 }
 
 // checkVecMath compares vec over xs with ref element by element, all 64 bits.
@@ -96,8 +124,8 @@ func TestVecMathRandom(t *testing.T) {
 
 // TestVecMathUnderGODEBUG: with the standard library told not to use FMA,
 // math.Exp takes its unfused branch while the CPU still advertises FMA; the
-// start-up comparison must then leave the vector path off, so that Sigmoid
-// and Tanh still equal the math calls. (Built with GOAMD64=v3 the library
+// start-up comparison must then leave the vector path off, so that sigmoid
+// and tanh still equal the math calls. (Built with GOAMD64=v3 the library
 // ignores the setting, and the vector path rightly stays on.)
 func TestVecMathUnderGODEBUG(t *testing.T) {
 	const setting = "cpu.fma=off"

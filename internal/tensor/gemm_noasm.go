@@ -82,6 +82,14 @@ func lstmGateGradAVX2F32(dgates, dcPrev, act, tanhC, cPrev, dh, dcNext *float32,
 	panic("tensor: AVX2 gate gradient called on a non-amd64 build")
 }
 
+func lstmCellAVX2F64(act, hh, bias, cPrev, c, tanhC, h *float64, hid, rows, g0 int) int {
+	panic("tensor: AVX2 LSTM cell called on a non-amd64 build")
+}
+
+func lstmCellAVX2F32(act, hh, bias, cPrev, c, tanhC, h *float32, hid, rows, g0 int) int {
+	panic("tensor: AVX2 LSTM cell called on a non-amd64 build")
+}
+
 func reluAVX2F64(dst, src *float64, mask *bool, n int) {
 	panic("tensor: AVX2 ReLU called on a non-amd64 build")
 }

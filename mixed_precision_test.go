@@ -65,27 +65,36 @@ func TestFacadeFloat32WorkerInvariance(t *testing.T) {
 // TestFacadeFloat32TracksFloat64 pins the documented mixed-precision
 // tolerance: f32 training follows a different arithmetic trajectory than f64,
 // but at the fig7-tiny workload the accuracy curves must agree within 0.05
-// absolute at every round (measured: identical at 128 test samples — the
-// divergence is far below the accuracy quantum).
+// absolute at every round, for the CNN and for the LSTM (measured: identical
+// at 128 test samples for both — the divergence is far below the accuracy
+// quantum). Each model must also have learned: the LSTM reaches 0.46 in the
+// five rounds where the CNN passes 0.5.
 func TestFacadeFloat32TracksFloat64(t *testing.T) {
-	run := func(dt string) []fedca.Round {
-		o := tinyOpts()
-		o.DType = dt
-		f, err := fedca.New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Run(5)
-	}
-	a, b := run("f64"), run("f32")
-	for i := range a {
-		if d := math.Abs(a[i].Accuracy - b[i].Accuracy); d > 0.05 {
-			t.Fatalf("round %d: f64 acc %.4f vs f32 acc %.4f (diff %.4f > 0.05)", i, a[i].Accuracy, b[i].Accuracy, d)
-		}
-	}
-	last := len(a) - 1
-	if a[last].Accuracy < 0.5 || b[last].Accuracy < 0.5 {
-		t.Fatalf("training did not converge: f64 %.4f, f32 %.4f", a[last].Accuracy, b[last].Accuracy)
+	for _, m := range []struct {
+		model string
+		floor float64
+	}{{"cnn", 0.5}, {"lstm", 0.4}} {
+		t.Run(m.model, func(t *testing.T) {
+			run := func(dt string) []fedca.Round {
+				o := tinyOpts()
+				o.Model, o.DType = m.model, dt
+				f, err := fedca.New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f.Run(5)
+			}
+			a, b := run("f64"), run("f32")
+			for i := range a {
+				if d := math.Abs(a[i].Accuracy - b[i].Accuracy); d > 0.05 {
+					t.Fatalf("round %d: f64 acc %.4f vs f32 acc %.4f (diff %.4f > 0.05)", i, a[i].Accuracy, b[i].Accuracy, d)
+				}
+			}
+			last := len(a) - 1
+			if a[last].Accuracy < m.floor || b[last].Accuracy < m.floor {
+				t.Fatalf("training did not converge: f64 %.4f, f32 %.4f (floor %.2f)", a[last].Accuracy, b[last].Accuracy, m.floor)
+			}
+		})
 	}
 }
 
