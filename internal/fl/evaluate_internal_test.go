@@ -96,13 +96,15 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// arenaFloat64s returns how many float64s the arena's slab holds: after a
-// Reset, the largest demand any generation has made of it. It reads the
-// unexported field rather than widen tensor's surface for a test.
-func arenaFloat64s(a *tensor.Arena) int {
-	a.Reset()
-	return reflect.ValueOf(a).Elem().FieldByName("f64").FieldByName("buf").Len()
-}
+// arenaRetained is internal/tensor's unexported test hook: the bytes an
+// arena's chunks hold over every slab — all it keeps between generations.
+//
+//go:linkname arenaRetained fedca/internal/tensor.retainedBytes
+var arenaRetained func(*tensor.Arena) int
+
+// arenaFloat64s returns the arena's retained capacity in float64s: every
+// byte its chunks hold, of any slab, counted as float64s.
+func arenaFloat64s(a *tensor.Arena) int { return arenaRetained(a) / 8 }
 
 // TestEvaluateArenaHighWater: an inference pass holds a few activations, not
 // one per layer. The WRN at the evaluation batch peaks inside a residual

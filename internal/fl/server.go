@@ -803,18 +803,12 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 	for startIdx := 0; startIdx < n; startIdx += batch {
 		bs := min(batch, n-startIdx)
 		rows := xd[startIdx*dim : (startIdx+bs)*dim]
-		var x *tensor.Tensor
 		if arena != nil {
 			arena.Reset()
-			// The arena's only way to a header is with data of that size
-			// attached; the header is then pointed at the dataset's rows, and
-			// the data it came with is never touched.
-			x = tensor.AllocUninitOf[float64](arena, bs, dim)
-			x.Rebind(rows)
-		} else {
-			x = tensor.FromSlice(rows, bs, dim)
 		}
-		logits := net.Forward(x, false)
+		// The batch is a view of the dataset's rows: never copied, and with
+		// an arena bound its header comes from the arena.
+		logits := net.Forward(tensor.ViewOf(arena, rows, bs, dim), false)
 		for b := 0; b < bs; b++ {
 			if logits.ArgMaxRow(b) == ds.Y[startIdx+b] {
 				correct++

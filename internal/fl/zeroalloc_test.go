@@ -44,9 +44,9 @@ func steadyStateAllocs[F tensor.Float](t *testing.T, net *nn.NetworkOf[F]) float
 		net.Backward(dlogits)
 		opt.Step(params)
 	}
-	// Two warmups: the first sizes the arena slabs and builds the SGD
-	// velocity state, the second lets every regrown slab serve from its new
-	// buffer before measurement starts.
+	// The first warmup grows the arena's chunks, which Reset keeps, and
+	// builds the SGD velocity state; after it an iteration makes nothing.
+	// The second changes nothing and is margin.
 	iter()
 	iter()
 	return testing.AllocsPerRun(10, iter)
@@ -71,8 +71,7 @@ func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 		}
 	})
 	// The same 64 values read as eight timesteps of eight features. Hidden 5
-	// leaves the vector kernels a tail; the float32 cell widens each row into
-	// a float64 scratch that must come from the arena too.
+	// leaves the vector kernels — the cell and the gate gradients — a tail.
 	seq := model.SeqConfig{SeqLen: 8, FeatDim: 8, Hidden: 5, Layers: 2, Classes: 4}
 	t.Run("lstm/f64", func(t *testing.T) {
 		if n := steadyStateAllocs(t, model.NewLSTMOf[float64](seq, rng.New(1)).Network); n != 0 {

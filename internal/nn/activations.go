@@ -41,7 +41,7 @@ type reluFwdRunnerOf[F tensor.Float] struct {
 // straight from the input (tensor.ReLU: a clamp and a stored comparison per
 // element, at vector width). A NaN stays NaN and counts as active, as it
 // always has.
-func (rr *reluFwdRunnerOf[F]) sample(i int, _ any) {
+func (rr *reluFwdRunnerOf[F]) sample(i, _ int) {
 	c := &rr.r.call
 	lo, hi := elemRange(i, len(c.xd))
 	var mask []bool
@@ -61,7 +61,7 @@ func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 		r.gen = stampGen(r.arena)
 	}
 	r.call.xd, r.call.yd, r.call.mask = x.Data(), y.Data(), r.mask
-	parallelSamples(elemChunks(n), heavyElems(n), nil, &r.fwdRun)
+	parallelSamples(elemChunks(n), heavyElems(n), &r.fwdRun)
 	r.call.xd, r.call.yd, r.call.mask = nil, nil, nil
 	return y
 }

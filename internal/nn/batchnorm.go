@@ -73,7 +73,7 @@ type bnFwdRunnerOf[F tensor.Float] struct {
 // sample normalizes channel c: its statistics over batch × spatial, summed in
 // sample order, then the affine output (and x̂, on a training pass). Channels
 // share nothing, so any number of workers gives the same bits.
-func (r *bnFwdRunnerOf[F]) sample(c int, _ any) {
+func (r *bnFwdRunnerOf[F]) sample(c, _ int) {
 	b := r.b
 	batch, xd, yd := b.call.batch, b.call.xd, b.call.yd
 	spatial := b.H * b.W
@@ -133,7 +133,7 @@ func (b *BatchNorm2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Te
 		b.gen = stampGen(b.arena)
 	}
 	b.call.xd, b.call.yd, b.call.batch, b.call.train = x.Data(), y.Data(), batch, train
-	parallelSamples(b.C, heavyElems(batch*inDim), nil, &b.fwdRun)
+	parallelSamples(b.C, heavyElems(batch*inDim), &b.fwdRun)
 	b.call.xd, b.call.yd = nil, nil
 	return y
 }

@@ -26,9 +26,13 @@ type Conv2DOf[F tensor.Float] struct {
 	// of two slices.
 	biasRows *tensor.TensorOf[F]
 
-	arena            *tensor.Arena
-	gen              uint64
-	fwdPool, bwdPool scratchPool
+	arena *tensor.Arena
+	gen   uint64
+	// ws holds each fan-out worker's scratch for the call in flight, drawn
+	// from the arena before the fan-out and handed back after it. Between
+	// calls it is empty: the layer carries no scratch from one call to the
+	// next, only this slice's backing array of headers.
+	ws []convScratchOf[F]
 
 	// call is the per-batch state read by the sample runners. It is written
 	// once by the serial layer code before the fan-out and read immutably by
@@ -48,17 +52,44 @@ type Conv2DOf[F tensor.Float] struct {
 	bwdRun convBwdRunnerOf[F]
 }
 
-// convScratchOf is per-worker scratch reused across samples (and, via the
-// layer's scratch pools, across batches). The out/doutS/dWi headers are
-// rebound onto the current sample's rows of the batch buffers each iteration,
-// so no per-sample tensor headers are ever minted.
+// convScratchOf is one worker's scratch for one layer call, reused across
+// the samples it claims. The out/doutS/dWi headers are rebound onto the
+// current sample's rows of the batch buffers each iteration, so no
+// per-sample tensor headers are ever minted.
 type convScratchOf[F tensor.Float] struct {
-	colT  *tensor.PackedBOf[F] // forward: [patch, pos] patch matrix, packed
+	colT  *tensor.PackedBOf[F] // forward: [patch, pos] patch matrix, packed, with its padded image
 	out   *tensor.TensorOf[F]  // forward: [outC, pos] header rebound onto the sample's output rows
-	col   *tensor.PackedBOf[F] // backward: [pos, patch] patch matrix, packed
-	dcolT *tensor.TensorOf[F]  // backward: [patch, pos] patch-gradient matrix
+	col   *tensor.PackedBOf[F] // backward: [pos, patch] patch matrix, packed, with its padded image
+	dcolT *tensor.TensorOf[F]  // backward: [patch, pos] patch-gradient matrix, when dx is needed
 	doutS *tensor.TensorOf[F]  // backward: [outC, pos] header rebound onto the sample's dout rows
 	dWi   *tensor.TensorOf[F]  // backward: [outC, patch] header rebound onto the sample's dW slot
+}
+
+// scratch returns ws sized to workers entries, all empty.
+func (c *Conv2DOf[F]) scratch(workers int) []convScratchOf[F] {
+	if cap(c.ws) < workers {
+		c.ws = make([]convScratchOf[F], workers)
+	}
+	c.ws = c.ws[:workers]
+	return c.ws
+}
+
+// endScratch hands every worker's buffers back to the arena, so the next
+// layer's scratch is cut from the same bytes, and forgets the headers.
+func (c *Conv2DOf[F]) endScratch() {
+	for i := range c.ws {
+		s := &c.ws[i]
+		for _, pb := range [2]*tensor.PackedBOf[F]{s.colT, s.col} {
+			if pb != nil {
+				releasePacked(c.arena, pb)
+			}
+		}
+		if s.dcolT != nil {
+			releaseT(c.arena, s.dcolT)
+		}
+	}
+	clear(c.ws)
+	c.ws = c.ws[:0]
 }
 
 // NewConv2DOf creates a convolution layer with parameters "<name>.weight" and
@@ -101,21 +132,23 @@ func (c *Conv2DOf[F]) heavy(batch int) bool {
 // convFwdRunnerOf is the forward pass's sampleRunner.
 type convFwdRunnerOf[F tensor.Float] struct{ c *Conv2DOf[F] }
 
-// newScratch builds a forward scratch. Headers are heap-allocated here —
-// scratch persists across batches via the layer's pool.
-func (r *convFwdRunnerOf[F]) newScratch() any {
+// begin draws each worker's forward scratch: the patch matrix with its
+// zeroed padded image, and a header for the output rows.
+func (r *convFwdRunnerOf[F]) begin(workers int) {
 	c := r.c
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
-	return &convScratchOf[F]{
-		colT: tensor.NewPackedBOf[F](patch, pos),
-		out:  tensor.NewOf[F](c.OutC, pos),
+	for w := range c.scratch(workers) {
+		c.ws[w].colT = packedT[F](c.arena, c.Geom, patch, pos)
+		c.ws[w].out = tensor.ViewOf(c.arena, c.call.yd[:c.OutDim()], c.OutC, pos)
 	}
 }
 
+func (r *convFwdRunnerOf[F]) end() { r.c.endScratch() }
+
 // sample computes one sample's convolution into its rows of the batch output.
-func (r *convFwdRunnerOf[F]) sample(i int, scratch any) {
+func (r *convFwdRunnerOf[F]) sample(i, w int) {
 	c := r.c
-	s := scratch.(*convScratchOf[F])
+	s := &c.ws[w]
 	inDim, outDim := c.InDim(), c.OutDim()
 	tensor.Im2ColOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.colT)
 	s.out.Rebind(c.call.yd[i*outDim : (i+1)*outDim])
@@ -135,7 +168,7 @@ func (c *Conv2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorO
 			row[j] = b
 		}
 	}
-	parallelSamples(batch, c.heavy(batch), &c.fwdPool, &c.fwdRun)
+	parallelSamples(batch, c.heavy(batch), &c.fwdRun)
 	c.call.xd, c.call.yd = nil, nil
 	c.x = nil // an inference pass leaves nothing for Backward to read
 	if train {
@@ -148,23 +181,30 @@ func (c *Conv2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorO
 // convBwdRunnerOf is the backward pass's sampleRunner.
 type convBwdRunnerOf[F tensor.Float] struct{ c *Conv2DOf[F] }
 
-// newScratch builds a backward scratch.
-func (r *convBwdRunnerOf[F]) newScratch() any {
+// begin draws each worker's backward scratch: the patch matrix with its
+// zeroed padded image, the patch-gradient matrix when dx is needed, and
+// headers for the dout rows and the dW slot.
+func (r *convBwdRunnerOf[F]) begin(workers int) {
 	c := r.c
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
-	return &convScratchOf[F]{
-		col:   tensor.NewPackedBOf[F](pos, patch),
-		dcolT: tensor.NewOf[F](patch, pos),
-		doutS: tensor.NewOf[F](c.OutC, pos),
-		dWi:   tensor.NewOf[F](c.OutC, patch),
+	for w := range c.scratch(workers) {
+		s := &c.ws[w]
+		s.col = packedT[F](c.arena, c.Geom, pos, patch)
+		if c.call.dxd != nil {
+			s.dcolT = uninitT[F](c.arena, patch, pos)
+		}
+		s.doutS = tensor.ViewOf(c.arena, c.call.dd[:c.OutDim()], c.OutC, pos)
+		s.dWi = tensor.ViewOf(c.arena, c.call.dWs[:c.OutC*patch], c.OutC, patch)
 	}
 }
 
+func (r *convBwdRunnerOf[F]) end() { r.c.endScratch() }
+
 // sample computes one sample's private weight/bias gradient contributions
 // and, unless the call skips it, its input gradient.
-func (r *convBwdRunnerOf[F]) sample(i int, scratch any) {
+func (r *convBwdRunnerOf[F]) sample(i, w int) {
 	c := r.c
-	s := scratch.(*convScratchOf[F])
+	s := &c.ws[w]
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()
 	inDim, outDim := c.InDim(), c.OutDim()
 	tensor.Im2ColPackedOf(c.Geom, c.call.xd[i*inDim:(i+1)*inDim], s.col)
@@ -238,7 +278,7 @@ func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Te
 	dWs := uninitT[F](c.arena, batch, c.OutC*patch)
 	dBs := uninitT[F](c.arena, batch, c.OutC)
 	c.call.xd, c.call.dd, c.call.dWs, c.call.dBs = c.x.Data(), dout.Data(), dWs.Data(), dBs.Data()
-	parallelSamples(batch, c.heavy(batch), &c.bwdPool, &c.bwdRun)
+	parallelSamples(batch, c.heavy(batch), &c.bwdRun)
 	c.call.xd, c.call.dd, c.call.dxd, c.call.dWs, c.call.dBs = nil, nil, nil, nil, nil
 	// Deterministic reduction in sample order: each gradient element is one
 	// chain of additions, sample 0 first.

@@ -1,9 +1,11 @@
 package nn_test
 
 import (
+	"runtime"
 	"testing"
 	_ "unsafe" // go:linkname
 
+	"fedca/internal/cputok"
 	"fedca/internal/model"
 	"fedca/internal/nn"
 	"fedca/internal/rng"
@@ -11,11 +13,16 @@ import (
 )
 
 // arenaDemand is internal/tensor's unexported test hook: the bytes an arena
-// has handed out since its last Reset other than from released buffers —
-// what the next Reset regrows it to.
+// has handed out since its last Reset other than from released buffers.
 //
 //go:linkname arenaDemand fedca/internal/tensor.demandBytes
 var arenaDemand func(*tensor.Arena) int
+
+// arenaRetained is internal/tensor's unexported test hook: the bytes an
+// arena's chunks hold over every slab — all it keeps between generations.
+//
+//go:linkname arenaRetained fedca/internal/tensor.retainedBytes
+var arenaRetained func(*tensor.Arena) int
 
 // TestTrainingArenaDemand: backward hands each gradient back to the arena
 // once the layer consuming it has returned, a residual block its two branch
@@ -49,5 +56,58 @@ func TestTrainingArenaDemand(t *testing.T) {
 	t.Logf("wrn at batch %d: forward %d B, backward %d B more (%.2f×)", batch, forward, backward, float64(backward)/float64(forward))
 	if backward > forward/2 {
 		t.Fatalf("backward drew %d B from the arena beyond the forward pass's %d B: gradients are held until Reset", backward, forward)
+	}
+}
+
+// TestConvScratchDoesNotOutliveCall: a convolution draws each worker's patch
+// matrix, patch-gradient matrix and padded image from the arena for one call
+// and hands them back before returning. So a WRN at the benchmark's shape,
+// after a training iteration at its batch (16) and an inference pass at the
+// evaluation batch (256) on one arena, holds little beyond its parameters,
+// their gradients and the arena's chunks: the bias rows each convolution
+// spreads over its positions, batch norm's running statistics, headers.
+// Per-layer scratch pools kept every convolution's scratch, at the largest
+// worker count it had fanned out to, for the network's life: 26 MB here,
+// against 0.2 MB without them.
+func TestConvScratchDoesNotOutliveCall(t *testing.T) {
+	budget := cputok.Default()
+	defer budget.SetCap(budget.Setting())
+	budget.SetCap(2) // the benchmark's box: an inference pass fans out to two workers
+	img := model.ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 20}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net := model.NewWRNOf[float64](model.WRNConfig{Image: img, BlocksPerGroup: 2, Width: 8}, rng.New(3)).Network
+	arena := tensor.NewArena()
+	net.SetArena(arena)
+	r := rng.New(4)
+	batch := func(n int) *tensor.Tensor {
+		x := tensor.AllocUninitOf[float64](arena, n, img.InDim())
+		for i := range x.Data() {
+			x.Data()[i] = r.Normal(0, 1)
+		}
+		return x
+	}
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = r.Intn(img.Classes)
+	}
+	arena.Reset()
+	logits := net.Forward(batch(16), true)
+	dlogits := tensor.AllocUninitOf[float64](arena, logits.Dim(0), logits.Dim(1))
+	nn.SoftmaxCrossEntropyInto(logits, labels, dlogits)
+	net.Backward(dlogits)
+	arena.Reset()
+	net.Forward(batch(256), false)
+	arena.Reset()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	params, kept := 16*net.NumParams(), arenaRetained(arena)
+	extra := int(after.HeapAlloc) - int(before.HeapAlloc) - params - kept
+	runtime.KeepAlive(net)
+	t.Logf("live heap %d B: parameters and gradients %d B, arena %d B, the rest %d B", int(after.HeapAlloc)-int(before.HeapAlloc), params, kept, extra)
+	const bound = 1 << 20
+	if extra > bound {
+		t.Fatalf("the network holds %d B beyond its parameters, their gradients and its arena's chunks (bound %d B): scratch outlives the call that drew it", extra, bound)
 	}
 }

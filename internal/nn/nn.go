@@ -122,6 +122,23 @@ func releaseT[F tensor.Float](a *tensor.Arena, t *tensor.TensorOf[F]) {
 	}
 }
 
+// packedT draws a packed k×n operand for g's im2col writers, with its padded
+// image: from the arena when one is bound, the image zeroed there; else from
+// the heap, where the operand makes its image, zeroed, on first use.
+func packedT[F tensor.Float](a *tensor.Arena, g tensor.ConvGeom, k, n int) *tensor.PackedBOf[F] {
+	if a != nil {
+		return tensor.AllocPackedOf[F](a, g, k, n)
+	}
+	return tensor.NewPackedBOf[F](k, n)
+}
+
+// releasePacked is releaseT for a packed operand.
+func releasePacked[F tensor.Float](a *tensor.Arena, pb *tensor.PackedBOf[F]) {
+	if a != nil {
+		tensor.ReleasePackedOf(a, pb)
+	}
+}
+
 // forwardChain runs layers in order over x. With an arena bound, an inference
 // pass keeps only what is still needed: each intermediate goes back to the
 // arena as soon as the layer consuming it has returned, so a chain holds its

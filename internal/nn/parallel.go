@@ -7,123 +7,74 @@ import (
 	"fedca/internal/cputok"
 )
 
-// sampleRunner is the per-sample work of one layer call: newScratch builds a
-// worker's reusable scratch, sample processes index i with it. Implementations
-// are pointers to state embedded in the layer, so converting one to this
+// sampleRunner is the per-sample work of one layer call: sample processes
+// index i on worker w. A runner that needs per-worker scratch draws it for
+// the call's workers in begin, on the calling goroutine before the fan-out —
+// the layer's arena has one owner — and hands it back in end, after the join,
+// so the next layer's scratch is cut from the same bytes. Implementations are
+// pointers to state embedded in the layer, so converting one to this
 // interface stores the pointer directly — no heap allocation. (The obvious
 // alternative, passing functions into parallelSamples, allocates every call:
 // referencing a generic function as a value from a generic context builds a
 // dictionary-bound closure at runtime, which the steady-state zero-alloc
 // guarantee forbids.)
 type sampleRunner interface {
-	newScratch() any
-	sample(i int, scratch any)
+	begin(workers int)
+	sample(i, w int)
+	end()
 }
 
-// scratchPool is a per-layer free-list of worker scratch (im2col buffers,
-// packed panels). Scratch used to be allocated fresh by every parallel
-// fan-out; recycling it through the layer keeps steady-state training free of
-// per-batch allocations. The mutex is uncontended in practice: get/put run
-// once per worker per layer call, not per sample.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []any
-}
-
-func (p *scratchPool) get(r sampleRunner) any {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return s
-	}
-	p.mu.Unlock()
-	return r.newScratch()
-}
-
-func (p *scratchPool) put(s any) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
-}
-
-// parallelSamples runs r.sample(i, scratch) for i in [0, n), fanning out
-// across workers when the per-item work is heavy (convolutions over a batch).
-// Each index is processed by exactly one worker, so any writes partitioned by
-// i are race-free and the result is independent of scheduling.
+// parallelSamples runs r.sample(i, w) for i in [0, n), fanning out across
+// workers when the per-item work is heavy (convolutions over a batch). Each
+// index is processed by exactly one worker, so any writes partitioned by i
+// are race-free and the result is independent of scheduling.
 //
 // Extra workers are borrowed from the process-wide CPU-token budget
-// (internal/cputok): the calling goroutine is always the first worker, and
-// when the budget is spent — e.g. every token is held by sibling experiment
-// cells or client-round workers — the fan-out degrades to the serial path
-// instead of oversubscribing the scheduler.
-//
-// When pool is non-nil, scratch is drawn from and returned to it, so a layer
-// allocates scratch only until the pool has seen its peak worker count.
-func parallelSamples(n int, heavy bool, pool *scratchPool, r sampleRunner) {
-	if !heavy || n <= 1 {
-		serialSamples(n, pool, r)
-		return
-	}
+// (internal/cputok): the calling goroutine is always worker 0, and when the
+// budget is spent — e.g. every token is held by sibling experiment cells or
+// client-round workers — the fan-out degrades to the serial path instead of
+// oversubscribing the scheduler.
+func parallelSamples(n int, heavy bool, r sampleRunner) {
 	budget := cputok.Default()
-	want := budget.Cap()
-	if want > n {
-		want = n
+	borrowed := 0
+	if heavy && n > 1 {
+		borrowed = budget.Borrow(min(budget.Cap(), n) - 1)
 	}
-	borrowed := budget.Borrow(want - 1)
+	r.begin(borrowed + 1)
 	if borrowed == 0 {
-		serialSamples(n, pool, r)
-		return
+		// The zero-alloc degenerate fan-out: one worker, indices in order, no
+		// goroutines and no closures.
+		for i := 0; i < n; i++ {
+			r.sample(i, 0)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(borrowed)
+		for w := 1; w <= borrowed; w++ {
+			go func() {
+				defer wg.Done()
+				sampleWorker(&next, n, w, r)
+			}()
+		}
+		sampleWorker(&next, n, 0, r)
+		wg.Wait()
+		budget.Return(borrowed)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(borrowed)
-	for w := 0; w < borrowed; w++ {
-		go func() {
-			defer wg.Done()
-			sampleWorker(&next, n, pool, r)
-		}()
-	}
-	sampleWorker(&next, n, pool, r)
-	wg.Wait()
-	budget.Return(borrowed)
-}
-
-// serialSamples is the zero-alloc degenerate fan-out: one worker, indices in
-// order, no goroutines and no closures.
-func serialSamples(n int, pool *scratchPool, r sampleRunner) {
-	scratch := getScratchFrom(pool, r)
-	for i := 0; i < n; i++ {
-		r.sample(i, scratch)
-	}
-	if pool != nil {
-		pool.put(scratch)
-	}
+	r.end()
 }
 
 // sampleWorker claims work indices with a single atomic increment: this sits
 // on the per-sample hot path, where a mutex handoff costs more than the
 // sample's arithmetic for small kernels.
-func sampleWorker(next *atomic.Int64, n int, pool *scratchPool, r sampleRunner) {
-	scratch := getScratchFrom(pool, r)
+func sampleWorker(next *atomic.Int64, n, w int, r sampleRunner) {
 	for {
 		i := int(next.Add(1) - 1)
 		if i >= n {
-			break
+			return
 		}
-		r.sample(i, scratch)
+		r.sample(i, w)
 	}
-	if pool != nil {
-		pool.put(scratch)
-	}
-}
-
-func getScratchFrom(pool *scratchPool, r sampleRunner) any {
-	if pool != nil {
-		return pool.get(r)
-	}
-	return r.newScratch()
 }
 
 // The layers between the products — ReLU, the residual sum, pooling, batch
@@ -134,7 +85,8 @@ func getScratchFrom(pool *scratchPool, r sampleRunner) any {
 // noScratch is embedded by sample runners that need no per-worker state.
 type noScratch struct{}
 
-func (noScratch) newScratch() any { return nil }
+func (noScratch) begin(int) {}
+func (noScratch) end()      {}
 
 // elemChunk is how many elements of an elementwise layer one work index
 // covers: enough that claiming an index costs nothing beside it, small enough

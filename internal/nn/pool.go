@@ -55,7 +55,7 @@ type poolFwdRunnerOf[F tensor.Float] struct {
 	p *MaxPool2DOf[F]
 }
 
-func (r *poolFwdRunnerOf[F]) sample(i int, _ any) {
+func (r *poolFwdRunnerOf[F]) sample(i, _ int) {
 	p := r.p
 	inDim, outDim := p.InDim(), p.OutDim()
 	xs := p.call.xd[i*inDim : (i+1)*inDim]
@@ -125,7 +125,7 @@ func (p *MaxPool2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tens
 		p.gen = stampGen(p.arena)
 	}
 	p.call.xd, p.call.yd, p.call.argmax = x.Data(), y.Data(), p.argmax
-	parallelSamples(batch, heavyElems(batch*p.InDim()), nil, &p.fwdRun)
+	parallelSamples(batch, heavyElems(batch*p.InDim()), &p.fwdRun)
 	p.call.xd, p.call.yd, p.call.argmax = nil, nil, nil
 	return y
 }

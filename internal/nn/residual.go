@@ -52,7 +52,7 @@ type residualSumRunnerOf[F tensor.Float] struct {
 	r *ResidualOf[F]
 }
 
-func (rr *residualSumRunnerOf[F]) sample(i int, _ any) {
+func (rr *residualSumRunnerOf[F]) sample(i, _ int) {
 	c := &rr.r.call
 	lo, hi := elemRange(i, len(c.yd))
 	bd, sd, yd := c.bd[lo:hi], c.sd[lo:hi], c.yd[lo:hi]
@@ -74,7 +74,7 @@ func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tenso
 	y := uninitT[F](r.arena, b.Shape()...)
 	n := y.Size()
 	r.call.bd, r.call.sd, r.call.yd = b.Data(), s.Data(), y.Data()
-	parallelSamples(elemChunks(n), heavyElems(n), nil, &r.sumRun)
+	parallelSamples(elemChunks(n), heavyElems(n), &r.sumRun)
 	r.call.bd, r.call.sd, r.call.yd = nil, nil, nil
 	if !train {
 		if b != x {

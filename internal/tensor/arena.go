@@ -7,12 +7,19 @@ import (
 )
 
 // Arena is a bump allocator for per-iteration layer scratch: forward and
-// backward activations, gradients of intermediates, masks and argmax indices.
-// Layers draw from it instead of make, the training loop calls Reset once per
-// iteration, and after a warmup iteration has sized the slabs to the model's
-// high-water demand, a steady-state training step performs zero heap
-// allocations. Tensor headers and shape slices are bump-allocated too, so
-// AllocOf itself is allocation-free in steady state.
+// backward activations, gradients of intermediates, masks, argmax indices and
+// the convolutions' patch matrices. Layers draw from it instead of make, the
+// training loop calls Reset once per iteration, and once a first iteration
+// has grown the arena to the model's high-water demand, a steady-state
+// training step performs zero heap allocations. Tensor headers and shape
+// slices are bump-allocated too, so AllocOf itself is allocation-free in
+// steady state.
+//
+// Every byte the arena holds is made once. Each element type has a slab, a
+// list of chunks: an allocation is cut from the first chunk with room for it,
+// and one that fits in none adds a chunk, which the slab keeps. Reset rewinds
+// the chunks; nothing is re-made, copied or dropped, so what an arena retains
+// is exactly what it has ever allocated.
 //
 // Two allocations exist. The zeroing one (AllocOf, Float64) is for buffers
 // whose consumer accumulates into them; the non-zeroing one (AllocUninitOf,
@@ -44,6 +51,8 @@ type Arena struct {
 	dims  slab[int]
 	t64   slab[TensorOf[float64]]
 	t32   slab[TensorOf[float32]]
+	p64   slab[PackedBOf[float64]]
+	p32   slab[PackedBOf[float32]]
 	gen   uint64
 }
 
@@ -54,14 +63,44 @@ type Arena struct {
 // else does.
 var poison bool
 
-// slab is one type's bump region. If demand exceeds the buffer, alloc falls
-// back to make (a warmup allocation) and reset regrows the buffer to the
-// observed high-water demand so the next generation fits entirely. free holds
-// the buffers released since the last reset; its backing array survives
-// resets, so releasing allocates nothing in steady state.
+// A chunk a slab adds is at least chunkFloor bytes, so that a slab of
+// headers or shapes grows by pages, not by one element at a time.
+//
+// Past the floor, a chunk added part-way through a generation also makes
+// room for as much again as the generation has bumped so far — but for no
+// more than chunkPieces pieces of the size that opened it, and no more than
+// chunkGrowthCap bytes. A generation of many small pieces (a training
+// iteration) then lands in a few large chunks, which a later generation of
+// larger pieces (an evaluation batch on the same worker's arena) reuses
+// instead of adding its own beside them. A small piece (a convolution's
+// scratch) never opens a chunk much larger than itself, which a large piece
+// could not use, and a generation of a few large pieces gets a chunk of
+// its own size for each.
+const (
+	chunkFloor     = 4 << 10
+	chunkPieces    = 16
+	chunkGrowthCap = 4 << 20
+)
+
+// chunkBytes rounds a chunk of n ≥ chunkFloor bytes up to what the runtime
+// allocates for it anyway — 4 KB, or whole 8 KB pages, each of them a size
+// class up to 32 KB and a page run beyond — so the rounding is room in the
+// chunk rather than slack beside it.
+func chunkBytes(n int) int {
+	if n <= chunkFloor {
+		return chunkFloor
+	}
+	return (n + 8<<10 - 1) &^ (8<<10 - 1)
+}
+
+// slab is one type's chunk list. off[i] is how much of chunks[i] the current
+// generation has bumped; demand is the elements bumped since the last Reset.
+// free holds the buffers released since the last reset; its backing array,
+// like the chunk list, survives resets, so neither bumping nor releasing
+// allocates in steady state.
 type slab[T any] struct {
-	buf    []T
-	off    int
+	chunks [][]T
+	off    []int
 	demand int
 	free   [][]T
 }
@@ -78,8 +117,7 @@ func (s *slab[T]) alloc(n int, zero bool) []T {
 		}
 	}
 	var v []T
-	switch {
-	case best >= 0:
+	if best >= 0 {
 		v = s.free[best][:n:n]
 		if rest := s.free[best][n:]; len(rest) > 0 {
 			s.free[best] = rest
@@ -89,18 +127,32 @@ func (s *slab[T]) alloc(n int, zero bool) []T {
 			s.free[last] = nil
 			s.free = s.free[:last]
 		}
-	case s.off+n > len(s.buf):
-		s.demand += n
-		return make([]T, n)
-	default:
-		s.demand += n
-		v = s.buf[s.off : s.off+n : s.off+n]
-		s.off += n
+	} else {
+		v = s.bump(n)
 	}
 	if zero {
 		clear(v)
 	}
 	return v
+}
+
+// bump cuts n elements from the first chunk with room for them, or from a
+// new chunk sized as chunkFloor's comment describes.
+func (s *slab[T]) bump(n int) []T {
+	bumped := s.demand
+	s.demand += n
+	for i, c := range s.chunks {
+		if o := s.off[i]; o+n <= len(c) {
+			s.off[i] = o + n
+			return c[o : o+n : o+n]
+		}
+	}
+	var z T
+	size := int(unsafe.Sizeof(z))
+	c := make([]T, chunkBytes(size*max(n, chunkFloor/size, min(bumped, chunkPieces*n, chunkGrowthCap/size)))/size)
+	s.chunks = append(s.chunks, c)
+	s.off = append(s.off, n)
+	return c[:n:n]
 }
 
 func (s *slab[T]) release(v []T) {
@@ -110,29 +162,45 @@ func (s *slab[T]) release(v []T) {
 }
 
 func (s *slab[T]) reset() {
-	if s.demand > len(s.buf) {
-		s.buf = make([]T, s.demand)
-	}
-	s.off = 0
+	clear(s.off)
 	s.demand = 0
 	clear(s.free)
 	s.free = s.free[:0]
 }
 
+// retained returns the bytes s's chunks hold.
+func (s *slab[T]) retained() int {
+	var z T
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n * int(unsafe.Sizeof(z))
+}
+
 // demandBytes returns the bytes a has handed out since the last Reset other
-// than from released buffers, over every slab: what the next Reset regrows
-// it to. Tests read it through go:linkname; nothing else does.
+// than from released buffers, over every slab. Tests read it through
+// go:linkname; nothing else does.
 var demandBytes = func(a *Arena) int {
 	return 8*a.f64.demand + 4*a.f32.demand + 4*a.i32.demand + a.bools.demand + 8*a.dims.demand +
-		int(unsafe.Sizeof(TensorOf[float64]{}))*a.t64.demand + int(unsafe.Sizeof(TensorOf[float32]{}))*a.t32.demand
+		int(unsafe.Sizeof(TensorOf[float64]{}))*a.t64.demand + int(unsafe.Sizeof(TensorOf[float32]{}))*a.t32.demand +
+		int(unsafe.Sizeof(PackedBOf[float64]{}))*a.p64.demand + int(unsafe.Sizeof(PackedBOf[float32]{}))*a.p32.demand
+}
+
+// retainedBytes returns the bytes a's chunks hold over every slab: all the
+// memory the arena keeps from one generation to the next, and all it has
+// ever allocated. Tests read it through go:linkname; nothing else does.
+var retainedBytes = func(a *Arena) int {
+	return a.f64.retained() + a.f32.retained() + a.i32.retained() + a.bools.retained() + a.dims.retained() +
+		a.t64.retained() + a.t32.retained() + a.p64.retained() + a.p32.retained()
 }
 
 // NewArena returns an empty arena; slabs grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
 // Reset recycles every allocation made since the previous Reset and starts a
-// new generation. Slabs that overflowed are regrown to the observed demand,
-// so allocation falls to zero once a full iteration has run.
+// new generation. The chunks are kept, so allocation falls to zero once a
+// full iteration has run.
 func (a *Arena) Reset() {
 	a.f64.reset()
 	a.f32.reset()
@@ -141,6 +209,8 @@ func (a *Arena) Reset() {
 	a.dims.reset()
 	a.t64.reset()
 	a.t32.reset()
+	a.p64.reset()
+	a.p32.reset()
 	a.gen++
 }
 
@@ -237,16 +307,64 @@ func newHeader[F Float](a *Arena, data []F, shape []int) *TensorOf[F] {
 // data must not have been released already. The header and shape stay where
 // they are until Reset; they are a few words.
 func ReleaseOf[F Float](a *Arena, t *TensorOf[F]) {
+	releaseSlice(a, t.data)
+	t.data = nil
+}
+
+func releaseSlice[F Float](a *Arena, v []F) {
 	if poison {
-		fill(t.data, F(math.NaN()))
+		fill(v, F(math.NaN()))
 	}
-	p, n := unsafe.Pointer(unsafe.SliceData(t.data)), len(t.data)
+	p, n := unsafe.Pointer(unsafe.SliceData(v)), len(v)
 	if sizeofF[F]() == 4 {
 		a.f32.release(unsafe.Slice((*float32)(p), n))
 	} else {
 		a.f64.release(unsafe.Slice((*float64)(p), n))
 	}
-	t.data = nil
+}
+
+// ViewOf returns a tensor of the given shape over data, which the arena
+// does not own — a dataset's rows, one sample's rows of a batch buffer — with
+// its header and shape bump-allocated from a, valid until the next Reset.
+// len(data) must equal the shape's size. A view is never released: its data
+// is not the arena's to hand out. With a nil arena the header comes from the
+// heap.
+func ViewOf[F Float](a *Arena, data []F, shape ...int) *TensorOf[F] {
+	if n := checkShape(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: ViewOf data length %d does not match shape size %d", len(data), n))
+	}
+	if a == nil {
+		return &TensorOf[F]{data: data, shape: append([]int(nil), shape...)}
+	}
+	return newHeader(a, data, shape)
+}
+
+// AllocPackedOf returns a packed k×n operand for the im2col writers of
+// geometry g whose panels, padded image and header all live in a, valid until
+// ReleasePackedOf or the next Reset. The panels are arbitrary until a writer
+// fills them; the padded image is zeroed, and its border and spare plane stay
+// zero because the writers only ever write its interior.
+func AllocPackedOf[F Float](a *Arena, g ConvGeom, k, n int) *PackedBOf[F] {
+	pl := planOf(g)
+	var pb *PackedBOf[F]
+	if sizeofF[F]() == 4 {
+		pb = (*PackedBOf[F])(unsafe.Pointer(&a.p32.alloc(1, false)[0]))
+	} else {
+		pb = (*PackedBOf[F])(unsafe.Pointer(&a.p64.alloc(1, false)[0]))
+	}
+	*pb = PackedBOf[F]{
+		data: ArenaSliceUninit[F](a, packLen[F](k, n)), k: k, n: n,
+		img: paddedImage[F]{geom: g, plan: pl, p: arenaSlice[F](a, (g.InC+1)*pl.hp*pl.wp, true)},
+	}
+	return pb
+}
+
+// ReleasePackedOf hands pb's panels and padded image back to a ahead of the
+// next Reset, as ReleaseOf does a tensor's data; pb is dead from here on.
+func ReleasePackedOf[F Float](a *Arena, pb *PackedBOf[F]) {
+	releaseSlice(a, pb.data)
+	releaseSlice(a, pb.img.p)
+	*pb = PackedBOf[F]{}
 }
 
 func fill[T any](s []T, v T) {

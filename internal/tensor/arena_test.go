@@ -1,17 +1,18 @@
 package tensor
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// TestArenaResetReuse: after a warmup generation has sized the slabs, the
+// TestArenaResetReuse: after a warmup generation has grown the slabs, the
 // same request in the next generation must come out of the same backing
 // buffer (bump allocation, not make).
 func TestArenaResetReuse(t *testing.T) {
 	a := NewArena()
-	a.Float64(128) // warmup: records demand, falls back to make
-	a.Reset()      // regrows the slab to demand
+	a.Float64(128) // warmup: adds the chunk this request is cut from
+	a.Reset()      // rewinds the chunk; nothing is re-made
 	s1 := a.Float64(128)
 	a.Reset()
 	s2 := a.Float64(128)
@@ -38,24 +39,24 @@ func TestArenaZeroesRecycledMemory(t *testing.T) {
 	}
 }
 
-// TestArenaOverflowRegrows: demand beyond the current slab falls back to make
-// (a warmup allocation, still usable), and the following Reset regrows the
-// slab so the same demand fits entirely next generation.
-func TestArenaOverflowRegrows(t *testing.T) {
+// TestArenaOverflowAddsChunk: demand beyond the slab's chunks adds a chunk
+// (a warmup allocation, usable at once) that the slab keeps, so after Reset
+// the same demand fits entirely next generation.
+func TestArenaOverflowAddsChunk(t *testing.T) {
 	a := NewArena()
 	arenaSlice[float32](a, 8, true)
-	a.Reset() // slab is now 8 elements
+	a.Reset() // one chunk of the floor's size
 	arenaSlice[float32](a, 8, true)
-	big := arenaSlice[float32](a, 1024, true) // overflow: make fallback
-	big[1023] = 1                             // must still be writable
-	a.Reset()                                 // regrow to 8+1024
+	big := arenaSlice[float32](a, 1024, true) // overflow: a second chunk
+	big[1023] = 1                             // must be writable at once
+	a.Reset()                                 // rewinds both chunks
 	allocs := testing.AllocsPerRun(10, func() {
 		arenaSlice[float32](a, 8, true)
 		arenaSlice[float32](a, 1024, true)
 		a.Reset()
 	})
 	if allocs != 0 {
-		t.Fatalf("post-regrow generation allocated %v times; want 0", allocs)
+		t.Fatalf("generation after the overflow allocated %v times; want 0", allocs)
 	}
 }
 
@@ -177,7 +178,7 @@ func TestArenaReleaseReuse(t *testing.T) {
 }
 
 // TestArenaReleaseBoundsHighWater: a chain that releases each buffer once the
-// next exists sizes the slab to what is live at once, not to the sum, and
+// next exists grows the slab to what is live at once, not to the sum, and
 // allocates nothing once warm.
 func TestArenaReleaseBoundsHighWater(t *testing.T) {
 	a := NewArena()
@@ -194,8 +195,9 @@ func TestArenaReleaseBoundsHighWater(t *testing.T) {
 	}
 	chain()
 	chain()
-	if got := len(a.f64.buf); got != 2*n {
-		t.Fatalf("slab sized to %d elements for a chain with two buffers of %d live at once", got, n)
+	// Each chunk is rounded up to what the runtime allocates for it.
+	if got, two := a.f64.retained()/8, 2*chunkBytes(8*n)/8; got != two {
+		t.Fatalf("slab retains %d elements for a chain with two buffers of %d live at once (%d as rounded chunks)", got, n, two)
 	}
 	if allocs := testing.AllocsPerRun(10, chain); allocs != 0 {
 		t.Fatalf("steady-state releasing chain allocated %v times; want 0", allocs)
@@ -209,7 +211,7 @@ func TestArenaPoison(t *testing.T) {
 	poison = true
 	defer func() { poison = false }()
 	a := NewArena()
-	for pass := 0; pass < 2; pass++ { // make fallback, then the slab
+	for pass := 0; pass < 2; pass++ { // from new chunks, then from rewound ones
 		a.Reset()
 		for _, v := range AllocUninitOf[float64](a, 5).Data() {
 			if v == v {
@@ -244,5 +246,38 @@ func TestArenaPoison(t *testing.T) {
 				t.Fatalf("pass %d: released buffer holds %v, want NaN", pass, v)
 			}
 		}
+	}
+}
+
+// TestArenaWarmupMakesEachByteOnce: a generation that overflows the arena
+// grows it by chunks it keeps, and a generation that replays it is cut from
+// those same chunks. So the bytes the runtime allocated over both — every
+// chunk, the chunk lists, the released-buffer lists — come to no more than
+// what the arena retains plus one chunk floor. Serving the overflow from
+// throw-away allocations and then re-making the slab at the next Reset made
+// each byte twice.
+func TestArenaWarmupMakesEachByteOnce(t *testing.T) {
+	a := NewArena()
+	gen := func() {
+		a.Reset()
+		for i, n := range []int{3000, 20000, 500, 64000, 7000, 20000, 1} {
+			x := AllocUninitOf[float64](a, n)
+			AllocOf[float32](a, 2, n)
+			a.Int32Uninit(n / 4)
+			a.BoolsUninit(n)
+			if i%2 == 1 {
+				ReleaseOf(a, x)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gen() // overflows the empty arena
+	gen() // replays it
+	runtime.ReadMemStats(&after)
+	made, kept := int(after.TotalAlloc-before.TotalAlloc), retainedBytes(a)
+	t.Logf("allocated %d B over an overflowing generation and its replay; the arena retains %d B", made, kept)
+	if made > kept+chunkFloor {
+		t.Fatalf("the arena allocated %d B to retain %d B: warm-up made bytes it did not keep", made, kept)
 	}
 }

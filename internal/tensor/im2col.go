@@ -112,10 +112,11 @@ func planOf(g ConvGeom) *convPlan {
 	return pl
 }
 
-// paddedImage is the P of one packed operand. The operand owns it: it is
-// allocated, zeroed, on the first image of a geometry, after which only the
-// interior is ever written — once per image — so the border and the spare
-// plane stay zero for the operand's life.
+// paddedImage is the P of one packed operand. The operand owns it: drawn
+// zeroed from an arena with the operand (AllocPackedOf), or else allocated,
+// zeroed, on the first image of a geometry. After that only the interior is
+// ever written — once per image — so the border and the spare plane stay
+// zero for the operand's life.
 type paddedImage[F Float] struct {
 	geom ConvGeom
 	plan *convPlan

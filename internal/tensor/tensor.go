@@ -95,7 +95,7 @@ func (t *TensorOf[F]) Clone() *TensorOf[F] {
 }
 
 // Rebind points t at new backing storage of the same total size, keeping its
-// shape. It exists for pooled scratch headers that wrap a different sub-slice
+// shape. It exists for scratch headers that wrap a different sub-slice
 // on every call (e.g. one sample's rows of a batch buffer) without minting a
 // fresh header each time. It panics if len(data) differs from t's size.
 func (t *TensorOf[F]) Rebind(data []F) {
