@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"fedca/internal/core"
+	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
 	"fedca/internal/experiments"
 	"fedca/internal/fl"
@@ -180,6 +181,10 @@ func main() {
 	fmt.Printf("model=%s scheme=%s clients=%d K=%d rounds=%d seed=%d compress=%s\n",
 		*model, *scheme, popClients, cfg.LocalIters, scale.Rounds, *seed, compName)
 	fmt.Printf("%5s %12s %10s %8s %8s %7s %7s\n", "round", "vtime(s)", "dur(s)", "acc", "iters", "eager", "retr")
+	// This goroutine drives every round: cover it with a CPU token, as an
+	// execpool cell's admission would.
+	budget := cputok.Default()
+	defer budget.Return(budget.Cover())
 	for i := 0; i < scale.Rounds; i++ {
 		r := runner.RunRound()
 		note := ""

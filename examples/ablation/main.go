@@ -19,6 +19,7 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/core"
+	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/report"
@@ -27,6 +28,11 @@ import (
 )
 
 func main() {
+	// This goroutine drives every round: cover it with a CPU token, as an
+	// execpool cell's admission would.
+	budget := cputok.Default()
+	defer budget.Return(budget.Cover())
+
 	w := expcfg.CNN()
 	w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 4
 	w = w.Shrink(25, 1024, 512, 16)

@@ -13,6 +13,7 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/core"
+	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/rng"
@@ -20,6 +21,11 @@ import (
 )
 
 func main() {
+	// This goroutine drives every round: cover it with a CPU token, as an
+	// execpool cell's admission would.
+	budget := cputok.Default()
+	defer budget.Return(budget.Cover())
+
 	// A scaled-down CNN workload: 8×8 synthetic images, 4 classes,
 	// K = 25 local iterations per round (see expcfg for the paper-sized one).
 	w := expcfg.CNN()

@@ -193,10 +193,13 @@ type Round struct {
 
 // Federation is a ready-to-run simulated FL deployment.
 type Federation struct {
-	opts    Options
-	runner  *fl.Runner
-	fedca   *core.Scheme
-	results []fl.RoundResult
+	opts   Options
+	runner *fl.Runner
+	fedca  *core.Scheme
+	// rounds holds one summary per completed round, not the round's result:
+	// a result's cohort-sized update lists would otherwise stay live for the
+	// whole run.
+	rounds []Round
 
 	// observers are invoked synchronously at the end of every RunRound, on
 	// the driving goroutine (see OnRound).
@@ -264,11 +267,14 @@ func New(opts Options) (*Federation, error) {
 	return &Federation{opts: opts, runner: runner, fedca: fedcaScheme}, nil
 }
 
-// RunRound executes one communication round.
+// RunRound executes one communication round. The calling goroutine drives
+// it covered by a CPU token when one is free (cputok's Cover), so that the
+// round's fan-outs borrow only tokens no running goroutine stands for.
 func (f *Federation) RunRound() Round {
-	res := f.runner.RunRound()
-	f.results = append(f.results, res)
-	r := toRound(res)
+	budget := cputok.Default()
+	defer budget.Return(budget.Cover())
+	r := toRound(f.runner.RunRound())
+	f.rounds = append(f.rounds, r)
 	f.lastMu.Lock()
 	f.lastRound = r
 	f.lastMu.Unlock()
@@ -304,7 +310,11 @@ func (f *Federation) RunToAccuracy(target float64, maxRounds int) Convergence {
 			break
 		}
 	}
-	c := metrics.ConvergenceOf(f.results, target)
+	results := make([]fl.RoundResult, len(f.rounds))
+	for i, r := range f.rounds {
+		results[i] = fl.RoundResult{Start: r.Start, End: r.End, Accuracy: r.Accuracy}
+	}
+	c := metrics.ConvergenceOf(results, target)
 	return Convergence{
 		Reached:      c.Reached,
 		Rounds:       c.Rounds,
@@ -326,10 +336,10 @@ type Convergence struct {
 // Accuracy returns the global model's current test accuracy (NaN-free; 0
 // before any round).
 func (f *Federation) Accuracy() float64 {
-	if len(f.results) == 0 {
+	if len(f.rounds) == 0 {
 		return 0
 	}
-	return f.results[len(f.results)-1].Accuracy
+	return f.rounds[len(f.rounds)-1].Accuracy
 }
 
 // Now returns the current virtual time in seconds.
@@ -346,13 +356,7 @@ func (f *Federation) Journal() *Journal { return f.opts.Journal }
 func (f *Federation) Events(since uint64) []Event { return f.opts.Journal.Since(since) }
 
 // Rounds returns every completed round.
-func (f *Federation) Rounds() []Round {
-	out := make([]Round, len(f.results))
-	for i, r := range f.results {
-		out[i] = toRound(r)
-	}
-	return out
-}
+func (f *Federation) Rounds() []Round { return append([]Round(nil), f.rounds...) }
 
 // FedCAStats exposes FedCA's behavioural counters (early stops, eager
 // transmissions, retransmissions); ok is false for non-FedCA schemes.

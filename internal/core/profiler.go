@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"fedca/internal/nn"
 	"fedca/internal/rng"
@@ -30,8 +31,45 @@ type Profiler struct {
 	recording  bool
 	recRound   int
 	recSamples [][]float64 // per iteration: concatenated sampled values
+	rows       *rowPool    // where recorded rows come from and go back to; nil: the heap
 
 	curves *Curves
+}
+
+// rowPool keeps anchor-recording rows from one anchor round to the next. A
+// Scheme shares one among all its clients' profilers: a recording lives only
+// while its client's round runs, so the pool holds as many recordings as
+// the rounds that ran at once, not one per client. Safe for concurrent use —
+// clients record on several workers.
+type rowPool struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// get returns an empty row with room for n values.
+func (rp *rowPool) get(n int) []float64 {
+	if rp != nil {
+		rp.mu.Lock()
+		defer rp.mu.Unlock()
+		if k := len(rp.free); k > 0 {
+			row := rp.free[k-1]
+			rp.free = rp.free[:k-1]
+			if cap(row) >= n {
+				return row[:0]
+			}
+		}
+	}
+	return make([]float64, 0, n)
+}
+
+// put hands a recording's rows back.
+func (rp *rowPool) put(rows [][]float64) {
+	if rp == nil {
+		return
+	}
+	rp.mu.Lock()
+	rp.free = append(rp.free, rows...)
+	rp.mu.Unlock()
 }
 
 // NewProfiler creates a profiler whose sampled indices are drawn
@@ -103,9 +141,9 @@ func (p *Profiler) MemoryBytes(k int) int { return p.TotalSamples() * k * 8 }
 
 // BeginAnchor arms recording for an anchor round.
 func (p *Profiler) BeginAnchor(round int) {
+	p.releaseRows()
 	p.recording = true
 	p.recRound = round
-	p.recSamples = p.recSamples[:0]
 }
 
 // AbortAnchor discards a partial anchor recording — the client dropped out
@@ -116,7 +154,14 @@ func (p *Profiler) BeginAnchor(round int) {
 // recording (no-op).
 func (p *Profiler) AbortAnchor() {
 	p.recording = false
-	p.recSamples = nil
+	p.releaseRows()
+}
+
+// releaseRows returns the recording's rows to the pool.
+func (p *Profiler) releaseRows() {
+	p.rows.put(p.recSamples)
+	clear(p.recSamples)
+	p.recSamples = p.recSamples[:0]
 }
 
 // Recording reports whether an anchor round is being recorded.
@@ -129,7 +174,7 @@ func (p *Profiler) Record(ranges []nn.ParamRange, delta []float64) {
 		panic("core: Record outside an anchor round")
 	}
 	p.ensureLayout(ranges)
-	row := make([]float64, 0, p.TotalSamples())
+	row := p.rows.get(p.TotalSamples())
 	for _, idx := range p.sampleIdx {
 		for _, j := range idx {
 			row = append(row, delta[j])
@@ -154,16 +199,16 @@ func (p *Profiler) FinishAnchor() *Curves {
 	c.Model = ProgressCurve(p.recSamples)
 	// Per-layer curves over each layer's sample block.
 	c.Layer = make([][]float64, len(p.sampleIdx))
+	block := make([][]float64, k)
 	off := 0
 	for l, idx := range p.sampleIdx {
-		block := make([][]float64, k)
 		for t := 0; t < k; t++ {
 			block[t] = p.recSamples[t][off : off+len(idx)]
 		}
 		c.Layer[l] = ProgressCurve(block)
 		off += len(idx)
 	}
-	p.recSamples = nil
+	p.releaseRows()
 	p.curves = c
 	return c
 }

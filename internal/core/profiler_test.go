@@ -178,3 +178,41 @@ func TestProfilerDeterministicSampling(t *testing.T) {
 		}
 	}
 }
+
+// TestAnchorRowsComeBackFromThePool: a scheme's profilers share one row
+// pool, so an anchor recording after the first takes the rows the last one
+// gave back and allocates nothing, and the curves it produces are the same
+// as from fresh rows.
+func TestAnchorRowsComeBackFromThePool(t *testing.T) {
+	s := NewScheme(DefaultOptions(4), rng.New(9))
+	delta := make([]float64, 1010)
+	record := func(p *Profiler, round int) *Curves {
+		p.BeginAnchor(round)
+		for it := 1; it <= 4; it++ {
+			for j := range delta {
+				delta[j] = float64(it*j%7) - 3
+			}
+			p.Record(ranges3(), delta)
+		}
+		return p.FinishAnchor()
+	}
+	first := record(s.Profiler(0), 0)
+	p := s.Profiler(1)
+	if n := testing.AllocsPerRun(5, func() {
+		p.BeginAnchor(10)
+		for it := 0; it < 4; it++ {
+			p.Record(ranges3(), delta)
+		}
+		p.AbortAnchor()
+	}); n != 0 {
+		t.Fatalf("an anchor recording on pooled rows allocated %v times", n)
+	}
+	again := record(s.Profiler(0), 10)
+	for l := range first.Layer {
+		for i := range first.Layer[l] {
+			if first.Layer[l][i] != again.Layer[l][i] {
+				t.Fatalf("layer %d curve differs at %d on pooled rows", l, i)
+			}
+		}
+	}
+}

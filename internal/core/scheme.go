@@ -78,6 +78,7 @@ type Scheme struct {
 	// overhead tooling, monitors — while a round runs, hence the mutex.
 	profMu    sync.Mutex
 	profilers map[int]*Profiler
+	rows      rowPool // the profilers' anchor-recording rows (see rowPool)
 
 	// stats observed by controllers, for behavioural analyses (Fig. 8).
 	// Controllers run concurrently with each other AND with callers polling
@@ -178,6 +179,7 @@ func (s *Scheme) Profiler(clientID int) *Profiler {
 	p, ok := s.profilers[clientID]
 	if !ok {
 		p = NewProfiler(s.Opt.SampleCap, s.Opt.SampleFrac, s.r.Fork("profiler", clientID))
+		p.rows = &s.rows
 		s.profilers[clientID] = p
 	}
 	return p

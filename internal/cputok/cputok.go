@@ -8,7 +8,15 @@
 // GOMAXPROCS² runnable goroutines on the scheduler. With one shared budget
 // the layers compose: whichever layer reaches a fan-out point first takes the
 // spare tokens, and inner layers fall back to running inline on their caller's
-// goroutine — which already holds (or is covered by) a token.
+// goroutine — which holds a token, or is covered by one.
+//
+// Every goroutine that does compute starts from a token. A goroutine an
+// execpool cell admitted holds the one Acquire gave it. A goroutine that
+// drives rounds from outside any cell — the library facade's RunRound,
+// fedca-sim's round loop, the examples — takes one with Cover. A fan-out
+// worker runs on a token Borrowed for it. So a fan-out borrows only tokens
+// that no running goroutine stands for, and the process never runs more
+// compute goroutines than the cap.
 //
 // Deadlock discipline: there are two acquisition modes and one rule.
 //
@@ -18,7 +26,8 @@
 //   - Borrow never blocks: a nested fan-out asks for up to n extra tokens and
 //     receives however many are free right now, possibly zero. The caller
 //     always keeps running on its own goroutine, so zero tokens simply means
-//     the fan-out degrades to the serial path.
+//     the fan-out degrades to the serial path. Cover is Borrow(1) for a
+//     driver: with the budget spent it runs uncovered, never waits.
 //
 // Because only token-free goroutines ever block, and every holder eventually
 // returns its tokens, there is no circular wait.
@@ -140,10 +149,15 @@ func (b *Budget) Acquire() {
 	b.mu.Unlock()
 }
 
-// TryAcquire takes a token if one is free, without blocking.
-func (b *Budget) TryAcquire() bool {
-	return b.Borrow(1) == 1
-}
+// Cover is admission for a goroutine that drives work from outside an
+// execpool cell: it takes one token if one is free right now and returns how
+// many it took, 0 or 1, for the caller to hand back with Return when the
+// work is done — typically defer b.Return(b.Cover()). It never blocks, so it
+// is safe where a token is already held: under a serial recheck's cap 1, or
+// inside a cell, it takes nothing and the work runs covered by the token
+// already out. Without it, a driver's work runs on no token, and every
+// fan-out under it borrows one token more than the cores it has.
+func (b *Budget) Cover() int { return b.Borrow(1) }
 
 // Borrow takes up to n tokens without blocking and returns how many were
 // taken (possibly 0). A fan-out wanting w workers borrows w-1 extra tokens —
@@ -167,7 +181,7 @@ func (b *Budget) Borrow(n int) int {
 	return n
 }
 
-// Return hands back n tokens taken with Acquire, TryAcquire or Borrow.
+// Return hands back n tokens taken with Acquire, Cover or Borrow.
 func (b *Budget) Return(n int) {
 	if n <= 0 {
 		return

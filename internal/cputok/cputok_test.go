@@ -36,19 +36,21 @@ func TestBorrowNonPositive(t *testing.T) {
 	b.Return(0) // no-op, must not panic
 }
 
-func TestTryAcquire(t *testing.T) {
+func TestCover(t *testing.T) {
 	b := NewBudget(1)
-	if !b.TryAcquire() {
-		t.Fatal("TryAcquire on fresh budget must succeed")
+	if got := b.Cover(); got != 1 {
+		t.Fatalf("Cover on a fresh budget = %d, want 1", got)
 	}
-	if b.TryAcquire() {
-		t.Fatal("TryAcquire on exhausted budget must fail")
+	// Already covered, or under a holder of the only token: nothing more is
+	// taken and nothing blocks.
+	if got := b.Cover(); got != 0 {
+		t.Fatalf("Cover on an exhausted budget = %d, want 0", got)
 	}
-	b.Release()
-	if !b.TryAcquire() {
-		t.Fatal("TryAcquire after Release must succeed")
+	b.Return(0)
+	b.Return(1)
+	if n := b.Inflight(); n != 0 {
+		t.Fatalf("Inflight after Return = %d, want 0", n)
 	}
-	b.Release()
 }
 
 func TestAcquireBlocksUntilReturn(t *testing.T) {
@@ -280,7 +282,8 @@ func TestSetCapRacingTraffic(t *testing.T) {
 
 // TestSetCapShrinkBelowInflight pins the shrink-never-revokes contract: with
 // more tokens out than the new capacity, outstanding holders keep their
-// tokens and Return cleanly; new admissions block (Acquire) or fail (Borrow)
+// tokens and Return cleanly; new admissions block (Acquire) or fail (Borrow,
+// Cover)
 // until the count drains below the new cap.
 func TestSetCapShrinkBelowInflight(t *testing.T) {
 	b := NewBudget(4)
@@ -288,8 +291,8 @@ func TestSetCapShrinkBelowInflight(t *testing.T) {
 		t.Fatalf("Borrow(3) = %d, want 3", got)
 	}
 	b.SetCap(1)
-	if b.TryAcquire() {
-		t.Fatal("TryAcquire admitted over a shrunk cap")
+	if got := b.Cover(); got != 0 {
+		t.Fatalf("Cover admitted %d tokens over a shrunk cap", got)
 	}
 	if got := b.Borrow(1); got != 0 {
 		t.Fatalf("Borrow admitted %d tokens over a shrunk cap", got)

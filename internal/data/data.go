@@ -312,6 +312,17 @@ func NewLoader(ds *Dataset, batchSize int, r *rng.RNG) *Loader {
 // The loader aliases view; callers recycling index buffers must not reuse
 // one while its loader is live.
 func NewViewLoader(base *Dataset, view []int, batchSize int, r *rng.RNG) *Loader {
+	l := &Loader{}
+	l.ResetView(base, view, batchSize, r)
+	return l
+}
+
+// ResetView turns l into the loader NewViewLoader(base, view, batchSize, r)
+// would build — the same batches from the same draws — keeping only the
+// capacity of its shuffle order. A pooled virtual-fleet slot re-seats one
+// loader for every client that occupies it this way, allocating nothing once
+// the order has grown to the largest view.
+func (l *Loader) ResetView(base *Dataset, view []int, batchSize int, r *rng.RNG) {
 	if len(view) == 0 {
 		panic("data: NewViewLoader on empty view")
 	}
@@ -321,9 +332,8 @@ func NewViewLoader(base *Dataset, view []int, batchSize int, r *rng.RNG) *Loader
 	if batchSize > len(view) {
 		batchSize = len(view)
 	}
-	l := &Loader{ds: base, view: view, batchSize: batchSize, r: r}
+	*l = Loader{ds: base, view: view, batchSize: batchSize, order: l.order[:0], r: r}
 	l.reshuffle()
-	return l
 }
 
 // n returns the loader's sample count (the view's when one is set).

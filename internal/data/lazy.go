@@ -123,7 +123,9 @@ func (p *LazyPartition) ClientIndices(id int, dst []int) ([]int, error) {
 	}
 	// The class mixture and the sample draws come from separate forks so the
 	// number of mixture draws (classes) never shifts the sample stream.
-	p.base.Fork("mix", id).Dirichlet(p.spec.Alpha, p.weights)
+	var mix, draw rng.RNG
+	p.base.ForkInto(&mix, "mix", id)
+	mix.Dirichlet(p.spec.Alpha, p.weights)
 	// Mass on empty class pools is redistributed by renormalizing the CDF
 	// over non-empty classes only (a generator may emit fewer classes than
 	// max label + 1 when N < classes).
@@ -135,7 +137,7 @@ func (p *LazyPartition) ClientIndices(id int, dst []int) ([]int, error) {
 		total += w
 		p.cdf[c] = total
 	}
-	draw := p.base.Fork("draw", id)
+	p.base.ForkInto(&draw, "draw", id)
 	if cap(dst) < p.spec.PerClient {
 		dst = make([]int, 0, p.spec.PerClient)
 	}

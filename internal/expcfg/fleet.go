@@ -18,13 +18,19 @@ import (
 	"fedca/internal/trace"
 )
 
-// fleetSlot is one pooled cohort slot: the client struct plus the buffers
-// that recycle with it. Links are built once per slot and reused across
-// occupants — the client round resets link state at round start, and the
-// runner wires telemetry observers at every materialization.
+// fleetSlot is one pooled cohort slot: the client struct plus everything a
+// client needs that recycles with it. Links are built once per slot and
+// reused across occupants — the client round resets link state at round
+// start, and the runner wires telemetry observers at every materialization.
+// The loader, its generator and the speed model are re-seeded in place for
+// each occupant from the same (master seed, id, seq) labels a fresh build
+// would use, so every draw is the same and a warm slot allocates nothing.
 type fleetSlot struct {
-	client fl.Client
-	view   []int
+	client    fl.Client
+	view      []int
+	loader    data.Loader
+	loaderRNG rng.RNG
+	speed     trace.SpeedModel
 }
 
 // VirtualFleet implements fl.Fleet, fl.Selector and fl.FleetStats over
@@ -37,6 +43,7 @@ type VirtualFleet struct {
 	train  *data.Dataset
 	tcfg   trace.Config
 	master *rng.RNG
+	speeds *rng.RNG // master.Fork("speeds"), the parent of every speed model
 	batch  int
 
 	free []*fleetSlot
@@ -79,8 +86,11 @@ func (f *VirtualFleet) Materialize(id int) (*fl.Client, error) {
 	f.seq++
 	c := &s.client
 	c.ID = id
-	c.Loader = data.NewViewLoader(f.train, view, f.batch, f.master.Fork("loader", id, f.seq))
-	c.Speed = trace.NewClientSpeed(id, f.tcfg, f.master.Fork("speeds"))
+	f.master.ForkInto(&s.loaderRNG, "loader", id, f.seq)
+	s.loader.ResetView(f.train, view, f.batch, &s.loaderRNG)
+	c.Loader = &s.loader
+	s.speed.ResetClient(id, f.tcfg, f.speeds)
+	c.Speed = &s.speed
 	c.Weight = float64(len(view))
 	f.live[c] = s
 	return c, nil
@@ -143,6 +153,7 @@ func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed ui
 		train:  train,
 		tcfg:   tcfg,
 		master: master,
+		speeds: master.Fork("speeds"),
 		batch:  w.FL.BatchSize,
 		live:   make(map[*fl.Client]*fleetSlot),
 		seen:   make(map[int]bool),

@@ -17,12 +17,21 @@ import (
 // Update.Delta. The runner returns them once the round is done with them (see
 // Runner.recycle), so steady-state rounds allocate no fresh update vectors.
 // Recycled slices carry stale data; every taker must overwrite all elements
-// before reading any.
-type deltaPool struct{ p sync.Pool }
+// before reading any. It is a plain free list: a sync.Pool of slices would
+// box a slice header on every put, and the vectors it holds between rounds
+// are the ones the next round takes again.
+type deltaPool struct {
+	mu   sync.Mutex
+	free [][]float64
+}
 
 func (dp *deltaPool) get(n int) []float64 {
-	if v := dp.p.Get(); v != nil {
-		if s := v.([]float64); len(s) == n {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	if k := len(dp.free); k > 0 {
+		s := dp.free[k-1]
+		dp.free = dp.free[:k-1]
+		if len(s) == n {
 			return s
 		}
 	}
@@ -31,30 +40,54 @@ func (dp *deltaPool) get(n int) []float64 {
 
 func (dp *deltaPool) put(s []float64) {
 	if s != nil {
-		dp.p.Put(s)
+		dp.mu.Lock()
+		dp.free = append(dp.free, s)
+		dp.mu.Unlock()
 	}
 }
 
 // trainWorkerOf is one training slot: a dtype-concrete network plus the
 // persistent per-worker state the training loop reuses across clients and
-// rounds — the scratch arena every layer bump-allocates from, the label
-// buffer, the in-progress delta, and the runner's pool the server-bound
-// update vectors come from. The arena resets once per training iteration, so
-// after a warmup iteration has sized its slabs, steady-state iterations
-// allocate nothing. One goroutine at a time owns a worker, so none of this is
-// shared; the update vectors flow back to the pool through the runner.
+// rounds — the scratch arena every layer bump-allocates from, the network's
+// layer layout, the optimizer, the label buffer, the in-progress delta, the
+// eager-transmission records and snapshots, and the runner's pool the
+// server-bound update vectors come from. The arena resets once per training
+// iteration, so after a warmup iteration has sized its slabs, steady-state
+// iterations allocate nothing, and after a warmup round neither does the
+// client round around them. One goroutine at a time owns a worker, so none
+// of this is shared; the update vectors flow back to the pool through the
+// runner.
 type trainWorkerOf[F tensor.Float] struct {
-	net   *nn.NetworkOf[F]
-	arena *tensor.Arena
-	y     []int
-	delta []float64
-	pool  *deltaPool
+	net    *nn.NetworkOf[F]
+	arena  *tensor.Arena
+	ranges []nn.ParamRange
+	opt    *nn.SGDOf[F]
+	y      []int
+	delta  []float64
+	pool   *deltaPool
+
+	// One client round's eager transmissions. A layer is sent at most once
+	// per round, so one NumParams-long vector holds every snapshot of the
+	// round, each at its own layer's offset. standing is per layer: sent
+	// this round, and — once Finalize has answered — not retransmitted.
+	// retrans is per eager record.
+	snap     []float64
+	eager    []EagerRecord
+	standing []bool
+	retrans  []bool
 }
 
 // newTrainWorkerOf wraps net in a worker drawing update vectors from pool
 // and binds a fresh arena to it.
 func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool) *trainWorkerOf[F] {
-	w := &trainWorkerOf[F]{net: net, arena: tensor.NewArena(), pool: pool}
+	ranges := net.ParamRanges()
+	w := &trainWorkerOf[F]{
+		net: net, arena: tensor.NewArena(), ranges: ranges,
+		opt: nn.NewSGDOf[F](0, 0, 0), pool: pool,
+		snap:     make([]float64, net.NumParams()),
+		standing: make([]bool, len(ranges)),
+		retrans:  make([]bool, len(ranges)),
+	}
 	net.SetArena(w.arena)
 	return w
 }
@@ -118,7 +151,7 @@ func modifyGrad[F tensor.Float](ctrl Controller, params []*nn.ParamOf[F], global
 // implementation.
 func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool) Update {
 	net := w.net
-	ranges := net.ParamRanges()
+	ranges := w.ranges
 	if len(globalFlat) != net.NumParams() {
 		panic(fmt.Sprintf("fl: global vector size %d != model params %d", len(globalFlat), net.NumParams()))
 	}
@@ -162,7 +195,9 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// Stochastic layers (dropout) must not depend on which worker network
 	// this client landed on; reseed them from client identity and round time.
 	net.ReseedNoise(uint64(c.ID)<<32 ^ uint64(int64(roundStart*1e6)))
-	opt := nn.NewSGDOf[F](cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt := w.opt
+	opt.LR, opt.Momentum, opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
+	opt.Reset()
 
 	// Drop-out: the client may vanish partway through the round (Sec. 3.1
 	// treats drop-out as the extreme of resource shrinkage). The dropped
@@ -202,8 +237,9 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// keeps the per-iteration delta. (A dropped client uploads nothing and
 	// needs none.)
 	_, plainFedAvg := ctrl.(NopController)
-	var eager []EagerRecord
-	eagerSent := make(map[int]bool) // layer index → already transmitted
+	eager := w.eager[:0]
+	standing := w.standing
+	clear(standing)
 
 	trainStart := tDown
 	now := tDown
@@ -281,12 +317,12 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 			if li < 0 || li >= len(ranges) {
 				panic(fmt.Sprintf("fl: eager layer index %d out of range", li))
 			}
-			if eagerSent[li] {
+			if standing[li] {
 				continue // a layer is eagerly transmitted at most once
 			}
-			eagerSent[li] = true
+			standing[li] = true
 			rg := ranges[li]
-			snap := make([]float64, rg.Size())
+			snap := w.snap[rg.Start:rg.End]
 			wireBytes := compressInto(delta[rg.Start:rg.End], snap)
 			sentAt, doneAt := c.Up.TransferAttempts(now, wireBytes, cplan.Attempts())
 			eager = append(eager, EagerRecord{Layer: li, Iter: iter, Snapshot: snap, SentAt: sentAt, DoneAt: doneAt})
@@ -305,12 +341,19 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		Ranges:     ranges,
 		Eager:      eager,
 	})
-	retrans := make(map[int]bool) // eager-record index → retransmit
+	w.eager = eager // keep what append grew for the next round
+	retrans := w.retrans[:len(eager)]
+	clear(retrans)
+	nRetrans := 0
 	for _, ei := range final.Retransmit {
 		if ei < 0 || ei >= len(eager) {
 			panic(fmt.Sprintf("fl: retransmit index %d out of range", ei))
 		}
-		retrans[ei] = true
+		if !retrans[ei] {
+			retrans[ei] = true
+			standing[eager[ei].Layer] = false
+			nRetrans++
+		}
 	}
 
 	// The update the server will see: final values everywhere (compressed if
@@ -318,10 +361,8 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// (sent eagerly and not retransmitted).
 	serverDelta := w.pool.get(len(delta))
 	copy(serverDelta, delta)
-	stale := make(map[int]bool) // layer index → eager snapshot stands
-	for ei, rec := range eager {
-		if !retrans[ei] {
-			stale[rec.Layer] = true
+	for _, rec := range eager {
+		if standing[rec.Layer] {
 			rg := ranges[rec.Layer]
 			copy(serverDelta[rg.Start:rg.End], rec.Snapshot)
 		}
@@ -332,7 +373,7 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// path only accounts bytes; a compressor overwrites the layer in place.
 	var finalBytes float64
 	for li, rg := range ranges {
-		if !stale[li] {
+		if !standing[li] {
 			if cfg.Compressor == nil {
 				finalBytes += float64(rg.Size()) * bytesPerScalar
 			} else {
@@ -351,11 +392,9 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		emitClientSpans(t, c, anchor, roundStart, tDown, trainStart, now, completion, iters, eager, cplan, false)
 	}
 
-	var eagerIters, retransIters []int
+	var eagerIters []int
 	for ei, rec := range eager {
-		if retrans[ei] {
-			retransIters = append(retransIters, iters)
-		} else {
+		if !retrans[ei] {
 			eagerIters = append(eagerIters, rec.Iter)
 		}
 	}
@@ -370,9 +409,8 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 		UploadBytes:    c.Up.BytesSent() - upBytesBefore,
 		LinkRetries:    c.Up.Retries() - upRetriesBefore,
 		EagerSent:      len(eager),
-		Retransmitted:  len(retrans),
+		Retransmitted:  nRetrans,
 		EagerIters:     eagerIters,
-		RetransIters:   retransIters,
 	}
 }
 

@@ -75,3 +75,17 @@ func TestDeltaOnceMatchesPerIteration(t *testing.T) {
 	t.Run("f64", testDeltaOnceMatchesPerIteration[float64])
 	t.Run("f32", testDeltaOnceMatchesPerIteration[float32])
 }
+
+// TestDeltaPoolRecyclesWithoutAllocating: once a vector has been put back,
+// a get/put pair hands it out again and allocates nothing.
+func TestDeltaPoolRecyclesWithoutAllocating(t *testing.T) {
+	var dp deltaPool
+	v := dp.get(64)
+	dp.put(v)
+	if n := testing.AllocsPerRun(100, func() { dp.put(dp.get(64)) }); n != 0 {
+		t.Fatalf("a get/put pair allocated %v times", n)
+	}
+	if got := dp.get(64); &got[0] != &v[0] {
+		t.Fatal("get did not return the recycled vector")
+	}
+}

@@ -243,7 +243,9 @@ type IterState struct {
 	// Read-only; valid only during the call: it aliases a per-worker buffer
 	// the runner reuses across clients and rounds, so controllers must copy
 	// any portion they want to keep.
-	Delta  []float64
+	Delta []float64
+	// Ranges is the network's layer layout, the same slice every round:
+	// read-only.
 	Ranges []nn.ParamRange
 }
 
@@ -261,8 +263,13 @@ type IterAction struct {
 
 // EagerRecord documents one eager transmission.
 type EagerRecord struct {
-	Layer    int // index into ParamRanges
-	Iter     int // iteration after which it was sent
+	Layer int // index into ParamRanges
+	Iter  int // iteration after which it was sent
+	// Snapshot is the layer's update as the server decodes it (compressed
+	// when a compressor is configured). Read-only, and valid until Finalize
+	// returns: it aliases a per-worker buffer that holds every snapshot of
+	// one client round at its layer's offset, which the worker's next client
+	// round overwrites. Controllers must copy any part they keep.
 	Snapshot []float64
 	SentAt   float64 // virtual enqueue time
 	DoneAt   float64 // virtual completion time
@@ -275,7 +282,10 @@ type FinalState struct {
 	// read-only and valid only during the call (worker-reused buffer).
 	Delta  []float64
 	Ranges []nn.ParamRange
-	Eager  []EagerRecord
+	// Eager lists the round's eager transmissions in the order they were
+	// sent. The slice and its snapshots are worker-reused buffers too: valid
+	// until Finalize returns.
+	Eager []EagerRecord
 }
 
 // FinalAction selects which eagerly-sent layers must be retransmitted with
@@ -341,8 +351,7 @@ type Update struct {
 	LinkRetries   int
 	EagerSent     int
 	Retransmitted int
-	EagerIters    []int // iteration at which each eager transmission fired
-	RetransIters  []int // effective iterations of retransmitted layers (= Iterations)
+	EagerIters    []int // iteration at which each standing eager transmission fired
 }
 
 // Selector decides who trains each round: the client-selection family of

@@ -330,18 +330,21 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 			}
 		}
 	}
-	borrowed := cputok.Default().Borrow(min(len(r.workers), len(cohort)) - 1)
+	// A borrowed worker hands its token back as soon as it runs out of
+	// clients, so the ones still training can fan out in the stage's tail.
+	budget := cputok.Default()
+	borrowed := budget.Borrow(min(len(r.workers), len(cohort)) - 1)
 	var wg sync.WaitGroup
 	wg.Add(borrowed)
 	for _, w := range r.workers[1 : 1+borrowed] {
 		go func() {
 			defer wg.Done()
 			work(w)
+			budget.Return(1)
 		}()
 	}
 	work(r.workers[0])
 	wg.Wait()
-	cputok.Default().Return(borrowed)
 	return updates, valid, fold
 }
 

@@ -79,8 +79,10 @@ func sampleWorker(next *atomic.Int64, n, w int, r sampleRunner) {
 
 // The layers between the products — ReLU, the residual sum, pooling, batch
 // norm — fan out through the same path. Inside a training iteration every
-// token is normally held by a client worker, so they run serially there; the
-// server's evaluation pass, which runs alone, is where the tokens are free.
+// token is held — one by the goroutine driving the round, the rest by the
+// client workers it borrowed — so they run serially there. Tokens are free
+// in the server's evaluation pass, which runs alone, and at the tail of the
+// train stage, once a worker has run out of clients and returned its own.
 
 // noScratch is embedded by sample runners that need no per-worker state.
 type noScratch struct{}

@@ -51,8 +51,11 @@ func (s *SGDOf[F]) Step(params []*ParamOf[F]) {
 	}
 }
 
-// Reset clears momentum buffers (used when a client adopts fresh global
-// parameters at round start).
+// Reset zeroes the momentum buffers (used when a client adopts fresh global
+// parameters at round start): the next step starts from v = 0 exactly as a
+// new optimizer's first step does, in the buffers the last round grew.
 func (s *SGDOf[F]) Reset() {
-	s.velocity = make(map[*ParamOf[F]]*tensor.TensorOf[F])
+	for _, v := range s.velocity {
+		clear(v.Data())
+	}
 }

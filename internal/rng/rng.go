@@ -9,10 +9,7 @@
 // reference implementations by Blackman and Vigna.
 package rng
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is NOT safe for concurrent use; create one RNG per goroutine via Fork.
@@ -36,6 +33,15 @@ func splitMix64(state *uint64) uint64 {
 // New returns an RNG seeded from the given 64-bit seed.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's whole state from a 64-bit seed, as New does for a fresh
+// generator: whatever r held before, the spare normal variate included, is
+// gone.
+func (r *RNG) seed(seed uint64) {
+	*r = RNG{}
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitMix64(&sm)
@@ -45,7 +51,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -68,13 +73,25 @@ func (r *RNG) Uint64() uint64 {
 // parent's state snapshot together with the labels, so forking does not
 // disturb the parent stream and equal paths always yield equal children.
 func (r *RNG) Fork(labels ...interface{}) *RNG {
-	h := fnv.New64a()
-	var b [8]byte
+	c := &RNG{}
+	r.ForkInto(c, labels...)
+	return c
+}
+
+// ForkInto is Fork writing the child over dst instead of a new RNG: dst ends
+// up seeded exactly as Fork's result would be, whatever it held before. An
+// owner that re-derives a stream per use — a pooled virtual-fleet slot, a
+// per-call sub-stream — reuses one generator this way and allocates
+// nothing.
+func (r *RNG) ForkInto(dst *RNG, labels ...interface{}) {
+	// The hash is 64-bit FNV-1a, written out so that no hasher is allocated.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	put := func(v uint64) {
 		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= prime64
 		}
-		h.Write(b[:])
 	}
 	for _, s := range r.s {
 		put(s)
@@ -82,7 +99,10 @@ func (r *RNG) Fork(labels ...interface{}) *RNG {
 	for _, l := range labels {
 		switch v := l.(type) {
 		case string:
-			h.Write([]byte(v))
+			for i := 0; i < len(v); i++ {
+				h ^= uint64(v[i])
+				h *= prime64
+			}
 		case int:
 			put(uint64(v))
 		case int64:
@@ -97,7 +117,7 @@ func (r *RNG) Fork(labels ...interface{}) *RNG {
 			panic("rng: unsupported Fork label type")
 		}
 	}
-	return New(h.Sum64())
+	dst.seed(h)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -299,5 +301,49 @@ func BenchmarkGamma(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Gamma(2, 40)
+	}
+}
+
+// TestForkHashIsFNV1a pins the fork derivation to its definition: the seed
+// of a child is 64-bit FNV-1a (hash/fnv) over the parent's four state words
+// and the labels, eight little-endian bytes per number and a string's bytes
+// as they are. Every seeded stream in the repository depends on it.
+func TestForkHashIsFNV1a(t *testing.T) {
+	m := New(31)
+	m.Uint64()
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range m.s {
+		put(v)
+	}
+	h.Write([]byte("loader"))
+	for _, v := range []uint64{17, 1<<40 + 3, math.Float64bits(-2.5), 0xfedc} {
+		put(v)
+	}
+	want := New(h.Sum64())
+	got := m.Fork("loader", 17, int64(1<<40+3), -2.5, uint64(0xfedc))
+	if *got != *want {
+		t.Fatalf("Fork state %v, want %v", got.s, want.s)
+	}
+}
+
+// TestForkIntoOverwritesAndAllocatesNothing: ForkInto leaves dst in exactly
+// the state Fork returns, whatever dst held (a cached normal variate
+// included), and makes no allocation, labels included.
+func TestForkIntoOverwritesAndAllocatesNothing(t *testing.T) {
+	m := New(32)
+	dst := New(33)
+	dst.Normal(0, 1) // leaves a spare variate behind
+	id, seq := 40000, uint64(123456)
+	m.ForkInto(dst, "loader", id, seq)
+	if want := m.Fork("loader", id, seq); *dst != *want {
+		t.Fatalf("ForkInto state %+v, want %+v", *dst, *want)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.ForkInto(dst, "loader", id, seq) }); n != 0 {
+		t.Fatalf("ForkInto allocated %v times", n)
 	}
 }

@@ -10,11 +10,23 @@ import (
 	"fedca/internal/runlog"
 )
 
-// runnerResults reads the federation's per-round runner results, which the
-// facade keeps unexported.
-func runnerResults(f *fedca.Federation) []fl.RoundResult {
-	v := reflect.ValueOf(f).Elem().FieldByName("results")
-	return *(*[]fl.RoundResult)(unsafe.Pointer(v.UnsafeAddr()))
+// runnerResults returns the runner's own results for the first n rounds of
+// the run opts describes. The facade keeps only one summary per round, so
+// they come from a twin federation — the same options and seed, so the same
+// run bit for bit — whose unexported runner is driven directly.
+func runnerResults(t *testing.T, opts fedca.Options, n int) []fl.RoundResult {
+	t.Helper()
+	twin, err := fedca.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(twin).Elem().FieldByName("runner")
+	runner := *(**fl.Runner)(unsafe.Pointer(v.UnsafeAddr()))
+	results := make([]fl.RoundResult, n)
+	for i := range results {
+		results[i] = runner.RunRound()
+	}
+	return results
 }
 
 // TestRecordFromRoundMatchesRunLog is the differential test for the soak run
@@ -30,7 +42,7 @@ func TestRecordFromRoundMatchesRunLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := fed.Run(6)
-	results := runnerResults(fed)
+	results := runnerResults(t, p.options(11, nil, nil), 6)
 	if len(results) != len(rounds) {
 		t.Fatalf("%d runner results for %d rounds", len(results), len(rounds))
 	}

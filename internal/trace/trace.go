@@ -166,13 +166,29 @@ func (m *SpeedModel) ExpectedFactor() float64 {
 // forking never advances r — so virtual fleets can materialize any client's
 // model on demand, in any order, bit-identical to a NewFleet build.
 func NewClientSpeed(i int, cfg Config, r *rng.RNG) *SpeedModel {
+	m := &SpeedModel{}
+	m.ResetClient(i, cfg, r)
+	return m
+}
+
+// ResetClient turns m into NewClientSpeed(i, cfg, r)'s model — the same
+// static factor and the same timeline — keeping only the capacity of its
+// timeline and its generator. A pooled virtual-fleet slot re-derives one
+// model for every client that occupies it this way, allocating nothing once
+// the timeline has grown to the run's length.
+func (m *SpeedModel) ResetClient(i int, cfg Config, r *rng.RNG) {
 	cfg.applyDefaults()
-	cr := r.Fork("client-speed", i)
+	var cr rng.RNG
+	r.ForkInto(&cr, "client-speed", i)
 	static := 1.0
 	if cfg.HeterogeneitySigma > 0 {
-		static = clampExpNormal(cr, cfg.HeterogeneitySigma, cfg.StaticClampLo, cfg.StaticClampHi)
+		static = clampExpNormal(&cr, cfg.HeterogeneitySigma, cfg.StaticClampLo, cfg.StaticClampHi)
 	}
-	return NewSpeedModel(static, cfg, cr.Fork("dyn"))
+	if m.r == nil {
+		m.r = &rng.RNG{}
+	}
+	cr.ForkInto(m.r, "dyn")
+	*m = SpeedModel{Static: static, cfg: cfg, segs: m.segs[:0], r: m.r}
 }
 
 // NewFleet builds n speed models via NewClientSpeed.
