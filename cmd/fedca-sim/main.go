@@ -213,9 +213,9 @@ func main() {
 		fmt.Printf("events: wrote the flight-recorder journal to %s (%d events)\n", *eventsPath, eventsSeq)
 	}
 	if fedca != nil {
-		st := fedca.Stats()
+		st := runner.SchemeStats()
 		fmt.Printf("fedca: early-stops=%d full-rounds=%d eager=%d retransmissions=%d anchors=%d\n",
-			len(st.EarlyStopIters), st.FullRounds, st.EagerSentTotal, st.RetransmitsTotal, st.AnchorRounds)
+			st.EarlyStops, st.FullRounds, st.EagerSentTotal, st.RetransmitsTotal, st.AnchorRounds)
 	}
 	if cfg.Chaos != nil || cfg.MinQuorum > 0 || cfg.MaxDeltaNorm > 0 {
 		st := runner.Stats()
@@ -238,8 +238,8 @@ func main() {
 }
 
 // statusFunc builds the /status snapshot closure. Everything it touches is
-// safe to read while RunRound executes on the main goroutine: runner stats
-// and scheme stats snapshot under their own locks, and the sink gauges are
+// safe to read while RunRound executes on the main goroutine: the runner's
+// stats and scheme stats snapshot under its lock, and the sink gauges are
 // atomic.
 func statusFunc(runner *fl.Runner, fedca *core.Scheme, sink *telemetry.Sink) func() any {
 	type status struct {
@@ -257,7 +257,7 @@ func statusFunc(runner *fl.Runner, fedca *core.Scheme, sink *telemetry.Sink) fun
 			Runner:      runner.Stats(),
 		}
 		if fedca != nil {
-			s := fedca.Stats()
+			s := runner.SchemeStats()
 			st.FedCA = &s
 		}
 		return st

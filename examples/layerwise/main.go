@@ -66,9 +66,9 @@ func main() {
 		fmt.Printf("%-14s %-28s %8s\n", rg.Name, report.Sparkline(curve), cross)
 	}
 
-	st := scheme.Stats()
+	st := runner.SchemeStats()
 	fmt.Printf("\nround 1 behaviour: %d eager transmissions stood, %d retransmitted (cos < T_r=%.2f)\n",
-		len(st.EagerIters), st.RetransmitsTotal, opt.Tr)
+		st.EagerSentTotal-st.RetransmitsTotal, st.RetransmitsTotal, opt.Tr)
 	for _, u := range acted.Collected {
 		fmt.Printf("  client %d: %d eager, %d retransmitted, uploaded %.0f KB\n",
 			u.ClientID, u.EagerSent, u.Retransmitted, u.UploadBytes/1024)

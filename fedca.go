@@ -242,8 +242,13 @@ func New(opts Options) (*Federation, error) {
 		w.FL.AggregateFraction = opts.AggregateFraction
 	}
 	w.FL.Participation = opts.Participation
-	w.FL.Telemetry = opts.Telemetry
-	w.FL.Journal = opts.Journal
+	// A nil sink or journal stays a nil observer, not a nil pointer in one.
+	if opts.Telemetry != nil {
+		w.FL.Telemetry = opts.Telemetry
+	}
+	if opts.Journal != nil {
+		w.FL.Journal = opts.Journal
+	}
 
 	tcfg := trace.Config{}
 	if opts.Dynamic || opts.Heterogeneous {
@@ -361,15 +366,18 @@ func (f *Federation) Rounds() []Round { return append([]Round(nil), f.rounds...)
 // FedCAStats exposes FedCA's behavioural counters (early stops, eager
 // transmissions, retransmissions); ok is false for non-FedCA schemes.
 //
-// It is safe to call from another goroutine while RunRound executes — e.g. a
-// monitoring loop charting Fig. 8-style behaviour live — because the scheme
-// snapshots its counters under a lock. The rest of Federation's methods
-// follow the usual rule: one goroutine drives rounds, no concurrent RunRound.
+// The stats are the runner's fold of every client-round's record (early stops
+// and eager sends by iteration, in Fig. 8's form), and they advance once per
+// round, when the round is recorded. It is safe to call from another
+// goroutine while RunRound executes — e.g. a monitoring loop charting Fig.
+// 8-style behaviour live — because the runner snapshots the fold under a
+// lock. The rest of Federation's methods follow the usual rule: one goroutine
+// drives rounds, no concurrent RunRound.
 func (f *Federation) FedCAStats() (stats core.SchemeStats, ok bool) {
 	if f.fedca == nil {
 		return core.SchemeStats{}, false
 	}
-	return f.fedca.Stats(), true
+	return f.runner.SchemeStats(), true
 }
 
 // DegradationStats exposes the runner's graceful-degradation counters —
@@ -445,7 +453,7 @@ func (f *Federation) Snapshot() Snapshot {
 		},
 	}
 	if f.fedca != nil {
-		st := f.fedca.Stats()
+		st := f.runner.SchemeStats()
 		snap.FedCA = &st
 	}
 	return snap

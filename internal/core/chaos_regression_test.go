@@ -85,7 +85,7 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
+	st := r.SchemeStats()
 	if st.AnchorAborts == 0 {
 		t.Fatal("expected at least one aborted anchor at these probabilities (seed-dependent: adjust seeds)")
 	}
@@ -99,8 +99,8 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 
 // TestSchemeDeterministicUnderChaos: the full scheme + chaos stack replayed
 // with identical seeds must reproduce the run exactly — parameters, timings
-// and every scheme statistic (including the early-stop and eager iteration
-// traces, which Stats reports sorted: their arrival order is the scheduler's).
+// and every scheme statistic (including the early-stop and eager counts by
+// iteration).
 func TestSchemeDeterministicUnderChaos(t *testing.T) {
 	run := func() ([]float64, float64, core.SchemeStats) {
 		w := tinyWorkload()
@@ -116,7 +116,7 @@ func TestSchemeDeterministicUnderChaos(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			end = r.RunRound().End
 		}
-		return r.GlobalFlat(), end, s.Stats()
+		return r.GlobalFlat(), end, r.SchemeStats()
 	}
 	p1, e1, s1 := run()
 	p2, e2, s2 := run()

@@ -11,10 +11,9 @@ import (
 	"fedca/internal/trace"
 )
 
-// TestStatsPollingDuringRound polls Scheme.Stats from a second goroutine
-// while rounds (including anchor rounds, which bump AnchorRounds inside
-// NewController) execute. Run under -race this catches any stats field
-// written outside statsMu.
+// TestStatsPollingDuringRound polls the runner's SchemeStats from a second
+// goroutine while rounds, anchor rounds included, execute. Run under -race
+// this catches any fold field written outside the runner's lock.
 func TestStatsPollingDuringRound(t *testing.T) {
 	w := tinyWorkload()
 	tb := expcfg.Build(w, 8, trace.Config{}, 80)
@@ -34,7 +33,7 @@ func TestStatsPollingDuringRound(t *testing.T) {
 				return
 			default:
 			}
-			_ = s.Stats()
+			_ = r.SchemeStats()
 			runtime.Gosched()
 		}
 	}()
@@ -43,7 +42,7 @@ func TestStatsPollingDuringRound(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if st := s.Stats(); st.AnchorRounds == 0 {
+	if st := r.SchemeStats(); st.AnchorRounds == 0 {
 		t.Fatal("expected anchor client-rounds to be counted")
 	}
 }

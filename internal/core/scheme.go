@@ -2,13 +2,11 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
 	"fedca/internal/fl"
 	"fedca/internal/rng"
-	"fedca/internal/telemetry"
 )
 
 // Options are FedCA's hyperparameters (paper Sec. 5.1 defaults via
@@ -79,35 +77,11 @@ type Scheme struct {
 	profMu    sync.Mutex
 	profilers map[int]*Profiler
 	rows      rowPool // the profilers' anchor-recording rows (see rowPool)
-
-	// stats observed by controllers, for behavioural analyses (Fig. 8).
-	// Controllers run concurrently with each other AND with callers polling
-	// Stats mid-round, so every stats access — including the serial
-	// NewController's AnchorRounds bump — must hold the mutex.
-	statsMu sync.Mutex
-	stats   SchemeStats
-
-	// tel mirrors the behavioural stats into live telemetry counters.
-	// Set once before the run (SetTelemetry); nil disables mirroring.
-	tel *telemetry.Sink
-
-	// journal receives flight-recorder events for scheme-level incidents
-	// (anchor aborts). Set once before the run (SetJournal); nil disables.
-	journal *telemetry.Journal
 }
 
-// SchemeStats aggregates FedCA's runtime behaviour over a run.
-type SchemeStats struct {
-	EarlyStopIters   []int `json:"early_stop_iters,omitempty"` // iteration at which each early stop fired
-	FullRounds       int   `json:"full_rounds"`                // client-rounds that ran to the full budget
-	EagerIters       []int `json:"eager_iters,omitempty"`      // iteration of each standing eager transmission
-	RetransmitIters  []int `json:"retransmit_iters,omitempty"` // effective iteration of each retransmitted layer
-	AnchorRounds     int   `json:"anchor_rounds"`              // client-rounds spent profiling
-	EagerSentTotal   int   `json:"eager_sent_total"`
-	RetransmitsTotal int   `json:"retransmits_total"`
-	DroppedRounds    int   `json:"dropped_rounds"` // client-rounds lost to mid-round dropout
-	AnchorAborts     int   `json:"anchor_aborts"`  // anchor recordings abandoned because the client dropped
-}
+// SchemeStats is FedCA's behaviour over a run, as the runner folds it from
+// its client-rounds' records (fl.Runner.SchemeStats).
+type SchemeStats = fl.SchemeStats
 
 // NewScheme builds a FedCA scheme. r seeds the per-client sampling choices.
 func NewScheme(opt Options, r *rng.RNG) *Scheme {
@@ -135,38 +109,6 @@ func (s *Scheme) Name() string {
 	default:
 		return "fedca-custom"
 	}
-}
-
-// SetTelemetry attaches a telemetry sink: scheme behaviour (early stops,
-// eager transmissions, retransmissions, anchor activity) is mirrored into its
-// counters as it happens. Call before the run starts; a nil sink is fine.
-func (s *Scheme) SetTelemetry(t *telemetry.Sink) { s.tel = t }
-
-// SetJournal attaches a flight-recorder journal: scheme-level incidents
-// (anchor aborts) are recorded as structured events. Call before the run
-// starts; a nil journal is fine.
-func (s *Scheme) SetJournal(j *telemetry.Journal) { s.journal = j }
-
-// Stats returns a snapshot of the accumulated behavioural statistics. It is
-// safe to call from any goroutine, including while a round is executing.
-// Controllers append to the iteration traces in the order their clients
-// happen to finish, which depends on scheduling; the snapshot's copies are
-// sorted, so equal runs report equal statistics. Every reader treats them as
-// samples of a distribution (a count, a mean, a CDF), never as a sequence.
-func (s *Scheme) Stats() SchemeStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	snap := s.stats
-	snap.EarlyStopIters = sortedCopy(s.stats.EarlyStopIters)
-	snap.EagerIters = sortedCopy(s.stats.EagerIters)
-	snap.RetransmitIters = sortedCopy(s.stats.RetransmitIters)
-	return snap
-}
-
-func sortedCopy(v []int) []int {
-	out := slices.Clone(v)
-	slices.Sort(out)
-	return out
 }
 
 // Profiler returns (creating if needed) the persistent profiler of a client.
@@ -234,22 +176,14 @@ func inf() float64 { return math.Inf(1) }
 
 // NewController builds the per-client round controller. Called serially by
 // the runner; the returned controllers then run in parallel but each drives
-// only its own profiler. The AnchorRounds bump still takes statsMu: Stats
-// may be polled from another goroutine while the round (and this serial
-// construction phase) executes.
+// only its own profiler.
 func (s *Scheme) NewController(c *fl.Client, round int, plan fl.RoundPlan) fl.Controller {
 	p := s.Profiler(c.ID)
 	anchor := s.IsAnchorRound(round)
 	if anchor {
 		p.BeginAnchor(round)
-		s.statsMu.Lock()
-		s.stats.AnchorRounds++
-		s.statsMu.Unlock()
-		if s.tel != nil {
-			s.tel.AnchorRounds.Inc()
-		}
 	}
-	return &controller{s: s, prof: p, anchor: anchor, deadline: plan.Deadline, cid: c.ID, round: round}
+	return &controller{s: s, prof: p, anchor: anchor, deadline: plan.Deadline}
 }
 
 // controller is FedCA's per-client, per-round decision maker. It implements
@@ -261,11 +195,7 @@ type controller struct {
 	prof     *Profiler
 	anchor   bool
 	deadline float64
-	cid      int
-	round    int
 
-	stopped   bool
-	stopIter  int
 	lrDecayed bool
 	eagerSent map[int]bool
 }
@@ -318,8 +248,6 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 		cost := MarginalCost(st.Elapsed, c.deadline, opt.Beta)
 		if NetBenefit(b, cost) < 0 {
 			action.Stop = true
-			c.stopped = true
-			c.stopIter = st.Iter
 		}
 	}
 	return action
@@ -329,20 +257,9 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 // mid-round: a half-recorded anchor is aborted so the profiler is not left
 // armed with partial samples — the previous anchor's curves deliberately
 // stay in force until the next completed anchor re-profiles.
-func (c *controller) OnDropout(iter int) {
+func (c *controller) OnDropout(int) {
 	if c.anchor {
 		c.prof.AbortAnchor()
-		if c.s.tel != nil {
-			c.s.tel.AnchorAborts.Inc()
-		}
-		// Worker-side emission: the journal is mutex-sharded and safe here.
-		c.s.journal.AnchorAbort(c.round, c.cid, iter)
-	}
-	c.s.statsMu.Lock()
-	defer c.s.statsMu.Unlock()
-	c.s.stats.DroppedRounds++
-	if c.anchor {
-		c.s.stats.AnchorAborts++
 	}
 }
 
@@ -353,37 +270,15 @@ func (c *controller) Finalize(st fl.FinalState) fl.FinalAction {
 		c.prof.FinishAnchor()
 		return fl.FinalAction{}
 	}
-	tel := c.s.tel
-	c.s.statsMu.Lock()
-	if c.stopped {
-		c.s.stats.EarlyStopIters = append(c.s.stats.EarlyStopIters, c.stopIter)
-	} else {
-		c.s.stats.FullRounds++
-	}
 	var action fl.FinalAction
-	retransmits := 0
-	for ei, rec := range st.Eager {
-		c.s.stats.EagerSentTotal++
-		rg := st.Ranges[rec.Layer]
-		final := st.Delta[rg.Start:rg.End]
-		if c.s.Opt.Retransmit && CosineSimilarity(final, rec.Snapshot) < c.s.Opt.Tr {
-			action.Retransmit = append(action.Retransmit, ei)
-			c.s.stats.RetransmitsTotal++
-			c.s.stats.RetransmitIters = append(c.s.stats.RetransmitIters, st.Iterations)
-			retransmits++
-		} else {
-			c.s.stats.EagerIters = append(c.s.stats.EagerIters, rec.Iter)
-		}
+	if !c.s.Opt.Retransmit {
+		return action
 	}
-	c.s.statsMu.Unlock()
-	if tel != nil {
-		if c.stopped {
-			tel.EarlyStops.Inc()
-		} else {
-			tel.FullRounds.Inc()
+	for ei, rec := range st.Eager {
+		rg := st.Ranges[rec.Layer]
+		if CosineSimilarity(st.Delta[rg.Start:rg.End], rec.Snapshot) < c.s.Opt.Tr {
+			action.Retransmit = append(action.Retransmit, ei)
 		}
-		tel.EagerTx.Add(float64(len(st.Eager)))
-		tel.Retransmits.Add(float64(retransmits))
 	}
 	return action
 }

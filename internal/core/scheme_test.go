@@ -96,7 +96,7 @@ func TestAnchorRoundRunsFullAndProfiles(t *testing.T) {
 			t.Fatal("no per-layer curves")
 		}
 	}
-	stats := s.Stats()
+	stats := r.SchemeStats()
 	if stats.AnchorRounds != 4 {
 		t.Fatalf("anchor client-rounds = %d, want 4", stats.AnchorRounds)
 	}
@@ -142,14 +142,19 @@ func TestEarlyStopAfterProfiling(t *testing.T) {
 	if !sawEarlyStop {
 		t.Fatal("no client ever stopped early under FedCA-v1 with heterogeneity")
 	}
-	stats := s.Stats()
-	if len(stats.EarlyStopIters) == 0 {
+	stats := r.SchemeStats()
+	if stats.EarlyStops == 0 {
 		t.Fatal("stats recorded no early stops")
 	}
-	for _, it := range stats.EarlyStopIters {
-		if it < 1 || it > w.FL.LocalIters {
-			t.Fatalf("early stop iteration %d out of range", it)
-		}
+	if n := len(stats.EarlyStopsByIter); n != w.FL.LocalIters+1 || stats.EarlyStopsByIter[0] != 0 {
+		t.Fatalf("early stops by iteration %v: want iterations 1 to %d", stats.EarlyStopsByIter, w.FL.LocalIters)
+	}
+	sum := 0
+	for _, n := range stats.EarlyStopsByIter {
+		sum += n
+	}
+	if sum != stats.EarlyStops {
+		t.Fatalf("early stops by iteration sum to %d, total %d", sum, stats.EarlyStops)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // fedca holds the FedCA hyperparameters of the three FedCA variants (zero
 // options mean core.DefaultOptions), with K set to cfg.LocalIters; the
 // variants draw from rng.New(seed).Fork(fork...) (NewRun's label is
-// "scheme") and report to cfg.Telemetry and cfg.Journal. Oort draws from
-// Fork("oort") and, when cfg.Participation is unset, sets it to 0.5.
+// "scheme"). Oort draws from Fork("oort") and, when cfg.Participation is
+// unset, sets it to 0.5.
 func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, fork ...any) (fl.Scheme, error) {
 	switch name {
 	case "fedavg":
@@ -41,10 +41,7 @@ func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, 
 		if name != "fedca" { // v1: early stop only; v2: plus eager sends
 			fedca.Eager, fedca.Retransmit = name == "fedca-v2", false
 		}
-		s := core.NewScheme(fedca, rng.New(seed).Fork(fork...))
-		s.SetTelemetry(cfg.Telemetry)
-		s.SetJournal(cfg.Journal)
-		return s, nil
+		return core.NewScheme(fedca, rng.New(seed).Fork(fork...)), nil
 	}
 	return nil, fmt.Errorf("expcfg: unknown scheme %q", name)
 }

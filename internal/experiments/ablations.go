@@ -36,8 +36,8 @@ func ablationFloor(in *inputs) *Result {
 	for _, off := range floorOff {
 		run := in.conv(floorCell(off))
 		c := metrics.ConvergenceOf(run.Results, target)
-		stats := *run.Stats
-		meanStop := meanInt(stats.EarlyStopIters)
+		stops := expand(run.Stats.EarlyStopsByIter)
+		meanStop := meanInt(stops)
 		label := "with floor"
 		if off {
 			label = "no floor"
@@ -46,7 +46,7 @@ func ablationFloor(in *inputs) *Result {
 		res.Values["total/"+label] = c.TotalTime
 		res.Values["meanstop/"+label] = meanStop
 		fmt.Fprintf(&b, "%-10s best=%.3f time-to-target=%.0fs (reached=%v) mean early-stop iter=%.1f (n=%d)\n",
-			label, c.BestAcc, c.TotalTime, c.Reached, meanStop, len(stats.EarlyStopIters))
+			label, c.BestAcc, c.TotalTime, c.Reached, meanStop, len(stops))
 	}
 	res.Text = b.String()
 	return res

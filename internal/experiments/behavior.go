@@ -20,7 +20,7 @@ func fig8a(in *inputs) *Result {
 	fmt.Fprintf(&b, "Fig. 8a — CDF of the early-stop iteration (CNN, K=%d)\n", s.K)
 
 	fedca := in.conv(conv("cnn", "fedca"))
-	caIters := append([]int(nil), fedca.Stats.EarlyStopIters...)
+	caIters := expand(fedca.Stats.EarlyStopsByIter)
 	// Clients that never stopped early count as acting at the full K, so the
 	// CDF ends at 1 over the same population.
 	for i := 0; i < fedca.Stats.FullRounds; i++ {
@@ -39,6 +39,18 @@ func fig8a(in *inputs) *Result {
 	cdfRow(res, &b, 7, "fedada", adaIters)
 	res.Text = b.String()
 	return res
+}
+
+// expand turns by-iteration counts back into samples: counts[k] copies of
+// k, in ascending order.
+func expand(counts []int) []int {
+	var out []int
+	for k, n := range counts {
+		for range n {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // cdfRow records the CDF of one population's iterations in res, under name,
@@ -66,9 +78,9 @@ func fig8b(in *inputs) *Result {
 	fmt.Fprintf(&b, "Fig. 8b — CDF of the eager-transmission iteration (CNN, K=%d)\n", s.K)
 
 	with := *in.conv(conv("cnn", "fedca")).Stats
-	withIters := append(append([]int(nil), with.EagerIters...), with.RetransmitIters...)
+	withIters := append(expand(with.EagerByIter), expand(with.RetransmitsByIter)...)
 	without := *in.conv(conv("cnn", "fedca-v2")).Stats
-	withoutIters := append([]int(nil), without.EagerIters...)
+	withoutIters := expand(without.EagerByIter)
 
 	cdfRow(res, &b, 16, "with-retrans", withIters)
 	cdfRow(res, &b, 16, "without-retrans", withoutIters)

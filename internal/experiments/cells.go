@@ -136,8 +136,8 @@ func runCell(s Scale, seed uint64, c cellSpec) (convRun, *CurveData, error) {
 	for i := 0; i < rounds; i++ {
 		run.Results = append(run.Results, runner.RunRound())
 	}
-	if fedca, ok := sch.(*core.Scheme); ok {
-		st := fedca.Stats()
+	if _, ok := sch.(*core.Scheme); ok {
+		st := runner.SchemeStats()
 		run.Stats = &st
 	}
 	if probe != nil {

@@ -31,7 +31,7 @@ func testDeltaOnceMatchesPerIteration[F tensor.Float](t *testing.T) {
 	plan := RoundPlan{Deadline: math.Inf(1)}
 	run := func(ctrl Controller) Update {
 		w := newTrainWorkerOf(benchModel[F]("cnn"), &deltaPool{})
-		return w.run(roundClient(ds, cfg.BatchSize), global, &cfg, plan, ctrl, 0, 0, false)
+		return w.run(roundClient(ds, cfg.BatchSize), global, &cfg, plan, ctrl, 0, 0, false, nil)
 	}
 	once := run(NopController{})
 	watcher := &deltaWatcher{}

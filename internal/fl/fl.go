@@ -41,13 +41,15 @@
 //     element's operation order that of the serial client-major loop, so the
 //     result is bit-identical for any worker count or fan-in.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
-//   - record (record): History, RoundResult, RunnerStats, telemetry,
-//     journal, and the cohort's slots back to the fleet.
+//   - record (record): History, RoundResult, RunnerStats, every
+//     client-round's Update fed to all its observers by one call (observe),
+//     the round's telemetry and journal events, slots back to the fleet.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
 // through scheme-level accessors that callers may poll while a round runs
-// (e.g. behavioural stats) must be synchronized by the scheme.
+// must be synchronized by the scheme. What a client decided in a round is
+// in its Update, which the runner folds.
 package fl
 
 import (
@@ -59,7 +61,6 @@ import (
 	"fedca/internal/data"
 	"fedca/internal/nn"
 	"fedca/internal/simnet"
-	"fedca/internal/telemetry"
 	"fedca/internal/trace"
 )
 
@@ -151,13 +152,35 @@ type Config struct {
 	// is observational only — it consumes no RNG draws and performs no
 	// virtual-time arithmetic — so enabling it never changes a run
 	// (TestTelemetryInert). Nil disables it at zero cost.
-	Telemetry *telemetry.Sink
+	Telemetry Telemetry
 
 	// Journal, when non-nil, receives structured flight-recorder events
 	// (rounds, quarantines, dropouts, impairment windows) and per-client cost
 	// attribution. Like Telemetry it is observational only: no RNG draws, no
 	// virtual-time arithmetic, nil-safe and allocation-free when disabled.
-	Journal *telemetry.Journal
+	Journal Journal
+}
+
+// Telemetry receives a run's live metrics and trace; *telemetry.Sink
+// implements it. Workers call ObserveIteration; the cohort stage wires the
+// link observers; the record stage, serially, the rest.
+type Telemetry interface {
+	ObserveIteration(sec float64)
+	UpObserver() simnet.TransferObserver
+	DownObserver() simnet.TransferObserver
+	ClientRound(round int, start float64, u *Update)
+	ObserveSchemeStats(st SchemeStats)
+	RoundDone(round int, start, end, accuracy float64, collected, quarantined, dropped int, skipped bool)
+	ObserveCohort(fleet, cohort int)
+}
+
+// Journal receives a run's flight-recorder events and per-client cost
+// attribution; *telemetry.Journal implements it. The record stage calls it,
+// serially, so its stream is worker-count invariant.
+type Journal interface {
+	ClientRound(round int, start float64, u *Update)
+	RoundDone(round int, vtime float64, collected, quarantined, dropped int, skipped bool)
+	Cohort(round, fleet, cohort int, materialized, recycled int64, uploadBytes float64)
 }
 
 // Validate applies defaults and rejects nonsense.
@@ -273,6 +296,8 @@ type EagerRecord struct {
 	Snapshot []float64
 	SentAt   float64 // virtual enqueue time
 	DoneAt   float64 // virtual completion time
+	// Retransmitted is set once Finalize has asked for the layer again.
+	Retransmitted bool
 }
 
 // FinalState is what a controller observes when local training has ended.
@@ -320,8 +345,8 @@ type Controller interface {
 // PlanRound and NewController run serially on the round-driving goroutine
 // (as do the optional Selector and Aggregator hooks); the controllers they
 // build then run on workers. A scheme must synchronize any state shared
-// between NewController and running controllers, and any accessors (stats
-// snapshots) it allows callers to poll while a round executes.
+// between NewController and running controllers, and any accessors it
+// allows callers to poll while a round executes.
 type Scheme interface {
 	Name() string
 	// PlanRound runs on the server before dispatch.
@@ -330,28 +355,40 @@ type Scheme interface {
 	NewController(c *Client, round int, plan RoundPlan) Controller
 }
 
-// Update is one client's round result as the server receives it.
+// Update is the one record of a client-round: the result the server
+// receives, and what the client decided and suffered on the way. The train
+// worker fills it; the record stage feeds it to every observer.
 type Update struct {
 	ClientID   int
 	Delta      []float64 // the update the server will aggregate
 	Weight     float64
 	Iterations int
 
-	TrainTime      float64 // local compute seconds
-	TrainLoss      float64 // mean per-iteration training loss (client-reported)
-	CompletionTime float64 // virtual time the full update reached the server
-	Dropped        bool    // the client dropped out; the update never arrived
+	// Virtual times training began (the download done) and ended (at the
+	// last iteration or the dropout); DownloadDone + TrainTime need not round
+	// to TrainEnd.
+	DownloadDone, TrainEnd float64
+	TrainTime              float64 // local compute seconds: TrainEnd − DownloadDone
+	TrainLoss              float64 // mean per-iteration training loss (client-reported)
+	CompletionTime         float64 // virtual time the full update reached the server
+	Dropped                bool    // the client dropped out; the update never arrived
 	// Quarantined marks an update that arrived but failed server-side
 	// validation (non-finite or norm-bounded delta); it was excluded from
 	// aggregation and moved to the round's Discarded set.
 	Quarantined bool
+	Anchor      bool // a profiling round (schemes with IsAnchorRound(round))
+	EarlyStop   bool // the controller stopped training, at any iteration
 	UploadBytes float64
 	// LinkRetries counts failed transfer attempts this round (chaos
 	// transfer-failure injection); the airtime is included in UploadBytes.
 	LinkRetries   int
 	EagerSent     int
 	Retransmitted int
-	EagerIters    []int // iteration at which each standing eager transmission fired
+	// Eager lists the eager transmissions in send order, Snapshot nil. It
+	// aliases a per-cohort-slot buffer and is cleared after the record
+	// stage's fan-out, as Delta is.
+	Eager []EagerRecord
+	Chaos *chaos.Plan // the round's fault plan, nil without one; read-only
 }
 
 // Selector decides who trains each round: the client-selection family of

@@ -3,6 +3,7 @@ package fl_test
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -382,9 +383,11 @@ func TestEagerTransmissionStaleSnapshot(t *testing.T) {
 		if u.Retransmitted != 0 {
 			t.Fatal("no retransmission requested")
 		}
-		if len(u.EagerIters) != 1 || u.EagerIters[0] != 2 {
-			t.Fatalf("eager iters = %v", u.EagerIters)
-		}
+	}
+	want := make([]int, r.Cfg.LocalIters+1)
+	want[2] = len(res.Collected) + len(res.Discarded)
+	if got := r.SchemeStats().EagerByIter; !slices.Equal(got, want) {
+		t.Fatalf("standing eager sends by iteration = %v, want %v", got, want)
 	}
 }
 

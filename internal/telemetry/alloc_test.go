@@ -1,6 +1,11 @@
 package telemetry
 
-import "testing"
+import (
+	"testing"
+
+	"fedca/internal/chaos"
+	"fedca/internal/fl"
+)
 
 // TestDisabledTelemetryZeroAllocs is the CI overhead guard: with telemetry
 // disabled (nil sink) every hot-path entry point the round loop calls must
@@ -24,10 +29,10 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 	var j *Journal
 	if n := testing.AllocsPerRun(1000, func() {
 		j.RoundDone(3, 12.5, 8, 0, 0, false)
-		j.Quarantine(3, 1, 12.5)
-		j.Dropout(3, 2, 40, 12.5)
-		j.AnchorAbort(3, 2, 40)
-		j.Impairment(3, 1, "up", 0, 1, 0.5)
+		j.ClientRound(3, 0, &fl.Update{ClientID: 1, Quarantined: true, CompletionTime: 12.5})
+		j.ClientRound(3, 0, &fl.Update{ClientID: 2, Iterations: 40, Dropped: true, TrainEnd: 12.5})
+		j.ClientRound(3, 0, &fl.Update{ClientID: 2, Iterations: 40, Dropped: true, Anchor: true})
+		j.ClientRound(3, 0, &fl.Update{ClientID: 1, Chaos: &chaos.Plan{Up: []chaos.LinkWindow{{From: 0, To: 1, Scale: 0.5}}}})
 		j.CellStart("phase", "abc")
 		j.CellFinish("phase", "abc")
 		j.CellHit("phase", "abc", "memory")
@@ -35,7 +40,7 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 		j.PhaseStart(0, "x", "spec")
 		j.PhaseEnd(0, "x", "fp")
 		j.Violation("m", "p", 3, "d")
-		j.ObserveUpdate(1, 40, 4.5, 1024, 0, false, false)
+		j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 40, TrainTime: 4.5, UploadBytes: 1024})
 		j.Tail(8)
 		j.Since(0)
 		j.LastSeq()

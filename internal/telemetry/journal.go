@@ -27,6 +27,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"fedca/internal/chaos"
+	"fedca/internal/fl"
 )
 
 // Event types recorded by the journal. The set mirrors the simulator's
@@ -62,8 +65,8 @@ type Event struct {
 }
 
 // journalShards fixes the shard count. Eight keeps contention negligible for
-// worker-side emitters (impairment windows, cell events) without bloating
-// small journals.
+// concurrent emitters (execpool cell events) without bloating small
+// journals.
 const journalShards = 8
 
 type journalShard struct {
@@ -191,10 +194,9 @@ func (j *Journal) Tail(n int) []Event {
 	return all
 }
 
-// RoundDone records one completed round (skipped or aggregated) plus one
-// event per quarantined update and per dropped client observed that round via
-// the dedicated helpers; callers emit those separately so each carries its
-// client ID.
+// RoundDone records one completed round (skipped or aggregated). Its
+// quarantines and dropouts are recorded per client, by ClientRound. It
+// implements fl.Journal, as does Cohort.
 func (j *Journal) RoundDone(round int, vtime float64, collected, quarantined, dropped int, skipped bool) {
 	if j == nil {
 		return
@@ -224,41 +226,38 @@ func (j *Journal) Cohort(round, fleet, cohort int, materialized, recycled int64,
 	})
 }
 
-// Quarantine records one update rejected by server-side validation.
-func (j *Journal) Quarantine(round, client int, vtime float64) {
+// ClientRound records a client-round of round round, which began at start:
+// its cost into the attribution table, then an event per chaos link window
+// (downlink first; scale 0 is an outage), its quarantine, its dropout and
+// the anchor profile the dropout aborted.
+func (j *Journal) ClientRound(round int, start float64, u *fl.Update) {
 	if j == nil {
 		return
 	}
-	j.record(Event{Type: EvQuarantine, Round: round, Client: client, VTime: vtime})
+	j.clients.observe(u.ClientID, u.Iterations, u.TrainTime, u.UploadBytes, u.LinkRetries, u.Dropped, u.Quarantined)
+	if p := u.Chaos; p != nil {
+		j.impairments(round, u.ClientID, "down", start, p.Down)
+		j.impairments(round, u.ClientID, "up", start, p.Up)
+	}
+	if u.Quarantined {
+		j.record(Event{Type: EvQuarantine, Round: round, Client: u.ClientID, VTime: u.CompletionTime})
+	}
+	if u.Dropped {
+		after := fmt.Sprintf("after %d iterations", u.Iterations)
+		j.record(Event{Type: EvDropout, Round: round, Client: u.ClientID, VTime: u.TrainEnd, Detail: after})
+		if u.Anchor {
+			j.record(Event{Type: EvAnchorAbort, Round: round, Client: u.ClientID, Detail: after})
+		}
+	}
 }
 
-// Dropout records one client vanishing mid-round after iter iterations.
-func (j *Journal) Dropout(round, client, iter int, vtime float64) {
-	if j == nil {
-		return
+// impairments records a link's chaos windows, relative to the round start.
+func (j *Journal) impairments(round, client int, dir string, start float64, windows []chaos.LinkWindow) {
+	for _, w := range windows {
+		from, to := start+w.From, start+w.To
+		j.record(Event{Type: EvImpairment, Round: round, Client: client, VTime: from,
+			Detail: fmt.Sprintf("%slink %.3g-%.3gs scale %.3g", dir, from, to, w.Scale)})
 	}
-	j.record(Event{Type: EvDropout, Round: round, Client: client, VTime: vtime,
-		Detail: fmt.Sprintf("after %d iterations", iter)})
-}
-
-// AnchorAbort records a half-recorded anchor profile being discarded because
-// its client dropped.
-func (j *Journal) AnchorAbort(round, client, iter int) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Type: EvAnchorAbort, Round: round, Client: client,
-		Detail: fmt.Sprintf("after %d iterations", iter)})
-}
-
-// Impairment records a chaos link-impairment window installed on a client's
-// link ("up" or "down"); scale 0 is a full outage.
-func (j *Journal) Impairment(round, client int, dir string, from, to, scale float64) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Type: EvImpairment, Round: round, Client: client, VTime: from,
-		Detail: fmt.Sprintf("%slink %.3g-%.3gs scale %.3g", dir, from, to, scale)})
 }
 
 // CellStart records an execpool cell beginning to compute.
@@ -332,15 +331,6 @@ func (j *Journal) Violation(monitor, phase string, round int, detail string) {
 	}
 	j.record(Event{Type: EvViolation, Round: round, Client: -1,
 		Detail: fmt.Sprintf("[%s] %s: %s", monitor, phase, detail)})
-}
-
-// ObserveUpdate feeds one client-round outcome into the attribution table.
-// The fl runner calls it serially after each round for every participant.
-func (j *Journal) ObserveUpdate(client, iterations int, computeSec, uplinkBytes float64, linkRetries int, dropped, quarantined bool) {
-	if j == nil {
-		return
-	}
-	j.clients.observe(client, iterations, computeSec, uplinkBytes, linkRetries, dropped, quarantined)
 }
 
 // ClientStats is one client's accumulated cost attribution: how much it

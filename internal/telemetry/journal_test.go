@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fedca/internal/chaos"
+	"fedca/internal/fl"
 )
 
 // TestJournalSequenceAndEviction is the journal's property test: sequence
@@ -62,14 +65,14 @@ func TestJournalCapacityRounding(t *testing.T) {
 func TestJournalConcurrentRecording(t *testing.T) {
 	j := NewJournal(64)
 	const goroutines, each = 8, 500
+	plan := &chaos.Plan{Up: []chaos.LinkWindow{{From: 0, To: 1, Scale: 0.5}}}
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				j.Impairment(i, g, "up", 0, 1, 0.5)
-				j.ObserveUpdate(g, 10, 1, 100, 0, false, false)
+				j.ClientRound(i, 0, &fl.Update{ClientID: g, Iterations: 10, TrainTime: 1, UploadBytes: 100, Chaos: plan})
 			}
 		}(g)
 	}
@@ -92,7 +95,7 @@ func TestJournalConcurrentRecording(t *testing.T) {
 func TestJournalSinceAndTail(t *testing.T) {
 	j := NewJournal(32)
 	for i := 0; i < 10; i++ {
-		j.Quarantine(i, i, float64(i))
+		j.ClientRound(i, 0, &fl.Update{ClientID: i, Quarantined: true, CompletionTime: float64(i)})
 	}
 	since := j.Since(7)
 	if len(since) != 3 || since[0].Seq != 8 {
@@ -115,9 +118,9 @@ func TestJournalSinceAndTail(t *testing.T) {
 func TestClientTableAttribution(t *testing.T) {
 	j := NewJournal(8)
 	// Client 1: two rounds, one dropout; client 2: one heavy round.
-	j.ObserveUpdate(1, 40, 4.0, 1000, 2, false, false)
-	j.ObserveUpdate(1, 10, 1.0, 200, 0, true, false)
-	j.ObserveUpdate(2, 50, 9.0, 5000, 0, false, true)
+	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 40, TrainTime: 4.0, UploadBytes: 1000, LinkRetries: 2})
+	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 10, TrainTime: 1.0, UploadBytes: 200, Dropped: true})
+	j.ClientRound(0, 0, &fl.Update{ClientID: 2, Iterations: 50, TrainTime: 9.0, UploadBytes: 5000, Quarantined: true})
 	tbl := j.Clients()
 	if tbl.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tbl.Len())
@@ -139,8 +142,8 @@ func TestClientTableAttribution(t *testing.T) {
 	}
 	// Ties break by ascending client ID, unknown keys fall back to compute.
 	j2 := NewJournal(8)
-	j2.ObserveUpdate(5, 1, 1, 1, 0, false, false)
-	j2.ObserveUpdate(3, 1, 1, 1, 0, false, false)
+	j2.ClientRound(0, 0, &fl.Update{ClientID: 5, Iterations: 1, TrainTime: 1, UploadBytes: 1})
+	j2.ClientRound(0, 0, &fl.Update{ClientID: 3, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	tied := j2.Clients().TopK(0, "nonsense-key")
 	if tied[0].Client != 3 || tied[1].Client != 5 {
 		t.Fatalf("tie break not by client ID: %+v", tied)
@@ -152,7 +155,7 @@ func TestClientTableAttribution(t *testing.T) {
 func TestClientTableBound(t *testing.T) {
 	j := NewJournal(8)
 	for c := 0; c < clientTableBound+100; c++ {
-		j.ObserveUpdate(c, 1, 1, 1, 0, false, false)
+		j.ClientRound(0, 0, &fl.Update{ClientID: c, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	}
 	tbl := j.Clients()
 	if tbl.Len() != clientTableBound {
@@ -162,7 +165,7 @@ func TestClientTableBound(t *testing.T) {
 		t.Fatalf("Untracked = %d, want 100", tbl.Untracked())
 	}
 	// Known clients keep accumulating after the bound is hit.
-	j.ObserveUpdate(0, 1, 1, 1, 0, false, false)
+	j.ClientRound(0, 0, &fl.Update{ClientID: 0, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	if got := tbl.TopK(1, "iterations"); got[0].Client != 0 || got[0].Iterations != 2 {
 		t.Fatalf("post-bound accumulation broken: %+v", got[0])
 	}
@@ -173,10 +176,9 @@ func TestJournalEventTypes(t *testing.T) {
 	j := NewJournal(64)
 	j.RoundDone(1, 10, 8, 1, 2, false)
 	j.RoundDone(2, 20, 0, 0, 9, true)
-	j.Quarantine(1, 4, 9.5)
-	j.Dropout(1, 5, 17, 8.0)
-	j.AnchorAbort(1, 5, 17)
-	j.Impairment(1, 3, "down", 1, 2, 0)
+	j.ClientRound(1, 0, &fl.Update{ClientID: 4, Quarantined: true, CompletionTime: 9.5})
+	j.ClientRound(1, 0, &fl.Update{ClientID: 5, Iterations: 17, Dropped: true, Anchor: true, TrainEnd: 8.0})
+	j.ClientRound(1, 0, &fl.Update{ClientID: 3, Chaos: &chaos.Plan{Down: []chaos.LinkWindow{{From: 1, To: 2, Scale: 0}}}})
 	j.CellStart("soak-phase", "deadbeefdeadbeefdeadbeef")
 	j.CellFinish("soak-phase", "deadbeefdeadbeefdeadbeef")
 	j.CellHit("soak-phase", "deadbeefdeadbeefdeadbeef", "disk")
@@ -225,7 +227,7 @@ func TestJournalEventTypes(t *testing.T) {
 func TestNilJournalSafe(t *testing.T) {
 	var j *Journal
 	j.RoundDone(0, 0, 0, 0, 0, false)
-	j.ObserveUpdate(1, 1, 1, 1, 0, false, false)
+	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	if j.Enabled() || j.Cap() != 0 || j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
 		t.Fatal("nil journal must be inert")
 	}
@@ -284,7 +286,7 @@ func TestJournalWriteSince(t *testing.T) {
 // TestJournalEventFields pins the per-event fields /events and -events emit.
 func TestJournalEventFields(t *testing.T) {
 	j := NewJournal(8)
-	j.Dropout(3, 5, 17, 12.5)
+	j.ClientRound(3, 0, &fl.Update{ClientID: 5, Iterations: 17, Dropped: true, TrainEnd: 12.5})
 	ev := j.Since(0)[0]
 	if ev.Seq != 1 || ev.Type != EvDropout || ev.Round != 3 || ev.Client != 5 || ev.VTime != 12.5 {
 		t.Fatalf("event fields = %+v", ev)

@@ -1,5 +1,13 @@
 package telemetry
 
+import (
+	"fmt"
+
+	"fedca/internal/chaos"
+	"fedca/internal/fl"
+	"fedca/internal/simnet"
+)
+
 // Sink bundles one run's metrics registry and span tracer and pre-registers
 // the simulator's metric set. A nil *Sink is the disabled state: every entry
 // point the round loop touches is nil-safe and allocation-free, so
@@ -19,7 +27,7 @@ type Sink struct {
 	FleetSize     *Gauge
 	CohortSize    *Gauge
 
-	// Scheme behaviour (incremented by internal/core).
+	// Scheme behaviour, mirrored from the fl runner's fold once per round.
 	EarlyStops   *Counter
 	FullRounds   *Counter
 	EagerTx      *Counter
@@ -65,7 +73,7 @@ func New() *Sink {
 		CohortSize:    reg.Gauge("fedca_cohort_size", "Clients materialized into the last round's cohort."),
 
 		EarlyStops:   reg.Counter("fedca_early_stops_total", "Client-rounds ended by the utility-guided early stop."),
-		FullRounds:   reg.Counter("fedca_full_rounds_total", "Client-rounds that ran to the full iteration budget."),
+		FullRounds:   reg.Counter("fedca_full_rounds_total", "Completed client-rounds neither early-stopped nor profiling; counted for every scheme, so a FedAvg-family run counts each completed client-round."),
 		EagerTx:      reg.Counter("fedca_eager_transmissions_total", "Eager layer transmissions sent before round end."),
 		Retransmits:  reg.Counter("fedca_retransmissions_total", "Eagerly sent layers retransmitted at round end."),
 		AnchorRounds: reg.Counter("fedca_anchor_rounds_total", "Client-rounds spent profiling statistical progress."),
@@ -118,9 +126,6 @@ func (s *Sink) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Enabled reports whether the sink records anything.
-func (s *Sink) Enabled() bool { return s != nil }
-
 // ObserveIteration records one local-training iteration's virtual duration.
 // This is the per-iteration hot path: nil-safe and allocation-free.
 func (s *Sink) ObserveIteration(sec float64) {
@@ -129,6 +134,94 @@ func (s *Sink) ObserveIteration(sec float64) {
 	}
 	s.IterSeconds.Observe(sec)
 }
+
+// ClientRound observes a client-round's iterations and renders its record
+// onto the client's trace track, which it names: download, local training
+// (or anchor profiling), eager uploads and the upload, annotated with the
+// round's chaos events. start is the round's start.
+func (s *Sink) ClientRound(round int, start float64, u *fl.Update) {
+	if s == nil {
+		return
+	}
+	s.ClientIters.Observe(float64(u.Iterations))
+	tr := s.tracer
+	tid := ClientTrack(u.ClientID)
+	tr.NameTrack(tid, fmt.Sprintf("client %d", u.ClientID))
+	tr.Span(tid, "download", "transfer", start, u.DownloadDone, nil)
+
+	trainName := "local-training"
+	if u.Anchor {
+		trainName = "anchor-profiling"
+	}
+	args := map[string]any{"iterations": u.Iterations}
+	if p := u.Chaos; p != nil {
+		if w := p.Slow; w.Factor > 1 {
+			args["slow_iters"] = fmt.Sprintf("%d-%d", w.From, w.To)
+			args["slow_factor"] = w.Factor
+		}
+		if k := p.Corrupt; k != chaos.CorruptNone {
+			args["corrupt"] = k.String()
+		}
+	}
+	if u.Dropped {
+		args["dropped"] = true
+		tr.Instant(tid, "dropout", "chaos", u.TrainEnd, nil)
+		if u.Anchor {
+			tr.Instant(tid, "anchor-abort", "chaos", u.TrainEnd, nil)
+		}
+	}
+	tr.Span(tid, trainName, "train", u.DownloadDone, u.TrainEnd, args)
+
+	for _, e := range u.Eager {
+		tr.Span(tid, fmt.Sprintf("eager-upload L%d", e.Layer), "transfer", e.SentAt, e.DoneAt,
+			map[string]any{"layer": e.Layer, "iter": e.Iter})
+	}
+	clamp := u.TrainEnd
+	if !u.Dropped {
+		tr.Span(tid, "upload", "transfer", u.TrainEnd, u.CompletionTime, nil)
+		clamp = max(clamp, u.CompletionTime)
+	}
+
+	// Link impairment windows, clamped to the client's round activity so a
+	// whole-round degradation does not stretch the trace to +Inf.
+	if p := u.Chaos; p != nil {
+		impairmentSpans(tr, tid, "uplink", start, clamp, p.Up)
+		impairmentSpans(tr, tid, "downlink", start, clamp, p.Down)
+	}
+}
+
+// impairmentSpans renders a link's chaos windows as spans on a client
+// track. Windows are in seconds relative to the round's start.
+func impairmentSpans(tr *Tracer, tid int, link string, start, clamp float64, windows []chaos.LinkWindow) {
+	for _, w := range windows {
+		from := start + w.From
+		to := min(start+w.To, clamp)
+		if to <= from {
+			continue
+		}
+		name := link + "-degraded"
+		if w.Scale == 0 {
+			name = link + "-outage"
+		}
+		tr.Span(tid, name, "chaos", from, to, map[string]any{"scale": w.Scale})
+	}
+}
+
+// ObserveSchemeStats mirrors the runner's fold into the scheme counters.
+func (s *Sink) ObserveSchemeStats(st fl.SchemeStats) {
+	if s == nil {
+		return
+	}
+	mirror(s.EarlyStops, st.EarlyStops)
+	mirror(s.FullRounds, st.FullRounds)
+	mirror(s.EagerTx, st.EagerSentTotal)
+	mirror(s.Retransmits, st.RetransmitsTotal)
+	mirror(s.AnchorRounds, st.AnchorRounds)
+	mirror(s.AnchorAborts, st.AnchorAborts)
+}
+
+// mirror advances c to total, a count that never decreases.
+func mirror(c *Counter, total int) { c.Add(float64(total) - c.Value()) }
 
 // RoundDone records one completed round: gauges, counters, the round-duration
 // histogram and the server-track round span.
@@ -177,8 +270,9 @@ func (s *Sink) ObserveCohort(fleet, cohort int) {
 	s.CohortSize.Set(float64(cohort))
 }
 
-// UpObserver returns the observer to install on a client's uplink.
-func (s *Sink) UpObserver() *LinkObserver {
+// UpObserver returns the observer to install on a client's uplink (nil when
+// disabled).
+func (s *Sink) UpObserver() simnet.TransferObserver {
 	if s == nil {
 		return nil
 	}
@@ -186,7 +280,7 @@ func (s *Sink) UpObserver() *LinkObserver {
 }
 
 // DownObserver returns the observer to install on a client's downlink.
-func (s *Sink) DownObserver() *LinkObserver {
+func (s *Sink) DownObserver() simnet.TransferObserver {
 	if s == nil {
 		return nil
 	}

@@ -118,50 +118,67 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 // RunToAccuracy and Accuracy read — one Round per completed round — and not
 // the rounds' results with their cohort-sized update lists. The live heap
 // after a GC grows by at most one summary per round across 20 more rounds
-// of a virtual fleet.
+// of a virtual fleet. The fedca input, at a K where clients stop early and
+// send layers eagerly in the window, holds FedCAStats to the same bound:
+// its counts by iteration are bounded by K, not by the run's length.
 //
 // What else grows with a run is kept out of the window: the run is serial
 // (one token), so the delta pool never grows past its warm size; the fleet
 // is small enough that History has seen every client before the window;
 // speeds are static, since a dynamic speed model's timeline reaches to the
-// current virtual time; and the window, rounds 40 to 60, lies inside one
-// capacity of the summary slice (it grows at 37 and 74).
+// current virtual time; FedCA profiles at round 0 only, since a client's
+// first completed anchor adds its curves for good; and the window, rounds 40
+// to 60, lies inside one capacity of the summary slice (it grows at 37 and
+// 74).
 func TestFacadeRetainsOneSummaryPerRound(t *testing.T) {
 	budget := cputok.Default()
 	defer budget.SetCap(budget.Setting())
 	budget.SetCap(1)
-	o := fedca.DefaultOptions()
-	o.Scheme = "fedavg"
-	o.Fleet, o.Participation = 40, 0.5
-	o.LocalIters, o.BatchSize = 2, 10
-	o.TrainSamples, o.TestSamples = 1000, 100
-	o.AggregateFraction = 1
-	o.DType = "f32"
-	o.Dynamic = false
-	f, err := fedca.New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := func() uint64 {
-		// Two collections: the first moves pooled scratch to the victim
-		// caches, the second frees it.
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	const rounds = 20
-	f.Run(40)
-	before := live()
-	f.Run(rounds)
-	grown := int64(live()) - int64(before)
-	t.Logf("live heap grew %d bytes over %d rounds", grown, rounds)
-	if limit := int64(rounds * unsafe.Sizeof(fedca.Round{})); grown > limit {
-		t.Fatalf("live heap grew %d bytes over %d rounds; want ≤ %d (one summary per round)", grown, rounds, limit)
-	}
-	if n := len(f.Rounds()); n != 60 {
-		t.Fatalf("Rounds() holds %d rounds, want 60", n)
+	for _, tc := range []struct {
+		scheme string
+		k      int
+	}{{"fedavg", 2}, {"fedca", 8}} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			o := fedca.DefaultOptions()
+			o.Scheme = tc.scheme
+			o.Fleet, o.Participation = 40, 0.5
+			o.LocalIters, o.BatchSize = tc.k, 10
+			o.TrainSamples, o.TestSamples = 1000, 100
+			o.AggregateFraction = 1
+			o.DType = "f32"
+			o.Dynamic = false
+			o.FedCA.ProfilePeriod = 100
+			f, err := fedca.New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := func() uint64 {
+				// Two collections: the first moves pooled scratch to the
+				// victim caches, the second frees it.
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			const rounds = 20
+			f.Run(40)
+			st0, _ := f.FedCAStats()
+			before := live()
+			f.Run(rounds)
+			grown := int64(live()) - int64(before)
+			t.Logf("live heap grew %d bytes over %d rounds", grown, rounds)
+			if limit := int64(rounds * unsafe.Sizeof(fedca.Round{})); grown > limit {
+				t.Fatalf("live heap grew %d bytes over %d rounds; want ≤ %d (one summary per round)", grown, rounds, limit)
+			}
+			if n := len(f.Rounds()); n != 60 {
+				t.Fatalf("Rounds() holds %d rounds, want 60", n)
+			}
+			if st, ok := f.FedCAStats(); ok && (st.EarlyStops == st0.EarlyStops || st.EagerSentTotal == st0.EagerSentTotal) {
+				t.Fatalf("the window saw %d early stops and %d eager sends; the fedca input needs both",
+					st.EarlyStops-st0.EarlyStops, st.EagerSentTotal-st0.EagerSentTotal)
+			}
+		})
 	}
 }
 
