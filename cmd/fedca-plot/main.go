@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"fedca/internal/expcfg"
 	"fedca/internal/report"
 	"fedca/internal/runlog"
 )
@@ -34,11 +35,14 @@ func main() {
 			os.Exit(2)
 		}
 		ts, as := run.AccuracyCurve()
-		name := run.Header.Scheme
-		if name == "" {
-			name = path
-		} else {
-			name = fmt.Sprintf("%s (%s, %d clients)", name, run.Header.Model, run.Header.Clients)
+		name := path
+		var o expcfg.Options
+		if run.Header.Spec != "" && o.Set(run.Header.Spec) == nil {
+			clients := o.Clients
+			if o.Fleet > 0 {
+				clients = o.Fleet
+			}
+			name = fmt.Sprintf("%s (%s, %d clients)", o.Scheme, o.Model, clients)
 		}
 		series = append(series, report.PlotSeries{Name: name, Xs: ts, Ys: as})
 	}

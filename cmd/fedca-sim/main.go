@@ -7,20 +7,27 @@
 //	fedca-sim -model cnn -scheme fedca -clients 32 -rounds 50
 //	fedca-sim -model wrn -scheme fedavg -scale tiny -seed 7
 //	fedca-sim -scheme fedavg -compress qsgd7 -log run.jsonl
+//	fedca-sim -spec 'model=lstm;scheme=fedavg;clients=8;seed=3' -rounds 20
 //	fedca-sim -scheme fedca -http :8080 -trace run-trace.json
+//	fedca-sim replay run.jsonl
 //	fedca-sim soak -rounds 300 -report soak-report.json
 //	fedca-sim repro soak-report.json:1
 //
-// With -http the run serves live introspection while it executes: /metrics
+// The run flags lower to one expcfg.Options value; -spec gives it as text
+// instead (the form a -log header records, over the flags' defaults). With
+// -http the run serves live introspection while it executes: /metrics
 // (Prometheus text format), /status (current round, runner and scheme stats
 // as JSON) and /debug/pprof. With -trace it writes the whole run as Chrome
 // trace-event JSON keyed on virtual sim time — open it in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 //
-// The soak and repro subcommands (soak.go) take their own flags.
+// replay re-runs a -log file from its header and compares every round; soak
+// and repro (soak.go) take their own flags.
 package main
 
 import (
+	"cmp"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -35,6 +42,10 @@ import (
 	"fedca/internal/telemetry"
 )
 
+// notRunFlags are the flags that do not describe the run: -spec replaces
+// every other one.
+var notRunFlags = map[string]bool{"spec": true, "rounds": true, "log": true, "events": true, "http": true, "trace": true}
+
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -44,78 +55,76 @@ func main() {
 		case "repro":
 			runRepro(os.Args[2:])
 			return
+		case "replay":
+			runReplay(os.Args[2:])
+			return
 		}
 	}
-	model := flag.String("model", "cnn", "workload: cnn | lstm | wrn")
-	scheme := flag.String("scheme", "fedca", "scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
+	var o expcfg.Options
+	flag.StringVar(&o.Model, "model", "cnn", "workload: cnn | lstm | wrn")
+	flag.StringVar(&o.Scheme, "scheme", "fedca", "scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
-	clients := flag.Int("clients", 0, "override client count")
-	fleet := flag.Int("fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
-	participation := flag.Float64("participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
-	aggFrac := flag.Float64("aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
+	flag.IntVar(&o.Clients, "clients", 0, "override client count")
+	flag.IntVar(&o.Fleet, "fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
+	flag.Float64Var(&o.Participation, "participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
+	flag.Float64Var(&o.AggregateFraction, "aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
 	rounds := flag.Int("rounds", 0, "override round count")
-	seed := flag.Uint64("seed", 42, "master seed")
-	dtype := flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
-	compressSpec := flag.String("compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
-	chaosSpec := flag.String("chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
-	minQuorum := flag.Int("quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
-	maxNorm := flag.Float64("maxnorm", 0, "quarantine updates whose L2 norm exceeds this (0 = no bound)")
+	flag.Uint64Var(&o.Seed, "seed", 42, "master seed")
+	flag.StringVar(&o.DType, "dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
+	flag.StringVar(&o.Compress, "compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
+	flag.StringVar(&o.Chaos, "chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
+	flag.IntVar(&o.MinQuorum, "quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
+	flag.Float64Var(&o.MaxDeltaNorm, "maxnorm", 0, "quarantine updates whose L2 norm exceeds this (0 = no bound)")
+	spec := flag.String("spec", "", "the run as one spec string, key=value;… (the form a -log header records), applied over the run flags' defaults; excludes every run flag")
 	logPath := flag.String("log", "", "write a JSON-lines run log to this path")
 	eventsPath := flag.String("events", "", "stream the flight-recorder journal to this path as JSON lines")
 	httpAddr := flag.String("http", "", "serve live introspection on this address (/metrics, /status, /events, /clients, /healthz, /debug/pprof)")
 	tracePath := flag.String("trace", "", "write the run as Chrome trace-event JSON to this path (open in Perfetto)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: fedca-sim [flags] | fedca-sim soak [flags] | fedca-sim repro REPORT.json:N\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: fedca-sim [flags] | fedca-sim replay LOG.jsonl | fedca-sim soak [flags] | fedca-sim repro REPORT.json:N\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q (subcommands come first: fedca-sim soak | repro)", flag.Arg(0)))
+		fail(fmt.Errorf("unexpected argument %q (subcommands come first: fedca-sim replay | soak | repro)", flag.Arg(0)))
 	}
 
 	scale, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
 		fail(err)
 	}
-	if *clients > 0 {
-		scale.Clients = *clients
-	}
 	if *rounds > 0 {
 		scale.Rounds = *rounds
 	}
-	w, err := scale.Workload(*model)
-	if err != nil {
-		fail(err)
+	o.Clients = cmp.Or(o.Clients, scale.Clients)
+	o.LocalIters, o.BatchSize, o.TrainSamples, o.TestSamples = scale.K, scale.BatchSize, scale.TrainN, scale.TestN
+	o.Heterogeneous, o.Dynamic, o.FedCA = true, true, scale.FedCAOptions()
+	if scale.Name == "tiny" {
+		o.Geometry = "tiny"
 	}
-	w.FL.DType = *dtype
-	w.FL.MinQuorum = *minQuorum
-	w.FL.MaxDeltaNorm = *maxNorm
-	if *aggFrac > 0 {
-		w.FL.AggregateFraction = *aggFrac
+	if *spec != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if !notRunFlags[f.Name] {
+				fail(fmt.Errorf("-spec replaces the run flags; -%s given too", f.Name))
+			}
+		})
+		if err := o.Set(*spec); err != nil {
+			fail(err)
+		}
 	}
-	w.FL.Participation = *participation
 
 	// Telemetry: one sink feeds both the HTTP surface and the trace export.
 	// It is deterministically inert, so attaching it never changes the run.
-	var sink *telemetry.Sink
 	if *httpAddr != "" || *tracePath != "" {
-		sink = telemetry.New()
-		w.FL.Telemetry = sink
+		o.Telemetry = telemetry.New()
 	}
 	// Flight recorder: feeds /events and /clients, and streams to -events.
 	// Like the sink it is observational only.
-	var journal *telemetry.Journal
 	if *httpAddr != "" || *eventsPath != "" {
-		journal = telemetry.NewJournal(0)
-		w.FL.Journal = journal
+		o.Journal = telemetry.NewJournal(0)
 	}
 
-	runner, err := expcfg.NewRun(w, expcfg.RunSpec{
-		Scheme: *scheme, FedCA: scale.FedCAOptions(),
-		Chaos: *chaosSpec, Compress: *compressSpec,
-		Clients: scale.Clients, Fleet: *fleet,
-		Trace: scale.TraceConfig(), Seed: *seed,
-	})
+	runner, err := o.NewRun()
 	if err != nil {
 		fail(err)
 	}
@@ -125,18 +134,18 @@ func main() {
 	if cfg.Compressor != nil {
 		compName = cfg.Compressor.Name()
 	}
-	popClients := scale.Clients
-	if *fleet > 0 {
-		popClients = *fleet
-		cohort := *fleet // the runner's cohort size, for the banner
+	popClients := o.Clients
+	if o.Fleet > 0 {
+		popClients = o.Fleet
+		cohort := o.Fleet // the runner's cohort size, for the banner
 		if p := cfg.Participation; p > 0 && p < 1 {
-			cohort = max(1, int(p*float64(*fleet)+0.5))
+			cohort = max(1, int(p*float64(o.Fleet)+0.5))
 		}
 		fmt.Printf("fleet: %d virtual clients, participation=%g (cohort ≈ %d), lazy cohort materialization\n",
-			*fleet, cfg.Participation, cohort)
+			o.Fleet, cfg.Participation, cohort)
 	}
 	if *httpAddr != "" {
-		mux := telemetry.NewMux(sink, journal, statusFunc(runner, fedca, sink))
+		mux := telemetry.NewMux(o.Telemetry, o.Journal, statusFunc(runner, fedca, o.Telemetry))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "fedca-sim: http:", err)
@@ -160,26 +169,12 @@ func main() {
 			fail(err)
 		}
 		defer logw.Close()
-		hdr := runlog.Header{
-			Model: *model, Scheme: *scheme, Clients: scale.Clients,
-			K: cfg.LocalIters, Seed: *seed, Alpha: w.Alpha,
-			Quorum: cfg.MinQuorum, MaxNorm: cfg.MaxDeltaNorm,
-		}
-		if cfg.DType != "" && cfg.DType != "f64" {
-			hdr.Dtype = cfg.DType
-		}
-		if cfg.Chaos != nil {
-			hdr.Chaos = cfg.Chaos.Config().Spec()
-		}
-		if cfg.Compressor != nil {
-			hdr.Compress = compName
-		}
-		if err := logw.WriteHeader(hdr); err != nil {
+		if err := logw.WriteHeader(runlog.Header{Spec: o.String()}); err != nil {
 			fail(err)
 		}
 	}
 	fmt.Printf("model=%s scheme=%s clients=%d K=%d rounds=%d seed=%d compress=%s\n",
-		*model, *scheme, popClients, cfg.LocalIters, scale.Rounds, *seed, compName)
+		o.Model, o.Scheme, popClients, cfg.LocalIters, scale.Rounds, o.Seed, compName)
 	fmt.Printf("%5s %12s %10s %8s %8s %7s %7s\n", "round", "vtime(s)", "dur(s)", "acc", "iters", "eager", "retr")
 	// This goroutine drives every round: cover it with a CPU token, as an
 	// execpool cell's admission would.
@@ -204,7 +199,7 @@ func main() {
 		// Stream the journal incrementally: draining once per round keeps the
 		// on-disk record complete even though the ring evicts old events.
 		if eventsFile != nil {
-			if eventsSeq, err = journal.WriteSince(eventsFile, eventsSeq); err != nil {
+			if eventsSeq, err = o.Journal.WriteSince(eventsFile, eventsSeq); err != nil {
 				fail(err)
 			}
 		}
@@ -227,14 +222,50 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := sink.Tracer().WriteChromeTrace(f); err != nil {
+		if err := o.Telemetry.Tracer().WriteChromeTrace(f); err != nil {
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("trace: wrote %d events to %s (open in https://ui.perfetto.dev)\n", sink.Tracer().Len(), *tracePath)
+		fmt.Printf("trace: wrote %d events to %s (open in https://ui.perfetto.dev)\n", o.Telemetry.Tracer().Len(), *tracePath)
 	}
+}
+
+// runReplay re-runs a -log file from its header's spec, for as many rounds
+// as it holds, and compares every round record. It exits 0 when all match,
+// 1 at the first that differs (printing both records), 2 on setup errors.
+func runReplay(args []string) {
+	if len(args) != 1 {
+		fail(fmt.Errorf("usage: fedca-sim replay LOG.jsonl"))
+	}
+	run, err := runlog.Open(args[0])
+	if err != nil {
+		fail(err)
+	}
+	if run.Header.Spec == "" {
+		fail(fmt.Errorf("replay: %s has no header spec", args[0]))
+	}
+	var o expcfg.Options
+	if err := o.Set(run.Header.Spec); err != nil {
+		fail(err)
+	}
+	runner, err := o.NewRun()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("replay: %d rounds of %s\n", len(run.Rounds), o)
+	budget := cputok.Default()
+	defer budget.Return(budget.Cover())
+	for i, want := range run.Rounds {
+		if got := runlog.FromRoundResult(runner.RunRound()); got != want {
+			logged, _ := json.Marshal(want)
+			replayed, _ := json.Marshal(got)
+			fmt.Fprintf(os.Stderr, "replay: FAIL — round %d differs\n  log:    %s\n  replay: %s\n", i, logged, replayed)
+			os.Exit(1)
+		}
+	}
+	fmt.Printf("replay: PASS — %d rounds reproduced bit-identically\n", len(run.Rounds))
 }
 
 // statusFunc builds the /status snapshot closure. Everything it touches is

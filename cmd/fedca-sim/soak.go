@@ -25,12 +25,12 @@ import (
 // soak does not take included.
 func runSoak(args []string) {
 	fs := flag.NewFlagSet("fedca-sim soak", flag.ExitOnError)
-	// The flags write straight into the soak's configuration; phases may
-	// still override the base workload in the schedule spec.
-	cfg := soak.Config{Base: soak.DefaultBase()}
-	fs.StringVar(&cfg.Base.Model, "model", cfg.Base.Model, "base workload: cnn | lstm | wrn")
-	fs.StringVar(&cfg.Base.Scheme, "scheme", cfg.Base.Scheme, "base scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
-	fs.IntVar(&cfg.Base.Clients, "clients", cfg.Base.Clients, "base client count")
+	// The flags write straight into the soak's base run; phases may still
+	// override it with run keys in the schedule spec.
+	cfg := soak.Config{Run: soak.DefaultRun()}
+	fs.StringVar(&cfg.Run.Model, "model", cfg.Run.Model, "base workload: cnn | lstm | wrn")
+	fs.StringVar(&cfg.Run.Scheme, "scheme", cfg.Run.Scheme, "base scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
+	fs.IntVar(&cfg.Run.Clients, "clients", cfg.Run.Clients, "base client count")
 	fs.Uint64Var(&cfg.Seed, "seed", 42, "master seed")
 	fs.StringVar(&cfg.Schedule, "spec", "", "soak schedule spec (phases separated by '|'; empty = the built-in rotating chaos schedule)")
 	fs.IntVar(&cfg.Rounds, "rounds", 2000, "total soak round budget across all phases")
@@ -119,7 +119,7 @@ func runSoak(args []string) {
 			if n := len(v.Events); n > 0 {
 				fmt.Fprintf(os.Stderr, "    context: %d journal events captured (see the report's events field)\n", n)
 			}
-			fmt.Fprintf(os.Stderr, "    reproduce: fedca-sim repro REPORT.json:%d   (or soak.RunPhase with seed %d)\n", v.PhaseIndex, v.Seed)
+			fmt.Fprintf(os.Stderr, "    reproduce: fedca-sim repro REPORT.json:%d   (or soak.RunPhase of the violation's spec)\n", v.PhaseIndex)
 		}
 		os.Exit(1)
 	}
@@ -156,9 +156,9 @@ func runRepro(args []string) {
 	if phase == nil {
 		fail(fmt.Errorf("report %s has no phase with index %d (%d phases)", path, idx, len(rep.Phases)))
 	}
-	fmt.Printf("repro: phase %d (%s), seed %d\n", phase.Index, phase.Name, phase.Seed)
+	fmt.Printf("repro: phase %d (%s)\n", phase.Index, phase.Name)
 	fmt.Printf("repro: spec %s\n", phase.Spec)
-	got, err := soak.RunPhase(phase.Spec, phase.Seed, nil)
+	got, err := soak.RunPhase(phase.Spec, nil)
 	if err != nil {
 		fail(err)
 	}

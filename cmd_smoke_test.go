@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fedca"
-	"fedca/internal/experiments"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 )
@@ -95,9 +94,49 @@ func TestCommandSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Header.Chaos == "" || run.Header.Quorum != 1 ||
-		run.Header.MaxNorm != 1e6 || run.Header.Compress != "qsgd7" {
-		t.Fatalf("log header missing reproduction fields: %+v", run.Header)
+	var logged fedca.Options
+	if err := logged.Set(run.Header.Spec); err != nil {
+		t.Fatalf("log header spec %q: %v", run.Header.Spec, err)
+	}
+	if logged.Chaos != "drop=0.2,slow=0.3" || logged.MinQuorum != 1 ||
+		logged.MaxDeltaNorm != 1e6 || logged.Compress != "qsgd7" || logged.Clients != 2 {
+		t.Fatalf("log header missing reproduction fields: %q", run.Header.Spec)
+	}
+
+	// replay re-runs a log from its header and compares every round: the
+	// log just written matches; the same log with round 1 edited does not,
+	// and the failure names that round.
+	if out, err := exec.Command(bins["fedca-sim"], "replay", chaosLog).CombinedOutput(); err != nil {
+		t.Fatalf("fedca-sim replay of its own log: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(chaosLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	edited := strings.Replace(lines[2], `"collected":`, `"collected":999,"x":`, 1)
+	if edited == lines[2] || !strings.Contains(lines[2], `"round":1,`) {
+		t.Fatalf("log line 3 is not round 1's record: %s", lines[2])
+	}
+	lines[2] = edited
+	editedLog := filepath.Join(dir, "edited.jsonl")
+	if err := os.WriteFile(editedLog, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(bins["fedca-sim"], "replay", editedLog).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "round 1 differs") {
+		t.Fatalf("fedca-sim replay of an edited log: want a failure naming round 1, got %v:\n%s", err, out)
+	}
+	if code := err.(*exec.ExitError).ExitCode(); code != 1 {
+		t.Fatalf("fedca-sim replay of an edited log exited %d, want 1:\n%s", code, out)
+	}
+
+	// -spec replaces the run flags; giving both is an error.
+	if out, err := exec.Command(bins["fedca-sim"], "-spec", run.Header.Spec, "-rounds", "1").CombinedOutput(); err != nil {
+		t.Fatalf("fedca-sim -spec: %v\n%s", err, out)
+	}
+	if err := exec.Command(bins["fedca-sim"], "-spec", run.Header.Spec, "-seed", "3", "-rounds", "1").Run(); err == nil {
+		t.Fatal("fedca-sim with -spec and a run flag must fail")
 	}
 
 	// -events streams the flight recorder as JSON lines: every line an
@@ -112,7 +151,7 @@ func TestCommandSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(eventsRaw), "\n"), "\n")
+	lines = strings.Split(strings.TrimSuffix(string(eventsRaw), "\n"), "\n")
 	var lastSeq uint64
 	for i, line := range lines {
 		var e telemetry.Event
@@ -166,59 +205,41 @@ func TestCommandSmoke(t *testing.T) {
 	}
 }
 
-// TestLibraryAndCLIBuildSameRun pins the two input mappings that stay
-// separate: fedca.New's Options and fedca-sim's scale and flags. Both feed
-// expcfg.NewRun, so the same run described both ways must report the same
-// rounds, field by field.
+// TestLibraryAndCLIBuildSameRun replays every TestSimGolden run log through
+// the library: fedca.New of the options the log's header spec sets must run
+// the rounds fedca-sim logged, record for record. fedca-sim and the facade
+// lower one Options value the same way, so this holds by construction; the
+// test pins that each header names its whole run.
 func TestLibraryAndCLIBuildSameRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs fedca-sim")
+		t.Skip("runs every fedca-sim golden configuration")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "fedca-sim")
-	if b, err := exec.Command("go", "build", "-o", bin, "./cmd/fedca-sim").CombinedOutput(); err != nil {
-		t.Fatalf("build fedca-sim: %v\n%s", err, b)
-	}
-	logPath := filepath.Join(dir, "run.jsonl")
-	if out, err := exec.Command(bin, "-scale", "small", "-clients", "2", "-rounds", "2", "-seed", "7",
-		"-chaos", "drop=0.2", "-compress", "qsgd7", "-log", logPath).CombinedOutput(); err != nil {
-		t.Fatalf("fedca-sim: %v\n%s", err, out)
-	}
-	run, err := runlog.Open(logPath)
+	logs, err := filepath.Glob(filepath.Join("cmd", "fedca-sim", "testdata", "sim", "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	small, err := experiments.ScaleByName("small")
-	if err != nil {
-		t.Fatal(err)
+	if len(logs) != 16 {
+		t.Fatalf("found %d golden run logs, want 16", len(logs))
 	}
-	fed, err := fedca.New(fedca.Options{
-		Model: "cnn", Scheme: "fedca", Clients: 2, Seed: 7,
-		LocalIters: small.K, BatchSize: small.BatchSize,
-		TrainSamples: small.TrainN, TestSamples: small.TestN,
-		Heterogeneous: true, Dynamic: true,
-		Chaos: "drop=0.2", Compress: "qsgd7",
-		FedCA: small.FedCAOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := fed.Run(2)
-	if len(run.Rounds) != len(rounds) {
-		t.Fatalf("fedca-sim logged %d rounds, the library ran %d", len(run.Rounds), len(rounds))
-	}
-	for i, rd := range rounds {
-		got := runlog.Record{
-			Kind: "round", Round: rd.Index, Start: rd.Start, End: rd.End,
-			Accuracy: rd.Accuracy, Collected: rd.Collected, Discarded: rd.Discarded,
-			Dropped: rd.Dropped, MeanIterations: rd.MeanIterations,
-			MeanEagerSent: rd.EagerSent, MeanRetrans: rd.Retransmitted,
-			UploadBytes: rd.UploadBytes, Skipped: rd.Skipped,
-			Quarantined: rd.Quarantined, LinkRetries: rd.LinkRetries,
-		}
-		if want := run.Rounds[i]; got != want {
-			t.Fatalf("round %d: library %+v, fedca-sim -log %+v", i, got, want)
-		}
+	for _, path := range logs {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".jsonl"), func(t *testing.T) {
+			run, err := runlog.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o fedca.Options
+			if err := o.Set(run.Header.Spec); err != nil {
+				t.Fatal(err)
+			}
+			fed, err := fedca.New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range run.Rounds {
+				if got := fed.RunRound().Record(); got != want {
+					t.Fatalf("round %d: library %+v, fedca-sim -log %+v", i, got, want)
+				}
+			}
+		})
 	}
 }

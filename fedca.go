@@ -19,7 +19,6 @@ import (
 	"fedca/internal/metrics"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
-	"fedca/internal/trace"
 )
 
 // Telemetry is the live observability sink of a run: a metrics registry
@@ -58,95 +57,11 @@ func NewTelemetryMux(t *Telemetry, f *Federation) http.Handler {
 	return telemetry.NewMux(t, f.Journal(), func() any { return f.Snapshot() })
 }
 
-// Options configures a Federation. The zero value is not valid; start from
-// DefaultOptions.
-type Options struct {
-	// Model selects the workload: "cnn", "lstm" or "wrn".
-	Model string
-	// Clients is the number of simulated participants, each fully
-	// materialized up front (the classic testbed). Ignored when Fleet is set.
-	Clients int
-	// Fleet, when positive, virtualizes the client population instead: only
-	// each round's cohort is materialized (into pooled slots recycled after
-	// the round), so memory scales with the cohort, not the fleet — a
-	// million-client federation is a few thousand live clients. Client
-	// identity derives from (Seed, clientID), so runs stay bit-reproducible.
-	Fleet int
-	// Participation is the fraction of the population that trains each
-	// round (0 or 1 = everyone). A value below 1 needs someone to pick the
-	// cohort: a selecting scheme (Oort, which picks by utility and defaults
-	// to 0.5), or else a virtual fleet (Fleet > 0), which samples it from
-	// the seed. 1M clients at 0.01 participation run 10k-client rounds.
-	Participation float64
-	// AggregateFraction overrides the workload's partial-aggregation cut
-	// (paper: 0.9) when in (0, 1]. At 1.0 the server aggregates every
-	// surviving update with a streaming online fold, the cheapest setting
-	// for very large cohorts.
-	AggregateFraction float64
-	// Scheme selects the federated optimization strategy: "fedavg",
-	// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort", "safa"
-	// (resolved by expcfg.NewRun, as fedca-sim -scheme is). "oort"
-	// picks who trains; see Participation.
-	Scheme string
-	// Seed drives all randomness; equal seeds reproduce runs bit-for-bit.
-	Seed uint64
-
-	// DType selects the client-side training precision: "" or "f64" (the
-	// default, bit-reproducible across releases), or "f32" (float32 forward/
-	// backward/SGD on the workers, roughly native-SIMD-width faster per GEMM).
-	// Master weights, deltas and aggregation stay float64 at every setting;
-	// an f32 run is deterministic but converges along a slightly different
-	// trajectory than f64.
-	DType string
-	// LocalIters is K, the default local iterations per round (paper: 125).
-	LocalIters int
-	// BatchSize is the local mini-batch size (paper: 50).
-	BatchSize int
-	// TrainSamples / TestSamples size the synthetic datasets.
-	TrainSamples, TestSamples int
-	// Alpha is the Dirichlet non-IID concentration (paper: 0.1).
-	Alpha float64
-
-	// Compress selects an upload compressor: "" or "none" (full precision),
-	// "qsgd<levels>" (e.g. "qsgd7"), or "topk<percent>" (e.g. "topk1").
-	Compress string
-	// ModelBytes overrides the serialized model size used for transfer
-	// times (0 = derive from the parameter count at 4 bytes each). Use it to
-	// emulate a communication-heavy deployment with a scaled-down model.
-	ModelBytes float64
-
-	// Heterogeneous enables FedScale-like static speed spread; Dynamic
-	// enables the paper's fast/slow mode toggling.
-	Heterogeneous, Dynamic bool
-
-	// Chaos is a fault-injection spec, e.g.
-	// "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01"
-	// ("" or "none" disables injection; see chaos.ParseSpec for the full
-	// grammar). Fault schedules derive deterministically from Seed: equal
-	// seeds and specs reproduce every dropout, slowdown, link fault and
-	// corruption bit-for-bit.
-	Chaos string
-	// MinQuorum is the minimum number of valid updates needed to aggregate a
-	// round (0 = 1). Rounds falling short are skipped and recorded, never
-	// fatal.
-	MinQuorum int
-	// MaxDeltaNorm, when positive, quarantines finite updates whose L2 norm
-	// exceeds it (exploded deltas) before aggregation.
-	MaxDeltaNorm float64
-
-	// Telemetry, when non-nil, receives the run's live metrics and
-	// virtual-time spans (build one with NewTelemetry). Nil disables
-	// observability at zero cost; enabling it never changes a run.
-	Telemetry *Telemetry
-
-	// Journal, when non-nil, records the run's flight-recorder events and
-	// per-client cost attribution (build one with NewJournal). Nil disables
-	// it at zero cost; enabling it never changes a run.
-	Journal *Journal
-
-	// FedCA carries the FedCA hyperparameters (ignored by other schemes).
-	FedCA core.Options
-}
+// Options configures a Federation: the one description of a run, shared
+// with fedca-sim, the soak and the run log's header, with one text form
+// (Options.String, Options.Set; see README). The zero value is not valid;
+// start from DefaultOptions.
+type Options = expcfg.Options
 
 // DefaultOptions returns a small but representative configuration: the CNN
 // workload, 16 clients, FedCA with the paper's hyperparameters.
@@ -211,60 +126,10 @@ type Federation struct {
 	lastRound Round
 }
 
-// New assembles a federation from options.
+// New assembles a federation from options (Options.NewRun). A value
+// outside the bounds of the options' text form is an error.
 func New(opts Options) (*Federation, error) {
-	w, err := expcfg.ByName(opts.Model)
-	if err != nil {
-		return nil, err
-	}
-	if opts.LocalIters > 0 {
-		w.FL.LocalIters = opts.LocalIters
-	}
-	if opts.BatchSize > 0 {
-		w.FL.BatchSize = opts.BatchSize
-	}
-	if opts.TrainSamples > 0 {
-		w.TrainN = opts.TrainSamples
-	}
-	if opts.TestSamples > 0 {
-		w.TestN = opts.TestSamples
-	}
-	if opts.Alpha > 0 {
-		w.Alpha = opts.Alpha
-	}
-	w.FL.DType = opts.DType
-	if opts.ModelBytes > 0 {
-		w.FL.ModelBytes = opts.ModelBytes
-	}
-	w.FL.MinQuorum = opts.MinQuorum
-	w.FL.MaxDeltaNorm = opts.MaxDeltaNorm
-	if opts.AggregateFraction > 0 {
-		w.FL.AggregateFraction = opts.AggregateFraction
-	}
-	w.FL.Participation = opts.Participation
-	// A nil sink or journal stays a nil observer, not a nil pointer in one.
-	if opts.Telemetry != nil {
-		w.FL.Telemetry = opts.Telemetry
-	}
-	if opts.Journal != nil {
-		w.FL.Journal = opts.Journal
-	}
-
-	tcfg := trace.Config{}
-	if opts.Dynamic || opts.Heterogeneous {
-		tcfg = trace.PaperConfig()
-		if !opts.Heterogeneous {
-			tcfg.HeterogeneitySigma = 0
-		}
-		tcfg.Dynamic = opts.Dynamic
-	}
-
-	runner, err := expcfg.NewRun(w, expcfg.RunSpec{
-		Scheme: opts.Scheme, FedCA: opts.FedCA,
-		Chaos: opts.Chaos, Compress: opts.Compress,
-		Clients: opts.Clients, Fleet: opts.Fleet,
-		Trace: tcfg, Seed: opts.Seed,
-	})
+	runner, err := opts.NewRun()
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +325,8 @@ func (f *Federation) Snapshot() Snapshot {
 }
 
 // toRound reports a round as its run-log record does (runlog.FromRoundResult),
-// so a record rebuilt from a Round equals the one fedca-sim -log writes.
+// so a record rebuilt from a Round (Round.Record) equals the one fedca-sim
+// -log writes.
 func toRound(res fl.RoundResult) Round {
 	rec := runlog.FromRoundResult(res)
 	return Round{
@@ -478,5 +344,27 @@ func toRound(res fl.RoundResult) Round {
 		Quarantined:    rec.Quarantined,
 		UploadBytes:    rec.UploadBytes,
 		LinkRetries:    rec.LinkRetries,
+	}
+}
+
+// Record returns the run-log record the round was reported from: the line
+// fedca-sim -log writes for it, and what the soak's run log holds.
+func (r Round) Record() runlog.Record {
+	return runlog.Record{
+		Kind:           "round",
+		Round:          r.Index,
+		Start:          r.Start,
+		End:            r.End,
+		Accuracy:       r.Accuracy,
+		Collected:      r.Collected,
+		Discarded:      r.Discarded,
+		Dropped:        r.Dropped,
+		MeanIterations: r.MeanIterations,
+		MeanEagerSent:  r.EagerSent,
+		MeanRetrans:    r.Retransmitted,
+		UploadBytes:    r.UploadBytes,
+		Skipped:        r.Skipped,
+		Quarantined:    r.Quarantined,
+		LinkRetries:    r.LinkRetries,
 	}
 }

@@ -1,9 +1,11 @@
 package fedca_test
 
 import (
+	"math"
 	"testing"
 
 	fedca "fedca"
+	"fedca/internal/core"
 )
 
 func tinyOpts() fedca.Options {
@@ -254,5 +256,69 @@ func TestFacadeMaxDeltaNormWithoutChaos(t *testing.T) {
 	}
 	if r := f.RunRound(); !r.Skipped || r.Quarantined != 3 {
 		t.Fatalf("round 0: skipped %v, quarantined %d; want skipped with all 3 updates quarantined", r.Skipped, r.Quarantined)
+	}
+}
+
+// TestFacadeRejectsOutOfRangeOptions: a value outside the bounds of the
+// options' text form is a construction error, never a crash and never
+// silently replaced by the workload's default.
+func TestFacadeRejectsOutOfRangeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(o *fedca.Options)
+	}{
+		{"alpha+Inf", func(o *fedca.Options) { o.Alpha = math.Inf(1) }},
+		{"alphaNaN", func(o *fedca.Options) { o.Alpha = math.NaN() }},
+		{"alpha-1", func(o *fedca.Options) { o.Alpha = -1 }},
+		{"modelbytesNaN", func(o *fedca.Options) { o.ModelBytes = math.NaN() }},
+		{"modelbytes-1", func(o *fedca.Options) { o.ModelBytes = -1 }},
+		{"aggfracNaN", func(o *fedca.Options) { o.AggregateFraction = math.NaN() }},
+		{"aggfrac-0.5", func(o *fedca.Options) { o.AggregateFraction = -0.5 }},
+		{"train-5", func(o *fedca.Options) { o.TrainSamples = -5 }},
+		{"test-5", func(o *fedca.Options) { o.TestSamples = -5 }},
+		{"iters-3", func(o *fedca.Options) { o.LocalIters = -3 }},
+		{"batch-1", func(o *fedca.Options) { o.BatchSize = -1 }},
+		{"fleet-1", func(o *fedca.Options) { o.Fleet = -1 }},
+		{"quorum-1", func(o *fedca.Options) { o.MinQuorum = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := fedca.DefaultOptions()
+			o.Clients, o.LocalIters, o.TrainSamples, o.TestSamples = 3, 2, 96, 32
+			tc.edit(&o)
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("New panicked: %v", p)
+					}
+				}()
+				_, err = fedca.New(o)
+				return err
+			}()
+			if err == nil {
+				t.Fatal("New accepted an out-of-range value")
+			}
+		})
+	}
+}
+
+// TestSpecFedCAKeyChangesTheRun: fedca.te set through a spec onto options
+// whose FedCA hyperparameters are the zero value (the defaults) reaches the
+// scheme, instead of being dropped with the zero value's K.
+func TestSpecFedCAKeyChangesTheRun(t *testing.T) {
+	checksum := func(spec string) string {
+		o := tinyOpts()
+		o.FedCA = core.Options{}
+		if err := o.Set(spec); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fedca.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Run(3)
+		return f.ParamsChecksum()
+	}
+	if checksum("") == checksum("fedca.te=0.5") {
+		t.Fatal("fedca.te=0.5 did not change the run")
 	}
 }

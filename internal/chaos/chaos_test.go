@@ -285,7 +285,8 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	for _, spec := range []string{"none", "drop=0.1", "drop=0.1,slow=0.2,degrade=0.3,outage=0.05,xfail=0.02,corrupt=0.01"} {
+	for _, spec := range []string{"none", "drop=0.1", "drop=0.1,slow=0.2,degrade=0.3,outage=0.05,xfail=0.02,corrupt=0.01",
+		"outage=0.1,xfail=0.1,retries=4", "drop=0.1,slowfactor=3:5,slowfrac=0.5,scale=0.2:0.3,outagefrac=0.1:0.2,explode=1e6"} {
 		c, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
@@ -294,7 +295,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse of %q: %v", c.Spec(), err)
 		}
-		if c2 != c {
+		if c2 != c || c2.Spec() != c.Spec() {
 			t.Fatalf("spec round trip %q → %+v → %q → %+v", spec, c, c.Spec(), c2)
 		}
 	}

@@ -72,9 +72,17 @@ func ParseSpec(spec string) (Config, error) {
 	return c, nil
 }
 
-// Spec renders the config back into ParseSpec's format (probabilities only;
-// shape parameters at their defaults are omitted).
+// Spec renders the config back into ParseSpec's format, canonically: the
+// probabilities, then every shape parameter that differs from its default,
+// or "none" when no fault class is enabled. ParseSpec of it yields the same
+// validated Config, so it reproduces the same fault schedule.
 func (c Config) Spec() string {
+	if !c.Enabled() {
+		return "none"
+	}
+	var def Config
+	_ = def.Validate() // the shape defaults
+	_ = c.Validate()   // unset shapes take them too
 	var parts []string
 	add := func(key string, v float64) {
 		if v > 0 {
@@ -87,9 +95,24 @@ func (c Config) Spec() string {
 	add("outage", c.OutageProb)
 	add("xfail", c.XferFailProb)
 	add("corrupt", c.CorruptProb)
-	if len(parts) == 0 {
-		return "none"
+	shape := func(key string, v, d float64) {
+		if v != d {
+			parts = append(parts, fmt.Sprintf("%s=%v", key, v))
+		}
 	}
+	span := func(key string, lo, hi, dlo, dhi float64) {
+		if lo != dlo || hi != dhi {
+			parts = append(parts, fmt.Sprintf("%s=%v:%v", key, lo, hi))
+		}
+	}
+	span("slowfactor", c.SlowFactorLo, c.SlowFactorHi, def.SlowFactorLo, def.SlowFactorHi)
+	shape("slowfrac", c.SlowFrac, def.SlowFrac)
+	span("scale", c.DegradeScaleLo, c.DegradeScaleHi, def.DegradeScaleLo, def.DegradeScaleHi)
+	span("outagefrac", c.OutageFracLo, c.OutageFracHi, def.OutageFracLo, def.OutageFracHi)
+	if c.XferMaxRetries != def.XferMaxRetries {
+		parts = append(parts, fmt.Sprintf("retries=%d", c.XferMaxRetries))
+	}
+	shape("explode", c.ExplodeScale, def.ExplodeScale)
 	return strings.Join(parts, ",")
 }
 

@@ -4,8 +4,9 @@
 // a test harness, a Build helper that assembles a complete simulated
 // testbed (clients with Dirichlet-partitioned data, speed traces, shaped
 // links, and the model's fl.Networks), SchemeByName, the registry that
-// turns a scheme name into an fl.Scheme, and NewRun, which assembles a
-// runner from a workload and a RunSpec.
+// turns a scheme name into an fl.Scheme, NewRun, which assembles a runner
+// from a workload and a RunSpec, and Options, the one description of a run,
+// with its text form and its lowering onto NewRun.
 package expcfg
 
 import (
@@ -132,6 +133,26 @@ func (w Workload) Shrink(localIters, trainN, testN, batch int) Workload {
 	w.FL.LocalIters = localIters
 	w.TrainN, w.TestN = trainN, testN
 	w.FL.BatchSize = batch
+	return w
+}
+
+// Tiny shrinks the workload to its smallest trainable geometry (Options
+// Geometry "tiny"), with noise set so accuracy does not saturate within a
+// short round budget and the late-stage effects of Figs. 9–10 stay visible.
+func (w Workload) Tiny() Workload {
+	switch w.Name {
+	case "cnn":
+		w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 8
+		w.Noise = 1.4
+	case "lstm":
+		w.Seq.SeqLen, w.Seq.Hidden, w.Seq.Classes = 8, 16, 8
+		w.Noise = 1.2
+	case "wrn":
+		w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 8
+		w.Wrn.Image = w.Img
+		w.Wrn.BlocksPerGroup, w.Wrn.Width = 1, 4
+		w.Noise = 1.4
+	}
 	return w
 }
 

@@ -93,22 +93,7 @@ func (s Scale) Workload(model string) (expcfg.Workload, error) {
 	w = w.Shrink(s.K, s.TrainN, s.TestN, s.BatchSize)
 	w.FL.DType = s.DType
 	if s.Name == "tiny" {
-		// Smallest trainable geometry, with noise set so accuracy does not
-		// saturate within the round budget (otherwise the late-stage effects
-		// of Figs. 9–10 would be invisible).
-		switch model {
-		case "cnn":
-			w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 8
-			w.Noise = 1.4
-		case "lstm":
-			w.Seq.SeqLen, w.Seq.Hidden, w.Seq.Classes = 8, 16, 8
-			w.Noise = 1.2
-		case "wrn":
-			w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 8
-			w.Wrn.Image = w.Img
-			w.Wrn.BlocksPerGroup, w.Wrn.Width = 1, 4
-			w.Noise = 1.4
-		}
+		w = w.Tiny()
 	}
 	return w, nil
 }

@@ -45,8 +45,7 @@ func TestTelemetryInert(t *testing.T) {
 		var buf bytes.Buffer
 		lw := runlog.NewWriter(&buf)
 		if err := lw.WriteHeader(runlog.Header{
-			Model: "cnn", Scheme: "fedavg", Clients: 6, K: w.FL.LocalIters,
-			Seed: 50, Chaos: "drop=0.3,slow=0.5", MaxNorm: 1e6,
+			Spec: "model=cnn;scheme=fedavg;clients=6;seed=50;chaos=drop=0.3,slow=0.5;maxnorm=1e6",
 		}); err != nil {
 			t.Fatal(err)
 		}

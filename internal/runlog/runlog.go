@@ -13,32 +13,12 @@ import (
 	"fedca/internal/fl"
 )
 
-// Header identifies a run. Beyond the workload identity it records every
-// knob that changes the simulated system's behaviour — the chaos spec,
-// quorum, norm bound and compressor — so a logged run is self-describing:
-// the header alone reproduces the run bit-for-bit.
+// Header identifies a run by its spec: the canonical text form of the run's
+// options (expcfg.Options.String), which records every value that shapes
+// the run, so the header alone reproduces it bit-for-bit (fedca-sim replay).
 type Header struct {
-	Kind    string  `json:"kind"` // always "header"
-	Model   string  `json:"model"`
-	Scheme  string  `json:"scheme"`
-	Clients int     `json:"clients"`
-	K       int     `json:"k"`
-	Seed    uint64  `json:"seed"`
-	Alpha   float64 `json:"alpha,omitempty"`
-	// Dtype is the client training precision ("" = float64, the default;
-	// "f32" = float32 workers). Different dtypes follow different training
-	// trajectories, so the field is part of the run's reproducibility key.
-	Dtype string `json:"dtype,omitempty"`
-
-	// Chaos is the fault-injection spec (chaos.Config.Spec format); empty
-	// means no injection.
-	Chaos string `json:"chaos,omitempty"`
-	// Quorum is the minimum valid updates required to aggregate a round.
-	Quorum int `json:"quorum,omitempty"`
-	// MaxNorm is the L2 bound above which updates are quarantined.
-	MaxNorm float64 `json:"max_norm,omitempty"`
-	// Compress names the upload compressor ("" or "none" = full precision).
-	Compress string `json:"compress,omitempty"`
+	Kind string `json:"kind"` // always "header"
+	Spec string `json:"spec"`
 }
 
 // Record is one logged round.
@@ -93,17 +73,15 @@ func FromRoundResult(r fl.RoundResult) Record {
 	return rec
 }
 
-// PhaseMarker records a soak-phase boundary inside a run log: the phase's
-// position, its fully-resolved spec string and the seed its federation was
-// built from. The marker alone carries everything needed to reproduce the
-// rounds that follow it (soak.RunPhase consumes exactly these two fields).
+// PhaseMarker is one executed soak phase: its position and its canonical
+// spec string, seed included, which alone reproduces it (soak.RunPhase). A
+// soak report lists it per phase (soak.PhaseInfo); a run log holds it as
+// the boundary before the phase's rounds.
 type PhaseMarker struct {
-	Kind       string `json:"kind"` // always "phase"
-	Index      int    `json:"index"`
+	Index      int    `json:"index"` // global phase ordinal
 	Cycle      int    `json:"cycle,omitempty"`
 	Name       string `json:"name"`
 	Spec       string `json:"spec"`
-	Seed       uint64 `json:"seed"`
 	StartRound int    `json:"start_round"`
 	Rounds     int    `json:"rounds,omitempty"`
 }
@@ -144,11 +122,12 @@ func (w *Writer) WriteRecord(r Record) error {
 	return w.emit(r)
 }
 
-// WritePhase emits a soak-phase boundary marker. The kind tag is forced to
-// "phase".
+// WritePhase emits a soak-phase boundary marker, tagged kind "phase".
 func (w *Writer) WritePhase(p PhaseMarker) error {
-	p.Kind = "phase"
-	return w.emit(p)
+	return w.emit(struct {
+		Kind string `json:"kind"`
+		PhaseMarker
+	}{"phase", p})
 }
 
 func (w *Writer) emit(v interface{}) error {

@@ -27,7 +27,7 @@ func sampleResult(round int, start, end, acc float64) fl.RoundResult {
 func TestRoundTripBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteHeader(Header{Model: "cnn", Scheme: "fedca", Clients: 3, K: 10, Seed: 42, Alpha: 0.1}); err != nil {
+	if err := w.WriteHeader(Header{Spec: "v=1;model=cnn;scheme=fedca;clients=3;iters=10;seed=42;alpha=0.1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteRound(sampleResult(0, 0, 12.5, 0.4)); err != nil {
@@ -44,7 +44,7 @@ func TestRoundTripBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Header.Model != "cnn" || run.Header.Seed != 42 {
+	if run.Header.Kind != "header" || run.Header.Spec != "v=1;model=cnn;scheme=fedca;clients=3;iters=10;seed=42;alpha=0.1" {
 		t.Fatalf("header = %+v", run.Header)
 	}
 	if len(run.Rounds) != 2 {
@@ -68,7 +68,7 @@ func TestRoundTripFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteHeader(Header{Model: "lstm", Scheme: "fedavg"}); err != nil {
+	if err := w.WriteHeader(Header{Spec: "model=lstm;scheme=fedavg"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteRound(sampleResult(0, 0, 5, 0.2)); err != nil {
@@ -81,7 +81,7 @@ func TestRoundTripFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Header.Model != "lstm" || len(run.Rounds) != 1 {
+	if run.Header.Spec != "model=lstm;scheme=fedavg" || len(run.Rounds) != 1 {
 		t.Fatalf("run = %+v", run)
 	}
 }

@@ -1,16 +1,19 @@
 package soak
 
 import (
-	"reflect"
 	"testing"
+
+	"fedca"
 )
 
 // FuzzSoakSpecParse feeds arbitrary strings to the schedule parser. The
 // guarantees under fuzz: no panic on any input; any accepted phase survives
-// Resolve + validateResolved (the parser never lets NaN/Inf/overflow values
-// through to a runnable phase); and the canonical render of an accepted,
-// resolved phase is a fixed point (reparse + resolve + re-render is
-// byte-identical), which is what makes report spec strings reproducible.
+// Resolve + validateResolved and its run keys apply onto the base run (the
+// parser never lets NaN/Inf/overflow values through to a runnable phase);
+// and the canonical render of an accepted, resolved phase is a fixed point
+// (reparse + resolve + re-render is byte-identical, whatever base run the
+// reparse applies onto), which is what makes report spec strings
+// reproducible.
 func FuzzSoakSpecParse(f *testing.F) {
 	f.Add(DefaultSchedule)
 	f.Add("name=calm;rounds=40")
@@ -34,18 +37,19 @@ func FuzzSoakSpecParse(f *testing.F) {
 		if err != nil {
 			return // rejected input: only guarantee is no panic
 		}
-		base := DefaultBase()
+		base := defaultBase()
 		for _, p := range phases {
 			r := p.Resolve(base)
 			if verr := r.validateResolved(); verr != nil {
-				// Accepted-but-unrunnable is fine (e.g. an unset field the
-				// base happens not to cover) as long as it's an error, not
-				// a bogus runnable phase. With DefaultBase every field is
-				// covered, so this only fires for values the parser should
-				// have rejected.
+				// With defaultBase every phase field is covered, so this only
+				// fires for values the parser should have rejected.
 				t.Fatalf("accepted phase fails validation after Resolve: %v\nphase: %+v\nspec: %q", verr, r, spec)
 			}
-			canon := r.Spec()
+			run, err := r.options(DefaultRun())
+			if err != nil {
+				t.Fatalf("accepted phase's run keys do not apply: %v\nspec: %q", err, spec)
+			}
+			canon := r.Spec(run)
 			back, err := ParseSchedule(canon)
 			if err != nil {
 				t.Fatalf("canonical render does not reparse: %v\ncanon: %q", err, canon)
@@ -54,10 +58,11 @@ func FuzzSoakSpecParse(f *testing.F) {
 				t.Fatalf("canonical render parsed into %d phases: %q", len(back), canon)
 			}
 			r2 := back[0].Resolve(base)
-			if !reflect.DeepEqual(r2, r) {
-				t.Fatalf("canonical round-trip drift:\n before: %+v\n after:  %+v", r, r2)
+			run2, err := r2.options(fedca.Options{})
+			if err != nil {
+				t.Fatalf("canonical render's run keys do not apply: %v\ncanon: %q", err, canon)
 			}
-			if got := r2.Spec(); got != canon {
+			if got := r2.Spec(run2); got != canon {
 				t.Fatalf("canonical render not a fixed point:\n before: %q\n after:  %q", canon, got)
 			}
 		}

@@ -24,6 +24,7 @@ func goldenConfig(log *runlog.Writer) Config {
 		Rounds:       8,
 		Seed:         20240807,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		CheckEvery:   4,
 		RecheckEvery: -1, // rechecks don't touch the log; keep the fixture fast
 		Log:          log,

@@ -24,21 +24,33 @@ type Sample struct {
 }
 
 // Violation is one invariant breach. It names everything needed to
-// reproduce the offending phase bit-for-bit: the canonical spec string and
-// the seed (feed both to RunPhase, or fedca-sim repro).
+// reproduce the offending phase bit-for-bit: the canonical spec string,
+// seed included (feed it to RunPhase, or fedca-sim repro).
 type Violation struct {
 	Monitor    string `json:"monitor"`
 	Phase      string `json:"phase"`
 	PhaseIndex int    `json:"phase_index"`
 	// Round is the global soak round the violation was detected at.
 	Round  int    `json:"round"`
-	Seed   uint64 `json:"seed"`
 	Spec   string `json:"spec"`
 	Detail string `json:"detail"`
 	// Events is the journal's newest events at detection time (when the soak
 	// ran with a flight recorder attached): the causal window just before the
 	// breach, carried in the report so a nightly violation explains itself.
 	Events []telemetry.Event `json:"events,omitempty"`
+}
+
+// violationAt reports monitor's breach in phase p at global round round.
+func violationAt(p PhaseInfo, monitor string, round int, format string, args ...any) []Violation {
+	return []Violation{{
+		Monitor: monitor, Phase: p.Name, PhaseIndex: p.Index, Round: round,
+		Spec: p.Spec, Detail: fmt.Sprintf(format, args...),
+	}}
+}
+
+// violation reports monitor's breach at the phase's last round.
+func (p PhaseResult) violation(monitor, format string, args ...any) []Violation {
+	return violationAt(p.PhaseInfo, monitor, p.StartRound+p.Rounds-1, format, args...)
 }
 
 // Monitor is a pluggable soak invariant. Sample is called every
@@ -73,15 +85,7 @@ func (m *tokenMonitor) Sample(s Sample) []Violation {
 		m.maxCap = c
 	}
 	if max := s.Snapshot.Tokens.Max; max > m.maxCap {
-		return []Violation{{
-			Monitor:    m.Name(),
-			Phase:      s.Phase.Name,
-			PhaseIndex: s.Phase.Index,
-			Round:      s.Round,
-			Seed:       s.Phase.Seed,
-			Spec:       s.Phase.Spec,
-			Detail:     fmt.Sprintf("MaxInflight %d exceeds budget cap %d", max, m.maxCap),
-		}}
+		return violationAt(s.Phase, m.Name(), s.Round, "MaxInflight %d exceeds budget cap %d", max, m.maxCap)
 	}
 	return nil
 }
@@ -99,15 +103,7 @@ func (m ratesMonitor) PhaseEnd(p PhaseResult) []Violation {
 		if b.Contains(rate) {
 			return
 		}
-		out = append(out, Violation{
-			Monitor:    m.Name(),
-			Phase:      p.Name,
-			PhaseIndex: p.Index,
-			Round:      p.StartRound + p.Rounds - 1,
-			Seed:       p.Seed,
-			Spec:       p.Spec,
-			Detail:     fmt.Sprintf("%s rate %.4g outside band [%g,%g]", name, rate, b.Lo, b.Hi),
-		})
+		out = append(out, p.violation(m.Name(), "%s rate %.4g outside band [%g,%g]", name, rate, b.Lo, b.Hi)...)
 	}
 	rounds := float64(p.Rounds)
 	flag("skipped-rounds", float64(p.SkippedRounds)/rounds, p.Bands.Skip)
@@ -150,16 +146,8 @@ func (m *heapMonitor) PhaseEnd(p PhaseResult) []Violation {
 	// no slope fit, no warmup (slot pools are counted in the bound).
 	if m.maxAbs > 0 && !m.absFired && float64(p.HeapBytes) > m.maxAbs {
 		m.absFired = true
-		return []Violation{{
-			Monitor:    m.Name(),
-			Phase:      p.Name,
-			PhaseIndex: p.Index,
-			Round:      p.StartRound + p.Rounds - 1,
-			Seed:       p.Seed,
-			Spec:       p.Spec,
-			Detail: fmt.Sprintf("live heap %d bytes exceeds the absolute cap %.0f bytes",
-				p.HeapBytes, m.maxAbs),
-		}}
+		return p.violation(m.Name(), "live heap %d bytes exceeds the absolute cap %.0f bytes",
+			p.HeapBytes, m.maxAbs)
 	}
 	if m.fired || len(m.rounds) < m.warmup+3 {
 		return nil
@@ -169,16 +157,8 @@ func (m *heapMonitor) PhaseEnd(p PhaseResult) []Violation {
 	rise := ys[len(ys)-1] - ys[0]
 	if slope > m.maxSlope && rise > m.minRise {
 		m.fired = true
-		return []Violation{{
-			Monitor:    m.Name(),
-			Phase:      p.Name,
-			PhaseIndex: p.Index,
-			Round:      p.StartRound + p.Rounds - 1,
-			Seed:       p.Seed,
-			Spec:       p.Spec,
-			Detail: fmt.Sprintf("live heap growing %.0f bytes/round over %d post-warmup samples (rise %.0f bytes, limit %.0f bytes/round)",
-				slope, len(xs), rise, m.maxSlope),
-		}}
+		return p.violation(m.Name(), "live heap growing %.0f bytes/round over %d post-warmup samples (rise %.0f bytes, limit %.0f bytes/round)",
+			slope, len(xs), rise, m.maxSlope)
 	}
 	return nil
 }
@@ -200,7 +180,7 @@ func leastSquaresSlope(xs, ys []float64) float64 {
 }
 
 // determinismMonitor re-runs sampled phases and asserts the soak's central
-// reproducibility claim: equal (spec, seed) produce bit-identical rounds
+// reproducibility claim: equal specs produce bit-identical rounds
 // and final parameters at any worker count, with or without telemetry. The
 // recheck forces the CPU-token budget to one (the serial reference path)
 // and flips telemetry relative to the live run, so one pass covers both
@@ -223,29 +203,13 @@ func (m *determinismMonitor) PhaseEnd(p PhaseResult) []Violation {
 	fp, err := recheckPhase(p, !m.liveTel)
 	if err != nil {
 		m.tel.RecheckDone(false)
-		return []Violation{{
-			Monitor:    m.Name(),
-			Phase:      p.Name,
-			PhaseIndex: p.Index,
-			Round:      p.StartRound + p.Rounds - 1,
-			Seed:       p.Seed,
-			Spec:       p.Spec,
-			Detail:     fmt.Sprintf("serial recheck failed to run: %v", err),
-		}}
+		return p.violation(m.Name(), "serial recheck failed to run: %v", err)
 	}
 	matched := fp == p.Fingerprint
 	m.tel.RecheckDone(matched)
 	if matched {
 		return nil
 	}
-	return []Violation{{
-		Monitor:    m.Name(),
-		Phase:      p.Name,
-		PhaseIndex: p.Index,
-		Round:      p.StartRound + p.Rounds - 1,
-		Seed:       p.Seed,
-		Spec:       p.Spec,
-		Detail: fmt.Sprintf("serial recheck fingerprint %.16s... != live %.16s... (telemetry flipped: %v)",
-			fp, p.Fingerprint, !m.liveTel),
-	}}
+	return p.violation(m.Name(), "serial recheck fingerprint %.16s... != live %.16s... (telemetry flipped: %v)",
+		fp, p.Fingerprint, !m.liveTel)
 }

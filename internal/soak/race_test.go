@@ -29,6 +29,7 @@ func TestSoakConcurrentIntrospection(t *testing.T) {
 		Rounds:       100,
 		Seed:         17,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		CheckEvery:   5,
 		RecheckEvery: 2,
 		Telemetry:    tel,

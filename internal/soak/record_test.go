@@ -31,26 +31,27 @@ func runnerResults(t *testing.T, opts fedca.Options, n int) []fl.RoundResult {
 
 // TestRecordFromRoundMatchesRunLog is the differential test for the soak run
 // log: over a chaos run with drops and link retries, the record the soak
-// writes from every facade round equals the one runlog.FromRoundResult — the
-// fedca-sim -log path — builds from the runner's own result.
+// writes from every facade round (fedca.Round.Record) equals the one
+// runlog.FromRoundResult — the fedca-sim -log path — builds from the
+// runner's own result.
 func TestRecordFromRoundMatchesRunLog(t *testing.T) {
-	p := tinyBase().Resolve(DefaultBase())
-	p.Clients = 4
-	p.Chaos = "drop=0.3,xfail=0.3,retries=3"
-	fed, err := fedca.New(p.options(11, nil, nil))
+	run := tinyRun()
+	run.Clients = 4
+	run.Chaos = "drop=0.3,xfail=0.3,retries=3"
+	run.Seed = 11
+	fed, err := fedca.New(run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rounds := fed.Run(6)
-	results := runnerResults(t, p.options(11, nil, nil), 6)
+	results := runnerResults(t, run, 6)
 	if len(results) != len(rounds) {
 		t.Fatalf("%d runner results for %d rounds", len(results), len(rounds))
 	}
 	var dropped, retries int
 	var upload float64
 	for i, rd := range rounds {
-		got, want := recordFromRound(rd), runlog.FromRoundResult(results[i])
-		got.Kind = want.Kind // the writer stamps the kind
+		got, want := rd.Record(), runlog.FromRoundResult(results[i])
 		if got != want {
 			t.Fatalf("round %d: soak record %+v, run-log record %+v", i, got, want)
 		}

@@ -4,20 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"fedca/internal/runlog"
 )
 
-// PhaseInfo identifies one executed phase: its position in the rotation,
-// the seed its federation was built from, and the fully-resolved canonical
-// spec string. Spec + Seed alone reproduce the phase (RunPhase).
-type PhaseInfo struct {
-	Index      int    `json:"index"` // global phase ordinal
-	Cycle      int    `json:"cycle"` // full schedule rotations before this phase
-	Name       string `json:"name"`
-	Seed       uint64 `json:"seed"`
-	Spec       string `json:"spec"`
-	StartRound int    `json:"start_round"`
-	Rounds     int    `json:"rounds"`
-}
+// PhaseInfo identifies one executed phase — its position in the rotation
+// and its canonical spec string, which alone reproduces it (RunPhase) — as
+// the run log's phase marker does.
+type PhaseInfo = runlog.PhaseMarker
 
 // BandSet carries a phase's resolved acceptance bands into its result so
 // the report is self-describing (the rates monitor reads them from here).
@@ -34,7 +28,7 @@ type PhaseResult struct {
 
 	// Fingerprint is the SHA-256 over every round's JSON record plus the
 	// final parameter checksum: the phase's behavioural identity. A serial
-	// re-run of (Spec, Seed) must reproduce it bit-for-bit.
+	// re-run of Spec must reproduce it bit-for-bit.
 	Fingerprint string `json:"fingerprint"`
 	// ParamsChecksum is the global model's aggregate checksum after the
 	// phase's last round (fedca.Federation.ParamsChecksum).
@@ -55,7 +49,7 @@ type PhaseResult struct {
 
 // Report is the structured outcome of a soak run, JSON-ready. Pass is false
 // iff any monitor recorded a violation; each violation names the phase,
-// round, seed and spec string needed to reproduce it.
+// round and spec string (seed included) needed to reproduce it.
 type Report struct {
 	Schedule     string `json:"schedule"` // the schedule spec the run was launched with
 	Seed         uint64 `json:"seed"`

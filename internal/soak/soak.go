@@ -29,9 +29,13 @@ type Config struct {
 	// Seed drives the whole soak: phase seeds fork from it, so equal
 	// (Seed, Schedule, Rounds) reproduce the entire run.
 	Seed uint64
-	// Base is the phase every schedule entry resolves against (zero value =
-	// DefaultBase()).
+	// Base is the phase every schedule entry resolves against; its zero
+	// fields default to 50 rounds and bands 0:0.75, 0:0.75 and 0:1e6.
 	Base Phase
+	// Run is the run every schedule entry's run keys apply onto (zero value
+	// = DefaultRun()); each phase replaces its Seed with the phase's own,
+	// derived from Config.Seed, and its observers with the soak's.
+	Run fedca.Options
 	// CheckEvery is the monitor sampling cadence in rounds (default 10).
 	CheckEvery int
 	// RecheckEvery selects phases for the serial determinism recheck: every
@@ -95,8 +99,8 @@ type Status struct {
 // Status is safe to poll from other goroutines while Run executes.
 type Runner struct {
 	cfg      Config
-	schedule []Phase
-	base     Phase
+	schedule []Phase         // resolved against Config.Base
+	runs     []fedca.Options // schedule[i]'s run, before its seed
 	monitors []Monitor
 	recheck  *determinismMonitor // nil when rechecks are disabled
 	soakTel  *telemetry.SoakMetrics
@@ -141,7 +145,10 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.MinHeapRise <= 0 {
 		cfg.MinHeapRise = 16 << 20
 	}
-	base := cfg.Base.Resolve(DefaultBase())
+	if cfg.Run == (fedca.Options{}) {
+		cfg.Run = DefaultRun()
+	}
+	base := cfg.Base.Resolve(defaultBase())
 	if err := base.validateResolved(); err != nil {
 		return nil, fmt.Errorf("soak: base: %w", err)
 	}
@@ -149,15 +156,18 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	runs := make([]fedca.Options, len(schedule))
 	for i, p := range schedule {
-		if err := p.Resolve(base).validateResolved(); err != nil {
-			return nil, fmt.Errorf("soak: schedule phase %d: %w", i, err)
+		// Parsed keys are in bounds and base is valid, so is the result.
+		schedule[i] = p.Resolve(base)
+		if runs[i], err = p.options(cfg.Run); err != nil {
+			return nil, err
 		}
 	}
 	r := &Runner{
 		cfg:      cfg,
 		schedule: schedule,
-		base:     base,
+		runs:     runs,
 		soakTel:  telemetry.NewSoakMetrics(cfg.Telemetry.Registry()),
 		status:   Status{TotalRounds: cfg.Rounds},
 	}
@@ -244,16 +254,17 @@ func (r *Runner) Run() (*Report, error) {
 
 	globalRound := 0
 	for phaseIdx := 0; globalRound < cfg.Rounds; phaseIdx++ {
-		p := r.schedule[phaseIdx%len(r.schedule)].Resolve(r.base)
+		p := r.schedule[phaseIdx%len(r.schedule)]
 		if remaining := cfg.Rounds - globalRound; p.Rounds > remaining {
 			p.Rounds = remaining
 		}
+		run := r.runs[phaseIdx%len(r.schedule)]
+		run.Seed = rng.New(cfg.Seed).Fork("soak-phase", phaseIdx).Uint64()
 		info := PhaseInfo{
 			Index:      phaseIdx,
 			Cycle:      phaseIdx / len(r.schedule),
 			Name:       p.Name,
-			Seed:       rng.New(cfg.Seed).Fork("soak-phase", phaseIdx).Uint64(),
-			Spec:       p.Spec(),
+			Spec:       p.Spec(run),
 			StartRound: globalRound,
 			Rounds:     p.Rounds,
 		}
@@ -265,16 +276,13 @@ func (r *Runner) Run() (*Report, error) {
 		r.status.Cycle = info.Cycle
 		r.mu.Unlock()
 		if cfg.Log != nil {
-			if err := cfg.Log.WritePhase(runlog.PhaseMarker{
-				Index: info.Index, Cycle: info.Cycle, Name: info.Name,
-				Spec: info.Spec, Seed: info.Seed,
-				StartRound: info.StartRound, Rounds: info.Rounds,
-			}); err != nil {
+			if err := cfg.Log.WritePhase(info); err != nil {
 				return nil, err
 			}
 		}
 
-		res, err := r.runPhase(info, p, record)
+		run.Telemetry, run.Journal = cfg.Telemetry, cfg.Journal
+		res, err := r.runPhase(info, p, run, record)
 		if err != nil {
 			return nil, err
 		}
@@ -282,15 +290,8 @@ func (r *Runner) Run() (*Report, error) {
 		// Release the phase's federation before the boundary heap measure;
 		// the cached snapshot keeps /status meaningful between phases.
 		r.mu.Lock()
-		cur := r.cur
-		r.mu.Unlock()
-		lastSnap := fedca.Snapshot{}
-		if cur != nil {
-			lastSnap = cur.Snapshot()
-		}
-		r.mu.Lock()
+		r.status.Federation = r.cur.Snapshot()
 		r.cur = nil
-		r.status.Federation = lastSnap
 		r.mu.Unlock()
 		runtime.GC()
 		var ms runtime.MemStats
@@ -318,29 +319,18 @@ func (r *Runner) Run() (*Report, error) {
 	return rep, nil
 }
 
-// runPhase executes one phase's federation and returns its outcome (heap
-// measure left to the caller). Monitors sample through the record callback.
-func (r *Runner) runPhase(info PhaseInfo, p Phase, record func([]Violation)) (PhaseResult, error) {
-	fed, err := fedca.New(p.options(info.Seed, r.cfg.Telemetry, r.cfg.Journal))
-	if err != nil {
-		return PhaseResult{}, fmt.Errorf("soak: phase %d (%s): %w", info.Index, info.Name, err)
-	}
-	r.mu.Lock()
-	r.cur = fed
-	r.mu.Unlock()
-
-	h := sha256.New()
-	collected := 0
-	fed.OnRound(func(rd fedca.Round) {
-		hashRound(h, rd)
-		collected += rd.Collected
+// runPhase plays one phase on the soak: live status, the run log and the
+// monitors' samples follow its rounds (heap measure left to the caller).
+func (r *Runner) runPhase(info PhaseInfo, p Phase, run fedca.Options, record func([]Violation)) (PhaseResult, error) {
+	return playPhase(info, p, run, func(fed *fedca.Federation, rd fedca.Round) {
 		globalRound := info.StartRound + rd.Index + 1
 		r.soakTel.RoundDone()
 		r.mu.Lock()
+		r.cur = fed
 		r.status.Round = globalRound
 		r.mu.Unlock()
 		if r.cfg.Log != nil {
-			rec := recordFromRound(rd)
+			rec := rd.Record()
 			rec.Round = globalRound - 1
 			// Log-write errors surface at Close; the soak must not abort
 			// mid-phase over a full disk.
@@ -355,18 +345,29 @@ func (r *Runner) runPhase(info PhaseInfo, p Phase, record func([]Violation)) (Ph
 			}
 		}
 	})
-	rounds := fed.Run(p.Rounds)
-
-	return finishPhase(info, p, fed, h, rounds, collected), nil
 }
 
-// finishPhase folds the final parameter checksum into the fingerprint and
-// assembles the phase outcome from the federation's degradation counters.
-func finishPhase(info PhaseInfo, p Phase, fed *fedca.Federation, h hash.Hash, rounds []fedca.Round, collected int) PhaseResult {
+// playPhase builds run's federation, plays the phase's rounds, handing each
+// to observe once it is in the fingerprint, then folds the final parameter
+// checksum into the fingerprint and assembles the phase outcome from the
+// federation's degradation counters.
+func playPhase(info PhaseInfo, p Phase, run fedca.Options, observe func(*fedca.Federation, fedca.Round)) (PhaseResult, error) {
+	fed, err := fedca.New(run)
+	if err != nil {
+		return PhaseResult{}, fmt.Errorf("soak: phase %d (%s): %w", info.Index, info.Name, err)
+	}
+	h := sha256.New()
+	collected := 0
+	fed.OnRound(func(rd fedca.Round) {
+		hashRound(h, rd)
+		collected += rd.Collected
+		observe(fed, rd)
+	})
+	rounds := fed.Run(p.Rounds)
 	sum := fed.ParamsChecksum()
 	h.Write([]byte(sum))
 	st := fed.DegradationStats()
-	res := PhaseResult{
+	return PhaseResult{
 		PhaseInfo: info,
 		Bands: BandSet{
 			Skip:       p.SkipBand,
@@ -375,16 +376,13 @@ func finishPhase(info PhaseInfo, p Phase, fed *fedca.Federation, h hash.Hash, ro
 		},
 		Fingerprint:    hex.EncodeToString(h.Sum(nil)),
 		ParamsChecksum: sum,
+		FinalAccuracy:  rounds[len(rounds)-1].Accuracy,
 		SkippedRounds:  st.SkippedRounds,
 		Quarantined:    st.Quarantined,
 		DroppedRounds:  st.DroppedRounds,
 		LinkRetries:    st.LinkRetries,
 		Collected:      collected,
-	}
-	if n := len(rounds); n > 0 {
-		res.FinalAccuracy = rounds[n-1].Accuracy
-	}
-	return res
+	}, nil
 }
 
 // hashRound folds one round's canonical JSON encoding into the phase
@@ -399,58 +397,12 @@ func hashRound(h hash.Hash, rd fedca.Round) {
 	h.Write([]byte{'\n'})
 }
 
-// recordFromRound converts a facade round back into the run-log record it
-// was reported from (see fedca's toRound).
-func recordFromRound(rd fedca.Round) runlog.Record {
-	return runlog.Record{
-		Round:          rd.Index,
-		Start:          rd.Start,
-		End:            rd.End,
-		Accuracy:       rd.Accuracy,
-		Collected:      rd.Collected,
-		Discarded:      rd.Discarded,
-		Dropped:        rd.Dropped,
-		MeanIterations: rd.MeanIterations,
-		MeanEagerSent:  rd.EagerSent,
-		MeanRetrans:    rd.Retransmitted,
-		UploadBytes:    rd.UploadBytes,
-		Skipped:        rd.Skipped,
-		Quarantined:    rd.Quarantined,
-		LinkRetries:    rd.LinkRetries,
-	}
-}
-
-// options builds the fedca.Options a phase's federation is constructed
-// from. Heterogeneous/dynamic client speeds stay on (the paper's regime);
-// everything else comes from the phase.
-func (p Phase) options(seed uint64, tel *fedca.Telemetry, j *fedca.Journal) fedca.Options {
-	return fedca.Options{
-		Model:         p.Model,
-		Clients:       p.Clients,
-		Scheme:        p.Scheme,
-		Seed:          seed,
-		LocalIters:    p.Iters,
-		BatchSize:     p.Batch,
-		TrainSamples:  p.Train,
-		TestSamples:   p.Test,
-		Alpha:         p.Alpha,
-		Chaos:         p.Chaos,
-		MinQuorum:     p.Quorum,
-		MaxDeltaNorm:  p.MaxNorm,
-		Heterogeneous: true,
-		Dynamic:       true,
-		Telemetry:     tel,
-		Journal:       j,
-	}
-}
-
 // RunPhase reproduces one phase standalone from its canonical spec string
-// and seed, exactly as recorded in a Report or run-log phase marker, and
-// returns its outcome. Equal (spec, seed) yield an identical Fingerprint
-// and ParamsChecksum at any CPU-token count, with or without telemetry —
-// that equality is what the determinism monitor asserts, and what makes a
-// violation's Spec+Seed a complete reproduction recipe.
-func RunPhase(spec string, seed uint64, tel *fedca.Telemetry) (PhaseResult, error) {
+// as a Report or run-log phase marker records it, and returns its outcome.
+// Equal specs yield an identical Fingerprint and ParamsChecksum at any
+// CPU-token count, with or without telemetry: what the determinism monitor
+// asserts, and what makes a violation's Spec a complete reproduction recipe.
+func RunPhase(spec string, tel *fedca.Telemetry) (PhaseResult, error) {
 	phases, err := ParseSchedule(spec)
 	if err != nil {
 		return PhaseResult{}, err
@@ -458,23 +410,14 @@ func RunPhase(spec string, seed uint64, tel *fedca.Telemetry) (PhaseResult, erro
 	if len(phases) != 1 {
 		return PhaseResult{}, fmt.Errorf("soak: RunPhase wants exactly one phase, spec has %d", len(phases))
 	}
-	p := phases[0].Resolve(DefaultBase())
-	if err := p.validateResolved(); err != nil {
-		return PhaseResult{}, err
-	}
-	info := PhaseInfo{Name: p.Name, Seed: seed, Spec: p.Spec(), Rounds: p.Rounds}
-	fed, err := fedca.New(p.options(seed, tel, nil))
+	p := phases[0].Resolve(defaultBase())
+	run, err := p.options(DefaultRun())
 	if err != nil {
 		return PhaseResult{}, err
 	}
-	h := sha256.New()
-	collected := 0
-	fed.OnRound(func(rd fedca.Round) {
-		hashRound(h, rd)
-		collected += rd.Collected
-	})
-	rounds := fed.Run(p.Rounds)
-	return finishPhase(info, p, fed, h, rounds, collected), nil
+	info := PhaseInfo{Name: p.Name, Spec: p.Spec(run), Rounds: p.Rounds}
+	run.Telemetry = tel
+	return playPhase(info, p, run, func(*fedca.Federation, fedca.Round) {})
 }
 
 // recheckPhase re-runs a completed phase on the serial reference path and
@@ -493,7 +436,7 @@ func recheckPhase(p PhaseResult, withTelemetry bool) (string, error) {
 	if withTelemetry {
 		tel = fedca.NewTelemetry()
 	}
-	out, err := RunPhase(p.Spec, p.Seed, tel)
+	out, err := RunPhase(p.Spec, tel)
 	if err != nil {
 		return "", fmt.Errorf("soak: recheck: %w", err)
 	}

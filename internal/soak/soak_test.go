@@ -9,17 +9,14 @@ import (
 	"fedca/internal/telemetry"
 )
 
-// tinyBase returns a base phase small enough for unit tests: a couple of
-// clients on the smallest workload, two rounds per phase.
-func tinyBase() Phase {
-	return Phase{
-		Rounds:  2,
-		Clients: 2,
-		Iters:   2,
-		Batch:   4,
-		Train:   32,
-		Test:    16,
-	}
+// tinyBase and tinyRun are a base phase and run small enough for unit
+// tests: two rounds per phase, a couple of clients on the smallest workload.
+func tinyBase() Phase { return Phase{Rounds: 2} }
+
+func tinyRun() fedca.Options {
+	o := DefaultRun()
+	o.Clients, o.LocalIters, o.BatchSize, o.TrainSamples, o.TestSamples = 2, 2, 4, 32, 16
+	return o
 }
 
 func TestSoakRunCleanSchedule(t *testing.T) {
@@ -28,6 +25,7 @@ func TestSoakRunCleanSchedule(t *testing.T) {
 		Rounds:     12,
 		Seed:       7,
 		Base:       tinyBase(),
+		Run:        tinyRun(),
 		CheckEvery: 2,
 		// Recheck every phase: the determinism invariant is the test's point.
 		RecheckEvery: 1,
@@ -61,9 +59,10 @@ func TestSoakRunCleanSchedule(t *testing.T) {
 			t.Fatalf("phase %d spec not canonical: %q", i, p.Spec)
 		}
 	}
-	// Cycle 2 re-runs identical (spec, seed)? No — seeds fork per global
-	// phase ordinal, so same-named phases across cycles must differ.
-	if rep.Phases[0].Seed == rep.Phases[2].Seed {
+	// Cycle 2 re-runs an identical spec? No — seeds fork per global phase
+	// ordinal, and a phase's spec carries its seed, so same-named phases
+	// across cycles must differ.
+	if rep.Phases[0].Spec == rep.Phases[2].Spec {
 		t.Fatal("phase seeds did not fork across cycles")
 	}
 	if rep.Rechecks == 0 {
@@ -86,6 +85,7 @@ func TestSoakInjectedViolationReproduces(t *testing.T) {
 		Rounds:       3,
 		Seed:         11,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		CheckEvery:   1,
 		RecheckEvery: -1,
 		Journal:      fedca.NewJournal(0),
@@ -151,8 +151,8 @@ func TestSoakInjectedViolationReproduces(t *testing.T) {
 		t.Fatalf("violation events drifted through JSON round trip: %+v", rt.Violations)
 	}
 
-	// Reproduce from the violation alone: spec + seed, nothing else.
-	got, err := RunPhase(v.Spec, v.Seed, nil)
+	// Reproduce from the violation alone: its spec, seed included.
+	got, err := RunPhase(v.Spec, nil)
 	if err != nil {
 		t.Fatalf("reproducing from violation spec: %v", err)
 	}
@@ -177,14 +177,16 @@ func TestSoakInjectedViolationReproduces(t *testing.T) {
 // TestSoakRunPhaseTelemetryInert asserts RunPhase's determinism contract
 // directly: telemetry attached vs absent yields identical fingerprints.
 func TestSoakRunPhaseTelemetryInert(t *testing.T) {
-	spec := tinyBase().Resolve(DefaultBase())
-	spec.Chaos = "drop=0.2,xfail=0.1,retries=3"
-	spec.Name = "inert"
-	bare, err := RunPhase(spec.Spec(), 99, nil)
+	p := tinyBase().Resolve(defaultBase())
+	p.Name = "inert"
+	run := tinyRun()
+	run.Chaos = "drop=0.2,xfail=0.1,retries=3"
+	run.Seed = 99
+	bare, err := RunPhase(p.Spec(run), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, err := RunPhase(spec.Spec(), 99, fedca.NewTelemetry())
+	instrumented, err := RunPhase(p.Spec(run), fedca.NewTelemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +207,7 @@ func TestSoakRunLogPhaseMarkers(t *testing.T) {
 		Rounds:       6,
 		Seed:         3,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		CheckEvery:   3,
 		RecheckEvery: -1,
 		Log:          w,
@@ -233,7 +236,7 @@ func TestSoakRunLogPhaseMarkers(t *testing.T) {
 	// Markers must carry the reproduction recipe and the right offsets.
 	for i, m := range run.Phases {
 		p := rep.Phases[i]
-		if m.Spec != p.Spec || m.Seed != p.Seed || m.StartRound != p.StartRound {
+		if m.Spec != p.Spec || m.StartRound != p.StartRound {
 			t.Fatalf("marker %d drifted from report: %+v vs %+v", i, m, p)
 		}
 	}
@@ -251,6 +254,7 @@ func TestSoakFinalPhaseTruncatedToBudget(t *testing.T) {
 		Rounds:       7,
 		Seed:         5,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		RecheckEvery: -1,
 	}
 	r, err := New(cfg)
@@ -280,6 +284,7 @@ func TestSoakReportRoundTrip(t *testing.T) {
 		Rounds:       2,
 		Seed:         1,
 		Base:         tinyBase(),
+		Run:          tinyRun(),
 		RecheckEvery: -1,
 	}
 	r, err := New(cfg)
@@ -316,7 +321,7 @@ func TestSoakConfigValidation(t *testing.T) {
 		{Schedule: strings.Repeat("a", maxSpecLen+1)}, // oversized spec
 	}
 	for i, cfg := range cases {
-		cfg.Base = tinyBase()
+		cfg.Base, cfg.Run = tinyBase(), tinyRun()
 		r, err := New(cfg)
 		if err != nil {
 			continue // rejected at construction: good

@@ -2,18 +2,19 @@
 // fedca.Federation through thousands of rounds under a rotating, seeded
 // chaos + scenario schedule, evaluating pluggable invariant monitors as it
 // goes and emitting a structured Report that names everything needed to
-// reproduce a violation bit-for-bit (phase spec string, seed, round).
+// reproduce a violation bit-for-bit (the phase's spec string and round).
 //
 // A soak schedule is a compact spec string: phases separated by '|', fields
 // within a phase separated by ';', each field key=value:
 //
 //	name=calm;rounds=40|name=storm;rounds=60;chaos=drop=0.2,slow=0.3;quorum=2
 //
-// Fields left out of a phase inherit the runner's base phase (DefaultBase or
-// Config.Base). Every phase the runner executes is rendered back into a
-// fully-resolved canonical spec string — one reproducible spec per phase —
-// so a violation's Spec + Seed alone rebuild the exact federation that
-// misbehaved (see RunPhase).
+// A phase's own keys are name, rounds, skipband, quarband and retryband;
+// left out, they inherit the base phase (Config.Base). Every other key is a
+// run key (fedca.Options.Set), applied onto a copy of the base run
+// (Config.Run). Each executed phase is rendered back into one canonical
+// spec — its own keys, then its run's text form, seed included — which
+// alone rebuilds the exact federation that ran (RunPhase).
 package soak
 
 import (
@@ -22,7 +23,7 @@ import (
 	"strconv"
 	"strings"
 
-	"fedca/internal/chaos"
+	"fedca"
 )
 
 // DefaultSchedule is the built-in rotating chaos schedule: a calm baseline,
@@ -34,22 +35,13 @@ const DefaultSchedule = "name=calm;rounds=40" +
 	"|name=flaky-links;rounds=60;chaos=outage=0.1,xfail=0.1,retries=4;quorum=1" +
 	"|name=poison;rounds=60;chaos=corrupt=0.05,drop=0.1;maxnorm=1e6;quorum=2"
 
-// Parser hardening bounds: a spec is operator input (flags, CI config,
-// fuzzers), so every numeric field is range-checked and every float is
-// required finite. Overflowing, NaN or Inf "durations" are rejected, never
-// silently clamped.
+// Bounds of a schedule; the run keys' bounds are the run spec's.
 const (
 	maxSpecLen   = 8192
 	maxPhases    = 64
 	maxRounds    = 1_000_000
-	maxClients   = 65_536
-	maxIters     = 1_000_000
-	maxSamples   = 1 << 27
-	maxQuorum    = 1_000_000
 	maxNameLen   = 32
 	maxBandValue = 1e9
-	maxAlpha     = 1e6
-	maxNormBound = 1e30
 )
 
 // Band is an inclusive [Lo, Hi] acceptance band for a monitored rate. The
@@ -66,30 +58,15 @@ func (b Band) set() bool { return b.Lo != 0 || b.Hi != 0 }
 func (b Band) Contains(v float64) bool { return v >= b.Lo && v <= b.Hi }
 
 func (b Band) String() string {
-	return formatFloat(b.Lo) + ":" + formatFloat(b.Hi)
+	return strconv.FormatFloat(b.Lo, 'g', -1, 64) + ":" + strconv.FormatFloat(b.Hi, 'g', -1, 64)
 }
 
-// Phase is one segment of a soak schedule: a workload configuration, a chaos
-// spec, and the acceptance bands its degradation rates must stay inside.
-// Zero-valued fields of a parsed phase inherit the base phase via Resolve.
+// Phase is one segment of a soak schedule: its name and length, the
+// acceptance bands its degradation rates must stay inside, and the run keys
+// it sets. Zero-valued fields inherit the base phase via Resolve.
 type Phase struct {
 	Name   string
 	Rounds int
-
-	// Workload knobs (fedca.Options subset).
-	Model   string
-	Scheme  string
-	Clients int
-	Iters   int // local iterations per round (K)
-	Batch   int
-	Train   int // synthetic training samples
-	Test    int // synthetic test samples
-	Alpha   float64
-
-	// Fault injection and degradation policy.
-	Chaos   string // chaos.ParseSpec format; "none" = no injection
-	Quorum  int
-	MaxNorm float64
 
 	// Acceptance bands checked by the rates monitor at phase end:
 	// skipped-rounds fraction, quarantined-updates fraction, and link
@@ -97,35 +74,36 @@ type Phase struct {
 	SkipBand  Band
 	QuarBand  Band
 	RetryBand Band
+
+	run string // the phase's run keys (key=value;…), for fedca.Options.Set
 }
 
-// DefaultBase returns the base phase the runner resolves schedule phases
-// against: a small, fast CNN workload (so thousands of rounds stay cheap)
-// with permissive-but-real acceptance bands.
-func DefaultBase() Phase {
+// defaultBase returns the base phase the runner resolves schedule phases
+// against: 50 rounds with permissive-but-real acceptance bands.
+func defaultBase() Phase {
 	return Phase{
 		Name:      "phase",
 		Rounds:    50,
-		Model:     "cnn",
-		Scheme:    "fedca",
-		Clients:   4,
-		Iters:     4,
-		Batch:     8,
-		Train:     256,
-		Test:      64,
-		Alpha:     0.1,
-		Chaos:     "none",
-		Quorum:    1,
 		SkipBand:  Band{0, 0.75},
 		QuarBand:  Band{0, 0.75},
 		RetryBand: Band{0, 1e6},
 	}
 }
 
-// ParseSchedule parses a '|'-separated schedule spec into its phases.
-// Phases are returned unresolved: zero-valued fields mean "inherit the base
-// phase". Unnamed phases are named phase<i> by position, so two schedules
-// that differ only in field order parse identically.
+// DefaultRun is the base run phases' run keys apply onto: a small, fast CNN
+// workload over the paper's heterogeneous, dynamic client speeds.
+func DefaultRun() fedca.Options {
+	return fedca.Options{
+		Model: "cnn", Scheme: "fedca", Clients: 4, LocalIters: 4, BatchSize: 8,
+		TrainSamples: 256, TestSamples: 64, Alpha: 0.1, MinQuorum: 1,
+		Heterogeneous: true, Dynamic: true,
+	}
+}
+
+// ParseSchedule parses a '|'-separated schedule spec into its phases,
+// unresolved (a zero field inherits the base phase), with their run keys
+// checked onto a scratch run. Unnamed phases are named phase<i> by
+// position, so schedules that differ only in field order parse identically.
 func ParseSchedule(spec string) ([]Phase, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -154,64 +132,23 @@ func ParseSchedule(spec string) ([]Phase, error) {
 
 func parsePhase(spec string) (Phase, error) {
 	var p Phase
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
+	if strings.TrimSpace(spec) == "" {
 		return p, fmt.Errorf("empty phase spec")
 	}
+	var run []string
 	for _, field := range strings.Split(spec, ";") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return p, fmt.Errorf("field %q is not key=value", field)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
+		key, val, _ := strings.Cut(field, "=")
 		val = strings.TrimSpace(val)
 		var err error
-		switch key {
+		switch key = strings.ToLower(strings.TrimSpace(key)); key {
 		case "name":
-			if !validName(val) {
-				return p, fmt.Errorf("name %q: want 1-%d letters, digits, '-' or '_'", val, maxNameLen)
+			if p.Name = val; !validName(val) {
+				err = fmt.Errorf("name %q: want 1-%d letters, digits, '-' or '_'", val, maxNameLen)
 			}
-			p.Name = val
 		case "rounds":
-			p.Rounds, err = parseInt(key, val, 1, maxRounds)
-		case "model":
-			if !validName(val) {
-				return p, fmt.Errorf("model %q is not a valid name", val)
+			if p.Rounds, err = strconv.Atoi(val); err != nil || p.Rounds < 1 || p.Rounds > maxRounds {
+				err = fmt.Errorf("rounds %q: want an integer in [1,%d]", val, maxRounds)
 			}
-			p.Model = val
-		case "scheme":
-			if !validName(val) {
-				return p, fmt.Errorf("scheme %q is not a valid name", val)
-			}
-			p.Scheme = val
-		case "clients":
-			p.Clients, err = parseInt(key, val, 1, maxClients)
-		case "iters":
-			p.Iters, err = parseInt(key, val, 1, maxIters)
-		case "batch":
-			p.Batch, err = parseInt(key, val, 1, maxIters)
-		case "train":
-			p.Train, err = parseInt(key, val, 1, maxSamples)
-		case "test":
-			p.Test, err = parseInt(key, val, 1, maxSamples)
-		case "alpha":
-			p.Alpha, err = parseFiniteFloat(key, val, 0, maxAlpha)
-		case "chaos":
-			if _, cerr := chaos.ParseSpec(val); cerr != nil {
-				return p, cerr
-			}
-			if val == "" {
-				val = "none"
-			}
-			p.Chaos = val
-		case "quorum":
-			p.Quorum, err = parseInt(key, val, 0, maxQuorum)
-		case "maxnorm":
-			p.MaxNorm, err = parseFiniteFloat(key, val, 0, maxNormBound)
 		case "skipband":
 			p.SkipBand, err = parseBand(key, val)
 		case "quarband":
@@ -219,17 +156,19 @@ func parsePhase(spec string) (Phase, error) {
 		case "retryband":
 			p.RetryBand, err = parseBand(key, val)
 		default:
-			return p, fmt.Errorf("unknown field %q", key)
+			run = append(run, field) // a run key: Set checks it
 		}
 		if err != nil {
 			return p, err
 		}
 	}
-	return p, nil
+	p.run = strings.Join(run, ";")
+	var scratch fedca.Options
+	return p, scratch.Set(p.run)
 }
 
 // Resolve fills a parsed phase's zero-valued fields from base and returns
-// the concrete phase. base must itself be fully populated (DefaultBase is).
+// the concrete phase. base must itself be fully populated (defaultBase is).
 func (p Phase) Resolve(base Phase) Phase {
 	out := p
 	if out.Name == "" {
@@ -237,42 +176,6 @@ func (p Phase) Resolve(base Phase) Phase {
 	}
 	if out.Rounds == 0 {
 		out.Rounds = base.Rounds
-	}
-	if out.Model == "" {
-		out.Model = base.Model
-	}
-	if out.Scheme == "" {
-		out.Scheme = base.Scheme
-	}
-	if out.Clients == 0 {
-		out.Clients = base.Clients
-	}
-	if out.Iters == 0 {
-		out.Iters = base.Iters
-	}
-	if out.Batch == 0 {
-		out.Batch = base.Batch
-	}
-	if out.Train == 0 {
-		out.Train = base.Train
-	}
-	if out.Test == 0 {
-		out.Test = base.Test
-	}
-	if out.Alpha == 0 {
-		out.Alpha = base.Alpha
-	}
-	if out.Chaos == "" {
-		out.Chaos = base.Chaos
-	}
-	if out.Chaos == "" {
-		out.Chaos = "none"
-	}
-	if out.Quorum == 0 {
-		out.Quorum = base.Quorum
-	}
-	if out.MaxNorm == 0 {
-		out.MaxNorm = base.MaxNorm
 	}
 	if !out.SkipBand.set() {
 		out.SkipBand = base.SkipBand
@@ -286,27 +189,23 @@ func (p Phase) Resolve(base Phase) Phase {
 	return out
 }
 
-// validateResolved checks that every field a runnable phase needs is
-// concrete and inside the documented bounds.
+// options applies the phase's run keys onto a copy of base: the run the
+// phase's federation is built from, before the soak sets its seed.
+func (p Phase) options(base fedca.Options) (fedca.Options, error) {
+	if err := base.Set(p.run); err != nil {
+		return base, fmt.Errorf("soak: phase %s: %w", p.Name, err)
+	}
+	return base, nil
+}
+
+// validateResolved checks that the phase's own fields are concrete and
+// inside the documented bounds.
 func (p Phase) validateResolved() error {
 	switch {
 	case !validName(p.Name):
 		return fmt.Errorf("soak: phase name %q invalid", p.Name)
 	case p.Rounds < 1 || p.Rounds > maxRounds:
 		return fmt.Errorf("soak: phase %s: rounds %d outside [1,%d]", p.Name, p.Rounds, maxRounds)
-	case p.Model == "" || p.Scheme == "":
-		return fmt.Errorf("soak: phase %s: model/scheme unset", p.Name)
-	case p.Clients < 1 || p.Clients > maxClients:
-		return fmt.Errorf("soak: phase %s: clients %d outside [1,%d]", p.Name, p.Clients, maxClients)
-	case p.Iters < 1 || p.Batch < 1 || p.Train < 1 || p.Test < 1:
-		return fmt.Errorf("soak: phase %s: non-positive iters/batch/train/test", p.Name)
-	case !(p.Alpha > 0) || p.Alpha > maxAlpha:
-		return fmt.Errorf("soak: phase %s: alpha %v outside (0,%v]", p.Name, p.Alpha, float64(maxAlpha))
-	case p.Quorum < 0 || p.MaxNorm < 0:
-		return fmt.Errorf("soak: phase %s: negative quorum/maxnorm", p.Name)
-	}
-	if _, err := chaos.ParseSpec(p.Chaos); err != nil {
-		return fmt.Errorf("soak: phase %s: %w", p.Name, err)
 	}
 	for _, b := range []struct {
 		name string
@@ -319,34 +218,17 @@ func (p Phase) validateResolved() error {
 	return nil
 }
 
-// Spec renders the phase as a fully-resolved canonical spec string: every
-// field explicit, fixed order, shortest round-trip float form. Parsing it
-// back (and resolving against any base) reproduces this phase exactly —
-// it is the reproduction recipe a Report records per phase.
-func (p Phase) Spec() string {
-	chaosSpec := p.Chaos
-	if chaosSpec == "" {
-		chaosSpec = "none"
-	}
+// Spec renders the phase and its run as one canonical spec string: the
+// phase's own keys in fixed order, then run's text form, seed included.
+// It is the reproduction recipe a Report records per phase.
+func (p Phase) Spec(run fedca.Options) string {
 	return "name=" + p.Name +
 		";rounds=" + strconv.Itoa(p.Rounds) +
-		";model=" + p.Model +
-		";scheme=" + p.Scheme +
-		";clients=" + strconv.Itoa(p.Clients) +
-		";iters=" + strconv.Itoa(p.Iters) +
-		";batch=" + strconv.Itoa(p.Batch) +
-		";train=" + strconv.Itoa(p.Train) +
-		";test=" + strconv.Itoa(p.Test) +
-		";alpha=" + formatFloat(p.Alpha) +
-		";chaos=" + chaosSpec +
-		";quorum=" + strconv.Itoa(p.Quorum) +
-		";maxnorm=" + formatFloat(p.MaxNorm) +
 		";skipband=" + p.SkipBand.String() +
 		";quarband=" + p.QuarBand.String() +
-		";retryband=" + p.RetryBand.String()
+		";retryband=" + p.RetryBand.String() +
+		";" + run.String()
 }
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func validName(s string) bool {
 	if s == "" || len(s) > maxNameLen {
@@ -372,47 +254,13 @@ func validBand(b Band) error {
 	return nil
 }
 
-func parseInt(key, val string, lo, hi int) (int, error) {
-	v, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", key, val)
-	}
-	if v < lo || v > hi {
-		return 0, fmt.Errorf("%s=%d outside [%d,%d]", key, v, lo, hi)
-	}
-	return v, nil
-}
-
-func parseFiniteFloat(key, val string, lo, hi float64) (float64, error) {
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", key, val)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%s=%v is not finite", key, v)
-	}
-	if v < lo || v > hi {
-		return 0, fmt.Errorf("%s=%v outside [%v,%v]", key, v, lo, hi)
-	}
-	return v, nil
-}
-
 func parseBand(key, val string) (Band, error) {
-	loS, hiS, ok := strings.Cut(val, ":")
-	if !ok {
-		return Band{}, fmt.Errorf("%s wants LO:HI, got %q", key, val)
-	}
-	lo, err := parseFiniteFloat(key, loS, 0, maxBandValue)
-	if err != nil {
-		return Band{}, err
-	}
-	hi, err := parseFiniteFloat(key, hiS, 0, maxBandValue)
-	if err != nil {
-		return Band{}, err
-	}
+	loS, hiS, _ := strings.Cut(val, ":")
+	lo, loErr := strconv.ParseFloat(loS, 64)
+	hi, hiErr := strconv.ParseFloat(hiS, 64)
 	b := Band{Lo: lo, Hi: hi}
-	if err := validBand(b); err != nil {
-		return Band{}, err
+	if loErr != nil || hiErr != nil || validBand(b) != nil {
+		return Band{}, fmt.Errorf("%s %q: want LO:HI with 0 <= LO <= HI <= %v", key, val, float64(maxBandValue))
 	}
 	return b, nil
 }

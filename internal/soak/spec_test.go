@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fedca"
 )
 
 func TestParseScheduleDefault(t *testing.T) {
@@ -19,27 +21,33 @@ func TestParseScheduleDefault(t *testing.T) {
 		if p.Name != names[i] {
 			t.Fatalf("phase %d named %q, want %q", i, p.Name, names[i])
 		}
-		r := p.Resolve(DefaultBase())
+		r := p.Resolve(defaultBase())
 		if err := r.validateResolved(); err != nil {
 			t.Fatalf("default phase %q does not validate: %v", p.Name, err)
 		}
 	}
-	if phases[1].Chaos != "drop=0.2,slow=0.3,degrade=0.2" {
-		t.Fatalf("chaos sub-spec mangled: %q", phases[1].Chaos)
+	if phases[1].run != "chaos=drop=0.2,slow=0.3,degrade=0.2;quorum=2" {
+		t.Fatalf("run keys mangled: %q", phases[1].run)
 	}
 }
 
 // TestPhaseSpecCanonicalRoundTrip: Spec() output reparsed and re-rendered is
 // a fixed point, and reproduces the phase exactly — the property every
-// report and run-log marker relies on.
+// report and run-log marker relies on. The run part is fully explicit, so
+// the base run it is applied onto does not matter.
 func TestPhaseSpecCanonicalRoundTrip(t *testing.T) {
 	phases, err := ParseSchedule(DefaultSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range phases {
-		resolved := p.Resolve(DefaultBase())
-		spec := resolved.Spec()
+		resolved := p.Resolve(defaultBase())
+		run, err := resolved.options(DefaultRun())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Seed = 7
+		spec := resolved.Spec(run)
 		back, err := ParseSchedule(spec)
 		if err != nil {
 			t.Fatalf("canonical spec does not reparse: %v\nspec: %s", err, spec)
@@ -47,17 +55,19 @@ func TestPhaseSpecCanonicalRoundTrip(t *testing.T) {
 		if len(back) != 1 {
 			t.Fatalf("canonical spec parsed into %d phases", len(back))
 		}
-		// Resolving against an arbitrary different base must not matter: the
-		// canonical form is fully explicit... except fields whose zero value
-		// is meaningful (maxnorm=0) which parse back to "inherit".
-		// Those are exactly the fields DefaultBase leaves zero, so resolving
-		// against DefaultBase is the documented contract.
-		got := back[0].Resolve(DefaultBase())
+		got := back[0].Resolve(defaultBase())
+		for _, base := range []fedca.Options{DefaultRun(), {}} {
+			gotRun, err := got.options(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Spec(gotRun) != spec {
+				t.Fatalf("Spec not a fixed point:\n before: %s\n after:  %s", spec, got.Spec(gotRun))
+			}
+		}
+		got.run, resolved.run = "", ""
 		if !reflect.DeepEqual(got, resolved) {
 			t.Fatalf("round-trip drift:\n before: %+v\n after:  %+v", resolved, got)
-		}
-		if got.Spec() != spec {
-			t.Fatalf("Spec not a fixed point:\n before: %s\n after:  %s", spec, got.Spec())
 		}
 	}
 }
@@ -98,7 +108,7 @@ func TestParseScheduleRejects(t *testing.T) {
 			// they at least resolve+validate rather than slipping through
 			// with garbage values.
 			for _, p := range phases {
-				if verr := p.Resolve(DefaultBase()).validateResolved(); verr != nil {
+				if verr := p.Resolve(defaultBase()).validateResolved(); verr != nil {
 					goto rejected
 				}
 			}
@@ -138,13 +148,26 @@ func TestBandContains(t *testing.T) {
 }
 
 func TestResolveInheritsOnlyZeroFields(t *testing.T) {
-	base := DefaultBase()
-	p := Phase{Name: "x", Clients: 9, Chaos: "drop=0.5"}
-	r := p.Resolve(base)
-	if r.Clients != 9 || r.Chaos != "drop=0.5" {
+	base := defaultBase()
+	phases, err := ParseSchedule("name=x;rounds=9;quarband=0.1:0.2;clients=9;chaos=drop=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := phases[0].Resolve(base)
+	if r.Rounds != 9 || r.QuarBand != (Band{0.1, 0.2}) {
 		t.Fatalf("explicit fields overwritten: %+v", r)
 	}
-	if r.Model != base.Model || r.Iters != base.Iters || r.SkipBand != base.SkipBand {
+	if r.SkipBand != base.SkipBand || r.RetryBand != base.RetryBand {
 		t.Fatalf("zero fields not inherited: %+v", r)
+	}
+	run, err := r.options(DefaultRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Clients != 9 || run.Chaos != "drop=0.5" {
+		t.Fatalf("run keys not applied: %+v", run)
+	}
+	if run.Model != DefaultRun().Model || run.LocalIters != DefaultRun().LocalIters {
+		t.Fatalf("unset run values not kept from the base run: %+v", run)
 	}
 }
