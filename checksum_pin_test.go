@@ -56,7 +56,6 @@ func TestParamsChecksumPinned(t *testing.T) {
 			o.Clients, o.LocalIters, o.BatchSize = 16, 40, 32
 			o.AggregateFraction = 0.9
 			o.Chaos = "drop=0.1,slow=0.3,degrade=0.2,xfail=0.02,corrupt=0.01"
-			o.MaxDeltaNorm = 1e6
 		}, "ed1e32aa153942e66a45dfe2ab7d75682e30c94df5be25d24f4559dc5efeca43"},
 		// The same federation at float32, whose cell widens, evaluates in
 		// float64 and narrows on store: recorded before the cell became one
@@ -66,7 +65,6 @@ func TestParamsChecksumPinned(t *testing.T) {
 			o.Clients, o.LocalIters, o.BatchSize = 16, 40, 32
 			o.AggregateFraction = 0.9
 			o.Chaos = "drop=0.1,slow=0.3,degrade=0.2,xfail=0.02,corrupt=0.01"
-			o.MaxDeltaNorm = 1e6
 			o.DType = "f32"
 		}, "4171ad32655136041c6afe5ff5be7cd5291d5bd94fd06253a5e15366c2969b2e"},
 		{"fleet-cnn-f32", func(o *fedca.Options) {

@@ -29,7 +29,7 @@ var simGoldenRows = []struct {
 	{"fedca-wrn", []string{"-scheme", "fedca", "-model", "wrn"}},
 	{"fedca-f32", []string{"-scheme", "fedca", "-dtype", "f32"}},
 	{"fedca-qsgd7", []string{"-scheme", "fedca", "-compress", "qsgd7"}},
-	{"fedca-chaos", []string{"-scheme", "fedca", "-chaos", "drop=0.1,corrupt=0.05", "-maxnorm", "1e6"}},
+	{"fedca-chaos", []string{"-scheme", "fedca", "-chaos", "drop=0.1,corrupt=0.05"}},
 	{"fedavg-aggfrac1", []string{"-scheme", "fedavg", "-aggfrac", "1"}},
 	{"fedavg-fleet", []string{"-scheme", "fedavg", "-fleet", "2000", "-participation", "0.01"}},
 	{"oort-fleet", []string{"-scheme", "oort", "-fleet", "2000", "-participation", "0.01"}},

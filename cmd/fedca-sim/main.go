@@ -74,7 +74,7 @@ func main() {
 	flag.StringVar(&o.Compress, "compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
 	flag.StringVar(&o.Chaos, "chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
 	flag.IntVar(&o.MinQuorum, "quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
-	flag.Float64Var(&o.MaxDeltaNorm, "maxnorm", 0, "quarantine updates whose L2 norm exceeds this (0 = no bound)")
+	flag.Float64Var(&o.MaxDeltaNorm, "maxnorm", 0, "absolute cap on the update-norm bound (0 = only the bound derived from the model's norm)")
 	spec := flag.String("spec", "", "the run as one spec string, key=value;… (the form a -log header records), applied over the run flags' defaults; excludes every run flag")
 	logPath := flag.String("log", "", "write a JSON-lines run log to this path")
 	eventsPath := flag.String("events", "", "stream the flight-recorder journal to this path as JSON lines")

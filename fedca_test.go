@@ -185,7 +185,6 @@ func TestFacadeChaosSpec(t *testing.T) {
 	o := tinyOpts()
 	o.Scheme = "fedavg"
 	o.Chaos = "drop=0.3,slow=0.4,degrade=0.3,outage=0.2,xfail=0.2,corrupt=0.3"
-	o.MaxDeltaNorm = 1e6
 	f, err := fedca.New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +242,8 @@ func TestFacadeMinQuorumSkip(t *testing.T) {
 	}
 }
 
-// TestFacadeMaxDeltaNormWithoutChaos: the norm bound quarantines on its own;
-// fault injection is not what switches update validation on.
+// TestFacadeMaxDeltaNormWithoutChaos: the absolute cap lowers the round's
+// norm bound on its own, with no fault injection configured.
 func TestFacadeMaxDeltaNormWithoutChaos(t *testing.T) {
 	o := tinyOpts()
 	o.Scheme = "fedavg"
@@ -256,6 +255,29 @@ func TestFacadeMaxDeltaNormWithoutChaos(t *testing.T) {
 	}
 	if r := f.RunRound(); !r.Skipped || r.Quarantined != 3 {
 		t.Fatalf("round 0: skipped %v, quarantined %d; want skipped with all 3 updates quarantined", r.Skipped, r.Quarantined)
+	}
+}
+
+// TestCollapseSpecStaysHealthy: the seed-42 LSTM chaos run whose round-16
+// update explodes (finite, so no per-coordinate test sees it) must quarantine
+// that update with no norm cap configured, instead of folding it and falling
+// from 0.785 to 0.128 accuracy.
+func TestCollapseSpecStaysHealthy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("17 LSTM rounds")
+	}
+	// fedca-sim's run defaults, under the spec.
+	o := fedca.Options{Heterogeneous: true, Dynamic: true}
+	if err := o.Set("model=lstm;scheme=fedavg;seed=42;clients=16;iters=40;batch=32;train=4096;test=1024;aggfrac=0.9;chaos=drop=0.1,slow=0.3,degrade=0.2,xfail=0.02,corrupt=0.01"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fedca.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := f.Run(17)[16]
+	if r.Quarantined < 1 || r.Accuracy < 0.7 {
+		t.Fatalf("round 16: quarantined %d, accuracy %.4f; want the exploded update quarantined and accuracy >= 0.7", r.Quarantined, r.Accuracy)
 	}
 }
 

@@ -48,7 +48,6 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 	const clients = 8
 	w := tinyWorkload()
 	w.FL.Chaos = chaosEngine(t, 101)
-	w.FL.MaxDeltaNorm = 1e6
 	tb := expcfg.Build(w, clients, trace.PaperConfig(), 100)
 	s := core.NewScheme(fedcaOpts(w.FL.LocalIters), rng.New(102))
 	r, err := tb.NewRunner(s)
@@ -105,7 +104,6 @@ func TestSchemeDeterministicUnderChaos(t *testing.T) {
 	run := func() ([]float64, float64, core.SchemeStats) {
 		w := tinyWorkload()
 		w.FL.Chaos = chaosEngine(t, 101)
-		w.FL.MaxDeltaNorm = 1e6
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 103)
 		s := core.NewScheme(fedcaOpts(w.FL.LocalIters), rng.New(104))
 		r, err := tb.NewRunner(s)

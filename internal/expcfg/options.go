@@ -76,8 +76,9 @@ type Options struct {
 	// MinQuorum is the minimum number of valid updates needed to aggregate a
 	// round (0 = 1); a round falling short is skipped and recorded.
 	MinQuorum int
-	// MaxDeltaNorm, when positive, quarantines finite updates whose L2 norm
-	// exceeds it (exploded deltas) before aggregation.
+	// MaxDeltaNorm, when positive, caps the update-norm bound at an absolute
+	// value. Validation runs every round without it: an update whose L2 norm
+	// exceeds a bound derived from the global model's norm is quarantined.
 	MaxDeltaNorm float64
 
 	// Telemetry and Journal, when non-nil, receive the run's live metrics

@@ -93,9 +93,9 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Exploded deltas are finite; the model-relative norm bound catches
+		// them without any configured cap.
 		w.FL.Chaos = e
-		// Exploded deltas are finite; the norm bound is what catches them.
-		w.FL.MaxDeltaNorm = 1e6
 		w.FL.AggregateFraction = path.fraction
 		w.FL.RetainUpdateDeltas = path.retain
 		tb := expcfg.Build(w, 3, trace.Config{}, 61)
@@ -154,25 +154,55 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestMaxDeltaNormQuarantinesExplosions: a finite but exploded delta passes
-// the finite check and must be caught by the norm bound.
+// TestMaxDeltaNormQuarantinesExplosions: an exploded or diverged update is
+// quarantined whether or not chaos injected it and whether or not the
+// absolute cap is set — the bound derived from the model catches it — so the
+// round skips and the model stays as it was.
 func TestMaxDeltaNormQuarantinesExplosions(t *testing.T) {
-	w := tinyWorkload()
-	e, err := chaos.NewEngine(chaos.Config{CorruptProb: 1, ExplodeScale: 1e9}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.FL.Chaos = e
-	w.FL.MaxDeltaNorm = 1e6
-	tb := expcfg.Build(w, 2, trace.Config{}, 62)
-	r, err := tb.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.RunRound()
-	if res.Quarantined != len(res.Discarded) || res.Quarantined == 0 {
-		t.Fatalf("want every update quarantined by the norm bound, got %d of %d discarded",
-			res.Quarantined, len(res.Discarded))
+	for _, tc := range []struct {
+		name    string
+		explode bool    // chaos corrupts every update by scaling it 1e9
+		lr      float64 // 0 keeps the workload's
+		maxNorm float64
+	}{
+		{"explode-capped", true, 0, 1e6},
+		{"explode-uncapped", true, 0, 0},
+		{"diverged-lr", false, 1e3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyWorkload()
+			if tc.explode {
+				// Chaos seed 13 draws the Explode kind for all three
+				// clients: every corrupted delta is finite, so only a norm
+				// bound can catch it.
+				e, err := chaos.NewEngine(chaos.Config{CorruptProb: 1, ExplodeScale: 1e9}, 13)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.FL.Chaos = e
+			}
+			if tc.lr > 0 {
+				w.FL.LR = tc.lr
+			}
+			w.FL.MaxDeltaNorm = tc.maxNorm
+			tb := expcfg.Build(w, 3, trace.Config{}, 62)
+			r, err := tb.NewRunner(baseline.FedAvg{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := r.GlobalFlat()
+			res := r.RunRound()
+			if !res.Skipped || res.Quarantined != 3 || len(res.Discarded) != 3 {
+				t.Fatalf("skipped %v, quarantined %d of %d discarded; want a skipped round with all 3 updates quarantined",
+					res.Skipped, res.Quarantined, len(res.Discarded))
+			}
+			after := r.GlobalFlat()
+			for i := range before {
+				if before[i] != after[i] {
+					t.Fatalf("param %d moved %v -> %v in a quarantine-skipped round", i, before[i], after[i])
+				}
+			}
+		})
 	}
 }
 

@@ -64,7 +64,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 				defer runtime.GOMAXPROCS(old)
 				w := tinyWorkload()
 				w.FL.Chaos = tc.chaos(t)
-				w.FL.MaxDeltaNorm = 1e6
 				if tc.telemetry {
 					w.FL.Telemetry = telemetry.New()
 				}

@@ -128,8 +128,8 @@ type Config struct {
 	// user action — Sec. 3.1 treats drop-out as the extreme of resource
 	// shrinkage; a dropped client's update never reaches the server),
 	// transient compute slowdowns, link degradation/outage, transfer
-	// retransmissions and corrupted updates. Nil disables injection. Setting
-	// it turns update validation on (see MaxDeltaNorm).
+	// retransmissions and corrupted updates. Nil disables injection. Update
+	// validation runs either way (see MaxDeltaNorm).
 	Chaos *chaos.Engine
 
 	// MinQuorum is the minimum number of valid collected updates required to
@@ -139,11 +139,11 @@ type Config struct {
 	// aborting the run.
 	MinQuorum int
 
-	// MaxDeltaNorm, when positive, quarantines finite updates whose L2 norm
-	// exceeds it (exploded deltas). Update validation runs when Chaos is set
-	// or MaxDeltaNorm is positive: every non-finite update, and every update
-	// over the bound, is excluded from aggregation and moved to the round's
-	// Discarded set, so one corrupted client cannot poison the global model.
+	// MaxDeltaNorm, when positive, caps the update-norm bound. Validation runs
+	// every round: an update that is not finite, or whose L2 norm exceeds
+	// maxStepRatio times the global model's at round start (or MaxDeltaNorm
+	// if lower), is moved to the round's Discarded set, so one diverged or
+	// corrupted client cannot poison the global model.
 	MaxDeltaNorm float64
 
 	// Telemetry, when non-nil, receives live metrics and virtual-time spans
@@ -230,9 +230,6 @@ func (c *Config) Validate(numParams int) error {
 	}
 	return nil
 }
-
-// validates reports whether the runner judges updates before aggregation.
-func (c *Config) validates() bool { return c.Chaos != nil || c.MaxDeltaNorm > 0 }
 
 // Client is one simulated FL participant: the loader over its shard of data,
 // its compute speed trace and its shaped links. Model state is NOT stored

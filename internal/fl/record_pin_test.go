@@ -31,7 +31,6 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 	defer budget.SetCap(budget.Setting())
 	budget.SetCap(workers)
 	w := tinyWorkload()
-	w.FL.MaxDeltaNorm = 1e6
 	w.FL.RetainUpdateDeltas = false
 	sink, journal := telemetry.New(), telemetry.NewJournal(1<<14)
 	w.FL.Telemetry, w.FL.Journal = sink, journal

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fedca/internal/cputok"
@@ -139,6 +140,7 @@ func TestOnlineFoldMatchesAnyCompletionOrder(t *testing.T) {
 		f := &onlineFold{
 			agg:     make([]float64, n),
 			updates: ups,
+			valid:   slices.Repeat([]bool{true}, clients),
 			done:    make([]bool, clients),
 			pool:    &deltaPool{},
 		}

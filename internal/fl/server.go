@@ -365,13 +365,11 @@ func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
 // this is the only place deltaValid runs — and, on the online path, folds it.
 // Out: the updates and their verdicts, index-aligned with the cohort and so
 // independent of which worker ran what, and the fold when there is one.
-func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, verdicts, *onlineFold) {
+func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, []bool, *onlineFold) {
 	updates := resize(&r.updates, len(cohort))
 	eager := resize(&r.eager, len(cohort))
-	var valid verdicts
-	if r.Cfg.validates() {
-		valid = resize(&r.valid, len(cohort))
-	}
+	valid := resize(&r.valid, len(cohort))
+	bound := r.deltaBound()
 	fold := r.newFold(updates, valid)
 	// Schemes exposing IsAnchorRound (FedCA) get their profiling
 	// client-rounds marked in the record.
@@ -392,9 +390,7 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 			}
 			updates[i] = w.run(cohort[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, r.now, anchor, eager[i][:0])
 			eager[i] = updates[i].Eager
-			if valid != nil {
-				valid[i] = deltaValid(updates[i].Delta, r.Cfg.MaxDeltaNorm)
-			}
+			valid[i] = deltaValid(updates[i].Delta, bound)
 			if fold != nil {
 				fold.complete(i)
 			}
@@ -426,7 +422,7 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 // window, not the cohort. A partial-aggregation cut depends on every virtual
 // completion time, so such rounds wait for the cut and stream through
 // streamReduce instead. The config picks the path, never the round.
-func (r *Runner) newFold(updates []Update, valid verdicts) *onlineFold {
+func (r *Runner) newFold(updates []Update, valid []bool) *onlineFold {
 	if _, custom := r.Scheme.(Aggregator); custom || r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
 		return nil
 	}
@@ -454,7 +450,7 @@ type roundCut struct {
 // Discarded, marked Quarantined; and a round left with fewer valid updates
 // than the quorum is skipped and recorded — the model stays as it is and the
 // run continues. In: the updates and their verdicts. Out: the roundCut.
-func (r *Runner) cut(updates []Update, valid verdicts) roundCut {
+func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	order := resize(&r.order, len(updates))
 	for i := range order {
 		order[i] = i
@@ -475,7 +471,7 @@ func (r *Runner) cut(updates []Update, valid verdicts) roundCut {
 	}
 	for i, oi := range order {
 		if u := updates[oi]; i < take && !u.Dropped {
-			u.Quarantined = valid.rejects(oi)
+			u.Quarantined = !valid[oi]
 			c.collected = append(c.collected, u)
 			c.end = u.CompletionTime
 		} else {
@@ -656,27 +652,32 @@ func (r *Runner) observe(res *RoundResult, cohort int) (dropped int, upBytes flo
 	return dropped, upBytes
 }
 
-// verdicts holds each participant's validation verdict for a round, written
-// by the worker that trained it: true when the update may enter aggregation.
-// A nil verdicts — the config validates nothing — rejects nothing.
-type verdicts []bool
+// maxStepRatio bounds an update's L2 norm at this multiple of the global
+// model's at round start; legitimate updates measure at most 0.135·‖θ‖.
+const maxStepRatio = 10
 
-func (v verdicts) rejects(i int) bool { return v != nil && !v[i] }
+// deltaBound is the round's update-norm bound, read serially from the model
+// at round start: maxStepRatio·‖θ‖, lowered to MaxDeltaNorm when positive.
+func (r *Runner) deltaBound() float64 {
+	bound := maxStepRatio * math.Sqrt(sumSquares(r.flat))
+	if r.Cfg.MaxDeltaNorm > 0 {
+		bound = min(bound, r.Cfg.MaxDeltaNorm)
+	}
+	return bound
+}
 
-// deltaValid reports whether an update vector may enter aggregation: every
-// coordinate finite, and the L2 norm within maxNorm when bounded.
-func deltaValid(delta []float64, maxNorm float64) bool {
-	var sumsq float64
-	for _, v := range delta {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		sumsq += v * v
+// deltaValid reports whether an update vector may enter aggregation: its L2
+// norm within bound. A NaN, ±Inf or overflowing sum fails the comparison.
+func deltaValid(delta []float64, bound float64) bool {
+	return sumSquares(delta) <= bound*bound
+}
+
+func sumSquares(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
 	}
-	if math.IsInf(sumsq, 0) {
-		return false
-	}
-	return maxNorm <= 0 || sumsq <= maxNorm*maxNorm
+	return s
 }
 
 // minReduceShard is the smallest per-goroutine parameter count worth a
@@ -812,7 +813,7 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 type onlineFold struct {
 	agg     []float64
 	updates []Update
-	valid   verdicts
+	valid   []bool
 	done    []bool
 	next    int
 	pool    *deltaPool
@@ -832,7 +833,7 @@ func (f *onlineFold) complete(i int) {
 	for ; f.next < len(f.updates) && f.done[f.next]; f.next++ {
 		u := &f.updates[f.next]
 		// A dropped client has no delta to fold.
-		if !u.Dropped && !f.valid.rejects(f.next) {
+		if !u.Dropped && f.valid[f.next] {
 			w := u.Weight
 			d := u.Delta
 			for j := range f.agg {

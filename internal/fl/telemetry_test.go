@@ -34,7 +34,6 @@ func TestTelemetryInert(t *testing.T) {
 		}
 		w := tinyWorkload()
 		w.FL.Chaos = eng
-		w.FL.MaxDeltaNorm = 1e6
 		w.FL.Telemetry = sink
 		w.FL.Journal = journal
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
@@ -45,7 +44,7 @@ func TestTelemetryInert(t *testing.T) {
 		var buf bytes.Buffer
 		lw := runlog.NewWriter(&buf)
 		if err := lw.WriteHeader(runlog.Header{
-			Spec: "model=cnn;scheme=fedavg;clients=6;seed=50;chaos=drop=0.3,slow=0.5;maxnorm=1e6",
+			Spec: "model=cnn;scheme=fedavg;clients=6;seed=50;chaos=drop=0.3,slow=0.5",
 		}); err != nil {
 			t.Fatal(err)
 		}

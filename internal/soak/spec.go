@@ -28,12 +28,12 @@ import (
 
 // DefaultSchedule is the built-in rotating chaos schedule: a calm baseline,
 // a dropout/slowdown storm, flaky links with retransmission pressure, and a
-// poisoning phase with quarantine active. The runner cycles through it until
-// the round budget is spent.
+// poisoning phase that quarantine must absorb. The runner cycles through it
+// until the round budget is spent.
 const DefaultSchedule = "name=calm;rounds=40" +
 	"|name=storm;rounds=60;chaos=drop=0.2,slow=0.3,degrade=0.2;quorum=2" +
 	"|name=flaky-links;rounds=60;chaos=outage=0.1,xfail=0.1,retries=4;quorum=1" +
-	"|name=poison;rounds=60;chaos=corrupt=0.05,drop=0.1;maxnorm=1e6;quorum=2"
+	"|name=poison;rounds=60;chaos=corrupt=0.05,drop=0.1;quorum=2"
 
 // Bounds of a schedule; the run keys' bounds are the run spec's.
 const (

@@ -63,7 +63,6 @@ func TestHTTPIntrospectionDuringChaosRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.FL.Chaos = eng
-	w.FL.MaxDeltaNorm = 1e6
 	sink := telemetry.New()
 	w.FL.Telemetry = sink
 	journal := telemetry.NewJournal(256)
