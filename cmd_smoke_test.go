@@ -23,7 +23,7 @@ func TestCommandSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, name := range []string{"fedca-sim", "fedca-bench", "fedca-plot", "fedca-profile"} {
+	for _, name := range []string{"fedca-sim", "fedca-bench", "fedca-plot"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()

@@ -23,9 +23,8 @@
 //   - internal/experiments — regenerates every table/figure of Sec. 5
 //   - cmd/fedca-sim        — run one simulation (-log writes JSONL)
 //   - cmd/fedca-bench      — regenerate paper artifacts (-exp table1 …)
-//   - cmd/fedca-profile    — print statistical-progress curves
 //   - cmd/fedca-plot       — ASCII charts from run logs
-//   - examples/            — runnable walkthroughs
+//   - example_test.go      — checked examples of this package's API
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results.

@@ -13,10 +13,10 @@
 // Every goroutine that does compute starts from a token. A goroutine an
 // execpool cell admitted holds the one Acquire gave it. A goroutine that
 // drives rounds from outside any cell — the library facade's RunRound,
-// fedca-sim's round loop, the examples — takes one with Cover. A fan-out
-// worker runs on a token Borrowed for it. So a fan-out borrows only tokens
-// that no running goroutine stands for, and the process never runs more
-// compute goroutines than the cap.
+// fedca-sim's round loop — takes one with Cover. A fan-out worker runs on a
+// token Borrowed for it. So a fan-out borrows only tokens that no running
+// goroutine stands for, and the process never runs more compute goroutines
+// than the cap.
 //
 // Deadlock discipline: there are two acquisition modes and one rule.
 //

@@ -4,9 +4,9 @@
 // a test harness, a Build helper that assembles a complete simulated
 // testbed (clients with Dirichlet-partitioned data, speed traces, shaped
 // links, and the model's fl.Networks), SchemeByName, the registry that
-// turns a scheme name into an fl.Scheme, NewRun, which assembles a runner
-// from a workload and a RunSpec, and Options, the one description of a run,
-// with its text form and its lowering onto NewRun.
+// turns a scheme name into an fl.Scheme, and Options, the one description of
+// a run, with its text form and its one lowering, Options.NewRun, which
+// assembles the runner.
 package expcfg
 
 import (

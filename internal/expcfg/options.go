@@ -2,9 +2,13 @@ package expcfg
 
 import (
 	"cmp"
+	"fmt"
 
+	"fedca/internal/chaos"
+	"fedca/internal/compress"
 	"fedca/internal/core"
 	"fedca/internal/fl"
+	"fedca/internal/rng"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
 )
@@ -95,8 +99,13 @@ type Options struct {
 
 // NewRun validates o against the bounds of its text form and assembles its
 // run: the workload o.Model names at o's geometry, with every value o sets
-// in place of the workload's default, handed to NewRun with o's scheme,
-// faults, compressor, population, speed model and seed.
+// in place of the workload's default. It installs the chaos engine (seeded
+// from Fork("chaos-engine")) and the compressor, resolves the scheme (fork
+// label "scheme"), then builds the testbed or virtual fleet and the runner.
+// The scheme is resolved before the testbed because it may write into the
+// config (Oort sets Participation). Everything a caller reports about the
+// run — its chaos spec, compressor, participation — reads back from the
+// runner's Cfg, and the scheme from its Scheme field.
 func (o Options) NewRun() (*fl.Runner, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -104,6 +113,9 @@ func (o Options) NewRun() (*fl.Runner, error) {
 	w, err := ByName(o.Model)
 	if err != nil {
 		return nil, err
+	}
+	if o.Fleet <= 0 && o.Clients <= 0 {
+		return nil, fmt.Errorf("expcfg: Clients must be positive unless Fleet > 0")
 	}
 	if o.Geometry == "tiny" {
 		w = w.Tiny()
@@ -128,6 +140,27 @@ func (o Options) NewRun() (*fl.Runner, error) {
 		w.FL.Journal = o.Journal
 	}
 
+	ccfg, err := chaos.ParseSpec(o.Chaos)
+	if err != nil {
+		return nil, err
+	}
+	if ccfg.Enabled() {
+		if w.FL.Chaos, err = chaos.NewEngine(ccfg, rng.New(o.Seed).Fork("chaos-engine").Uint64()); err != nil {
+			return nil, err
+		}
+	}
+	comp, err := compress.ByName(o.Compress)
+	if err != nil {
+		return nil, err
+	}
+	if _, isNone := comp.(compress.None); !isNone {
+		w.FL.Compressor = comp
+	}
+	scheme, err := SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, "scheme")
+	if err != nil {
+		return nil, err
+	}
+
 	tcfg := trace.Config{}
 	if o.Dynamic || o.Heterogeneous {
 		tcfg = trace.PaperConfig()
@@ -136,10 +169,12 @@ func (o Options) NewRun() (*fl.Runner, error) {
 		}
 		tcfg.Dynamic = o.Dynamic
 	}
-	return NewRun(w, RunSpec{
-		Scheme: o.Scheme, FedCA: o.FedCA,
-		Chaos: o.Chaos, Compress: o.Compress,
-		Clients: o.Clients, Fleet: o.Fleet,
-		Trace: tcfg, Seed: o.Seed,
-	})
+	if o.Fleet > 0 {
+		tb, err := BuildFleet(w, o.Fleet, 0, tcfg, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return tb.NewRunner(scheme)
+	}
+	return Build(w, o.Clients, tcfg, o.Seed).NewRunner(scheme)
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"fedca/internal/expcfg"
 	"fedca/internal/report"
 )
 
@@ -19,13 +20,12 @@ func TestCalibrate(t *testing.T) {
 	for _, m := range []string{"cnn"} {
 		for _, batch := range []int{16, 32, 64} {
 			for _, noise := range []float64{1.0, 0.5} {
-				w, err := s.Workload(m)
-				if err != nil {
-					t.Fatal(err)
+				c := curves(m)
+				c.edit = func(w *expcfg.Workload) {
+					w.FL.BatchSize = batch
+					w.Noise = noise
 				}
-				w.FL.BatchSize = batch
-				w.Noise = noise
-				cd, err := CollectCurvesFor(w, s, 42)
+				_, cd, err := runCell(s, 42, c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,7 +7,6 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/core"
-	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
@@ -133,15 +132,6 @@ func (c *probeController) Finalize(st fl.FinalState) fl.FinalAction {
 	return fl.FinalAction{}
 }
 
-// CollectCurvesFor is the uncached probe run over an explicit workload,
-// exported so calibration tooling can probe modified configurations.
-func CollectCurvesFor(w expcfg.Workload, s Scale, seed uint64) (*CurveData, error) {
-	c := curves(w.Name)
-	c.edit = func(x *expcfg.Workload) { *x = w }
-	_, cd, err := runCell(s, seed, c)
-	return cd, err
-}
-
 // curveModels are the workloads Figs. 2–5 cover.
 var curveModels = []string{"cnn", "lstm", "wrn"}
 
@@ -157,6 +147,20 @@ type stage struct {
 
 func stages(s Scale) []stage { return []stage{{"early", s.EarlyRound}, {"late", s.LateRound}} }
 
+// probedClients are the clients whose curves Figs. 2, 3 and 5 show at each
+// stage.
+var probedClients = []int{0, 1}
+
+// addLayerSeries adds one series per layer of curves, named
+// model-stage-client<c>-layer plus suffix, so a figure's Series carries
+// every layer of every probed (stage, client), not only the layers its text
+// shows.
+func addLayerSeries(res *Result, m string, st stage, client int, names []string, curves [][]float64, suffix string) {
+	for l, curve := range curves {
+		res.Series[fmt.Sprintf("%s-%s-client%d-%s%s", m, st.name, client, names[l], suffix)] = curve
+	}
+}
+
 // fig2 regenerates Fig. 2: model-level statistical-progress curves for two
 // clients at an early and a late round, for each workload.
 func fig2(in *inputs) *Result {
@@ -167,7 +171,7 @@ func fig2(in *inputs) *Result {
 	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(s) {
-			for _, client := range []int{0, 1} {
+			for _, client := range probedClients {
 				curve := cd.Probes[probeKey{stage.round, client}].Model
 				name := fmt.Sprintf("%s-%s-client%d", m, stage.name, client)
 				res.Series[name] = curve
@@ -190,10 +194,11 @@ func at20(curve []float64) float64 {
 	return curve[i-1]
 }
 
-// fig3 regenerates Fig. 3: per-layer curves. For each workload it reports the
-// pair of layers whose curves diverge the most (the paper hand-picks named
-// layers; the most-divergent pair demonstrates the same cross-layer
-// heterogeneity and works for any architecture).
+// fig3 regenerates Fig. 3: per-layer curves. For each workload its text
+// reports client 0's pair of layers whose curves diverge the most (the paper
+// hand-picks named layers; the most-divergent pair demonstrates the same
+// cross-layer heterogeneity and works for any architecture); its Series
+// holds every layer's curve.
 func fig3(in *inputs) *Result {
 	res := newResult("fig3")
 	var b strings.Builder
@@ -201,12 +206,14 @@ func fig3(in *inputs) *Result {
 	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(in.s) {
+			for _, client := range probedClients {
+				addLayerSeries(res, m, stage, client, cd.LayerNames, cd.Probes[probeKey{stage.round, client}].Layer, "")
+			}
 			pc := cd.Probes[probeKey{stage.round, 0}]
 			l1, l2, gap := mostDivergentPair(pc.Layer)
 			res.Values[fmt.Sprintf("gap/%s/%s", m, stage.name)] = gap
 			for _, l := range []int{l1, l2} {
 				name := fmt.Sprintf("%s-%s-%s", m, stage.name, cd.LayerNames[l])
-				res.Series[name] = pc.Layer[l]
 				fmt.Fprintf(&b, "%-44s %s\n", name, report.Sparkline(pc.Layer[l]))
 			}
 		}
@@ -284,7 +291,8 @@ func fig4(in *inputs) *Result {
 }
 
 // fig5 regenerates Fig. 5: per-layer curves profiled with all parameters vs
-// with the min(50%, 100)-sampled subset.
+// with the min(50%, 100)-sampled subset. Its text compares client 0's
+// largest layer; its Series holds every layer's full and sampled curve.
 func fig5(in *inputs) *Result {
 	res := newResult("fig5")
 	var b strings.Builder
@@ -292,13 +300,16 @@ func fig5(in *inputs) *Result {
 	for _, m := range curveModels {
 		cd := in.curves(curves(m))
 		for _, stage := range stages(in.s) {
+			for _, client := range probedClients {
+				pc := cd.Probes[probeKey{stage.round, client}]
+				addLayerSeries(res, m, stage, client, cd.LayerNames, pc.Layer, "-full")
+				addLayerSeries(res, m, stage, client, cd.LayerNames, pc.Sampled, "-sampled")
+			}
 			pc := cd.Probes[probeKey{stage.round, 0}]
 			l := largestLayer(cd)
 			full := pc.Layer[l]
 			sampled := pc.Sampled[l]
 			d := metrics.MaxAbsDiff(full, sampled)
-			res.Series[fmt.Sprintf("%s-%s-full", m, stage.name)] = full
-			res.Series[fmt.Sprintf("%s-%s-sampled", m, stage.name)] = sampled
 			res.Values[fmt.Sprintf("maxdiff/%s/%s", m, stage.name)] = d
 			fmt.Fprintf(&b, "%-10s %-6s layer %-34s full    %s\n", m, stage.name, cd.LayerNames[l], report.Sparkline(full))
 			fmt.Fprintf(&b, "%-10s %-6s layer %-34s sampled %s  maxΔ=%.3f\n", m, stage.name, cd.LayerNames[l], report.Sparkline(sampled), d)

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,6 +162,29 @@ func TestCurveProbeExperiments(t *testing.T) {
 			t.Fatalf("%s: layers are indistinguishable (gap %v)", m, fig3.Values["gap/"+m+"/early"])
 		}
 	}
+	// Every CNN layer's curve is in the series at each probed (round,
+	// client), not only the most divergent pair the text shows; fig5 adds
+	// each one's sampled curve.
+	fig5 := mustRun(t, "fig5", s, seed)
+	in := &inputs{s: s, seed: seed}
+	cd := in.curves(curves("cnn"))
+	if in.err != nil {
+		t.Fatal(in.err)
+	}
+	for _, st := range stages(s) {
+		for _, client := range probedClients {
+			pc := cd.Probe(st.round, client)
+			for l, layer := range cd.LayerNames {
+				name := fmt.Sprintf("cnn-%s-client%d-%s", st.name, client, layer)
+				if !slices.Equal(fig3.Series[name], pc.Layer[l]) {
+					t.Errorf("fig3 series %s missing or wrong", name)
+				}
+				if !slices.Equal(fig5.Series[name+"-sampled"], pc.Sampled[l]) {
+					t.Errorf("fig5 series %s-sampled missing or wrong", name)
+				}
+			}
+		}
+	}
 
 	fig4 := mustRun(t, "fig4", s, seed)
 	// Consecutive-round similarity: curves must be far more alike than they
@@ -173,7 +198,6 @@ func TestCurveProbeExperiments(t *testing.T) {
 		}
 	}
 
-	fig5 := mustRun(t, "fig5", s, seed)
 	// Sampled profiling must track the full curve closely.
 	for _, m := range curveModels {
 		for _, stage := range []string{"early", "late"} {

@@ -12,9 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"fedca/internal/chaos"
 	"fedca/internal/core"
 	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
+	"fedca/internal/rng"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
 )
@@ -37,11 +39,18 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 	opt := core.DefaultOptions(w.FL.LocalIters)
 	opt.ProfilePeriod = 3
 	opt.Tr = 0.9
-	r, err := expcfg.NewRun(w, expcfg.RunSpec{
-		Scheme: "fedca", FedCA: opt,
-		Chaos:   "drop=0.3,slow=0.4,degrade=0.3,outage=0.2,xfail=0.15,corrupt=0.15",
-		Clients: 8, Trace: trace.PaperConfig(), Seed: 70,
-	})
+	ccfg, err := chaos.ParseSpec("drop=0.3,slow=0.4,degrade=0.3,outage=0.2,xfail=0.15,corrupt=0.15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.FL.Chaos, err = chaos.NewEngine(ccfg, rng.New(70).Fork("chaos-engine").Uint64()); err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := expcfg.SchemeByName("fedca", &w.FL, opt, 70, "scheme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := expcfg.Build(w, 8, trace.PaperConfig(), 70).NewRunner(scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
