@@ -43,8 +43,8 @@ type Journal = telemetry.Journal
 // Event is one journal entry.
 type Event = telemetry.Event
 
-// NewJournal builds a journal retaining the newest capacity events to set as
-// Options.Journal (capacity <= 0 selects the default of 4096).
+// NewJournal builds a journal retaining exactly the newest capacity events,
+// to set as Options.Journal (capacity <= 0 selects the default of 4096).
 func NewJournal(capacity int) *Journal { return telemetry.NewJournal(capacity) }
 
 // NewTelemetryMux builds an http.Handler serving the sink's live

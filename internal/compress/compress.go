@@ -21,17 +21,15 @@ import (
 // Compressor lossily encodes a flat update vector for transmission.
 type Compressor interface {
 	Name() string
-	// Compress returns the approximation the receiver will decode and the
-	// wire size in bytes, assuming an uncompressed element costs 4 bytes
-	// (fp32, as the paper assumes).
-	Compress(vec []float64) (approx []float64, bytes float64)
+	IntoCompressor
 }
 
-// IntoCompressor is implemented by compressors that can write the decoded
-// approximation into a caller-supplied destination, avoiding the per-call
-// allocation of Compress. The FL engine compresses every client layer range
-// every round; with a destination buffer the steady-state round loop stays
-// allocation-free. dst must have len(vec); vec and dst may alias.
+// IntoCompressor writes the approximation the receiver will decode into a
+// caller-supplied destination and returns the wire size in bytes, assuming
+// an uncompressed element costs 4 bytes (fp32, as the paper assumes). The FL
+// engine compresses every client layer range every round; with a destination
+// buffer the steady-state round loop stays allocation-free. dst must have
+// len(vec); vec and dst may alias.
 type IntoCompressor interface {
 	CompressInto(vec, dst []float64) (bytes float64)
 }
@@ -41,12 +39,6 @@ type None struct{}
 
 // Name returns "none".
 func (None) Name() string { return "none" }
-
-// Compress returns the vector unchanged at 4 bytes per element.
-func (None) Compress(vec []float64) ([]float64, float64) {
-	out := make([]float64, len(vec))
-	return out, None{}.CompressInto(vec, out)
-}
 
 // CompressInto copies vec into dst at 4 bytes per element.
 func (None) CompressInto(vec, dst []float64) float64 {
@@ -67,12 +59,6 @@ func (q QSGD) Name() string { return fmt.Sprintf("qsgd%d", q.Levels) }
 // BitsPerElement returns the per-element wire cost in bits.
 func (q QSGD) BitsPerElement() float64 {
 	return math.Ceil(math.Log2(float64(2*q.Levels + 1)))
-}
-
-// Compress quantizes vec.
-func (q QSGD) Compress(vec []float64) ([]float64, float64) {
-	out := make([]float64, len(vec))
-	return out, q.CompressInto(vec, out)
 }
 
 // CompressInto quantizes vec into dst.
@@ -115,12 +101,6 @@ type TopK struct {
 
 // Name identifies the sparsifier and its keep fraction.
 func (t TopK) Name() string { return fmt.Sprintf("top%g", t.Frac) }
-
-// Compress sparsifies vec.
-func (t TopK) Compress(vec []float64) ([]float64, float64) {
-	out := make([]float64, len(vec))
-	return out, t.CompressInto(vec, out)
-}
 
 // CompressInto sparsifies vec into dst. The index scratch for the selection
 // sort still allocates; only the output vector is caller-supplied.

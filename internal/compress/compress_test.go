@@ -6,9 +6,15 @@ import (
 	"testing/quick"
 )
 
+// compressed compresses vec into a fresh vector.
+func compressed(c IntoCompressor, vec []float64) ([]float64, float64) {
+	out := make([]float64, len(vec))
+	return out, c.CompressInto(vec, out)
+}
+
 func TestNoneIsIdentity(t *testing.T) {
 	v := []float64{1, -2, 0.5}
-	out, bytes := None{}.Compress(v)
+	out, bytes := compressed(None{}, v)
 	for i := range v {
 		if out[i] != v[i] {
 			t.Fatal("None must not change values")
@@ -29,7 +35,7 @@ func TestQSGDBytes(t *testing.T) {
 	if q.BitsPerElement() != 4 {
 		t.Fatalf("bits = %v", q.BitsPerElement())
 	}
-	_, bytes := q.Compress(make([]float64, 1000))
+	_, bytes := compressed(q, make([]float64, 1000))
 	if bytes != 4+4*1000/8 {
 		t.Fatalf("bytes = %v", bytes)
 	}
@@ -38,7 +44,7 @@ func TestQSGDBytes(t *testing.T) {
 func TestQSGDQuantizes(t *testing.T) {
 	q := QSGD{Levels: 2}
 	v := []float64{1.0, 0.6, 0.2, -0.9, 0}
-	out, _ := q.Compress(v)
+	out, _ := compressed(q, v)
 	// scale = 1; buckets at 0, 0.5, 1.0.
 	want := []float64{1.0, 0.5, 0, -1.0, 0}
 	for i := range want {
@@ -49,7 +55,7 @@ func TestQSGDQuantizes(t *testing.T) {
 }
 
 func TestQSGDZeroVector(t *testing.T) {
-	out, bytes := QSGD{Levels: 7}.Compress([]float64{0, 0})
+	out, bytes := compressed(QSGD{Levels: 7}, []float64{0, 0})
 	if out[0] != 0 || out[1] != 0 || bytes <= 0 {
 		t.Fatal("zero vector mishandled")
 	}
@@ -59,7 +65,7 @@ func TestQSGDErrorBounded(t *testing.T) {
 	// Max quantization error ≤ scale/(2·Levels).
 	q := QSGD{Levels: 8}
 	v := []float64{0.93, -0.11, 0.47, 0.05, -0.78, 1.0}
-	out, _ := q.Compress(v)
+	out, _ := compressed(q, v)
 	bound := 1.0 / 16
 	for i := range v {
 		if math.Abs(out[i]-v[i]) > bound+1e-12 {
@@ -70,7 +76,7 @@ func TestQSGDErrorBounded(t *testing.T) {
 
 func TestTopKKeepsLargest(t *testing.T) {
 	v := []float64{0.1, -5, 0.2, 3, -0.05}
-	out, bytes := TopK{Frac: 0.4}.Compress(v) // keep 2
+	out, bytes := compressed(TopK{Frac: 0.4}, v) // keep 2
 	want := []float64{0, -5, 0, 3, 0}
 	for i := range want {
 		if out[i] != want[i] {
@@ -83,7 +89,7 @@ func TestTopKKeepsLargest(t *testing.T) {
 }
 
 func TestTopKAtLeastOne(t *testing.T) {
-	out, _ := TopK{Frac: 0.001}.Compress([]float64{1, 2})
+	out, _ := compressed(TopK{Frac: 0.001}, []float64{1, 2})
 	nonzero := 0
 	for _, v := range out {
 		if v != 0 {
@@ -97,8 +103,8 @@ func TestTopKAtLeastOne(t *testing.T) {
 
 func TestTopKDeterministicTies(t *testing.T) {
 	v := []float64{1, 1, 1, 1}
-	a, _ := TopK{Frac: 0.5}.Compress(v)
-	b, _ := TopK{Frac: 0.5}.Compress(v)
+	a, _ := compressed(TopK{Frac: 0.5}, v)
+	b, _ := compressed(TopK{Frac: 0.5}, v)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("tie-breaking not deterministic")
@@ -135,9 +141,9 @@ func TestByName(t *testing.T) {
 
 func TestPanicsOnBadConfig(t *testing.T) {
 	for _, f := range []func(){
-		func() { QSGD{Levels: 0}.Compress([]float64{1}) },
-		func() { TopK{Frac: 0}.Compress([]float64{1}) },
-		func() { TopK{Frac: 1.5}.Compress([]float64{1}) },
+		func() { compressed(QSGD{Levels: 0}, []float64{1}) },
+		func() { compressed(TopK{Frac: 0}, []float64{1}) },
+		func() { compressed(TopK{Frac: 1.5}, []float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -170,7 +176,7 @@ func TestCompressorProperties(t *testing.T) {
 				scale = a
 			}
 		}
-		qv, qb := q.Compress(v)
+		qv, qb := compressed(q, v)
 		for i := range v {
 			if v[i] > 0 && qv[i] < 0 || v[i] < 0 && qv[i] > 0 {
 				return false
@@ -179,7 +185,7 @@ func TestCompressorProperties(t *testing.T) {
 				return false
 			}
 		}
-		tv, tb := tk.Compress(v)
+		tv, tb := compressed(tk, v)
 		for i := range v {
 			if tv[i] != 0 && tv[i] != v[i] {
 				return false
@@ -198,9 +204,9 @@ func TestCompressionRatio(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i%17) - 8
 	}
-	_, full := None{}.Compress(v)
-	_, qb := QSGD{Levels: 7}.Compress(v)
-	_, tb := TopK{Frac: 0.01}.Compress(v)
+	_, full := compressed(None{}, v)
+	_, qb := compressed(QSGD{Levels: 7}, v)
+	_, tb := compressed(TopK{Frac: 0.01}, v)
 	if qb >= full/7 {
 		t.Fatalf("qsgd ratio weak: %v vs %v", qb, full)
 	}

@@ -21,9 +21,10 @@ func randVec(n int, seed uint64) []float64 {
 	return v
 }
 
-// TestCompressIntoMatchesCompress pins CompressInto to the allocating path it
-// replaces on the hot loop: identical approximation, identical byte cost, for
-// every compressor — including when dst aliases vec, the FL engine's usage.
+// TestCompressIntoMatchesCompress pins CompressInto's independence from its
+// destination: writing into a fresh vector, into a dirty one, and in place
+// over vec (the FL engine's usage) gives the same approximation and the same
+// byte cost, for every compressor.
 func TestCompressIntoMatchesCompress(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -36,27 +37,22 @@ func TestCompressIntoMatchesCompress(t *testing.T) {
 		{"topk0.001", TopK{Frac: 0.001}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ic, ok := tc.c.(IntoCompressor)
-			if !ok {
-				t.Fatalf("%T does not implement IntoCompressor", tc.c)
-			}
 			vec := randVec(257, 11)
-			want, wantBytes := tc.c.Compress(vec)
+			want, wantBytes := compressed(tc.c, vec)
 
-			dst := make([]float64, len(vec))
-			gotBytes := ic.CompressInto(vec, dst)
-			if gotBytes != wantBytes {
-				t.Fatalf("bytes = %v, want %v", gotBytes, wantBytes)
+			dirty := randVec(len(vec), 5)
+			if b := tc.c.CompressInto(vec, dirty); b != wantBytes {
+				t.Fatalf("dirty-destination bytes = %v, want %v", b, wantBytes)
 			}
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
+			for i := range dirty {
+				if dirty[i] != want[i] {
+					t.Fatalf("dirty dst[%d] = %v, want %v", i, dirty[i], want[i])
 				}
 			}
 
 			// Aliased: compress in place, as the client round does.
 			alias := append([]float64(nil), vec...)
-			aliasBytes := ic.CompressInto(alias, alias)
+			aliasBytes := tc.c.CompressInto(alias, alias)
 			if aliasBytes != wantBytes {
 				t.Fatalf("aliased bytes = %v, want %v", aliasBytes, wantBytes)
 			}
@@ -82,10 +78,9 @@ func TestCompressIntoZeroVector(t *testing.T) {
 	}
 }
 
-// BenchmarkCompress measures both paths at model-delta sizes (the tiny-scale
-// CNN flattens to ~62k parameters, the LSTM to ~51k): CompressInto exists so
-// the per-client compression of every round reuses the round buffer instead
-// of allocating a fresh vector per layer range.
+// BenchmarkCompress measures CompressInto at model-delta sizes (the
+// tiny-scale CNN flattens to ~62k parameters, the LSTM to ~51k) into a
+// reused destination, as the per-client compression of every round does.
 func BenchmarkCompress(b *testing.B) {
 	for _, size := range []int{62006, 51044} {
 		vec := randVec(size, 3)
@@ -98,17 +93,10 @@ func BenchmarkCompress(b *testing.B) {
 			{"qsgd7", QSGD{Levels: 7}},
 			{"topk0.3", TopK{Frac: 0.3}},
 		} {
-			ic := tc.c.(IntoCompressor)
-			b.Run(fmt.Sprintf("%s/n%d/alloc", tc.name, size), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n%d", tc.name, size), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tc.c.Compress(vec)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/n%d/into", tc.name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ic.CompressInto(vec, dst)
+					tc.c.CompressInto(vec, dst)
 				}
 			})
 		}

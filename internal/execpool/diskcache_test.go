@@ -122,7 +122,7 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 			dir := t.TempDir()
 			w := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
 			Do(w, spec, func() (payload, error) { return samplePayload(), nil })
-			tc.mangle(t, w.cache.path(w.Fingerprint(spec)))
+			tc.mangle(t, w.cache.path(w.fingerprint(spec)))
 
 			r := New(Options{Workers: 1, CacheDir: dir, Version: tc.readVersion})
 			recomputed := false

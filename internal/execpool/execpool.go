@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fedca/internal/cputok"
 	"fedca/internal/telemetry"
@@ -52,12 +51,10 @@ type Options struct {
 	// every cell fingerprint, so bumping it orphans — rather than wrongly
 	// serves — entries written by older code.
 	Version string
-	// Metrics, when non-nil, mirrors the pool's hit/miss/dedup/inflight
-	// counters into a telemetry registry under fedca_execpool_*.
+	// Metrics, when non-nil, is the registry that holds the pool's
+	// fedca_execpool_* counters and inflight gauge, so they can be exported.
+	// Nil keeps them in a private registry; Stats reads them either way.
 	Metrics *telemetry.Registry
-	// Journal, when non-nil, records cell starts, finishes and cache hits as
-	// flight-recorder events (nil-safe, observational only).
-	Journal *telemetry.Journal
 }
 
 // Stats is a point-in-time snapshot of a pool's counters.
@@ -87,18 +84,13 @@ type Pool struct {
 	tokens  chan struct{}
 	version string
 	cache   *diskCache
-	journal *telemetry.Journal
 
 	mu       sync.Mutex
 	mem      map[string]any
 	inflight map[string]*flight
 
-	computed, memHits, diskHits, dedupWaits, diskErrors, diskWrites, running atomic.Int64
-
-	tel struct {
-		computed, memHits, diskHits, dedupWaits, diskErrors, diskWrites *telemetry.Counter
-		inflight                                                        *telemetry.Gauge
-	}
+	computed, memHits, diskHits, dedupWaits, diskErrors, diskWrites *telemetry.Counter
+	running                                                         *telemetry.Gauge
 }
 
 // New builds a pool. See Options for the semantics of each field.
@@ -112,29 +104,22 @@ func New(o Options) *Pool {
 		version:  o.Version,
 		mem:      make(map[string]any),
 		inflight: make(map[string]*flight),
-		journal:  o.Journal,
 	}
 	if o.CacheDir != "" {
 		p.cache = &diskCache{dir: o.CacheDir}
 	}
-	if r := o.Metrics; r != nil {
-		p.tel.computed = r.Counter("fedca_execpool_computed_total", "Experiment cells executed (cache misses).")
-		p.tel.memHits = r.Counter("fedca_execpool_hits_total", "Cells served from cache.", telemetry.Label{Name: "tier", Value: "memory"})
-		p.tel.diskHits = r.Counter("fedca_execpool_hits_total", "Cells served from cache.", telemetry.Label{Name: "tier", Value: "disk"})
-		p.tel.dedupWaits = r.Counter("fedca_execpool_dedup_waits_total", "Cell requests that joined an identical in-flight computation.")
-		p.tel.diskErrors = r.Counter("fedca_execpool_disk_errors_total", "Corrupt or unreadable disk-cache entries that fell back to recompute.")
-		p.tel.diskWrites = r.Counter("fedca_execpool_disk_writes_total", "Cell results persisted to the disk cache.")
-		p.tel.inflight = r.Gauge("fedca_execpool_inflight", "Cells computing right now.")
+	r := o.Metrics
+	if r == nil {
+		r = telemetry.NewRegistry()
 	}
+	p.computed = r.Counter("fedca_execpool_computed_total", "Experiment cells executed (cache misses).")
+	p.memHits = r.Counter("fedca_execpool_hits_total", "Cells served from cache.", telemetry.Label{Name: "tier", Value: "memory"})
+	p.diskHits = r.Counter("fedca_execpool_hits_total", "Cells served from cache.", telemetry.Label{Name: "tier", Value: "disk"})
+	p.dedupWaits = r.Counter("fedca_execpool_dedup_waits_total", "Cell requests that joined an identical in-flight computation.")
+	p.diskErrors = r.Counter("fedca_execpool_disk_errors_total", "Corrupt or unreadable disk-cache entries that fell back to recompute.")
+	p.diskWrites = r.Counter("fedca_execpool_disk_writes_total", "Cell results persisted to the disk cache.")
+	p.running = r.Gauge("fedca_execpool_inflight", "Cells computing right now.")
 	return p
-}
-
-// Workers returns the pool's CPU-token budget (0 for a nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
 }
 
 // Stats snapshots the pool's counters. Safe to call concurrently with Do.
@@ -143,13 +128,13 @@ func (p *Pool) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Computed:   p.computed.Load(),
-		MemHits:    p.memHits.Load(),
-		DiskHits:   p.diskHits.Load(),
-		DedupWaits: p.dedupWaits.Load(),
-		DiskErrors: p.diskErrors.Load(),
-		DiskWrites: p.diskWrites.Load(),
-		Inflight:   p.running.Load(),
+		Computed:   int64(p.computed.Value()),
+		MemHits:    int64(p.memHits.Value()),
+		DiskHits:   int64(p.diskHits.Value()),
+		DedupWaits: int64(p.dedupWaits.Value()),
+		DiskErrors: int64(p.diskErrors.Value()),
+		DiskWrites: int64(p.diskWrites.Value()),
+		Inflight:   int64(p.running.Value()),
 	}
 }
 
@@ -166,9 +151,9 @@ func (p *Pool) Reset() {
 	p.mu.Unlock()
 }
 
-// Fingerprint returns the content address of a spec under the pool's library
+// fingerprint returns the content address of a spec under the pool's library
 // version: sha256(version \0 kind \0 key), hex-encoded.
-func (p *Pool) Fingerprint(spec Spec) string {
+func (p *Pool) fingerprint(spec Spec) string {
 	version := ""
 	if p != nil {
 		version = p.version
@@ -192,18 +177,17 @@ func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 	if p == nil {
 		return compute()
 	}
-	fp := p.Fingerprint(spec)
+	fp := p.fingerprint(spec)
 
 	p.mu.Lock()
 	if v, ok := p.mem[fp]; ok {
 		p.mu.Unlock()
-		p.count(&p.memHits, p.tel.memHits)
-		p.journal.CellHit(spec.Kind, fp, "memory")
+		p.memHits.Inc()
 		return v.(T), nil
 	}
 	if f, ok := p.inflight[fp]; ok {
 		p.mu.Unlock()
-		p.count(&p.dedupWaits, p.tel.dedupWaits)
+		p.dedupWaits.Inc()
 		<-f.done
 		if f.panicked != nil {
 			panic(f.panicked)
@@ -238,11 +222,10 @@ func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 			switch err := p.cache.load(fp, &v); {
 			case err == nil:
 				fromDisk = true
-				p.count(&p.diskHits, p.tel.diskHits)
-				p.journal.CellHit(spec.Kind, fp, "disk")
+				p.diskHits.Inc()
 				return
 			case err != errCacheMiss:
-				p.count(&p.diskErrors, p.tel.diskErrors)
+				p.diskErrors.Inc()
 			}
 		}
 		// Admission is two-level: the pool-local token bounds this pool's
@@ -254,23 +237,15 @@ func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 		p.tokens <- struct{}{}
 		cputok.Default().Acquire()
 		p.running.Add(1)
-		if p.tel.inflight != nil {
-			p.tel.inflight.Add(1)
-		}
 		defer func() {
 			p.running.Add(-1)
-			if p.tel.inflight != nil {
-				p.tel.inflight.Add(-1)
-			}
 			cputok.Default().Release()
 			<-p.tokens
 		}()
-		p.journal.CellStart(spec.Kind, fp)
 		v, f.err = compute()
 		if f.err == nil {
-			p.count(&p.computed, p.tel.computed)
+			p.computed.Inc()
 		}
-		p.journal.CellFinish(spec.Kind, fp)
 	}()
 	if f.panicked != nil {
 		panic(f.panicked)
@@ -283,9 +258,9 @@ func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 		// Best effort: a full disk or unserializable value must not fail the
 		// run — the result is already memoized in memory.
 		if err := p.cache.store(fp, v); err == nil {
-			p.count(&p.diskWrites, p.tel.diskWrites)
+			p.diskWrites.Inc()
 		} else {
-			p.count(&p.diskErrors, p.tel.diskErrors)
+			p.diskErrors.Inc()
 		}
 	}
 	return v, nil
@@ -323,12 +298,5 @@ func (p *Pool) Prefetch(fns ...func()) {
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
-	}
-}
-
-func (p *Pool) count(a *atomic.Int64, c *telemetry.Counter) {
-	a.Add(1)
-	if c != nil {
-		c.Inc()
 	}
 }

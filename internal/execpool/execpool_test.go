@@ -45,7 +45,7 @@ func TestNilPoolComputesDirectly(t *testing.T) {
 	var p *Pool
 	p.Reset()
 	p.Prefetch(func() {})
-	if p.Stats() != (Stats{}) || p.Workers() != 0 {
+	if p.Stats() != (Stats{}) {
 		t.Fatal("nil pool accessors must be inert")
 	}
 }
@@ -198,17 +198,17 @@ func TestFingerprintSeparatesVersionsKindsKeys(t *testing.T) {
 	a := New(Options{Workers: 1, Version: "v1"})
 	b := New(Options{Workers: 1, Version: "v2"})
 	s := Spec{Kind: "conv", Key: "cnn/42"}
-	if a.Fingerprint(s) == b.Fingerprint(s) {
+	if a.fingerprint(s) == b.fingerprint(s) {
 		t.Fatal("version must change the fingerprint")
 	}
-	if a.Fingerprint(Spec{Kind: "conv", Key: "x"}) == a.Fingerprint(Spec{Kind: "curves", Key: "x"}) {
+	if a.fingerprint(Spec{Kind: "conv", Key: "x"}) == a.fingerprint(Spec{Kind: "curves", Key: "x"}) {
 		t.Fatal("kind must change the fingerprint")
 	}
 	// The separator prevents kind/key concatenation ambiguity.
-	if a.Fingerprint(Spec{Kind: "ab", Key: "c"}) == a.Fingerprint(Spec{Kind: "a", Key: "bc"}) {
+	if a.fingerprint(Spec{Kind: "ab", Key: "c"}) == a.fingerprint(Spec{Kind: "a", Key: "bc"}) {
 		t.Fatal("kind/key boundary must be unambiguous")
 	}
-	if len(a.Fingerprint(s)) != 64 {
+	if len(a.fingerprint(s)) != 64 {
 		t.Fatal("fingerprint must be sha256 hex")
 	}
 }
@@ -256,5 +256,9 @@ func TestTelemetryMirror(t *testing.T) {
 	}
 	if byTier["memory"] != 1 || byTier["disk"] != 1 {
 		t.Fatalf("hit tiers = %v", byTier)
+	}
+	// Stats reads the same counters the registry exports.
+	if st := p.Stats(); st != (Stats{Computed: 1, MemHits: 1, DiskHits: 1, DiskWrites: 1}) {
+		t.Fatalf("stats = %+v, want the registry's counts", st)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"fedca/internal/compress"
 	"fedca/internal/data"
 	"fedca/internal/nn"
 	"fedca/internal/tensor"
@@ -199,19 +198,13 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 	// compressInto writes what the server would decode for one layer's update
 	// into dst and returns its wire size (compressors quote bytes against a
 	// 4-byte fp32 baseline; rescale to honour ModelBytes emulation). dst must
-	// not alias vec. Compressors providing CompressInto skip the intermediate
-	// approximation vector entirely.
+	// not alias vec.
 	compressInto := func(vec, dst []float64) float64 {
 		if cfg.Compressor == nil {
 			copy(dst, vec)
 			return float64(len(vec)) * bytesPerScalar
 		}
-		if ic, ok := cfg.Compressor.(compress.IntoCompressor); ok {
-			return ic.CompressInto(vec, dst) * bytesPerScalar / 4
-		}
-		approx, b4 := cfg.Compressor.Compress(vec)
-		copy(dst, approx)
-		return b4 * bytesPerScalar / 4
+		return cfg.Compressor.CompressInto(vec, dst) * bytesPerScalar / 4
 	}
 	// The worker's reusable delta buffer. Its contents are stale: the round
 	// overwrites every element after the first completed iteration, before

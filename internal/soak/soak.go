@@ -69,7 +69,7 @@ type Config struct {
 	// EventWriter, when non-nil alongside Journal, streams the journal to it
 	// as JSON lines: the runner drains new events at every phase boundary and
 	// at the end of the run, so the on-disk stream is complete even though
-	// the in-memory ring only retains the newest Journal.Cap() events.
+	// the in-memory ring only retains the newest events (its capacity).
 	EventWriter io.Writer
 	// Log, when non-nil, receives the whole soak as one continuous run log:
 	// a phase marker before each phase, then its rounds with globally

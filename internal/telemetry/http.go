@@ -14,7 +14,8 @@ import (
 //	/metrics.json   the same registry as a JSON array
 //	/status         the caller's status snapshot as JSON (current round,
 //	                runner and scheme stats — anything status() returns)
-//	/events         journal events with Seq > ?since=SEQ (ascending)
+//	/events         journal events with Seq > ?since=SEQ (ascending) and
+//	                last_seq, the Seq of the newest one (SEQ when none)
 //	/clients        per-client attribution, ?k=K top clients by ?sort=KEY
 //	/healthz        liveness probe: refreshes the runtime gauges and reports
 //	                ok plus the journal's last sequence number
@@ -63,12 +64,16 @@ func NewMux(s *Sink, j *Journal, status func() any) *http.ServeMux {
 			}
 			since = n
 		}
+		// The cursor is the newest event served, never a later read of
+		// LastSeq: an event recorded after Since must stay above it.
 		events := j.Since(since)
-		if events == nil {
+		if n := len(events); n > 0 {
+			since = events[n-1].Seq
+		} else {
 			events = []Event{}
 		}
 		writeJSON(w, map[string]any{
-			"last_seq": j.LastSeq(),
+			"last_seq": since,
 			"events":   events,
 		})
 	})

@@ -250,6 +250,54 @@ func jsonNumber(v uint64) string {
 	return string(b)
 }
 
+// TestEventsCursorLosesNothing follows the /events cursor the way a poller
+// should — each request asks for the events after the last last_seq it saw —
+// while a goroutine records. The ring holds every event, so the poller must
+// collect each Seq exactly once; a last_seq above an event the response did
+// not carry skips that event for good.
+func TestEventsCursorLosesNothing(t *testing.T) {
+	const total = 200_000
+	j := telemetry.NewJournal(total)
+	srv := httptest.NewServer(telemetry.NewMux(nil, j, nil))
+	defer srv.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			j.RoundDone(i, 0, 1, 0, 0, false)
+		}
+	}()
+	seen := make([]int, total+1)
+	var cursor uint64
+	for finished := false; ; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		code, _, body := get(t, srv, "/events?since="+jsonNumber(cursor))
+		var resp struct {
+			LastSeq uint64            `json:"last_seq"`
+			Events  []telemetry.Event `json:"events"`
+		}
+		if err := json.Unmarshal([]byte(body), &resp); code != 200 || err != nil {
+			t.Fatalf("GET /events = %d, %v", code, err)
+		}
+		for _, e := range resp.Events {
+			seen[e.Seq]++
+		}
+		cursor = resp.LastSeq
+		if finished && len(resp.Events) == 0 {
+			break
+		}
+	}
+	for seq := 1; seq <= total; seq++ {
+		if seen[seq] != 1 {
+			t.Fatalf("seq %d collected %d times, want once (cursor ended at %d)", seq, seen[seq], cursor)
+		}
+	}
+}
+
 // TestMuxStatusFallback covers the mux with no status closure: /status must
 // fall back to the registry snapshot instead of failing.
 func TestMuxStatusFallback(t *testing.T) {

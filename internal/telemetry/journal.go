@@ -1,12 +1,12 @@
 package telemetry
 
-// The journal is the simulator's flight recorder: a fixed-capacity,
-// mutex-sharded ring buffer of structured events with monotonic sequence
-// numbers. Where the metrics registry answers "how much" and the soak
-// monitors answer "did an invariant break", the journal answers "what exactly
-// happened just before it broke": round skips, quarantines, dropouts, anchor
-// aborts, chaos impairment windows, execpool cell activity, CPU-token cap
-// changes, soak phase transitions and monitor violations, in order.
+// The journal is the simulator's flight recorder: a fixed-capacity ring
+// buffer of structured events with monotonic sequence numbers. Where the
+// metrics registry answers "how much" and the soak monitors answer "did an
+// invariant break", the journal answers "what exactly happened just before it
+// broke": round skips, quarantines, dropouts, anchor aborts, chaos impairment
+// windows, CPU-token cap changes, soak phase transitions and monitor
+// violations, in order.
 //
 // Like the Sink, a nil *Journal is the disabled state: every recording entry
 // point is nil-safe and allocation-free, so instrumented code needs no build
@@ -14,11 +14,10 @@ package telemetry
 // performs no virtual-time arithmetic, so enabling it never changes a run
 // (TestTelemetryInert covers the journal alongside the metrics sink).
 //
-// Sharding: sequence numbers are assigned from one atomic counter and events
-// land in shard (seq % shards), slot ((seq / shards) % slotsPerShard). Because
-// seqs are dense, the residue classes interleave exactly: keeping the newest
-// slotsPerShard events per shard keeps exactly the newest Cap events overall,
-// which is what the ring-eviction property test asserts.
+// One mutex guards the ring and the sequence counter, and an event gets its
+// Seq under that mutex. So every query sees a snapshot: the events it returns
+// are dense in Seq, ascending, and no event below the newest one returned can
+// appear later.
 
 import (
 	"encoding/json"
@@ -26,7 +25,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fedca/internal/chaos"
 	"fedca/internal/fl"
@@ -36,17 +34,14 @@ import (
 // degradation and execution machinery; new types may be added freely (the
 // journal is schemaless beyond the Event struct).
 const (
-	EvRound       = "round"          // round completed and aggregated
-	EvRoundSkip   = "round-skipped"  // round closed below quorum, model unchanged
-	EvCohort      = "cohort"         // one round's cohort lifecycle: sizes, slot pool, upload bytes
-	EvQuarantine  = "quarantine"     // one update rejected by validation
-	EvDropout     = "dropout"        // one client vanished mid-round
-	EvAnchorAbort = "anchor-abort"   // a half-recorded anchor profile was discarded
-	EvImpairment  = "impairment"     // chaos installed a link impairment window
-	EvCellStart   = "cell-start"     // execpool began computing a cell
-	EvCellFinish  = "cell-finish"    // execpool finished computing a cell
-	EvCellHit     = "cell-cache-hit" // execpool served a cell from cache
-	EvCapChange   = "cputok-cap"     // the CPU-token budget's capacity changed
+	EvRound       = "round"         // round completed and aggregated
+	EvRoundSkip   = "round-skipped" // round closed below quorum, model unchanged
+	EvCohort      = "cohort"        // one round's cohort lifecycle: sizes, slot pool, upload bytes
+	EvQuarantine  = "quarantine"    // one update rejected by validation
+	EvDropout     = "dropout"       // one client vanished mid-round
+	EvAnchorAbort = "anchor-abort"  // a half-recorded anchor profile was discarded
+	EvImpairment  = "impairment"    // chaos installed a link impairment window
+	EvCapChange   = "cputok-cap"    // the CPU-token budget's capacity changed
 	EvPhaseStart  = "soak-phase-start"
 	EvPhaseEnd    = "soak-phase-end"
 	EvViolation   = "soak-violation" // an invariant monitor fired
@@ -64,52 +59,26 @@ type Event struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// journalShards fixes the shard count. Eight keeps contention negligible for
-// concurrent emitters (execpool cell events) without bloating small
-// journals.
-const journalShards = 8
-
-type journalShard struct {
-	mu   sync.Mutex
-	ring []Event // len == slots; Seq 0 marks a never-written slot
-}
-
 // Journal is the flight recorder. Build with NewJournal; a nil *Journal is
 // the disabled state (all methods are nil-safe no-ops). Recording is safe
 // from any goroutine.
 type Journal struct {
-	seq   atomic.Uint64
-	slots int // per shard
-	shard [journalShards]journalShard
+	mu   sync.Mutex
+	ring []Event // event seq lives in slot (seq-1) % len(ring)
+	seq  uint64  // Seq of the newest event, 0 before the first
 
 	clients ClientTable
 }
 
-// NewJournal builds a journal holding the newest capacity events (rounded up
-// to a multiple of the shard count; Cap reports the effective value).
+// NewJournal builds a journal holding exactly the newest capacity events.
 // capacity <= 0 selects the default of 4096.
 func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	slots := (capacity + journalShards - 1) / journalShards
-	j := &Journal{slots: slots}
-	for i := range j.shard {
-		j.shard[i].ring = make([]Event, slots)
-	}
+	j := &Journal{ring: make([]Event, capacity)}
 	j.clients.init()
 	return j
-}
-
-// Enabled reports whether the journal records anything.
-func (j *Journal) Enabled() bool { return j != nil }
-
-// Cap returns the journal's effective event capacity (0 when disabled).
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return j.slots * journalShards
 }
 
 // LastSeq returns the sequence number of the most recent event (0 when empty
@@ -118,7 +87,9 @@ func (j *Journal) LastSeq() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.seq.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.seq
 }
 
 // Clients returns the journal's per-client attribution table (nil when the
@@ -130,15 +101,14 @@ func (j *Journal) Clients() *ClientTable {
 	return &j.clients
 }
 
-// record assigns the next sequence number and stores the event in its ring
-// slot, evicting the oldest event of the slot's residue class.
+// record assigns the next sequence number and stores the event over the
+// oldest one.
 func (j *Journal) record(e Event) {
-	seq := j.seq.Add(1)
-	e.Seq = seq
-	s := &j.shard[seq%journalShards]
-	s.mu.Lock()
-	s.ring[(seq/journalShards)%uint64(j.slots)] = e
-	s.mu.Unlock()
+	j.mu.Lock()
+	j.seq++
+	e.Seq = j.seq
+	j.ring[(j.seq-1)%uint64(len(j.ring))] = e
+	j.mu.Unlock()
 }
 
 // Since returns every retained event with Seq > seq, in ascending sequence
@@ -147,18 +117,19 @@ func (j *Journal) Since(seq uint64) []Event {
 	if j == nil {
 		return nil
 	}
-	var out []Event
-	for i := range j.shard {
-		s := &j.shard[i]
-		s.mu.Lock()
-		for _, e := range s.ring {
-			if e.Seq > seq {
-				out = append(out, e)
-			}
-		}
-		s.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := uint64(len(j.ring))
+	if j.seq > n && seq < j.seq-n {
+		seq = j.seq - n
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	if seq >= j.seq {
+		return nil
+	}
+	out := make([]Event, 0, j.seq-seq)
+	for s := seq; s < j.seq; s++ {
+		out = append(out, j.ring[s%n])
+	}
 	return out
 }
 
@@ -258,39 +229,6 @@ func (j *Journal) impairments(round, client int, dir string, start float64, wind
 		j.record(Event{Type: EvImpairment, Round: round, Client: client, VTime: from,
 			Detail: fmt.Sprintf("%slink %.3g-%.3gs scale %.3g", dir, from, to, w.Scale)})
 	}
-}
-
-// CellStart records an execpool cell beginning to compute.
-func (j *Journal) CellStart(kind, fingerprint string) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Type: EvCellStart, Round: -1, Client: -1, Detail: cellDetail(kind, fingerprint)})
-}
-
-// CellFinish records an execpool cell finishing its computation.
-func (j *Journal) CellFinish(kind, fingerprint string) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Type: EvCellFinish, Round: -1, Client: -1, Detail: cellDetail(kind, fingerprint)})
-}
-
-// CellHit records an execpool cell served from cache (tier "memory" or
-// "disk").
-func (j *Journal) CellHit(kind, fingerprint, tier string) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Type: EvCellHit, Round: -1, Client: -1,
-		Detail: cellDetail(kind, fingerprint) + " tier=" + tier})
-}
-
-func cellDetail(kind, fingerprint string) string {
-	if len(fingerprint) > 16 {
-		fingerprint = fingerprint[:16]
-	}
-	return kind + " " + fingerprint
 }
 
 // CapChange records the process-wide CPU-token budget's capacity changing

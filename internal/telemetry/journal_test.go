@@ -13,13 +13,12 @@ import (
 
 // TestJournalSequenceAndEviction is the journal's property test: sequence
 // numbers strictly increase in recording order, and once the ring overflows,
-// retention keeps exactly the newest Cap events — no more, no fewer, no gaps.
+// retention keeps exactly the newest capacity events — no more, no fewer, no
+// gaps.
 func TestJournalSequenceAndEviction(t *testing.T) {
+	const capacity = 32
 	for _, total := range []int{1, 7, 31, 32, 33, 100, 1000} {
-		j := NewJournal(32)
-		if j.Cap() != 32 {
-			t.Fatalf("Cap = %d, want 32", j.Cap())
-		}
+		j := NewJournal(capacity)
 		for i := 0; i < total; i++ {
 			j.RoundDone(i, float64(i), 4, 0, 0, false)
 		}
@@ -27,10 +26,7 @@ func TestJournalSequenceAndEviction(t *testing.T) {
 			t.Fatalf("LastSeq = %d after %d events", got, total)
 		}
 		events := j.Since(0)
-		want := total
-		if want > j.Cap() {
-			want = j.Cap()
-		}
+		want := min(total, capacity)
 		if len(events) != want {
 			t.Fatalf("total=%d: retained %d events, want %d", total, len(events), want)
 		}
@@ -45,18 +41,56 @@ func TestJournalSequenceAndEviction(t *testing.T) {
 	}
 }
 
-// TestJournalCapacityRounding documents the shard rounding: capacity rounds
-// up to a multiple of the shard count, and <= 0 selects the default.
-func TestJournalCapacityRounding(t *testing.T) {
-	if c := NewJournal(0).Cap(); c != 4096 {
-		t.Fatalf("default Cap = %d, want 4096", c)
+// TestJournalExactCapacity pins the capacity: NewJournal(c) keeps exactly the
+// newest c events, and c <= 0 selects the default of 4096.
+func TestJournalExactCapacity(t *testing.T) {
+	for _, tc := range []struct{ capacity, keeps int }{
+		{1, 1}, {7, 7}, {100, 100}, {4096, 4096}, {0, 4096},
+	} {
+		j := NewJournal(tc.capacity)
+		total := 2*tc.keeps + 3
+		for i := 0; i < total; i++ {
+			j.record(Event{Type: EvRound, Round: i})
+		}
+		events := j.Since(0)
+		if len(events) != tc.keeps {
+			t.Fatalf("NewJournal(%d) keeps %d events, want %d", tc.capacity, len(events), tc.keeps)
+		}
+		for i, e := range events {
+			if want := uint64(total - tc.keeps + 1 + i); e.Seq != want || e.Round != int(want)-1 {
+				t.Fatalf("NewJournal(%d): event %d = %+v, want seq %d", tc.capacity, i, e, want)
+			}
+		}
 	}
-	if c := NewJournal(1).Cap(); c%8 != 0 || c < 1 {
-		t.Fatalf("Cap(1) = %d, want a positive multiple of the shard count", c)
+}
+
+// TestJournalConcurrentReaderSeesNoGaps polls Since from the last Seq seen
+// while another goroutine records. A poll may skip events only because the
+// ring evicted them: a gap whose missing event an immediate re-query still
+// finds means a query returned a later event before an earlier one was
+// stored, and a /events?since= poller would lose that event for good.
+func TestJournalConcurrentReaderSeesNoGaps(t *testing.T) {
+	const total = 200_000
+	j := NewJournal(4096)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			j.RoundDone(i, 0, 1, 0, 0, false)
+		}
+	}()
+	var last uint64
+	for last < total {
+		for _, e := range j.Since(last) {
+			if e.Seq != last+1 {
+				if again := j.Since(last); len(again) > 0 && again[0].Seq == last+1 {
+					t.Fatalf("poll after seq %d returned seq %d; a re-query finds seq %d", last, e.Seq, last+1)
+				}
+			}
+			last = e.Seq
+		}
 	}
-	if c := NewJournal(100).Cap(); c != 104 {
-		t.Fatalf("Cap(100) = %d, want 104 (13 slots x 8 shards)", c)
-	}
+	<-done
 }
 
 // TestJournalConcurrentRecording hammers the journal from many goroutines
@@ -81,8 +115,8 @@ func TestJournalConcurrentRecording(t *testing.T) {
 		t.Fatalf("LastSeq = %d, want %d", got, goroutines*each)
 	}
 	events := j.Since(0)
-	if len(events) != j.Cap() {
-		t.Fatalf("retained %d, want full ring %d", len(events), j.Cap())
+	if len(events) != 64 {
+		t.Fatalf("retained %d, want full ring 64", len(events))
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Seq != events[i-1].Seq+1 {
@@ -179,9 +213,6 @@ func TestJournalEventTypes(t *testing.T) {
 	j.ClientRound(1, 0, &fl.Update{ClientID: 4, Quarantined: true, CompletionTime: 9.5})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 5, Iterations: 17, Dropped: true, Anchor: true, TrainEnd: 8.0})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 3, Chaos: &chaos.Plan{Down: []chaos.LinkWindow{{From: 1, To: 2, Scale: 0}}}})
-	j.CellStart("soak-phase", "deadbeefdeadbeefdeadbeef")
-	j.CellFinish("soak-phase", "deadbeefdeadbeefdeadbeef")
-	j.CellHit("soak-phase", "deadbeefdeadbeefdeadbeef", "disk")
 	j.CapChange(0, 1)
 	j.PhaseStart(2, "storm", "storm:rounds=50")
 	j.PhaseEnd(2, "storm", "0123456789abcdef0123")
@@ -189,7 +220,7 @@ func TestJournalEventTypes(t *testing.T) {
 	events := j.Since(0)
 	wantTypes := []string{
 		EvRound, EvRoundSkip, EvQuarantine, EvDropout, EvAnchorAbort,
-		EvImpairment, EvCellStart, EvCellFinish, EvCellHit, EvCapChange,
+		EvImpairment, EvCapChange,
 		EvPhaseStart, EvPhaseEnd, EvViolation,
 	}
 	if len(events) != len(wantTypes) {
@@ -203,7 +234,6 @@ func TestJournalEventTypes(t *testing.T) {
 	checks := map[string]string{
 		EvRound:      "collected=8 quarantined=1 dropped=2",
 		EvDropout:    "after 17 iterations",
-		EvCellHit:    "tier=disk",
 		EvCapChange:  "cap 0 -> 1",
 		EvPhaseStart: "phase 2 (storm)",
 		EvViolation:  "[heap] storm: slope too steep",
@@ -217,8 +247,8 @@ func TestJournalEventTypes(t *testing.T) {
 	}
 	// Long fingerprints are truncated so details stay bounded.
 	for _, e := range events {
-		if e.Type == EvCellStart && len(e.Detail) > len("soak-phase ")+16 {
-			t.Fatalf("cell detail not truncated: %q", e.Detail)
+		if e.Type == EvPhaseEnd && !strings.HasSuffix(e.Detail, "fingerprint 0123456789abcdef") {
+			t.Fatalf("phase-end fingerprint not truncated to 16: %q", e.Detail)
 		}
 	}
 }
@@ -228,7 +258,7 @@ func TestNilJournalSafe(t *testing.T) {
 	var j *Journal
 	j.RoundDone(0, 0, 0, 0, 0, false)
 	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 1, TrainTime: 1, UploadBytes: 1})
-	if j.Enabled() || j.Cap() != 0 || j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
+	if j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
 		t.Fatal("nil journal must be inert")
 	}
 	if seq, err := j.WriteSince(&failingWriter{failAt: 1}, 7); seq != 7 || err != nil {

@@ -136,10 +136,10 @@ func newHistogram(edges []float64) *Histogram {
 	}
 }
 
-// ExpBuckets returns n exponentially spaced edges: start, start·factor, …
-func ExpBuckets(start, factor float64, n int) []float64 {
+// expBuckets returns n exponentially spaced edges: start, start·factor, …
+func expBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {
-		panic("telemetry: ExpBuckets wants start > 0, factor > 1, n >= 1")
+		panic("telemetry: expBuckets wants start > 0, factor > 1, n >= 1")
 	}
 	edges := make([]float64, n)
 	v := start
@@ -201,9 +201,9 @@ func (h *Histogram) Sum() float64 {
 // Edges returns the finite bucket upper bounds (read-only).
 func (h *Histogram) Edges() []float64 { return h.edges }
 
-// BucketCounts returns a snapshot of the per-bucket counts, the last entry
+// bucketCounts returns a snapshot of the per-bucket counts, the last entry
 // being the +Inf overflow bucket.
-func (h *Histogram) BucketCounts() []uint64 {
+func (h *Histogram) bucketCounts() []uint64 {
 	out := make([]uint64, len(h.counts))
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
@@ -225,7 +225,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	counts := h.BucketCounts()
+	counts := h.bucketCounts()
 	var total uint64
 	for _, c := range counts {
 		total += c
@@ -461,7 +461,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				return err
 			}
 		case histogramKind:
-			counts := m.hist.BucketCounts()
+			counts := m.hist.bucketCounts()
 			var cum uint64
 			for i, c := range counts {
 				cum += c
@@ -520,7 +520,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			s.Count = m.hist.Count()
 			s.Sum = m.hist.Sum()
 			s.Edges = m.hist.Edges()
-			s.Buckets = m.hist.BucketCounts()
+			s.Buckets = m.hist.bucketCounts()
 		}
 		out = append(out, s)
 	}

@@ -51,7 +51,7 @@ func TestHistogramBasics(t *testing.T) {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
 	want := []uint64{2, 1, 1, 1} // ≤1, ≤2, ≤4, +Inf
-	got := h.BucketCounts()
+	got := h.bucketCounts()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("buckets = %v, want %v", got, want)
@@ -60,9 +60,9 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	exp := ExpBuckets(1, 2, 4)
+	exp := expBuckets(1, 2, 4)
 	if want := []float64{1, 2, 4, 8}; !equalFloats(exp, want) {
-		t.Fatalf("ExpBuckets = %v, want %v", exp, want)
+		t.Fatalf("expBuckets = %v, want %v", exp, want)
 	}
 	lin := LinearBuckets(0, 5, 3)
 	if want := []float64{0, 5, 10}; !equalFloats(lin, want) {

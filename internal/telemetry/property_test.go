@@ -26,7 +26,7 @@ func histogramFrom(obs []uint16) (*Histogram, []float64) {
 func TestHistogramCumulativeMonotone(t *testing.T) {
 	f := func(obs []uint16) bool {
 		h, _ := histogramFrom(obs)
-		counts := h.BucketCounts()
+		counts := h.bucketCounts()
 		var cum, prev uint64
 		for _, c := range counts {
 			cum += c
@@ -99,7 +99,7 @@ func TestHistogramQuantileInsideRankBucket(t *testing.T) {
 		got := h.Quantile(q)
 
 		// Recompute the rank bucket independently.
-		counts := h.BucketCounts()
+		counts := h.bucketCounts()
 		rank := q * float64(h.Count())
 		var cum float64
 		idx := -1

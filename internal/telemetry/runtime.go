@@ -31,8 +31,8 @@ var runtimeSamples = []struct {
 	{"/sched/pauses/total/gc:seconds", "fedca_runtime_gc_pause_seconds_total", "Cumulative stop-the-world pause time from the GC."},
 }
 
-// RuntimeHealth mirrors runtime/metrics into a registry. Build with
-// NewRuntimeHealth; a nil *RuntimeHealth is the disabled state.
+// RuntimeHealth mirrors runtime/metrics into a registry. Every sink builds
+// one (Sink.Health); a nil *RuntimeHealth is the disabled state.
 type RuntimeHealth struct {
 	samples  []rtm.Sample
 	gauges   []*Gauge
@@ -40,10 +40,10 @@ type RuntimeHealth struct {
 	cpus     *Gauge
 }
 
-// NewRuntimeHealth registers the fedca_cputok_inflight and fedca_runtime_*
+// newRuntimeHealth registers the fedca_cputok_inflight and fedca_runtime_*
 // gauges in reg (nil reg disables) and returns the refresher the mux drives
 // on scrape.
-func NewRuntimeHealth(reg *Registry) *RuntimeHealth {
+func newRuntimeHealth(reg *Registry) *RuntimeHealth {
 	if reg == nil {
 		return nil
 	}

@@ -48,7 +48,7 @@ type Sink struct {
 	TransferSeconds *Histogram
 	ClientIters     *Histogram
 
-	up, down LinkObserver
+	up, down linkObserver
 
 	// Runtime-health bridge (fedca_runtime_* and fedca_cputok_inflight
 	// gauges, refreshed on scrape).
@@ -60,7 +60,7 @@ func New() *Sink {
 	reg := NewRegistry()
 	s := &Sink{
 		reg:    reg,
-		tracer: NewTracer(),
+		tracer: newTracer(),
 
 		Rounds:        reg.Counter("fedca_rounds_total", "Communication rounds completed, including skipped ones."),
 		SkippedRounds: reg.Counter("fedca_rounds_skipped_total", "Rounds closed without aggregating (below quorum)."),
@@ -85,15 +85,15 @@ func New() *Sink {
 		LinkRetries:   reg.Counter("fedca_link_retries_total", "Failed transfer attempts that were retransmitted."),
 		Impairments:   reg.Counter("fedca_link_impairments_total", "Impairment windows installed on links (degradation or outage)."),
 
-		IterSeconds:     reg.Histogram("fedca_iteration_seconds", "Virtual duration of one local training iteration.", ExpBuckets(0.01, 2, 16)),
-		RoundSeconds:    reg.Histogram("fedca_round_seconds", "Virtual duration of one communication round.", ExpBuckets(0.1, 2, 18)),
-		TransferSeconds: reg.Histogram("fedca_transfer_seconds", "Virtual airtime of one link transfer (queueing excluded).", ExpBuckets(0.001, 2, 20)),
-		ClientIters:     reg.Histogram("fedca_client_round_iterations", "Local iterations completed per client-round.", ExpBuckets(1, 2, 10)),
+		IterSeconds:     reg.Histogram("fedca_iteration_seconds", "Virtual duration of one local training iteration.", expBuckets(0.01, 2, 16)),
+		RoundSeconds:    reg.Histogram("fedca_round_seconds", "Virtual duration of one communication round.", expBuckets(0.1, 2, 18)),
+		TransferSeconds: reg.Histogram("fedca_transfer_seconds", "Virtual airtime of one link transfer (queueing excluded).", expBuckets(0.001, 2, 20)),
+		ClientIters:     reg.Histogram("fedca_client_round_iterations", "Local iterations completed per client-round.", expBuckets(1, 2, 10)),
 	}
-	s.health = NewRuntimeHealth(reg)
-	s.up = LinkObserver{bytes: s.UplinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
-	s.down = LinkObserver{bytes: s.DownlinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
-	s.tracer.NameTrack(ServerTrack, "server")
+	s.health = newRuntimeHealth(reg)
+	s.up = linkObserver{bytes: s.UplinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
+	s.down = linkObserver{bytes: s.DownlinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
+	s.tracer.NameTrack(serverTrack, "server")
 	return s
 }
 
@@ -257,7 +257,7 @@ func (s *Sink) RoundDone(round int, start, end, accuracy float64, collected, qua
 	if skipped {
 		name = "round (skipped)"
 	}
-	s.tracer.Span(ServerTrack, name, "round", start, end, args)
+	s.tracer.Span(serverTrack, name, "round", start, end, args)
 }
 
 // ObserveCohort records the fleet population and the size of the cohort a
@@ -287,17 +287,17 @@ func (s *Sink) DownObserver() simnet.TransferObserver {
 	return &s.down
 }
 
-// LinkObserver adapts the sink to simnet's transfer-observer hook: it counts
+// linkObserver adapts the sink to simnet's transfer-observer hook: it counts
 // carried bytes, attempts and retries and observes per-transfer airtime. It
 // performs no time arithmetic of its own, so observed links behave
 // identically to unobserved ones.
-type LinkObserver struct {
+type linkObserver struct {
 	bytes, transfers, retries, impair *Counter
 	airtime                           *Histogram
 }
 
 // ObserveTransfer implements simnet.TransferObserver.
-func (o *LinkObserver) ObserveTransfer(start, end, bytes float64, attempts int) {
+func (o *linkObserver) ObserveTransfer(start, end, bytes float64, attempts int) {
 	o.bytes.Add(bytes * float64(attempts))
 	o.transfers.Add(float64(attempts))
 	o.retries.Add(float64(attempts - 1))
@@ -305,6 +305,6 @@ func (o *LinkObserver) ObserveTransfer(start, end, bytes float64, attempts int) 
 }
 
 // ObserveImpairment implements simnet.TransferObserver.
-func (o *LinkObserver) ObserveImpairment(from, to, scale float64) {
+func (o *linkObserver) ObserveImpairment(from, to, scale float64) {
 	o.impair.Inc()
 }

@@ -10,7 +10,7 @@ import (
 
 // Track identities of the simulation's trace. Thread id 0 is the server; the
 // runner maps client c to track ClientTrack(c).
-const ServerTrack = 0
+const serverTrack = 0
 
 // ClientTrack returns the trace thread id of a client.
 func ClientTrack(clientID int) int { return clientID + 1 }
@@ -41,8 +41,8 @@ type Tracer struct {
 	names  map[int]string // track id → thread name metadata
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{names: make(map[int]string)} }
+// newTracer returns an empty tracer.
+func newTracer() *Tracer { return &Tracer{names: make(map[int]string)} }
 
 // NameTrack attaches a human-readable name to a track (rendered by trace
 // viewers as the thread name). Idempotent.

@@ -8,14 +8,14 @@ import (
 
 func TestTracerDeterministicOrder(t *testing.T) {
 	build := func(order []int) *Tracer {
-		tr := NewTracer()
-		tr.NameTrack(ServerTrack, "server")
+		tr := newTracer()
+		tr.NameTrack(serverTrack, "server")
 		tr.NameTrack(ClientTrack(0), "client 0")
 		spans := [][2]float64{{0, 10}, {2, 5}, {0, 3}}
 		for _, i := range order {
 			tr.Span(ClientTrack(0), "s", "cat", spans[i][0], spans[i][1], nil)
 		}
-		tr.Instant(ServerTrack, "tick", "cat", 1, nil)
+		tr.Instant(serverTrack, "tick", "cat", 1, nil)
 		return tr
 	}
 	a := build([]int{0, 1, 2})
@@ -33,8 +33,8 @@ func TestTracerDeterministicOrder(t *testing.T) {
 }
 
 func TestTracerNegativeDurationClamped(t *testing.T) {
-	tr := NewTracer()
-	tr.Span(ServerTrack, "s", "c", 5, 3, nil)
+	tr := newTracer()
+	tr.Span(serverTrack, "s", "c", 5, 3, nil)
 	ev := tr.Events()
 	if len(ev) != 1 || ev[0].Dur != 0 {
 		t.Fatalf("end < start must clamp to zero duration, got %+v", ev)
@@ -85,10 +85,10 @@ func validateChromeTrace(t *testing.T, data []byte) []TraceEvent {
 }
 
 func TestWriteChromeTraceStructure(t *testing.T) {
-	tr := NewTracer()
-	tr.NameTrack(ServerTrack, "server")
+	tr := newTracer()
+	tr.NameTrack(serverTrack, "server")
 	tr.NameTrack(ClientTrack(3), "client 3")
-	tr.Span(ServerTrack, "round", "round", 0, 12.5, map[string]any{"round": 0})
+	tr.Span(serverTrack, "round", "round", 0, 12.5, map[string]any{"round": 0})
 	tr.Span(ClientTrack(3), "local-training", "train", 0.5, 10, nil)
 	tr.Instant(ClientTrack(3), "dropout", "chaos", 7, nil)
 
@@ -116,7 +116,7 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 }
 
 func TestEmptyTracerWritesValidTrace(t *testing.T) {
-	tr := NewTracer()
+	tr := newTracer()
 	var buf strings.Builder
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
