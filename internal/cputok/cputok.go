@@ -1,14 +1,10 @@
 // Package cputok provides the process-wide CPU-token budget shared by every
 // parallelism layer in the repository: execpool cell admission, the fl
-// server's client-round workers, tensor's row-parallel GEMM and nn's
-// per-sample convolution fan-out all draw from the same pool of tokens.
-//
-// Before this budget existed each layer fanned out to GOMAXPROCS on its own,
-// so nested layers (a cell running a round running a kernel) could put up to
-// GOMAXPROCS² runnable goroutines on the scheduler. With one shared budget
-// the layers compose: whichever layer reaches a fan-out point first takes the
-// spare tokens, and inner layers fall back to running inline on their caller's
-// goroutine — which holds a token, or is covered by one.
+// server's client-round workers and weighted reduce, tensor's row-parallel
+// GEMM and nn's per-sample fan-out all draw from the same pool of tokens.
+// Whichever layer reaches a fan-out point first takes the spare tokens, and
+// inner layers fall back to running inline on their caller's goroutine —
+// which holds a token, or is covered by one.
 //
 // Every goroutine that does compute starts from a token. A goroutine an
 // execpool cell admitted holds the one Acquire gave it. A goroutine that
@@ -17,6 +13,11 @@
 // token Borrowed for it. So a fan-out borrows only tokens that no running
 // goroutine stands for, and the process never runs more compute goroutines
 // than the cap.
+//
+// Run is the one fan-out: every parallel loop in fl, nn and tensor borrows
+// its workers' tokens and hands the work to Run, which starts the workers,
+// joins them, returns each token as its worker runs out of work, and
+// re-raises a worker's panic on the caller.
 //
 // Deadlock discipline: there are two acquisition modes and one rule.
 //
@@ -161,8 +162,8 @@ func (b *Budget) Cover() int { return b.Borrow(1) }
 
 // Borrow takes up to n tokens without blocking and returns how many were
 // taken (possibly 0). A fan-out wanting w workers borrows w-1 extra tokens —
-// the calling goroutine is its own first worker — and must hand every
-// borrowed token back with Return.
+// the calling goroutine is its own first worker — and hands them to Run,
+// which returns them.
 func (b *Budget) Borrow(n int) int {
 	if n <= 0 {
 		return 0
@@ -181,7 +182,8 @@ func (b *Budget) Borrow(n int) int {
 	return n
 }
 
-// Return hands back n tokens taken with Acquire, Cover or Borrow.
+// Return hands back n tokens taken with Acquire, Cover or Borrow; Return(1)
+// is Acquire's counterpart.
 func (b *Budget) Return(n int) {
 	if n <= 0 {
 		return
@@ -195,8 +197,72 @@ func (b *Budget) Return(n int) {
 	b.cond.Broadcast()
 }
 
-// Release returns one token (Acquire's counterpart).
-func (b *Budget) Release() { b.Return(1) }
+// Run calls job.Do(i, w) once for every i in [0, n): worker 0 is the calling
+// goroutine, and workers 1..extra are goroutines started on the extra tokens
+// the caller borrowed. Each returns its token as soon as no item is left, so
+// all are back when Run returns. Items are claimed from one counter, so only
+// which worker runs an item depends on scheduling. After a panic in any Do no
+// worker claims another item; Run joins the workers and re-panics on the
+// caller with the first panic's value. With extra 0 Run is a plain loop,
+// which allocates nothing.
+func (b *Budget) Run(extra, n int, job interface{ Do(i, w int) }) {
+	if spare := extra - max(n-1, 0); spare > 0 {
+		b.Return(spare)
+		extra -= spare
+	}
+	if extra <= 0 {
+		for i := 0; i < n; i++ {
+			job.Do(i, 0)
+		}
+		return
+	}
+	f := &fanOut{b: b, job: job, n: int64(n)}
+	f.wg.Add(extra)
+	for w := 1; w <= extra; w++ {
+		go f.borrowed(w)
+	}
+	f.work(0)
+	f.wg.Wait()
+	if v := f.first.Load(); v != nil {
+		panic(*v)
+	}
+}
+
+// fanOut is one Run's shared state.
+type fanOut struct {
+	b     *Budget
+	job   interface{ Do(i, w int) }
+	n     int64
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	first atomic.Pointer[any] // the first panic's value
+}
+
+// borrowed is worker w's goroutine: it returns its token when it stops.
+func (f *fanOut) borrowed(w int) {
+	defer f.wg.Done()
+	defer f.b.Return(1)
+	f.work(w)
+}
+
+// work claims items for worker w until none is left. A panic in Do is
+// recorded, the first one's value kept, and ends the claims of every worker.
+func (f *fanOut) work(w int) {
+	defer func() {
+		if v := recover(); v != nil {
+			f.next.Store(f.n)
+			first := v // escapes here, not on every return
+			f.first.CompareAndSwap(nil, &first)
+		}
+	}()
+	for {
+		i := f.next.Add(1) - 1
+		if i >= f.n {
+			return
+		}
+		f.job.Do(int(i), w)
+	}
+}
 
 // take records n tokens out; callers hold b.mu.
 func (b *Budget) take(n int) {

@@ -66,13 +66,13 @@ func TestAcquireBlocksUntilReturn(t *testing.T) {
 		t.Fatal("second Acquire must block while the token is held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	b.Release()
+	b.Return(1)
 	select {
 	case <-acquired:
 	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Acquire did not wake after Release")
+		t.Fatal("blocked Acquire did not wake after Return")
 	}
-	b.Release()
+	b.Return(1)
 }
 
 func TestSetCapWakesWaiters(t *testing.T) {
@@ -227,7 +227,7 @@ func TestSetCapRacingTraffic(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				b.Acquire()
 				runtime.Gosched()
-				b.Release()
+				b.Return(1)
 			}
 		}()
 	}
@@ -263,7 +263,7 @@ func TestSetCapRacingTraffic(t *testing.T) {
 				if seed%2 == 0 {
 					b.Acquire()
 					runtime.Gosched()
-					b.Release()
+					b.Return(1)
 				} else if n := b.Borrow(1 + i%maxCap); n > 0 {
 					runtime.Gosched()
 					b.Return(n)
@@ -321,7 +321,7 @@ func TestSetCapShrinkBelowInflight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Acquire did not wake once the budget drained below the new cap")
 	}
-	b.Release()
+	b.Return(1)
 	if got := b.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d after full drain", got)
 	}

@@ -239,7 +239,7 @@ func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
 		p.running.Add(1)
 		defer func() {
 			p.running.Add(-1)
-			cputok.Default().Release()
+			cputok.Default().Return(1)
 			<-p.tokens
 		}()
 		v, f.err = compute()

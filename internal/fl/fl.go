@@ -23,10 +23,13 @@
 //     participant from Scheme.NewController, built serially.
 //   - train (train): cohort + controllers + plan → one Update and one
 //     validation verdict per participant, index-aligned with the cohort.
-//     Each client round runs on a worker goroutine (the caller plus workers
-//     borrowed from the CPU-token budget), one client at a time per worker;
-//     all Controller methods — ModifyGrad, AfterIteration, Finalize,
-//     OnDropout — run there, concurrently with other clients' controllers.
+//     Each client round runs on a worker of cputok's one fan-out,
+//     Budget.Run (the caller plus workers borrowed from the CPU-token
+//     budget), one client at a time per worker; all Controller methods —
+//     ModifyGrad, AfterIteration, Finalize, OnDropout — run there,
+//     concurrently with other clients' controllers. A panic on any worker
+//     (a broken plug-in) stops the claims, and Run re-raises it out of
+//     RunRound on the caller once every worker has stopped.
 //     The worker judges its update right after the client round, the only
 //     place validation runs. At full aggregation (AggregateFraction 1) on
 //     the default path the online fold also runs here, in participant-index
@@ -50,6 +53,9 @@
 // through scheme-level accessors that callers may poll while a round runs
 // must be synchronized by the scheme. What a client decided in a round is
 // in its Update, which the runner folds.
+//
+// A Runner whose RunRound panicked must not be used again: the round's
+// buffers, workers and model are left mid-stage.
 package fl
 
 import (

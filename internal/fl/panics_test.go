@@ -1,9 +1,11 @@
 package fl_test
 
 import (
+	"runtime"
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/trace"
@@ -34,21 +36,37 @@ func expectPanic(t *testing.T, what string, f func()) {
 }
 
 func TestClientRoundPanicsOnBadControllerOutput(t *testing.T) {
-	// One client: the round trains on the calling goroutine, so the
-	// controller's contract violation panics out of RunRound.
+	// A controller's contract violation panics out of RunRound whichever
+	// worker trained the client: the calling goroutine (one client) or a
+	// goroutine the train stage started (four clients at cap 2), whose panic
+	// only the caller can recover, so the fan-out must re-raise it there.
+	// Only some runs start a client on the second worker before the first
+	// panic, so one pass is no evidence. GOMAXPROCS and the token cap are
+	// pinned to 2 so the runner has a second worker whatever the machine;
+	// the budget must hold no token after the panic.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	budget := cputok.Default()
+	defer budget.SetCap(budget.Setting())
+	budget.SetCap(2)
 	for _, tc := range []struct {
-		what string
-		ctrl fl.Controller
-		seed uint64
+		what    string
+		ctrl    fl.Controller
+		clients int
+		seed    uint64
 	}{
-		{"eager layer out of range", badEagerCtrl{}, 80},
-		{"retransmit index out of range", badRetransCtrl{}, 81},
+		{"eager layer out of range", badEagerCtrl{}, 1, 80},
+		{"retransmit index out of range", badRetransCtrl{}, 1, 81},
+		{"eager layer out of range on any of 4 clients", badEagerCtrl{}, 4, 80},
 	} {
-		r, err := tinyTestbed(t, 1, trace.Config{}, tc.seed).NewRunner(ctrlScheme{ctrl: tc.ctrl})
+		r, err := tinyTestbed(t, tc.clients, trace.Config{}, tc.seed).NewRunner(ctrlScheme{ctrl: tc.ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
+		held := budget.Inflight()
 		expectPanic(t, tc.what, func() { r.RunRound() })
+		if n := budget.Inflight(); n != held {
+			t.Fatalf("%s: %d tokens held after the panic, want %d", tc.what, n, held)
+		}
 	}
 }
 

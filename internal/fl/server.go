@@ -131,6 +131,7 @@ type Runner struct {
 	order     []int
 	seen      map[int]bool
 	foldDone  []bool
+	job       trainJob
 
 	// statsMu guards stats and schemeStats: the round loop updates them
 	// serially, but monitors may poll them while a round runs.
@@ -358,60 +359,55 @@ func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
 }
 
 // train is the client phase. Each participant's client round runs on a
-// worker slot: the calling goroutine is always the first worker, and more are
-// borrowed from the shared CPU-token budget, so a spent budget (every token
-// held by sibling experiment cells) degrades to the serial path instead of
-// oversubscribing. The worker that ran a client judges its update at once —
-// this is the only place deltaValid runs — and, on the online path, folds it.
-// Out: the updates and their verdicts, index-aligned with the cohort and so
-// independent of which worker ran what, and the fold when there is one.
+// worker slot of cputok's one fan-out: the calling goroutine, and workers
+// borrowed from the shared CPU-token budget, so a spent budget degrades to
+// the serial path. A worker out of clients hands its token back, so the ones
+// still training can fan out in the stage's tail. Out: the updates and their
+// verdicts, index-aligned with the cohort and so independent of which worker
+// ran what, and the fold when there is one.
 func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, []bool, *onlineFold) {
-	updates := resize(&r.updates, len(cohort))
-	eager := resize(&r.eager, len(cohort))
-	valid := resize(&r.valid, len(cohort))
-	bound := r.deltaBound()
-	fold := r.newFold(updates, valid)
+	j := &r.job
+	*j = trainJob{r: r, cohort: cohort, ctrls: ctrls, plan: plan, bound: r.deltaBound(),
+		updates: resize(&r.updates, len(cohort)),
+		eager:   resize(&r.eager, len(cohort)),
+		valid:   resize(&r.valid, len(cohort)),
+	}
+	j.fold = r.newFold(j.updates, j.valid)
 	// Schemes exposing IsAnchorRound (FedCA) get their profiling
 	// client-rounds marked in the record.
-	anchor := false
 	if a, ok := r.Scheme.(interface{ IsAnchorRound(int) bool }); ok {
-		anchor = a.IsAnchorRound(r.round)
+		j.anchor = a.IsAnchorRound(r.round)
 	}
-	var next int
-	var mu sync.Mutex
-	work := func(w trainWorker) {
-		for {
-			mu.Lock()
-			i := next
-			next++
-			mu.Unlock()
-			if i >= len(cohort) {
-				return
-			}
-			updates[i] = w.run(cohort[i], r.flat, &r.Cfg, plan, ctrls[i], r.round, r.now, anchor, eager[i][:0])
-			eager[i] = updates[i].Eager
-			valid[i] = deltaValid(updates[i].Delta, bound)
-			if fold != nil {
-				fold.complete(i)
-			}
-		}
-	}
-	// A borrowed worker hands its token back as soon as it runs out of
-	// clients, so the ones still training can fan out in the stage's tail.
 	budget := cputok.Default()
-	borrowed := budget.Borrow(min(len(r.workers), len(cohort)) - 1)
-	var wg sync.WaitGroup
-	wg.Add(borrowed)
-	for _, w := range r.workers[1 : 1+borrowed] {
-		go func() {
-			defer wg.Done()
-			work(w)
-			budget.Return(1)
-		}()
+	budget.Run(budget.Borrow(min(len(r.workers), len(cohort))-1), len(cohort), j)
+	return j.updates, j.valid, j.fold
+}
+
+// trainJob is one train stage's work, kept in the Runner so that handing it
+// to the fan-out allocates nothing: Do trains participant i on worker slot w,
+// judges its update at once — the only place deltaValid runs — and, on the
+// online path, folds it.
+type trainJob struct {
+	r       *Runner
+	cohort  []*Client
+	ctrls   []Controller
+	plan    RoundPlan
+	anchor  bool
+	bound   float64
+	updates []Update
+	eager   [][]EagerRecord
+	valid   []bool
+	fold    *onlineFold
+}
+
+func (j *trainJob) Do(i, w int) {
+	r := j.r
+	j.updates[i] = r.workers[w].run(j.cohort[i], r.flat, &r.Cfg, j.plan, j.ctrls[i], r.round, r.now, j.anchor, j.eager[i][:0])
+	j.eager[i] = j.updates[i].Eager
+	j.valid[i] = deltaValid(j.updates[i].Delta, j.bound)
+	if j.fold != nil {
+		j.fold.complete(i)
 	}
-	work(r.workers[0])
-	wg.Wait()
-	return updates, valid, fold
 }
 
 // newFold returns the round's online fold, or nil when the round reduces
@@ -690,41 +686,27 @@ const minReduceShard = 2048
 // goroutine barrier.
 const reduceFanIn = 8
 
-// borrowReduceWorkers clamps workers by shard size and the shared CPU-token
-// budget; the caller must Return(workers-1) when done. Never below 1 (the
-// calling goroutine).
-func borrowReduceWorkers(n, workers int) int {
-	if workers > n/minReduceShard {
-		workers = n / minReduceShard
+// reduceShards runs f over a disjoint cover of [0, n) through cputok's one
+// fan-out: one shard per worker, at most workers of them and none under
+// minReduceShard parameters, the workers past the calling goroutine borrowed
+// from the shared CPU-token budget. Barrier: all shards complete before
+// return.
+func reduceShards(n, workers int, f func(lo, hi int)) {
+	budget := cputok.Default()
+	extra := 0
+	if workers = min(workers, n/minReduceShard); workers > 1 {
+		extra = budget.Borrow(workers - 1)
 	}
-	if workers > 1 {
-		workers = 1 + cputok.Default().Borrow(workers-1)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	budget.Run(extra, extra+1, &shards{n: n, k: extra + 1, f: f})
 }
 
-// reduceShards runs f over a disjoint cover of [0, n): the calling goroutine
-// takes the first shard, workers-1 spawned goroutines the rest. Barrier: all
-// shards complete before return.
-func reduceShards(n, workers int, f func(lo, hi int)) {
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
-	}
-	f(0, n/workers)
-	wg.Wait()
+// shards is one reduceShards call: Do runs f over the i-th of k shards.
+type shards struct {
+	n, k int
+	f    func(lo, hi int)
 }
+
+func (s *shards) Do(i, _ int) { s.f(i*s.n/s.k, (i+1)*s.n/s.k) }
 
 // streamReduce adds the weight-normalized (by totalW) mean of the collected
 // deltas to flat, streaming the client dimension through chunks of fanIn
@@ -745,8 +727,6 @@ func streamReduce(flat, agg []float64, collected []Update, totalW float64, worke
 	if fanIn < 1 {
 		fanIn = 1
 	}
-	workers = borrowReduceWorkers(n, workers)
-	defer cputok.Default().Return(workers - 1)
 	reduceShards(n, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			agg[j] = 0
@@ -785,10 +765,7 @@ func streamReduce(flat, agg []float64, collected []Update, totalW float64, worke
 // borrowed workers. One add and one divide per element regardless of
 // sharding, so the result matches the single-goroutine loop bit for bit.
 func applyFold(flat, agg []float64, totalW float64, workers int) {
-	n := len(flat)
-	workers = borrowReduceWorkers(n, workers)
-	defer cputok.Default().Return(workers - 1)
-	reduceShards(n, workers, func(lo, hi int) {
+	reduceShards(len(flat), workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			flat[j] += agg[j] / totalW
 		}

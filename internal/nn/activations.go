@@ -37,11 +37,11 @@ type reluFwdRunnerOf[F tensor.Float] struct {
 	r *ReLUOf[F]
 }
 
-// sample writes one chunk of the output, and of the mask on a training pass,
+// Do writes one chunk of the output, and of the mask on a training pass,
 // straight from the input (tensor.ReLU: a clamp and a stored comparison per
 // element, at vector width). A NaN stays NaN and counts as active, as it
 // always has.
-func (rr *reluFwdRunnerOf[F]) sample(i, _ int) {
+func (rr *reluFwdRunnerOf[F]) Do(i, _ int) {
 	c := &rr.r.call
 	lo, hi := elemRange(i, len(c.xd))
 	var mask []bool

@@ -70,10 +70,10 @@ type bnFwdRunnerOf[F tensor.Float] struct {
 	b *BatchNorm2DOf[F]
 }
 
-// sample normalizes channel c: its statistics over batch × spatial, summed in
+// Do normalizes channel c: its statistics over batch × spatial, summed in
 // sample order, then the affine output (and x̂, on a training pass). Channels
 // share nothing, so any number of workers gives the same bits.
-func (r *bnFwdRunnerOf[F]) sample(c, _ int) {
+func (r *bnFwdRunnerOf[F]) Do(c, _ int) {
 	b := r.b
 	batch, xd, yd := b.call.batch, b.call.xd, b.call.yd
 	spatial := b.H * b.W

@@ -145,8 +145,8 @@ func (r *convFwdRunnerOf[F]) begin(workers int) {
 
 func (r *convFwdRunnerOf[F]) end() { r.c.endScratch() }
 
-// sample computes one sample's convolution into its rows of the batch output.
-func (r *convFwdRunnerOf[F]) sample(i, w int) {
+// Do computes one sample's convolution into its rows of the batch output.
+func (r *convFwdRunnerOf[F]) Do(i, w int) {
 	c := r.c
 	s := &c.ws[w]
 	inDim, outDim := c.InDim(), c.OutDim()
@@ -200,9 +200,9 @@ func (r *convBwdRunnerOf[F]) begin(workers int) {
 
 func (r *convBwdRunnerOf[F]) end() { r.c.endScratch() }
 
-// sample computes one sample's private weight/bias gradient contributions
+// Do computes one sample's private weight/bias gradient contributions
 // and, unless the call skips it, its input gradient.
-func (r *convBwdRunnerOf[F]) sample(i, w int) {
+func (r *convBwdRunnerOf[F]) Do(i, w int) {
 	c := r.c
 	s := &c.ws[w]
 	pos, patch := c.Geom.ColRows(), c.Geom.ColCols()

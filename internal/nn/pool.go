@@ -55,7 +55,7 @@ type poolFwdRunnerOf[F tensor.Float] struct {
 	p *MaxPool2DOf[F]
 }
 
-func (r *poolFwdRunnerOf[F]) sample(i, _ int) {
+func (r *poolFwdRunnerOf[F]) Do(i, _ int) {
 	p := r.p
 	inDim, outDim := p.InDim(), p.OutDim()
 	xs := p.call.xd[i*inDim : (i+1)*inDim]

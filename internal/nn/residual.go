@@ -52,7 +52,7 @@ type residualSumRunnerOf[F tensor.Float] struct {
 	r *ResidualOf[F]
 }
 
-func (rr *residualSumRunnerOf[F]) sample(i, _ int) {
+func (rr *residualSumRunnerOf[F]) Do(i, _ int) {
 	c := &rr.r.call
 	lo, hi := elemRange(i, len(c.yd))
 	bd, sd, yd := c.bd[lo:hi], c.sd[lo:hi], c.yd[lo:hi]

@@ -431,7 +431,7 @@ func recheckPhase(p PhaseResult, withTelemetry bool) (string, error) {
 	budget.SetCap(1)
 	defer budget.SetCap(saved)
 	budget.Acquire()
-	defer budget.Release()
+	defer budget.Return(1)
 	var tel *fedca.Telemetry
 	if withTelemetry {
 		tel = fedca.NewTelemetry()

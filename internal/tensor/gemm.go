@@ -134,6 +134,7 @@ type gemmArgs[F Float] struct {
 	c, a, b  []F
 	ars, aps int
 	m, k, n  int
+	chunk    int // rows per fan-out item, whole tiles
 }
 
 var (
@@ -171,11 +172,9 @@ func gemmPacked[F Float](c, a []F, ars, aps int, packed []F, m, k, n int) {
 
 // parallelRows runs the kernel over row blocks of [0, g.m), borrowing extra
 // workers from the shared CPU-token budget when the call's total MACs exceed
-// the per-dtype parallel threshold. The calling goroutine is always the first
-// worker, so a fully spent budget degrades to the serial path instead of
-// blocking. The fan-out calls gemmRows directly: a function value of a
-// generic function would be a dictionary-bound closure, one heap allocation
-// per GEMM call.
+// the per-dtype parallel threshold, and cutting the rows into one block of
+// whole tiles per worker. The calling goroutine is always the first worker,
+// so a fully spent budget degrades to the serial path instead of blocking.
 func parallelRows[F Float](g *gemmArgs[F]) {
 	m := g.m
 	if g.m*g.n*g.k < ParallelThresholdFor[F]() || m <= gemmMR {
@@ -183,29 +182,17 @@ func parallelRows[F Float](g *gemmArgs[F]) {
 		return
 	}
 	budget := cputok.Default()
-	want := budget.Cap()
-	if tiles := (m + gemmMR - 1) / gemmMR; want > tiles {
-		want = tiles
-	}
-	borrowed := budget.Borrow(want - 1)
-	if borrowed == 0 {
-		gemmRows(g, 0, m)
-		return
-	}
-	workers := borrowed + 1
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR // whole tiles per worker
-	var wg sync.WaitGroup
-	for lo := chunk; lo < m; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRows(g, lo, hi)
-		}(lo, min(lo+chunk, m))
-	}
-	gemmRows(g, 0, min(chunk, m))
-	wg.Wait()
-	budget.Return(borrowed)
+	extra := budget.Borrow(min(budget.Cap(), (m+gemmMR-1)/gemmMR) - 1)
+	workers := extra + 1
+	g.chunk = ((m+workers-1)/workers + gemmMR - 1) / gemmMR * gemmMR
+	budget.Run(extra, (m+g.chunk-1)/g.chunk, g)
+}
+
+// Do computes row block i. The fan-out calls gemmRows directly: a function
+// value of a generic function would be a dictionary-bound closure, one heap
+// allocation per GEMM call.
+func (g *gemmArgs[F]) Do(i, _ int) {
+	gemmRows(g, i*g.chunk, min((i+1)*g.chunk, g.m))
 }
 
 // gemmRows computes rows [lo, hi) of C, one B panel at a time: the panel
