@@ -43,7 +43,7 @@ func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
 	seed := flag.Uint64("seed", 42, "master seed")
 	series := flag.Bool("series", false, "also print full data series for plotting")
-	list := flag.Bool("list", false, "list each experiment's cells (kind and key at -scale, -seed and -dtype) and exit")
+	list := flag.Bool("list", false, "list each experiment's cells at -scale, -seed and -dtype (kind, run spec, rounds, and the fork label where it is not the one fedca-sim uses) and exit")
 	parallel := flag.Int("parallel", experiments.DefaultWorkers(), "max concurrently computing experiment cells (1 = serial)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty disables)")
 	dtype := flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
@@ -55,14 +55,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *dtype {
-	case "", "f64":
-		// float64 is the zero value of Scale.DType; leave it empty so the
-		// cell keys match runs that predate the flag.
-	case "f32":
-		scale.DType = "f32"
-	default:
-		fmt.Fprintf(os.Stderr, "fedca-bench: -dtype must be f64 or f32, got %q\n", *dtype)
+	if err := scale.Base.Set("dtype=" + *dtype); err != nil {
+		fmt.Fprintln(os.Stderr, "fedca-bench: -dtype:", err)
 		os.Exit(2)
 	}
 	if *list {

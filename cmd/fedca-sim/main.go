@@ -13,8 +13,9 @@
 //	fedca-sim soak -rounds 300 -report soak-report.json
 //	fedca-sim repro soak-report.json:1
 //
-// The run flags lower to one expcfg.Options value; -spec gives it as text
-// instead (the form a -log header records, over the flags' defaults). With
+// The run is one expcfg.Options value: the -scale's base run with each run
+// flag applied as the spec key of its name. -spec gives it as text instead
+// (the form a -log header records, over the flags' defaults). With
 // -http the run serves live introspection while it executes: /metrics
 // (Prometheus text format), /status (current round, runner and scheme stats
 // as JSON) and /debug/pprof. With -trace it writes the whole run as Chrome
@@ -26,7 +27,6 @@
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,7 +43,7 @@ import (
 )
 
 // notRunFlags are the flags that do not describe the run: -spec replaces
-// every other one.
+// every other one, and every other one but -scale is a spec key.
 var notRunFlags = map[string]bool{"spec": true, "rounds": true, "log": true, "events": true, "http": true, "trace": true}
 
 func main() {
@@ -60,21 +60,20 @@ func main() {
 			return
 		}
 	}
-	var o expcfg.Options
-	flag.StringVar(&o.Model, "model", "cnn", "workload: cnn | lstm | wrn")
-	flag.StringVar(&o.Scheme, "scheme", "fedca", "scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
+	flag.String("model", "cnn", "workload: cnn | lstm | wrn")
+	flag.String("scheme", "fedca", "scheme: fedavg | fedprox | fedada | fedca | fedca-v1 | fedca-v2 | oort | safa")
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
-	flag.IntVar(&o.Clients, "clients", 0, "override client count")
-	flag.IntVar(&o.Fleet, "fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
-	flag.Float64Var(&o.Participation, "participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
-	flag.Float64Var(&o.AggregateFraction, "aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
+	flag.Int("clients", 0, "override client count (0 = the scale's)")
+	flag.Int("fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
+	flag.Float64("participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
+	flag.Float64("aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
 	rounds := flag.Int("rounds", 0, "override round count")
-	flag.Uint64Var(&o.Seed, "seed", 42, "master seed")
-	flag.StringVar(&o.DType, "dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
-	flag.StringVar(&o.Compress, "compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
-	flag.StringVar(&o.Chaos, "chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
-	flag.IntVar(&o.MinQuorum, "quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
-	flag.Float64Var(&o.MaxDeltaNorm, "maxnorm", 0, "absolute cap on the update-norm bound (0 = only the bound derived from the model's norm)")
+	flag.Uint64("seed", 42, "master seed")
+	flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")
+	flag.String("compress", "none", "upload compressor: none | qsgd<levels> | topk<percent>")
+	flag.String("chaos", "none", `fault-injection spec (drop=p is client dropout), e.g. "drop=0.1,slow=0.3,degrade=0.2,outage=0.05,xfail=0.02,corrupt=0.01" (deterministic per seed)`)
+	flag.Int("quorum", 0, "minimum valid updates to aggregate a round (0 = 1); thinner rounds are skipped, not fatal")
+	flag.Float64("maxnorm", 0, "absolute cap on the update-norm bound (0 = only the bound derived from the model's norm)")
 	spec := flag.String("spec", "", "the run as one spec string, key=value;… (the form a -log header records), applied over the run flags' defaults; excludes every run flag")
 	logPath := flag.String("log", "", "write a JSON-lines run log to this path")
 	eventsPath := flag.String("events", "", "stream the flight-recorder journal to this path as JSON lines")
@@ -96,12 +95,17 @@ func main() {
 	if *rounds > 0 {
 		scale.Rounds = *rounds
 	}
-	o.Clients = cmp.Or(o.Clients, scale.Clients)
-	o.LocalIters, o.BatchSize, o.TrainSamples, o.TestSamples = scale.K, scale.BatchSize, scale.TrainN, scale.TestN
-	o.Heterogeneous, o.Dynamic, o.FedCA = true, true, scale.FedCAOptions()
-	if scale.Name == "tiny" {
-		o.Geometry = "tiny"
-	}
+	// The run starts from the scale's base run. Every run flag is the spec
+	// key of its name and applies over it, except a number left 0, which
+	// keeps the base's value (-clients 0 is the scale's population).
+	o := scale.Base
+	flag.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); !notRunFlags[f.Name] && f.Name != "scale" && v != "0" {
+			if err := o.Set(f.Name + "=" + v); err != nil {
+				fail(fmt.Errorf("-%s: %w", f.Name, err))
+			}
+		}
+	})
 	if *spec != "" {
 		flag.Visit(func(f *flag.Flag) {
 			if !notRunFlags[f.Name] {

@@ -176,6 +176,19 @@ func TestCommandSmoke(t *testing.T) {
 			t.Fatalf("fedca-bench -list missing %s:\n%s", id, list)
 		}
 	}
+	// Each cell is listed as its kind, then its run's spec string: a FedAvg
+	// cell's is a run fedca-sim -spec and fedca.Options.Set accept.
+	fedavgSpec := ""
+	for _, line := range strings.Split(string(list), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "conv" && strings.Contains(f[1], ";scheme=fedavg;") {
+			fedavgSpec = f[1]
+			break
+		}
+	}
+	var cell fedca.Options
+	if err := cell.Set(fedavgSpec); err != nil || fedavgSpec == "" || cell.Scheme != "fedavg" {
+		t.Fatalf("fedca-bench -list: FedAvg cell spec %q does not parse: %v\n%s", fedavgSpec, err, list)
+	}
 
 	ovh, err := exec.Command(bins["fedca-bench"], "-exp", "ovh", "-scale", "tiny").CombinedOutput()
 	if err != nil {

@@ -100,7 +100,8 @@ type TopK struct {
 }
 
 // Name identifies the sparsifier and its keep fraction.
-func (t TopK) Name() string { return fmt.Sprintf("top%g", t.Frac) }
+// Name is the spec ByName builds t from: "topk" and the kept percentage.
+func (t TopK) Name() string { return fmt.Sprintf("topk%g", t.Frac*100) }
 
 // CompressInto sparsifies vec into dst. The index scratch for the selection
 // sort still allocates; only the output vector is caller-supplied.

@@ -116,21 +116,24 @@ func TestTopKDeterministicTies(t *testing.T) {
 	}
 }
 
+// TestByName: a compressor's Name is a spec ByName accepts and builds the
+// same compressor from, so a banner or a log can be pasted back as -compress.
 func TestByName(t *testing.T) {
-	cases := map[string]string{
-		"":      "none",
-		"none":  "none",
-		"qsgd7": "qsgd7",
-		"topk1": "top0.01",
-	}
-	for spec, want := range cases {
+	for _, spec := range []string{"", "none", "qsgd7", "qsgd2", "topk1", "topk5", "topk0.3", "topk0.007", "topk100"} {
 		c, err := ByName(spec)
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
-		if c.Name() != want {
-			t.Fatalf("%q → %q, want %q", spec, c.Name(), want)
+		again, err := ByName(c.Name())
+		if err != nil {
+			t.Fatalf("%q: Name %q is rejected: %v", spec, c.Name(), err)
 		}
+		if again != c {
+			t.Fatalf("%q → %#v named %q → %#v", spec, c, c.Name(), again)
+		}
+	}
+	if c, _ := ByName("topk1"); c.Name() != "topk1" {
+		t.Fatalf("topk1 is named %q", c.Name())
 	}
 	for _, bad := range []string{"qsgd0", "qsgdx", "topk0", "topk200", "zip"} {
 		if _, err := ByName(bad); err == nil {

@@ -5,8 +5,8 @@
 // testbed (clients with Dirichlet-partitioned data, speed traces, shaped
 // links, and the model's fl.Networks), SchemeByName, the registry that
 // turns a scheme name into an fl.Scheme, and Options, the one description of
-// a run, with its text form and its one lowering, Options.NewRun, which
-// assembles the runner.
+// a run, with its text form, its one lowering, Options.Lower, and
+// Options.NewRun, which assembles the runner on it.
 package expcfg
 
 import (

@@ -14,9 +14,10 @@ import (
 )
 
 // Options is the one description of a run: the library facade's
-// fedca.Options, what fedca-sim's flags and a soak phase's keys lower to, and
-// what a run log's header records. Its text form (String, Set) names every
-// run value; NewRun is its one lowering. A number left 0 keeps the
+// fedca.Options, what fedca-sim's flags, a soak phase's keys and an
+// experiment cell lower to, and what a run log's header records. Its text
+// form (String, Set) names every run value; Lower is its one lowering, and
+// NewRun assembles the runner on it. A number left 0 keeps the
 // workload's default where a field says so. The zero value is not valid;
 // start from fedca.DefaultOptions.
 type Options struct {
@@ -97,25 +98,23 @@ type Options struct {
 	FedCA core.Options
 }
 
-// NewRun validates o against the bounds of its text form and assembles its
-// run: the workload o.Model names at o's geometry, with every value o sets
-// in place of the workload's default. It installs the chaos engine (seeded
-// from Fork("chaos-engine")) and the compressor, resolves the scheme (fork
-// label "scheme"), then builds the testbed or virtual fleet and the runner.
-// The scheme is resolved before the testbed because it may write into the
-// config (Oort sets Participation). Everything a caller reports about the
-// run — its chaos spec, compressor, participation — reads back from the
-// runner's Cfg, and the scheme from its Scheme field.
-func (o Options) NewRun() (*fl.Runner, error) {
+// Lower validates o against the bounds of its text form and resolves its
+// run up to the scheme: the workload o.Model names at o's geometry, with
+// every value o sets in place of the workload's default, the chaos engine
+// (seeded from Fork("chaos-engine")) and the compressor installed in its
+// config, and the speed-trace config of o's heterogeneity and dynamicity.
+// NewRun builds on it; so do the paper's experiment cells, which resolve
+// their scheme under their own fork label.
+func (o Options) Lower() (Workload, trace.Config, error) {
 	if err := o.validate(); err != nil {
-		return nil, err
+		return Workload{}, trace.Config{}, err
 	}
 	w, err := ByName(o.Model)
 	if err != nil {
-		return nil, err
+		return Workload{}, trace.Config{}, err
 	}
 	if o.Fleet <= 0 && o.Clients <= 0 {
-		return nil, fmt.Errorf("expcfg: Clients must be positive unless Fleet > 0")
+		return Workload{}, trace.Config{}, fmt.Errorf("expcfg: Clients must be positive unless Fleet > 0")
 	}
 	if o.Geometry == "tiny" {
 		w = w.Tiny()
@@ -142,23 +141,19 @@ func (o Options) NewRun() (*fl.Runner, error) {
 
 	ccfg, err := chaos.ParseSpec(o.Chaos)
 	if err != nil {
-		return nil, err
+		return Workload{}, trace.Config{}, err
 	}
 	if ccfg.Enabled() {
 		if w.FL.Chaos, err = chaos.NewEngine(ccfg, rng.New(o.Seed).Fork("chaos-engine").Uint64()); err != nil {
-			return nil, err
+			return Workload{}, trace.Config{}, err
 		}
 	}
 	comp, err := compress.ByName(o.Compress)
 	if err != nil {
-		return nil, err
+		return Workload{}, trace.Config{}, err
 	}
 	if _, isNone := comp.(compress.None); !isNone {
 		w.FL.Compressor = comp
-	}
-	scheme, err := SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, "scheme")
-	if err != nil {
-		return nil, err
 	}
 
 	tcfg := trace.Config{}
@@ -168,6 +163,24 @@ func (o Options) NewRun() (*fl.Runner, error) {
 			tcfg.HeterogeneitySigma = 0
 		}
 		tcfg.Dynamic = o.Dynamic
+	}
+	return w, tcfg, nil
+}
+
+// NewRun assembles o's run: Lower, then the scheme (fork label "scheme"),
+// then the testbed or virtual fleet and the runner. The scheme is resolved
+// before the testbed because it may write into the config (Oort sets
+// Participation). Everything a caller reports about the run — its chaos
+// spec, compressor, participation — reads back from the runner's Cfg, and
+// the scheme from its Scheme field.
+func (o Options) NewRun() (*fl.Runner, error) {
+	w, tcfg, err := o.Lower()
+	if err != nil {
+		return nil, err
+	}
+	scheme, err := SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, "scheme")
+	if err != nil {
+		return nil, err
 	}
 	if o.Fleet > 0 {
 		tb, err := BuildFleet(w, o.Fleet, 0, tcfg, o.Seed)

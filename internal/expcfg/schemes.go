@@ -11,7 +11,8 @@ import (
 
 // SchemeByName builds the named scheme for a run configured by cfg: "fedavg",
 // "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort" or "safa". It
-// is the one place a scheme name is resolved, for NewRun and the experiments.
+// is the one place a scheme name is resolved, for NewRun and the experiment
+// cells.
 //
 // fedca holds the FedCA hyperparameters of the three FedCA variants (zero
 // options mean core.DefaultOptions), with K set to cfg.LocalIters; the

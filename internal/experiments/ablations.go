@@ -22,7 +22,7 @@ func floorCell(off bool) cellSpec {
 	if off {
 		variant = "-floor-off"
 	}
-	return cnnVariant(variant, func(o *core.Options) { o.DisableBenFloor = off })
+	return cnnVariant(variant, fmt.Sprintf("fedca.disablebenfloor=%v", off))
 }
 
 // ablationFloor compares FedCA with and without the Eq. 2 benefit floor
@@ -34,7 +34,7 @@ func ablationFloor(in *inputs) *Result {
 	fmt.Fprintf(&b, "Ablation — Eq. 2 benefit floor on/off (CNN)\n")
 	target := in.target("cnn")
 	for _, off := range floorOff {
-		run := in.conv(floorCell(off))
+		run := in.run(floorCell(off))
 		c := metrics.ConvergenceOf(run.Results, target)
 		stops := expand(run.Stats.EarlyStopsByIter)
 		meanStop := meanInt(stops)
@@ -68,7 +68,10 @@ var sampleCaps = []int{25, 100, 400}
 
 // capCell is the CNN curve probe with its sampled curves profiled at cap.
 func capCell(cap int) cellSpec {
-	return cellSpec{kind: "curves-cap", model: "cnn", name: fmt.Sprintf("cap%d", cap), sampleCap: cap}
+	c := curves("cnn")
+	c.name = fmt.Sprintf("cap%d", cap)
+	c.spec += fmt.Sprintf(";fedca.samplecap=%d", cap)
+	return c
 }
 
 // ablationSampling extends Fig. 5: profiling fidelity (max deviation of the
@@ -78,15 +81,15 @@ func ablationSampling(in *inputs) *Result {
 	res := newResult("abl-sampling")
 	tbl := report.NewTable("Ablation — intra-layer sample cap vs profiling fidelity (CNN, largest layer)",
 		"Cap", "Samples total", "Max deviation", "Profiling mem (KB)")
-	w, err := s.Workload("cnn")
+	w, err := in.workload("cnn")
 	if err != nil {
 		return in.fail(err)
 	}
-	cd := in.curves(curves("cnn"))
+	cd := in.run(curves("cnn")).Curves
 	l := largestLayer(cd)
 	full := cd.Probe(s.LateRound, 0).Layer[l]
 	for _, cap := range sampleCaps {
-		sampled := in.curves(capCell(cap)).Probe(s.LateRound, 0).Sampled[l]
+		sampled := in.run(capCell(cap)).Curves.Probe(s.LateRound, 0).Sampled[l]
 		dev := metrics.MaxAbsDiff(full, sampled)
 		prof := core.NewProfiler(cap, core.DefaultSampleFrac, rng.New(seed))
 		net := w.NewModel(rng.New(seed)).Network
@@ -103,7 +106,7 @@ func ablationSampling(in *inputs) *Result {
 var periods = []int{1, 2, 5, 10}
 
 func periodCell(period int) cellSpec {
-	return cnnVariant(fmt.Sprintf("-period%d", period), func(o *core.Options) { o.ProfilePeriod = period })
+	return cnnVariant(fmt.Sprintf("-period%d", period), fmt.Sprintf("fedca.profileperiod=%d", period))
 }
 
 // ablationPeriod extends Sec. 4.1: convergence under profiling periods
@@ -115,7 +118,7 @@ func ablationPeriod(in *inputs) *Result {
 	fmt.Fprintf(&b, "Ablation — profiling period (CNN); period 1 never optimizes (every round is an anchor)\n")
 	target := in.target("cnn")
 	for _, period := range periods {
-		run := in.conv(periodCell(period))
+		run := in.run(periodCell(period))
 		c := metrics.ConvergenceOf(run.Results, target)
 		res.Values[fmt.Sprintf("total/%d", period)] = c.TotalTime
 		res.Values[fmt.Sprintf("best/%d", period)] = c.BestAcc
@@ -135,7 +138,7 @@ type deadlineRule struct {
 }
 
 func ruleCell(rule deadlineRule) cellSpec {
-	return cnnVariant("-dl-"+rule.label, func(o *core.Options) { o.DeadlineQuantile = rule.q })
+	return cnnVariant("-dl-"+rule.label, fmt.Sprintf("fedca.deadlinequantile=%g", rule.q))
 }
 
 // ablationDeadline compares the FedBalancer-style argmax(#finished/T)
@@ -147,7 +150,7 @@ func ablationDeadline(in *inputs) *Result {
 	fmt.Fprintf(&b, "Ablation — deadline rule (CNN)\n")
 	target := in.target("cnn")
 	for _, rule := range deadlineRules {
-		run := in.conv(ruleCell(rule))
+		run := in.run(ruleCell(rule))
 		c := metrics.ConvergenceOf(run.Results, target)
 		res.Values["total/"+rule.label] = c.TotalTime
 		res.Values["best/"+rule.label] = c.BestAcc

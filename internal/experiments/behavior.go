@@ -17,17 +17,18 @@ func fig8a(in *inputs) *Result {
 	s := in.s
 	res := newResult("fig8a")
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 8a — CDF of the early-stop iteration (CNN, K=%d)\n", s.K)
+	k := s.Base.LocalIters
+	fmt.Fprintf(&b, "Fig. 8a — CDF of the early-stop iteration (CNN, K=%d)\n", k)
 
-	fedca := in.conv(conv("cnn", "fedca"))
+	fedca := in.run(conv("cnn", "fedca"))
 	caIters := expand(fedca.Stats.EarlyStopsByIter)
 	// Clients that never stopped early count as acting at the full K, so the
 	// CDF ends at 1 over the same population.
 	for i := 0; i < fedca.Stats.FullRounds; i++ {
-		caIters = append(caIters, s.K)
+		caIters = append(caIters, k)
 	}
 
-	fedada := in.conv(conv("cnn", "fedada"))
+	fedada := in.run(conv("cnn", "fedada"))
 	var adaIters []int
 	for _, r := range fedada.Results {
 		for _, u := range append(r.Collected, r.Discarded...) {
@@ -75,11 +76,11 @@ func fig8b(in *inputs) *Result {
 	s := in.s
 	res := newResult("fig8b")
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 8b — CDF of the eager-transmission iteration (CNN, K=%d)\n", s.K)
+	fmt.Fprintf(&b, "Fig. 8b — CDF of the eager-transmission iteration (CNN, K=%d)\n", s.Base.LocalIters)
 
-	with := *in.conv(conv("cnn", "fedca")).Stats
+	with := *in.run(conv("cnn", "fedca")).Stats
 	withIters := append(expand(with.EagerByIter), expand(with.RetransmitsByIter)...)
-	without := *in.conv(conv("cnn", "fedca-v2")).Stats
+	without := *in.run(conv("cnn", "fedca-v2")).Stats
 	withoutIters := expand(without.EagerByIter)
 
 	cdfRow(res, &b, 16, "with-retrans", withIters)
@@ -93,12 +94,12 @@ func fig8b(in *inputs) *Result {
 // parameter counts and peak profiling memory per workload, versus model size.
 // It trains nothing, so it declares no cells.
 func overhead(in *inputs) *Result {
-	s, seed := in.s, in.seed
+	seed := in.seed
 	res := newResult("ovh")
 	tb := report.NewTable("Sec. 5.5 — periodical-sampling overhead",
 		"Model", "Params", "Layers", "Sampled", "Profiling mem (KB)", "Model size (KB)", "Ratio")
 	for _, m := range curveModels {
-		w, err := s.Workload(m)
+		w, err := in.workload(m)
 		if err != nil {
 			return in.fail(err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"fedca/internal/core"
 	"fedca/internal/execpool"
@@ -10,43 +11,65 @@ import (
 	"fedca/internal/trace"
 )
 
-// cellSpec declares one cell. kind, model and name are its cache identity
-// (the key adds the Scale and the seed); the other fields say how it
-// trains. A spec with a scheme trains that registered scheme for
-// Scale.Rounds rounds; a spec without one runs the curve probe.
+// cellSpec declares one cell: the run of the scale's Base plus spec, trained
+// for Scale.Rounds rounds, or the curve probe of that run. name labels the
+// cell's row in its experiment; kind and the run's canonical text are its
+// cache identity (address).
 type cellSpec struct {
-	kind, model, name string
-
-	scheme    string                 // expcfg.SchemeByName name; "" is the probe
-	fork      []any                  // RNG fork label of the FedCA variants
-	fedca     func(*core.Options)    // edits to the scale's FedCA options
-	edit      func(*expcfg.Workload) // edits to the scale's workload
-	sampleCap int                    // the curve probe's per-layer sample cap
+	kind, name string
+	spec       string // key=value overrides of the scale's Base: model=…;scheme=…;…
+	label      []any  // RNG fork label of a FedCA variant; nil is NewRun's "scheme"
+	probe      bool   // the curve probe instead of the scheme's training run
 }
 
-// spec is the cell's executor address at (s, seed). Scale.cellKey encodes
-// every Scale field, so scales that share a name never collide.
-func (c cellSpec) spec(s Scale, seed uint64) execpool.Spec {
-	key := fmt.Sprintf("%s/%s/%s/%d", s.cellKey(), c.model, c.name, seed)
-	if c.name == "" {
-		key = fmt.Sprintf("%s/%s/%d", s.cellKey(), c.model, seed)
+// options is the cell's run at (s, seed): the scale's Base at seed with the
+// cell's overrides applied.
+func (c cellSpec) options(s Scale, seed uint64) (expcfg.Options, error) {
+	o := s.Base
+	o.Seed = seed
+	err := o.Set(c.spec)
+	return o, err
+}
+
+// address is the cell's executor address at (s, seed): its kind, and a key
+// of its run's canonical spec string, the rounds it trains (for a probe, the
+// rounds it probes) and its fork label when it has one.
+// Cells of one kind that run the same spec under the same label share an
+// address, whatever their names.
+func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
+	o, err := c.options(s, seed)
+	if err != nil {
+		return execpool.Spec{}, err
 	}
-	return execpool.Spec{Kind: c.kind, Key: key}
+	key := fmt.Sprintf("%s rounds=%d", o, s.Rounds)
+	if c.probe {
+		key = fmt.Sprintf("%s early=%d late=%d window=%d", o, s.EarlyRound, s.LateRound, s.Window)
+	}
+	if c.label != nil {
+		key += fmt.Sprintf(" label=%v", c.label)
+	}
+	return execpool.Spec{Kind: c.kind, Key: key}, nil
 }
 
 // conv is a registered scheme's convergence run on a workload (Fig. 7,
 // Table 1, Fig. 9). Only the scheme differs between the conv cells of one
-// seed, as in the paper's testbed.
+// seed, as in the paper's testbed. A FedCA variant draws from
+// Fork("scheme", scheme).
 func conv(model, scheme string) cellSpec {
-	return cellSpec{kind: "conv", model: model, name: scheme, scheme: scheme, fork: []any{"scheme", scheme}}
+	c := cellSpec{kind: "conv", name: scheme, spec: "model=" + model + ";scheme=" + scheme}
+	if strings.HasPrefix(scheme, "fedca") {
+		c.label = []any{"scheme", scheme}
+	}
+	return c
 }
 
-// cnnVariant is FedCA's CNN convergence run with edited options, keyed
-// "fedca"+variant. It draws the same stream as conv("cnn", "fedca").
-func cnnVariant(variant string, edit func(*core.Options)) cellSpec {
+// cnnVariant is FedCA's CNN convergence run with the FedCA overrides spec,
+// named "fedca"+variant. It draws the same stream as conv("cnn", "fedca"),
+// and is that cell where spec sets the defaults.
+func cnnVariant(variant, spec string) cellSpec {
 	c := conv("cnn", "fedca")
 	c.name += variant
-	c.fedca = edit
+	c.spec += ";" + spec
 	return c
 }
 
@@ -55,14 +78,17 @@ func cnnTarget(cells ...cellSpec) []cellSpec {
 	return append([]cellSpec{conv("cnn", "fedavg")}, cells...)
 }
 
-// custom is an extension's CNN run of a registered scheme under its own key.
-func custom(name, scheme string, edit func(*expcfg.Workload), fork ...any) cellSpec {
-	return cellSpec{kind: "custom", model: "cnn", name: name, scheme: scheme, fork: fork, edit: edit}
+// custom is an extension's CNN run of a registered scheme with the
+// overrides spec, under its own name and fork label.
+func custom(name, scheme, spec string, label ...any) cellSpec {
+	return cellSpec{kind: "custom", name: name, spec: "model=cnn;scheme=" + scheme + ";" + spec, label: label}
 }
 
-// curves is a workload's curve-probe sweep (Figs. 2–5).
+// curves is a workload's curve-probe sweep (Figs. 2–5): FedAvg, recording.
+// Curve probing studies statistics, not timing, so homogeneous static speeds
+// keep the run fast and change nothing about trajectories.
 func curves(model string) cellSpec {
-	return cellSpec{kind: "curves", model: model, sampleCap: core.DefaultSampleCap}
+	return cellSpec{kind: "curves", name: model, spec: "model=" + model + ";scheme=fedavg;hetero=false;dynamic=false", probe: true}
 }
 
 // grid is one conv cell per (model, scheme), models outermost.
@@ -85,54 +111,60 @@ func each[T any](xs []T, cell func(T) cellSpec) []cellSpec {
 	return cells
 }
 
-// convRun is one scheme's full training run on one workload. It is a plain
-// data snapshot (no live scheme pointers), so cells carrying it serialize
-// into the cross-process result cache.
+// convRun is one cell's training run: its rounds, the FedCA behavioural
+// stats (Fig. 8; nil for baselines) and a curve probe's curves (nil for a
+// scheme's run). It is a plain data snapshot (no live scheme pointers), so
+// it serializes into the cross-process result cache. It carries no name:
+// one cached run can serve several cells, and each renderer labels its rows
+// from its cells.
 type convRun struct {
-	SchemeName string
-	Results    []fl.RoundResult
-	// Stats is set when the scheme is a FedCA variant, exposing behavioural
-	// stats (Fig. 8); nil for baselines.
-	Stats *core.SchemeStats
+	Results []fl.RoundResult
+	Stats   *core.SchemeStats
+	Curves  *CurveData
 }
 
-// runCell is the package's one training loop. It builds the scale's
-// workload and applies the spec's edits, builds the scheme, a testbed and a
-// runner, runs the rounds, then snapshots the scheme's stats. A curve probe
-// also returns its curves.
-func runCell(s Scale, seed uint64, c cellSpec) (convRun, *CurveData, error) {
-	w, err := s.Workload(c.model)
+// runCell is the package's one training loop: it lowers the cell's run
+// with Options.Lower and trains it.
+func runCell(s Scale, seed uint64, c cellSpec) (convRun, error) {
+	o, err := c.options(s, seed)
 	if err != nil {
-		return convRun{}, nil, err
+		return convRun{}, err
 	}
-	if c.edit != nil {
-		c.edit(&w)
+	w, tcfg, err := o.Lower()
+	if err != nil {
+		return convRun{}, err
 	}
+	return c.train(s, o, w, tcfg)
+}
+
+// train resolves the cell's scheme (SchemeByName under the cell's fork
+// label, or the curve probe), builds the testbed and runner of the lowered
+// run (w, tcfg), runs the rounds, then snapshots the scheme's stats or the
+// probe's curves.
+func (c cellSpec) train(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace.Config) (convRun, error) {
 	var (
 		sch    fl.Scheme
 		probe  *probeScheme
-		tcfg   = s.TraceConfig()
 		rounds = s.Rounds
+		err    error
 	)
-	if c.scheme == "" {
-		// Curve probing studies statistics, not timing: homogeneous static
-		// speeds keep the run fast and change nothing about trajectories.
-		probe = newProbeScheme(s, seed, c.sampleCap)
-		sch, tcfg, rounds = probe, trace.Config{}, s.LateRound+s.Window
+	if c.probe {
+		probe = newProbeScheme(s, o)
+		sch, rounds = probe, s.LateRound+s.Window
 	} else {
-		opt := s.FedCAOptions()
-		if c.fedca != nil {
-			c.fedca(&opt)
+		fork := c.label
+		if fork == nil {
+			fork = []any{"scheme"}
 		}
-		if sch, err = expcfg.SchemeByName(c.scheme, &w.FL, opt, seed, c.fork...); err != nil {
-			return convRun{}, nil, err
+		if sch, err = expcfg.SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, fork...); err != nil {
+			return convRun{}, err
 		}
 	}
-	runner, err := expcfg.Build(w, s.Clients, tcfg, seed).NewRunner(sch)
+	runner, err := expcfg.Build(w, o.Clients, tcfg, o.Seed).NewRunner(sch)
 	if err != nil {
-		return convRun{}, nil, err
+		return convRun{}, err
 	}
-	run := convRun{SchemeName: c.name, Results: make([]fl.RoundResult, 0, rounds)}
+	run := convRun{Results: make([]fl.RoundResult, 0, rounds)}
 	for i := 0; i < rounds; i++ {
 		run.Results = append(run.Results, runner.RunRound())
 	}
@@ -141,9 +173,9 @@ func runCell(s Scale, seed uint64, c cellSpec) (convRun, *CurveData, error) {
 		run.Stats = &st
 	}
 	if probe != nil {
-		return run, &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out}, nil
+		run.Curves = &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out}
 	}
-	return run, nil, nil
+	return run, nil
 }
 
 // inputs reads the results of cells at (s, seed) through the executor: a
@@ -165,22 +197,25 @@ func (in *inputs) fail(err error) *Result {
 	return nil
 }
 
-func (in *inputs) conv(c cellSpec) convRun {
-	run, err := execpool.Do(pool(), c.spec(in.s, in.seed), func() (convRun, error) {
-		run, _, err := runCell(in.s, in.seed, c)
-		return run, err
-	})
+// run reads cell c's run through the executor, at c's address.
+func (in *inputs) run(c cellSpec) convRun {
+	addr, err := c.address(in.s, in.seed)
+	var run convRun
+	if err == nil {
+		run, err = execpool.Do(pool(), addr, func() (convRun, error) { return runCell(in.s, in.seed, c) })
+	}
 	in.fail(err)
 	return run
 }
 
-func (in *inputs) curves(c cellSpec) *CurveData {
-	cd, err := execpool.Do(pool(), c.spec(in.s, in.seed), func() (*CurveData, error) {
-		_, cd, err := runCell(in.s, in.seed, c)
-		return cd, err
-	})
-	in.fail(err)
-	return cd
+// workload is model's workload lowered at this scale (its curve probe's).
+func (in *inputs) workload(model string) (expcfg.Workload, error) {
+	o, err := curves(model).options(in.s, in.seed)
+	if err != nil {
+		return expcfg.Workload{}, err
+	}
+	w, _, err := o.Lower()
+	return w, err
 }
 
 // target defines each workload's "near-optimal accuracy" target at this
@@ -190,7 +225,7 @@ func (in *inputs) curves(c cellSpec) *CurveData {
 // ones and keeps every scheme judged against one common bar.
 func (in *inputs) target(model string) float64 {
 	best := 0.0
-	for _, r := range in.conv(conv(model, "fedavg")).Results {
+	for _, r := range in.run(conv(model, "fedavg")).Results {
 		if r.Accuracy > best {
 			best = r.Accuracy
 		}

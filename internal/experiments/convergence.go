@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fedca/internal/core"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
 )
@@ -21,7 +20,7 @@ func fig7(in *inputs) *Result {
 	fmt.Fprintf(&b, "Fig. 7 — time-to-accuracy (virtual time)\n")
 	for _, m := range curveModels {
 		for _, scheme := range convergenceSchemes {
-			run := in.conv(conv(m, scheme))
+			run := in.run(conv(m, scheme))
 			times, accs := metrics.AccuracyCurve(run.Results)
 			res.Series[fmt.Sprintf("%s-%s-time", m, scheme)] = times
 			res.Series[fmt.Sprintf("%s-%s-acc", m, scheme)] = accs
@@ -45,7 +44,7 @@ func table1(in *inputs) *Result {
 		target := in.target(m)
 		res.Values["target/"+m] = target
 		for _, scheme := range convergenceSchemes {
-			run := in.conv(conv(m, scheme))
+			run := in.run(conv(m, scheme))
 			c := metrics.ConvergenceOf(run.Results, target)
 			tb.AddRow(m, target, scheme, c.PerRoundTime, c.Rounds, c.TotalTime/3600, fmt.Sprintf("%v", c.Reached))
 			res.Values[fmt.Sprintf("perround/%s/%s", m, scheme)] = c.PerRoundTime
@@ -76,7 +75,7 @@ func fig9(in *inputs) *Result {
 	for _, m := range fig9Models {
 		target := in.target(m)
 		for _, scheme := range fig9Schemes {
-			run := in.conv(conv(m, scheme))
+			run := in.run(conv(m, scheme))
 			times, accs := metrics.AccuracyCurve(run.Results)
 			lbl := labels[scheme]
 			res.Series[fmt.Sprintf("%s-%s-time", m, lbl)] = times
@@ -96,7 +95,7 @@ func fig9(in *inputs) *Result {
 var betas = []float64{0.1, 0.01, 0.001}
 
 func betaCell(beta float64) cellSpec {
-	return cnnVariant(fmt.Sprintf("-beta%g", beta), func(o *core.Options) { o.Beta = beta })
+	return cnnVariant(fmt.Sprintf("-beta%g", beta), fmt.Sprintf("fedca.beta=%g", beta))
 }
 
 // fig10a regenerates the β sensitivity study on CNN.
@@ -106,7 +105,7 @@ func fig10a(in *inputs) *Result {
 	fmt.Fprintf(&b, "Fig. 10a — sensitivity to the marginal cost ratio β (CNN)\n")
 	target := in.target("cnn")
 	for _, beta := range betas {
-		run := in.conv(betaCell(beta))
+		run := in.run(betaCell(beta))
 		times, accs := metrics.AccuracyCurve(run.Results)
 		res.Series[fmt.Sprintf("beta%g-time", beta)] = times
 		res.Series[fmt.Sprintf("beta%g-acc", beta)] = accs
@@ -126,7 +125,7 @@ var thresholds = []threshold{{0.95, 0.6}, {0.95, 0.8}, {0.85, 0.6}}
 type threshold struct{ te, tr float64 }
 
 func thresholdCell(t threshold) cellSpec {
-	return cnnVariant(fmt.Sprintf("-te%g-tr%g", t.te, t.tr), func(o *core.Options) { o.Te, o.Tr = t.te, t.tr })
+	return cnnVariant(fmt.Sprintf("-te%g-tr%g", t.te, t.tr), fmt.Sprintf("fedca.te=%g;fedca.tr=%g", t.te, t.tr))
 }
 
 // fig10b regenerates the (T_e, T_r) sensitivity study on CNN.
@@ -136,7 +135,7 @@ func fig10b(in *inputs) *Result {
 	fmt.Fprintf(&b, "Fig. 10b — sensitivity to eager/retransmission thresholds (CNN)\n")
 	target := in.target("cnn")
 	for _, combo := range thresholds {
-		run := in.conv(thresholdCell(combo))
+		run := in.run(thresholdCell(combo))
 		times, accs := metrics.AccuracyCurve(run.Results)
 		res.Series[fmt.Sprintf("te%g-tr%g-acc", combo.te, combo.tr)] = accs
 		res.Series[fmt.Sprintf("te%g-tr%g-time", combo.te, combo.tr)] = times

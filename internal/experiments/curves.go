@@ -7,6 +7,7 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/core"
+	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
@@ -56,9 +57,9 @@ type probeScheme struct {
 
 // newProbeScheme targets the rounds Figs. 2–5 need: clients 0 and 1 at the
 // early and late stage, plus a window of consecutive rounds for client 0 at
-// both stages (Fig. 4). Its sampled curves profile at most sampleCap
-// parameters per layer.
-func newProbeScheme(s Scale, seed uint64, sampleCap int) *probeScheme {
+// both stages (Fig. 4). Its sampled curves profile as FedCA would in run o:
+// at most fedca.samplecap parameters per layer, at fedca.samplefrac.
+func newProbeScheme(s Scale, o expcfg.Options) *probeScheme {
 	targets := make(map[probeKey]bool)
 	for _, stage := range []int{s.EarlyRound, s.LateRound} {
 		targets[probeKey{stage, 0}] = true
@@ -67,12 +68,12 @@ func newProbeScheme(s Scale, seed uint64, sampleCap int) *probeScheme {
 			targets[probeKey{stage + d, 0}] = true
 		}
 	}
-	samplerRng := rng.New(seed).Fork("probe-sampler")
+	samplerRng := rng.New(o.Seed).Fork("probe-sampler")
 	return &probeScheme{
 		targets: targets,
 		out:     make(map[probeKey]*ProbeCurves),
 		sampler: func(clientID int) *core.Profiler {
-			return core.NewProfiler(sampleCap, core.DefaultSampleFrac, samplerRng.Fork("c", clientID))
+			return core.NewProfiler(o.FedCA.SampleCap, o.FedCA.SampleFrac, samplerRng.Fork("c", clientID))
 		},
 	}
 }
@@ -169,7 +170,7 @@ func fig2(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — statistical progress curves (clients 0/1, rounds %d/%d)\n", s.EarlyRound, s.LateRound)
 	for _, m := range curveModels {
-		cd := in.curves(curves(m))
+		cd := in.run(curves(m)).Curves
 		for _, stage := range stages(s) {
 			for _, client := range probedClients {
 				curve := cd.Probes[probeKey{stage.round, client}].Model
@@ -204,7 +205,7 @@ func fig3(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — per-layer statistical progress (most divergent layer pair)\n")
 	for _, m := range curveModels {
-		cd := in.curves(curves(m))
+		cd := in.run(curves(m)).Curves
 		for _, stage := range stages(in.s) {
 			for _, client := range probedClients {
 				addLayerSeries(res, m, stage, client, cd.LayerNames, cd.Probes[probeKey{stage.round, client}].Layer, "")
@@ -263,7 +264,7 @@ func fig4(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — curve similarity across %d consecutive rounds (client 0)\n", s.Window)
 	for _, m := range curveModels {
-		cd := in.curves(curves(m))
+		cd := in.run(curves(m)).Curves
 		for _, stage := range stages(s) {
 			var curves [][]float64
 			for d := 0; d < s.Window; d++ {
@@ -298,7 +299,7 @@ func fig5(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — full vs sampled profiling (largest layer of each model)\n")
 	for _, m := range curveModels {
-		cd := in.curves(curves(m))
+		cd := in.run(curves(m)).Curves
 		for _, stage := range stages(in.s) {
 			for _, client := range probedClients {
 				pc := cd.Probes[probeKey{stage.round, client}]

@@ -9,8 +9,9 @@ import (
 )
 
 // Every expensive training unit in this package — one federated run to
-// completion, one curve-probe sweep — is a cell: a pure function of a
-// canonical (workload, scheme, scale, seed) key. Cells execute through a
+// completion, one curve-probe sweep — is a cell: a pure function of its
+// run's canonical spec string (expcfg.Options, seed included) and its
+// rounds. Cells execute through a
 // shared internal/execpool executor, which deduplicates identical cells
 // across figures (Fig. 7, Table 1 and Fig. 9 share convergence runs), runs
 // distinct cells in parallel under a CPU-token budget, and optionally
@@ -68,11 +69,7 @@ func prefetch(s Scale, seed uint64, cells []cellSpec) error {
 	for i, c := range cells {
 		fns[i] = func() {
 			in := &inputs{s: s, seed: seed}
-			if c.scheme == "" {
-				in.curves(c)
-			} else {
-				in.conv(c)
-			}
+			in.run(c)
 			errs[i] = in.err
 		}
 	}

@@ -12,12 +12,8 @@ import (
 
 // micro is an even smaller scale than tinyScale, for unit tests: seconds.
 func micro() Scale {
-	return Scale{
-		Name: "tiny", Clients: 4, Rounds: 10, K: 10,
-		TrainN: 384, TestN: 128, BatchSize: 12,
-		EarlyRound: 1, LateRound: 4, Window: 2,
-		ProfilePeriod: 3,
-	}
+	return scale("tiny", 10, 1, 4, 2,
+		"geometry=tiny;clients=4;iters=10;train=384;test=128;batch=12;hetero=true;dynamic=true;fedca.profileperiod=3")
 }
 
 func mustRun(t *testing.T, id string, s Scale, seed uint64) *Result {
@@ -32,7 +28,7 @@ func mustRun(t *testing.T, id string, s Scale, seed uint64) *Result {
 func mustConv(t *testing.T, s Scale, seed uint64, c cellSpec) convRun {
 	t.Helper()
 	in := &inputs{s: s, seed: seed}
-	run := in.conv(c)
+	run := in.run(c)
 	if in.err != nil {
 		t.Fatal(in.err)
 	}
@@ -52,24 +48,27 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestFullMatchesPaperSetup(t *testing.T) {
-	f := fullScale()
-	if f.Clients != 128 || f.K != 125 || f.ProfilePeriod != 10 {
-		t.Fatalf("full scale deviates from the paper: %+v", f)
+	f := fullScale().Base
+	if f.Clients != 128 || f.LocalIters != 125 || f.FedCA.ProfilePeriod != 10 || f.Geometry != "" {
+		t.Fatalf("full scale deviates from the paper: %v", f)
 	}
 }
 
+// TestWorkloadScaling: a cell's workload is the scale's Base lowered, and
+// an unknown model is an error.
 func TestWorkloadScaling(t *testing.T) {
 	s := tinyScale()
+	in := &inputs{s: s, seed: 1}
 	for _, m := range []string{"cnn", "lstm", "wrn"} {
-		w, err := s.Workload(m)
+		w, err := in.workload(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.FL.LocalIters != s.K || w.TrainN != s.TrainN {
+		if w.FL.LocalIters != s.Base.LocalIters || w.TrainN != s.Base.TrainSamples || w.FL.BatchSize != s.Base.BatchSize {
 			t.Fatalf("%s not scaled: %+v", m, w.FL)
 		}
 	}
-	if _, err := s.Workload("nope"); err == nil {
+	if _, err := in.workload("nope"); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -111,7 +110,7 @@ func TestOverheadAccounting(t *testing.T) {
 		if params > 10000 && samples/params > 0.5 {
 			t.Fatalf("%s: sampling fraction too large: %v", m, samples/params)
 		}
-		if res.Values["membytes/"+m] != samples*float64(tinyScale().K)*8 {
+		if res.Values["membytes/"+m] != samples*float64(tinyScale().Base.LocalIters)*8 {
 			t.Fatalf("%s: memory accounting wrong", m)
 		}
 	}
@@ -133,8 +132,8 @@ func TestCurveProbeExperiments(t *testing.T) {
 		t.Fatalf("fig2 has %d series", len(fig2.Series))
 	}
 	for name, curve := range fig2.Series {
-		if len(curve) != s.K {
-			t.Fatalf("%s: curve length %d, want K=%d", name, len(curve), s.K)
+		if len(curve) != s.Base.LocalIters {
+			t.Fatalf("%s: curve length %d, want K=%d", name, len(curve), s.Base.LocalIters)
 		}
 		if math.Abs(curve[len(curve)-1]-1) > 1e-9 {
 			t.Fatalf("%s: P_K = %v, want 1", name, curve[len(curve)-1])
@@ -167,7 +166,7 @@ func TestCurveProbeExperiments(t *testing.T) {
 	// each one's sampled curve.
 	fig5 := mustRun(t, "fig5", s, seed)
 	in := &inputs{s: s, seed: seed}
-	cd := in.curves(curves("cnn"))
+	cd := in.run(curves("cnn")).Curves
 	if in.err != nil {
 		t.Fatal(in.err)
 	}
@@ -230,11 +229,11 @@ func TestConvergenceExperimentsCNN(t *testing.T) {
 	}
 	// The runner's recycle stage drops every update's delta, so a cell holds
 	// no per-update parameter vectors in memory or in the disk cache.
-	for _, run := range []convRun{avg, ca} {
+	for name, run := range map[string]convRun{"fedavg": avg, "fedca": ca} {
 		for _, r := range run.Results {
 			for _, u := range append(append([]fl.Update(nil), r.Collected...), r.Discarded...) {
 				if u.Delta != nil {
-					t.Fatalf("%s round %d: client %d kept its delta", run.SchemeName, r.Round, u.ClientID)
+					t.Fatalf("%s round %d: client %d kept its delta", name, r.Round, u.ClientID)
 				}
 			}
 		}
@@ -280,7 +279,7 @@ func TestProbeSampledCurvesPresent(t *testing.T) {
 	}
 	s := micro()
 	in := &inputs{s: s, seed: 8}
-	cd := in.curves(curves("cnn"))
+	cd := in.run(curves("cnn")).Curves
 	if in.err != nil {
 		t.Fatal(in.err)
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fedca/internal/compress"
-	"fedca/internal/core"
-	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
 	"fedca/internal/report"
@@ -30,22 +27,15 @@ func totalUploadBytes(results []fl.RoundResult) float64 {
 	return total
 }
 
-// commHeavy makes the CNN communication-heavy — a ~35 s full-model upload
-// at 13.7 Mbps, so comm ≈ compute — and uploads through c (nil: none).
-func commHeavy(c compress.Compressor) func(*expcfg.Workload) {
-	return func(w *expcfg.Workload) {
-		w.FL.ModelBytes = 60e6
-		w.FL.Compressor = c
-	}
-}
-
-// compressCells are ext-compress's variants, keyed by their row labels.
+// compressCells are ext-compress's variants, keyed by their row labels. The
+// CNN is made communication-heavy (modelbytes=6e+07: a ~35 s full-model
+// upload at 13.7 Mbps, so comm ≈ compute).
 var compressCells = []cellSpec{
-	custom("fedavg", "fedavg", commHeavy(nil)),
-	custom("fedavg+qsgd7", "fedavg", commHeavy(compress.QSGD{Levels: 7})),
-	custom("fedavg+topk5", "fedavg", commHeavy(compress.TopK{Frac: 0.05})),
-	custom("fedca", "fedca", commHeavy(nil), "s", "fedca"),
-	custom("fedca+qsgd7", "fedca", commHeavy(compress.QSGD{Levels: 7}), "s", "fedca+q"),
+	custom("fedavg", "fedavg", "modelbytes=6e+07"),
+	custom("fedavg+qsgd7", "fedavg", "modelbytes=6e+07;compress=qsgd7"),
+	custom("fedavg+topk5", "fedavg", "modelbytes=6e+07;compress=topk5"),
+	custom("fedca", "fedca", "modelbytes=6e+07", "s", "fedca"),
+	custom("fedca+qsgd7", "fedca", "modelbytes=6e+07;compress=qsgd7", "s", "fedca+q"),
 }
 
 // extCompress compares FedCA's computation-communication overlap against the
@@ -58,13 +48,13 @@ func extCompress(in *inputs) *Result {
 	tbl := report.NewTable("Extension — FedCA vs quantization/sparsification (CNN, comm-heavy)",
 		"Variant", "Best acc", "Total time (s)", "Upload (MB)")
 	for _, cell := range compressCells {
-		run := in.conv(cell)
+		run := in.run(cell)
 		c := metrics.ConvergenceOf(run.Results, 2) // never reached: summary over all rounds
 		bytes := totalUploadBytes(run.Results)
-		tbl.AddRow(run.SchemeName, c.BestAcc, c.TotalTime, bytes/1e6)
-		res.Values["best/"+run.SchemeName] = c.BestAcc
-		res.Values["total/"+run.SchemeName] = c.TotalTime
-		res.Values["bytes/"+run.SchemeName] = bytes
+		tbl.AddRow(cell.name, c.BestAcc, c.TotalTime, bytes/1e6)
+		res.Values["best/"+cell.name] = c.BestAcc
+		res.Values["total/"+cell.name] = c.TotalTime
+		res.Values["bytes/"+cell.name] = bytes
 	}
 	res.Text = tbl.String()
 	return res
@@ -74,10 +64,10 @@ func extCompress(in *inputs) *Result {
 // clients a round (SchemeByName's default cohort for it); SAFA aggregates
 // at 70 %, so stragglers exist to be reused.
 var selectionCells = []cellSpec{
-	custom("sel-fedavg", "fedavg", nil),
-	custom("sel-oort50", "oort", nil),
-	custom("sel-safa", "safa", func(w *expcfg.Workload) { w.FL.AggregateFraction = 0.7 }),
-	custom("sel-fedca", "fedca", nil, "s", "fedca-sel"),
+	custom("sel-fedavg", "fedavg", ""),
+	custom("sel-oort50", "oort", ""),
+	custom("sel-safa", "safa", "aggfrac=0.7"),
+	custom("sel-fedca", "fedca", "", "s", "fedca-sel"),
 }
 
 // extSelection compares full participation (FedAvg) with Oort-style guided
@@ -88,8 +78,8 @@ func extSelection(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — participation strategies under heterogeneity (CNN)\n")
 	for _, cell := range selectionCells {
-		run := in.conv(cell)
-		key := strings.TrimPrefix(run.SchemeName, "sel-")
+		run := in.run(cell)
+		key := strings.TrimPrefix(cell.name, "sel-")
 		c := metrics.ConvergenceOf(run.Results, 2)
 		mean := metrics.MeanRoundDuration(run.Results, 1)
 		_, accs := metrics.AccuracyCurve(run.Results)
@@ -104,9 +94,8 @@ func extSelection(in *inputs) *Result {
 // hpCells are ext-hp's variants: standard FedCA, then FedCA with
 // core.Options.AdaptiveLR. Each draws from Fork("s", its row label).
 var hpCells = []cellSpec{
-	custom("hp-fedca", "fedca", nil, "s", "fedca"),
-	{kind: "custom", model: "cnn", name: "hp-fedca+adaptlr", scheme: "fedca", fork: []any{"s", "fedca+adaptlr"},
-		fedca: func(o *core.Options) { o.AdaptiveLR = true }},
+	custom("hp-fedca", "fedca", "", "s", "fedca"),
+	custom("hp-fedca+adaptlr", "fedca", "fedca.adaptivelr=true", "s", "fedca+adaptlr"),
 }
 
 // extHyperparam measures the Sec. 6 future-work idea implemented in
@@ -117,8 +106,8 @@ func extHyperparam(in *inputs) *Result {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — client-autonomous intra-round LR decay (CNN)\n")
 	for _, cell := range hpCells {
-		run := in.conv(cell)
-		key := strings.TrimPrefix(run.SchemeName, "hp-")
+		run := in.run(cell)
+		key := strings.TrimPrefix(cell.name, "hp-")
 		c := metrics.ConvergenceOf(run.Results, 2)
 		_, accs := metrics.AccuracyCurve(run.Results)
 		res.Values["best/"+key] = c.BestAcc

@@ -72,7 +72,9 @@ func Cells(id string, s Scale, seed uint64) ([]execpool.Spec, error) {
 	}
 	specs := make([]execpool.Spec, len(e.cells))
 	for i, c := range e.cells {
-		specs[i] = c.spec(s, seed)
+		if specs[i], err = c.address(s, seed); err != nil {
+			return nil, err
+		}
 	}
 	return specs, nil
 }

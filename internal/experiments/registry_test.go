@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"fedca/internal/core"
 	"fedca/internal/execpool"
+	"fedca/internal/expcfg"
+	"fedca/internal/fl"
 )
 
 // TestTableDeclaresEveryCell: once a registry row's cells are prefetched,
@@ -46,12 +50,12 @@ func TestBadNamesFailCleanly(t *testing.T) {
 		curves("nope"),
 	}
 	for _, c := range bad {
-		if _, _, err := runCell(s, 1, c); err == nil {
-			t.Fatalf("runCell(%s/%s) returned no error", c.model, c.scheme)
+		if _, err := runCell(s, 1, c); err == nil {
+			t.Fatalf("runCell(%s) returned no error", c.spec)
 		}
 		for i := 0; i < 2; i++ {
 			if err := prefetch(s, 1, []cellSpec{c}); err == nil {
-				t.Fatalf("cell %s/%s, call %d: no error", c.model, c.scheme, i)
+				t.Fatalf("cell %s, call %d: no error", c.spec, i)
 			}
 		}
 	}
@@ -64,4 +68,74 @@ func TestBadNamesFailCleanly(t *testing.T) {
 	if _, err := Run("nope", s, 1); err == nil {
 		t.Fatal("Run of an unknown experiment returned no error")
 	}
+}
+
+// TestCellsAreTheirSpecs: every registry cell's result is its run spec
+// lowered by Options.Lower and trained under the cell's fork label, round
+// for round. A cell without a label of its own is also Options.NewRun of its
+// spec — the run fedca-sim -spec replays; the curve probe, which records
+// and never acts, is the FedAvg run of its spec. The cells that still carry
+// a label are exactly the FedCA variants: their streams differ from NewRun's
+// until the label gives way.
+func TestCellsAreTheirSpecs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	s := micro()
+	s.Rounds = 3
+	const seed = 17
+	seen := make(map[execpool.Spec]bool)
+	var labelled []string
+	for _, id := range IDs() {
+		for _, c := range registry[id].cells {
+			addr, err := c.address(s, seed)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.name, err)
+			}
+			if seen[addr] {
+				continue
+			}
+			seen[addr] = true
+			run, err := runCell(s, seed, c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.name, err)
+			}
+			o, err := c.options(s, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runner *fl.Runner
+			if c.label == nil {
+				runner, err = o.NewRun()
+			} else {
+				labelled = append(labelled, id+"/"+c.name)
+				w, tcfg, lerr := o.Lower()
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				sch, serr := expcfg.SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, c.label...)
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				runner, err = expcfg.Build(w, o.Clients, tcfg, o.Seed).NewRunner(sch)
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.name, err)
+			}
+			if _, fedca := runner.Scheme.(*core.Scheme); fedca != (c.label != nil) {
+				t.Errorf("%s/%s: label %v on scheme %s: only a FedCA variant carries a label", id, c.name, c.label, o.Scheme)
+			}
+			for i, want := range run.Results {
+				if got := runner.RunRound(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s round %d differs from its spec's run:\ncell: %+v\nspec: %+v", id, c.name, i, want, got)
+				}
+			}
+			if run.Stats != nil {
+				if st := runner.SchemeStats(); !reflect.DeepEqual(st, *run.Stats) {
+					t.Fatalf("%s/%s: scheme stats differ: cell %+v, spec %+v", id, c.name, *run.Stats, st)
+				}
+			}
+		}
+	}
+	t.Logf("%d distinct cells; %d carry their own fork label: %v", len(seen), len(labelled), labelled)
 }
