@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"fedca/internal/expcfg"
+	"fedca/internal/metrics"
 	"fedca/internal/report"
 	"fedca/internal/runlog"
 )
@@ -34,7 +35,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fedca-plot:", err)
 			os.Exit(2)
 		}
-		ts, as := run.AccuracyCurve()
+		ts, as := metrics.AccuracyCurve(run.Rounds)
 		name := path
 		var o expcfg.Options
 		if run.Header.Spec != "" && o.Set(run.Header.Spec) == nil {

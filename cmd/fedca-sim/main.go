@@ -194,9 +194,9 @@ func main() {
 			note += fmt.Sprintf(" quarantined=%d", r.Quarantined)
 		}
 		fmt.Printf("%5d %12.1f %10.1f %8.4f %8.1f %7.1f %7.1f%s\n",
-			r.Round, r.End, r.Duration(), r.Accuracy, r.MeanIterations, r.MeanEagerSent, r.MeanRetrans, note)
+			r.Index, r.End, r.Duration(), r.Accuracy, r.MeanIterations, r.EagerSent, r.Retransmitted, note)
 		if logw != nil {
-			if err := logw.WriteRound(r); err != nil {
+			if err := logw.WriteRound(r.RoundRecord); err != nil {
 				fail(err)
 			}
 		}
@@ -262,7 +262,7 @@ func runReplay(args []string) {
 	budget := cputok.Default()
 	defer budget.Return(budget.Cover())
 	for i, want := range run.Rounds {
-		if got := runlog.FromRoundResult(runner.RunRound()); got != want {
+		if got := runner.RunRound().RoundRecord; got != want {
 			logged, _ := json.Marshal(want)
 			replayed, _ := json.Marshal(got)
 			fmt.Fprintf(os.Stderr, "replay: FAIL — round %d differs\n  log:    %s\n  replay: %s\n", i, logged, replayed)

@@ -176,12 +176,12 @@ func TestCommandSmoke(t *testing.T) {
 			t.Fatalf("fedca-bench -list missing %s:\n%s", id, list)
 		}
 	}
-	// Each cell is listed as its kind, then its run's spec string: a FedAvg
-	// cell's is a run fedca-sim -spec and fedca.Options.Set accept.
+	// Each cell is listed as its run's spec string, then its rounds: a
+	// FedAvg cell's is a run fedca-sim -spec and fedca.Options.Set accept.
 	fedavgSpec := ""
 	for _, line := range strings.Split(string(list), "\n") {
-		if f := strings.Fields(line); len(f) > 1 && f[0] == "conv" && strings.Contains(f[1], ";scheme=fedavg;") {
-			fedavgSpec = f[1]
+		if f := strings.Fields(line); len(f) > 1 && strings.Contains(f[0], ";scheme=fedavg;") {
+			fedavgSpec = f[0]
 			break
 		}
 	}
@@ -249,7 +249,7 @@ func TestLibraryAndCLIBuildSameRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, want := range run.Rounds {
-				if got := fed.RunRound().Record(); got != want {
+				if got := fed.RunRound(); got != want {
 					t.Fatalf("round %d: library %+v, fedca-sim -log %+v", i, got, want)
 				}
 			}

@@ -35,7 +35,7 @@ func TestEquivalences(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			a, b := federation(t, row.a), federation(t, row.b)
 			for i := 0; i < equivalenceRounds; i++ {
-				if ra, rb := a.RunRound().Record(), b.RunRound().Record(); ra != rb {
+				if ra, rb := a.RunRound(), b.RunRound(); ra != rb {
 					t.Fatalf("round %d differs:\n%s: %+v\n%s: %+v", i, row.a, ra, row.b, rb)
 				}
 			}

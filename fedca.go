@@ -17,7 +17,6 @@ import (
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/metrics"
-	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
 )
 
@@ -82,29 +81,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// Round is one completed communication round, as reported to library users.
-type Round struct {
-	Index          int
-	Start, End     float64 // virtual seconds
-	Accuracy       float64
-	MeanIterations float64
-	EagerSent      float64 // mean eager transmissions per collected client
-	Retransmitted  float64
-	Collected      int
-	// Discarded counts the updates left out of aggregation: dropouts,
-	// quarantined updates and arrivals after the partial-aggregation cut.
-	Discarded int
-	Dropped   int
-	// Skipped marks a round that closed without aggregating (below quorum
-	// after dropouts and quarantines); the global model was left unchanged.
-	Skipped bool
-	// Quarantined counts updates rejected by server-side validation.
-	Quarantined int
-	// UploadBytes is the uplink payload of every participant, failed
-	// attempts included; LinkRetries counts those failed attempts.
-	UploadBytes float64
-	LinkRetries int
-}
+// Round is one completed communication round, as reported to library
+// users: the runner's round record, the line fedca-sim -log writes for it.
+type Round = fl.RoundRecord
 
 // Federation is a ready-to-run simulated FL deployment.
 type Federation struct {
@@ -143,7 +122,7 @@ func New(opts Options) (*Federation, error) {
 func (f *Federation) RunRound() Round {
 	budget := cputok.Default()
 	defer budget.Return(budget.Cover())
-	r := toRound(f.runner.RunRound())
+	r := f.runner.RunRound().RoundRecord
 	f.rounds = append(f.rounds, r)
 	f.lastMu.Lock()
 	f.lastRound = r
@@ -180,11 +159,7 @@ func (f *Federation) RunToAccuracy(target float64, maxRounds int) Convergence {
 			break
 		}
 	}
-	results := make([]fl.RoundResult, len(f.rounds))
-	for i, r := range f.rounds {
-		results[i] = fl.RoundResult{Start: r.Start, End: r.End, Accuracy: r.Accuracy}
-	}
-	c := metrics.ConvergenceOf(results, target)
+	c := metrics.ConvergenceOf(f.rounds, target)
 	return Convergence{
 		Reached:      c.Reached,
 		Rounds:       c.Rounds,
@@ -322,49 +297,4 @@ func (f *Federation) Snapshot() Snapshot {
 		snap.FedCA = &st
 	}
 	return snap
-}
-
-// toRound reports a round as its run-log record does (runlog.FromRoundResult),
-// so a record rebuilt from a Round (Round.Record) equals the one fedca-sim
-// -log writes.
-func toRound(res fl.RoundResult) Round {
-	rec := runlog.FromRoundResult(res)
-	return Round{
-		Index:          rec.Round,
-		Start:          rec.Start,
-		End:            rec.End,
-		Accuracy:       rec.Accuracy,
-		MeanIterations: rec.MeanIterations,
-		EagerSent:      rec.MeanEagerSent,
-		Retransmitted:  rec.MeanRetrans,
-		Collected:      rec.Collected,
-		Discarded:      rec.Discarded,
-		Dropped:        rec.Dropped,
-		Skipped:        rec.Skipped,
-		Quarantined:    rec.Quarantined,
-		UploadBytes:    rec.UploadBytes,
-		LinkRetries:    rec.LinkRetries,
-	}
-}
-
-// Record returns the run-log record the round was reported from: the line
-// fedca-sim -log writes for it, and what the soak's run log holds.
-func (r Round) Record() runlog.Record {
-	return runlog.Record{
-		Kind:           "round",
-		Round:          r.Index,
-		Start:          r.Start,
-		End:            r.End,
-		Accuracy:       r.Accuracy,
-		Collected:      r.Collected,
-		Discarded:      r.Discarded,
-		Dropped:        r.Dropped,
-		MeanIterations: r.MeanIterations,
-		MeanEagerSent:  r.EagerSent,
-		MeanRetrans:    r.Retransmitted,
-		UploadBytes:    r.UploadBytes,
-		Skipped:        r.Skipped,
-		Quarantined:    r.Quarantined,
-		LinkRetries:    r.LinkRetries,
-	}
 }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Compressor lossily encodes a flat update vector for transmission.
@@ -149,15 +151,15 @@ func ByName(spec string) (Compressor, error) {
 	switch {
 	case spec == "" || spec == "none":
 		return None{}, nil
-	case len(spec) > 4 && spec[:4] == "qsgd":
-		var levels int
-		if _, err := fmt.Sscanf(spec[4:], "%d", &levels); err != nil || levels < 1 {
+	case strings.HasPrefix(spec, "qsgd"):
+		levels, err := strconv.Atoi(spec[4:])
+		if err != nil || levels < 1 {
 			return nil, fmt.Errorf("compress: bad qsgd spec %q", spec)
 		}
 		return QSGD{Levels: levels}, nil
-	case len(spec) > 4 && spec[:4] == "topk":
-		var pct float64
-		if _, err := fmt.Sscanf(spec[4:], "%g", &pct); err != nil || pct <= 0 || pct > 100 {
+	case strings.HasPrefix(spec, "topk"):
+		pct, err := strconv.ParseFloat(spec[4:], 64)
+		if err != nil || !(pct > 0 && pct <= 100) {
 			return nil, fmt.Errorf("compress: bad topk spec %q", spec)
 		}
 		return TopK{Frac: pct / 100}, nil

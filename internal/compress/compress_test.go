@@ -135,7 +135,7 @@ func TestByName(t *testing.T) {
 	if c, _ := ByName("topk1"); c.Name() != "topk1" {
 		t.Fatalf("topk1 is named %q", c.Name())
 	}
-	for _, bad := range []string{"qsgd0", "qsgdx", "topk0", "topk200", "zip"} {
+	for _, bad := range []string{"qsgd0", "qsgdx", "qsgd7x", "topk0", "topk200", "topk5x", "topkNaN", "zip"} {
 		if _, err := ByName(bad); err == nil {
 			t.Fatalf("%q should error", bad)
 		}

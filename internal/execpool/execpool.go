@@ -30,9 +30,9 @@ import (
 	"fedca/internal/telemetry"
 )
 
-// Spec canonically identifies one cell. Kind names the cell family ("conv",
-// "curves", ...); Key encodes every parameter the result depends on,
-// including the seed. Two cells with equal specs must compute equal values.
+// Spec canonically identifies one cell. Kind optionally names a family of
+// cells; Key encodes every parameter the result depends on, including the
+// seed. Two cells with equal specs must compute equal values.
 type Spec struct {
 	Kind string
 	Key  string

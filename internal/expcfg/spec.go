@@ -224,9 +224,8 @@ func canonCompress(s string) (string, error) {
 	case compress.QSGD:
 		return c.Name(), nil
 	}
-	pct, err := strconv.ParseFloat(strings.TrimPrefix(s, "topk"), 64)
-	if err != nil {
-		return "", fmt.Errorf("expcfg: bad topk percentage in %q", s)
-	}
+	// The percentage as written, not TopK.Name's Frac·100, which can miss
+	// it by an ulp; ByName has parsed it whole.
+	pct, _ := strconv.ParseFloat(strings.TrimPrefix(s, "topk"), 64)
 	return "topk" + formatFloat(pct), nil
 }

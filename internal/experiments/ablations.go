@@ -35,7 +35,7 @@ func ablationFloor(in *inputs) *Result {
 	target := in.target("cnn")
 	for _, off := range floorOff {
 		run := in.run(floorCell(off))
-		c := metrics.ConvergenceOf(run.Results, target)
+		c := metrics.ConvergenceOf(run.records(), target)
 		stops := expand(run.Stats.EarlyStopsByIter)
 		meanStop := meanInt(stops)
 		label := "with floor"
@@ -119,7 +119,7 @@ func ablationPeriod(in *inputs) *Result {
 	target := in.target("cnn")
 	for _, period := range periods {
 		run := in.run(periodCell(period))
-		c := metrics.ConvergenceOf(run.Results, target)
+		c := metrics.ConvergenceOf(run.records(), target)
 		res.Values[fmt.Sprintf("total/%d", period)] = c.TotalTime
 		res.Values[fmt.Sprintf("best/%d", period)] = c.BestAcc
 		fmt.Fprintf(&b, "period=%-3d best=%.3f time-to-target=%.0fs (reached=%v)\n", period, c.BestAcc, c.TotalTime, c.Reached)
@@ -151,7 +151,7 @@ func ablationDeadline(in *inputs) *Result {
 	target := in.target("cnn")
 	for _, rule := range deadlineRules {
 		run := in.run(ruleCell(rule))
-		c := metrics.ConvergenceOf(run.Results, target)
+		c := metrics.ConvergenceOf(run.records(), target)
 		res.Values["total/"+rule.label] = c.TotalTime
 		res.Values["best/"+rule.label] = c.BestAcc
 		fmt.Fprintf(&b, "%-14s best=%.3f time-to-target=%.0fs (reached=%v) per-round=%.1fs\n",

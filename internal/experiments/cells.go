@@ -13,13 +13,13 @@ import (
 
 // cellSpec declares one cell: the run of the scale's Base plus spec, trained
 // for Scale.Rounds rounds, or the curve probe of that run. name labels the
-// cell's row in its experiment; kind and the run's canonical text are its
-// cache identity (address).
+// cell's row in its experiment; the run's canonical text is its cache
+// identity (address).
 type cellSpec struct {
-	kind, name string
-	spec       string // key=value overrides of the scale's Base: model=…;scheme=…;…
-	label      []any  // RNG fork label of a FedCA variant; nil is NewRun's "scheme"
-	probe      bool   // the curve probe instead of the scheme's training run
+	name  string
+	spec  string // key=value overrides of the scale's Base: model=…;scheme=…;…
+	label []any  // RNG fork label of a FedCA variant; nil is NewRun's "scheme"
+	probe bool   // the curve probe instead of the scheme's training run
 }
 
 // options is the cell's run at (s, seed): the scale's Base at seed with the
@@ -31,11 +31,11 @@ func (c cellSpec) options(s Scale, seed uint64) (expcfg.Options, error) {
 	return o, err
 }
 
-// address is the cell's executor address at (s, seed): its kind, and a key
-// of its run's canonical spec string, the rounds it trains (for a probe, the
-// rounds it probes) and its fork label when it has one.
-// Cells of one kind that run the same spec under the same label share an
-// address, whatever their names.
+// address is the cell's executor address at (s, seed): a key of its run's
+// canonical spec string, the rounds it trains (for a probe, the rounds it
+// probes) and its fork label when it has one. Cells that run the same spec
+// under the same label share an address, whatever their names and
+// experiments, so the suite trains each such run once.
 func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
 	o, err := c.options(s, seed)
 	if err != nil {
@@ -48,7 +48,7 @@ func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
 	if c.label != nil {
 		key += fmt.Sprintf(" label=%v", c.label)
 	}
-	return execpool.Spec{Kind: c.kind, Key: key}, nil
+	return execpool.Spec{Key: key}, nil
 }
 
 // conv is a registered scheme's convergence run on a workload (Fig. 7,
@@ -56,7 +56,7 @@ func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
 // seed, as in the paper's testbed. A FedCA variant draws from
 // Fork("scheme", scheme).
 func conv(model, scheme string) cellSpec {
-	c := cellSpec{kind: "conv", name: scheme, spec: "model=" + model + ";scheme=" + scheme}
+	c := cellSpec{name: scheme, spec: "model=" + model + ";scheme=" + scheme}
 	if strings.HasPrefix(scheme, "fedca") {
 		c.label = []any{"scheme", scheme}
 	}
@@ -81,14 +81,14 @@ func cnnTarget(cells ...cellSpec) []cellSpec {
 // custom is an extension's CNN run of a registered scheme with the
 // overrides spec, under its own name and fork label.
 func custom(name, scheme, spec string, label ...any) cellSpec {
-	return cellSpec{kind: "custom", name: name, spec: "model=cnn;scheme=" + scheme + ";" + spec, label: label}
+	return cellSpec{name: name, spec: "model=cnn;scheme=" + scheme + ";" + spec, label: label}
 }
 
 // curves is a workload's curve-probe sweep (Figs. 2–5): FedAvg, recording.
 // Curve probing studies statistics, not timing, so homogeneous static speeds
 // keep the run fast and change nothing about trajectories.
 func curves(model string) cellSpec {
-	return cellSpec{kind: "curves", name: model, spec: "model=" + model + ";scheme=fedavg;hetero=false;dynamic=false", probe: true}
+	return cellSpec{name: model, spec: "model=" + model + ";scheme=fedavg;hetero=false;dynamic=false", probe: true}
 }
 
 // grid is one conv cell per (model, scheme), models outermost.
@@ -121,6 +121,15 @@ type convRun struct {
 	Results []fl.RoundResult
 	Stats   *core.SchemeStats
 	Curves  *CurveData
+}
+
+// records is the run's round records.
+func (r convRun) records() []fl.RoundRecord {
+	recs := make([]fl.RoundRecord, len(r.Results))
+	for i, res := range r.Results {
+		recs[i] = res.RoundRecord
+	}
+	return recs
 }
 
 // runCell is the package's one training loop: it lowers the cell's run

@@ -21,7 +21,7 @@ func fig7(in *inputs) *Result {
 	for _, m := range curveModels {
 		for _, scheme := range convergenceSchemes {
 			run := in.run(conv(m, scheme))
-			times, accs := metrics.AccuracyCurve(run.Results)
+			times, accs := metrics.AccuracyCurve(run.records())
 			res.Series[fmt.Sprintf("%s-%s-time", m, scheme)] = times
 			res.Series[fmt.Sprintf("%s-%s-acc", m, scheme)] = accs
 			final := accs[len(accs)-1]
@@ -45,7 +45,7 @@ func table1(in *inputs) *Result {
 		res.Values["target/"+m] = target
 		for _, scheme := range convergenceSchemes {
 			run := in.run(conv(m, scheme))
-			c := metrics.ConvergenceOf(run.Results, target)
+			c := metrics.ConvergenceOf(run.records(), target)
 			tb.AddRow(m, target, scheme, c.PerRoundTime, c.Rounds, c.TotalTime/3600, fmt.Sprintf("%v", c.Reached))
 			res.Values[fmt.Sprintf("perround/%s/%s", m, scheme)] = c.PerRoundTime
 			res.Values[fmt.Sprintf("rounds/%s/%s", m, scheme)] = float64(c.Rounds)
@@ -76,11 +76,11 @@ func fig9(in *inputs) *Result {
 		target := in.target(m)
 		for _, scheme := range fig9Schemes {
 			run := in.run(conv(m, scheme))
-			times, accs := metrics.AccuracyCurve(run.Results)
+			times, accs := metrics.AccuracyCurve(run.records())
 			lbl := labels[scheme]
 			res.Series[fmt.Sprintf("%s-%s-time", m, lbl)] = times
 			res.Series[fmt.Sprintf("%s-%s-acc", m, lbl)] = accs
-			c := metrics.ConvergenceOf(run.Results, target)
+			c := metrics.ConvergenceOf(run.records(), target)
 			res.Values[fmt.Sprintf("total/%s/%s", m, lbl)] = c.TotalTime
 			res.Values[fmt.Sprintf("best/%s/%s", m, lbl)] = c.BestAcc
 			fmt.Fprintf(&b, "%-5s %-7s acc %s  best=%.3f  time-to-%.2f=%.0fs (reached=%v)\n",
@@ -106,10 +106,10 @@ func fig10a(in *inputs) *Result {
 	target := in.target("cnn")
 	for _, beta := range betas {
 		run := in.run(betaCell(beta))
-		times, accs := metrics.AccuracyCurve(run.Results)
+		times, accs := metrics.AccuracyCurve(run.records())
 		res.Series[fmt.Sprintf("beta%g-time", beta)] = times
 		res.Series[fmt.Sprintf("beta%g-acc", beta)] = accs
-		c := metrics.ConvergenceOf(run.Results, target)
+		c := metrics.ConvergenceOf(run.records(), target)
 		res.Values[fmt.Sprintf("total/beta%g", beta)] = c.TotalTime
 		res.Values[fmt.Sprintf("best/beta%g", beta)] = c.BestAcc
 		fmt.Fprintf(&b, "β=%-6g acc %s  best=%.3f  time-to-target=%.0fs (reached=%v)\n",
@@ -136,10 +136,10 @@ func fig10b(in *inputs) *Result {
 	target := in.target("cnn")
 	for _, combo := range thresholds {
 		run := in.run(thresholdCell(combo))
-		times, accs := metrics.AccuracyCurve(run.Results)
+		times, accs := metrics.AccuracyCurve(run.records())
 		res.Series[fmt.Sprintf("te%g-tr%g-acc", combo.te, combo.tr)] = accs
 		res.Series[fmt.Sprintf("te%g-tr%g-time", combo.te, combo.tr)] = times
-		c := metrics.ConvergenceOf(run.Results, target)
+		c := metrics.ConvergenceOf(run.records(), target)
 		res.Values[fmt.Sprintf("best/te%g-tr%g", combo.te, combo.tr)] = c.BestAcc
 		res.Values[fmt.Sprintf("total/te%g-tr%g", combo.te, combo.tr)] = c.TotalTime
 		fmt.Fprintf(&b, "Te=%.2f Tr=%.2f acc %s  best=%.3f  time-to-target=%.0fs (reached=%v)\n",

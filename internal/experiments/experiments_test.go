@@ -233,7 +233,7 @@ func TestConvergenceExperimentsCNN(t *testing.T) {
 		for _, r := range run.Results {
 			for _, u := range append(append([]fl.Update(nil), r.Collected...), r.Discarded...) {
 				if u.Delta != nil {
-					t.Fatalf("%s round %d: client %d kept its delta", name, r.Round, u.ClientID)
+					t.Fatalf("%s round %d: client %d kept its delta", name, r.Index, u.ClientID)
 				}
 			}
 		}

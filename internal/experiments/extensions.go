@@ -14,15 +14,10 @@ import (
 // future-work idea (client-autonomous hyperparameter adjustment) implemented
 // and measured.
 
-func totalUploadBytes(results []fl.RoundResult) float64 {
+func totalUploadBytes(rounds []fl.RoundRecord) float64 {
 	total := 0.0
-	for _, r := range results {
-		for _, u := range r.Collected {
-			total += u.UploadBytes
-		}
-		for _, u := range r.Discarded {
-			total += u.UploadBytes
-		}
+	for _, r := range rounds {
+		total += r.UploadBytes
 	}
 	return total
 }
@@ -49,8 +44,8 @@ func extCompress(in *inputs) *Result {
 		"Variant", "Best acc", "Total time (s)", "Upload (MB)")
 	for _, cell := range compressCells {
 		run := in.run(cell)
-		c := metrics.ConvergenceOf(run.Results, 2) // never reached: summary over all rounds
-		bytes := totalUploadBytes(run.Results)
+		c := metrics.ConvergenceOf(run.records(), 2) // never reached: summary over all rounds
+		bytes := totalUploadBytes(run.records())
 		tbl.AddRow(cell.name, c.BestAcc, c.TotalTime, bytes/1e6)
 		res.Values["best/"+cell.name] = c.BestAcc
 		res.Values["total/"+cell.name] = c.TotalTime
@@ -80,9 +75,9 @@ func extSelection(in *inputs) *Result {
 	for _, cell := range selectionCells {
 		run := in.run(cell)
 		key := strings.TrimPrefix(cell.name, "sel-")
-		c := metrics.ConvergenceOf(run.Results, 2)
-		mean := metrics.MeanRoundDuration(run.Results, 1)
-		_, accs := metrics.AccuracyCurve(run.Results)
+		c := metrics.ConvergenceOf(run.records(), 2)
+		mean := metrics.MeanRoundDuration(run.records(), 1)
+		_, accs := metrics.AccuracyCurve(run.records())
 		res.Values["best/"+key] = c.BestAcc
 		res.Values["meanround/"+key] = mean
 		fmt.Fprintf(&b, "%-8s acc %s  best=%.3f  mean round=%.1fs\n", key, report.Sparkline(accs), c.BestAcc, mean)
@@ -108,8 +103,8 @@ func extHyperparam(in *inputs) *Result {
 	for _, cell := range hpCells {
 		run := in.run(cell)
 		key := strings.TrimPrefix(cell.name, "hp-")
-		c := metrics.ConvergenceOf(run.Results, 2)
-		_, accs := metrics.AccuracyCurve(run.Results)
+		c := metrics.ConvergenceOf(run.records(), 2)
+		_, accs := metrics.AccuracyCurve(run.records())
 		res.Values["best/"+key] = c.BestAcc
 		res.Values["final/"+key] = c.FinalAcc
 		fmt.Fprintf(&b, "%-15s acc %s  best=%.3f final=%.3f\n", key, report.Sparkline(accs), c.BestAcc, c.FinalAcc)

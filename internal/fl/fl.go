@@ -44,9 +44,10 @@
 //     element's operation order that of the serial client-major loop, so the
 //     result is bit-identical for any worker count or fan-in.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
-//   - record (record): History, RoundResult, RunnerStats, every
-//     client-round's Update fed to all its observers by one call (observe),
-//     the round's telemetry and journal events, slots back to the fleet.
+//   - record (record): History, the RoundResult and its RoundRecord,
+//     RunnerStats, every client-round's Update fed to all its observers by
+//     one call (observe), the round's telemetry and journal events, slots
+//     back to the fleet.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -169,14 +170,16 @@ type Config struct {
 
 // Telemetry receives a run's live metrics and trace; *telemetry.Sink
 // implements it. Workers call ObserveIteration; the cohort stage wires the
-// link observers; the record stage, serially, the rest.
+// link observers; the record stage, serially, the rest. RoundDone takes the
+// record by value: a pointer through the interface would move every round's
+// record to the heap.
 type Telemetry interface {
 	ObserveIteration(sec float64)
 	UpObserver() simnet.TransferObserver
 	DownObserver() simnet.TransferObserver
 	ClientRound(round int, start float64, u *Update)
 	ObserveSchemeStats(st SchemeStats)
-	RoundDone(round int, start, end, accuracy float64, collected, quarantined, dropped int, skipped bool)
+	RoundDone(rec RoundRecord)
 	ObserveCohort(fleet, cohort int)
 }
 
@@ -185,8 +188,8 @@ type Telemetry interface {
 // serially, so its stream is worker-count invariant.
 type Journal interface {
 	ClientRound(round int, start float64, u *Update)
-	RoundDone(round int, vtime float64, collected, quarantined, dropped int, skipped bool)
-	Cohort(round, fleet, cohort int, materialized, recycled int64, uploadBytes float64)
+	RoundDone(rec RoundRecord)
+	Cohort(rec RoundRecord, fleet, cohort int, materialized, recycled int64)
 }
 
 // Validate applies defaults and rejects nonsense.

@@ -99,8 +99,8 @@ func TestRunRoundBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := r.RunRound()
-	if res.Round != 0 {
-		t.Fatalf("round = %d", res.Round)
+	if res.Index != 0 {
+		t.Fatalf("round = %d", res.Index)
 	}
 	// 90% of 8 → ceil(7.2) = 8: all collected.
 	if len(res.Collected) != 8 || len(res.Discarded) != 0 {

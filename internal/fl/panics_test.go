@@ -139,8 +139,8 @@ func TestAllDroppedRoundSkips(t *testing.T) {
 	}
 	// The run continues: the next round executes without panicking.
 	res2 := r.RunRound()
-	if res2.Round != 1 || !res2.Skipped {
-		t.Fatalf("second round = %+v, want round 1, still skipped at p=1", res2.Round)
+	if res2.Index != 1 || !res2.Skipped {
+		t.Fatalf("second round = %+v, want round 1, still skipped at p=1", res2.Index)
 	}
 	if r.Stats().SkippedRounds != 2 {
 		t.Fatal("second skipped round not counted")

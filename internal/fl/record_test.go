@@ -7,7 +7,9 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/chaos"
+	"fedca/internal/core"
 	"fedca/internal/expcfg"
+	"fedca/internal/fl"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
 )
@@ -79,5 +81,70 @@ func TestDropoutJournaledWhenTraced(t *testing.T) {
 	}
 	if len(traced) != len(journaled) {
 		t.Errorf("dropouts traced for %d clients, journaled for %d", len(traced), len(journaled))
+	}
+}
+
+// TestRoundRecordSumsItsUpdates: over a FedCA chaos run with drops, link
+// retries and quarantines, every round's record holds the counts, sums and
+// means of its own client-rounds — what the run log, the facade and the
+// observers all read from it.
+func TestRoundRecordSumsItsUpdates(t *testing.T) {
+	w := tinyWorkload()
+	w.FL.RetainUpdateDeltas = false
+	ccfg, err := chaos.ParseSpec("drop=0.3,xfail=0.3,retries=3,corrupt=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.FL.Chaos, err = chaos.NewEngine(ccfg, 11); err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := expcfg.SchemeByName("fedca", &w.FL, core.DefaultOptions(w.FL.LocalIters), 11, "scheme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := expcfg.Build(w, 6, trace.PaperConfig(), 11).NewRunner(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total fl.RoundRecord
+	for i := 0; i < 6; i++ {
+		res := r.RunRound()
+		want := fl.RoundRecord{
+			Index: i, Start: res.Start, End: res.End, Accuracy: res.Accuracy,
+			Collected: len(res.Collected), Discarded: len(res.Discarded),
+			Skipped: res.Skipped,
+		}
+		var iters, eager, retr float64
+		for _, u := range res.Collected {
+			iters += float64(u.Iterations)
+			eager += float64(u.EagerSent)
+			retr += float64(u.Retransmitted)
+		}
+		if n := float64(want.Collected); n > 0 {
+			want.MeanIterations, want.EagerSent, want.Retransmitted = iters/n, eager/n, retr/n
+		}
+		for _, us := range [][]fl.Update{res.Collected, res.Discarded} {
+			for _, u := range us {
+				want.UploadBytes += u.UploadBytes
+				want.LinkRetries += u.LinkRetries
+				if u.Dropped {
+					want.Dropped++
+				}
+				if u.Quarantined {
+					want.Quarantined++
+				}
+			}
+		}
+		if res.RoundRecord != want {
+			t.Fatalf("round %d: record %+v, its updates sum to %+v", i, res.RoundRecord, want)
+		}
+		total.Dropped += want.Dropped
+		total.LinkRetries += want.LinkRetries
+		total.Quarantined += want.Quarantined
+		total.UploadBytes += want.UploadBytes
+	}
+	if total.Dropped == 0 || total.LinkRetries == 0 || total.Quarantined == 0 || total.UploadBytes == 0 {
+		t.Fatalf("run exercised %d drops, %d link retries, %d quarantines, %v upload bytes; want all non-zero (seed-dependent: adjust the seed)",
+			total.Dropped, total.LinkRetries, total.Quarantined, total.UploadBytes)
 	}
 }

@@ -13,26 +13,52 @@ import (
 	"fedca/internal/tensor"
 )
 
-// RoundResult summarizes one completed round.
-type RoundResult struct {
-	Round      int
-	Start, End float64 // virtual time
-	Collected  []Update
-	Discarded  []Update
-	Accuracy   float64 // global model accuracy after aggregation
-	Plan       RoundPlan
-
+// RoundRecord is the one summary of a completed round: the line a run log
+// writes for it (runlog.Record), the round the facade reports (fedca.Round)
+// and what the telemetry sink and the journal observe. The record stage
+// fills it in its one walk over the round's client-rounds (observe). Its
+// JSON form is the run log's; zero degradation fields are omitted, so
+// fault-free logs carry none of them.
+type RoundRecord struct {
+	Index    int     `json:"round"`
+	Start    float64 `json:"start"` // virtual seconds
+	End      float64 `json:"end"`
+	Accuracy float64 `json:"accuracy"` // global model accuracy after aggregation
+	// Collected counts the updates aggregated (on a skipped round, the
+	// below-quorum survivors); Discarded the ones left out: dropouts,
+	// quarantined updates and arrivals after the partial-aggregation cut.
+	Collected int `json:"collected"`
+	Discarded int `json:"discarded"`
+	Dropped   int `json:"dropped"`
+	// The means are over the collected updates: local iterations, eager
+	// transmissions and retransmitted layers per client.
+	MeanIterations float64 `json:"mean_iterations"`
+	EagerSent      float64 `json:"mean_eager_sent,omitempty"`
+	Retransmitted  float64 `json:"mean_retrans,omitempty"`
+	// UploadBytes is the uplink payload of every participant, failed
+	// attempts included; LinkRetries counts those failed attempts.
+	UploadBytes float64 `json:"upload_bytes"`
 	// Skipped marks a round that closed without aggregating: fewer valid
 	// updates survived (dropout, quarantine) than the quorum requires. The
-	// global model is unchanged; Collected holds the below-quorum survivors.
-	Skipped bool
+	// global model is unchanged.
+	Skipped bool `json:"skipped,omitempty"`
 	// Quarantined counts updates that arrived but failed validation; they
 	// sit in Discarded with Update.Quarantined set.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
+	LinkRetries int `json:"link_retries,omitempty"`
+}
 
-	MeanIterations float64
-	MeanEagerSent  float64
-	MeanRetrans    float64
+// Duration returns the round's virtual wall time.
+func (r RoundRecord) Duration() float64 { return r.End - r.Start }
+
+// RoundResult is one completed round: its record and the client-rounds
+// behind it. The update lists shadow the record's counts of the same names,
+// which are their lengths.
+type RoundResult struct {
+	RoundRecord
+	Collected []Update
+	Discarded []Update
+	Plan      RoundPlan
 }
 
 // RunnerStats aggregates the run's degradation events. Snapshot via
@@ -96,9 +122,6 @@ func (s *SchemeStats) fold(u *Update) {
 		}
 	}
 }
-
-// Duration returns the round's virtual wall time.
-func (r RoundResult) Duration() float64 { return r.End - r.Start }
 
 // Runner drives a full FL training run for one scheme.
 type Runner struct {
@@ -553,30 +576,32 @@ func (r *Runner) recycle(c roundCut) {
 // cut. Out: the RoundResult. Serial.
 func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResult {
 	res := RoundResult{
-		Round:       r.round,
-		Start:       c.start,
-		End:         c.end,
-		Collected:   c.collected,
-		Discarded:   c.discarded,
-		Plan:        plan,
-		Skipped:     c.skipped,
-		Quarantined: c.quarantined,
+		RoundRecord: RoundRecord{
+			Index:       r.round,
+			Start:       c.start,
+			End:         c.end,
+			Skipped:     c.skipped,
+			Quarantined: c.quarantined,
+		},
+		Collected: c.collected,
+		Discarded: c.discarded,
+		Plan:      plan,
 	}
 	if r.Test != nil {
 		res.Accuracy = Evaluate(r.global, r.Test, r.Cfg.EvalBatch)
 	}
-	dropped, upBytes := r.observe(&res, len(cohort))
+	r.observe(&res, len(cohort))
 	if t := r.Cfg.Telemetry; t != nil {
-		t.RoundDone(r.round, c.start, c.end, res.Accuracy, len(c.collected), c.quarantined, dropped, c.skipped)
+		t.RoundDone(res.RoundRecord)
 		t.ObserveCohort(r.Fleet.Size(), len(cohort))
 	}
 	if j := r.Cfg.Journal; j != nil {
-		j.RoundDone(res.Round, res.End, len(res.Collected), res.Quarantined, dropped, res.Skipped)
+		j.RoundDone(res.RoundRecord)
 		var made, recycled int64
 		if fs, ok := r.Fleet.(FleetStats); ok {
 			made, recycled = fs.SlotStats()
 		}
-		j.Cohort(res.Round, r.Fleet.Size(), len(cohort), made, recycled, upBytes)
+		j.Cohort(res.RoundRecord, r.Fleet.Size(), len(cohort), made, recycled)
 	}
 
 	// Return cohort slots to the fleet's pool (no-op for static fleets).
@@ -592,15 +617,16 @@ func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResul
 
 // observe is the one walk over a round's client-rounds. It feeds each
 // Update to History (the survivors' timings, fresh even on skipped rounds;
-// quarantined updates are distrusted), the RoundResult's means, RunnerStats,
-// SchemeStats, the sink and the journal, walking Collected, then Discarded —
-// the journal's event order, and its attribution table's admission order
-// once full — and clears the records' Eager lists. It returns the round's
-// dropouts and upload bytes. statsMu is never held across an observer.
-func (r *Runner) observe(res *RoundResult, cohort int) (dropped int, upBytes float64) {
+// quarantined updates are distrusted), the round's record (counts, sums and
+// the means over Collected), RunnerStats, SchemeStats, the sink and the
+// journal, walking Collected, then Discarded — the journal's event order,
+// and its attribution table's admission order once full — and clears the
+// records' Eager lists. statsMu is never held across an observer.
+func (r *Runner) observe(res *RoundResult, cohort int) {
 	t, j := r.Cfg.Telemetry, r.Cfg.Journal
+	rec := &res.RoundRecord
+	rec.Collected, rec.Discarded = len(res.Collected), len(res.Discarded)
 	var sumIter, sumEager, sumRetr float64
-	linkRetries := 0
 	for k, us := range [][]Update{res.Collected, res.Discarded} {
 		for i := range us {
 			u := &us[i]
@@ -611,41 +637,40 @@ func (r *Runner) observe(res *RoundResult, cohort int) (dropped int, upBytes flo
 				sumRetr += float64(u.Retransmitted)
 			}
 			if u.Dropped {
-				dropped++
+				rec.Dropped++
 			}
-			linkRetries += u.LinkRetries
-			upBytes += u.UploadBytes
+			rec.LinkRetries += u.LinkRetries
+			rec.UploadBytes += u.UploadBytes
 			r.statsMu.Lock()
 			r.schemeStats.fold(u)
 			r.statsMu.Unlock()
 			if t != nil {
-				t.ClientRound(res.Round, res.Start, u)
+				t.ClientRound(rec.Index, rec.Start, u)
 			}
 			if j != nil {
-				j.ClientRound(res.Round, res.Start, u)
+				j.ClientRound(rec.Index, rec.Start, u)
 			}
 			u.Eager = nil
 		}
 	}
-	if n := float64(len(res.Collected)); n > 0 {
-		res.MeanIterations = sumIter / n
-		res.MeanEagerSent = sumEager / n
-		res.MeanRetrans = sumRetr / n
+	if n := float64(rec.Collected); n > 0 {
+		rec.MeanIterations = sumIter / n
+		rec.EagerSent = sumEager / n
+		rec.Retransmitted = sumRetr / n
 	}
 	r.statsMu.Lock()
 	r.stats.Rounds++
-	if res.Skipped {
+	if rec.Skipped {
 		r.stats.SkippedRounds++
 	}
-	r.stats.Quarantined += res.Quarantined
-	r.stats.DroppedRounds += dropped
-	r.stats.LinkRetries += linkRetries
+	r.stats.Quarantined += rec.Quarantined
+	r.stats.DroppedRounds += rec.Dropped
+	r.stats.LinkRetries += rec.LinkRetries
 	r.stats.CohortClients += cohort
 	r.statsMu.Unlock()
 	if t != nil {
 		t.ObserveSchemeStats(r.schemeStats)
 	}
-	return dropped, upBytes
 }
 
 // maxStepRatio bounds an update's L2 norm at this multiple of the global

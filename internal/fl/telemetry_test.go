@@ -49,7 +49,7 @@ func TestTelemetryInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := lw.WriteRound(r.RunRound()); err != nil {
+			if err := lw.WriteRound(r.RunRound().RoundRecord); err != nil {
 				t.Fatal(err)
 			}
 		}

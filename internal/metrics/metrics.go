@@ -64,7 +64,7 @@ type Convergence struct {
 
 // ConvergenceOf scans round results for the first round whose accuracy
 // reaches target. Time is measured from the first round's start.
-func ConvergenceOf(results []fl.RoundResult, target float64) Convergence {
+func ConvergenceOf(results []fl.RoundRecord, target float64) Convergence {
 	var c Convergence
 	if len(results) == 0 {
 		return c
@@ -91,7 +91,7 @@ func ConvergenceOf(results []fl.RoundResult, target float64) Convergence {
 
 // AccuracyCurve extracts the (time, accuracy) series of a run, time measured
 // from the first round's start (the Fig. 7 axes).
-func AccuracyCurve(results []fl.RoundResult) (times, accs []float64) {
+func AccuracyCurve(results []fl.RoundRecord) (times, accs []float64) {
 	if len(results) == 0 {
 		return nil, nil
 	}
@@ -142,7 +142,7 @@ func RMSE(a, b []float64) float64 {
 
 // MeanRoundDuration averages round durations, optionally skipping the first
 // skip rounds (e.g. anchor/bootstrap rounds).
-func MeanRoundDuration(results []fl.RoundResult, skip int) float64 {
+func MeanRoundDuration(results []fl.RoundRecord, skip int) float64 {
 	if skip >= len(results) {
 		return math.NaN()
 	}

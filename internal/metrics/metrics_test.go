@@ -53,12 +53,12 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func rr(round int, start, end, acc float64) fl.RoundResult {
-	return fl.RoundResult{Round: round, Start: start, End: end, Accuracy: acc}
+func rr(round int, start, end, acc float64) fl.RoundRecord {
+	return fl.RoundRecord{Index: round, Start: start, End: end, Accuracy: acc}
 }
 
 func TestConvergenceReached(t *testing.T) {
-	results := []fl.RoundResult{
+	results := []fl.RoundRecord{
 		rr(0, 0, 10, 0.3),
 		rr(1, 10, 20, 0.5),
 		rr(2, 20, 32, 0.62),
@@ -80,7 +80,7 @@ func TestConvergenceReached(t *testing.T) {
 }
 
 func TestConvergenceNotReached(t *testing.T) {
-	results := []fl.RoundResult{rr(0, 0, 10, 0.3), rr(1, 10, 20, 0.4)}
+	results := []fl.RoundRecord{rr(0, 0, 10, 0.3), rr(1, 10, 20, 0.4)}
 	c := ConvergenceOf(results, 0.9)
 	if c.Reached {
 		t.Fatal("should not reach")
@@ -99,7 +99,7 @@ func TestConvergenceEmpty(t *testing.T) {
 
 func TestConvergenceNonZeroOrigin(t *testing.T) {
 	// Times must be measured from the first round's start.
-	results := []fl.RoundResult{rr(5, 100, 110, 0.7)}
+	results := []fl.RoundRecord{rr(5, 100, 110, 0.7)}
 	c := ConvergenceOf(results, 0.6)
 	if c.TotalTime != 10 {
 		t.Fatalf("total time = %v, want 10", c.TotalTime)
@@ -107,10 +107,13 @@ func TestConvergenceNonZeroOrigin(t *testing.T) {
 }
 
 func TestAccuracyCurve(t *testing.T) {
-	results := []fl.RoundResult{rr(0, 50, 60, 0.3), rr(1, 60, 75, 0.5)}
+	results := []fl.RoundRecord{rr(0, 50, 60, 0.3), rr(1, 60, 75, 0.5)}
 	ts, as := AccuracyCurve(results)
 	if ts[0] != 10 || ts[1] != 25 || as[0] != 0.3 || as[1] != 0.5 {
 		t.Fatalf("curve = %v %v", ts, as)
+	}
+	if ts, _ := AccuracyCurve(nil); ts != nil {
+		t.Fatal("empty curve must be nil")
 	}
 }
 
@@ -130,7 +133,7 @@ func TestMaxAbsDiffAndRMSE(t *testing.T) {
 }
 
 func TestMeanRoundDuration(t *testing.T) {
-	results := []fl.RoundResult{rr(0, 0, 10, 0), rr(1, 10, 14, 0), rr(2, 14, 20, 0)}
+	results := []fl.RoundRecord{rr(0, 0, 10, 0), rr(1, 10, 14, 0), rr(2, 14, 20, 0)}
 	if m := MeanRoundDuration(results, 0); math.Abs(m-20.0/3) > 1e-12 {
 		t.Fatalf("mean = %v", m)
 	}

@@ -49,7 +49,7 @@ func FuzzReadRoundTrip(f *testing.F) {
 			}
 		}
 		for _, rec := range run.Rounds {
-			if err := w.WriteRecord(rec); err != nil {
+			if err := w.WriteRound(rec); err != nil {
 				t.Fatalf("re-serializing accepted record: %v", err)
 			}
 		}

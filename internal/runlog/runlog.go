@@ -21,57 +21,9 @@ type Header struct {
 	Spec string `json:"spec"`
 }
 
-// Record is one logged round.
-type Record struct {
-	Kind           string  `json:"kind"` // always "round"
-	Round          int     `json:"round"`
-	Start          float64 `json:"start"`
-	End            float64 `json:"end"`
-	Accuracy       float64 `json:"accuracy"`
-	Collected      int     `json:"collected"`
-	Discarded      int     `json:"discarded"`
-	Dropped        int     `json:"dropped"`
-	MeanIterations float64 `json:"mean_iterations"`
-	MeanEagerSent  float64 `json:"mean_eager_sent,omitempty"`
-	MeanRetrans    float64 `json:"mean_retrans,omitempty"`
-	UploadBytes    float64 `json:"upload_bytes"`
-
-	// Degradation telemetry (zero-valued fields are omitted so fault-free
-	// logs look exactly like they used to).
-	Skipped     bool `json:"skipped,omitempty"`     // round closed without aggregating
-	Quarantined int  `json:"quarantined,omitempty"` // updates rejected by validation
-	LinkRetries int  `json:"link_retries,omitempty"`
-}
-
-// FromRoundResult converts a round result into a loggable record.
-func FromRoundResult(r fl.RoundResult) Record {
-	rec := Record{
-		Kind:           "round",
-		Round:          r.Round,
-		Start:          r.Start,
-		End:            r.End,
-		Accuracy:       r.Accuracy,
-		Collected:      len(r.Collected),
-		Discarded:      len(r.Discarded),
-		MeanIterations: r.MeanIterations,
-		MeanEagerSent:  r.MeanEagerSent,
-		MeanRetrans:    r.MeanRetrans,
-	}
-	rec.Skipped = r.Skipped
-	rec.Quarantined = r.Quarantined
-	for _, u := range r.Collected {
-		rec.UploadBytes += u.UploadBytes
-		rec.LinkRetries += u.LinkRetries
-	}
-	for _, u := range r.Discarded {
-		rec.UploadBytes += u.UploadBytes
-		rec.LinkRetries += u.LinkRetries
-		if u.Dropped {
-			rec.Dropped++
-		}
-	}
-	return rec
-}
+// Record is one logged round: the runner's round record, written tagged
+// kind "round".
+type Record = fl.RoundRecord
 
 // PhaseMarker is one executed soak phase: its position and its canonical
 // spec string, seed included, which alone reproduces it (soak.RunPhase). A
@@ -110,16 +62,12 @@ func (w *Writer) WriteHeader(h Header) error {
 	return w.emit(h)
 }
 
-// WriteRound emits one round record.
-func (w *Writer) WriteRound(r fl.RoundResult) error {
-	return w.emit(FromRoundResult(r))
-}
-
-// WriteRecord emits an already-built round record (e.g. replaying a parsed
-// log). The kind tag is forced to "round".
-func (w *Writer) WriteRecord(r Record) error {
-	r.Kind = "round"
-	return w.emit(r)
+// WriteRound emits one round record, tagged kind "round".
+func (w *Writer) WriteRound(r Record) error {
+	return w.emit(struct {
+		Kind string `json:"kind"`
+		Record
+	}{"round", r})
 }
 
 // WritePhase emits a soak-phase boundary marker, tagged kind "phase".
@@ -212,18 +160,4 @@ func Open(path string) (*Run, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// AccuracyCurve extracts (end-time, accuracy) pairs, time measured from the
-// first round's start.
-func (r *Run) AccuracyCurve() (times, accs []float64) {
-	if len(r.Rounds) == 0 {
-		return nil, nil
-	}
-	origin := r.Rounds[0].Start
-	for _, rec := range r.Rounds {
-		times = append(times, rec.End-origin)
-		accs = append(accs, rec.Accuracy)
-	}
-	return times, accs
 }

@@ -6,21 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"fedca/internal/fl"
 )
 
-func sampleResult(round int, start, end, acc float64) fl.RoundResult {
-	return fl.RoundResult{
-		Round: round, Start: start, End: end, Accuracy: acc,
-		Collected: []fl.Update{
-			{ClientID: 0, UploadBytes: 100},
-			{ClientID: 1, UploadBytes: 150},
-		},
-		Discarded: []fl.Update{
-			{ClientID: 2, UploadBytes: 50, Dropped: true},
-		},
-		MeanIterations: 9.5,
+func sampleRecord(round int, start, end, acc float64) Record {
+	return Record{
+		Index: round, Start: start, End: end, Accuracy: acc,
+		Collected: 2, Discarded: 1, Dropped: 1,
+		MeanIterations: 9.5, UploadBytes: 300,
 	}
 }
 
@@ -30,10 +22,10 @@ func TestRoundTripBuffer(t *testing.T) {
 	if err := w.WriteHeader(Header{Spec: "v=1;model=cnn;scheme=fedca;clients=3;iters=10;seed=42;alpha=0.1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRound(sampleResult(0, 0, 12.5, 0.4)); err != nil {
+	if err := w.WriteRound(sampleRecord(0, 0, 12.5, 0.4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRound(sampleResult(1, 12.5, 20, 0.6)); err != nil {
+	if err := w.WriteRound(sampleRecord(1, 12.5, 20, 0.6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -71,7 +63,7 @@ func TestRoundTripFile(t *testing.T) {
 	if err := w.WriteHeader(Header{Spec: "model=lstm;scheme=fedavg"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRound(sampleResult(0, 0, 5, 0.2)); err != nil {
+	if err := w.WriteRound(sampleRecord(0, 0, 5, 0.2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -83,21 +75,6 @@ func TestRoundTripFile(t *testing.T) {
 	}
 	if run.Header.Spec != "model=lstm;scheme=fedavg" || len(run.Rounds) != 1 {
 		t.Fatalf("run = %+v", run)
-	}
-}
-
-func TestAccuracyCurve(t *testing.T) {
-	run := &Run{Rounds: []Record{
-		{Start: 100, End: 110, Accuracy: 0.3},
-		{Start: 110, End: 130, Accuracy: 0.5},
-	}}
-	ts, as := run.AccuracyCurve()
-	if ts[0] != 10 || ts[1] != 30 || as[1] != 0.5 {
-		t.Fatalf("curve = %v %v", ts, as)
-	}
-	empty := &Run{}
-	if ts, _ := empty.AccuracyCurve(); ts != nil {
-		t.Fatal("empty curve must be nil")
 	}
 }
 
@@ -128,14 +105,13 @@ func TestOpenMissingFile(t *testing.T) {
 }
 
 func TestInfinityNotEmitted(t *testing.T) {
-	// A dropped-only discarded list still serializes (no Inf fields leak
-	// into the JSON: CompletionTime is not logged).
+	// JSON has no infinity: a record holding one is an error, not a line.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	res := sampleResult(0, 0, 1, 0.1)
-	res.Discarded[0].CompletionTime = math.Inf(1)
-	if err := w.WriteRound(res); err != nil {
-		t.Fatal(err)
+	rec := sampleRecord(0, 0, 1, 0.1)
+	rec.End = math.Inf(1)
+	if err := w.WriteRound(rec); err == nil {
+		t.Fatal("a record with an infinite end time was written")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -330,11 +330,10 @@ func (r *Runner) runPhase(info PhaseInfo, p Phase, run fedca.Options, record fun
 		r.status.Round = globalRound
 		r.mu.Unlock()
 		if r.cfg.Log != nil {
-			rec := rd.Record()
-			rec.Round = globalRound - 1
+			rd.Index = globalRound - 1
 			// Log-write errors surface at Close; the soak must not abort
 			// mid-phase over a full disk.
-			_ = r.cfg.Log.WriteRecord(rec)
+			_ = r.cfg.Log.WriteRound(rd)
 		}
 		if globalRound%r.cfg.CheckEvery == 0 {
 			var ms runtime.MemStats
@@ -385,9 +384,9 @@ func playPhase(info PhaseInfo, p Phase, run fedca.Options, observe func(*fedca.F
 	}, nil
 }
 
-// hashRound folds one round's canonical JSON encoding into the phase
-// fingerprint. encoding/json renders float64 in shortest round-trip form,
-// so equal bytes <=> bit-identical round results.
+// hashRound folds one round's record, in its run-log JSON encoding, into
+// the phase fingerprint. encoding/json renders float64 in shortest
+// round-trip form, so equal bytes <=> bit-identical round records.
 func hashRound(h hash.Hash, rd fedca.Round) {
 	b, err := json.Marshal(rd)
 	if err != nil {

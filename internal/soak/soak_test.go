@@ -242,8 +242,8 @@ func TestSoakRunLogPhaseMarkers(t *testing.T) {
 	}
 	// Round indices are globally monotonic across phases.
 	for i, rec := range run.Rounds {
-		if rec.Round != i {
-			t.Fatalf("round %d logged with index %d", i, rec.Round)
+		if rec.Index != i {
+			t.Fatalf("round %d logged with index %d", i, rec.Index)
 		}
 	}
 }

@@ -264,7 +264,7 @@ func TestEventsCursorLosesNothing(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			j.RoundDone(i, 0, 1, 0, 0, false)
+			j.RoundDone(fl.RoundRecord{Index: i, Collected: 1})
 		}
 	}()
 	seen := make([]int, total+1)

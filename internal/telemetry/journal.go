@@ -168,32 +168,32 @@ func (j *Journal) Tail(n int) []Event {
 // RoundDone records one completed round (skipped or aggregated). Its
 // quarantines and dropouts are recorded per client, by ClientRound. It
 // implements fl.Journal, as does Cohort.
-func (j *Journal) RoundDone(round int, vtime float64, collected, quarantined, dropped int, skipped bool) {
+func (j *Journal) RoundDone(rec fl.RoundRecord) {
 	if j == nil {
 		return
 	}
 	typ := EvRound
-	if skipped {
+	if rec.Skipped {
 		typ = EvRoundSkip
 	}
 	j.record(Event{
-		Type: typ, Round: round, Client: -1, VTime: vtime,
-		Detail: fmt.Sprintf("collected=%d quarantined=%d dropped=%d", collected, quarantined, dropped),
+		Type: typ, Round: rec.Index, Client: -1, VTime: rec.End,
+		Detail: fmt.Sprintf("collected=%d quarantined=%d dropped=%d", rec.Collected, rec.Quarantined, rec.Dropped),
 	})
 }
 
 // Cohort records one round's cohort lifecycle: the cohort size drawn from
 // the fleet, the fleet's cumulative slot-pool counters (materializations and
 // recycles; zero for static fleets, which never pool) and the round's total
-// upload bytes.
-func (j *Journal) Cohort(round, fleet, cohort int, materialized, recycled int64, uploadBytes float64) {
+// upload bytes, read from its record.
+func (j *Journal) Cohort(rec fl.RoundRecord, fleet, cohort int, materialized, recycled int64) {
 	if j == nil {
 		return
 	}
 	j.record(Event{
-		Type: EvCohort, Round: round, Client: -1,
+		Type: EvCohort, Round: rec.Index, Client: -1,
 		Detail: fmt.Sprintf("fleet=%d cohort=%d materialized=%d recycled=%d upload_bytes=%.0f",
-			fleet, cohort, materialized, recycled, uploadBytes),
+			fleet, cohort, materialized, recycled, rec.UploadBytes),
 	})
 }
 

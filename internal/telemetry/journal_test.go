@@ -20,7 +20,7 @@ func TestJournalSequenceAndEviction(t *testing.T) {
 	for _, total := range []int{1, 7, 31, 32, 33, 100, 1000} {
 		j := NewJournal(capacity)
 		for i := 0; i < total; i++ {
-			j.RoundDone(i, float64(i), 4, 0, 0, false)
+			j.RoundDone(fl.RoundRecord{Index: i, End: float64(i), Collected: 4})
 		}
 		if got := j.LastSeq(); got != uint64(total) {
 			t.Fatalf("LastSeq = %d after %d events", got, total)
@@ -76,7 +76,7 @@ func TestJournalConcurrentReaderSeesNoGaps(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			j.RoundDone(i, 0, 1, 0, 0, false)
+			j.RoundDone(fl.RoundRecord{Index: i, Collected: 1})
 		}
 	}()
 	var last uint64
@@ -208,8 +208,8 @@ func TestClientTableBound(t *testing.T) {
 // TestJournalEventTypes spot-checks each emitter's rendered event.
 func TestJournalEventTypes(t *testing.T) {
 	j := NewJournal(64)
-	j.RoundDone(1, 10, 8, 1, 2, false)
-	j.RoundDone(2, 20, 0, 0, 9, true)
+	j.RoundDone(fl.RoundRecord{Index: 1, End: 10, Collected: 8, Quarantined: 1, Dropped: 2})
+	j.RoundDone(fl.RoundRecord{Index: 2, End: 20, Dropped: 9, Skipped: true})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 4, Quarantined: true, CompletionTime: 9.5})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 5, Iterations: 17, Dropped: true, Anchor: true, TrainEnd: 8.0})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 3, Chaos: &chaos.Plan{Down: []chaos.LinkWindow{{From: 1, To: 2, Scale: 0}}}})
@@ -256,7 +256,7 @@ func TestJournalEventTypes(t *testing.T) {
 // TestNilJournalSafe proves the disabled journal is inert end to end.
 func TestNilJournalSafe(t *testing.T) {
 	var j *Journal
-	j.RoundDone(0, 0, 0, 0, 0, false)
+	j.RoundDone(fl.RoundRecord{})
 	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	if j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
 		t.Fatal("nil journal must be inert")
@@ -292,7 +292,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 func TestJournalWriteSince(t *testing.T) {
 	j := NewJournal(0)
 	for i := 0; i < 4; i++ {
-		j.RoundDone(i, float64(i), 1, 0, 0, false)
+		j.RoundDone(fl.RoundRecord{Index: i, End: float64(i), Collected: 1})
 	}
 	w := &failingWriter{failAt: 2}
 	seq, err := j.WriteSince(w, 1)

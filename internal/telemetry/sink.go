@@ -225,39 +225,39 @@ func mirror(c *Counter, total int) { c.Add(float64(total) - c.Value()) }
 
 // RoundDone records one completed round: gauges, counters, the round-duration
 // histogram and the server-track round span.
-func (s *Sink) RoundDone(round int, start, end, accuracy float64, collected, quarantined, dropped int, skipped bool) {
+func (s *Sink) RoundDone(rec fl.RoundRecord) {
 	if s == nil {
 		return
 	}
 	s.Rounds.Inc()
-	if skipped {
+	if rec.Skipped {
 		s.SkippedRounds.Inc()
 	}
-	s.Quarantined.Add(float64(quarantined))
-	s.Dropouts.Add(float64(dropped))
-	s.Round.Set(float64(round + 1))
-	s.VirtualTime.Set(end)
-	s.Accuracy.Set(accuracy)
-	s.RoundSeconds.Observe(end - start)
+	s.Quarantined.Add(float64(rec.Quarantined))
+	s.Dropouts.Add(float64(rec.Dropped))
+	s.Round.Set(float64(rec.Index + 1))
+	s.VirtualTime.Set(rec.End)
+	s.Accuracy.Set(rec.Accuracy)
+	s.RoundSeconds.Observe(rec.Duration())
 	args := map[string]any{
-		"round":     round,
-		"collected": collected,
-		"accuracy":  accuracy,
+		"round":     rec.Index,
+		"collected": rec.Collected,
+		"accuracy":  rec.Accuracy,
 	}
-	if skipped {
+	if rec.Skipped {
 		args["skipped"] = true
 	}
-	if quarantined > 0 {
-		args["quarantined"] = quarantined
+	if rec.Quarantined > 0 {
+		args["quarantined"] = rec.Quarantined
 	}
-	if dropped > 0 {
-		args["dropped"] = dropped
+	if rec.Dropped > 0 {
+		args["dropped"] = rec.Dropped
 	}
 	name := "round"
-	if skipped {
+	if rec.Skipped {
 		name = "round (skipped)"
 	}
-	s.tracer.Span(serverTrack, name, "round", start, end, args)
+	s.tracer.Span(serverTrack, name, "round", rec.Start, rec.End, args)
 }
 
 // ObserveCohort records the fleet population and the size of the cohort a
