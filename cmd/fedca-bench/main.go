@@ -127,7 +127,7 @@ func main() {
 // of distinct cells the whole suite trains, which is what -exp all computes
 // on a cold cache.
 func listCells(scale experiments.Scale, seed uint64) {
-	distinct := make(map[execpool.Spec]bool)
+	distinct := make(map[string]bool)
 	for _, id := range experiments.IDs() {
 		cells, err := experiments.Cells(id, scale, seed)
 		if err != nil {
@@ -136,7 +136,7 @@ func listCells(scale experiments.Scale, seed uint64) {
 		}
 		fmt.Printf("%s (%d cells)\n", id, len(cells))
 		for _, c := range cells {
-			fmt.Printf("  %s\n", c.Key)
+			fmt.Printf("  %s\n", c)
 			distinct[c] = true
 		}
 	}

@@ -133,7 +133,7 @@ func main() {
 		fail(err)
 	}
 	cfg := &runner.Cfg
-	fedca, _ := runner.Scheme.(*core.Scheme)
+	_, fedca := runner.Scheme.(*core.Scheme)
 	compName := "none"
 	if cfg.Compressor != nil {
 		compName = cfg.Compressor.Name()
@@ -149,7 +149,7 @@ func main() {
 			o.Fleet, cfg.Participation, cohort)
 	}
 	if *httpAddr != "" {
-		mux := telemetry.NewMux(o.Telemetry, o.Journal, statusFunc(runner, fedca, o.Telemetry))
+		mux := telemetry.NewMux(o.Telemetry, o.Journal, statusFunc(runner, o.Telemetry))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "fedca-sim: http:", err)
@@ -211,13 +211,12 @@ func main() {
 	if eventsFile != nil {
 		fmt.Printf("events: wrote the flight-recorder journal to %s (%d events)\n", *eventsPath, eventsSeq)
 	}
-	if fedca != nil {
-		st := runner.SchemeStats()
+	st := runner.Stats()
+	if fedca {
 		fmt.Printf("fedca: early-stops=%d full-rounds=%d eager=%d retransmissions=%d anchors=%d\n",
 			st.EarlyStops, st.FullRounds, st.EagerSentTotal, st.RetransmitsTotal, st.AnchorRounds)
 	}
 	if cfg.Chaos != nil || cfg.MinQuorum > 0 || cfg.MaxDeltaNorm > 0 {
-		st := runner.Stats()
 		fmt.Printf("degradation: skipped-rounds=%d quarantined=%d dropped-client-rounds=%d link-retries=%d\n",
 			st.SkippedRounds, st.Quarantined, st.DroppedRounds, st.LinkRetries)
 	}
@@ -274,28 +273,21 @@ func runReplay(args []string) {
 
 // statusFunc builds the /status snapshot closure. Everything it touches is
 // safe to read while RunRound executes on the main goroutine: the runner's
-// stats and scheme stats snapshot under its lock, and the sink gauges are
-// atomic.
-func statusFunc(runner *fl.Runner, fedca *core.Scheme, sink *telemetry.Sink) func() any {
+// tally snapshots under its lock, and the sink gauges are atomic.
+func statusFunc(runner *fl.Runner, sink *telemetry.Sink) func() any {
 	type status struct {
-		Round       float64           `json:"round"`
-		VirtualTime float64           `json:"virtual_time_seconds"`
-		Accuracy    float64           `json:"accuracy"`
-		Runner      fl.RunnerStats    `json:"runner"`
-		FedCA       *core.SchemeStats `json:"fedca,omitempty"`
+		Round       float64     `json:"round"`
+		VirtualTime float64     `json:"virtual_time_seconds"`
+		Accuracy    float64     `json:"accuracy"`
+		Stats       fl.RunStats `json:"stats"`
 	}
 	return func() any {
-		st := status{
+		return status{
 			Round:       sink.Round.Value(),
 			VirtualTime: sink.VirtualTime.Value(),
 			Accuracy:    sink.Accuracy.Value(),
-			Runner:      runner.Stats(),
+			Stats:       runner.Stats(),
 		}
-		if fedca != nil {
-			s := runner.SchemeStats()
-			st.FedCA = &s
-		}
-		return st
 	}
 }
 

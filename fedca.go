@@ -203,28 +203,28 @@ func (f *Federation) Events(since uint64) []Event { return f.opts.Journal.Since(
 // Rounds returns every completed round.
 func (f *Federation) Rounds() []Round { return append([]Round(nil), f.rounds...) }
 
-// FedCAStats exposes FedCA's behavioural counters (early stops, eager
-// transmissions, retransmissions); ok is false for non-FedCA schemes.
+// FedCAStats exposes the run's tally for FedCA's behaviour (early stops,
+// eager transmissions, retransmissions, by iteration in Fig. 8's form); ok
+// is false for non-FedCA schemes. It returns the tally DegradationStats
+// does: the runner's one fold of every client-round's record, which
+// advances once per round, when the round is recorded.
 //
-// The stats are the runner's fold of every client-round's record (early stops
-// and eager sends by iteration, in Fig. 8's form), and they advance once per
-// round, when the round is recorded. It is safe to call from another
-// goroutine while RunRound executes — e.g. a monitoring loop charting Fig.
-// 8-style behaviour live — because the runner snapshots the fold under a
-// lock. The rest of Federation's methods follow the usual rule: one goroutine
-// drives rounds, no concurrent RunRound.
-func (f *Federation) FedCAStats() (stats core.SchemeStats, ok bool) {
+// Both are safe to call from another goroutine while RunRound executes —
+// e.g. a monitoring loop charting Fig. 8-style behaviour live — because the
+// runner snapshots the tally under a lock. The rest of Federation's methods
+// follow the usual rule: one goroutine drives rounds, no concurrent
+// RunRound.
+func (f *Federation) FedCAStats() (stats fl.RunStats, ok bool) {
 	if f.fedca == nil {
-		return core.SchemeStats{}, false
+		return fl.RunStats{}, false
 	}
-	return f.runner.SchemeStats(), true
+	return f.runner.Stats(), true
 }
 
-// DegradationStats exposes the runner's graceful-degradation counters —
+// DegradationStats exposes the run's tally for its graceful degradation —
 // skipped rounds, quarantined updates, dropped client-rounds, link
-// retransmissions. Like FedCAStats, it is safe to poll from another
-// goroutine while RunRound executes.
-func (f *Federation) DegradationStats() fl.RunnerStats { return f.runner.Stats() }
+// retransmissions — for every scheme.
+func (f *Federation) DegradationStats() fl.RunStats { return f.runner.Stats() }
 
 // ParamsChecksum returns the SHA-256 of the global model's parameter vector
 // (8-byte little-endian IEEE 754 bits per coordinate), hex-encoded: the
@@ -261,15 +261,13 @@ type Snapshot struct {
 	VirtualTime float64 `json:"virtual_time_seconds"`
 	// Accuracy is the global model's accuracy after the last aggregation.
 	Accuracy float64 `json:"accuracy"`
-	// Degradation aggregates skipped rounds, quarantines, dropouts and link
-	// retries over the whole run.
-	Degradation fl.RunnerStats `json:"degradation"`
+	// Stats is the run's tally: degradation (skipped rounds, quarantines,
+	// dropouts, link retries) and scheme behaviour (early stops, eager sends,
+	// anchors) over the whole run.
+	Stats fl.RunStats `json:"stats"`
 	// Tokens mirrors the process-wide CPU-token budget (shared across all
 	// federations, not per-run).
 	Tokens TokenSnapshot `json:"tokens"`
-	// FedCA carries the scheme's behavioural counters; nil for non-FedCA
-	// schemes.
-	FedCA *core.SchemeStats `json:"fedca,omitempty"`
 }
 
 // Snapshot reports the federation's current status. Unlike Rounds and
@@ -281,20 +279,15 @@ func (f *Federation) Snapshot() Snapshot {
 	f.lastMu.Unlock()
 	st := f.runner.Stats()
 	budget := cputok.Default()
-	snap := Snapshot{
+	return Snapshot{
 		Round:       st.Rounds,
 		VirtualTime: last.End,
 		Accuracy:    last.Accuracy,
-		Degradation: st,
+		Stats:       st,
 		Tokens: TokenSnapshot{
 			Cap:      budget.Cap(),
 			Inflight: budget.Inflight(),
 			Max:      budget.MaxInflight(),
 		},
 	}
-	if f.fedca != nil {
-		st := f.runner.SchemeStats()
-		snap.FedCA = &st
-	}
-	return snap
 }

@@ -2,6 +2,7 @@ package fedca_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	fedca "fedca"
@@ -207,7 +208,7 @@ func TestFacadeChaosSpec(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.RunRound()
 	}
-	if f.DegradationStats() != g.DegradationStats() {
+	if !reflect.DeepEqual(f.DegradationStats(), g.DegradationStats()) {
 		t.Fatalf("chaos runs diverged: %+v vs %+v", f.DegradationStats(), g.DegradationStats())
 	}
 	if f.Accuracy() != g.Accuracy() {

@@ -103,7 +103,7 @@ type TopK struct {
 
 // Name identifies the sparsifier and its keep fraction.
 // Name is the spec ByName builds t from: "topk" and the kept percentage.
-func (t TopK) Name() string { return fmt.Sprintf("topk%g", t.Frac*100) }
+func (t TopK) Name() string { return "topk" + strconv.FormatFloat(t.Frac*100, 'f', -1, 64) }
 
 // CompressInto sparsifies vec into dst. The index scratch for the selection
 // sort still allocates; only the output vector is caller-supplied.
@@ -146,20 +146,23 @@ func (t TopK) CompressInto(vec, dst []float64) float64 {
 }
 
 // ByName constructs a compressor from a spec string: "none", "qsgd<levels>"
-// (e.g. qsgd7), or "topk<percent>" (e.g. topk1 = keep 1%).
+// (e.g. qsgd7), or "topk<percent>" (e.g. topk1 = keep 1%, topk0.5). The
+// number must be written as strconv formats it — digits, no sign, exponent,
+// hex, leading zero or trailing fractional zero — so every accepted spec
+// other than "" is written one way only: ByName normalises nothing away.
 func ByName(spec string) (Compressor, error) {
 	switch {
 	case spec == "" || spec == "none":
 		return None{}, nil
 	case strings.HasPrefix(spec, "qsgd"):
 		levels, err := strconv.Atoi(spec[4:])
-		if err != nil || levels < 1 {
+		if err != nil || levels < 1 || strconv.Itoa(levels) != spec[4:] {
 			return nil, fmt.Errorf("compress: bad qsgd spec %q", spec)
 		}
 		return QSGD{Levels: levels}, nil
 	case strings.HasPrefix(spec, "topk"):
 		pct, err := strconv.ParseFloat(spec[4:], 64)
-		if err != nil || !(pct > 0 && pct <= 100) {
+		if err != nil || !(pct > 0 && pct <= 100) || strconv.FormatFloat(pct, 'f', -1, 64) != spec[4:] {
 			return nil, fmt.Errorf("compress: bad topk spec %q", spec)
 		}
 		return TopK{Frac: pct / 100}, nil

@@ -119,7 +119,7 @@ func TestTopKDeterministicTies(t *testing.T) {
 // TestByName: a compressor's Name is a spec ByName accepts and builds the
 // same compressor from, so a banner or a log can be pasted back as -compress.
 func TestByName(t *testing.T) {
-	for _, spec := range []string{"", "none", "qsgd7", "qsgd2", "topk1", "topk5", "topk0.3", "topk0.007", "topk100"} {
+	for _, spec := range []string{"", "none", "qsgd7", "qsgd2", "topk1", "topk5", "topk0.3", "topk0.007", "topk0.00001", "topk100"} {
 		c, err := ByName(spec)
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
@@ -135,7 +135,8 @@ func TestByName(t *testing.T) {
 	if c, _ := ByName("topk1"); c.Name() != "topk1" {
 		t.Fatalf("topk1 is named %q", c.Name())
 	}
-	for _, bad := range []string{"qsgd0", "qsgdx", "qsgd7x", "topk0", "topk200", "topk5x", "topkNaN", "zip"} {
+	for _, bad := range []string{"qsgd0", "qsgdx", "qsgd7x", "topk0", "topk200", "topk5x", "topkNaN", "zip",
+		"qsgd+7", "qsgd07", "topk+1", "topk01", "topk1e0", "topk0x1p0", "topk0.50", "topk1.", "topk.5"} {
 		if _, err := ByName(bad); err == nil {
 			t.Fatalf("%q should error", bad)
 		}

@@ -7,6 +7,7 @@ import (
 	"fedca/internal/chaos"
 	"fedca/internal/core"
 	"fedca/internal/expcfg"
+	"fedca/internal/fl"
 	"fedca/internal/rng"
 	"fedca/internal/trace"
 )
@@ -84,7 +85,7 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 			}
 		}
 	}
-	st := r.SchemeStats()
+	st := r.Stats()
 	if st.AnchorAborts == 0 {
 		t.Fatal("expected at least one aborted anchor at these probabilities (seed-dependent: adjust seeds)")
 	}
@@ -101,7 +102,7 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 // and every scheme statistic (including the early-stop and eager counts by
 // iteration).
 func TestSchemeDeterministicUnderChaos(t *testing.T) {
-	run := func() ([]float64, float64, core.SchemeStats) {
+	run := func() ([]float64, float64, fl.RunStats) {
 		w := tinyWorkload()
 		w.FL.Chaos = chaosEngine(t, 101)
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 103)
@@ -114,7 +115,7 @@ func TestSchemeDeterministicUnderChaos(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			end = r.RunRound().End
 		}
-		return r.GlobalFlat(), end, r.SchemeStats()
+		return r.GlobalFlat(), end, r.Stats()
 	}
 	p1, e1, s1 := run()
 	p2, e2, s2 := run()

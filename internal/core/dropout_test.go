@@ -78,7 +78,7 @@ func TestDropoutOnAnchorRoundEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	st := r.SchemeStats()
+	st := r.Stats()
 	if st.DroppedRounds != drops {
 		t.Fatalf("stats.DroppedRounds = %d, runner saw %d dropped updates", st.DroppedRounds, drops)
 	}

@@ -11,7 +11,7 @@ import (
 	"fedca/internal/trace"
 )
 
-// TestStatsPollingDuringRound polls the runner's SchemeStats from a second
+// TestStatsPollingDuringRound polls the runner's Stats from a second
 // goroutine while rounds, anchor rounds included, execute. Run under -race
 // this catches any fold field written outside the runner's lock.
 func TestStatsPollingDuringRound(t *testing.T) {
@@ -33,7 +33,7 @@ func TestStatsPollingDuringRound(t *testing.T) {
 				return
 			default:
 			}
-			_ = r.SchemeStats()
+			_ = r.Stats()
 			runtime.Gosched()
 		}
 	}()
@@ -42,7 +42,7 @@ func TestStatsPollingDuringRound(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if st := r.SchemeStats(); st.AnchorRounds == 0 {
+	if st := r.Stats(); st.AnchorRounds == 0 {
 		t.Fatal("expected anchor client-rounds to be counted")
 	}
 }

@@ -79,10 +79,6 @@ type Scheme struct {
 	rows      rowPool // the profilers' anchor-recording rows (see rowPool)
 }
 
-// SchemeStats is FedCA's behaviour over a run, as the runner folds it from
-// its client-rounds' records (fl.Runner.SchemeStats).
-type SchemeStats = fl.SchemeStats
-
 // NewScheme builds a FedCA scheme. r seeds the per-client sampling choices.
 func NewScheme(opt Options, r *rng.RNG) *Scheme {
 	if opt.K <= 0 {

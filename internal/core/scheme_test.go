@@ -96,7 +96,7 @@ func TestAnchorRoundRunsFullAndProfiles(t *testing.T) {
 			t.Fatal("no per-layer curves")
 		}
 	}
-	stats := r.SchemeStats()
+	stats := r.Stats()
 	if stats.AnchorRounds != 4 {
 		t.Fatalf("anchor client-rounds = %d, want 4", stats.AnchorRounds)
 	}
@@ -142,7 +142,7 @@ func TestEarlyStopAfterProfiling(t *testing.T) {
 	if !sawEarlyStop {
 		t.Fatal("no client ever stopped early under FedCA-v1 with heterogeneity")
 	}
-	stats := r.SchemeStats()
+	stats := r.Stats()
 	if stats.EarlyStops == 0 {
 		t.Fatal("stats recorded no early stops")
 	}

@@ -16,7 +16,7 @@ import (
 //	[32] sha256 of the payload
 //	[..] payload: gob-encoded cell value
 //
-// The file name is the cell fingerprint (spec + library version), so a stale
+// The file name is the cell fingerprint (key + library version), so a stale
 // library simply never addresses old entries; a truncated, bit-flipped or
 // mid-write file fails the length/magic/checksum gate and reads as a miss.
 // Writes go through a temp file + rename, so concurrent writers of the same

@@ -26,13 +26,13 @@ func samplePayload() payload {
 
 func TestDiskCacheRoundTrip(t *testing.T) {
 	p := New(Options{Workers: 1, CacheDir: t.TempDir(), Version: "v1"})
-	spec := Spec{Kind: "k", Key: "a"}
+	key := "a"
 	want := samplePayload()
-	Do(p, spec, func() (payload, error) { return want, nil })
+	Do(p, key, func() (payload, error) { return want, nil })
 
 	// A fresh pool over the same directory decodes, not recomputes.
 	q := New(Options{Workers: 1, CacheDir: p.cache.dir, Version: "v1"})
-	got, _ := Do(q, spec, func() (payload, error) {
+	got, _ := Do(q, key, func() (payload, error) {
 		t.Fatal("warm pool must not recompute")
 		return payload{}, nil
 	})
@@ -46,7 +46,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // a different library version — must fall back to recomputation, never crash
 // or serve wrong data.
 func TestCacheCorruptionRecomputes(t *testing.T) {
-	spec := Spec{Kind: "k", Key: "a"}
+	key := "a"
 	cases := []struct {
 		name string
 		// mangle corrupts the stored entry at path (written under version v1).
@@ -121,12 +121,12 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			w := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
-			Do(w, spec, func() (payload, error) { return samplePayload(), nil })
-			tc.mangle(t, w.cache.path(w.fingerprint(spec)))
+			Do(w, key, func() (payload, error) { return samplePayload(), nil })
+			tc.mangle(t, w.cache.path(w.fingerprint(key)))
 
 			r := New(Options{Workers: 1, CacheDir: dir, Version: tc.readVersion})
 			recomputed := false
-			got, _ := Do(r, spec, func() (payload, error) { recomputed = true; return samplePayload(), nil })
+			got, _ := Do(r, key, func() (payload, error) { recomputed = true; return samplePayload(), nil })
 			if !recomputed {
 				t.Fatal("corrupt/stale entry must recompute")
 			}
@@ -139,7 +139,7 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 			}
 			// The recompute repairs the entry: a third pool reads it warm.
 			h := New(Options{Workers: 1, CacheDir: dir, Version: tc.readVersion})
-			Do(h, spec, func() (payload, error) {
+			Do(h, key, func() (payload, error) {
 				t.Fatal("repaired entry must be warm")
 				return payload{}, nil
 			})
@@ -163,7 +163,7 @@ func TestConcurrentWritersSameDir(t *testing.T) {
 			p := New(Options{Workers: 2, CacheDir: dir, Version: "v1"})
 			for c := 0; c < cells; c++ {
 				c := c
-				got, _ := Do(p, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() (payload, error) {
+				got, _ := Do(p, fmt.Sprint(c), func() (payload, error) {
 					pl := samplePayload()
 					pl.Name = fmt.Sprintf("cell-%d", c)
 					return pl, nil
@@ -183,7 +183,7 @@ func TestConcurrentWritersSameDir(t *testing.T) {
 	v := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
 	for c := 0; c < cells; c++ {
 		c := c
-		got, _ := Do(v, Spec{Kind: "k", Key: fmt.Sprint(c)}, func() (payload, error) {
+		got, _ := Do(v, fmt.Sprint(c), func() (payload, error) {
 			t.Fatalf("cell %d not on disk after concurrent writes", c)
 			return payload{}, nil
 		})

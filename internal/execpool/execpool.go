@@ -9,11 +9,11 @@
 //     different figures run exactly once per process, later requests wait for
 //     (or reuse) the first result;
 //   - an optional content-addressed on-disk cache: a cell's fingerprint
-//     (spec + library version) addresses a checksummed gob blob, so repeated
+//     (key + library version) addresses a checksummed gob blob, so repeated
 //     bench/CI invocations are warm across processes.
 //
 // Correctness contract: a cell's compute function must be a pure function of
-// its Spec (every cell forks its own RNG from the seed encoded in the key),
+// its key (every cell forks its own RNG from the seed encoded in it),
 // so executing cells in any order, on any number of workers, from memory or
 // from disk, yields identical values. Corrupt, truncated or stale cache
 // entries are detected by checksum/decode failure and fall back to
@@ -29,14 +29,6 @@ import (
 	"fedca/internal/cputok"
 	"fedca/internal/telemetry"
 )
-
-// Spec canonically identifies one cell. Kind optionally names a family of
-// cells; Key encodes every parameter the result depends on, including the
-// seed. Two cells with equal specs must compute equal values.
-type Spec struct {
-	Kind string
-	Key  string
-}
 
 // Options configures a Pool.
 type Options struct {
@@ -151,9 +143,9 @@ func (p *Pool) Reset() {
 	p.mu.Unlock()
 }
 
-// fingerprint returns the content address of a spec under the pool's library
-// version: sha256(version \0 kind \0 key), hex-encoded.
-func (p *Pool) fingerprint(spec Spec) string {
+// fingerprint returns the content address of a cell key under the pool's
+// library version: sha256(version \0 key), hex-encoded.
+func (p *Pool) fingerprint(key string) string {
 	version := ""
 	if p != nil {
 		version = p.version
@@ -161,23 +153,23 @@ func (p *Pool) fingerprint(spec Spec) string {
 	h := sha256.New()
 	h.Write([]byte(version))
 	h.Write([]byte{0})
-	h.Write([]byte(spec.Kind))
-	h.Write([]byte{0})
-	h.Write([]byte(spec.Key))
+	h.Write([]byte(key))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Do executes the cell identified by spec exactly once per process (and, with
+// Do executes the cell identified by key exactly once per process (and, with
 // a disk cache, once across processes), returning the memoized value on every
-// subsequent call. compute must be a pure function of spec. An error from
+// subsequent call. The key canonically identifies the cell: it encodes every
+// parameter the result depends on, including the seed, so two cells with
+// equal keys compute equal values; compute must be a pure function of it. An error from
 // compute reaches every request that joined the flight and is neither
 // memoized nor persisted: the next request computes again. A nil pool simply
 // calls compute.
-func Do[T any](p *Pool, spec Spec, compute func() (T, error)) (T, error) {
+func Do[T any](p *Pool, key string, compute func() (T, error)) (T, error) {
 	if p == nil {
 		return compute()
 	}
-	fp := p.fingerprint(spec)
+	fp := p.fingerprint(key)
 
 	p.mu.Lock()
 	if v, ok := p.mem[fp]; ok {

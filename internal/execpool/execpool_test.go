@@ -16,7 +16,7 @@ func TestDoMemoizesPerSpec(t *testing.T) {
 	var calls atomic.Int64
 	compute := func() (int, error) { calls.Add(1); return 7, nil }
 	for i := 0; i < 5; i++ {
-		if got, err := Do(p, Spec{Kind: "k", Key: "a"}, compute); got != 7 || err != nil {
+		if got, err := Do(p, "a", compute); got != 7 || err != nil {
 			t.Fatalf("Do = %d, %v", got, err)
 		}
 	}
@@ -24,7 +24,7 @@ func TestDoMemoizesPerSpec(t *testing.T) {
 		t.Fatalf("computed %d times", calls.Load())
 	}
 	// A different key is a different cell.
-	Do(p, Spec{Kind: "k", Key: "b"}, compute)
+	Do(p, "b", compute)
 	if calls.Load() != 2 {
 		t.Fatalf("second cell not computed (calls=%d)", calls.Load())
 	}
@@ -37,7 +37,7 @@ func TestDoMemoizesPerSpec(t *testing.T) {
 func TestNilPoolComputesDirectly(t *testing.T) {
 	var calls int
 	for i := 0; i < 3; i++ {
-		Do(nil, Spec{Kind: "k", Key: "a"}, func() (int, error) { calls++; return calls, nil })
+		Do(nil, "a", func() (int, error) { calls++; return calls, nil })
 	}
 	if calls != 3 {
 		t.Fatalf("nil pool must not memoize (calls=%d)", calls)
@@ -63,7 +63,7 @@ func TestSingleflightDedup(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			results[i], _ = Do(p, Spec{Kind: "k", Key: "slow"}, func() (int, error) {
+			results[i], _ = Do(p, "slow", func() (int, error) {
 				close(started)
 				<-release
 				calls.Add(1)
@@ -101,7 +101,7 @@ func TestTokenBudgetBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		i := i
 		fns = append(fns, func() {
-			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() (int, error) {
+			Do(p, fmt.Sprint(i), func() (int, error) {
 				n := cur.Add(1)
 				for {
 					old := peak.Load()
@@ -130,7 +130,7 @@ func TestSerialPrefetchPreservesOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		fns = append(fns, func() {
-			Do(p, Spec{Kind: "k", Key: fmt.Sprint(i)}, func() (int, error) { order = append(order, i); return i, nil })
+			Do(p, fmt.Sprint(i), func() (int, error) { order = append(order, i); return i, nil })
 		})
 	}
 	p.Prefetch(fns...)
@@ -151,7 +151,7 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer func() { panics <- recover() }()
-			Do(p, Spec{Kind: "k", Key: "boom"}, func() (int, error) {
+			Do(p, "boom", func() (int, error) {
 				<-gate
 				panic("cell exploded")
 			})
@@ -165,7 +165,7 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 		}
 	}
 	// The failed flight must not be memoized: the next request recomputes.
-	got, _ := Do(p, Spec{Kind: "k", Key: "boom"}, func() (int, error) { return 9, nil })
+	got, _ := Do(p, "boom", func() (int, error) { return 9, nil })
 	if got != 9 {
 		t.Fatalf("recompute after panic = %d", got)
 	}
@@ -175,11 +175,11 @@ func TestPanicPropagatesToAllWaiters(t *testing.T) {
 // or disk entry behind, and the next request computes again.
 func TestErrorIsNotMemoized(t *testing.T) {
 	p := New(Options{Workers: 1, CacheDir: t.TempDir(), Version: "v1"})
-	spec := Spec{Kind: "k", Key: "bad"}
+	key := "bad"
 	var calls int
 	fail := func() (int, error) { calls++; return 0, errors.New("bad cell") }
 	for i := 0; i < 2; i++ {
-		if _, err := Do(p, spec, fail); err == nil || err.Error() != "bad cell" {
+		if _, err := Do(p, key, fail); err == nil || err.Error() != "bad cell" {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
@@ -189,26 +189,27 @@ func TestErrorIsNotMemoized(t *testing.T) {
 	if st := p.Stats(); st.Computed != 0 || st.MemHits != 0 || st.DiskWrites != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got, err := Do(p, spec, func() (int, error) { return 3, nil }); got != 3 || err != nil {
+	if got, err := Do(p, key, func() (int, error) { return 3, nil }); got != 3 || err != nil {
 		t.Fatalf("recompute after error = %d, %v", got, err)
 	}
 }
 
-func TestFingerprintSeparatesVersionsKindsKeys(t *testing.T) {
+func TestFingerprintSeparatesVersionsKeys(t *testing.T) {
 	a := New(Options{Workers: 1, Version: "v1"})
 	b := New(Options{Workers: 1, Version: "v2"})
-	s := Spec{Kind: "conv", Key: "cnn/42"}
-	if a.fingerprint(s) == b.fingerprint(s) {
+	key := "cnn/42"
+	if a.fingerprint(key) == b.fingerprint(key) {
 		t.Fatal("version must change the fingerprint")
 	}
-	if a.fingerprint(Spec{Kind: "conv", Key: "x"}) == a.fingerprint(Spec{Kind: "curves", Key: "x"}) {
-		t.Fatal("kind must change the fingerprint")
+	if a.fingerprint("x") == a.fingerprint("y") {
+		t.Fatal("key must change the fingerprint")
 	}
-	// The separator prevents kind/key concatenation ambiguity.
-	if a.fingerprint(Spec{Kind: "ab", Key: "c"}) == a.fingerprint(Spec{Kind: "a", Key: "bc"}) {
-		t.Fatal("kind/key boundary must be unambiguous")
+	// The separator prevents version/key concatenation ambiguity.
+	ab, abc := New(Options{Workers: 1, Version: "ab"}), New(Options{Workers: 1, Version: "a"})
+	if ab.fingerprint("c") == abc.fingerprint("bc") {
+		t.Fatal("version/key boundary must be unambiguous")
 	}
-	if len(a.fingerprint(s)) != 64 {
+	if len(a.fingerprint(key)) != 64 {
 		t.Fatal("fingerprint must be sha256 hex")
 	}
 }
@@ -217,10 +218,10 @@ func TestResetDropsMemoryNotDisk(t *testing.T) {
 	dir := t.TempDir()
 	p := New(Options{Workers: 1, CacheDir: dir, Version: "v1"})
 	var calls int
-	spec := Spec{Kind: "k", Key: "a"}
-	Do(p, spec, func() (int, error) { calls++; return 1, nil })
+	key := "a"
+	Do(p, key, func() (int, error) { calls++; return 1, nil })
 	p.Reset()
-	Do(p, spec, func() (int, error) { calls++; return 1, nil })
+	Do(p, key, func() (int, error) { calls++; return 1, nil })
 	if calls != 1 {
 		t.Fatalf("reset must keep the disk entry warm (calls=%d)", calls)
 	}
@@ -233,12 +234,12 @@ func TestTelemetryMirror(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dir := t.TempDir()
 	p := New(Options{Workers: 2, CacheDir: dir, Version: "v1", Metrics: reg})
-	spec := Spec{Kind: "k", Key: "a"}
+	key := "a"
 	one := func() (int, error) { return 1, nil }
-	Do(p, spec, one) // computed + disk write
-	Do(p, spec, one) // mem hit
+	Do(p, key, one) // computed + disk write
+	Do(p, key, one) // mem hit
 	p.Reset()
-	Do(p, spec, one) // disk hit
+	Do(p, key, one) // disk hit
 	want := map[string]float64{
 		"fedca_execpool_computed_total":    1,
 		"fedca_execpool_disk_writes_total": 1,

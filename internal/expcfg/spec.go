@@ -213,19 +213,12 @@ func canonChaos(s string) (string, error) {
 	return c.Spec(), err
 }
 
+// canonCompress keeps a compressor spec as written — not its Name, whose
+// TopK Frac·100 can miss the percentage by an ulp — since ByName accepts
+// each compressor in one spelling only; "" is "none".
 func canonCompress(s string) (string, error) {
-	c, err := compress.ByName(s)
-	if err != nil {
-		return "", err
+	if _, err := compress.ByName(s); err != nil || s != "" {
+		return s, err
 	}
-	switch c := c.(type) {
-	case compress.None:
-		return "none", nil
-	case compress.QSGD:
-		return c.Name(), nil
-	}
-	// The percentage as written, not TopK.Name's Frac·100, which can miss
-	// it by an ulp; ByName has parsed it whole.
-	pct, _ := strconv.ParseFloat(strings.TrimPrefix(s, "topk"), 64)
-	return "topk" + formatFloat(pct), nil
+	return "none", nil
 }

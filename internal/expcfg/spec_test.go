@@ -121,6 +121,8 @@ func TestSetRejects(t *testing.T) {
 	for _, spec := range []string{
 		"v=2", "bogus=1", "model", "model=transformer", "scheme=has space", "geometry=huge",
 		"dtype=f16", "compress=zip", "compress=topk1abc", "compress=topkNaN", "compress=qsgd7x", "chaos=drop=2",
+		"compress=qsgd+7", "compress=qsgd07", "compress=topk+1", "compress=topk01", "compress=topk1e0",
+		"compress=topk0x1p0", "compress=topk0.50",
 		"clients=-1", "clients=65537", "fleet=-1", "participation=1.5", "iters=-3",
 		"train=-5", "alpha=Inf", "alpha=NaN", "aggfrac=NaN", "modelbytes=NaN", "quorum=-1",
 		"maxnorm=1e31", "seed=-1", "hetero=maybe", "fedca.te=2", "fedca.samplefrac=-0.1",

@@ -36,10 +36,10 @@ func (c cellSpec) options(s Scale, seed uint64) (expcfg.Options, error) {
 // probes) and its fork label when it has one. Cells that run the same spec
 // under the same label share an address, whatever their names and
 // experiments, so the suite trains each such run once.
-func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
+func (c cellSpec) address(s Scale, seed uint64) (string, error) {
 	o, err := c.options(s, seed)
 	if err != nil {
-		return execpool.Spec{}, err
+		return "", err
 	}
 	key := fmt.Sprintf("%s rounds=%d", o, s.Rounds)
 	if c.probe {
@@ -48,7 +48,7 @@ func (c cellSpec) address(s Scale, seed uint64) (execpool.Spec, error) {
 	if c.label != nil {
 		key += fmt.Sprintf(" label=%v", c.label)
 	}
-	return execpool.Spec{Key: key}, nil
+	return key, nil
 }
 
 // conv is a registered scheme's convergence run on a workload (Fig. 7,
@@ -111,15 +111,15 @@ func each[T any](xs []T, cell func(T) cellSpec) []cellSpec {
 	return cells
 }
 
-// convRun is one cell's training run: its rounds, the FedCA behavioural
-// stats (Fig. 8; nil for baselines) and a curve probe's curves (nil for a
-// scheme's run). It is a plain data snapshot (no live scheme pointers), so
-// it serializes into the cross-process result cache. It carries no name:
-// one cached run can serve several cells, and each renderer labels its rows
-// from its cells.
+// convRun is one cell's training run: its rounds, the run's tally for a
+// FedCA variant (Fig. 8; nil for baselines) and a curve probe's curves (nil
+// for a scheme's run). It is a plain data snapshot (no live scheme
+// pointers), so it serializes into the cross-process result cache. It
+// carries no name: one cached run can serve several cells, and each
+// renderer labels its rows from its cells.
 type convRun struct {
 	Results []fl.RoundResult
-	Stats   *core.SchemeStats
+	Stats   *fl.RunStats
 	Curves  *CurveData
 }
 
@@ -148,7 +148,7 @@ func runCell(s Scale, seed uint64, c cellSpec) (convRun, error) {
 
 // train resolves the cell's scheme (SchemeByName under the cell's fork
 // label, or the curve probe), builds the testbed and runner of the lowered
-// run (w, tcfg), runs the rounds, then snapshots the scheme's stats or the
+// run (w, tcfg), runs the rounds, then snapshots a FedCA run's tally or the
 // probe's curves.
 func (c cellSpec) train(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace.Config) (convRun, error) {
 	var (
@@ -178,7 +178,7 @@ func (c cellSpec) train(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace
 		run.Results = append(run.Results, runner.RunRound())
 	}
 	if _, ok := sch.(*core.Scheme); ok {
-		st := runner.SchemeStats()
+		st := runner.Stats()
 		run.Stats = &st
 	}
 	if probe != nil {

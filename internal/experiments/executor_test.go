@@ -12,7 +12,7 @@ import (
 // version it is written under. A gob entry of another shape decodes with
 // its moved or renamed fields silently zero, so a shape change must come
 // with a cacheVersion bump.
-var convRunShape = struct{ version, digest string }{"fedca-cells-v4", "6d4cfffc54cbe006c8d671ada56229e1fd639291d0e0e3e28e6fac1dbb41a88b"}
+var convRunShape = struct{ version, digest string }{"fedca-cells-v5", "7cee50ed1d841020b230600d2aa192ff452931c122fe9a57124a05537df06363"}
 
 func TestCacheVersionPinsConvRunShape(t *testing.T) {
 	got := typeDigest(reflect.TypeOf(convRun{}))

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"fedca/internal/execpool"
 )
 
 // experiment is one regenerable paper artifact: the cells it trains, as
@@ -63,20 +61,20 @@ func lookup(id string) (experiment, error) {
 	return e, nil
 }
 
-// Cells lists the cells experiment id trains at (s, seed), as the executor
-// addresses them, in declaration order.
-func Cells(id string, s Scale, seed uint64) ([]execpool.Spec, error) {
+// Cells lists the cells experiment id trains at (s, seed), as the keys the
+// executor addresses them by, in declaration order.
+func Cells(id string, s Scale, seed uint64) ([]string, error) {
 	e, err := lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]execpool.Spec, len(e.cells))
+	keys := make([]string, len(e.cells))
 	for i, c := range e.cells {
-		if specs[i], err = c.address(s, seed); err != nil {
+		if keys[i], err = c.address(s, seed); err != nil {
 			return nil, err
 		}
 	}
-	return specs, nil
+	return keys, nil
 }
 
 // Run regenerates one experiment by id: its cells in parallel, then its

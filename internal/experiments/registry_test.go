@@ -84,7 +84,7 @@ func TestCellsAreTheirSpecs(t *testing.T) {
 	s := micro()
 	s.Rounds = 3
 	const seed = 17
-	seen := make(map[execpool.Spec]bool)
+	seen := make(map[string]bool)
 	var labelled []string
 	for _, id := range IDs() {
 		for _, c := range registry[id].cells {
@@ -131,7 +131,7 @@ func TestCellsAreTheirSpecs(t *testing.T) {
 				}
 			}
 			if run.Stats != nil {
-				if st := runner.SchemeStats(); !reflect.DeepEqual(st, *run.Stats) {
+				if st := runner.Stats(); !reflect.DeepEqual(st, *run.Stats) {
 					t.Fatalf("%s/%s: scheme stats differ: cell %+v, spec %+v", id, c.name, *run.Stats, st)
 				}
 			}

@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func dropEngine(t *testing.T, p float64, seed uint64) *chaos.Engine {
 // chaos engine seed must be bit-identical — parameters, virtual timings and
 // degradation stats.
 func TestChaosRunDeterministic(t *testing.T) {
-	run := func() ([]float64, float64, fl.RunnerStats) {
+	run := func() ([]float64, float64, fl.RunStats) {
 		w := tinyWorkload()
 		w.FL.Chaos = chaosEngine(t, 7)
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 60)
@@ -64,7 +65,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 	if e1 != e2 {
 		t.Fatalf("virtual end time differs: %v vs %v", e1, e2)
 	}
-	if s1 != s2 {
+	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 	}
 	for i := range p1 {
@@ -236,10 +237,10 @@ func TestMinQuorumSkipsThinRounds(t *testing.T) {
 	}
 }
 
-// TestRunnerStatsPolledDuringChaosRound hammers Runner.Stats from a second
+// TestRunStatsPolledDuringChaosRound hammers Runner.Stats from a second
 // goroutine while chaos-faulted rounds execute. Under -race this pins the
 // stats synchronization with fault injection active.
-func TestRunnerStatsPolledDuringChaosRound(t *testing.T) {
+func TestRunStatsPolledDuringChaosRound(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.Chaos = chaosEngine(t, 19)
 	tb := expcfg.Build(w, 8, trace.PaperConfig(), 64)

@@ -77,7 +77,7 @@ func TestLoneCellTrainsOnTwoWorkers(t *testing.T) {
 
 	scheme := &rendezvousScheme{}
 	pool := execpool.New(execpool.Options{Workers: 1})
-	_, err := execpool.Do(pool, execpool.Spec{Kind: "lone-cell", Key: "cap-2"}, func() (int, error) {
+	_, err := execpool.Do(pool, "cap-2", func() (int, error) {
 		r, err := expcfg.Build(tinyWorkload(), 4, trace.Config{}, 3).NewRunner(scheme)
 		if err != nil {
 			return 0, err

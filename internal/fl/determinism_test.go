@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(procs int) ([]float64, float64, fl.RunnerStats) {
+			run := func(procs int) ([]float64, float64, fl.RunStats) {
 				old := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(old)
 				w := tinyWorkload()
@@ -93,7 +94,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			if serialEnd != parallelEnd {
 				t.Fatalf("round end differs: %v vs %v", serialEnd, parallelEnd)
 			}
-			if serialStats != parallelStats {
+			if !reflect.DeepEqual(serialStats, parallelStats) {
 				t.Fatalf("degradation stats differ: %+v vs %+v", serialStats, parallelStats)
 			}
 			for i := range serialParams {
@@ -125,7 +126,7 @@ func TestWorkerCountInvarianceCellsAndKernels(t *testing.T) {
 		for i := range fns {
 			i := i
 			fns[i] = func() {
-				results[i], _ = execpool.Do(pool, execpool.Spec{Kind: "invariance", Key: fmt.Sprintf("cell-%d", i)}, func() ([]float64, error) {
+				results[i], _ = execpool.Do(pool, fmt.Sprintf("cell-%d", i), func() ([]float64, error) {
 					w := tinyWorkload()
 					tb := expcfg.Build(w, 6, trace.PaperConfig(), 50+uint64(i))
 					r, err := tb.NewRunner(baseline.FedAvg{})

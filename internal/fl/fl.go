@@ -44,10 +44,11 @@
 //     element's operation order that of the serial client-major loop, so the
 //     result is bit-identical for any worker count or fan-in.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
-//   - record (record): History, the RoundResult and its RoundRecord,
-//     RunnerStats, every client-round's Update fed to all its observers by
-//     one call (observe), the round's telemetry and journal events, slots
-//     back to the fleet.
+//   - record (record): the RoundResult and its RoundRecord, then every
+//     client-round's Update fed by one walk (observe) to all its observers
+//     — History, the record's sums, the run's one tally (RunStats), the
+//     sink and the journal — the round's telemetry and journal events,
+//     slots back to the fleet.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -142,8 +143,8 @@ type Config struct {
 	// MinQuorum is the minimum number of valid collected updates required to
 	// aggregate a round (≤ 0 means 1). A round falling short — mass dropout,
 	// quarantined updates — is skipped: the global model stays unchanged and
-	// the skip is recorded in the RoundResult and RunnerStats instead of
-	// aborting the run.
+	// the skip is recorded in the RoundResult and RunStats.SkippedRounds
+	// instead of aborting the run.
 	MinQuorum int
 
 	// MaxDeltaNorm, when positive, caps the update-norm bound. Validation runs
@@ -178,7 +179,6 @@ type Telemetry interface {
 	UpObserver() simnet.TransferObserver
 	DownObserver() simnet.TransferObserver
 	ClientRound(round int, start float64, u *Update)
-	ObserveSchemeStats(st SchemeStats)
 	RoundDone(rec RoundRecord)
 	ObserveCohort(fleet, cohort int)
 }

@@ -386,7 +386,7 @@ func TestEagerTransmissionStaleSnapshot(t *testing.T) {
 	}
 	want := make([]int, r.Cfg.LocalIters+1)
 	want[2] = len(res.Collected) + len(res.Discarded)
-	if got := r.SchemeStats().EagerByIter; !slices.Equal(got, want) {
+	if got := r.Stats().EagerByIter; !slices.Equal(got, want) {
 		t.Fatalf("standing eager sends by iteration = %v, want %v", got, want)
 	}
 }

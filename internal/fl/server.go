@@ -61,25 +61,23 @@ type RoundResult struct {
 	Plan      RoundPlan
 }
 
-// RunnerStats aggregates the run's degradation events. Snapshot via
-// Runner.Stats, safe to poll from any goroutine while rounds execute.
-type RunnerStats struct {
+// RunStats is the run's tally: one fold of its client-rounds' records
+// (Update) and its rounds, by the same rules for every scheme. The scheme
+// counts are the behaviour Fig. 8 plots. Eager sends and retransmissions
+// count completed client-rounds only. The ByIter counts are indexed by
+// iteration, 0 to K: EarlyStopsByIter[k] counts early stops after iteration
+// k, EagerByIter[k] standing eager sends sent after it, and
+// RetransmitsByIter[k] layers retransmitted by client-rounds of k
+// iterations. Snapshot via Runner.Stats, safe to poll from any goroutine
+// while rounds execute.
+type RunStats struct {
 	Rounds        int `json:"rounds"`         // rounds completed (including skipped)
 	SkippedRounds int `json:"skipped_rounds"` // rounds closed without aggregation (below quorum)
 	Quarantined   int `json:"quarantined"`    // updates rejected by validation
 	DroppedRounds int `json:"dropped_rounds"` // client-rounds lost to mid-round dropout
 	LinkRetries   int `json:"link_retries"`   // failed transfer attempts that were retransmitted
 	CohortClients int `json:"cohort_clients"` // client-rounds materialized into cohorts over the run
-}
 
-// SchemeStats is the fold of a run's client-round decisions, the behaviour
-// Fig. 8 plots, by the same rules for every scheme. Eager sends and
-// retransmissions count completed client-rounds only. The ByIter counts are
-// indexed by iteration, 0 to K: EarlyStopsByIter[k] counts early stops
-// after iteration k, EagerByIter[k] standing eager sends sent after it, and
-// RetransmitsByIter[k] layers retransmitted by client-rounds of k
-// iterations.
-type SchemeStats struct {
 	EarlyStops        int   `json:"early_stops"`
 	EarlyStopsByIter  []int `json:"early_stops_by_iter"`
 	FullRounds        int   `json:"full_rounds"` // completed, neither anchor nor early-stopped
@@ -88,12 +86,15 @@ type SchemeStats struct {
 	AnchorRounds      int   `json:"anchor_rounds"` // dropped ones included
 	EagerSentTotal    int   `json:"eager_sent_total"`
 	RetransmitsTotal  int   `json:"retransmits_total"`
-	DroppedRounds     int   `json:"dropped_rounds"`
 	AnchorAborts      int   `json:"anchor_aborts"` // anchor client-rounds that dropped
 }
 
-// fold adds one client-round to the stats.
-func (s *SchemeStats) fold(u *Update) {
+// fold adds one client-round to the tally.
+func (s *RunStats) fold(u *Update) {
+	s.LinkRetries += u.LinkRetries
+	if u.Quarantined {
+		s.Quarantined++
+	}
 	if u.Anchor {
 		s.AnchorRounds++
 	}
@@ -156,11 +157,10 @@ type Runner struct {
 	foldDone  []bool
 	job       trainJob
 
-	// statsMu guards stats and schemeStats: the round loop updates them
-	// serially, but monitors may poll them while a round runs.
-	statsMu     sync.Mutex
-	stats       RunnerStats
-	schemeStats SchemeStats
+	// statsMu guards stats: the record stage folds into it serially, but
+	// monitors may poll it while a round runs.
+	statsMu sync.Mutex
+	stats   RunStats
 }
 
 // Networks builds the runner's models: New64 the float64 global model and
@@ -238,7 +238,7 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		pool:    pool,
 		aggBuf:  make([]float64, global.NumParams()),
 		seen:    make(map[int]bool),
-		schemeStats: SchemeStats{
+		stats: RunStats{
 			EarlyStopsByIter:  make([]int, cfg.LocalIters+1),
 			EagerByIter:       make([]int, cfg.LocalIters+1),
 			RetransmitsByIter: make([]int, cfg.LocalIters+1),
@@ -270,20 +270,12 @@ func (r *Runner) GlobalFlat() []float64 {
 // Now returns the current virtual time.
 func (r *Runner) Now() float64 { return r.now }
 
-// Stats snapshots the run's degradation counters. Safe to call from any
-// goroutine, including while RunRound executes.
-func (r *Runner) Stats() RunnerStats {
+// Stats snapshots the run's tally, which advances once per round. Safe to
+// call from any goroutine, including while RunRound executes.
+func (r *Runner) Stats() RunStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	return r.stats
-}
-
-// SchemeStats snapshots the fold of the run's client-rounds, which advances
-// once per round. Safe to call from any goroutine, as Stats is.
-func (r *Runner) SchemeStats() SchemeStats {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	s := r.schemeStats
+	s := r.stats
 	s.EarlyStopsByIter = slices.Clone(s.EarlyStopsByIter)
 	s.EagerByIter = slices.Clone(s.EagerByIter)
 	s.RetransmitsByIter = slices.Clone(s.RetransmitsByIter)
@@ -618,7 +610,7 @@ func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResul
 // observe is the one walk over a round's client-rounds. It feeds each
 // Update to History (the survivors' timings, fresh even on skipped rounds;
 // quarantined updates are distrusted), the round's record (counts, sums and
-// the means over Collected), RunnerStats, SchemeStats, the sink and the
+// the means over Collected), RunStats, the sink and the
 // journal, walking Collected, then Discarded — the journal's event order,
 // and its attribution table's admission order once full — and clears the
 // records' Eager lists. statsMu is never held across an observer.
@@ -642,7 +634,7 @@ func (r *Runner) observe(res *RoundResult, cohort int) {
 			rec.LinkRetries += u.LinkRetries
 			rec.UploadBytes += u.UploadBytes
 			r.statsMu.Lock()
-			r.schemeStats.fold(u)
+			r.stats.fold(u)
 			r.statsMu.Unlock()
 			if t != nil {
 				t.ClientRound(rec.Index, rec.Start, u)
@@ -663,14 +655,8 @@ func (r *Runner) observe(res *RoundResult, cohort int) {
 	if rec.Skipped {
 		r.stats.SkippedRounds++
 	}
-	r.stats.Quarantined += rec.Quarantined
-	r.stats.DroppedRounds += rec.Dropped
-	r.stats.LinkRetries += rec.LinkRetries
 	r.stats.CohortClients += cohort
 	r.statsMu.Unlock()
-	if t != nil {
-		t.ObserveSchemeStats(r.schemeStats)
-	}
 }
 
 // maxStepRatio bounds an update's L2 norm at this multiple of the global

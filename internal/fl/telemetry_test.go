@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -20,7 +21,7 @@ import (
 // seed with telemetry off — the observability layer consumes no RNG draws and
 // performs no virtual-time arithmetic.
 func TestTelemetryInert(t *testing.T) {
-	run := func(sink *telemetry.Sink, journal *telemetry.Journal) ([]byte, []float64, fl.RunnerStats) {
+	run := func(sink *telemetry.Sink, journal *telemetry.Journal) ([]byte, []float64, fl.RunStats) {
 		eng, err := chaos.NewEngine(chaos.Config{
 			DropProb:     0.3,
 			SlowProb:     0.5,
@@ -67,8 +68,8 @@ func TestTelemetryInert(t *testing.T) {
 	if !bytes.Equal(offLog, onLog) {
 		t.Fatalf("run log differs with telemetry attached:\n--- off ---\n%s\n--- on ---\n%s", offLog, onLog)
 	}
-	if offStats != onStats {
-		t.Fatalf("runner stats differ: %+v vs %+v", offStats, onStats)
+	if !reflect.DeepEqual(offStats, onStats) {
+		t.Fatalf("run stats differ: %+v vs %+v", offStats, onStats)
 	}
 	if len(offParams) != len(onParams) {
 		t.Fatalf("param count differs: %d vs %d", len(offParams), len(onParams))

@@ -24,7 +24,7 @@ import (
 // j may be nil (the journal endpoints then serve empty sets) and status may
 // be nil (the endpoint then serves the registry snapshot). Every handler is
 // safe to hit while the simulation runs: status() must only use race-safe
-// accessors (the fl runner's Stats and SchemeStats, sink gauges), and the
+// accessors (the fl runner's Stats, sink gauges), and the
 // journal is internally locked. The journal, the client-round spans and the
 // scheme counters advance once per round, when the runner records it.
 func NewMux(s *Sink, j *Journal, status func() any) *http.ServeMux {

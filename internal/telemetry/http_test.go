@@ -74,8 +74,8 @@ func TestHTTPIntrospectionDuringChaosRun(t *testing.T) {
 	}
 	mux := telemetry.NewMux(sink, journal, func() any {
 		return struct {
-			Round  float64        `json:"round"`
-			Runner fl.RunnerStats `json:"runner"`
+			Round float64     `json:"round"`
+			Stats fl.RunStats `json:"stats"`
 		}{sink.Round.Value(), runner.Stats()}
 	})
 	srv := httptest.NewServer(mux)
@@ -127,8 +127,8 @@ func TestHTTPIntrospectionDuringChaosRun(t *testing.T) {
 		t.Fatalf("GET /status = %d %q", code, ctype)
 	}
 	var status struct {
-		Round  float64        `json:"round"`
-		Runner fl.RunnerStats `json:"runner"`
+		Round float64     `json:"round"`
+		Stats fl.RunStats `json:"stats"`
 	}
 	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatalf("status is not valid JSON: %v\n%s", err, body)

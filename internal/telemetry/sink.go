@@ -27,7 +27,8 @@ type Sink struct {
 	FleetSize     *Gauge
 	CohortSize    *Gauge
 
-	// Scheme behaviour, mirrored from the fl runner's fold once per round.
+	// Scheme behaviour, counted per client-round by ClientRound by the
+	// rules of fl.RunStats, so a sink shared by runners sums them.
 	EarlyStops   *Counter
 	FullRounds   *Counter
 	EagerTx      *Counter
@@ -135,15 +136,17 @@ func (s *Sink) ObserveIteration(sec float64) {
 	s.IterSeconds.Observe(sec)
 }
 
-// ClientRound observes a client-round's iterations and renders its record
-// onto the client's trace track, which it names: download, local training
-// (or anchor profiling), eager uploads and the upload, annotated with the
-// round's chaos events. start is the round's start.
+// ClientRound counts a client-round's iterations and scheme behaviour and
+// renders its record onto the client's trace track, which it names:
+// download, local training (or anchor profiling), eager uploads and the
+// upload, annotated with the round's chaos events. start is the round's
+// start.
 func (s *Sink) ClientRound(round int, start float64, u *fl.Update) {
 	if s == nil {
 		return
 	}
 	s.ClientIters.Observe(float64(u.Iterations))
+	s.countScheme(u)
 	tr := s.tracer
 	tid := ClientTrack(u.ClientID)
 	tr.NameTrack(tid, fmt.Sprintf("client %d", u.ClientID))
@@ -190,6 +193,28 @@ func (s *Sink) ClientRound(round int, start float64, u *fl.Update) {
 	}
 }
 
+// countScheme adds a client-round to the scheme counters by the rules of
+// fl.RunStats: anchors count dropped ones too, and a dropped client-round
+// counts nothing else.
+func (s *Sink) countScheme(u *fl.Update) {
+	if u.Anchor {
+		s.AnchorRounds.Inc()
+	}
+	switch {
+	case u.Dropped && u.Anchor:
+		s.AnchorAborts.Inc()
+	case u.Dropped, u.Anchor:
+	case u.EarlyStop:
+		s.EarlyStops.Inc()
+	default:
+		s.FullRounds.Inc()
+	}
+	if !u.Dropped {
+		s.EagerTx.Add(float64(u.EagerSent))
+		s.Retransmits.Add(float64(u.Retransmitted))
+	}
+}
+
 // impairmentSpans renders a link's chaos windows as spans on a client
 // track. Windows are in seconds relative to the round's start.
 func impairmentSpans(tr *Tracer, tid int, link string, start, clamp float64, windows []chaos.LinkWindow) {
@@ -206,22 +231,6 @@ func impairmentSpans(tr *Tracer, tid int, link string, start, clamp float64, win
 		tr.Span(tid, name, "chaos", from, to, map[string]any{"scale": w.Scale})
 	}
 }
-
-// ObserveSchemeStats mirrors the runner's fold into the scheme counters.
-func (s *Sink) ObserveSchemeStats(st fl.SchemeStats) {
-	if s == nil {
-		return
-	}
-	mirror(s.EarlyStops, st.EarlyStops)
-	mirror(s.FullRounds, st.FullRounds)
-	mirror(s.EagerTx, st.EagerSentTotal)
-	mirror(s.Retransmits, st.RetransmitsTotal)
-	mirror(s.AnchorRounds, st.AnchorRounds)
-	mirror(s.AnchorAborts, st.AnchorAborts)
-}
-
-// mirror advances c to total, a count that never decreases.
-func mirror(c *Counter, total int) { c.Add(float64(total) - c.Value()) }
 
 // RoundDone records one completed round: gauges, counters, the round-duration
 // histogram and the server-track round span.
