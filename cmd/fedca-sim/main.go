@@ -273,13 +273,15 @@ func runReplay(args []string) {
 
 // statusFunc builds the /status snapshot closure. Everything it touches is
 // safe to read while RunRound executes on the main goroutine: the runner's
-// tally snapshots under its lock, and the sink gauges are atomic.
+// tally and stage table snapshot under its lock, and the sink gauges are
+// atomic.
 func statusFunc(runner *fl.Runner, sink *telemetry.Sink) func() any {
 	type status struct {
-		Round       float64     `json:"round"`
-		VirtualTime float64     `json:"virtual_time_seconds"`
-		Accuracy    float64     `json:"accuracy"`
-		Stats       fl.RunStats `json:"stats"`
+		Round       float64        `json:"round"`
+		VirtualTime float64        `json:"virtual_time_seconds"`
+		Accuracy    float64        `json:"accuracy"`
+		Stats       fl.RunStats    `json:"stats"`
+		Stages      []fl.StageTime `json:"stages"`
 	}
 	return func() any {
 		return status{
@@ -287,6 +289,7 @@ func statusFunc(runner *fl.Runner, sink *telemetry.Sink) func() any {
 			VirtualTime: sink.VirtualTime.Value(),
 			Accuracy:    sink.Accuracy.Value(),
 			Stats:       runner.Stats(),
+			Stages:      runner.StageTimes(),
 		}
 	}
 }

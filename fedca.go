@@ -265,6 +265,11 @@ type Snapshot struct {
 	// dropouts, link retries) and scheme behaviour (early stops, eager sends,
 	// anchors) over the whole run.
 	Stats fl.RunStats `json:"stats"`
+	// Stages is the run's wall-clock stage table, one row per runner stage
+	// in round order (plan, cohort, controllers, train, cut, aggregate,
+	// recycle, evaluate, observe): where the simulator's time went. Unlike
+	// everything above it, it differs between runs of one seed.
+	Stages []fl.StageTime `json:"stages"`
 	// Tokens mirrors the process-wide CPU-token budget (shared across all
 	// federations, not per-run).
 	Tokens TokenSnapshot `json:"tokens"`
@@ -284,6 +289,7 @@ func (f *Federation) Snapshot() Snapshot {
 		VirtualTime: last.End,
 		Accuracy:    last.Accuracy,
 		Stats:       st,
+		Stages:      f.runner.StageTimes(),
 		Tokens: TokenSnapshot{
 			Cap:      budget.Cap(),
 			Inflight: budget.Inflight(),

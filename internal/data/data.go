@@ -21,17 +21,61 @@ import (
 	"fedca/internal/tensor"
 )
 
-// Dataset is a labelled design matrix: X is [N, dim], Y holds class ids.
+// Dataset is a labelled design matrix of N rows and dim features, Y holding
+// the class ids. Its rows are in X, or in X32 when it was generated for a
+// float32 run (Generate32): each feature is then rounded once, from the value
+// Generate would have stored, and X is nil.
 type Dataset struct {
-	X *tensor.Tensor
-	Y []int
+	X   *tensor.Tensor
+	X32 *tensor.TensorOf[float32]
+	Y   []int
 }
 
 // N returns the number of samples.
 func (d *Dataset) N() int { return len(d.Y) }
 
 // Dim returns the per-sample feature count.
-func (d *Dataset) Dim() int { return d.X.Dim(1) }
+func (d *Dataset) Dim() int {
+	if d.X32 != nil {
+		return d.X32.Dim(1)
+	}
+	return d.X.Dim(1)
+}
+
+// sampler is a synthetic task's per-sample draw: sample fills row with one
+// sample of class c from r.
+type sampler interface {
+	sample(row []float64, c int, r *rng.RNG)
+	shape() (classes, dim int)
+}
+
+// generate draws n samples of s into storage of element type F: sample i
+// belongs to class i mod classes (balanced classes). Every feature is drawn
+// in float64 and rounded once to F, so the draws never depend on F and a
+// float32 dataset is the element-wise float32 of the float64 one.
+func generate[F tensor.Float](s sampler, n int, r *rng.RNG) *Dataset {
+	classes, dim := s.shape()
+	x := tensor.NewOf[F](n, dim)
+	y := make([]int, n)
+	xd := x.Data()
+	row := make([]float64, dim)
+	for i := 0; i < n; i++ {
+		y[i] = i % classes
+		s.sample(row, y[i], r)
+		dst := xd[i*dim : (i+1)*dim]
+		for j, v := range row {
+			dst[j] = F(v)
+		}
+	}
+	ds := &Dataset{Y: y}
+	switch x := any(x).(type) {
+	case *tensor.Tensor:
+		ds.X = x
+	case *tensor.TensorOf[float32]:
+		ds.X32 = x
+	}
+	return ds
+}
 
 // ImageSpec configures SyntheticImages.
 type ImageSpec struct {
@@ -64,22 +108,22 @@ func NewImageGenerator(spec ImageSpec, r *rng.RNG) *ImageGenerator {
 
 // Generate draws n samples: sample i belongs to class i mod Classes and is
 // its class template plus white noise.
-func (g *ImageGenerator) Generate(n int, r *rng.RNG) *Dataset {
-	spec := g.Spec
-	dim := spec.Channels * spec.Height * spec.Width
-	x := tensor.New(n, dim)
-	y := make([]int, n)
-	xd := x.Data()
-	for i := 0; i < n; i++ {
-		c := i % spec.Classes // balanced classes
-		y[i] = c
-		row := xd[i*dim : (i+1)*dim]
-		t := g.templates[c]
-		for j := range row {
-			row[j] = t[j] + r.Normal(0, spec.Noise)
-		}
+func (g *ImageGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate[float64](g, n, r) }
+
+// Generate32 is Generate into float32 storage: the same draws, each feature
+// rounded once. A float32 run's training set is built this way, so it never
+// holds the float64 matrix.
+func (g *ImageGenerator) Generate32(n int, r *rng.RNG) *Dataset { return generate[float32](g, n, r) }
+
+func (g *ImageGenerator) shape() (classes, dim int) {
+	return g.Spec.Classes, g.Spec.Channels * g.Spec.Height * g.Spec.Width
+}
+
+func (g *ImageGenerator) sample(row []float64, c int, r *rng.RNG) {
+	t := g.templates[c]
+	for j := range row {
+		row[j] = t[j] + r.Normal(0, g.Spec.Noise)
 	}
-	return &Dataset{X: x, Y: y}
 }
 
 // SyntheticImages is the one-shot convenience: templates and samples from the
@@ -169,27 +213,26 @@ func NewSeqGenerator(spec SeqSpec, r *rng.RNG) *SeqGenerator {
 // Generate draws n samples; each adds frame noise and a small random cyclic
 // temporal offset (alignment jitter), so the recurrent model must integrate
 // over time to classify.
-func (g *SeqGenerator) Generate(n int, r *rng.RNG) *Dataset {
+func (g *SeqGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate[float64](g, n, r) }
+
+// Generate32 is Generate into float32 storage, as ImageGenerator.Generate32.
+func (g *SeqGenerator) Generate32(n int, r *rng.RNG) *Dataset { return generate[float32](g, n, r) }
+
+func (g *SeqGenerator) shape() (classes, dim int) {
+	return g.Spec.Classes, g.Spec.SeqLen * g.Spec.FeatDim
+}
+
+func (g *SeqGenerator) sample(row []float64, c int, r *rng.RNG) {
 	spec := g.Spec
-	dim := spec.SeqLen * spec.FeatDim
-	x := tensor.New(n, dim)
-	y := make([]int, n)
-	xd := x.Data()
-	for i := 0; i < n; i++ {
-		c := i % spec.Classes
-		y[i] = c
-		row := xd[i*dim : (i+1)*dim]
-		t := g.templates[c]
-		// Random cyclic shift by up to ±1 frame emulates alignment jitter.
-		shift := r.Intn(3) - 1
-		for frame := 0; frame < spec.SeqLen; frame++ {
-			src := ((frame+shift)%spec.SeqLen + spec.SeqLen) % spec.SeqLen
-			for f := 0; f < spec.FeatDim; f++ {
-				row[frame*spec.FeatDim+f] = t[src*spec.FeatDim+f] + r.Normal(0, spec.Noise)
-			}
+	t := g.templates[c]
+	// Random cyclic shift by up to ±1 frame emulates alignment jitter.
+	shift := r.Intn(3) - 1
+	for frame := 0; frame < spec.SeqLen; frame++ {
+		src := ((frame+shift)%spec.SeqLen + spec.SeqLen) % spec.SeqLen
+		for f := 0; f < spec.FeatDim; f++ {
+			row[frame*spec.FeatDim+f] = t[src*spec.FeatDim+f] + r.Normal(0, spec.Noise)
 		}
 	}
-	return &Dataset{X: x, Y: y}
 }
 
 // SyntheticSequences is the one-shot convenience: templates and samples from
@@ -370,35 +413,20 @@ func (l *Loader) BatchSize() int { return l.batchSize }
 // Dim returns the per-sample feature count of the underlying dataset.
 func (l *Loader) Dim() int { return l.ds.Dim() }
 
-// Next returns the next mini-batch, wrapping (and reshuffling) at epoch end.
-func (l *Loader) Next() (*tensor.Tensor, []int) {
-	if l.cursor+l.batchSize > len(l.order) {
-		l.reshuffle()
-	}
-	dim := l.ds.Dim()
-	x := tensor.New(l.batchSize, dim)
-	y := make([]int, l.batchSize)
-	xd, sd := x.Data(), l.ds.X.Data()
-	for i := 0; i < l.batchSize; i++ {
-		j := l.order[l.cursor+i]
-		if l.view != nil {
-			j = l.view[j]
-		}
-		copy(xd[i*dim:(i+1)*dim], sd[j*dim:(j+1)*dim])
-		y[i] = l.ds.Y[j]
-	}
-	l.cursor += l.batchSize
-	return x, y
-}
-
-// NextInto is Next with caller-supplied destinations: it fills x (length
-// BatchSize·Dim, typically arena-allocated) and y (length BatchSize) with the
-// next mini-batch instead of allocating fresh buffers, advancing the loader
-// exactly as Next would — same RNG draws, same sample order. The generic
-// element type is the narrowing point of the mixed-precision input path: a
-// float32 batch is the element-wise rounding of the float64 batch the same
-// loader state would produce.
+// NextInto fills x (length BatchSize·Dim, typically arena-allocated) and y
+// (length BatchSize) with the next mini-batch, wrapping (and reshuffling
+// with the loader's own RNG) at epoch end. The generic element type is the
+// narrowing point of the mixed-precision input path: a float32 batch from
+// float64 storage is the element-wise rounding of the float64 batch the same
+// loader state would produce, and from float32 storage (Generate32) it is
+// the same values, rounded once at generation. A float64 batch from float32
+// storage would widen values already rounded: that is a wiring bug, and
+// panics.
 func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
+	var zero F
+	if _, wide := any(zero).(float64); wide && l.ds.X32 != nil {
+		panic("data: NextInto a float64 batch from float32 storage")
+	}
 	if l.cursor+l.batchSize > len(l.order) {
 		l.reshuffle()
 	}
@@ -406,20 +434,30 @@ func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
 	if len(x) != l.batchSize*dim || len(y) != l.batchSize {
 		panic(fmt.Sprintf("data: NextInto dst sized %d/%d, want %d/%d", len(x), len(y), l.batchSize*dim, l.batchSize))
 	}
-	sd := l.ds.X.Data()
+	if l.ds.X32 != nil {
+		gather(l, x, y, l.ds.X32.Data())
+	} else {
+		gather(l, x, y, l.ds.X.Data())
+	}
+	l.cursor += l.batchSize
+}
+
+// gather copies the batch at the loader's cursor from the storage src into
+// x and y, converting each element to x's type.
+func gather[F, S tensor.Float](l *Loader, x []F, y []int, src []S) {
+	dim := l.ds.Dim()
 	for i := 0; i < l.batchSize; i++ {
 		j := l.order[l.cursor+i]
 		if l.view != nil {
 			j = l.view[j]
 		}
-		row := sd[j*dim : (j+1)*dim]
+		row := src[j*dim : (j+1)*dim]
 		dst := x[i*dim : (i+1)*dim]
 		for k, v := range row {
 			dst[k] = F(v)
 		}
 		y[i] = l.ds.Y[j]
 	}
-	l.cursor += l.batchSize
 }
 
 // IterationsPerEpoch returns how many batches one pass over the data yields.

@@ -200,12 +200,10 @@ func TestLoaderBatches(t *testing.T) {
 	if l.IterationsPerEpoch() != 2 {
 		t.Fatalf("iters/epoch = %d, want 2", l.IterationsPerEpoch())
 	}
+	x, y := make([]float64, 4*ds.Dim()), make([]int, 4)
 	seen := 0
 	for it := 0; it < 10; it++ {
-		x, y := l.Next()
-		if x.Dim(0) != 4 || len(y) != 4 {
-			t.Fatalf("batch shape wrong: %v / %d labels", x.Shape(), len(y))
-		}
+		NextInto(l, x, y) // a batch of any other shape panics
 		seen += 4
 	}
 	if seen != 40 {
@@ -216,10 +214,10 @@ func TestLoaderBatches(t *testing.T) {
 func TestLoaderClampsBatchSize(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 3}, rng.New(9))
 	l := NewLoader(ds, 50, rng.New(10))
-	x, _ := l.Next()
-	if x.Dim(0) != 3 {
-		t.Fatalf("clamped batch = %d, want 3", x.Dim(0))
+	if l.BatchSize() != 3 {
+		t.Fatalf("clamped batch = %d, want 3", l.BatchSize())
 	}
+	NextInto(l, make([]float64, 3*ds.Dim()), make([]int, 3))
 }
 
 func TestLoaderEpochCoverage(t *testing.T) {
@@ -230,11 +228,13 @@ func TestLoaderEpochCoverage(t *testing.T) {
 		ds.X.Set(float64(i), i, 0)
 	}
 	l := NewLoader(ds, 2, rng.New(12))
+	dim := ds.Dim()
+	x, y := make([]float64, 2*dim), make([]int, 2)
 	seen := make(map[int]int)
 	for it := 0; it < 4; it++ {
-		x, _ := l.Next()
+		NextInto(l, x, y)
 		for b := 0; b < 2; b++ {
-			seen[int(x.At(b, 0))]++
+			seen[int(x[b*dim])]++
 		}
 	}
 	for i := 0; i < 8; i++ {
@@ -261,8 +261,9 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 	)
 	opt := nn.NewSGDOf[float64](0.1, 0, 0)
 	l := NewLoader(train, 32, r.Fork("loader", 0))
+	x, y := tensor.New(32, train.Dim()), make([]int, 32)
 	for it := 0; it < 200; it++ {
-		x, y := l.Next()
+		NextInto(l, x.Data(), y)
 		net.ZeroGrad()
 		logits := net.Forward(x, true)
 		d := tensor.New(logits.Dim(0), logits.Dim(1))

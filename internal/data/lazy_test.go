@@ -161,9 +161,9 @@ func TestViewLoader(t *testing.T) {
 	}
 	dim := base.Dim()
 	bd := base.X.Data()
+	xd, y := make([]float64, 3*dim), make([]int, 3)
 	for it := 0; it < 10; it++ {
-		x, y := l.Next()
-		xd := x.Data()
+		NextInto(l, xd, y)
 		for b := 0; b < 3; b++ {
 			row := xd[b*dim : (b+1)*dim]
 			// Find the base row this batch row copies; it must be in the view.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fedca/internal/data"
 	"fedca/internal/fl"
 	"fedca/internal/rng"
 	"fedca/internal/trace"
@@ -165,6 +166,65 @@ func TestStaticTestbedHoldsTrainingSetOnce(t *testing.T) {
 	}
 	if built > train/2 {
 		t.Fatalf("Build allocated %d B beyond the training and test sets: the training rows were copied", built)
+	}
+}
+
+// TestF32TestbedHoldsNoFloat64TrainingSet: an f32 run's training set is
+// generated straight into float32 storage, so neither Build nor BuildFleet
+// allocates a float64 training matrix, let alone keeps one; beyond the
+// float32 rows and the float64 test set they hold and allocate less than
+// half the float32 rows. The f64 testbeds are held to the same bound at
+// 8-byte rows, as before.
+func TestF32TestbedHoldsNoFloat64TrainingSet(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(w Workload) (any, *data.Dataset)
+	}{
+		{"Build", func(w Workload) (any, *data.Dataset) {
+			tb := Build(w, 10, trace.PaperConfig(), 5)
+			return tb, tb.Test
+		}},
+		{"BuildFleet", func(w Workload) (any, *data.Dataset) {
+			tb, err := BuildFleet(w, 1000, 0, trace.PaperConfig(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f32 := w.FL.DType == "f32"; (tb.Fleet.train.X32 != nil) != f32 || (tb.Fleet.train.X != nil) == f32 {
+				t.Fatalf("dtype %q: the fleet's training set has X %v, X32 %v", w.FL.DType, tb.Fleet.train.X != nil, tb.Fleet.train.X32 != nil)
+			}
+			return tb, tb.Test
+		}},
+	}
+	for _, b := range builds {
+		for _, dt := range []string{"f64", "f32"} {
+			w := CNN()
+			w.FL.DType = dt
+			elem := int64(8)
+			if dt == "f32" {
+				elem = 4
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			tb, test := b.build(w)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(tb)
+			if test.X == nil || test.X32 != nil {
+				t.Fatalf("%s %s: the test set must stay float64", b.name, dt)
+			}
+			dim := int64(test.Dim())
+			train := int64(w.TrainN) * (elem*dim + 8) // rows and labels
+			sets := train + int64(w.TestN)*(8*dim+8)
+			live := int64(after.HeapAlloc) - int64(before.HeapAlloc) - sets
+			built := int64(after.TotalAlloc-before.TotalAlloc) - sets
+			t.Logf("%s %s: training set %d B; beyond both sets %d B live, %d B allocated", b.name, dt, train, live, built)
+			if live > train/2 || built > train/2 {
+				t.Fatalf("%s %s: %d B live and %d B allocated beyond the sets, bound %d B: a wider training matrix was built", b.name, dt, live, built, train/2)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"fedca/internal/baseline"
 	"fedca/internal/core"
+	"fedca/internal/cputok"
 	"fedca/internal/fl"
 	"fedca/internal/trace"
 )
@@ -113,10 +114,21 @@ func TestVirtualFleetSlotPoolBounded(t *testing.T) {
 // The same 50-client cohort over a 10 000- and a 1 000 000-client fleet must
 // peak at nearly the same live heap, so nothing the fleet keeps may grow with
 // its size: one float64 per client is 8 MB at a million and fails here.
+//
+// GOMAXPROCS and the token cap are pinned to 2, as in
+// TestSteadyStateRoundAllocs: the online fold keeps as many update vectors
+// as completions ran ahead of the in-order frontier, and the delta pool
+// keeps the widest such window of the run, so with the worker count left to
+// the machine a descheduled worker could move the peak by more than the
+// margin.
 func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two cohorts over a million-client fleet")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	budget := cputok.Default()
+	defer budget.SetCap(budget.Setting())
+	budget.SetCap(2)
 	const cohort = 50
 	peakHeap := func(fleet int) uint64 {
 		w := tinyFleetWorkload()

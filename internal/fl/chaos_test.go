@@ -232,14 +232,15 @@ func TestMinQuorumSkipsThinRounds(t *testing.T) {
 		}
 	}
 	// The survivors' timings still feed the history.
-	if r.Hist.Known() == 0 {
+	if len(r.Hist.EstRoundTimes(1)) == 0 {
 		t.Fatal("skipped round must still observe survivor timings")
 	}
 }
 
-// TestRunStatsPolledDuringChaosRound hammers Runner.Stats from a second
-// goroutine while chaos-faulted rounds execute. Under -race this pins the
-// stats synchronization with fault injection active.
+// TestRunStatsPolledDuringChaosRound hammers Runner.Stats and StageTimes
+// from a second goroutine while chaos-faulted rounds execute. Under -race
+// this pins the synchronization of the tally and the stage table with fault
+// injection active.
 func TestRunStatsPolledDuringChaosRound(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.Chaos = chaosEngine(t, 19)
@@ -260,6 +261,7 @@ func TestRunStatsPolledDuringChaosRound(t *testing.T) {
 			default:
 			}
 			_ = r.Stats()
+			_ = r.StageTimes()
 			runtime.Gosched()
 		}
 	}()
@@ -270,6 +272,9 @@ func TestRunStatsPolledDuringChaosRound(t *testing.T) {
 	wg.Wait()
 	if st := r.Stats(); st.Rounds != 3 {
 		t.Fatalf("stats.Rounds = %d, want 3", st.Rounds)
+	}
+	if train := r.StageTimes()[3]; train.Stage != "train" || train.Rounds != 3 {
+		t.Fatalf("stage row 3 = %+v, want train over 3 rounds", train)
 	}
 }
 

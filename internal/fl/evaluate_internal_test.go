@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -176,6 +178,51 @@ func TestEvaluateFanOutMatchesSerialHeap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvaluateLeavesTestSetUntouched: an inference ReLU rectifies in place
+// only the tensors its chain created, never the batch, which is a view of
+// the test set's rows. The test set's bytes hash the same after Evaluate as
+// before — for a CNN and a WRN, and for a network whose first layer is a
+// ReLU, the case that holds the batch itself — with and without an arena,
+// and a second call returns the first's accuracy.
+func TestEvaluateLeavesTestSetUntouched(t *testing.T) {
+	reluFirst := func() *nn.Network {
+		dim := benchImg.Channels * benchImg.Height * benchImg.Width
+		return nn.NewNetworkOf[float64](nn.NewReLUOf[float64](dim), nn.NewDenseOf[float64]("fc", dim, benchImg.Classes, rng.New(3)))
+	}
+	for _, tc := range []struct {
+		name, data string
+		net        func() *nn.Network
+	}{
+		{"cnn", "cnn", func() *nn.Network { return benchModel[float64]("cnn") }},
+		{"wrn", "wrn", func() *nn.Network { return benchModel[float64]("wrn") }},
+		{"relu-first", "cnn", reluFirst},
+	} {
+		for _, withArena := range []bool{false, true} {
+			ds := benchData(tc.data, 150)
+			digest := func() [sha256.Size]byte {
+				b := make([]byte, 0, 8*len(ds.X.Data()))
+				for _, v := range ds.X.Data() {
+					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+				}
+				return sha256.Sum256(b)
+			}
+			net := tc.net()
+			if withArena {
+				net.SetArena(tensor.NewArena())
+			}
+			before := digest()
+			first := Evaluate(net, ds, 64)
+			second := Evaluate(net, ds, 64)
+			if after := digest(); after != before {
+				t.Errorf("%s (arena %v): Evaluate wrote into its test set: SHA-256 %x before, %x after", tc.name, withArena, before, after)
+			}
+			if first != second {
+				t.Errorf("%s (arena %v): two calls returned accuracy %v and %v", tc.name, withArena, first, second)
+			}
+		}
 	}
 }
 

@@ -34,7 +34,8 @@
 //     place validation runs. At full aggregation (AggregateFraction 1) on
 //     the default path the online fold also runs here, in participant-index
 //     order at the in-order completion frontier, so it is worker-count
-//     invariant and peak delta memory is the out-of-order window.
+//     invariant and the live deltas are the out-of-order window, which a
+//     descheduled worker widens and the delta pool then keeps.
 //   - cut (cut): updates + verdicts → collected and discarded by completion
 //     order and AggregateFraction, the round end time, invalid collected
 //     updates moved to Discarded as quarantined, and the quorum's verdict.
@@ -44,11 +45,18 @@
 //     element's operation order that of the serial client-major loop, so the
 //     result is bit-identical for any worker count or fan-in.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
-//   - record (record): the RoundResult and its RoundRecord, then every
-//     client-round's Update fed by one walk (observe) to all its observers
-//     — History, the record's sums, the run's one tally (RunStats), the
-//     sink and the journal — the round's telemetry and journal events,
-//     slots back to the fleet.
+//   - evaluate (evaluate): the RoundResult and its RoundRecord, with the
+//     global model's accuracy on the test set.
+//   - observe (record): every client-round's Update fed by one walk
+//     (observe) to all its observers — History, the record's sums, the
+//     run's one tally (RunStats), the sink and the journal — the round's
+//     telemetry and journal events, slots back to the fleet.
+//
+// RunRound reads the monotonic clock at each boundary between these stages
+// (cohort covers selection and materialization) and folds the nanoseconds
+// into the run's stage table (Runner.StageTimes) and the sink's
+// fedca_stage_seconds histograms. The timings touch nothing else: no
+// round record, run log or RunStats carries them.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -171,9 +179,10 @@ type Config struct {
 
 // Telemetry receives a run's live metrics and trace; *telemetry.Sink
 // implements it. Workers call ObserveIteration; the cohort stage wires the
-// link observers; the record stage, serially, the rest. RoundDone takes the
-// record by value: a pointer through the interface would move every round's
-// record to the heap.
+// link observers; the record stage, serially, the rest; and at the end of
+// every round, ObserveStage hands over each stage's wall seconds (see
+// StageTime). RoundDone takes the record by value: a pointer through the
+// interface would move every round's record to the heap.
 type Telemetry interface {
 	ObserveIteration(sec float64)
 	UpObserver() simnet.TransferObserver
@@ -181,6 +190,7 @@ type Telemetry interface {
 	ClientRound(round int, start float64, u *Update)
 	RoundDone(rec RoundRecord)
 	ObserveCohort(fleet, cohort int)
+	ObserveStage(stage string, sec float64)
 }
 
 // Journal receives a run's flight-recorder events and per-client cost

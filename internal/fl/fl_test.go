@@ -276,26 +276,27 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 }
 
 func TestHistoryObserve(t *testing.T) {
+	// A one-iteration round's estimate is the per-iteration time.
 	h := fl.NewHistory()
-	if _, ok := h.EstIterTime(3); ok {
+	if _, ok := h.EstRoundTimes(1)[3]; ok {
 		t.Fatal("empty history must have no estimates")
 	}
 	h.Observe(fl.Update{ClientID: 3, Iterations: 10, TrainTime: 20})
-	if est, ok := h.EstIterTime(3); !ok || est != 2 {
+	if est, ok := h.EstRoundTimes(1)[3]; !ok || est != 2 {
 		t.Fatalf("est = %v ok=%v, want 2", est, ok)
 	}
 	// EWMA with alpha 0.5.
 	h.Observe(fl.Update{ClientID: 3, Iterations: 10, TrainTime: 40})
-	if est, _ := h.EstIterTime(3); est != 3 {
+	if est := h.EstRoundTimes(1)[3]; est != 3 {
 		t.Fatalf("ewma est = %v, want 3", est)
 	}
 	// Degenerate updates ignored.
 	h.Observe(fl.Update{ClientID: 3, Iterations: 0, TrainTime: 40})
-	if est, _ := h.EstIterTime(3); est != 3 {
+	if est := h.EstRoundTimes(1)[3]; est != 3 {
 		t.Fatal("degenerate update must not change estimate")
 	}
-	if h.Known() != 1 {
-		t.Fatalf("known = %d", h.Known())
+	if known := len(h.EstRoundTimes(1)); known != 1 {
+		t.Fatalf("known = %d", known)
 	}
 }
 

@@ -42,22 +42,6 @@ func (h *History) Observe(u Update) {
 	}
 }
 
-// EstIterTime returns the estimated per-iteration time of a client and
-// whether any estimate exists.
-func (h *History) EstIterTime(clientID int) (float64, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	t, ok := h.iterTime[clientID]
-	return t, ok
-}
-
-// Known returns how many clients have estimates.
-func (h *History) Known() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.iterTime)
-}
-
 // EstRoundTimes returns the estimated K-iteration local training time for
 // each client with history (unordered map copy).
 func (h *History) EstRoundTimes(k int) map[int]float64 {

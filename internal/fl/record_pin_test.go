@@ -65,9 +65,11 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 // interleaving, and the journal's multiset of (type, round, client, detail).
 //
 // Left out of the series: the fedca_runtime_* and fedca_cputok_* process
-// gauges, and the float sums that workers add to in completion order —
-// fedca_iteration_seconds_sum, fedca_transfer_seconds_sum and
-// fedca_link_bytes_total — whose last bits depend on that order.
+// gauges, the fedca_stage_seconds wall-clock histograms, which time the
+// simulator rather than record the run, and the float sums that workers add
+// to in completion order — fedca_iteration_seconds_sum,
+// fedca_transfer_seconds_sum and fedca_link_bytes_total — whose last bits
+// depend on that order.
 func recordPins(t *testing.T, sink *telemetry.Sink, journal *telemetry.Journal) map[string][]byte {
 	t.Helper()
 	var tr bytes.Buffer
@@ -89,6 +91,7 @@ func recordPins(t *testing.T, sink *telemetry.Sink, journal *telemetry.Journal) 
 		case !strings.HasPrefix(line, "fedca_"),
 			strings.HasPrefix(line, "fedca_runtime_"),
 			strings.HasPrefix(line, "fedca_cputok_"),
+			strings.HasPrefix(line, "fedca_stage_seconds"),
 			strings.HasPrefix(line, "fedca_iteration_seconds_sum"),
 			strings.HasPrefix(line, "fedca_transfer_seconds_sum"),
 			strings.HasPrefix(line, "fedca_link_bytes_total"):

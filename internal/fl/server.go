@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"fedca/internal/cputok"
 	"fedca/internal/data"
@@ -157,10 +158,14 @@ type Runner struct {
 	foldDone  []bool
 	job       trainJob
 
-	// statsMu guards stats: the record stage folds into it serially, but
-	// monitors may poll it while a round runs.
+	// clock times the round in progress; RunRound folds it into stages.
+	clock stageClock
+
+	// statsMu guards stats and stages: the round-driving goroutine folds
+	// into them serially, but monitors may poll them while a round runs.
 	statsMu sync.Mutex
 	stats   RunStats
+	stages  [numStages]stageTally
 }
 
 // Networks builds the runner's models: New64 the float64 global model and
@@ -284,21 +289,123 @@ func (r *Runner) Stats() RunStats {
 
 // RunRound executes one full round and returns its result. It drives the
 // round's stages in order; the package comment lists what each consumes and
-// produces and on which goroutines it runs.
+// produces and on which goroutines it runs. It reads the monotonic clock at
+// every stage boundary (StageTimes).
 func (r *Runner) RunRound() RoundResult {
+	c := &r.clock
+	c.start()
 	plan := r.Scheme.PlanRound(r.round, r.Hist)
+	c.lap(stagePlan)
 	cohort := r.materializeCohort()
+	c.lap(stageCohort)
 	ctrls := r.newControllers(cohort, plan)
+	c.lap(stageControllers)
 	updates, valid, fold := r.train(cohort, ctrls, plan)
+	c.lap(stageTrain)
 	cut := r.cut(updates, valid)
+	c.lap(stageCut)
 	if !cut.skipped {
 		r.aggregate(cut, fold)
+		c.lap(stageAggregate)
 	}
 	r.recycle(cut)
-	res := r.record(plan, cohort, cut)
+	c.lap(stageRecycle)
+	res := r.evaluate(plan, cut)
+	c.lap(stageEvaluate)
+	r.record(&res, cohort)
+	c.lap(stageObserve)
+	r.foldStages()
 	r.round++
 	r.now = cut.end
 	return res
+}
+
+// The stages RunRound times, in the order a round runs them: cohort is
+// selection and materialization, and observe is all of the record stage
+// after the evaluation.
+const (
+	stagePlan = iota
+	stageCohort
+	stageControllers
+	stageTrain
+	stageCut
+	stageAggregate
+	stageRecycle
+	stageEvaluate
+	stageObserve
+	numStages
+)
+
+var stageNames = [numStages]string{"plan", "cohort", "controllers", "train", "cut", "aggregate", "recycle", "evaluate", "observe"}
+
+// StageTime is one row of a run's wall-clock stage table: how many rounds
+// ran the stage (a skipped round does not aggregate) and the seconds they
+// spent in it, read from the monotonic clock on the round-driving
+// goroutine. It times the simulator, not the simulated federation: no
+// timer value enters a round record, the run log or RunStats.
+type StageTime struct {
+	Stage   string  `json:"stage"`
+	Rounds  int     `json:"rounds"`
+	Seconds float64 `json:"seconds"`
+}
+
+// stageTally is a stage's row of the run's table, in nanoseconds.
+type stageTally struct {
+	rounds int
+	ns     int64
+}
+
+// stageClock times one round: lap charges the wall time since the last
+// boundary to a stage and marks it run.
+type stageClock struct {
+	last time.Time
+	ns   [numStages]int64
+	ran  [numStages]bool
+}
+
+func (c *stageClock) start() {
+	*c = stageClock{last: time.Now()}
+}
+
+func (c *stageClock) lap(stage int) {
+	now := time.Now()
+	c.ns[stage] = int64(now.Sub(c.last))
+	c.ran[stage] = true
+	c.last = now
+}
+
+// foldStages adds the round's clock to the run's table, then hands each
+// stage's seconds to the sink.
+func (r *Runner) foldStages() {
+	c := &r.clock
+	r.statsMu.Lock()
+	for s, ran := range c.ran {
+		if ran {
+			r.stages[s].rounds++
+			r.stages[s].ns += c.ns[s]
+		}
+	}
+	r.statsMu.Unlock()
+	if t := r.Cfg.Telemetry; t != nil {
+		for s, ran := range c.ran {
+			if ran {
+				t.ObserveStage(stageNames[s], time.Duration(c.ns[s]).Seconds())
+			}
+		}
+	}
+}
+
+// StageTimes returns the run's wall-clock stage table, one row per stage in
+// round order. Safe to call from any goroutine, including while RunRound
+// executes.
+func (r *Runner) StageTimes() []StageTime {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	out := make([]StageTime, numStages)
+	for s, st := range r.stages {
+		out[s] = StageTime{Stage: stageNames[s], Rounds: st.rounds, Seconds: time.Duration(st.ns).Seconds()}
+	}
+	return out
 }
 
 // resize returns (*buf)[:n], growing the reused buffer first if it is too
@@ -429,8 +536,9 @@ func (j *trainJob) Do(i, w int) {
 // offline. The fold runs when every surviving update is aggregated
 // (AggregateFraction 1) on the default path with deltas not retained: updates
 // then fold into the accumulator while the client phase still runs and their
-// deltas recycle at once, so peak delta memory is the out-of-order completion
-// window, not the cohort. A partial-aggregation cut depends on every virtual
+// deltas recycle at once, so the live deltas are the out-of-order completion
+// window, not the cohort (see onlineFold for how wide it gets). A
+// partial-aggregation cut depends on every virtual
 // completion time, so such rounds wait for the cut and stream through
 // streamReduce instead. The config picks the path, never the round.
 func (r *Runner) newFold(updates []Update, valid []bool) *onlineFold {
@@ -562,11 +670,9 @@ func (r *Runner) recycle(c roundCut) {
 	}
 }
 
-// record closes the books on a round: the RoundResult with the global
-// model's accuracy, then observe, the round's telemetry and journal events,
-// and the cohort's slots back to the fleet. In: the plan, the cohort and the
-// cut. Out: the RoundResult. Serial.
-func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResult {
+// evaluate opens the record stage: the RoundResult of the plan and the cut,
+// with the global model's accuracy on the test set. Serial.
+func (r *Runner) evaluate(plan RoundPlan, c roundCut) RoundResult {
 	res := RoundResult{
 		RoundRecord: RoundRecord{
 			Index:       r.round,
@@ -582,7 +688,14 @@ func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResul
 	if r.Test != nil {
 		res.Accuracy = Evaluate(r.global, r.Test, r.Cfg.EvalBatch)
 	}
-	r.observe(&res, len(cohort))
+	return res
+}
+
+// record closes the books on the evaluated round: observe, the round's
+// telemetry and journal events, and the cohort's slots back to the fleet.
+// Serial.
+func (r *Runner) record(res *RoundResult, cohort []*Client) {
+	r.observe(res, len(cohort))
 	if t := r.Cfg.Telemetry; t != nil {
 		t.RoundDone(res.RoundRecord)
 		t.ObserveCohort(r.Fleet.Size(), len(cohort))
@@ -604,7 +717,6 @@ func (r *Runner) record(plan RoundPlan, cohort []*Client, c roundCut) RoundResul
 		cohort[i] = nil
 	}
 	clear(r.ctrls)
-	return res
 }
 
 // observe is the one walk over a round's client-rounds. It feeds each
@@ -788,9 +900,13 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 // worker closes the gap at the in-order frontier folds every newly
 // contiguous update under the mutex, so the floating-point sequence is
 // identical at any worker count. An update its verdict rejects is recycled
-// unfolded (the cut quarantines it). Folded deltas recycle immediately: peak
-// delta memory is the out-of-order completion window (O(workers)), not the
-// cohort.
+// unfolded (the cut quarantines it). Folded deltas recycle immediately, so
+// the live deltas are the out-of-order completion window: the updates done
+// past the first one still running. That window is not bounded by the
+// worker count — a worker descheduled, or training a long client, while the
+// others finish client after client widens it to as many updates as they
+// complete meanwhile — and the delta pool keeps every vector it was handed,
+// so the widest window of the run stays allocated for the rest of it.
 //
 // The fold accumulates unnormalized (agg[j] += w·d[j]) because totalW is
 // unknown until the last update lands; applyFold divides once at the end.

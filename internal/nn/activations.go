@@ -54,6 +54,13 @@ func (rr *reluFwdRunnerOf[F]) Do(i, _ int) {
 // Forward zeroes negatives.
 func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	y := uninitT[F](r.arena, x.Shape()...)
+	r.rectify(x, y, train)
+	return y
+}
+
+// rectify writes max(0, x) into y, which may be x: forwardChain rectifies
+// in place on an inference pass over a tensor it owns.
+func (r *ReLUOf[F]) rectify(x, y *tensor.TensorOf[F], train bool) {
 	n := x.Size()
 	r.mask = nil // an inference pass leaves nothing for Backward to read
 	if train {
@@ -63,7 +70,6 @@ func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 	r.call.xd, r.call.yd, r.call.mask = x.Data(), y.Data(), r.mask
 	parallelSamples(elemChunks(n), heavyElems(n), &r.fwdRun)
 	r.call.xd, r.call.yd, r.call.mask = nil, nil, nil
-	return y
 }
 
 // Backward gates gradients by the forward mask.

@@ -147,10 +147,17 @@ func releasePacked[F tensor.Float](a *tensor.Arena, pb *tensor.PackedBOf[F]) {
 // layers created and never x, which belongs to the caller; a layer that
 // returns its input (inference-mode Dropout) has created nothing. A layer's
 // output must therefore either be its input tensor or share no storage with
-// it. A training pass releases nothing — backward reads those tensors.
+// it. By the same rule an inference ReLU rectifies in place a tensor the
+// chain owns, since nothing reads it after the ReLU, instead of taking a
+// second activation of its size; the caller's x it never writes. A training
+// pass releases nothing — backward reads those tensors.
 func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	in := x
 	for _, l := range layers {
+		if relu, ok := l.(*ReLUOf[F]); ok && !train && x != in {
+			relu.rectify(x, x, false) // x stays the chain's, now rectified
+			continue
+		}
 		y := l.Forward(x, train)
 		if !train && y != x && x != in {
 			releaseT(a, x)

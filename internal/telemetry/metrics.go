@@ -150,18 +150,6 @@ func expBuckets(start, factor float64, n int) []float64 {
 	return edges
 }
 
-// LinearBuckets returns n edges start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets wants width > 0, n >= 1")
-	}
-	edges := make([]float64, n)
-	for i := range edges {
-		edges[i] = start + float64(i)*width
-	}
-	return edges
-}
-
 // Observe records one value. NaN is ignored. Nil-safe, allocation-free.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {

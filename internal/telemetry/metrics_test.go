@@ -64,10 +64,6 @@ func TestBucketHelpers(t *testing.T) {
 	if want := []float64{1, 2, 4, 8}; !equalFloats(exp, want) {
 		t.Fatalf("expBuckets = %v, want %v", exp, want)
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if want := []float64{0, 5, 10}; !equalFloats(lin, want) {
-		t.Fatalf("LinearBuckets = %v, want %v", lin, want)
-	}
 }
 
 func equalFloats(a, b []float64) bool {

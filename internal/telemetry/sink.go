@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"sync"
 
 	"fedca/internal/chaos"
 	"fedca/internal/fl"
@@ -49,6 +50,11 @@ type Sink struct {
 	TransferSeconds *Histogram
 	ClientIters     *Histogram
 
+	// Wall-clock seconds per round stage (fedca_stage_seconds{stage}), one
+	// histogram per stage name, registered when the stage is first seen.
+	stageMu      sync.Mutex
+	stageSeconds map[string]*Histogram
+
 	up, down linkObserver
 
 	// Runtime-health bridge (fedca_runtime_* and fedca_cputok_inflight
@@ -90,6 +96,8 @@ func New() *Sink {
 		RoundSeconds:    reg.Histogram("fedca_round_seconds", "Virtual duration of one communication round.", expBuckets(0.1, 2, 18)),
 		TransferSeconds: reg.Histogram("fedca_transfer_seconds", "Virtual airtime of one link transfer (queueing excluded).", expBuckets(0.001, 2, 20)),
 		ClientIters:     reg.Histogram("fedca_client_round_iterations", "Local iterations completed per client-round.", expBuckets(1, 2, 10)),
+
+		stageSeconds: make(map[string]*Histogram),
 	}
 	s.health = newRuntimeHealth(reg)
 	s.up = linkObserver{bytes: s.UplinkBytes, transfers: s.LinkTransfers, retries: s.LinkRetries, impair: s.Impairments, airtime: s.TransferSeconds}
@@ -267,6 +275,23 @@ func (s *Sink) RoundDone(rec fl.RoundRecord) {
 		name = "round (skipped)"
 	}
 	s.tracer.Span(serverTrack, name, "round", rec.Start, rec.End, args)
+}
+
+// ObserveStage records the wall-clock seconds one round spent in one of the
+// runner's stages (fl.StageTime). Nil-safe; allocation-free once the stage
+// has been seen.
+func (s *Sink) ObserveStage(stage string, sec float64) {
+	if s == nil {
+		return
+	}
+	s.stageMu.Lock()
+	h := s.stageSeconds[stage]
+	if h == nil {
+		h = s.reg.Histogram("fedca_stage_seconds", "Wall-clock seconds one round spent in a runner stage (monotonic clock, not sim time).", expBuckets(1e-6, 4, 13), Label{"stage", stage})
+		s.stageSeconds[stage] = h
+	}
+	s.stageMu.Unlock()
+	h.Observe(sec)
 }
 
 // ObserveCohort records the fleet population and the size of the cohort a

@@ -2,12 +2,15 @@ package fedca_test
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"fedca"
+	"fedca/internal/telemetry"
 )
 
 // TestFacadeTelemetry exercises the public observability surface: a sink
@@ -77,7 +80,7 @@ func TestFacadeTelemetry(t *testing.T) {
 		t.Fatalf("/status is not a JSON snapshot: %v", err)
 	}
 	resp.Body.Close()
-	if got.Round != snap.Round || got.Accuracy != snap.Accuracy {
+	if got.Round != snap.Round || got.Accuracy != snap.Accuracy || len(got.Stages) != len(snap.Stages) {
 		t.Fatalf("/status %+v does not match Snapshot() %+v", got, snap)
 	}
 }
@@ -125,6 +128,65 @@ func TestSharedSinkSumsFederations(t *testing.T) {
 			}
 			if want[5] == 0 || want[6] == 0 || want[8] == 0 || chaos != "none" && want[9] == 0 {
 				t.Fatalf("tallies %v: the runs need full rounds, eager sends, anchors and, under chaos, anchor aborts", want)
+			}
+		})
+	}
+}
+
+// TestSnapshotStageTable: the snapshot carries the run's wall-clock stage
+// table, one row per runner stage in round order, each counting the rounds
+// that ran it — a skipped round does not aggregate — and the sink holds one
+// fedca_stage_seconds histogram per stage with the same counts and sums.
+func TestSnapshotStageTable(t *testing.T) {
+	stages := []string{"plan", "cohort", "controllers", "train", "cut", "aggregate", "recycle", "evaluate", "observe"}
+	for _, tc := range []struct {
+		name               string
+		quorum, aggregated int
+	}{{"aggregating", 0, 3}, {"skipped", 5, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := fedca.DefaultOptions()
+			opts.Clients = 4
+			opts.LocalIters = 6
+			opts.BatchSize = 8
+			opts.TrainSamples = 256
+			opts.TestSamples = 64
+			opts.MinQuorum = tc.quorum // more than the 4 clients: every round is skipped
+			tel := fedca.NewTelemetry()
+			opts.Telemetry = tel
+			f, err := fedca.New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			f.Run(3)
+			wall := time.Since(start).Seconds()
+
+			snap := f.Snapshot()
+			if len(snap.Stages) != len(stages) {
+				t.Fatalf("snapshot has %d stage rows, want %d: %+v", len(snap.Stages), len(stages), snap.Stages)
+			}
+			hist := map[string]telemetry.MetricSnapshot{}
+			for _, m := range tel.Registry().Snapshot() {
+				if m.Name == "fedca_stage_seconds" {
+					hist[m.Labels["stage"]] = m
+				}
+			}
+			total := 0.0
+			for i, st := range snap.Stages {
+				want := 3
+				if st.Stage == "aggregate" {
+					want = tc.aggregated
+				}
+				if st.Stage != stages[i] || st.Rounds != want || st.Seconds < 0 {
+					t.Errorf("stage row %d = %+v, want stage %q over %d rounds", i, st, stages[i], want)
+				}
+				if h := hist[st.Stage]; h.Count != uint64(st.Rounds) || math.Abs(h.Sum-st.Seconds) > 1e-9 {
+					t.Errorf("sink's %s histogram counts %d rounds summing to %v s; the table %d rounds, %v s", st.Stage, h.Count, h.Sum, st.Rounds, st.Seconds)
+				}
+				total += st.Seconds
+			}
+			if train := snap.Stages[3]; train.Seconds <= 0 || total > wall {
+				t.Errorf("train took %v s of a %v s table; the rounds took %v s of wall time", train.Seconds, total, wall)
 			}
 		})
 	}
