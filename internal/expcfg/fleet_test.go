@@ -117,10 +117,10 @@ func TestVirtualFleetSlotPoolBounded(t *testing.T) {
 //
 // GOMAXPROCS and the token cap are pinned to 2, as in
 // TestSteadyStateRoundAllocs: the online fold keeps as many update vectors
-// as completions ran ahead of the in-order frontier, and the delta pool
-// keeps the widest such window of the run, so with the worker count left to
-// the machine a descheduled worker could move the peak by more than the
-// margin.
+// as completions ran ahead of the in-order frontier, fewer than twice the
+// worker count, and the delta pool keeps the most the run needed at once,
+// so with the worker count left to the machine how the workers were
+// scheduled could move the peak by more than the margin.
 func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two cohorts over a million-client fleet")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	_ "unsafe" // go:linkname
 
@@ -98,6 +99,110 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// chunkLogits runs ds through net in consecutive batches of batch samples,
+// as Evaluate does, and returns every sample's logits in order.
+func chunkLogits(net *nn.Network, ds *data.Dataset, batch int) []float64 {
+	n, dim := ds.N(), ds.Dim()
+	arena := net.Arena()
+	var out []float64
+	for start := 0; start < n; start += batch {
+		bs := min(batch, n-start)
+		if arena != nil {
+			arena.Reset()
+		}
+		out = append(out, net.Forward(tensor.ViewOf(arena, ds.X.Data()[start*dim:(start+bs)*dim], bs, dim), false).Data()...)
+	}
+	return out
+}
+
+// TestEvaluateChunkInvariantLogits: without batch norm, a sample's logits do
+// not depend on the batch it is evaluated in, which is what lets Evaluate run
+// such a network in small chunks. The CNN and the LSTM give every sample the
+// same logits, bit for bit, at batches 1, 7, 64 and 256, from the heap and
+// from an arena, at one token and at two (where the layers fan out inside a
+// batch); CI runs this under -race -count=10.
+func TestEvaluateChunkInvariantLogits(t *testing.T) {
+	const n = 256
+	for _, name := range []string{"cnn", "lstm"} {
+		ds := benchData(name, n)
+		var want []float64
+		for _, tokens := range []int{1, 2} {
+			setTokenCap(t, tokens)
+			for _, withArena := range []bool{false, true} {
+				net := benchModel[float64](name)
+				if net.BatchCoupled() {
+					t.Fatalf("%s: BatchCoupled with no batch norm", name)
+				}
+				if withArena {
+					net.SetArena(tensor.NewArena())
+				}
+				for _, batch := range []int{1, 7, 64, 256} {
+					got := chunkLogits(net, ds, batch)
+					if want == nil {
+						want = got
+						continue
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s, %d tokens, arena %v, batch %d: logit %d is %v, %v at batch 1", name, tokens, withArena, batch, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateKeepsEvalBatchUnderBatchNorm: only a network without batch norm
+// is evaluated in chunks. The WRN, whose batch norm normalizes with the
+// statistics of the batch it is given, keeps exact EvalBatch batches. Labelled
+// with its own predictions in batches of 256, a test set scores 1 at batch
+// 256, and less in chunks of 64, where some predictions move.
+func TestEvaluateKeepsEvalBatchUnderBatchNorm(t *testing.T) {
+	for _, name := range []string{"cnn", "wrn", "lstm"} {
+		if got, want := benchModel[float64](name).BatchCoupled(), name == "wrn"; got != want {
+			t.Fatalf("%s: BatchCoupled %v, want %v", name, got, want)
+		}
+	}
+	wrn, cnn := benchModel[float64]("wrn"), benchModel[float64]("cnn")
+	for _, c := range []struct{ batch, n, wrn, cnn int }{
+		{256, 1000, 256, evalChunk},
+		{0, 300, 300, evalChunk},
+		{500, 300, 300, evalChunk},
+		{16, 40, 16, 16},
+	} {
+		if got := evalSplit(wrn, c.batch, c.n); got != c.wrn {
+			t.Fatalf("wrn: batch %d of %d samples runs in batches of %d, want %d", c.batch, c.n, got, c.wrn)
+		}
+		if got := evalSplit(cnn, c.batch, c.n); got != c.cnn {
+			t.Fatalf("cnn: batch %d of %d samples runs in batches of %d, want %d", c.batch, c.n, got, c.cnn)
+		}
+	}
+	ds := benchData("wrn", 512)
+	predict := func(batch int) []int {
+		logits := chunkLogits(wrn, ds, batch)
+		classes := len(logits) / ds.N()
+		pred := make([]int, ds.N())
+		for i := range pred {
+			pred[i] = tensor.FromSlice(logits[i*classes:(i+1)*classes], 1, classes).ArgMaxRow(0)
+		}
+		return pred
+	}
+	ds.Y = predict(256)
+	moved := 0
+	for i, p := range predict(evalChunk) {
+		if p != ds.Y[i] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("wrn: chunks of %d predict what batches of 256 do; the guard needs a split that moves a prediction", evalChunk)
+	}
+	if got := Evaluate(wrn, ds, 256); got != 1 {
+		t.Fatalf("wrn: Evaluate at batch 256 scores %v on its own predictions at batch 256, want 1 (chunks of %d move %d of them)", got, evalChunk, moved)
+	}
+}
+
 // arenaRetained is internal/tensor's unexported test hook: the bytes an
 // arena's chunks hold over every slab — all it keeps between generations.
 //
@@ -116,33 +221,43 @@ func arenaFloat64s(a *tensor.Arena) int { return arenaRetained(a) / 8 }
 // input-sized slot). The LSTM, whose layer allocates per timestep and so
 // escapes the chain's discipline unless it releases for itself, must stay
 // under what the same pass demands when nothing is released — what its
-// evaluation took from the heap per batch before the arena was bound.
+// evaluation takes from the heap per batch with no arena bound. Both
+// networks run one batch of 256 samples (the WRN holds a batch norm, so
+// Evaluate keeps the batch whole; the LSTM's is run directly, as Evaluate
+// would chunk it).
 func TestEvaluateArenaHighWater(t *testing.T) {
 	const batch = 256
-	highWater := func(name string, train bool) (elems, largest int) {
-		net := benchModel[float64](name)
+	setTokenCap(t, 1) // no fan-out: the heap measurement counts the pass alone
+	input := func(name string) (*nn.Network, *tensor.Tensor, int) {
+		net, ds := benchModel[float64](name), benchData(name, batch)
+		largest := ds.Dim()
+		net.VisitLayers(func(l nn.LayerOf[float64]) { largest = max(largest, l.OutDim()) })
+		return net, tensor.FromSlice(ds.X.Data(), batch, ds.Dim()), largest * batch
+	}
+	highWater := func(name string) (elems, largest int) {
+		net, x, largest := input(name)
 		arena := tensor.NewArena()
 		net.SetArena(arena)
-		ds := benchData(name, batch)
-		if train {
-			// A training forward releases nothing: the sum of every layer's
-			// allocations.
-			net.Forward(tensor.FromSlice(ds.X.Data(), batch, ds.Dim()), true)
-		} else {
-			Evaluate(net, ds, batch)
-		}
-		largest = ds.Dim()
-		net.VisitLayers(func(l nn.LayerOf[float64]) { largest = max(largest, l.OutDim()) })
-		return arenaFloat64s(arena), largest * batch
+		net.Forward(x, false)
+		return arenaFloat64s(arena), largest
 	}
-	wrn, largest := highWater("wrn", false)
-	wrnAll, _ := highWater("wrn", true)
-	t.Logf("wrn: inference high-water %d float64s = %.2f × the largest activation (%d); without release %d", wrn, float64(wrn)/float64(largest), largest, wrnAll)
+	// fromHeap is what the pass allocates with no arena bound, where nothing
+	// is handed back: the sum of every layer's allocations, in float64s.
+	fromHeap := func(name string) int {
+		net, x, _ := input(name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net.Forward(x, false)
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc-before.TotalAlloc) / 8
+	}
+	wrn, largest := highWater("wrn")
+	t.Logf("wrn: inference high-water %d float64s = %.2f × the largest activation (%d); without release %d", wrn, float64(wrn)/float64(largest), largest, fromHeap("wrn"))
 	if wrn > 4*largest {
 		t.Fatalf("wrn inference high-water %d float64s exceeds 4 × its largest activation (%d)", wrn, largest)
 	}
-	lstm, _ := highWater("lstm", false)
-	lstmAll, _ := highWater("lstm", true)
+	lstm, _ := highWater("lstm")
+	lstmAll := fromHeap("lstm")
 	t.Logf("lstm: inference high-water %d float64s; without release %d", lstm, lstmAll)
 	if lstm > lstmAll/4 {
 		t.Fatalf("lstm inference high-water %d float64s is not well under the %d an unreleased pass takes: per-timestep buffers are not reused", lstm, lstmAll)

@@ -113,7 +113,9 @@ type Config struct {
 
 	// EvalBatch is the batch size of the accuracy evaluation, which scores
 	// the whole test set after every round (0 = one batch of all of it).
-	// Batch norm normalizes per batch, so it is part of the result.
+	// Batch norm normalizes per batch, so for a model with batch norm it is
+	// part of the result; a model without one gets the same accuracy at any
+	// batch and is evaluated in chunks of at most 64 samples (see Evaluate).
 	EvalBatch int
 
 	// DType selects the client compute precision: "" or "f64" trains workers

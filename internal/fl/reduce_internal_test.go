@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"fedca/internal/cputok"
 )
@@ -137,13 +138,7 @@ func TestOnlineFoldMatchesAnyCompletionOrder(t *testing.T) {
 			ups[i] = ref[i]
 			ups[i].Delta = append([]float64(nil), ref[i].Delta...)
 		}
-		f := &onlineFold{
-			agg:     make([]float64, n),
-			updates: ups,
-			valid:   slices.Repeat([]bool{true}, clients),
-			done:    make([]bool, clients),
-			pool:    &deltaPool{},
-		}
+		f := newOnlineFold(make([]float64, n), ups, slices.Repeat([]bool{true}, clients), make([]bool, clients), &deltaPool{}, clients)
 		for _, i := range order {
 			f.complete(i)
 		}
@@ -162,6 +157,43 @@ func TestOnlineFoldMatchesAnyCompletionOrder(t *testing.T) {
 			if f.agg[j] != wantAgg[j] {
 				t.Fatalf("order %d: agg[%d] = %v, want %v", oi, j, f.agg[j], wantAgg[j])
 			}
+		}
+	}
+}
+
+// TestOnlineFoldWaitsPastItsWindow: a worker whose finished update lies the
+// window (the train stage's worker count) or more places past the frontier
+// waits in complete until the frontier comes within the window of it, so a
+// stalled client bounds the updates the others finish meanwhile; an abort,
+// which a panicking client round calls, wakes it instead.
+func TestOnlineFoldWaitsPastItsWindow(t *testing.T) {
+	const n, clients, window = 8, 4, 2
+	for _, abort := range []bool{false, true} {
+		ups, _ := randomUpdates(rand.New(rand.NewSource(7)), clients, n)
+		f := newOnlineFold(make([]float64, n), ups, slices.Repeat([]bool{true}, clients), make([]bool, clients), &deltaPool{}, window)
+		f.complete(1) // one place past the frontier: inside the window
+		returned := make(chan struct{})
+		go func() {
+			f.complete(2)
+			close(returned)
+		}()
+		select {
+		case <-returned:
+			t.Fatalf("complete(2) returned with the frontier at 0 and a window of %d", window)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if abort {
+			f.abort()
+		} else {
+			f.complete(0)
+		}
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("abort %v: complete(2) still waits", abort)
+		}
+		if want := map[bool]int{false: 3, true: 0}[abort]; f.next != want {
+			t.Fatalf("abort %v: frontier at %d, want %d", abort, f.next, want)
 		}
 	}
 }

@@ -494,14 +494,15 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 		eager:   resize(&r.eager, len(cohort)),
 		valid:   resize(&r.valid, len(cohort)),
 	}
-	j.fold = r.newFold(j.updates, j.valid)
 	// Schemes exposing IsAnchorRound (FedCA) get their profiling
 	// client-rounds marked in the record.
 	if a, ok := r.Scheme.(interface{ IsAnchorRound(int) bool }); ok {
 		j.anchor = a.IsAnchorRound(r.round)
 	}
 	budget := cputok.Default()
-	budget.Run(budget.Borrow(min(len(r.workers), len(cohort))-1), len(cohort), j)
+	extra := budget.Borrow(min(len(r.workers), len(cohort)) - 1)
+	j.fold = r.newFold(j.updates, j.valid, extra+1)
+	budget.Run(extra, len(cohort), j)
 	return j.updates, j.valid, j.fold
 }
 
@@ -523,13 +524,29 @@ type trainJob struct {
 }
 
 func (j *trainJob) Do(i, w int) {
+	if j.fold == nil {
+		j.judge(i, w)
+		return
+	}
+	// A client round that panics never reaches the frontier, so the workers
+	// waiting on the fold must stop waiting for it.
+	folded := false
+	defer func() {
+		if !folded {
+			j.fold.abort()
+		}
+	}()
+	j.judge(i, w)
+	j.fold.complete(i)
+	folded = true
+}
+
+// judge trains participant i on worker slot w and judges its update.
+func (j *trainJob) judge(i, w int) {
 	r := j.r
 	j.updates[i] = r.workers[w].run(j.cohort[i], r.flat, &r.Cfg, j.plan, j.ctrls[i], r.round, r.now, j.anchor, j.eager[i][:0])
 	j.eager[i] = j.updates[i].Eager
 	j.valid[i] = deltaValid(j.updates[i].Delta, j.bound)
-	if j.fold != nil {
-		j.fold.complete(i)
-	}
 }
 
 // newFold returns the round's online fold, or nil when the round reduces
@@ -537,18 +554,18 @@ func (j *trainJob) Do(i, w int) {
 // (AggregateFraction 1) on the default path with deltas not retained: updates
 // then fold into the accumulator while the client phase still runs and their
 // deltas recycle at once, so the live deltas are the out-of-order completion
-// window, not the cohort (see onlineFold for how wide it gets). A
+// window of the stage's workers, not the cohort (see onlineFold). A
 // partial-aggregation cut depends on every virtual
 // completion time, so such rounds wait for the cut and stream through
 // streamReduce instead. The config picks the path, never the round.
-func (r *Runner) newFold(updates []Update, valid []bool) *onlineFold {
+func (r *Runner) newFold(updates []Update, valid []bool, workers int) *onlineFold {
 	if _, custom := r.Scheme.(Aggregator); custom || r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
 		return nil
 	}
 	clear(r.aggBuf)
 	done := resize(&r.foldDone, len(updates))
 	clear(done)
-	return &onlineFold{agg: r.aggBuf, updates: updates, valid: valid, done: done, pool: r.pool}
+	return newOnlineFold(r.aggBuf, updates, valid, done, r.pool, workers)
 }
 
 // roundCut is the cut stage's decision about a round's updates.
@@ -902,11 +919,16 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 // identical at any worker count. An update its verdict rejects is recycled
 // unfolded (the cut quarantines it). Folded deltas recycle immediately, so
 // the live deltas are the out-of-order completion window: the updates done
-// past the first one still running. That window is not bounded by the
-// worker count — a worker descheduled, or training a long client, while the
-// others finish client after client widens it to as many updates as they
-// complete meanwhile — and the delta pool keeps every vector it was handed,
-// so the widest window of the run stays allocated for the rest of it.
+// past the first one still running. The window is bounded: a worker whose
+// finished update lies window (the stage's worker count) or more places past
+// the frontier waits until the frontier has come within window of it,
+// instead of training client after client while one worker is descheduled or
+// training a long client. So at most window−1 finished updates sit inside
+// the window and window−1 waiting past it, and with each worker's update in
+// progress the delta pool, which keeps every vector it was handed, holds
+// fewer than 2·window vectors whatever the scheduling. Waiting reorders no
+// fold, so no bit moves. A panicking client round aborts the fold: every
+// waiter is woken and none waits again, so the panic reaches the caller.
 //
 // The fold accumulates unnormalized (agg[j] += w·d[j]) because totalW is
 // unknown until the last update lands; applyFold divides once at the end.
@@ -921,19 +943,31 @@ type onlineFold struct {
 	done    []bool
 	next    int
 	pool    *deltaPool
+	window  int
 
-	mu     sync.Mutex
-	totalW float64
+	mu      sync.Mutex
+	moved   sync.Cond // on mu: next advanced, or the fold aborted
+	aborted bool
+	totalW  float64
 }
 
-// complete marks update i finished and folds the in-order frontier. Callers
-// must have published updates[i] and its verdict before calling (the train
-// stage's worker writes both, then calls complete; the fold's mutex orders
-// the reads).
+// newOnlineFold returns a fold of updates into agg with nothing done yet,
+// whose finished updates lie less than window places past the frontier.
+func newOnlineFold(agg []float64, updates []Update, valid, done []bool, pool *deltaPool, window int) *onlineFold {
+	f := &onlineFold{agg: agg, updates: updates, valid: valid, done: done, pool: pool, window: window}
+	f.moved.L = &f.mu
+	return f
+}
+
+// complete marks update i finished, folds the in-order frontier, and waits
+// while i lies window or more places past it. Callers must have published
+// updates[i] and its verdict before calling (the train stage's worker writes
+// both, then calls complete; the fold's mutex orders the reads).
 func (f *onlineFold) complete(i int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.done[i] = true
+	from := f.next
 	for ; f.next < len(f.updates) && f.done[f.next]; f.next++ {
 		u := &f.updates[f.next]
 		// A dropped client has no delta to fold.
@@ -948,10 +982,31 @@ func (f *onlineFold) complete(i int) {
 		f.pool.put(u.Delta)
 		u.Delta = nil
 	}
+	if f.next > from {
+		f.moved.Broadcast()
+	}
+	for i >= f.next+f.window && !f.aborted {
+		f.moved.Wait()
+	}
 }
 
+// abort wakes every worker waiting in complete and lets none wait again: a
+// client round panicked, and its update will never reach the frontier.
+func (f *onlineFold) abort() {
+	f.mu.Lock()
+	f.aborted = true
+	f.mu.Unlock()
+	f.moved.Broadcast()
+}
+
+// evalChunk is the batch a network without batch norm is evaluated in: the
+// smallest that measured no slower than 256 on the benchmark's CNN, and a
+// quarter of the activations held at once (DESIGN §15).
+const evalChunk = 64
+
 // Evaluate computes the model's accuracy on ds, in batches of batch samples
-// (0 = single pass over everything).
+// (0 = single pass over everything) — or, for a network without batch norm
+// (nn.NetworkOf.BatchCoupled), in chunks of at most evalChunk samples.
 //
 // A network with an arena bound — the runner's global model, on worker 0's
 // arena — is evaluated as an inference pass: the arena is reset before every
@@ -961,20 +1016,20 @@ func (f *onlineFold) complete(i int) {
 // an arena every layer's output comes from the heap, as it always has; the
 // accuracy is the same.
 //
-// Batches run one after another, each exactly batch samples but the last:
-// batch norm normalizes with the statistics of the batch it is given, so the
-// split is part of the result, and two batches in flight would double the
-// activations held. The cores are used inside a batch instead — per sample in
-// the convolutions and pooling, per channel in batch norm, per row block in
-// the products — under the CPU-token budget.
+// Batches run one after another, each exactly batch samples but the last
+// when the network holds a batch norm: it normalizes with the statistics of
+// the batch it is given, so the split is part of the result. Without one,
+// every sample gets the same logits whatever the split, and smaller chunks
+// hold fewer activations at once. Two batches in flight would double the
+// activations held; the cores are used inside a batch instead — per sample
+// in the convolutions and pooling, per channel in batch norm, per row block
+// in the products — under the CPU-token budget.
 func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 	n := ds.N()
 	if n == 0 {
 		return 0
 	}
-	if batch <= 0 || batch > n {
-		batch = n
-	}
+	batch = evalSplit(net, batch, n)
 	dim := ds.Dim()
 	arena := net.Arena()
 	correct := 0
@@ -995,4 +1050,17 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 		}
 	}
 	return float64(correct) / float64(n)
+}
+
+// evalSplit returns the batch Evaluate runs n samples of net in, asked for
+// batch (0 = all n): exactly that for a network with batch norm, at most
+// evalChunk for one without.
+func evalSplit(net *nn.Network, batch, n int) int {
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	if !net.BatchCoupled() {
+		batch = min(batch, evalChunk)
+	}
+	return batch
 }

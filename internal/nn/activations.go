@@ -86,3 +86,6 @@ func (r *ReLUOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 
 // Params returns nil.
 func (r *ReLUOf[F]) Params() []*ParamOf[F] { return nil }
+
+// backwardReadsInput: Backward gates by the mask alone.
+func (r *ReLUOf[F]) backwardReadsInput() bool { return false }

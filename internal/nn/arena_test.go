@@ -69,8 +69,8 @@ func lstmShapeNets[F tensor.Float](nets map[string]func() (*NetworkOf[F], int)) 
 // everyLayerNets builds, per name, a network and its input width; together
 // they contain every layer type, the pooling layer on both of its paths and
 // at a width below the vector's, convolutions at stride 1 and 2, a residual
-// block with and without a shortcut branch, and an LSTM with one layer and
-// with two.
+// block with and without a shortcut branch, one whose branch opens with a
+// pass-through dropout, and an LSTM with one layer and with two.
 func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 	return map[string]func() (*NetworkOf[F], int){
 		"dense-relu": func() (*NetworkOf[F], int) {
@@ -123,6 +123,16 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 				block("b1", 2, 2, 1), block("b2", 2, 4, 2),
 				NewBatchNorm2DOf[F]("bn_out", 4, 3, 3), NewReLUOf[F](36), NewGlobalAvgPool2DOf[F](4, 3, 3),
 				NewDenseOf[F]("fc", 4, 3, r)), 36
+		},
+		"residual-dropout0": func() (*NetworkOf[F], int) {
+			// A training Dropout with P = 0 hands its input on, so the
+			// convolution after it reads the block's input: the chain must
+			// keep it although Dropout's own Backward reads nothing.
+			r := rng.New(13)
+			g := tensor.NewConvGeom(2, 6, 6, 3, 3, 1, 1)
+			body := []LayerOf[F]{NewDropoutOf[F](0, 72, r.Fork("dropout", "b")), NewConv2DOf[F]("b.c", g, 2, r)}
+			return NewNetworkOf[F](NewConv2DOf[F]("conv1", tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1), 2, r),
+				NewResidualOf[F](body, nil, 72), NewGlobalAvgPool2DOf[F](2, 6, 6), NewDenseOf[F]("fc", 2, 3, r)), 36
 		},
 		"lstm1": func() (*NetworkOf[F], int) {
 			r := rng.New(10)

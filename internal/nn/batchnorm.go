@@ -181,3 +181,6 @@ func (b *BatchNorm2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F
 
 // Params returns γ and β.
 func (b *BatchNorm2DOf[F]) Params() []*ParamOf[F] { return []*ParamOf[F]{b.Gamma, b.Beta} }
+
+// backwardReadsInput: Backward reads x̂ and the channels' 1/σ, its own copies.
+func (b *BatchNorm2DOf[F]) backwardReadsInput() bool { return false }

@@ -292,3 +292,6 @@ func (c *Conv2DOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Te
 
 // Params returns weight and bias.
 func (c *Conv2DOf[F]) Params() []*ParamOf[F] { return []*ParamOf[F]{c.W, c.B} }
+
+// backwardReadsInput: Backward unfolds x again into the patches dW needs.
+func (c *Conv2DOf[F]) backwardReadsInput() bool { return true }

@@ -24,6 +24,54 @@ var arenaDemand func(*tensor.Arena) int
 //go:linkname arenaRetained fedca/internal/tensor.retainedBytes
 var arenaRetained func(*tensor.Arena) int
 
+// arenaHeld is internal/tensor's unexported test hook: the bytes an arena has
+// handed out since its last Reset and not had back.
+//
+//go:linkname arenaHeld fedca/internal/tensor.heldBytes
+var arenaHeld func(*tensor.Arena) int
+
+// TestTrainingForwardHoldsWhatBackwardReads: a training forward hands each
+// activation back to the arena once the layer consuming it has returned,
+// unless that layer's Backward reads it, and a residual block its two branch
+// results once summed. So at the end of one forward pass of the WRN, at the
+// benchmark's shape and batch, the arena holds no more than what Backward
+// reads — each convolution's and the dense layer's input (the ReLU outputs,
+// and a block's input where its shortcut is a convolution), each batch
+// norm's x̂, each ReLU's mask, the logits — and a little for headers and
+// per-channel statistics. Holding every activation until Reset, it held
+// twice that: the batch norms' and ReLUs' outputs, the convolution outputs
+// they normalize and the branch results as well.
+func TestTrainingForwardHoldsWhatBackwardReads(t *testing.T) {
+	const batch = 50
+	img := model.ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 20}
+	net := model.NewWRNOf[float64](model.WRNConfig{Image: img, BlocksPerGroup: 2, Width: 8}, rng.New(3)).Network
+	arena := tensor.NewArena()
+	net.SetArena(arena)
+	x := tensor.AllocOf[float64](arena, batch, img.InDim())
+	logits := net.Forward(x, true)
+	reads := 8 * logits.Size()
+	net.VisitLayers(func(l nn.LayerOf[float64]) {
+		switch l := l.(type) {
+		case *nn.Conv2DOf[float64]:
+			reads += 8 * batch * l.InDim()
+		case *nn.DenseOf[float64]:
+			reads += 8 * batch * l.In
+		case *nn.BatchNorm2DOf[float64]:
+			reads += 8 * batch * l.OutDim() // x̂
+		case *nn.ReLUOf[float64]:
+			reads += batch * l.OutDim() // the mask
+		case *nn.MaxPool2DOf[float64]:
+			reads += 4 * batch * l.OutDim() // the argmax
+		}
+	})
+	held := arenaHeld(arena)
+	const slack = 64 << 10
+	t.Logf("wrn at batch %d: forward holds %d B, Backward reads %d B", batch, held, reads)
+	if held > reads+slack {
+		t.Fatalf("a training forward holds %d B, more than the %d B its Backward reads (slack %d B): activations no Backward reads are kept until Reset", held, reads, slack)
+	}
+}
+
 // TestTrainingArenaDemand: backward hands each gradient back to the arena
 // once the layer consuming it has returned, a residual block its two branch
 // gradients once summed, and a convolution its per-sample weight and bias

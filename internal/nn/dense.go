@@ -88,5 +88,8 @@ func (d *DenseOf[F]) backward(dout *tensor.TensorOf[F], needDx bool) *tensor.Ten
 // Params returns weight and bias.
 func (d *DenseOf[F]) Params() []*ParamOf[F] { return []*ParamOf[F]{d.W, d.B} }
 
+// backwardReadsInput: dW is doutᵀ·x.
+func (d *DenseOf[F]) backwardReadsInput() bool { return true }
+
 // OutDim returns the output feature count.
 func (d *DenseOf[F]) OutDim() int { return d.Out }

@@ -89,3 +89,8 @@ func (d *DropoutOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 
 // Params returns nil: dropout has no parameters.
 func (d *DropoutOf[F]) Params() []*ParamOf[F] { return nil }
+
+// backwardReadsInput: Backward gates by the mask alone. At P = 0 a training
+// Forward hands x on as its output, which the next layer may read, so x then
+// counts as read: a residual block whose branch starts here keeps its input.
+func (d *DropoutOf[F]) backwardReadsInput() bool { return d.P == 0 }

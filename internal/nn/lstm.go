@@ -106,6 +106,10 @@ func (l *LSTMOf[F]) setArena(a *tensor.Arena) {
 // OutDim returns the hidden size H.
 func (l *LSTMOf[F]) OutDim() int { return l.Hidden }
 
+// backwardReadsInput: Forward copies x into per-timestep rows, and BPTT reads
+// those.
+func (l *LSTMOf[F]) backwardReadsInput() bool { return false }
+
 // Params returns all stacked-layer parameters in layer order.
 func (l *LSTMOf[F]) Params() []*ParamOf[F] {
 	var ps []*ParamOf[F]

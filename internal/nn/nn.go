@@ -24,8 +24,9 @@
 // at Forward and check it in Backward, so using a cache across a Reset panics
 // instead of silently reading recycled memory. A Forward with train false is
 // an inference pass: it caches nothing, and with an arena bound it hands each
-// intermediate back as soon as the next layer has consumed it. Backward does
-// the same with every gradient between two layers.
+// intermediate back as soon as the next layer has consumed it. A training
+// pass does the same with every activation no Backward reads (see
+// forwardChain), and Backward with every gradient between two layers.
 package nn
 
 import (
@@ -69,6 +70,24 @@ type LayerOf[F tensor.Float] interface {
 	Params() []*ParamOf[F]
 	// OutDim returns the per-sample output feature count.
 	OutDim() int
+}
+
+// inputReader is implemented by layers that declare whether the input tensor
+// of a training Forward must outlive the call: whether Backward reads it (or
+// Forward hands it on as the output). When it need not, forwardChain releases
+// it as soon as the layer returns; a layer that declares nothing counts as
+// reading it. No Backward reads its own output.
+type inputReader interface {
+	backwardReadsInput() bool
+}
+
+// readsInput reports whether the input of l's training Forward must outlive
+// the call (see inputReader).
+func readsInput[F tensor.Float](l LayerOf[F]) bool {
+	if r, ok := l.(inputReader); ok {
+		return r.backwardReadsInput()
+	}
+	return true
 }
 
 // arenaLayer is implemented by layers that can draw per-iteration scratch
@@ -139,18 +158,19 @@ func releasePacked[F tensor.Float](a *tensor.Arena, pb *tensor.PackedBOf[F]) {
 	}
 }
 
-// forwardChain runs layers in order over x. With an arena bound, an inference
-// pass keeps only what is still needed: each intermediate goes back to the
-// arena as soon as the layer consuming it has returned, so a chain holds its
+// forwardChain runs layers in order over x. With an arena bound, a pass keeps
+// only what is still needed: each intermediate goes back to the arena as soon
+// as the layer consuming it has returned — on a training pass unless that
+// layer's Backward reads it (readsInput) — so an inference chain holds its
 // input, the current layer's input and its output instead of every layer's
-// output. Ownership is by creation: the chain releases the tensors its own
-// layers created and never x, which belongs to the caller; a layer that
-// returns its input (inference-mode Dropout) has created nothing. A layer's
-// output must therefore either be its input tensor or share no storage with
-// it. By the same rule an inference ReLU rectifies in place a tensor the
-// chain owns, since nothing reads it after the ReLU, instead of taking a
-// second activation of its size; the caller's x it never writes. A training
-// pass releases nothing — backward reads those tensors.
+// output, and a training chain what its backward pass reads. Ownership is by
+// creation: the chain releases the tensors its own layers created and never
+// x, which belongs to the caller; a layer that returns its input
+// (inference-mode Dropout) has created nothing. A layer's output must
+// therefore either be its input tensor or share no storage with it. By the
+// same rule an inference ReLU rectifies in place a tensor the chain owns,
+// since nothing reads it after the ReLU, instead of taking a second
+// activation of its size; the caller's x it never writes.
 func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	in := x
 	for _, l := range layers {
@@ -159,7 +179,7 @@ func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tenso
 			continue
 		}
 		y := l.Forward(x, train)
-		if !train && y != x && x != in {
+		if y != x && x != in && (!train || !readsInput(l)) {
 			releaseT(a, x)
 		}
 		x = y
@@ -202,9 +222,10 @@ func checkGen(a *tensor.Arena, gen uint64, owner string) {
 // NetworkOf is a sequential composition of layers with a stable, flat list of
 // named parameters.
 type NetworkOf[F tensor.Float] struct {
-	Layers []LayerOf[F]
-	params []*ParamOf[F]
-	arena  *tensor.Arena
+	Layers       []LayerOf[F]
+	params       []*ParamOf[F]
+	arena        *tensor.Arena
+	batchCoupled bool
 }
 
 // Network is the float64 network.
@@ -224,8 +245,19 @@ func NewNetworkOf[F tensor.Float](layers ...LayerOf[F]) *NetworkOf[F] {
 			n.params = append(n.params, p)
 		}
 	}
+	n.VisitLayers(func(l LayerOf[F]) {
+		if _, ok := l.(*BatchNorm2DOf[F]); ok {
+			n.batchCoupled = true
+		}
+	})
 	return n
 }
+
+// BatchCoupled reports whether a sample's output depends on the rest of its
+// batch: whether the network holds a batch norm, which normalizes with the
+// batch's statistics. Without one, every sample gets the same output
+// whatever batch it is evaluated in.
+func (n *NetworkOf[F]) BatchCoupled() bool { return n.batchCoupled }
 
 // SetArena binds an arena to every layer of the network (including layers
 // nested in residual blocks). Passing nil detaches it and layers fall back to
@@ -243,9 +275,9 @@ func (n *NetworkOf[F]) SetArena(a *tensor.Arena) {
 // Arena returns the bound arena, or nil.
 func (n *NetworkOf[F]) Arena() *tensor.Arena { return n.arena }
 
-// Forward runs the full network. With train false and an arena bound it is an
-// inference pass that holds a few activations at a time (see forwardChain);
-// the result is valid until the arena's next Reset.
+// Forward runs the full network. With an arena bound, an inference pass holds
+// a few activations at a time and a training pass only those its Backward
+// reads (see forwardChain); the result is valid until the arena's next Reset.
 func (n *NetworkOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	return forwardChain(n.arena, n.Layers, x, train)
 }

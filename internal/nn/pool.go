@@ -152,6 +152,9 @@ func (p *MaxPool2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.TensorOf[F] 
 // Params returns nil: pooling has no parameters.
 func (p *MaxPool2DOf[F]) Params() []*ParamOf[F] { return nil }
 
+// backwardReadsInput: Backward routes by the argmax alone.
+func (p *MaxPool2DOf[F]) backwardReadsInput() bool { return false }
+
 // GlobalAvgPool2DOf averages each channel over its spatial extent,
 // mapping [B, C·H·W] to [B, C]. Used as the WRN head.
 type GlobalAvgPool2DOf[F tensor.Float] struct {
@@ -214,3 +217,6 @@ func (g *GlobalAvgPool2DOf[F]) Backward(dout *tensor.TensorOf[F]) *tensor.Tensor
 
 // Params returns nil: pooling has no parameters.
 func (g *GlobalAvgPool2DOf[F]) Params() []*ParamOf[F] { return nil }
+
+// backwardReadsInput: Backward spreads dout alone.
+func (g *GlobalAvgPool2DOf[F]) backwardReadsInput() bool { return false }

@@ -63,8 +63,8 @@ func (rr *residualSumRunnerOf[F]) Do(i, _ int) {
 
 // Forward runs both branches and sums them. Each branch is a chain of its own
 // (see forwardChain): x stays with the caller, pinned while both read it, and
-// on an inference pass the two branch results go back to the arena once
-// summed.
+// the two branch results go back to the arena once summed — no Backward reads
+// them, so on a training pass too.
 func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	b := forwardChain(r.arena, r.Body, x, train)
 	s := forwardChain(r.arena, r.Shortcut, x, train)
@@ -76,15 +76,19 @@ func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tenso
 	r.call.bd, r.call.sd, r.call.yd = b.Data(), s.Data(), y.Data()
 	parallelSamples(elemChunks(n), heavyElems(n), &r.sumRun)
 	r.call.bd, r.call.sd, r.call.yd = nil, nil, nil
-	if !train {
-		if b != x {
-			releaseT(r.arena, b)
-		}
-		if s != x {
-			releaseT(r.arena, s)
-		}
+	if b != x {
+		releaseT(r.arena, b)
+	}
+	if s != x {
+		releaseT(r.arena, s)
 	}
 	return y
+}
+
+// backwardReadsInput: the block's Backward reads x where a branch's first
+// layer does; an identity shortcut reads nothing.
+func (r *ResidualOf[F]) backwardReadsInput() bool {
+	return readsInput(r.Body[0]) || len(r.Shortcut) > 0 && readsInput(r.Shortcut[0])
 }
 
 // Backward propagates dout through both branches and sums input gradients.

@@ -27,7 +27,8 @@ import (
 // writes every element before anything reads one, which is most of them, and
 // skips a pass over memory that is about to be overwritten.
 //
-// An inference pass does not need every activation until Reset, nor a
+// A forward pass does not need every activation until Reset — an inference
+// pass none once consumed, a training pass only those backward reads — nor a
 // backward pass a gradient once the next layer has consumed it: ReleaseOf
 // hands one tensor's storage back early, and a later allocation that fits —
 // zeroing or not — is cut from it instead of bumping. A chain of layers then
@@ -185,6 +186,20 @@ var demandBytes = func(a *Arena) int {
 	return 8*a.f64.demand + 4*a.f32.demand + 4*a.i32.demand + a.bools.demand + 8*a.dims.demand +
 		int(unsafe.Sizeof(TensorOf[float64]{}))*a.t64.demand + int(unsafe.Sizeof(TensorOf[float32]{}))*a.t32.demand +
 		int(unsafe.Sizeof(PackedBOf[float64]{}))*a.p64.demand + int(unsafe.Sizeof(PackedBOf[float32]{}))*a.p32.demand
+}
+
+// heldBytes returns the bytes a has handed out since the last Reset and not
+// had back: demandBytes less the released buffers no allocation has taken
+// again. Tests read it through go:linkname; nothing else does.
+var heldBytes = func(a *Arena) int {
+	free := 0
+	for _, v := range a.f64.free {
+		free += 8 * len(v)
+	}
+	for _, v := range a.f32.free {
+		free += 4 * len(v)
+	}
+	return demandBytes(a) - free
 }
 
 // retainedBytes returns the bytes a's chunks hold over every slab: all the
