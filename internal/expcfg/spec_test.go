@@ -18,9 +18,12 @@ func validBase() Options {
 
 // FuzzRunSpec feeds arbitrary specs to Options.Set. The guarantees under
 // fuzz: Set never panics; whatever Set accepts onto a valid base passes the
-// lowering's validation (one bounds table); and String is a fixed point:
-// Set of String, onto any base, writes the same text again. The corpus
-// starts from the soak's schedule corpus and every TestSimGolden header.
+// lowering's validation (one bounds table); String is a fixed point: Set of
+// String, onto any base, writes the same text again; and an accepted spec
+// that sets compress finds its value in String exactly as written ("" is
+// "none"), since compress.ByName accepts each compressor in one spelling
+// only. The corpus starts from the soak's schedule corpus and every
+// TestSimGolden header.
 func FuzzRunSpec(f *testing.F) {
 	soakCorpus, err := filepath.Glob(filepath.Join("..", "soak", "testdata", "fuzz", "FuzzSoakSpecParse", "*"))
 	if err != nil {
@@ -58,6 +61,8 @@ func FuzzRunSpec(f *testing.F) {
 	f.Add("fedca.te=0.5;iters=0")
 	f.Add("alpha=Inf;modelbytes=NaN;aggfrac=-0;quorum=-1")
 	f.Add("compress=topk0.07;chaos=slowfrac=NaN,drop=0.1,retries=9")
+	f.Add(" Compress = topk1 ;compress=")
+	f.Add("COMPRESS=qsgd7")
 	f.Fuzz(func(t *testing.T, spec string) {
 		o := validBase()
 		if err := o.Set(spec); err != nil {
@@ -67,6 +72,14 @@ func FuzzRunSpec(f *testing.F) {
 			t.Fatalf("Set accepted %q but the lowering rejects it: %v", spec, err)
 		}
 		canon := o.String()
+		if written, ok := lastValue(spec, "compress"); ok {
+			if written == "" {
+				written = "none"
+			}
+			if got, _ := lastValue(canon, "compress"); got != written {
+				t.Fatalf("compress written %q, canonical %q", written, got)
+			}
+		}
 		for _, base := range []Options{{}, validBase()} {
 			if err := base.Set(canon); err != nil {
 				t.Fatalf("canonical form does not parse: %v\ncanon: %q", err, canon)
@@ -76,6 +89,17 @@ func FuzzRunSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lastValue returns the value the last key=value field of spec gives key,
+// read as Set reads it.
+func lastValue(spec, key string) (val string, ok bool) {
+	for _, kv := range strings.Split(spec, ";") {
+		if k, v, found := strings.Cut(kv, "="); found && strings.ToLower(strings.TrimSpace(k)) == key {
+			val, ok = strings.TrimSpace(v), true
+		}
+	}
+	return val, ok
 }
 
 // TestSpecRoundTrip checks the text form on values in use today: every

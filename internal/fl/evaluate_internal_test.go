@@ -468,3 +468,75 @@ func TestClientRoundMatchesHeapUnderPoison(t *testing.T) {
 	t.Run("fleet-cnn-f32", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float32](t, "cnn", nil, false) })
 	t.Run("wrn-train-evaluate-train", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7, true) })
 }
+
+// arenaProbe is a scheme whose Aggregate — serial, after the train stage has
+// joined every worker and before the evaluate stage — reads what worker 0's
+// arena retains. It keeps the global model where it is: the arena's layout
+// depends on the shapes that run on it, not on the parameters.
+type arenaProbe struct {
+	arena      *tensor.Arena
+	afterTrain []int
+}
+
+func (*arenaProbe) Name() string                                     { return "arena-probe" }
+func (*arenaProbe) PlanRound(int, *History) RoundPlan                { return RoundPlan{Deadline: math.Inf(1)} }
+func (*arenaProbe) NewController(*Client, int, RoundPlan) Controller { return NopController{} }
+func (p *arenaProbe) Aggregate(_ int, flat []float64, _, _ []Update) []float64 {
+	p.afterTrain = append(p.afterTrain, arenaRetained(p.arena))
+	return flat
+}
+
+// wrnNets builds the benchmark's WRN for a runner.
+type wrnNets struct{}
+
+func (wrnNets) New64() *nn.Network            { return benchModel[float64]("wrn") }
+func (wrnNets) New32() *nn.NetworkOf[float32] { return benchModel[float32]("wrn") }
+
+// TestEvalArenaLaidOutFirst: worker 0's arena hosts both training and the
+// global model's evaluation, whose batch of EvalBatch samples is the largest
+// generation it ever runs. NewFleetRunner runs one such batch before any
+// training, so its activations lay out the arena's chunks and every training
+// iteration is cut from them. After three rounds the arena retains no more
+// than a fresh arena does after one evaluation batch of the same network,
+// plus a slack for the slabs only training draws from (ReLU masks, headers
+// and shapes of the backward pass), and no round's evaluate stage adds a
+// chunk. Laid out by training first, the arena keeps training's small
+// chunks, which the evaluation batch cannot use, beside the ones it adds.
+func TestEvalArenaLaidOutFirst(t *testing.T) {
+	const batch, trainBatch, clients, rounds = 256, 16, 4, 3
+	// Training's own slabs measured 0.26 MiB at this geometry.
+	const slack = 512 << 10
+	setTokenCap(t, 2)
+	train, test := benchData("wrn", 64), benchData("wrn", batch)
+
+	fresh := tensor.NewArena()
+	net := benchModel[float64]("wrn")
+	net.SetArena(fresh)
+	Evaluate(net, test, batch)
+	bound := arenaRetained(fresh) + slack
+
+	cs := make([]*Client, clients)
+	for i := range cs {
+		cs[i] = roundClient(train, trainBatch)
+		cs[i].ID = i
+	}
+	cfg := Config{LocalIters: 2, BatchSize: trainBatch, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 1, EvalBatch: batch}
+	probe := &arenaProbe{}
+	r, err := NewFleetRunner(cfg, NewStaticFleet(cs), probe, test, wrnNets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.arena = r.global.Arena()
+	for round := 0; round < rounds; round++ {
+		r.RunRound()
+		after := arenaRetained(probe.arena)
+		t.Logf("round %d: worker 0's arena retains %.2f MiB after train, %.2f MiB after evaluate; a fresh arena %.2f MiB after one evaluation batch",
+			round, float64(probe.afterTrain[round])/(1<<20), float64(after)/(1<<20), float64(bound-slack)/(1<<20))
+		if after != probe.afterTrain[round] {
+			t.Errorf("round %d: the evaluate stage grew worker 0's arena from %d to %d bytes", round, probe.afterTrain[round], after)
+		}
+	}
+	if got := arenaRetained(probe.arena); got > bound {
+		t.Fatalf("worker 0's arena retains %d bytes after %d rounds: %d more than a fresh arena after one evaluation batch, over the slack of %d", got, rounds, got-bound+slack, slack)
+	}
+}

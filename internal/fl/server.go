@@ -227,8 +227,18 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	}
 	// The global model only ever runs inference (Evaluate, in the record
 	// stage), after the train stage has joined every worker: it borrows worker
-	// 0's arena instead of holding one of its own.
+	// 0's arena instead of holding one of its own. One evaluation batch runs
+	// here, its result discarded, so that the largest generation the arena
+	// will host lays out its chunks first: every training iteration after it
+	// is cut from them, where chunks laid out by training would leave the
+	// batch's larger activations to add chunks of their own (DESIGN §15).
 	workers[0].lendArena(global)
+	if test != nil && test.N() > 0 {
+		budget := cputok.Default()
+		tok := budget.Cover()
+		evalBatch(global, test, 0, evalSplit(global, cfg.EvalBatch, test.N()))
+		budget.Return(tok)
+	}
 	return &Runner{
 		Cfg:     cfg,
 		Fleet:   fleet,
@@ -1012,9 +1022,10 @@ const evalChunk = 64
 // arena — is evaluated as an inference pass: the arena is reset before every
 // batch, so whatever the caller held from it is invalid afterwards, and each
 // batch holds only the few activations live at once (nn.NetworkOf.Forward).
-// After a first call has sized the arena, a call allocates nothing. Without
-// an arena every layer's output comes from the heap, as it always has; the
-// accuracy is the same.
+// Once one batch has sized the arena — on the runner's, NewFleetRunner runs
+// it before any training — a call allocates nothing. Without an arena every
+// layer's output comes from the heap, as it always has; the accuracy is the
+// same.
 //
 // Batches run one after another, each exactly batch samples but the last
 // when the network holds a batch norm: it normalizes with the statistics of
@@ -1030,26 +1041,32 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 		return 0
 	}
 	batch = evalSplit(net, batch, n)
-	dim := ds.Dim()
-	arena := net.Arena()
 	correct := 0
-	xd := ds.X.Data()
-	for startIdx := 0; startIdx < n; startIdx += batch {
-		bs := min(batch, n-startIdx)
-		rows := xd[startIdx*dim : (startIdx+bs)*dim]
-		if arena != nil {
-			arena.Reset()
-		}
-		// The batch is a view of the dataset's rows: never copied, and with
-		// an arena bound its header comes from the arena.
-		logits := net.Forward(tensor.ViewOf(arena, rows, bs, dim), false)
-		for b := 0; b < bs; b++ {
-			if logits.ArgMaxRow(b) == ds.Y[startIdx+b] {
-				correct++
-			}
-		}
+	for start := 0; start < n; start += batch {
+		correct += evalBatch(net, ds, start, min(batch, n-start))
 	}
 	return float64(correct) / float64(n)
+}
+
+// evalBatch runs samples [start, start+bs) of ds through net as one
+// inference batch, on net's arena (reset first) when one is bound, and
+// returns how many of them it classifies correctly.
+func evalBatch(net *nn.Network, ds *data.Dataset, start, bs int) int {
+	dim := ds.Dim()
+	arena := net.Arena()
+	if arena != nil {
+		arena.Reset()
+	}
+	// The batch is a view of the dataset's rows: never copied, and with an
+	// arena bound its header comes from the arena.
+	logits := net.Forward(tensor.ViewOf(arena, ds.X.Data()[start*dim:(start+bs)*dim], bs, dim), false)
+	correct := 0
+	for b := 0; b < bs; b++ {
+		if logits.ArgMaxRow(b) == ds.Y[start+b] {
+			correct++
+		}
+	}
+	return correct
 }
 
 // evalSplit returns the batch Evaluate runs n samples of net in, asked for

@@ -70,13 +70,14 @@ var poison bool
 // Past the floor, a chunk added part-way through a generation also makes
 // room for as much again as the generation has bumped so far — but for no
 // more than chunkPieces pieces of the size that opened it, and no more than
-// chunkGrowthCap bytes. A generation of many small pieces (a training
-// iteration) then lands in a few large chunks, which a later generation of
-// larger pieces (an evaluation batch on the same worker's arena) reuses
-// instead of adding its own beside them. A small piece (a convolution's
+// chunkGrowthCap bytes. A generation of many small pieces then lands in a
+// few chunks rather than one per piece; a small piece (a convolution's
 // scratch) never opens a chunk much larger than itself, which a large piece
-// could not use, and a generation of a few large pieces gets a chunk of
-// its own size for each.
+// could not use; and a generation of a few large pieces gets chunks close
+// to its own size. The caps keep the largest generation tight: on a
+// runner's worker 0 that is the evaluation batch, which lays out the chunks
+// every later training iteration is cut from (fl.NewFleetRunner), and
+// uncapped growth there held more, not less (DESIGN §15).
 const (
 	chunkFloor     = 4 << 10
 	chunkPieces    = 16
