@@ -216,17 +216,28 @@ func (b *Budget) Run(extra, n int, job interface{ Do(i, w int) }) {
 		}
 		return
 	}
-	f := &fanOut{b: b, job: job, n: int64(n)}
+	f := fanOuts.Get().(*fanOut)
+	f.b, f.job, f.n = b, job, int64(n)
 	f.wg.Add(extra)
 	for w := 1; w <= extra; w++ {
 		go f.borrowed(w)
 	}
 	f.work(0)
 	f.wg.Wait()
-	if v := f.first.Load(); v != nil {
+	v := f.first.Load()
+	f.b, f.job = nil, nil
+	f.next.Store(0)
+	f.first.Store(nil)
+	fanOuts.Put(f)
+	if v != nil {
 		panic(*v)
 	}
 }
+
+// fanOuts recycles Run's shared state: every worker has stopped touching
+// a fanOut once Wait returns, so the next Run can take it instead of
+// allocating its own.
+var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
 
 // fanOut is one Run's shared state.
 type fanOut struct {

@@ -90,6 +90,15 @@ func TestRunReraisesAndReturnsTokens(t *testing.T) {
 		if c := j.calls.Load(); c > n/2 {
 			t.Fatalf("panic on caller %v: %d of %d items ran; workers kept claiming after the panic", onCaller, c, n)
 		}
+		// The next fan-out reuses the state the panicking one left behind:
+		// it must start from the first item, with no panic recorded.
+		next := &countJob{calls: make([]atomic.Int32, 100)}
+		b.Run(b.Borrow(1), len(next.calls), next)
+		for i := range next.calls {
+			if c := next.calls[i].Load(); c != 1 {
+				t.Fatalf("panic on caller %v: the next Run ran index %d %d times, want 1", onCaller, i, c)
+			}
+		}
 	}
 }
 

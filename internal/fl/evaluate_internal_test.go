@@ -214,14 +214,18 @@ var arenaRetained func(*tensor.Arena) int
 func arenaFloat64s(a *tensor.Arena) int { return arenaRetained(a) / 8 }
 
 // TestEvaluateArenaHighWater: an inference pass holds a few activations, not
-// one per layer. The WRN at the evaluation batch peaks inside a residual
-// block with a shortcut branch — the block's pinned input, the two branch
-// results and their sum — so four of its largest activation bound it (the
-// test set's rows are never copied; the header they hang from costs one
-// input-sized slot). The LSTM, whose layer allocates per timestep and so
-// escapes the chain's discipline unless it releases for itself, must stay
-// under what the same pass demands when nothing is released — what its
-// evaluation takes from the heap per batch with no arena bound. Both
+// one per layer. In the WRN at the evaluation batch, every layer after the
+// first convolution either writes over the activation it is handed or takes
+// one of its own and hands the other back, and a residual block sums into
+// its body's result: the block's input and that result, plus the
+// convolutions' scratch, are the most it holds, so two and a half of its
+// largest activation bound it. Losing the in-place forms (nn's
+// ownedForwarder) takes it back above three: a third activation for every
+// batch norm, convolution and sum. The LSTM, whose layer allocates per
+// timestep and so escapes the chain's discipline unless it releases for
+// itself, must stay under what the same pass demands when nothing is
+// released — what its evaluation takes from the heap per batch with no arena
+// bound. Both
 // networks run one batch of 256 samples (the WRN holds a batch norm, so
 // Evaluate keeps the batch whole; the LSTM's is run directly, as Evaluate
 // would chunk it).
@@ -253,8 +257,8 @@ func TestEvaluateArenaHighWater(t *testing.T) {
 	}
 	wrn, largest := highWater("wrn")
 	t.Logf("wrn: inference high-water %d float64s = %.2f × the largest activation (%d); without release %d", wrn, float64(wrn)/float64(largest), largest, fromHeap("wrn"))
-	if wrn > 4*largest {
-		t.Fatalf("wrn inference high-water %d float64s exceeds 4 × its largest activation (%d)", wrn, largest)
+	if 2*wrn > 5*largest {
+		t.Fatalf("wrn inference high-water %d float64s exceeds 2.5 × its largest activation (%d)", wrn, largest)
 	}
 	lstm, _ := highWater("lstm")
 	lstmAll := fromHeap("lstm")
@@ -296,9 +300,9 @@ func TestEvaluateFanOutMatchesSerialHeap(t *testing.T) {
 	}
 }
 
-// TestEvaluateLeavesTestSetUntouched: an inference ReLU rectifies in place
-// only the tensors its chain created, never the batch, which is a view of
-// the test set's rows. The test set's bytes hash the same after Evaluate as
+// TestEvaluateLeavesTestSetUntouched: an inference pass writes over only the
+// tensors its chain created, never the batch, which is a view of the test
+// set's rows. The test set's bytes hash the same after Evaluate as
 // before — for a CNN and a WRN, and for a network whose first layer is a
 // ReLU, the case that holds the batch itself — with and without an arena,
 // and a second call returns the first's accuracy.
@@ -504,7 +508,10 @@ func (wrnNets) New32() *nn.NetworkOf[float32] { return benchModel[float32]("wrn"
 // chunks, which the evaluation batch cannot use, beside the ones it adds.
 func TestEvalArenaLaidOutFirst(t *testing.T) {
 	const batch, trainBatch, clients, rounds = 256, 16, 4, 3
-	// Training's own slabs measured 0.26 MiB at this geometry.
+	// A fresh arena measured 8.86 MiB after one evaluation batch at this
+	// geometry (12.86 MiB while batch norm, the equal-shape convolutions and
+	// the residual sum each took a fresh activation on an inference pass),
+	// and training's own slabs 0.26 MiB beside it.
 	const slack = 512 << 10
 	setTokenCap(t, 2)
 	train, test := benchData("wrn", 64), benchData("wrn", batch)

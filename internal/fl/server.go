@@ -1021,7 +1021,10 @@ const evalChunk = 64
 // A network with an arena bound — the runner's global model, on worker 0's
 // arena — is evaluated as an inference pass: the arena is reset before every
 // batch, so whatever the caller held from it is invalid afterwards, and each
-// batch holds only the few activations live at once (nn.NetworkOf.Forward).
+// batch holds only the few activations live at once (nn.NetworkOf.Forward):
+// a layer that can writes its output over the activation it is handed, and a
+// residual block sums into its body's result, so the WRN holds a block's
+// input and that result.
 // Once one batch has sized the arena — on the runner's, NewFleetRunner runs
 // it before any training — a call allocates nothing. Without an arena every
 // layer's output comes from the heap, as it always has; the accuracy is the

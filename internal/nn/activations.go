@@ -58,8 +58,14 @@ func (r *ReLUOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[
 	return y
 }
 
-// rectify writes max(0, x) into y, which may be x: forwardChain rectifies
-// in place on an inference pass over a tensor it owns.
+// forwardOwned is the inference pass over an input the chain owns: it
+// rectifies x in place.
+func (r *ReLUOf[F]) forwardOwned(x *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	r.rectify(x, x, false)
+	return x
+}
+
+// rectify writes max(0, x) into y, which may be x (forwardOwned).
 func (r *ReLUOf[F]) rectify(x, y *tensor.TensorOf[F], train bool) {
 	n := x.Size()
 	r.mask = nil // an inference pass leaves nothing for Backward to read

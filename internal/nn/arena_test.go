@@ -99,31 +99,7 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 			p := NewMaxPool2DOf[F](3, 4, 4, 2, 2)
 			return NewNetworkOf[F](c, NewReLUOf[F](c.OutDim()), p, NewDenseOf[F]("fc", p.OutDim(), 3, r)), 2 * 8 * 8
 		},
-		"residual": func() (*NetworkOf[F], int) {
-			r := rng.New(9)
-			block := func(name string, inC, outC, stride int) *ResidualOf[F] {
-				g1 := tensor.NewConvGeom(inC, 6, 6, 3, 3, stride, 1)
-				c1 := NewConv2DOf[F](name+".c1", g1, outC, r)
-				g2 := tensor.NewConvGeom(outC, g1.OutH, g1.OutW, 3, 3, 1, 1)
-				body := []LayerOf[F]{
-					NewBatchNorm2DOf[F](name+".bn1", inC, 6, 6), NewReLUOf[F](inC * 36), c1,
-					NewBatchNorm2DOf[F](name+".bn2", outC, g1.OutH, g1.OutW), NewReLUOf[F](c1.OutDim()),
-					NewDropoutOf[F](0.3, c1.OutDim(), r.Fork("dropout", name)),
-					NewConv2DOf[F](name+".c2", g2, outC, r),
-				}
-				var shortcut []LayerOf[F]
-				if inC != outC || stride != 1 {
-					gs := tensor.NewConvGeom(inC, 6, 6, 1, 1, stride, 0)
-					shortcut = []LayerOf[F]{NewConv2DOf[F](name+".sc", gs, outC, r)}
-				}
-				return NewResidualOf[F](body, shortcut, inC*36)
-			}
-			g0 := tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1)
-			return NewNetworkOf[F](NewConv2DOf[F]("conv1", g0, 2, r),
-				block("b1", 2, 2, 1), block("b2", 2, 4, 2),
-				NewBatchNorm2DOf[F]("bn_out", 4, 3, 3), NewReLUOf[F](36), NewGlobalAvgPool2DOf[F](4, 3, 3),
-				NewDenseOf[F]("fc", 4, 3, r)), 36
-		},
+		"residual": func() (*NetworkOf[F], int) { return residualNet[F](0.3) },
 		"residual-dropout0": func() (*NetworkOf[F], int) {
 			// A training Dropout with P = 0 hands its input on, so the
 			// convolution after it reads the block's input: the chain must
@@ -145,6 +121,35 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 			return NewNetworkOf[F](NewLSTMOf[F]("rnn", 4, 4, 3, 2, r), NewDenseOf[F]("fc", 4, 3, r)), 12
 		},
 	}
+}
+
+// residualNet is everyLayerNets' "residual": a block without and one with a
+// shortcut branch, each with a dropout of probability p between its
+// convolutions.
+func residualNet[F tensor.Float](p float64) (*NetworkOf[F], int) {
+	r := rng.New(9)
+	block := func(name string, inC, outC, stride int) *ResidualOf[F] {
+		g1 := tensor.NewConvGeom(inC, 6, 6, 3, 3, stride, 1)
+		c1 := NewConv2DOf[F](name+".c1", g1, outC, r)
+		g2 := tensor.NewConvGeom(outC, g1.OutH, g1.OutW, 3, 3, 1, 1)
+		body := []LayerOf[F]{
+			NewBatchNorm2DOf[F](name+".bn1", inC, 6, 6), NewReLUOf[F](inC * 36), c1,
+			NewBatchNorm2DOf[F](name+".bn2", outC, g1.OutH, g1.OutW), NewReLUOf[F](c1.OutDim()),
+			NewDropoutOf[F](p, c1.OutDim(), r.Fork("dropout", name)),
+			NewConv2DOf[F](name+".c2", g2, outC, r),
+		}
+		var shortcut []LayerOf[F]
+		if inC != outC || stride != 1 {
+			gs := tensor.NewConvGeom(inC, 6, 6, 1, 1, stride, 0)
+			shortcut = []LayerOf[F]{NewConv2DOf[F](name+".sc", gs, outC, r)}
+		}
+		return NewResidualOf[F](body, shortcut, inC*36)
+	}
+	g0 := tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1)
+	return NewNetworkOf[F](NewConv2DOf[F]("conv1", g0, 2, r),
+		block("b1", 2, 2, 1), block("b2", 2, 4, 2),
+		NewBatchNorm2DOf[F]("bn_out", 4, 3, 3), NewReLUOf[F](36), NewGlobalAvgPool2DOf[F](4, 3, 3),
+		NewDenseOf[F]("fc", 4, 3, r)), 36
 }
 
 // testArenaMatchesHeap drives a heap network and an arena-bound twin through

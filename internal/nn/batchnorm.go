@@ -24,6 +24,10 @@ import (
 // Every product that feeds a sum or a difference is an explicit conversion,
 // which no compiler may fuse with it: the layer computes the same bits on a
 // machine with fused multiply-add as on one without.
+//
+// An inference pass over an activation its chain owns normalizes it in place
+// (forwardOwned), with the same bits as a training pass writes to its own
+// output.
 type BatchNorm2DOf[F tensor.Float] struct {
 	C, H, W int
 	Eps     float64
@@ -118,9 +122,21 @@ func (r *bnFwdRunnerOf[F]) Do(c, _ int) {
 
 // Forward normalizes per channel and applies γ, β.
 func (b *BatchNorm2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
+	return b.forward(x, uninitT[F](b.arena, x.Dim(0), b.OutDim()), train)
+}
+
+// forwardOwned is the inference pass over an input the chain owns: it
+// normalizes x in place. A channel's statistics are summed over all of its
+// elements before any of them is rewritten, and channels share no element.
+func (b *BatchNorm2DOf[F]) forwardOwned(x *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	return b.forward(x, x, false)
+}
+
+// forward normalizes x into y, which is either x itself (forwardOwned) or
+// shares no storage with it.
+func (b *BatchNorm2DOf[F]) forward(x, y *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	batch := x.Dim(0)
 	inDim := b.OutDim()
-	y := uninitT[F](b.arena, batch, inDim)
 	b.xhat = nil // an inference pass leaves nothing for Backward to read
 	if train {
 		b.xhat = uninitF[F](b.arena, batch*inDim)

@@ -15,7 +15,9 @@ import (
 //	dx       dcolᵀ[patch×pos] = Wᵀ · dout     W read by columns, then Col2ImOf
 //
 // so a patch matrix is written once, in the layout its product consumes, and
-// the layer weight is never packed or copied at all.
+// the layer weight is never packed or copied at all. An inference pass over
+// an activation its chain owns writes the output over it when the layer
+// keeps the feature count (forwardOwned).
 type Conv2DOf[F tensor.Float] struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -158,8 +160,26 @@ func (r *convFwdRunnerOf[F]) Do(i, w int) {
 
 // Forward computes the convolution for each sample in the batch.
 func (c *Conv2DOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
+	return c.forward(x, uninitT[F](c.arena, x.Dim(0), c.OutDim()), train)
+}
+
+// forwardOwned is the inference pass over an input the chain owns: a
+// convolution that keeps the feature count writes its output over x. Each
+// sample's rows are unfolded into the worker's patch matrix before the
+// product writes them, and no other sample reads them. One that changes the
+// count takes a fresh output: sample i's output rows would start inside
+// another sample's input, which a worker may not have unfolded yet.
+func (c *Conv2DOf[F]) forwardOwned(x *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	if c.OutDim() != c.InDim() {
+		return c.Forward(x, false)
+	}
+	return c.forward(x, x, false)
+}
+
+// forward convolves x into y, which is either x itself (forwardOwned) or
+// shares no storage with it.
+func (c *Conv2DOf[F]) forward(x, y *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
 	batch := x.Dim(0)
-	y := uninitT[F](c.arena, batch, c.OutDim())
 	c.call.xd, c.call.yd = x.Data(), y.Data()
 	pos := c.Geom.ColRows()
 	for oc, b := range c.B.Value.Data() {

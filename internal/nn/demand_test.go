@@ -6,6 +6,7 @@ import (
 	_ "unsafe" // go:linkname
 
 	"fedca/internal/cputok"
+	"fedca/internal/expcfg"
 	"fedca/internal/model"
 	"fedca/internal/nn"
 	"fedca/internal/rng"
@@ -157,5 +158,28 @@ func TestConvScratchDoesNotOutliveCall(t *testing.T) {
 	const bound = 1 << 20
 	if extra > bound {
 		t.Fatalf("the network holds %d B beyond its parameters, their gradients and its arena's chunks (bound %d B): scratch outlives the call that drew it", extra, bound)
+	}
+}
+
+// TestInferenceMatchesTrainingForwardModels: an inference pass of each of the
+// benchmark's three models, at its workload's shape and a batch of 64,
+// computes what a training forward does, bit for bit (see
+// nn.InferenceMatchesTraining): the WRN's batch norms, equal-shape
+// convolutions and residual sums write over the activations they own, the
+// CNN's ReLUs rectify in place, and the LSTM, which has no such layer, is the
+// control.
+func TestInferenceMatchesTrainingForwardModels(t *testing.T) {
+	const batch = 64
+	cnn, wrn, lstm := expcfg.CNN(), expcfg.WRN(), expcfg.LSTM()
+	for _, m := range []struct {
+		name  string
+		build func() *nn.Network
+		dim   int
+	}{
+		{"cnn", func() *nn.Network { return model.NewCNNOf[float64](cnn.Img, rng.New(3)).Network }, cnn.Img.InDim()},
+		{"wrn", func() *nn.Network { return model.NewWRNOf[float64](wrn.Wrn, rng.New(3)).Network }, wrn.Wrn.Image.InDim()},
+		{"lstm", func() *nn.Network { return model.NewLSTMOf[float64](lstm.Seq, rng.New(3)).Network }, lstm.Seq.SeqLen * lstm.Seq.FeatDim},
+	} {
+		t.Run(m.name, func(t *testing.T) { nn.InferenceMatchesTraining(t, m.build, batch, m.dim) })
 	}
 }

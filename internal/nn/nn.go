@@ -23,9 +23,10 @@
 // loop resets the arena once per iteration; layers stamp the arena generation
 // at Forward and check it in Backward, so using a cache across a Reset panics
 // instead of silently reading recycled memory. A Forward with train false is
-// an inference pass: it caches nothing, and with an arena bound it hands each
-// intermediate back as soon as the next layer has consumed it. A training
-// pass does the same with every activation no Backward reads (see
+// an inference pass: it caches nothing, it writes a layer's output over the
+// activation the layer is handed where it can, and with an arena bound it
+// hands each intermediate back as soon as the next layer has consumed it. A
+// training pass does the same with every activation no Backward reads (see
 // forwardChain), and Backward with every gradient between two layers.
 package nn
 
@@ -158,29 +159,44 @@ func releasePacked[F tensor.Float](a *tensor.Arena, pb *tensor.PackedBOf[F]) {
 	}
 }
 
+// ownedForwarder is implemented by layers with an inference form that
+// consumes its input: handed an activation its chain owns, which nothing
+// reads after the layer, forwardOwned returns either that tensor written in
+// place or a tensor sharing no storage with it. ReLU rectifies in place,
+// batch norm normalizes in place, a convolution that keeps the feature count
+// writes its output over its input, and a residual block sums into its
+// body's result (DESIGN §15 has the table and the reasons).
+type ownedForwarder[F tensor.Float] interface {
+	forwardOwned(x *tensor.TensorOf[F]) *tensor.TensorOf[F]
+}
+
 // forwardChain runs layers in order over x. With an arena bound, a pass keeps
 // only what is still needed: each intermediate goes back to the arena as soon
 // as the layer consuming it has returned — on a training pass unless that
-// layer's Backward reads it (readsInput) — so an inference chain holds its
-// input, the current layer's input and its output instead of every layer's
-// output, and a training chain what its backward pass reads. Ownership is by
-// creation: the chain releases the tensors its own layers created and never
-// x, which belongs to the caller; a layer that returns its input
-// (inference-mode Dropout) has created nothing. A layer's output must
-// therefore either be its input tensor or share no storage with it. By the
-// same rule an inference ReLU rectifies in place a tensor the chain owns,
-// since nothing reads it after the ReLU, instead of taking a second
-// activation of its size; the caller's x it never writes.
-func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	in := x
+// layer's Backward reads it (readsInput) — so an inference chain holds the
+// current layer's input and output instead of every layer's output, and a
+// training chain what its backward pass reads. Ownership is by creation:
+// the chain owns the tensors its own layers created, and x only when owned
+// is set (a residual body whose block owns its input); a layer that returns
+// its input (inference-mode Dropout) has created nothing. A layer's output
+// must therefore either be its input tensor or share no storage with it.
+// On an inference pass a layer handed a tensor the chain owns consumes it
+// (ownedForwarder) where it can, instead of taking a second activation of
+// its size; a tensor the chain does not own — the caller's — is never
+// written.
+func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tensor.TensorOf[F], train, owned bool) *tensor.TensorOf[F] {
 	for _, l := range layers {
-		if relu, ok := l.(*ReLUOf[F]); ok && !train && x != in {
-			relu.rectify(x, x, false) // x stays the chain's, now rectified
-			continue
+		var y *tensor.TensorOf[F]
+		if o, ok := l.(ownedForwarder[F]); ok && !train && owned {
+			y = o.forwardOwned(x)
+		} else {
+			y = l.Forward(x, train)
 		}
-		y := l.Forward(x, train)
-		if y != x && x != in && (!train || !readsInput(l)) {
-			releaseT(a, x)
+		if y != x {
+			if owned && (!train || !readsInput(l)) {
+				releaseT(a, x)
+			}
+			owned = true
 		}
 		x = y
 	}
@@ -279,7 +295,7 @@ func (n *NetworkOf[F]) Arena() *tensor.Arena { return n.arena }
 // a few activations at a time and a training pass only those its Backward
 // reads (see forwardChain); the result is valid until the arena's next Reset.
 func (n *NetworkOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	return forwardChain(n.arena, n.Layers, x, train)
+	return forwardChain(n.arena, n.Layers, x, train, false)
 }
 
 // paramsOnlyLayer is implemented by layers whose backward pass can leave out

@@ -62,20 +62,18 @@ func (rr *residualSumRunnerOf[F]) Do(i, _ int) {
 }
 
 // Forward runs both branches and sums them. Each branch is a chain of its own
-// (see forwardChain): x stays with the caller, pinned while both read it, and
-// the two branch results go back to the arena once summed — no Backward reads
-// them, so on a training pass too.
+// (see forwardChain): x stays with the caller, pinned while both read it. On
+// a training pass the two branch results go back to the arena once summed
+// into a third tensor — no Backward reads them; an inference pass sums into
+// the body's result instead (see infer).
 func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F] {
-	b := forwardChain(r.arena, r.Body, x, train)
-	s := forwardChain(r.arena, r.Shortcut, x, train)
-	if b.Size() != s.Size() {
-		panic(fmt.Sprintf("nn: Residual branches produced %v and %v", b.Shape(), s.Shape()))
+	if !train {
+		return r.infer(x, false)
 	}
+	b := forwardChain(r.arena, r.Body, x, true, false)
+	s := forwardChain(r.arena, r.Shortcut, x, true, false)
 	y := uninitT[F](r.arena, b.Shape()...)
-	n := y.Size()
-	r.call.bd, r.call.sd, r.call.yd = b.Data(), s.Data(), y.Data()
-	parallelSamples(elemChunks(n), heavyElems(n), &r.sumRun)
-	r.call.bd, r.call.sd, r.call.yd = nil, nil, nil
+	r.sum(y, b, s)
 	if b != x {
 		releaseT(r.arena, b)
 	}
@@ -83,6 +81,44 @@ func (r *ResidualOf[F]) Forward(x *tensor.TensorOf[F], train bool) *tensor.Tenso
 		releaseT(r.arena, s)
 	}
 	return y
+}
+
+// forwardOwned is the inference pass over an input the block's chain owns.
+func (r *ResidualOf[F]) forwardOwned(x *tensor.TensorOf[F]) *tensor.TensorOf[F] {
+	return r.infer(x, true)
+}
+
+// infer is the inference pass; owned says whether the block may consume x.
+// The shortcut runs first. A shortcut with layers then has its own result,
+// and nothing reads x after the body, so a body whose block owns x owns it
+// too and may overwrite it; an identity shortcut is x itself, which the sum
+// still reads, so that body never owns it. The sum goes into the body's
+// result when the body created it or owned x, and into a fresh tensor only
+// when the body handed back an x it may not write.
+func (r *ResidualOf[F]) infer(x *tensor.TensorOf[F], owned bool) *tensor.TensorOf[F] {
+	s := forwardChain(r.arena, r.Shortcut, x, false, false)
+	bodyOwns := owned && s != x
+	b := forwardChain(r.arena, r.Body, x, false, bodyOwns)
+	y := b
+	if b == x && !bodyOwns {
+		y = uninitT[F](r.arena, b.Shape()...)
+	}
+	r.sum(y, b, s)
+	if s != x {
+		releaseT(r.arena, s)
+	}
+	return y
+}
+
+// sum writes b + s into y, which may be b.
+func (r *ResidualOf[F]) sum(y, b, s *tensor.TensorOf[F]) {
+	if b.Size() != s.Size() {
+		panic(fmt.Sprintf("nn: Residual branches produced %v and %v", b.Shape(), s.Shape()))
+	}
+	n := y.Size()
+	r.call.bd, r.call.sd, r.call.yd = b.Data(), s.Data(), y.Data()
+	parallelSamples(elemChunks(n), heavyElems(n), &r.sumRun)
+	r.call.bd, r.call.sd, r.call.yd = nil, nil, nil
 }
 
 // backwardReadsInput: the block's Backward reads x where a branch's first

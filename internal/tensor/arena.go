@@ -60,8 +60,9 @@ type Arena struct {
 // poison makes every non-zeroing allocation and every release fill the
 // memory with a value no layer can mistake for data (NaN, argmax −1, mask
 // true), so a test comparing against the heap path catches a buffer that is
-// read before it is written or after it is released. Tests set it; nothing
-// else does.
+// read before it is written or after it is released; and it makes a release
+// of storage already released panic (slab.checkNotFree). Tests set it;
+// nothing else does.
 var poison bool
 
 // A chunk a slab adds is at least chunkFloor bytes, so that a slab of
@@ -158,8 +159,29 @@ func (s *slab[T]) bump(n int) []T {
 }
 
 func (s *slab[T]) release(v []T) {
-	if len(v) > 0 {
-		s.free = append(s.free, v)
+	if len(v) == 0 {
+		return
+	}
+	if poison {
+		s.checkNotFree(v)
+	}
+	s.free = append(s.free, v)
+}
+
+// checkNotFree panics if v overlaps a buffer already on the free list: the
+// same storage released twice, through a second header over it. Releasing
+// one header twice cannot get here, since ReleaseOf empties the header it
+// releases. Only tests pay for the walk (poison).
+func (s *slab[T]) checkNotFree(v []T) {
+	var z T
+	size := unsafe.Sizeof(z)
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+	hi := lo + uintptr(len(v))*size
+	for _, f := range s.free {
+		flo := uintptr(unsafe.Pointer(unsafe.SliceData(f)))
+		if lo < flo+uintptr(len(f))*size && flo < hi {
+			panic(fmt.Sprintf("tensor: released %d elements overlap %d already released: storage released twice", len(v), len(f)))
+		}
 	}
 }
 
