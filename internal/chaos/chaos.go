@@ -110,28 +110,30 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("chaos: %s probability must be in [0,1], got %v", p.name, p.v)
 		}
 	}
+	// The shape bounds are negated so that a NaN, which no spec can
+	// reproduce (it is not equal to itself), fails them too.
 	if c.SlowFactorLo == 0 && c.SlowFactorHi == 0 {
 		c.SlowFactorLo, c.SlowFactorHi = 2, 6
 	}
-	if c.SlowFactorLo < 1 || c.SlowFactorHi < c.SlowFactorLo {
+	if !(c.SlowFactorLo >= 1 && c.SlowFactorHi >= c.SlowFactorLo) {
 		return fmt.Errorf("chaos: slowdown factors must satisfy 1 <= lo <= hi, got [%v, %v]", c.SlowFactorLo, c.SlowFactorHi)
 	}
 	if c.SlowFrac == 0 {
 		c.SlowFrac = 0.25
 	}
-	if c.SlowFrac < 0 || c.SlowFrac > 1 {
+	if !(c.SlowFrac >= 0 && c.SlowFrac <= 1) {
 		return fmt.Errorf("chaos: SlowFrac must be in [0,1], got %v", c.SlowFrac)
 	}
 	if c.DegradeScaleLo == 0 && c.DegradeScaleHi == 0 {
 		c.DegradeScaleLo, c.DegradeScaleHi = 0.1, 0.6
 	}
-	if c.DegradeScaleLo <= 0 || c.DegradeScaleHi > 1 || c.DegradeScaleHi < c.DegradeScaleLo {
+	if !(c.DegradeScaleLo > 0 && c.DegradeScaleHi <= 1 && c.DegradeScaleHi >= c.DegradeScaleLo) {
 		return fmt.Errorf("chaos: degrade scales must satisfy 0 < lo <= hi <= 1, got [%v, %v]", c.DegradeScaleLo, c.DegradeScaleHi)
 	}
 	if c.OutageFracLo == 0 && c.OutageFracHi == 0 {
 		c.OutageFracLo, c.OutageFracHi = 0.05, 0.3
 	}
-	if c.OutageFracLo <= 0 || c.OutageFracHi < c.OutageFracLo {
+	if !(c.OutageFracLo > 0 && c.OutageFracHi >= c.OutageFracLo) {
 		return fmt.Errorf("chaos: outage fractions must satisfy 0 < lo <= hi, got [%v, %v]", c.OutageFracLo, c.OutageFracHi)
 	}
 	if c.XferMaxRetries == 0 {
@@ -143,7 +145,7 @@ func (c *Config) Validate() error {
 	if c.ExplodeScale == 0 {
 		c.ExplodeScale = 1e12
 	}
-	if c.ExplodeScale <= 1 || math.IsNaN(c.ExplodeScale) {
+	if !(c.ExplodeScale > 1) {
 		return fmt.Errorf("chaos: ExplodeScale must exceed 1, got %v", c.ExplodeScale)
 	}
 	return nil

@@ -265,6 +265,8 @@ func TestParseSpec(t *testing.T) {
 		{"slowfactor=3", true, nil},
 		{"slowfactor=0.5:4", true, nil}, // Validate rejects lo < 1
 		{"scale=0:2", true, nil},
+		{"drop=0.1,slowfrac=NaN", true, nil},
+		{"drop=0.1,outagefrac=0.1:NaN", true, nil},
 	}
 	for _, tc := range cases {
 		c, err := ParseSpec(tc.spec)

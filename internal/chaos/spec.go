@@ -16,11 +16,12 @@ import (
 // slowfactor=LO:HI, slowfrac=F, scale=LO:HI (degraded bandwidth),
 // outagefrac=LO:HI, retries=N, explode=S. Omitted shapes use the defaults
 // documented on Config. An empty spec (or "none") yields a disabled Config.
+// Every Config it returns is validated, so two specs of one fault schedule
+// (say "none" and "drop=0") yield equal Configs.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
-		return c, nil
+	if spec = strings.TrimSpace(spec); spec == "none" {
+		spec = ""
 	}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -73,13 +74,10 @@ func ParseSpec(spec string) (Config, error) {
 }
 
 // Spec renders the config back into ParseSpec's format, canonically: the
-// probabilities, then every shape parameter that differs from its default,
-// or "none" when no fault class is enabled. ParseSpec of it yields the same
-// validated Config, so it reproduces the same fault schedule.
+// nonzero probabilities, then every shape parameter that differs from its
+// default, or "none" when that leaves nothing. ParseSpec of it yields the
+// same validated Config, so it reproduces the same fault schedule.
 func (c Config) Spec() string {
-	if !c.Enabled() {
-		return "none"
-	}
 	var def Config
 	_ = def.Validate() // the shape defaults
 	_ = c.Validate()   // unset shapes take them too
@@ -113,6 +111,9 @@ func (c Config) Spec() string {
 		parts = append(parts, fmt.Sprintf("retries=%d", c.XferMaxRetries))
 	}
 	shape("explode", c.ExplodeScale, def.ExplodeScale)
+	if len(parts) == 0 {
+		return "none"
+	}
 	return strings.Join(parts, ",")
 }
 

@@ -33,10 +33,10 @@ type fleetSlot struct {
 	speed     trace.SpeedModel
 }
 
-// VirtualFleet implements fl.Fleet, fl.Selector and fl.FleetStats over
-// a seeded spec: client id i's data shard and speed model are pure
-// functions of (master seed, i), derived at materialization. Not safe
-// for concurrent use — the runner's cohort and record stages call
+// VirtualFleet implements fl.Fleet and fl.Selector, and reports its slot
+// pool (SlotStats), over a seeded spec: client id i's data shard and speed
+// model are pure functions of (master seed, i), derived at materialization.
+// Not safe for concurrent use — the runner's cohort and record stages call
 // Materialize/Recycle serially.
 type VirtualFleet struct {
 	part   *data.LazyPartition
@@ -114,7 +114,7 @@ func (f *VirtualFleet) Select(round int, _ *fl.History, n, k int, dst []int) []i
 	return fl.SampleOrdinals(f.master.Fork("cohort", round), n, k, dst, f.seen)
 }
 
-// SlotStats implements fl.FleetStats.
+// SlotStats returns the slots built and the clients recycled so far.
 func (f *VirtualFleet) SlotStats() (materialized, recycled int64) {
 	return f.slotsBuilt, f.recycleCalls
 }

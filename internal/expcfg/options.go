@@ -88,8 +88,9 @@ type Options struct {
 
 	// Telemetry and Journal, when non-nil, receive the run's live metrics
 	// and spans, and its flight-recorder events and per-client cost
-	// attribution. Nil costs nothing; attaching either never changes a run,
-	// so the text form leaves them out.
+	// attribution: Lower makes them the run's fl.Config.Observers, the sink
+	// first. Nil costs nothing; attaching either never changes a run, so the
+	// text form leaves them out.
 	Telemetry *telemetry.Sink
 	Journal   *telemetry.Journal
 
@@ -131,12 +132,12 @@ func (o Options) Lower() (Workload, trace.Config, error) {
 	w.FL.MinQuorum = o.MinQuorum
 	w.FL.MaxDeltaNorm = o.MaxDeltaNorm
 	w.FL.Participation = o.Participation
-	// A nil sink or journal stays a nil observer, not a nil pointer in one.
+	// The sink, then the journal; a nil one is no observer.
 	if o.Telemetry != nil {
-		w.FL.Telemetry = o.Telemetry
+		w.FL.Observers = append(w.FL.Observers, o.Telemetry)
 	}
 	if o.Journal != nil {
-		w.FL.Journal = o.Journal
+		w.FL.Observers = append(w.FL.Observers, o.Journal)
 	}
 
 	ccfg, err := chaos.ParseSpec(o.Chaos)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fedca/internal/chaos"
 	"fedca/internal/core"
 	"fedca/internal/runlog"
 )
@@ -19,11 +20,13 @@ func validBase() Options {
 // FuzzRunSpec feeds arbitrary specs to Options.Set. The guarantees under
 // fuzz: Set never panics; whatever Set accepts onto a valid base passes the
 // lowering's validation (one bounds table); String is a fixed point: Set of
-// String, onto any base, writes the same text again; and an accepted spec
-// that sets compress finds its value in String exactly as written ("" is
+// String, onto any base, writes the same text again; an accepted spec that
+// sets compress finds its value in String exactly as written ("" is
 // "none"), since compress.ByName accepts each compressor in one spelling
-// only. The corpus starts from the soak's schedule corpus and every
-// TestSimGolden header.
+// only; and one that sets chaos finds in String a value that parses to the
+// same chaos.Config as the written one, since the canonical form
+// (chaos.Config.Spec) may only reorder and reformat the classes. The corpus
+// starts from the soak's schedule corpus and every TestSimGolden header.
 func FuzzRunSpec(f *testing.F) {
 	soakCorpus, err := filepath.Glob(filepath.Join("..", "soak", "testdata", "fuzz", "FuzzSoakSpecParse", "*"))
 	if err != nil {
@@ -63,6 +66,9 @@ func FuzzRunSpec(f *testing.F) {
 	f.Add("compress=topk0.07;chaos=slowfrac=NaN,drop=0.1,retries=9")
 	f.Add(" Compress = topk1 ;compress=")
 	f.Add("COMPRESS=qsgd7")
+	f.Add("chaos=corrupt=0.01, XFAIL=0.2,drop=0.1")
+	f.Add("chaos=drop=0")
+	f.Add("chaos=drop=0.1,slowfrac=0.5,drop=0.3")
 	f.Fuzz(func(t *testing.T, spec string) {
 		o := validBase()
 		if err := o.Set(spec); err != nil {
@@ -78,6 +84,14 @@ func FuzzRunSpec(f *testing.F) {
 			}
 			if got, _ := lastValue(canon, "compress"); got != written {
 				t.Fatalf("compress written %q, canonical %q", written, got)
+			}
+		}
+		if written, ok := lastValue(spec, "chaos"); ok {
+			got, _ := lastValue(canon, "chaos")
+			wc, werr := chaos.ParseSpec(written)
+			gc, gerr := chaos.ParseSpec(got)
+			if werr != nil || gerr != nil || wc != gc {
+				t.Fatalf("chaos written %q parses to %+v (%v), canonical %q to %+v (%v)", written, wc, werr, got, gc, gerr)
 			}
 		}
 		for _, base := range []Options{{}, validBase()} {

@@ -49,11 +49,11 @@ func (dp *deltaPool) put(s []float64) {
 // persistent per-worker state the training loop reuses across clients and
 // rounds — the scratch arena every layer bump-allocates from, the network's
 // layer layout, the optimizer, the label buffer, the in-progress delta, the
-// eager-transmission snapshots, and the runner's pool the server-bound update
-// vectors come from. The arena resets once per training
-// iteration, so after a warmup iteration has sized its slabs, steady-state
-// iterations allocate nothing, and after a warmup round neither does the
-// client round around them. One goroutine at a time owns a worker, so none
+// eager-transmission snapshots, the runner's pool the server-bound update
+// vectors come from, and the runner's worker observer. The arena resets once
+// per training iteration, so after a warmup iteration has sized its slabs,
+// steady-state iterations allocate nothing, and after a warmup round neither
+// does the client round around them. One goroutine at a time owns a worker, so none
 // of this is shared; the update vectors flow back to the pool through the
 // runner.
 type trainWorkerOf[F tensor.Float] struct {
@@ -64,6 +64,7 @@ type trainWorkerOf[F tensor.Float] struct {
 	y      []int
 	delta  []float64
 	pool   *deltaPool
+	obs    workerObserver // nil when no observer watches the workers
 
 	// One client round's eager snapshots. A layer is sent at most once per
 	// round, so one NumParams-long vector holds every snapshot of the round,
@@ -74,12 +75,13 @@ type trainWorkerOf[F tensor.Float] struct {
 }
 
 // newTrainWorkerOf wraps net in a worker drawing update vectors from pool
-// and binds a fresh arena to it.
-func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool) *trainWorkerOf[F] {
+// and reporting its iterations to obs (nil: to nobody), and binds a fresh
+// arena to it.
+func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool, obs workerObserver) *trainWorkerOf[F] {
 	ranges := net.ParamRanges()
 	w := &trainWorkerOf[F]{
 		net: net, arena: tensor.NewArena(), ranges: ranges,
-		opt: nn.NewSGDOf[F](0, 0, 0), pool: pool,
+		opt: nn.NewSGDOf[F](0, 0, 0), pool: pool, obs: obs,
 		snap:     make([]float64, net.NumParams()),
 		standing: make([]bool, len(ranges)),
 	}
@@ -254,8 +256,8 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 
 		dt := c.Speed.IterDurationWith(cfg.BaseIterTime, now, cplan.ComputeFactor(iter))
 		now += dt
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.ObserveIteration(dt)
+		if w.obs != nil {
+			w.obs.ObserveIteration(dt)
 		}
 		iters = iter
 

@@ -30,7 +30,7 @@ func testDeltaOnceMatchesPerIteration[F tensor.Float](t *testing.T) {
 	global := benchModel[float64]("cnn").FlatParams()
 	plan := RoundPlan{Deadline: math.Inf(1)}
 	run := func(ctrl Controller) Update {
-		w := newTrainWorkerOf(benchModel[F]("cnn"), &deltaPool{})
+		w := newTrainWorkerOf(benchModel[F]("cnn"), &deltaPool{}, nil)
 		return w.run(roundClient(ds, cfg.BatchSize), global, &cfg, plan, ctrl, 0, 0, false, nil)
 	}
 	once := run(NopController{})

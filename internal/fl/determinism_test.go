@@ -66,7 +66,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 				w := tinyWorkload()
 				w.FL.Chaos = tc.chaos(t)
 				if tc.telemetry {
-					w.FL.Telemetry = telemetry.New()
+					w.FL.Observers = []fl.Observer{telemetry.New()}
 				}
 				var r *fl.Runner
 				var err error

@@ -395,7 +395,7 @@ func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, 
 	ds := benchData(name, 32)
 	plan := RoundPlan{Deadline: math.Inf(1)}
 	rounds := func() ([]Update, []float64) {
-		w := newTrainWorkerOf(benchModel[F](name), &deltaPool{})
+		w := newTrainWorkerOf(benchModel[F](name), &deltaPool{}, nil)
 		if err := cfg.Validate(w.numParams()); err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +447,7 @@ func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, 
 // worker's model is a broken caller, caught before anything trains.
 func TestClientRoundPanicsOnSizeMismatch(t *testing.T) {
 	cfg := Config{LocalIters: 1, BatchSize: 4, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 1}
-	w := newTrainWorkerOf(benchModel[float64]("cnn"), &deltaPool{})
+	w := newTrainWorkerOf(benchModel[float64]("cnn"), &deltaPool{}, nil)
 	if err := cfg.Validate(w.numParams()); err != nil {
 		t.Fatal(err)
 	}

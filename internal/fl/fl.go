@@ -18,7 +18,7 @@
 //   - plan: Scheme.PlanRound(round, History) → RoundPlan.
 //   - cohort (materializeCohort): the runner's Selector's ids, else the
 //     whole fleet → live clients from Fleet.Materialize, links wired to the
-//     telemetry sink.
+//     observer that watches the workers.
 //   - controllers (newControllers): cohort + plan → one Controller per
 //     participant from Scheme.NewController, built serially.
 //   - train (train): cohort + controllers + plan → one Update and one
@@ -48,15 +48,15 @@
 //   - evaluate (evaluate): the RoundResult and its RoundRecord, with the
 //     global model's accuracy on the test set.
 //   - observe (record): every client-round's Update fed by one walk
-//     (observe) to all its observers — History, the record's sums, the
-//     run's one tally (RunStats), the sink and the journal — the round's
-//     telemetry and journal events, slots back to the fleet.
+//     (observe) to all its consumers — History, the record's sums, the
+//     run's one tally (RunStats) and each Observer's ClientRound — then the
+//     round's RoundMeta, and the cohort's slots back to the fleet.
 //
 // RunRound reads the monotonic clock at each boundary between these stages
 // (cohort covers selection and materialization) and folds the nanoseconds
-// into the run's stage table (Runner.StageTimes) and the sink's
-// fedca_stage_seconds histograms. The timings touch nothing else: no
-// round record, run log or RunStats carries them.
+// into the run's stage table (Runner.StageTimes) and the round's, which
+// every Observer's RoundDone receives in RoundMeta. The timings touch
+// nothing else: no round record, run log or RunStats carries them.
 //
 // Consequences: controller-local state needs no locking (one controller's
 // hooks are sequential), but any state shared across controllers or exposed
@@ -164,44 +164,58 @@ type Config struct {
 	// corrupted client cannot poison the global model.
 	MaxDeltaNorm float64
 
-	// Telemetry, when non-nil, receives live metrics and virtual-time spans
-	// of the run: round and per-client spans, iteration/transfer/round
-	// duration histograms, degradation counters and link traffic. Telemetry
-	// is observational only — it consumes no RNG draws and performs no
-	// virtual-time arithmetic — so enabling it never changes a run
-	// (TestTelemetryInert). Nil disables it at zero cost.
-	Telemetry Telemetry
-
-	// Journal, when non-nil, receives structured flight-recorder events
-	// (rounds, quarantines, dropouts, impairment windows) and per-client cost
-	// attribution. Like Telemetry it is observational only: no RNG draws, no
-	// virtual-time arithmetic, nil-safe and allocation-free when disabled.
-	Journal Journal
+	// Observers watch the run (see Observer): the telemetry sink, the
+	// journal, a test's checker. None costs nothing.
+	Observers []Observer
 }
 
-// Telemetry receives a run's live metrics and trace; *telemetry.Sink
-// implements it. Workers call ObserveIteration; the cohort stage wires the
-// link observers; the record stage, serially, the rest; and at the end of
-// every round, ObserveStage hands over each stage's wall seconds (see
-// StageTime). RoundDone takes the record by value: a pointer through the
-// interface would move every round's record to the heap.
-type Telemetry interface {
+// Observer is the one seam through which anything watches a run. It is
+// inert: it draws from no RNG and does no virtual-time arithmetic, so
+// attaching one never changes a run (TestTelemetryInert).
+//
+// Both methods run serially on the round-driving goroutine, in the record
+// stage, outside every runner lock; each call reaches every observer, in
+// Config.Observers order, before the next call is made:
+//
+//   - ClientRound, once per client-round of round round, which began at
+//     start, in observe's walk: the RoundResult's Collected updates, then
+//     its Discarded ones. u still carries its Eager list, which the walk
+//     clears after the last observer; u is valid only during the call.
+//   - RoundDone, once per round, after its last ClientRound, with the
+//     record and meta by value (a pointer through the interface would move
+//     every round's record to the heap); meta.Stages is valid only during
+//     the call.
+//
+// The one observer that also has the methods ObserveIteration(sec float64),
+// UpObserver() and DownObserver() simnet.TransferObserver, as the sink
+// does, watches the workers too: NewFleetRunner takes that part from it and
+// rejects a second.
+type Observer interface {
+	ClientRound(round int, start float64, u *Update)
+	RoundDone(rec RoundRecord, meta RoundMeta)
+}
+
+// RoundMeta is what an observer learns of a round beyond its record; none
+// of it enters the record, the run log or RunStats.
+type RoundMeta struct {
+	Fleet, Cohort int // the population, and the clients materialized from it
+	// Materialized and Recycled are a pooling fleet's cumulative slot
+	// counts (zero for one that does not pool): slots built up to this
+	// round, and clients recycled before this round's cohort went back.
+	Materialized, Recycled int64
+	// Stages is the round's wall-clock stage table in round order: Rounds
+	// is 1 for a stage the round ran, 0 for one it did not. Its observe row
+	// stops at the RoundDone calls.
+	Stages []StageTime
+}
+
+// workerObserver is the workers' half of an Observer: ObserveIteration runs
+// on the train stage's workers, concurrently, and the transfer observers on
+// the links of every cohort client.
+type workerObserver interface {
 	ObserveIteration(sec float64)
 	UpObserver() simnet.TransferObserver
 	DownObserver() simnet.TransferObserver
-	ClientRound(round int, start float64, u *Update)
-	RoundDone(rec RoundRecord)
-	ObserveCohort(fleet, cohort int)
-	ObserveStage(stage string, sec float64)
-}
-
-// Journal receives a run's flight-recorder events and per-client cost
-// attribution; *telemetry.Journal implements it. The record stage calls it,
-// serially, so its stream is worker-count invariant.
-type Journal interface {
-	ClientRound(round int, start float64, u *Update)
-	RoundDone(rec RoundRecord)
-	Cohort(rec RoundRecord, fleet, cohort int, materialized, recycled int64)
 }
 
 // Validate applies defaults and rejects nonsense.

@@ -39,13 +39,6 @@ type Fleet interface {
 	Recycle(c *Client)
 }
 
-// FleetStats is an optional Fleet extension reporting slot-pool behaviour
-// for the journal's cohort events: cumulative slots built (materializations
-// that missed the pool) and clients recycled back into it.
-type FleetStats interface {
-	SlotStats() (materialized, recycled int64)
-}
-
 // StaticFleet adapts a pre-materialized client slice — the classic testbed
 // shape — to the Fleet interface. Materialize is a lookup and Recycle a
 // no-op: every client stays live for the run, exactly as before.

@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fedca/internal/fl"
@@ -73,7 +74,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := cfg.Validate(numParams); err != nil {
 			t.Fatalf("revalidation of accepted config failed: %v", err)
 		}
-		if cfg != before {
+		if !reflect.DeepEqual(cfg, before) {
 			t.Fatalf("revalidation mutated config: %+v -> %+v", before, cfg)
 		}
 	})

@@ -16,6 +16,7 @@ import (
 	"fedca/internal/core"
 	"fedca/internal/cputok"
 	"fedca/internal/expcfg"
+	"fedca/internal/fl"
 	"fedca/internal/rng"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
@@ -35,7 +36,7 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 	w := tinyWorkload()
 	w.FL.RetainUpdateDeltas = false
 	sink, journal := telemetry.New(), telemetry.NewJournal(1<<14)
-	w.FL.Telemetry, w.FL.Journal = sink, journal
+	w.FL.Observers = []fl.Observer{sink, journal}
 	opt := core.DefaultOptions(w.FL.LocalIters)
 	opt.ProfilePeriod = 3
 	opt.Tr = 0.9

@@ -45,7 +45,7 @@ func TestDropoutJournaledWhenTraced(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.Chaos = eng
 	sink, journal := telemetry.New(), telemetry.NewJournal(0)
-	w.FL.Telemetry, w.FL.Journal = sink, journal
+	w.FL.Observers = []fl.Observer{sink, journal}
 	r, err := expcfg.Build(w, 6, trace.PaperConfig(), 50).NewRunner(baseline.FedAvg{})
 	if err != nil {
 		t.Fatal(err)

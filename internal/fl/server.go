@@ -16,7 +16,7 @@ import (
 
 // RoundRecord is the one summary of a completed round: the line a run log
 // writes for it (runlog.Record), the round the facade reports (fedca.Round)
-// and what the telemetry sink and the journal observe. The record stage
+// and what every Observer's RoundDone receives. The record stage
 // fills it in its one walk over the round's client-rounds (observe). Its
 // JSON form is the run log's; zero degradation fields are omitted, so
 // fault-free logs carry none of them.
@@ -135,11 +135,12 @@ type Runner struct {
 
 	global  *nn.Network
 	flat    []float64
-	sel     Selector      // who trains; nil means the whole fleet
-	k       int           // the cohort size Config.Participation asks for
-	workers []trainWorker // dtype-erased training slots (see Config.DType)
-	pool    *deltaPool    // recycles Update.Delta vectors across rounds
-	aggBuf  []float64     // the reduce's accumulator, reused across rounds
+	sel     Selector       // who trains; nil means the whole fleet
+	wobs    workerObserver // the one observer watching the workers, or nil
+	k       int            // the cohort size Config.Participation asks for
+	workers []trainWorker  // dtype-erased training slots (see Config.DType)
+	pool    *deltaPool     // recycles Update.Delta vectors across rounds
+	aggBuf  []float64      // the reduce's accumulator, reused across rounds
 	round   int
 	now     float64
 
@@ -158,8 +159,10 @@ type Runner struct {
 	foldDone  []bool
 	job       trainJob
 
-	// clock times the round in progress; RunRound folds it into stages.
-	clock stageClock
+	// clock times the round in progress; RunRound folds it into stages and
+	// hands the round's rows (roundStages) to the observers.
+	clock       stageClock
+	roundStages [numStages]StageTime
 
 	// statsMu guards stats and stages: the round-driving goroutine folds
 	// into them serially, but monitors may poll them while a round runs.
@@ -190,7 +193,9 @@ type Networks interface {
 //
 // The runner's one Selector is fixed here: the scheme's when it implements
 // Selector, else the fleet's when Config.Participation asks for fewer than
-// the whole fleet (an error when the fleet has none), else none.
+// the whole fleet (an error when the fleet has none), else none. So is the
+// one observer that watches the workers (see Observer): a nil observer, or
+// a second one watching the workers, is an error.
 //
 // The global model is always float64 — master weights, aggregation and
 // evaluation never narrow. Config.DType "f32" switches only the training
@@ -202,6 +207,18 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	global := nets.New64()
 	if err := cfg.Validate(global.NumParams()); err != nil {
 		return nil, err
+	}
+	var wobs workerObserver
+	for i, o := range cfg.Observers {
+		if o == nil {
+			return nil, fmt.Errorf("fl: Observers[%d] is nil", i)
+		}
+		if w, ok := o.(workerObserver); ok {
+			if wobs != nil {
+				return nil, fmt.Errorf("fl: observers %T and %T both watch the workers; at most one may", wobs, o)
+			}
+			wobs = w
+		}
 	}
 	k := expectedCohort(cfg, fleet.Size())
 	sel, ok := scheme.(Selector)
@@ -217,9 +234,9 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	pool := &deltaPool{}
 	for i := range workers {
 		if cfg.DType == "f32" {
-			workers[i] = newTrainWorkerOf(nets.New32(), pool)
+			workers[i] = newTrainWorkerOf(nets.New32(), pool, wobs)
 		} else {
-			workers[i] = newTrainWorkerOf(nets.New64(), pool)
+			workers[i] = newTrainWorkerOf(nets.New64(), pool, wobs)
 		}
 		if np := workers[i].numParams(); np != global.NumParams() {
 			return nil, fmt.Errorf("fl: worker factory built %d params, global model has %d", np, global.NumParams())
@@ -248,6 +265,7 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		global:  global,
 		flat:    global.FlatParams(),
 		sel:     sel,
+		wobs:    wobs,
 		k:       k,
 		workers: workers,
 		pool:    pool,
@@ -322,17 +340,17 @@ func (r *Runner) RunRound() RoundResult {
 	c.lap(stageRecycle)
 	res := r.evaluate(plan, cut)
 	c.lap(stageEvaluate)
-	r.record(&res, cohort)
+	meta := r.record(&res, cohort)
 	c.lap(stageObserve)
-	r.foldStages()
+	r.roundDone(res.RoundRecord, meta)
 	r.round++
 	r.now = cut.end
 	return res
 }
 
 // The stages RunRound times, in the order a round runs them: cohort is
-// selection and materialization, and observe is all of the record stage
-// after the evaluation.
+// selection and materialization, and observe is the record stage after the
+// evaluation, up to the observers' RoundDone calls.
 const (
 	stagePlan = iota
 	stageCohort
@@ -348,11 +366,12 @@ const (
 
 var stageNames = [numStages]string{"plan", "cohort", "controllers", "train", "cut", "aggregate", "recycle", "evaluate", "observe"}
 
-// StageTime is one row of a run's wall-clock stage table: how many rounds
-// ran the stage (a skipped round does not aggregate) and the seconds they
-// spent in it, read from the monotonic clock on the round-driving
-// goroutine. It times the simulator, not the simulated federation: no
-// timer value enters a round record, the run log or RunStats.
+// StageTime is one row of a wall-clock stage table, a run's or one round's
+// (RoundMeta.Stages): how many rounds ran the stage (a skipped round does
+// not aggregate) and the seconds they spent in it, read from the monotonic
+// clock on the round-driving goroutine. It times the simulator, not the
+// simulated federation: no timer value enters a round record, the run log
+// or RunStats.
 type StageTime struct {
 	Stage   string  `json:"stage"`
 	Rounds  int     `json:"rounds"`
@@ -384,24 +403,25 @@ func (c *stageClock) lap(stage int) {
 	c.last = now
 }
 
-// foldStages adds the round's clock to the run's table, then hands each
-// stage's seconds to the sink.
-func (r *Runner) foldStages() {
+// roundDone closes the round: its clock goes into the run's stage table
+// and, as the round's own table, into meta, which every observer's RoundDone
+// receives with the record. Serial.
+func (r *Runner) roundDone(rec RoundRecord, meta RoundMeta) {
 	c := &r.clock
 	r.statsMu.Lock()
 	for s, ran := range c.ran {
+		row := StageTime{Stage: stageNames[s]}
 		if ran {
 			r.stages[s].rounds++
 			r.stages[s].ns += c.ns[s]
+			row.Rounds, row.Seconds = 1, time.Duration(c.ns[s]).Seconds()
 		}
+		r.roundStages[s] = row
 	}
 	r.statsMu.Unlock()
-	if t := r.Cfg.Telemetry; t != nil {
-		for s, ran := range c.ran {
-			if ran {
-				t.ObserveStage(stageNames[s], time.Duration(c.ns[s]).Seconds())
-			}
-		}
+	meta.Stages = r.roundStages[:]
+	for _, o := range r.Cfg.Observers {
+		o.RoundDone(rec, meta)
 	}
 }
 
@@ -454,11 +474,11 @@ func (r *Runner) selectCohort() []int {
 
 // materializeCohort is the cohort stage: the selected ids become live
 // clients — pooled slots for a virtual fleet, lookups for a static one — with
-// their links wired to the telemetry sink when there is one. Out: the cohort,
-// in selection order.
+// their links wired to the worker observer when there is one. Out: the
+// cohort, in selection order.
 func (r *Runner) materializeCohort() []*Client {
 	cohort := r.cohort[:0]
-	t := r.Cfg.Telemetry
+	t := r.wobs
 	for _, id := range r.selectCohort() {
 		c, err := r.Fleet.Materialize(id)
 		if err != nil {
@@ -719,21 +739,14 @@ func (r *Runner) evaluate(plan RoundPlan, c roundCut) RoundResult {
 }
 
 // record closes the books on the evaluated round: observe, the round's
-// telemetry and journal events, and the cohort's slots back to the fleet.
-// Serial.
-func (r *Runner) record(res *RoundResult, cohort []*Client) {
+// RoundMeta but its stage table (read before the cohort's slots go back),
+// and the cohort's slots back to the fleet. Serial.
+func (r *Runner) record(res *RoundResult, cohort []*Client) RoundMeta {
 	r.observe(res, len(cohort))
-	if t := r.Cfg.Telemetry; t != nil {
-		t.RoundDone(res.RoundRecord)
-		t.ObserveCohort(r.Fleet.Size(), len(cohort))
-	}
-	if j := r.Cfg.Journal; j != nil {
-		j.RoundDone(res.RoundRecord)
-		var made, recycled int64
-		if fs, ok := r.Fleet.(FleetStats); ok {
-			made, recycled = fs.SlotStats()
-		}
-		j.Cohort(res.RoundRecord, r.Fleet.Size(), len(cohort), made, recycled)
+	meta := RoundMeta{Fleet: r.Fleet.Size(), Cohort: len(cohort)}
+	// A pooling fleet (expcfg.VirtualFleet) reports its slot counts.
+	if fs, ok := r.Fleet.(interface{ SlotStats() (int64, int64) }); ok {
+		meta.Materialized, meta.Recycled = fs.SlotStats()
 	}
 
 	// Return cohort slots to the fleet's pool (no-op for static fleets).
@@ -744,17 +757,17 @@ func (r *Runner) record(res *RoundResult, cohort []*Client) {
 		cohort[i] = nil
 	}
 	clear(r.ctrls)
+	return meta
 }
 
 // observe is the one walk over a round's client-rounds. It feeds each
 // Update to History (the survivors' timings, fresh even on skipped rounds;
 // quarantined updates are distrusted), the round's record (counts, sums and
-// the means over Collected), RunStats, the sink and the
-// journal, walking Collected, then Discarded — the journal's event order,
-// and its attribution table's admission order once full — and clears the
-// records' Eager lists. statsMu is never held across an observer.
+// the means over Collected), RunStats and every Observer's ClientRound,
+// walking Collected, then Discarded — the journal's event order, and its
+// attribution table's admission order once full — and clears the records'
+// Eager lists. statsMu is never held across an observer.
 func (r *Runner) observe(res *RoundResult, cohort int) {
-	t, j := r.Cfg.Telemetry, r.Cfg.Journal
 	rec := &res.RoundRecord
 	rec.Collected, rec.Discarded = len(res.Collected), len(res.Discarded)
 	var sumIter, sumEager, sumRetr float64
@@ -775,11 +788,8 @@ func (r *Runner) observe(res *RoundResult, cohort int) {
 			r.statsMu.Lock()
 			r.stats.fold(u)
 			r.statsMu.Unlock()
-			if t != nil {
-				t.ClientRound(rec.Index, rec.Start, u)
-			}
-			if j != nil {
-				j.ClientRound(rec.Index, rec.Start, u)
+			for _, o := range r.Cfg.Observers {
+				o.ClientRound(rec.Index, rec.Start, u)
 			}
 			u.Eager = nil
 		}

@@ -35,8 +35,9 @@ func TestTelemetryInert(t *testing.T) {
 		}
 		w := tinyWorkload()
 		w.FL.Chaos = eng
-		w.FL.Telemetry = sink
-		w.FL.Journal = journal
+		if sink != nil {
+			w.FL.Observers = []fl.Observer{sink, journal}
+		}
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
 		r, err := tb.NewRunner(baseline.FedAvg{})
 		if err != nil {

@@ -23,7 +23,7 @@ func steadyStateAllocs[F tensor.Float](t *testing.T, net *nn.NetworkOf[F]) float
 	cputok.Default().SetCap(1)
 	defer cputok.Default().SetCap(old)
 
-	w := newTrainWorkerOf(net, &deltaPool{})
+	w := newTrainWorkerOf(net, &deltaPool{}, nil)
 	gen := data.NewImageGenerator(data.ImageSpec{
 		Classes: 4, Channels: 1, Height: 8, Width: 8, Noise: 1,
 	}, rng.New(5))
@@ -83,4 +83,67 @@ func TestSteadyStateTrainingZeroAlloc(t *testing.T) {
 			t.Fatalf("steady-state f32 LSTM iteration allocated %v times; want 0", n)
 		}
 	})
+}
+
+// countingObserver counts the calls it receives, and the eager records its
+// client-rounds still carry; it allocates nothing.
+type countingObserver struct {
+	clientRounds, eager, rounds int
+}
+
+func (o *countingObserver) ClientRound(_ int, _ float64, u *Update) {
+	o.clientRounds++
+	o.eager += len(u.Eager)
+}
+
+func (o *countingObserver) RoundDone(RoundRecord, RoundMeta) { o.rounds++ }
+
+// TestObserverCallsZeroAlloc: the record stage reaches its observers
+// through a slice of interfaces, and one round's calls through a
+// two-element Config.Observers — the walk's ClientRound per client-round,
+// the RoundMeta, the stage table and RoundDone — allocate nothing.
+func TestObserverCallsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
+	}
+	const k = 4
+	clients := []*Client{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}, {ID: 2, Weight: 1}}
+	a, b := &countingObserver{}, &countingObserver{}
+	r := &Runner{
+		Cfg:   Config{LocalIters: k, Observers: []Observer{a, b}},
+		Fleet: NewStaticFleet(clients),
+		Hist:  NewHistory(),
+		stats: RunStats{
+			EarlyStopsByIter:  make([]int, k+1),
+			EagerByIter:       make([]int, k+1),
+			RetransmitsByIter: make([]int, k+1),
+		},
+	}
+	eager := []EagerRecord{{Layer: 0, Iter: 2}, {Layer: 1, Iter: 3, Retransmitted: true}}
+	collected := []Update{
+		{ClientID: 0, Iterations: k, TrainTime: 1, EagerSent: 2, Retransmitted: 1},
+		{ClientID: 1, Iterations: 3, TrainTime: 1, EarlyStop: true},
+	}
+	discarded := []Update{{ClientID: 2, Iterations: 2, TrainTime: 0.5, Dropped: true}}
+	cohort := make([]*Client, len(clients))
+	round := func() {
+		copy(cohort, clients)
+		collected[0].Eager = eager
+		res := RoundResult{Collected: collected, Discarded: discarded}
+		r.clock.start()
+		meta := r.record(&res, cohort)
+		r.clock.lap(stageObserve)
+		r.roundDone(res.RoundRecord, meta)
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("one round's observer calls allocated %v times; want 0", n)
+	}
+	const rounds = 101 + 1 // AllocsPerRun's warmup call, then its runs
+	for _, o := range []*countingObserver{a, b} {
+		if o.clientRounds != 3*rounds || o.rounds != rounds || o.eager != len(eager)*rounds {
+			t.Fatalf("observer saw %d client-rounds with %d eager records and %d rounds; want %d, %d and %d",
+				o.clientRounds, o.eager, o.rounds, 3*rounds, len(eager)*rounds, rounds)
+		}
+	}
 }

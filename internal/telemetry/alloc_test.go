@@ -15,7 +15,7 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 	var s *Sink
 	if n := testing.AllocsPerRun(1000, func() {
 		s.ObserveIteration(0.25)
-		s.RoundDone(fl.RoundRecord{Index: 3, End: 10, Accuracy: 0.5, Collected: 8})
+		s.RoundDone(fl.RoundRecord{Index: 3, End: 10, Accuracy: 0.5, Collected: 8}, fl.RoundMeta{Fleet: 8, Cohort: 8})
 		s.UpObserver()
 		s.DownObserver()
 		s.Tracer().Span(serverTrack, "x", "c", 0, 1, nil)
@@ -28,7 +28,7 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 	// point the instrumented layers call must be a free nil check.
 	var j *Journal
 	if n := testing.AllocsPerRun(1000, func() {
-		j.RoundDone(fl.RoundRecord{Index: 3, End: 12.5, Collected: 8})
+		j.RoundDone(fl.RoundRecord{Index: 3, End: 12.5, Collected: 8}, fl.RoundMeta{Fleet: 8, Cohort: 8})
 		j.ClientRound(3, 0, &fl.Update{ClientID: 1, Quarantined: true, CompletionTime: 12.5})
 		j.ClientRound(3, 0, &fl.Update{ClientID: 2, Iterations: 40, Dropped: true, TrainEnd: 12.5})
 		j.ClientRound(3, 0, &fl.Update{ClientID: 2, Iterations: 40, Dropped: true, Anchor: true})

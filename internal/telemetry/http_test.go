@@ -63,10 +63,8 @@ func TestHTTPIntrospectionDuringChaosRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.FL.Chaos = eng
-	sink := telemetry.New()
-	w.FL.Telemetry = sink
-	journal := telemetry.NewJournal(256)
-	w.FL.Journal = journal
+	sink, journal := telemetry.New(), telemetry.NewJournal(256)
+	w.FL.Observers = []fl.Observer{sink, journal}
 	tb := expcfg.Build(w, 6, trace.PaperConfig(), 50)
 	runner, err := tb.NewRunner(baseline.FedAvg{})
 	if err != nil {
@@ -264,7 +262,7 @@ func TestEventsCursorLosesNothing(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			j.RoundDone(fl.RoundRecord{Index: i, Collected: 1})
+			j.CapChange(i, i+1)
 		}
 	}()
 	seen := make([]int, total+1)

@@ -165,10 +165,13 @@ func (j *Journal) Tail(n int) []Event {
 	return all
 }
 
-// RoundDone records one completed round (skipped or aggregated). Its
-// quarantines and dropouts are recorded per client, by ClientRound. It
-// implements fl.Journal, as does Cohort.
-func (j *Journal) RoundDone(rec fl.RoundRecord) {
+// RoundDone records one completed round (fl.Observer): its round event
+// (skipped or aggregated; its quarantines and dropouts are recorded per
+// client, by ClientRound), then its cohort event: the cohort size drawn
+// from the fleet, the fleet's cumulative slot-pool counters (materializations
+// and recycles; zero for static fleets, which never pool) and the round's
+// total upload bytes, read from its record.
+func (j *Journal) RoundDone(rec fl.RoundRecord, meta fl.RoundMeta) {
 	if j == nil {
 		return
 	}
@@ -180,27 +183,17 @@ func (j *Journal) RoundDone(rec fl.RoundRecord) {
 		Type: typ, Round: rec.Index, Client: -1, VTime: rec.End,
 		Detail: fmt.Sprintf("collected=%d quarantined=%d dropped=%d", rec.Collected, rec.Quarantined, rec.Dropped),
 	})
-}
-
-// Cohort records one round's cohort lifecycle: the cohort size drawn from
-// the fleet, the fleet's cumulative slot-pool counters (materializations and
-// recycles; zero for static fleets, which never pool) and the round's total
-// upload bytes, read from its record.
-func (j *Journal) Cohort(rec fl.RoundRecord, fleet, cohort int, materialized, recycled int64) {
-	if j == nil {
-		return
-	}
 	j.record(Event{
 		Type: EvCohort, Round: rec.Index, Client: -1,
 		Detail: fmt.Sprintf("fleet=%d cohort=%d materialized=%d recycled=%d upload_bytes=%.0f",
-			fleet, cohort, materialized, recycled, rec.UploadBytes),
+			meta.Fleet, meta.Cohort, meta.Materialized, meta.Recycled, rec.UploadBytes),
 	})
 }
 
-// ClientRound records a client-round of round round, which began at start:
-// its cost into the attribution table, then an event per chaos link window
-// (downlink first; scale 0 is an outage), its quarantine, its dropout and
-// the anchor profile the dropout aborted.
+// ClientRound (fl.Observer) records a client-round of round round, which
+// began at start: its cost into the attribution table, then an event per
+// chaos link window (downlink first; scale 0 is an outage), its quarantine,
+// its dropout and the anchor profile the dropout aborted.
 func (j *Journal) ClientRound(round int, start float64, u *fl.Update) {
 	if j == nil {
 		return

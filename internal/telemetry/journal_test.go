@@ -20,7 +20,7 @@ func TestJournalSequenceAndEviction(t *testing.T) {
 	for _, total := range []int{1, 7, 31, 32, 33, 100, 1000} {
 		j := NewJournal(capacity)
 		for i := 0; i < total; i++ {
-			j.RoundDone(fl.RoundRecord{Index: i, End: float64(i), Collected: 4})
+			j.record(Event{Type: EvRound, Round: i, VTime: float64(i)})
 		}
 		if got := j.LastSeq(); got != uint64(total) {
 			t.Fatalf("LastSeq = %d after %d events", got, total)
@@ -76,7 +76,7 @@ func TestJournalConcurrentReaderSeesNoGaps(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			j.RoundDone(fl.RoundRecord{Index: i, Collected: 1})
+			j.record(Event{Type: EvRound, Round: i})
 		}
 	}()
 	var last uint64
@@ -208,8 +208,9 @@ func TestClientTableBound(t *testing.T) {
 // TestJournalEventTypes spot-checks each emitter's rendered event.
 func TestJournalEventTypes(t *testing.T) {
 	j := NewJournal(64)
-	j.RoundDone(fl.RoundRecord{Index: 1, End: 10, Collected: 8, Quarantined: 1, Dropped: 2})
-	j.RoundDone(fl.RoundRecord{Index: 2, End: 20, Dropped: 9, Skipped: true})
+	meta := fl.RoundMeta{Fleet: 100, Cohort: 10, Materialized: 12, Recycled: 5}
+	j.RoundDone(fl.RoundRecord{Index: 1, End: 10, Collected: 8, Quarantined: 1, Dropped: 2}, meta)
+	j.RoundDone(fl.RoundRecord{Index: 2, End: 20, Dropped: 9, Skipped: true}, meta)
 	j.ClientRound(1, 0, &fl.Update{ClientID: 4, Quarantined: true, CompletionTime: 9.5})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 5, Iterations: 17, Dropped: true, Anchor: true, TrainEnd: 8.0})
 	j.ClientRound(1, 0, &fl.Update{ClientID: 3, Chaos: &chaos.Plan{Down: []chaos.LinkWindow{{From: 1, To: 2, Scale: 0}}}})
@@ -219,7 +220,7 @@ func TestJournalEventTypes(t *testing.T) {
 	j.Violation("heap", "storm", 150, "slope too steep")
 	events := j.Since(0)
 	wantTypes := []string{
-		EvRound, EvRoundSkip, EvQuarantine, EvDropout, EvAnchorAbort,
+		EvRound, EvCohort, EvRoundSkip, EvCohort, EvQuarantine, EvDropout, EvAnchorAbort,
 		EvImpairment, EvCapChange,
 		EvPhaseStart, EvPhaseEnd, EvViolation,
 	}
@@ -233,6 +234,7 @@ func TestJournalEventTypes(t *testing.T) {
 	}
 	checks := map[string]string{
 		EvRound:      "collected=8 quarantined=1 dropped=2",
+		EvCohort:     "fleet=100 cohort=10 materialized=12 recycled=5",
 		EvDropout:    "after 17 iterations",
 		EvCapChange:  "cap 0 -> 1",
 		EvPhaseStart: "phase 2 (storm)",
@@ -256,7 +258,7 @@ func TestJournalEventTypes(t *testing.T) {
 // TestNilJournalSafe proves the disabled journal is inert end to end.
 func TestNilJournalSafe(t *testing.T) {
 	var j *Journal
-	j.RoundDone(fl.RoundRecord{})
+	j.RoundDone(fl.RoundRecord{}, fl.RoundMeta{})
 	j.ClientRound(0, 0, &fl.Update{ClientID: 1, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	if j.LastSeq() != 0 || j.Since(0) != nil || j.Tail(5) != nil || j.Clients() != nil {
 		t.Fatal("nil journal must be inert")
@@ -292,7 +294,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 func TestJournalWriteSince(t *testing.T) {
 	j := NewJournal(0)
 	for i := 0; i < 4; i++ {
-		j.RoundDone(fl.RoundRecord{Index: i, End: float64(i), Collected: 1})
+		j.record(Event{Type: EvRound, Round: i, VTime: float64(i)})
 	}
 	w := &failingWriter{failAt: 2}
 	seq, err := j.WriteSince(w, 1)

@@ -10,9 +10,10 @@ import (
 )
 
 // Sink bundles one run's metrics registry and span tracer and pre-registers
-// the simulator's metric set. A nil *Sink is the disabled state: every entry
-// point the round loop touches is nil-safe and allocation-free, so
-// instrumented code needs no build flags or interface indirection.
+// the simulator's metric set. It is an fl.Observer that also watches the
+// workers (ObserveIteration and the link observers). A nil *Sink is the
+// disabled state: every entry point the round loop touches is nil-safe and
+// allocation-free, so instrumented code needs no build flags.
 type Sink struct {
 	reg    *Registry
 	tracer *Tracer
@@ -144,10 +145,10 @@ func (s *Sink) ObserveIteration(sec float64) {
 	s.IterSeconds.Observe(sec)
 }
 
-// ClientRound counts a client-round's iterations and scheme behaviour and
-// renders its record onto the client's trace track, which it names:
-// download, local training (or anchor profiling), eager uploads and the
-// upload, annotated with the round's chaos events. start is the round's
+// ClientRound (fl.Observer) counts a client-round's iterations and scheme
+// behaviour and renders its record onto the client's trace track, which it
+// names: download, local training (or anchor profiling), eager uploads and
+// the upload, annotated with the round's chaos events. start is the round's
 // start.
 func (s *Sink) ClientRound(round int, start float64, u *fl.Update) {
 	if s == nil {
@@ -240,11 +241,27 @@ func impairmentSpans(tr *Tracer, tid int, link string, start, clamp float64, win
 	}
 }
 
-// RoundDone records one completed round: gauges, counters, the round-duration
-// histogram and the server-track round span.
-func (s *Sink) RoundDone(rec fl.RoundRecord) {
+// RoundDone records one completed round (fl.Observer): gauges, counters,
+// the round-duration histogram, the server-track round span, the fleet and
+// cohort sizes, and the wall-clock seconds of every stage the round ran.
+func (s *Sink) RoundDone(rec fl.RoundRecord, meta fl.RoundMeta) {
 	if s == nil {
 		return
+	}
+	s.FleetSize.Set(float64(meta.Fleet))
+	s.CohortSize.Set(float64(meta.Cohort))
+	for _, st := range meta.Stages {
+		if st.Rounds == 0 {
+			continue
+		}
+		s.stageMu.Lock()
+		h := s.stageSeconds[st.Stage]
+		if h == nil {
+			h = s.reg.Histogram("fedca_stage_seconds", "Wall-clock seconds one round spent in a runner stage (monotonic clock, not sim time).", expBuckets(1e-6, 4, 13), Label{"stage", st.Stage})
+			s.stageSeconds[st.Stage] = h
+		}
+		s.stageMu.Unlock()
+		h.Observe(st.Seconds)
 	}
 	s.Rounds.Inc()
 	if rec.Skipped {
@@ -275,33 +292,6 @@ func (s *Sink) RoundDone(rec fl.RoundRecord) {
 		name = "round (skipped)"
 	}
 	s.tracer.Span(serverTrack, name, "round", rec.Start, rec.End, args)
-}
-
-// ObserveStage records the wall-clock seconds one round spent in one of the
-// runner's stages (fl.StageTime). Nil-safe; allocation-free once the stage
-// has been seen.
-func (s *Sink) ObserveStage(stage string, sec float64) {
-	if s == nil {
-		return
-	}
-	s.stageMu.Lock()
-	h := s.stageSeconds[stage]
-	if h == nil {
-		h = s.reg.Histogram("fedca_stage_seconds", "Wall-clock seconds one round spent in a runner stage (monotonic clock, not sim time).", expBuckets(1e-6, 4, 13), Label{"stage", stage})
-		s.stageSeconds[stage] = h
-	}
-	s.stageMu.Unlock()
-	h.Observe(sec)
-}
-
-// ObserveCohort records the fleet population and the size of the cohort a
-// round materialized from it (equal for static fleets).
-func (s *Sink) ObserveCohort(fleet, cohort int) {
-	if s == nil {
-		return
-	}
-	s.FleetSize.Set(float64(fleet))
-	s.CohortSize.Set(float64(cohort))
 }
 
 // UpObserver returns the observer to install on a client's uplink (nil when
