@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/chaos"
 	"fedca/internal/expcfg"
 	"fedca/internal/fl"
 	"fedca/internal/rng"
@@ -186,6 +187,41 @@ func TestSAFAEndToEnd(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("stale aggregation did not move the model")
+	}
+}
+
+// TestSAFANeverFoldsRejectedUpdates: an update whose verdict failed —
+// quarantined, or late and corrupted — reaches SAFA without its delta, so the
+// stale cache never carries a corrupted update into the next round's
+// aggregation and the global model stays finite.
+func TestSAFANeverFoldsRejectedUpdates(t *testing.T) {
+	w := tinyWorkload()
+	w.FL.AggregateFraction = 0.5
+	eng, err := chaos.NewEngine(chaos.Config{CorruptProb: 0.4}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.FL.Chaos = eng
+	tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1.2}, 7)
+	r, err := tb.NewRunner(baseline.NewSAFA(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarantined, skipped := 0, 0
+	for round := 0; round < 6; round++ {
+		res := r.RunRound()
+		quarantined += res.Quarantined
+		if res.Skipped {
+			skipped++
+		}
+		for i, v := range r.GlobalFlat() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("round %d: global parameter %d is %v", round, i, v)
+			}
+		}
+	}
+	if quarantined == 0 || skipped == 6 {
+		t.Fatalf("quarantined %d updates and skipped %d of 6 rounds: the run does not exercise a rejected update", quarantined, skipped)
 	}
 }
 

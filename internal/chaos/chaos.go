@@ -148,6 +148,14 @@ func (c *Config) Validate() error {
 	if !(c.ExplodeScale > 1) {
 		return fmt.Errorf("chaos: ExplodeScale must exceed 1, got %v", c.ExplodeScale)
 	}
+	// An infinite slowdown or outage never ends: the speed trace would grow
+	// its timeline forever to cover it.
+	for _, v := range []float64{c.SlowFactorLo, c.SlowFactorHi, c.DegradeScaleLo, c.DegradeScaleHi,
+		c.OutageFracLo, c.OutageFracHi, c.ExplodeScale} {
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("chaos: shape values must be finite, got %v", v)
+		}
+	}
 	return nil
 }
 

@@ -267,6 +267,13 @@ func TestParseSpec(t *testing.T) {
 		{"scale=0:2", true, nil},
 		{"drop=0.1,slowfrac=NaN", true, nil},
 		{"drop=0.1,outagefrac=0.1:NaN", true, nil},
+		// Non-finite shapes: an infinite slowdown never ends its window.
+		{"slow=1,slowfactor=2:+Inf", true, nil},
+		{"slow=1,slowfactor=Inf:Inf", true, nil},
+		{"degrade=1,scale=0.5:Inf", true, nil},
+		{"outage=1,outagefrac=0.1:+Inf", true, nil},
+		{"outage=1,outagefrac=Inf:Inf", true, nil},
+		{"corrupt=1,explode=+Inf", true, nil},
 	}
 	for _, tc := range cases {
 		c, err := ParseSpec(tc.spec)

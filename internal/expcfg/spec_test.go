@@ -69,6 +69,9 @@ func FuzzRunSpec(f *testing.F) {
 	f.Add("chaos=corrupt=0.01, XFAIL=0.2,drop=0.1")
 	f.Add("chaos=drop=0")
 	f.Add("chaos=drop=0.1,slowfrac=0.5,drop=0.3")
+	f.Add("chaos=slow=1,slowfactor=2:+Inf")
+	f.Add("chaos=outage=1,outagefrac=0.1:Inf;clients=2")
+	f.Add("chaos=corrupt=1,explode=-Inf")
 	f.Fuzz(func(t *testing.T, spec string) {
 		o := validBase()
 		if err := o.Set(spec); err != nil {

@@ -185,9 +185,6 @@ func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat [
 
 	_, tDown := c.Down.TransferAttempts(roundStart, cfg.ModelBytes, cplan.Attempts())
 	net.SetFlatParams(globalFlat)
-	// Stochastic layers (dropout) must not depend on which worker network
-	// this client landed on; reseed them from client identity and round time.
-	net.ReseedNoise(uint64(c.ID)<<32 ^ uint64(int64(roundStart*1e6)))
 	opt := w.opt
 	opt.LR, opt.Momentum, opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
 	opt.Reset()

@@ -437,7 +437,8 @@ type Selector interface {
 // Aggregator is an optional Scheme extension replacing the default weighted
 // FedAvg mean — e.g. SAFA-style reuse of stale straggler updates. It returns
 // the new global parameter vector. collected updates carry their Delta;
-// discarded updates carry Delta only when not dropped.
+// discarded updates carry Delta only when not dropped and not rejected by
+// validation (quarantined, or late with a failing verdict).
 type Aggregator interface {
 	Aggregate(round int, flat []float64, collected, discarded []Update) []float64
 }

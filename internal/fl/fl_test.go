@@ -216,7 +216,7 @@ func TestVirtualTimeAdvancesAcrossRounds(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []float64 {
-		tb := tinyTestbed(t, 6, trace.Config{HeterogeneitySigma: 0.6, Dynamic: true, FastShape: 2, FastScale: 40, SlowShape: 2, SlowScale: 6, SlowdownLo: 1, SlowdownHi: 5}, 6)
+		tb := tinyTestbed(t, 6, trace.PaperConfig(), 6)
 		r, err := tb.NewRunner(baseline.FedAvg{})
 		if err != nil {
 			t.Fatal(err)

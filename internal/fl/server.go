@@ -604,6 +604,9 @@ type roundCut struct {
 	collected, discarded []Update
 	quarantined          int  // collected updates that failed validation, now in discarded
 	skipped              bool // fewer valid collected updates than the quorum: no aggregation
+	// offered is discarded as a custom Aggregator sees it: an update whose
+	// verdict failed comes without its delta. Nil on the default path.
+	offered []Update
 }
 
 // cut closes the round. The earliest AggregateFraction of the updates by
@@ -615,7 +618,10 @@ type roundCut struct {
 // both reduce paths, moves every collected update whose verdict failed to
 // Discarded, marked Quarantined; and a round left with fewer valid updates
 // than the quorum is skipped and recorded — the model stays as it is and the
-// run continues. In: the updates and their verdicts. Out: the roundCut.
+// run continues. A custom Aggregator is offered the discarded updates without
+// any delta whose verdict failed, quarantined or late, as the online fold
+// recycles such a delta unfolded. In: the updates and their verdicts. Out:
+// the roundCut.
 func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	order := resize(&r.order, len(updates))
 	for i := range order {
@@ -635,13 +641,23 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 		collected: make([]Update, 0, take),
 		discarded: make([]Update, 0, len(updates)-take),
 	}
+	_, custom := r.Scheme.(Aggregator)
+	discard := func(u Update, ok bool) {
+		c.discarded = append(c.discarded, u)
+		if custom {
+			if !ok {
+				u.Delta = nil
+			}
+			c.offered = append(c.offered, u)
+		}
+	}
 	for i, oi := range order {
 		if u := updates[oi]; i < take && !u.Dropped {
 			u.Quarantined = !valid[oi]
 			c.collected = append(c.collected, u)
 			c.end = u.CompletionTime
 		} else {
-			c.discarded = append(c.discarded, u)
+			discard(u, valid[oi])
 		}
 	}
 	if len(c.collected) == 0 {
@@ -654,7 +670,7 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	kept := c.collected[:0]
 	for _, u := range c.collected {
 		if u.Quarantined {
-			c.discarded = append(c.discarded, u)
+			discard(u, false)
 			c.quarantined++
 		} else {
 			kept = append(kept, u)
@@ -675,7 +691,7 @@ func (r *Runner) aggregate(c roundCut, fold *onlineFold) {
 	agg, custom := r.Scheme.(Aggregator)
 	switch {
 	case custom:
-		r.flat = agg.Aggregate(r.round, r.flat, c.collected, c.discarded)
+		r.flat = agg.Aggregate(r.round, r.flat, c.collected, c.offered)
 		if len(r.flat) != r.global.NumParams() {
 			panic("fl: aggregator returned a wrong-sized parameter vector")
 		}

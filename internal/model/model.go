@@ -63,9 +63,6 @@ type WRNConfig struct {
 	Image          ImageConfig
 	BlocksPerGroup int
 	Width          int
-	// Dropout is the drop probability between the two convolutions of each
-	// block (WRN-28-10 trains with dropout there); 0 disables it.
-	Dropout float64
 }
 
 // NewCNNOf builds a LeNet-5-style CNN: two 5×5 conv+maxpool stages followed
@@ -133,7 +130,7 @@ func NewWRNOf[F tensor.Float](cfg WRNConfig, r *rng.RNG) *ModelOf[F] {
 				s = stride
 			}
 			name := fmt.Sprintf("conv%d.%d", group+2, blk)
-			block, outH, outW := basicBlock[F](name, ch, h, w, outCh, s, cfg.Dropout, r)
+			block, outH, outW := basicBlock[F](name, ch, h, w, outCh, s, r)
 			layers = append(layers, block)
 			ch, h, w = outCh, outH, outW
 		}
@@ -150,12 +147,13 @@ func NewWRNOf[F tensor.Float](cfg WRNConfig, r *rng.RNG) *ModelOf[F] {
 }
 
 // basicBlock builds one pre-activation residual block:
-// BN → ReLU → conv3x3(stride s) → BN → ReLU → dropout → conv3x3, with a 1×1
-// strided conv shortcut when the shape changes. Body layer indices 0..6
-// appear in parameter names ("<name>.residual.<j>"): conv weights are
-// .residual.2 and .residual.6, norms .residual.0 and .residual.3 — matching
-// the names the paper's Fig. 3 shows (conv4.2.residual.6.weight).
-func basicBlock[F tensor.Float](name string, inCh, h, w, outCh, stride int, dropout float64, r *rng.RNG) (block *nn.ResidualOf[F], outH, outW int) {
+// BN → ReLU → conv3x3(stride s) → BN → ReLU → conv3x3, with a 1×1 strided
+// conv shortcut when the shape changes. Parameter names carry the layer
+// indices of the PyTorch block the paper's Fig. 3 shows
+// (conv4.2.residual.6.weight): norms .residual.0 and .residual.3, conv
+// weights .residual.2 and .residual.6; index 5 is that block's dropout, which
+// this block leaves out.
+func basicBlock[F tensor.Float](name string, inCh, h, w, outCh, stride int, r *rng.RNG) (block *nn.ResidualOf[F], outH, outW int) {
 	g1 := tensor.NewConvGeom(inCh, h, w, 3, 3, stride, 1)
 	c1 := nn.NewConv2DOf[F](name+".residual.2", g1, outCh, r)
 	g2 := tensor.NewConvGeom(outCh, g1.OutH, g1.OutW, 3, 3, 1, 1)
@@ -166,7 +164,6 @@ func basicBlock[F tensor.Float](name string, inCh, h, w, outCh, stride int, drop
 		c1,
 		nn.NewBatchNorm2DOf[F](name+".residual.3", outCh, g1.OutH, g1.OutW),
 		nn.NewReLUOf[F](c1.OutDim()),
-		nn.NewDropoutOf[F](dropout, c1.OutDim(), r.Fork("dropout", name)),
 		c2,
 	}
 	var shortcut []nn.LayerOf[F]

@@ -69,8 +69,8 @@ func lstmShapeNets[F tensor.Float](nets map[string]func() (*NetworkOf[F], int)) 
 // everyLayerNets builds, per name, a network and its input width; together
 // they contain every layer type, the pooling layer on both of its paths and
 // at a width below the vector's, convolutions at stride 1 and 2, a residual
-// block with and without a shortcut branch, one whose branch opens with a
-// pass-through dropout, and an LSTM with one layer and with two.
+// block with and without a shortcut branch, and an LSTM with one layer and
+// with two.
 func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 	return map[string]func() (*NetworkOf[F], int){
 		"dense-relu": func() (*NetworkOf[F], int) {
@@ -99,17 +99,7 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 			p := NewMaxPool2DOf[F](3, 4, 4, 2, 2)
 			return NewNetworkOf[F](c, NewReLUOf[F](c.OutDim()), p, NewDenseOf[F]("fc", p.OutDim(), 3, r)), 2 * 8 * 8
 		},
-		"residual": func() (*NetworkOf[F], int) { return residualNet[F](0.3) },
-		"residual-dropout0": func() (*NetworkOf[F], int) {
-			// A training Dropout with P = 0 hands its input on, so the
-			// convolution after it reads the block's input: the chain must
-			// keep it although Dropout's own Backward reads nothing.
-			r := rng.New(13)
-			g := tensor.NewConvGeom(2, 6, 6, 3, 3, 1, 1)
-			body := []LayerOf[F]{NewDropoutOf[F](0, 72, r.Fork("dropout", "b")), NewConv2DOf[F]("b.c", g, 2, r)}
-			return NewNetworkOf[F](NewConv2DOf[F]("conv1", tensor.NewConvGeom(1, 6, 6, 3, 3, 1, 1), 2, r),
-				NewResidualOf[F](body, nil, 72), NewGlobalAvgPool2DOf[F](2, 6, 6), NewDenseOf[F]("fc", 2, 3, r)), 36
-		},
+		"residual": func() (*NetworkOf[F], int) { return residualNet[F]() },
 		"lstm1": func() (*NetworkOf[F], int) {
 			r := rng.New(10)
 			return NewNetworkOf[F](NewLSTMOf[F]("rnn", 3, 5, 4, 1, r), NewDenseOf[F]("fc", 5, 3, r)), 12
@@ -124,9 +114,8 @@ func everyLayerNets[F tensor.Float]() map[string]func() (*NetworkOf[F], int) {
 }
 
 // residualNet is everyLayerNets' "residual": a block without and one with a
-// shortcut branch, each with a dropout of probability p between its
-// convolutions.
-func residualNet[F tensor.Float](p float64) (*NetworkOf[F], int) {
+// shortcut branch.
+func residualNet[F tensor.Float]() (*NetworkOf[F], int) {
 	r := rng.New(9)
 	block := func(name string, inC, outC, stride int) *ResidualOf[F] {
 		g1 := tensor.NewConvGeom(inC, 6, 6, 3, 3, stride, 1)
@@ -135,7 +124,6 @@ func residualNet[F tensor.Float](p float64) (*NetworkOf[F], int) {
 		body := []LayerOf[F]{
 			NewBatchNorm2DOf[F](name+".bn1", inC, 6, 6), NewReLUOf[F](inC * 36), c1,
 			NewBatchNorm2DOf[F](name+".bn2", outC, g1.OutH, g1.OutW), NewReLUOf[F](c1.OutDim()),
-			NewDropoutOf[F](p, c1.OutDim(), r.Fork("dropout", name)),
 			NewConv2DOf[F](name+".c2", g2, outC, r),
 		}
 		var shortcut []LayerOf[F]
@@ -235,8 +223,6 @@ func arenaVsHeap[F tensor.Float](t *testing.T, path string, build func() (*Netwo
 		arena.Reset()
 		heap.ZeroGrad()
 		arenaNet.ZeroGrad()
-		heap.ReseedNoise(uint64(iter))
-		arenaNet.ReseedNoise(uint64(iter))
 		lh, lt := heap.Forward(x, true), arenaNet.Forward(x, true)
 		if i := sameBits(lh.Data(), lt.Data()); i >= 0 {
 			t.Fatalf("%s iter %d: training forward diverges at %d: %v vs %v", path, iter, i, lh.Data()[i], lt.Data()[i])
@@ -294,8 +280,6 @@ func trainEvalTrain[F tensor.Float](t *testing.T, what string, build func() (*Ne
 		}
 		heapTrain.ZeroGrad()
 		train.ZeroGrad()
-		heapTrain.ReseedNoise(uint64(step))
-		train.ReseedNoise(uint64(step))
 		lh, la := heapTrain.Forward(x, true), train.Forward(x, true)
 		if i := sameBits(lh.Data(), la.Data()); i >= 0 {
 			t.Fatalf("%s step %d: training forward diverges at %d", what, step, i)

@@ -194,9 +194,3 @@ func TestBatchNormConstantInput(t *testing.T) {
 		}
 	}
 }
-
-func TestReseedNoiseWithoutNoiseLayersIsNoop(t *testing.T) {
-	r := rng.New(105)
-	net := NewNetworkOf[float64](NewDenseOf[float64]("d", 2, 2, r))
-	net.ReseedNoise(1) // must not panic
-}

@@ -14,8 +14,8 @@ import (
 // kernel (ReLU, max pooling, the SGD step): tensor's contract tests hold each
 // kernel to its reference, and these hold each layer to its kernel — a batch
 // split into samples or element ranges and fanned out, argmax offsets taken
-// per sample, train and inference passes alike. Batch norm, dropout and the
-// momentum step have no kernel, so their references live here.
+// per sample, train and inference passes alike. Batch norm and the momentum
+// step have no kernel, so their references live here.
 
 // poolInput draws a batch from a handful of values, so that most windows hold
 // ties, signed zeros and NaNs in every position.
@@ -255,43 +255,6 @@ func testBatchNormMatchesReference[F tensor.Float](t *testing.T) {
 func TestBatchNormMatchesReference(t *testing.T) {
 	t.Run("f64", testBatchNormMatchesReference[float64])
 	t.Run("f32", testBatchNormMatchesReference[float32])
-}
-
-// TestDropoutMatchesReference: writing output and mask in one pass from the
-// input equals clone-then-rewrite, forward and backward, for the same mask
-// stream.
-func TestDropoutMatchesReference(t *testing.T) {
-	const p, n = 0.4, 64
-	r := rng.New(24)
-	d := NewDropoutOf[float64](p, n, rng.New(99))
-	x, dout := randInput(r, 3, n), randInput(r, 3, n)
-	x.Data()[5], dout.Data()[7] = math.NaN(), math.Inf(-1)
-	// Dropout as it was.
-	ref := rng.New(99)
-	scale := 1 / (1 - p)
-	wantY, wantDx := x.Clone().Data(), dout.Clone().Data()
-	mask := make([]bool, len(wantY))
-	for i := range wantY {
-		if ref.Float64() < p {
-			wantY[i] = 0
-		} else {
-			mask[i] = true
-			wantY[i] *= scale
-		}
-	}
-	for i := range wantDx {
-		if mask[i] {
-			wantDx[i] *= scale
-		} else {
-			wantDx[i] = 0
-		}
-	}
-	if i := sameBits(wantY, d.Forward(x, true).Data()); i >= 0 {
-		t.Fatalf("forward differs from the reference at %d", i)
-	}
-	if i := sameBits(wantDx, d.Backward(dout).Data()); i >= 0 {
-		t.Fatalf("backward differs from the reference at %d", i)
-	}
 }
 
 func testSGDStepMatchesReference[F tensor.Float](t *testing.T) {

@@ -16,8 +16,8 @@ var InferenceMatchesTraining = inferenceMatchesTraining[float64]
 
 // inferenceMatchesTraining holds an inference pass of the network build makes
 // to a training forward over the same batch, bit for bit. Batch norm
-// normalizes with the batch's own statistics in both modes and a network
-// without active dropout has no other mode-dependent layer, so the training
+// normalizes with the batch's own statistics in both modes and no other layer
+// depends on the mode, so the training
 // forward, which keeps every activation its Backward reads and writes no
 // layer's output over its input, is the out-of-place reference for the
 // inference pass, which writes each layer it can over the activation it owns
@@ -69,8 +69,7 @@ func inferenceMatchesTraining[F tensor.Float](t *testing.T, build func() *Networ
 
 // TestInferenceMatchesTrainingForward: an inference pass computes what a
 // training forward does (inferenceMatchesTraining), for every network of
-// everyLayerNets without active dropout and the residual one rebuilt with
-// P = 0, at both dtypes. TestInferenceMatchesTrainingForwardModels does the
+// everyLayerNets, at both dtypes. TestInferenceMatchesTrainingForwardModels does the
 // same for the benchmark's three models.
 func TestInferenceMatchesTrainingForward(t *testing.T) {
 	t.Run("f64", testInferenceMatchesTraining[float64])
@@ -78,19 +77,8 @@ func TestInferenceMatchesTrainingForward(t *testing.T) {
 }
 
 func testInferenceMatchesTraining[F tensor.Float](t *testing.T) {
-	nets := everyLayerNets[F]()
-	nets["residual-p0"] = func() (*NetworkOf[F], int) { return residualNet[F](0) }
-	for name, build := range nets {
-		net, dim := build()
-		active := false
-		net.VisitLayers(func(l LayerOf[F]) {
-			if d, ok := l.(*DropoutOf[F]); ok && d.P > 0 {
-				active = true
-			}
-		})
-		if active {
-			continue // a training pass drops what inference keeps
-		}
+	for name, build := range everyLayerNets[F]() {
+		_, dim := build()
 		t.Run(name, func(t *testing.T) {
 			inferenceMatchesTraining(t, func() *NetworkOf[F] { net, _ := build(); return net }, 7, dim)
 		})

@@ -61,7 +61,7 @@ func newParam(name string, shape ...int) *Param { return newParamOf[float64](nam
 // LayerOf is one differentiable stage of a network.
 type LayerOf[F tensor.Float] interface {
 	// Forward computes the layer output for a batch. train toggles
-	// training-only behaviour (batch-norm statistics, dropout).
+	// training-only behaviour (batch-norm statistics).
 	Forward(x *tensor.TensorOf[F], train bool) *tensor.TensorOf[F]
 	// Backward receives dL/d(output) and returns dL/d(input), accumulating
 	// parameter gradients into Params().Grad. It must be called exactly once
@@ -74,10 +74,10 @@ type LayerOf[F tensor.Float] interface {
 }
 
 // inputReader is implemented by layers that declare whether the input tensor
-// of a training Forward must outlive the call: whether Backward reads it (or
-// Forward hands it on as the output). When it need not, forwardChain releases
-// it as soon as the layer returns; a layer that declares nothing counts as
-// reading it. No Backward reads its own output.
+// of a training Forward must outlive the call: whether Backward reads it.
+// When it need not, forwardChain releases it as soon as the layer returns; a
+// layer that declares nothing counts as reading it. No Backward reads its own
+// output.
 type inputReader interface {
 	backwardReadsInput() bool
 }
@@ -178,7 +178,7 @@ type ownedForwarder[F tensor.Float] interface {
 // training chain what its backward pass reads. Ownership is by creation:
 // the chain owns the tensors its own layers created, and x only when owned
 // is set (a residual body whose block owns its input); a layer that returns
-// its input (inference-mode Dropout) has created nothing. A layer's output
+// its input (an in-place forwardOwned) has created nothing. A layer's output
 // must therefore either be its input tensor or share no storage with it.
 // On an inference pass a layer handed a tensor the chain owns consumes it
 // (ownedForwarder) where it can, instead of taking a second activation of
@@ -207,7 +207,7 @@ func forwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], x *tenso
 // each gradient the chain's own layers created goes back to the arena once
 // the layer consuming it has returned, and dout, the caller's, never does. A
 // layer's input gradient must therefore either be its output gradient tensor
-// (mask-less Dropout) or share no storage with it.
+// or share no storage with it.
 func backwardChain[F tensor.Float](a *tensor.Arena, layers []LayerOf[F], dout *tensor.TensorOf[F]) *tensor.TensorOf[F] {
 	d := dout
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -407,20 +407,6 @@ func (n *NetworkOf[F]) VisitLayers(fn func(LayerOf[F])) {
 		}
 	}
 	walk(n.Layers)
-}
-
-// ReseedNoise re-derives every noise layer's randomness (dropout masks) from
-// seed. The FL executor calls this per (client, round) so that stochastic
-// layers stay deterministic even when worker networks are shared across
-// clients.
-func (n *NetworkOf[F]) ReseedNoise(seed uint64) {
-	i := uint64(0)
-	n.VisitLayers(func(l LayerOf[F]) {
-		if nl, ok := l.(interface{ ReseedNoise(uint64) }); ok {
-			nl.ReseedNoise(seed + 0x9e3779b97f4a7c15*(i+1))
-			i++
-		}
-	})
 }
 
 // ParamRange locates one named parameter inside the flat parameter vector.

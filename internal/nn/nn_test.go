@@ -587,3 +587,16 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 		net.Backward(d)
 	}
 }
+
+func TestVisitLayersCountsNested(t *testing.T) {
+	r := rng.New(8)
+	inner := []LayerOf[float64]{NewDenseOf[float64]("a", 4, 4, r), NewReLUOf[float64](4)}
+	short := []LayerOf[float64]{NewDenseOf[float64]("s", 4, 4, r)}
+	net := NewNetworkOf[float64](NewResidualOf[float64](inner, short, 4), NewDenseOf[float64]("out", 4, 2, r))
+	count := 0
+	net.VisitLayers(func(LayerOf[float64]) { count++ })
+	// residual + 2 body + 1 shortcut + out = 5
+	if count != 5 {
+		t.Fatalf("visited %d layers, want 5", count)
+	}
+}

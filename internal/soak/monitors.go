@@ -7,9 +7,9 @@ import (
 	"fedca/internal/telemetry"
 )
 
-// Sample is a live observation handed to monitors every Config.CheckEvery
+// sample is a live observation handed to monitors every Config.CheckEvery
 // rounds, while the phase's federation is running.
-type Sample struct {
+type sample struct {
 	// Round is the number of soak rounds completed so far (global, across
 	// phases).
 	Round int
@@ -18,9 +18,6 @@ type Sample struct {
 	// Snapshot is the running federation's live status (round, accuracy,
 	// degradation counters, CPU-token budget).
 	Snapshot fedca.Snapshot
-	// HeapAlloc is runtime.MemStats.HeapAlloc at sampling time (no forced
-	// GC; the phase-boundary measure in PhaseResult is the clean one).
-	HeapAlloc uint64
 }
 
 // Violation is one invariant breach. It names everything needed to
@@ -53,34 +50,33 @@ func (p PhaseResult) violation(monitor, format string, args ...any) []Violation 
 	return violationAt(p.PhaseInfo, monitor, p.StartRound+p.Rounds-1, format, args...)
 }
 
-// Monitor is a pluggable soak invariant. Sample is called every
-// Config.CheckEvery rounds with a live observation; PhaseEnd after every
-// completed phase with its outcome. Both run on the soak goroutine, so
-// implementations need no locking of their own. Embed NopMonitor to
-// implement only one hook.
-type Monitor interface {
+// monitor is one soak invariant. Sample is called every Config.CheckEvery
+// rounds with a live observation; PhaseEnd after every completed phase with
+// its outcome. Both run on the soak goroutine, so monitors need no locking
+// of their own. Embed nopMonitor to implement only one hook.
+type monitor interface {
 	Name() string
-	Sample(s Sample) []Violation
+	Sample(s sample) []Violation
 	PhaseEnd(p PhaseResult) []Violation
 }
 
-// NopMonitor is an embeddable no-op implementation of Monitor's hooks.
-type NopMonitor struct{}
+// nopMonitor is an embeddable no-op implementation of monitor's hooks.
+type nopMonitor struct{}
 
-func (NopMonitor) Sample(Sample) []Violation        { return nil }
-func (NopMonitor) PhaseEnd(PhaseResult) []Violation { return nil }
+func (nopMonitor) Sample(sample) []Violation        { return nil }
+func (nopMonitor) PhaseEnd(PhaseResult) []Violation { return nil }
 
 // tokenMonitor asserts the cputok invariant: the high-water mark of
 // concurrently held CPU tokens never exceeds the largest capacity observed.
 // A breach means some fan-out layer escaped the shared budget.
 type tokenMonitor struct {
-	NopMonitor
+	nopMonitor
 	maxCap int
 }
 
 func (m *tokenMonitor) Name() string { return "cputok" }
 
-func (m *tokenMonitor) Sample(s Sample) []Violation {
+func (m *tokenMonitor) Sample(s sample) []Violation {
 	if c := s.Snapshot.Tokens.Cap; c > m.maxCap {
 		m.maxCap = c
 	}
@@ -93,7 +89,7 @@ func (m *tokenMonitor) Sample(s Sample) []Violation {
 // ratesMonitor checks each phase's degradation rates against the acceptance
 // bands carried in its spec: skipped-rounds fraction, quarantined-updates
 // fraction, link retries per round.
-type ratesMonitor struct{ NopMonitor }
+type ratesMonitor struct{ nopMonitor }
 
 func (ratesMonitor) Name() string { return "rates" }
 
@@ -117,22 +113,26 @@ func (m ratesMonitor) PhaseEnd(p PhaseResult) []Violation {
 	return out
 }
 
+// The heap monitor's bounds: the first heapWarmup phase-boundary samples
+// stay out of the growth fit, and a leak is a slope above maxHeapSlope
+// bytes/round together with a rise above minHeapRise bytes.
+const (
+	heapWarmup   = 2
+	maxHeapSlope = 32 << 10
+	minHeapRise  = 16 << 20
+)
+
 // heapMonitor watches for unbounded memory growth: it collects the post-GC
 // live-heap measure taken at every phase boundary and, once enough samples
 // exist past the warmup window, fits a least-squares slope over them. A
-// sustained slope above MaxSlope bytes/round combined with a total rise
-// above MinRise flags a leak; the warmup exclusion keeps one-time
-// allocations (pools, caches, lazily built tables) out of the fit.
+// sustained slope above maxHeapSlope combined with a total rise above
+// minHeapRise flags a leak; the warmup exclusion keeps one-time allocations
+// (pools, caches, lazily built tables) out of the fit.
 type heapMonitor struct {
-	NopMonitor
-	warmup   int
-	maxSlope float64 // bytes per round
-	minRise  float64 // bytes, absolute floor before the slope can fire
-	maxAbs   float64 // bytes, absolute live-heap cap (0 = no cap)
-	rounds   []float64
-	heaps    []float64
-	fired    bool
-	absFired bool
+	nopMonitor
+	rounds []float64
+	heaps  []float64
+	fired  bool
 }
 
 func (m *heapMonitor) Name() string { return "heap" }
@@ -140,25 +140,16 @@ func (m *heapMonitor) Name() string { return "heap" }
 func (m *heapMonitor) PhaseEnd(p PhaseResult) []Violation {
 	m.rounds = append(m.rounds, float64(p.StartRound+p.Rounds))
 	m.heaps = append(m.heaps, float64(p.HeapBytes))
-	// The absolute cap is the O(cohort) memory invariant: a virtual-fleet
-	// soak sets it to a cohort-proportional bound, so any phase whose live
-	// heap scales with the fleet instead of the cohort fires immediately —
-	// no slope fit, no warmup (slot pools are counted in the bound).
-	if m.maxAbs > 0 && !m.absFired && float64(p.HeapBytes) > m.maxAbs {
-		m.absFired = true
-		return p.violation(m.Name(), "live heap %d bytes exceeds the absolute cap %.0f bytes",
-			p.HeapBytes, m.maxAbs)
-	}
-	if m.fired || len(m.rounds) < m.warmup+3 {
+	if m.fired || len(m.rounds) < heapWarmup+3 {
 		return nil
 	}
-	xs, ys := m.rounds[m.warmup:], m.heaps[m.warmup:]
+	xs, ys := m.rounds[heapWarmup:], m.heaps[heapWarmup:]
 	slope := leastSquaresSlope(xs, ys)
 	rise := ys[len(ys)-1] - ys[0]
-	if slope > m.maxSlope && rise > m.minRise {
+	if slope > maxHeapSlope && rise > minHeapRise {
 		m.fired = true
 		return p.violation(m.Name(), "live heap growing %.0f bytes/round over %d post-warmup samples (rise %.0f bytes, limit %.0f bytes/round)",
-			slope, len(xs), rise, m.maxSlope)
+			slope, len(xs), rise, float64(maxHeapSlope))
 	}
 	return nil
 }
@@ -186,7 +177,7 @@ func leastSquaresSlope(xs, ys []float64) float64 {
 // and flips telemetry relative to the live run, so one pass covers both
 // worker-count invariance and telemetry inertness.
 type determinismMonitor struct {
-	NopMonitor
+	nopMonitor
 	every   int  // recheck phases where Index % every == 0
 	liveTel bool // live run had a telemetry sink attached
 	tel     *telemetry.SoakMetrics

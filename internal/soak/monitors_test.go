@@ -2,37 +2,32 @@ package soak
 
 import "testing"
 
-// TestHeapMonitorAbsoluteCap: the absolute live-heap cap (the virtual-fleet
-// O(cohort) memory invariant) fires on the first phase that exceeds it — no
-// warmup, no slope fit — and only once; the slope detector keeps its own
-// independent trigger.
-func TestHeapMonitorAbsoluteCap(t *testing.T) {
-	m := &heapMonitor{warmup: 2, maxSlope: 32 << 10, minRise: 16 << 20, maxAbs: 100 << 20}
+// TestHeapMonitorSlope: a live heap that stays flat never fires, however
+// large; one that keeps growing fires once, on the first phase whose
+// post-warmup samples rise past minHeapRise at a slope above maxHeapSlope.
+func TestHeapMonitorSlope(t *testing.T) {
 	phase := func(idx int, heap uint64) PhaseResult {
 		return PhaseResult{
 			PhaseInfo: PhaseInfo{Name: "p", Index: idx, StartRound: idx * 10, Rounds: 10},
 			HeapBytes: heap,
 		}
 	}
-	if v := m.PhaseEnd(phase(0, 50<<20)); len(v) != 0 {
-		t.Fatalf("under-cap phase fired: %+v", v)
+	flat := &heapMonitor{}
+	for i := 0; i < 10; i++ {
+		if v := flat.PhaseEnd(phase(i, 1<<30)); len(v) != 0 {
+			t.Fatalf("flat heap fired: %+v", v)
+		}
 	}
-	v := m.PhaseEnd(phase(1, 200<<20))
-	if len(v) != 1 {
-		t.Fatalf("over-cap phase produced %d violations, want 1", len(v))
-	}
-	if v[0].Monitor != "heap" || v[0].PhaseIndex != 1 {
-		t.Fatalf("unexpected violation: %+v", v[0])
-	}
-	if v := m.PhaseEnd(phase(2, 300<<20)); len(v) != 0 {
-		t.Fatalf("absolute cap fired twice: %+v", v)
-	}
-
-	// Without a cap the same samples never trigger the absolute check.
-	m2 := &heapMonitor{warmup: 2, maxSlope: 32 << 10, minRise: 16 << 20}
-	for i := 0; i < 3; i++ {
-		if v := m2.PhaseEnd(phase(i, 1<<30)); len(v) != 0 {
-			t.Fatalf("capless monitor fired: %+v", v)
+	// 4 MiB a phase of 10 rounds is far above the slope bound; the rise
+	// past the warmup samples first exceeds 16 MiB at phase 7.
+	growing := &heapMonitor{}
+	for i := 0; i < 10; i++ {
+		v := growing.PhaseEnd(phase(i, uint64(64+4*i)<<20))
+		switch {
+		case i == 7 && (len(v) != 1 || v[0].Monitor != "heap" || v[0].PhaseIndex != 7):
+			t.Fatalf("phase 7 produced %+v, want one heap violation", v)
+		case i != 7 && len(v) != 0:
+			t.Fatalf("phase %d fired: %+v", i, v)
 		}
 	}
 }

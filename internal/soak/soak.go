@@ -43,19 +43,6 @@ type Config struct {
 	// telemetry flipped and must fingerprint identically. Default 4; -1
 	// disables rechecks.
 	RecheckEvery int
-	// HeapWarmup excludes the first N phase-boundary heap samples from the
-	// growth fit (default 2).
-	HeapWarmup int
-	// MaxHeapSlope is the live-heap growth bound in bytes/round (default
-	// 32 KiB); MinHeapRise is the absolute rise floor before the slope can
-	// fire (default 16 MiB).
-	MaxHeapSlope float64
-	MinHeapRise  float64
-	// MaxHeapBytes, when positive, is an absolute live-heap cap checked at
-	// every phase boundary with no warmup — the O(cohort) memory invariant
-	// for virtual-fleet soaks (set it proportional to the cohort, not the
-	// fleet). Zero disables the cap.
-	MaxHeapBytes float64
 	// Telemetry, when non-nil, receives every phase's live metrics plus the
 	// fedca_soak_* metric set, and feeds the HTTP mux (NewMux).
 	Telemetry *fedca.Telemetry
@@ -75,9 +62,6 @@ type Config struct {
 	// a phase marker before each phase, then its rounds with globally
 	// monotonic round indices.
 	Log *runlog.Writer
-	// Monitors are additional user monitors evaluated alongside the
-	// built-in set (cputok, rates, heap, determinism).
-	Monitors []Monitor
 }
 
 // Status is the soak runner's live progress, served by the /status endpoint
@@ -101,7 +85,7 @@ type Runner struct {
 	cfg      Config
 	schedule []Phase         // resolved against Config.Base
 	runs     []fedca.Options // schedule[i]'s run, before its seed
-	monitors []Monitor
+	monitors []monitor
 	recheck  *determinismMonitor // nil when rechecks are disabled
 	soakTel  *telemetry.SoakMetrics
 
@@ -136,15 +120,6 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.RecheckEvery == 0 {
 		cfg.RecheckEvery = 4
 	}
-	if cfg.HeapWarmup <= 0 {
-		cfg.HeapWarmup = 2
-	}
-	if cfg.MaxHeapSlope <= 0 {
-		cfg.MaxHeapSlope = 32 << 10
-	}
-	if cfg.MinHeapRise <= 0 {
-		cfg.MinHeapRise = 16 << 20
-	}
 	if cfg.Run == (fedca.Options{}) {
 		cfg.Run = DefaultRun()
 	}
@@ -174,7 +149,7 @@ func New(cfg Config) (*Runner, error) {
 	r.monitors = append(r.monitors,
 		&tokenMonitor{},
 		ratesMonitor{},
-		&heapMonitor{warmup: cfg.HeapWarmup, maxSlope: cfg.MaxHeapSlope, minRise: cfg.MinHeapRise, maxAbs: cfg.MaxHeapBytes},
+		&heapMonitor{},
 	)
 	if cfg.RecheckEvery > 0 {
 		r.recheck = &determinismMonitor{
@@ -184,7 +159,6 @@ func New(cfg Config) (*Runner, error) {
 		}
 		r.monitors = append(r.monitors, r.recheck)
 	}
-	r.monitors = append(r.monitors, cfg.Monitors...)
 	return r, nil
 }
 
@@ -336,9 +310,7 @@ func (r *Runner) runPhase(info PhaseInfo, p Phase, run fedca.Options, record fun
 			_ = r.cfg.Log.WriteRound(rd)
 		}
 		if globalRound%r.cfg.CheckEvery == 0 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			s := Sample{Round: globalRound, Phase: info, Snapshot: fed.Snapshot(), HeapAlloc: ms.HeapAlloc}
+			s := sample{Round: globalRound, Phase: info, Snapshot: fed.Snapshot()}
 			for _, m := range r.monitors {
 				record(m.Sample(s))
 			}

@@ -17,42 +17,30 @@ import (
 	"fedca/internal/rng"
 )
 
+// The paper's dynamicity model (Sec. 5.1): fast periods last Γ(2, 40)
+// seconds, slow periods Γ(2, 6), and each slow period slows the client by a
+// factor drawn from U(1, 5). The static factor is clamped to
+// [staticClampLo, staticClampHi] against extreme lognormal draws.
+const (
+	fastShape, fastScale         float64 = 2, 40
+	slowShape, slowScale         float64 = 2, 6
+	slowdownLo, slowdownHi       float64 = 1, 5
+	staticClampLo, staticClampHi float64 = 0.5, 8
+)
+
 // Config parameterizes the fleet's speed behaviour.
 type Config struct {
 	// HeterogeneitySigma is the stddev of the log of the static speed
 	// factor; 0 means a homogeneous fleet. FedScale-like spread ≈ 0.6.
 	HeterogeneitySigma float64
-	// StaticClampLo/Hi bound the static factor (protects against extreme
-	// lognormal draws). Zero values default to [0.5, 8].
-	StaticClampLo, StaticClampHi float64
-
 	// Dynamic enables fast/slow mode toggling.
 	Dynamic bool
-	// Gamma parameters of the fast- and slow-period durations (seconds).
-	FastShape, FastScale float64 // paper: Γ(2, 40)
-	SlowShape, SlowScale float64 // paper: Γ(2, 6)
-	// Slowdown ratio drawn per slow period from U(lo, hi). paper: U(1, 5).
-	SlowdownLo, SlowdownHi float64
 }
 
-// PaperConfig returns the dynamicity setup of the paper's evaluation.
+// PaperConfig returns the heterogeneity and dynamicity of the paper's
+// evaluation.
 func PaperConfig() Config {
-	return Config{
-		HeterogeneitySigma: 0.6,
-		Dynamic:            true,
-		FastShape:          2, FastScale: 40,
-		SlowShape: 2, SlowScale: 6,
-		SlowdownLo: 1, SlowdownHi: 5,
-	}
-}
-
-func (c *Config) applyDefaults() {
-	if c.StaticClampLo == 0 {
-		c.StaticClampLo = 0.5
-	}
-	if c.StaticClampHi == 0 {
-		c.StaticClampHi = 8
-	}
+	return Config{HeterogeneitySigma: 0.6, Dynamic: true}
 }
 
 // segment is one constant-factor stretch of a client's dynamic timeline.
@@ -75,7 +63,6 @@ type SpeedModel struct {
 // NewSpeedModel builds a single client's model. r drives only this client's
 // dynamic trace (fork it per client).
 func NewSpeedModel(static float64, cfg Config, r *rng.RNG) *SpeedModel {
-	cfg.applyDefaults()
 	if static <= 0 {
 		panic("trace: static factor must be positive")
 	}
@@ -93,11 +80,11 @@ func (m *SpeedModel) extendTo(t float64) {
 		}
 		var dur, factor float64
 		if fast {
-			dur = m.r.Gamma(m.cfg.FastShape, m.cfg.FastScale)
+			dur = m.r.Gamma(fastShape, fastScale)
 			factor = 1
 		} else {
-			dur = m.r.Gamma(m.cfg.SlowShape, m.cfg.SlowScale)
-			factor = m.r.Uniform(m.cfg.SlowdownLo, m.cfg.SlowdownHi)
+			dur = m.r.Gamma(slowShape, slowScale)
+			factor = m.r.Uniform(slowdownLo, slowdownHi)
 		}
 		if dur <= 0 {
 			dur = 1e-9
@@ -153,10 +140,10 @@ func (m *SpeedModel) ExpectedFactor() float64 {
 	if !m.cfg.Dynamic {
 		return m.Static
 	}
-	fastMean := m.cfg.FastShape * m.cfg.FastScale
-	slowMean := m.cfg.SlowShape * m.cfg.SlowScale
+	fastMean := fastShape * fastScale
+	slowMean := slowShape * slowScale
 	slowFrac := slowMean / (fastMean + slowMean)
-	meanSlowdown := (m.cfg.SlowdownLo + m.cfg.SlowdownHi) / 2
+	meanSlowdown := (slowdownLo + slowdownHi) / 2
 	return m.Static * ((1-slowFrac)*1 + slowFrac*meanSlowdown)
 }
 
@@ -177,12 +164,11 @@ func NewClientSpeed(i int, cfg Config, r *rng.RNG) *SpeedModel {
 // model for every client that occupies it this way, allocating nothing once
 // the timeline has grown to the run's length.
 func (m *SpeedModel) ResetClient(i int, cfg Config, r *rng.RNG) {
-	cfg.applyDefaults()
 	var cr rng.RNG
 	r.ForkInto(&cr, "client-speed", i)
 	static := 1.0
 	if cfg.HeterogeneitySigma > 0 {
-		static = clampExpNormal(&cr, cfg.HeterogeneitySigma, cfg.StaticClampLo, cfg.StaticClampHi)
+		static = clampExpNormal(&cr, cfg.HeterogeneitySigma)
 	}
 	if m.r == nil {
 		m.r = &rng.RNG{}
@@ -200,13 +186,6 @@ func NewFleet(n int, cfg Config, r *rng.RNG) []*SpeedModel {
 	return fleet
 }
 
-func clampExpNormal(r *rng.RNG, sigma, lo, hi float64) float64 {
-	v := math.Exp(r.Normal(0, sigma))
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+func clampExpNormal(r *rng.RNG, sigma float64) float64 {
+	return min(max(math.Exp(r.Normal(0, sigma)), staticClampLo), staticClampHi)
 }
