@@ -40,6 +40,7 @@ import (
 	"fedca/internal/fl"
 	"fedca/internal/runlog"
 	"fedca/internal/telemetry"
+	"fedca/introspect"
 )
 
 // notRunFlags are the flags that do not describe the run: -spec replaces
@@ -149,7 +150,7 @@ func main() {
 			o.Fleet, cfg.Participation, cohort)
 	}
 	if *httpAddr != "" {
-		mux := telemetry.NewMux(o.Telemetry, o.Journal, statusFunc(runner, o.Telemetry))
+		mux := introspect.NewMux(o.Telemetry, o.Journal, statusFunc(runner, o.Telemetry))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "fedca-sim: http:", err)

@@ -18,6 +18,7 @@ import (
 	"fedca"
 	"fedca/internal/runlog"
 	"fedca/internal/soak"
+	"fedca/introspect"
 )
 
 // runSoak executes the soak and exits: 0 when every invariant held, 1 on
@@ -79,7 +80,7 @@ func runSoak(args []string) {
 		fail(err)
 	}
 	if *httpAddr != "" {
-		mux := r.NewMux()
+		mux := introspect.NewMux(cfg.Telemetry, cfg.Journal, func() any { return r.Status() })
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "fedca-sim: http:", err)

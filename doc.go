@@ -21,6 +21,8 @@
 //   - internal/core        — the FedCA mechanism (paper Secs. 3–4)
 //   - internal/fl          — the federated round engine and Scheme interface
 //   - internal/experiments — regenerates every table/figure of Sec. 5
+//   - introspect           — the live HTTP introspection surface over a run's
+//     telemetry sink and journal (the only library package importing net/http)
 //   - cmd/fedca-sim        — run one simulation (-log writes JSONL)
 //   - cmd/fedca-bench      — regenerate paper artifacts (-exp table1 …)
 //   - cmd/fedca-plot       — ASCII charts from run logs

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"net/http"
 	"sync"
 
 	"fedca/internal/core"
@@ -23,7 +22,7 @@ import (
 // Telemetry is the live observability sink of a run: a metrics registry
 // (Prometheus text format and JSON), a span tracer keyed on virtual sim time
 // (Chrome trace-event export for Perfetto), and the building block of the
-// HTTP introspection surface (see NewTelemetryMux). Telemetry is
+// HTTP introspection surface (package fedca/introspect). Telemetry is
 // deterministically inert: attaching a sink never changes a run's results,
 // timings or random draws.
 type Telemetry = telemetry.Sink
@@ -45,16 +44,6 @@ type Event = telemetry.Event
 // NewJournal builds a journal retaining exactly the newest capacity events,
 // to set as Options.Journal (capacity <= 0 selects the default of 4096).
 func NewJournal(capacity int) *Journal { return telemetry.NewJournal(capacity) }
-
-// NewTelemetryMux builds an http.Handler serving the sink's live
-// introspection surface: /metrics (Prometheus text format, with
-// fedca_runtime_* health gauges refreshed on scrape), /metrics.json, /status
-// (the federation's Snapshot), /events and /clients (the federation's
-// journal, when one is attached), /healthz and /debug/pprof. Safe to serve
-// while rounds run.
-func NewTelemetryMux(t *Telemetry, f *Federation) http.Handler {
-	return telemetry.NewMux(t, f.Journal(), func() any { return f.Snapshot() })
-}
 
 // Options configures a Federation: the one description of a run, shared
 // with fedca-sim, the soak and the run log's header, with one text form
@@ -277,7 +266,7 @@ type Snapshot struct {
 
 // Snapshot reports the federation's current status. Unlike Rounds and
 // Accuracy it is safe to call from a monitoring goroutine while RunRound
-// executes — a live /status endpoint polls it (see NewTelemetryMux).
+// executes — a live /status endpoint polls it (see introspect.NewMux).
 func (f *Federation) Snapshot() Snapshot {
 	f.lastMu.Lock()
 	last := f.lastRound

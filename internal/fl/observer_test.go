@@ -160,7 +160,9 @@ func TestObserverContract(t *testing.T) {
 	if !strings.Contains(got.String(), `"type":"cohort"`) {
 		t.Fatal("the journal recorded no cohort event")
 	}
-	if a, b := journal.Clients().TopK(0, "compute"), replayed.Clients().TopK(0, "compute"); !reflect.DeepEqual(a, b) {
+	a, _ := journal.Clients().TopK(0, "compute")
+	b, _ := replayed.Clients().TopK(0, "compute")
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("attribution tables differ:\n%+v\n%+v", a, b)
 	}
 

@@ -20,6 +20,7 @@ import (
 	"fedca/internal/rng"
 	"fedca/internal/telemetry"
 	"fedca/internal/trace"
+	"fedca/introspect"
 )
 
 var updateRecordPins = flag.Bool("update-record-pins", false, "rewrite testdata/record")
@@ -78,7 +79,7 @@ func recordPins(t *testing.T, sink *telemetry.Sink, journal *telemetry.Journal) 
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	telemetry.NewMux(sink, journal, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/clients", nil))
+	introspect.NewMux(sink, journal, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/clients", nil))
 
 	var prom bytes.Buffer
 	if err := sink.Registry().WriteProm(&prom); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"fedca"
 	"fedca/internal/telemetry"
+	"fedca/introspect"
 )
 
 // TestSoakConcurrentIntrospection runs a ~100-round soak with every monitor
@@ -40,7 +41,7 @@ func TestSoakConcurrentIntrospection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(r.NewMux())
+	srv := httptest.NewServer(introspect.NewMux(cfg.Telemetry, cfg.Journal, func() any { return r.Status() }))
 	defer srv.Close()
 
 	stop := make(chan struct{})
@@ -82,7 +83,7 @@ func TestSoakConcurrentIntrospection(t *testing.T) {
 					return
 				}
 			}
-			_ = journal.Clients().TopK(3, "compute")
+			_, _ = journal.Clients().TopK(3, "compute")
 			polls.Add(1)
 		}
 	}()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"net/http"
 	"runtime"
 	"sync"
 
@@ -44,14 +43,15 @@ type Config struct {
 	// disables rechecks.
 	RecheckEvery int
 	// Telemetry, when non-nil, receives every phase's live metrics plus the
-	// fedca_soak_* metric set, and feeds the HTTP mux (NewMux).
+	// fedca_soak_* metric set, and feeds the HTTP introspection surface.
 	Telemetry *fedca.Telemetry
 	// Journal, when non-nil, records the whole soak's flight-recorder events:
 	// every phase's rounds and degradation incidents, phase transitions,
 	// CPU-token cap changes (the serial rechecks pin the cap) and monitor
 	// violations. Each violation's report entry additionally carries the
 	// journal's last events at detection time, so a nightly drift report
-	// alone explains the flagged phase. Feeds /events and /clients on NewMux.
+	// alone explains the flagged phase. Feeds /events and /clients on the
+	// HTTP surface.
 	Journal *fedca.Journal
 	// EventWriter, when non-nil alongside Journal, streams the journal to it
 	// as JSON lines: the runner drains new events at every phase boundary and
@@ -173,13 +173,6 @@ func (r *Runner) Status() Status {
 		st.Federation = cur.Snapshot()
 	}
 	return st
-}
-
-// NewMux builds the soak run's HTTP introspection surface: the standard
-// telemetry endpoints (/metrics, /metrics.json, /debug/pprof) with /status
-// serving the runner's live Status.
-func (r *Runner) NewMux() *http.ServeMux {
-	return telemetry.NewMux(r.cfg.Telemetry, r.cfg.Journal, func() any { return r.Status() })
 }
 
 // Run executes the soak: phases rotate through the schedule until the round

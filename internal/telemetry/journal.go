@@ -23,7 +23,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"fedca/internal/chaos"
@@ -351,16 +354,20 @@ var clientSortKeys = map[string]func(*ClientStats) float64{
 }
 
 // TopK returns the k costliest clients under the named sort key ("compute",
-// "iterations", "bytes", "retries", "dropouts", "quarantines"; anything else
-// falls back to "compute"), descending, ties broken by ascending client ID so
-// the extraction is deterministic. k <= 0 returns every tracked client.
-func (t *ClientTable) TopK(k int, by string) []ClientStats {
-	if t == nil {
-		return nil
+// "iterations", "bytes", "retries", "dropouts", "quarantines"; "" means
+// "compute", and any other key is an error naming the valid ones),
+// descending, ties broken by ascending client ID so the extraction is
+// deterministic. k <= 0 returns every tracked client.
+func (t *ClientTable) TopK(k int, by string) ([]ClientStats, error) {
+	if by == "" {
+		by = "compute"
 	}
 	key, ok := clientSortKeys[by]
 	if !ok {
-		key = clientSortKeys["compute"]
+		return nil, fmt.Errorf("unknown sort key %q (want one of %s)", by, strings.Join(slices.Sorted(maps.Keys(clientSortKeys)), ", "))
+	}
+	if t == nil {
+		return nil, nil
 	}
 	t.mu.Lock()
 	out := make([]ClientStats, 0, len(t.m))
@@ -378,5 +385,5 @@ func (t *ClientTable) TopK(k int, by string) []ClientStats {
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
-	return out
+	return out, nil
 }

@@ -159,8 +159,8 @@ func TestClientTableAttribution(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tbl.Len())
 	}
-	top := tbl.TopK(0, "compute")
-	if len(top) != 2 || top[0].Client != 2 || top[1].Client != 1 {
+	top, err := tbl.TopK(0, "compute")
+	if err != nil || len(top) != 2 || top[0].Client != 2 || top[1].Client != 1 {
 		t.Fatalf("TopK(compute) order = %+v", top)
 	}
 	c1 := top[1]
@@ -171,16 +171,22 @@ func TestClientTableAttribution(t *testing.T) {
 	if top[0].Quarantines != 1 {
 		t.Fatalf("client 2 quarantines = %d, want 1", top[0].Quarantines)
 	}
-	if k := tbl.TopK(1, "retries"); len(k) != 1 || k[0].Client != 1 {
+	if k, err := tbl.TopK(1, "retries"); err != nil || len(k) != 1 || k[0].Client != 1 {
 		t.Fatalf("TopK(1, retries) = %+v, want client 1", k)
 	}
-	// Ties break by ascending client ID, unknown keys fall back to compute.
+	// Ties break by ascending client ID; no key means compute.
 	j2 := NewJournal(8)
 	j2.ClientRound(0, 0, &fl.Update{ClientID: 5, Iterations: 1, TrainTime: 1, UploadBytes: 1})
 	j2.ClientRound(0, 0, &fl.Update{ClientID: 3, Iterations: 1, TrainTime: 1, UploadBytes: 1})
-	tied := j2.Clients().TopK(0, "nonsense-key")
-	if tied[0].Client != 3 || tied[1].Client != 5 {
-		t.Fatalf("tie break not by client ID: %+v", tied)
+	tied, err := j2.Clients().TopK(0, "")
+	if err != nil || tied[0].Client != 3 || tied[1].Client != 5 {
+		t.Fatalf("tie break not by client ID: %+v, %v", tied, err)
+	}
+	// An unknown key is an error naming the valid ones, table or no table.
+	for _, tbl := range []*ClientTable{j2.Clients(), nil} {
+		if got, err := tbl.TopK(0, "nonsense-key"); got != nil || err == nil || !strings.Contains(err.Error(), "quarantines") {
+			t.Fatalf("TopK(nonsense-key) = %+v, %v; want an error listing the keys", got, err)
+		}
 	}
 }
 
@@ -200,7 +206,7 @@ func TestClientTableBound(t *testing.T) {
 	}
 	// Known clients keep accumulating after the bound is hit.
 	j.ClientRound(0, 0, &fl.Update{ClientID: 0, Iterations: 1, TrainTime: 1, UploadBytes: 1})
-	if got := tbl.TopK(1, "iterations"); got[0].Client != 0 || got[0].Iterations != 2 {
+	if got, _ := tbl.TopK(1, "iterations"); got[0].Client != 0 || got[0].Iterations != 2 {
 		t.Fatalf("post-bound accumulation broken: %+v", got[0])
 	}
 }
@@ -267,7 +273,7 @@ func TestNilJournalSafe(t *testing.T) {
 		t.Fatalf("nil journal WriteSince = %d, %v; want 7, nil", seq, err)
 	}
 	var tbl *ClientTable
-	if tbl.Len() != 0 || tbl.Untracked() != 0 || tbl.TopK(3, "compute") != nil {
+	if top, err := tbl.TopK(3, "compute"); tbl.Len() != 0 || tbl.Untracked() != 0 || top != nil || err != nil {
 		t.Fatal("nil client table must be inert")
 	}
 }

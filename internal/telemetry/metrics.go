@@ -3,7 +3,8 @@
 // histograms, exposable in Prometheus text format and as JSON), span-based
 // tracing of the simulation keyed on virtual sim time (exportable as Chrome
 // trace-event JSON, so a whole run opens in Perfetto or chrome://tracing),
-// and an HTTP introspection mux serving /metrics, /status and net/http/pprof.
+// and the state the HTTP introspection surface (package fedca/introspect)
+// serves. The package imports no network stack.
 //
 // # Determinism contract
 //

@@ -11,11 +11,12 @@ import (
 
 	"fedca"
 	"fedca/internal/telemetry"
+	"fedca/introspect"
 )
 
 // TestFacadeTelemetry exercises the public observability surface: a sink
 // attached through Options, the federation snapshot, and the introspection
-// handler built by NewTelemetryMux.
+// handler a library user mounts over them with introspect.NewMux.
 func TestFacadeTelemetry(t *testing.T) {
 	opts := fedca.DefaultOptions()
 	opts.Clients = 4
@@ -50,7 +51,7 @@ func TestFacadeTelemetry(t *testing.T) {
 		t.Fatalf("snapshot stats %+v, want the run's tally %+v", snap.Stats, st)
 	}
 
-	srv := httptest.NewServer(fedca.NewTelemetryMux(tel, f))
+	srv := httptest.NewServer(introspect.NewMux(tel, f.Journal(), func() any { return f.Snapshot() }))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
