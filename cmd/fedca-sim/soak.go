@@ -167,6 +167,5 @@ func runRepro(args []string) {
 		fmt.Fprintf(os.Stderr, "repro: FAIL — fingerprint %s != recorded %s\n", got.Fingerprint, phase.Fingerprint)
 		os.Exit(1)
 	}
-	fmt.Printf("repro: PASS — fingerprint %s reproduced bit-identically (params %s)\n",
-		got.Fingerprint, got.ParamsChecksum)
+	fmt.Printf("repro: PASS — fingerprint %s reproduced bit-identically\n", got.Fingerprint)
 }

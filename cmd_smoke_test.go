@@ -235,24 +235,6 @@ func TestLibraryAndCLIBuildSameRun(t *testing.T) {
 		t.Fatalf("found %d golden run logs, want 16", len(logs))
 	}
 	for _, path := range logs {
-		t.Run(strings.TrimSuffix(filepath.Base(path), ".jsonl"), func(t *testing.T) {
-			run, err := runlog.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var o fedca.Options
-			if err := o.Set(run.Header.Spec); err != nil {
-				t.Fatal(err)
-			}
-			fed, err := fedca.New(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, want := range run.Rounds {
-				if got := fed.RunRound(); got != want {
-					t.Fatalf("round %d: library %+v, fedca-sim -log %+v", i, got, want)
-				}
-			}
-		})
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".jsonl"), func(t *testing.T) { replayLog(t, path) })
 	}
 }

@@ -11,8 +11,8 @@ import (
 const equivalenceBase = "model=cnn;geometry=tiny;seed=42;clients=6;iters=10;batch=16;train=600;test=200;hetero=true;dynamic=true"
 
 // equivalences are the pairs of runs the design claims equal, one row each:
-// two spec overrides of equivalenceBase whose runs must agree bit for bit —
-// every round's run-log record and the final global model's checksum.
+// two spec overrides of equivalenceBase whose runs must agree bit for bit:
+// every round's run-log record, the global model's digest included.
 var equivalences = []struct {
 	name string
 	a, b string
@@ -38,9 +38,6 @@ func TestEquivalences(t *testing.T) {
 				if ra, rb := a.RunRound(), b.RunRound(); ra != rb {
 					t.Fatalf("round %d differs:\n%s: %+v\n%s: %+v", i, row.a, ra, row.b, rb)
 				}
-			}
-			if ca, cb := a.ParamsChecksum(), b.ParamsChecksum(); ca != cb {
-				t.Fatalf("global models differ after %d rounds: %s vs %s", equivalenceRounds, ca, cb)
 			}
 		})
 	}

@@ -5,10 +5,6 @@ package fedca
 // results without touching the internal packages.
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"sync"
 
 	"fedca/internal/core"
@@ -217,19 +213,11 @@ func (f *Federation) DegradationStats() fl.RunStats { return f.runner.Stats() }
 
 // ParamsChecksum returns the SHA-256 of the global model's parameter vector
 // (8-byte little-endian IEEE 754 bits per coordinate), hex-encoded: the
-// run's aggregate content address. Two runs with equal checksums hold
-// bit-identical global models. Call it between rounds — unlike Snapshot it
-// reads the parameters themselves, which RunRound mutates.
-func (f *Federation) ParamsChecksum() string {
-	flat := f.runner.GlobalFlat()
-	h := sha256.New()
-	var b [8]byte
-	for _, v := range flat {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// run's aggregate content address, which every round record carries as
+// Round.Params. Two runs with equal checksums hold bit-identical global
+// models. Call it between rounds: unlike Snapshot, it reads what RunRound
+// writes.
+func (f *Federation) ParamsChecksum() string { return f.runner.Params().String() }
 
 // TokenSnapshot reports the process-wide CPU-token budget's state: the
 // current capacity, tokens in flight, and the high-water mark of

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"fedca/internal/chaos"
@@ -98,11 +99,11 @@ func TestStaleAnchorCurvesUnderChaos(t *testing.T) {
 }
 
 // TestSchemeDeterministicUnderChaos: the full scheme + chaos stack replayed
-// with identical seeds must reproduce the run exactly — parameters, timings
-// and every scheme statistic (including the early-stop and eager counts by
-// iteration).
+// with identical seeds must reproduce the run exactly — every round record,
+// global model digest and timings included, and every scheme statistic
+// (including the early-stop and eager counts by iteration).
 func TestSchemeDeterministicUnderChaos(t *testing.T) {
-	run := func() ([]float64, float64, fl.RunStats) {
+	run := func() ([]fl.RoundRecord, fl.RunStats) {
 		w := tinyWorkload()
 		w.FL.Chaos = chaosEngine(t, 101)
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 103)
@@ -111,23 +112,14 @@ func TestSchemeDeterministicUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var end float64
-		for i := 0; i < 4; i++ {
-			end = r.RunRound().End
-		}
-		return r.GlobalFlat(), end, r.Stats()
+		return roundRecords(r, 4), r.Stats()
 	}
-	p1, e1, s1 := run()
-	p2, e2, s2 := run()
-	if e1 != e2 {
-		t.Fatalf("virtual end differs: %v vs %v", e1, e2)
+	r1, s1 := run()
+	r2, s2 := run()
+	if !slices.Equal(r1, r2) {
+		t.Fatalf("round records differ between identical chaos runs:\n%+v\n%+v", r1, r2)
 	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("scheme stats differ:\n%+v\n%+v", s1, s2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("param %d differs between identical chaos runs", i)
-		}
 	}
 }

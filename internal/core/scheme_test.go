@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -247,7 +248,7 @@ func TestV2NeverRetransmits(t *testing.T) {
 }
 
 func TestFedCADeterministic(t *testing.T) {
-	run := func() []float64 {
+	run := func() []fl.RoundRecord {
 		w := tinyWorkload()
 		tb := expcfg.Build(w, 4, trace.PaperConfig(), 17)
 		s := core.NewScheme(fedcaOpts(w.FL.LocalIters), rng.New(18))
@@ -255,17 +256,21 @@ func TestFedCADeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			r.RunRound()
-		}
-		return r.GlobalFlat()
+		return roundRecords(r, 4)
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("FedCA not deterministic at %d", i)
-		}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("FedCA not deterministic:\n%+v\n%+v", a, b)
 	}
+}
+
+// roundRecords runs n rounds and returns their records, each of which
+// carries the global model's digest.
+func roundRecords(r *fl.Runner, n int) []fl.RoundRecord {
+	recs := make([]fl.RoundRecord, n)
+	for i := range recs {
+		recs[i] = r.RunRound().RoundRecord
+	}
+	return recs
 }
 
 func TestFedCAShorterRoundsThanFedAvg(t *testing.T) {

@@ -2,6 +2,7 @@ package expcfg
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -165,10 +166,11 @@ func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
 }
 
 // TestVirtualFleetRunDeterministic: two identically seeded virtual-fleet
-// runs produce bit-identical parameters and virtual time — selection,
-// materialization, the online fold and slot recycling are all reproducible.
+// runs produce bit-identical round records, virtual times and global model
+// digests included — selection, materialization, the online fold and slot
+// recycling are all reproducible.
 func TestVirtualFleetRunDeterministic(t *testing.T) {
-	run := func() ([]float64, float64) {
+	run := func() []fl.RoundRecord {
 		w := tinyFleetWorkload()
 		w.FL.AggregateFraction = 1
 		w.FL.Participation = 0.05
@@ -180,20 +182,14 @@ func TestVirtualFleetRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.RunRound()
-		r.RunRound()
-		r.RunRound()
-		return r.GlobalFlat(), r.Now()
-	}
-	p1, t1 := run()
-	p2, t2 := run()
-	if t1 != t2 {
-		t.Fatalf("virtual time differs: %v vs %v", t1, t2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("param %d differs between identical runs", i)
+		recs := make([]fl.RoundRecord, 3)
+		for i := range recs {
+			recs[i] = r.RunRound().RoundRecord
 		}
+		return recs
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("round records differ between identical runs:\n%+v\n%+v", a, b)
 	}
 }
 

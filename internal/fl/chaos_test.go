@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,10 +44,10 @@ func dropEngine(t *testing.T, p float64, seed uint64) *chaos.Engine {
 }
 
 // TestChaosRunDeterministic: two runs with the same master seed and the same
-// chaos engine seed must be bit-identical — parameters, virtual timings and
-// degradation stats.
+// chaos engine seed must be bit-identical — every round record, global model
+// digest and virtual timings included, and the degradation stats.
 func TestChaosRunDeterministic(t *testing.T) {
-	run := func() ([]float64, float64, fl.RunStats) {
+	run := func() ([]fl.RoundRecord, fl.RunStats) {
 		w := tinyWorkload()
 		w.FL.Chaos = chaosEngine(t, 7)
 		tb := expcfg.Build(w, 6, trace.PaperConfig(), 60)
@@ -54,24 +55,15 @@ func TestChaosRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var end float64
-		for i := 0; i < 4; i++ {
-			end = r.RunRound().End
-		}
-		return r.GlobalFlat(), end, r.Stats()
+		return roundRecords(r, 4), r.Stats()
 	}
-	p1, e1, s1 := run()
-	p2, e2, s2 := run()
-	if e1 != e2 {
-		t.Fatalf("virtual end time differs: %v vs %v", e1, e2)
+	r1, s1 := run()
+	r2, s2 := run()
+	if !slices.Equal(r1, r2) {
+		t.Fatalf("round records differ between identical chaos runs:\n%+v\n%+v", r1, r2)
 	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("param %d differs between identical chaos runs", i)
-		}
 	}
 	// The schedule must actually have injected something in 4 rounds × 6
 	// clients with these probabilities (seed-dependent; bump seeds if not).

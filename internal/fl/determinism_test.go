@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fedca/internal/baseline"
@@ -18,11 +19,12 @@ import (
 
 // TestWorkerCountInvariance is the strongest determinism guarantee: the same
 // run at GOMAXPROCS=1 and at full parallelism must produce bit-identical
-// global parameters and timings (deterministic per-sample reductions in conv
-// backward, per-client noise reseeding, ordered aggregation). The chaos
-// variant extends the contract to fault injection: fault schedules derive
-// from (seed, client, round) alone, so dropouts, slowdowns, link faults,
-// retransmissions and quarantines must also be worker-count invariant.
+// round records, global model digest and timings included (deterministic
+// per-sample reductions in conv backward, per-client noise reseeding, ordered
+// aggregation). The chaos variant extends the contract to fault injection:
+// fault schedules derive from (seed, client, round) alone, so dropouts,
+// slowdowns, link faults, retransmissions and quarantines must also be
+// worker-count invariant.
 func TestWorkerCountInvariance(t *testing.T) {
 	newChaos := func(t *testing.T) *chaos.Engine {
 		e, err := chaos.NewEngine(chaos.Config{
@@ -60,7 +62,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(procs int) ([]float64, float64, fl.RunStats) {
+			run := func(procs int) ([]fl.RoundRecord, fl.RunStats) {
 				old := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(old)
 				w := tinyWorkload()
@@ -85,22 +87,15 @@ func TestWorkerCountInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.RunRound()
-				res := r.RunRound()
-				return r.GlobalFlat(), res.End, r.Stats()
+				return roundRecords(r, 2), r.Stats()
 			}
-			serialParams, serialEnd, serialStats := run(1)
-			parallelParams, parallelEnd, parallelStats := run(runtime.NumCPU())
-			if serialEnd != parallelEnd {
-				t.Fatalf("round end differs: %v vs %v", serialEnd, parallelEnd)
+			serialRecs, serialStats := run(1)
+			parallelRecs, parallelStats := run(runtime.NumCPU())
+			if !slices.Equal(serialRecs, parallelRecs) {
+				t.Fatalf("round records differ between worker counts:\n%+v\n%+v", serialRecs, parallelRecs)
 			}
 			if !reflect.DeepEqual(serialStats, parallelStats) {
 				t.Fatalf("degradation stats differ: %+v vs %+v", serialStats, parallelStats)
-			}
-			for i := range serialParams {
-				if serialParams[i] != parallelParams[i] {
-					t.Fatalf("param %d differs between worker counts", i)
-				}
 			}
 		})
 	}
@@ -116,26 +111,24 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestWorkerCountInvarianceCellsAndKernels(t *testing.T) {
 	const cells = 3
 	budget := cputok.Default()
-	run := func(tokens int) [][]float64 {
+	run := func(tokens int) [][]fl.RoundRecord {
 		budget.SetCap(tokens)
 		defer budget.SetCap(0)
 		budget.ResetMax()
 		pool := execpool.New(execpool.Options{Workers: cells})
-		results := make([][]float64, cells)
+		results := make([][]fl.RoundRecord, cells)
 		fns := make([]func(), cells)
 		for i := range fns {
 			i := i
 			fns[i] = func() {
-				results[i], _ = execpool.Do(pool, fmt.Sprintf("cell-%d", i), func() ([]float64, error) {
+				results[i], _ = execpool.Do(pool, fmt.Sprintf("cell-%d", i), func() ([]fl.RoundRecord, error) {
 					w := tinyWorkload()
 					tb := expcfg.Build(w, 6, trace.PaperConfig(), 50+uint64(i))
 					r, err := tb.NewRunner(baseline.FedAvg{})
 					if err != nil {
 						panic(err)
 					}
-					r.RunRound()
-					r.RunRound()
-					return r.GlobalFlat(), nil
+					return roundRecords(r, 2), nil
 				})
 			}
 		}
@@ -154,13 +147,8 @@ func TestWorkerCountInvarianceCellsAndKernels(t *testing.T) {
 	serial := run(1)
 	parallel := run(many)
 	for c := range serial {
-		if len(serial[c]) == 0 || len(serial[c]) != len(parallel[c]) {
-			t.Fatalf("cell %d: param vectors missing or mismatched (%d vs %d)", c, len(serial[c]), len(parallel[c]))
-		}
-		for i := range serial[c] {
-			if serial[c][i] != parallel[c][i] {
-				t.Fatalf("cell %d param %d differs between token budgets", c, i)
-			}
+		if len(serial[c]) == 0 || !slices.Equal(serial[c], parallel[c]) {
+			t.Fatalf("cell %d: round records missing or differ between token budgets:\n%+v\n%+v", c, serial[c], parallel[c])
 		}
 	}
 }

@@ -43,7 +43,8 @@
 //     Aggregator, the online fold's accumulator, or the offline streaming
 //     reduce, whose parameter shards fan out over borrowed workers with every
 //     element's operation order that of the serial client-major loop, so the
-//     result is bit-identical for any worker count or fan-in.
+//     result is bit-identical for any worker count or fan-in; then the new
+//     parameters' Digest, which the round record carries.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
 //   - evaluate (evaluate): the RoundResult and its RoundRecord, with the
 //     global model's accuracy on the test set.

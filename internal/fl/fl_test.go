@@ -28,6 +28,16 @@ func tinyWorkload() expcfg.Workload {
 	return w.Shrink(8, 256, 128, 16)
 }
 
+// roundRecords runs n rounds and returns their records, each of which
+// carries the global model's digest.
+func roundRecords(r *fl.Runner, n int) []fl.RoundRecord {
+	recs := make([]fl.RoundRecord, n)
+	for i := range recs {
+		recs[i] = r.RunRound().RoundRecord
+	}
+	return recs
+}
+
 func TestDeltasDroppedByDefault(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.RetainUpdateDeltas = false

@@ -131,8 +131,14 @@ func TestAllDroppedRoundSkips(t *testing.T) {
 			t.Fatal("skipped round must leave the global model unchanged")
 		}
 	}
-	if res.End <= res.Start {
-		t.Fatalf("virtual time must advance past the burned compute: [%v, %v]", res.Start, res.End)
+	// Nothing arrived, so the round ends when the last client's training
+	// did: its download and its burned compute.
+	var lastTrainEnd float64
+	for _, u := range res.Discarded {
+		lastTrainEnd = max(lastTrainEnd, u.TrainEnd)
+	}
+	if res.End != lastTrainEnd || res.End <= res.Start {
+		t.Fatalf("round [%v, %v] must end at the latest TrainEnd %v", res.Start, res.End, lastTrainEnd)
 	}
 	if st := r.Stats(); st.SkippedRounds != 1 || st.Rounds != 1 || st.DroppedRounds != 2 {
 		t.Fatalf("stats = %+v, want 1 skipped / 1 round / 2 dropped client-rounds", st)

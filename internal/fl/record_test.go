@@ -112,7 +112,7 @@ func TestRoundRecordSumsItsUpdates(t *testing.T) {
 		want := fl.RoundRecord{
 			Index: i, Start: res.Start, End: res.End, Accuracy: res.Accuracy,
 			Collected: len(res.Collected), Discarded: len(res.Discarded),
-			Skipped: res.Skipped,
+			Skipped: res.Skipped, Params: res.Params,
 		}
 		var iters, eager, retr float64
 		for _, u := range res.Collected {

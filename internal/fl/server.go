@@ -1,7 +1,11 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"slices"
 	"sort"
@@ -47,10 +51,34 @@ type RoundRecord struct {
 	// sit in Discarded with Update.Quarantined set.
 	Quarantined int `json:"quarantined,omitempty"`
 	LinkRetries int `json:"link_retries,omitempty"`
+	// Params is the global model the round leaves: the Digest of the master
+	// vector after aggregation, the previous round's on a skipped round.
+	// Two records that agree here agree on every parameter bit.
+	Params Digest `json:"params"`
 }
 
 // Duration returns the round's virtual wall time.
 func (r RoundRecord) Duration() float64 { return r.End - r.Start }
+
+// Digest is the SHA-256 of a parameter vector: its coordinates' 8-byte
+// little-endian IEEE 754 bits, in order. Its text form, JSON included, is
+// lowercase hex.
+type Digest [sha256.Size]byte
+
+// String returns the hex form.
+func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
+// MarshalText returns the hex form.
+func (d Digest) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, d[:]), nil }
+
+// UnmarshalText reads the hex form, exactly 2·sha256.Size digits.
+func (d *Digest) UnmarshalText(text []byte) error {
+	if len(text) != hex.EncodedLen(len(d)) {
+		return fmt.Errorf("fl: digest of %d hex digits, want %d", len(text), hex.EncodedLen(len(d)))
+	}
+	_, err := hex.Decode(d[:], text)
+	return err
+}
 
 // RoundResult is one completed round: its record and the client-rounds
 // behind it. The update lists shadow the record's counts of the same names,
@@ -143,6 +171,12 @@ type Runner struct {
 	aggBuf  []float64      // the reduce's accumulator, reused across rounds
 	round   int
 	now     float64
+
+	// params is the master vector's Digest, kept current by digestParams
+	// through its hash state and byte buffer.
+	params  Digest
+	hasher  hash.Hash
+	hashBuf []byte
 
 	// Per-round buffers, reused so that steady-state rounds allocate no
 	// cohort-sized slices: the selected ids, the materialized cohort, its
@@ -256,7 +290,7 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 		evalBatch(global, test, 0, evalSplit(global, cfg.EvalBatch, test.N()))
 		budget.Return(tok)
 	}
-	return &Runner{
+	r := &Runner{
 		Cfg:     cfg,
 		Fleet:   fleet,
 		Scheme:  scheme,
@@ -276,7 +310,11 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 			EagerByIter:       make([]int, cfg.LocalIters+1),
 			RetransmitsByIter: make([]int, cfg.LocalIters+1),
 		},
-	}, nil
+		hasher:  sha256.New(),
+		hashBuf: make([]byte, 4096),
+	}
+	r.digestParams()
+	return r, nil
 }
 
 // expectedCohort returns the per-round cohort size a config asks for, the k
@@ -298,6 +336,27 @@ func (r *Runner) GlobalFlat() []float64 {
 	out := make([]float64, len(r.flat))
 	copy(out, r.flat)
 	return out
+}
+
+// Params returns the global model's Digest, the one the last round's record
+// carries (before any round, the initial model's).
+func (r *Runner) Params() Digest { return r.params }
+
+// digestParams sets params to the Digest of the master vector. It feeds the
+// hash through the runner's byte buffer, a chunk of coordinates at a time,
+// and so allocates nothing.
+func (r *Runner) digestParams() {
+	h, buf, flat := r.hasher, r.hashBuf, r.flat
+	h.Reset()
+	for len(flat) > 0 {
+		n := min(len(flat), len(buf)/8)
+		for i, v := range flat[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		h.Write(buf[:8*n])
+		flat = flat[n:]
+	}
+	h.Sum(r.params[:0])
 }
 
 // Now returns the current virtual time.
@@ -613,15 +672,15 @@ type roundCut struct {
 // virtual completion time (ties by client id) are collected; dropped clients
 // sort last (CompletionTime = +Inf) and are never collected, even when the
 // survivors fall short of the target. The round ends when the last collected
-// update arrives or, with no survivors, when the last client vanished (its
-// burned compute), so virtual time still advances. Then one loop, shared by
-// both reduce paths, moves every collected update whose verdict failed to
-// Discarded, marked Quarantined; and a round left with fewer valid updates
-// than the quorum is skipped and recorded — the model stays as it is and the
-// run continues. A custom Aggregator is offered the discarded updates without
-// any delta whose verdict failed, quarantined or late, as the online fold
-// recycles such a delta unfolded. In: the updates and their verdicts. Out:
-// the roundCut.
+// update arrives or, with no survivors, when the last client's training
+// ended (its download and burned compute), so virtual time still advances.
+// Then one loop, shared by both reduce paths, moves every collected update
+// whose verdict failed to Discarded, marked Quarantined; and a round left
+// with fewer valid updates than the quorum is skipped and recorded — the
+// model stays as it is and the run continues. A custom Aggregator is offered
+// the discarded updates without any delta whose verdict failed, quarantined
+// or late, as the online fold recycles such a delta unfolded. In: the updates
+// and their verdicts. Out: the roundCut.
 func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	order := resize(&r.order, len(updates))
 	for i := range order {
@@ -662,9 +721,7 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	}
 	if len(c.collected) == 0 {
 		for _, u := range updates {
-			if t := c.start + u.TrainTime; t > c.end {
-				c.end = t
-			}
+			c.end = max(c.end, u.TrainEnd)
 		}
 	}
 	kept := c.collected[:0]
@@ -684,9 +741,10 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 // aggregate moves the global model: a scheme implementing Aggregator
 // replaces the default weighted FedAvg mean (e.g. SAFA-style stale-update
 // reuse); otherwise the online fold's accumulator is applied, or the
-// collected updates stream through the offline reduce. Then SetFlatParams.
-// In: the cut and the fold. Out: the new global parameters. Serial, with the
-// reduces fanning the parameter dimension out over borrowed workers.
+// collected updates stream through the offline reduce. Then SetFlatParams
+// and digestParams. In: the cut and the fold. Out: the new global parameters
+// and their Digest. Serial, with the reduces fanning the parameter dimension
+// out over borrowed workers.
 func (r *Runner) aggregate(c roundCut, fold *onlineFold) {
 	agg, custom := r.Scheme.(Aggregator)
 	switch {
@@ -709,6 +767,7 @@ func (r *Runner) aggregate(c roundCut, fold *onlineFold) {
 		streamReduce(r.flat, r.aggBuf, c.collected, totalW, len(r.workers), reduceFanIn, recycle)
 	}
 	r.global.SetFlatParams(r.flat)
+	r.digestParams()
 }
 
 // recycle returns the round's dead update vectors to the worker pool. The
@@ -743,6 +802,7 @@ func (r *Runner) evaluate(plan RoundPlan, c roundCut) RoundResult {
 			End:         c.end,
 			Skipped:     c.skipped,
 			Quarantined: c.quarantined,
+			Params:      r.params,
 		},
 		Collected: c.collected,
 		Discarded: c.discarded,

@@ -26,7 +26,7 @@ func FuzzReadRoundTrip(f *testing.F) {
 {"kind":"round","round":0,"start":0,"end":3.5,"accuracy":0.4,"collected":4,"mean_iterations":4}
 {"kind":"phase","index":1,"cycle":1,"name":"storm","spec":"name=storm;rounds=2","seed":42,"start_round":2}`))
 	f.Add([]byte(`{"kind":"header","spec":"v=1;model=cnn;geometry=tiny;scheme=fedavg;seed=7;clients=8;chaos=drop=0.1,corrupt=0.05;maxnorm=1e+06"}
-{"kind":"round","round":0,"start":0,"end":2.5,"accuracy":0.5,"collected":7,"discarded":1,"dropped":1,"mean_iterations":25,"upload_bytes":1e5}`))
+{"kind":"round","round":0,"start":0,"end":2.5,"accuracy":0.5,"collected":7,"discarded":1,"dropped":1,"mean_iterations":25,"upload_bytes":1e5,"params":"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"}`))
 	f.Add([]byte(`{"kind":"round","round":3,"end":1e-300,"accuracy":0.999999999999}`))
 	f.Add([]byte("\n\n"))
 	f.Add([]byte(`{"kind":"bogus"}`))

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fedca/internal/fl"
 )
 
 func sampleRecord(round int, start, end, acc float64) Record {
@@ -13,6 +15,7 @@ func sampleRecord(round int, start, end, acc float64) Record {
 		Index: round, Start: start, End: end, Accuracy: acc,
 		Collected: 2, Discarded: 1, Dropped: 1,
 		MeanIterations: 9.5, UploadBytes: 300,
+		Params: fl.Digest{0: 0xa6, 31: 0xb5},
 	}
 }
 
@@ -52,6 +55,9 @@ func TestRoundTripBuffer(t *testing.T) {
 	if r0.MeanIterations != 9.5 {
 		t.Fatalf("iters = %v", r0.MeanIterations)
 	}
+	if r0 != sampleRecord(0, 0, 12.5, 0.4) {
+		t.Fatalf("record changed in a round trip: %+v", r0)
+	}
 }
 
 func TestRoundTripFile(t *testing.T) {
@@ -84,6 +90,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(`{"kind":"mystery"}` + "\n")); err == nil {
 		t.Fatal("expected error for unknown kind")
+	}
+	for _, params := range []string{`"a6"`, `"` + strings.Repeat("a6", 33) + `"`, `"` + strings.Repeat("g6", 32) + `"`} {
+		if _, err := Read(strings.NewReader(`{"kind":"round","round":0,"params":` + params + "}\n")); err == nil {
+			t.Fatalf("params %s is not a digest, yet the record was read", params)
+		}
 	}
 }
 

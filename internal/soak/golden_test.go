@@ -13,10 +13,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden soak fixtures")
 
 // goldenConfig is the pinned end-to-end configuration: one fixed (seed,
-// chaos spec, quorum) soak whose run-log bytes and final aggregate checksum
-// are committed under testdata. Any change to the simulation's observable
-// behaviour — round results, degradation accounting, log encoding, parameter
-// arithmetic — shows up as a byte diff here.
+// chaos spec, quorum) soak whose run-log bytes are committed under testdata.
+// Any change to the simulation's observable behaviour — round results,
+// degradation accounting, log encoding, parameter arithmetic (every round
+// record carries the global model's digest) — shows up as a byte diff here.
 func goldenConfig(log *runlog.Writer) Config {
 	return Config{
 		Schedule: "name=golden-calm;rounds=4" +
@@ -43,7 +43,6 @@ func goldenConfig(log *runlog.Writer) Config {
 // quorum) no longer reproduces the same run. Investigate before updating.
 func TestGoldenSoakRunLog(t *testing.T) {
 	logPath := filepath.Join("testdata", "golden_soak.jsonl")
-	sumPath := filepath.Join("testdata", "golden_soak.sum")
 
 	var buf bytes.Buffer
 	w := runlog.NewWriter(&buf)
@@ -61,10 +60,6 @@ func TestGoldenSoakRunLog(t *testing.T) {
 	if !rep.Pass {
 		t.Fatalf("golden soak has violations: %+v", rep.Violations)
 	}
-	// The committed checksum is the final phase's aggregate parameter
-	// checksum: the content address of the global model after all 8 rounds.
-	sum := rep.Phases[len(rep.Phases)-1].ParamsChecksum + "\n"
-
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -72,10 +67,7 @@ func TestGoldenSoakRunLog(t *testing.T) {
 		if err := os.WriteFile(logPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(sumPath, []byte(sum), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden fixtures rewritten: %s, %s", logPath, sumPath)
+		t.Logf("golden fixture rewritten: %s", logPath)
 		return
 	}
 
@@ -86,13 +78,6 @@ func TestGoldenSoakRunLog(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), wantLog) {
 		t.Fatalf("run-log bytes drifted from golden fixture.\nThis means equal (seed, spec, quorum) no longer reproduce the same run.\nIf the change is intentional, re-pin with -update and explain the diff in the PR.\n got %d bytes, want %d bytes\n first divergence: byte %d",
 			buf.Len(), len(wantLog), firstDiff(buf.Bytes(), wantLog))
-	}
-	wantSum, err := os.ReadFile(sumPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the fixture)", err)
-	}
-	if sum != string(wantSum) {
-		t.Fatalf("final aggregate checksum drifted: got %s want %s", sum, wantSum)
 	}
 }
 

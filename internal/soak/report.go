@@ -26,13 +26,10 @@ type PhaseResult struct {
 	PhaseInfo
 	Bands BandSet `json:"bands"`
 
-	// Fingerprint is the SHA-256 over every round's JSON record plus the
-	// final parameter checksum: the phase's behavioural identity. A serial
+	// Fingerprint is the SHA-256 over every round's JSON record, each with
+	// the global model's digest: the phase's behavioural identity. A serial
 	// re-run of Spec must reproduce it bit-for-bit.
 	Fingerprint string `json:"fingerprint"`
-	// ParamsChecksum is the global model's aggregate checksum after the
-	// phase's last round (fedca.Federation.ParamsChecksum).
-	ParamsChecksum string `json:"params_checksum"`
 
 	FinalAccuracy float64 `json:"final_accuracy"`
 	SkippedRounds int     `json:"skipped_rounds"`

@@ -312,9 +312,8 @@ func (r *Runner) runPhase(info PhaseInfo, p Phase, run fedca.Options, record fun
 }
 
 // playPhase builds run's federation, plays the phase's rounds, handing each
-// to observe once it is in the fingerprint, then folds the final parameter
-// checksum into the fingerprint and assembles the phase outcome from the
-// federation's degradation counters.
+// to observe once it is in the fingerprint, and assembles the phase outcome
+// from the federation's degradation counters.
 func playPhase(info PhaseInfo, p Phase, run fedca.Options, observe func(*fedca.Federation, fedca.Round)) (PhaseResult, error) {
 	fed, err := fedca.New(run)
 	if err != nil {
@@ -328,8 +327,6 @@ func playPhase(info PhaseInfo, p Phase, run fedca.Options, observe func(*fedca.F
 		observe(fed, rd)
 	})
 	rounds := fed.Run(p.Rounds)
-	sum := fed.ParamsChecksum()
-	h.Write([]byte(sum))
 	st := fed.DegradationStats()
 	return PhaseResult{
 		PhaseInfo: info,
@@ -338,20 +335,20 @@ func playPhase(info PhaseInfo, p Phase, run fedca.Options, observe func(*fedca.F
 			Quarantine: p.QuarBand,
 			Retry:      p.RetryBand,
 		},
-		Fingerprint:    hex.EncodeToString(h.Sum(nil)),
-		ParamsChecksum: sum,
-		FinalAccuracy:  rounds[len(rounds)-1].Accuracy,
-		SkippedRounds:  st.SkippedRounds,
-		Quarantined:    st.Quarantined,
-		DroppedRounds:  st.DroppedRounds,
-		LinkRetries:    st.LinkRetries,
-		Collected:      collected,
+		Fingerprint:   hex.EncodeToString(h.Sum(nil)),
+		FinalAccuracy: rounds[len(rounds)-1].Accuracy,
+		SkippedRounds: st.SkippedRounds,
+		Quarantined:   st.Quarantined,
+		DroppedRounds: st.DroppedRounds,
+		LinkRetries:   st.LinkRetries,
+		Collected:     collected,
 	}, nil
 }
 
 // hashRound folds one round's record, in its run-log JSON encoding, into
 // the phase fingerprint. encoding/json renders float64 in shortest
-// round-trip form, so equal bytes <=> bit-identical round records.
+// round-trip form, so equal bytes <=> bit-identical round records, and the
+// record's params field makes that bit-identical global models.
 func hashRound(h hash.Hash, rd fedca.Round) {
 	b, err := json.Marshal(rd)
 	if err != nil {
@@ -363,9 +360,9 @@ func hashRound(h hash.Hash, rd fedca.Round) {
 
 // RunPhase reproduces one phase standalone from its canonical spec string
 // as a Report or run-log phase marker records it, and returns its outcome.
-// Equal specs yield an identical Fingerprint and ParamsChecksum at any
-// CPU-token count, with or without telemetry: what the determinism monitor
-// asserts, and what makes a violation's Spec a complete reproduction recipe.
+// Equal specs yield an identical Fingerprint at any CPU-token count, with or
+// without telemetry: what the determinism monitor asserts, and what makes a
+// violation's Spec a complete reproduction recipe.
 func RunPhase(spec string, tel *fedca.Telemetry) (PhaseResult, error) {
 	phases, err := ParseSchedule(spec)
 	if err != nil {
