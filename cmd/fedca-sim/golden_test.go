@@ -22,9 +22,12 @@ var simGoldenRows = []struct {
 	{"fedada", []string{"-scheme", "fedada"}},
 	{"fedca", []string{"-scheme", "fedca"}},
 	{"fedca-v1", []string{"-scheme", "fedca-v1"}},
-	{"fedca-v2", []string{"-scheme", "fedca-v2"}},
+	// FedCA retransmits on the WRN in these rounds (fedca-wrn), FedCA-v2
+	// never does: the row pins what v2 leaves out.
+	{"fedca-v2", []string{"-scheme", "fedca-v2", "-model", "wrn"}},
 	{"oort", []string{"-scheme", "oort"}},
-	{"safa", []string{"-scheme", "safa"}},
+	// A cut at ⌈0.75·8⌉ = 6 leaves late updates for SAFA to carry.
+	{"safa", []string{"-scheme", "safa", "-aggfrac", "0.75"}},
 	{"fedca-lstm", []string{"-scheme", "fedca", "-model", "lstm"}},
 	{"fedca-wrn", []string{"-scheme", "fedca", "-model", "wrn"}},
 	{"fedca-f32", []string{"-scheme", "fedca", "-dtype", "f32"}},

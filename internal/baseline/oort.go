@@ -15,9 +15,10 @@ import (
 //
 //	util_i = loss_i · min(1, (T_pref/t̂_i))^α
 //
-// where loss_i is the client's last reported mean training loss (higher loss
-// = statistically more useful), t̂_i its estimated full-round time, T_pref
-// the current FedBalancer deadline, and α the system-penalty exponent.
+// where loss_i is the client's last reported mean training loss, which
+// fl.History remembers (higher loss = statistically more useful), t̂_i its
+// estimated full-round time, T_pref the current FedBalancer deadline, and α
+// the system-penalty exponent.
 // Clients without history are explored first.
 type Oort struct {
 	K       int     // default local iterations (for round-time estimates)
@@ -25,13 +26,11 @@ type Oort struct {
 	Alpha   float64 // system penalty exponent (default 2, as in Oort)
 
 	r *rng.RNG
-	// lastLoss remembers each client's most recent reported loss.
-	lastLoss map[int]float64
 }
 
 // NewOort builds an Oort selector.
 func NewOort(k int, r *rng.RNG) *Oort {
-	return &Oort{K: k, Epsilon: 0.1, Alpha: 2, r: r, lastLoss: make(map[int]float64)}
+	return &Oort{K: k, Epsilon: 0.1, Alpha: 2, r: r}
 }
 
 // Name returns "oort".
@@ -45,36 +44,6 @@ func (*Oort) PlanRound(int, *fl.History) fl.RoundPlan {
 // NewController returns the no-op controller.
 func (*Oort) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
 	return fl.NopController{}
-}
-
-// Observe folds round results into the loss memory. The runner does not call
-// this automatically; Select pulls timings from History, and losses
-// are fed by the Aggregate hook below.
-func (o *Oort) observe(updates []fl.Update) {
-	for _, u := range updates {
-		if !u.Dropped {
-			o.lastLoss[u.ClientID] = u.TrainLoss
-		}
-	}
-}
-
-// Aggregate performs the default weighted FedAvg mean while capturing
-// client-reported losses for the next selection round.
-func (o *Oort) Aggregate(round int, flat []float64, collected, discarded []fl.Update) []float64 {
-	o.observe(collected)
-	var totalW float64
-	for _, u := range collected {
-		totalW += u.Weight
-	}
-	out := make([]float64, len(flat))
-	copy(out, flat)
-	for _, u := range collected {
-		w := u.Weight / totalW
-		for j, v := range u.Delta {
-			out[j] += w * v
-		}
-	}
-	return out
 }
 
 // Select implements fl.Selector: k of the n clients, ascending — the ε
@@ -97,7 +66,7 @@ func (o *Oort) Select(round int, hist *fl.History, n, k int, dst []int) []int {
 	var known []scored
 	var unknown []int
 	for id := 0; id < n; id++ {
-		loss, haveLoss := o.lastLoss[id]
+		loss, haveLoss := hist.LastLoss(id)
 		t, haveTime := est[id]
 		if !haveLoss || !haveTime {
 			unknown = append(unknown, id)

@@ -1,6 +1,10 @@
 package baseline
 
-import "fedca/internal/fl"
+import (
+	"slices"
+
+	"fedca/internal/fl"
+)
 
 // SAFA is a semi-asynchronous baseline in the spirit of Wu et al. (cited by
 // the paper as the family that "exploits the lately-returned updates from the
@@ -11,10 +15,10 @@ type SAFA struct {
 	// Discount λ ∈ [0, 1] scales one-round-stale updates (0 = plain FedAvg).
 	Discount float64
 
-	cache []fl.Update // stale updates waiting for the next aggregation
+	cache []fl.Update // stale updates, weights discounted, waiting for the next aggregation
 }
 
-// NewSAFA builds a SAFA aggregator with the given staleness discount.
+// NewSAFA builds a SAFA scheme with the given staleness discount.
 func NewSAFA(discount float64) *SAFA {
 	if discount < 0 || discount > 1 {
 		panic("baseline: SAFA discount must be in [0, 1]")
@@ -35,48 +39,16 @@ func (*SAFA) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
 	return fl.NopController{}
 }
 
-// Aggregate folds the fresh updates plus last round's cached stragglers
-// (discounted by λ) into the global model, then caches this round's
-// stragglers for the next one.
-func (s *SAFA) Aggregate(round int, flat []float64, collected, discarded []fl.Update) []float64 {
-	totalW := 0.0
-	for _, u := range collected {
-		totalW += u.Weight
-	}
-	for _, u := range s.cache {
-		totalW += s.Discount * u.Weight
-	}
-	out := make([]float64, len(flat))
-	copy(out, flat)
-	if totalW > 0 {
-		for _, u := range collected {
-			w := u.Weight / totalW
-			for j, v := range u.Delta {
-				out[j] += w * v
-			}
-		}
-		for _, u := range s.cache {
-			w := s.Discount * u.Weight / totalW
-			for j, v := range u.Delta {
-				out[j] += w * v
-			}
-		}
-	}
-	// Cache this round's late-but-complete updates for the next aggregation.
-	// Copy the deltas: the runner may nil them out after we return.
-	s.cache = s.cache[:0]
+// Carry returns last round's late updates, each weighted λ·w, for the
+// runner to fold after this round's collected ones, and keeps copies of
+// this round's late updates for the next.
+func (s *SAFA) Carry(_ int, late []fl.Update) []fl.Update {
+	carried := s.cache
+	s.cache = nil
 	if s.Discount > 0 {
-		for _, u := range discarded {
-			if u.Dropped || u.Delta == nil {
-				continue
-			}
-			cp := u
-			cp.Delta = append([]float64(nil), u.Delta...)
-			s.cache = append(s.cache, cp)
+		for _, u := range late {
+			s.cache = append(s.cache, fl.Update{ClientID: u.ClientID, Weight: s.Discount * u.Weight, Delta: slices.Clone(u.Delta)})
 		}
 	}
-	return out
+	return carried
 }
-
-// CachedStale reports how many stale updates await the next round.
-func (s *SAFA) CachedStale() int { return len(s.cache) }

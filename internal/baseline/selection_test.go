@@ -43,23 +43,14 @@ func TestOortPrefersHighLoss(t *testing.T) {
 	o.Epsilon = 0 // pure exploitation
 	h := fl.NewHistory()
 	// 8 clients, equal speeds, different losses; client 6 has highest loss.
-	var ups []fl.Update
+	// History remembers both.
 	for id := 0; id < 8; id++ {
 		loss := 0.1 * float64(id%4)
 		if id == 6 {
 			loss = 9
 		}
-		u := fl.Update{ClientID: id, Iterations: 10, TrainTime: 10, TrainLoss: loss}
-		h.Observe(u)
-		ups = append(ups, u)
+		h.Observe(fl.Update{ClientID: id, Iterations: 10, TrainTime: 10, TrainLoss: loss})
 	}
-	// Feed losses through the aggregation hook (zero-length deltas).
-	flat := []float64{}
-	for i := range ups {
-		ups[i].Delta = []float64{}
-		ups[i].Weight = 1
-	}
-	o.Aggregate(0, flat, ups, nil)
 	ids := o.Select(1, h, 8, 2, nil)
 	if len(ids) != 2 {
 		t.Fatalf("selected %v", ids)
@@ -79,17 +70,13 @@ func TestOortPenalizesStragglers(t *testing.T) {
 	o := baseline.NewOort(10, rng.New(4))
 	o.Epsilon = 0
 	h := fl.NewHistory()
-	var ups []fl.Update
 	for id := 0; id < 8; id++ {
 		tTime := 10.0
 		if id == 3 {
 			tTime = 1000 // extreme straggler with the same loss
 		}
-		u := fl.Update{ClientID: id, Iterations: 10, TrainTime: tTime, TrainLoss: 1, Weight: 1, Delta: []float64{}}
-		h.Observe(u)
-		ups = append(ups, u)
+		h.Observe(fl.Update{ClientID: id, Iterations: 10, TrainTime: tTime, TrainLoss: 1})
 	}
-	o.Aggregate(0, nil, ups, nil)
 	ids := o.Select(1, h, 8, 2, nil)
 	for _, id := range ids {
 		if id == 3 {
@@ -118,80 +105,104 @@ func TestOortEndToEnd(t *testing.T) {
 
 func TestSAFACachesStragglers(t *testing.T) {
 	s := baseline.NewSAFA(0.5)
-	flat := []float64{0, 0}
-	collected := []fl.Update{{ClientID: 0, Weight: 1, Delta: []float64{1, 1}}}
-	discarded := []fl.Update{{ClientID: 1, Weight: 1, Delta: []float64{3, 3}}}
-	out := s.Aggregate(0, flat, collected, discarded)
-	// Round 0: only the fresh update counts: (1,1).
-	if out[0] != 1 || out[1] != 1 {
-		t.Fatalf("round 0 aggregate = %v", out)
+	late := []fl.Update{{ClientID: 1, Weight: 2, Delta: []float64{3, 3}}}
+	// Round 0: nothing is stale yet; the late update is kept, by copy.
+	if got := s.Carry(0, late); len(got) != 0 {
+		t.Fatalf("round 0 carried %v", got)
 	}
-	if s.CachedStale() != 1 {
-		t.Fatalf("cached = %d", s.CachedStale())
+	late[0].Delta[0] = 99
+	// Round 1: last round's late update comes back at weight λ·w.
+	got := s.Carry(1, nil)
+	if len(got) != 1 || got[0].ClientID != 1 || got[0].Weight != 1 || got[0].Delta[0] != 3 || got[0].Delta[1] != 3 {
+		t.Fatalf("round 1 carried %+v, want client 1 at weight 0.5·2 with its delta (3,3)", got)
 	}
-	// Round 1: fresh (2,2) with weight 1 plus stale (3,3) discounted 0.5.
-	out = s.Aggregate(1, out, []fl.Update{{ClientID: 0, Weight: 1, Delta: []float64{2, 2}}}, nil)
-	// total weight 1.5; delta = (2·1 + 3·0.5)/1.5 = 7/3 ≈ 2.333 added to (1,1).
-	want := 1 + (2*1+3*0.5)/1.5
-	if math.Abs(out[0]-want) > 1e-12 {
-		t.Fatalf("round 1 aggregate = %v, want %v", out[0], want)
-	}
-	if s.CachedStale() != 0 {
-		t.Fatal("cache must clear when no new stragglers arrive")
+	// Round 2: no late update arrived in round 1, so nothing is carried.
+	if got := s.Carry(2, nil); len(got) != 0 {
+		t.Fatalf("round 2 carried %v: the cache must clear when no new stragglers arrive", got)
 	}
 }
 
 func TestSAFAZeroDiscountIsFedAvg(t *testing.T) {
 	s := baseline.NewSAFA(0)
-	out := s.Aggregate(0, []float64{0}, []fl.Update{{Weight: 2, Delta: []float64{4}}}, []fl.Update{{Weight: 1, Delta: []float64{100}}})
-	if out[0] != 4 {
-		t.Fatalf("aggregate = %v", out)
-	}
-	if s.CachedStale() != 0 {
-		t.Fatal("λ=0 must not cache")
+	s.Carry(0, []fl.Update{{Weight: 1, Delta: []float64{100}}})
+	if got := s.Carry(1, nil); len(got) != 0 {
+		t.Fatalf("λ=0 carried %v", got)
 	}
 }
 
+// carryWatch is SAFA with every Carry call's late updates checked first.
+type carryWatch struct {
+	*baseline.SAFA
+	t    *testing.T
+	late int
+}
+
+func (c *carryWatch) Carry(round int, late []fl.Update) []fl.Update {
+	for _, u := range late {
+		if u.Dropped || u.Quarantined || u.Delta == nil {
+			c.t.Fatalf("round %d: Carry was handed client %d's update: dropped %v, quarantined %v, delta %v", round, u.ClientID, u.Dropped, u.Quarantined, u.Delta != nil)
+		}
+	}
+	c.late += len(late)
+	return c.SAFA.Carry(round, late)
+}
+
+// TestSAFADroppedNeverCached: the late arrivals the runner hands to Carry
+// are neither dropped nor quarantined and carry their delta, under a cut
+// that leaves stragglers and a dropout rate that loses clients.
 func TestSAFADroppedNeverCached(t *testing.T) {
-	s := baseline.NewSAFA(1)
-	s.Aggregate(0, []float64{0}, []fl.Update{{Weight: 1, Delta: []float64{1}}},
-		[]fl.Update{{Weight: 1, Dropped: true}, {Weight: 1, Delta: nil}})
-	if s.CachedStale() != 0 {
-		t.Fatal("dropped/deltaless updates must not be cached")
+	w := tinyWorkload()
+	w.FL.AggregateFraction = 0.5
+	eng, err := chaos.NewEngine(chaos.Config{DropProb: 0.3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.FL.Chaos = eng
+	tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1.2}, 7)
+	c := &carryWatch{SAFA: baseline.NewSAFA(0.5), t: t}
+	r, err := tb.NewRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for round := 0; round < 4; round++ {
+		dropped += r.RunRound().Dropped
+	}
+	if dropped == 0 || c.late == 0 {
+		t.Fatalf("%d dropped client-rounds and %d late updates: the run does not exercise the filter", dropped, c.late)
 	}
 }
 
 func TestSAFAEndToEnd(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.AggregateFraction = 0.5
-	w.FL.RetainUpdateDeltas = false // aggregator must still see deltas
-	tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1.2}, 7)
-	s := baseline.NewSAFA(0.5)
-	r, err := tb.NewRunner(s)
-	if err != nil {
-		t.Fatal(err)
+	w.FL.RetainUpdateDeltas = false // Carry must still see the late deltas
+	// The same federation under SAFA and FedAvg: round 0 has nothing stale
+	// to carry, so the two agree; in round 1 SAFA folds round 0's
+	// stragglers, so they part.
+	runs := make([]*fl.Runner, 2)
+	for i, scheme := range []fl.Scheme{baseline.NewSAFA(0.5), baseline.FedAvg{}} {
+		tb := expcfg.Build(w, 6, trace.Config{HeterogeneitySigma: 1.2}, 7)
+		r, err := tb.NewRunner(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
 	}
-	r.RunRound()
-	if s.CachedStale() == 0 {
+	safa, fedavg := runs[0].RunRound(), runs[1].RunRound()
+	if len(safa.Discarded) == 0 {
 		t.Fatal("50% cutoff with 6 clients must produce stragglers to cache")
 	}
-	before := r.GlobalFlat()
-	r.RunRound()
-	after := r.GlobalFlat()
-	moved := false
-	for i := range before {
-		if before[i] != after[i] {
-			moved = true
-			break
-		}
+	if safa.Params != fedavg.Params {
+		t.Fatal("round 0 carried an update: nothing was stale yet")
 	}
-	if !moved {
-		t.Fatal("stale aggregation did not move the model")
+	if runs[0].RunRound().Params == runs[1].RunRound().Params {
+		t.Fatal("round 1: SAFA's stale updates did not move the model")
 	}
 }
 
 // TestSAFANeverFoldsRejectedUpdates: an update whose verdict failed —
-// quarantined, or late and corrupted — reaches SAFA without its delta, so the
+// quarantined, or late and corrupted — never reaches SAFA's Carry, so the
 // stale cache never carries a corrupted update into the next round's
 // aggregation and the global model stays finite.
 func TestSAFANeverFoldsRejectedUpdates(t *testing.T) {

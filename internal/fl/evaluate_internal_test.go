@@ -473,10 +473,10 @@ func TestClientRoundMatchesHeapUnderPoison(t *testing.T) {
 	t.Run("wrn-train-evaluate-train", func(t *testing.T) { testRoundMatchesHeapUnderPoison[float64](t, "wrn", qsgd7, true) })
 }
 
-// arenaProbe is a scheme whose Aggregate — serial, after the train stage has
+// arenaProbe is a scheme whose Carry — serial, after the train stage has
 // joined every worker and before the evaluate stage — reads what worker 0's
-// arena retains. It keeps the global model where it is: the arena's layout
-// depends on the shapes that run on it, not on the parameters.
+// arena retains. It carries nothing: the arena's layout depends on the
+// shapes that run on it, not on the parameters.
 type arenaProbe struct {
 	arena      *tensor.Arena
 	afterTrain []int
@@ -485,9 +485,9 @@ type arenaProbe struct {
 func (*arenaProbe) Name() string                                     { return "arena-probe" }
 func (*arenaProbe) PlanRound(int, *History) RoundPlan                { return RoundPlan{Deadline: math.Inf(1)} }
 func (*arenaProbe) NewController(*Client, int, RoundPlan) Controller { return NopController{} }
-func (p *arenaProbe) Aggregate(_ int, flat []float64, _, _ []Update) []float64 {
+func (p *arenaProbe) Carry(int, []Update) []Update {
 	p.afterTrain = append(p.afterTrain, arenaRetained(p.arena))
-	return flat
+	return nil
 }
 
 // wrnNets builds the benchmark's WRN for a runner.

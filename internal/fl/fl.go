@@ -31,19 +31,24 @@
 //     (a broken plug-in) stops the claims, and Run re-raises it out of
 //     RunRound on the caller once every worker has stopped.
 //     The worker judges its update right after the client round, the only
-//     place validation runs. At full aggregation (AggregateFraction 1) on
-//     the default path the online fold also runs here, in participant-index
-//     order at the in-order completion frontier, so it is worker-count
-//     invariant and the live deltas are the out-of-order window, which a
-//     descheduled worker widens and the delta pool then keeps.
+//     place validation runs. At full aggregation (AggregateFraction 1), with
+//     deltas not retained, the online schedule of the one fold also runs
+//     here, in participant-index order at the in-order completion frontier,
+//     so it is worker-count invariant and the live deltas are the
+//     out-of-order window, which a descheduled worker widens and the delta
+//     pool then keeps.
 //   - cut (cut): updates + verdicts → collected and discarded by completion
 //     order and AggregateFraction, the round end time, invalid collected
 //     updates moved to Discarded as quarantined, and the quorum's verdict.
-//   - aggregate (aggregate): cut + fold → new global parameters: a custom
-//     Aggregator, the online fold's accumulator, or the offline streaming
-//     reduce, whose parameter shards fan out over borrowed workers with every
-//     element's operation order that of the serial client-major loop, so the
-//     result is bit-identical for any worker count or fan-in; then the new
+//   - aggregate (aggregate): cut + fold → new global parameters by the one
+//     weighted FedAvg arithmetic: agg[j] += w·d[j] over the included
+//     updates in participant-index order, then any updates the scheme
+//     carries (see Scheme), then flat[j] += agg[j]/W once. The online
+//     schedule has folded the included updates during train; otherwise the
+//     after-the-cut schedule folds the collected valid ones here. Either
+//     way the parameter vector is sharded over borrowed workers, every
+//     element seeing the serial loop's operations, so the result is
+//     bit-identical for any worker count and either schedule. Then the new
 //     parameters' Digest, which the round record carries.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
 //   - evaluate (evaluate): the RoundResult and its RoundRecord, with the
@@ -376,10 +381,20 @@ type Controller interface {
 // Scheme plugs a federated optimization strategy into the runner.
 //
 // PlanRound and NewController run serially on the round-driving goroutine
-// (as do the optional Selector and Aggregator hooks); the controllers they
-// build then run on workers. A scheme must synchronize any state shared
-// between NewController and running controllers, and any accessors it
-// allows callers to poll while a round executes.
+// (as do the optional Selector and carry hooks); the controllers they build
+// then run on workers. A scheme must synchronize any state shared between
+// NewController and running controllers, and any accessors it allows
+// callers to poll while a round executes.
+//
+// A scheme may also have the method Carry(round int, late []Update)
+// []Update: updates to fold into the round's weighted mean after its
+// collected ones, e.g. SAFA's discounted reuse of stale stragglers. The
+// runner calls it serially on every round that aggregates, with the round's
+// late arrivals that are valid and neither dropped nor quarantined; their
+// deltas stay the runner's and are pooled after the round, so a scheme
+// copies what it keeps. Each returned update folds with its own Weight, and
+// its Delta, which the scheme owns, must be as long as the model (a wrong
+// length panics).
 type Scheme interface {
 	Name() string
 	// PlanRound runs on the server before dispatch.
@@ -435,13 +450,9 @@ type Selector interface {
 	Select(round int, hist *History, n, k int, dst []int) []int
 }
 
-// Aggregator is an optional Scheme extension replacing the default weighted
-// FedAvg mean — e.g. SAFA-style reuse of stale straggler updates. It returns
-// the new global parameter vector. collected updates carry their Delta;
-// discarded updates carry Delta only when not dropped and not rejected by
-// validation (quarantined, or late with a failing verdict).
-type Aggregator interface {
-	Aggregate(round int, flat []float64, collected, discarded []Update) []float64
+// carrier is the optional Scheme method Carry (see Scheme).
+type carrier interface {
+	Carry(round int, late []Update) []Update
 }
 
 // DropoutObserver is an optional Controller extension. The runner invokes

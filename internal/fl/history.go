@@ -9,7 +9,8 @@ import (
 // History is the server's knowledge about client behaviour, learned from the
 // updates it actually received (the server never sees intra-round state —
 // that is the whole point of the paper). Per-iteration wall times feed the
-// FedBalancer-style deadline and FedAda's workload planning.
+// FedBalancer-style deadline and FedAda's workload planning; the last
+// reported training losses feed Oort's selection.
 //
 // History is safe for concurrent use. The round loop writes it serially, but
 // monitors polling estimates mid-round may mix Observe with the read
@@ -20,21 +21,25 @@ type History struct {
 	iterTime map[int]float64
 	// alpha is the EWMA smoothing weight of the newest observation.
 	alpha float64
+	// loss is each client's most recent reported mean training loss.
+	loss map[int]float64
 }
 
 // NewHistory creates an empty history with EWMA weight 0.5.
 func NewHistory() *History {
-	return &History{iterTime: make(map[int]float64), alpha: 0.5}
+	return &History{iterTime: make(map[int]float64), alpha: 0.5, loss: make(map[int]float64)}
 }
 
-// Observe folds a received update into the history.
+// Observe folds a received update into the history: its reported loss, and
+// its per-iteration time when it trained.
 func (h *History) Observe(u Update) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.loss[u.ClientID] = u.TrainLoss
 	if u.Iterations <= 0 || u.TrainTime <= 0 {
 		return
 	}
 	t := u.TrainTime / float64(u.Iterations)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if old, ok := h.iterTime[u.ClientID]; ok {
 		h.iterTime[u.ClientID] = h.alpha*t + (1-h.alpha)*old
 	} else {
@@ -52,6 +57,15 @@ func (h *History) EstRoundTimes(k int) map[int]float64 {
 		out[id] = t * float64(k)
 	}
 	return out
+}
+
+// LastLoss returns client id's most recently reported mean training loss,
+// and whether it has reported one.
+func (h *History) LastLoss(id int) (float64, bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	loss, ok := h.loss[id]
+	return loss, ok
 }
 
 // FedBalancerDeadline selects the round deadline T maximizing the ratio of

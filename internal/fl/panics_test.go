@@ -86,20 +86,20 @@ func TestRunnerPanicsOnUnknownSelection(t *testing.T) {
 	expectPanic(t, "selector chose unknown client", func() { r.RunRound() })
 }
 
-// badAggregator returns a wrong-size vector.
-type badAggregator struct{ baseline.FedAvg }
+// badCarry carries an update whose delta has the wrong length.
+type badCarry struct{ baseline.FedAvg }
 
-func (badAggregator) Aggregate(int, []float64, []fl.Update, []fl.Update) []float64 {
-	return make([]float64, 1)
+func (badCarry) Carry(int, []fl.Update) []fl.Update {
+	return []fl.Update{{Weight: 1, Delta: make([]float64, 1)}}
 }
 
-func TestRunnerPanicsOnBadAggregator(t *testing.T) {
+func TestRunnerPanicsOnBadCarry(t *testing.T) {
 	tb := tinyTestbed(t, 2, trace.Config{}, 84)
-	r, err := tb.NewRunner(badAggregator{})
+	r, err := tb.NewRunner(badCarry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectPanic(t, "aggregator wrong size", func() { r.RunRound() })
+	expectPanic(t, "carried delta wrong size", func() { r.RunRound() })
 }
 
 // TestAllDroppedRoundSkips is the regression for the seed's panic("fl: every

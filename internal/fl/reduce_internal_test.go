@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,27 +26,31 @@ func randomUpdates(r *rand.Rand, clients, n int) ([]Update, float64) {
 	return ups, totalW
 }
 
-// serialReduce is the pre-sharding reference reduce, kept verbatim as the
-// bit-exactness oracle for streamReduce.
-func serialReduce(flat []float64, collected []Update, totalW float64) {
+// serialReduce is the one reduce arithmetic written as plainly as it reads,
+// the only reference for both schedules: the folded updates, in order,
+// accumulate unnormalized, agg[j] += w·d[j], with their weights summed in the
+// same order, and flat[j] += agg[j]/W once.
+func serialReduce(flat []float64, folded []Update) {
 	agg := make([]float64, len(flat))
-	for _, u := range collected {
-		w := u.Weight / totalW
+	var totalW float64
+	for _, u := range folded {
 		for j, v := range u.Delta {
-			agg[j] += w * v
+			agg[j] += u.Weight * v
 		}
+		totalW += u.Weight
 	}
 	for j := range flat {
-		flat[j] += agg[j]
+		flat[j] += agg[j] / totalW
 	}
 }
 
-// TestWeightedReduceDeterministic: the streaming chunked reduce must produce
-// globals bit-identical to the serial loop, for every worker count, fan-in
-// and cohort size — including
-// parameter counts that do and don't clear the minReduceShard gate, shard
-// boundaries that don't divide evenly, and cohorts smaller than, equal to
-// and much larger than the fan-in.
+// TestWeightedReduceDeterministic: both schedules of the one fold — after
+// the cut (foldCut over the included participants) and online (onlineFold
+// at the in-order frontier, completions arriving in any order) — followed by
+// the carried updates and the one divide (applyMean), must produce globals
+// bit-identical to the serial loop, for every worker count and cohort size,
+// including parameter counts that do and don't clear the minReduceShard
+// gate and shard boundaries that don't divide evenly.
 func TestWeightedReduceDeterministic(t *testing.T) {
 	// Raise the shared token budget above this box's core count so the
 	// parallel shard paths are actually exercised even on a 1-CPU runner;
@@ -55,13 +60,25 @@ func TestWeightedReduceDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 7, minReduceShard, 10 * minReduceShard} {
 		for _, clients := range []int{1, 3, 9, 40} {
-			ups, totalW := randomUpdates(r, clients, n)
+			ups, _ := randomUpdates(r, clients, n)
+			carried, _ := randomUpdates(r, clients%3, n)
+			// Every third participant's verdict failed: neither schedule
+			// folds it.
+			valid := make([]bool, clients)
+			var in []int
+			var folded []Update
+			for i := range ups {
+				if valid[i] = i%3 != 1 || clients == 1; valid[i] {
+					in = append(in, i)
+					folded = append(folded, ups[i])
+				}
+			}
 			base := make([]float64, n)
 			for j := range base {
 				base[j] = r.NormFloat64()
 			}
-			want := append([]float64(nil), base...)
-			serialReduce(want, ups, totalW)
+			want := slices.Clone(base)
+			serialReduce(want, append(folded, carried...))
 			check := func(label string, got []float64) {
 				t.Helper()
 				for j := range got {
@@ -73,42 +90,23 @@ func TestWeightedReduceDeterministic(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4, 13} {
 				agg := make([]float64, n)
-				for _, fanIn := range []int{1, 2, reduceFanIn, 1000} {
-					got := append([]float64(nil), base...)
-					streamReduce(got, agg, ups, totalW, workers, fanIn, nil)
-					check(fmt.Sprintf("stream workers=%d fanIn=%d", workers, fanIn), got)
-				}
-			}
-		}
-	}
-}
+				got := slices.Clone(base)
+				applyMean(got, agg, carried, foldCut(agg, ups, in, workers), workers)
+				check(fmt.Sprintf("after the cut, workers=%d", workers), got)
 
-// TestStreamReduceRecycles: the recycle callback must receive every
-// collected delta exactly once, as its chunk completes, and the recycled
-// update must let go of it (whoever recycles a delta nils Update.Delta).
-func TestStreamReduceRecycles(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	const n, clients = 64, 11
-	ups, totalW := randomUpdates(r, clients, n)
-	deltas := make([][]float64, clients)
-	for i, u := range ups {
-		deltas[i] = u.Delta
-	}
-	flat := make([]float64, n)
-	agg := make([]float64, n)
-	seen := make(map[*float64]int)
-	streamReduce(flat, agg, ups, totalW, 4, 3, func(d []float64) {
-		seen[&d[0]]++
-	})
-	if len(seen) != clients {
-		t.Fatalf("recycled %d distinct deltas, want %d", len(seen), clients)
-	}
-	for i, u := range ups {
-		if seen[&deltas[i][0]] != 1 {
-			t.Fatalf("client %d delta recycled %d times", u.ClientID, seen[&deltas[i][0]])
-		}
-		if u.Delta != nil {
-			t.Fatalf("client %d still holds its recycled delta", u.ClientID)
+				online := make([]Update, clients)
+				for i := range online {
+					online[i] = ups[i]
+					online[i].Delta = slices.Clone(ups[i].Delta)
+				}
+				f := newOnlineFold(make([]float64, n), online, valid, make([]bool, clients), &deltaPool{}, clients)
+				for _, i := range r.Perm(clients) {
+					f.complete(i)
+				}
+				got = slices.Clone(base)
+				applyMean(got, f.agg, carried, f.totalW, workers)
+				check(fmt.Sprintf("online, workers=%d", workers), got)
+			}
 		}
 	}
 }
@@ -198,18 +196,82 @@ func TestOnlineFoldWaitsPastItsWindow(t *testing.T) {
 	}
 }
 
-// BenchmarkWeightedReduce measures the offline reduce at a CNN-scale
-// parameter count across worker counts (workers=1 is the serial loop).
+// lateCarrier is a scheme that carries a copy of each late update it is
+// handed, its weight halved, into the same round's mean.
+type lateCarrier struct{ carried int }
+
+func (*lateCarrier) Name() string                                     { return "late-carrier" }
+func (*lateCarrier) PlanRound(int, *History) RoundPlan                { return RoundPlan{Deadline: math.Inf(1)} }
+func (*lateCarrier) NewController(*Client, int, RoundPlan) Controller { return NopController{} }
+func (c *lateCarrier) Carry(_ int, late []Update) []Update {
+	out := make([]Update, len(late))
+	for i, u := range late {
+		out[i] = Update{ClientID: u.ClientID, Weight: u.Weight / 2, Delta: slices.Clone(u.Delta)}
+	}
+	c.carried += len(out)
+	return out
+}
+
+// TestRecyclePoolsEveryDeltaOnce: on rounds folded after a partial cut, with
+// a scheme carrying late updates, every delta the runner handed out goes
+// back to the pool exactly once — the pool holds one vector per participant
+// after each round, no vector twice — and no update in the result still
+// holds one (whoever pools a delta nils it).
+func TestRecyclePoolsEveryDeltaOnce(t *testing.T) {
+	train, test := benchData("cnn", 64), benchData("cnn", 32)
+	cs := make([]*Client, 5)
+	for i := range cs {
+		cs[i] = roundClient(train, 8)
+		cs[i].ID = i
+	}
+	cfg := Config{LocalIters: 2, BatchSize: 8, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 0.5}
+	sc := &lateCarrier{}
+	r, err := NewFleetRunner(cfg, NewStaticFleet(cs), sc, test, cnnNets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		res := r.RunRound()
+		for _, us := range [][]Update{res.Collected, res.Discarded} {
+			for _, u := range us {
+				if u.Delta != nil {
+					t.Fatalf("round %d: client %d's update still holds its delta", round, u.ClientID)
+				}
+			}
+		}
+		seen := make(map[*float64]bool)
+		for _, v := range r.pool.free {
+			if seen[&v[0]] {
+				t.Fatalf("round %d: a delta was pooled twice", round)
+			}
+			seen[&v[0]] = true
+		}
+		if len(r.pool.free) != len(cs) {
+			t.Fatalf("round %d: the pool holds %d deltas, want one per participant (%d)", round, len(r.pool.free), len(cs))
+		}
+	}
+	if sc.carried == 0 {
+		t.Fatal("the cut left no late update to carry")
+	}
+}
+
+// BenchmarkWeightedReduce measures the after-the-cut schedule at a
+// CNN-scale parameter count across worker counts (workers=1 is the serial
+// loop).
 func BenchmarkWeightedReduce(b *testing.B) {
 	const n, clients = 1 << 18, 16
 	r := rand.New(rand.NewSource(2))
-	ups, totalW := randomUpdates(r, clients, n)
+	ups, _ := randomUpdates(r, clients, n)
+	in := make([]int, clients)
+	for i := range in {
+		in[i] = i
+	}
 	flat := make([]float64, n)
 	agg := make([]float64, n)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				streamReduce(flat, agg, ups, totalW, workers, reduceFanIn, nil)
+				applyMean(flat, agg, nil, foldCut(agg, ups, in, workers), workers)
 			}
 		})
 	}

@@ -168,7 +168,7 @@ type Runner struct {
 	k       int            // the cohort size Config.Participation asks for
 	workers []trainWorker  // dtype-erased training slots (see Config.DType)
 	pool    *deltaPool     // recycles Update.Delta vectors across rounds
-	aggBuf  []float64      // the reduce's accumulator, reused across rounds
+	aggBuf  []float64      // the fold's accumulator, reused across rounds
 	round   int
 	now     float64
 
@@ -392,7 +392,7 @@ func (r *Runner) RunRound() RoundResult {
 	cut := r.cut(updates, valid)
 	c.lap(stageCut)
 	if !cut.skipped {
-		r.aggregate(cut, fold)
+		r.aggregate(cut, updates, fold)
 		c.lap(stageAggregate)
 	}
 	r.recycle(cut)
@@ -575,7 +575,7 @@ func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
 // the serial path. A worker out of clients hands its token back, so the ones
 // still training can fan out in the stage's tail. Out: the updates and their
 // verdicts, index-aligned with the cohort and so independent of which worker
-// ran what, and the fold when there is one.
+// ran what, and the online fold when there is one.
 func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, []bool, *onlineFold) {
 	j := &r.job
 	*j = trainJob{r: r, cohort: cohort, ctrls: ctrls, plan: plan, bound: r.deltaBound(),
@@ -638,17 +638,18 @@ func (j *trainJob) judge(i, w int) {
 	j.valid[i] = deltaValid(j.updates[i].Delta, j.bound)
 }
 
-// newFold returns the round's online fold, or nil when the round reduces
-// offline. The fold runs when every surviving update is aggregated
-// (AggregateFraction 1) on the default path with deltas not retained: updates
-// then fold into the accumulator while the client phase still runs and their
+// newFold returns the round's online fold, or nil when the round folds
+// after the cut. The online schedule runs when every surviving update is
+// aggregated (AggregateFraction 1) with deltas not retained: updates then
+// fold into the accumulator while the client phase still runs and their
 // deltas recycle at once, so the live deltas are the out-of-order completion
 // window of the stage's workers, not the cohort (see onlineFold). A
-// partial-aggregation cut depends on every virtual
-// completion time, so such rounds wait for the cut and stream through
-// streamReduce instead. The config picks the path, never the round.
+// partial-aggregation cut depends on every virtual completion time, so such
+// rounds fold after it (aggregate). Both schedules fold the same updates in
+// the same order by the same arithmetic, so the config picks the schedule
+// and no bit depends on which ran.
 func (r *Runner) newFold(updates []Update, valid []bool, workers int) *onlineFold {
-	if _, custom := r.Scheme.(Aggregator); custom || r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
+	if r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
 		return nil
 	}
 	clear(r.aggBuf)
@@ -661,11 +662,12 @@ func (r *Runner) newFold(updates []Update, valid []bool, workers int) *onlineFol
 type roundCut struct {
 	start, end           float64 // virtual time the round opened and closes
 	collected, discarded []Update
-	quarantined          int  // collected updates that failed validation, now in discarded
-	skipped              bool // fewer valid collected updates than the quorum: no aggregation
-	// offered is discarded as a custom Aggregator sees it: an update whose
-	// verdict failed comes without its delta. Nil on the default path.
-	offered []Update
+	// in are the participants the after-the-cut schedule folds (collected,
+	// valid, not dropped), ascending; late the ones that arrived valid after
+	// the cut, in completion order. Both index the round's updates.
+	in, late    []int
+	quarantined int  // collected updates that failed validation, now in discarded
+	skipped     bool // fewer valid collected updates than the quorum: no aggregation
 }
 
 // cut closes the round. The earliest AggregateFraction of the updates by
@@ -674,13 +676,11 @@ type roundCut struct {
 // survivors fall short of the target. The round ends when the last collected
 // update arrives or, with no survivors, when the last client's training
 // ended (its download and burned compute), so virtual time still advances.
-// Then one loop, shared by both reduce paths, moves every collected update
-// whose verdict failed to Discarded, marked Quarantined; and a round left
-// with fewer valid updates than the quorum is skipped and recorded — the
-// model stays as it is and the run continues. A custom Aggregator is offered
-// the discarded updates without any delta whose verdict failed, quarantined
-// or late, as the online fold recycles such a delta unfolded. In: the updates
-// and their verdicts. Out: the roundCut.
+// Then one loop moves every collected update whose verdict failed to
+// Discarded, marked Quarantined; and a round left with fewer valid updates
+// than the quorum is skipped and recorded — the model stays as it is and the
+// run continues. In: the updates and their verdicts. Out: the roundCut,
+// whose in and late reuse the completion order's buffer.
 func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	order := resize(&r.order, len(updates))
 	for i := range order {
@@ -700,23 +700,13 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 		collected: make([]Update, 0, take),
 		discarded: make([]Update, 0, len(updates)-take),
 	}
-	_, custom := r.Scheme.(Aggregator)
-	discard := func(u Update, ok bool) {
-		c.discarded = append(c.discarded, u)
-		if custom {
-			if !ok {
-				u.Delta = nil
-			}
-			c.offered = append(c.offered, u)
-		}
-	}
 	for i, oi := range order {
 		if u := updates[oi]; i < take && !u.Dropped {
 			u.Quarantined = !valid[oi]
 			c.collected = append(c.collected, u)
 			c.end = u.CompletionTime
 		} else {
-			discard(u, valid[oi])
+			c.discarded = append(c.discarded, u)
 		}
 	}
 	if len(c.collected) == 0 {
@@ -727,7 +717,7 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	kept := c.collected[:0]
 	for _, u := range c.collected {
 		if u.Quarantined {
-			discard(u, false)
+			c.discarded = append(c.discarded, u)
 			c.quarantined++
 		} else {
 			kept = append(kept, u)
@@ -735,58 +725,122 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	}
 	c.collected = kept
 	c.skipped = len(c.collected) < max(1, r.Cfg.MinQuorum)
+	// Each filter writes at or before the place it reads.
+	c.in, c.late = order[:0], order[take:take]
+	for _, i := range order[:take] {
+		if !updates[i].Dropped && valid[i] {
+			c.in = append(c.in, i)
+		}
+	}
+	slices.Sort(c.in)
+	for _, i := range order[take:] {
+		if !updates[i].Dropped && valid[i] {
+			c.late = append(c.late, i)
+		}
+	}
 	return c
 }
 
-// aggregate moves the global model: a scheme implementing Aggregator
-// replaces the default weighted FedAvg mean (e.g. SAFA-style stale-update
-// reuse); otherwise the online fold's accumulator is applied, or the
-// collected updates stream through the offline reduce. Then SetFlatParams
-// and digestParams. In: the cut and the fold. Out: the new global parameters
-// and their Digest. Serial, with the reduces fanning the parameter dimension
-// out over borrowed workers.
-func (r *Runner) aggregate(c roundCut, fold *onlineFold) {
-	agg, custom := r.Scheme.(Aggregator)
-	switch {
-	case custom:
-		r.flat = agg.Aggregate(r.round, r.flat, c.collected, c.offered)
-		if len(r.flat) != r.global.NumParams() {
-			panic("fl: aggregator returned a wrong-sized parameter vector")
-		}
-	case fold != nil:
-		applyFold(r.flat, fold.agg, fold.totalW, len(r.workers))
-	default:
-		var totalW float64
-		for _, u := range c.collected {
-			totalW += u.Weight
-		}
-		var recycle func([]float64)
-		if !r.Cfg.RetainUpdateDeltas {
-			recycle = r.pool.put
-		}
-		streamReduce(r.flat, r.aggBuf, c.collected, totalW, len(r.workers), reduceFanIn, recycle)
+// aggregate moves the global model by the one weighted FedAvg arithmetic:
+// agg[j] += w·d[j] over the round's included updates in participant-index
+// order — folded by the online schedule during train, or here after the cut
+// over c.in — then over the updates the scheme carries (carry), then
+// flat[j] += agg[j]/W once, W the sum of the folded weights in the same
+// order. Then SetFlatParams and digestParams. In: the cut, the updates and
+// the fold. Out: the new global parameters and their Digest. Serial, with
+// the parameter vector sharded over borrowed workers (reduceShards): each
+// shard runs the serial loop over its range, so no bit depends on the
+// worker count or on the schedule (TestWeightedReduceDeterministic).
+func (r *Runner) aggregate(c roundCut, updates []Update, fold *onlineFold) {
+	carried := r.carry(c, updates)
+	var totalW float64
+	if fold != nil {
+		totalW = fold.totalW
+	} else {
+		totalW = foldCut(r.aggBuf, updates, c.in, len(r.workers))
 	}
+	applyMean(r.flat, r.aggBuf, carried, totalW, len(r.workers))
 	r.global.SetFlatParams(r.flat)
 	r.digestParams()
 }
 
+// foldDelta is the one fold of an update into the accumulator, agg[j] +=
+// w·d[j]: both schedules and the carried updates go through it.
+func foldDelta(agg []float64, w float64, d []float64) {
+	d = d[:len(agg)]
+	for j := range agg {
+		agg[j] += w * d[j]
+	}
+}
+
+// foldCut is the after-the-cut schedule: agg becomes the sum of w·d over
+// updates[in], in the order of in, sharded over at most workers goroutines.
+// It returns the sum of their weights, in the same order.
+func foldCut(agg []float64, updates []Update, in []int, workers int) float64 {
+	reduceShards(len(agg), workers, func(lo, hi int) {
+		clear(agg[lo:hi])
+		for _, i := range in {
+			foldDelta(agg[lo:hi], updates[i].Weight, updates[i].Delta[lo:hi])
+		}
+	})
+	var totalW float64
+	for _, i := range in {
+		totalW += updates[i].Weight
+	}
+	return totalW
+}
+
+// applyMean finishes the one arithmetic: it folds the carried updates into
+// agg after the sum of weight totalW already there, then adds agg[j]/W to
+// every flat[j], W being totalW plus the carried weights; sharded over at
+// most workers goroutines.
+func applyMean(flat, agg []float64, carried []Update, totalW float64, workers int) {
+	for _, u := range carried {
+		totalW += u.Weight
+	}
+	reduceShards(len(flat), workers, func(lo, hi int) {
+		for _, u := range carried {
+			foldDelta(agg[lo:hi], u.Weight, u.Delta[lo:hi])
+		}
+		for j := lo; j < hi; j++ {
+			flat[j] += agg[j] / totalW
+		}
+	})
+}
+
+// carry asks a scheme with the Carry method (see Scheme) for the updates to
+// fold after the collected ones, handing it the cut's late arrivals; nil
+// for any other scheme. Serial.
+func (r *Runner) carry(c roundCut, updates []Update) []Update {
+	cr, ok := r.Scheme.(carrier)
+	if !ok {
+		return nil
+	}
+	late := make([]Update, len(c.late))
+	for k, i := range c.late {
+		late[k] = updates[i]
+	}
+	carried := cr.Carry(r.round, late)
+	for _, u := range carried {
+		if len(u.Delta) != len(r.flat) {
+			panic(fmt.Sprintf("fl: Carry returned a delta of %d parameters, the model has %d", len(u.Delta), len(r.flat)))
+		}
+	}
+	return carried
+}
+
 // recycle returns the round's dead update vectors to the worker pool. The
-// ownership rule: whoever recycles a delta nils its Update.Delta — the fold
-// and the streaming reduce already did for theirs — so every delta still set
-// here is pooled, unless the deltas are owned elsewhere: RetainUpdateDeltas
-// keeps them in the result, and a custom Aggregator may hold references
-// (SAFA caches stragglers) that recycling would corrupt silently, so there
-// they are only dropped. Serial.
+// ownership rule: whoever pools a delta nils its Update.Delta — the online
+// fold already did for its own — so every delta still set here is pooled,
+// unless RetainUpdateDeltas keeps them in the result. Carried deltas are the
+// scheme's and never pass through here. Serial.
 func (r *Runner) recycle(c roundCut) {
 	if r.Cfg.RetainUpdateDeltas {
 		return
 	}
-	_, custom := r.Scheme.(Aggregator)
 	for _, us := range [][]Update{c.collected, c.discarded} {
 		for i := range us {
-			if !custom {
-				r.pool.put(us[i].Delta)
-			}
+			r.pool.put(us[i].Delta)
 			us[i].Delta = nil
 		}
 	}
@@ -913,14 +967,9 @@ func sumSquares(v []float64) float64 {
 }
 
 // minReduceShard is the smallest per-goroutine parameter count worth a
-// goroutine in the weighted reduce; smaller models reduce serially.
+// goroutine in the fold after the cut and the apply; smaller models reduce
+// serially.
 const minReduceShard = 2048
-
-// reduceFanIn is the streaming reduce's chunk width: how many client deltas
-// stay live between recycle points. Any value yields the same bits (see
-// streamReduce); 8 keeps the live set tiny while amortizing the per-chunk
-// goroutine barrier.
-const reduceFanIn = 8
 
 // reduceShards runs f over a disjoint cover of [0, n) through cputok's one
 // fan-out: one shard per worker, at most workers of them and none under
@@ -944,70 +993,6 @@ type shards struct {
 
 func (s *shards) Do(i, _ int) { s.f(i*s.n/s.k, (i+1)*s.n/s.k) }
 
-// streamReduce adds the weight-normalized (by totalW) mean of the collected
-// deltas to flat, streaming the client dimension through chunks of fanIn
-// updates and fanning the parameter dimension of each chunk out over at most
-// workers goroutines (borrowed from the shared CPU-token budget, so a spent
-// budget degrades to the serial loop). After a chunk's barrier its deltas are
-// dead; when recycle is non-nil each is handed back immediately and its
-// Update.Delta nil'd, bounding the reduce's live delta set to fan-in buffers
-// instead of the whole cohort.
-//
-// Determinism: each shard owns a disjoint index range and accumulates
-// clients in slice order; chunking only inserts barriers into that order
-// without reordering it, so every element sees exactly the floating-point
-// sequence of the serial client-major loop — the result is bit-identical
-// for any worker count and any fan-in (TestWeightedReduceDeterministic).
-func streamReduce(flat, agg []float64, collected []Update, totalW float64, workers, fanIn int, recycle func([]float64)) {
-	n := len(flat)
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			agg[j] = 0
-		}
-	})
-	for s := 0; s < len(collected); s += fanIn {
-		e := s + fanIn
-		if e > len(collected) {
-			e = len(collected)
-		}
-		chunk := collected[s:e]
-		reduceShards(n, workers, func(lo, hi int) {
-			for _, u := range chunk {
-				w := u.Weight / totalW
-				d := u.Delta
-				for j := lo; j < hi; j++ {
-					agg[j] += w * d[j]
-				}
-			}
-		})
-		if recycle != nil {
-			for i := range chunk {
-				recycle(chunk[i].Delta)
-				chunk[i].Delta = nil
-			}
-		}
-	}
-	reduceShards(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j]
-		}
-	})
-}
-
-// applyFold finishes the online fold: flat[j] += agg[j]/totalW, sharded over
-// borrowed workers. One add and one divide per element regardless of
-// sharding, so the result matches the single-goroutine loop bit for bit.
-func applyFold(flat, agg []float64, totalW float64, workers int) {
-	reduceShards(len(flat), workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			flat[j] += agg[j] / totalW
-		}
-	})
-}
-
 // onlineFold streams completed updates into the aggregation accumulator in
 // participant-index order while the client phase is still running. Whichever
 // worker closes the gap at the in-order frontier folds every newly
@@ -1026,12 +1011,10 @@ func applyFold(flat, agg []float64, totalW float64, workers int) {
 // fold, so no bit moves. A panicking client round aborts the fold: every
 // waiter is woken and none waits again, so the panic reaches the caller.
 //
-// The fold accumulates unnormalized (agg[j] += w·d[j]) because totalW is
-// unknown until the last update lands; applyFold divides once at the end.
-// That changes the per-element operation sequence relative to the offline
-// reduce's (w/totalW)·d[j], so online and offline rounds are each
-// self-deterministic but not bit-identical to each other — the runner picks
-// the path from the config, never per-round.
+// It is the online schedule of the one fold (foldDelta): the updates it
+// folds, their order and the total weight it sums are the after-the-cut
+// schedule's when the cut takes the whole cohort, and applyMean divides by
+// the total once, so a round's bits do not depend on the schedule.
 type onlineFold struct {
 	agg     []float64
 	updates []Update
@@ -1068,12 +1051,8 @@ func (f *onlineFold) complete(i int) {
 		u := &f.updates[f.next]
 		// A dropped client has no delta to fold.
 		if !u.Dropped && f.valid[f.next] {
-			w := u.Weight
-			d := u.Delta
-			for j := range f.agg {
-				f.agg[j] += w * d[j]
-			}
-			f.totalW += w
+			foldDelta(f.agg, u.Weight, u.Delta)
+			f.totalW += u.Weight
 		}
 		f.pool.put(u.Delta)
 		u.Delta = nil
