@@ -193,7 +193,6 @@ type controller struct {
 	deadline float64
 
 	lrDecayed bool
-	eagerSent map[int]bool
 }
 
 // AfterIteration profiles (anchor rounds) or applies the utility-guided early
@@ -202,7 +201,7 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 	if c.anchor {
 		// Footnote 3 of the paper: anchor rounds run with no optimizations
 		// so the profiled curves are complete and valid.
-		c.prof.Record(st.Ranges, st.Delta)
+		c.prof.Record(st.Ranges, st.Accumulated())
 		return fl.IterAction{}
 	}
 	curves := c.prof.Curves()
@@ -213,17 +212,11 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 	var action fl.IterAction
 
 	if opt.Eager {
-		if c.eagerSent == nil {
-			c.eagerSent = make(map[int]bool)
-		}
 		for l := range curves.Layer {
-			if c.eagerSent[l] {
-				continue
-			}
-			// Eq. 5: transmit when the anchor curve crosses T_e at τ.
+			// Eq. 5: transmit when the anchor curve crosses T_e at τ (should
+			// it cross again, the runner sends a layer once per round).
 			if curves.LayerAt(l, st.Iter) >= opt.Te && curves.LayerAt(l, st.Iter-1) < opt.Te {
 				action.EagerLayers = append(action.EagerLayers, l)
-				c.eagerSent[l] = true
 			}
 		}
 	}

@@ -97,12 +97,12 @@ type probeController struct {
 }
 
 func (c *probeController) AfterIteration(st fl.IterState) fl.IterAction {
-	c.snaps = append(c.snaps, append([]float64(nil), st.Delta...))
+	c.snaps = append(c.snaps, append([]float64(nil), st.Accumulated()...))
 	if c.prof != nil {
 		if !c.prof.Recording() {
 			c.prof.BeginAnchor(c.key.Round)
 		}
-		c.prof.Record(st.Ranges, st.Delta)
+		c.prof.Record(st.Ranges, st.Accumulated())
 	}
 	return fl.IterAction{}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"fedca/internal/chaos"
 	"fedca/internal/data"
 	"fedca/internal/nn"
 	"fedca/internal/tensor"
@@ -45,17 +46,13 @@ func (dp *deltaPool) put(s []float64) {
 	}
 }
 
-// trainWorkerOf is one training slot: a dtype-concrete network plus the
-// persistent per-worker state the training loop reuses across clients and
-// rounds — the scratch arena every layer bump-allocates from, the network's
-// layer layout, the optimizer, the label buffer, the in-progress delta, the
-// eager-transmission snapshots, the runner's pool the server-bound update
-// vectors come from, and the runner's worker observer. The arena resets once
-// per training iteration, so after a warmup iteration has sized its slabs,
-// steady-state iterations allocate nothing, and after a warmup round neither
-// does the client round around them. One goroutine at a time owns a worker, so none
-// of this is shared; the update vectors flow back to the pool through the
-// runner.
+// trainWorkerOf is one training slot: a dtype-concrete network and the state
+// its client rounds reuse across clients and rounds. The arena every layer
+// bump-allocates from resets once per training iteration, so after a warmup
+// iteration has sized its slabs, steady-state iterations allocate nothing,
+// and after a warmup round neither does the client round around them. One
+// goroutine at a time owns a worker, so none of this is shared; the update
+// vectors it draws from the runner's pool flow back through the runner.
 type trainWorkerOf[F tensor.Float] struct {
 	net    *nn.NetworkOf[F]
 	arena  *tensor.Arena
@@ -72,6 +69,8 @@ type trainWorkerOf[F tensor.Float] struct {
 	// round, and — once Finalize has answered — not retransmitted.
 	snap     []float64
 	standing []bool
+
+	round clientRound[F]
 }
 
 // newTrainWorkerOf wraps net in a worker drawing update vectors from pool
@@ -93,15 +92,11 @@ func newTrainWorkerOf[F tensor.Float](net *nn.NetworkOf[F], pool *deltaPool, obs
 // onto: a float64 and a float32 worker run the identical round protocol, so
 // the runner never branches on precision.
 type trainWorker interface {
-	run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool, eager []EagerRecord) Update
+	run(in roundInput) Update
 	numParams() int
 	// lendArena binds net to the worker's arena, for a network that runs
 	// only while the worker is idle.
 	lendArena(net *nn.Network)
-}
-
-func (w *trainWorkerOf[F]) run(c *Client, globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool, eager []EagerRecord) Update {
-	return runClientRound(c, w, globalFlat, cfg, plan, ctrl, round, roundStart, anchor, eager)
 }
 
 func (w *trainWorkerOf[F]) numParams() int { return w.net.NumParams() }
@@ -131,267 +126,257 @@ func modifyGrad[F tensor.Float](ctrl Controller, params []*nn.ParamOf[F], global
 	}
 }
 
-// runClientRound simulates one client's round on worker w: model download,
-// local SGD with scheme hooks, eager per-layer transmissions, and the
-// end-of-round upload. Training math runs for real; time is accounted in
-// virtual seconds. round is the 0-based round index, which keys the fault
-// plan when cfg.Chaos is set. The eager transmissions are appended to eager,
-// the client's cohort-slot buffer. It runs on a worker goroutine of the
-// runner's train stage and invokes every Controller hook inline (see the
-// package comment); the Update it returns is the client-round's record.
+// roundInput is what the runner hands a worker for one client round. round
+// is the 0-based round index, which keys the fault plan when cfg.Chaos is
+// set; eager is the client's cohort-slot buffer the eager transmissions are
+// appended to.
+type roundInput struct {
+	c      *Client
+	ctrl   Controller
+	global []float64
+	cfg    *Config
+	plan   RoundPlan
+	round  int
+	start  float64 // the round's virtual start time
+	anchor bool
+	eager  []EagerRecord
+}
+
+// clientRound is one client round on a worker, as phases over the state they
+// hand on: download, iterate and decide (with its eager sends) per iteration,
+// then drop, or finish (Finalize and retransmits) and upload. Training math
+// runs for real, time is virtual, and the Update is the client-round's record.
 //
-// Everything the server, the scheme hooks and the wire see — the accumulated
-// delta, eager snapshots, the uploaded update — is float64 regardless of F: a
-// float32 worker narrows the global model once at SetFlatParams and widens its
-// weights when the delta is recomputed each iteration, so only
-// Forward/Backward/SGD run in reduced precision. For F = float64 every
-// arithmetic step below is bit-identical to the historical float64-only
-// implementation.
-func runClientRound[F tensor.Float](c *Client, w *trainWorkerOf[F], globalFlat []float64, cfg *Config, plan RoundPlan, ctrl Controller, round int, roundStart float64, anchor bool, eager []EagerRecord) Update {
-	net := w.net
-	ranges := w.ranges
-	if len(globalFlat) != net.NumParams() {
-		panic(fmt.Sprintf("fl: global vector size %d != model params %d", len(globalFlat), net.NumParams()))
-	}
-	// Fresh round: abandoned transfers and fault windows from a previous
-	// round are cancelled.
-	c.Down.ResetAt(roundStart)
-	c.Up.ResetAt(roundStart)
-	upBytesBefore := c.Up.BytesSent()
-	upRetriesBefore := c.Up.Retries()
+// Everything the server, the hooks and the wire see is float64 regardless of
+// F: a float32 worker narrows the global model once at SetFlatParams and
+// widens its weights when the delta is computed, so only Forward/Backward/SGD
+// run in reduced precision.
+type clientRound[F tensor.Float] struct {
+	roundInput
+	w              *trainWorkerOf[F]
+	cplan          *chaos.Plan
+	budget, dropAt int // dropAt 0: no dropout
+	upBytes        float64
+	upRetries      int // with upBytes, the uplink's counters at round start
+	now, lossSum   float64
+	iter           int // iterations completed
+	deltaIter      int // the iteration whose update w.delta holds; 0: none
+	u              Update
+}
 
-	budget := cfg.LocalIters
-	if plan.IterBudget != nil {
-		if b, ok := plan.IterBudget[c.ID]; ok && b > 0 {
-			budget = b
-		}
-	}
-	if budget > cfg.LocalIters {
-		budget = cfg.LocalIters
-	}
-
-	// Fault injection: the plan is a pure function of (seed, client, round),
-	// so schedules are identical at any worker count. Link fault windows are
-	// installed right after the round-start reset, before any transfer.
-	cplan := cfg.Chaos.Plan(c.ID, round, budget, cfg.BaseIterTime)
-	if cplan != nil {
-		for _, w := range cplan.Down {
-			c.Down.Impair(roundStart+w.From, roundStart+w.To, w.Scale)
-		}
-		for _, w := range cplan.Up {
-			c.Up.Impair(roundStart+w.From, roundStart+w.To, w.Scale)
-		}
-	}
-
-	_, tDown := c.Down.TransferAttempts(roundStart, cfg.ModelBytes, cplan.Attempts())
-	net.SetFlatParams(globalFlat)
-	opt := w.opt
-	opt.LR, opt.Momentum, opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
-	opt.Reset()
-
-	// Drop-out: the client may vanish partway through the round (Sec. 3.1
-	// treats drop-out as the extreme of resource shrinkage). The dropped
-	// client still burns the compute up to the dropout iteration, but its
-	// update never reaches the server. The chaos plan picks the iteration.
-	dropAt := cplan.DropIter() // 0 = no dropout
-
-	bytesPerScalar := cfg.ModelBytes / float64(len(globalFlat))
-	// compressInto writes what the server would decode for one layer's update
-	// into dst and returns its wire size (compressors quote bytes against a
-	// 4-byte fp32 baseline; rescale to honour ModelBytes emulation). dst must
-	// not alias vec.
-	compressInto := func(vec, dst []float64) float64 {
-		if cfg.Compressor == nil {
-			copy(dst, vec)
-			return float64(len(vec)) * bytesPerScalar
-		}
-		return cfg.Compressor.CompressInto(vec, dst) * bytesPerScalar / 4
-	}
-	// The worker's reusable delta buffer. Its contents are stale: the round
-	// overwrites every element after the first completed iteration, before
-	// any hook reads it.
-	if len(w.delta) != len(globalFlat) {
-		w.delta = make([]float64, len(globalFlat))
-	}
-	delta := w.delta
-	// NopController — plain FedAvg — ignores what AfterIteration is handed,
-	// so its round computes the accumulated update once, after the last
-	// iteration, instead of after each. The test is on the exact type: a
-	// controller that embeds NopController may override AfterIteration and
-	// keeps the per-iteration delta. (A dropped client uploads nothing and
-	// needs none.)
-	_, plainFedAvg := ctrl.(NopController)
-	standing := w.standing
-	clear(standing)
-
-	trainStart := tDown
-	now := tDown
-	iters := 0
-	stopped := false
-	lossSum := 0.0
-	params := net.Params()
-	batch, dim := c.Loader.BatchSize(), c.Loader.Dim()
-	if cap(w.y) < batch {
-		w.y = make([]int, batch)
-	}
-	y := w.y[:batch]
-	for iter := 1; iter <= budget; iter++ {
-		// One iteration, one arena generation: every activation, mask and
-		// per-sample gradient buffer below recycles here. Parameters, the
-		// optimizer state and the delta live outside the arena.
-		w.arena.Reset()
-		x := w.alloc(batch, dim)
-		data.NextInto(c.Loader, x.Data(), y)
-		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		dlogits := w.alloc(logits.Dim(0), logits.Dim(1))
-		loss := nn.SoftmaxCrossEntropyInto(logits, y, dlogits)
-		lossSum += loss
-		net.Backward(dlogits)
-		modifyGrad(ctrl, params, globalFlat)
-		opt.Step(params)
-
-		dt := c.Speed.IterDurationWith(cfg.BaseIterTime, now, cplan.ComputeFactor(iter))
-		now += dt
-		if w.obs != nil {
-			w.obs.ObserveIteration(dt)
-		}
-		iters = iter
-
-		if iter == dropAt {
+// run drives one client round through its phases on worker w.
+func (w *trainWorkerOf[F]) run(in roundInput) Update {
+	r := &w.round
+	*r = clientRound[F]{roundInput: in, w: w}
+	r.download()
+	for !r.u.EarlyStop && r.iter < r.budget {
+		r.iterate()
+		if r.iter == r.dropAt {
 			break // the device vanished mid-round, after this iteration
 		}
+		r.decide()
+	}
+	if r.iter == r.dropAt {
+		r.drop()
+	} else {
+		r.finish()
+		r.upload()
+	}
+	// The snapshots alias w.snap; the records outlive the round.
+	for i := range r.eager {
+		r.eager[i].Snapshot = nil
+	}
+	u := &r.u
+	u.Iterations, u.TrainEnd, u.TrainTime = r.iter, r.now, r.now-u.DownloadDone
+	u.Eager, u.EagerSent = r.eager, len(r.eager)
+	u.UploadBytes, u.LinkRetries = r.c.Up.BytesSent()-r.upBytes, r.c.Up.Retries()-r.upRetries
+	return *u
+}
 
-		if !plainFedAvg {
-			accumulatedDelta(delta, params, globalFlat)
+// download opens the round: the links reset to its start (cancelling a
+// previous round's abandoned transfers and fault windows), the budget and
+// fault plan fixed, the global model fetched and adopted, the optimizer and
+// the worker's per-round buffers reset.
+func (r *clientRound[F]) download() {
+	c, cfg, w := r.c, r.cfg, r.w
+	if len(r.global) != w.net.NumParams() {
+		panic(fmt.Sprintf("fl: global vector size %d != model params %d", len(r.global), w.net.NumParams()))
+	}
+	c.Down.ResetAt(r.start)
+	c.Up.ResetAt(r.start)
+	r.upBytes, r.upRetries = c.Up.BytesSent(), c.Up.Retries()
+	r.budget = cfg.LocalIters
+	if b, ok := r.plan.IterBudget[c.ID]; ok && b > 0 {
+		r.budget = min(b, cfg.LocalIters)
+	}
+	// The fault plan is a pure function of (seed, client, round), so
+	// schedules are identical at any worker count. Its link fault windows go
+	// in before any transfer. A dropped client (Sec. 3.1: the extreme of
+	// resource shrinkage) burns the compute up to its dropout iteration.
+	r.cplan = cfg.Chaos.Plan(c.ID, r.round, r.budget, cfg.BaseIterTime)
+	r.dropAt = r.cplan.DropIter()
+	if r.cplan != nil {
+		for _, f := range r.cplan.Down {
+			c.Down.Impair(r.start+f.From, r.start+f.To, f.Scale)
 		}
-
-		action := ctrl.AfterIteration(IterState{
-			Iter:    iter,
-			K:       cfg.LocalIters,
-			Budget:  budget,
-			Elapsed: now - trainStart,
-			Delta:   delta,
-			Ranges:  ranges,
-		})
-		if action.LRScale > 0 {
-			opt.LR *= action.LRScale
-		}
-		for _, li := range action.EagerLayers {
-			if li < 0 || li >= len(ranges) {
-				panic(fmt.Sprintf("fl: eager layer index %d out of range", li))
-			}
-			if standing[li] {
-				continue // a layer is eagerly transmitted at most once
-			}
-			standing[li] = true
-			rg := ranges[li]
-			snap := w.snap[rg.Start:rg.End]
-			wireBytes := compressInto(delta[rg.Start:rg.End], snap)
-			sentAt, doneAt := c.Up.TransferAttempts(now, wireBytes, cplan.Attempts())
-			eager = append(eager, EagerRecord{Layer: li, Iter: iter, Snapshot: snap, SentAt: sentAt, DoneAt: doneAt})
-		}
-		if action.Stop {
-			stopped = true
-			break
+		for _, f := range r.cplan.Up {
+			c.Up.Impair(r.start+f.From, r.start+f.To, f.Scale)
 		}
 	}
+	_, r.now = c.Down.TransferAttempts(r.start, cfg.ModelBytes, r.cplan.Attempts())
+	w.net.SetFlatParams(r.global)
+	w.opt.LR, w.opt.Momentum, w.opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
+	w.opt.Reset()
+	if len(w.delta) != len(r.global) {
+		w.delta = make([]float64, len(r.global)) // stale contents: accumulated overwrites all
+	}
+	clear(w.standing)
+	if b := c.Loader.BatchSize(); cap(w.y) < b {
+		w.y = make([]int, b)
+	}
+	r.u = Update{ClientID: c.ID, Weight: c.Weight, DownloadDone: r.now, Anchor: r.anchor, Chaos: r.cplan}
+}
 
-	u := Update{
-		ClientID: c.ID, Weight: c.Weight, Iterations: iters,
-		DownloadDone: tDown, TrainEnd: now, TrainTime: now - trainStart,
-		Anchor: anchor, EarlyStop: stopped, Eager: eager, Chaos: cplan,
-	}
-	if iters == dropAt {
-		// The device vanished: no upload, and Finalize is never called.
-		// Schemes that armed per-client state this round observe the
-		// dropout so they can reset it (e.g. FedCA's anchor recording).
-		// Any eager transmission already on the uplink is abandoned; the
-		// next round's ResetAt releases the link, and the server never
-		// sees a partial layer (Delta stays nil).
-		if d, ok := ctrl.(DropoutObserver); ok {
-			d.OnDropout(iters)
-		}
-		dropSnapshots(eager)
-		u.Dropped, u.CompletionTime = true, math.Inf(1)
-		u.UploadBytes, u.LinkRetries = c.Up.BytesSent()-upBytesBefore, c.Up.Retries()-upRetriesBefore
-		u.EagerSent = len(eager)
-		return u
-	}
+// iterate runs one local SGD iteration and advances the virtual clock by its
+// compute time. One iteration, one arena generation: every activation, mask
+// and per-sample gradient buffer recycles at the Reset. Parameters, the
+// optimizer state and the delta live outside the arena.
+func (r *clientRound[F]) iterate() {
+	w := r.w
+	w.arena.Reset()
+	batch := r.c.Loader.BatchSize()
+	x, y := w.alloc(batch, r.c.Loader.Dim()), w.y[:batch]
+	data.NextInto(r.c.Loader, x.Data(), y)
+	w.net.ZeroGrad()
+	logits := w.net.Forward(x, true)
+	dlogits := w.alloc(logits.Dim(0), logits.Dim(1))
+	r.lossSum += nn.SoftmaxCrossEntropyInto(logits, y, dlogits)
+	w.net.Backward(dlogits)
+	modifyGrad(r.ctrl, w.net.Params(), r.global)
+	w.opt.Step(w.net.Params())
 
-	if plainFedAvg {
-		accumulatedDelta(delta, params, globalFlat)
+	r.iter++
+	dt := r.c.Speed.IterDurationWith(r.cfg.BaseIterTime, r.now, r.cplan.ComputeFactor(r.iter))
+	r.now += dt
+	if w.obs != nil {
+		w.obs.ObserveIteration(dt)
 	}
-	final := ctrl.Finalize(FinalState{
-		Iterations: iters,
-		Delta:      delta,
-		Ranges:     ranges,
-		Eager:      eager,
+}
+
+// decide hands the controller the iteration's state and applies its action:
+// a learning-rate scale, eager layer sends, a stop.
+func (r *clientRound[F]) decide() {
+	action := r.ctrl.AfterIteration(IterState{
+		Iter: r.iter, K: r.cfg.LocalIters, Budget: r.budget,
+		Elapsed: r.now - r.u.DownloadDone, Ranges: r.w.ranges, src: r,
 	})
-	dropSnapshots(eager)
-	nRetrans := 0
+	if action.LRScale > 0 {
+		r.w.opt.LR *= action.LRScale
+	}
+	for _, li := range action.EagerLayers {
+		r.sendEager(li)
+	}
+	r.u.EarlyStop = action.Stop
+}
+
+// sendEager transmits layer li's update as it stands, as the server would
+// decode it, unless the layer went already: a layer is sent eagerly at most
+// once per round.
+func (r *clientRound[F]) sendEager(li int) {
+	w := r.w
+	if li < 0 || li >= len(w.ranges) {
+		panic(fmt.Sprintf("fl: eager layer index %d out of range", li))
+	}
+	if w.standing[li] {
+		return
+	}
+	w.standing[li] = true
+	rg := w.ranges[li]
+	snap := w.snap[rg.Start:rg.End]
+	wireBytes := r.compressInto(r.accumulated()[rg.Start:rg.End], snap)
+	sentAt, doneAt := r.c.Up.TransferAttempts(r.now, wireBytes, r.cplan.Attempts())
+	r.eager = append(r.eager, EagerRecord{Layer: li, Iter: r.iter, Snapshot: snap, SentAt: sentAt, DoneAt: doneAt})
+}
+
+// drop closes a round whose device vanished: no Finalize, no upload, so the
+// server never sees a partial layer (Delta stays nil); the next ResetAt
+// releases an abandoned eager transfer. A controller observes the dropout to
+// reset state it armed this round (e.g. FedCA's anchor recording).
+func (r *clientRound[F]) drop() {
+	if d, ok := r.ctrl.(DropoutObserver); ok {
+		d.OnDropout(r.iter)
+	}
+	r.u.Dropped, r.u.CompletionTime = true, math.Inf(1)
+}
+
+// finish hands the controller the final state and marks the eager layers it
+// asks for again, which upload then sends with the final payload.
+func (r *clientRound[F]) finish() {
+	final := r.ctrl.Finalize(FinalState{Iterations: r.iter, Delta: r.accumulated(), Ranges: r.w.ranges, Eager: r.eager})
 	for _, ei := range final.Retransmit {
-		if ei < 0 || ei >= len(eager) {
+		if ei < 0 || ei >= len(r.eager) {
 			panic(fmt.Sprintf("fl: retransmit index %d out of range", ei))
 		}
-		if !eager[ei].Retransmitted {
-			eager[ei].Retransmitted = true
-			standing[eager[ei].Layer] = false
-			nRetrans++
+		if !r.eager[ei].Retransmitted {
+			r.eager[ei].Retransmitted = true
+			r.w.standing[r.eager[ei].Layer] = false
+			r.u.Retransmitted++
 		}
 	}
+}
 
-	// The update the server will see, and the final payload: a layer whose
-	// eager snapshot stands (sent eagerly and not retransmitted) is its
-	// snapshot and is not sent again; every other layer is its final value,
-	// compressed if a compressor is configured, and counts toward the
-	// payload.
-	serverDelta := w.pool.get(len(delta))
+// upload sends the final payload and fills the update the server will see:
+// a layer whose eager snapshot stands (sent eagerly and not retransmitted)
+// is its snapshot and is not sent again; every other layer is its final
+// value as the server decodes it, and counts toward the payload.
+func (r *clientRound[F]) upload() {
+	delta := r.accumulated()
+	serverDelta := r.w.pool.get(len(delta))
 	var finalBytes float64
-	for li, rg := range ranges {
-		switch {
-		case standing[li]:
-			copy(serverDelta[rg.Start:rg.End], w.snap[rg.Start:rg.End])
-		case cfg.Compressor == nil:
-			copy(serverDelta[rg.Start:rg.End], delta[rg.Start:rg.End])
-			finalBytes += float64(rg.Size()) * bytesPerScalar
-		default:
-			finalBytes += compressInto(delta[rg.Start:rg.End], serverDelta[rg.Start:rg.End])
+	for li, rg := range r.w.ranges {
+		if r.w.standing[li] {
+			copy(serverDelta[rg.Start:rg.End], r.w.snap[rg.Start:rg.End])
+		} else {
+			finalBytes += r.compressInto(delta[rg.Start:rg.End], serverDelta[rg.Start:rg.End])
 		}
 	}
-	if finalBytes < 64 {
-		finalBytes = 64 // control message floor
-	}
+	finalBytes = max(finalBytes, 64) // control message floor
 	// Corruption strikes the payload as serialized for upload — after eager
 	// overlays and compression, so the server decodes exactly the damage.
-	cplan.CorruptDelta(serverDelta)
-	_, u.CompletionTime = c.Up.TransferAttempts(now, finalBytes, cplan.Attempts())
-	u.Delta, u.TrainLoss = serverDelta, lossSum/float64(iters)
-	u.UploadBytes, u.LinkRetries = c.Up.BytesSent()-upBytesBefore, c.Up.Retries()-upRetriesBefore
-	u.EagerSent, u.Retransmitted = len(eager), nRetrans
-	return u
+	r.cplan.CorruptDelta(serverDelta)
+	_, r.u.CompletionTime = r.c.Up.TransferAttempts(r.now, finalBytes, r.cplan.Attempts())
+	r.u.Delta, r.u.TrainLoss = serverDelta, r.lossSum/float64(r.iter)
 }
 
-// dropSnapshots clears the eager records' snapshots once no hook reads them:
-// they alias the worker's snapshot vector, which its next client round
-// overwrites, and the records outlive the round.
-func dropSnapshots(eager []EagerRecord) {
-	for i := range eager {
-		eager[i].Snapshot = nil
+// compressInto writes what the server would decode for one layer's update
+// into dst and returns its wire size (compressors quote bytes against a
+// 4-byte fp32 baseline; rescale to honour ModelBytes emulation). dst must
+// not alias vec.
+func (r *clientRound[F]) compressInto(vec, dst []float64) float64 {
+	bytesPerScalar := r.cfg.ModelBytes / float64(len(r.global))
+	if r.cfg.Compressor == nil {
+		copy(dst, vec)
+		return float64(len(vec)) * bytesPerScalar
 	}
+	return r.cfg.Compressor.CompressInto(vec, dst) * bytesPerScalar / 4
 }
 
-// accumulatedDelta writes the update accumulated so far into delta: the
-// working weights, widened, minus the float64 master vector, so the delta
-// every hook and the server observe is float64 at either working precision
-// (for F = float64 the widening is the identity).
-func accumulatedDelta[F tensor.Float](delta []float64, params []*nn.ParamOf[F], globalFlat []float64) {
-	off := 0
-	for _, p := range params {
-		d := p.Value.Data()
-		for j := range d {
-			delta[off+j] = float64(d[j]) - globalFlat[off+j]
+// accumulated returns the update accumulated so far, filling the worker's
+// delta buffer on the first read after an iteration: the working weights,
+// widened, minus the float64 master vector, whoever asks first (for F =
+// float64 the widening is the identity).
+func (r *clientRound[F]) accumulated() []float64 {
+	delta, global := r.w.delta, r.global
+	if r.deltaIter != r.iter {
+		off := 0
+		for _, p := range r.w.net.Params() {
+			d := p.Value.Data()
+			for j := range d {
+				delta[off+j] = float64(d[j]) - global[off+j]
+			}
+			off += len(d)
 		}
-		off += len(d)
+		r.deltaIter = r.iter
 	}
+	return delta
 }

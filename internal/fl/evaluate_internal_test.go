@@ -408,7 +408,7 @@ func testRoundMatchesHeapUnderPoison[F tensor.Float](t *testing.T, name string, 
 		var out []Update
 		var accs []float64
 		for round := 0; round < 3; round++ {
-			u := w.run(c, global, &cfg, plan, NopController{}, round, float64(round)*100, false, nil)
+			u := w.run(roundInput{c: c, ctrl: NopController{}, global: global, cfg: &cfg, plan: plan, round: round, start: float64(round) * 100})
 			out = append(out, u)
 			// Move the global model so that the next round starts elsewhere.
 			for i := range global {
@@ -456,7 +456,7 @@ func TestClientRoundPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("expected panic: global vector size mismatch")
 		}
 	}()
-	w.run(roundClient(benchData("cnn", 8), cfg.BatchSize), make([]float64, 3), &cfg, RoundPlan{Deadline: math.Inf(1)}, NopController{}, 0, 0, false, nil)
+	w.run(roundInput{c: roundClient(benchData("cnn", 8), cfg.BatchSize), ctrl: NopController{}, global: make([]float64, 3), cfg: &cfg, plan: RoundPlan{Deadline: math.Inf(1)}})
 }
 
 // TestClientRoundMatchesHeapUnderPoison: one case per benchmark workload, at

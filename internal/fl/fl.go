@@ -29,7 +29,9 @@
 //     ModifyGrad, AfterIteration, Finalize, OnDropout — run there,
 //     concurrently with other clients' controllers. A panic on any worker
 //     (a broken plug-in) stops the claims, and Run re-raises it out of
-//     RunRound on the caller once every worker has stopped.
+//     RunRound on the caller once every worker has stopped. A client
+//     round's phases compute its accumulated delta only when it is read: by
+//     a controller (IterState.Accumulated), an eager send or the upload.
 //     The worker judges its update right after the client round, the only
 //     place validation runs. At full aggregation (AggregateFraction 1), with
 //     deltas not retained, the online schedule of the one fold also runs
@@ -300,14 +302,23 @@ type IterState struct {
 	K       int     // default full-round iteration count
 	Budget  int     // iteration cap for this client this round
 	Elapsed float64 // local-training wall time so far (virtual seconds)
-	// Delta is the accumulated update so far (w_now − w_global), flat.
-	// Read-only; valid only during the call: it aliases a per-worker buffer
-	// the runner reuses across clients and rounds, so controllers must copy
-	// any portion they want to keep.
+	// Delta is the accumulated update for a driver outside a Runner that
+	// calls a controller itself; a Runner leaves it nil.
 	Delta []float64
 	// Ranges is the network's layer layout, the same slice every round:
 	// read-only.
 	Ranges []nn.ParamRange
+	src    interface{ accumulated() []float64 } // the Runner's client round
+}
+
+// Accumulated returns the update so far (w_now − w_global), flat: Delta if
+// set, else the Runner's, computed on the iteration's first read. Read-only
+// and valid only during the call (a worker-reused buffer): copy what you keep.
+func (st IterState) Accumulated() []float64 {
+	if st.src == nil {
+		return st.Delta
+	}
+	return st.src.accumulated()
 }
 
 // IterAction is a controller's decision after an iteration.
@@ -341,7 +352,7 @@ type EagerRecord struct {
 // FinalState is what a controller observes when local training has ended.
 type FinalState struct {
 	Iterations int
-	// Delta is the final accumulated update. Like IterState.Delta it is
+	// Delta is the final accumulated update. Like IterState.Accumulated it is
 	// read-only and valid only during the call (worker-reused buffer).
 	Delta  []float64
 	Ranges []nn.ParamRange

@@ -346,7 +346,9 @@ func TestEvaluate(t *testing.T) {
 }
 
 // eagerScheme exercises the eager-transmission path deterministically: every
-// client transmits layer 0 after iteration 2 and retransmits it at round end.
+// client transmits layer 0 after iteration 2, asks for it again after
+// iteration 5 (the runner sends a layer at most once per round), and
+// retransmits it at round end.
 type eagerScheme struct{ retransmit bool }
 
 func (eagerScheme) Name() string { return "eager-test" }
@@ -363,8 +365,11 @@ type eagerCtrl struct {
 }
 
 func (c *eagerCtrl) AfterIteration(st fl.IterState) fl.IterAction {
-	if st.Iter == 2 {
+	switch st.Iter {
+	case 2:
 		return fl.IterAction{EagerLayers: []int{0, 0}} // duplicate must be deduped
+	case 5:
+		return fl.IterAction{EagerLayers: []int{0}} // so must a later repeat
 	}
 	return fl.IterAction{}
 }
@@ -585,7 +590,7 @@ type recordCtrl struct {
 
 func (c *recordCtrl) AfterIteration(st fl.IterState) fl.IterAction {
 	s := 0.0
-	for _, v := range st.Delta {
+	for _, v := range st.Accumulated() {
 		s += v * v
 	}
 	*c.norms = append(*c.norms, math.Sqrt(s))

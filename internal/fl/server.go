@@ -242,17 +242,9 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	if err := cfg.Validate(global.NumParams()); err != nil {
 		return nil, err
 	}
-	var wobs workerObserver
-	for i, o := range cfg.Observers {
-		if o == nil {
-			return nil, fmt.Errorf("fl: Observers[%d] is nil", i)
-		}
-		if w, ok := o.(workerObserver); ok {
-			if wobs != nil {
-				return nil, fmt.Errorf("fl: observers %T and %T both watch the workers; at most one may", wobs, o)
-			}
-			wobs = w
-		}
+	wobs, err := watcherOf(cfg.Observers)
+	if err != nil {
+		return nil, err
 	}
 	k := expectedCohort(cfg, fleet.Size())
 	sel, ok := scheme.(Selector)
@@ -315,6 +307,23 @@ func NewFleetRunner(cfg Config, fleet Fleet, scheme Scheme, test *data.Dataset, 
 	}
 	r.digestParams()
 	return r, nil
+}
+
+// watcherOf returns the one observer in obs watching the workers, if any.
+func watcherOf(obs []Observer) (workerObserver, error) {
+	var wobs workerObserver
+	for i, o := range obs {
+		if o == nil {
+			return nil, fmt.Errorf("fl: Observers[%d] is nil", i)
+		}
+		if w, ok := o.(workerObserver); ok {
+			if wobs != nil {
+				return nil, fmt.Errorf("fl: observers %T and %T both watch the workers; at most one may", wobs, o)
+			}
+			wobs = w
+		}
+	}
+	return wobs, nil
 }
 
 // expectedCohort returns the per-round cohort size a config asks for, the k
@@ -578,7 +587,8 @@ func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
 // ran what, and the online fold when there is one.
 func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, []bool, *onlineFold) {
 	j := &r.job
-	*j = trainJob{r: r, cohort: cohort, ctrls: ctrls, plan: plan, bound: r.deltaBound(),
+	*j = trainJob{r: r, cohort: cohort, ctrls: ctrls, bound: r.deltaBound(),
+		in:      roundInput{global: r.flat, cfg: &r.Cfg, plan: plan, round: r.round, start: r.now},
 		updates: resize(&r.updates, len(cohort)),
 		eager:   resize(&r.eager, len(cohort)),
 		valid:   resize(&r.valid, len(cohort)),
@@ -586,7 +596,7 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 	// Schemes exposing IsAnchorRound (FedCA) get their profiling
 	// client-rounds marked in the record.
 	if a, ok := r.Scheme.(interface{ IsAnchorRound(int) bool }); ok {
-		j.anchor = a.IsAnchorRound(r.round)
+		j.in.anchor = a.IsAnchorRound(r.round)
 	}
 	budget := cputok.Default()
 	extra := budget.Borrow(min(len(r.workers), len(cohort)) - 1)
@@ -603,8 +613,7 @@ type trainJob struct {
 	r       *Runner
 	cohort  []*Client
 	ctrls   []Controller
-	plan    RoundPlan
-	anchor  bool
+	in      roundInput // what every client round of the stage shares
 	bound   float64
 	updates []Update
 	eager   [][]EagerRecord
@@ -632,8 +641,9 @@ func (j *trainJob) Do(i, w int) {
 
 // judge trains participant i on worker slot w and judges its update.
 func (j *trainJob) judge(i, w int) {
-	r := j.r
-	j.updates[i] = r.workers[w].run(j.cohort[i], r.flat, &r.Cfg, j.plan, j.ctrls[i], r.round, r.now, j.anchor, j.eager[i][:0])
+	in := j.in
+	in.c, in.ctrl, in.eager = j.cohort[i], j.ctrls[i], j.eager[i][:0]
+	j.updates[i] = j.r.workers[w].run(in)
 	j.eager[i] = j.updates[i].Eager
 	j.valid[i] = deltaValid(j.updates[i].Delta, j.bound)
 }

@@ -11,7 +11,7 @@ import (
 	"fedca/internal/tensor"
 )
 
-// steadyStateAllocs replicates the per-iteration body of runClientRound —
+// steadyStateAllocs replicates the per-iteration body of clientRound.iterate —
 // arena reset, batch load, forward, loss, backward, SGD step — and measures
 // its heap allocations after one warmup iteration has sized the arena slabs
 // and the optimizer state. The kernel fan-out is pinned to the serial path
