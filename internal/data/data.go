@@ -11,6 +11,11 @@
 // by the corresponding models: each class has a smooth random template and
 // samples are noisy instances of it (images) or noisy time-warped instances
 // (sequences, mimicking spectrogram frames of spoken keywords).
+//
+// A dataset's features are stored in float32, the precision of the paper's
+// CIFAR and KWS input tensors: every feature is drawn in float64 and rounded
+// once. A float32 batch reads the stored values as they are, a float64 batch
+// widens them exactly, so runs of either dtype see the same inputs.
 package data
 
 import (
@@ -21,26 +26,18 @@ import (
 	"fedca/internal/tensor"
 )
 
-// Dataset is a labelled design matrix of N rows and dim features, Y holding
-// the class ids. Its rows are in X, or in X32 when it was generated for a
-// float32 run (Generate32): each feature is then rounded once, from the value
-// Generate would have stored, and X is nil.
+// Dataset is a labelled design matrix of N rows and dim features in
+// float32, Y holding the class ids.
 type Dataset struct {
-	X   *tensor.Tensor
-	X32 *tensor.TensorOf[float32]
-	Y   []int
+	X *tensor.TensorOf[float32]
+	Y []int
 }
 
 // N returns the number of samples.
 func (d *Dataset) N() int { return len(d.Y) }
 
 // Dim returns the per-sample feature count.
-func (d *Dataset) Dim() int {
-	if d.X32 != nil {
-		return d.X32.Dim(1)
-	}
-	return d.X.Dim(1)
-}
+func (d *Dataset) Dim() int { return d.X.Dim(1) }
 
 // sampler is a synthetic task's per-sample draw: sample fills row with one
 // sample of class c from r.
@@ -49,13 +46,12 @@ type sampler interface {
 	shape() (classes, dim int)
 }
 
-// generate draws n samples of s into storage of element type F: sample i
-// belongs to class i mod classes (balanced classes). Every feature is drawn
-// in float64 and rounded once to F, so the draws never depend on F and a
-// float32 dataset is the element-wise float32 of the float64 one.
-func generate[F tensor.Float](s sampler, n int, r *rng.RNG) *Dataset {
+// generate draws n samples of s: sample i belongs to class i mod classes
+// (balanced classes). Every feature is drawn in float64 and stored rounded
+// once to float32.
+func generate(s sampler, n int, r *rng.RNG) *Dataset {
 	classes, dim := s.shape()
-	x := tensor.NewOf[F](n, dim)
+	x := tensor.NewOf[float32](n, dim)
 	y := make([]int, n)
 	xd := x.Data()
 	row := make([]float64, dim)
@@ -64,20 +60,13 @@ func generate[F tensor.Float](s sampler, n int, r *rng.RNG) *Dataset {
 		s.sample(row, y[i], r)
 		dst := xd[i*dim : (i+1)*dim]
 		for j, v := range row {
-			dst[j] = F(v)
+			dst[j] = float32(v)
 		}
 	}
-	ds := &Dataset{Y: y}
-	switch x := any(x).(type) {
-	case *tensor.Tensor:
-		ds.X = x
-	case *tensor.TensorOf[float32]:
-		ds.X32 = x
-	}
-	return ds
+	return &Dataset{X: x, Y: y}
 }
 
-// ImageSpec configures SyntheticImages.
+// ImageSpec configures an ImageGenerator.
 type ImageSpec struct {
 	Classes, Channels, Height, Width int
 	N                                int     // total samples
@@ -108,12 +97,7 @@ func NewImageGenerator(spec ImageSpec, r *rng.RNG) *ImageGenerator {
 
 // Generate draws n samples: sample i belongs to class i mod Classes and is
 // its class template plus white noise.
-func (g *ImageGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate[float64](g, n, r) }
-
-// Generate32 is Generate into float32 storage: the same draws, each feature
-// rounded once. A float32 run's training set is built this way, so it never
-// holds the float64 matrix.
-func (g *ImageGenerator) Generate32(n int, r *rng.RNG) *Dataset { return generate[float32](g, n, r) }
+func (g *ImageGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate(g, n, r) }
 
 func (g *ImageGenerator) shape() (classes, dim int) {
 	return g.Spec.Classes, g.Spec.Channels * g.Spec.Height * g.Spec.Width
@@ -124,12 +108,6 @@ func (g *ImageGenerator) sample(row []float64, c int, r *rng.RNG) {
 	for j := range row {
 		row[j] = t[j] + r.Normal(0, g.Spec.Noise)
 	}
-}
-
-// SyntheticImages is the one-shot convenience: templates and samples from the
-// same RNG. For separate train/test splits use NewImageGenerator + Generate.
-func SyntheticImages(spec ImageSpec, r *rng.RNG) *Dataset {
-	return NewImageGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
 }
 
 // smoothField draws a random per-channel field and box-blurs it twice, giving
@@ -177,7 +155,7 @@ func smoothField(c, h, w int, r *rng.RNG) []float64 {
 	return f
 }
 
-// SeqSpec configures SyntheticSequences.
+// SeqSpec configures a SeqGenerator.
 type SeqSpec struct {
 	Classes, SeqLen, FeatDim int
 	N                        int
@@ -213,10 +191,7 @@ func NewSeqGenerator(spec SeqSpec, r *rng.RNG) *SeqGenerator {
 // Generate draws n samples; each adds frame noise and a small random cyclic
 // temporal offset (alignment jitter), so the recurrent model must integrate
 // over time to classify.
-func (g *SeqGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate[float64](g, n, r) }
-
-// Generate32 is Generate into float32 storage, as ImageGenerator.Generate32.
-func (g *SeqGenerator) Generate32(n int, r *rng.RNG) *Dataset { return generate[float32](g, n, r) }
+func (g *SeqGenerator) Generate(n int, r *rng.RNG) *Dataset { return generate(g, n, r) }
 
 func (g *SeqGenerator) shape() (classes, dim int) {
 	return g.Spec.Classes, g.Spec.SeqLen * g.Spec.FeatDim
@@ -233,12 +208,6 @@ func (g *SeqGenerator) sample(row []float64, c int, r *rng.RNG) {
 			row[frame*spec.FeatDim+f] = t[src*spec.FeatDim+f] + r.Normal(0, spec.Noise)
 		}
 	}
-}
-
-// SyntheticSequences is the one-shot convenience: templates and samples from
-// the same RNG. For separate train/test splits use NewSeqGenerator + Generate.
-func SyntheticSequences(spec SeqSpec, r *rng.RNG) *Dataset {
-	return NewSeqGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
 }
 
 // DirichletPartition splits sample indices across numClients clients with
@@ -308,15 +277,6 @@ func DirichletPartition(labels []int, numClients int, alpha float64, minPerClien
 		parts[minK] = append(parts[minK], donor[len(donor)-1])
 	}
 	return parts
-}
-
-// ClassHistogram returns the per-class sample counts of the given indices.
-func ClassHistogram(labels []int, idx []int, classes int) []int {
-	h := make([]int, classes)
-	for _, i := range idx {
-		h[labels[i]]++
-	}
-	return h
 }
 
 // Loader cycles through a client's local dataset in mini-batches, reshuffling
@@ -415,18 +375,10 @@ func (l *Loader) Dim() int { return l.ds.Dim() }
 
 // NextInto fills x (length BatchSize·Dim, typically arena-allocated) and y
 // (length BatchSize) with the next mini-batch, wrapping (and reshuffling
-// with the loader's own RNG) at epoch end. The generic element type is the
-// narrowing point of the mixed-precision input path: a float32 batch from
-// float64 storage is the element-wise rounding of the float64 batch the same
-// loader state would produce, and from float32 storage (Generate32) it is
-// the same values, rounded once at generation. A float64 batch from float32
-// storage would widen values already rounded: that is a wiring bug, and
-// panics.
+// with the loader's own RNG) at epoch end. A float32 batch holds the stored
+// values; a float64 batch holds them widened, which is exact, so a float64
+// and a float32 batch of the same loader state hold the same numbers.
 func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
-	var zero F
-	if _, wide := any(zero).(float64); wide && l.ds.X32 != nil {
-		panic("data: NextInto a float64 batch from float32 storage")
-	}
 	if l.cursor+l.batchSize > len(l.order) {
 		l.reshuffle()
 	}
@@ -434,18 +386,7 @@ func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
 	if len(x) != l.batchSize*dim || len(y) != l.batchSize {
 		panic(fmt.Sprintf("data: NextInto dst sized %d/%d, want %d/%d", len(x), len(y), l.batchSize*dim, l.batchSize))
 	}
-	if l.ds.X32 != nil {
-		gather(l, x, y, l.ds.X32.Data())
-	} else {
-		gather(l, x, y, l.ds.X.Data())
-	}
-	l.cursor += l.batchSize
-}
-
-// gather copies the batch at the loader's cursor from the storage src into
-// x and y, converting each element to x's type.
-func gather[F, S tensor.Float](l *Loader, x []F, y []int, src []S) {
-	dim := l.ds.Dim()
+	src := l.ds.X.Data()
 	for i := 0; i < l.batchSize; i++ {
 		j := l.order[l.cursor+i]
 		if l.view != nil {
@@ -458,10 +399,8 @@ func gather[F, S tensor.Float](l *Loader, x []F, y []int, src []S) {
 		}
 		y[i] = l.ds.Y[j]
 	}
+	l.cursor += l.batchSize
 }
-
-// IterationsPerEpoch returns how many batches one pass over the data yields.
-func (l *Loader) IterationsPerEpoch() int { return l.n() / l.batchSize }
 
 // String summarises the dataset for logs.
 func (d *Dataset) String() string {

@@ -9,6 +9,29 @@ import (
 	"fedca/internal/tensor"
 )
 
+// SyntheticImages draws templates and samples from the same RNG: the
+// one-shot form of NewImageGenerator + Generate.
+func SyntheticImages(spec ImageSpec, r *rng.RNG) *Dataset {
+	return NewImageGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
+}
+
+// SyntheticSequences is SyntheticImages for NewSeqGenerator.
+func SyntheticSequences(spec SeqSpec, r *rng.RNG) *Dataset {
+	return NewSeqGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
+}
+
+// ClassHistogram returns the per-class sample counts of the given indices.
+func ClassHistogram(labels []int, idx []int, classes int) []int {
+	h := make([]int, classes)
+	for _, i := range idx {
+		h[labels[i]]++
+	}
+	return h
+}
+
+// IterationsPerEpoch returns how many batches one pass over the data yields.
+func (l *Loader) IterationsPerEpoch() int { return l.n() / l.batchSize }
+
 func TestSyntheticImagesShape(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 4, Channels: 2, Height: 8, Width: 8, N: 40, Noise: 0.5}, rng.New(1))
 	if ds.N() != 40 || ds.Dim() != 128 {
@@ -43,7 +66,7 @@ func TestSyntheticImagesSeparable(t *testing.T) {
 	for i, y := range ds.Y {
 		counts[y]++
 		for j := 0; j < dim; j++ {
-			means[y][j] += xd[i*dim+j]
+			means[y][j] += float64(xd[i*dim+j])
 		}
 	}
 	for c := range means {
@@ -57,7 +80,7 @@ func TestSyntheticImagesSeparable(t *testing.T) {
 		for c := range means {
 			d := 0.0
 			for j := 0; j < dim; j++ {
-				diff := xd[i*dim+j] - means[c][j]
+				diff := float64(xd[i*dim+j]) - means[c][j]
 				d += diff * diff
 			}
 			if d < bestD {
@@ -90,7 +113,7 @@ func TestGeneratorSharedTemplates(t *testing.T) {
 			}
 			n++
 			for j := 0; j < dim; j++ {
-				m[j] += ds.X.At(i, j)
+				m[j] += float64(ds.X.At(i, j))
 			}
 		}
 		for j := range m {
@@ -225,7 +248,7 @@ func TestLoaderEpochCoverage(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 8}, rng.New(11))
 	// Tag rows via first feature so we can identify them.
 	for i := 0; i < 8; i++ {
-		ds.X.Set(float64(i), i, 0)
+		ds.X.Set(float32(i), i, 0)
 	}
 	l := NewLoader(ds, 2, rng.New(12))
 	dim := ds.Dim()
@@ -271,7 +294,11 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 		net.Backward(d)
 		opt.Step(net.Params())
 	}
-	logits := net.Forward(test.X, false)
+	x = tensor.New(test.N(), test.Dim())
+	for i, v := range test.X.Data() {
+		x.Data()[i] = float64(v)
+	}
+	logits := net.Forward(x, false)
 	if acc := nn.Accuracy(logits, test.Y); acc < 0.6 {
 		t.Fatalf("test accuracy = %v, want > 0.6", acc)
 	}

@@ -83,7 +83,7 @@ func TestSeqGeneratorSharedTemplates(t *testing.T) {
 			if y == c {
 				ca++
 				for j := 0; j < dim; j++ {
-					ma[j] += a.X.At(i, j)
+					ma[j] += float64(a.X.At(i, j))
 				}
 			}
 		}
@@ -91,7 +91,7 @@ func TestSeqGeneratorSharedTemplates(t *testing.T) {
 			if y == c {
 				cb++
 				for j := 0; j < dim; j++ {
-					mb[j] += b.X.At(i, j)
+					mb[j] += float64(b.X.At(i, j))
 				}
 			}
 		}

@@ -171,7 +171,7 @@ func TestViewLoader(t *testing.T) {
 			for _, j := range view {
 				match := true
 				for k := range row {
-					if row[k] != bd[j*dim+k] {
+					if row[k] != float64(bd[j*dim+k]) {
 						match = false
 						break
 					}

@@ -219,15 +219,11 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 
 // synthesize builds what every testbed shape shares, from master: the
 // workload's synthetic training set (returned for the caller to partition),
-// and a Testbed carrying the workload, its test set and its Networks. The
-// training set follows the run's dtype: an f32 run's is generated straight
-// into float32 storage (the same draws, each value rounded once, as loading
-// a float64 row into a float32 batch rounds it), so the run never holds the
-// float64 matrix. The test set stays float64 for the float64 evaluation.
+// and a Testbed carrying the workload, its test set and its Networks. Both
+// sets hold float32 features (data.Dataset), whatever the run's dtype.
 func (w Workload) synthesize(master *rng.RNG) (*data.Dataset, *Testbed) {
 	var gen interface {
 		Generate(n int, r *rng.RNG) *data.Dataset
-		Generate32(n int, r *rng.RNG) *data.Dataset
 	}
 	if w.Name == "lstm" {
 		gen = data.NewSeqGenerator(data.SeqSpec{
@@ -238,11 +234,7 @@ func (w Workload) synthesize(master *rng.RNG) (*data.Dataset, *Testbed) {
 			Classes: w.Img.Classes, Channels: w.Img.Channels, Height: w.Img.Height, Width: w.Img.Width, Noise: w.Noise,
 		}, master.Fork("templates"))
 	}
-	generate := gen.Generate
-	if w.FL.DType == "f32" {
-		generate = gen.Generate32
-	}
-	train := generate(w.TrainN, master.Fork("train"))
+	train := gen.Generate(w.TrainN, master.Fork("train"))
 	return train, &Testbed{
 		Workload: w,
 		Test:     gen.Generate(w.TestN, master.Fork("test")),

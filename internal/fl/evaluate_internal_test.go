@@ -57,6 +57,15 @@ func benchData(name string, n int) *data.Dataset {
 	return data.NewImageGenerator(data.ImageSpec{Classes: benchImg.Classes, Channels: benchImg.Channels, Height: benchImg.Height, Width: benchImg.Width, Noise: 1}, rng.New(5)).Generate(n, rng.New(6))
 }
 
+// widened returns ds's rows as a float64 heap tensor, each feature widened.
+func widened(ds *data.Dataset) *tensor.Tensor {
+	x := tensor.New(ds.N(), ds.Dim())
+	for i, v := range ds.X.Data() {
+		x.Data()[i] = float64(v)
+	}
+	return x
+}
+
 // poisonArenas switches the hook on for the rest of the test, and checks that
 // the link to internal/tensor holds.
 func poisonArenas(t *testing.T) {
@@ -102,17 +111,57 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 // chunkLogits runs ds through net in consecutive batches of batch samples,
 // as Evaluate does, and returns every sample's logits in order.
 func chunkLogits(net *nn.Network, ds *data.Dataset, batch int) []float64 {
-	n, dim := ds.N(), ds.Dim()
-	arena := net.Arena()
 	var out []float64
-	for start := 0; start < n; start += batch {
-		bs := min(batch, n-start)
-		if arena != nil {
-			arena.Reset()
-		}
-		out = append(out, net.Forward(tensor.ViewOf(arena, ds.X.Data()[start*dim:(start+bs)*dim], bs, dim), false).Data()...)
+	for start := 0; start < ds.N(); start += batch {
+		out = append(out, evalForward(net, ds, start, min(batch, ds.N()-start)).Data()...)
 	}
 	return out
+}
+
+// TestEvaluateWidensFloat32Rows: Evaluate reads the dataset's float32 rows
+// widened. Batch by batch, its logits are, bit for bit, those Forward gives
+// on an explicitly widened float64 tensor in a heap-only network, and its
+// accuracy is theirs — from the heap and from an arena, at one token and at
+// two, for the three models (the WRN in exact batches, the others in chunks).
+func TestEvaluateWidensFloat32Rows(t *testing.T) {
+	const n, batch = 150, 64
+	for _, name := range []string{"cnn", "wrn", "lstm"} {
+		ds := benchData(name, n)
+		wide, dim := widened(ds).Data(), ds.Dim()
+		ref := benchModel[float64](name)
+		split := evalSplit(ref, batch, n)
+		var want []float64
+		correct := 0
+		for start := 0; start < n; start += split {
+			bs := min(split, n-start)
+			logits := ref.Forward(tensor.FromSlice(wide[start*dim:(start+bs)*dim], bs, dim), false)
+			for b := 0; b < bs; b++ {
+				if logits.ArgMaxRow(b) == ds.Y[start+b] {
+					correct++
+				}
+			}
+			want = append(want, logits.Data()...)
+		}
+		wantAcc := float64(correct) / n
+		for _, tokens := range []int{1, 2} {
+			setTokenCap(t, tokens)
+			for _, withArena := range []bool{false, true} {
+				net := benchModel[float64](name)
+				if withArena {
+					net.SetArena(tensor.NewArena())
+				}
+				got := chunkLogits(net, ds, split)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %d tokens, arena %v: logit %d is %v, %v from the widened tensor", name, tokens, withArena, i, got[i], want[i])
+					}
+				}
+				if acc := Evaluate(net, ds, batch); acc != wantAcc {
+					t.Fatalf("%s, %d tokens, arena %v: Evaluate scores %v, %v from the widened tensor", name, tokens, withArena, acc, wantAcc)
+				}
+			}
+		}
+	}
 }
 
 // TestEvaluateChunkInvariantLogits: without batch norm, a sample's logits do
@@ -236,7 +285,7 @@ func TestEvaluateArenaHighWater(t *testing.T) {
 		net, ds := benchModel[float64](name), benchData(name, batch)
 		largest := ds.Dim()
 		net.VisitLayers(func(l nn.LayerOf[float64]) { largest = max(largest, l.OutDim()) })
-		return net, tensor.FromSlice(ds.X.Data(), batch, ds.Dim()), largest * batch
+		return net, widened(ds), largest * batch
 	}
 	highWater := func(name string) (elems, largest int) {
 		net, x, largest := input(name)
@@ -301,8 +350,9 @@ func TestEvaluateFanOutMatchesSerialHeap(t *testing.T) {
 }
 
 // TestEvaluateLeavesTestSetUntouched: an inference pass writes over only the
-// tensors its chain created, never the batch, which is a view of the test
-// set's rows. The test set's bytes hash the same after Evaluate as
+// tensors its chain created, never the batch it is handed, and never the test
+// set's rows, which it widens into that batch. The test set's bytes hash the
+// same after Evaluate as
 // before — for a CNN and a WRN, and for a network whose first layer is a
 // ReLU, the case that holds the batch itself — with and without an arena,
 // and a second call returns the first's accuracy.
@@ -322,9 +372,9 @@ func TestEvaluateLeavesTestSetUntouched(t *testing.T) {
 		for _, withArena := range []bool{false, true} {
 			ds := benchData(tc.data, 150)
 			digest := func() [sha256.Size]byte {
-				b := make([]byte, 0, 8*len(ds.X.Data()))
+				b := make([]byte, 0, 4*len(ds.X.Data()))
 				for _, v := range ds.X.Data() {
-					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+					b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 				}
 				return sha256.Sum256(b)
 			}
@@ -358,7 +408,7 @@ func TestEvaluateLogitsMatchHeapUnderPoison(t *testing.T) {
 		ds := benchData(name, 48)
 		for pass := 0; pass < 2; pass++ {
 			arena.Reset()
-			x := tensor.FromSlice(ds.X.Data(), ds.N(), ds.Dim())
+			x := widened(ds)
 			want, got := heap.Forward(x, false).Data(), arenaNet.Forward(x, false).Data()
 			for i := range want {
 				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
@@ -508,10 +558,11 @@ func (wrnNets) New32() *nn.NetworkOf[float32] { return benchModel[float32]("wrn"
 // chunks, which the evaluation batch cannot use, beside the ones it adds.
 func TestEvalArenaLaidOutFirst(t *testing.T) {
 	const batch, trainBatch, clients, rounds = 256, 16, 4, 3
-	// A fresh arena measured 8.86 MiB after one evaluation batch at this
-	// geometry (12.86 MiB while batch norm, the equal-shape convolutions and
-	// the residual sum each took a fresh activation on an inference pass),
-	// and training's own slabs 0.26 MiB beside it.
+	// A fresh arena measured 10.36 MiB after one evaluation batch at this
+	// geometry: 8.86 MiB of activations (12.86 MiB while batch norm, the
+	// equal-shape convolutions and the residual sum each took a fresh
+	// activation on an inference pass) and the 1.5 MiB batch the float32 rows
+	// are widened into. Training's own slabs took 0.26 MiB beside it.
 	const slack = 512 << 10
 	setTokenCap(t, 2)
 	train, test := benchData("wrn", 64), benchData("wrn", batch)

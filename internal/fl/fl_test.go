@@ -334,7 +334,7 @@ func TestFedBalancerDeadline(t *testing.T) {
 func TestEvaluate(t *testing.T) {
 	r := rng.New(10)
 	net := nn.NewNetworkOf[float64](nn.NewDenseOf[float64]("fc", 4, 2, r))
-	ds := data.SyntheticImages(data.ImageSpec{Classes: 2, Channels: 1, Height: 2, Width: 2, N: 10}, rng.New(11))
+	ds := data.NewImageGenerator(data.ImageSpec{Classes: 2, Channels: 1, Height: 2, Width: 2}, rng.New(11)).Generate(10, rng.New(12))
 	acc := fl.Evaluate(net, ds, 3) // batch not dividing N exercises the tail
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy out of range: %v", acc)

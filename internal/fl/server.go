@@ -1127,17 +1127,10 @@ func Evaluate(net *nn.Network, ds *data.Dataset, batch int) float64 {
 }
 
 // evalBatch runs samples [start, start+bs) of ds through net as one
-// inference batch, on net's arena (reset first) when one is bound, and
-// returns how many of them it classifies correctly.
+// inference batch (evalForward) and returns how many of them it classifies
+// correctly.
 func evalBatch(net *nn.Network, ds *data.Dataset, start, bs int) int {
-	dim := ds.Dim()
-	arena := net.Arena()
-	if arena != nil {
-		arena.Reset()
-	}
-	// The batch is a view of the dataset's rows: never copied, and with an
-	// arena bound its header comes from the arena.
-	logits := net.Forward(tensor.ViewOf(arena, ds.X.Data()[start*dim:(start+bs)*dim], bs, dim), false)
+	logits := evalForward(net, ds, start, bs)
 	correct := 0
 	for b := 0; b < bs; b++ {
 		if logits.ArgMaxRow(b) == ds.Y[start+b] {
@@ -1145,6 +1138,27 @@ func evalBatch(net *nn.Network, ds *data.Dataset, start, bs int) int {
 		}
 	}
 	return correct
+}
+
+// evalForward returns net's logits for samples [start, start+bs) of ds, on
+// net's arena (reset first) when one is bound. The float64 model reads the
+// dataset's float32 rows widened, into a batch from that arena, or from the
+// heap when none is bound.
+func evalForward(net *nn.Network, ds *data.Dataset, start, bs int) *tensor.Tensor {
+	dim := ds.Dim()
+	arena := net.Arena()
+	var x *tensor.Tensor
+	if arena != nil {
+		arena.Reset()
+		x = tensor.AllocUninitOf[float64](arena, bs, dim)
+	} else {
+		x = tensor.New(bs, dim)
+	}
+	xd := x.Data()
+	for i, v := range ds.X.Data()[start*dim : (start+bs)*dim] {
+		xd[i] = float64(v)
+	}
+	return net.Forward(x, false)
 }
 
 // evalSplit returns the batch Evaluate runs n samples of net in, asked for

@@ -362,7 +362,7 @@ func releaseSlice[F Float](a *Arena, v []F) {
 }
 
 // ViewOf returns a tensor of the given shape over data, which the arena
-// does not own — a dataset's rows, one sample's rows of a batch buffer — with
+// does not own — one sample's rows of a batch buffer — with
 // its header and shape bump-allocated from a, valid until the next Reset.
 // len(data) must equal the shape's size. A view is never released: its data
 // is not the arena's to hand out. With a nil arena the header comes from the
