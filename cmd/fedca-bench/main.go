@@ -43,7 +43,7 @@ func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny | small | full")
 	seed := flag.Uint64("seed", 42, "master seed")
 	series := flag.Bool("series", false, "also print full data series for plotting")
-	list := flag.Bool("list", false, "list each experiment's cells at -scale, -seed and -dtype (run spec, rounds, and the fork label where it is not the one fedca-sim uses) and exit")
+	list := flag.Bool("list", false, "list each experiment's cells at -scale, -seed and -dtype (each its run's spec string, which fedca-sim -spec replays, and its rounds) and exit")
 	parallel := flag.Int("parallel", experiments.DefaultWorkers(), "max concurrently computing experiment cells (1 = serial)")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty disables)")
 	dtype := flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")

@@ -176,18 +176,24 @@ func TestCommandSmoke(t *testing.T) {
 			t.Fatalf("fedca-bench -list missing %s:\n%s", id, list)
 		}
 	}
-	// Each cell is listed as its run's spec string, then its rounds: a
-	// FedAvg cell's is a run fedca-sim -spec and fedca.Options.Set accept.
-	fedavgSpec := ""
-	for _, line := range strings.Split(string(list), "\n") {
-		if f := strings.Fields(line); len(f) > 1 && strings.Contains(f[0], ";scheme=fedavg;") {
-			fedavgSpec = f[0]
-			break
+	// Each cell is listed as its run's spec string, then its rounds, and
+	// nothing else: a FedAvg and a FedCA cell's spec are runs fedca-sim
+	// -spec and fedca.Options.Set accept.
+	for _, scheme := range []string{"fedavg", "fedca"} {
+		spec := ""
+		for _, line := range strings.Split(string(list), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && strings.Contains(f[0], ";scheme="+scheme+";") {
+				spec = f[0]
+				break
+			}
+		}
+		var cell fedca.Options
+		if err := cell.Set(spec); err != nil || spec == "" || cell.Scheme != scheme {
+			t.Fatalf("fedca-bench -list: %s cell spec %q does not parse: %v\n%s", scheme, spec, err, list)
 		}
 	}
-	var cell fedca.Options
-	if err := cell.Set(fedavgSpec); err != nil || fedavgSpec == "" || cell.Scheme != "fedavg" {
-		t.Fatalf("fedca-bench -list: FedAvg cell spec %q does not parse: %v\n%s", fedavgSpec, err, list)
+	if strings.Contains(string(list), "label=") {
+		t.Fatalf("fedca-bench -list: a cell's address carries more than its spec and rounds:\n%s", list)
 	}
 
 	ovh, err := exec.Command(bins["fedca-bench"], "-exp", "ovh", "-scale", "tiny").CombinedOutput()

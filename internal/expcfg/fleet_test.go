@@ -232,7 +232,7 @@ func TestFleetParticipationRequiresSampler(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := tinyFleetWorkload()
 			w.FL.Participation = tc.participation
-			sch, err := SchemeByName(tc.scheme, &w.FL, core.Options{}, 3, "scheme")
+			sch, err := SchemeByName(tc.scheme, &w.FL, core.Options{}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -104,8 +104,8 @@ type Options struct {
 // every value o sets in place of the workload's default, the chaos engine
 // (seeded from Fork("chaos-engine")) and the compressor installed in its
 // config, and the speed-trace config of o's heterogeneity and dynamicity.
-// NewRun builds on it; so do the paper's experiment cells, which resolve
-// their scheme under their own fork label.
+// NewRun builds on it; so does the experiments' curve probe, which trains
+// a recording scheme of its own on the lowered testbed.
 func (o Options) Lower() (Workload, trace.Config, error) {
 	if err := o.validate(); err != nil {
 		return Workload{}, trace.Config{}, err
@@ -168,7 +168,7 @@ func (o Options) Lower() (Workload, trace.Config, error) {
 	return w, tcfg, nil
 }
 
-// NewRun assembles o's run: Lower, then the scheme (fork label "scheme"),
+// NewRun assembles o's run: Lower, then the scheme (SchemeByName),
 // then the testbed or virtual fleet and the runner. The scheme is resolved
 // before the testbed because it may write into the config (Oort sets
 // Participation). Everything a caller reports about the run — its chaos
@@ -179,7 +179,7 @@ func (o Options) NewRun() (*fl.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, "scheme")
+	scheme, err := SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed)
 	if err != nil {
 		return nil, err
 	}

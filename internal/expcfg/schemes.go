@@ -11,15 +11,14 @@ import (
 
 // SchemeByName builds the named scheme for a run configured by cfg: "fedavg",
 // "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort" or "safa". It
-// is the one place a scheme name is resolved, for NewRun and the experiment
-// cells.
+// is the one place a scheme name is resolved: NewRun builds the scheme, and
+// the spec text checks a scheme key against it.
 //
 // fedca holds the FedCA hyperparameters of the three FedCA variants (zero
 // options mean core.DefaultOptions), with K set to cfg.LocalIters; the
-// variants draw from rng.New(seed).Fork(fork...) (NewRun's label is
-// "scheme"). Oort draws from Fork("oort") and, when cfg.Participation is
-// unset, sets it to 0.5.
-func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, fork ...any) (fl.Scheme, error) {
+// variants draw from rng.New(seed).Fork("scheme"). Oort draws from
+// Fork("oort") and, when cfg.Participation is unset, sets it to 0.5.
+func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64) (fl.Scheme, error) {
 	switch name {
 	case "fedavg":
 		return baseline.FedAvg{}, nil
@@ -42,7 +41,7 @@ func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64, 
 		if name != "fedca" { // v1: early stop only; v2: plus eager sends
 			fedca.Eager, fedca.Retransmit = name == "fedca-v2", false
 		}
-		return core.NewScheme(fedca, rng.New(seed).Fork(fork...)), nil
+		return core.NewScheme(fedca, rng.New(seed).Fork("scheme")), nil
 	}
 	return nil, fmt.Errorf("expcfg: unknown scheme %q", name)
 }

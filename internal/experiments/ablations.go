@@ -18,11 +18,11 @@ import (
 var floorOff = []bool{false, true}
 
 func floorCell(off bool) cellSpec {
-	variant := "-floor-on"
+	name := "fedca-floor-on"
 	if off {
-		variant = "-floor-off"
+		name = "fedca-floor-off"
 	}
-	return cnnVariant(variant, fmt.Sprintf("fedca.disablebenfloor=%v", off))
+	return custom(name, "fedca", fmt.Sprintf("fedca.disablebenfloor=%v", off))
 }
 
 // ablationFloor compares FedCA with and without the Eq. 2 benefit floor
@@ -106,7 +106,7 @@ func ablationSampling(in *inputs) *Result {
 var periods = []int{1, 2, 5, 10}
 
 func periodCell(period int) cellSpec {
-	return cnnVariant(fmt.Sprintf("-period%d", period), fmt.Sprintf("fedca.profileperiod=%d", period))
+	return custom(fmt.Sprintf("fedca-period%d", period), "fedca", fmt.Sprintf("fedca.profileperiod=%d", period))
 }
 
 // ablationPeriod extends Sec. 4.1: convergence under profiling periods
@@ -138,7 +138,7 @@ type deadlineRule struct {
 }
 
 func ruleCell(rule deadlineRule) cellSpec {
-	return cnnVariant("-dl-"+rule.label, fmt.Sprintf("fedca.deadlinequantile=%g", rule.q))
+	return custom("fedca-dl-"+rule.label, "fedca", fmt.Sprintf("fedca.deadlinequantile=%g", rule.q))
 }
 
 // ablationDeadline compares the FedBalancer-style argmax(#finished/T)

@@ -32,7 +32,7 @@ func TestCalibrate(t *testing.T) {
 					t.Fatal(err)
 				}
 				w.Noise = noise
-				run, err := c.train(s, o, w, tcfg)
+				run, err := probeRun(s, o, w, tcfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"fedca/internal/core"
 	"fedca/internal/execpool"
@@ -18,7 +17,6 @@ import (
 type cellSpec struct {
 	name  string
 	spec  string // key=value overrides of the scale's Base: model=…;scheme=…;…
-	label []any  // RNG fork label of a FedCA variant; nil is NewRun's "scheme"
 	probe bool   // the curve probe instead of the scheme's training run
 }
 
@@ -31,10 +29,9 @@ func (c cellSpec) options(s Scale, seed uint64) (expcfg.Options, error) {
 	return o, err
 }
 
-// address is the cell's executor address at (s, seed): a key of its run's
-// canonical spec string, the rounds it trains (for a probe, the rounds it
-// probes) and its fork label when it has one. Cells that run the same spec
-// under the same label share an address, whatever their names and
+// address is the cell's executor address at (s, seed): its run's canonical
+// spec string and the rounds it trains (for a probe, the rounds it probes).
+// Cells that run the same spec share an address, whatever their names and
 // experiments, so the suite trains each such run once.
 func (c cellSpec) address(s Scale, seed uint64) (string, error) {
 	o, err := c.options(s, seed)
@@ -45,32 +42,14 @@ func (c cellSpec) address(s Scale, seed uint64) (string, error) {
 	if c.probe {
 		key = fmt.Sprintf("%s early=%d late=%d window=%d", o, s.EarlyRound, s.LateRound, s.Window)
 	}
-	if c.label != nil {
-		key += fmt.Sprintf(" label=%v", c.label)
-	}
 	return key, nil
 }
 
 // conv is a registered scheme's convergence run on a workload (Fig. 7,
 // Table 1, Fig. 9). Only the scheme differs between the conv cells of one
-// seed, as in the paper's testbed. A FedCA variant draws from
-// Fork("scheme", scheme).
+// seed, as in the paper's testbed.
 func conv(model, scheme string) cellSpec {
-	c := cellSpec{name: scheme, spec: "model=" + model + ";scheme=" + scheme}
-	if strings.HasPrefix(scheme, "fedca") {
-		c.label = []any{"scheme", scheme}
-	}
-	return c
-}
-
-// cnnVariant is FedCA's CNN convergence run with the FedCA overrides spec,
-// named "fedca"+variant. It draws the same stream as conv("cnn", "fedca"),
-// and is that cell where spec sets the defaults.
-func cnnVariant(variant, spec string) cellSpec {
-	c := conv("cnn", "fedca")
-	c.name += variant
-	c.spec += ";" + spec
-	return c
+	return cellSpec{name: scheme, spec: "model=" + model + ";scheme=" + scheme}
 }
 
 // cnnTarget prepends the CNN FedAvg run the CNN target is read from.
@@ -78,10 +57,11 @@ func cnnTarget(cells ...cellSpec) []cellSpec {
 	return append([]cellSpec{conv("cnn", "fedavg")}, cells...)
 }
 
-// custom is an extension's CNN run of a registered scheme with the
-// overrides spec, under its own name and fork label.
-func custom(name, scheme, spec string, label ...any) cellSpec {
-	return cellSpec{name: name, spec: "model=cnn;scheme=" + scheme + ";" + spec, label: label}
+// custom is a CNN run of a registered scheme with the overrides spec, under
+// its own name: an extension's variant or a FedCA ablation. Where spec sets
+// only defaults it is the conv cell of that scheme.
+func custom(name, scheme, spec string) cellSpec {
+	return cellSpec{name: name, spec: "model=cnn;scheme=" + scheme + ";" + spec}
 }
 
 // curves is a workload's curve-probe sweep (Figs. 2–5): FedAvg, recording.
@@ -132,59 +112,56 @@ func (r convRun) records() []fl.RoundRecord {
 	return recs
 }
 
-// runCell is the package's one training loop: it lowers the cell's run
-// with Options.Lower and trains it.
+// runCell trains cell c at (s, seed), the one way any cell trains. A
+// scheme's cell trains its spec's Options.NewRun, the run fedca-sim -spec
+// replays, and keeps a FedCA run's tally; the curve probe trains on its
+// spec's lowering (probeRun).
 func runCell(s Scale, seed uint64, c cellSpec) (convRun, error) {
 	o, err := c.options(s, seed)
 	if err != nil {
 		return convRun{}, err
 	}
-	w, tcfg, err := o.Lower()
-	if err != nil {
-		return convRun{}, err
-	}
-	return c.train(s, o, w, tcfg)
-}
-
-// train resolves the cell's scheme (SchemeByName under the cell's fork
-// label, or the curve probe), builds the testbed and runner of the lowered
-// run (w, tcfg), runs the rounds, then snapshots a FedCA run's tally or the
-// probe's curves.
-func (c cellSpec) train(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace.Config) (convRun, error) {
-	var (
-		sch    fl.Scheme
-		probe  *probeScheme
-		rounds = s.Rounds
-		err    error
-	)
 	if c.probe {
-		probe = newProbeScheme(s, o)
-		sch, rounds = probe, s.LateRound+s.Window
-	} else {
-		fork := c.label
-		if fork == nil {
-			fork = []any{"scheme"}
-		}
-		if sch, err = expcfg.SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, fork...); err != nil {
+		w, tcfg, err := o.Lower()
+		if err != nil {
 			return convRun{}, err
 		}
+		return probeRun(s, o, w, tcfg)
 	}
-	runner, err := expcfg.Build(w, o.Clients, tcfg, o.Seed).NewRunner(sch)
+	runner, err := o.NewRun()
 	if err != nil {
 		return convRun{}, err
 	}
-	run := convRun{Results: make([]fl.RoundResult, 0, rounds)}
-	for i := 0; i < rounds; i++ {
-		run.Results = append(run.Results, runner.RunRound())
-	}
-	if _, ok := sch.(*core.Scheme); ok {
+	run := convRun{Results: trainRounds(runner, s.Rounds)}
+	if _, ok := runner.Scheme.(*core.Scheme); ok {
 		st := runner.Stats()
 		run.Stats = &st
 	}
-	if probe != nil {
-		run.Curves = &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out}
-	}
 	return run, nil
+}
+
+// probeRun trains the curve probe, FedAvg recording Figs. 2–5's curves, on
+// the testbed of the lowered run (w, tcfg) through the probed rounds, and
+// snapshots the curves.
+func probeRun(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace.Config) (convRun, error) {
+	probe := newProbeScheme(s, o)
+	runner, err := expcfg.Build(w, o.Clients, tcfg, o.Seed).NewRunner(probe)
+	if err != nil {
+		return convRun{}, err
+	}
+	return convRun{
+		Results: trainRounds(runner, s.LateRound+s.Window),
+		Curves:  &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out},
+	}, nil
+}
+
+// trainRounds runs n rounds of runner.
+func trainRounds(runner *fl.Runner, n int) []fl.RoundResult {
+	results := make([]fl.RoundResult, n)
+	for i := range results {
+		results[i] = runner.RunRound()
+	}
+	return results
 }
 
 // inputs reads the results of cells at (s, seed) through the executor: a

@@ -95,7 +95,7 @@ func fig9(in *inputs) *Result {
 var betas = []float64{0.1, 0.01, 0.001}
 
 func betaCell(beta float64) cellSpec {
-	return cnnVariant(fmt.Sprintf("-beta%g", beta), fmt.Sprintf("fedca.beta=%g", beta))
+	return custom(fmt.Sprintf("fedca-beta%g", beta), "fedca", fmt.Sprintf("fedca.beta=%g", beta))
 }
 
 // fig10a regenerates the β sensitivity study on CNN.
@@ -125,7 +125,7 @@ var thresholds = []threshold{{0.95, 0.6}, {0.95, 0.8}, {0.85, 0.6}}
 type threshold struct{ te, tr float64 }
 
 func thresholdCell(t threshold) cellSpec {
-	return cnnVariant(fmt.Sprintf("-te%g-tr%g", t.te, t.tr), fmt.Sprintf("fedca.te=%g;fedca.tr=%g", t.te, t.tr))
+	return custom(fmt.Sprintf("fedca-te%g-tr%g", t.te, t.tr), "fedca", fmt.Sprintf("fedca.te=%g;fedca.tr=%g", t.te, t.tr))
 }
 
 // fig10b regenerates the (T_e, T_r) sensitivity study on CNN.

@@ -29,8 +29,8 @@ var compressCells = []cellSpec{
 	custom("fedavg", "fedavg", "modelbytes=6e+07"),
 	custom("fedavg+qsgd7", "fedavg", "modelbytes=6e+07;compress=qsgd7"),
 	custom("fedavg+topk5", "fedavg", "modelbytes=6e+07;compress=topk5"),
-	custom("fedca", "fedca", "modelbytes=6e+07", "s", "fedca"),
-	custom("fedca+qsgd7", "fedca", "modelbytes=6e+07;compress=qsgd7", "s", "fedca+q"),
+	custom("fedca", "fedca", "modelbytes=6e+07"),
+	custom("fedca+qsgd7", "fedca", "modelbytes=6e+07;compress=qsgd7"),
 }
 
 // extCompress compares FedCA's computation-communication overlap against the
@@ -56,13 +56,14 @@ func extCompress(in *inputs) *Result {
 }
 
 // selectionCells are ext-selection's variants. Oort samples half the
-// clients a round (SchemeByName's default cohort for it); SAFA aggregates
-// at 70 %, so stragglers exist to be reused.
+// clients a round (its default cohort); SAFA aggregates at 70 %, so
+// stragglers exist to be reused. sel-fedavg and sel-fedca are the CNN
+// FedAvg and FedCA runs of Fig. 7.
 var selectionCells = []cellSpec{
 	custom("sel-fedavg", "fedavg", ""),
 	custom("sel-oort50", "oort", ""),
 	custom("sel-safa", "safa", "aggfrac=0.7"),
-	custom("sel-fedca", "fedca", "", "s", "fedca-sel"),
+	custom("sel-fedca", "fedca", ""),
 }
 
 // extSelection compares full participation (FedAvg) with Oort-style guided
@@ -86,11 +87,11 @@ func extSelection(in *inputs) *Result {
 	return res
 }
 
-// hpCells are ext-hp's variants: standard FedCA, then FedCA with
-// core.Options.AdaptiveLR. Each draws from Fork("s", its row label).
+// hpCells are ext-hp's variants: standard FedCA (the CNN FedCA run of
+// Fig. 7), then FedCA with core.Options.AdaptiveLR.
 var hpCells = []cellSpec{
-	custom("hp-fedca", "fedca", "", "s", "fedca"),
-	custom("hp-fedca+adaptlr", "fedca", "fedca.adaptivelr=true", "s", "fedca+adaptlr"),
+	custom("hp-fedca", "fedca", ""),
+	custom("hp-fedca+adaptlr", "fedca", "fedca.adaptivelr=true"),
 }
 
 // extHyperparam measures the Sec. 6 future-work idea implemented in

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"fedca/internal/core"
 	"fedca/internal/execpool"
-	"fedca/internal/expcfg"
-	"fedca/internal/fl"
 )
 
 // TestTableDeclaresEveryCell: once a registry row's cells are prefetched,
@@ -70,13 +69,11 @@ func TestBadNamesFailCleanly(t *testing.T) {
 	}
 }
 
-// TestCellsAreTheirSpecs: every registry cell's result is its run spec
-// lowered by Options.Lower and trained under the cell's fork label, round
-// for round. A cell without a label of its own is also Options.NewRun of its
-// spec — the run fedca-sim -spec replays; the curve probe, which records
-// and never acts, is the FedAvg run of its spec. The cells that still carry
-// a label are exactly the FedCA variants: their streams differ from NewRun's
-// until the label gives way.
+// TestCellsAreTheirSpecs: every distinct registry cell's result is
+// Options.NewRun of its spec — the run fedca-sim -spec replays — round for
+// round and in its scheme's stats; the curve probe, which records and never
+// acts, is the FedAvg run of its spec. A cell's address is its spec's
+// canonical text plus its rounds, and carries nothing else.
 func TestCellsAreTheirSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -85,7 +82,6 @@ func TestCellsAreTheirSpecs(t *testing.T) {
 	s.Rounds = 3
 	const seed = 17
 	seen := make(map[string]bool)
-	var labelled []string
 	for _, id := range IDs() {
 		for _, c := range registry[id].cells {
 			addr, err := c.address(s, seed)
@@ -96,39 +92,32 @@ func TestCellsAreTheirSpecs(t *testing.T) {
 				continue
 			}
 			seen[addr] = true
-			run, err := runCell(s, seed, c)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", id, c.name, err)
-			}
 			o, err := c.options(s, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var runner *fl.Runner
-			if c.label == nil {
-				runner, err = o.NewRun()
-			} else {
-				labelled = append(labelled, id+"/"+c.name)
-				w, tcfg, lerr := o.Lower()
-				if lerr != nil {
-					t.Fatal(lerr)
-				}
-				sch, serr := expcfg.SchemeByName(o.Scheme, &w.FL, o.FedCA, o.Seed, c.label...)
-				if serr != nil {
-					t.Fatal(serr)
-				}
-				runner, err = expcfg.Build(w, o.Clients, tcfg, o.Seed).NewRunner(sch)
+			suffix := fmt.Sprintf(" rounds=%d", s.Rounds)
+			if c.probe {
+				suffix = fmt.Sprintf(" early=%d late=%d window=%d", s.EarlyRound, s.LateRound, s.Window)
 			}
+			if want := o.String() + suffix; addr != want {
+				t.Errorf("%s/%s: address %q, want its spec and rounds %q", id, c.name, addr, want)
+			}
+			run, err := runCell(s, seed, c)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, c.name, err)
 			}
-			if _, fedca := runner.Scheme.(*core.Scheme); fedca != (c.label != nil) {
-				t.Errorf("%s/%s: label %v on scheme %s: only a FedCA variant carries a label", id, c.name, c.label, o.Scheme)
+			runner, err := o.NewRun()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.name, err)
 			}
 			for i, want := range run.Results {
 				if got := runner.RunRound(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/%s round %d differs from its spec's run:\ncell: %+v\nspec: %+v", id, c.name, i, want, got)
 				}
+			}
+			if _, fedca := runner.Scheme.(*core.Scheme); fedca != (run.Stats != nil) {
+				t.Fatalf("%s/%s: scheme %s, cell stats %v", id, c.name, o.Scheme, run.Stats)
 			}
 			if run.Stats != nil {
 				if st := runner.Stats(); !reflect.DeepEqual(st, *run.Stats) {
@@ -137,5 +126,5 @@ func TestCellsAreTheirSpecs(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d distinct cells; %d carry their own fork label: %v", len(seen), len(labelled), labelled)
+	t.Logf("%d distinct cells", len(seen))
 }

@@ -80,7 +80,7 @@ func TestObserverContract(t *testing.T) {
 	w.FL.Observers = []fl.Observer{fake, journal}
 	opt := core.DefaultOptions(w.FL.LocalIters)
 	opt.ProfilePeriod = 2
-	scheme, err := expcfg.SchemeByName("fedca", &w.FL, opt, 23, "scheme")
+	scheme, err := expcfg.SchemeByName("fedca", &w.FL, opt, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 	if w.FL.Chaos, err = chaos.NewEngine(ccfg, rng.New(70).Fork("chaos-engine").Uint64()); err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := expcfg.SchemeByName("fedca", &w.FL, opt, 70, "scheme")
+	scheme, err := expcfg.SchemeByName("fedca", &w.FL, opt, 70)
 	if err != nil {
 		t.Fatal(err)
 	}

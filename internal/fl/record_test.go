@@ -98,7 +98,7 @@ func TestRoundRecordSumsItsUpdates(t *testing.T) {
 	if w.FL.Chaos, err = chaos.NewEngine(ccfg, 11); err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := expcfg.SchemeByName("fedca", &w.FL, core.DefaultOptions(w.FL.LocalIters), 11, "scheme")
+	scheme, err := expcfg.SchemeByName("fedca", &w.FL, core.DefaultOptions(w.FL.LocalIters), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
