@@ -67,7 +67,7 @@ func main() {
 	flag.Int("clients", 0, "override client count (0 = the scale's)")
 	flag.Int("fleet", 0, "virtualize the population at this size: only each round's cohort is materialized (O(cohort) memory), client state derives from (seed, id)")
 	flag.Float64("participation", 0, "fraction of the population that trains each round (0 or 1 = everyone; below 1 the cohort is picked by a selecting scheme such as oort, else sampled by -fleet)")
-	flag.Float64("aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; 1.0 enables the streaming online fold")
+	flag.Float64("aggfrac", 0, "override the workload's partial-aggregation cut in (0,1]; updates fold as soon as the cut has decided them, at once when it takes the whole cohort")
 	rounds := flag.Int("rounds", 0, "override round count")
 	flag.Uint64("seed", 42, "master seed")
 	flag.String("dtype", "f64", "client training precision: f64 (bit-reproducible default) | f32 (float32 workers; master weights and aggregation stay float64)")

@@ -27,8 +27,8 @@ var equivalences = []struct {
 	{"fedca-all-off=fedavg",
 		"scheme=fedca;fedca.earlystop=false;fedca.eager=false;fedca.retransmit=false;fedca.adaptivelr=false",
 		"scheme=fedavg", nil},
-	// A cut that takes the whole cohort (⌈0.9·6⌉ = 6) folds after the cut
-	// what the online schedule folds during train: the same updates, in
+	// Two cut fractions under the one fold schedule: 0.9 takes the whole
+	// cohort too (⌈0.9·6⌉ = 6), so both fold the same updates, in
 	// participant order, by the one arithmetic.
 	{"aggfrac0.9=aggfrac1", "scheme=fedavg;aggfrac=0.9", "scheme=fedavg;aggfrac=1", func(r fedca.Round) error {
 		if cohort := r.Collected + r.Discarded; r.Collected != cohort {

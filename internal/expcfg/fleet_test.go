@@ -117,11 +117,12 @@ func TestVirtualFleetSlotPoolBounded(t *testing.T) {
 // its size: one float64 per client is 8 MB at a million and fails here.
 //
 // GOMAXPROCS and the token cap are pinned to 2, as in
-// TestSteadyStateRoundAllocs: the online fold keeps as many update vectors
-// as completions ran ahead of the in-order frontier, fewer than twice the
-// worker count, and the delta pool keeps the most the run needed at once,
-// so with the worker count left to the machine how the workers were
-// scheduled could move the peak by more than the margin.
+// TestSteadyStateRoundAllocs: on a cut that takes the whole cohort the fold
+// keeps as many update vectors as completions ran ahead of the in-order
+// frontier, fewer than twice the worker count, and the delta pool keeps the
+// most the run needed at once, so with the worker count left to the machine
+// how the workers were scheduled could move the peak by more than the
+// margin.
 func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two cohorts over a million-client fleet")
@@ -167,7 +168,7 @@ func TestVirtualFleetHeapIndependentOfFleetSize(t *testing.T) {
 
 // TestVirtualFleetRunDeterministic: two identically seeded virtual-fleet
 // runs produce bit-identical round records, virtual times and global model
-// digests included — selection, materialization, the online fold and slot
+// digests included — selection, materialization, the fold and slot
 // recycling are all reproducible.
 func TestVirtualFleetRunDeterministic(t *testing.T) {
 	run := func() []fl.RoundRecord {

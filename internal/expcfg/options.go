@@ -40,8 +40,10 @@ type Options struct {
 	// which samples it from the seed.
 	Participation float64
 	// AggregateFraction overrides the workload's partial-aggregation cut
-	// (paper: 0.9) when in (0, 1]; at 1.0 every surviving update folds into
-	// the aggregate as it lands, the cheapest setting for large cohorts.
+	// (paper: 0.9) when in (0, 1]. At any fraction an update folds into the
+	// aggregate as soon as the finished updates decide that the cut
+	// collects it; a cut that takes the whole cohort decides each as it
+	// lands.
 	AggregateFraction float64
 	// Scheme selects the federated optimization strategy: "fedavg",
 	// "fedprox", "fedada", "fedca", "fedca-v1", "fedca-v2", "oort", "safa"

@@ -74,8 +74,8 @@ func TestChaosRunDeterministic(t *testing.T) {
 
 // TestChaosCorruptionQuarantined: with every update corrupted, validation
 // must quarantine them all, skip the round, and leave the model untouched —
-// on the offline reduce (a partial-aggregation cut) and on the online fold
-// (full aggregation, deltas not retained) alike.
+// at a partial-aggregation cut with deltas retained, and at full
+// aggregation with deltas recycled as the fold passes them.
 func TestChaosCorruptionQuarantined(t *testing.T) {
 	for _, path := range []struct {
 		fraction float64

@@ -18,8 +18,8 @@ import (
 // before reading any. It is a plain free list: a sync.Pool of slices would
 // box a slice header on every put, and the vectors it holds between rounds
 // are the ones the next round takes again: as many as a round held at once,
-// fewer than twice the train stage's worker count on the online fold's path
-// (see onlineFold).
+// fewer than twice the train stage's worker count when the cut takes the
+// whole cohort (see onlineFold).
 type deltaPool struct {
 	mu   sync.Mutex
 	free [][]float64

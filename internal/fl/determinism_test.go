@@ -53,7 +53,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// into the run (see also TestTelemetryInert).
 		{"chaos+telemetry", newChaos, true, false},
 		// Virtual fleet: lazy cohort materialization, participation
-		// sampling and the online streaming fold (AggregateFraction = 1)
+		// sampling and the fold of a whole-cohort cut (AggregateFraction = 1)
 		// must all be worker-count invariant too — the fold's in-order
 		// frontier makes the floating-point sequence independent of which
 		// worker finishes first, even under chaos-injected dropouts and

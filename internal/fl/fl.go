@@ -33,25 +33,23 @@
 //     round's phases compute its accumulated delta only when it is read: by
 //     a controller (IterState.Accumulated), an eager send or the upload.
 //     The worker judges its update right after the client round, the only
-//     place validation runs. At full aggregation (AggregateFraction 1), with
-//     deltas not retained, the online schedule of the one fold also runs
-//     here, in participant-index order at the in-order completion frontier,
-//     so it is worker-count invariant and the live deltas are the
+//     place validation runs, and hands it to the round's one fold, which
+//     folds in participant-index order at the in-order completion frontier,
+//     each update once the finished updates decide whether the cut collects
+//     it, so it is worker-count invariant. The live deltas are the
 //     out-of-order window, which a descheduled worker widens and the delta
-//     pool then keeps.
+//     pool then keeps, and the updates still undecided or late.
 //   - cut (cut): updates + verdicts → collected and discarded by completion
 //     order and AggregateFraction, the round end time, invalid collected
 //     updates moved to Discarded as quarantined, and the quorum's verdict.
 //   - aggregate (aggregate): cut + fold → new global parameters by the one
 //     weighted FedAvg arithmetic: agg[j] += w·d[j] over the included
-//     updates in participant-index order, then any updates the scheme
-//     carries (see Scheme), then flat[j] += agg[j]/W once. The online
-//     schedule has folded the included updates during train; otherwise the
-//     after-the-cut schedule folds the collected valid ones here. Either
-//     way the parameter vector is sharded over borrowed workers, every
-//     element seeing the serial loop's operations, so the result is
-//     bit-identical for any worker count and either schedule. Then the new
-//     parameters' Digest, which the round record carries.
+//     updates in participant-index order, which the fold summed during
+//     train, then any updates the scheme carries (see Scheme), then
+//     flat[j] += agg[j]/W once, with the parameter vector sharded over
+//     borrowed workers, every element seeing the serial loop's
+//     operations, so the result is bit-identical for any worker count.
+//     Then the new parameters' Digest, which the round record carries.
 //   - recycle (recycle): every delta nobody owns back to the worker pool.
 //   - evaluate (evaluate): the RoundResult and its RoundRecord, with the
 //     global model's accuracy on the test set.
@@ -98,7 +96,9 @@ type Config struct {
 	WeightDecay float64 // per-workload (0.01 / 0.01 / 0.0005)
 
 	// AggregateFraction of the earliest-returning updates the server waits
-	// for before closing the round (paper: 0.9).
+	// for before closing the round (paper: 0.9). At any fraction each
+	// update folds into the mean during the client phase, as soon as the
+	// finished updates decide that the cut collects it.
 	AggregateFraction float64
 
 	// Participation is the fraction of the fleet that trains each round.

@@ -584,7 +584,7 @@ func (r *Runner) newControllers(cohort []*Client, plan RoundPlan) []Controller {
 // the serial path. A worker out of clients hands its token back, so the ones
 // still training can fan out in the stage's tail. Out: the updates and their
 // verdicts, index-aligned with the cohort and so independent of which worker
-// ran what, and the online fold when there is one.
+// ran what, and the fold of the updates the cut includes.
 func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]Update, []bool, *onlineFold) {
 	j := &r.job
 	*j = trainJob{r: r, cohort: cohort, ctrls: ctrls, bound: r.deltaBound(),
@@ -607,8 +607,8 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 
 // trainJob is one train stage's work, kept in the Runner so that handing it
 // to the fan-out allocates nothing: Do trains participant i on worker slot w,
-// judges its update at once — the only place deltaValid runs — and, on the
-// online path, folds it.
+// judges its update at once — the only place deltaValid runs — and hands it
+// to the fold.
 type trainJob struct {
 	r       *Runner
 	cohort  []*Client
@@ -622,10 +622,6 @@ type trainJob struct {
 }
 
 func (j *trainJob) Do(i, w int) {
-	if j.fold == nil {
-		j.judge(i, w)
-		return
-	}
 	// A client round that panics never reaches the frontier, so the workers
 	// waiting on the fold must stop waiting for it.
 	folded := false
@@ -634,50 +630,50 @@ func (j *trainJob) Do(i, w int) {
 			j.fold.abort()
 		}
 	}()
-	j.judge(i, w)
-	j.fold.complete(i)
-	folded = true
-}
-
-// judge trains participant i on worker slot w and judges its update.
-func (j *trainJob) judge(i, w int) {
 	in := j.in
 	in.c, in.ctrl, in.eager = j.cohort[i], j.ctrls[i], j.eager[i][:0]
 	j.updates[i] = j.r.workers[w].run(in)
 	j.eager[i] = j.updates[i].Eager
 	j.valid[i] = deltaValid(j.updates[i].Delta, j.bound)
+	j.fold.complete(i)
+	folded = true
 }
 
-// newFold returns the round's online fold, or nil when the round folds
-// after the cut. The online schedule runs when every surviving update is
-// aggregated (AggregateFraction 1) with deltas not retained: updates then
-// fold into the accumulator while the client phase still runs and their
-// deltas recycle at once, so the live deltas are the out-of-order completion
-// window of the stage's workers, not the cohort (see onlineFold). A
-// partial-aggregation cut depends on every virtual completion time, so such
-// rounds fold after it (aggregate). Both schedules fold the same updates in
-// the same order by the same arithmetic, so the config picks the schedule
-// and no bit depends on which ran.
+// newFold returns the round's fold (see onlineFold), which recycles the
+// deltas it passes unless RetainUpdateDeltas keeps them in the result.
 func (r *Runner) newFold(updates []Update, valid []bool, workers int) *onlineFold {
-	if r.Cfg.AggregateFraction < 1 || r.Cfg.RetainUpdateDeltas {
-		return nil
-	}
 	clear(r.aggBuf)
 	done := resize(&r.foldDone, len(updates))
 	clear(done)
-	return newOnlineFold(r.aggBuf, updates, valid, done, r.pool, workers)
+	pool := r.pool
+	if r.Cfg.RetainUpdateDeltas {
+		pool = nil
+	}
+	return newOnlineFold(r.aggBuf, updates, valid, done, pool, workers, cutTake(r.Cfg.AggregateFraction, len(updates)))
 }
 
 // roundCut is the cut stage's decision about a round's updates.
 type roundCut struct {
 	start, end           float64 // virtual time the round opened and closes
 	collected, discarded []Update
-	// in are the participants the after-the-cut schedule folds (collected,
-	// valid, not dropped), ascending; late the ones that arrived valid after
-	// the cut, in completion order. Both index the round's updates.
-	in, late    []int
+	// late are the participants that arrived valid after the cut, in
+	// completion order, indexing the round's updates.
+	late        []int
 	quarantined int  // collected updates that failed validation, now in discarded
 	skipped     bool // fewer valid collected updates than the quorum: no aggregation
+}
+
+// cutTake is how many of n updates a cut at fraction f collects: ⌈f·n⌉ ≥ 1.
+func cutTake(f float64, n int) int {
+	return max(1, int(math.Ceil(f*float64(n))))
+}
+
+// completesBefore is the cut's order: completion time (+Inf if dropped), then id.
+func completesBefore(a, b *Update) bool {
+	if a.CompletionTime != b.CompletionTime {
+		return a.CompletionTime < b.CompletionTime
+	}
+	return a.ClientID < b.ClientID
 }
 
 // cut closes the round. The earliest AggregateFraction of the updates by
@@ -690,20 +686,16 @@ type roundCut struct {
 // Discarded, marked Quarantined; and a round left with fewer valid updates
 // than the quorum is skipped and recorded — the model stays as it is and the
 // run continues. In: the updates and their verdicts. Out: the roundCut,
-// whose in and late reuse the completion order's buffer.
+// whose late reuses the completion order's buffer.
 func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	order := resize(&r.order, len(updates))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ua, ub := updates[order[a]], updates[order[b]]
-		if ua.CompletionTime != ub.CompletionTime {
-			return ua.CompletionTime < ub.CompletionTime
-		}
-		return ua.ClientID < ub.ClientID
+		return completesBefore(&updates[order[a]], &updates[order[b]])
 	})
-	take := max(1, int(math.Ceil(r.Cfg.AggregateFraction*float64(len(updates)))))
+	take := cutTake(r.Cfg.AggregateFraction, len(updates))
 	c := roundCut{
 		start:     r.now,
 		end:       r.now,
@@ -735,14 +727,8 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 	}
 	c.collected = kept
 	c.skipped = len(c.collected) < max(1, r.Cfg.MinQuorum)
-	// Each filter writes at or before the place it reads.
-	c.in, c.late = order[:0], order[take:take]
-	for _, i := range order[:take] {
-		if !updates[i].Dropped && valid[i] {
-			c.in = append(c.in, i)
-		}
-	}
-	slices.Sort(c.in)
+	// The filter writes at or before the place it reads.
+	c.late = order[:0]
 	for _, i := range order[take:] {
 		if !updates[i].Dropped && valid[i] {
 			c.late = append(c.late, i)
@@ -753,51 +739,27 @@ func (r *Runner) cut(updates []Update, valid []bool) roundCut {
 
 // aggregate moves the global model by the one weighted FedAvg arithmetic:
 // agg[j] += w·d[j] over the round's included updates in participant-index
-// order — folded by the online schedule during train, or here after the cut
-// over c.in — then over the updates the scheme carries (carry), then
-// flat[j] += agg[j]/W once, W the sum of the folded weights in the same
-// order. Then SetFlatParams and digestParams. In: the cut, the updates and
-// the fold. Out: the new global parameters and their Digest. Serial, with
-// the parameter vector sharded over borrowed workers (reduceShards): each
-// shard runs the serial loop over its range, so no bit depends on the
-// worker count or on the schedule (TestWeightedReduceDeterministic).
+// order — folded during train — then over the updates the scheme carries
+// (carry), then flat[j] += agg[j]/W once, W the sum of the folded weights in
+// the same order. Then SetFlatParams and digestParams. In: the cut, the
+// updates and the fold. Out: the new global parameters and their Digest.
+// Serial, with the parameter vector sharded over borrowed workers
+// (reduceShards): each shard runs the serial loop over its range, so no bit
+// depends on the worker count (TestWeightedReduceDeterministic).
 func (r *Runner) aggregate(c roundCut, updates []Update, fold *onlineFold) {
 	carried := r.carry(c, updates)
-	var totalW float64
-	if fold != nil {
-		totalW = fold.totalW
-	} else {
-		totalW = foldCut(r.aggBuf, updates, c.in, len(r.workers))
-	}
-	applyMean(r.flat, r.aggBuf, carried, totalW, len(r.workers))
+	applyMean(r.flat, r.aggBuf, carried, fold.totalW, len(r.workers))
 	r.global.SetFlatParams(r.flat)
 	r.digestParams()
 }
 
 // foldDelta is the one fold of an update into the accumulator, agg[j] +=
-// w·d[j]: both schedules and the carried updates go through it.
+// w·d[j]: the included updates and the carried ones go through it.
 func foldDelta(agg []float64, w float64, d []float64) {
 	d = d[:len(agg)]
 	for j := range agg {
 		agg[j] += w * d[j]
 	}
-}
-
-// foldCut is the after-the-cut schedule: agg becomes the sum of w·d over
-// updates[in], in the order of in, sharded over at most workers goroutines.
-// It returns the sum of their weights, in the same order.
-func foldCut(agg []float64, updates []Update, in []int, workers int) float64 {
-	reduceShards(len(agg), workers, func(lo, hi int) {
-		clear(agg[lo:hi])
-		for _, i := range in {
-			foldDelta(agg[lo:hi], updates[i].Weight, updates[i].Delta[lo:hi])
-		}
-	})
-	var totalW float64
-	for _, i := range in {
-		totalW += updates[i].Weight
-	}
-	return totalW
 }
 
 // applyMean finishes the one arithmetic: it folds the carried updates into
@@ -840,10 +802,10 @@ func (r *Runner) carry(c roundCut, updates []Update) []Update {
 }
 
 // recycle returns the round's dead update vectors to the worker pool. The
-// ownership rule: whoever pools a delta nils its Update.Delta — the online
-// fold already did for its own — so every delta still set here is pooled,
-// unless RetainUpdateDeltas keeps them in the result. Carried deltas are the
-// scheme's and never pass through here. Serial.
+// ownership rule: whoever pools a delta nils its Update.Delta — the fold
+// already did for every update but the late ones — so every delta still set
+// here is pooled, unless RetainUpdateDeltas keeps them in the result.
+// Carried deltas are the scheme's and never pass through here. Serial.
 func (r *Runner) recycle(c roundCut) {
 	if r.Cfg.RetainUpdateDeltas {
 		return
@@ -977,8 +939,7 @@ func sumSquares(v []float64) float64 {
 }
 
 // minReduceShard is the smallest per-goroutine parameter count worth a
-// goroutine in the fold after the cut and the apply; smaller models reduce
-// serially.
+// goroutine in the apply; smaller models reduce serially.
 const minReduceShard = 2048
 
 // reduceShards runs f over a disjoint cover of [0, n) through cputok's one
@@ -1005,74 +966,109 @@ func (s *shards) Do(i, _ int) { s.f(i*s.n/s.k, (i+1)*s.n/s.k) }
 
 // onlineFold streams completed updates into the aggregation accumulator in
 // participant-index order while the client phase is still running. Whichever
-// worker closes the gap at the in-order frontier folds every newly
-// contiguous update under the mutex, so the floating-point sequence is
-// identical at any worker count. An update its verdict rejects is recycled
-// unfolded (the cut quarantines it). Folded deltas recycle immediately, so
-// the live deltas are the out-of-order completion window: the updates done
-// past the first one still running. The window is bounded: a worker whose
-// finished update lies window (the stage's worker count) or more places past
-// the frontier waits until the frontier has come within window of it,
-// instead of training client after client while one worker is descheduled or
-// training a long client. So at most window−1 finished updates sit inside
-// the window and window−1 waiting past it, and with each worker's update in
-// progress the delta pool, which keeps every vector it was handed, holds
-// fewer than 2·window vectors whatever the scheduling. Waiting reorders no
-// fold, so no bit moves. A panicking client round aborts the fold: every
-// waiter is woken and none waits again, so the panic reaches the caller.
+// worker closes the gap at the in-order frontier passes every newly
+// contiguous update it can under the mutex, so the floating-point sequence
+// is identical at any worker count. An update the cut cannot collect — its
+// verdict failed (the cut quarantines it) or its client dropped — is
+// recycled unfolded. Any other waits at the frontier until the finished
+// updates decide its place in the cut, the first take in completesBefore
+// order: it is in once n−take finished updates sort after it, out once take
+// sort before it. One in is folded and recycled; one out keeps its delta for
+// Carry (recycle pools it after the cut). Once every update has finished
+// every one is decided, so the fold folds exactly the cut's collected valid
+// updates (TestFoldDecidesTheCut); a whole-cohort cut decides each as it
+// finishes.
 //
-// It is the online schedule of the one fold (foldDelta): the updates it
-// folds, their order and the total weight it sums are the after-the-cut
-// schedule's when the cut takes the whole cohort, and applyMean divides by
-// the total once, so a round's bits do not depend on the schedule.
+// The window is bounded: a worker whose finished update lies window (the
+// stage's worker count) or more places past the frontier waits while the
+// frontier's client is still training, instead of training client after
+// client while one worker is descheduled or training a long client. A
+// frontier that has finished but is undecided waits on other completions,
+// so it never holds a worker (TestFoldLiveness). On a whole-cohort cut,
+// then, at most window−1 finished updates sit inside the window and window−1
+// waiting past it, and with each worker's update in progress the delta pool,
+// which keeps every vector it was handed, holds fewer than 2·window vectors
+// whatever the scheduling; a partial cut adds its undecided and late ones.
+// Waiting reorders no fold, so no bit moves. A panicking client round aborts
+// the fold: every waiter is woken and none waits again, so the panic reaches
+// the caller.
 type onlineFold struct {
 	agg     []float64
 	updates []Update
 	valid   []bool
 	done    []bool
 	next    int
-	pool    *deltaPool
+	pool    *deltaPool // nil: deltas are retained, not recycled
 	window  int
+	take    int
 
 	mu      sync.Mutex
-	moved   sync.Cond // on mu: next advanced, or the fold aborted
+	moved   sync.Cond // on mu: an update finished, or the fold aborted
 	aborted bool
 	totalW  float64
 }
 
 // newOnlineFold returns a fold of updates into agg with nothing done yet,
-// whose finished updates lie less than window places past the frontier.
-func newOnlineFold(agg []float64, updates []Update, valid, done []bool, pool *deltaPool, window int) *onlineFold {
-	f := &onlineFold{agg: agg, updates: updates, valid: valid, done: done, pool: pool, window: window}
+// for a cut collecting take of them, whose finished updates lie less than
+// window places past a frontier still training.
+func newOnlineFold(agg []float64, updates []Update, valid, done []bool, pool *deltaPool, window, take int) *onlineFold {
+	f := &onlineFold{agg: agg, updates: updates, valid: valid, done: done, pool: pool, window: window, take: take}
 	f.moved.L = &f.mu
 	return f
 }
 
 // complete marks update i finished, folds the in-order frontier, and waits
-// while i lies window or more places past it. Callers must have published
-// updates[i] and its verdict before calling (the train stage's worker writes
-// both, then calls complete; the fold's mutex orders the reads).
+// while i lies window or more places past a frontier still training.
+// Callers must have published updates[i] and its verdict before calling
+// (the train stage's worker writes both, then calls complete; the fold's
+// mutex orders the reads).
 func (f *onlineFold) complete(i int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.done[i] = true
-	from := f.next
 	for ; f.next < len(f.updates) && f.done[f.next]; f.next++ {
 		u := &f.updates[f.next]
-		// A dropped client has no delta to fold.
 		if !u.Dropped && f.valid[f.next] {
+			decided, in := f.decide(f.next)
+			if !decided {
+				break
+			}
+			if !in {
+				continue // late: Carry may read its delta
+			}
 			foldDelta(f.agg, u.Weight, u.Delta)
 			f.totalW += u.Weight
 		}
-		f.pool.put(u.Delta)
-		u.Delta = nil
+		if f.pool != nil {
+			f.pool.put(u.Delta)
+			u.Delta = nil
+		}
 	}
-	if f.next > from {
-		f.moved.Broadcast()
-	}
-	for i >= f.next+f.window && !f.aborted {
+	f.moved.Broadcast() // the frontier may have finished, advanced or not
+	for i >= f.next+f.window && !f.done[f.next] && !f.aborted {
 		f.moved.Wait()
 	}
+}
+
+// decide reports whether the finished updates decide finished update i's
+// place in the cut, and if so whether the cut collects it.
+func (f *onlineFold) decide(i int) (decided, in bool) {
+	n := len(f.updates)
+	if f.take >= n {
+		return true, true
+	}
+	before, after := 0, 0
+	for k, d := range f.done {
+		switch {
+		case !d || k == i:
+		case completesBefore(&f.updates[k], &f.updates[i]):
+			before++
+		default:
+			after++
+		}
+	}
+	in = after >= n-f.take
+	return in || before >= f.take, in
 }
 
 // abort wakes every worker waiting in complete and lets none wait again: a

@@ -42,7 +42,7 @@ func median(v []float64) float64 {
 // after the first 0.63 MB, a round of a 100-client f32 fleet cohort 230 KB.
 //
 // The statistic is the median round (the least round, for anchors): the
-// online fold keeps as many update vectors as completions ran ahead of the
+// fold keeps as many update vectors as completions ran ahead of the
 // in-order frontier, so a round in which a worker was descheduled for longer
 // than ever before adds a vector to the pool for good. GOMAXPROCS and the
 // token cap are pinned to 2, the benchmark's box, whatever the machine.
