@@ -17,7 +17,9 @@ func tinyWorkload() expcfg.Workload {
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
 	w.FL.RetainUpdateDeltas = true
-	return w.Shrink(8, 256, 128, 16)
+	w.FL.LocalIters, w.FL.BatchSize = 8, 16
+	w.TrainN, w.TestN = 256, 128
+	return w
 }
 
 func TestNames(t *testing.T) {

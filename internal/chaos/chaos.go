@@ -181,9 +181,6 @@ func NewEngine(cfg Config, seed uint64) (*Engine, error) {
 	return &Engine{cfg: cfg, seed: seed}, nil
 }
 
-// Config returns the engine's validated configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // IterWindow is a transient compute slowdown: iterations From..To (1-based,
 // inclusive) run Factor times slower.
 type IterWindow struct {
@@ -340,10 +337,4 @@ func (p *Plan) CorruptDelta(delta []float64) {
 			delta[p.poison.Intn(len(delta))] = bad
 		}
 	}
-}
-
-// Active reports whether the plan injects any fault this round.
-func (p *Plan) Active() bool {
-	return p != nil && (p.Drop > 0 || p.Slow.Factor > 1 || len(p.Up) > 0 ||
-		len(p.Down) > 0 || p.Corrupt != CorruptNone || p.failProb > 0)
 }

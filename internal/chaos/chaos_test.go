@@ -161,7 +161,7 @@ func TestPlanShapes(t *testing.T) {
 		for j := 0; j < 4; j++ {
 			if a := p.Attempts(); a > 1 {
 				retries++
-				if a > 1+e.Config().XferMaxRetries {
+				if a > 1+e.cfg.XferMaxRetries {
 					t.Fatalf("attempts %d exceeds retry cap", a)
 				}
 			}
@@ -191,7 +191,7 @@ func TestPlanShapes(t *testing.T) {
 // skip nil checks.
 func TestNilPlanIsNoFaults(t *testing.T) {
 	var p *Plan
-	if p.DropIter() != 0 || p.ComputeFactor(3) != 1 || p.Attempts() != 1 || p.Active() {
+	if p.DropIter() != 0 || p.ComputeFactor(3) != 1 || p.Attempts() != 1 {
 		t.Fatal("nil plan must inject nothing")
 	}
 	d := []float64{1, 2}

@@ -119,9 +119,6 @@ func (p *Profiler) ensureLayout(ranges []nn.ParamRange) {
 // that want sampling decisions before the first anchor round.
 func (p *Profiler) Prepare(ranges []nn.ParamRange) { p.ensureLayout(ranges) }
 
-// SampleIndices returns the sampled flat indices of layer l (read-only).
-func (p *Profiler) SampleIndices(l int) []int { return p.sampleIdx[l] }
-
 // Layers returns the number of profiled layers (0 before first use).
 func (p *Profiler) Layers() int { return len(p.ranges) }
 

@@ -20,7 +20,9 @@ func tinyWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
-	return w.Shrink(10, 256, 128, 16)
+	w.FL.LocalIters, w.FL.BatchSize = 10, 16
+	w.TrainN, w.TestN = 256, 128
+	return w
 }
 
 func fedcaOpts(k int) core.Options {
@@ -105,7 +107,8 @@ func TestAnchorRoundRunsFullAndProfiles(t *testing.T) {
 
 func TestCurvesShowDiminishingMarginalBenefit(t *testing.T) {
 	// The Sec. 3 observation on real SGD: early iterations contribute more.
-	w := tinyWorkload().Shrink(20, 256, 128, 16)
+	w := tinyWorkload()
+	w.FL.LocalIters = 20
 	tb := expcfg.Build(w, 2, trace.Config{}, 5)
 	s := core.NewScheme(fedcaOpts(20), rng.New(6))
 	r, err := tb.NewRunner(s)

@@ -284,34 +284,18 @@ func DirichletPartition(labels []int, numClients int, alpha float64, minPerClien
 // pipeline of one FL client.
 type Loader struct {
 	ds        *Dataset
-	view      []int // when non-nil, the client's rows are ds rows view[i]
+	view      []int // the client's rows are ds rows view[i]
 	batchSize int
 	order     []int
 	cursor    int
 	r         *rng.RNG
 }
 
-// NewLoader creates a loader. It panics on an empty dataset or non-positive
-// batch size.
-func NewLoader(ds *Dataset, batchSize int, r *rng.RNG) *Loader {
-	if ds.N() == 0 {
-		panic("data: NewLoader on empty dataset")
-	}
-	if batchSize <= 0 {
-		panic("data: batch size must be positive")
-	}
-	if batchSize > ds.N() {
-		batchSize = ds.N()
-	}
-	l := &Loader{ds: ds, batchSize: batchSize, r: r}
-	l.reshuffle()
-	return l
-}
-
 // NewViewLoader creates a loader over rows view of base without copying them
 // — the data pipeline of a lazily materialized virtual client, whose shard
-// is an index list into the shared base dataset (see LazyPartition). Same
-// contract as NewLoader: panics on an empty view or non-positive batch size.
+// is an index list into the shared base dataset (see LazyPartition). It
+// panics on an empty view or non-positive batch size, and clamps a batch
+// larger than the view to the view.
 // The loader aliases view; callers recycling index buffers must not reuse
 // one while its loader is live.
 func NewViewLoader(base *Dataset, view []int, batchSize int, r *rng.RNG) *Loader {
@@ -339,20 +323,12 @@ func (l *Loader) ResetView(base *Dataset, view []int, batchSize int, r *rng.RNG)
 	l.reshuffle()
 }
 
-// n returns the loader's sample count (the view's when one is set).
-func (l *Loader) n() int {
-	if l.view != nil {
-		return len(l.view)
-	}
-	return l.ds.N()
-}
-
 // reshuffle redraws the epoch order in place. The identity fill + Fisher–
 // Yates loop consumes exactly the RNG draws of rng.Perm, so switching to the
 // in-place form changed no batch sequence; it only stopped allocating a fresh
 // permutation every epoch (the steady-state training loop is allocation-free).
 func (l *Loader) reshuffle() {
-	n := l.n()
+	n := len(l.view)
 	if cap(l.order) < n {
 		l.order = make([]int, n)
 	}
@@ -388,10 +364,7 @@ func NextInto[F tensor.Float](l *Loader, x []F, y []int) {
 	}
 	src := l.ds.X.Data()
 	for i := 0; i < l.batchSize; i++ {
-		j := l.order[l.cursor+i]
-		if l.view != nil {
-			j = l.view[j]
-		}
+		j := l.view[l.order[l.cursor+i]]
 		row := src[j*dim : (j+1)*dim]
 		dst := x[i*dim : (i+1)*dim]
 		for k, v := range row {

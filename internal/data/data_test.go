@@ -30,7 +30,17 @@ func ClassHistogram(labels []int, idx []int, classes int) []int {
 }
 
 // IterationsPerEpoch returns how many batches one pass over the data yields.
-func (l *Loader) IterationsPerEpoch() int { return l.n() / l.batchSize }
+func (l *Loader) IterationsPerEpoch() int { return len(l.view) / l.batchSize }
+
+// allRows returns the view of every row of ds: a loader over it reads the
+// dataset as a whole.
+func allRows(ds *Dataset) []int {
+	rows := make([]int, ds.N())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
 
 func TestSyntheticImagesShape(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 4, Channels: 2, Height: 8, Width: 8, N: 40, Noise: 0.5}, rng.New(1))
@@ -113,7 +123,7 @@ func TestGeneratorSharedTemplates(t *testing.T) {
 			}
 			n++
 			for j := 0; j < dim; j++ {
-				m[j] += float64(ds.X.At(i, j))
+				m[j] += float64(ds.X.Data()[i*dim+j])
 			}
 		}
 		for j := range m {
@@ -219,7 +229,7 @@ func TestClassHistogram(t *testing.T) {
 
 func TestLoaderBatches(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 10}, rng.New(7))
-	l := NewLoader(ds, 4, rng.New(8))
+	l := NewViewLoader(ds, allRows(ds), 4, rng.New(8))
 	if l.IterationsPerEpoch() != 2 {
 		t.Fatalf("iters/epoch = %d, want 2", l.IterationsPerEpoch())
 	}
@@ -236,7 +246,7 @@ func TestLoaderBatches(t *testing.T) {
 
 func TestLoaderClampsBatchSize(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 3}, rng.New(9))
-	l := NewLoader(ds, 50, rng.New(10))
+	l := NewViewLoader(ds, allRows(ds), 50, rng.New(10))
 	if l.BatchSize() != 3 {
 		t.Fatalf("clamped batch = %d, want 3", l.BatchSize())
 	}
@@ -248,9 +258,9 @@ func TestLoaderEpochCoverage(t *testing.T) {
 	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 8}, rng.New(11))
 	// Tag rows via first feature so we can identify them.
 	for i := 0; i < 8; i++ {
-		ds.X.Set(float32(i), i, 0)
+		ds.X.Data()[i*ds.Dim()] = float32(i)
 	}
-	l := NewLoader(ds, 2, rng.New(12))
+	l := NewViewLoader(ds, allRows(ds), 2, rng.New(12))
 	dim := ds.Dim()
 	x, y := make([]float64, 2*dim), make([]int, 2)
 	seen := make(map[int]int)
@@ -283,7 +293,7 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 		nn.NewDenseOf[float64]("fc2", 32, 4, r),
 	)
 	opt := nn.NewSGDOf[float64](0.1, 0, 0)
-	l := NewLoader(train, 32, r.Fork("loader", 0))
+	l := NewViewLoader(train, allRows(train), 32, r.Fork("loader", 0))
 	x, y := tensor.New(32, train.Dim()), make([]int, 32)
 	for it := 0; it < 200; it++ {
 		NextInto(l, x.Data(), y)
@@ -299,7 +309,13 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 		x.Data()[i] = float64(v)
 	}
 	logits := net.Forward(x, false)
-	if acc := nn.Accuracy(logits, test.Y); acc < 0.6 {
+	correct := 0
+	for i, y := range test.Y {
+		if logits.ArgMaxRow(i) == y {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(test.N()); acc < 0.6 {
 		t.Fatalf("test accuracy = %v, want > 0.6", acc)
 	}
 }

@@ -83,7 +83,7 @@ func TestSeqGeneratorSharedTemplates(t *testing.T) {
 			if y == c {
 				ca++
 				for j := 0; j < dim; j++ {
-					ma[j] += float64(a.X.At(i, j))
+					ma[j] += float64(a.X.Data()[i*dim+j])
 				}
 			}
 		}
@@ -91,7 +91,7 @@ func TestSeqGeneratorSharedTemplates(t *testing.T) {
 			if y == c {
 				cb++
 				for j := 0; j < dim; j++ {
-					mb[j] += float64(b.X.At(i, j))
+					mb[j] += float64(b.X.Data()[i*dim+j])
 				}
 			}
 		}
@@ -123,7 +123,7 @@ func TestLoaderPanicsOnEmptyAndBadBatch(t *testing.T) {
 				t.Fatal("expected panic for batch 0")
 			}
 		}()
-		NewLoader(ds, 0, rng.New(7))
+		NewViewLoader(ds, allRows(ds), 0, rng.New(7))
 	}()
 	empty := &Dataset{X: ds.X, Y: nil}
 	defer func() {
@@ -131,5 +131,5 @@ func TestLoaderPanicsOnEmptyAndBadBatch(t *testing.T) {
 			t.Fatal("expected panic for empty dataset")
 		}
 	}()
-	NewLoader(empty, 2, rng.New(8))
+	NewViewLoader(empty, allRows(empty), 2, rng.New(8))
 }

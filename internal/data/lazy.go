@@ -108,12 +108,6 @@ func NewLazyPartition(labels []int, spec PartitionSpec, r *rng.RNG) (*LazyPartit
 // Clients returns the virtual fleet size.
 func (p *LazyPartition) Clients() int { return p.spec.Clients }
 
-// PerClient returns the fixed shard size.
-func (p *LazyPartition) PerClient() int { return p.spec.PerClient }
-
-// Classes returns the number of label classes in the base dataset.
-func (p *LazyPartition) Classes() int { return len(p.byClass) }
-
 // ClientIndices derives client id's shard: PerClient base-dataset indices
 // drawn from the client's own Dirichlet class mixture. dst is reused when
 // its capacity suffices (cohort slots recycle their index buffers).

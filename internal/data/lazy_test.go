@@ -144,7 +144,7 @@ func TestLazyPartitionSkew(t *testing.T) {
 }
 
 // TestViewLoader: batches drawn through an index view must contain only the
-// view's rows with matching labels, and reuse must reshuffle like NewLoader.
+// view's rows with matching labels, and reuse must reshuffle like a loader over the whole dataset.
 func TestViewLoader(t *testing.T) {
 	base := SyntheticImages(ImageSpec{Classes: 4, Channels: 1, Height: 4, Width: 4, N: 64}, rng.New(3))
 	view := []int{5, 9, 13, 17, 21, 25, 33}
@@ -187,7 +187,7 @@ func TestViewLoader(t *testing.T) {
 		}
 	}
 
-	// A view smaller than the batch clamps like NewLoader does.
+	// A view smaller than the batch clamps the batch to the view.
 	small := NewViewLoader(base, view[:2], 8, rng.New(5))
 	if small.BatchSize() != 2 {
 		t.Fatalf("clamped batch size %d != 2", small.BatchSize())

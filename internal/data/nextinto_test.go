@@ -19,7 +19,7 @@ func TestNextIntoFollowsEpochOrder(t *testing.T) {
 	ds := gen.Generate(25, rng.New(41))
 
 	const batch = 7
-	l := NewLoader(ds, batch, rng.New(42))
+	l := NewViewLoader(ds, allRows(ds), batch, rng.New(42))
 	ref := rng.New(42)
 	order, cursor := ref.Perm(ds.N()), 0
 	dim := ds.Dim()
@@ -108,7 +108,7 @@ func TestNextIntoFloat32Narrows(t *testing.T) {
 			name   string
 			loader func() *Loader
 		}{
-			{"plain", func() *Loader { return NewLoader(ds, 7, rng.New(5)) }},
+			{"plain", func() *Loader { return NewViewLoader(ds, allRows(ds), 7, rng.New(5)) }},
 			{"view", func() *Loader { return NewViewLoader(ds, view, 4, rng.New(5)) }},
 		} {
 			la, lb := tc.loader(), tc.loader()
@@ -147,7 +147,7 @@ func TestNextIntoFloat32FromEitherStorage(t *testing.T) {
 			copy(own.X.Data()[i*dim:(i+1)*dim], base.X.Data()[j*dim:(j+1)*dim])
 			own.Y[i] = base.Y[j]
 		}
-		la, lb := NewViewLoader(base, view, 4, rng.New(5)), NewLoader(own, 4, rng.New(5))
+		la, lb := NewViewLoader(base, view, 4, rng.New(5)), NewViewLoader(own, allRows(own), 4, rng.New(5))
 		n := la.BatchSize() * dim
 		xa, xb := make([]float32, n), make([]float32, n)
 		ya, yb := make([]int, la.BatchSize()), make([]int, la.BatchSize())
@@ -172,7 +172,7 @@ func TestNextIntoFloat32FromEitherStorage(t *testing.T) {
 func TestNextIntoSizeChecks(t *testing.T) {
 	spec := ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, Noise: 1}
 	ds := NewImageGenerator(spec, rng.New(1)).Generate(8, rng.New(2))
-	l := NewLoader(ds, 4, rng.New(3))
+	l := NewViewLoader(ds, allRows(ds), 4, rng.New(3))
 	for _, tc := range []struct {
 		name   string
 		nx, ny int

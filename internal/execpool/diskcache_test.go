@@ -39,6 +39,9 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if got.Name != want.Name || got.Sub.Name != "inner" || len(got.Series["acc"]) != 3 {
 		t.Fatalf("decoded %+v", got)
 	}
+	if p, q := p.Stats(), q.Stats(); p.DiskWrites != 1 || q != (Stats{DiskHits: 1}) {
+		t.Fatalf("stats: writer %+v, reader %+v; want one disk write, then one disk hit and nothing computed", p, q)
+	}
 }
 
 // TestCacheCorruptionRecomputes is the robustness table: every way an entry

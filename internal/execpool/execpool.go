@@ -130,19 +130,6 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Reset drops the in-memory memoization table. The disk cache, if any, is
-// left intact (it is content-addressed; stale entries are unreachable by
-// construction). In-flight computations complete normally but their results
-// are not re-inserted into the dropped table's successor.
-func (p *Pool) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.mem = make(map[string]any)
-	p.mu.Unlock()
-}
-
 // fingerprint returns the content address of a cell key under the pool's
 // library version: sha256(version \0 key), hex-encoded.
 func (p *Pool) fingerprint(key string) string {

@@ -43,7 +43,6 @@ func TestNilPoolComputesDirectly(t *testing.T) {
 		t.Fatalf("nil pool must not memoize (calls=%d)", calls)
 	}
 	var p *Pool
-	p.Reset()
 	p.Prefetch(func() {})
 	if p.Stats() != (Stats{}) {
 		t.Fatal("nil pool accessors must be inert")
@@ -220,10 +219,10 @@ func TestResetDropsMemoryNotDisk(t *testing.T) {
 	var calls int
 	key := "a"
 	Do(p, key, func() (int, error) { calls++; return 1, nil })
-	p.Reset()
+	clear(p.mem) // the memory tier forgets; the disk keeps the entry
 	Do(p, key, func() (int, error) { calls++; return 1, nil })
 	if calls != 1 {
-		t.Fatalf("reset must keep the disk entry warm (calls=%d)", calls)
+		t.Fatalf("dropping the memory tier must keep the disk entry warm (calls=%d)", calls)
 	}
 	if st := p.Stats(); st.DiskHits != 1 || st.DiskWrites != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -238,7 +237,7 @@ func TestTelemetryMirror(t *testing.T) {
 	one := func() (int, error) { return 1, nil }
 	Do(p, key, one) // computed + disk write
 	Do(p, key, one) // mem hit
-	p.Reset()
+	clear(p.mem)    // the memory tier forgets; the disk keeps the entry
 	Do(p, key, one) // disk hit
 	want := map[string]float64{
 		"fedca_execpool_computed_total":    1,

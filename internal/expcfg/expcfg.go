@@ -126,16 +126,6 @@ func ByName(name string) (Workload, error) {
 	}
 }
 
-// Shrink scales a workload down for fast tests: fewer local iterations,
-// smaller data, smaller batches. The statistical/system mechanics are
-// unchanged.
-func (w Workload) Shrink(localIters, trainN, testN, batch int) Workload {
-	w.FL.LocalIters = localIters
-	w.TrainN, w.TestN = trainN, testN
-	w.FL.BatchSize = batch
-	return w
-}
-
 // Tiny shrinks the workload to its smallest trainable geometry (Options
 // Geometry "tiny"), with noise set so accuracy does not saturate within a
 // short round budget and the late-stage effects of Figs. 9–10 stay visible.

@@ -52,13 +52,6 @@ func TestWRNEmulatesPaperModelBytes(t *testing.T) {
 	}
 }
 
-func TestShrink(t *testing.T) {
-	w := CNN().Shrink(10, 100, 50, 5)
-	if w.FL.LocalIters != 10 || w.TrainN != 100 || w.TestN != 50 || w.FL.BatchSize != 5 {
-		t.Fatalf("shrink wrong: %+v", w)
-	}
-}
-
 func TestNewModelPerWorkload(t *testing.T) {
 	r := rng.New(1)
 	for _, name := range []string{"cnn", "lstm", "wrn"} {
@@ -77,7 +70,8 @@ func buildTiny(t *testing.T, seed uint64) *Testbed {
 	t.Helper()
 	w := CNN()
 	w.Img.Height, w.Img.Width, w.Img.Classes = 8, 8, 4
-	w = w.Shrink(5, 256, 64, 8)
+	w.FL.LocalIters, w.FL.BatchSize = 5, 8
+	w.TrainN, w.TestN = 256, 64
 	return Build(w, 4, trace.PaperConfig(), seed)
 }
 
@@ -315,7 +309,8 @@ func TestFactoryModelsIdentical(t *testing.T) {
 func TestLSTMTestbed(t *testing.T) {
 	w := LSTM()
 	w.Seq.SeqLen, w.Seq.Hidden, w.Seq.Classes = 6, 8, 4
-	w = w.Shrink(5, 256, 64, 8)
+	w.FL.LocalIters, w.FL.BatchSize = 5, 8
+	w.TrainN, w.TestN = 256, 64
 	tb := Build(w, 4, trace.Config{}, 4)
 	if tb.Test.Dim() != w.Seq.SeqLen*w.Seq.FeatDim {
 		t.Fatalf("test dim = %d", tb.Test.Dim())

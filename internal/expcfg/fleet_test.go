@@ -13,7 +13,10 @@ import (
 )
 
 func tinyFleetWorkload() Workload {
-	return CNN().Shrink(4, 600, 120, 8)
+	w := CNN()
+	w.FL.LocalIters, w.FL.BatchSize = 4, 8
+	w.TrainN, w.TestN = 600, 120
+	return w
 }
 
 // TestVirtualFleetMaterializeDeterministic: a client's materialized identity

@@ -134,7 +134,7 @@ func TestEvaluateWidensFloat32Rows(t *testing.T) {
 		correct := 0
 		for start := 0; start < n; start += split {
 			bs := min(split, n-start)
-			logits := ref.Forward(tensor.FromSlice(wide[start*dim:(start+bs)*dim], bs, dim), false)
+			logits := ref.Forward(tensor.ViewOf(nil, wide[start*dim:(start+bs)*dim], bs, dim), false)
 			for b := 0; b < bs; b++ {
 				if logits.ArgMaxRow(b) == ds.Y[start+b] {
 					correct++
@@ -233,7 +233,7 @@ func TestEvaluateKeepsEvalBatchUnderBatchNorm(t *testing.T) {
 		classes := len(logits) / ds.N()
 		pred := make([]int, ds.N())
 		for i := range pred {
-			pred[i] = tensor.FromSlice(logits[i*classes:(i+1)*classes], 1, classes).ArgMaxRow(0)
+			pred[i] = tensor.ViewOf(nil, logits[i*classes:(i+1)*classes], 1, classes).ArgMaxRow(0)
 		}
 		return pred
 	}
@@ -419,11 +419,20 @@ func TestEvaluateLogitsMatchHeapUnderPoison(t *testing.T) {
 	}
 }
 
+// wholeLoader is a loader over every row of ds.
+func wholeLoader(ds *data.Dataset, batch int, r *rng.RNG) *data.Loader {
+	rows := make([]int, ds.N())
+	for i := range rows {
+		rows[i] = i
+	}
+	return data.NewViewLoader(ds, rows, batch, r)
+}
+
 // roundClient builds one client over ds; two calls give two clients in the
 // same state.
 func roundClient(ds *data.Dataset, batch int) *Client {
 	return &Client{
-		ID: 1, Loader: data.NewLoader(ds, batch, rng.New(8)),
+		ID: 1, Loader: wholeLoader(ds, batch, rng.New(8)),
 		Speed:  trace.NewClientSpeed(1, trace.PaperConfig(), rng.New(9)),
 		Up:     simnet.NewLink(simnet.DefaultClientBandwidth, 0),
 		Down:   simnet.NewLink(simnet.DefaultClientBandwidth, 0),

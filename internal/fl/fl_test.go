@@ -25,7 +25,9 @@ func tinyWorkload() expcfg.Workload {
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0 // derive from params
 	w.FL.RetainUpdateDeltas = true
-	return w.Shrink(8, 256, 128, 16)
+	w.FL.LocalIters, w.FL.BatchSize = 8, 16
+	w.TrainN, w.TestN = 256, 128
+	return w
 }
 
 // roundRecords runs n rounds and returns their records, each of which
@@ -269,7 +271,8 @@ func TestTrainingImprovesAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	w := tinyWorkload().Shrink(12, 512, 256, 16)
+	w := tinyWorkload()
+	w.FL.LocalIters, w.TrainN, w.TestN = 12, 512, 256
 	tb := expcfg.Build(w, 4, trace.Config{}, 8)
 	r, err := tb.NewRunner(baseline.FedAvg{})
 	if err != nil {
@@ -806,7 +809,8 @@ func TestTrainingSurvivesDropout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	w := tinyWorkload().Shrink(12, 512, 256, 16)
+	w := tinyWorkload()
+	w.FL.LocalIters, w.TrainN, w.TestN = 12, 512, 256
 	w.FL.Chaos = dropEngine(t, 0.3, 33)
 	tb := expcfg.Build(w, 6, trace.Config{}, 33)
 	r, _ := tb.NewRunner(baseline.FedAvg{})

@@ -27,7 +27,7 @@ func steadyStateAllocs[F tensor.Float](t *testing.T, net *nn.NetworkOf[F]) float
 	gen := data.NewImageGenerator(data.ImageSpec{
 		Classes: 4, Channels: 1, Height: 8, Width: 8, Noise: 1,
 	}, rng.New(5))
-	loader := data.NewLoader(gen.Generate(64, rng.New(7)), 8, rng.New(6))
+	loader := wholeLoader(gen.Generate(64, rng.New(7)), 8, rng.New(6))
 	batch, dim := loader.BatchSize(), loader.Dim()
 	opt := nn.NewSGDOf[F](0.01, 0.9, 0.001)
 	params := net.Params()

@@ -69,7 +69,7 @@ func TestConvBackwardWithoutForwardPanics(t *testing.T) {
 }
 
 func TestSGDReset(t *testing.T) {
-	p := newParam("w", 1)
+	p := newParamOf[float64]("w", 1)
 	p.Grad.Data()[0] = 1
 	opt := NewSGDOf[float64](1, 0.9, 0)
 	opt.Step([]*Param{p}) // v = 1
@@ -127,7 +127,7 @@ func TestSoftmaxCEProperty(t *testing.T) {
 				return true
 			}
 		}
-		logits := tensor.FromSlice([]float64{a, b, c}, 1, 3)
+		logits := tensor.ViewOf(nil, []float64{a, b, c}, 1, 3)
 		y := int(label) % 3
 		loss, d := softmaxCrossEntropy(logits, []int{y})
 		if loss < -1e-12 || math.IsNaN(loss) {
@@ -166,11 +166,11 @@ func TestSoftmaxCELabelsLengthMismatchPanics(t *testing.T) {
 // degenerate but legal case after global pooling-style shapes).
 func TestBatchNormSingleSpatialElement(t *testing.T) {
 	bn := NewBatchNorm2DOf[float64]("bn", 2, 1, 1)
-	x := tensor.FromSlice([]float64{1, 10, 3, 30}, 2, 2)
+	x := tensor.ViewOf(nil, []float64{1, 10, 3, 30}, 2, 2)
 	y := bn.Forward(x, true)
 	// Each channel normalized over the batch of 2: mean (2,20), so outputs ±1.
 	// ε = 1e-5 inside the variance keeps |y| slightly below 1.
-	if math.Abs(math.Abs(y.At(0, 0))-1) > 1e-4 {
+	if math.Abs(math.Abs(y.Data()[0])-1) > 1e-4 {
 		t.Fatalf("bn 1x1 wrong: %v", y.Data())
 	}
 	bn.Backward(tensor.New(2, 2))

@@ -51,18 +51,3 @@ func SoftmaxCrossEntropyInto[F tensor.Float](logits *tensor.TensorOf[F], labels 
 	}
 	return loss
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy[F tensor.Float](logits *tensor.TensorOf[F], labels []int) float64 {
-	batch := logits.Dim(0)
-	if batch == 0 {
-		return 0
-	}
-	correct := 0
-	for b := 0; b < batch; b++ {
-		if logits.ArgMaxRow(b) == labels[b] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(batch)
-}

@@ -55,9 +55,6 @@ func newParamOf[F tensor.Float](name string, shape ...int) *ParamOf[F] {
 	return &ParamOf[F]{Name: name, Value: tensor.NewOf[F](shape...), Grad: tensor.NewOf[F](shape...)}
 }
 
-// newParam allocates a float64 parameter, the historical form of newParamOf.
-func newParam(name string, shape ...int) *Param { return newParamOf[float64](name, shape...) }
-
 // LayerOf is one differentiable stage of a network.
 type LayerOf[F tensor.Float] interface {
 	// Forward computes the layer output for a batch. train toggles

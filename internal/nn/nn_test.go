@@ -116,15 +116,11 @@ func randLabels(r *rng.RNG, b, classes int) []int {
 func TestDenseForwardKnown(t *testing.T) {
 	r := rng.New(1)
 	d := NewDenseOf[float64]("fc", 2, 2, r)
-	d.W.Value.Set(1, 0, 0)
-	d.W.Value.Set(2, 0, 1)
-	d.W.Value.Set(3, 1, 0)
-	d.W.Value.Set(4, 1, 1)
-	d.B.Value.Set(10, 0)
-	d.B.Value.Set(20, 1)
-	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
+	copy(d.W.Value.Data(), []float64{1, 2, 3, 4})
+	copy(d.B.Value.Data(), []float64{10, 20})
+	x := tensor.ViewOf(nil, []float64{1, 1}, 1, 2)
 	y := d.Forward(x, false)
-	if y.At(0, 0) != 13 || y.At(0, 1) != 27 {
+	if y.Data()[0] != 13 || y.Data()[1] != 27 {
 		t.Fatalf("Dense forward = %v, want [13 27]", y.Data())
 	}
 }
@@ -145,7 +141,7 @@ func naiveConvForward(c *Conv2DOf[float64], x *tensor.Tensor) *tensor.Tensor {
 		for oc := 0; oc < c.OutC; oc++ {
 			for oy := 0; oy < g.OutH; oy++ {
 				for ox := 0; ox < g.OutW; ox++ {
-					sum := c.B.Value.At(oc)
+					sum := c.B.Value.Data()[oc]
 					for ic := 0; ic < g.InC; ic++ {
 						for ky := 0; ky < g.KH; ky++ {
 							for kx := 0; kx < g.KW; kx++ {
@@ -154,13 +150,13 @@ func naiveConvForward(c *Conv2DOf[float64], x *tensor.Tensor) *tensor.Tensor {
 								if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
 									continue
 								}
-								w := c.W.Value.At(oc, ic*g.KH*g.KW+ky*g.KW+kx)
-								xv := x.At(b, ic*g.InH*g.InW+iy*g.InW+ix)
+								w := c.W.Value.Data()[oc*c.W.Value.Dim(1)+ic*g.KH*g.KW+ky*g.KW+kx]
+								xv := x.Data()[b*x.Dim(1)+ic*g.InH*g.InW+iy*g.InW+ix]
 								sum += w * xv
 							}
 						}
 					}
-					y.Set(sum, b, oc*g.OutH*g.OutW+oy*g.OutW+ox)
+					y.Data()[b*y.Dim(1)+oc*g.OutH*g.OutW+oy*g.OutW+ox] = sum
 				}
 			}
 		}
@@ -195,7 +191,7 @@ func TestConvGradCheck(t *testing.T) {
 
 func TestMaxPoolKnown(t *testing.T) {
 	p := NewMaxPool2DOf[float64](1, 4, 4, 2, 2)
-	x := tensor.FromSlice([]float64{
+	x := tensor.ViewOf(nil, []float64{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 10, 13, 14,
@@ -208,14 +204,15 @@ func TestMaxPoolKnown(t *testing.T) {
 			t.Fatalf("maxpool[%d] = %v, want %v", i, y.Data()[i], w)
 		}
 	}
-	dout := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
+	dout := tensor.ViewOf(nil, []float64{1, 2, 3, 4}, 1, 4)
 	dx := p.Backward(dout)
 	// Gradient must land exactly on the argmax positions.
-	if dx.At(0, 5) != 1 || dx.At(0, 7) != 2 || dx.At(0, 13) != 3 || dx.At(0, 15) != 4 {
-		t.Fatalf("maxpool backward wrong: %v", dx.Data())
-	}
-	if dx.Sum() != 10 {
-		t.Fatalf("maxpool backward sum = %v, want 10", dx.Sum())
+	want = make([]float64, 16)
+	want[5], want[7], want[13], want[15] = 1, 2, 3, 4
+	for i, v := range dx.Data() {
+		if v != want[i] {
+			t.Fatalf("maxpool backward wrong: %v", dx.Data())
+		}
 	}
 }
 
@@ -231,13 +228,13 @@ func TestMaxPoolGradCheck(t *testing.T) {
 
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool2DOf[float64](2, 2, 2)
-	x := tensor.FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 8)
+	x := tensor.ViewOf(nil, []float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 8)
 	y := g.Forward(x, true)
-	if y.At(0, 0) != 2.5 || y.At(0, 1) != 25 {
+	if y.Data()[0] != 2.5 || y.Data()[1] != 25 {
 		t.Fatalf("gap forward = %v", y.Data())
 	}
-	dx := g.Backward(tensor.FromSlice([]float64{4, 8}, 1, 2))
-	if dx.At(0, 0) != 1 || dx.At(0, 4) != 2 {
+	dx := g.Backward(tensor.ViewOf(nil, []float64{4, 8}, 1, 2))
+	if dx.Data()[0] != 1 || dx.Data()[4] != 2 {
 		t.Fatalf("gap backward = %v", dx.Data())
 	}
 }
@@ -258,7 +255,7 @@ func TestBatchNormNormalizes(t *testing.T) {
 		sum, sum2 := 0.0, 0.0
 		for b := 0; b < 8; b++ {
 			for j := 0; j < spatial; j++ {
-				v := y.At(b, c*spatial+j)
+				v := y.Data()[b*y.Dim(1)+c*spatial+j]
 				sum += v
 				sum2 += v * v
 			}
@@ -369,20 +366,20 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	for b := 0; b < 2; b++ {
 		s := 0.0
 		for c := 0; c < 4; c++ {
-			s += d.At(b, c)
+			s += d.Data()[b*4+c]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Fatalf("gradient row %d sums to %v", b, s)
 		}
 	}
 	// For uniform logits, gradient = (0.25 - onehot)/B.
-	if math.Abs(d.At(0, 0)-(0.25-1)/2) > 1e-12 {
-		t.Fatalf("gradient wrong: %v", d.At(0, 0))
+	if math.Abs(d.Data()[0]-(0.25-1)/2) > 1e-12 {
+		t.Fatalf("gradient wrong: %v", d.Data()[0])
 	}
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1000, 0, -1000}, 1, 3)
+	logits := tensor.ViewOf(nil, []float64{1000, 0, -1000}, 1, 3)
 	loss, d := softmaxCrossEntropy(logits, []int{0})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss not finite: %v", loss)
@@ -397,18 +394,8 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float64{0.9, 0.1, 0.2, 0.8}, 2, 2)
-	if a := Accuracy(logits, []int{0, 1}); a != 1 {
-		t.Fatalf("accuracy = %v, want 1", a)
-	}
-	if a := Accuracy(logits, []int{1, 0}); a != 0 {
-		t.Fatalf("accuracy = %v, want 0", a)
-	}
-}
-
 func TestSGDStep(t *testing.T) {
-	p := newParam("w", 2)
+	p := newParamOf[float64]("w", 2)
 	p.Value.Data()[0] = 1
 	p.Value.Data()[1] = 2
 	p.Grad.Data()[0] = 0.5
@@ -421,7 +408,7 @@ func TestSGDStep(t *testing.T) {
 }
 
 func TestSGDWeightDecay(t *testing.T) {
-	p := newParam("w", 1)
+	p := newParamOf[float64]("w", 1)
 	p.Value.Data()[0] = 10
 	opt := NewSGDOf[float64](0.1, 0, 0.01)
 	opt.Step([]*Param{p}) // grad 0, wd pulls toward zero: w -= 0.1*0.01*10
@@ -431,7 +418,7 @@ func TestSGDWeightDecay(t *testing.T) {
 }
 
 func TestSGDMomentum(t *testing.T) {
-	p := newParam("w", 1)
+	p := newParamOf[float64]("w", 1)
 	p.Grad.Data()[0] = 1
 	opt := NewSGDOf[float64](1, 0.9, 0)
 	opt.Step([]*Param{p}) // v=1, w=-1
@@ -502,8 +489,8 @@ func TestTrainingReducesLoss(t *testing.T) {
 		c := i % 2
 		labels[i] = c
 		off := float64(2*c - 1)
-		x.Set(r.Normal(off*2, 0.5), i, 0)
-		x.Set(r.Normal(off*2, 0.5), i, 1)
+		x.Data()[2*i] = r.Normal(off*2, 0.5)
+		x.Data()[2*i+1] = r.Normal(off*2, 0.5)
 	}
 	first := lossOf(net, x, labels)
 	for it := 0; it < 60; it++ {
@@ -517,7 +504,13 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if last > first/4 {
 		t.Fatalf("training did not reduce loss: %v -> %v", first, last)
 	}
-	if acc := Accuracy(net.Forward(x, false), labels); acc < 0.95 {
+	logits, correct := net.Forward(x, false), 0
+	for i, y := range labels {
+		if logits.ArgMaxRow(i) == y {
+			correct++
+		}
+	}
+	if acc := float64(correct) / n; acc < 0.95 {
 		t.Fatalf("final accuracy = %v, want > 0.95", acc)
 	}
 }

@@ -33,7 +33,6 @@ func TestForkLabelTypes(t *testing.T) {
 func TestDistributionPanics(t *testing.T) {
 	r := New(22)
 	for _, f := range []func(){
-		func() { r.Exponential(0) },
 		func() { r.Gamma(0, 1) },
 		func() { r.Gamma(1, 0) },
 		func() { r.Dirichlet(0, make([]float64, 2)) },

@@ -161,20 +161,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	}
 }
 
-// Exponential returns an exponentially distributed float64 with the given
-// rate parameter λ (mean 1/λ). It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
 // Gamma returns a gamma-distributed float64 with the given shape and scale
 // (mean shape*scale), using the Marsaglia–Tsang method. The paper's client
 // dynamicity model draws fast/slow durations from Γ(2, 40) and Γ(2, 6).

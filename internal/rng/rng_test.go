@@ -154,18 +154,6 @@ func TestGammaSmallShape(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(7)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(0.5)
-	}
-	if mean := sum / n; math.Abs(mean-2) > 0.05 {
-		t.Fatalf("Exponential(0.5) mean = %v, want ≈2", mean)
-	}
-}
-
 func TestDirichletSimplex(t *testing.T) {
 	r := New(8)
 	out := make([]float64, 10)

@@ -55,7 +55,6 @@ type Link struct {
 	free        float64 // time at which the link is next idle
 	lastEnqueue float64
 	bytesSent   float64
-	transfers   int
 	retries     int
 
 	impairments []impairment
@@ -159,7 +158,6 @@ func (l *Link) TransferAttempts(enqueue, bytes float64, attempts int) (start, en
 	for a := 0; a < attempts; a++ {
 		end = l.serve(end, bytes)
 		l.bytesSent += bytes
-		l.transfers++
 	}
 	l.retries += attempts - 1
 	l.free = end
@@ -180,22 +178,9 @@ func (l *Link) ResetAt(t float64) {
 	l.impairments = l.impairments[:0]
 }
 
-// Duration returns the service time of a transfer of the given size on an
-// idle, unimpaired link (latency + bytes/bandwidth), without enqueueing
-// anything.
-func (l *Link) Duration(bytes float64) float64 {
-	return l.Latency + bytes/l.Bandwidth
-}
-
-// FreeAt returns the time the link next becomes idle.
-func (l *Link) FreeAt() float64 { return l.free }
-
 // BytesSent returns the cumulative payload bytes carried, including failed
 // attempts.
 func (l *Link) BytesSent() float64 { return l.bytesSent }
-
-// Transfers returns the number of transmission attempts carried.
-func (l *Link) Transfers() int { return l.transfers }
 
 // Retries returns the cumulative number of failed attempts that were
 // retransmitted.

@@ -42,20 +42,20 @@ func TestAccounting(t *testing.T) {
 	l := NewLink(100, 0)
 	l.TransferAttempts(0, 100, 1)
 	l.TransferAttempts(0, 200, 1)
-	if l.BytesSent() != 300 || l.Transfers() != 2 {
-		t.Fatalf("accounting wrong: %v bytes, %d transfers", l.BytesSent(), l.Transfers())
+	if l.BytesSent() != 300 {
+		t.Fatalf("accounting wrong: %v bytes", l.BytesSent())
 	}
-	if l.FreeAt() != 3 {
-		t.Fatalf("FreeAt = %v, want 3", l.FreeAt())
+	if l.free != 3 {
+		t.Fatalf("link free at %v, want 3", l.free)
 	}
 }
 
 func TestDuration(t *testing.T) {
 	l := NewLink(13.7e6/8, 0)
 	// 1 MB over 13.7 Mbps ≈ 0.584 s.
-	d := l.Duration(1e6)
-	if math.Abs(d-8e6/13.7e6) > 1e-9 {
-		t.Fatalf("Duration = %v", d)
+	start, end := l.TransferAttempts(0, 1e6, 1)
+	if d := end - start; math.Abs(d-8e6/13.7e6) > 1e-9 {
+		t.Fatalf("duration = %v", d)
 	}
 }
 

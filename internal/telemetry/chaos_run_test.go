@@ -27,7 +27,8 @@ func TestSinkAndJournalRenderChaosRun(t *testing.T) {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
-	w = w.Shrink(8, 256, 128, 16)
+	w.FL.LocalIters, w.FL.BatchSize = 8, 16
+	w.TrainN, w.TestN = 256, 128
 	eng, err := chaos.NewEngine(chaos.Config{
 		DropProb:     0.3,
 		SlowProb:     0.5,

@@ -200,57 +200,6 @@ func (h *Histogram) bucketCounts() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by locating the bucket
-// containing the target rank and interpolating linearly inside it. The
-// estimate is always bounded by the bucket's edges; observations beyond the
-// last finite edge report that edge. Returns NaN with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	counts := h.bucketCounts()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(h.edges) {
-			// Overflow bucket: the best bounded statement is the last edge.
-			return h.edges[len(h.edges)-1]
-		}
-		lo := math.Min(0, h.edges[0])
-		if i > 0 {
-			lo = h.edges[i-1]
-		}
-		hi := h.edges[i]
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		return lo + frac*(hi-lo)
-	}
-	return h.edges[len(h.edges)-1]
-}
-
 type metricKind int
 
 const (

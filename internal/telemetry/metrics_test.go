@@ -207,22 +207,3 @@ func labelsOf(m MetricSnapshot) []Label {
 	}
 	return out
 }
-
-func TestQuantileBasics(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile must be NaN")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in (1, 2]
-	}
-	q := h.Quantile(0.5)
-	if q < 1 || q > 2 {
-		t.Fatalf("median = %v, want within bucket (1, 2]", q)
-	}
-	h2 := newHistogram([]float64{1})
-	h2.Observe(100) // overflow bucket
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Fatalf("overflow quantile = %v, want last finite edge 1", got)
-	}
-}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -60,72 +59,5 @@ func TestHistogramSumCountConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: every quantile estimate lies within the edges of some bucket that
-// actually contains observations — concretely, within [lowest containing
-// bucket's lower edge, highest finite edge].
-func TestHistogramQuantileBounded(t *testing.T) {
-	f := func(obs []uint16, qRaw uint16) bool {
-		h, vals := histogramFrom(obs)
-		q := float64(qRaw) / math.MaxUint16
-		got := h.Quantile(q)
-		if len(vals) == 0 {
-			return math.IsNaN(got)
-		}
-		edges := h.Edges()
-		lo := math.Min(0, edges[0])
-		hi := edges[len(edges)-1]
-		return got >= lo && got <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the quantile is bounded by the edges of the bucket holding the
-// target rank (the formal statement of "interpolation never leaves its
-// bucket").
-func TestHistogramQuantileInsideRankBucket(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		h := newHistogram([]float64{0.5, 1, 2, 4, 8, 16})
-		n := 1 + rnd.Intn(200)
-		for i := 0; i < n; i++ {
-			h.Observe(rnd.Float64() * 20)
-		}
-		q := rnd.Float64()
-		got := h.Quantile(q)
-
-		// Recompute the rank bucket independently.
-		counts := h.bucketCounts()
-		rank := q * float64(h.Count())
-		var cum float64
-		idx := -1
-		for i, c := range counts {
-			cum += float64(c)
-			if cum >= rank && c > 0 {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 { // all trailing buckets empty; estimator clamps to last edge
-			continue
-		}
-		edges := h.Edges()
-		if idx == len(edges) { // overflow bucket reports the last finite edge
-			if got != edges[len(edges)-1] {
-				t.Fatalf("trial %d: overflow quantile = %v, want %v", trial, got, edges[len(edges)-1])
-			}
-			continue
-		}
-		lo := math.Min(0, edges[0])
-		if idx > 0 {
-			lo = edges[idx-1]
-		}
-		if got < lo || got > edges[idx] {
-			t.Fatalf("trial %d: q=%v quantile %v outside rank bucket [%v, %v]", trial, q, got, lo, edges[idx])
-		}
 	}
 }

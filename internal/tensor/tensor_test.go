@@ -19,38 +19,30 @@ func TestNewZeroFilled(t *testing.T) {
 	}
 }
 
-func TestFromSliceAndAt(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if x.At(0, 0) != 1 || x.At(0, 2) != 3 || x.At(1, 0) != 4 || x.At(1, 2) != 6 {
-		t.Fatalf("row-major indexing wrong: %v", x.Data())
+func TestViewOfSharesStorage(t *testing.T) {
+	data := []float64{1, 2, 3, 4, 5, 6}
+	x := ViewOf(nil, data, 2, 3)
+	if x.Rank() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 || &x.Data()[0] != &data[0] {
+		t.Fatalf("ViewOf(nil, 6 elements, 2, 3) = shape %v over a copy", x.Shape())
 	}
-	x.Set(9, 1, 1)
-	if x.At(1, 1) != 9 {
-		t.Fatal("Set did not stick")
+	data[4] = 9
+	if x.Data()[4] != 9 {
+		t.Fatal("a view must see writes to its storage")
 	}
 }
 
-func TestFromSliceSizeMismatchPanics(t *testing.T) {
+func TestViewOfSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
-}
-
-func TestCloneIndependent(t *testing.T) {
-	x := FromSlice([]float64{1, 2}, 2)
-	y := x.Clone()
-	y.Data()[0] = 7
-	if x.At(0) != 1 {
-		t.Fatal("Clone must copy storage")
-	}
+	ViewOf(nil, []float64{1, 2, 3}, 2, 2)
 }
 
 func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
+	a := ViewOf(nil, []float64{1, 2, 3}, 3)
+	b := ViewOf(nil, []float64{4, 5, 6}, 3)
 	c := New(3)
 	c.AddInto(a, b)
 	want := []float64{5, 7, 9}
@@ -60,12 +52,8 @@ func TestElementwiseOps(t *testing.T) {
 		}
 	}
 	a.Add(b)
-	if a.At(2) != 9 {
+	if a.Data()[2] != 9 {
 		t.Fatal("in-place Add wrong")
-	}
-	a.Sub(b)
-	if a.At(2) != 3 {
-		t.Fatal("in-place Sub wrong")
 	}
 }
 
@@ -79,7 +67,7 @@ func TestSizeMismatchPanics(t *testing.T) {
 }
 
 func TestArgMaxRow(t *testing.T) {
-	x := FromSlice([]float64{0.1, 0.9, 0.3, 0.8, 0.2, 0.05}, 2, 3)
+	x := ViewOf(nil, []float64{0.1, 0.9, 0.3, 0.8, 0.2, 0.05}, 2, 3)
 	if x.ArgMaxRow(0) != 1 {
 		t.Fatal("ArgMaxRow(0) wrong")
 	}
@@ -89,8 +77,8 @@ func TestArgMaxRow(t *testing.T) {
 }
 
 func TestMatMulSmall(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := ViewOf(nil, []float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := ViewOf(nil, []float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	c := New(2, 2)
 	MatMul(c, a, b)
 	sameData(t, "2×3·3×2", c.Data(), []float64{58, 64, 139, 154})
@@ -105,11 +93,11 @@ func checkProduct(t *testing.T, seed uint64, m, k, n int, transA, transB bool) {
 	c := New(m, n)
 	switch {
 	case transA:
-		MatMulTransA(c, FromSlice(a, k, m), FromSlice(b, k, n))
+		MatMulTransA(c, ViewOf(nil, a, k, m), ViewOf(nil, b, k, n))
 	case transB:
-		MatMulTransB(c, FromSlice(a, m, k), FromSlice(b, n, k))
+		MatMulTransB(c, ViewOf(nil, a, m, k), ViewOf(nil, b, n, k))
 	default:
-		MatMul(c, FromSlice(a, m, k), FromSlice(b, k, n))
+		MatMul(c, ViewOf(nil, a, m, k), ViewOf(nil, b, k, n))
 	}
 	want := make([]float64, m*n)
 	refProduct(want, a, b, m, k, n, transA, transB)
@@ -228,8 +216,8 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		m, k, n := 4+r.Intn(8), 3+r.Intn(8), 2+r.Intn(8)
 		a1, a2 := randTensorOf[float64](r, m, k), randTensorOf[float64](r, m, k)
 		b := randTensorOf[float64](r, k, n)
-		sum := a1.Clone()
-		sum.Add(a2)
+		sum := New(m, k)
+		sum.AddInto(a1, a2)
 		left := New(m, n)
 		MatMul(left, sum, b)
 		c1, c2 := New(m, n), New(m, n)

@@ -60,15 +60,6 @@ type SpeedModel struct {
 	r      *rng.RNG
 }
 
-// NewSpeedModel builds a single client's model. r drives only this client's
-// dynamic trace (fork it per client).
-func NewSpeedModel(static float64, cfg Config, r *rng.RNG) *SpeedModel {
-	if static <= 0 {
-		panic("trace: static factor must be positive")
-	}
-	return &SpeedModel{Static: static, cfg: cfg, r: r}
-}
-
 // extendTo generates timeline segments until they cover time t.
 func (m *SpeedModel) extendTo(t float64) {
 	for len(m.segs) == 0 || m.segs[len(m.segs)-1].end <= t {
@@ -116,35 +107,18 @@ func (m *SpeedModel) DynamicFactorAt(t float64) float64 {
 	return m.segs[lo].factor
 }
 
-// IterDuration returns the wall time of one local iteration with nominal
+// IterDurationWith returns the wall time of one local iteration with nominal
 // cost base seconds, starting at time t — the paper's sleep-injection
-// semantics (the mode at iteration start governs the whole iteration).
-func (m *SpeedModel) IterDuration(base, t float64) float64 {
-	return base * m.Static * m.DynamicFactorAt(t)
-}
-
-// IterDurationWith is IterDuration with one more multiplicative slowdown
-// layered on top of the static and dynamic factors — the hook fault
-// injection (internal/chaos transient slowdowns) uses to stack on the
-// trace's own dynamics. extra = 1 reproduces IterDuration bit-for-bit.
+// semantics (the mode at iteration start governs the whole iteration) —
+// slowed by the static factor, the dynamic factor and one more
+// multiplicative slowdown, extra: the hook fault injection (internal/chaos
+// transient slowdowns) uses to stack on the trace's own dynamics. extra = 1
+// is the trace's own duration.
 func (m *SpeedModel) IterDurationWith(base, t, extra float64) float64 {
 	if extra < 0 {
 		panic("trace: extra slowdown factor must be non-negative")
 	}
 	return base * m.Static * m.DynamicFactorAt(t) * extra
-}
-
-// ExpectedFactor returns the long-run mean total slowdown (static × expected
-// dynamic factor), useful for capacity estimates and tests.
-func (m *SpeedModel) ExpectedFactor() float64 {
-	if !m.cfg.Dynamic {
-		return m.Static
-	}
-	fastMean := fastShape * fastScale
-	slowMean := slowShape * slowScale
-	slowFrac := slowMean / (fastMean + slowMean)
-	meanSlowdown := (slowdownLo + slowdownHi) / 2
-	return m.Static * ((1-slowFrac)*1 + slowFrac*meanSlowdown)
 }
 
 // NewClientSpeed derives client i's speed model from the fleet RNG: the

@@ -7,32 +7,28 @@ import (
 	"fedca/internal/rng"
 )
 
-func TestStaticOnly(t *testing.T) {
-	m := NewSpeedModel(2.5, Config{}, rng.New(1))
-	if d := m.IterDuration(1, 0); d != 2.5 {
-		t.Fatalf("static-only iter duration = %v, want 2.5", d)
-	}
-	if d := m.IterDuration(1, 1e6); d != 2.5 {
-		t.Fatalf("static-only must be time-invariant, got %v", d)
-	}
-	if m.ExpectedFactor() != 2.5 {
-		t.Fatalf("ExpectedFactor = %v", m.ExpectedFactor())
-	}
+// speedModel is client 0's speed model under cfg with its static factor
+// set to static.
+func speedModel(static float64, cfg Config, r *rng.RNG) *SpeedModel {
+	m := NewClientSpeed(0, cfg, r)
+	m.Static = static
+	return m
 }
 
-func TestNonPositiveStaticPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSpeedModel(0, Config{}, rng.New(1))
+func TestStaticOnly(t *testing.T) {
+	m := speedModel(2.5, Config{}, rng.New(1))
+	if d := m.IterDurationWith(1, 0, 1); d != 2.5 {
+		t.Fatalf("static-only iter duration = %v, want 2.5", d)
+	}
+	if d := m.IterDurationWith(1, 1e6, 1); d != 2.5 {
+		t.Fatalf("static-only must be time-invariant, got %v", d)
+	}
 }
 
 func TestDynamicTogglesModes(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.HeterogeneitySigma = 0
-	m := NewSpeedModel(1, cfg, rng.New(2))
+	m := speedModel(1, cfg, rng.New(2))
 	// Sample the factor over a long horizon: both modes must appear.
 	sawFast, sawSlow := false, false
 	for ts := 0.0; ts < 5000; ts += 3 {
@@ -52,8 +48,8 @@ func TestDynamicTogglesModes(t *testing.T) {
 
 func TestDynamicFactorDeterministic(t *testing.T) {
 	cfg := PaperConfig()
-	a := NewSpeedModel(1, cfg, rng.New(3))
-	b := NewSpeedModel(1, cfg, rng.New(3))
+	a := speedModel(1, cfg, rng.New(3))
+	b := speedModel(1, cfg, rng.New(3))
 	// Query in different orders; answers at equal times must agree.
 	times := []float64{100, 5, 700, 5, 350}
 	for _, ts := range times {
@@ -69,7 +65,7 @@ func TestDynamicFactorDeterministic(t *testing.T) {
 func TestSlowFractionMatchesGammaMeans(t *testing.T) {
 	// E[fast] = 80, E[slow] = 12 → slow fraction ≈ 12/92 ≈ 0.13.
 	cfg := PaperConfig()
-	m := NewSpeedModel(1, cfg, rng.New(4))
+	m := speedModel(1, cfg, rng.New(4))
 	slow := 0
 	const samples = 20000
 	for i := 0; i < samples; i++ {
@@ -81,16 +77,6 @@ func TestSlowFractionMatchesGammaMeans(t *testing.T) {
 	want := 12.0 / 92.0
 	if math.Abs(frac-want) > 0.04 {
 		t.Fatalf("slow fraction = %v, want ≈%v", frac, want)
-	}
-}
-
-func TestExpectedFactorPaper(t *testing.T) {
-	cfg := PaperConfig()
-	m := NewSpeedModel(1, cfg, rng.New(5))
-	// slowFrac = 12/92; meanSlowdown = 3 → E = 1 + (12/92)·2 ≈ 1.26.
-	want := 1 + (12.0/92.0)*2
-	if math.Abs(m.ExpectedFactor()-want) > 1e-12 {
-		t.Fatalf("ExpectedFactor = %v, want %v", m.ExpectedFactor(), want)
 	}
 }
 
@@ -144,22 +130,24 @@ func TestFleetClientsIndependent(t *testing.T) {
 }
 
 func BenchmarkDynamicFactorAt(b *testing.B) {
-	m := NewSpeedModel(1, PaperConfig(), rng.New(1))
+	m := speedModel(1, PaperConfig(), rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.DynamicFactorAt(float64(i % 100000))
 	}
 }
 
-// TestIterDurationWith: the layered variant stacks multiplicatively on the
-// trace's own factors and reproduces IterDuration exactly at extra = 1.
+// TestIterDurationWith: the extra slowdown stacks multiplicatively on the
+// trace's own factors, and extra = 1 is base · Static · DynamicFactorAt(t)
+// exactly.
 func TestIterDurationWith(t *testing.T) {
-	m := NewSpeedModel(2, PaperConfig(), rng.New(9))
+	m := speedModel(2, PaperConfig(), rng.New(9))
 	for _, tm := range []float64{0, 3.7, 55, 200} {
-		if m.IterDurationWith(0.1, tm, 1) != m.IterDuration(0.1, tm) {
-			t.Fatalf("extra=1 must be bit-identical to IterDuration at t=%v", tm)
+		nominal := 0.1 * m.Static * m.DynamicFactorAt(tm)
+		if m.IterDurationWith(0.1, tm, 1) != nominal {
+			t.Fatalf("extra=1 must be bit-identical to base·Static·DynamicFactorAt at t=%v", tm)
 		}
-		if got, want := m.IterDurationWith(0.1, tm, 3), m.IterDuration(0.1, tm)*3; got != want {
+		if got, want := m.IterDurationWith(0.1, tm, 3), nominal*3; got != want {
 			t.Fatalf("extra=3 at t=%v: got %v, want %v", tm, got, want)
 		}
 	}

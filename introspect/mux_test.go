@@ -25,7 +25,9 @@ func smallWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
-	return w.Shrink(8, 256, 128, 16)
+	w.FL.LocalIters, w.FL.BatchSize = 8, 16
+	w.TrainN, w.TestN = 256, 128
+	return w
 }
 
 func get(t *testing.T, mux *httptest.Server, path string) (int, string, string) {
