@@ -130,6 +130,23 @@ func TestCommandSmoke(t *testing.T) {
 	if code := err.(*exec.ExitError).ExitCode(); code != 1 {
 		t.Fatalf("fedca-sim replay of an edited log exited %d, want 1:\n%s", code, out)
 	}
+	// A log written under an older spec version fails loudly with the
+	// version error, exit 2, instead of replaying a misparsed run.
+	if !strings.HasPrefix(lines[0], `{"kind":"header","spec":"v=2;`) {
+		t.Fatalf("log header is not a v=2 spec: %s", lines[0])
+	}
+	lines[0] = strings.Replace(lines[0], `"spec":"v=2;`, `"spec":"v=1;`, 1)
+	oldLog := filepath.Join(dir, "v1.jsonl")
+	if err := os.WriteFile(oldLog, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(bins["fedca-sim"], "replay", oldLog).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `spec version "1", want 2`) {
+		t.Fatalf("fedca-sim replay of a v=1 log: want the spec-version error, got %v:\n%s", err, out)
+	}
+	if code := err.(*exec.ExitError).ExitCode(); code != 2 {
+		t.Fatalf("fedca-sim replay of a v=1 log exited %d, want 2:\n%s", code, out)
+	}
 
 	// -spec replaces the run flags; giving both is an error.
 	if out, err := exec.Command(bins["fedca-sim"], "-spec", run.Header.Spec, "-rounds", "1").CombinedOutput(); err != nil {

@@ -93,9 +93,8 @@ func proxModify[F tensor.Float](mu float64, params []*nn.ParamOf[F], globalFlat 
 // clients keep the full K. Being history-based, the plan cannot react to
 // intra-round slowdowns — FedCA's Fig. 8a contrast.
 type FedAda struct {
-	K        int     // default local iterations
-	Tradeoff float64 // γ, paper: 0.5 (documented above; see Name)
-	MinIters int     // floor so a client still contributes (default K/10)
+	K        int // default local iterations
+	MinIters int // floor so a client still contributes (default K/10)
 }
 
 // Name returns "fedada".

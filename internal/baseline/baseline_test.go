@@ -16,7 +16,6 @@ func tinyWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0
-	w.FL.RetainUpdateDeltas = true
 	w.FL.LocalIters, w.FL.BatchSize = 8, 16
 	w.TrainN, w.TestN = 256, 128
 	return w
@@ -41,18 +40,30 @@ func TestFedAvgPlanHasNoDeadline(t *testing.T) {
 	}
 }
 
+// step runs one round of a one-client federation under s and returns how
+// far it moved the global model: the client's delta, up to the rounding of
+// the weighted mean.
+func step(t *testing.T, s fl.Scheme, seed uint64) []float64 {
+	t.Helper()
+	r, err := expcfg.Build(tinyWorkload(), 1, trace.Config{}, seed).NewRunner(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.GlobalFlat()
+	r.RunRound()
+	moved := r.GlobalFlat()
+	for i := range moved {
+		moved[i] -= before[i]
+	}
+	return moved
+}
+
 func TestFedProxKeepsParamsCloserToGlobal(t *testing.T) {
 	// The proximal term must shrink ‖w_local − w_global‖ relative to FedAvg
 	// on the identical trajectory.
 	dist := func(s fl.Scheme) float64 {
-		tb := expcfg.Build(tinyWorkload(), 1, trace.Config{}, 1)
-		r, err := tb.NewRunner(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := r.RunRound()
 		d := 0.0
-		for _, v := range res.Collected[0].Delta {
+		for _, v := range step(t, s, 1) {
 			d += v * v
 		}
 		return math.Sqrt(d)
@@ -65,16 +76,8 @@ func TestFedProxKeepsParamsCloserToGlobal(t *testing.T) {
 }
 
 func TestFedProxSmallMuNearFedAvg(t *testing.T) {
-	run := func(s fl.Scheme) []float64 {
-		tb := expcfg.Build(tinyWorkload(), 1, trace.Config{}, 2)
-		r, err := tb.NewRunner(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.RunRound().Collected[0].Delta
-	}
-	a := run(baseline.FedAvg{})
-	p := run(baseline.FedProx{Mu: 1e-9})
+	a := step(t, baseline.FedAvg{}, 2)
+	p := step(t, baseline.FedProx{Mu: 1e-9}, 2)
 	var diff, norm float64
 	for i := range a {
 		diff += (a[i] - p[i]) * (a[i] - p[i])
@@ -86,7 +89,7 @@ func TestFedProxSmallMuNearFedAvg(t *testing.T) {
 }
 
 func TestFedAdaFirstRoundUncapped(t *testing.T) {
-	plan := baseline.FedAda{K: 10, Tradeoff: 0.5}.PlanRound(0, fl.NewHistory())
+	plan := baseline.FedAda{K: 10}.PlanRound(0, fl.NewHistory())
 	if plan.IterBudget != nil {
 		t.Fatal("no history: budgets must be empty")
 	}
@@ -103,7 +106,7 @@ func TestFedAdaClampsStragglers(t *testing.T) {
 		h.Observe(fl.Update{ClientID: i, Iterations: 10, TrainTime: 1})
 	}
 	h.Observe(fl.Update{ClientID: 1, Iterations: 10, TrainTime: 10})
-	ada := baseline.FedAda{K: 10, Tradeoff: 0.5}
+	ada := baseline.FedAda{K: 10}
 	plan := ada.PlanRound(1, h)
 	// Deadline should be the fast cluster's round time (1 s).
 	if math.Abs(plan.Deadline-1) > 1e-9 {
@@ -121,7 +124,7 @@ func TestFedAdaMinItersFloor(t *testing.T) {
 	h := fl.NewHistory()
 	h.Observe(fl.Update{ClientID: 0, Iterations: 100, TrainTime: 1})
 	h.Observe(fl.Update{ClientID: 1, Iterations: 100, TrainTime: 1000})
-	ada := baseline.FedAda{K: 100, Tradeoff: 0.5, MinIters: 7}
+	ada := baseline.FedAda{K: 100, MinIters: 7}
 	plan := ada.PlanRound(1, h)
 	if plan.IterBudget[1] != 7 {
 		t.Fatalf("floor not applied: %d", plan.IterBudget[1])
@@ -147,7 +150,7 @@ func TestFedAdaEndToEndReducesRoundTime(t *testing.T) {
 		return total / 3
 	}
 	avg := mean(baseline.FedAvg{})
-	ada := mean(baseline.FedAda{K: w.FL.LocalIters, Tradeoff: 0.5})
+	ada := mean(baseline.FedAda{K: w.FL.LocalIters})
 	if ada >= avg {
 		t.Fatalf("FedAda mean round %v not shorter than FedAvg %v", ada, avg)
 	}

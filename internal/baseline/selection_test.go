@@ -176,7 +176,6 @@ func TestSAFADroppedNeverCached(t *testing.T) {
 func TestSAFAEndToEnd(t *testing.T) {
 	w := tinyWorkload()
 	w.FL.AggregateFraction = 0.5
-	w.FL.RetainUpdateDeltas = false // Carry must still see the late deltas
 	// The same federation under SAFA and FedAvg: round 0 has nothing stale
 	// to carry, so the two agree; in round 1 SAFA folds round 0's
 	// stragglers, so they part.

@@ -191,7 +191,7 @@ func (p *Profiler) FinishAnchor() *Curves {
 	if k == 0 {
 		panic("core: anchor round recorded no iterations")
 	}
-	c := &Curves{Round: p.recRound, K: k}
+	c := &Curves{Round: p.recRound}
 	// Model-level curve over the concatenated samples.
 	c.Model = ProgressCurve(p.recSamples)
 	// Per-layer curves over each layer's sample block.

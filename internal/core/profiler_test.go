@@ -70,7 +70,7 @@ func TestAnchorCurves(t *testing.T) {
 		p.Record(rgs, cum)
 	}
 	c := p.FinishAnchor()
-	if c.Round != 7 || c.K != k {
+	if c.Round != 7 || len(c.Model) != k {
 		t.Fatalf("curves meta wrong: %+v", c)
 	}
 	if len(c.Layer) != 3 {

@@ -62,7 +62,6 @@ func ProgressCurve(snaps [][]float64) []float64 {
 // the model-level curve and one per layer, each of length K (index τ-1).
 type Curves struct {
 	Round int // the anchor round these curves were profiled in
-	K     int
 	Model []float64
 	Layer [][]float64
 }

@@ -117,7 +117,7 @@ func TestProgressCurveEmpty(t *testing.T) {
 }
 
 func TestCurvesAtClamping(t *testing.T) {
-	c := &Curves{K: 3, Model: []float64{0.2, 0.5, 1.0}}
+	c := &Curves{Model: []float64{0.2, 0.5, 1.0}}
 	if c.At(0) != 0 {
 		t.Fatal("P_0 must be 0")
 	}
@@ -142,7 +142,7 @@ func TestCosineSimilarityConventions(t *testing.T) {
 }
 
 func TestMarginalBenefit(t *testing.T) {
-	c := &Curves{K: 5, Model: []float64{0.5, 0.8, 0.9, 0.95, 1.0}}
+	c := &Curves{Model: []float64{0.5, 0.8, 0.9, 0.95, 1.0}}
 	// τ=1: diff = 0.5-0 = 0.5; floor = (1-0.5)/4 = 0.125 → 0.5.
 	if b := MarginalBenefit(c, 1, 5, false); math.Abs(b-0.5) > 1e-12 {
 		t.Fatalf("b_1 = %v", b)
@@ -159,7 +159,7 @@ func TestMarginalBenefit(t *testing.T) {
 
 func TestMarginalBenefitFloorGuardsIrregularity(t *testing.T) {
 	// Locally flat (even decreasing) curve stretch: the floor keeps b positive.
-	c := &Curves{K: 4, Model: []float64{0.6, 0.6, 0.55, 1.0}}
+	c := &Curves{Model: []float64{0.6, 0.6, 0.55, 1.0}}
 	b := MarginalBenefit(c, 3, 4, false)
 	want := (1 - 0.55) / 1 // floor
 	if math.Abs(b-want) > 1e-12 {

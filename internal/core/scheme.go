@@ -20,10 +20,8 @@ type Options struct {
 	Te   float64 // eager-transmission threshold T_e (0.95)
 	Tr   float64 // retransmission threshold T_r (0.6)
 
-	ProfilePeriod   int     // anchor round spacing (10)
-	SampleCap       int     // per-layer sample cap (100)
-	SampleFrac      float64 // per-layer sample fraction (0.5)
-	MinIterations   int     // never early-stop before this many iterations (1)
+	ProfilePeriod   int // anchor round spacing (10)
+	SampleCap       int // per-layer sample cap (100)
 	EarlyStop       bool
 	Eager           bool
 	Retransmit      bool
@@ -36,13 +34,15 @@ type Options struct {
 
 	// AdaptiveLR enables the client-autonomous hyperparameter adjustment the
 	// paper's Sec. 6 proposes as future work: once the anchor curve says the
-	// client is deep in diminishing returns (P_{T,τ} ≥ LRDecayAt), the local
+	// client is deep in diminishing returns (P_{T,τ} ≥ lrDecayAt), the local
 	// learning rate is halved for the rest of the round, trading step size
 	// for noise reduction near the local optimum.
 	AdaptiveLR bool
-	// LRDecayAt is the progress level triggering the decay (default 0.9).
-	LRDecayAt float64
 }
+
+// lrDecayAt is the progress level at which AdaptiveLR halves the learning
+// rate.
+const lrDecayAt = 0.9
 
 // DefaultOptions returns the paper's standard FedCA (v3) configuration for a
 // given K.
@@ -54,8 +54,6 @@ func DefaultOptions(k int) Options {
 		Tr:            0.6,
 		ProfilePeriod: 10,
 		SampleCap:     DefaultSampleCap,
-		SampleFrac:    DefaultSampleFrac,
-		MinIterations: 1,
 		EarlyStop:     true,
 		Eager:         true,
 		Retransmit:    true,
@@ -87,9 +85,6 @@ func NewScheme(opt Options, r *rng.RNG) *Scheme {
 	if opt.ProfilePeriod <= 0 {
 		opt.ProfilePeriod = 10
 	}
-	if opt.MinIterations < 1 {
-		opt.MinIterations = 1
-	}
 	return &Scheme{Opt: opt, r: r, profilers: make(map[int]*Profiler)}
 }
 
@@ -116,7 +111,7 @@ func (s *Scheme) Profiler(clientID int) *Profiler {
 	defer s.profMu.Unlock()
 	p, ok := s.profilers[clientID]
 	if !ok {
-		p = NewProfiler(s.Opt.SampleCap, s.Opt.SampleFrac, s.r.Fork("profiler", clientID))
+		p = NewProfiler(s.Opt.SampleCap, DefaultSampleFrac, s.r.Fork("profiler", clientID))
 		p.rows = &s.rows
 		s.profilers[clientID] = p
 	}
@@ -222,17 +217,13 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 	}
 
 	if opt.AdaptiveLR && !c.lrDecayed {
-		at := opt.LRDecayAt
-		if at <= 0 {
-			at = 0.9
-		}
-		if curves.At(st.Iter) >= at {
+		if curves.At(st.Iter) >= lrDecayAt {
 			action.LRScale = 0.5
 			c.lrDecayed = true
 		}
 	}
 
-	if opt.EarlyStop && st.Iter >= opt.MinIterations {
+	if opt.EarlyStop {
 		b := MarginalBenefit(curves, st.Iter, st.K, opt.DisableBenFloor)
 		cost := MarginalCost(st.Elapsed, c.deadline, opt.Beta)
 		if NetBenefit(b, cost) < 0 {

@@ -89,10 +89,10 @@ func TestAnchorRoundRunsFullAndProfiles(t *testing.T) {
 		if curves == nil {
 			t.Fatalf("client %d has no curves after anchor", c.ID)
 		}
-		if curves.K != w.FL.LocalIters {
-			t.Fatalf("curve K = %d", curves.K)
+		if k := len(curves.Model); k != w.FL.LocalIters {
+			t.Fatalf("curve K = %d", k)
 		}
-		if math.Abs(curves.Model[curves.K-1]-1) > 1e-12 {
+		if math.Abs(curves.Model[w.FL.LocalIters-1]-1) > 1e-12 {
 			t.Fatal("curve must end at 1")
 		}
 		if len(curves.Layer) == 0 {
@@ -117,7 +117,7 @@ func TestCurvesShowDiminishingMarginalBenefit(t *testing.T) {
 	}
 	r.RunRound()
 	curves := s.Profiler(0).Curves()
-	k := curves.K
+	k := len(curves.Model)
 	firstHalf := curves.Model[k/2-1]         // P at τ=K/2
 	if firstHalf < float64(k/2)/float64(k) { // must beat the uniform line
 		t.Fatalf("P_{K/2} = %v does not beat uniform %v: no diminishing returns", firstHalf, 0.5)
@@ -326,7 +326,6 @@ func TestAdaptiveLRSignalsDecayOnce(t *testing.T) {
 	opts := fedcaOpts(w.FL.LocalIters)
 	opts.EarlyStop, opts.Eager, opts.Retransmit = false, false, false
 	opts.AdaptiveLR = true
-	opts.LRDecayAt = 0.3 // low threshold: certainly crossed
 	s := core.NewScheme(opts, rng.New(61))
 	r, err := tb.NewRunner(s)
 	if err != nil {
@@ -408,7 +407,7 @@ func TestFedCASurvivesDropout(t *testing.T) {
 }
 
 func TestLayerAtBounds(t *testing.T) {
-	c := &core.Curves{K: 2, Layer: [][]float64{{0.4, 1.0}}}
+	c := &core.Curves{Layer: [][]float64{{0.4, 1.0}}}
 	if c.LayerAt(0, 0) != 0 {
 		t.Fatal("P_0 must be 0")
 	}

@@ -69,7 +69,6 @@ func generate(s sampler, n int, r *rng.RNG) *Dataset {
 // ImageSpec configures an ImageGenerator.
 type ImageSpec struct {
 	Classes, Channels, Height, Width int
-	N                                int     // total samples
 	Noise                            float64 // per-pixel Gaussian noise stddev
 }
 
@@ -158,7 +157,6 @@ func smoothField(c, h, w int, r *rng.RNG) []float64 {
 // SeqSpec configures a SeqGenerator.
 type SeqSpec struct {
 	Classes, SeqLen, FeatDim int
-	N                        int
 	Noise                    float64
 }
 

@@ -11,13 +11,13 @@ import (
 
 // SyntheticImages draws templates and samples from the same RNG: the
 // one-shot form of NewImageGenerator + Generate.
-func SyntheticImages(spec ImageSpec, r *rng.RNG) *Dataset {
-	return NewImageGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
+func SyntheticImages(spec ImageSpec, n int, r *rng.RNG) *Dataset {
+	return NewImageGenerator(spec, r.Fork("gen")).Generate(n, r)
 }
 
 // SyntheticSequences is SyntheticImages for NewSeqGenerator.
-func SyntheticSequences(spec SeqSpec, r *rng.RNG) *Dataset {
-	return NewSeqGenerator(spec, r.Fork("gen")).Generate(spec.N, r)
+func SyntheticSequences(spec SeqSpec, n int, r *rng.RNG) *Dataset {
+	return NewSeqGenerator(spec, r.Fork("gen")).Generate(n, r)
 }
 
 // ClassHistogram returns the per-class sample counts of the given indices.
@@ -43,7 +43,7 @@ func allRows(ds *Dataset) []int {
 }
 
 func TestSyntheticImagesShape(t *testing.T) {
-	ds := SyntheticImages(ImageSpec{Classes: 4, Channels: 2, Height: 8, Width: 8, N: 40, Noise: 0.5}, rng.New(1))
+	ds := SyntheticImages(ImageSpec{Classes: 4, Channels: 2, Height: 8, Width: 8, Noise: 0.5}, 40, rng.New(1))
 	if ds.N() != 40 || ds.Dim() != 128 {
 		t.Fatalf("got n=%d dim=%d", ds.N(), ds.Dim())
 	}
@@ -63,8 +63,8 @@ func TestSyntheticImagesSeparable(t *testing.T) {
 	// Nearest-template classification should beat chance by a wide margin at
 	// moderate noise, proving class signal exists.
 	r := rng.New(2)
-	spec := ImageSpec{Classes: 4, Channels: 1, Height: 8, Width: 8, N: 200, Noise: 0.5}
-	ds := SyntheticImages(spec, r)
+	spec := ImageSpec{Classes: 4, Channels: 1, Height: 8, Width: 8, Noise: 0.5}
+	ds := SyntheticImages(spec, 200, r)
 	// Recover templates as per-class means.
 	dim := ds.Dim()
 	means := make([][]float64, spec.Classes)
@@ -109,7 +109,7 @@ func TestSyntheticImagesSeparable(t *testing.T) {
 func TestGeneratorSharedTemplates(t *testing.T) {
 	// Two splits from the same generator must share class structure: the
 	// per-class means of the splits should be strongly correlated.
-	spec := ImageSpec{Classes: 3, Channels: 1, Height: 6, Width: 6, N: 90, Noise: 0.3}
+	spec := ImageSpec{Classes: 3, Channels: 1, Height: 6, Width: 6, Noise: 0.3}
 	g := NewImageGenerator(spec, rng.New(20))
 	a := g.Generate(90, rng.New(21))
 	b := g.Generate(90, rng.New(22))
@@ -146,15 +146,15 @@ func TestGeneratorSharedTemplates(t *testing.T) {
 }
 
 func TestSyntheticSequencesShape(t *testing.T) {
-	ds := SyntheticSequences(SeqSpec{Classes: 5, SeqLen: 10, FeatDim: 4, N: 50, Noise: 0.3}, rng.New(3))
+	ds := SyntheticSequences(SeqSpec{Classes: 5, SeqLen: 10, FeatDim: 4, Noise: 0.3}, 50, rng.New(3))
 	if ds.N() != 50 || ds.Dim() != 40 {
 		t.Fatalf("got n=%d dim=%d", ds.N(), ds.Dim())
 	}
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := SyntheticImages(ImageSpec{Classes: 3, Channels: 1, Height: 4, Width: 4, N: 12}, rng.New(9))
-	b := SyntheticImages(ImageSpec{Classes: 3, Channels: 1, Height: 4, Width: 4, N: 12}, rng.New(9))
+	a := SyntheticImages(ImageSpec{Classes: 3, Channels: 1, Height: 4, Width: 4}, 12, rng.New(9))
+	b := SyntheticImages(ImageSpec{Classes: 3, Channels: 1, Height: 4, Width: 4}, 12, rng.New(9))
 	for i := range a.X.Data() {
 		if a.X.Data()[i] != b.X.Data()[i] {
 			t.Fatal("same seed must give identical data")
@@ -228,7 +228,7 @@ func TestClassHistogram(t *testing.T) {
 }
 
 func TestLoaderBatches(t *testing.T) {
-	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 10}, rng.New(7))
+	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4}, 10, rng.New(7))
 	l := NewViewLoader(ds, allRows(ds), 4, rng.New(8))
 	if l.IterationsPerEpoch() != 2 {
 		t.Fatalf("iters/epoch = %d, want 2", l.IterationsPerEpoch())
@@ -245,7 +245,7 @@ func TestLoaderBatches(t *testing.T) {
 }
 
 func TestLoaderClampsBatchSize(t *testing.T) {
-	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 3}, rng.New(9))
+	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4}, 3, rng.New(9))
 	l := NewViewLoader(ds, allRows(ds), 50, rng.New(10))
 	if l.BatchSize() != 3 {
 		t.Fatalf("clamped batch = %d, want 3", l.BatchSize())
@@ -255,7 +255,7 @@ func TestLoaderClampsBatchSize(t *testing.T) {
 
 func TestLoaderEpochCoverage(t *testing.T) {
 	// Within one epoch every sample appears exactly once.
-	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 8}, rng.New(11))
+	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4}, 8, rng.New(11))
 	// Tag rows via first feature so we can identify them.
 	for i := 0; i < 8; i++ {
 		ds.X.Data()[i*ds.Dim()] = float32(i)
@@ -284,10 +284,11 @@ func TestCNNTrainsOnSyntheticImages(t *testing.T) {
 		t.Skip("training test")
 	}
 	r := rng.New(13)
-	spec := ImageSpec{Classes: 4, Channels: 1, Height: 8, Width: 8, N: 256, Noise: 0.7}
+	const n = 256
+	spec := ImageSpec{Classes: 4, Channels: 1, Height: 8, Width: 8, Noise: 0.7}
 	gen := NewImageGenerator(spec, r.Fork("templates"))
-	train := gen.Generate(spec.N, r.Fork("train", 0))
-	test := gen.Generate(spec.N, r.Fork("test", 0))
+	train := gen.Generate(n, r.Fork("train", 0))
+	test := gen.Generate(n, r.Fork("test", 0))
 	net := nn.NewNetworkOf[float64](
 		nn.NewDenseOf[float64]("fc1", 64, 32, r), nn.NewReLUOf[float64](32),
 		nn.NewDenseOf[float64]("fc2", 32, 4, r),

@@ -116,7 +116,7 @@ func sqrtf(x float64) float64 {
 }
 
 func TestLoaderPanicsOnEmptyAndBadBatch(t *testing.T) {
-	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4, N: 4}, rng.New(6))
+	ds := SyntheticImages(ImageSpec{Classes: 2, Channels: 1, Height: 4, Width: 4}, 4, rng.New(6))
 	func() {
 		defer func() {
 			if recover() == nil {

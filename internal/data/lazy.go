@@ -54,7 +54,6 @@ type PartitionSpec struct {
 // phase of the round loop (see the fl package's concurrency contract).
 type LazyPartition struct {
 	spec    PartitionSpec
-	labels  []int
 	byClass [][]int
 	base    *rng.RNG
 
@@ -97,7 +96,6 @@ func NewLazyPartition(labels []int, spec PartitionSpec, r *rng.RNG) (*LazyPartit
 	}
 	return &LazyPartition{
 		spec:    spec,
-		labels:  labels,
 		byClass: byClass,
 		base:    r,
 		weights: make([]float64, classes),

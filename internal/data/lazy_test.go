@@ -146,7 +146,7 @@ func TestLazyPartitionSkew(t *testing.T) {
 // TestViewLoader: batches drawn through an index view must contain only the
 // view's rows with matching labels, and reuse must reshuffle like a loader over the whole dataset.
 func TestViewLoader(t *testing.T) {
-	base := SyntheticImages(ImageSpec{Classes: 4, Channels: 1, Height: 4, Width: 4, N: 64}, rng.New(3))
+	base := SyntheticImages(ImageSpec{Classes: 4, Channels: 1, Height: 4, Width: 4}, 64, rng.New(3))
 	view := []int{5, 9, 13, 17, 21, 25, 33}
 	inView := map[int]bool{}
 	for _, j := range view {

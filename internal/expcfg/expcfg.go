@@ -36,10 +36,6 @@ type Workload struct {
 	TrainN, TestN int
 	Noise         float64
 	Alpha         float64 // Dirichlet concentration (paper: 0.1)
-
-	// TargetAccuracy is the near-optimal accuracy target of Table 1,
-	// rescaled to what the synthetic workload can reach.
-	TargetAccuracy float64
 }
 
 // CNN returns the LeNet-5/CIFAR-10-style workload. Base iteration time and
@@ -61,7 +57,6 @@ func CNN() Workload {
 		},
 		TrainN: 4000, TestN: 1000,
 		Noise: 1.0, Alpha: 0.1,
-		TargetAccuracy: 0.55,
 	}
 }
 
@@ -82,7 +77,6 @@ func LSTM() Workload {
 		},
 		TrainN: 4000, TestN: 1000,
 		Noise: 0.8, Alpha: 0.1,
-		TargetAccuracy: 0.85,
 	}
 }
 
@@ -108,7 +102,6 @@ func WRN() Workload {
 		},
 		TrainN: 4000, TestN: 1000,
 		Noise: 1.0, Alpha: 0.1,
-		TargetAccuracy: 0.55,
 	}
 }
 
@@ -178,7 +171,6 @@ type Testbed struct {
 	// testbed's model seed: a float32 network is the float64 initialization
 	// narrowed.
 	Nets fl.Networks
-	Seed uint64
 }
 
 // Build assembles numClients clients with Dirichlet-partitioned local data,
@@ -203,7 +195,6 @@ func Build(w Workload, numClients int, tcfg trace.Config, seed uint64) *Testbed 
 			Weight: float64(len(parts[i])),
 		}
 	}
-	tb.Seed = seed
 	return tb
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -57,8 +58,14 @@ func TestNewModelPerWorkload(t *testing.T) {
 	for _, name := range []string{"cnn", "lstm", "wrn"} {
 		w, _ := ByName(name)
 		m := w.NewModel(r.Fork(name))
-		if m.Name != name {
-			t.Fatalf("model name %q for workload %q", m.Name, name)
+		// The first parameter tells the LSTM from the convolutional
+		// networks, and the WRN's output batch norm tells it from the CNN.
+		first, bnOut := m.Params()[0].Name, false
+		for _, p := range m.Params() {
+			bnOut = bnOut || strings.HasPrefix(p.Name, "bn_out.")
+		}
+		if (first == "rnn.weight_ih_l0") != (name == "lstm") || bnOut != (name == "wrn") {
+			t.Fatalf("workload %q built a model whose first parameter is %q (output batch norm %v)", name, first, bnOut)
 		}
 		if m.NumParams() == 0 {
 			t.Fatal("empty model")

@@ -62,9 +62,6 @@ type VirtualFleet struct {
 // Size implements fl.Fleet.
 func (f *VirtualFleet) Size() int { return f.part.Clients() }
 
-// ClientID implements fl.Fleet: virtual fleets use the identity mapping.
-func (f *VirtualFleet) ClientID(i int) int { return i }
-
 // Materialize implements fl.Fleet: derive client id into a pooled slot.
 func (f *VirtualFleet) Materialize(id int) (*fl.Client, error) {
 	var s *fleetSlot
@@ -125,7 +122,6 @@ type FleetTestbed struct {
 	Fleet    *VirtualFleet
 	Test     *data.Dataset
 	Nets     fl.Networks // as Testbed.Nets
-	Seed     uint64
 }
 
 // BuildFleet assembles a virtual fleet of fleetSize clients over the
@@ -158,7 +154,7 @@ func BuildFleet(w Workload, fleetSize, perClient int, tcfg trace.Config, seed ui
 		live:   make(map[*fl.Client]*fleetSlot),
 		seen:   make(map[int]bool),
 	}
-	return &FleetTestbed{Workload: w, Fleet: fleet, Test: base.Test, Nets: base.Nets, Seed: seed}, nil
+	return &FleetTestbed{Workload: w, Fleet: fleet, Test: base.Test, Nets: base.Nets}, nil
 }
 
 // NewRunner builds an fl.Runner over the virtual fleet with the given scheme.

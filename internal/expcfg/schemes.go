@@ -25,7 +25,7 @@ func SchemeByName(name string, cfg *fl.Config, fedca core.Options, seed uint64) 
 	case "fedprox":
 		return baseline.FedProx{Mu: 0.01}, nil
 	case "fedada":
-		return baseline.FedAda{K: cfg.LocalIters, Tradeoff: 0.5}, nil
+		return baseline.FedAda{K: cfg.LocalIters}, nil
 	case "oort":
 		if cfg.Participation == 0 {
 			cfg.Participation = 0.5

@@ -12,7 +12,7 @@ import (
 	"fedca/internal/fl"
 )
 
-const specVersion = "1"
+const specVersion = "2"
 
 // field is one run value of the text form: its key, its address in an
 // Options value (an *int, *uint64, *float64, *bool or *string) and its
@@ -27,7 +27,7 @@ type field struct {
 	canon  func(string) (string, error)
 }
 
-// fields is the text form, in order: "v=1", then each key=value, separated
+// fields is the text form, in order: "v=2", then each key=value, separated
 // by ';'. The FedCA hyperparameters nest as fedca.<lower-cased field>; K is
 // no key, the scheme takes it from iters. Telemetry and Journal are
 // observers, not run values.
@@ -58,15 +58,12 @@ var fields = []field{
 	{key: "fedca.tr", ptr: func(o *Options) any { return &o.FedCA.Tr }, lo: -1, hi: 1},
 	{key: "fedca.profileperiod", ptr: func(o *Options) any { return &o.FedCA.ProfilePeriod }, hi: 1e6},
 	{key: "fedca.samplecap", ptr: func(o *Options) any { return &o.FedCA.SampleCap }, hi: 1 << 27},
-	{key: "fedca.samplefrac", ptr: func(o *Options) any { return &o.FedCA.SampleFrac }, hi: 1},
-	{key: "fedca.miniterations", ptr: func(o *Options) any { return &o.FedCA.MinIterations }, hi: 1e6},
 	{key: "fedca.earlystop", ptr: func(o *Options) any { return &o.FedCA.EarlyStop }},
 	{key: "fedca.eager", ptr: func(o *Options) any { return &o.FedCA.Eager }},
 	{key: "fedca.retransmit", ptr: func(o *Options) any { return &o.FedCA.Retransmit }},
 	{key: "fedca.disablebenfloor", ptr: func(o *Options) any { return &o.FedCA.DisableBenFloor }},
 	{key: "fedca.deadlinequantile", ptr: func(o *Options) any { return &o.FedCA.DeadlineQuantile }, hi: 1},
 	{key: "fedca.adaptivelr", ptr: func(o *Options) any { return &o.FedCA.AdaptiveLR }},
-	{key: "fedca.lrdecayat", ptr: func(o *Options) any { return &o.FedCA.LRDecayAt }, hi: 1},
 }
 
 // String writes o in the canonical text form. Set of it rebuilds an
@@ -83,7 +80,7 @@ func (o Options) String() string {
 // Set applies a spec — key=value fields separated by ';', in any order and
 // case, a later key winning — onto o: each key replaces its value, the rest
 // keep theirs, so the full text form (String) sets every run value. An
-// unknown key, a value outside its bounds or a version other than v=1 is an
+// unknown key, a value outside its bounds or a version other than v=2 is an
 // error and leaves o unchanged.
 func (o *Options) Set(spec string) error {
 	if len(spec) > 8192 {

@@ -147,8 +147,8 @@ func TestSpecRoundTrip(t *testing.T) {
 		}
 	}
 	s := full.String()
-	for _, want := range []string{"v=1;model=wrn;geometry=tiny;", ";fleet=1000000;", ";seed=18446744073709551615;",
-		";compress=topk7;", ";chaos=drop=0.1,corrupt=0.01,retries=4;", ";fedca.te=0.7;", ";fedca.adaptivelr=true;"} {
+	for _, want := range []string{"v=2;model=wrn;geometry=tiny;", ";fleet=1000000;", ";seed=18446744073709551615;",
+		";compress=topk7;", ";chaos=drop=0.1,corrupt=0.01,retries=4;", ";fedca.te=0.7;", ";fedca.adaptivelr=true"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("%q missing from %s", want, s)
 		}
@@ -160,13 +160,14 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestSetRejects(t *testing.T) {
 	for _, spec := range []string{
-		"v=2", "bogus=1", "model", "model=transformer", "scheme=has space", "geometry=huge",
+		"v=1", "v=3", "bogus=1", "model", "model=transformer", "scheme=has space", "geometry=huge",
 		"dtype=f16", "compress=zip", "compress=topk1abc", "compress=topkNaN", "compress=qsgd7x", "chaos=drop=2",
 		"compress=qsgd+7", "compress=qsgd07", "compress=topk+1", "compress=topk01", "compress=topk1e0",
 		"compress=topk0x1p0", "compress=topk0.50",
 		"clients=-1", "clients=65537", "fleet=-1", "participation=1.5", "iters=-3",
 		"train=-5", "alpha=Inf", "alpha=NaN", "aggfrac=NaN", "modelbytes=NaN", "quorum=-1",
-		"maxnorm=1e31", "seed=-1", "hetero=maybe", "fedca.te=2", "fedca.samplefrac=-0.1",
+		"maxnorm=1e31", "seed=-1", "hetero=maybe", "fedca.te=2", "fedca.deadlinequantile=-0.1",
+		"fedca.samplefrac=0.5", "fedca.miniterations=1", "fedca.lrdecayat=0",
 		strings.Repeat("iters=1;", 2000),
 	} {
 		o := validBase()

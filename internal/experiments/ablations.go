@@ -29,7 +29,7 @@ func floorCell(off bool) cellSpec {
 // (1 − P_τ)/(K − τ): the guard against non-concave curve stretches. Without
 // it, a locally flat anchor curve yields b ≤ 0 and triggers premature stops.
 func ablationFloor(in *inputs) *Result {
-	res := newResult("abl-floor")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — Eq. 2 benefit floor on/off (CNN)\n")
 	target := in.target("cnn")
@@ -78,7 +78,7 @@ func capCell(cap int) cellSpec {
 // sampled curve from the full one) at per-layer sample caps 25, 100, 400.
 func ablationSampling(in *inputs) *Result {
 	s, seed := in.s, in.seed
-	res := newResult("abl-sampling")
+	res := newResult()
 	tbl := report.NewTable("Ablation — intra-layer sample cap vs profiling fidelity (CNN, largest layer)",
 		"Cap", "Samples total", "Max deviation", "Profiling mem (KB)")
 	w, err := in.workload("cnn")
@@ -113,7 +113,7 @@ func periodCell(period int) cellSpec {
 // 1 (profile every round: maximal fidelity, zero optimized rounds at period 1
 // — every round is an un-optimized anchor!), 2, 5 and 10.
 func ablationPeriod(in *inputs) *Result {
-	res := newResult("abl-period")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — profiling period (CNN); period 1 never optimizes (every round is an anchor)\n")
 	target := in.target("cnn")
@@ -145,7 +145,7 @@ func ruleCell(rule deadlineRule) cellSpec {
 // deadline with fixed-quantile deadlines (50th/90th percentile of estimated
 // round times).
 func ablationDeadline(in *inputs) *Result {
-	res := newResult("abl-deadline")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — deadline rule (CNN)\n")
 	target := in.target("cnn")

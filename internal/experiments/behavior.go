@@ -15,7 +15,7 @@ import (
 // truncates stragglers to (server-side, history-based).
 func fig8a(in *inputs) *Result {
 	s := in.s
-	res := newResult("fig8a")
+	res := newResult()
 	var b strings.Builder
 	k := s.Base.LocalIters
 	fmt.Fprintf(&b, "Fig. 8a — CDF of the early-stop iteration (CNN, K=%d)\n", k)
@@ -74,7 +74,7 @@ func cdfRow(res *Result, b *strings.Builder, width int, name string, iters []int
 // is the round's last iteration.
 func fig8b(in *inputs) *Result {
 	s := in.s
-	res := newResult("fig8b")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 8b — CDF of the eager-transmission iteration (CNN, K=%d)\n", s.Base.LocalIters)
 
@@ -95,7 +95,7 @@ func fig8b(in *inputs) *Result {
 // It trains nothing, so it declares no cells.
 func overhead(in *inputs) *Result {
 	seed := in.seed
-	res := newResult("ovh")
+	res := newResult()
 	tb := report.NewTable("Sec. 5.5 — periodical-sampling overhead",
 		"Model", "Params", "Layers", "Sampled", "Profiling mem (KB)", "Model size (KB)", "Ratio")
 	for _, m := range curveModels {

@@ -151,7 +151,7 @@ func probeRun(s Scale, o expcfg.Options, w expcfg.Workload, tcfg trace.Config) (
 	}
 	return convRun{
 		Results: trainRounds(runner, s.LateRound+s.Window),
-		Curves:  &CurveData{ModelName: w.Name, K: w.FL.LocalIters, LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out},
+		Curves:  &CurveData{LayerNames: probe.names, LayerSizes: probe.sizes, Probes: probe.out},
 	}, nil
 }
 

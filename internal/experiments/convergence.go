@@ -15,7 +15,7 @@ var convergenceSchemes = []string{"fedavg", "fedprox", "fedada", "fedca"}
 // fig7 regenerates Fig. 7: time-to-accuracy curves of the four schemes on the
 // three workloads.
 func fig7(in *inputs) *Result {
-	res := newResult("fig7")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7 — time-to-accuracy (virtual time)\n")
 	for _, m := range curveModels {
@@ -37,7 +37,7 @@ func fig7(in *inputs) *Result {
 // table1 regenerates Table 1: per-round time, number of rounds and total time
 // to reach the target accuracy, per model and scheme.
 func table1(in *inputs) *Result {
-	res := newResult("table1")
+	res := newResult()
 	tb := report.NewTable("Table 1 — time to reach the target accuracy",
 		"Model", "Target", "Scheme", "Per-round (s)", "Rounds", "Total (h)", "Reached")
 	for _, m := range curveModels {
@@ -68,7 +68,7 @@ var (
 // fig9 regenerates the ablation study: FedAvg vs FedCA-v1 (early stop only),
 // FedCA-v2 (+ eager, no retransmission) and FedCA-v3 (full), on CNN and LSTM.
 func fig9(in *inputs) *Result {
-	res := newResult("fig9")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — ablation (v1 = early stop; v2 = +eager, no retrans; v3 = full)\n")
 	labels := map[string]string{"fedavg": "fedavg", "fedca-v1": "v1", "fedca-v2": "v2", "fedca": "v3"}
@@ -100,7 +100,7 @@ func betaCell(beta float64) cellSpec {
 
 // fig10a regenerates the β sensitivity study on CNN.
 func fig10a(in *inputs) *Result {
-	res := newResult("fig10a")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 10a — sensitivity to the marginal cost ratio β (CNN)\n")
 	target := in.target("cnn")
@@ -130,7 +130,7 @@ func thresholdCell(t threshold) cellSpec {
 
 // fig10b regenerates the (T_e, T_r) sensitivity study on CNN.
 func fig10b(in *inputs) *Result {
-	res := newResult("fig10b")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 10b — sensitivity to eager/retransmission thresholds (CNN)\n")
 	target := in.target("cnn")

@@ -28,8 +28,6 @@ type ProbeCurves struct {
 
 // CurveData is everything Figs. 2–5 need for one workload.
 type CurveData struct {
-	ModelName  string
-	K          int
 	LayerNames []string
 	LayerSizes []int
 	Probes     map[probeKey]*ProbeCurves
@@ -58,7 +56,7 @@ type probeScheme struct {
 // newProbeScheme targets the rounds Figs. 2–5 need: clients 0 and 1 at the
 // early and late stage, plus a window of consecutive rounds for client 0 at
 // both stages (Fig. 4). Its sampled curves profile as FedCA would in run o:
-// at most fedca.samplecap parameters per layer, at fedca.samplefrac.
+// at most fedca.samplecap parameters per layer, half of a smaller layer.
 func newProbeScheme(s Scale, o expcfg.Options) *probeScheme {
 	targets := make(map[probeKey]bool)
 	for _, stage := range []int{s.EarlyRound, s.LateRound} {
@@ -73,7 +71,7 @@ func newProbeScheme(s Scale, o expcfg.Options) *probeScheme {
 		targets: targets,
 		out:     make(map[probeKey]*ProbeCurves),
 		sampler: func(clientID int) *core.Profiler {
-			return core.NewProfiler(o.FedCA.SampleCap, o.FedCA.SampleFrac, samplerRng.Fork("c", clientID))
+			return core.NewProfiler(o.FedCA.SampleCap, core.DefaultSampleFrac, samplerRng.Fork("c", clientID))
 		},
 	}
 }
@@ -166,7 +164,7 @@ func addLayerSeries(res *Result, m string, st stage, client int, names []string,
 // clients at an early and a late round, for each workload.
 func fig2(in *inputs) *Result {
 	s := in.s
-	res := newResult("fig2")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 2 — statistical progress curves (clients 0/1, rounds %d/%d)\n", s.EarlyRound, s.LateRound)
 	for _, m := range curveModels {
@@ -201,7 +199,7 @@ func at20(curve []float64) float64 {
 // cross-layer heterogeneity and works for any architecture); its Series
 // holds every layer's curve.
 func fig3(in *inputs) *Result {
-	res := newResult("fig3")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — per-layer statistical progress (most divergent layer pair)\n")
 	for _, m := range curveModels {
@@ -260,7 +258,7 @@ func meanAbsGap(x, y []float64) float64 {
 // rounds, at an early and a late stage.
 func fig4(in *inputs) *Result {
 	s := in.s
-	res := newResult("fig4")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — curve similarity across %d consecutive rounds (client 0)\n", s.Window)
 	for _, m := range curveModels {
@@ -295,7 +293,7 @@ func fig4(in *inputs) *Result {
 // with the min(50%, 100)-sampled subset. Its text compares client 0's
 // largest layer; its Series holds every layer's full and sampled curve.
 func fig5(in *inputs) *Result {
-	res := newResult("fig5")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — full vs sampled profiling (largest layer of each model)\n")
 	for _, m := range curveModels {

@@ -25,7 +25,7 @@ import (
 // every on-disk cell address; bump it whenever training arithmetic, cell key
 // layout or a cached type's shape changes, so stale entries are orphaned
 // instead of wrongly served.
-const cacheVersion = "fedca-cells-v9"
+const cacheVersion = "fedca-cells-v10"
 
 var (
 	execMu sync.RWMutex

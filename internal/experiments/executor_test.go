@@ -12,7 +12,7 @@ import (
 // version it is written under. A gob entry of another shape decodes with
 // its moved or renamed fields silently zero, so a shape change must come
 // with a cacheVersion bump.
-var convRunShape = struct{ version, digest string }{"fedca-cells-v9", "48bbc60158e759ae375c0d26d8b44794df951877f47dbfe8722c09aea49e3159"}
+var convRunShape = struct{ version, digest string }{"fedca-cells-v10", "7feccb30bc2784d32504452de8338d1fbca2bd524154bb49fedf6a68be64b63a"}
 
 func TestCacheVersionPinsConvRunShape(t *testing.T) {
 	got := typeDigest(reflect.TypeOf(convRun{}))

@@ -76,7 +76,6 @@ func ScaleByName(name string) (Scale, error) {
 
 // Result is a regenerated experiment artifact.
 type Result struct {
-	ID   string
 	Text string
 	// Structured payloads for programmatic assertions; which fields are set
 	// depends on the experiment.
@@ -84,6 +83,6 @@ type Result struct {
 	Values map[string]float64
 }
 
-func newResult(id string) *Result {
-	return &Result{ID: id, Series: make(map[string][]float64), Values: make(map[string]float64)}
+func newResult() *Result {
+	return &Result{Series: make(map[string][]float64), Values: make(map[string]float64)}
 }

@@ -39,7 +39,7 @@ var compressCells = []cellSpec{
 // calls these methods orthogonal; here the combination is measured). The
 // workload is made communication-heavy so the comparison has teeth.
 func extCompress(in *inputs) *Result {
-	res := newResult("ext-compress")
+	res := newResult()
 	tbl := report.NewTable("Extension — FedCA vs quantization/sparsification (CNN, comm-heavy)",
 		"Variant", "Best acc", "Total time (s)", "Upload (MB)")
 	for _, cell := range compressCells {
@@ -70,7 +70,7 @@ var selectionCells = []cellSpec{
 // selection and SAFA-style stale-update reuse under strong heterogeneity —
 // the other two Sec. 2.2 families, built and measured.
 func extSelection(in *inputs) *Result {
-	res := newResult("ext-selection")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — participation strategies under heterogeneity (CNN)\n")
 	for _, cell := range selectionCells {
@@ -98,7 +98,7 @@ var hpCells = []cellSpec{
 // core.Options.AdaptiveLR: clients halve their local learning rate once the
 // profiled curve says they are deep in diminishing returns.
 func extHyperparam(in *inputs) *Result {
-	res := newResult("ext-hp")
+	res := newResult()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — client-autonomous intra-round LR decay (CNN)\n")
 	for _, cell := range hpCells {

@@ -74,13 +74,11 @@ func TestChaosRunDeterministic(t *testing.T) {
 
 // TestChaosCorruptionQuarantined: with every update corrupted, validation
 // must quarantine them all, skip the round, and leave the model untouched —
-// at a partial-aggregation cut with deltas retained, and at full
-// aggregation with deltas recycled as the fold passes them.
+// at a partial-aggregation cut and at full aggregation, where the fold
+// recycles each delta as it passes it. No quarantined delta outlives the
+// round either way.
 func TestChaosCorruptionQuarantined(t *testing.T) {
-	for _, path := range []struct {
-		fraction float64
-		retain   bool
-	}{{0.9, true}, {1, false}} {
+	for _, fraction := range []float64{0.9, 1} {
 		w := tinyWorkload()
 		e, err := chaos.NewEngine(chaos.Config{CorruptProb: 1}, 5)
 		if err != nil {
@@ -89,8 +87,7 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 		// Exploded deltas are finite; the model-relative norm bound catches
 		// them without any configured cap.
 		w.FL.Chaos = e
-		w.FL.AggregateFraction = path.fraction
-		w.FL.RetainUpdateDeltas = path.retain
+		w.FL.AggregateFraction = fraction
 		tb := expcfg.Build(w, 3, trace.Config{}, 61)
 		r, err := tb.NewRunner(baseline.FedAvg{})
 		if err != nil {
@@ -99,10 +96,10 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 		before := r.GlobalFlat()
 		res := r.RunRound()
 		if !res.Skipped {
-			t.Fatalf("%+v: round with only corrupted updates must be skipped", path)
+			t.Fatalf("fraction %v: round with only corrupted updates must be skipped", fraction)
 		}
 		if res.Quarantined != 3 {
-			t.Fatalf("%+v: Quarantined = %d, want all 3 corrupted updates", path, res.Quarantined)
+			t.Fatalf("fraction %v: Quarantined = %d, want all 3 corrupted updates", fraction, res.Quarantined)
 		}
 		quarantined := 0
 		for _, u := range res.Discarded {
@@ -110,39 +107,21 @@ func TestChaosCorruptionQuarantined(t *testing.T) {
 				continue
 			}
 			quarantined++
-			if !path.retain {
-				if u.Delta != nil {
-					t.Fatalf("%+v: a quarantined delta outlived the round without RetainUpdateDeltas", path)
-				}
-				continue
-			}
-			if u.Delta == nil {
-				t.Fatal("quarantined update must keep its Delta (RetainUpdateDeltas on)")
-			}
-			finite := true
-			norm := 0.0
-			for _, v := range u.Delta {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					finite = false
-					break
-				}
-				norm += v * v
-			}
-			if finite && norm < 1e12 {
-				t.Fatal("quarantined update looks healthy")
+			if u.Delta != nil {
+				t.Fatalf("fraction %v: a quarantined delta outlived the round", fraction)
 			}
 		}
 		if quarantined != res.Quarantined {
-			t.Fatalf("%+v: Quarantined = %d but %d flagged updates in Discarded", path, res.Quarantined, quarantined)
+			t.Fatalf("fraction %v: Quarantined = %d but %d flagged updates in Discarded", fraction, res.Quarantined, quarantined)
 		}
 		after := r.GlobalFlat()
 		for i := range before {
 			if before[i] != after[i] {
-				t.Fatalf("%+v: quarantine-skipped round must leave the model unchanged", path)
+				t.Fatalf("fraction %v: quarantine-skipped round must leave the model unchanged", fraction)
 			}
 		}
 		if st := r.Stats(); st.Quarantined != res.Quarantined || st.SkippedRounds != 1 {
-			t.Fatalf("%+v: runner stats %+v disagree with round result", path, st)
+			t.Fatalf("fraction %v: runner stats %+v disagree with round result", fraction, st)
 		}
 	}
 }
@@ -319,12 +298,13 @@ func TestDropMidEagerReleasesUplink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := r.GlobalFlat()
 			u := onlyUpdate(t, r)
 			if tc.dropAt > 0 {
 				verifyDroppedClient(t, tb.Clients[0], u, tc.eager)
 				return
 			}
-			if u.Dropped || u.Delta == nil {
+			if u.Dropped || slices.Equal(before, r.GlobalFlat()) {
 				t.Fatal("no-drop case must deliver a full update")
 			}
 		})

@@ -12,8 +12,10 @@ import (
 )
 
 // deltaPool recycles the NumParams-sized vectors handed to the server as
-// Update.Delta. The runner returns them once the round is done with them (see
-// Runner.recycle), so steady-state rounds allocate no fresh update vectors.
+// Update.Delta. A delta lives from its upload until the fold passes it, or,
+// for a late update, until the cut has handed it to Carry; then the fold or
+// Runner.recycle puts it back, so steady-state rounds allocate no fresh
+// update vectors and no RoundResult holds one.
 // Recycled slices carry stale data; every taker must overwrite all elements
 // before reading any. It is a plain free list: a sync.Pool of slices would
 // box a slice header on every put, and the vectors it holds between rounds

@@ -138,11 +138,6 @@ type Config struct {
 	// with Networks.New64 or Networks.New32 accordingly.
 	DType string
 
-	// RetainUpdateDeltas keeps each Update's full Delta vector in the round
-	// results. Off by default: long runs over many clients would otherwise
-	// hold rounds × clients × params floats alive.
-	RetainUpdateDeltas bool
-
 	// Compressor lossily compresses every uploaded layer (eager and final),
 	// emulating the quantization/sparsification family of Sec. 2.2. Nil means
 	// full-precision uploads. The wire size scales with ModelBytes so a

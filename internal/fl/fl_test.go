@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedca/internal/baseline"
+	"fedca/internal/chaos"
 	"fedca/internal/compress"
 	"fedca/internal/data"
 	"fedca/internal/expcfg"
@@ -24,7 +25,6 @@ func tinyWorkload() expcfg.Workload {
 	w.Img.Classes = 4
 	w.FL.BaseIterTime = 0.1
 	w.FL.ModelBytes = 0 // derive from params
-	w.FL.RetainUpdateDeltas = true
 	w.FL.LocalIters, w.FL.BatchSize = 8, 16
 	w.TrainN, w.TestN = 256, 128
 	return w
@@ -40,20 +40,70 @@ func roundRecords(r *fl.Runner, n int) []fl.RoundRecord {
 	return recs
 }
 
-func TestDeltasDroppedByDefault(t *testing.T) {
-	w := tinyWorkload()
-	w.FL.RetainUpdateDeltas = false
-	tb := expcfg.Build(w, 2, trace.Config{}, 99)
-	r, err := tb.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.RunRound()
-	for _, u := range res.Collected {
-		if u.Delta != nil {
-			t.Fatal("Delta must be dropped unless RetainUpdateDeltas is set")
+// TestNoDeltaOutlivesItsRound: after every round, no collected or
+// discarded update holds a delta and the runner's pool holds every vector
+// exactly once, and at least one once any client uploaded — at a
+// whole-cohort cut, at a 0.9 cut whose late update SAFA carries, in rounds
+// whose every update is corrupted and quarantined, and in rounds with a
+// dropout.
+func TestNoDeltaOutlivesItsRound(t *testing.T) {
+	engine := func(c chaos.Config) *chaos.Engine {
+		e, err := chaos.NewEngine(c, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return e
 	}
+	for _, tc := range []struct {
+		name     string
+		clients  int
+		fraction float64
+		chaos    *chaos.Engine
+		scheme   fl.Scheme
+		check    func(fl.RoundResult) bool // the round shows the path
+	}{
+		{"whole-cohort", 4, 1, nil, baseline.FedAvg{}, func(res fl.RoundResult) bool { return len(res.Discarded) == 0 }},
+		{"safa-0.9", 12, 0.9, nil, baseline.NewSAFA(0.5), func(res fl.RoundResult) bool { return len(res.Discarded) == 1 }},
+		{"corrupt", 4, 1, engine(chaos.Config{CorruptProb: 1}), baseline.FedAvg{}, func(res fl.RoundResult) bool { return res.Skipped }},
+		{"dropout", 4, 1, engine(chaos.Config{DropProb: 0.5}), baseline.FedAvg{}, func(res fl.RoundResult) bool {
+			return slices.ContainsFunc(res.Discarded, func(u fl.Update) bool { return u.Dropped })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tinyWorkload()
+			w.FL.AggregateFraction, w.FL.Chaos = tc.fraction, tc.chaos
+			r, err := expcfg.Build(w, tc.clients, trace.Config{HeterogeneitySigma: 0.5}, 99).NewRunner(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled := map[*float64]bool{}
+			shown := false
+			for round := 0; round < 3; round++ {
+				res := r.RunRound()
+				shown = shown || tc.check(res)
+				uploaded := slices.ContainsFunc(append(res.Collected, res.Discarded...), func(u fl.Update) bool { return !u.Dropped })
+				if n := fl.CheckPoolOnce(t, r, res, round, pooled); uploaded && n == 0 {
+					t.Fatalf("round %d: no delta came back to the pool", round)
+				}
+			}
+			if !shown {
+				t.Fatalf("no round of %s showed its path", tc.name)
+			}
+		})
+	}
+}
+
+// step runs one round of r and returns how far it moved the global model:
+// with one participant, the delta the server aggregated, up to the rounding
+// of the weighted mean.
+func step(r *fl.Runner) []float64 {
+	before := r.GlobalFlat()
+	r.RunRound()
+	moved := r.GlobalFlat()
+	for i := range moved {
+		moved[i] -= before[i]
+	}
+	return moved
 }
 
 func tinyTestbed(t *testing.T, n int, tcfg trace.Config, seed uint64) *expcfg.Testbed {
@@ -186,24 +236,18 @@ func TestAggregationMovesGlobalModel(t *testing.T) {
 
 func TestAggregationIsWeightedMean(t *testing.T) {
 	// With one client, the global model must become exactly that client's
-	// final parameters.
+	// final parameters: global_after = global_before + delta.
 	tb := tinyTestbed(t, 1, trace.Config{}, 4)
-	tbCopy := tinyTestbed(t, 1, trace.Config{}, 4)
-	r, err := tb.NewRunner(baseline.FedAvg{})
+	var delta []float64
+	r, err := tb.NewRunner(ctrlScheme{ctrl: fl.KeepFinal{Dst: &delta}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := r.RunRound()
-	u := res.Collected[0]
-	// Reconstruct: global_after = global_before + delta.
-	rc, err := tbCopy.NewRunner(baseline.FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := rc.GlobalFlat()
+	before := r.GlobalFlat()
+	r.RunRound()
 	after := r.GlobalFlat()
 	for i := range before {
-		want := before[i] + u.Delta[i]
+		want := before[i] + delta[i]
 		if math.Abs(after[i]-want) > 1e-12 {
 			t.Fatalf("param %d: got %v, want %v", i, after[i], want)
 		}
@@ -411,8 +455,9 @@ func TestEagerTransmissionStaleSnapshot(t *testing.T) {
 }
 
 func TestRetransmissionRestoresFinalValues(t *testing.T) {
-	// With retransmission, the server-visible delta must equal the pure
-	// FedAvg delta (same seed, same trajectory).
+	// With retransmission, the server-visible deltas must equal the pure
+	// FedAvg deltas (same seed, same trajectory), and so must the model
+	// they aggregate to.
 	tbA := tinyTestbed(t, 2, trace.Config{}, 13)
 	tbB := tinyTestbed(t, 2, trace.Config{}, 13)
 	ra, err := tbA.NewRunner(eagerScheme{retransmit: true})
@@ -423,17 +468,14 @@ func TestRetransmissionRestoresFinalValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua := ra.RunRound().Collected
-	ub := rb.RunRound().Collected
-	for i := range ua {
-		if ua[i].Retransmitted != 1 {
-			t.Fatalf("retransmitted = %d", ua[i].Retransmitted)
+	for _, u := range ra.RunRound().Collected {
+		if u.Retransmitted != 1 {
+			t.Fatalf("retransmitted = %d", u.Retransmitted)
 		}
-		for j := range ua[i].Delta {
-			if ua[i].Delta[j] != ub[i].Delta[j] {
-				t.Fatalf("retransmitted delta differs from FedAvg at %d", j)
-			}
-		}
+	}
+	rb.RunRound()
+	if !slices.Equal(ra.GlobalFlat(), rb.GlobalFlat()) {
+		t.Fatal("the model aggregated from retransmitted deltas differs from FedAvg's")
 	}
 }
 
@@ -442,24 +484,17 @@ func TestEagerWithoutRetransmissionDiffersOnLayer0(t *testing.T) {
 	tbB := tinyTestbed(t, 1, trace.Config{}, 14)
 	ra, _ := tbA.NewRunner(eagerScheme{retransmit: false})
 	rb, _ := tbB.NewRunner(baseline.FedAvg{})
-	ua := ra.RunRound().Collected[0]
-	ub := rb.RunRound().Collected[0]
+	da := step(ra)
+	db := step(rb)
 	// Layer 0 (conv1.weight) must hold the stale iteration-2 snapshot.
 	net := tbA.Nets.New64()
 	rg := net.ParamRanges()[0]
-	differs := false
-	for j := rg.Start; j < rg.End; j++ {
-		if ua.Delta[j] != ub.Delta[j] {
-			differs = true
-			break
-		}
-	}
-	if !differs {
+	if slices.Equal(da[rg.Start:rg.End], db[rg.Start:rg.End]) {
 		t.Fatal("stale eager layer should differ from the final update")
 	}
 	// All other layers must match exactly.
-	for j := rg.End; j < len(ua.Delta); j++ {
-		if ua.Delta[j] != ub.Delta[j] {
+	for j := rg.End; j < len(da); j++ {
+		if da[j] != db[j] {
 			t.Fatalf("non-eager region differs at %d", j)
 		}
 	}
@@ -694,22 +729,15 @@ func TestCompressionDegradesDeltaButPreservesDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua := ra.RunRound().Collected[0]
-	ub := rb.RunRound().Collected[0]
+	da := step(ra)
+	db := step(rb)
 	// Same trajectory, so the quantized delta must correlate strongly with
 	// the full-precision one without being identical.
-	cos := cosine(ua.Delta, ub.Delta)
+	cos := cosine(da, db)
 	if cos < 0.95 {
 		t.Fatalf("quantized delta cosine = %v", cos)
 	}
-	same := true
-	for i := range ua.Delta {
-		if ua.Delta[i] != ub.Delta[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	if slices.Equal(da, db) {
 		t.Fatal("quantization changed nothing")
 	}
 }

@@ -1,13 +1,13 @@
 package fl
 
 // The fleet abstraction virtualizes the client population: the runner never
-// holds more client state than the round's cohort. A Fleet maps client ids
-// to materialized *Client values on demand — a static fleet just indexes a
-// pre-built slice, a virtual fleet (expcfg.BuildFleet) derives every
-// client's data shard, speed model and links from
-// (fleetSeed, clientID) when the client is selected, into a pooled slot
-// that Recycle returns after the round. Million-client fleets therefore
-// cost O(cohort) live memory, not O(fleet).
+// holds more client state than the round's cohort. A Fleet of n clients
+// numbers them 0 to n−1 and materializes a *Client for an id on demand — a
+// static fleet just indexes a pre-built slice, a virtual fleet
+// (expcfg.BuildFleet) derives every client's data shard, speed model and
+// links from (fleetSeed, clientID) when the client is selected, into a
+// pooled slot that Recycle returns after the round. Million-client fleets
+// therefore cost O(cohort) live memory, not O(fleet).
 
 import (
 	"fmt"
@@ -16,7 +16,8 @@ import (
 	"fedca/internal/rng"
 )
 
-// Fleet is the client population a Runner draws each round's cohort from.
+// Fleet is the client population a Runner draws each round's cohort from:
+// the clients with ids 0 to Size()−1.
 //
 // Materialize and Recycle are called serially, by the round's cohort and
 // record stages (see the package comment), so implementations need no
@@ -27,12 +28,8 @@ import (
 type Fleet interface {
 	// Size is the fleet's population count.
 	Size() int
-	// ClientID returns the id of the fleet's i-th member, i in [0, Size).
-	// Virtual fleets use the identity mapping; static fleets may carry
-	// arbitrary ids.
-	ClientID(i int) int
 	// Materialize returns the live client for id, building or reusing a
-	// cohort slot as needed. The id must be one ClientID can return.
+	// cohort slot as needed. The id must lie in [0, Size).
 	Materialize(id int) (*Client, error)
 	// Recycle returns a materialized client's slot to the fleet's pool.
 	// No-op for static fleets.
@@ -44,38 +41,27 @@ type Fleet interface {
 // no-op: every client stays live for the run, exactly as before.
 type StaticFleet struct {
 	clients []*Client
-	byID    map[int]*Client
 }
 
-// NewStaticFleet wraps clients. Ids must be unique.
+// NewStaticFleet wraps clients, whose ids must be their indices.
 func NewStaticFleet(clients []*Client) *StaticFleet {
-	f := &StaticFleet{clients: clients, byID: make(map[int]*Client, len(clients))}
-	for _, c := range clients {
-		if _, dup := f.byID[c.ID]; dup {
-			panic(fmt.Sprintf("fl: duplicate client id %d in static fleet", c.ID))
+	for i, c := range clients {
+		if c.ID != i {
+			panic(fmt.Sprintf("fl: static fleet member %d has id %d", i, c.ID))
 		}
-		f.byID[c.ID] = c
 	}
-	return f
+	return &StaticFleet{clients: clients}
 }
 
 // Size implements Fleet.
 func (f *StaticFleet) Size() int { return len(f.clients) }
 
-// ClientID implements Fleet.
-func (f *StaticFleet) ClientID(i int) int { return f.clients[i].ID }
-
-// Materialize implements Fleet: a map lookup, with a fast path for the
-// common sequential-id layout.
+// Materialize implements Fleet: an index.
 func (f *StaticFleet) Materialize(id int) (*Client, error) {
-	if id >= 0 && id < len(f.clients) && f.clients[id].ID == id {
-		return f.clients[id], nil
-	}
-	c, ok := f.byID[id]
-	if !ok {
+	if id < 0 || id >= len(f.clients) {
 		return nil, fmt.Errorf("fl: unknown client %d", id)
 	}
-	return c, nil
+	return f.clients[id], nil
 }
 
 // Recycle implements Fleet as a no-op: static clients are never pooled.

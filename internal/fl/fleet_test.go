@@ -8,18 +8,15 @@ import (
 )
 
 // TestStaticFleet: the static adapter preserves the classic testbed
-// contract — every client resolvable by id (sequential or not), recycle a
-// no-op, duplicates rejected.
+// contract — client i resolvable as id i, an id outside [0, Size) an
+// error, recycle a no-op, and a member whose id is not its index rejected.
 func TestStaticFleet(t *testing.T) {
 	seq := []*fl.Client{{ID: 0}, {ID: 1}, {ID: 2}}
 	f := fl.NewStaticFleet(seq)
 	if f.Size() != 3 {
 		t.Fatalf("size %d != 3", f.Size())
 	}
-	for i, c := range seq {
-		if f.ClientID(i) != c.ID {
-			t.Fatalf("ordinal %d maps to id %d", i, f.ClientID(i))
-		}
+	for _, c := range seq {
 		got, err := f.Materialize(c.ID)
 		if err != nil || got != c {
 			t.Fatalf("materialize %d: %v %v", c.ID, got, err)
@@ -29,21 +26,22 @@ func TestStaticFleet(t *testing.T) {
 			t.Fatalf("client %d lost after recycle", c.ID)
 		}
 	}
-
-	sparse := fl.NewStaticFleet([]*fl.Client{{ID: 7}, {ID: 99}})
-	if c, err := sparse.Materialize(99); err != nil || c.ID != 99 {
-		t.Fatalf("sparse lookup: %v %v", c, err)
-	}
-	if _, err := sparse.Materialize(3); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate ids did not panic")
+	for _, id := range []int{-1, 3} {
+		if _, err := f.Materialize(id); err == nil {
+			t.Fatalf("unknown id %d accepted", id)
 		}
-	}()
-	fl.NewStaticFleet([]*fl.Client{{ID: 1}, {ID: 1}})
+	}
+
+	for _, clients := range [][]*fl.Client{{{ID: 7}, {ID: 99}}, {{ID: 0}, {ID: 0}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ids %d, %d did not panic", clients[0].ID, clients[1].ID)
+				}
+			}()
+			fl.NewStaticFleet(clients)
+		}()
+	}
 }
 
 // TestSampleOrdinals: Floyd's sampler must return k distinct in-range

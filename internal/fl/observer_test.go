@@ -67,7 +67,6 @@ func (r *recorder) replay(o fl.Observer) {
 //   - the per-round stage tables add up to the run's (Runner.StageTimes).
 func TestObserverContract(t *testing.T) {
 	w := tinyWorkload()
-	w.FL.RetainUpdateDeltas = false
 	w.FL.Participation = 0.5
 	ccfg, err := chaos.ParseSpec("drop=0.2,xfail=0.3,corrupt=0.2")
 	if err != nil {

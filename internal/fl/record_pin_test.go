@@ -35,7 +35,6 @@ func recordPinRun(t *testing.T, workers int) (*telemetry.Sink, *telemetry.Journa
 	defer budget.SetCap(budget.Setting())
 	budget.SetCap(workers)
 	w := tinyWorkload()
-	w.FL.RetainUpdateDeltas = false
 	sink, journal := telemetry.New(), telemetry.NewJournal(1<<14)
 	w.FL.Observers = []fl.Observer{sink, journal}
 	opt := core.DefaultOptions(w.FL.LocalIters)

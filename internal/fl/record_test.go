@@ -90,7 +90,6 @@ func TestDropoutJournaledWhenTraced(t *testing.T) {
 // observers all read from it.
 func TestRoundRecordSumsItsUpdates(t *testing.T) {
 	w := tinyWorkload()
-	w.FL.RetainUpdateDeltas = false
 	ccfg, err := chaos.ParseSpec("drop=0.3,xfail=0.3,retries=3,corrupt=0.3")
 	if err != nil {
 		t.Fatal(err)

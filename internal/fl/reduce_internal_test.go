@@ -368,11 +368,21 @@ func TestOnlineFoldWaitsPastItsWindow(t *testing.T) {
 
 // lateCarrier is a scheme that carries a copy of each late update it is
 // handed, its weight halved, into the same round's mean.
-type lateCarrier struct{ carried int }
+type lateCarrier struct {
+	carried int
+	// finals, when set, receives each client's final update by client id
+	// (see KeepFinal).
+	finals [][]float64
+}
 
-func (*lateCarrier) Name() string                                     { return "late-carrier" }
-func (*lateCarrier) PlanRound(int, *History) RoundPlan                { return RoundPlan{Deadline: math.Inf(1)} }
-func (*lateCarrier) NewController(*Client, int, RoundPlan) Controller { return NopController{} }
+func (*lateCarrier) Name() string                      { return "late-carrier" }
+func (*lateCarrier) PlanRound(int, *History) RoundPlan { return RoundPlan{Deadline: math.Inf(1)} }
+func (c *lateCarrier) NewController(cl *Client, _ int, _ RoundPlan) Controller {
+	if c.finals == nil {
+		return NopController{}
+	}
+	return KeepFinal{Dst: &c.finals[cl.ID]}
+}
 func (c *lateCarrier) Carry(_ int, late []Update) []Update {
 	out := make([]Update, len(late))
 	for i, u := range late {
@@ -380,6 +390,19 @@ func (c *lateCarrier) Carry(_ int, late []Update) []Update {
 	}
 	c.carried += len(out)
 	return out
+}
+
+// KeepFinal is a controller that copies its client's final accumulated
+// update into *Dst: the delta the server receives when nothing is sent
+// eagerly, compressed or corrupted. The package's external tests use it too.
+type KeepFinal struct {
+	NopController
+	Dst *[]float64
+}
+
+func (c KeepFinal) Finalize(st FinalState) FinalAction {
+	*c.Dst = slices.Clone(st.Delta)
+	return FinalAction{}
 }
 
 // foldClients returns n identical clients with ids 0 to n−1 over a small
@@ -423,6 +446,10 @@ func checkPoolOnce(t *testing.T, r *Runner, res RoundResult, round int, pooled m
 	maps.Copy(pooled, seen)
 	return len(r.pool.free)
 }
+
+// CheckPoolOnce is checkPoolOnce for the package's external tests, which
+// drive the runner with baseline's schemes.
+var CheckPoolOnce = checkPoolOnce
 
 // TestRecyclePoolsEveryDeltaOnce: on rounds cut at ⌈0.5·5⌉ = 3, with a
 // scheme carrying late updates, every delta the runner handed out goes back
@@ -510,8 +537,8 @@ func TestFoldLiveness(t *testing.T) {
 	setTokenCap(t, 2)
 	cs, test := foldClients(8)
 	cs[0].Up = simnet.NewLink(simnet.DefaultClientBandwidth/1000, 0)
-	cfg := Config{LocalIters: 2, BatchSize: 8, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 0.87, RetainUpdateDeltas: true}
-	sc := &lateCarrier{}
+	cfg := Config{LocalIters: 2, BatchSize: 8, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 0.87}
+	sc := &lateCarrier{finals: make([][]float64, len(cs))}
 	r, err := NewFleetRunner(cfg, NewStaticFleet(cs), sc, test, cnnNets{})
 	if err != nil {
 		t.Fatal(err)
@@ -530,8 +557,11 @@ func TestFoldLiveness(t *testing.T) {
 	}
 	folded := slices.Clone(res.Collected)
 	slices.SortFunc(folded, func(a, b Update) int { return a.ClientID - b.ClientID })
+	for i := range folded {
+		folded[i].Delta = sc.finals[folded[i].ClientID]
+	}
 	late := res.Discarded[0]
-	serialReduce(want, append(folded, Update{Weight: late.Weight / 2, Delta: late.Delta}))
+	serialReduce(want, append(folded, Update{Weight: late.Weight / 2, Delta: sc.finals[0]}))
 	for j, v := range r.GlobalFlat() {
 		if v != want[j] {
 			t.Fatalf("flat[%d] = %v, serial %v", j, v, want[j])
@@ -546,16 +576,26 @@ func BenchmarkWeightedReduce(b *testing.B) {
 	const n, clients = 1 << 18, 16
 	r := rand.New(rand.NewSource(2))
 	ups, _ := randomUpdates(r, clients, n)
+	deltas := make([][]float64, clients)
+	for k, u := range ups {
+		deltas[k] = u.Delta
+	}
 	valid := slices.Repeat([]bool{true}, clients)
 	done := make([]bool, clients)
 	flat := make([]float64, n)
 	agg := make([]float64, n)
+	pool := &deltaPool{}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clear(agg)
 				clear(done)
-				f := newOnlineFold(agg, ups, valid, done, nil, clients, clients)
+				// The fold pools each delta it folds; hand them back.
+				for k := range ups {
+					ups[k].Delta = deltas[k]
+				}
+				pool.free = pool.free[:0]
+				f := newOnlineFold(agg, ups, valid, done, pool, clients, clients)
 				for k := range ups {
 					f.complete(k)
 				}

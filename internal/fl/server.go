@@ -82,12 +82,12 @@ func (d *Digest) UnmarshalText(text []byte) error {
 
 // RoundResult is one completed round: its record and the client-rounds
 // behind it. The update lists shadow the record's counts of the same names,
-// which are their lengths.
+// which are their lengths. No update in them holds a Delta: the round has
+// pooled every one before it returns.
 type RoundResult struct {
 	RoundRecord
 	Collected []Update
 	Discarded []Update
-	Plan      RoundPlan
 }
 
 // RunStats is the run's tally: one fold of its client-rounds' records
@@ -406,7 +406,7 @@ func (r *Runner) RunRound() RoundResult {
 	}
 	r.recycle(cut)
 	c.lap(stageRecycle)
-	res := r.evaluate(plan, cut)
+	res := r.evaluate(cut)
 	c.lap(stageEvaluate)
 	meta := r.record(&res, cohort)
 	c.lap(stageObserve)
@@ -521,8 +521,8 @@ func resize[T any](buf *[]T, n int) []T {
 func (r *Runner) selectCohort() []int {
 	ids := r.cohortIDs[:0]
 	if r.sel == nil {
-		for i := 0; i < r.Fleet.Size(); i++ {
-			ids = append(ids, r.Fleet.ClientID(i))
+		for id := range r.Fleet.Size() {
+			ids = append(ids, id)
 		}
 	} else {
 		ids = r.sel.Select(r.round, r.Hist, r.Fleet.Size(), r.k, ids)
@@ -640,16 +640,12 @@ func (j *trainJob) Do(i, w int) {
 }
 
 // newFold returns the round's fold (see onlineFold), which recycles the
-// deltas it passes unless RetainUpdateDeltas keeps them in the result.
+// deltas it passes.
 func (r *Runner) newFold(updates []Update, valid []bool, workers int) *onlineFold {
 	clear(r.aggBuf)
 	done := resize(&r.foldDone, len(updates))
 	clear(done)
-	pool := r.pool
-	if r.Cfg.RetainUpdateDeltas {
-		pool = nil
-	}
-	return newOnlineFold(r.aggBuf, updates, valid, done, pool, workers, cutTake(r.Cfg.AggregateFraction, len(updates)))
+	return newOnlineFold(r.aggBuf, updates, valid, done, r.pool, workers, cutTake(r.Cfg.AggregateFraction, len(updates)))
 }
 
 // roundCut is the cut stage's decision about a round's updates.
@@ -804,12 +800,9 @@ func (r *Runner) carry(c roundCut, updates []Update) []Update {
 // recycle returns the round's dead update vectors to the worker pool. The
 // ownership rule: whoever pools a delta nils its Update.Delta — the fold
 // already did for every update but the late ones — so every delta still set
-// here is pooled, unless RetainUpdateDeltas keeps them in the result.
-// Carried deltas are the scheme's and never pass through here. Serial.
+// here is pooled, and no RoundResult holds a delta. Carried deltas are the
+// scheme's and never pass through here. Serial.
 func (r *Runner) recycle(c roundCut) {
-	if r.Cfg.RetainUpdateDeltas {
-		return
-	}
 	for _, us := range [][]Update{c.collected, c.discarded} {
 		for i := range us {
 			r.pool.put(us[i].Delta)
@@ -818,9 +811,9 @@ func (r *Runner) recycle(c roundCut) {
 	}
 }
 
-// evaluate opens the record stage: the RoundResult of the plan and the cut,
-// with the global model's accuracy on the test set. Serial.
-func (r *Runner) evaluate(plan RoundPlan, c roundCut) RoundResult {
+// evaluate opens the record stage: the RoundResult of the cut, with the
+// global model's accuracy on the test set. Serial.
+func (r *Runner) evaluate(c roundCut) RoundResult {
 	res := RoundResult{
 		RoundRecord: RoundRecord{
 			Index:       r.round,
@@ -832,7 +825,6 @@ func (r *Runner) evaluate(plan RoundPlan, c roundCut) RoundResult {
 		},
 		Collected: c.collected,
 		Discarded: c.discarded,
-		Plan:      plan,
 	}
 	if r.Test != nil {
 		res.Accuracy = Evaluate(r.global, r.Test, r.Cfg.EvalBatch)
@@ -998,7 +990,7 @@ type onlineFold struct {
 	valid   []bool
 	done    []bool
 	next    int
-	pool    *deltaPool // nil: deltas are retained, not recycled
+	pool    *deltaPool // takes back every delta the fold passes
 	window  int
 	take    int
 
@@ -1039,10 +1031,8 @@ func (f *onlineFold) complete(i int) {
 			foldDelta(f.agg, u.Weight, u.Delta)
 			f.totalW += u.Weight
 		}
-		if f.pool != nil {
-			f.pool.put(u.Delta)
-			u.Delta = nil
-		}
+		f.pool.put(u.Delta)
+		u.Delta = nil
 	}
 	f.moved.Broadcast() // the frontier may have finished, advanced or not
 	for i >= f.next+f.window && !f.done[f.next] && !f.aborted {

@@ -28,12 +28,9 @@ import (
 // field keeps its historical name: m.Network works for any dtype.
 type Network[F tensor.Float] = nn.NetworkOf[F]
 
-// ModelOf wraps a network with workload metadata.
+// ModelOf wraps a workload's network.
 type ModelOf[F tensor.Float] struct {
 	*Network[F]
-	Name    string
-	InDim   int // per-sample input feature count
-	Classes int
 }
 
 // Model is the float64 model, the historical API.
@@ -44,9 +41,6 @@ type ImageConfig struct {
 	Channels, Height, Width int
 	Classes                 int
 }
-
-// InDim returns the flat per-sample input size.
-func (c ImageConfig) InDim() int { return c.Channels * c.Height * c.Width }
 
 // SeqConfig describes a sequence-classification (keyword-spotting-like)
 // workload geometry.
@@ -86,7 +80,7 @@ func NewCNNOf[F tensor.Float](cfg ImageConfig, r *rng.RNG) *ModelOf[F] {
 		nn.NewDenseOf[F]("fc2", 120, 84, r), nn.NewReLUOf[F](84),
 		nn.NewDenseOf[F]("fc3", 84, cfg.Classes, r),
 	)
-	return &ModelOf[F]{Network: net, Name: "cnn", InDim: cfg.InDim(), Classes: cfg.Classes}
+	return &ModelOf[F]{Network: net}
 }
 
 // NewLSTMOf builds the paper's LSTM workload: a stacked LSTM named "rnn"
@@ -97,7 +91,7 @@ func NewLSTMOf[F tensor.Float](cfg SeqConfig, r *rng.RNG) *ModelOf[F] {
 	}
 	lstm := nn.NewLSTMOf[F]("rnn", cfg.FeatDim, cfg.Hidden, cfg.SeqLen, cfg.Layers, r)
 	net := nn.NewNetworkOf[F](lstm, nn.NewDenseOf[F]("fc", cfg.Hidden, cfg.Classes, r))
-	return &ModelOf[F]{Network: net, Name: "lstm", InDim: cfg.SeqLen * cfg.FeatDim, Classes: cfg.Classes}
+	return &ModelOf[F]{Network: net}
 }
 
 // NewWRNOf builds a WideResNet-style network: an entry 3×3 conv, three groups
@@ -143,7 +137,7 @@ func NewWRNOf[F tensor.Float](cfg WRNConfig, r *rng.RNG) *ModelOf[F] {
 		nn.NewDenseOf[F]("fc", ch, img.Classes, r),
 	)
 	net := nn.NewNetworkOf[F](layers...)
-	return &ModelOf[F]{Network: net, Name: "wrn", InDim: img.InDim(), Classes: img.Classes}
+	return &ModelOf[F]{Network: net}
 }
 
 // basicBlock builds one pre-activation residual block:

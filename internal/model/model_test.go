@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,22 +14,27 @@ var testImg = ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 10}
 var testSeq = SeqConfig{SeqLen: 8, FeatDim: 8, Hidden: 16, Layers: 2, Classes: 10}
 var testWRN = WRNConfig{Image: ImageConfig{Channels: 3, Height: 16, Width: 16, Classes: 10}, BlocksPerGroup: 2, Width: 8}
 
-func forwardShape(t *testing.T, m *Model, batch int) {
+// forwardShape checks that m maps a batch of inDim-feature samples to
+// classes logits each.
+func forwardShape(t *testing.T, m *Model, inDim, classes, batch int) {
 	t.Helper()
-	x := tensor.New(batch, m.InDim)
+	x := tensor.New(batch, inDim)
 	r := rng.New(100)
 	for i := range x.Data() {
 		x.Data()[i] = r.Normal(0, 1)
 	}
 	y := m.Forward(x, false)
-	if y.Dim(0) != batch || y.Dim(1) != m.Classes {
-		t.Fatalf("%s forward shape = %v, want [%d %d]", m.Name, y.Shape(), batch, m.Classes)
+	if y.Dim(0) != batch || y.Dim(1) != classes {
+		t.Fatalf("forward shape = %v, want [%d %d]", y.Shape(), batch, classes)
 	}
 }
 
+// inDim is an image's flat per-sample input size.
+func inDim(c ImageConfig) int { return c.Channels * c.Height * c.Width }
+
 func TestCNNShapeAndNames(t *testing.T) {
 	m := NewCNNOf[float64](testImg, rng.New(1))
-	forwardShape(t, m, 4)
+	forwardShape(t, m, inDim(testImg), testImg.Classes, 4)
 	names := paramNames(m.Network)
 	for _, want := range []string{"conv1.weight", "conv2.weight", "fc1.weight", "fc2.weight", "fc3.bias"} {
 		if !names[want] {
@@ -39,7 +45,7 @@ func TestCNNShapeAndNames(t *testing.T) {
 
 func TestLSTMShapeAndNames(t *testing.T) {
 	m := NewLSTMOf[float64](testSeq, rng.New(2))
-	forwardShape(t, m, 4)
+	forwardShape(t, m, testSeq.SeqLen*testSeq.FeatDim, testSeq.Classes, 4)
 	names := paramNames(m.Network)
 	// Names the paper's Fig. 3 references.
 	for _, want := range []string{"rnn.weight_hh_l0", "rnn.bias_ih_l1", "fc.weight"} {
@@ -51,7 +57,7 @@ func TestLSTMShapeAndNames(t *testing.T) {
 
 func TestWRNShapeAndNames(t *testing.T) {
 	m := NewWRNOf[float64](testWRN, rng.New(3))
-	forwardShape(t, m, 4)
+	forwardShape(t, m, inDim(testWRN.Image), testWRN.Image.Classes, 4)
 	names := paramNames(m.Network)
 	for _, want := range []string{
 		"conv1.weight",
@@ -82,9 +88,10 @@ func TestWRNDepthScaling(t *testing.T) {
 
 func TestWRNTrains(t *testing.T) {
 	// One gradient step must not blow up and must change parameters.
-	m := NewWRNOf[float64](WRNConfig{Image: ImageConfig{Channels: 1, Height: 8, Width: 8, Classes: 4}, BlocksPerGroup: 1, Width: 4}, rng.New(5))
+	img := ImageConfig{Channels: 1, Height: 8, Width: 8, Classes: 4}
+	m := NewWRNOf[float64](WRNConfig{Image: img, BlocksPerGroup: 1, Width: 4}, rng.New(5))
 	r := rng.New(6)
-	x := tensor.New(8, m.InDim)
+	x := tensor.New(8, inDim(img))
 	for i := range x.Data() {
 		x.Data()[i] = r.Normal(0, 1)
 	}
@@ -134,32 +141,41 @@ func TestDeterministicConstruction(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the workload name each constructor stamps, at both
-// dtypes: expcfg's name → model switch dispatches on these names, and run
-// logs and checksums key on them.
+// TestRegistry pins that each constructor builds one parameter layout at
+// both dtypes: the same names and shapes in the same order, so an f32 run
+// of a workload trains the model its f64 run does, and the flat vectors
+// the runner aggregates line up.
 func TestRegistry(t *testing.T) {
 	r := rng.New(7)
 	for _, c := range []struct {
-		name  string
-		got64 string
-		got32 string
+		name         string
+		got64, got32 string
 	}{
-		{"cnn", NewCNNOf[float64](testImg, r).Name, NewCNNOf[float32](testImg, r).Name},
-		{"lstm", NewLSTMOf[float64](testSeq, r).Name, NewLSTMOf[float32](testSeq, r).Name},
-		{"wrn", NewWRNOf[float64](testWRN, r).Name, NewWRNOf[float32](testWRN, r).Name},
+		{"cnn", layout(NewCNNOf[float64](testImg, r)), layout(NewCNNOf[float32](testImg, r))},
+		{"lstm", layout(NewLSTMOf[float64](testSeq, r)), layout(NewLSTMOf[float32](testSeq, r))},
+		{"wrn", layout(NewWRNOf[float64](testWRN, r)), layout(NewWRNOf[float32](testWRN, r))},
 	} {
-		if c.got64 != c.name || c.got32 != c.name {
-			t.Fatalf("model names %q (float64), %q (float32), want %q", c.got64, c.got32, c.name)
+		if c.got64 == "" || c.got64 != c.got32 {
+			t.Fatalf("%s: float64 layout %q, float32 layout %q", c.name, c.got64, c.got32)
 		}
 	}
 }
 
+// layout lists m's parameters in order, each as its name and shape.
+func layout[F tensor.Float](m *ModelOf[F]) string {
+	var b strings.Builder
+	for _, p := range m.Params() {
+		fmt.Fprintf(&b, "%s%v;", p.Name, p.Value.Shape())
+	}
+	return b.String()
+}
+
 func TestParamNameUniverse(t *testing.T) {
 	// Every parameter name must be well formed (no empty segments).
-	for _, m := range []*Model{NewCNNOf[float64](testImg, rng.New(1)), NewLSTMOf[float64](testSeq, rng.New(1)), NewWRNOf[float64](testWRN, rng.New(1))} {
+	for i, m := range []*Model{NewCNNOf[float64](testImg, rng.New(1)), NewLSTMOf[float64](testSeq, rng.New(1)), NewWRNOf[float64](testWRN, rng.New(1))} {
 		for _, p := range m.Params() {
 			if p.Name == "" || strings.Contains(p.Name, "..") || strings.HasPrefix(p.Name, ".") {
-				t.Fatalf("%s has malformed param name %q", m.Name, p.Name)
+				t.Fatalf("model %d has malformed param name %q", i, p.Name)
 			}
 		}
 	}

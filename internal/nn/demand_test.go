@@ -48,7 +48,7 @@ func TestTrainingForwardHoldsWhatBackwardReads(t *testing.T) {
 	net := model.NewWRNOf[float64](model.WRNConfig{Image: img, BlocksPerGroup: 2, Width: 8}, rng.New(3)).Network
 	arena := tensor.NewArena()
 	net.SetArena(arena)
-	x := tensor.AllocOf[float64](arena, batch, img.InDim())
+	x := tensor.AllocOf[float64](arena, batch, img.Channels*img.Height*img.Width)
 	logits := net.Forward(x, true)
 	reads := 8 * logits.Size()
 	net.VisitLayers(func(l nn.LayerOf[float64]) {
@@ -88,7 +88,7 @@ func TestTrainingArenaDemand(t *testing.T) {
 	arena := tensor.NewArena()
 	net.SetArena(arena)
 	r := rng.New(4)
-	x := tensor.AllocUninitOf[float64](arena, batch, img.InDim())
+	x := tensor.AllocUninitOf[float64](arena, batch, img.Channels*img.Height*img.Width)
 	for i := range x.Data() {
 		x.Data()[i] = r.Normal(0, 1)
 	}
@@ -131,7 +131,7 @@ func TestConvScratchDoesNotOutliveCall(t *testing.T) {
 	net.SetArena(arena)
 	r := rng.New(4)
 	batch := func(n int) *tensor.Tensor {
-		x := tensor.AllocUninitOf[float64](arena, n, img.InDim())
+		x := tensor.AllocUninitOf[float64](arena, n, img.Channels*img.Height*img.Width)
 		for i := range x.Data() {
 			x.Data()[i] = r.Normal(0, 1)
 		}
@@ -176,8 +176,8 @@ func TestInferenceMatchesTrainingForwardModels(t *testing.T) {
 		build func() *nn.Network
 		dim   int
 	}{
-		{"cnn", func() *nn.Network { return model.NewCNNOf[float64](cnn.Img, rng.New(3)).Network }, cnn.Img.InDim()},
-		{"wrn", func() *nn.Network { return model.NewWRNOf[float64](wrn.Wrn, rng.New(3)).Network }, wrn.Wrn.Image.InDim()},
+		{"cnn", func() *nn.Network { return model.NewCNNOf[float64](cnn.Img, rng.New(3)).Network }, cnn.Img.Channels * cnn.Img.Height * cnn.Img.Width},
+		{"wrn", func() *nn.Network { return model.NewWRNOf[float64](wrn.Wrn, rng.New(3)).Network }, wrn.Wrn.Image.Channels * wrn.Wrn.Image.Height * wrn.Wrn.Image.Width},
 		{"lstm", func() *nn.Network { return model.NewLSTMOf[float64](lstm.Seq, rng.New(3)).Network }, lstm.Seq.SeqLen * lstm.Seq.FeatDim},
 	} {
 		t.Run(m.name, func(t *testing.T) { nn.InferenceMatchesTraining(t, m.build, batch, m.dim) })

@@ -19,8 +19,8 @@ import (
 // results to its working precision on store, while the GEMMs and the
 // pre-activation sums run in the working dtype. tensor.LSTMCell is that cell.
 type LSTMOf[F tensor.Float] struct {
-	InDim, Hidden, T, NumLayers int
-	layers                      []*lstmLayerOf[F]
+	InDim, Hidden, T int
+	layers           []*lstmLayerOf[F]
 
 	arena *tensor.Arena
 	gen   uint64
@@ -56,7 +56,7 @@ func NewLSTMOf[F tensor.Float](name string, inDim, hidden, seqLen, numLayers int
 	if numLayers < 1 {
 		panic("nn: LSTM needs at least one layer")
 	}
-	l := &LSTMOf[F]{InDim: inDim, Hidden: hidden, T: seqLen, NumLayers: numLayers}
+	l := &LSTMOf[F]{InDim: inDim, Hidden: hidden, T: seqLen}
 	for i := 0; i < numLayers; i++ {
 		in := inDim
 		if i > 0 {

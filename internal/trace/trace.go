@@ -43,10 +43,11 @@ func PaperConfig() Config {
 	return Config{HeterogeneitySigma: 0.6, Dynamic: true}
 }
 
-// segment is one constant-factor stretch of a client's dynamic timeline.
+// segment is one constant-factor stretch of a client's dynamic timeline,
+// from the previous segment's end (0 for the first) to its own.
 type segment struct {
-	start, end float64
-	factor     float64 // ≥ 1; 1 in fast mode
+	end    float64
+	factor float64 // ≥ 1; 1 in fast mode
 }
 
 // SpeedModel is one client's speed timeline. Static is the client's
@@ -80,7 +81,7 @@ func (m *SpeedModel) extendTo(t float64) {
 		if dur <= 0 {
 			dur = 1e-9
 		}
-		m.segs = append(m.segs, segment{start: start, end: start + dur, factor: factor})
+		m.segs = append(m.segs, segment{end: start + dur, factor: factor})
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -203,4 +205,202 @@ func recvName(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// fieldUnreadAllowed names the struct fields no non-test selector reads that
+// stay anyway, each with the reason. A key is the package's import path, the
+// struct's type name and the field's name.
+var fieldUnreadAllowed = map[string]string{
+	"fedca/internal/experiments.probeKey.Client": "read as part of a map key (probeScheme.targets, probeScheme.out)",
+	"fedca/internal/fl.IterState.Budget": "benchmark/probes.go sets it on the controller states it drives; " +
+		"it goes with the fields the benchmark sets (ROADMAP item 35)",
+	"fedca/internal/fl.FinalState.Iterations": "benchmark/probes.go sets it on the final state it drives; " +
+		"it goes with the fields the benchmark sets (ROADMAP item 35)",
+	"fedca/internal/core.Curves.Round": "the anchor the curves came from: internal/core/chaos_regression_test.go " +
+		"holds the stale-curve contract with it and internal/core/profiler_test.go pins it",
+}
+
+// TestEveryFieldIsRead: every struct field declared in a non-test file
+// outside benchmark/ is read by a selector in some non-test file of the
+// module, benchmark/ and cmd/ included, or is on fieldUnreadAllowed. A field
+// that is only written carries a value nothing consumes. A selector that is
+// the whole left side of = or := writes the field; any other selector reads
+// it, and a selector on an instantiated generic type counts for the generic
+// type's field. An embedded field, a field with a json tag (encoding/json
+// reads it) and an exported field of an exported type of the root package
+// (library API) count as read. Each package's files come from go list, so a
+// file is judged only where its build constraints compile it; the standard
+// library is type-checked from source. An allowlist entry that is read, or
+// no longer declared, fails too.
+func TestEveryFieldIsRead(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	imp := &moduleImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	var paths []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		if len(f) != 3 {
+			t.Fatalf("go list line %q: want 3 tab-separated fields", line)
+		}
+		path, dir := f[0], f[1]
+		for _, file := range strings.Fields(f[2]) {
+			af, err := parser.ParseFile(fset, filepath.Join(dir, file), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imp.files[path] = append(imp.files[path], af)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+	}
+
+	// declared: every field of a struct type written in a package outside
+	// benchmark/, keyed by the type's name path (Outer.Inner for a struct
+	// type nested in a field's type), or by position for an anonymous one.
+	// written: every selector that is the whole left side of = or :=.
+	declared := map[*types.Var]string{}
+	where := map[*types.Var]string{}
+	written := map[*ast.SelectorExpr]bool{}
+	for _, path := range paths {
+		fenced := path == "fedca/benchmark" || strings.HasPrefix(path, "fedca/benchmark/")
+		for _, af := range imp.files[path] {
+			owners := map[*ast.StructType]string{}
+			ast.Inspect(af, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					nameStructs(n.Type, n.Name.Name, owners)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) {
+							written[sel] = true
+						}
+					}
+				}
+				return true
+			})
+			if fenced {
+				continue
+			}
+			ast.Inspect(af, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				owner := owners[st]
+				for _, fl := range st.Fields.List {
+					if fl.Tag != nil && strings.Contains(fl.Tag.Value, "json:") {
+						continue
+					}
+					for _, name := range fl.Names {
+						if path == "fedca" && ast.IsExported(owner) && name.IsExported() {
+							continue
+						}
+						key := path + "." + owner + "." + name.Name
+						if owner == "" {
+							key = path + "." + name.Name
+						}
+						v := imp.info.Defs[name].(*types.Var)
+						p := fset.Position(name.Pos())
+						rel, _ := filepath.Rel(wd, p.Filename)
+						declared[v], where[v] = key, rel+":"+strconv.Itoa(p.Line)
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[*types.Var]bool{}
+	for sel, s := range imp.info.Selections {
+		if s.Kind() == types.FieldVal && !written[sel] {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+
+	var fails []string
+	keys := map[string]bool{}
+	for v, key := range declared {
+		keys[key] = true
+		switch allowed := fieldUnreadAllowed[key] != ""; {
+		case !read[v] && !allowed:
+			fails = append(fails, "no non-test selector reads "+key+" ("+where[v]+")")
+		case read[v] && allowed:
+			fails = append(fails, "allowlisted field "+key+" is read by a selector: drop its entry")
+		}
+	}
+	for key := range fieldUnreadAllowed {
+		if !keys[key] {
+			fails = append(fails, "allowlisted field "+key+" is no longer declared: drop its entry")
+		}
+	}
+	sort.Strings(fails)
+	for _, f := range fails {
+		t.Error(f)
+	}
+}
+
+// moduleImporter type-checks the module's packages from the files go list
+// names, each once and into one shared Info, and the standard library from
+// source.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// nameStructs names every struct type literal within a declared type's
+// expression: the type's name, followed by the field names that lead down to
+// a nested struct.
+func nameStructs(e ast.Expr, name string, owners map[*ast.StructType]string) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		owners[st] = name
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				nameStructs(f.Type, name+"."+id.Name, owners)
+			}
+		}
+		return false
+	})
 }
