@@ -11,17 +11,20 @@ import (
 	"fedca/internal/tensor"
 )
 
-// deltaPool recycles the NumParams-sized vectors handed to the server as
-// Update.Delta. A delta lives from its upload until the fold passes it, or,
-// for a late update, until the cut has handed it to Carry; then the fold or
-// Runner.recycle puts it back, so steady-state rounds allocate no fresh
-// update vectors and no RoundResult holds one.
+// deltaPool recycles the NumParams-sized update vectors: each worker's update
+// in progress and the ones handed to the server as Update.Delta. A client
+// round takes its vector at download, accumulates into it, compresses it in
+// place at upload and hands it over; a dropped round puts it back at once.
+// An uploaded delta lives until the fold passes it, or, for a late update,
+// until the cut has handed it to Carry; then the fold or Runner.recycle puts
+// it back, so steady-state rounds allocate no fresh update vectors and no
+// RoundResult holds one.
 // Recycled slices carry stale data; every taker must overwrite all elements
 // before reading any. It is a plain free list: a sync.Pool of slices would
 // box a slice header on every put, and the vectors it holds between rounds
 // are the ones the next round takes again: as many as a round held at once,
-// fewer than twice the train stage's worker count when the cut takes the
-// whole cohort (see onlineFold).
+// in progress or uploaded, fewer than twice the train stage's worker count
+// when the cut takes the whole cohort (see onlineFold).
 type deltaPool struct {
 	mu   sync.Mutex
 	free [][]float64
@@ -61,7 +64,6 @@ type trainWorkerOf[F tensor.Float] struct {
 	ranges []nn.ParamRange
 	opt    *nn.SGDOf[F]
 	y      []int
-	delta  []float64
 	pool   *deltaPool
 	obs    workerObserver // nil when no observer watches the workers
 
@@ -161,8 +163,9 @@ type clientRound[F tensor.Float] struct {
 	upBytes        float64
 	upRetries      int // with upBytes, the uplink's counters at round start
 	now, lossSum   float64
-	iter           int // iterations completed
-	deltaIter      int // the iteration whose update w.delta holds; 0: none
+	iter           int       // iterations completed
+	delta          []float64 // the update, from the pool; upload hands it over
+	deltaIter      int       // the iteration whose update delta holds; 0: none
 	u              Update
 }
 
@@ -229,9 +232,7 @@ func (r *clientRound[F]) download() {
 	w.net.SetFlatParams(r.global)
 	w.opt.LR, w.opt.Momentum, w.opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
 	w.opt.Reset()
-	if len(w.delta) != len(r.global) {
-		w.delta = make([]float64, len(r.global)) // stale contents: accumulated overwrites all
-	}
+	r.delta = w.pool.get(len(r.global)) // stale contents: accumulated overwrites all
 	clear(w.standing)
 	if b := c.Loader.BatchSize(); cap(w.y) < b {
 		w.y = make([]int, b)
@@ -301,13 +302,15 @@ func (r *clientRound[F]) sendEager(li int) {
 }
 
 // drop closes a round whose device vanished: no Finalize, no upload, so the
-// server never sees a partial layer (Delta stays nil); the next ResetAt
-// releases an abandoned eager transfer. A controller observes the dropout to
-// reset state it armed this round (e.g. FedCA's anchor recording).
+// server never sees a partial layer (Delta stays nil) and the update vector
+// goes back to the pool; the next ResetAt releases an abandoned eager
+// transfer. A controller observes the dropout to reset state it armed this
+// round (e.g. FedCA's anchor recording).
 func (r *clientRound[F]) drop() {
 	if d, ok := r.ctrl.(DropoutObserver); ok {
 		d.OnDropout(r.iter)
 	}
+	r.w.pool.put(r.delta)
 	r.u.Dropped, r.u.CompletionTime = true, math.Inf(1)
 }
 
@@ -327,33 +330,33 @@ func (r *clientRound[F]) finish() {
 	}
 }
 
-// upload sends the final payload and fills the update the server will see:
-// a layer whose eager snapshot stands (sent eagerly and not retransmitted)
-// is its snapshot and is not sent again; every other layer is its final
-// value as the server decodes it, and counts toward the payload.
+// upload sends the final payload and fills the update the server will see,
+// in the update vector itself: a layer whose eager snapshot stands (sent
+// eagerly and not retransmitted) is overwritten by its snapshot and is not
+// sent again; every other layer is compressed in place to its final value as
+// the server decodes it, and counts toward the payload.
 func (r *clientRound[F]) upload() {
 	delta := r.accumulated()
-	serverDelta := r.w.pool.get(len(delta))
 	var finalBytes float64
 	for li, rg := range r.w.ranges {
 		if r.w.standing[li] {
-			copy(serverDelta[rg.Start:rg.End], r.w.snap[rg.Start:rg.End])
+			copy(delta[rg.Start:rg.End], r.w.snap[rg.Start:rg.End])
 		} else {
-			finalBytes += r.compressInto(delta[rg.Start:rg.End], serverDelta[rg.Start:rg.End])
+			finalBytes += r.compressInto(delta[rg.Start:rg.End], delta[rg.Start:rg.End])
 		}
 	}
 	finalBytes = max(finalBytes, 64) // control message floor
 	// Corruption strikes the payload as serialized for upload — after eager
 	// overlays and compression, so the server decodes exactly the damage.
-	r.cplan.CorruptDelta(serverDelta)
+	r.cplan.CorruptDelta(delta)
 	_, r.u.CompletionTime = r.c.Up.TransferAttempts(r.now, finalBytes, r.cplan.Attempts())
-	r.u.Delta, r.u.TrainLoss = serverDelta, r.lossSum/float64(r.iter)
+	r.u.Delta, r.u.TrainLoss = delta, r.lossSum/float64(r.iter)
 }
 
 // compressInto writes what the server would decode for one layer's update
 // into dst and returns its wire size (compressors quote bytes against a
-// 4-byte fp32 baseline; rescale to honour ModelBytes emulation). dst must
-// not alias vec.
+// 4-byte fp32 baseline; rescale to honour ModelBytes emulation). dst may
+// alias vec, as compress.IntoCompressor allows: upload compresses in place.
 func (r *clientRound[F]) compressInto(vec, dst []float64) float64 {
 	bytesPerScalar := r.cfg.ModelBytes / float64(len(r.global))
 	if r.cfg.Compressor == nil {
@@ -363,12 +366,12 @@ func (r *clientRound[F]) compressInto(vec, dst []float64) float64 {
 	return r.cfg.Compressor.CompressInto(vec, dst) * bytesPerScalar / 4
 }
 
-// accumulated returns the update accumulated so far, filling the worker's
-// delta buffer on the first read after an iteration: the working weights,
+// accumulated returns the update accumulated so far, filling the round's
+// update vector on the first read after an iteration: the working weights,
 // widened, minus the float64 master vector, whoever asks first (for F =
 // float64 the widening is the identity).
 func (r *clientRound[F]) accumulated() []float64 {
-	delta, global := r.w.delta, r.global
+	delta, global := r.delta, r.global
 	if r.deltaIter != r.iter {
 		off := 0
 		for _, p := range r.w.net.Params() {

@@ -31,8 +31,8 @@ func (d *deltaWatcher) AfterIteration(s IterState) IterAction {
 }
 
 // deltaIgnorer embeds NopController and never reads the delta, as FedProx's
-// controller does: after every iteration, the worker's delta buffer, which
-// the test fills with NaN before the round, must still hold NaN.
+// controller does: after every iteration, the round's update vector, which
+// the test fills with NaN and pools before the round, must still hold NaN.
 type deltaIgnorer struct {
 	NopController
 	t     *testing.T
@@ -57,13 +57,18 @@ func testDeltaOnceMatchesPerIteration[F tensor.Float](t *testing.T) {
 	run := func(ctrl Controller) Update {
 		w := newTrainWorkerOf(benchModel[F]("cnn"), &deltaPool{}, nil)
 		if ig, ok := ctrl.(*deltaIgnorer); ok {
-			w.delta = make([]float64, len(global))
-			for j := range w.delta {
-				w.delta[j] = math.NaN()
+			// The round takes its update vector from the worker's pool.
+			ig.buf = make([]float64, len(global))
+			for j := range ig.buf {
+				ig.buf[j] = math.NaN()
 			}
-			ig.buf = w.delta
+			w.pool.put(ig.buf)
 		}
-		return w.run(roundInput{c: roundClient(ds, cfg.BatchSize), ctrl: ctrl, global: global, cfg: &cfg, plan: RoundPlan{Deadline: math.Inf(1)}})
+		u := w.run(roundInput{c: roundClient(ds, cfg.BatchSize), ctrl: ctrl, global: global, cfg: &cfg, plan: RoundPlan{Deadline: math.Inf(1)}})
+		if ig, ok := ctrl.(*deltaIgnorer); ok && &u.Delta[0] != &ig.buf[0] {
+			t.Fatal("the round did not upload the vector it took from the pool")
+		}
+		return u
 	}
 	once := run(NopController{})
 	ignorer := &deltaIgnorer{t: t}

@@ -565,19 +565,28 @@ func (wrnNets) New32() *nn.NetworkOf[float32] { return benchModel[float32]("wrn"
 // and shapes of the backward pass), and no round's evaluate stage adds a
 // chunk. Laid out by training first, the arena keeps training's small
 // chunks, which the evaluation batch cannot use, beside the ones it adds.
+// The float32 CNN, trained as the benchmark's fleet-cnn-f32 trains it, is
+// cut from the float64 evaluation's chunks too: both float types share one
+// slab. With a float32 slab of its own laid out beside them, the arena
+// retained 3.51–3.57 MiB after three rounds, against 2.33 MiB shared and
+// 2.26 MiB for the fresh arena.
 func TestEvalArenaLaidOutFirst(t *testing.T) {
-	const batch, trainBatch, clients, rounds = 256, 16, 4, 3
-	// A fresh arena measured 10.36 MiB after one evaluation batch at this
-	// geometry: 8.86 MiB of activations (12.86 MiB while batch norm, the
-	// equal-shape convolutions and the residual sum each took a fresh
-	// activation on an inference pass) and the 1.5 MiB batch the float32 rows
-	// are widened into. Training's own slabs took 0.26 MiB beside it.
-	const slack = 512 << 10
+	// A fresh arena measured 10.36 MiB after one evaluation batch at the
+	// WRN's geometry: 8.86 MiB of activations (12.86 MiB while batch norm,
+	// the equal-shape convolutions and the residual sum each took a fresh
+	// activation on an inference pass) and the 1.5 MiB batch the float32
+	// rows are widened into. Training's own slabs took 0.26 MiB beside it.
+	t.Run("wrn-f64", func(t *testing.T) { testEvalArenaLaidOutFirst(t, "wrn", "", wrnNets{}, 16, 512<<10) })
+	t.Run("cnn-f32", func(t *testing.T) { testEvalArenaLaidOutFirst(t, "cnn", "f32", cnnNets{}, 10, 256<<10) })
+}
+
+func testEvalArenaLaidOutFirst(t *testing.T, name, dtype string, nets Networks, trainBatch, slack int) {
+	const batch, clients, rounds = 256, 4, 3
 	setTokenCap(t, 2)
-	train, test := benchData("wrn", 64), benchData("wrn", batch)
+	train, test := benchData(name, 64), benchData(name, batch)
 
 	fresh := tensor.NewArena()
-	net := benchModel[float64]("wrn")
+	net := benchModel[float64](name)
 	net.SetArena(fresh)
 	Evaluate(net, test, batch)
 	bound := arenaRetained(fresh) + slack
@@ -587,9 +596,9 @@ func TestEvalArenaLaidOutFirst(t *testing.T) {
 		cs[i] = roundClient(train, trainBatch)
 		cs[i].ID = i
 	}
-	cfg := Config{LocalIters: 2, BatchSize: trainBatch, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 1, EvalBatch: batch}
+	cfg := Config{LocalIters: 2, BatchSize: trainBatch, LR: 0.05, BaseIterTime: 0.1, AggregateFraction: 1, EvalBatch: batch, DType: dtype}
 	probe := &arenaProbe{}
-	r, err := NewFleetRunner(cfg, NewStaticFleet(cs), probe, test, wrnNets{})
+	r, err := NewFleetRunner(cfg, NewStaticFleet(cs), probe, test, nets)
 	if err != nil {
 		t.Fatal(err)
 	}

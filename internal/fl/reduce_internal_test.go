@@ -498,10 +498,29 @@ func TestRecyclePoolsEveryDeltaOnce(t *testing.T) {
 	}
 }
 
+// updateVectors returns how many distinct update vectors r's float64 round
+// engine holds: the pool's, and each worker's update in progress (a vector
+// the worker has handed over is the pool's once more). The per-worker eager
+// snapshot buffer is not an update and is not counted.
+func updateVectors(r *Runner) int {
+	held := make(map[*float64]bool)
+	for _, v := range r.pool.free {
+		held[&v[0]] = true
+	}
+	for _, w := range r.workers {
+		if d := w.(*trainWorkerOf[float64]).round.delta; d != nil {
+			held[&d[0]] = true
+		}
+	}
+	return len(held)
+}
+
 // TestWholeCohortCutHoldsAWindow: a cut whose ⌈0.9·8⌉ takes the whole
-// cohort decides every update as it finishes, so at 2 tokens the delta pool
-// holds fewer than twice the train stage's worker count after every round:
-// the completion window, not the cohort.
+// cohort decides every update as it finishes, so at 2 tokens the round
+// engine holds fewer than twice the train stage's worker count of update
+// vectors after every round — the pool's and the workers' updates in
+// progress: the completion window, not the cohort. A worker that kept an
+// update vector of its own beside the pooled one it uploads held 2·window.
 func TestWholeCohortCutHoldsAWindow(t *testing.T) {
 	setTokenCap(t, 2)
 	cs, test := foldClients(8)
@@ -519,8 +538,9 @@ func TestWholeCohortCutHoldsAWindow(t *testing.T) {
 		if len(res.Collected) != len(cs) {
 			t.Fatalf("round %d: the cut collected %d of %d", round, len(res.Collected), len(cs))
 		}
-		if n := checkPoolOnce(t, r, res, round, pooled); n >= 2*len(r.workers) {
-			t.Fatalf("round %d: the pool holds %d deltas, want fewer than 2×%d workers", round, n, len(r.workers))
+		checkPoolOnce(t, r, res, round, pooled)
+		if n := updateVectors(r); n >= 2*len(r.workers) {
+			t.Fatalf("round %d: the round engine holds %d update vectors, want fewer than 2×%d workers", round, n, len(r.workers))
 		}
 	}
 }

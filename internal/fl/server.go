@@ -977,10 +977,11 @@ func (s *shards) Do(i, _ int) { s.f(i*s.n/s.k, (i+1)*s.n/s.k) }
 // client while one worker is descheduled or training a long client. A
 // frontier that has finished but is undecided waits on other completions,
 // so it never holds a worker (TestFoldLiveness). On a whole-cohort cut,
-// then, at most window−1 finished updates sit inside the window and window−1
-// waiting past it, and with each worker's update in progress the delta pool,
-// which keeps every vector it was handed, holds fewer than 2·window vectors
-// whatever the scheduling; a partial cut adds its undecided and late ones.
+// then, at most window−1 finished updates sit inside the window and a
+// worker either waits past it with its finished update or trains one in a
+// vector it took at download, so the delta pool, which keeps every vector
+// it was handed, holds fewer than 2·window vectors whatever the scheduling;
+// a partial cut adds its undecided and late ones.
 // Waiting reorders no fold, so no bit moves. A panicking client round aborts
 // the fold: every waiter is woken and none waits again, so the panic reaches
 // the caller.

@@ -19,7 +19,12 @@ import (
 // list of chunks: an allocation is cut from the first chunk with room for it,
 // and one that fits in none adds a chunk, which the slab keeps. Reset rewinds
 // the chunks; nothing is re-made, copied or dropped, so what an arena retains
-// is exactly what it has ever allocated.
+// is exactly what it has ever allocated. The two float types share one slab
+// counted in 8-byte words — a float32 request is rounded up to whole words,
+// so every buffer stays 8-byte aligned — and a released buffer serves either:
+// a float32 run's training is cut from the chunks its float64 evaluation
+// laid out. Masks and argmax indices keep slabs of their own; small pieces
+// in the float slab split the large released activations.
 //
 // Two allocations exist. The zeroing one (AllocOf, Float64) is for buffers
 // whose consumer accumulates into them; the non-zeroing one (AllocUninitOf,
@@ -45,16 +50,15 @@ import (
 // and call CheckGen before reading, so a stale read panics loudly instead of
 // silently consuming another iteration's data.
 type Arena struct {
-	f64   slab[float64]
-	f32   slab[float32]
-	i32   slab[int32]
-	bools slab[bool]
-	dims  slab[int]
-	t64   slab[TensorOf[float64]]
-	t32   slab[TensorOf[float32]]
-	p64   slab[PackedBOf[float64]]
-	p32   slab[PackedBOf[float32]]
-	gen   uint64
+	floats slab[float64] // both float types, in 8-byte words
+	i32    slab[int32]
+	bools  slab[bool]
+	dims   slab[int]
+	t64    slab[TensorOf[float64]]
+	t32    slab[TensorOf[float32]]
+	p64    slab[PackedBOf[float64]]
+	p32    slab[PackedBOf[float32]]
+	gen    uint64
 }
 
 // poison makes every non-zeroing allocation and every release fill the
@@ -206,7 +210,7 @@ func (s *slab[T]) retained() int {
 // than from released buffers, over every slab. Tests read it through
 // go:linkname; nothing else does.
 var demandBytes = func(a *Arena) int {
-	return 8*a.f64.demand + 4*a.f32.demand + 4*a.i32.demand + a.bools.demand + 8*a.dims.demand +
+	return 8*a.floats.demand + 4*a.i32.demand + a.bools.demand + 8*a.dims.demand +
 		int(unsafe.Sizeof(TensorOf[float64]{}))*a.t64.demand + int(unsafe.Sizeof(TensorOf[float32]{}))*a.t32.demand +
 		int(unsafe.Sizeof(PackedBOf[float64]{}))*a.p64.demand + int(unsafe.Sizeof(PackedBOf[float32]{}))*a.p32.demand
 }
@@ -216,11 +220,8 @@ var demandBytes = func(a *Arena) int {
 // again. Tests read it through go:linkname; nothing else does.
 var heldBytes = func(a *Arena) int {
 	free := 0
-	for _, v := range a.f64.free {
+	for _, v := range a.floats.free {
 		free += 8 * len(v)
-	}
-	for _, v := range a.f32.free {
-		free += 4 * len(v)
 	}
 	return demandBytes(a) - free
 }
@@ -229,7 +230,7 @@ var heldBytes = func(a *Arena) int {
 // memory the arena keeps from one generation to the next, and all it has
 // ever allocated. Tests read it through go:linkname; nothing else does.
 var retainedBytes = func(a *Arena) int {
-	return a.f64.retained() + a.f32.retained() + a.i32.retained() + a.bools.retained() + a.dims.retained() +
+	return a.floats.retained() + a.i32.retained() + a.bools.retained() + a.dims.retained() +
 		a.t64.retained() + a.t32.retained() + a.p64.retained() + a.p32.retained()
 }
 
@@ -240,8 +241,7 @@ func NewArena() *Arena { return &Arena{} }
 // new generation. The chunks are kept, so allocation falls to zero once a
 // full iteration has run.
 func (a *Arena) Reset() {
-	a.f64.reset()
-	a.f32.reset()
+	a.floats.reset()
 	a.i32.reset()
 	a.bools.reset()
 	a.dims.reset()
@@ -266,7 +266,7 @@ func (a *Arena) CheckGen(gen uint64, owner string) {
 }
 
 // Float64 allocates a zeroed []float64 valid until the next Reset.
-func (a *Arena) Float64(n int) []float64 { return a.f64.alloc(n, true) }
+func (a *Arena) Float64(n int) []float64 { return a.floats.alloc(n, true) }
 
 // Int32Uninit allocates an []int32 valid until the next Reset whose contents
 // are arbitrary: the caller must write every element before reading any
@@ -305,14 +305,11 @@ func ArenaSliceUninit[F Float](a *Arena, n int) []F {
 // slice into an any would heap-allocate its header on every call, and named
 // ~float32/~float64 types would fail the assertion back.
 func arenaSlice[F Float](a *Arena, n int, zero bool) []F {
-	var s unsafe.Pointer
-	if sizeofF[F]() == 4 {
-		s = unsafe.Pointer(unsafe.SliceData(a.f32.alloc(n, zero)))
-	} else {
-		s = unsafe.Pointer(unsafe.SliceData(a.f64.alloc(n, zero)))
-	}
-	return unsafe.Slice((*F)(s), n)
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(a.floats.alloc(words[F](n), zero)))), n)
 }
+
+// words returns how many 8-byte words n elements of F take.
+func words[F Float](n int) int { return (n*sizeofF[F]() + 7) / 8 }
 
 // AllocOf allocates a zeroed tensor whose storage — data, shape and the
 // header itself — lives in the arena, valid until the next Reset.
@@ -353,12 +350,7 @@ func releaseSlice[F Float](a *Arena, v []F) {
 	if poison {
 		fill(v, F(math.NaN()))
 	}
-	p, n := unsafe.Pointer(unsafe.SliceData(v)), len(v)
-	if sizeofF[F]() == 4 {
-		a.f32.release(unsafe.Slice((*float32)(p), n))
-	} else {
-		a.f64.release(unsafe.Slice((*float64)(p), n))
-	}
+	a.floats.release(unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(v))), words[F](len(v))))
 }
 
 // ViewOf returns a tensor of the given shape over data, which the arena

@@ -110,7 +110,8 @@ func TestArenaCheckGenPanics(t *testing.T) {
 }
 
 // TestArenaReleaseReuse: a released tensor's storage serves later allocations
-// that fit it — zeroing or not, whole or cut into pieces — and no others.
+// that fit it — zeroing or not, whole or cut into pieces, of either float
+// type — and no others: no longer one, and no mask or index.
 func TestArenaReleaseReuse(t *testing.T) {
 	a := NewArena()
 	x := AllocUninitOf[float64](a, 4, 8)
@@ -126,8 +127,12 @@ func TestArenaReleaseReuse(t *testing.T) {
 	if y := AllocUninitOf[float64](a, 4, 9); within(y.Data()) {
 		t.Fatal("an allocation longer than the released buffer was cut from it")
 	}
-	if y := AllocUninitOf[float32](a, 4, 8); unsafe.Pointer(unsafe.SliceData(y.Data())) == unsafe.Pointer(xp) {
-		t.Fatal("an allocation of another dtype took the released buffer")
+	withinAny := func(p unsafe.Pointer) bool { return within(unsafe.Slice((*float64)(p), 1)) }
+	if withinAny(unsafe.Pointer(unsafe.SliceData(a.BoolsUninit(32 * 8)))) {
+		t.Fatal("a bool allocation took released float storage")
+	}
+	if withinAny(unsafe.Pointer(unsafe.SliceData(a.Int32Uninit(32 * 2)))) {
+		t.Fatal("an int32 allocation took released float storage")
 	}
 	y := AllocUninitOf[float64](a, 8, 4)
 	if unsafe.SliceData(y.Data()) != xp {
@@ -172,8 +177,22 @@ func TestArenaReleaseReuse(t *testing.T) {
 	// Reset forgets what was released: the slab is whole again.
 	ReleaseOf(a, AllocUninitOf[float64](a, 32))
 	a.Reset()
-	if n := len(a.f64.free); n != 0 {
+	if n := len(a.floats.free); n != 0 {
 		t.Fatalf("%d released buffers survived Reset", n)
+	}
+	// Either float type serves the other: a released float64 buffer serves a
+	// float32 request of no more bytes, and a released float32 buffer a
+	// float64 one.
+	f := AllocUninitOf[float64](a, 8)
+	fp := unsafe.Pointer(unsafe.SliceData(f.Data()))
+	ReleaseOf(a, f)
+	g := AllocUninitOf[float32](a, 16)
+	if unsafe.Pointer(unsafe.SliceData(g.Data())) != fp {
+		t.Fatal("a float32 allocation of the released bytes did not reuse a released float64 buffer")
+	}
+	ReleaseOf(a, g)
+	if unsafe.Pointer(unsafe.SliceData(a.Float64(8))) != fp {
+		t.Fatal("a float64 allocation of the released bytes did not reuse a released float32 buffer")
 	}
 }
 
@@ -196,7 +215,7 @@ func TestArenaReleaseBoundsHighWater(t *testing.T) {
 	chain()
 	chain()
 	// Each chunk is rounded up to what the runtime allocates for it.
-	if got, two := a.f64.retained()/8, 2*chunkBytes(8*n)/8; got != two {
+	if got, two := a.floats.retained()/8, 2*chunkBytes(8*n)/8; got != two {
 		t.Fatalf("slab retains %d elements for a chain with two buffers of %d live at once (%d as rounded chunks)", got, n, two)
 	}
 	if allocs := testing.AllocsPerRun(10, chain); allocs != 0 {
