@@ -33,8 +33,9 @@ var simGoldenRows = []struct {
 	{"fedca-f32", []string{"-scheme", "fedca", "-dtype", "f32"}},
 	{"fedca-qsgd7", []string{"-scheme", "fedca", "-compress", "qsgd7"}},
 	{"fedca-chaos", []string{"-scheme", "fedca", "-chaos", "drop=0.1,corrupt=0.05"}},
-	// A NopController embedder that never reads the delta, FedProx's
-	// ModifyGrad32, and a cut that takes the whole cohort (aggfrac 1).
+	// A NopController that never reads the delta, the worker's proximal
+	// step (RoundPlan.Prox) at float32, and a cut that takes the whole
+	// cohort (aggfrac 1).
 	{"fedprox-f32", []string{"-scheme", "fedprox", "-dtype", "f32", "-aggfrac", "1"}},
 	{"fedavg-fleet", []string{"-scheme", "fedavg", "-fleet", "2000", "-participation", "0.01"}},
 	{"oort-fleet", []string{"-scheme", "oort", "-fleet", "2000", "-participation", "0.01"}},

@@ -239,7 +239,7 @@ type Snapshot struct {
 	// Accuracy is the global model's accuracy after the last aggregation.
 	Accuracy float64 `json:"accuracy"`
 	// Stats is the run's tally: degradation (skipped rounds, quarantines,
-	// dropouts, link retries) and scheme behaviour (early stops, eager sends,
+	// dropouts, uplink retries) and scheme behaviour (early stops, eager sends,
 	// anchors) over the whole run.
 	Stats fl.RunStats `json:"stats"`
 	// Stages is the run's wall-clock stage table, one row per runner stage

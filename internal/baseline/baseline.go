@@ -8,8 +8,6 @@ import (
 	"math"
 
 	"fedca/internal/fl"
-	"fedca/internal/nn"
-	"fedca/internal/tensor"
 )
 
 // FedAvg is vanilla federated averaging: every client runs the full K local
@@ -39,44 +37,16 @@ type FedProx struct {
 // Name returns "fedprox".
 func (FedProx) Name() string { return "fedprox" }
 
-// PlanRound sets no deadline and no per-client budgets.
-func (FedProx) PlanRound(int, *fl.History) fl.RoundPlan {
-	return fl.RoundPlan{Deadline: fl.NoDeadline()}
+// PlanRound sets no deadline and no per-client budgets, and μ as the
+// round's proximal term, which every client applies to its gradients.
+func (p FedProx) PlanRound(int, *fl.History) fl.RoundPlan {
+	return fl.RoundPlan{Deadline: fl.NoDeadline(), Prox: p.Mu}
 }
 
-// NewController returns a controller whose only action is the proximal
-// gradient correction.
-func (p FedProx) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
-	return &proxController{mu: p.Mu}
-}
-
-type proxController struct {
-	fl.NopController
-	mu float64
-}
-
-// ModifyGrad adds μ(w − w_global) to every parameter gradient.
-func (p *proxController) ModifyGrad(params []*nn.Param, globalFlat []float64) {
-	proxModify(p.mu, params, globalFlat)
-}
-
-// ModifyGrad32 is the float32-worker form of the proximal correction. The
-// reference point w_global stays float64; the difference is formed at full
-// precision and narrowed once per element.
-func (p *proxController) ModifyGrad32(params []*nn.ParamOf[float32], globalFlat []float64) {
-	proxModify(p.mu, params, globalFlat)
-}
-
-func proxModify[F tensor.Float](mu float64, params []*nn.ParamOf[F], globalFlat []float64) {
-	off := 0
-	for _, par := range params {
-		w := par.Value.Data()
-		g := par.Grad.Data()
-		for j := range w {
-			g[j] += F(mu * (float64(w[j]) - globalFlat[off+j]))
-		}
-		off += len(w)
-	}
+// NewController returns the no-op controller: the proximal term rides in
+// the plan.
+func (FedProx) NewController(*fl.Client, int, fl.RoundPlan) fl.Controller {
+	return fl.NopController{}
 }
 
 // FedAda adapts each straggler's intra-round workload on the server (Zhang et

@@ -11,9 +11,9 @@ import (
 )
 
 // TestDropoutAbortsAnchorRecording: a client dropping mid-anchor-round never
-// reaches Finalize/FinishAnchor; the OnDropout path must disarm the profiler
-// instead of leaving it armed with partial samples, while keeping the last
-// completed anchor's curves.
+// reaches FinishAnchor; its Finalize, called with Dropped set and no delta,
+// must disarm the profiler instead of leaving it armed with partial samples,
+// while keeping the last completed anchor's curves.
 func TestDropoutAbortsAnchorRecording(t *testing.T) {
 	w := tinyWorkload()
 	tb := expcfg.Build(w, 2, trace.Config{}, 90)
@@ -37,11 +37,9 @@ func TestDropoutAbortsAnchorRecording(t *testing.T) {
 		t.Fatal("anchor controller must arm recording")
 	}
 	ctrl.AfterIteration(fl.IterState{Iter: 1, K: w.FL.LocalIters, Budget: w.FL.LocalIters, Delta: make([]float64, net.NumParams()), Ranges: net.ParamRanges()})
-	d, ok := ctrl.(fl.DropoutObserver)
-	if !ok {
-		t.Fatal("FedCA controller must implement fl.DropoutObserver")
+	if act := ctrl.Finalize(fl.FinalState{Dropped: true, Iterations: 1, Ranges: net.ParamRanges()}); act.Retransmit != nil {
+		t.Fatalf("dropped Finalize asked to retransmit %v", act.Retransmit)
 	}
-	d.OnDropout(1)
 	if s.Profiler(0).Recording() {
 		t.Fatal("dropout during anchor must disarm recording")
 	}

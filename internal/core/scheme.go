@@ -132,10 +132,11 @@ func (s *Scheme) IsAnchorRound(round int) bool {
 // workload decisions are the clients' own.
 func (s *Scheme) PlanRound(round int, hist *fl.History) fl.RoundPlan {
 	est := hist.EstRoundTimes(s.Opt.K)
+	anchor := s.IsAnchorRound(round)
 	if q := s.Opt.DeadlineQuantile; q > 0 {
-		return fl.RoundPlan{Deadline: quantileDeadline(est, q)}
+		return fl.RoundPlan{Deadline: quantileDeadline(est, q), Anchor: anchor}
 	}
-	return fl.RoundPlan{Deadline: fl.FedBalancerDeadline(est)}
+	return fl.RoundPlan{Deadline: fl.FedBalancerDeadline(est), Anchor: anchor}
 }
 
 // quantileDeadline returns the q-quantile of the estimated round times
@@ -170,18 +171,16 @@ func inf() float64 { return math.Inf(1) }
 // only its own profiler.
 func (s *Scheme) NewController(c *fl.Client, round int, plan fl.RoundPlan) fl.Controller {
 	p := s.Profiler(c.ID)
-	anchor := s.IsAnchorRound(round)
-	if anchor {
+	if plan.Anchor {
 		p.BeginAnchor(round)
 	}
-	return &controller{s: s, prof: p, anchor: anchor, deadline: plan.Deadline}
+	return &controller{s: s, prof: p, anchor: plan.Anchor, deadline: plan.Deadline}
 }
 
 // controller is FedCA's per-client, per-round decision maker. It implements
 // TryEarlyStop and TryEagerTransmit (paper Sec. 5.1) inside AfterIteration,
 // and TryRetransmit inside Finalize.
 type controller struct {
-	fl.NopController
 	s        *Scheme
 	prof     *Profiler
 	anchor   bool
@@ -233,19 +232,18 @@ func (c *controller) AfterIteration(st fl.IterState) fl.IterAction {
 	return action
 }
 
-// OnDropout (fl.DropoutObserver) closes the round for a client that vanished
-// mid-round: a half-recorded anchor is aborted so the profiler is not left
-// armed with partial samples — the previous anchor's curves deliberately
-// stay in force until the next completed anchor re-profiles.
-func (c *controller) OnDropout(int) {
-	if c.anchor {
-		c.prof.AbortAnchor()
-	}
-}
-
 // Finalize turns anchor recordings into curves, or applies the Eq. 6
-// retransmission check to every eagerly transmitted layer.
+// retransmission check to every eagerly transmitted layer. For a client that
+// vanished mid-round it aborts a half-recorded anchor, so the profiler is not
+// left armed with partial samples — the previous anchor's curves
+// deliberately stay in force until the next completed anchor re-profiles.
 func (c *controller) Finalize(st fl.FinalState) fl.FinalAction {
+	if st.Dropped {
+		if c.anchor {
+			c.prof.AbortAnchor()
+		}
+		return fl.FinalAction{}
+	}
 	if c.anchor {
 		c.prof.FinishAnchor()
 		return fl.FinalAction{}

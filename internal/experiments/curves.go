@@ -87,7 +87,6 @@ func (p *probeScheme) NewController(c *fl.Client, round int, _ fl.RoundPlan) fl.
 }
 
 type probeController struct {
-	fl.NopController
 	scheme *probeScheme
 	key    probeKey
 	prof   *core.Profiler
@@ -106,6 +105,9 @@ func (c *probeController) AfterIteration(st fl.IterState) fl.IterAction {
 }
 
 func (c *probeController) Finalize(st fl.FinalState) fl.FinalAction {
+	if st.Dropped {
+		return fl.FinalAction{}
+	}
 	pc := &ProbeCurves{Model: core.ProgressCurve(c.snaps)}
 	pc.Layer = make([][]float64, len(st.Ranges))
 	for l, rg := range st.Ranges {

@@ -341,3 +341,107 @@ func verifyDroppedClient(t *testing.T, c *fl.Client, u fl.Update, eagerBeforeDro
 		t.Fatalf("uplink not released by round reset: next transfer starts at %v, want %v", start, nextStart)
 	}
 }
+
+// finalizeCounter is a scheme whose controllers count their Finalize calls
+// per client-round and send layer 0 eagerly after the first iteration. On a
+// dropped round Finalize asks to retransmit every eager record and one index
+// out of range: the runner must ignore that action.
+type finalizeCounter struct {
+	baseline.FedAvg
+	mu    sync.Mutex
+	calls map[[2]int][]bool // (round, client) → Dropped of each Finalize
+}
+
+type countingCtrl struct {
+	s             *finalizeCounter
+	round, client int
+}
+
+func (s *finalizeCounter) NewController(c *fl.Client, round int, _ fl.RoundPlan) fl.Controller {
+	return &countingCtrl{s: s, round: round, client: c.ID}
+}
+
+func (c *countingCtrl) AfterIteration(st fl.IterState) fl.IterAction {
+	if st.Iter == 1 {
+		return fl.IterAction{EagerLayers: []int{0}}
+	}
+	return fl.IterAction{}
+}
+
+func (c *countingCtrl) Finalize(st fl.FinalState) fl.FinalAction {
+	c.s.mu.Lock()
+	k := [2]int{c.round, c.client}
+	c.s.calls[k] = append(c.s.calls[k], st.Dropped)
+	c.s.mu.Unlock()
+	if !st.Dropped {
+		return fl.FinalAction{}
+	}
+	if st.Delta != nil {
+		panic("a dropped round's Finalize got a delta")
+	}
+	retransmit := []int{len(st.Eager)}
+	for i := range st.Eager {
+		retransmit = append(retransmit, i)
+	}
+	return fl.FinalAction{Retransmit: retransmit}
+}
+
+// clientRoundLog is an observer that keeps each client-round's update, and
+// whether any of its eager records was marked retransmitted.
+type clientRoundLog struct {
+	updates map[[2]int]fl.Update
+	marked  map[[2]int]bool
+}
+
+func (l *clientRoundLog) ClientRound(round int, _ float64, u *fl.Update) {
+	k := [2]int{round, u.ClientID}
+	l.updates[k] = *u
+	for _, e := range u.Eager {
+		l.marked[k] = l.marked[k] || e.Retransmitted
+	}
+}
+
+func (*clientRoundLog) RoundDone(fl.RoundRecord, fl.RoundMeta) {}
+
+// TestFinalizeClosesEveryClientRound: every client-round ends in exactly one
+// Finalize, dropped or not, with FinalState.Dropped equal to the update's
+// Dropped; the retransmissions a dropped round's Finalize asks for mark
+// nothing, and an index out of range there does not panic.
+func TestFinalizeClosesEveryClientRound(t *testing.T) {
+	const clients, rounds = 6, 4
+	w := tinyWorkload()
+	w.FL.Chaos = dropEngine(t, 0.5, 21)
+	log := &clientRoundLog{updates: make(map[[2]int]fl.Update), marked: make(map[[2]int]bool)}
+	w.FL.Observers = []fl.Observer{log}
+	s := &finalizeCounter{calls: make(map[[2]int][]bool)}
+	r, err := expcfg.Build(w, clients, trace.PaperConfig(), 22).NewRunner(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		r.RunRound()
+	}
+	if len(log.updates) != clients*rounds {
+		t.Fatalf("observed %d client-rounds, want %d", len(log.updates), clients*rounds)
+	}
+	droppedAfterEager := 0
+	for k, u := range log.updates {
+		calls := s.calls[k]
+		if len(calls) != 1 || calls[0] != u.Dropped {
+			t.Fatalf("round %d client %d (dropped %v): Finalize calls %v, want exactly [%v]", k[0], k[1], u.Dropped, calls, u.Dropped)
+		}
+		if u.Dropped && (u.Retransmitted != 0 || log.marked[k]) {
+			t.Fatalf("round %d client %d: a dropped round marked retransmissions (count %d, an eager record marked: %v)", k[0], k[1], u.Retransmitted, log.marked[k])
+		}
+		if u.Dropped && u.EagerSent > 0 {
+			droppedAfterEager++
+		}
+	}
+	if len(s.calls) != len(log.updates) {
+		t.Fatalf("Finalize ran for %d client-rounds, the runner recorded %d", len(s.calls), len(log.updates))
+	}
+	if droppedAfterEager == 0 || r.Stats().DroppedRounds == clients*rounds {
+		t.Fatalf("drop=0.5 must drop some client-rounds after an eager send and keep others (dropped %d, after eager %d); change the seed",
+			r.Stats().DroppedRounds, droppedAfterEager)
+	}
+}

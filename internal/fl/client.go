@@ -114,19 +114,19 @@ func (w *trainWorkerOf[F]) alloc(shape ...int) *tensor.TensorOf[F] {
 	return tensor.AllocUninitOf[F](w.arena, shape...)
 }
 
-// modifyGrad dispatches the controller's gradient hook by worker dtype: a
-// float64 worker calls ModifyGrad, a float32 worker calls ModifyGrad32 and
-// refuses controllers that lack it (see GradModifier32).
-func modifyGrad[F tensor.Float](ctrl Controller, params []*nn.ParamOf[F], globalFlat []float64) {
-	switch ps := any(params).(type) {
-	case []*nn.Param:
-		ctrl.ModifyGrad(ps, globalFlat)
-	case []*nn.ParamOf[float32]:
-		m, ok := ctrl.(GradModifier32)
-		if !ok {
-			panic(fmt.Sprintf("fl: controller %T has no ModifyGrad32; a float32 worker would silently drop its gradient modification", ctrl))
+// proxStep adds the proximal term's gradient μ(w − w_global) to every
+// parameter gradient (RoundPlan.Prox). The reference point w_global stays
+// float64; the difference is formed at full precision and narrowed once per
+// element.
+func proxStep[F tensor.Float](mu float64, params []*nn.ParamOf[F], globalFlat []float64) {
+	off := 0
+	for _, par := range params {
+		w := par.Value.Data()
+		g := par.Grad.Data()
+		for j := range w {
+			g[j] += F(mu * (float64(w[j]) - globalFlat[off+j]))
 		}
-		m.ModifyGrad32(ps, globalFlat)
+		off += len(w)
 	}
 }
 
@@ -142,7 +142,6 @@ type roundInput struct {
 	plan   RoundPlan
 	round  int
 	start  float64 // the round's virtual start time
-	anchor bool
 	eager  []EagerRecord
 }
 
@@ -237,7 +236,7 @@ func (r *clientRound[F]) download() {
 	if b := c.Loader.BatchSize(); cap(w.y) < b {
 		w.y = make([]int, b)
 	}
-	r.u = Update{ClientID: c.ID, Weight: c.Weight, DownloadDone: r.now, Anchor: r.anchor, Chaos: r.cplan}
+	r.u = Update{ClientID: c.ID, Weight: c.Weight, DownloadDone: r.now, Anchor: r.plan.Anchor, Chaos: r.cplan}
 }
 
 // iterate runs one local SGD iteration and advances the virtual clock by its
@@ -255,7 +254,9 @@ func (r *clientRound[F]) iterate() {
 	dlogits := w.alloc(logits.Dim(0), logits.Dim(1))
 	r.lossSum += nn.SoftmaxCrossEntropyInto(logits, y, dlogits)
 	w.net.Backward(dlogits)
-	modifyGrad(r.ctrl, w.net.Params(), r.global)
+	if r.plan.Prox != 0 {
+		proxStep(r.plan.Prox, w.net.Params(), r.global)
+	}
 	w.opt.Step(w.net.Params())
 
 	r.iter++
@@ -301,15 +302,14 @@ func (r *clientRound[F]) sendEager(li int) {
 	r.eager = append(r.eager, EagerRecord{Layer: li, Iter: r.iter, Snapshot: snap, SentAt: sentAt, DoneAt: doneAt})
 }
 
-// drop closes a round whose device vanished: no Finalize, no upload, so the
-// server never sees a partial layer (Delta stays nil) and the update vector
-// goes back to the pool; the next ResetAt releases an abandoned eager
-// transfer. A controller observes the dropout to reset state it armed this
-// round (e.g. FedCA's anchor recording).
+// drop closes a round whose device vanished: no upload, so the server never
+// sees a partial layer (Delta stays nil) and the update vector goes back to
+// the pool; the next ResetAt releases an abandoned eager transfer. The
+// controller's Finalize observes the dropout, with no delta, to reset state
+// it armed this round (e.g. FedCA's anchor recording); its action is
+// ignored.
 func (r *clientRound[F]) drop() {
-	if d, ok := r.ctrl.(DropoutObserver); ok {
-		d.OnDropout(r.iter)
-	}
+	r.ctrl.Finalize(FinalState{Dropped: true, Iterations: r.iter, Ranges: r.w.ranges, Eager: r.eager})
 	r.w.pool.put(r.delta)
 	r.u.Dropped, r.u.CompletionTime = true, math.Inf(1)
 }

@@ -5,9 +5,11 @@
 // weighted FedAvg aggregation.
 //
 // Schemes (FedAvg, FedProx, FedAda, FedCA) plug in through the Scheme
-// interface: they may plan per-client iteration budgets and a round deadline
-// on the server, modify gradients locally, stop local training early, and
-// transmit per-layer updates eagerly before round completion.
+// interface: on the server they plan each round (a deadline, per-client
+// iteration budgets, FedProx's proximal μ, FedCA's anchor flag); on the
+// client their Controller makes its two decisions, to stop local training
+// early or send a layer eagerly after an iteration, and to retransmit
+// eagerly-sent layers at the end of the round.
 //
 // # Round stages and concurrency model
 //
@@ -25,9 +27,9 @@
 //     validation verdict per participant, index-aligned with the cohort.
 //     Each client round runs on a worker of cputok's one fan-out,
 //     Budget.Run (the caller plus workers borrowed from the CPU-token
-//     budget), one client at a time per worker; all Controller methods —
-//     ModifyGrad, AfterIteration, Finalize, OnDropout — run there,
-//     concurrently with other clients' controllers. A panic on any worker
+//     budget), one client at a time per worker; both Controller methods,
+//     AfterIteration and Finalize, run there, concurrently with other
+//     clients' controllers. A panic on any worker
 //     (a broken plug-in) stops the claims, and Run re-raises it out of
 //     RunRound on the caller once every worker has stopped. A client
 //     round's phases compute its accumulated delta only when it is read: by
@@ -289,6 +291,13 @@ type RoundPlan struct {
 	// IterBudget[i] caps client i's local iterations; nil or 0 entries mean
 	// the default K.
 	IterBudget map[int]int
+	// Prox is μ of the proximal term μ/2·‖w − w_global‖² (FedProx): each
+	// client adds μ(w − w_global) to its gradients before every optimizer
+	// step. 0 means none.
+	Prox float64
+	// Anchor marks a profiling round (FedCA's anchor rounds): every Update
+	// of the round carries it.
+	Anchor bool
 }
 
 // IterState is what a controller observes after each completed iteration.
@@ -346,6 +355,10 @@ type EagerRecord struct {
 
 // FinalState is what a controller observes when local training has ended.
 type FinalState struct {
+	// Dropped: the client vanished mid-round after Iterations iterations.
+	// Its update never reaches the server, Delta is nil, and the runner
+	// ignores the returned action.
+	Dropped    bool
 	Iterations int
 	// Delta is the final accumulated update. Like IterState.Accumulated it is
 	// read-only and valid only during the call (worker-reused buffer).
@@ -363,24 +376,22 @@ type FinalAction struct {
 	Retransmit []int // indices into FinalState.Eager
 }
 
-// Controller is the per-client, per-round decision maker of a scheme.
+// Controller is the per-client, per-round decision maker of a scheme: the
+// client's two decisions, neither tied to the worker's dtype. What the
+// server fixes for the round (deadline, budgets, μ, anchor) is in the
+// RoundPlan the scheme built it from.
 //
 // Every method runs on a worker goroutine, concurrently with the controllers
-// of other clients. Calls on one controller are sequential — ModifyGrad and
-// AfterIteration alternate per iteration, then exactly one of Finalize or
-// OnDropout (DropoutObserver) closes the round — so controller-local state
+// of other clients. Calls on one controller are sequential — AfterIteration
+// after every iteration but a dropped client's last, then exactly one
+// Finalize closes the round, dropped or not — so controller-local state
 // needs no locking; state shared across controllers does.
 type Controller interface {
-	// ModifyGrad may adjust parameter gradients before the optimizer step
-	// (e.g. FedProx's proximal term). globalFlat is the round's starting
-	// parameter vector. Controllers overriding it with real behaviour must
-	// also implement GradModifier32, or float32 workers will panic rather
-	// than silently skip the modification.
-	ModifyGrad(params []*nn.Param, globalFlat []float64)
 	// AfterIteration observes intra-round state and may stop training or
 	// request eager layer transmissions.
 	AfterIteration(st IterState) IterAction
-	// Finalize decides retransmissions once local training has ended.
+	// Finalize decides retransmissions once local training has ended, or
+	// observes the dropout (FinalState.Dropped) to reset state it armed.
 	Finalize(st FinalState) FinalAction
 }
 
@@ -430,11 +441,12 @@ type Update struct {
 	// validation (non-finite or norm-bounded delta); it was excluded from
 	// aggregation and moved to the round's Discarded set.
 	Quarantined bool
-	Anchor      bool // a profiling round (schemes with IsAnchorRound(round))
+	Anchor      bool // a profiling round (RoundPlan.Anchor)
 	EarlyStop   bool // the controller stopped training, at any iteration
 	UploadBytes float64
-	// LinkRetries counts failed transfer attempts this round (chaos
-	// transfer-failure injection); the airtime is included in UploadBytes.
+	// LinkRetries counts failed uplink transfer attempts this round, eager
+	// and final (chaos transfer-failure injection); the airtime is included
+	// in UploadBytes. The download's failed attempts are not counted here.
 	LinkRetries   int
 	EagerSent     int
 	Retransmitted int
@@ -461,36 +473,8 @@ type carrier interface {
 	Carry(round int, late []Update) []Update
 }
 
-// DropoutObserver is an optional Controller extension. The runner invokes
-// OnDropout — on the worker goroutine, in place of Finalize, which is never
-// called for a dropped client — when the client vanishes mid-round after
-// iter completed iterations. Schemes use it to reset per-client state armed
-// earlier in the round (e.g. FedCA aborting a half-recorded anchor profile
-// that would otherwise stay armed with partial samples).
-type DropoutObserver interface {
-	OnDropout(iter int)
-}
-
-// GradModifier32 is an optional Controller extension: the float32 analogue of
-// ModifyGrad, invoked instead of it when the client trains in float32
-// (Config.DType "f32"). globalFlat stays float64 — the master weights never
-// narrow. Controllers whose ModifyGrad is a real modification must implement
-// it (embedding NopController provides a no-op for the rest); a float32 worker
-// panics on a controller that lacks it, so a scheme can never silently lose
-// its gradient correction by switching dtype.
-type GradModifier32 interface {
-	ModifyGrad32(params []*nn.ParamOf[float32], globalFlat []float64)
-}
-
 // NopController implements Controller with no behaviour — plain FedAvg.
 type NopController struct{}
-
-// ModifyGrad does nothing.
-func (NopController) ModifyGrad([]*nn.Param, []float64) {}
-
-// ModifyGrad32 does nothing: embedding NopController opts a controller into
-// float32 workers with no gradient modification.
-func (NopController) ModifyGrad32([]*nn.ParamOf[float32], []float64) {}
 
 // AfterIteration never stops and never transmits eagerly.
 func (NopController) AfterIteration(IterState) IterAction { return IterAction{} }

@@ -394,13 +394,17 @@ func (c *lateCarrier) Carry(_ int, late []Update) []Update {
 
 // KeepFinal is a controller that copies its client's final accumulated
 // update into *Dst: the delta the server receives when nothing is sent
-// eagerly, compressed or corrupted. The package's external tests use it too.
+// eagerly, compressed or corrupted. A dropped round, which has no delta,
+// leaves *Dst as it was. The package's external tests use it too.
 type KeepFinal struct {
 	NopController
 	Dst *[]float64
 }
 
 func (c KeepFinal) Finalize(st FinalState) FinalAction {
+	if st.Dropped {
+		return FinalAction{}
+	}
 	*c.Dst = slices.Clone(st.Delta)
 	return FinalAction{}
 }

@@ -41,7 +41,9 @@ type RoundRecord struct {
 	EagerSent      float64 `json:"mean_eager_sent,omitempty"`
 	Retransmitted  float64 `json:"mean_retrans,omitempty"`
 	// UploadBytes is the uplink payload of every participant, failed
-	// attempts included; LinkRetries counts those failed attempts.
+	// attempts included; LinkRetries counts those failed uplink attempts
+	// (the downlink's count only in the telemetry's
+	// fedca_link_retries_total).
 	UploadBytes float64 `json:"upload_bytes"`
 	// Skipped marks a round that closed without aggregating: fewer valid
 	// updates survived (dropout, quarantine) than the quorum requires. The
@@ -104,7 +106,7 @@ type RunStats struct {
 	SkippedRounds int `json:"skipped_rounds"` // rounds closed without aggregation (below quorum)
 	Quarantined   int `json:"quarantined"`    // updates rejected by validation
 	DroppedRounds int `json:"dropped_rounds"` // client-rounds lost to mid-round dropout
-	LinkRetries   int `json:"link_retries"`   // failed transfer attempts that were retransmitted
+	LinkRetries   int `json:"link_retries"`   // failed uplink transfer attempts that were retransmitted
 	CohortClients int `json:"cohort_clients"` // client-rounds materialized into cohorts over the run
 
 	EarlyStops        int   `json:"early_stops"`
@@ -592,11 +594,6 @@ func (r *Runner) train(cohort []*Client, ctrls []Controller, plan RoundPlan) ([]
 		updates: resize(&r.updates, len(cohort)),
 		eager:   resize(&r.eager, len(cohort)),
 		valid:   resize(&r.valid, len(cohort)),
-	}
-	// Schemes exposing IsAnchorRound (FedCA) get their profiling
-	// client-rounds marked in the record.
-	if a, ok := r.Scheme.(interface{ IsAnchorRound(int) bool }); ok {
-		j.in.anchor = a.IsAnchorRound(r.round)
 	}
 	budget := cputok.Default()
 	extra := budget.Borrow(min(len(r.workers), len(cohort)) - 1)

@@ -88,7 +88,7 @@ func (m *tokenMonitor) Sample(s sample) []Violation {
 
 // ratesMonitor checks each phase's degradation rates against the acceptance
 // bands carried in its spec: skipped-rounds fraction, quarantined-updates
-// fraction, link retries per round.
+// fraction, uplink retries per round.
 type ratesMonitor struct{ nopMonitor }
 
 func (ratesMonitor) Name() string { return "rates" }

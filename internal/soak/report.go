@@ -35,7 +35,7 @@ type PhaseResult struct {
 	SkippedRounds int     `json:"skipped_rounds"`
 	Quarantined   int     `json:"quarantined"`
 	DroppedRounds int     `json:"dropped_rounds"`
-	LinkRetries   int     `json:"link_retries"`
+	LinkRetries   int     `json:"link_retries"` // failed uplink attempts (RunStats.LinkRetries)
 	// Collected counts updates that entered aggregation across the phase
 	// (the quarantine-rate denominator together with Quarantined).
 	Collected int `json:"collected"`

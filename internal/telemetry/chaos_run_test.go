@@ -88,4 +88,20 @@ func TestSinkAndJournalRenderChaosRun(t *testing.T) {
 			t.Fatalf("clients not sorted by compute desc: %+v", top)
 		}
 	}
+
+	// The journal and the run's tally count the uplinks' failed attempts,
+	// the sink's counter both links'.
+	table := journal.Clients()
+	all, err := table.TopK(table.Len(), "retries")
+	if err != nil || table.Untracked() != 0 {
+		t.Fatalf("TopK(all) err %v, %d untracked", err, table.Untracked())
+	}
+	var up int64
+	for _, c := range all {
+		up += c.LinkRetries
+	}
+	if up == 0 || up != int64(runner.Stats().LinkRetries) || float64(up) > sink.LinkRetries.Value() {
+		t.Fatalf("link retries: journal %d, RunStats %d, fedca_link_retries_total %v; want 0 < journal == RunStats <= counter",
+			up, runner.Stats().LinkRetries, sink.LinkRetries.Value())
+	}
 }

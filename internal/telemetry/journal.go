@@ -277,7 +277,7 @@ type ClientStats struct {
 	Iterations  int64   `json:"iterations"`
 	ComputeSec  float64 `json:"compute_seconds"` // virtual local-training seconds
 	UplinkBytes float64 `json:"uplink_bytes"`
-	LinkRetries int64   `json:"link_retries"`
+	LinkRetries int64   `json:"link_retries"` // failed uplink transfer attempts (Update.LinkRetries)
 	Dropouts    int64   `json:"dropouts"`
 	Quarantines int64   `json:"quarantines"`
 }

@@ -90,7 +90,7 @@ func New() *Sink {
 		UplinkBytes:   reg.Counter("fedca_link_bytes_total", "Payload bytes carried, including failed attempts.", Label{"direction", "up"}),
 		DownlinkBytes: reg.Counter("fedca_link_bytes_total", "Payload bytes carried, including failed attempts.", Label{"direction", "down"}),
 		LinkTransfers: reg.Counter("fedca_link_transfers_total", "Transmission attempts carried by all links."),
-		LinkRetries:   reg.Counter("fedca_link_retries_total", "Failed transfer attempts that were retransmitted."),
+		LinkRetries:   reg.Counter("fedca_link_retries_total", "Failed transfer attempts that were retransmitted, on the uplinks and the downlinks."),
 		Impairments:   reg.Counter("fedca_link_impairments_total", "Impairment windows installed on links (degradation or outage)."),
 
 		IterSeconds:     reg.Histogram("fedca_iteration_seconds", "Virtual duration of one local training iteration.", expBuckets(0.01, 2, 16)),
